@@ -4,9 +4,9 @@ This package replaces the MPI + NCCL + Aluminum stack used by the paper's
 LBANN implementation with a functionally equivalent runtime:
 
 * :mod:`repro.comm.backend` — the SPMD harness (:func:`run_spmd`), the
-  abstract world/channel contract, the backend registry, and the default
-  **thread** backend (one Python thread per rank over shared mailboxes and
-  rendezvous state).
+  abstract world contract (launch + mailbox + failure detection), the
+  backend registry, and the default **thread** backend (one Python thread
+  per rank over shared mailboxes).
 * :mod:`repro.comm.proc_backend` — the **process** backend: one forked OS
   process per rank with a shared-memory arena transport, so ranks execute
   in genuine parallel.  Select it with ``run_spmd(..., backend="process")``

@@ -1,14 +1,14 @@
-"""Algorithmic collective schedules: ring / Rabenseifner / recursive doubling
-(and binomial trees) as real chunked point-to-point exchanges.
+"""Every collective's wire pattern, over the backends' pt2pt mailbox: the
+``"direct"`` all-to-all :class:`Exchange`, and ring / Rabenseifner /
+recursive doubling (and binomial trees) as chunked schedules.
 
-The cost model (:mod:`repro.comm.collective_models`) has always priced the
+The cost model (:mod:`repro.comm.collective_models`) prices the
 bandwidth-optimal allreduces of Thakur, Rabenseifner & Gropp — each rank
-moving ``2n(p-1)/p`` bytes — but the engine historically ran every
-collective as "deposit the full payload, everyone combines locally", which
-on a message-passing backend costs ``n(p-1)`` per rank.  This module closes
-that gap: it *compiles* ``(p, algorithm)`` into a per-rank schedule of
+moving ``2n(p-1)/p`` bytes — where ``"direct"`` (send the full payload to
+every peer, everyone folds locally) costs ``n(p-1)`` per rank.  This module
+*compiles* ``(p, algorithm)`` into a per-rank schedule of
 send / recv / recv-reduce steps over chunk ranges of a flat buffer, and a
-:class:`ScheduleRunner` executes the schedule over the backends' existing
+:class:`ScheduleRunner` executes the schedule over the backends'
 ``(source, tag)``-matched point-to-point primitives, staging each outgoing
 segment through a :class:`~repro.comm.buffers.BufferPool`.
 
@@ -26,8 +26,9 @@ Compiled schedules (``compile_allreduce``):
   into the odd one and receives the finished result at the end.
 
 Binomial trees (``compile_tree``) route the rooted collectives —
-bcast / reduce / gather / scatter — in ``⌈lg p⌉`` rounds instead of ``p-1``
-messages in or out of the root.
+bcast / reduce / gather / scatter — in ``⌈lg p⌉`` rounds instead of the
+``p-1`` messages in or out of the root of the one-hop star
+(``compile_star``, their ``"direct"`` layout).
 
 Determinism contract
 --------------------
@@ -44,7 +45,7 @@ both backends produce bitwise-identical results *for a given algorithm*:
 * binomial ``reduce``: a node folds its children in ascending relative
   rank, each child delivering its already-folded subtree.
 
-These orders differ from the legacy ``"direct"`` comm-rank-order fold, so
+These orders differ from the ``"direct"`` ascending-comm-rank fold, so
 algorithmic results match it to floating-point *allclose*, not bitwise —
 ``"direct"`` remains the bitwise-reference mode.
 """
@@ -59,8 +60,8 @@ import numpy as np
 
 from repro.obs import tracer as _trace
 
-#: Allreduce-family schedule names (`"direct"` is the legacy non-schedule
-#: path and deliberately absent).
+#: Allreduce-family schedule names (`"direct"` is an :class:`Exchange`, not
+#: a compiled schedule, and deliberately absent).
 REDUCTION_ALGORITHMS = ("ring", "rabenseifner", "recursive_doubling")
 
 
@@ -440,6 +441,34 @@ class TreeNode:
     parent: int | None
     children: tuple[tuple[int, tuple[int, ...]], ...]
 
+    @property
+    def subtree(self) -> tuple[int, ...]:
+        """Comm ranks under this node in ascending relative rank, itself
+        first — the order gather bundles arrive in and scatter bundles
+        leave in, so bundles carry bare payloads and no rank labels."""
+        return (self.rank,) + tuple(
+            r for _child, sub in reversed(self.children) for r in sub
+        )
+
+
+@lru_cache(maxsize=None)
+def compile_star(p: int, root: int) -> tuple[TreeNode, ...]:
+    """Star over ``p`` ranks: every other rank is a leaf child of ``root``.
+
+    The ``"direct"`` routing of the rooted collectives — one hop, ``p - 1``
+    messages in or out of the root — expressed as a tree so the same
+    ``run_tree_*`` runners serve it.
+    """
+    if not 0 <= root < p:
+        raise ValueError(f"root={root} out of range for group of size {p}")
+    leaves = tuple((root + d) % p for d in range(p - 1, 0, -1))
+    return tuple(
+        TreeNode(r, None, tuple((c, (c,)) for c in leaves))
+        if r == root
+        else TreeNode(r, root, ())
+        for r in range(p)
+    )
+
 
 @lru_cache(maxsize=None)
 def compile_tree(p: int, root: int) -> tuple[TreeNode, ...]:
@@ -506,6 +535,9 @@ class ScheduleRunner:
     order is fixed by the compiled schedule, so *when* progress happens
     never affects the result.
     """
+
+    #: Later steps only move when every member drives its own runner.
+    driven = True
 
     def __init__(
         self,
@@ -660,15 +692,38 @@ class ScheduleRunner:
         return self._pos >= len(self._steps)
 
 
-class _TreeTransport:
-    """Minimal pt2pt endpoint the tree collectives run over."""
+class Endpoint:
+    """The pt2pt endpoint every unscheduled collective moves over: eager
+    :meth:`send`, blocking :meth:`recv` and nonblocking :meth:`try_recv`
+    under one ``(tag_class, seq)`` tag, with the flow-trace marks and the
+    wire-byte tally (``inter_peers[c]`` flags comm rank ``c`` as living on
+    another logical node; bytes moved with such peers also count in the
+    ``*_inter`` counters).
 
-    def __init__(self, comm, opname: str, seq: int) -> None:
+    ``tag_class`` is the traffic class fault specs match on: ``"#coll"``
+    for ``"direct"`` (the exchange and the one-hop star), ``"#alg"`` for
+    compiled routes.
+    """
+
+    def __init__(
+        self,
+        comm,
+        opname: str,
+        seq: int,
+        tag_class: str,
+        inter_peers: tuple[bool, ...] | None = None,
+    ) -> None:
         self._comm = comm
-        self._opname = opname
-        self._tag = comm._tag_key(("#alg", seq))
+        # ``collect`` appends "(world rank dest <- source, tag=...)": a
+        # timeout names the op, sequence, waiting rank, and the peer whose
+        # contribution is missing.
+        self._label = f"{opname}[seq={seq}]"
+        self._tag = comm._tag_key((tag_class, seq))
+        self._inter = inter_peers
         self.wire_sent = 0
         self.wire_recv = 0
+        self.wire_sent_inter = 0
+        self.wire_recv_inter = 0
 
     def send(self, peer: int, payload: Any) -> None:
         from repro.comm.communicator import _freeze, payload_nbytes
@@ -679,79 +734,175 @@ class _TreeTransport:
             comm.world_rank, comm._members[peer], self._tag, frozen
         )
         _trace.flow_out(comm._members[peer], self._tag)
-        self.wire_sent += payload_nbytes(frozen)
+        nbytes = payload_nbytes(frozen)
+        self.wire_sent += nbytes
+        if self._inter is not None and self._inter[peer]:
+            self.wire_sent_inter += nbytes
 
-    def recv(self, peer: int) -> Any:
+    def _received(self, peer: int, payload: Any) -> Any:
         from repro.comm.communicator import payload_nbytes
 
-        comm = self._comm
-        payload = comm._world.collect(
-            comm.world_rank,
-            comm._members[peer],
-            self._tag,
-            opname=f"{self._opname}[tree] <- comm rank {peer}",
-        )
-        _trace.flow_in(comm._members[peer], self._tag)
-        self.wire_recv += payload_nbytes(payload)
+        _trace.flow_in(self._comm._members[peer], self._tag)
+        nbytes = payload_nbytes(payload)
+        self.wire_recv += nbytes
+        if self._inter is not None and self._inter[peer]:
+            self.wire_recv_inter += nbytes
         return payload
 
+    def recv(self, peer: int) -> Any:
+        comm = self._comm
+        payload = comm._world.collect(
+            comm.world_rank, comm._members[peer], self._tag, opname=self._label
+        )
+        return self._received(peer, payload)
 
-def run_tree_bcast(comm, node: TreeNode, payload: Any, opname: str, seq: int):
-    """Binomial broadcast: pure routing, bitwise-identical to ``"direct"``."""
-    t = _TreeTransport(comm, opname, seq)
+    def try_recv(self, peer: int) -> tuple[bool, Any]:
+        comm = self._comm
+        got, payload = comm._world.try_collect(
+            comm.world_rank, comm._members[peer], self._tag
+        )
+        if got:
+            self._received(peer, payload)
+        return got, payload
+
+
+class Exchange(Endpoint):
+    """One nonblocking all-to-all over the pt2pt mailbox: ``payloads[j]``
+    goes to comm rank ``j`` — the transport of every ``"direct"``
+    collective (allgather and allreduce fan one payload out to everyone).
+
+    Same ``launch``/``progress``/``finish`` shape as :class:`ScheduleRunner`:
+    :meth:`launch` delivers every piece eagerly and never blocks,
+    :meth:`progress` collects arrived pieces with nonblocking probes, and
+    :meth:`finish` blocks for the rest and returns the received pieces in
+    comm-rank order (this rank's own piece in place); a ``finish`` without
+    a ``launch`` is the whole exchange, blocking.  Pieces are always
+    collected in ascending comm rank, so recv-point fault counts are
+    deterministic.  Completion needs only the peers' *sends*, never their
+    reads: a member that abandons its request starves no one.
+    """
+
+    #: Nothing here waits on a peer driving the same operation.
+    driven = False
+
+    def __init__(
+        self,
+        comm,
+        opname: str,
+        payloads: list[Any],
+        seq: int,
+        inter_peers: tuple[bool, ...] | None = None,
+    ) -> None:
+        super().__init__(comm, opname, seq, "#coll", inter_peers)
+        self._slots = payloads
+        self._launched = False
+        self._pos = 0  # next comm rank to collect from
+
+    def launch(self) -> bool:
+        """Deliver every peer's piece (never blocks); True if complete."""
+        slots = self._slots
+        for j in range(self._comm.size):
+            if j != self._comm.rank:
+                self.send(j, slots[j])
+                slots[j] = None
+        self._launched = True
+        return self._comm.size == 1
+
+    def _advance(self, block: bool) -> bool:
+        if not self._launched:
+            self.launch()
+        comm = self._comm
+        while self._pos < comm.size:
+            j = self._pos
+            if j != comm.rank:
+                if block:
+                    self._slots[j] = self.recv(j)
+                else:
+                    got, piece = self.try_recv(j)
+                    if not got:
+                        return False
+                    self._slots[j] = piece
+            self._pos += 1
+        return True
+
+    def progress(self) -> bool:
+        """Collect what has arrived; True once every piece is in."""
+        return self._advance(block=False)
+
+    def finish(self) -> list[Any]:
+        """Block for the missing pieces; return all in comm-rank order."""
+        self._advance(block=True)
+        return self._slots
+
+
+def run_tree_bcast(t: Endpoint, node: TreeNode, payload: Any) -> Any:
+    """Tree broadcast: pure routing, bitwise-identical on any layout."""
     if node.parent is not None:
         payload = t.recv(node.parent)
     for child, _subtree in node.children:  # largest subtree first
         t.send(child, payload)
-    return payload, t
+    return payload
 
 
 def run_tree_reduce(
-    comm, node: TreeNode, value: Any, fn: Callable[[Any, Any], Any],
-    opname: str, seq: int,
-):
-    """Binomial reduce toward the root.
+    t: Endpoint, node: TreeNode, value: Any, fn: Callable[[Any, Any], Any]
+) -> Any:
+    """Binomial reduce toward the root (``None`` elsewhere).
 
     Children are folded in ascending relative rank (each delivering its
     already-folded subtree), so for root 0 on 4 ranks the root computes
     ``(x0 + x1) + (x2 + x3)`` — fixed for a given ``(p, root)``.
     """
-    t = _TreeTransport(comm, opname, seq)
     acc = value
     for child, _subtree in reversed(node.children):  # ascending relative rank
         acc = fn(acc, t.recv(child))
     if node.parent is not None:
         t.send(node.parent, acc)
-        return None, t
-    return acc, t
+        return None
+    return acc
 
 
-def run_tree_gather(comm, node: TreeNode, payload: Any, opname: str, seq: int):
-    """Binomial gather: subtree bundles of ``(comm rank, payload)`` pairs
-    merge on the way up; the root assembles the comm-rank-ordered list.
-    Pure routing — bitwise-identical to ``"direct"``."""
-    t = _TreeTransport(comm, opname, seq)
-    bundle: list[tuple[int, Any]] = [(node.rank, payload)]
+def run_tree_gather(
+    t: Endpoint, node: TreeNode, payload: Any
+) -> list[Any] | None:
+    """Tree gather: subtree bundles (payloads in :attr:`TreeNode.subtree`
+    order) merge on the way up; the root assembles the comm-rank-ordered
+    list, ``None`` elsewhere.  Pure routing — bitwise-identical on any
+    layout."""
+    bundle: list[Any] = [payload]
     for child, _subtree in reversed(node.children):
         bundle.extend(t.recv(child))
     if node.parent is not None:
         t.send(node.parent, bundle)
-        return None, t
-    slots: list[Any] = [None] * comm.size
-    for rank, item in bundle:
+        return None
+    slots: list[Any] = [None] * len(bundle)
+    for rank, item in zip(node.subtree, bundle):
         slots[rank] = item
-    return slots, t
+    return slots
 
 
-def run_ring_allgather(comm, payload: Any, opname: str, seq: int):
+def run_tree_scatter(t: Endpoint, node: TreeNode, payloads: Any) -> Any:
+    """Tree scatter: the root sends each child its subtree's bundle
+    (payloads in :attr:`TreeNode.subtree` order); interior nodes keep
+    their own piece and forward the rest.  Pure routing —
+    bitwise-identical on any layout."""
+    if node.parent is None:
+        by_rank = {r: payloads[r] for r in node.subtree}
+    else:
+        by_rank = dict(zip(node.subtree, t.recv(node.parent)))
+    for child, subtree in node.children:
+        t.send(child, [by_rank[r] for r in subtree])
+    return by_rank[node.rank]
+
+
+def run_ring_allgather(t: Endpoint, comm, payload: Any) -> list[Any]:
     """Ring allgather: ``(source comm rank, payload)`` items circulate the
     ring for ``p - 1`` steps, each rank forwarding the item it just
     received.  Neighbour-only communication; pure routing, so the result
-    slots are bitwise-identical to the ``"direct"`` deposit path (payloads
-    of any type and heterogeneous sizes route unchanged)."""
+    slots are bitwise-identical to the ``"direct"`` exchange (payloads of
+    any type and heterogeneous sizes route unchanged)."""
     from repro.comm.communicator import _freeze
 
-    t = _TreeTransport(comm, opname, seq)
     p = comm.size
     right, left = (comm.rank + 1) % p, (comm.rank - 1) % p
     slots: list[Any] = [None] * p
@@ -761,17 +912,16 @@ def run_ring_allgather(comm, payload: Any, opname: str, seq: int):
         t.send(right, item)
         item = t.recv(left)
         slots[item[0]] = item[1]
-    return slots, t
+    return slots
 
 
-def run_rd_allgather(comm, payload: Any, opname: str, seq: int):
+def run_rd_allgather(t: Endpoint, comm, payload: Any) -> list[Any]:
     """Recursive-doubling allgather: bundles of ``(source comm rank,
     payload)`` pairs double each round, ``lg p`` rounds total.  Requires a
     power-of-two group (the communicator falls back to the ring schedule
     otherwise).  Pure routing — bitwise-identical to ``"direct"``."""
     from repro.comm.communicator import _freeze
 
-    t = _TreeTransport(comm, opname, seq)
     p = comm.size
     bundle: list[tuple[int, Any]] = [(comm.rank, _freeze(payload))]
     mask = 1
@@ -783,22 +933,4 @@ def run_rd_allgather(comm, payload: Any, opname: str, seq: int):
     slots: list[Any] = [None] * p
     for rank, item in bundle:
         slots[rank] = item
-    return slots, t
-
-
-def run_tree_scatter(
-    comm, node: TreeNode, payloads: Any, root: int, opname: str, seq: int
-):
-    """Binomial scatter: the root sends each child its subtree's bundle of
-    ``(comm rank, payload)`` pairs; interior nodes keep their own piece and
-    forward the rest.  Pure routing — bitwise-identical to ``"direct"``."""
-    t = _TreeTransport(comm, opname, seq)
-    if node.parent is None:
-        bundle = [(j, payloads[j]) for j in range(comm.size)]
-    else:
-        bundle = t.recv(node.parent)
-    by_rank = dict(bundle)
-    own = by_rank[node.rank]
-    for child, subtree in node.children:
-        t.send(child, [(r, by_rank[r]) for r in subtree])
-    return own, t
+    return slots

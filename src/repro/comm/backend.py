@@ -2,13 +2,13 @@
 
 The paper's implementation runs one MPI process per GPU.  This module
 defines the *contract* a rank runtime must satisfy — the abstract
-:class:`BaseWorld` (point-to-point transport, failure handling) and
-:class:`GroupChannel` (per-communicator collective context) — plus the
+:class:`BaseWorld`: launch, an eager ``(source, tag)``-matched mailbox
+(``deliver``/``collect``/``try_collect``), and failure detection — plus the
 backend registry :func:`run_spmd` dispatches on, and the default **thread**
-backend: one Python thread per rank over shared mailboxes and rendezvous
-state (numpy releases the GIL for array kernels, so ranks overlap for the
-bulk of the arithmetic, but Python-level work time-shares — "overlap" on
-this backend buys removed synchronization, not parallel compute).
+backend: one Python thread per rank over shared mailboxes (numpy releases
+the GIL for array kernels, so ranks overlap for the bulk of the
+arithmetic, but Python-level work time-shares — "overlap" on this backend
+buys removed synchronization, not parallel compute).
 
 The **process** backend (:mod:`repro.comm.proc_backend`) implements the same
 contract with one OS process per rank and a shared-memory transport, so
@@ -17,22 +17,15 @@ ranks genuinely execute in parallel.  Select a backend per call
 ``REPRO_BACKEND`` environment variable; the thread backend stays the
 default because it is the cheap, debuggable choice for tests.
 
-Two completion disciplines coexist, mirroring MPI + NCCL/Aluminum:
-
-* **Blocking collectives** synchronize all members around a shared slot
-  array (thread backend: a two-phase barrier; process backend: an
-  allgather of contributions), then every member combines the slots
-  independently in identical deterministic order, so results are bitwise
-  reproducible across backends for a fixed rank count.
-* **Nonblocking collectives** (the engine's gradient-allreduce hot path)
-  skip the rendezvous: each call deposits its contribution under a
-  sequence-keyed operation and immediately returns a request handle.  A
-  rank only blocks when it *waits* on the handle, and only until every
-  member has deposited — a fast rank never waits for slow peers to *read*,
-  which is what lets the per-layer dL/dw allreduces overlap with the
-  remainder of backpropagation (paper §IV).  Multiple operations per
-  communicator may be in flight at once; completion may be observed out of
-  order.
+A backend knows nothing about collectives: every one of them — the
+``"direct"`` all-to-all exchange and the compiled schedules alike — is
+built in :mod:`repro.comm.communicator` / :mod:`repro.comm.algorithms` on
+the mailbox alone, which is what keeps results bitwise reproducible across
+backends for a fixed rank count.  Sends never block, so a collective is
+issued by sending and completed by receiving: a rank only blocks when it
+*waits*, and only until its peers have *sent* — a fast rank never waits
+for slow peers to read, which is what lets the per-layer dL/dw allreduces
+overlap with the remainder of backpropagation (paper §IV).
 
 Payloads cross the thread-backend boundary zero-copy where possible:
 C-contiguous ndarrays are shared as read-only views instead of being
@@ -43,8 +36,8 @@ shared-memory arena instead (see :mod:`repro.comm.proc_backend`), under the
 same no-mutate-after-send contract.
 
 Error handling follows MPI's "abort the job" philosophy: if any rank
-raises, the world is aborted, every rendezvous is broken, pending
-nonblocking requests are woken, and the original exception is re-raised in
+raises, the world is aborted, every blocked receive is woken, and the
+original exception is re-raised in
 the caller with :class:`CommAborted` raised inside the surviving ranks.
 Abort reasons are structured: the first failure (rank, operation, cause)
 is recorded once per world and every survivor's :class:`CommAborted`
@@ -84,6 +77,7 @@ from repro.comm.faults import (
     JobConfig,
 )
 from repro.comm.hostmap import HOSTMAP_ENV, HostMap, resolve_hostmap
+from repro.comm.stats import CommStats
 
 logger = logging.getLogger(__name__)
 
@@ -159,74 +153,6 @@ DEFAULT_TIMEOUT: float = 120.0
 # ---------------------------------------------------------------------------
 
 
-class GroupChannel(abc.ABC):
-    """Collective context of one communicator group on one rank.
-
-    Created by :meth:`BaseWorld.channel` with the group's members and this
-    rank's position; all state needed to run blocking and nonblocking
-    collectives for that group lives behind this interface, so
-    :class:`~repro.comm.communicator.Communicator` is backend-agnostic.
-
-    The nonblocking half hands back opaque *tokens*: ``nb_start`` deposits a
-    contribution and returns a token, ``nb_test``/``nb_wait`` poll or block
-    until every member has deposited, ``nb_wait`` returns the slot list (all
-    contributions in comm-rank order — the caller combines them, so the
-    arithmetic and its order are shared across backends), and ``nb_finish``
-    releases backend bookkeeping.
-
-    Two routing refinements let message-passing backends avoid the naive
-    everyone-to-everyone exchange (backends with shared slot storage may
-    ignore both):
-
-    * ``needs(comm_rank)`` — identical on every member, derived from shared
-      arguments like the root — names the source comm-ranks whose slots
-      that rank's ``combine`` reads (rooted bcast/gather/scatter routing).
-    * ``parts=True`` declares the contribution *per-destination*: a
-      sequence of group-size pieces where element ``j`` is consumed only by
-      comm-rank ``j`` (alltoall, reduce_scatter).  The value handed to
-      ``combine`` (or returned by ``nb_wait``) is then the received-pieces
-      list — element ``i`` is what rank ``i`` addressed to this rank —
-      selected by pure indexing, so no floating-point behavior depends on
-      the backend.
-    """
-
-    @abc.abstractmethod
-    def barrier(self, opname: str = "barrier") -> None:
-        """Synchronize all members; raise :class:`CommAborted` on failure."""
-
-    @abc.abstractmethod
-    def collective(
-        self,
-        contribution: Any,
-        combine: Callable[[list[Any]], Any],
-        opname: str,
-        needs: Callable[[int], Any] | None = None,
-        parts: bool = False,
-    ) -> Any:
-        """Blocking collective: exchange contributions, return
-        ``combine(slots)`` (or ``combine(received_pieces)`` with
-        ``parts=True``) evaluated on this rank."""
-
-    @abc.abstractmethod
-    def nb_start(
-        self, seq: int, contribution: Any, opname: str, parts: bool = False
-    ) -> Any:
-        """Deposit a nonblocking contribution for sequence ``seq``; never
-        blocks; returns a token for the other ``nb_*`` calls."""
-
-    @abc.abstractmethod
-    def nb_test(self, token: Any) -> bool:
-        """True once every member has deposited; raises on abort."""
-
-    @abc.abstractmethod
-    def nb_wait(self, token: Any) -> list[Any]:
-        """Block until complete; return the slots in comm-rank order."""
-
-    @abc.abstractmethod
-    def nb_finish(self, token: Any) -> None:
-        """Release per-operation bookkeeping after the result was combined."""
-
-
 class BaseWorld(abc.ABC):
     """All shared state of one SPMD job, as one rank sees it.
 
@@ -286,15 +212,6 @@ class BaseWorld(abc.ABC):
 
     @abc.abstractmethod
     def try_collect(self, dest: int, source: int, tag: Any) -> tuple[bool, Any]: ...
-
-    @abc.abstractmethod
-    def channel(self, key: Any, members: tuple[int, ...], rank: int) -> GroupChannel:
-        """Fetch-or-create the collective channel for a communicator group.
-
-        ``key`` must be identical across all members (e.g. the parent key
-        plus a creation sequence number); on backends with shared state the
-        first caller creates the context and later callers reuse it.
-        """
 
     @abc.abstractmethod
     def rank_stats(self, world_rank: int):
@@ -497,6 +414,14 @@ class _Mailbox:
             self._queues.setdefault((source, tag), deque()).append(payload)
             self._cv.notify_all()
 
+    def _pop(self, key: tuple[int, Any], q: deque) -> Any:
+        # Collective tags are unique per operation: drop drained queues so
+        # the table does not grow by one entry per collective and peer.
+        payload = q.popleft()
+        if not q:
+            del self._queues[key]
+        return payload
+
     def get(self, source: int, tag: Any, timeout: float, describe: str) -> Any:
         key = (source, tag)
         retries = self._world.config.retries
@@ -506,7 +431,7 @@ class _Mailbox:
             while True:
                 q = self._queues.get(key)
                 if q:
-                    return q.popleft()
+                    return self._pop(key, q)
                 if self._world.aborted:
                     raise CommAborted(
                         f"{describe} interrupted: world aborted"
@@ -538,7 +463,7 @@ class _Mailbox:
         with self._cv:
             q = self._queues.get(key)
             if q:
-                return True, q.popleft()
+                return True, self._pop(key, q)
             if self._world.aborted:
                 raise CommAborted(
                     f"irecv(source={source}, tag={tag}) interrupted: "
@@ -571,207 +496,6 @@ def _retry_note(attempts: int) -> str:
     return f" (after {attempts} retries)" if attempts else ""
 
 
-class _PendingOp:
-    """State of one in-flight nonblocking collective.
-
-    Created lazily by the first member to deposit; every member contributes
-    exactly once.  The operation is *complete* once all members have
-    deposited; each member then combines the slots independently (identical
-    deterministic order, so results are bitwise reproducible) and marks
-    itself consumed.  The entry is reclaimed when every member has consumed.
-    """
-
-    __slots__ = ("slots", "deposited", "consumed")
-
-    def __init__(self, nmembers: int) -> None:
-        self.slots: list[Any] = [None] * nmembers
-        self.deposited = 0
-        self.consumed = 0
-
-
-class _Rendezvous:
-    """Shared collective context for one communicator group.
-
-    Blocking collectives are implemented as a two-phase barrier around a
-    shared slot array: every member deposits its contribution, synchronizes,
-    reads the (deterministically combined) result, and synchronizes again so
-    a fast rank cannot race ahead into the next collective and clobber the
-    slots.
-
-    Nonblocking collectives instead live in ``pending``, keyed by a
-    per-communicator sequence number (identical across members because
-    collectives must be issued in the same order on every rank).  Entries
-    are independent, so any number may be in flight and they may complete
-    out of order.
-    """
-
-    def __init__(self, nmembers: int) -> None:
-        self.barrier = threading.Barrier(nmembers)
-        self.slots: list[Any] = [None] * nmembers
-        self.scratch: dict[str, Any] = {}
-        self.lock = threading.Lock()
-        self.pending_cv = threading.Condition()
-        self.pending: dict[Any, _PendingOp] = {}
-
-    # -- nonblocking-collective state -------------------------------------
-    def deposit(self, key: Any, nmembers: int, rank: int, payload: Any) -> _PendingOp:
-        """Deposit ``rank``'s contribution for the op identified by ``key``.
-
-        Never blocks.  Waiters are woken only by the *completing* deposit —
-        an incomplete op cannot unblock anyone, so notifying earlier would
-        just burn context switches on every waiter.
-        """
-        with self.pending_cv:
-            op = self.pending.get(key)
-            if op is None:
-                op = _PendingOp(nmembers)
-                self.pending[key] = op
-            op.slots[rank] = payload
-            op.deposited += 1
-            if op.deposited >= nmembers:
-                self.pending_cv.notify_all()
-        return op
-
-    def consume(self, key: Any, op: _PendingOp) -> None:
-        """Mark one member's result as read; reclaim the entry on the last."""
-        with self.pending_cv:
-            op.consumed += 1
-            if op.consumed >= len(op.slots):
-                self.pending.pop(key, None)
-
-    def abort(self) -> None:
-        self.barrier.abort()
-        with self.pending_cv:
-            self.pending_cv.notify_all()
-
-
-class _ThreadToken:
-    """Nonblocking-collective token of the thread backend."""
-
-    __slots__ = ("key", "op", "seq", "opname", "parts")
-
-    def __init__(
-        self, key: Any, op: _PendingOp, seq: int, opname: str, parts: bool
-    ):
-        self.key = key
-        self.op = op
-        self.seq = seq
-        self.opname = opname
-        self.parts = parts
-
-
-class ThreadChannel(GroupChannel):
-    """Thread-backend channel: a view over the shared :class:`_Rendezvous`."""
-
-    def __init__(
-        self,
-        world: "World",
-        ctx: _Rendezvous,
-        key: Any,
-        members: tuple[int, ...],
-        rank: int,
-    ) -> None:
-        self._world = world
-        self._ctx = ctx
-        self._key = key
-        self._members = members
-        self._rank = rank
-
-    def _diag(self, opname: str, seq: int | None = None) -> str:
-        tail = f"[seq={seq}]" if seq is not None else ""
-        return (
-            f"{opname}{tail} on comm {self._key!r} at world rank "
-            f"{self._members[self._rank]} (comm rank {self._rank})"
-        )
-
-    def _select_parts(self, slots: list[Any]) -> list[Any]:
-        """Per-destination view of complete slots: what each rank sent me.
-
-        Pure indexing — no arithmetic — so the values ``combine`` sees are
-        identical to a message-passing backend delivering the pieces.
-        """
-        rank = self._rank
-        return [slots[i][rank] for i in range(len(self._members))]
-
-    def barrier(self, opname: str = "barrier") -> None:
-        bound = self._world.timeout_for(opname)
-        try:
-            self._ctx.barrier.wait(timeout=bound)
-        except threading.BrokenBarrierError:
-            raise CommAborted(
-                f"{self._diag(opname)} interrupted: world aborted or a peer "
-                f"missed the rendezvous within {bound:.1f}s"
-                f"{self._world.abort_suffix()}"
-            ) from None
-
-    def collective(
-        self,
-        contribution: Any,
-        combine: Callable[[list[Any]], Any],
-        opname: str,
-        needs: Callable[[int], Any] | None = None,
-        parts: bool = False,
-    ) -> Any:
-        # ``needs`` is ignored: slots are shared memory between threads, so
-        # routing rooted collectives more narrowly would save nothing.
-        ctx = self._ctx
-        ctx.slots[self._rank] = contribution
-        self.barrier(opname)
-        # Slots are complete and read-only in this phase; every rank combines
-        # independently (identical deterministic order).
-        result = combine(self._select_parts(ctx.slots) if parts else ctx.slots)
-        self.barrier(opname)
-        # Release this rank's contribution so large buffers don't outlive
-        # the collective (safe: all members have combined by now, and only
-        # this rank writes this slot).
-        ctx.slots[self._rank] = None
-        return result
-
-    def nb_start(
-        self, seq: int, contribution: Any, opname: str, parts: bool = False
-    ) -> Any:
-        key = ("nb", seq)
-        op = self._ctx.deposit(key, len(self._members), self._rank, contribution)
-        return _ThreadToken(key, op, seq, opname, parts)
-
-    def nb_test(self, token: _ThreadToken) -> bool:
-        with self._ctx.pending_cv:
-            if self._world.aborted:
-                raise CommAborted(
-                    f"{self._diag(token.opname, token.seq)} interrupted: "
-                    f"world aborted{self._world.abort_suffix()}"
-                )
-            return token.op.deposited >= len(self._members)
-
-    def nb_wait(self, token: _ThreadToken) -> list[Any]:
-        ctx = self._ctx
-        n = len(self._members)
-        bound = self._world.timeout_for(token.opname)
-        deadline = monotonic() + bound
-        with ctx.pending_cv:
-            while token.op.deposited < n:
-                if self._world.aborted:
-                    raise CommAborted(
-                        f"{self._diag(token.opname, token.seq)} interrupted: "
-                        f"world aborted{self._world.abort_suffix()}"
-                    )
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    raise CommAborted(
-                        f"{self._diag(token.opname, token.seq)} timed out "
-                        f"after {bound:.1f}s with "
-                        f"{token.op.deposited}/{n} contributions deposited",
-                        kind="timeout",
-                    )
-                ctx.pending_cv.wait(timeout=min(remaining, 0.5))
-        if token.parts:
-            return self._select_parts(token.op.slots)
-        return token.op.slots
-
-    def nb_finish(self, token: _ThreadToken) -> None:
-        self._ctx.consume(token.key, token.op)
-
-
 @dataclass
 class World(BaseWorld):
     """Thread-backend shared state for one SPMD job."""
@@ -782,8 +506,6 @@ class World(BaseWorld):
     _aborted: bool = False
     _abort_reason: str | None = None
     _mailboxes: list[_Mailbox] = field(default_factory=list)
-    _groups: dict[Any, _Rendezvous] = field(default_factory=dict)
-    _groups_lock: threading.Lock = field(default_factory=threading.Lock)
     _abort_lock: threading.Lock = field(default_factory=threading.Lock)
 
     backend_name = "thread"
@@ -796,7 +518,9 @@ class World(BaseWorld):
         else:
             self.timeout = self.config.timeout
         self._mailboxes = [_Mailbox(self) for _ in range(self.size)]
-        self._stats_registry = None
+        # One CommStats per world rank, shared by every communicator that
+        # rank participates in, so split comms accumulate into one place.
+        self._stats_registry = [CommStats() for _ in range(self.size)]
         faults = self.config.faults
         self._injectors: list[FaultInjector | None] = [
             faults.injector(r) if faults is not None else None
@@ -856,27 +580,7 @@ class World(BaseWorld):
             )
         return payload
 
-    # -- collective rendezvous --------------------------------------------
-    def group(self, key: Any, nmembers: int) -> _Rendezvous:
-        """Fetch-or-create the shared rendezvous context for a group key."""
-        with self._groups_lock:
-            ctx = self._groups.get(key)
-            if ctx is None:
-                ctx = _Rendezvous(nmembers)
-                self._groups[key] = ctx
-            return ctx
-
-    def channel(self, key: Any, members: tuple[int, ...], rank: int) -> GroupChannel:
-        return ThreadChannel(self, self.group(key, len(members)), key, members, rank)
-
     def rank_stats(self, world_rank: int):
-        from repro.comm.stats import CommStats
-
-        # One CommStats per world rank, shared by every communicator that
-        # rank participates in, so split comms accumulate into one place.
-        with self._groups_lock:
-            if self._stats_registry is None:
-                self._stats_registry = [CommStats() for _ in range(self.size)]
         return self._stats_registry[world_rank]
 
     # -- failure handling ---------------------------------------------------
@@ -886,9 +590,6 @@ class World(BaseWorld):
                 return
             self._aborted = True
             self._abort_reason = reason
-        with self._groups_lock:
-            for ctx in self._groups.values():
-                ctx.abort()
         for mb in self._mailboxes:
             with mb._cv:
                 mb._cv.notify_all()

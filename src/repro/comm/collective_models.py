@@ -29,7 +29,7 @@ class AllreduceAlgorithm(str, Enum):
     RING = "ring"
 
 
-#: The legacy deposit-combine exchange (every rank ships its whole payload
+#: The all-to-all exchange (every rank ships its whole payload
 #: to every peer): not a scheduled algorithm, but priceable so modeled and
 #: measured traffic can be compared for the bitwise-reference mode too.
 DIRECT_ALGORITHM = "direct"
@@ -121,7 +121,7 @@ def allreduce_time(
     ``algorithm`` also accepts the engine's knob values: ``"auto"``
     (Thakur-style :func:`select_allreduce_algorithm` — the *same* selection
     the communicator applies on the wire, so modeled and measured traffic
-    agree) and ``"direct"`` (the legacy deposit-combine exchange: ``p-1``
+    agree) and ``"direct"`` (the all-to-all exchange: ``p-1``
     full payloads in and out of every rank plus a full local fold).
     """
     if p <= 1 or nbytes <= 0:
@@ -350,7 +350,7 @@ def schedule_rounds(p: int, algorithm: AllreduceAlgorithm | str) -> int:
     ``2(p-1)`` rounds, Rabenseifner ``2·lg p`` (power-of-two groups; other
     sizes fall back to the ring schedule, mirroring ``compile_allreduce``),
     recursive doubling ``lg p̂`` plus the two non-power-of-two fold
-    exchanges, and the legacy ``"direct"`` deposit-combine exchange is a
+    exchanges, and the ``"direct"`` all-to-all exchange is a
     single unpipelineable round.
     """
     if p <= 1:

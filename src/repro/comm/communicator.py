@@ -3,10 +3,11 @@
 The interface mirrors mpi4py's lower-case (object) API: payloads are Python
 objects, collectives combine contributions in deterministic comm-rank order
 so runs are bit-reproducible for a fixed rank count — on *either* backend:
-the communicator is backend-agnostic and talks to the world through the
-:class:`~repro.comm.backend.BaseWorld` / GroupChannel contract, so the same
-``combine`` arithmetic runs on the same slot order whether ranks are
-threads or processes.
+the communicator is backend-agnostic and talks to the world only through
+the :class:`~repro.comm.backend.BaseWorld` pt2pt mailbox
+(``deliver``/``collect``/``try_collect``), so every collective runs the
+same arithmetic on the same comm-rank order whether ranks are threads or
+processes.
 
 Array payloads cross the communication boundary **zero-copy** where
 possible on the thread backend: a C-contiguous ndarray is shared as a
@@ -39,8 +40,9 @@ Semantics implemented:
   ring / Rabenseifner / recursive-doubling / binomial-tree schedules onto
   the point-to-point transport (:mod:`repro.comm.algorithms`), cutting an
   allreduce's per-rank wire volume from ``n(p-1)`` to ``2n(p-1)/p``;
-  ``"direct"`` retains the deposit-combine comm-rank-order fold as the
-  bitwise-reference mode.
+  ``"direct"`` — an all-to-all :class:`~repro.comm.algorithms.Exchange`
+  of whole contributions followed by the ascending-comm-rank fold — is
+  the bitwise-reference mode.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.comm import algorithms as _alg
-from repro.comm.backend import BaseWorld, GroupChannel
+from repro.comm.backend import BaseWorld
 from repro.comm.buffers import BufferPool
 from repro.comm.collective_models import (
     HIERARCHICAL_ALGORITHM,
@@ -86,8 +88,9 @@ _REDUCE_UFUNCS: dict[str, Any] = {
 }
 
 #: Environment override for every ``algorithm=`` collective knob: set to
-#: ``direct`` for the bitwise-reference mode (every collective runs the
-#: legacy deposit-combine path), to ``ring`` / ``rabenseifner`` /
+#: ``direct`` for the bitwise-reference mode (every collective exchanges
+#: whole contributions and folds in comm-rank order), to ``ring`` /
+#: ``rabenseifner`` /
 #: ``recursive_doubling`` to force the reduction schedules, to
 #: ``binomial`` to force the rooted trees, or to ``auto`` for model-driven
 #: selection.  Values that are meaningless for an op (e.g. ``binomial``
@@ -296,129 +299,70 @@ class _RecvRequest(Request):
         return self._done
 
 
-class _CollectiveRequest(Request):
-    """Pending nonblocking collective on one communicator.
+class _RunnerRequest(Request):
+    """A collective in flight: drives one ``launch``/``progress``/``finish``
+    runner — an :class:`~repro.comm.algorithms.Exchange` (``"direct"``) or
+    a compiled :class:`~repro.comm.algorithms.ScheduleRunner`.
 
-    The underlying operation completes when every member has deposited;
-    waiting never requires peers to have *read* their results, so a fast
-    rank can fire-and-forget many collectives and drain them later, out of
-    order.  Slot exchange is the backend channel's job; the *combine*
-    arithmetic runs here, identically on every backend.
+    Issue time launches the runner (every send that can go goes, eagerly),
+    ``test()`` advances it with nonblocking probes, ``wait()`` blocks
+    through the rest, then ``combine`` (the ``"direct"`` fold) turns the
+    runner's output into the result.  The arithmetic order is fixed by the
+    runner and the fold, so *when* progress happens never affects the bits.
+
+    An exchange completes from the peers' issue-time sends alone, so a fast
+    rank can fire-and-forget many and drain them later, out of order.
+    Later steps of a *driven* runner (a schedule) depend on peers making
+    progress on the same schedule, so waiting on one first completes any
+    earlier in-flight driven requests on the communicator (they cache
+    their results in their own request objects) — the liveness rule that
+    lets requests be waited in any order, mirroring an MPI progress engine.
     """
 
     def __init__(
         self,
         comm: "Communicator",
-        token: Any,
-        combine: Callable[[list[Any]], Any],
+        runner: Any,
         opname: str,
+        combine: Callable[[Any], Any] | None = None,
+        *,
         count_stats: bool = True,
-        wire: tuple[int, int | Callable[[Any], int]] | None = None,
-    ) -> None:
-        self._comm = comm
-        self._token = token
-        self._combine = combine
-        self._opname = opname
-        self._count_stats = count_stats
-        #: (sent bytes, received bytes or fn(result) -> received bytes):
-        #: the notional wire volume of the deposit-combine exchange,
-        #: recorded at completion under the op's wire counters.
-        self._wire = wire
-        self._t_launch = perf_counter()
-
-    def _complete(self, slots: list[Any], waited: float) -> None:
-        comm = self._comm
-        t0 = perf_counter()
-        # Slots are fully deposited and read-only by convention; every
-        # member combines independently in identical deterministic order.
-        result = self._combine(slots)
-        comm._channel.nb_finish(self._token)
-        # The caller is blocked while the reduction arithmetic runs, so
-        # combine time counts as wait, never as hidden communication.
-        waited += perf_counter() - t0
-        overlapped = (perf_counter() - self._t_launch) - waited
-        comm.stats.record_async(
-            self._opname,
-            payload_nbytes(result),
-            waited,
-            overlapped,
-            collective=self._count_stats,
-        )
-        if self._wire is not None:
-            sent, recv = self._wire
-            comm.stats.record_wire(
-                self._opname, sent, recv(result) if callable(recv) else recv
-            )
-        if _trace.is_on():
-            _trace.wait_span(self._opname, waited, overlapped, payload_nbytes(result))
-        self._result = result
-        self._done = True
-
-    def wait(self) -> Any:
-        if self._done:
-            return self._result
-        t0 = perf_counter()
-        slots = self._comm._channel.nb_wait(self._token)
-        self._complete(slots, waited=perf_counter() - t0)
-        return self._result
-
-    def test(self) -> bool:
-        if self._done:
-            return True
-        if self._comm._channel.nb_test(self._token):
-            slots = self._comm._channel.nb_wait(self._token)
-            self._complete(slots, waited=0.0)
-        return self._done
-
-
-class _ScheduleRequest(Request):
-    """Pending algorithmic (scheduled) nonblocking collective.
-
-    The compiled schedule is driven *progressively*: issue time performs
-    every step up to the first unsatisfied receive (all sends are eager),
-    ``test()`` advances with nonblocking probes, ``wait()`` blocks through
-    the rest.  Because later steps of a schedule depend on peers making
-    progress on the *same* schedule, waiting on a request first completes
-    any earlier in-flight scheduled collectives on the communicator (they
-    cache their results in their own request objects) — the liveness rule
-    that lets requests be waited in any order, mirroring an MPI progress
-    engine.  The reduction order is fixed at compile time, so results are
-    independent of when progress happens.
-    """
-
-    def __init__(
-        self, comm: "Communicator", runner: "_alg.ScheduleRunner", opname: str
     ) -> None:
         self._comm = comm
         self._runner = runner
         self._opname = opname
+        self._combine = combine
+        self._count_stats = count_stats
         self._t_launch = perf_counter()
         runner.launch()
-        comm._alg_inflight.append(self)
+        if runner.driven:
+            comm._inflight.append(self)
 
-    def _complete(self, result: Any, waited: float) -> None:
+    def _complete(self, out: Any, t_wait: float) -> None:
         comm = self._comm
-        runner = self._runner
-        comm.stats.record_wire(
-            self._opname, runner.wire_sent, runner.wire_recv,
-            inter_sent=runner.wire_sent_inter,
-            inter_recv=runner.wire_recv_inter,
-        )
-        overlapped = (perf_counter() - self._t_launch) - waited
+        # The caller is blocked while the reduction arithmetic runs, so
+        # combine time counts as wait, never as hidden communication.
+        result = out if self._combine is None else self._combine(out)
+        comm._record_wire(self._opname, self._runner)
+        now = perf_counter()
+        waited = now - t_wait
+        overlapped = (now - self._t_launch) - waited
+        nbytes = payload_nbytes(result)
         comm.stats.record_async(
-            self._opname, payload_nbytes(result), waited, overlapped
+            self._opname, nbytes, waited, overlapped,
+            collective=self._count_stats,
         )
         if _trace.is_on():
-            _trace.wait_span(self._opname, waited, overlapped, payload_nbytes(result))
-        try:
-            comm._alg_inflight.remove(self)
-        except ValueError:  # pragma: no cover - defensive
-            pass
+            _trace.wait_span(self._opname, waited, overlapped, nbytes)
+        if self._runner.driven:
+            comm._inflight.remove(self)
         self._result = result
         self._done = True
 
     def _drain_predecessors(self, blocking: bool) -> None:
-        for req in list(self._comm._alg_inflight):
+        if not self._runner.driven:
+            return
+        for req in list(self._comm._inflight):
             if req is self:
                 break
             if blocking:
@@ -431,8 +375,7 @@ class _ScheduleRequest(Request):
             return self._result
         t0 = perf_counter()
         self._drain_predecessors(blocking=True)
-        result = self._runner.finish()
-        self._complete(result, waited=perf_counter() - t0)
+        self._complete(self._runner.finish(), t0)
         return self._result
 
     def test(self) -> bool:
@@ -440,7 +383,7 @@ class _ScheduleRequest(Request):
             return True
         self._drain_predecessors(blocking=False)
         if self._runner.progress():
-            self._complete(self._runner.finish(), waited=0.0)
+            self._complete(self._runner.finish(), perf_counter())
         return self._done
 
 
@@ -459,16 +402,13 @@ class Communicator:
         self.rank = rank
         self.size = len(members)
         self._key = key
-        self._channel: GroupChannel = world.channel(key, members, rank)
-        self._op_seq = 0
-        self._nb_seq = 0  # nonblocking-collective sequence (matched across ranks)
+        self._coll_seq = 0  # collective sequence (matched across ranks)
         self._xchg_seq = 0  # pt2pt exchange-pattern sequence (matched across ranks)
-        self._alg_seq = 0  # algorithmic-schedule sequence (matched across ranks)
         #: Staging buffers for the schedules' send segments (recycled once
         #: receivers drop their zero-copy views).
         self._alg_pool = BufferPool(max_buffers_per_key=4)
-        #: In-flight algorithmic nonblocking collectives, in issue order.
-        self._alg_inflight: list["_ScheduleRequest"] = []
+        #: In-flight scheduled nonblocking collectives, in issue order.
+        self._inflight: list["_RunnerRequest"] = []
         #: Lazy caches for the node-hierarchy view of this communicator
         #: (``False`` = not yet computed; the layout is immutable).
         self._hierarchy_cache: Any = False
@@ -589,15 +529,15 @@ class Communicator:
         return (self._key, tag)
 
     # -- algorithm selection --------------------------------------------------
-    def _next_alg_seq(self) -> int:
-        """Sequence number for one algorithmic (scheduled) collective.
+    def _next_coll_seq(self) -> int:
+        """Sequence number for one collective of any kind.
 
-        Matched across ranks the same way nonblocking-collective sequences
-        are: every member issues a group's collectives in the same program
-        order, so the pt2pt tags the schedules exchange under line up.
+        Matched across ranks because every member issues a group's
+        collectives in the same program order — the discipline MPI itself
+        imposes — so the pt2pt tags they exchange under line up.
         """
-        seq = self._alg_seq
-        self._alg_seq += 1
+        seq = self._coll_seq
+        self._coll_seq += 1
         return seq
 
     def _knob(self, algorithm: Any, choices: set, opname: str) -> str:
@@ -751,7 +691,7 @@ class Communicator:
                 offsets = _alg.segmented_offsets(value.size, self.size, nseg)
                 self.stats.record_segments(opname, nseg)
         return _alg.ScheduleRunner(
-            self, opname, steps, value, fn, self._next_alg_seq(),
+            self, opname, steps, value, fn, self._next_coll_seq(),
             offsets=offsets, inter_peers=self._inter_flags(), ufunc=ufunc,
         )
 
@@ -761,25 +701,107 @@ class Communicator:
             return "direct"
         return "binomial" if name == "auto" else name
 
-    def _progress_inflight_schedules(self) -> None:
+    def _progress_inflight(self) -> None:
         """Advance pending scheduled collectives without blocking.
 
-        Called on entry to the blocking channel collectives: a rank about
-        to sink into a rendezvous first pushes its in-flight schedules as
-        far as the already-arrived messages allow, so peers driving those
-        schedules keep receiving segments.  (The SPMD discipline still
-        requires every rank to eventually wait each scheduled request —
-        a rank that abandons one can starve peers that wait it.)
+        Called on entry to the blocking ``"direct"`` collectives: a rank
+        about to block on its peers first pushes its in-flight schedules
+        as far as the already-arrived messages allow, so peers driving
+        those schedules keep receiving segments.  (The SPMD discipline
+        still requires every rank to eventually wait each scheduled
+        request — a rank that abandons one can starve peers that wait it.)
         """
-        for req in list(self._alg_inflight):
+        for req in list(self._inflight):
             req.test()
+
+    def _exchange(self, opname: str, payloads: list[Any]) -> "_alg.Exchange":
+        """The ``"direct"`` transport: frozen ``payloads[j]`` to rank ``j``."""
+        return _alg.Exchange(
+            self, opname, payloads, self._next_coll_seq(),
+            inter_peers=self._inter_flags(),
+        )
+
+    def _record_wire(self, opname: str, t: Any) -> None:
+        """Book a finished runner's or endpoint's byte tally under ``opname``."""
+        self.stats.record_wire(
+            opname, t.wire_sent, t.wire_recv,
+            inter_sent=t.wire_sent_inter, inter_recv=t.wire_recv_inter,
+        )
+
+    def _run(
+        self, runner: Any, opname: str, combine: Callable[[Any], Any] | None = None
+    ) -> Any:
+        """A blocking collective: an unlaunched runner's ``finish()`` is
+        issue + wait (no issue-time probes, no wait/overlap row)."""
+        out = runner.finish()
+        result = out if combine is None else combine(out)
+        self._record_wire(opname, runner)
+        return result
+
+    def _detached(self, payload: Any) -> Any:
+        """Freeze a contribution to a *blocking* ``"direct"`` collective.
+
+        The call returns once the peers' pieces are in — not once the
+        peers have read this rank's — yet a blocking collective's send
+        buffer is the caller's to reuse on return.  On a zero-copy
+        transport the piece therefore must not alias it: one private copy
+        per call, fanned out to every peer.  Transports that copy on send
+        need none.
+        """
+        if (
+            _ZERO_COPY
+            and self.size > 1
+            and not getattr(self._world, "copies_on_send", False)
+        ):
+            payload = _private(payload)
+        return _freeze(payload)
+
+    def _detached_pieces(self, payloads: Sequence[Any]) -> list[Any]:
+        """Per-destination pieces of a blocking ``"direct"`` collective
+        (this rank's own piece never leaves, so it is only frozen)."""
+        return [
+            _freeze(p) if j == self.rank else self._detached(p)
+            for j, p in enumerate(payloads)
+        ]
+
+    def _run_direct(
+        self,
+        opname: str,
+        payloads: list[Any],
+        combine: Callable[[list[Any]], Any] | None = None,
+    ) -> Any:
+        """Blocking ``"direct"`` collective over detached ``payloads``."""
+        sp = _trace.span(opname, cat="coll", alg="direct")
+        with sp:
+            if _trace.is_on():
+                sp.set(bytes=payload_nbytes(payloads[self.rank]))
+            self._progress_inflight()
+            return self._run(self._exchange(opname, payloads), opname, combine)
+
+    def _rooted(
+        self, opname: str, alg: str, root: int
+    ) -> tuple["_alg.TreeNode", "_alg.Endpoint", Callable[[Any], Any]]:
+        """This rank's tree position, pt2pt endpoint and send-side freeze
+        for one rooted collective: ``"direct"`` is the one-hop star
+        (``#coll`` traffic, detached contributions), ``"binomial"`` the
+        compiled tree (``#alg``)."""
+        if alg == "direct":
+            self._progress_inflight()
+            nodes = _alg.compile_star(self.size, root)
+        else:
+            nodes = _alg.compile_tree(self.size, root)
+        t = _alg.Endpoint(
+            self, opname, self._next_coll_seq(),
+            "#coll" if alg == "direct" else "#alg", self._inter_flags(),
+        )
+        return nodes[self.rank], t, self._detached if alg == "direct" else _freeze
 
     # -- collectives ------------------------------------------------------------
     def barrier(self) -> None:
         with _trace.span("barrier", cat="coll"):
-            self._progress_inflight_schedules()
-            self._op_seq += 1
-            self._channel.barrier()
+            self._progress_inflight()
+            # An exchange of nothing: no request, so no wire row either.
+            self._exchange("barrier", [None] * self.size).finish()
 
     def bcast(
         self, payload: Any, root: int = 0, *, algorithm: str | None = None
@@ -789,38 +811,18 @@ class Communicator:
         ``algorithm``: ``"binomial"`` (the default via ``"auto"``) routes
         the payload down a binomial tree in ``⌈lg p⌉`` point-to-point
         rounds, so the root sends ``⌈lg p⌉`` copies instead of ``p - 1``;
-        ``"direct"`` is the legacy root-deposits exchange.  Both are pure
+        ``"direct"`` sends root -> everyone in one hop.  Both are pure
         routing — results are bitwise identical either way.
         """
         self._check_peer(root, "root")
         alg = self._resolve_tree(algorithm, "bcast")
-        if alg == "binomial":
-            node = _alg.compile_tree(self.size, root)[self.rank]
-            with _trace.span("bcast", cat="coll", alg="binomial"):
-                got, t = _alg.run_tree_bcast(
-                    self,
-                    node,
-                    _freeze(payload) if self.rank == root else None,
-                    "bcast",
-                    self._next_alg_seq(),
-                )
-            result = _private(got)
-            self.stats.record_wire("bcast", t.wire_sent, t.wire_recv)
-        else:
-            def combine(slots: list[Any]) -> Any:
-                return _private(slots[root])
-
-            # Every rank reads only the root's slot, so message-passing
-            # backends route root -> everyone instead of a full allgather.
-            result = self._collective(
-                payload if self.rank == root else None, combine, "bcast",
-                needs=lambda r: (root,),
+        node, t, freeze = self._rooted("bcast", alg, root)
+        with _trace.span("bcast", cat="coll", alg=alg):
+            got = _alg.run_tree_bcast(
+                t, node, freeze(payload) if self.rank == root else None
             )
-            n = payload_nbytes(result)
-            if self.rank == root:
-                self.stats.record_wire("bcast", sent=n * (self.size - 1))
-            else:
-                self.stats.record_wire("bcast", recv=n)
+        result = _private(got)
+        self._record_wire("bcast", t)
         self.stats.record_collective("bcast", payload_nbytes(result))
         return result
 
@@ -838,41 +840,16 @@ class Communicator:
         """
         self._check_peer(root, "root")
         alg = self._resolve_tree(algorithm, "gather")
-        own = payload_nbytes(payload)
-        if alg == "binomial":
-            node = _alg.compile_tree(self.size, root)[self.rank]
-            with _trace.span("gather", cat="coll", alg="binomial"):
-                gathered, t = _alg.run_tree_gather(
-                    self, node, _freeze(payload), "gather", self._next_alg_seq()
-                )
-            self.stats.record_wire("gather", t.wire_sent, t.wire_recv)
-        else:
-            all_ranks = tuple(range(self.size))
-
-            def combine(slots: list[Any]) -> list[Any]:
-                return list(slots)
-
-            gathered = self._collective(
-                payload, combine, "gather",
-                needs=lambda r: all_ranks if r == root else (),
-            )
-            if self.rank == root:
-                self.stats.record_wire(
-                    "gather",
-                    recv=sum(
-                        payload_nbytes(s)
-                        for i, s in enumerate(gathered)
-                        if i != self.rank
-                    ),
-                )
-            else:
-                self.stats.record_wire("gather", sent=own)
+        node, t, freeze = self._rooted("gather", alg, root)
+        with _trace.span("gather", cat="coll", alg=alg):
+            gathered = _alg.run_tree_gather(t, node, freeze(payload))
+        self._record_wire("gather", t)
         if self.rank == root:
             self.stats.record_collective(
                 "gather", sum(payload_nbytes(s) for s in gathered)
             )
             return gathered
-        self.stats.record_collective("gather", own)
+        self.stats.record_collective("gather", payload_nbytes(payload))
         return None
 
     def scatter(
@@ -897,38 +874,13 @@ class Communicator:
                     f"scatter root must supply exactly {self.size} payloads"
                 )
         alg = self._resolve_tree(algorithm, "scatter")
-        if alg == "binomial":
-            node = _alg.compile_tree(self.size, root)[self.rank]
-            with _trace.span("scatter", cat="coll", alg="binomial"):
-                own, t = _alg.run_tree_scatter(
-                    self,
-                    node,
-                    _freeze(list(payloads)) if self.rank == root else None,
-                    root,
-                    "scatter",
-                    self._next_alg_seq(),
-                )
-            result = _private(own)
-            self.stats.record_wire("scatter", t.wire_sent, t.wire_recv)
-        else:
-            def combine(slots: list[Any]) -> Any:
-                return _private(slots[root][self.rank])
-
-            result = self._collective(
-                payloads if self.rank == root else None, combine, "scatter",
-                needs=lambda r: (root,),
+        node, t, freeze = self._rooted("scatter", alg, root)
+        with _trace.span("scatter", cat="coll", alg=alg):
+            own = _alg.run_tree_scatter(
+                t, node, freeze(list(payloads)) if self.rank == root else None
             )
-            if self.rank == root:
-                self.stats.record_wire(
-                    "scatter",
-                    sent=sum(
-                        payload_nbytes(p)
-                        for i, p in enumerate(payloads)
-                        if i != self.rank
-                    ),
-                )
-            else:
-                self.stats.record_wire("scatter", recv=payload_nbytes(result))
+        result = _private(own)
+        self._record_wire("scatter", t)
         self.stats.record_collective(
             "scatter",
             sum(payload_nbytes(p) for p in payloads)
@@ -943,8 +895,8 @@ class Communicator:
         """Gather every member's payload at every member (comm-rank order).
 
         ``algorithm``: ``"auto"`` (the default) stays on the ``"direct"``
-        deposit-combine exchange (one frozen payload fanned out to every
-        peer — the cheapest control-plane shape).  The compiled schedules
+        exchange (one frozen payload fanned out to every peer — the
+        cheapest control-plane shape).  The compiled schedules
         are opt-in: ``"recursive_doubling"`` doubles ``(source rank,
         payload)`` bundles over ``lg p`` rounds (power-of-two groups;
         other sizes fall back to ``"ring"``), ``"ring"`` circulates them
@@ -962,32 +914,24 @@ class Communicator:
         """
         alg = self._resolve_allgather(algorithm, payload)
         if alg == "direct":
-            def combine(slots: list[Any]) -> list[Any]:
-                return list(slots)
-
-            result = self._collective(payload, combine, "allgather")
-            own = payload_nbytes(payload)
-            self.stats.record_wire(
-                "allgather",
-                sent=own * (self.size - 1),
-                recv=sum(
-                    payload_nbytes(s)
-                    for i, s in enumerate(result)
-                    if i != self.rank
-                ),
+            result = self._run_direct(
+                "allgather", [self._detached(payload)] * self.size
             )
         else:
-            self._progress_inflight_schedules()
+            self._progress_inflight()
             run = (
                 _alg.run_rd_allgather
                 if alg == "recursive_doubling"
                 else _alg.run_ring_allgather
             )
+            t = _alg.Endpoint(
+                self, "allgather", self._next_coll_seq(), "#alg",
+                self._inter_flags(),
+            )
             with _trace.span("allgather", cat="coll", alg=alg):
-                result, t = run(self, payload, "allgather", self._next_alg_seq())
-            own = payload_nbytes(payload)
-            self.stats.record_wire("allgather", t.wire_sent, t.wire_recv)
-        self.stats.record_collective("allgather", own)
+                result = run(t, self, payload)
+            self._record_wire("allgather", t)
+        self.stats.record_collective("allgather", payload_nbytes(payload))
         return result
 
     def _resolve_allgather(self, algorithm: Any, payload: Any) -> str:
@@ -997,7 +941,7 @@ class Communicator:
         if name == "auto":
             # Never size-select here: allgather payload sizes are
             # per-rank, and a choice that differs across ranks mixes the
-            # deposit path with a pt2pt schedule and deadlocks.  Knob and
+            # direct exchange with a schedule and deadlocks.  Knob and
             # env override are rank-symmetric, so only they pick schedules.
             return "direct"
         if name == "recursive_doubling" and not _alg.is_power_of_two(self.size):
@@ -1022,27 +966,16 @@ class Communicator:
         """
         if len(payloads) != self.size:
             raise ValueError(f"alltoall requires exactly {self.size} payloads")
-
-        # ``parts``: the channel routes piece j to rank j only (and hands
-        # back the received pieces), so message-passing backends move
-        # MPI-alltoall volume instead of shipping every full payload list
-        # to every peer.
-        def combine(received: list[Any]) -> list[Any]:
-            return list(received)
-
-        result = self._collective(list(payloads), combine, opname, parts=True)
-        sent = sum(
-            payload_nbytes(p) for i, p in enumerate(payloads) if i != self.rank
-        )
-        self.stats.record_wire(
-            opname,
-            sent=sent,
-            recv=sum(
-                payload_nbytes(r) for i, r in enumerate(result) if i != self.rank
-            ),
-        )
+        result = self._run_direct(opname, self._detached_pieces(payloads))
         if count_stats:
-            self.stats.record_collective("alltoall", sent)
+            self.stats.record_collective(
+                "alltoall",
+                sum(
+                    payload_nbytes(p)
+                    for i, p in enumerate(payloads)
+                    if i != self.rank
+                ),
+            )
         return result
 
     def ialltoall(
@@ -1052,14 +985,14 @@ class Communicator:
         opname: str = "ialltoall",
         count_stats: bool = True,
     ) -> Request:
-        """Nonblocking all-to-all: deposits immediately, returns a handle.
+        """Nonblocking all-to-all: sends immediately, returns a handle.
 
-        ``wait()`` blocks only until every member has deposited (never until
-        they have read), then picks this rank's slice of each contribution —
-        bitwise identical to :meth:`alltoall` but without the collective's
-        rendezvous barriers, so a fast rank keeps computing while peers are
-        still producing their payloads.  All members must issue their
-        nonblocking collectives on a communicator in the same order.
+        ``wait()`` blocks only until every member's piece has arrived (never
+        until they have read theirs) — bitwise identical to
+        :meth:`alltoall`, the same exchange with the wait deferred, so a
+        fast rank keeps computing while peers are still producing their
+        payloads.  All members must issue their nonblocking collectives on
+        a communicator in the same order.
 
         ``opname``/``count_stats`` label the request in
         :class:`~repro.comm.stats.CommStats`: structured patterns (e.g. the
@@ -1069,21 +1002,9 @@ class Communicator:
         """
         if len(payloads) != self.size:
             raise ValueError(f"alltoall requires exactly {self.size} payloads")
-
-        def combine(received: list[Any]) -> list[Any]:
-            return list(received)
-
-        rank = self.rank
-        sent = sum(payload_nbytes(p) for i, p in enumerate(payloads) if i != rank)
-
-        def wire_recv(result: list[Any]) -> int:
-            return sum(
-                payload_nbytes(r) for i, r in enumerate(result) if i != rank
-            )
-
-        return self._icollective(
-            list(payloads), combine, opname, count_stats, parts=True,
-            wire=(sent, wire_recv),
+        return _RunnerRequest(
+            self, self._exchange(opname, [_freeze(p) for p in payloads]),
+            opname, count_stats=count_stats,
         )
 
     def reduce(
@@ -1099,9 +1020,9 @@ class Communicator:
         Historically this ran a full allreduce and threw the result away
         on non-roots — allreduce wire volume for a rooted op.  It is now a
         genuinely rooted collective recorded under its own ``"reduce"``
-        stats: ``"direct"`` routes every contribution to the root only
-        (non-roots move just their own payload) and folds in comm-rank
-        order — bitwise identical to the historical result — while
+        stats: ``"direct"`` gathers every contribution at the root in one
+        hop (non-roots move just their own payload) and folds in comm-rank
+        order — bitwise identical to the ``"direct"`` allreduce — while
         ``"binomial"`` (the default via ``"auto"`` for array payloads)
         folds up a binomial tree, each node combining its children in
         ascending relative rank, so non-roots move ``O(n log p)`` and the
@@ -1116,31 +1037,16 @@ class Communicator:
         if alg == "binomial" and not _schedulable_array(value):
             alg = "direct"
         n = payload_nbytes(value)
-        if alg == "binomial":
-            node = _alg.compile_tree(self.size, root)[self.rank]
-            with _trace.span("reduce", cat="coll", alg="binomial", bytes=n):
-                result, t = _alg.run_tree_reduce(
-                    self, node, value, fn, "reduce", self._next_alg_seq()
-                )
-            self.stats.record_wire("reduce", t.wire_sent, t.wire_recv)
-        else:
-            all_ranks = tuple(range(self.size))
-            fold = self._reduce_combine(fn)
-            root_here = self.rank == root
-
-            def combine(slots: list[Any]) -> Any:
-                return fold(slots) if root_here else None
-
-            result = self._collective(
-                value, combine, "reduce",
-                needs=lambda r: all_ranks if r == root else (),
-            )
-            if root_here:
-                self.stats.record_wire("reduce", recv=n * (self.size - 1))
+        node, t, freeze = self._rooted("reduce", alg, root)
+        with _trace.span("reduce", cat="coll", alg=alg, bytes=n):
+            if alg == "binomial":
+                result = _alg.run_tree_reduce(t, node, value, fn)
             else:
-                self.stats.record_wire("reduce", sent=n)
+                slots = _alg.run_tree_gather(t, node, freeze(value))
+                result = self._reduce_combine(fn)(slots) if slots else None
+        self._record_wire("reduce", t)
         self.stats.record_collective("reduce", n)
-        return result if self.rank == root else None
+        return result
 
     @staticmethod
     def _reduce_combine(fn: Callable[[Any, Any], Any]) -> Callable[[list[Any]], Any]:
@@ -1198,9 +1104,9 @@ class Communicator:
           it falls back to the flat ``"auto"`` choice.  ``"auto"`` picks
           it by itself when the world carries a host map and the two-tier
           cost model favors the composition;
-        * ``"direct"`` — the legacy deposit-combine exchange, folding in
-          comm-rank order: the bitwise-reference mode (``n(p-1)`` per rank
-          on a message-passing backend).
+        * ``"direct"`` — every member sends its whole contribution to
+          every peer and folds in comm-rank order: the bitwise-reference
+          mode (``n(p-1)`` per rank on the wire).
 
         Non-array payloads (scalars, tuples, object arrays) always take
         ``"direct"``.  Every mode is deterministic across runs and
@@ -1216,12 +1122,9 @@ class Communicator:
 
         alg = self._resolve_reduction(algorithm, value, "allreduce")
         if alg == "direct":
-            result = self._collective(value, self._reduce_combine(fn), "allreduce")
-            n = payload_nbytes(result)
-            inter_peers = sum(self._inter_flags() or ())
-            self.stats.record_wire(
-                "allreduce", n * (self.size - 1), n * (self.size - 1),
-                inter_sent=n * inter_peers, inter_recv=n * inter_peers,
+            result = self._run_direct(
+                "allreduce", [self._detached(value)] * self.size,
+                self._reduce_combine(fn),
             )
         else:
             runner = self._reduction_runner(
@@ -1229,12 +1132,7 @@ class Communicator:
                 ufunc=_REDUCE_UFUNCS.get(op),
             )
             with _trace.span("allreduce", cat="coll", alg=alg, bytes=value.nbytes):
-                result = runner.finish()
-            self.stats.record_wire(
-                "allreduce", runner.wire_sent, runner.wire_recv,
-                inter_sent=runner.wire_sent_inter,
-                inter_recv=runner.wire_recv_inter,
-            )
+                result = self._run(runner, "allreduce")
         self.stats.record_collective("allreduce", payload_nbytes(result))
         return result
 
@@ -1252,17 +1150,17 @@ class Communicator:
         as in :meth:`allreduce` — a segmented schedule gives ``test()``
         finer progress granularity on top of the in-schedule pipelining
         (each probe can land one segment instead of one whole chunk).
-        With ``"direct"``, the call deposits its
-        contribution and ``wait()`` blocks only until every member has
-        deposited, then combines in comm-rank order — bitwise identical to
-        the blocking ``"direct"`` allreduce.  With a scheduled algorithm,
+        With ``"direct"``, the call sends its contribution to every
+        peer and ``wait()`` blocks only until every member's has arrived,
+        then folds in comm-rank order — bitwise identical to the blocking
+        ``"direct"`` allreduce.  With a scheduled algorithm,
         the first segments are sent eagerly at issue time and the
         remaining steps progress on ``test()``/``wait()``; requests may be
         waited in any order (waiting one first completes earlier in-flight
-        scheduled collectives — see :class:`_ScheduleRequest`).  All
+        scheduled collectives — see :class:`_RunnerRequest`).  All
         members must issue their nonblocking collectives in the same
         order, as always — and, unlike the fire-and-forget-able
-        ``"direct"`` deposits, every member must eventually ``wait()`` (or
+        ``"direct"`` exchanges, every member must eventually ``wait()`` (or
         ``test()`` to completion) each *scheduled* request: later segments
         only move when their owner drives them, so a rank that abandons
         one can starve peers that wait it.
@@ -1273,16 +1171,15 @@ class Communicator:
             raise ValueError(f"unknown reduction op {op!r}") from None
         alg = self._resolve_reduction(algorithm, value, "iallreduce")
         if alg == "direct":
-            n = payload_nbytes(value)
-            return self._icollective(
-                value, self._reduce_combine(fn), "iallreduce",
-                wire=(n * (self.size - 1), n * (self.size - 1)),
+            return _RunnerRequest(
+                self, self._exchange("iallreduce", [_freeze(value)] * self.size),
+                "iallreduce", self._reduce_combine(fn),
             )
         runner = self._reduction_runner(
             "iallreduce", alg, value, fn, segment_bytes,
             ufunc=_REDUCE_UFUNCS.get(op),
         )
-        return _ScheduleRequest(self, runner, "iallreduce")
+        return _RunnerRequest(self, runner, "iallreduce")
 
     def reduce_scatter(
         self, parts: Sequence[Any], op: str = "sum", *, algorithm: str | None = None
@@ -1327,45 +1224,22 @@ class Communicator:
             steps = _alg.compile_reduce_scatter(self.size)[self.rank]
             runner = _alg.ScheduleRunner(
                 self, "reduce_scatter", steps, flat, fn,
-                self._next_alg_seq(), offsets=tuple(offsets),
+                self._next_coll_seq(), offsets=tuple(offsets),
                 owns_buffer=True,  # the concatenation above is fresh
                 inter_peers=self._inter_flags(),
                 ufunc=_REDUCE_UFUNCS.get(op),
             )
             with _trace.span("reduce_scatter", cat="coll", alg="ring", bytes=flat.nbytes):
-                out = runner.finish()
+                out = self._run(runner, "reduce_scatter")
             result = out[offsets[self.rank] : offsets[self.rank + 1]].reshape(
                 parts[self.rank].shape
             )
-            self.stats.record_wire(
-                "reduce_scatter", runner.wire_sent, runner.wire_recv,
-                inter_sent=runner.wire_sent_inter,
-                inter_recv=runner.wire_recv_inter,
-            )
         else:
-            # ``parts`` routing: each member receives only the pieces
-            # destined for it; the fold below runs over the same values in
-            # the same comm-rank order as the historical full-slot form,
-            # so results are bitwise identical.
-            def combine(received: list[Any]) -> Any:
-                if len(received) == 1:
-                    return _private(received[0])
-                acc = fn(received[0], received[1])
-                for piece in received[2:]:
-                    acc = fn(acc, piece)
-                return acc
-
-            result = self._collective(
-                list(parts), combine, "reduce_scatter", parts=True
-            )
-            self.stats.record_wire(
-                "reduce_scatter",
-                sent=sum(
-                    payload_nbytes(x)
-                    for i, x in enumerate(parts)
-                    if i != self.rank
-                ),
-                recv=(self.size - 1) * payload_nbytes(result),
+            # Each member receives only the pieces destined for it and
+            # folds them in comm-rank order.
+            result = self._run_direct(
+                "reduce_scatter", self._detached_pieces(parts),
+                self._reduce_combine(fn),
             )
         self.stats.record_collective("reduce_scatter", payload_nbytes(result))
         return result
@@ -1377,7 +1251,9 @@ class Communicator:
         Ranks passing ``color=None`` receive ``None`` (MPI_UNDEFINED).  All
         members must call ``split`` (it is collective).
         """
-        seq = self._op_seq  # captured before the allgather consumes a slot
+        # Every collective bumps this sequence, whatever algorithm moves
+        # it, so consecutive splits can never derive the same child key.
+        seq = self._coll_seq
         sort_key = key if key is not None else self.rank
         infos = self.allgather((color, sort_key))
 
@@ -1397,41 +1273,8 @@ class Communicator:
 
     def dup(self) -> "Communicator":
         """Duplicate this communicator (fresh collective context and tags)."""
-        seq = self._op_seq
+        seq = self._coll_seq
         self.barrier()
         return Communicator(
             self._world, self._members, self.rank, key=(self._key, "dup", seq)
         )
-
-    # -- internals -----------------------------------------------------------
-    def _collective(
-        self,
-        contribution: Any,
-        combine: Callable[[list[Any]], Any],
-        opname: str = "collective",
-        needs: Callable[[int], Any] | None = None,
-        parts: bool = False,
-    ) -> Any:
-        sp = _trace.span(opname, cat="coll", alg="direct")
-        with sp:
-            if _trace.is_on():
-                sp.set(bytes=payload_nbytes(contribution))
-            self._progress_inflight_schedules()
-            self._op_seq += 1
-            return self._channel.collective(
-                _freeze(contribution), combine, opname, needs=needs, parts=parts
-            )
-
-    def _icollective(
-        self,
-        contribution: Any,
-        combine: Callable[[list[Any]], Any],
-        opname: str,
-        count_stats: bool = True,
-        parts: bool = False,
-        wire: tuple[int, int | Callable[[Any], int]] | None = None,
-    ) -> Request:
-        seq = self._nb_seq
-        self._nb_seq += 1
-        token = self._channel.nb_start(seq, _freeze(contribution), opname, parts=parts)
-        return _CollectiveRequest(self, token, combine, opname, count_stats, wire)

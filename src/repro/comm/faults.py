@@ -31,7 +31,7 @@ globally through the ``REPRO_FAULTS`` environment variable, whose value is
 parsed by :meth:`FaultPlan.parse`, e.g.::
 
     REPRO_FAULTS="crash@rank2:point=send:after=3:tag=#alg"
-    REPRO_FAULTS="delay@rank0:seconds=0.2;drop@rank1:tag=#nb:once ; seed=7"
+    REPRO_FAULTS="delay@rank0:seconds=0.2;drop@rank1:tag=#coll:once ; seed=7"
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class FaultSpec:
     ``after`` counts *matching* operations: the fault fires on the
     ``after``-th match (0 = the first).  ``tag`` is matched as a substring
     of ``repr(tag)`` so callers can target a traffic class (``"#alg"`` for
-    schedule segments, ``"#nb"`` for nonblocking deposits, ``"#coll"`` for
-    blocking collectives) without spelling out full tag tuples.  ``once``
+    schedule segments and tree routes, ``"#coll"`` for ``"direct"``
+    collectives) without spelling out full tag tuples.  ``once``
     (default) disarms the spec after it fires; recurring faults
     (``once=False``) re-fire on every subsequent match — meaningless for
     ``crash``, which ends the rank.

@@ -19,13 +19,10 @@ without pickling) and implements the same
   buffered-send contract).  Nested containers are walked recursively, so a
   shuffle's list-of-arrays payload ships its big pieces through the arena
   and its skeleton through the queue.
-* **Collectives** — allgather-style message exchange: every member sends
-  its (frozen) contribution to every peer under a ``(group key, sequence)``
-  tag and combines the received slot list locally with the *same* combine
-  callable the thread backend runs, in the same comm-rank order — so
-  results are bitwise identical across backends.  Nonblocking collectives
-  deposit eagerly and only the ``wait()`` side receives, preserving the
-  "a fast rank never waits for readers" discipline.
+* **Collectives** — none here: the communicator builds every collective
+  on ``deliver``/``collect``/``try_collect`` alone, with the same
+  arithmetic in the same comm-rank order as on the thread backend, so
+  results are bitwise identical across backends.
 * **Failure handling** — a shared abort event plus a result queue, with a
   structured abort *reason* (first failure wins) in a shared buffer so
   every survivor's ``CommAborted`` names the failed rank and cause.  A
@@ -72,7 +69,6 @@ import numpy as np
 from repro.comm.backend import (
     BaseWorld,
     CommAborted,
-    GroupChannel,
     _format_pending,
     _retry_note,
     register_backend,
@@ -601,159 +597,6 @@ class _Inbox:
         return _format_pending(keys, limit)
 
 
-class _ProcToken:
-    """Nonblocking-collective token of the process backend."""
-
-    __slots__ = ("tag", "seq", "opname", "rank", "slots", "outstanding")
-
-    def __init__(self, tag, seq, opname, rank, slots, outstanding):
-        self.tag = tag
-        self.seq = seq
-        self.opname = opname
-        self.rank = rank
-        self.slots = slots
-        self.outstanding = outstanding  # comm-rank -> world rank, not yet received
-
-
-class ProcessChannel(GroupChannel):
-    """Collective channel over pt2pt message exchange.
-
-    Per-group sequence counters are process-local; they match across ranks
-    because every member issues a group's collectives in the same program
-    order — the discipline MPI itself imposes.
-    """
-
-    def __init__(
-        self,
-        world: "ProcessWorld",
-        key: Any,
-        members: tuple[int, ...],
-        rank: int,
-    ) -> None:
-        self._world = world
-        self._key = key
-        self._members = members
-        self._rank = rank
-        self._coll_seq = 0
-
-    def _diag(self, opname: str, seq: int, waiting_for: int | None = None) -> str:
-        tail = (
-            f", waiting for the contribution of world rank {waiting_for}"
-            if waiting_for is not None
-            else ""
-        )
-        return (
-            f"{opname}[seq={seq}] on comm {self._key!r} at world rank "
-            f"{self._members[self._rank]} (comm rank {self._rank}){tail}"
-        )
-
-    def barrier(self, opname: str = "barrier") -> None:
-        self.collective(None, lambda slots: None, opname)
-
-    def collective(
-        self,
-        contribution: Any,
-        combine: Callable[[list[Any]], Any],
-        opname: str,
-        needs: Callable[[int], Any] | None = None,
-        parts: bool = False,
-    ) -> Any:
-        """Exchange contributions by message, narrowed where possible.
-
-        * default — allgather: every member ships its whole contribution
-          to every peer;
-        * ``needs`` (rooted collectives) — a member ships only to the
-          peers whose combine reads its slot and receives only the slots
-          its own combine reads (gather flows everyone→root, bcast
-          root→everyone).  A scatter's payload is still the root's full
-          per-rank list — the slots model carries rooted contributions
-          whole, only the routing narrows;
-        * ``parts`` (alltoall-shaped) — the contribution is
-          per-destination, so only piece ``j`` travels to rank ``j`` and
-          ``combine`` sees the received-pieces list, MPI-alltoall volume.
-
-        Every schedule is derived identically on all members, so message
-        matching is preserved.
-        """
-        rank = self._rank
-        seq = self._coll_seq
-        self._coll_seq += 1
-        tag = (self._key, "#coll", seq)
-        world = self._world
-        me = self._members[rank]
-        needed_of = (
-            [set(needs(j)) for j in range(len(self._members))]
-            if needs is not None
-            else None
-        )
-        for j, peer in enumerate(self._members):
-            if j == rank:
-                continue
-            if parts:
-                world.deliver(me, peer, tag, contribution[j])
-            elif needed_of is None or rank in needed_of[j]:
-                world.deliver(me, peer, tag, contribution)
-        slots: list[Any] = [None] * len(self._members)
-        slots[rank] = contribution[rank] if parts else contribution
-        bound = world.timeout_for(opname)
-        for j, peer in enumerate(self._members):
-            if j == rank:
-                continue
-            if parts or needed_of is None or j in needed_of[rank]:
-                slots[j] = world._inbox.get(
-                    peer,
-                    tag,
-                    bound,
-                    lambda peer=peer: self._diag(opname, seq, waiting_for=peer),
-                )
-        return combine(slots)
-
-    def nb_start(
-        self, seq: int, contribution: Any, opname: str, parts: bool = False
-    ) -> Any:
-        rank = self._rank
-        tag = (self._key, "#nb", seq)
-        world = self._world
-        me = self._members[rank]
-        for j, peer in enumerate(self._members):
-            if j != rank:
-                world.deliver(me, peer, tag, contribution[j] if parts else contribution)
-        slots: list[Any] = [None] * len(self._members)
-        slots[rank] = contribution[rank] if parts else contribution
-        outstanding = {
-            j: peer for j, peer in enumerate(self._members) if j != rank
-        }
-        return _ProcToken(tag, seq, opname, rank, slots, outstanding)
-
-    def nb_test(self, token: _ProcToken) -> bool:
-        world = self._world
-        for j in list(token.outstanding):
-            got, payload = world._inbox.try_get(token.outstanding[j], token.tag)
-            if got:
-                token.slots[j] = payload
-                del token.outstanding[j]
-        return not token.outstanding
-
-    def nb_wait(self, token: _ProcToken) -> list[Any]:
-        world = self._world
-        bound = world.timeout_for(token.opname)
-        for j in sorted(token.outstanding):
-            peer = token.outstanding[j]
-            token.slots[j] = world._inbox.get(
-                peer,
-                token.tag,
-                bound,
-                lambda peer=peer: self._diag(
-                    token.opname, token.seq, waiting_for=peer
-                ),
-            )
-        token.outstanding.clear()
-        return token.slots
-
-    def nb_finish(self, token: _ProcToken) -> None:
-        token.slots = []
-
-
 class ProcessWorld(BaseWorld):
     """One rank's view of a process-per-rank SPMD job."""
 
@@ -773,7 +616,6 @@ class ProcessWorld(BaseWorld):
         self.rank = rank
         self._shared = shared
         self._inbox = _Inbox(self)
-        self._channels: dict[Any, ProcessChannel] = {}
         self._stats: dict[int, Any] = {}
         faults = shared.config.faults
         self._injector: FaultInjector | None = (
@@ -906,17 +748,6 @@ class ProcessWorld(BaseWorld):
             _, payload = self._fault("recv", source, tag, payload)
         return ok, payload
 
-    # -- collectives --------------------------------------------------------
-    def channel(self, key: Any, members: tuple[int, ...], rank: int) -> GroupChannel:
-        # Cached per key so communicators recreated with an identical key
-        # share sequence counters, mirroring the thread backend's shared
-        # rendezvous contexts.
-        ch = self._channels.get(key)
-        if ch is None:
-            ch = ProcessChannel(self, key, members, rank)
-            self._channels[key] = ch
-        return ch
-
     def rank_stats(self, world_rank: int):
         from repro.comm.stats import CommStats
 
@@ -1022,7 +853,7 @@ def _child_main(
         )
     if status == "ok":
         # A fast rank may exit while its queue feeder threads still hold
-        # undelivered messages (e.g. fire-and-forget nonblocking deposits a
+        # undelivered messages (e.g. fire-and-forget nonblocking exchanges a
         # slow peer has yet to read).  close() lets each feeder flush and
         # exit; the interpreter then joins them at process exit, so nothing
         # a completing rank sent can be lost.

@@ -47,11 +47,12 @@ under the engine while staying runnable on one machine:
   in the parent (regression-tested by ``tests/test_socket_backend.py`` and
   the CI ``multi-host`` job, mirroring the ``/dev/shm`` leak check).
 
-Collectives, fault injection, result plumbing, and the parent's failure
-detector are shared with the process backend (`_launch_forked`,
-`ProcessChannel`, `_pack`/`_unpack`): this module only swaps the transport
-underneath the same :class:`~repro.comm.backend.BaseWorld` contract, so
-every collective stays bitwise identical across backends.
+Fault injection, result plumbing, and the parent's failure detector are
+shared with the process backend (`_launch_forked`, `_pack`/`_unpack`):
+this module only swaps the transport underneath the same
+:class:`~repro.comm.backend.BaseWorld` contract — collectives live above
+it, in the communicator — so every collective stays bitwise identical
+across backends.
 """
 
 from __future__ import annotations
@@ -433,7 +434,7 @@ class _Connection:
 class SocketWorld(ProcessWorld):
     """One rank's view of a socket-backend SPMD job.
 
-    Subclasses :class:`ProcessWorld`: collectives, fault injection, abort
+    Subclasses :class:`ProcessWorld`: fault injection, abort
     plumbing, and the intra-node shared-memory path are inherited; only
     message *routing* (queue/arena within a logical node, TCP frames
     across nodes) and connection lifecycle differ.

@@ -121,8 +121,12 @@ class TestCompilation:
                     for child, subtree in node.children:
                         assert nodes[child].parent == node.rank
                         assert subtree[0] == child
+                        # Bundles carry no rank labels: a child's own view
+                        # of its subtree order must be its parent's.
+                        assert nodes[child].subtree == subtree
                         covered.update(subtree)
                 assert covered == set(range(p))
+                assert sorted(nodes[root].subtree) == list(range(p))
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown schedule algorithm"):
@@ -198,6 +202,81 @@ class TestAllreduceParity:
         for scalar, n_ring, n_direct in run_spmd(3, prog, backend=backend):
             assert scalar == 6
             assert n_ring == n_direct  # same (historical) fold semantics
+
+    def test_payloads_only_direct_accepts(self, backend):
+        """Python scalars, tuples, dicts, ``None``, empty and object
+        arrays, uneven per-rank shards: whatever the mailbox can carry,
+        the direct exchange routes, in comm-rank order, on every backend."""
+
+        def prog(comm):
+            r = comm.rank
+            obj = np.empty(2, dtype=object)
+            obj[:] = [r, "x" * r]
+            return {
+                "float": comm.allreduce(0.1 * (r + 1)),
+                "max": comm.iallreduce(r, op="max").wait(),
+                "tuple": comm.allreduce((r, 1)),  # tuple "+" concatenates
+                "objarr": comm.allreduce(obj),
+                "empty": comm.allreduce(np.empty(0)),
+                "none": comm.allgather(None),
+                "dict": comm.allgather({"rank": r, "w": np.full(r, 1.0)}),
+                "shards": comm.allgather(np.arange(float(r))),  # rank 0: empty
+                "alltoall": comm.alltoall([(r, j) if j else None for j in range(comm.size)]),
+                "bcast": comm.bcast({"k": None} if r == 1 else None, root=1, algorithm="direct"),
+                "gather": comm.gather("s" * r, root=2, algorithm="direct"),
+                "reduce": comm.reduce(1.5 * r, root=1, algorithm="direct"),
+                "rs": comm.reduce_scatter([r * 10 + j for j in range(comm.size)]),
+            }
+
+        p = 3
+        for r, out in enumerate(run_spmd(p, prog, backend=backend)):
+            assert out["float"] == (0.1 + 0.2) + 0.30000000000000004
+            assert out["max"] == p - 1
+            assert out["tuple"] == (0, 1, 1, 1, 2, 1)
+            assert list(out["objarr"]) == [3, "xxx"]
+            assert out["empty"].shape == (0,)
+            assert out["none"] == [None] * p
+            assert [d["rank"] for d in out["dict"]] == list(range(p))
+            assert [d["w"].size for d in out["dict"]] == list(range(p))
+            for j, shard in enumerate(out["shards"]):
+                np.testing.assert_array_equal(shard, np.arange(float(j)))
+            assert out["alltoall"] == [(i, r) if r else None for i in range(p)]
+            assert out["bcast"] == {"k": None}
+            assert out["gather"] == (["", "s", "ss"] if r == 2 else None)
+            assert out["reduce"] == (4.5 if r == 1 else None)
+            assert out["rs"] == 30 + 3 * r
+
+    def test_blocking_direct_send_buffer_reusable_on_return(self, backend):
+        """A blocking collective's contribution is the caller's again on
+        return — even while a slow peer (recv-point delay) has yet to
+        fold it, and even on the zero-copy thread transport."""
+
+        def prog(comm):
+            r, p = comm.rank, comm.size
+            x = np.full(4, r + 1.0)
+            out = []
+            for _ in range(3):
+                out.append((
+                    comm.allreduce(x, algorithm="direct"),
+                    comm.reduce(x, root=1, algorithm="direct"),
+                    comm.bcast(x, root=0, algorithm="direct"),
+                    comm.reduce_scatter([x] * p, algorithm="direct"),
+                    comm.scatter([x] * p if r == 2 else None, root=2, algorithm="direct"),
+                ))
+                x += 10.0
+            return out
+
+        slow = "delay@rank1:point=recv:seconds=0.02:tag=#coll:recurring"
+        for r, out in enumerate(run_spmd(3, prog, backend=backend, faults=slow)):
+            for k, (allred, red, bc, rs, sc) in enumerate(out):
+                np.testing.assert_array_equal(allred, np.full(4, 6.0 + 30 * k))
+                if r == 1:
+                    np.testing.assert_array_equal(red, allred)
+                else:
+                    assert red is None
+                np.testing.assert_array_equal(bc, np.full(4, 1.0 + 10 * k))
+                np.testing.assert_array_equal(rs, allred)
+                np.testing.assert_array_equal(sc, np.full(4, 3.0 + 10 * k))
 
     def test_integer_payloads_exact(self):
         def prog(comm):
@@ -415,6 +494,51 @@ class TestWireAccounting:
             assert recv == sent  # all three schedules are symmetric
             assert logical == nbytes  # logical volume is algorithm-independent
 
+    def test_direct_rows_are_notional_volume_on_every_backend(self, backend):
+        """``"direct"`` rows come from the exchange's per-peer tally and
+        equal ``n(p-1)`` to the byte, blocking and nonblocking alike."""
+        p, n_elems = 3, 1000
+
+        def prog(comm):
+            x = np.ones(n_elems)
+            comm.stats.reset()
+            comm.allreduce(x, algorithm="direct")
+            comm.iallreduce(x, algorithm="direct").wait()
+            s = comm.stats
+            return [
+                (s.total_wire_sent(op), s.total_wire_recv(op))
+                for op in ("allreduce", "iallreduce")
+            ]
+
+        want = (n_elems * 8 * (p - 1),) * 2
+        for rows in run_spmd(p, prog, backend=backend):
+            assert rows == [want, want]
+
+    def test_direct_inter_node_rows_blocking_equals_nonblocking(self):
+        """Direct ``iallreduce`` used to drop the inter-node share the
+        blocking call recorded; with one path the rows are the same."""
+        n_elems = 512
+
+        def prog(comm):
+            x = np.ones(n_elems)
+            comm.stats.reset()
+            comm.allreduce(x, algorithm="direct")
+            comm.iallreduce(x, algorithm="direct").wait()
+            s = comm.stats
+            return [
+                (
+                    s.total_wire_sent(op), s.total_wire_recv(op),
+                    s.total_wire_sent_inter(op), s.total_wire_recv_inter(op),
+                )
+                for op in ("allreduce", "iallreduce")
+            ]
+
+        n = n_elems * 8
+        for blocking, nonblocking in run_spmd(
+            2, prog, backend="socket", hostmap="0:A 1:B"
+        ):
+            assert blocking == nonblocking == (n, n, n, n)
+
     def test_ring_beats_direct_on_the_wire(self):
         p, nbytes = 8, 4096 * 8
         ring = allreduce_wire_bytes(p, nbytes, "ring")
@@ -573,6 +697,25 @@ class TestSelection:
 
         p = 4
         assert run_spmd(p, prog)[0] == 2 * 4096 * 8 * (p - 1) // p
+
+    def test_consecutive_splits_get_distinct_keys_under_env_ring(
+        self, monkeypatch, backend
+    ):
+        """The child key comes from the one sequence every collective
+        bumps: with the split's allgather running as a schedule, two
+        splits used to share a key and their in-flight traffic
+        cross-matched."""
+        monkeypatch.setenv("REPRO_COLLECTIVE_ALG", "ring")
+
+        def prog(comm):
+            a = comm.split(0)
+            b = comm.split(0)
+            ra = a.iallreduce(float(comm.rank + 1), algorithm="direct")
+            rb = b.iallreduce(100.0 * (comm.rank + 1), algorithm="direct")
+            vb = rb.wait()  # out of issue order: FIFO luck cannot hide a clash
+            return ra.wait(), vb
+
+        assert run_spmd(4, prog, backend=backend, timeout=30) == [(10.0, 1000.0)] * 4
 
     def test_env_typo_fails_loudly(self, monkeypatch):
         """A misspelled override must error, not silently disable itself."""

@@ -72,6 +72,32 @@ class TestFaultKinds:
         out = run_spmd(4, prog, faults="delay@rank2:seconds=0.05:tag=#alg")
         assert out == [4.0] * 4
 
+    def test_delayed_direct_collectives_stay_bitwise(self, backend):
+        """Direct collectives ride the mailbox on every backend, so a
+        ``#coll`` delay — at the send or the recv point — reaches them;
+        the comm-rank fold never depends on arrival timing."""
+
+        def prog(comm):
+            x = np.random.default_rng(comm.rank).standard_normal(33)
+            return (
+                comm.allreduce(x, algorithm="direct"),
+                comm.iallreduce(x, op="prod", algorithm="direct").wait(),
+                comm.reduce_scatter([x[j::3] for j in range(comm.size)], algorithm="direct"),
+                comm.allreduce(0.1 * (comm.rank + 1)),
+            )
+
+        plan = (
+            "delay@rank0:seconds=0.03:tag=#coll:recurring;"
+            "delay@rank2:point=recv:seconds=0.02:tag=#coll:after=1:recurring; seed=3"
+        )
+        calm = run_spmd(3, prog, backend=backend)
+        t0 = monotonic()
+        slow = run_spmd(3, prog, backend=backend, faults=plan)
+        assert monotonic() - t0 >= 0.03 * 2 * 4  # rank 0: 2 sends x 4 ops
+        for c, s in zip(calm, slow):
+            for a, b in zip(c, s):
+                np.testing.assert_array_equal(a, b)
+
     def test_drop_turns_into_timeout_naming_pending_inbox(self):
         def prog(comm):
             if comm.rank == 0:
@@ -156,9 +182,10 @@ class TestFaultKinds:
 
 class TestProcessBackendCrash:
     """The acceptance property: bounded-time detection, named rank, no
-    leaks — with the rank dying via ``os._exit`` (a real hard death)."""
+    leaks — with the rank dying via ``os._exit`` (a real hard death) on
+    the forked backends."""
 
-    def test_crash_mid_allreduce_detected_within_two_intervals(self):
+    def test_crash_mid_allreduce_detected_within_two_intervals(self, backend):
         detect = 1.0
         before = _shm_segments()
 
@@ -166,9 +193,16 @@ class TestProcessBackendCrash:
             x = np.full(4096, float(comm.rank))
             t0 = monotonic()
             try:
-                # The direct deposit-combine path tags traffic "#coll";
-                # scheduled algorithms ("#alg") are covered below and in
-                # tests/test_abort_propagation.py.
+                if backend == "socket":
+                    # Socket ranks may still be connecting: once any rank
+                    # leaves the ring every rank is up.  A survivor can
+                    # lag behind in it when the abort lands, hence inside
+                    # the try.  "#alg" traffic does not arm the fault.
+                    comm.allreduce(x, algorithm="ring")
+                    t0 = monotonic()
+                # The direct exchange tags traffic "#coll" on every
+                # backend; scheduled algorithms ("#alg") are covered below
+                # and in tests/test_abort_propagation.py.
                 comm.allreduce(x, algorithm="direct")
             except CommAborted as exc:
                 return (monotonic() - t0, str(exc))
@@ -177,15 +211,18 @@ class TestProcessBackendCrash:
         out = run_spmd(
             4,
             prog,
-            backend="process",
+            backend=backend,
             faults="crash@rank1:tag=#coll",
             allow_failures=True,
             detect_interval=detect,
             timeout=60.0,  # detection must NOT come from the op timeout
         )
-        # The dead rank is reported as an injected crash by exit code.
-        assert isinstance(out[1], CommAborted)
-        assert "exit code 117" in str(out[1]) and "injected" in str(out[1])
+        if backend == "thread":
+            assert isinstance(out[1], InjectedCrash)
+        else:
+            # The dead rank is reported as an injected crash by exit code.
+            assert isinstance(out[1], CommAborted)
+            assert "exit code 117" in str(out[1]) and "injected" in str(out[1])
         for r in (0, 2, 3):
             elapsed, message = out[r]
             assert "rank 1" in message, message

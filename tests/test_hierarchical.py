@@ -171,7 +171,7 @@ class TestHierarchicalSchedules:
             steps = compile_hierarchical_allreduce(nodes, inter)[comm.rank]
             runner = ScheduleRunner(
                 comm, "allreduce", steps, x,
-                lambda a, b: a + b, comm._next_alg_seq(),
+                lambda a, b: a + b, comm._next_coll_seq(),
             )
             got = runner.finish()
             assert np.allclose(got, ref, rtol=1e-10, atol=1e-10)
@@ -193,7 +193,7 @@ class TestHierarchicalSchedules:
             steps = compile_hierarchical_allreduce(nodes, "ring")[comm.rank]
             runner = ScheduleRunner(
                 comm, "allreduce", steps, x,
-                lambda a, b: a + b, comm._next_alg_seq(),
+                lambda a, b: a + b, comm._next_coll_seq(),
             )
             runner.finish()
             return runner.wire_sent

@@ -56,6 +56,13 @@ class TestRegistry:
         # nranks == 1 executes on the calling thread for any backend.
         assert run_spmd(1, lambda comm: comm.size, backend="process") == [1]
 
+    def test_backend_contract_is_launch_mailbox_failure_detection(self):
+        from repro.comm.backend import BaseWorld
+
+        assert BaseWorld.__abstractmethods__ == {
+            "aborted", "deliver", "collect", "try_collect", "rank_stats", "abort"
+        }
+
 
 class TestTransport:
     def test_large_arrays_ride_shared_memory(self):
@@ -241,8 +248,9 @@ class TestFailureHandling:
 
     def test_collective_timeout_names_rank_op_and_seq(self):
         """A wedged nonblocking collective fails with a diagnostic naming
-        the waiting rank, the operation, and its sequence number — on both
-        the deposit path and the scheduled path."""
+        the waiting rank, the operation, its sequence number and the peer
+        whose contribution is missing — on both the direct exchange and the
+        scheduled path."""
 
         def prog_direct(comm):
             if comm.rank == 0:
@@ -251,7 +259,7 @@ class TestFailureHandling:
 
         with pytest.raises(
             CommAborted,
-            match=r"iallreduce\[seq=0\].*world rank 1.*contribution of world rank 0",
+            match=r"iallreduce\[seq=0\]\(world rank 1 <- 0.*timed out",
         ):
             run_spmd(2, prog_direct, timeout=2.0, backend="process")
 
@@ -265,6 +273,20 @@ class TestFailureHandling:
             match=r"iallreduce\[seq=0, schedule step \d+\].*world rank 1 <- 0.*timed out",
         ):
             run_spmd(2, prog_sched, timeout=2.0, backend="process")
+
+    def test_direct_bcast_timeout_names_rank_op_and_seq(self):
+        """The one-hop star of the rooted direct collectives keeps the
+        same diagnostic: op, sequence, waiting rank, missing peer."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                return None  # the root never sends
+            return comm.bcast(None, root=0, algorithm="direct")
+
+        with pytest.raises(
+            CommAborted, match=r"bcast\[seq=0\]\(world rank 1 <- 0.*timed out"
+        ):
+            run_spmd(2, prog, timeout=2.0, backend="process")
 
     def test_recv_timeout_names_ranks_and_tag(self):
         def prog(comm):
