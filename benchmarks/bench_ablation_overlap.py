@@ -5,8 +5,9 @@ convolution and (b) the dL/dw allreduce with backpropagation.  This
 ablation quantifies both via the discrete-event simulator — including the
 bucketed-allreduce variant matching the engine's
 :class:`~repro.core.grad_reducer.BucketedGradReducer` — and then runs the
-*real* in-process engine (blocking vs overlapped gradient reduction) next
-to the simulated timeline.
+*real* in-process engine (gradient reducer drained after every layer vs
+drained once at the end of backpropagation — the same reducer either way)
+next to the simulated timeline.
 """
 
 from time import perf_counter
@@ -84,8 +85,8 @@ def _engine_spec() -> NetworkSpec:
 
 
 def generate_engine_vs_sim(nranks: int = 4, steps: int = 4) -> tuple[str, dict]:
-    """Measured engine step time (blocking vs overlapped) next to the
-    simulator's prediction of the same toggle.
+    """Measured engine step time (reducer drained per layer vs overlapped)
+    next to the simulator's prediction of the same toggle.
 
     The simulator models the paper's GPU cluster, the engine runs numpy
     threads on the host, so the *absolute* times differ wildly by design —

@@ -1,13 +1,12 @@
 """Wall-clock microbenchmark: synchronous vs overlapped halo exchange.
 
 Runs real training steps of the in-process engine under spatial and hybrid
-partitionings with the overlapped halo exchange on (the default) and off
-(the historical path: a blocking collective ``gather_region`` before every
-convolution's forward and backward-data kernels).  Both modes execute the
-identical interior/boundary kernel decomposition, so the measured delta is
-purely the communication discipline: nonblocking point-to-point strips
-assembled behind the interior convolution versus two barrier-synchronized
-all-to-alls per gather.
+partitionings with the overlapped halo exchange on (the default) and off.
+Both modes run one implementation — the same nonblocking point-to-point
+strips, the identical interior/boundary kernel decomposition — so the
+measured delta is purely where the exchange's ``finish()`` sits: behind the
+interior convolution, or right after the start (before any kernel).  Layers
+whose regions are fully local exchange nothing in either mode.
 
 Also reports the measured exposed-vs-hidden halo time split from
 :class:`~repro.comm.stats.CommStats` (the empirical counterpart of the
@@ -17,9 +16,8 @@ is tracked from PR to PR.
 
 Both world backends are measured (``--backend both``, the default): on
 the thread backend the ranks time-share the interpreter, so the delta is
-removed synchronization; on the process backend the blocking gather's two
-all-to-all collectives cost real message exchanges per rank, and the
-nonblocking strips remove them entirely.
+removed synchronization; on the process backend the ranks run in parallel
+and an early ``finish()`` is a real wait for the neighbours' strips.
 
 Run:  PYTHONPATH=src python benchmarks/bench_halo_overlap.py [--backend both]
 """

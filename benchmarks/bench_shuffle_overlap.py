@@ -1,38 +1,26 @@
-"""Wall-clock microbenchmark: blocking vs overlapped inter-layer shuffle.
+"""Wall-clock microbenchmark: where the inter-layer shuffle is finished.
 
 Runs real training steps of the in-process engine on a *residual* conv
 stack whose per-block strategies alternate, so every block boundary —
 including each skip connection — redistributes its activations and error
 signals (paper §III-C).  With the overlapped shuffle on (the default), each
-redistribution is a nonblocking all-to-all launched the moment the
-producer's activation exists and drained where the consumer runs; the skip
-edges therefore travel behind the main branch's convolutions, and in
-backward behind the gradient bucketing.  Off, every redistribution is a
-blocking collective at the consumption point, costing two rendezvous
-barriers and re-synchronizing all ranks mid-step.  Both modes assemble
-identical pieces from identical cached plans, so the measured delta is
-purely the communication discipline.
+redistribution is launched the moment the producer's activation exists and
+finished where the consumer runs; the skip edges therefore travel behind
+the main branch's convolutions, and in backward behind the gradient
+bucketing.  Off, every redistribution is started *and* finished at the
+consumption point, re-synchronizing all ranks mid-step.  Both modes run the
+same exchange from the same cached plans, so the measured delta is purely
+the placement of ``finish()``.
 
-Two levels are measured and emitted to
-``benchmarks/results/BENCH_shuffle_overlap.json``:
-
-* **engine steps** — full training-step times per config, plus the
-  exposed-vs-hidden shuffle split from
-  :class:`~repro.comm.stats.CommStats`.  On few-core hosts the in-process
-  ranks time-share the CPU, so step time approaches the *sum* of all
-  ranks' work and the overlap win is synchronization-bound and noisy
-  (exactly the caveat recorded for the allreduce and halo overlap PRs);
-* **collective layer** — the redistribution primitive itself: K
-  activation-sized shuffles driven blocking vs. overlapped with the
-  engine's launch-early/finish-late window.  This isolates the work the
-  nonblocking path genuinely removes (two rendezvous barriers per
-  collective) and is robust to scheduler noise.
+Emitted to ``benchmarks/results/BENCH_shuffle_overlap.json``: full
+training-step times per config, plus the exposed-vs-hidden shuffle split
+from :class:`~repro.comm.stats.CommStats`.  On few-core hosts the
+in-process ranks time-share the CPU, so step time approaches the *sum* of
+all ranks' work and the overlap win is synchronization-bound and noisy
+(exactly the caveat recorded for the allreduce and halo overlap PRs).
 
 Both world backends are measured (``--backend both``, the default); the
-JSON carries one engine config row and one collective-level entry per
-backend.  On the process backend the blocking collective's rendezvous is a
-real message exchange per rank pair, so the overlapped path's win is
-larger and hardware-true rather than scheduler-bound.
+JSON carries one engine config row per config and backend.
 
 Run:  PYTHONPATH=src python benchmarks/bench_shuffle_overlap.py [--backend both]
 """
@@ -49,8 +37,7 @@ from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
 from repro.core.parallelism import ParallelStrategy
 from repro.nn import NetworkSpec, SGD
-from repro.tensor import DistTensor, Distribution, ProcessGrid
-from repro.tensor.shuffle import SHUFFLE_OP, shuffle, start_shuffle
+from repro.tensor.shuffle import SHUFFLE_OP
 
 try:
     from benchmarks.common import (
@@ -65,9 +52,8 @@ JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_shuffle_overlap.json")
 
 #: Geometry chosen to be shuffle-bound on the thread backend: every block
 #: boundary (and every skip connection) redistributes, so each step performs
-#: several forward and backward shuffles whose blocking form costs two
-#: barrier waits each, while the overlapped form launches the skip-edge
-#: exchanges an entire branch of compute before they are consumed.
+#: several forward and backward shuffles; the overlapped mode launches the
+#: skip-edge exchanges an entire branch of compute before they are consumed.
 HW = 16
 CHANNELS = 4
 DEPTH = 3
@@ -162,56 +148,6 @@ def _measure(
     return per_step, detail
 
 
-def _measure_collective(iters: int, repeats: int = 3, backend: str = "thread") -> dict:
-    """The redistribution primitive itself: blocking vs overlapped.
-
-    Latency-bound payloads (the paper's strong-scaling regime: tiny
-    per-rank activations), min-of-``repeats`` per mode.  The overlapped
-    driver keeps a small window of exchanges in flight — the engine's
-    skip-edge pattern, where :meth:`ShuffleExchange.start` runs a whole
-    branch of compute before :meth:`finish` — so deposits are long since
-    complete when each exchange is drained and the two rendezvous barriers
-    of the blocking collective are the measured delta.
-    """
-    x = np.zeros((BATCH, CHANNELS, 4, 4))
-
-    def prog(comm):
-        g1, g2 = ProcessGrid(comm, (4, 1, 1, 1)), ProcessGrid(comm, (1, 1, 2, 2))
-        d1, d2 = Distribution.make((4, 1, 1, 1)), Distribution.make((1, 1, 2, 2))
-        src = DistTensor.from_global(g1, d1, x)
-        shuffle(src, g2, d2)  # warmup: plans + sub-communicator state
-        blocking = overlapped = None
-        for _ in range(repeats):
-            comm.barrier()
-            t0 = perf_counter()
-            for _ in range(iters):
-                shuffle(src, g2, d2)
-            t = perf_counter() - t0
-            blocking = t if blocking is None else min(blocking, t)
-            comm.barrier()
-            t0 = perf_counter()
-            window: list = []
-            for _ in range(iters):
-                window.append(start_shuffle(src, g2, d2))
-                if len(window) >= 4:
-                    window.pop(0).finish()
-            for ex in window:
-                ex.finish()
-            t = perf_counter() - t0
-            overlapped = t if overlapped is None else min(overlapped, t)
-        return blocking, overlapped
-
-    results = run_spmd(4, prog, backend=backend)
-    blocking = max(r[0] for r in results) / iters
-    overlapped = max(r[1] for r in results) / iters
-    return {
-        "iters": iters,
-        "blocking_s": blocking,
-        "overlap_s": overlapped,
-        "collective_speedup": blocking / overlapped,
-    }
-
-
 def generate_shuffle_overlap(
     steps: int = 6,
     repeats: int = 3,
@@ -221,7 +157,6 @@ def generate_shuffle_overlap(
     """``json_path=None`` skips the JSON emission; smoke runs pass a scratch
     path so reduced-size numbers never overwrite the tracked trajectory."""
     rows, configs = [], []
-    collectives: dict = {}
     for backend in backends:
         for label, strategy in CONFIGS:
             sync = min(
@@ -261,24 +196,8 @@ def generate_shuffle_overlap(
                     f"{detail['shuffle_exposed_s'] * 1e3:7.2f}",
                 ]
             )
-        collective = _measure_collective(
-            iters=max(50, 100 * steps), repeats=max(2, repeats), backend=backend
-        )
-        collectives[backend] = collective
-        rows.append(
-            [
-                backend,
-                "collective layer (us/shuffle)",
-                "4",
-                f"{collective['blocking_s'] * 1e6:8.2f}",
-                f"{collective['overlap_s'] * 1e6:8.2f}",
-                f"{collective['collective_speedup']:5.2f}x",
-                "      -",
-                "      -",
-            ]
-        )
     text = render_table(
-        "Wall clock — blocking vs overlapped inter-layer shuffle "
+        "Wall clock — shuffle finished at consumption vs overlapped "
         f"(measured ms/step, {steps} steps, batch {BATCH}, {HW}x{HW})",
         ["backend", "config", "ranks", "sync", "overlapped", "speedup",
          "hidden", "exposed"],
@@ -289,7 +208,6 @@ def generate_shuffle_overlap(
         "batch": BATCH,
         "image": HW,
         "configs": configs,
-        "collective": collectives,
     }
     if json_path is not None:
         os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -299,11 +217,9 @@ def generate_shuffle_overlap(
 
 
 def test_shuffle_overlap_bench_smoke():
-    """The benchmark runs, engine-level overlap is never a serious
-    regression (step time is scheduler-noise-bound on shared hosts), and
-    the collective-level win — the work the nonblocking path removes — is
-    real.  The collected tier-1 counterpart lives in
-    tests/test_shuffle_overlap.py."""
+    """The benchmark runs and engine-level overlap is never a serious
+    regression (step time is scheduler-noise-bound on shared hosts).  The
+    collected tier-1 counterpart lives in tests/test_shuffle_overlap.py."""
     text, payload = generate_shuffle_overlap(
         steps=2, repeats=1, json_path=None, backends=("thread",)
     )
@@ -312,7 +228,6 @@ def test_shuffle_overlap_bench_smoke():
         assert cfg["speedup"] > 0.8, text
         # The shuffle split is actually measured on the overlapped path.
         assert cfg["shuffle_hidden_s"] + cfg["shuffle_exposed_s"] > 0, text
-    assert payload["collective"]["thread"]["collective_speedup"] > 0.8, text
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
 """Wall-clock microbenchmark: blocking vs overlapped gradient allreduce.
 
 Runs real forward+backward+update steps of the engine on 4 and 8 ranks and
-times them with the bucketed nonblocking reducer on (the default) and off
-(the historical serial path: one blocking allreduce per parameter tensor
-after the whole backward pass), on **both world backends**: the thread
-backend (ranks time-share one interpreter, so the overlap win is the
-removed synchronization) and the process backend (one OS process per rank
-with shared-memory transport, where blocking collectives additionally pay
-real message exchanges — and, given cores, ranks compute in parallel).
+times them with the bucketed reducer overlapped (the default: drained once
+after backpropagation) and serial (``overlap_grad_reduce=False``: the same
+reducer drained after every layer, one waited bucket per layer), on **both
+world backends**: the thread backend (ranks time-share one interpreter, so
+the overlap win is the removed synchronization) and the process backend
+(one OS process per rank with shared-memory transport, where every wait is
+a real message exchange — and, given cores, ranks compute in parallel).
 Emits a table and ``benchmarks/results/BENCH_overlap.json`` (one config
 row per backend x rank count) so the step-time trajectory is tracked from
 PR to PR.

@@ -77,7 +77,6 @@ from repro.comm.collective_models import (
     allreduce_time,
     allreduce_wire_bytes,
     alltoall_time,
-    barrier_time,
     bcast_time,
     bucketed_allreduce_time,
     pt2pt_time,
@@ -125,7 +124,6 @@ __all__ = [
     "resolve_backend",
     "allreduce_time",
     "alltoall_time",
-    "barrier_time",
     "bcast_time",
     "bucketed_allreduce_time",
     "pt2pt_time",

@@ -1,6 +1,6 @@
 """Reusable staging buffers for gather/halo assembly and halo send strips.
 
-``gather_region`` and ``halo_exchange`` allocate a fresh extended array per
+``gather_region`` and the region exchange allocate a fresh extended array per
 call (local shard + halo cells); on the training hot path this means two
 large allocations per convolution per step.  A :class:`BufferPool` recycles
 those buffers across steps.

@@ -521,19 +521,6 @@ def bcast_time(p: int, nbytes: float, link: LinkParameters) -> float:
     return (lg + p - 1) * link.alpha + 2 * frac * nbytes * link.beta
 
 
-def barrier_time(p: int, link: LinkParameters) -> float:
-    """Dissemination barrier over ``p`` ranks: ``ceil(lg p)`` latency rounds.
-
-    Used to model the synchronization cost a *blocking* collective pays on
-    top of its payload movement — e.g. the two rendezvous barriers of the
-    blocking shuffle all-to-all, which the nonblocking
-    :class:`~repro.tensor.shuffle.ShuffleExchange` removes.
-    """
-    if p <= 1:
-        return 0.0
-    return math.ceil(math.log2(p)) * link.alpha
-
-
 def alltoall_time(p: int, nbytes_per_pair: float, link: LinkParameters) -> float:
     """All-to-all where each rank exchanges ``nbytes_per_pair`` with every other.
 

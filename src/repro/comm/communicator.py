@@ -948,34 +948,19 @@ class Communicator:
             name = "ring"  # schedule-level fallback, like rabenseifner's
         return name
 
-    def alltoall(
-        self,
-        payloads: Sequence[Any],
-        *,
-        count_stats: bool = True,
-        opname: str = "alltoall",
-    ) -> list[Any]:
-        """``payloads[j]`` is sent to comm-rank ``j``; returns what each rank sent us.
-
-        ``count_stats=False`` skips the generic "alltoall" accounting —
-        used by structured patterns (the blocking shuffle) that record
-        their traffic under their own op name, keeping per-op counters
-        comparable between the blocking and nonblocking paths.  ``opname``
-        labels the wire-byte counters (structured patterns pass their own
-        name so logical and wire rows line up in ``comm_report``).
-        """
+    def alltoall(self, payloads: Sequence[Any]) -> list[Any]:
+        """``payloads[j]`` is sent to comm-rank ``j``; returns what each rank sent us."""
         if len(payloads) != self.size:
             raise ValueError(f"alltoall requires exactly {self.size} payloads")
-        result = self._run_direct(opname, self._detached_pieces(payloads))
-        if count_stats:
-            self.stats.record_collective(
-                "alltoall",
-                sum(
-                    payload_nbytes(p)
-                    for i, p in enumerate(payloads)
-                    if i != self.rank
-                ),
-            )
+        result = self._run_direct("alltoall", self._detached_pieces(payloads))
+        self.stats.record_collective(
+            "alltoall",
+            sum(
+                payload_nbytes(p)
+                for i, p in enumerate(payloads)
+                if i != self.rank
+            ),
+        )
         return result
 
     def ialltoall(
@@ -996,9 +981,7 @@ class Communicator:
 
         ``opname``/``count_stats`` label the request in
         :class:`~repro.comm.stats.CommStats`: structured patterns (e.g. the
-        overlapped shuffle) pass their own op name and account volume
-        themselves, keeping per-op counters comparable between the blocking
-        and nonblocking paths.
+        shuffle) pass their own op name and account volume themselves.
         """
         if len(payloads) != self.size:
             raise ValueError(f"alltoall requires exactly {self.size} payloads")

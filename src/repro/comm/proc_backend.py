@@ -440,6 +440,14 @@ class _Inbox:
         # is fed from multiple threads).
         self._buffered.setdefault((source, tag), deque()).append(payload)
 
+    def _pop(self, key: tuple[int, Any], q: deque) -> Any:
+        # Collective tags are unique per operation: drop drained queues so
+        # the table does not grow by one entry per collective and peer.
+        payload = q.popleft()
+        if not q:
+            del self._buffered[key]
+        return payload
+
     def _store(self, msg: tuple) -> None:
         seq, source, tag, skeleton, descs = msg
         if seq != self._expected[source]:
@@ -544,10 +552,11 @@ class _Inbox:
         attempt = 0
         deadline = monotonic() + timeout
         poll = min(0.25, max(0.01, world.config.detect_interval))
+        key = (source, tag)
         while True:
-            q = self._buffered.get((source, tag))
+            q = self._buffered.get(key)
             if q:
-                return q.popleft()
+                return self._pop(key, q)
             if world.aborted:
                 raise CommAborted(
                     f"{describe() if callable(describe) else describe} "
@@ -583,7 +592,7 @@ class _Inbox:
         self._drain_ready()
         q = self._buffered.get((source, tag))
         if q:
-            return True, q.popleft()
+            return True, self._pop((source, tag), q)
         if self._world.aborted:
             raise CommAborted(
                 f"irecv(source={source}, tag={tag}) interrupted: "

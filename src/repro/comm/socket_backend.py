@@ -224,7 +224,7 @@ class _SocketInbox(_Inbox):
             while True:
                 q = self._buffered.get(key)
                 if q:
-                    return q.popleft()
+                    return self._pop(key, q)
                 if world.aborted:
                     raise world.abort_error(
                         f"{describe() if callable(describe) else describe} "
@@ -257,7 +257,7 @@ class _SocketInbox(_Inbox):
         with self._cv:
             q = self._buffered.get((source, tag))
             if q:
-                return True, q.popleft()
+                return True, self._pop((source, tag), q)
         if self._world.aborted:
             raise self._world.abort_error(
                 f"irecv(source={source}, tag={tag}) interrupted: "

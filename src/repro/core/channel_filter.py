@@ -20,15 +20,14 @@ produces ``y`` partitioned on F, which is exactly a C-partitioned input for
 a channel-parallel successor — no redistribution needed.
 
 Both compose with spatial partitioning: the spatial halo machinery operates
-on the channel-sliced tensors unchanged.  With ``overlap_halo`` (the
-default) the input/error-signal region gathers are driven through the
-nonblocking :class:`~repro.tensor.halo.RegionExchange` — eager ``isend``
-strips plus posted ``irecv``s from a plan cached per layer and direction —
-instead of the historical blocking ``gather_region`` (two rendezvous
-barriers per gather).  The convolution kernels themselves stay fused, so
-the nonblocking path is bitwise identical to the blocking one; when no
-rank's region reaches off-shard, the exchange degenerates to a purely
-local materialization with zero communication.
+on the channel-sliced tensors unchanged.  The input/error-signal region
+gathers run through :class:`~repro.tensor.halo.RegionExchange` — eager
+send strips plus posted ``irecv``s from a plan cached per layer and
+direction; when no rank's region reaches off-shard, the exchange
+degenerates to a purely local materialization with zero communication.
+The convolution kernels here stay fused, so the exchange is finished right
+after it starts and ``overlap_halo`` (kept for symmetry with
+:class:`~repro.core.dist_conv.DistConv2d`) has no ``finish()`` to move.
 """
 
 from __future__ import annotations
@@ -62,21 +61,16 @@ def _gather_planned(
     key,
     region_of_coords,
     pool,
-    overlap: bool,
 ) -> np.ndarray:
     """Gather this rank's dependency region for a conv layer.
 
-    With ``overlap`` (the layers' default) the gather runs through a cached
-    nonblocking exchange plan; ``region_of_coords(coords)`` must yield any
-    rank's ``(lo, hi)`` region from shared layer geometry — which is what
-    lets every rank mirror the send side of the exchange without a request
-    round-trip.  The schedule (and the no-communication fast path decision)
-    is computed once per ``key`` and reused every step.  With ``overlap``
-    off, the historical blocking collective ``gather_region`` runs instead.
+    The gather runs through a cached exchange plan;
+    ``region_of_coords(coords)`` must yield any rank's ``(lo, hi)`` region
+    from shared layer geometry — which is what lets every rank mirror the
+    send side of the exchange without a request round-trip.  The schedule
+    (and the no-communication fast path decision) is computed once per
+    ``key`` and reused every step.
     """
-    if not overlap:
-        lo, hi = region_of_coords(grid.coords)
-        return dt.gather_region(lo, hi, pool=pool)
     entry = cache.get(key)
     if entry is None:
         regions = [
@@ -172,7 +166,7 @@ class ChannelParallelConv2d:
         )
         x_ext = _gather_planned(
             x, self.grid, self._geom, ("fwd", x.dist, x.global_shape),
-            region_of, self._pool, self.overlap_halo,
+            region_of, self._pool,
         )
         self._x_ext = x_ext
         self._x_meta = (x.dist, x.global_shape)
@@ -234,7 +228,7 @@ class ChannelParallelConv2d:
         dy_ext = _gather_planned(
             dy, self.grid, self._geom,
             ("bwd", dy.dist, dy.global_shape, x_dist, x_shape),
-            region_of, self._pool, self.overlap_halo,
+            region_of, self._pool,
         )
         pad_eff = (xh_lo + ph - sh * dh_lo, xw_lo + pw - sw * dw_lo_)
         dx_local = F.conv2d_backward_data(
@@ -304,7 +298,7 @@ class FilterParallelConv2d:
         )
         x_ext = _gather_planned(
             x, self.grid, self._geom, ("fwd", x.dist, x.global_shape),
-            region_of, self._pool, self.overlap_halo,
+            region_of, self._pool,
         )
         self._x_ext = x_ext
         self._x_meta = (x.dist, x.global_shape)
@@ -336,7 +330,7 @@ class FilterParallelConv2d:
         dy_ext = _gather_planned(
             dy, self.grid, self._geom,
             ("bwd", dy.dist, dy.global_shape, x_dist, x_shape),
-            region_of, self._pool, self.overlap_halo,
+            region_of, self._pool,
         )
         pad_eff = (xh_lo + ph - sh * dh_lo, xw_lo + pw - sw * dw_lo_)
         partial_dx = F.conv2d_backward_data(

@@ -25,17 +25,17 @@ the output's H dimension; W symmetric).  With kernel K, stride S, padding P:
 partitioned, the local output block is decomposed into an *interior* region
 — output points whose input windows lie entirely in locally owned data (or
 virtual padding) — and up to four *boundary* strips that depend on halo
-cells.  With ``overlap_halo`` (the default), the halo strips are posted as
-nonblocking ``isend``/``irecv`` up front (:func:`start_region_exchange`),
-the interior kernel runs while they travel, received pieces are assembled
-as each request lands, and the boundary kernels complete the output; in
-backward the error-signal exchange additionally hides inside the filter
-convolution (Eq. 2 needs no halo).  With ``overlap_halo=False`` the same
-interior + boundary kernels run after a blocking ``gather_region`` — the
-two modes perform *identical* floating-point operations on identical data,
-so they are bitwise equal over entire training runs (BLAS kernels are not
-sub-block invariant, which is why the synchronous mode must decompose too
-rather than issue one fused kernel).
+cells.  Each direction runs one sequence: post the halo strips
+(:func:`start_region_exchange`), run the interior kernel while they travel,
+``finish()`` the exchange, run the boundary kernels; in backward the
+error-signal exchange additionally hides inside the filter convolution
+(Eq. 2 needs no halo).  One implementation per transfer: ``overlap_halo``
+only moves the ``finish()`` — with ``overlap_halo=False`` it is called
+right after the start, before any kernel.  Both modes therefore perform
+*identical* floating-point operations on identical data and are bitwise
+equal over entire training runs (BLAS kernels are not sub-block invariant,
+which is why the synchronous mode must decompose too rather than issue one
+fused kernel).
 
 Because communication is expressed through the same region algebra as
 ``gather_region``, the same code handles pure sample parallelism (zero
@@ -183,9 +183,9 @@ class DistConv2d:
     activation tensors are distributed along (N, H, W) per the grid shape
     (the channel axis is handled by :mod:`repro.core.channel_filter`).
 
-    ``overlap_halo`` selects the nonblocking, interior-first execution of
-    the halo exchange; the synchronous mode runs the identical kernel
-    decomposition after a blocking gather, so both modes are bitwise equal.
+    ``overlap_halo`` places the halo exchange's ``finish()``: after the
+    interior kernels (the default) or right after the start; the kernel
+    sequence is the same, so both modes are bitwise equal.
     """
 
     def __init__(
@@ -214,8 +214,7 @@ class DistConv2d:
         self._x_global_shape: tuple[int, ...] | None = None
         self._x_dist = None
         # Recycles the gathered input / error-signal staging buffers across
-        # steps, plus (deferred) the contiguous halo send strips of the
-        # overlapped exchange.
+        # steps, plus (deferred) the contiguous halo send strips.
         self._pool = BufferPool()
         # Static geometry (regions, decompositions, exchange plans) per
         # (direction, global shape, distribution).
@@ -231,7 +230,7 @@ class DistConv2d:
 
     def _local_region(self, dt: DistTensor, lo, hi) -> np.ndarray:
         """Materialize a region that is fully local (plus virtual padding)
-        without communication — the overlap-mode fast path."""
+        without communication."""
         return local_region(dt, lo, hi, fill=0.0, pool=self._pool)
 
     # -- interior/boundary decomposition (§IV-A) -----------------------------------
@@ -374,10 +373,7 @@ class DistConv2d:
         if not g.exchanged:
             # Degenerate gather (pure sample parallelism / replicated
             # spatial dims): a single fused kernel, no decomposition.
-            if self.overlap_halo:
-                x_ext = self._local_region(x, g.lo, g.hi)
-            else:
-                x_ext = x.gather_region(g.lo, g.hi, pool=self._pool)
+            x_ext = self._local_region(x, g.lo, g.hi)
             y_local = F.conv2d_forward(
                 x_ext, self.w, stride=self.stride, pad=0, bias=self.bias
             )
@@ -387,19 +383,16 @@ class DistConv2d:
                 (n_hi - n_lo, self.w.shape[0], oh_hi - oh_lo, ow_hi - ow_lo),
                 dtype=np.result_type(x.dtype, self.w.dtype),
             )
-            if self.overlap_halo:
-                ex = start_region_exchange(x, g.lo, g.hi, pool=self._pool, plan=g.plan)
-                x_ext = ex.out
-                for rows, cols, interior in g.pieces:
-                    if interior:
-                        self._fwd_piece(x_ext, y_bounds, rows, cols, y_local)
+            ex = start_region_exchange(x, g.lo, g.hi, pool=self._pool, plan=g.plan)
+            if not self.overlap_halo:
                 ex.finish()
-                for rows, cols, interior in g.pieces:
-                    if not interior:
-                        self._fwd_piece(x_ext, y_bounds, rows, cols, y_local)
-            else:
-                x_ext = x.gather_region(g.lo, g.hi, pool=self._pool)
-                for rows, cols, _ in g.pieces:
+            x_ext = ex.out
+            for rows, cols, interior in g.pieces:
+                if interior:
+                    self._fwd_piece(x_ext, y_bounds, rows, cols, y_local)
+            ex.finish()
+            for rows, cols, interior in g.pieces:
+                if not interior:
                     self._fwd_piece(x_ext, y_bounds, rows, cols, y_local)
 
         self._x_ext = x_ext
@@ -415,8 +408,8 @@ class DistConv2d:
 
         The weight-gradient partials still need the allreduce over the
         layer's gradient group (paper Eq. 2's sum over N) — performed by the
-        network so it can be overlapped/batched.  With ``overlap_halo`` the
-        error-signal halo exchange is posted first and hides behind the
+        network so it can be overlapped/batched.  The error-signal halo
+        exchange is posted first; with ``overlap_halo`` it hides behind the
         filter convolution and the interior data convolution.
         """
         if self._x_ext is None:
@@ -431,10 +424,12 @@ class DistConv2d:
         lo, hi = g.lo, g.hi
 
         ex = None
-        if g.exchanged and self.overlap_halo:
+        if g.exchanged:
             # Post the dy halo exchange before Eq. 2: the filter convolution
             # needs no remote data, so the strips travel behind it.
             ex = start_region_exchange(dy, lo, hi, pool=self._pool, plan=g.plan)
+            if not self.overlap_halo:
+                ex.finish()
 
         # Eq. 2: local filter gradients from the saved extended input region.
         dw = F.conv2d_backward_filter(
@@ -445,11 +440,8 @@ class DistConv2d:
         self._x_ext = None
 
         # Eq. 3: the dy dependency region of our input block.
-        if not g.exchanged:
-            if self.overlap_halo:
-                dy_ext = self._local_region(dy, lo, hi)
-            else:
-                dy_ext = dy.gather_region(lo, hi, pool=self._pool)
+        if ex is None:
+            dy_ext = self._local_region(dy, lo, hi)
             pad_eff = (xh_lo + self.pad[0] - self.stride[0] * lo[2],
                        xw_lo + self.pad[1] - self.stride[1] * lo[3])
             dx_local = F.conv2d_backward_data(
@@ -464,19 +456,14 @@ class DistConv2d:
                 (n_hi - n_lo, c_all, xh_hi - xh_lo, xw_hi - xw_lo),
                 dtype=np.result_type(dy.dtype, self.w.dtype),
             )
-            if ex is not None:
-                dy_ext = ex.out
-                ex.poll()
-                for rows, cols, interior in g.pieces:
-                    if interior:
-                        self._bwd_piece(dy_ext, lo, xb, rows, cols, dx_local)
-                ex.finish()
-                for rows, cols, interior in g.pieces:
-                    if not interior:
-                        self._bwd_piece(dy_ext, lo, xb, rows, cols, dx_local)
-            else:
-                dy_ext = dy.gather_region(lo, hi, pool=self._pool)
-                for rows, cols, _ in g.pieces:
+            dy_ext = ex.out
+            ex.poll()
+            for rows, cols, interior in g.pieces:
+                if interior:
+                    self._bwd_piece(dy_ext, lo, xb, rows, cols, dx_local)
+            ex.finish()
+            for rows, cols, interior in g.pieces:
+                if not interior:
                     self._bwd_piece(dy_ext, lo, xb, rows, cols, dx_local)
 
         self._pool.give(dy_ext)

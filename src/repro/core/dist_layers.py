@@ -63,22 +63,22 @@ class DistPool2d:
     to their owners (windows straddling a partition boundary contribute to
     a neighbor's cells — the reverse halo exchange).
 
-    With ``overlap_halo`` (the default), forward drives the gather through
-    the nonblocking :class:`~repro.tensor.halo.RegionExchange` (plan cached
-    per layer) and decomposes the output into interior windows — those
-    reading only locally owned input (or virtual padding) — computed while
-    the halo strips travel, plus boundary strips completed after assembly.
-    Pooling windows are reduced per output element, so the piecewise
-    kernels are bitwise identical to the fused synchronous kernel; only the
-    communication discipline differs.  The backward scatter-add is
-    nonblocking too (:meth:`~repro.tensor.dist_tensor.DistTensor.
+    One implementation per transfer; ``overlap_halo`` only moves the
+    forward exchange's ``finish()``.  Forward posts the gather as a
+    :class:`~repro.tensor.halo.RegionExchange` (plan cached per layer) and
+    decomposes the output into interior windows — those reading only
+    locally owned input (or virtual padding) — computed while the halo
+    strips travel, plus boundary strips completed after ``finish()``; with
+    ``overlap_halo=False`` the ``finish()`` comes right after the start and
+    the same pieces run.  Pooling windows are reduced per output element,
+    so the piecewise kernels are bitwise identical to one fused kernel.
+    Backward's scatter-add (:meth:`~repro.tensor.dist_tensor.DistTensor.
     start_scatter_region_add`, routing plan cached per layer like the
-    forward exchange plan): the contribution all-to-all is launched first
-    and the rank's own contribution — the bulk of the error signal —
-    accumulates while the boundary strips travel; remote contributions
-    fold in on finish.  Both scatter paths share one documented
-    accumulation order (own first, then ascending comm rank), so
-    ``overlap_halo`` on/off stays bitwise identical here as well.
+    forward exchange plan) launches the contribution all-to-all, accumulates
+    the rank's own contribution — the bulk of the error signal — while the
+    boundary strips travel, and folds the remote contributions in on
+    ``finish()`` (own first, then ascending comm rank); nothing else can
+    run in between, so it is the same in both modes.
     """
 
     def __init__(
@@ -99,8 +99,8 @@ class DistPool2d:
         self.pad = _pair(pad)
         self.overlap_halo = bool(overlap_halo)
         self._cache: dict = {}
-        # Recycles the gathered extended region and the alltoall payloads
-        # (gather replies, scatter-add contributions) across steps.
+        # Recycles the gathered extended region, the halo send strips and
+        # the scatter-add contribution payloads across steps.
         self._pool = BufferPool()
         self._geom: dict = {}
         # Backward scatter-add routing plans, cached per input layout (the
@@ -159,10 +159,7 @@ class DistPool2d:
         exchanged = any_region_remote(x, regions)
         pieces: tuple = ()
         plan = None
-        if exchanged and self.overlap_halo:
-            # The decomposition and exchange schedule only serve the
-            # overlapped path; the synchronous mode runs one fused kernel
-            # after a blocking gather and never reads them.
+        if exchanged:
             inner_h, inner_w = self._interior(x, yb)
             pieces = tuple(_frame_pieces(yb[2], yb[3], inner_h, inner_w))
             plan = plan_region_exchange(x, lo, hi, regions)
@@ -201,19 +198,15 @@ class DistPool2d:
         fill = -np.inf if self.mode == "max" else 0.0
 
         if not g.exchanged:
-            # No rank needs remote data: materialize locally (overlap mode,
-            # zero communication) or via the historical blocking gather.
-            if self.overlap_halo:
-                x_ext = local_region(x, g.lo, g.hi, fill=fill, pool=self._pool)
-            else:
-                x_ext = x.gather_region(g.lo, g.hi, fill=fill, pool=self._pool)
+            # No rank needs remote data: materialize locally, one fused kernel.
+            x_ext = local_region(x, g.lo, g.hi, fill=fill, pool=self._pool)
             if self.mode == "max":
                 y_local, argmax = F.maxpool2d_forward(x_ext, self.kernel, self.stride, 0)
                 self._cache = {"argmax": argmax}
             else:
                 y_local = F.avgpool2d_forward(x_ext, self.kernel, self.stride, 0)
                 self._cache = {}
-        elif self.overlap_halo:
+        else:
             (n_lo, n_hi), (c_lo, c_hi), (oh_lo, oh_hi), (ow_lo, ow_hi) = yb
             y_local = np.empty(
                 (n_hi - n_lo, c_hi - c_lo, oh_hi - oh_lo, ow_hi - ow_lo),
@@ -227,6 +220,8 @@ class DistPool2d:
             ex = start_region_exchange(
                 x, g.lo, g.hi, fill=fill, pool=self._pool, plan=g.plan
             )
+            if not self.overlap_halo:
+                ex.finish()
             x_ext = ex.out
             for rows, cols, interior in g.pieces:
                 if interior:
@@ -236,14 +231,6 @@ class DistPool2d:
                 if not interior:
                     self._pool_piece(x_ext, yb, rows, cols, y_local, argmax)
             self._cache = {"argmax": argmax} if self.mode == "max" else {}
-        else:
-            x_ext = x.gather_region(g.lo, g.hi, fill=fill, pool=self._pool)
-            if self.mode == "max":
-                y_local, argmax = F.maxpool2d_forward(x_ext, self.kernel, self.stride, 0)
-                self._cache = {"argmax": argmax}
-            else:
-                y_local = F.avgpool2d_forward(x_ext, self.kernel, self.stride, 0)
-                self._cache = {}
         self._cache.update(
             {"region_lo": g.lo, "x_ext_shape": x_ext.shape, "x": x}
         )
@@ -270,18 +257,12 @@ class DistPool2d:
         if plan is None:
             plan = dx.scatter_add_plan(cache["region_lo"], dx_ext.shape)
             self._scatter_plans[key] = plan
-        if self.overlap_halo:
-            # Launch the contribution all-to-all, accumulate our own
-            # contribution while the boundary strips travel, fold in the
-            # remote ones on finish — same documented order as blocking.
-            ex = dx.start_scatter_region_add(
-                dx_ext, cache["region_lo"], pool=self._pool, plan=plan
-            )
-            ex.finish()
-        else:
-            dx.scatter_region_add(
-                dx_ext, cache["region_lo"], pool=self._pool, plan=plan
-            )
+        # Launch the contribution all-to-all, accumulate our own
+        # contribution while the boundary strips travel, fold in the
+        # remote ones on finish.
+        dx.start_scatter_region_add(
+            dx_ext, cache["region_lo"], pool=self._pool, plan=plan
+        ).finish()
         # Replicated output dims mean every replica scattered identical
         # contributions into disjoint replica groups — already consistent.
         return dx

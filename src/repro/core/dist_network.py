@@ -9,50 +9,47 @@ partials are completed with an allreduce over each layer's gradient group
 actually partitioned — the whole grid in the standard replicated-weights
 case, exactly the paper's Eq. 2 allreduce).
 
-Gradient reduction is **overlapped and bucketed by default**: as each
-layer's backward-filter pass produces its ``dw`` partials, they are handed
-to a :class:`~repro.core.grad_reducer.BucketedGradReducer`, which coalesces
-them into per-gradient-group buckets and launches nonblocking
-``iallreduce``s that proceed concurrently with the remaining
-backpropagation; everything is drained before :meth:`backward` returns —
-the paper's §IV communication-hiding discipline.  ``overlap_grad_reduce=
-False`` restores the serial blocking path (one allreduce per parameter
-tensor after the layer's backward).  Both paths perform identical
-floating-point additions in identical order, so loss trajectories are
-bitwise equal (verified by ``tests/test_overlap_reducer.py``); the measured
-wait-vs-overlap split is recorded in ``comm.stats``.
+One implementation per transfer; each ``overlap_*`` flag moves the
+``finish()``.  Every transfer below is a ``start`` and a ``finish()``, a
+flag set to ``False`` finishes right where it starts, and no mode has code
+of its own — so all eight flag combinations run the same floating-point
+operations in the same order (bitwise equal under
+``collective_algorithm="direct"``; ``tests/test_dist_network.py`` sweeps
+the matrix against :class:`~repro.nn.network.LocalNetwork`).
 
-Halo exchanges of spatially partitioned convolutions are likewise
-**overlapped by default** (``overlap_halo=True``): each
-:class:`~repro.core.dist_conv.DistConv2d` posts its halo strips as
-nonblocking sends/receives, convolves the interior of its block while they
-travel, and completes the boundary strips as the receives land (paper
-§IV-A).  ``overlap_halo=False`` runs the identical interior/boundary
-kernels after a blocking gather, so the two modes are bitwise equal
-(verified by ``tests/test_halo_overlap.py``).
-
-Inter-layer *shuffles* (§III-C redistributions at layer boundaries whose
-distributions differ) are **overlapped by default** too
-(``overlap_shuffle=True``): a layer's activation is launched toward each
-child's distribution as a nonblocking
-:class:`~repro.tensor.shuffle.ShuffleExchange` the moment it is produced
-and finished only where the child consumes it, so the pieces travel behind
-whatever runs in between (sibling branches of a DAG, the reducer's gradient
-bucketing in backward); in backward the error-signal shuffle toward a
-parent is started before the layer's weight-gradient allreduce is queued.
-Plans (the per-rank send/receive schedules) are cached on the communicator
-across steps, and send payloads are staged through a network-level
-:class:`~repro.comm.buffers.BufferPool`.  ``overlap_shuffle=False`` runs
-the identical plan through a blocking ``alltoall``; both modes assemble the
-same pieces into the same zero-initialized blocks and are bitwise equal
-(verified by ``tests/test_shuffle_overlap.py`` /
-``tests/test_shuffle_property.py``).
+* **Gradient reduction** (``overlap_grad_reduce``): as each layer's
+  backward-filter pass produces its ``dw`` partials, they are handed to a
+  :class:`~repro.core.grad_reducer.BucketedGradReducer`, which coalesces
+  them into per-gradient-group buckets and launches nonblocking
+  ``iallreduce``s that proceed concurrently with the remaining
+  backpropagation; everything is drained before :meth:`backward` returns —
+  the paper's §IV communication-hiding discipline.  ``False`` drains the
+  reducer right after each layer's ``add`` (one bucket per layer, waited at
+  once).  The measured wait-vs-overlap split is recorded in ``comm.stats``.
+* **Halo exchanges** (``overlap_halo``): each
+  :class:`~repro.core.dist_conv.DistConv2d` posts its halo strips, convolves
+  the interior of its block while they travel, and completes the boundary
+  strips after ``finish()`` (paper §IV-A).  ``False`` finishes the exchange
+  before the first kernel.
+* **Inter-layer shuffles** (``overlap_shuffle``; §III-C redistributions at
+  layer boundaries whose distributions differ): a layer's activation is
+  launched toward each child's distribution as a
+  :class:`~repro.tensor.shuffle.ShuffleExchange` the moment it is produced
+  and finished only where the child consumes it, so the pieces travel
+  behind whatever runs in between (sibling branches of a DAG, the reducer's
+  gradient bucketing in backward); in backward the error-signal shuffle
+  toward a parent is started before the layer's weight-gradient allreduce
+  is queued.  ``False`` starts each exchange where it is consumed (forward)
+  or produced (backward) and finishes it on the spot.  Plans (the per-rank
+  send/receive schedules) are cached on the communicator across steps, and
+  send payloads are staged through a network-level
+  :class:`~repro.comm.buffers.BufferPool`.
 
 Parameters are replicated on every rank and initialized identically to
 :class:`repro.nn.network.LocalNetwork` (seeded by layer name), so
 distributed runs replicate single-device runs to floating-point
 accumulation order — the exactness property claimed in §III and verified by
-``tests/test_dist_exactness.py``.
+``tests/test_dist_network.py`` and ``tests/test_integration.py``.
 """
 
 from __future__ import annotations
@@ -237,13 +234,15 @@ class DistNetwork:
             return None
         return want
 
-    def _to_layer_dist(self, act: DistTensor, grid: ProcessGrid) -> DistTensor:
-        """Shuffle an activation to a layer's expected input distribution."""
+    def _start_shuffle(self, act: DistTensor, child: str, idx: int) -> None:
+        """Launch ``act`` toward the distribution layer ``child`` expects
+        its parent #``idx`` in (nothing to do when it already matches)."""
+        grid = self._grid(self.strategy.for_layer(child).grid_shape)
         want = self._want_dist(act, grid)
-        if want is None:
-            return act
-        self.shuffle_count += 1
-        return shuffle(act, grid, want, pool=self._shuffle_pool)
+        if want is not None:
+            self._pending_fwd[(child, idx)] = start_shuffle(
+                act, grid, want, pool=self._shuffle_pool
+            )
 
     def _start_child_shuffles(self, name: str) -> None:
         """Launch the redistributions every child of ``name`` will need.
@@ -255,15 +254,9 @@ class DistNetwork:
         """
         act = self._acts[name]
         for child in self.spec.children_of(name):
-            grid = self._grid(self.strategy.for_layer(child).grid_shape)
-            want = self._want_dist(act, grid)
-            if want is None:
-                continue
             for idx, pname in enumerate(self.spec[child].parents):
                 if pname == name:
-                    self._pending_fwd[(child, idx)] = start_shuffle(
-                        act, grid, want, pool=self._shuffle_pool
-                    )
+                    self._start_shuffle(act, child, idx)
 
     def forward(
         self,
@@ -288,8 +281,8 @@ class DistNetwork:
 
         for layer in self.spec.topo_order():
             name = layer.name
-            grid = self._grid(self.strategy.for_layer(name).grid_shape)
             if layer.kind == "input":
+                grid = self._grid(self.strategy.for_layer(name).grid_shape)
                 x_global = np.asarray(inputs[name], dtype=self.dtype)
                 dist = activation_dist(grid.shape, x_global.shape)
                 self._acts[name] = DistTensor.from_global(grid, dist, x_global)
@@ -302,15 +295,13 @@ class DistNetwork:
                 # Record the parent's original placement so backward can route
                 # the error signal back through the same shuffle.
                 self._fwd_dist[name] = [(p.grid, p.dist) for p in parents]
-                resolved = []
                 for idx, p in enumerate(parents):
+                    if not self.overlap_shuffle:
+                        self._start_shuffle(p, name, idx)
                     ex = self._pending_fwd.pop((name, idx), None)
                     if ex is not None:
                         self.shuffle_count += 1
-                        resolved.append(ex.finish())
-                    else:
-                        resolved.append(self._to_layer_dist(p, grid))
-                parents = resolved
+                        parents[idx] = ex.finish()
                 impl = self._layers[name]
 
                 if layer.kind == "conv":
@@ -343,10 +334,12 @@ class DistNetwork:
     def backward(self, grad_hook=None) -> dict[str, dict[str, np.ndarray]]:
         """Backpropagate and complete weight gradients with allreduces.
 
-        With ``overlap_grad_reduce`` (the default), each layer's partials
-        are queued on a bucketed nonblocking reducer as soon as its filter
-        gradients are computed, so the allreduces run concurrently with the
-        rest of backpropagation and are drained just before returning.
+        Each layer's partials are queued on a bucketed nonblocking reducer
+        as soon as its filter gradients are computed; with
+        ``overlap_grad_reduce`` (the default) the allreduces run
+        concurrently with the rest of backpropagation and are drained just
+        before returning, otherwise the reducer is drained after every
+        layer.
 
         ``grad_hook(layer, grads)``, if given, is invoked once per layer
         as soon as that layer's *reduced* gradients are complete — for the
@@ -364,22 +357,19 @@ class DistNetwork:
         as the layer's ``dx`` exists — before the layer's own gradient
         bucketing — and finished only when the parent consumes its error
         signal, so the pieces travel behind the reducer work and any
-        sibling branches.  Contributions are accumulated in the same
-        arrival order as the blocking path, so both modes perform identical
-        floating-point additions.
+        sibling branches; with ``overlap_shuffle=False`` it is finished
+        where it is started.  Contributions are accumulated in arrival
+        order either way, so both modes perform identical floating-point
+        additions.
         """
         grads: dict[str, dict[str, np.ndarray]] = {}
         #: Per-parent error contributions (DistTensor or in-flight
         #: ShuffleExchange), in route_back arrival order.
         pending: dict[str, list] = {}
-        reducer = (
-            BucketedGradReducer(
-                self.grad_bucket_bytes,
-                algorithm=self.collective_algorithm,
-                segment_bytes=self.grad_segment_bytes,
-            )
-            if self.overlap_grad_reduce
-            else None
+        reducer = BucketedGradReducer(
+            self.grad_bucket_bytes,
+            algorithm=self.collective_algorithm,
+            segment_bytes=self.grad_segment_bytes,
         )
         hooked: set[str] = set()
 
@@ -389,41 +379,35 @@ class DistNetwork:
                 grad_hook(name, g)
 
         def complete_grads(name: str, g: dict[str, np.ndarray]) -> None:
-            if reducer is not None:
-                reducer.add(name, g, self._grad_comm(self._acts[name]))
-                done = reducer._done.get(name)
-                if done is not None:
-                    # Singleton gradient group: add() passed the partials
-                    # straight through — complete now.
-                    hook(name, done)
-                elif grad_hook is not None:
-                    for lname, lg in reducer.poll().items():
-                        hook(lname, lg)
-            else:
-                g = self._reduce_grads(g, self._acts[name])
-                grads[name] = g
-                hook(name, g)
+            done = reducer.add(name, g, self._grad_comm(self._acts[name]))
+            if not self.overlap_grad_reduce:
+                grads.update(reducer.drain())
+                done = grads[name]
+            if done is not None:
+                # Already complete: a singleton gradient group (add()
+                # passed the partials straight through) or the drain above.
+                hook(name, done)
+            elif grad_hook is not None:
+                for lname, lg in reducer.poll().items():
+                    hook(lname, lg)
 
         def route_back(name: str, idx: int, dx: DistTensor) -> None:
             """Undo the forward shuffle for parent #idx of layer `name`."""
             pgrid, pdist = self._fwd_dist[name][idx]
             pname = self.spec[name].parents[idx]
+            entry: DistTensor | ShuffleExchange = dx
             if dx.dist != pdist or dx.grid.shape != pgrid.shape:
                 self.shuffle_count += 1
-                if self.overlap_shuffle:
-                    pending.setdefault(pname, []).append(
-                        start_shuffle(dx, pgrid, pdist, pool=self._shuffle_pool)
-                    )
-                    return
-                dx = shuffle(dx, pgrid, pdist, pool=self._shuffle_pool)
-            pending.setdefault(pname, []).append(dx)
+                entry = start_shuffle(dx, pgrid, pdist, pool=self._shuffle_pool)
+                if not self.overlap_shuffle:
+                    entry.finish()
+            pending.setdefault(pname, []).append(entry)
 
         def consume_dy(name: str) -> DistTensor | None:
             """Materialize a layer's accumulated error signal.
 
             Entries are folded in arrival order; later contributions with a
-            mismatched distribution are shuffled to the first's, exactly as
-            the historical eager accumulation did.
+            mismatched distribution are shuffled to the first's.
             """
             entries = pending.pop(name, None)
             if not entries:
@@ -495,11 +479,10 @@ class DistNetwork:
                 if isinstance(e, ShuffleExchange):
                     e.finish()
 
-        if reducer is not None:
-            grads.update(reducer.drain())
-            if grad_hook is not None:
-                for name, g in grads.items():
-                    hook(name, g)
+        grads.update(reducer.drain())
+        if grad_hook is not None:
+            for name, g in grads.items():
+                hook(name, g)
         self.grads = grads
         return grads
 
@@ -514,18 +497,6 @@ class DistNetwork:
         if not axes:
             return None
         return y.grid.axes_comm(axes)
-
-    def _reduce_grads(
-        self, partials: dict[str, np.ndarray], y: DistTensor
-    ) -> dict[str, np.ndarray]:
-        """Blocking completion of weight-gradient partials (Eq. 2's allreduce)."""
-        comm = self._grad_comm(y)
-        if comm is None:
-            return partials
-        return {
-            k: comm.allreduce(v, algorithm=self.collective_algorithm)
-            for k, v in partials.items()
-        }
 
     # -- checkpointing ---------------------------------------------------------------
     def state_dict(self) -> dict:

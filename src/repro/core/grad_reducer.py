@@ -27,12 +27,14 @@ exchange.
 Bitwise stability (``algorithm="direct"``): a direct allreduce combines
 contributions element-wise in comm-rank order, so concatenating tensors
 into one buffer performs the *identical* floating-point additions as
-reducing them one by one — the overlapped path reproduces the blocking
-path exactly, which ``tests/test_overlap_reducer.py`` verifies on whole
-training runs.  Scheduled algorithms chunk the bucket, so their reduction
-order (still deterministic across runs and backends) depends on the
-bucketing: overlapped-vs-blocking and ``"auto"``-vs-``"direct"`` then
-match to floating-point allclose rather than bitwise.
+reducing them one by one — so where the buckets are cut and when they are
+drained (at the end of backprop, or after every layer with
+``DistNetwork(overlap_grad_reduce=False)``) never changes the bits, which
+``tests/test_overlap_reducer.py`` verifies on whole training runs.
+Scheduled algorithms chunk the bucket, so their reduction order (still
+deterministic across runs and backends) depends on the bucketing:
+drain-at-end vs drain-per-layer and ``"auto"``-vs-``"direct"`` then match
+to floating-point allclose rather than bitwise.
 
 All ranks of a group traverse layers in the same (reverse topological)
 order, so buckets fill and flush at identical points everywhere and the
@@ -96,15 +98,16 @@ class BucketedGradReducer:
         layer: str,
         partials: dict[str, np.ndarray],
         comm: Communicator | None,
-    ) -> None:
+    ) -> dict[str, np.ndarray] | None:
         """Queue a layer's gradient partials for reduction over ``comm``.
 
         ``comm=None`` (or a singleton group) means the partials are already
-        complete — they pass straight through to the output.
+        complete — they pass straight through to the output and are
+        returned; a queued layer returns ``None``.
         """
         if comm is None or comm.size == 1:
-            self._done[layer] = dict(partials)
-            return
+            done = self._done[layer] = dict(partials)
+            return done
         bucket = self._buckets.get(comm._key)
         if bucket is None:
             bucket = _Bucket(comm)
@@ -115,6 +118,7 @@ class BucketedGradReducer:
             bucket.nbytes += arr.nbytes
         if bucket.nbytes >= self.bucket_bytes:
             self._flush(comm._key)
+        return None
 
     def _flush(self, key: Any) -> None:
         bucket = self._buckets.pop(key)

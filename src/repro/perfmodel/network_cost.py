@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.comm.collective_models import allreduce_time, alltoall_time, barrier_time
+from repro.comm.collective_models import allreduce_time, alltoall_time
 from repro.nn.graph import NetworkSpec
 from repro.perfmodel.conv_model import CalibratedConvModel
 from repro.perfmodel.layer_cost import (
@@ -45,11 +45,10 @@ class NetworkCostBreakdown:
     allreduce_exposed: float = 0.0
     #: Payload time of all shuffles (forward + backward, every edge).
     shuffle_total: float = 0.0
-    #: What the critical path actually pays for shuffles: the payload time
-    #: plus, on the blocking path, the collective's synchronization
-    #: overhead (two rendezvous barriers per shuffle).  The overlapped
-    #: engine removes the barriers; DAG-level hiding behind sibling-branch
-    #: compute is refined by the task-graph simulator, not here.
+    #: What the critical path pays for shuffles: the payload time.
+    #: DAG-level hiding behind sibling-branch compute (what
+    #: ``overlap_shuffle`` buys) is refined by the task-graph simulator,
+    #: not here.
     shuffle_exposed: float = 0.0
     optimizer_total: float = 0.0
     per_layer: dict[str, ConvLayerCost] = field(default_factory=dict)
@@ -91,6 +90,9 @@ class NetworkCostModel:
         self.overlap_allreduce = overlap_allreduce
         self.cheap_layers = cheap_layers
         self.allreduce_bucket_bytes = allreduce_bucket_bytes
+        #: Does not move this model's numbers: every shuffle is charged its
+        #: payload time, fully exposed, in both modes (see
+        #: ``NetworkCostBreakdown.shuffle_exposed``).
         self.overlap_shuffle = overlap_shuffle
         #: Allreduce wire algorithm, matching the engine's ``algorithm=``
         #: knob: None keeps the historical fastest-per-(p, n) pricing,
@@ -213,14 +215,6 @@ class NetworkCostModel:
         nbytes = float(n_global) * c * h * w * self.machine.dtype_bytes
         return self._shuffle_cost(nbytes, strategy.nranks)
 
-    def shuffle_sync_overhead(self, nranks: int) -> float:
-        """Synchronization a *blocking* shuffle pays beyond its payload:
-        the all-to-all collective's two rendezvous barriers, which the
-        nonblocking exchange removes."""
-        if nranks <= 1:
-            return 0.0
-        return 2.0 * barrier_time(nranks, self.machine.link_for_group(nranks))
-
     # -- whole network -------------------------------------------------------------
     def cost(self, n_global: int, strategy: ParallelStrategy) -> NetworkCostBreakdown:
         bd = NetworkCostBreakdown()
@@ -242,10 +236,6 @@ class NetworkCostModel:
                     edge = 2 * self.shuffle_edge_cost(p, n_global, strategy)
                     bd.shuffle_total += edge
                     bd.shuffle_exposed += edge
-                    if not self.overlap_shuffle:
-                        bd.shuffle_exposed += 2 * self.shuffle_sync_overhead(
-                            strategy.nranks
-                        )
 
         # Backward pass with greedy allreduce overlap: walk layers in
         # reverse; each allreduce starts when its layer's backprop ends and

@@ -29,13 +29,11 @@ Builds, for the critical-path rank, the §IV schedule:
 * the optimizer step waits for all compute and all allreduces.
 
 With ``overlap_halo=False`` / ``overlap_allreduce=False`` /
-``overlap_shuffle=False`` the dependencies serialize instead — a blocking
-shuffle waits for *all* preceding compute, gates everything after it, and
-additionally pays the collective's rendezvous-barrier synchronization
-(:meth:`~repro.perfmodel.network_cost.NetworkCostModel.shuffle_sync_overhead`),
-which is exactly what the engine's blocking ``alltoall`` pays and the
-nonblocking exchange removes.  The ablation benchmarks toggle exactly
-these.
+``overlap_shuffle=False`` the dependencies serialize instead — a shuffle
+finished where it starts waits for *all* preceding compute and gates
+everything after it; its duration is the same payload time (the engine
+runs one exchange implementation in both modes).  The ablation benchmarks
+toggle exactly these.
 
 ``allreduce_bucket_bytes`` mirrors the engine's bucketed gradient reducer
 (:class:`repro.core.grad_reducer.BucketedGradReducer`): consecutive layers'
@@ -126,11 +124,6 @@ class TrainingStepSimulator:
                     != strategy.for_layer(layer.name).grid_shape
                 ):
                     shuffle_edges.setdefault(layer.name, []).append(p)
-        shuffle_sync = (
-            0.0
-            if self.overlap_shuffle
-            else self.cost_model.shuffle_sync_overhead(strategy.nranks)
-        )
 
         # -- forward ------------------------------------------------------------
         prev_fwd: str | None = None
@@ -150,9 +143,8 @@ class TrainingStepSimulator:
                     dep = fwd_done.get(p)
                     deps = (dep,) if dep else ()
                 else:
-                    # Blocking collective at consumption time: waits for all
-                    # preceding compute and pays the rendezvous barriers.
-                    dur += shuffle_sync
+                    # Started and finished at consumption time: waits for
+                    # all preceding compute.
                     deps = base_deps
                 eng.add(sname, dur, "comm", deps)
                 shuf_deps.append(sname)
@@ -221,8 +213,6 @@ class TrainingStepSimulator:
             for p in shuffle_edges.get(name, ()):
                 sname = f"bwd:shuf:{name}->{p}"
                 dur = self.cost_model.shuffle_edge_cost(p, n_global, strategy)
-                if not self.overlap_shuffle:
-                    dur += shuffle_sync
                 deps = (producer,) if producer else ()
                 eng.add(sname, dur, "comm", deps)
                 incoming.setdefault(p, []).append(sname)

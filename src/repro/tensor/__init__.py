@@ -11,15 +11,18 @@ partitioned global view of multidimensional tensors" with halo exchange
 * :mod:`repro.tensor.distribution` — per-dimension Block / Replicated
   distributions ``D = (D(0), ..., D(M-1))``.
 * :mod:`repro.tensor.dist_tensor` — :class:`DistTensor`: local shards with
-  global metadata, collective ``gather_region`` (generalized halo) and
-  ``scatter_region_add`` (reverse halo accumulation).
-* :mod:`repro.tensor.halo` — the optimized neighbor-to-neighbor halo
-  exchange for uniformly partitioned tensors (§III-A) and the overlapped,
-  request-driven :class:`~repro.tensor.halo.RegionExchange` that hides
-  exchanges behind interior computation (§IV-A).
+  global metadata, the plan-free ``gather_region`` reference (generalized
+  halo) and ``scatter_region_add`` (reverse halo accumulation).
+* :mod:`repro.tensor.halo` — the request-driven
+  :class:`~repro.tensor.halo.RegionExchange` that hides halo exchanges
+  behind interior computation (§IV-A).
 * :mod:`repro.tensor.shuffle` — redistribution between two distributions
-  (§III-C): blocking all-to-all and the overlapped, plan-cached
-  :class:`~repro.tensor.shuffle.ShuffleExchange`.
+  (§III-C): the plan-cached :class:`~repro.tensor.shuffle.ShuffleExchange`.
+
+One implementation per transfer: every transfer is a ``start`` and a
+``finish()``, the blocking spellings (``shuffle``, ``scatter_region_add``)
+finish right after they start, and each ``overlap_*`` flag of the layers
+above only moves the ``finish()``.
 """
 
 from repro.tensor.indexing import (
@@ -32,7 +35,7 @@ from repro.tensor.indexing import (
 from repro.tensor.grid import ProcessGrid
 from repro.tensor.distribution import DimKind, Distribution
 from repro.tensor.dist_tensor import DistTensor
-from repro.tensor.halo import RegionExchange, halo_exchange, start_region_exchange
+from repro.tensor.halo import RegionExchange, start_region_exchange
 from repro.tensor.shuffle import (
     ShuffleExchange,
     ShufflePlan,
@@ -54,7 +57,6 @@ __all__ = [
     "block_coords_of_interval",
     "block_size",
     "extract_padded",
-    "halo_exchange",
     "intersect",
     "plan_shuffle",
     "shuffle",

@@ -13,7 +13,9 @@ algorithms are built from:
   partitions exactly);
 * :meth:`DistTensor.scatter_region_add` — the reverse operation, scattering
   and *accumulating* contributions computed for a region back to its owners
-  (needed by pooling backpropagation where windows straddle partitions).
+  (needed by pooling backpropagation where windows straddle partitions);
+  :meth:`DistTensor.start_scatter_region_add` is the same transfer with the
+  finish left to the caller.
 
 Both are collective over the grid's communicator.  Regions may extend past
 the global tensor boundary; out-of-range parts are zero-filled on gather
@@ -298,16 +300,17 @@ class DistTensor:
         pool=None,
         plan=None,
     ) -> "ScatterAddExchange":
-        """Nonblocking :meth:`scatter_region_add`: launch the contribution
-        all-to-all and accumulate the *own* contribution immediately.
+        """Scatter ``region`` (anchored at global ``lo``) to its owners,
+        *adding* into their shards: launch the contribution all-to-all and
+        accumulate the *own* contribution immediately.
 
         The returned handle's :meth:`~ScatterAddExchange.finish` waits for
         the peers' deposits and folds in the remote contributions.  The
         accumulation order is fixed and documented — own contribution
         first (it overlaps the in-flight transfer), then remote
-        contributions in ascending comm rank — and the blocking
-        :meth:`scatter_region_add` applies the identical order, so the two
-        paths are bitwise interchangeable.  ``plan`` is an optional
+        contributions in ascending comm rank.  ``pool`` stages the off-rank
+        contribution payloads (same deferred recycling as
+        :meth:`gather_region`'s replies); ``plan`` is an optional
         precomputed :meth:`scatter_add_plan` (it must match ``lo`` and
         ``region.shape``); layers cache it across steps.
         """
@@ -353,44 +356,11 @@ class DistTensor:
 
         Parts of the region outside the global tensor are dropped (they
         correspond to virtual padding).  All grid ranks must call together.
-        ``pool`` stages the off-rank contribution payloads (same deferred
-        recycling as :meth:`gather_region`'s replies); ``plan`` is an
-        optional cached :meth:`scatter_add_plan`.  Contributions accumulate
-        in a fixed documented order — own first, then remote in ascending
-        comm rank — identical to the nonblocking
-        :meth:`start_scatter_region_add`, so the two are bitwise
-        interchangeable.
+        This is :meth:`start_scatter_region_add` finished at once — same
+        arguments, same accumulation order (own first, then remote in
+        ascending comm rank).
         """
-        lo = tuple(int(v) for v in lo)
-        if plan is None:
-            plan = self.scatter_add_plan(lo, region.shape)
-        comm = self.comm
-
-        sends: list[list[tuple[tuple[tuple[int, int], ...], np.ndarray]]] = [
-            [] for _ in range(comm.size)
-        ]
-        own: list[tuple[tuple[tuple[int, int], ...], np.ndarray]] = []
-        for rank, overlap, sl in plan:
-            piece = region[sl]
-            if rank != comm.rank:
-                sends[rank].append((overlap, self._stage_payload(piece, pool)))
-            else:
-                own.append((overlap, piece))
-
-        comm.stats.record_collective(
-            "region_data",
-            sum(
-                arr.nbytes
-                for j, pieces in enumerate(sends)
-                for _, arr in pieces
-                if j != comm.rank
-            ),
-        )
-        received = comm.alltoall(sends)
-        self._accumulate_contributions(own)
-        for j, contributions in enumerate(received):
-            if j != comm.rank:
-                self._accumulate_contributions(contributions)
+        self.start_scatter_region_add(region, lo, pool=pool, plan=plan).finish()
 
     # -- whole-tensor collectives (test/debug helpers) -----------------------------
     def to_global(self) -> np.ndarray:
@@ -422,12 +392,11 @@ class DistTensor:
 
 
 class ScatterAddExchange:
-    """In-flight nonblocking scatter-add (:meth:`DistTensor.start_scatter_region_add`).
+    """In-flight scatter-add (:meth:`DistTensor.start_scatter_region_add`).
 
     The owner's own contribution is already accumulated by the time the
     handle exists; :meth:`finish` waits for the peers' deposits and folds
-    in the remote contributions in ascending comm rank — completing the
-    documented accumulation order the blocking path shares.
+    in the remote contributions in ascending comm rank.
     """
 
     __slots__ = ("_tensor", "_request")
@@ -437,7 +406,11 @@ class ScatterAddExchange:
         self._request = request
 
     def finish(self) -> None:
+        """Fold in the remote contributions; a repeated call is a no-op."""
+        if self._request is None:
+            return
         received = self._request.wait()
+        self._request = None
         tensor = self._tensor
         for j, contributions in enumerate(received):
             if j != tensor.comm.rank:

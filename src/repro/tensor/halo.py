@@ -1,26 +1,19 @@
-"""Halo exchange: blocking neighbor pattern and overlapped region gathers.
+"""Halo exchange: region gathers as a start/finish pair (paper §IV-A).
 
-Two exchange primitives live here:
-
-* :func:`halo_exchange` — the optimized blocking pattern for the common
-  case (paper §III-A / Fig. 1b): a uniform halo width per axis and block
-  partitions wide enough that halos only touch immediate grid neighbors.
-  Axes are processed in order and each strip includes the halo regions
-  already received along earlier axes, so corner regions propagate
-  transitively — two messages per split axis, matching the east/west +
-  north/south exchanges of the paper.
-* :class:`RegionExchange` (via :func:`start_region_exchange`) — the
-  *overlapped* generalization (paper §IV-A): the same arbitrary
-  hyper-rectangular dependency regions as
-  :meth:`~repro.tensor.dist_tensor.DistTensor.gather_region`, but driven by
-  nonblocking ``isend``/``irecv`` so the caller can run the interior
-  convolution while halo strips are in flight, then assemble received
-  pieces as each request lands and finish with the boundary kernels.
+:class:`RegionExchange` (via :func:`start_region_exchange`) fetches the
+same arbitrary hyper-rectangular dependency regions as
+:meth:`~repro.tensor.dist_tensor.DistTensor.gather_region` — the plan-free
+request/reply reference the tests compare it against — but driven by eager
+sends and posted ``irecv``s: the caller runs the interior convolution while
+halo strips are in flight, assembles received pieces as each request
+lands, and finishes with the boundary kernels.  A caller with nothing to
+overlap calls :meth:`~RegionExchange.finish` right after the start; there
+is no separate blocking implementation.
 
 Because every rank can compute every peer's dependency region from shared
-layer geometry, the overlapped exchange needs no request round-trip: each
-rank posts receives for the pieces it lacks and eagerly sends the pieces of
-its own shard that peers will ask for — mirrored through the same ownership
+layer geometry, the exchange needs no request round-trip: each rank posts
+receives for the pieces it lacks and eagerly sends the pieces of its own
+shard that peers will ask for — mirrored through the same ownership
 resolution on both sides.
 """
 
@@ -41,100 +34,6 @@ _EXCHANGE_TAG_BASE = 1 << 20
 
 #: CommStats op name under which overlapped halo traffic is recorded.
 HALO_OP = "halo_exchange"
-
-
-def halo_exchange(
-    dt: DistTensor,
-    widths: Sequence[int],
-    fill: float = 0.0,
-    pool=None,
-) -> np.ndarray:
-    """Exchange halos of ``widths[d]`` cells on both sides of each split axis.
-
-    Returns the local shard extended by the halo cells: received data at
-    interior partition boundaries, ``fill`` (virtual padding) at global
-    tensor boundaries.  Collective over the grid communicator.
-
-    ``pool`` (a :class:`~repro.comm.buffers.BufferPool`) supplies the
-    extended staging buffer *and* the contiguous send strips; strips are
-    handed back to the pool for deferred reuse once their zero-copy views
-    have been consumed by the receiving ranks.  The caller may ``give`` the
-    returned buffer back once done.
-
-    Raises ``ValueError`` if a neighbor owns fewer cells than the requested
-    width (the exchange would need data from beyond the immediate neighbor).
-    """
-    with _trace.span("halo", cat="exchange", widths=list(map(int, widths))):
-        return _halo_exchange(dt, widths, fill, pool)
-
-
-def _halo_exchange(
-    dt: DistTensor,
-    widths: Sequence[int],
-    fill: float = 0.0,
-    pool=None,
-) -> np.ndarray:
-    if len(widths) != dt.dist.ndim:
-        raise ValueError(f"need {dt.dist.ndim} widths, got {len(widths)}")
-    widths = [int(w) for w in widths]
-    if any(w < 0 for w in widths):
-        raise ValueError(f"halo widths must be >= 0: {widths}")
-
-    grid = dt.grid
-    comm = dt.comm
-    local = dt.local
-    # Every axis is extended by its width: split axes receive neighbor data,
-    # unsplit axes and global boundaries keep the fill value (virtual padding).
-    eff = widths
-
-    ext_shape = tuple(s + 2 * w for s, w in zip(local.shape, eff))
-    if pool is not None:
-        out = pool.take(ext_shape, dt.dtype)
-        out.fill(fill)
-    else:
-        out = np.full(ext_shape, fill, dtype=dt.dtype)
-    out[tuple(slice(w, w + s) for w, s in zip(eff, local.shape))] = local
-
-    for axis in range(dt.dist.ndim):
-        w = eff[axis]
-        if w == 0 or not dt.dist.is_split(axis):
-            continue  # unsplit axes see only global boundaries -> fill
-        left = grid.neighbor(axis, -1)
-        right = grid.neighbor(axis, +1)
-        _check_width(dt, axis, w, left, right)
-
-        # Strip extents: full (incl. halo) along already-exchanged axes,
-        # owned-only along later axes.
-        def strip(range_on_axis: tuple[int, int]) -> tuple[slice, ...]:
-            sl = []
-            for d in range(dt.dist.ndim):
-                if d == axis:
-                    sl.append(slice(*range_on_axis))
-                elif d < axis:
-                    sl.append(slice(0, ext_shape[d]))
-                else:
-                    sl.append(slice(eff[d], eff[d] + local.shape[d]))
-            return tuple(sl)
-
-        lo_owned = strip((w, 2 * w))                       # first w owned rows
-        hi_owned = strip((w + local.shape[axis] - w, w + local.shape[axis]))
-        lo_halo = strip((0, w))                            # before-halo slot
-        hi_halo = strip((w + local.shape[axis], 2 * w + local.shape[axis]))
-
-        tag = 100 + axis
-        # Sent strips must never alias `out` (with a pool, `out` may be
-        # recycled before a slow peer pops its mailbox).  Pool-backed strips
-        # are staged into recycled contiguous buffers and returned for
-        # deferred reuse once the receivers drop the zero-copy views.
-        if left is not None:
-            _send_strip(comm, out[lo_owned], left, tag, pool)
-        if right is not None:
-            _send_strip(comm, out[hi_owned], right, tag + 1000, pool)
-        if right is not None:
-            out[hi_halo] = comm.recv(source=right, tag=tag)
-        if left is not None:
-            out[lo_halo] = comm.recv(source=left, tag=tag + 1000)
-    return out
 
 
 def _send_strip(comm, strip: np.ndarray, dest: int, tag: int, pool) -> None:
@@ -396,7 +295,7 @@ def start_region_exchange(
         out = np.full(plan.out_shape, fill, dtype=dt.dtype)
 
     # Send side first (sends are eager and never block).  Off-rank bytes
-    # are recorded under the same "region_data" stat as the blocking gather
+    # are recorded under the same "region_data" stat as ``gather_region``
     # so the §V volume formulas hold on either path.
     for peer, overlap in plan.sends:
         _send_strip(comm, dt._local_slice_of(overlap), peer, tag, pool)
@@ -412,23 +311,3 @@ def start_region_exchange(
         for rank, overlap in plan.recvs
     ]
     return RegionExchange(out, reg_lo, pending)
-
-
-def _check_width(dt: DistTensor, axis: int, w: int, left: int | None, right: int | None) -> None:
-    n = dt.global_shape[axis]
-    parts = dt.dist.grid_shape[axis]
-    coord = dt.grid.coords[axis]
-    for nb_rank, nb_coord in ((left, coord - 1), (right, coord + 1)):
-        if nb_rank is None:
-            continue
-        lo, hi = dt.dist.dim_bounds(dt.global_shape, axis, nb_coord)
-        if hi - lo < w:
-            raise ValueError(
-                f"halo width {w} exceeds neighbor block size {hi - lo} on axis "
-                f"{axis} ({parts} parts of {n}); use gather_region instead"
-            )
-    if dt.local.shape[axis] < w:
-        raise ValueError(
-            f"halo width {w} exceeds own block size {dt.local.shape[axis]} on "
-            f"axis {axis}; use gather_region instead"
-        )

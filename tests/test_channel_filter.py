@@ -245,12 +245,12 @@ class TestFilterParallel:
             run_spmd(4, prog, timeout=10)
 
 
-class TestNonblockingGatherEquivalence:
-    """The plan-cached RegionExchange path (overlap_halo=True, the default)
-    must be bitwise identical to the historical blocking ``gather_region``
-    path — the kernels stay fused, only the communication discipline (eager
-    isend strips + posted irecvs vs. two rendezvous-barrier all-to-alls)
-    differs."""
+class TestPlannedGather:
+    """The plan-cached RegionExchange gather of the channel/filter layers
+    assembles exactly what the plan-free ``gather_region`` reference
+    fetches.  The kernels stay fused, so the exchange is finished right
+    after it starts and ``overlap_halo`` has no ``finish()`` to move: both
+    values run the same code."""
 
     @pytest.mark.parametrize(
         "cls,grid_shape",
@@ -261,7 +261,7 @@ class TestNonblockingGatherEquivalence:
             (FilterParallelConv2d, (2, 2, 1, 1)),   # sample x filter
         ],
     )
-    def test_overlap_equals_blocking(self, cls, grid_shape):
+    def test_gather_equals_gather_region(self, cls, grid_shape):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 4, 9, 9))
         w = rng.standard_normal((4, 4, 3, 3))
@@ -277,24 +277,27 @@ class TestNonblockingGatherEquivalence:
             outs = []
             for _ in range(2):  # second pass runs on the cached plan
                 y = conv.forward(xd)
+                lo, hi = conv._geom[("fwd", xd.dist, xd.global_shape)][:2]
+                np.testing.assert_array_equal(
+                    conv._x_ext, xd.gather_region(lo, hi)
+                )
                 dyd = DistTensor.from_global(grid, y.dist, np.ones(y.global_shape))
                 dx, dw_local = conv.backward(dyd)
                 outs.append((y.local.copy(), dx.local.copy(), dw_local.copy()))
             return outs
 
         nranks = int(np.prod(grid_shape))
-        blocking = run_spmd(nranks, prog, False)
+        sync = run_spmd(nranks, prog, False)
         overlapped = run_spmd(nranks, prog, True)
-        for outs_b, outs_o in zip(blocking, overlapped):
-            for (y_b, dx_b, dw_b), (y_o, dx_o, dw_o) in zip(outs_b, outs_o):
-                np.testing.assert_array_equal(y_o, y_b)
-                np.testing.assert_array_equal(dx_o, dx_b)
-                np.testing.assert_array_equal(dw_o, dw_b)
+        for outs_s, outs_o in zip(sync, overlapped):
+            for (y_s, dx_s, dw_s), (y_o, dx_o, dw_o) in zip(outs_s, outs_o):
+                np.testing.assert_array_equal(y_o, y_s)
+                np.testing.assert_array_equal(dx_o, dx_s)
+                np.testing.assert_array_equal(dw_o, dw_s)
 
-    def test_no_rendezvous_barriers_on_overlap_path(self):
-        """The nonblocking path must not issue the blocking gather's
-        all-to-all collectives (two per gather); traffic volume is still
-        recorded under the same region_data stat."""
+    def test_gathers_are_pt2pt_in_both_modes(self):
+        """Neither flag value issues all-to-all collectives for the region
+        gathers; traffic volume is recorded under the region_data stat."""
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 4, 8, 8))
         w = rng.standard_normal((4, 4, 3, 3))
@@ -313,12 +316,11 @@ class TestNonblockingGatherEquivalence:
                 s.collective_bytes.get("region_data", 0),
             )
 
-        blocking = run_spmd(4, prog, False)
+        sync = run_spmd(4, prog, False)
         overlapped = run_spmd(4, prog, True)
-        for (a2a_b, bytes_b), (a2a_o, bytes_o) in zip(blocking, overlapped):
-            assert a2a_b > 0       # the historical path is collective-bound
-            assert a2a_o == 0      # the nonblocking path is pure pt2pt
-            assert bytes_o == bytes_b  # ...but ships exactly the same bytes
+        for (a2a_s, bytes_s), (a2a_o, bytes_o) in zip(sync, overlapped):
+            assert a2a_s == 0 and a2a_o == 0
+            assert bytes_o == bytes_s > 0
 
     def test_overlap_allreduce_pipelines_filter_blocks(self):
         """The piecewise forward launches one channel iallreduce per filter

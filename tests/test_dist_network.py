@@ -5,9 +5,13 @@ GAP + losses, under sample / spatial / hybrid strategies, including
 per-layer strategies that force data redistributions (§III-C).
 """
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
+from conftest import reduce_for_process
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
 from repro.nn import LocalNetwork, NetworkSpec, SGD
@@ -187,6 +191,89 @@ class TestMeshTinyExactness:
         ref_losses, _ = run_local(spec, x, t, steps=2)
         for losses, _ in run_dist(spec, nranks, par, x, t, steps=2):
             np.testing.assert_allclose(losses, ref_losses, rtol=RTOL)
+
+
+def flag_matrix_net():
+    """Sample-parallel stem feeding a spatial body: the r1 activation is
+    shuffled toward c2 *and* along the skip edge into ``j`` (in flight
+    behind c2/p2), p2 is a K > S pool whose windows straddle the partition,
+    and conv/bn/fc layers all carry gradients."""
+    net = NetworkSpec("flag-matrix")
+    net.add("input", "input", channels=2, height=12, width=12)
+    net.add("c1", "conv", ["input"], filters=4, kernel=3, pad=1, bias=True)
+    net.add("r1", "relu", ["c1"])
+    net.add("c2", "conv", ["r1"], filters=4, kernel=3, pad=1)
+    net.add("p2", "pool", ["c2"], mode="max", kernel=3, stride=1, pad=1)
+    net.add("j", "add", ["p2", "r1"])
+    net.add("b3", "bn", ["j"])
+    net.add("gap", "gap", ["b3"])
+    net.add("fc", "fc", ["gap"], units=3)
+    net.add("loss", "softmax_ce", ["fc"])
+    return net
+
+
+FLAG_STEPS = 3
+
+
+def _flag_batch(spec):
+    return make_batch(spec, n=4, seed=11)
+
+
+@functools.lru_cache(maxsize=None)
+def _flag_run(backend, overlap_halo, overlap_shuffle, overlap_grad_reduce):
+    """Per rank: (loss trajectory as float.hex, region_data bytes, shuffle
+    bytes) of 3 steps under one flag combination."""
+    spec = flag_matrix_net()
+    x, t = _flag_batch(spec)
+    sample = LayerParallelism(sample=4)
+    strategy = ParallelStrategy(
+        {"input": sample, "c1": sample, "r1": sample},
+        default=LayerParallelism(height=2, width=2),
+    )
+
+    def prog(comm):
+        net = DistNetwork(
+            spec, comm, strategy, seed=0,
+            overlap_halo=overlap_halo,
+            overlap_shuffle=overlap_shuffle,
+            overlap_grad_reduce=overlap_grad_reduce,
+            collective_algorithm="direct",
+        )
+        trainer = DistTrainer(net, SGD(lr=0.1))
+        losses = [trainer.step(x, t) for _ in range(FLAG_STEPS)]
+        assert net.shuffle_count > 0
+        rows = comm.stats.collective_bytes
+        return (
+            [float(v).hex() for v in losses],
+            rows.get("region_data", 0),
+            rows.get("shuffle", 0),
+        )
+
+    return run_spmd(4, prog, backend=backend)
+
+
+class TestOverlapFlagMatrix:
+    """Each ``overlap_*`` flag only moves a ``finish()``: all eight
+    combinations train to the same bits and move the same bytes, and the
+    trajectory is the sequential algorithm's."""
+
+    @pytest.mark.parametrize(
+        "flags", list(itertools.product((True, False), repeat=3)),
+        ids=lambda f: "halo{}-shuffle{}-reduce{}".format(*map(int, f)),
+    )
+    def test_all_combinations_bitwise_equal(self, flags, backend):
+        reduce_for_process(backend, any(flags), "all-flags-off corner only")
+        default = _flag_run(backend, True, True, True)
+        got = _flag_run(backend, *flags)
+        assert got == default
+        assert all(rd > 0 and sh > 0 for _, rd, sh in got)
+
+        spec = flag_matrix_net()
+        ref_losses, _ = run_local(spec, *_flag_batch(spec), steps=FLAG_STEPS)
+        for hexes, _, _ in got:
+            np.testing.assert_allclose(
+                [float.fromhex(h) for h in hexes], ref_losses, rtol=RTOL
+            )
 
 
 class TestValidation:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from repro.comm import run_spmd
 from repro.tensor import DistTensor, Distribution, ProcessGrid
 from repro.tensor.distribution import DimKind
+from repro.tensor.halo import start_region_exchange
 from repro.tensor.indexing import extract_padded
+from repro.tensor.shuffle import ShuffleExchange
 
 
 def make_grid_prog(grid_shape, dist, global_array, body):
@@ -294,6 +296,70 @@ class TestScatterRegionAdd:
         np.testing.assert_array_equal(shards[0], shards[2])
         np.testing.assert_array_equal(shards[1], shards[3])
         assert shards[0].sum() == 3 * 4
+
+
+def _finish_region_exchange_twice(comm):
+    x = np.arange(32.0).reshape(1, 1, 8, 4)
+    grid = ProcessGrid(comm, (1, 1, 2, 1))
+    dist = Distribution.make(grid.shape)
+    dt = DistTensor.from_global(grid, dist, x)
+    regions = []
+    for r in range(comm.size):
+        b = dist.local_bounds(x.shape, grid.coords_of(r))
+        regions.append(
+            ((0, 0, b[2][0] - 1, 0), (1, 1, b[2][1] + 1, 4))
+        )
+    lo, hi = regions[comm.rank]
+    ex = start_region_exchange(dt, lo, hi, regions)
+    first = ex.finish()
+    np.testing.assert_array_equal(first, extract_padded(x, lo, hi))
+    snapshot = first.copy()
+    second = ex.finish()
+    assert second is first and ex.remaining == 0
+    np.testing.assert_array_equal(second, snapshot)
+
+
+def _finish_shuffle_exchange_twice(comm):
+    x = np.arange(32.0).reshape(8, 4)
+    src_grid, dst_grid = ProcessGrid(comm, (2, 1)), ProcessGrid(comm, (1, 2))
+    src = DistTensor.from_global(src_grid, Distribution.make((2, 1)), x)
+    dst_dist = Distribution.make((1, 2))
+    ex = ShuffleExchange(src, dst_grid, dst_dist)
+    assert not ex.started  # finish() on an unstarted exchange starts it
+    first = ex.finish()
+    want = DistTensor.from_global(dst_grid, dst_dist, x)
+    np.testing.assert_array_equal(first.local, want.local)
+    assert ex.finish() is first
+    np.testing.assert_array_equal(first.local, want.local)
+
+
+def _finish_scatter_add_twice(comm):
+    grid = ProcessGrid(comm, (1, 1, 2, 1))
+    dt = DistTensor.zeros(grid, Distribution.make(grid.shape), (1, 1, 8, 4))
+    h_lo, h_hi = dt.bounds[2]
+    region = np.ones((1, 1, h_hi - h_lo + 2, 4))
+    ex = dt.start_scatter_region_add(region, (0, 0, h_lo - 1, 0))
+    ex.finish()
+    # Own 4 rows x 4 cols, plus the neighbour's one-row overhang.
+    assert dt.local.sum() == 20.0
+    ex.finish()
+    assert dt.local.sum() == 20.0  # remote contributions fold in once
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _finish_region_exchange_twice,
+        _finish_shuffle_exchange_twice,
+        _finish_scatter_add_twice,
+    ],
+    ids=["RegionExchange", "ShuffleExchange", "ScatterAddExchange"],
+)
+def test_exchange_finish_is_idempotent(case):
+    """Sync mode is an early ``finish()`` followed by the usual one, so a
+    repeated ``finish()`` must return the same object / leave the same
+    bits on every exchange class."""
+    run_spmd(2, case)
 
 
 class TestDistTensorValidation:

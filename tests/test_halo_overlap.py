@@ -19,10 +19,11 @@ import pytest
 from conftest import reduce_for_process
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
-from repro.core.dist_conv import DistConv2d
+from repro.core.dist_conv import DistConv2d, _frame_pieces
 from repro.core.dist_layers import DistPool2d
 from repro.core.parallelism import activation_dist
 from repro.nn import NetworkSpec, SGD
+from repro.nn import functional as F
 from repro.tensor import DistTensor, Distribution, ProcessGrid
 from repro.tensor.halo import HALO_OP, start_region_exchange
 
@@ -138,12 +139,11 @@ class TestOverlapBitwiseEquivalence:
                     )
 
 
-class TestPoolOverlapEquivalence:
-    """DistPool2d's overlapped forward gather (interior windows behind the
-    in-flight halo strips, boundary strips after assembly) must be bitwise
-    identical to the synchronous fused kernel — pooling windows are reduced
-    per output element, so the decomposition cannot change accumulation
-    order."""
+class TestPoolAgainstGlobalArray:
+    """DistPool2d — interior windows behind the in-flight halo strips,
+    boundary strips after ``finish()``, backward scatter-add — must
+    reproduce the fused kernel on the global array with the halo finish
+    late (``overlap_halo=True``) or right after the start."""
 
     POOL_GEOMS = [
         # (grid_shape, N, C, H, W, K, S, P)
@@ -155,7 +155,7 @@ class TestPoolOverlapEquivalence:
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
     @pytest.mark.parametrize("grid_shape,n,c,h,w_,k,s,p", POOL_GEOMS)
-    def test_pool_overlap_equals_sync(
+    def test_pool_matches_global_kernel(
         self, grid_shape, n, c, h, w_, k, s, p, mode, backend
     ):
         nranks = int(np.prod(grid_shape))
@@ -165,6 +165,14 @@ class TestPoolOverlapEquivalence:
         )
         rng = np.random.default_rng(17)
         x = rng.standard_normal((n, c, h, w_))
+        if mode == "max":
+            y_ref, argmax = F.maxpool2d_forward(x, k, s, p)
+            dy_ref = np.random.default_rng(7).standard_normal(y_ref.shape)
+            dx_ref = F.maxpool2d_backward(dy_ref, argmax, x.shape, k, s, p)
+        else:
+            y_ref = F.avgpool2d_forward(x, k, s, p)
+            dy_ref = np.random.default_rng(7).standard_normal(y_ref.shape)
+            dx_ref = F.avgpool2d_backward(dy_ref, x.shape, k, s, p)
 
         def prog(comm, overlap):
             grid = ProcessGrid(comm, grid_shape)
@@ -173,18 +181,44 @@ class TestPoolOverlapEquivalence:
             )
             pool = DistPool2d(grid, mode, k, s, p, overlap_halo=overlap)
             y = pool.forward(xd)
-            rng2 = np.random.default_rng(7)
-            dy = DistTensor.from_global(
-                grid, y.dist, rng2.standard_normal(y.global_shape)
-            )
-            dx = pool.backward(dy)
-            return y.local.copy(), dx.local.copy()
+            dx = pool.backward(DistTensor.from_global(grid, y.dist, dy_ref))
+            return y.to_global(), dx.to_global()
 
-        sync = run_spmd(nranks, prog, False, backend=backend)
-        ovl = run_spmd(nranks, prog, True, backend=backend)
-        for (y_s, dx_s), (y_o, dx_o) in zip(sync, ovl):
-            np.testing.assert_array_equal(y_o, y_s)
-            np.testing.assert_array_equal(dx_o, dx_s)
+        for overlap in (False, True):
+            for y, dx in run_spmd(nranks, prog, overlap, backend=backend):
+                # Window reductions are per output element: exact.
+                np.testing.assert_array_equal(y, y_ref)
+                # Overlapping windows accumulate own-first, then by rank.
+                np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    def test_piecewise_kernels_equal_fused_bitwise(self, mode):
+        """Kernel level: pooling an extended region piece by piece (the
+        only way exchanged layers run) gives the fused kernel's bits."""
+        rng = np.random.default_rng(23)
+        x_ext = rng.standard_normal((2, 3, 11, 13))
+        k, s = 3, 2
+
+        def prog(comm):
+            layer = DistPool2d(ProcessGrid(comm, (1, 1, 1, 1)), mode, k, s, 0)
+            if mode == "max":
+                fused, fused_arg = F.maxpool2d_forward(x_ext, k, s, 0)
+            else:
+                fused, fused_arg = F.avgpool2d_forward(x_ext, k, s, 0), None
+            oh, ow = fused.shape[2:]
+            yb = ((0, 2), (0, 3), (0, oh), (0, ow))
+            pieces = _frame_pieces(yb[2], yb[3], (1, oh - 1), (2, ow - 1))
+            assert len(pieces) == 5
+            y = np.full(fused.shape, np.nan)
+            argmax = np.full(fused.shape, -1, dtype=np.int64)
+            for rows, cols, _ in pieces:
+                layer._pool_piece(x_ext, yb, rows, cols, y, argmax)
+            np.testing.assert_array_equal(y, fused)
+            if mode == "max":
+                np.testing.assert_array_equal(argmax, fused_arg)
+            return True
+
+        assert all(run_spmd(1, prog))
 
     def test_pool_halo_time_recorded_when_windows_overlap(self):
         """With K > S the overlapped pool forward drives real nonblocking

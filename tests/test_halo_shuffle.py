@@ -1,4 +1,4 @@
-"""Neighbor halo exchange and all-to-all redistribution (shuffle)."""
+"""All-to-all redistribution (shuffle) against the global array."""
 
 import numpy as np
 import pytest
@@ -6,107 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import run_spmd
-from repro.tensor import DistTensor, Distribution, ProcessGrid, halo_exchange, shuffle
-from repro.tensor.indexing import extract_padded
+from repro.tensor import DistTensor, Distribution, ProcessGrid, shuffle
 from repro.tensor.shuffle import shuffle_cost_bytes
-
-
-class TestHaloExchange:
-    @pytest.mark.parametrize("grid_shape,nranks", [((2, 2), 4), ((4, 1), 4), ((1, 4), 4)])
-    def test_matches_gather_region(self, grid_shape, nranks):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((8, 8))
-        dist = Distribution.make(grid_shape)
-
-        def prog(comm):
-            grid = ProcessGrid(comm, grid_shape)
-            dt = DistTensor.from_global(grid, dist, x)
-            got = halo_exchange(dt, (1, 1))
-            (hlo, hhi), (wlo, whi) = dt.bounds
-            want = extract_padded(x, (hlo - 1, wlo - 1), (hhi + 1, whi + 1))
-            np.testing.assert_array_equal(got, want)
-            return True
-
-        assert all(run_spmd(nranks, prog))
-
-    def test_width_two_with_corners(self):
-        """Width-2 halos on a 2x2 grid: corner data crosses diagonally via the
-        two-phase exchange."""
-        x = np.arange(144.0).reshape(12, 12)
-        dist = Distribution.make((2, 2))
-
-        def prog(comm):
-            grid = ProcessGrid(comm, (2, 2))
-            dt = DistTensor.from_global(grid, dist, x)
-            got = halo_exchange(dt, (2, 2))
-            (hlo, hhi), (wlo, whi) = dt.bounds
-            want = extract_padded(x, (hlo - 2, wlo - 2), (hhi + 2, whi + 2))
-            np.testing.assert_array_equal(got, want)
-            return True
-
-        assert all(run_spmd(4, prog))
-
-    def test_zero_width_is_padding_free(self):
-        x = np.arange(16.0).reshape(4, 4)
-        dist = Distribution.make((2, 2))
-
-        def prog(comm):
-            grid = ProcessGrid(comm, (2, 2))
-            dt = DistTensor.from_global(grid, dist, x)
-            got = halo_exchange(dt, (0, 0))
-            np.testing.assert_array_equal(got, dt.local)
-            return True
-
-        assert all(run_spmd(4, prog))
-
-    def test_4d_cnn_layout(self):
-        """Halo only on spatial axes of an (N, C, H, W) tensor."""
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 3, 8, 8))
-        dist = Distribution.make((1, 1, 2, 2))
-
-        def prog(comm):
-            grid = ProcessGrid(comm, (1, 1, 2, 2))
-            dt = DistTensor.from_global(grid, dist, x)
-            got = halo_exchange(dt, (0, 0, 1, 1))
-            b = dt.bounds
-            want = extract_padded(
-                x,
-                (b[0][0], b[1][0], b[2][0] - 1, b[3][0] - 1),
-                (b[0][1], b[1][1], b[2][1] + 1, b[3][1] + 1),
-            )
-            np.testing.assert_array_equal(got, want)
-            return True
-
-        assert all(run_spmd(4, prog))
-
-    def test_width_exceeding_block_raises(self):
-        x = np.zeros((4, 4))
-        dist = Distribution.make((4, 1))
-
-        def prog(comm):
-            grid = ProcessGrid(comm, (4, 1))
-            dt = DistTensor.from_global(grid, dist, x)
-            halo_exchange(dt, (2, 0))
-
-        with pytest.raises(ValueError, match="use gather_region"):
-            run_spmd(4, prog, timeout=10)
-
-    def test_message_count_matches_paper(self):
-        """Two messages per split axis per rank (interior ranks), as in the
-        paper's east/west + north/south exchange."""
-        x = np.zeros((8, 8))
-        dist = Distribution.make((1, 4))
-
-        def prog(comm):
-            grid = ProcessGrid(comm, (1, 4))
-            dt = DistTensor.from_global(grid, dist, x)
-            comm.stats.reset()
-            halo_exchange(dt, (1, 1))
-            return comm.stats.sends
-
-        sends = run_spmd(4, prog)
-        assert sends == [1, 2, 2, 1]  # edge ranks have one neighbor
 
 
 class TestShuffle:

@@ -124,20 +124,31 @@ class TestReducerPlumbing:
             assert calls >= 1
             assert nbytes > 0
 
-    def test_blocking_mode_uses_no_nonblocking_collectives(self):
+    def test_sync_mode_drains_one_bucket_per_layer(self):
+        """``overlap_grad_reduce=False`` is the same reducer drained after
+        every layer: one allreduce per parameterised layer (c1, b1, c2, fc)
+        instead of one coalesced bucket, moving the same gradient bytes."""
         x, t = make_batch()
 
-        def prog(comm):
+        def prog(comm, overlap):
             net = DistNetwork(
                 conv_net(), comm, LayerParallelism(sample=4), seed=0,
-                overlap_grad_reduce=False,
+                overlap_grad_reduce=overlap,
             )
             trainer = DistTrainer(net, SGD(lr=0.1))
             comm.stats.reset()
             trainer.step(x, t)
-            return comm.stats.collectives.get("iallreduce", 0)
+            return (
+                comm.stats.collectives.get("iallreduce", 0),
+                comm.stats.collective_bytes.get("iallreduce", 0),
+            )
 
-        assert all(calls == 0 for calls in run_spmd(4, prog))
+        sync = run_spmd(4, prog, False)
+        overlapped = run_spmd(4, prog, True)
+        for (calls_s, bytes_s), (calls_o, bytes_o) in zip(sync, overlapped):
+            assert calls_s == 4
+            assert calls_o == 1  # everything fits the default bucket
+            assert bytes_s == bytes_o
 
     def test_trainer_comm_report(self):
         x, t = make_batch()

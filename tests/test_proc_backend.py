@@ -123,6 +123,22 @@ class TestTransport:
         assert fallbacks >= 1
 
 
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    def test_inbox_table_bounded_by_inflight_keys(self, backend):
+        """Every collective has a unique tag, so the ``(source, tag)`` table
+        must shed a key when its queue drains — its size follows what is in
+        flight (here: nothing, after the closing barrier), not the number
+        of collectives run."""
+
+        def prog(comm):
+            for i in range(500):
+                comm.allreduce(np.float64(i))
+            comm.barrier()
+            return len(comm._world._inbox._buffered)
+
+        assert run_spmd(2, prog, backend=backend) == [0, 0]
+
+
 class TestBitwiseParity:
     def test_collectives_match_thread_backend(self):
         def prog(comm):

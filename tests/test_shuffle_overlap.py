@@ -1,13 +1,15 @@
-"""Overlapped inter-layer shuffle: bitwise equivalence and accounting.
+"""Inter-layer shuffle placement: oracle, bitwise equivalence, accounting.
 
-The engine's overlapped redistribution (nonblocking
-:class:`~repro.tensor.shuffle.ShuffleExchange`, launched when an activation
-is produced and finished where it is consumed) must be *bitwise* identical
-to the blocking all-to-all path — same pieces placed into the same
-zero-initialized blocks, only the communication discipline differs.  These
-tests assert that over entire training runs with per-layer strategies, that
-the wait/overlap split and traffic volumes are recorded under the
-``"shuffle"`` op, and that plans are cached across steps.
+The engine launches each redistribution
+(:class:`~repro.tensor.shuffle.ShuffleExchange`) when an activation is
+produced and finishes it where it is consumed; ``overlap_shuffle=False``
+starts and finishes it at the consumption point instead.  Both placements
+must train like the sequential algorithm (``LocalNetwork``) and — same
+pieces placed into the same zero-initialized blocks — be *bitwise*
+identical to each other.  These tests assert that over entire training runs
+with per-layer strategies, that the wait/overlap split and traffic volumes
+are recorded under the ``"shuffle"`` op, and that plans are cached across
+steps.
 """
 
 import os
@@ -19,7 +21,7 @@ import pytest
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
 from repro.core.parallelism import ParallelStrategy
-from repro.nn import NetworkSpec, SGD
+from repro.nn import LocalNetwork, NetworkSpec, SGD
 from repro.tensor.shuffle import SHUFFLE_OP, shuffle_plan_stats
 
 
@@ -58,11 +60,27 @@ STRATEGIES = {
 }
 
 
+def batch():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((4, 2, 9, 11)), rng.integers(0, 3, size=4)
+
+
+def train_local(steps: int = 4) -> list[float]:
+    """Loss trajectory of the sequential algorithm on the same batch."""
+    x, t = batch()
+    net = LocalNetwork(mixed_model(), seed=0)
+    opt = SGD(lr=0.05)
+    losses = []
+    for _ in range(steps):
+        loss, grads = net.loss_and_grad(x, t)
+        opt.step(net.params, grads)
+        losses.append(loss)
+    return losses
+
+
 def train(strategy: ParallelStrategy, overlap_shuffle: bool, steps: int = 4):
     spec = mixed_model()
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 2, 9, 11))
-    t = rng.integers(0, 3, size=4)
+    x, t = batch()
 
     def prog(comm):
         net = DistNetwork(
@@ -91,12 +109,15 @@ def train(strategy: ParallelStrategy, overlap_shuffle: bool, steps: int = 4):
 class TestShuffleOverlapBitwiseEquivalence:
     @pytest.mark.parametrize("label", list(STRATEGIES))
     def test_training_run_bitwise_equal(self, label):
-        """Loss trajectories and final parameters of whole training runs
-        are bitwise identical with the overlapped shuffle on and off."""
+        """Whole training runs follow the sequential algorithm's loss
+        trajectory, and are bitwise identical — losses, final parameters —
+        wherever the shuffles are finished."""
         strategy = STRATEGIES[label]
         overlapped = train(strategy, overlap_shuffle=True)
         blocking = train(strategy, overlap_shuffle=False)
+        ref_losses = train_local()
         for ovl, blk in zip(overlapped, blocking):
+            np.testing.assert_allclose(ovl[0], ref_losses, rtol=1e-9)
             assert ovl[0] == blk[0]  # losses
             for layer in blk[1]:
                 for pname in blk[1][layer]:
@@ -194,4 +215,3 @@ def test_shuffle_overlap_benchmark_regression():
         assert cfg["sync_step_s"] > 0 and cfg["overlap_step_s"] > 0
         assert cfg["speedup"] > 0.4, text
         assert cfg["shuffle_hidden_s"] + cfg["shuffle_exposed_s"] > 0, text
-    assert payload["collective"]["thread"]["collective_speedup"] > 0.4, text

@@ -5,8 +5,11 @@ swept over ~100 seeded random (src grid, dst grid, distribution, shape)
 combinations — including replicated axes on either side, empty local shards
 (a dimension smaller than its part count), and uneven partitions — asserting
 
-* the overlapped :class:`~repro.tensor.shuffle.ShuffleExchange` is bitwise
-  equal to the blocking :func:`~repro.tensor.shuffle.shuffle`;
+* every rank's redistributed shard is exactly the block numpy slices out
+  of the global array (``DistTensor.from_global`` under the destination
+  distribution) — for :func:`~repro.tensor.shuffle.shuffle` and for a
+  :class:`~repro.tensor.shuffle.ShuffleExchange` finished after
+  independent work;
 * the redistributed tensor's global content is exactly the original;
 * shuffling there and back is the identity on every rank's shard.
 
@@ -81,7 +84,7 @@ N_CASES_PROCESS = 20
 
 
 def test_random_redistribution_sweep(backend):
-    """Blocking == overlapped, content preserved, round trip == identity."""
+    """Shard == global-array slice, content preserved, round trip == identity."""
     cases = CASES if backend == "thread" else CASES[:N_CASES_PROCESS]
     rng = np.random.default_rng(99)
     arrays = [rng.standard_normal(shape) for shape, *_ in cases]
@@ -97,18 +100,20 @@ def test_random_redistribution_sweep(backend):
 
         for x, (shape, sg, sd, dg, dd) in zip(arrays, cases):
             src = DistTensor.from_global(grid_of(sg), sd, x)
-            blocking = shuffle(src, grid_of(dg), dd)
+            want = DistTensor.from_global(grid_of(dg), dd, x)
+            at_once = shuffle(src, grid_of(dg), dd)
             ex = start_shuffle(src, grid_of(dg), dd)
             # Independent work between start and finish: what the engine
             # runs here (sibling branches, gradient bucketing) must not
             # perturb the in-flight exchange.
             _ = float(np.sum(src.local)) if src.local.size else 0.0
-            overlapped = ex.finish()
+            deferred = ex.finish()
 
-            assert overlapped.dist == blocking.dist
-            np.testing.assert_array_equal(overlapped.local, blocking.local)
-            np.testing.assert_array_equal(blocking.to_global(), x)
-            back = shuffle(blocking, grid_of(sg), sd)
+            for got in (at_once, deferred):
+                assert got.dist == want.dist
+                np.testing.assert_array_equal(got.local, want.local)
+            np.testing.assert_array_equal(at_once.to_global(), x)
+            back = shuffle(at_once, grid_of(sg), sd)
             np.testing.assert_array_equal(back.local, src.local)
         return True
 

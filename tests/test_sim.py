@@ -174,27 +174,20 @@ class TestTrainingSimulator:
             t0 + max(s_c0, branch) + s_a1
         )
 
-        # Blocking mode serializes at consumption and pays the collective's
-        # rendezvous-barrier synchronization on every shuffle.
-        sync = model.shuffle_sync_overhead(strategy.nranks)
-        assert sync > 0
-        assert sim_off.engine["fwd:shuf:c0->join"].duration == pytest.approx(
-            s_c0 + sync
-        )
-        assert sim_off.minibatch_time > sim_on.minibatch_time
+        # Finishing where it starts serializes the shuffle at consumption;
+        # its duration is the same payload time (one exchange implementation).
+        assert sim_off.engine["fwd:shuf:c0->join"].duration == s_c0
+        assert sim_off.minibatch_time >= sim_on.minibatch_time
 
-        # The analytic breakdown exposes the matching split: overlapped
-        # charges payload only; blocking adds two barriers per shuffle
-        # (2 edges x fwd+bwd = 4 shuffles here).
+        # The analytic breakdown charges every shuffle its payload, fully
+        # exposed, in both modes (2 edges x fwd+bwd = 4 shuffles here).
         bd_on = model.cost(n, strategy)
         bd_off = NetworkCostModel(
             spec, LASSEN, overlap_shuffle=False
         ).cost(n, strategy)
         assert bd_on.shuffle_total == pytest.approx(2 * (s_c0 + s_a1))
         assert bd_on.shuffle_exposed == pytest.approx(bd_on.shuffle_total)
-        assert bd_off.shuffle_exposed == pytest.approx(
-            bd_off.shuffle_total + 4 * sync
-        )
+        assert bd_off.shuffle_exposed == bd_off.shuffle_total
 
     def test_bucketing_requires_overlap(self):
         """Bucket bytes are ignored when allreduce overlap is disabled."""
