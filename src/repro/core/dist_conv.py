@@ -19,7 +19,11 @@ the output's H dimension; W symmetric).  With kernel K, stride S, padding P:
   ``[floor((x_lo + P - K + 1)/S), floor((x_hi - 1 + P)/S) + 1)`` and
   evaluates the transposed convolution with effective left padding
   ``p'' = x_lo + P - S*d_lo`` (>= K-1 by construction), which aligns the
-  gathered region with the local block exactly.
+  gathered region with the local block exactly.  The kernel runs one
+  stride-1 correlation per stride residue over the gathered region itself
+  (:func:`repro.nn.functional.conv2d_backward_data`), and the whole step —
+  gather included — is skipped when the network tells the layer its parent
+  needs no error signal (``backward(dy, need_dx=False)``).
 
 **Overlapped halo exchange (§IV-A).**  When the layer is spatially
 partitioned, the local output block is decomposed into an *interior* region
@@ -402,8 +406,8 @@ class DistConv2d:
 
     # -- backward --------------------------------------------------------------------
     def backward(
-        self, dy: DistTensor
-    ) -> tuple[DistTensor, np.ndarray, np.ndarray | None]:
+        self, dy: DistTensor, need_dx: bool = True
+    ) -> tuple[DistTensor | None, np.ndarray, np.ndarray | None]:
         """Returns ``(dx, dw_partial, db_partial)``.
 
         The weight-gradient partials still need the allreduce over the
@@ -411,6 +415,11 @@ class DistConv2d:
         network so it can be overlapped/batched.  The error-signal halo
         exchange is posted first; with ``overlap_halo`` it hides behind the
         filter convolution and the interior data convolution.
+
+        ``need_dx=False`` — passed by the network when the layer's parent
+        needs no error signal — runs Eq. 2 alone: no Eq. 3, no error-signal
+        halo exchange, exchange plan or staging buffer, and ``dx`` is
+        ``None``.
         """
         if self._x_ext is None:
             raise RuntimeError("backward() before forward()")
@@ -418,18 +427,18 @@ class DistConv2d:
         x_dist = self._x_dist
         x_shape = self._x_global_shape
         assert x_dist is not None and x_shape is not None
-        g = self._bwd_geom(dy, x_dist, x_shape)
-        xb = g.bounds
-        (n_lo, n_hi), (_, c_all), (xh_lo, xh_hi), (xw_lo, xw_hi) = xb
-        lo, hi = g.lo, g.hi
-
-        ex = None
-        if g.exchanged:
-            # Post the dy halo exchange before Eq. 2: the filter convolution
-            # needs no remote data, so the strips travel behind it.
-            ex = start_region_exchange(dy, lo, hi, pool=self._pool, plan=g.plan)
-            if not self.overlap_halo:
-                ex.finish()
+        g = ex = None
+        if need_dx:
+            g = self._bwd_geom(dy, x_dist, x_shape)
+            if g.exchanged:
+                # Post the dy halo exchange before Eq. 2: the filter
+                # convolution needs no remote data, so the strips travel
+                # behind it.
+                ex = start_region_exchange(
+                    dy, g.lo, g.hi, pool=self._pool, plan=g.plan
+                )
+                if not self.overlap_halo:
+                    ex.finish()
 
         # Eq. 2: local filter gradients from the saved extended input region.
         dw = F.conv2d_backward_filter(
@@ -438,8 +447,13 @@ class DistConv2d:
         db = dy.local.sum(axis=(0, 2, 3)) if self.bias is not None else None
         self._pool.give(self._x_ext)
         self._x_ext = None
+        if not need_dx:
+            return None, dw, db
 
         # Eq. 3: the dy dependency region of our input block.
+        xb = g.bounds
+        (n_lo, n_hi), (_, c_all), (xh_lo, xh_hi), (xw_lo, xw_hi) = xb
+        lo, hi = g.lo, g.hi
         if ex is None:
             dy_ext = self._local_region(dy, lo, hi)
             pad_eff = (xh_lo + self.pad[0] - self.stride[0] * lo[2],

@@ -343,22 +343,26 @@ class DistBatchNorm:
         return DistTensor(self.grid, x.dist, x.global_shape, y_local)
 
     def backward(
-        self, dy: DistTensor
-    ) -> tuple[DistTensor, np.ndarray, np.ndarray]:
+        self, dy: DistTensor, need_dx: bool = True
+    ) -> tuple[DistTensor | None, np.ndarray, np.ndarray]:
         """Returns ``(dx, dgamma_partial, dbeta_partial)``; the partials
-        still need the layer-gradient allreduce (like conv's ``dw``)."""
+        still need the layer-gradient allreduce (like conv's ``dw``).
+        ``need_dx=False`` (the network passes it when the parent needs no
+        error signal) skips ``dx`` and the statistics allreduces only it
+        uses, and returns ``None`` in its place."""
         cache = self._cache
         if not cache:
             raise RuntimeError("backward() before forward()")
-        local_dgamma = (dy.local * cache["bn"]["xhat"]).sum(axis=(0, 2, 3))
-        local_dbeta = dy.local.sum(axis=(0, 2, 3))
+        local_dgamma, local_dbeta = F.batchnorm_backward_sums(dy.local, cache["bn"])
+        if not need_dx:
+            return None, local_dgamma, local_dbeta
         dg, db = local_dgamma, local_dbeta
         comm = self._stats_comm(cache["dist"])
         if comm is not None:
             dg = comm.allreduce(dg)
             db = comm.allreduce(db)
-        dx_local, _, _ = F.batchnorm_backward(
-            dy.local, cache["bn"], stat_sums=(dg, db, cache["count"])
+        dx_local = F.batchnorm_backward_data(
+            dy.local, cache["bn"], dg, db, cache["count"]
         )
         dx = DistTensor(self.grid, dy.dist, dy.global_shape, dx_local)
         return dx, local_dgamma, local_dbeta
@@ -468,13 +472,19 @@ class DistFC:
         return DistTensor(self.grid, y_dist, y_shape, y_local)
 
     def backward(
-        self, dy: DistTensor
-    ) -> tuple[DistTensor, np.ndarray, np.ndarray | None]:
+        self, dy: DistTensor, need_dx: bool = True
+    ) -> tuple[DistTensor | None, np.ndarray, np.ndarray | None]:
+        """Returns ``(dx, dw_partial, db_partial)``; ``dx`` is ``None`` when
+        the parent needs no error signal (``need_dx=False``)."""
         flat = self._cache["flat"]
         x: DistTensor = self._cache["x"]
-        dflat, dw, db = F.linear_backward(flat, self.w, dy.local[:, :, 0, 0])
-        dx = DistTensor(
-            self.grid, x.dist, x.global_shape, dflat.reshape(x.local.shape)
+        dflat, dw, db = F.linear_backward(
+            flat, self.w, dy.local[:, :, 0, 0], need_dx=need_dx
+        )
+        dx = (
+            DistTensor(self.grid, x.dist, x.global_shape, dflat.reshape(x.local.shape))
+            if need_dx
+            else None
         )
         return dx, dw, (db if self.bias is not None else None)
 

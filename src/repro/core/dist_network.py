@@ -45,6 +45,13 @@ the matrix against :class:`~repro.nn.network.LocalNetwork`).
   send payloads are staged through a network-level
   :class:`~repro.comm.buffers.BufferPool`.
 
+Backward reaches only the layers that need an error signal
+(:meth:`~repro.nn.graph.NetworkSpec.needs_error_signal`: those with
+parameters, or with a parent that needs one).  The first parameterised
+layer after an input computes its parameter gradients and nothing else — no
+Eq. 3, no error-signal halo exchange, no shuffle back — and parameter-free
+layers below it do not run in backward at all.
+
 Parameters are replicated on every rank and initialized identically to
 :class:`repro.nn.network.LocalNetwork` (seeded by layer name), so
 distributed runs replicate single-device runs to floating-point
@@ -128,6 +135,8 @@ class DistNetwork:
         #: buckets while later segments are still on the wire.
         self.grad_segment_bytes = grad_segment_bytes
         self.shapes = spec.infer_shapes()
+        #: Layers backward has to reach (parameters, or a parent with some).
+        self._needs_dy = spec.needs_error_signal()
         # Recycles the staged shuffle send payloads across steps (deferred
         # reclamation once the receivers drop their zero-copy views).
         self._shuffle_pool = BufferPool()
@@ -361,7 +370,14 @@ class DistNetwork:
         where it is started.  Contributions are accumulated in arrival
         order either way, so both modes perform identical floating-point
         additions.
+
+        Error signals go only to layers that need one
+        (:meth:`~repro.nn.graph.NetworkSpec.needs_error_signal`): a conv, BN
+        or FC layer whose parent needs none runs with ``need_dx=False`` — no
+        Eq. 3, no error-signal halo exchange or shuffle — and the
+        parameter-free layers below it are skipped.
         """
+        needs_dy = self._needs_dy
         grads: dict[str, dict[str, np.ndarray]] = {}
         #: Per-parent error contributions (DistTensor or in-flight
         #: ShuffleExchange), in route_back arrival order.
@@ -391,10 +407,13 @@ class DistNetwork:
                 for lname, lg in reducer.poll().items():
                     hook(lname, lg)
 
-        def route_back(name: str, idx: int, dx: DistTensor) -> None:
-            """Undo the forward shuffle for parent #idx of layer `name`."""
-            pgrid, pdist = self._fwd_dist[name][idx]
+        def route_back(name: str, idx: int, dx: DistTensor | None) -> None:
+            """Undo the forward shuffle for parent #idx of layer `name`
+            (nothing to route when that parent needs no error signal)."""
             pname = self.spec[name].parents[idx]
+            if pname not in needs_dy:
+                return
+            pgrid, pdist = self._fwd_dist[name][idx]
             entry: DistTensor | ShuffleExchange = dx
             if dx.dist != pdist or dx.grid.shape != pgrid.shape:
                 self.shuffle_count += 1
@@ -430,7 +449,7 @@ class DistNetwork:
         for layer in reversed(self.spec.topo_order()):
             name = layer.name
             impl = self._layers[name]
-            if layer.kind == "input":
+            if name not in needs_dy:
                 continue
             with _trace.span(f"bwd:{name}", cat="layer", kind=layer.kind):
                 if layer.kind in ("softmax_ce", "bce"):
@@ -439,9 +458,10 @@ class DistNetwork:
                 dy = consume_dy(name)
                 if dy is None:
                     continue  # no path to the loss
+                need_dx = layer.parents[0] in needs_dy
 
                 if layer.kind == "conv":
-                    dx, dw, db = impl.backward(dy)
+                    dx, dw, db = impl.backward(dy, need_dx)
                     g = {"w": dw}
                     if db is not None:
                         g["b"] = db
@@ -452,7 +472,7 @@ class DistNetwork:
                 elif layer.kind == "pool":
                     route_back(name, 0, impl.backward(dy))
                 elif layer.kind == "bn":
-                    dx, dgamma, dbeta = impl.backward(dy)
+                    dx, dgamma, dbeta = impl.backward(dy, need_dx)
                     route_back(name, 0, dx)
                     complete_grads(name, {"gamma": dgamma, "beta": dbeta})
                 elif layer.kind == "relu":
@@ -460,7 +480,7 @@ class DistNetwork:
                 elif layer.kind == "gap":
                     route_back(name, 0, impl.backward(dy))
                 elif layer.kind == "fc":
-                    dx, dw, db = impl.backward(dy)
+                    dx, dw, db = impl.backward(dy, need_dx)
                     g = {"w": dw}
                     if db is not None:
                         g["b"] = db
@@ -471,13 +491,6 @@ class DistNetwork:
                         route_back(name, idx, dy)
                 else:  # pragma: no cover
                     raise AssertionError(layer.kind)
-
-        # Error signals routed to input layers are never consumed; drain
-        # their in-flight exchanges so no irecv outlives the step.
-        for entries in pending.values():
-            for e in entries:
-                if isinstance(e, ShuffleExchange):
-                    e.finish()
 
         grads.update(reducer.drain())
         if grad_hook is not None:

@@ -3,7 +3,9 @@
 All kernels operate on NCHW tensors and are fully vectorized: convolutions
 use strided window views + ``tensordot`` (the numpy analogue of im2col +
 GEMM, which is what cuDNN's IMPLICIT_GEMM algorithm computes), and the
-backward kernels implement the paper's Eqs. (2) and (3) exactly.
+backward kernels implement the paper's Eqs. (2) and (3) exactly — Eq. (3)
+as one such GEMM per stride residue, so a strided layer multiplies only
+the (tap, dy) pairs the equation names.
 
 Two kernels take the *effective padding* formulation needed by the
 distributed algorithms (paper §III-A): the spatially partitioned layers
@@ -23,6 +25,8 @@ __all__ = [
     "avgpool2d_backward",
     "avgpool2d_forward",
     "batchnorm_backward",
+    "batchnorm_backward_data",
+    "batchnorm_backward_sums",
     "batchnorm_forward",
     "conv2d_backward_data",
     "conv2d_backward_filter",
@@ -119,6 +123,51 @@ def conv2d_backward_filter(
     return np.ascontiguousarray(dw)
 
 
+def _zero_extended(
+    a: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]
+) -> np.ndarray:
+    """``a[:, :, rows[0]:rows[1], cols[0]:cols[1]]`` with zeros wherever the
+    index window leaves ``a``'s spatial extent (a view when it never does)."""
+    (lo_h, hi_h), (lo_w, hi_w) = rows, cols
+    h, w = a.shape[2:]
+    if lo_h >= 0 and hi_h <= h and lo_w >= 0 and hi_w <= w:
+        return a[:, :, lo_h:hi_h, lo_w:hi_w]
+    out = np.zeros(a.shape[:2] + (hi_h - lo_h, hi_w - lo_w), dtype=a.dtype)
+    src_h = slice(max(lo_h, 0), min(hi_h, h))
+    src_w = slice(max(lo_w, 0), min(hi_w, w))
+    if src_h.start < src_h.stop and src_w.start < src_w.stop:
+        out[
+            :,
+            :,
+            src_h.start - lo_h : src_h.stop - lo_h,
+            src_w.start - lo_w : src_w.stop - lo_w,
+        ] = a[:, :, src_h, src_w]
+    return out
+
+
+def _backward_data_phase(
+    dy: np.ndarray, w_sub: np.ndarray, q0: tuple[int, int], out: np.ndarray
+) -> None:
+    """One stride residue of Eq. (3): ``out[n] = sum_m w_sub[m] dy[q0 + n - m]``.
+
+    ``w_sub`` holds the kernel taps ``r, r + s, ...`` of the residue and
+    ``out`` is the strided view of ``dx`` they reach, so this is a stride-1
+    correlation of ``dy`` itself with the flipped sub-kernel.  ``out`` stays
+    untouched (zero) when no tap falls on the residue (``k < s``).
+    """
+    mh, mw = w_sub.shape[2:]
+    nh, nw = out.shape[2:]
+    if 0 in (mh, mw, nh, nw):
+        return
+    lo_h, lo_w = q0[0] - (mh - 1), q0[1] - (mw - 1)
+    dy_win = _zero_extended(
+        dy, (lo_h, lo_h + nh + mh - 1), (lo_w, lo_w + nw + mw - 1)
+    )
+    win = _windows(dy_win, (mh, mw), (1, 1))  # (N, F, nh, nw, Mh, Mw)
+    phase = np.tensordot(win, w_sub[:, :, ::-1, ::-1], axes=([1, 4, 5], [0, 2, 3]))
+    out[...] = phase.transpose(0, 3, 1, 2)  # (N, nh, nw, C) -> NCHW
+
+
 def conv2d_backward_data(
     dy: np.ndarray,
     w: np.ndarray,
@@ -128,11 +177,18 @@ def conv2d_backward_data(
 ) -> np.ndarray:
     """Data gradients, paper Eq. (3): ``dx[i] = sum_a w[a] dy[(i + p - a)/s]``.
 
+    Only the taps ``a = i + p (mod s)`` land on an integer ``dy`` index, so
+    the sum splits by stride residue ``r``: the positions ``i = r - p
+    (mod s)`` see the sub-kernel ``w[r::s]`` slide over ``dy`` with stride 1.
+    Each of the ``sh * sw`` residues is one GEMM over exactly the products
+    Eq. (3) names; stride 1 is the single-residue case.
+
     ``pad`` is the *left offset* relating dy indices to dx indices; it may
     exceed ``k - 1`` (the distributed algorithm passes ``x_lo + P - s*d_lo``
     to align a gathered dy region with the local dx block).  ``x_spatial``
     fixes the output extent; if omitted, the standard inverse of the forward
-    shape formula (without output_padding) is used.
+    shape formula (without output_padding) is used.  ``dy`` is zero outside
+    its extent.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
@@ -145,34 +201,19 @@ def conv2d_backward_data(
     xh, xw = x_spatial
     if xh < 0 or xw < 0:
         raise ValueError(f"negative x extent {x_spatial}")
-    if xh == 0 or xw == 0:
-        return np.zeros((n, c, xh, xw), dtype=dy.dtype)
 
-    # Dilate dy by the stride (zero-stuffing): z[m] = dy[m/s] when s | m.
-    zh, zw = (oh - 1) * sh + 1, (ow - 1) * sw + 1
-    z = np.zeros((n, f, zh, zw), dtype=dy.dtype)
-    z[:, :, ::sh, ::sw] = dy
-
-    # dx[i] = sum_{a'} z[i - (k-1-p) + a'] * w_flipped[a'];  slice z into the
-    # index window [-off, -off + xh + kh - 1) with zero fill outside.
-    offh, offw = kh - 1 - ph, kw - 1 - pw
-    lo_h, hi_h = -offh, -offh + xh + kh - 1
-    lo_w, hi_w = -offw, -offw + xw + kw - 1
-    zwin = np.zeros((n, f, hi_h - lo_h, hi_w - lo_w), dtype=dy.dtype)
-    src_h = slice(max(lo_h, 0), min(hi_h, zh))
-    src_w = slice(max(lo_w, 0), min(hi_w, zw))
-    if src_h.start < src_h.stop and src_w.start < src_w.stop:
-        zwin[
-            :,
-            :,
-            src_h.start - lo_h : src_h.stop - lo_h,
-            src_w.start - lo_w : src_w.stop - lo_w,
-        ] = z[:, :, src_h, src_w]
-
-    wf = w[:, :, ::-1, ::-1]
-    win = _windows(zwin, (kh, kw), (1, 1))  # (N, F, xh, xw, Kh, Kw)
-    dx = np.tensordot(win, wf, axes=([1, 4, 5], [0, 2, 3]))  # (N, xh, xw, C)
-    return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+    dx = np.zeros((n, c, xh, xw), dtype=np.result_type(dy.dtype, w.dtype))
+    for rh in range(sh):
+        i0 = (rh - ph) % sh  # first dx row of this residue
+        for rw in range(sw):
+            j0 = (rw - pw) % sw
+            _backward_data_phase(
+                dy,
+                w[:, :, rh::sh, rw::sw],
+                ((i0 + ph) // sh, (j0 + pw) // sw),
+                dx[:, :, i0::sh, j0::sw],
+            )
+    return dx
 
 
 # -- pooling ---------------------------------------------------------------------
@@ -305,35 +346,38 @@ def batchnorm_forward(
     return y, cache
 
 
-def batchnorm_backward(
-    dy: np.ndarray,
-    cache: dict,
-    stat_sums: tuple[np.ndarray, np.ndarray, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns ``(dx, dgamma, dbeta)``.
+def batchnorm_backward_sums(
+    dy: np.ndarray, cache: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel ``(dgamma, dbeta) = (sum dy*xhat, sum dy)`` over (N, H, W):
+    the parameter gradients, and the two reductions ``dx`` is built from."""
+    return (dy * cache["xhat"]).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
 
-    ``dgamma = sum dy*xhat`` and ``dbeta = sum dy`` over the normalization
-    set of size ``m``; then ``dx = (gamma*inv_std)*(dy - dbeta/m - xhat*dgamma/m)``.
-    For distributed batch norm, pass ``stat_sums=(dgamma, dbeta, m)``
-    aggregated over the process group; the local per-element formula is then
-    applied with the global sums.
-    """
+
+def batchnorm_backward_data(
+    dy: np.ndarray, cache: dict, dgamma: np.ndarray, dbeta: np.ndarray, m: float
+) -> np.ndarray:
+    """``dx = (gamma*inv_std)*(dy - dbeta/m - xhat*dgamma/m)`` with the sums
+    taken over the normalization set of size ``m`` (for distributed batch
+    norm: aggregated over the process group first)."""
     xhat, inv_std, gamma = cache["xhat"], cache["inv_std"], cache["gamma"]
-    if stat_sums is None:
-        dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-        dbeta = dy.sum(axis=(0, 2, 3))
-        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    else:
-        dgamma, dbeta, m = stat_sums
     scale = (gamma * inv_std).reshape(1, -1, 1, 1)
-    dx = scale * (
+    return scale * (
         dy
         - dbeta.reshape(1, -1, 1, 1) / m
         - xhat * dgamma.reshape(1, -1, 1, 1) / m
     )
-    local_dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-    local_dbeta = dy.sum(axis=(0, 2, 3))
-    return dx, local_dgamma, local_dbeta
+
+
+def batchnorm_backward(
+    dy: np.ndarray, cache: dict
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(dx, dgamma, dbeta)`` when ``dy`` is the whole normalization set:
+    :func:`batchnorm_backward_sums`, then :func:`batchnorm_backward_data`
+    over ``m = N*H*W``."""
+    dgamma, dbeta = batchnorm_backward_sums(dy, cache)
+    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    return batchnorm_backward_data(dy, cache, dgamma, dbeta, m), dgamma, dbeta
 
 
 def batchnorm_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -368,9 +412,10 @@ def linear_forward(
 
 
 def linear_backward(
-    x: np.ndarray, w: np.ndarray, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dx = dy @ w
+    x: np.ndarray, w: np.ndarray, dy: np.ndarray, need_dx: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """``(dx, dw, db)``; ``dx`` is ``None`` when the caller needs none."""
+    dx = dy @ w if need_dx else None
     dw = dy.T @ x
     db = dy.sum(axis=0)
     return dx, dw, db

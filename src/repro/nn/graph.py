@@ -101,6 +101,25 @@ class NetworkSpec:
         with_children = {p for layer in self._layers.values() for p in layer.parents}
         return [layer for layer in self._layers.values() if layer.name not in with_children]
 
+    def needs_error_signal(self) -> frozenset[str]:
+        """Names of the layers backpropagation has to reach: a layer needs an
+        error signal iff it has parameters or a parent that needs one.
+
+        Everything that builds a backward pass asks this one predicate — the
+        executors compute no ``dx`` for (and route none to) a parent outside
+        the set, and the performance, simulation and memory models charge
+        none — so inputs, and parameter-free layers between an input and
+        the first parameterised layer, cost nothing in backward.
+        """
+        shapes = self.infer_shapes()
+        need: set[str] = set()
+        for layer in self.topo_order():
+            if self.param_count(layer.name, shapes) or any(
+                p in need for p in layer.parents
+            ):
+                need.add(layer.name)
+        return frozenset(need)
+
     # -- shape inference --------------------------------------------------------
     def infer_shapes(self) -> dict[str, tuple[int, int, int]]:
         """Per-layer output shapes (C, H, W); the batch dim is implicit.

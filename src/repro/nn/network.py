@@ -22,6 +22,7 @@ class LocalNetwork:
         self.seed = seed
         self.dtype = dtype
         self.shapes = spec.infer_shapes()
+        self._needs_dy = spec.needs_error_signal()
         self.params: dict[str, dict[str, np.ndarray]] = {}
         self.grads: dict[str, dict[str, np.ndarray]] = {}
         self._build_params()
@@ -160,12 +161,21 @@ class LocalNetwork:
         return {out.name: acts[out.name] for out in self.spec.outputs()}
 
     def backward(self) -> dict[str, dict[str, np.ndarray]]:
-        """Backpropagate from the loss layer; returns gradients by layer."""
+        """Backpropagate from the loss layer; returns gradients by layer.
+
+        Error signals go only to layers that need one
+        (:meth:`NetworkSpec.needs_error_signal`): a parameterised layer
+        whose parent needs none computes its parameter gradients and no
+        ``dx``, and the layers below it never run.
+        """
         grads: dict[str, dict[str, np.ndarray]] = {}
         # dy accumulated per layer from all its children.
         dys: dict[str, np.ndarray] = {}
+        needs_dy = self._needs_dy
 
         def accumulate(name: str, dy: np.ndarray) -> None:
+            if name not in needs_dy:
+                return
             if name in dys:
                 dys[name] = dys[name] + dy
             else:
@@ -180,12 +190,11 @@ class LocalNetwork:
                     )
                 accumulate(layer.parents[0], cache["dlogits"].astype(self.dtype))
                 continue
-            if layer.kind == "input":
-                continue
             dy = dys.get(layer.name)
             if dy is None:
-                continue  # dead branch (no path to the loss)
+                continue  # needs no error signal, or no path to the loss
             x_parent = layer.parents[0]
+            need_dx = x_parent in needs_dy
             if layer.kind == "conv":
                 p = self.params[layer.name]
                 stride = layer.params.get("stride", 1)
@@ -197,12 +206,13 @@ class LocalNetwork:
                 }
                 if "b" in p:
                     grads[layer.name]["b"] = dy.sum(axis=(0, 2, 3))
-                accumulate(
-                    x_parent,
-                    F.conv2d_backward_data(
-                        dy, p["w"], stride=stride, pad=pad, x_spatial=x.shape[2:]
-                    ),
-                )
+                if need_dx:
+                    accumulate(
+                        x_parent,
+                        F.conv2d_backward_data(
+                            dy, p["w"], stride=stride, pad=pad, x_spatial=x.shape[2:]
+                        ),
+                    )
             elif layer.kind == "pool":
                 mode = layer.params.get("mode", "max")
                 kernel = layer.params["kernel"]
@@ -216,9 +226,14 @@ class LocalNetwork:
                     dx = F.avgpool2d_backward(dy, cache["x_shape"], kernel, stride, pad)
                 accumulate(x_parent, dx)
             elif layer.kind == "bn":
-                dx, dgamma, dbeta = F.batchnorm_backward(dy, cache["bn"])
+                dgamma, dbeta = F.batchnorm_backward_sums(dy, cache["bn"])
                 grads[layer.name] = {"gamma": dgamma, "beta": dbeta}
-                accumulate(x_parent, dx)
+                if need_dx:
+                    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+                    accumulate(
+                        x_parent,
+                        F.batchnorm_backward_data(dy, cache["bn"], dgamma, dbeta, m),
+                    )
             elif layer.kind == "relu":
                 accumulate(x_parent, F.relu_backward(dy, cache["mask"]))
             elif layer.kind == "gap":
@@ -229,12 +244,13 @@ class LocalNetwork:
             elif layer.kind == "fc":
                 p = self.params[layer.name]
                 dflat, dw, db = F.linear_backward(
-                    cache["flat"], p["w"], dy[:, :, 0, 0]
+                    cache["flat"], p["w"], dy[:, :, 0, 0], need_dx=need_dx
                 )
                 grads[layer.name] = {"w": dw}
                 if "b" in p:
                     grads[layer.name]["b"] = db
-                accumulate(x_parent, dflat.reshape(cache["x_shape"]))
+                if need_dx:
+                    accumulate(x_parent, dflat.reshape(cache["x_shape"]))
             elif layer.kind == "add":
                 for q in layer.parents:
                     accumulate(q, dy)

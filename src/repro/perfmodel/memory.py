@@ -1,7 +1,9 @@
 """Per-GPU memory model (the feasibility side of strategy selection).
 
 LBANN statically allocates, for every layer, both its output activations
-and its output error signal; training additionally holds the replicated
+and its output error signal (here: for every layer that needs one, see
+:meth:`~repro.nn.graph.NetworkSpec.needs_error_signal`); training
+additionally holds the replicated
 parameters, their gradients, optimizer state, convolution workspace, and
 communication buffers.  This model reproduces the paper's feasibility
 boundaries on 16 GB V100s:
@@ -72,6 +74,7 @@ class MemoryModel:
         self.spec = spec
         self.machine = machine
         self.shapes = spec.infer_shapes()
+        self.needs_dy = spec.needs_error_signal()
 
     def breakdown(
         self, n_global: int, strategy: ParallelStrategy | LayerParallelism
@@ -89,7 +92,7 @@ class MemoryModel:
             out_bytes = float(i_n) * c * i_h * i_w * db
             m.per_layer_activations[layer.name] = out_bytes
             m.activations += out_bytes
-            if layer.kind != "input":
+            if layer.name in self.needs_dy:
                 m.error_signals += out_bytes
             if layer.kind == "bn":
                 m.bn_saved += out_bytes  # xhat

@@ -14,12 +14,15 @@ Extends the per-layer model to a full network:
 * ``allreduce_bucket_bytes`` additionally models the engine's bucketed
   reducer: consecutive gradients of the same group are coalesced until the
   bucket fills, amortizing per-collective latency — the analytic
-  counterpart of :class:`repro.core.grad_reducer.BucketedGradReducer`.
+  counterpart of :class:`repro.core.grad_reducer.BucketedGradReducer`;
+* a layer whose parent needs no error signal
+  (:meth:`~repro.nn.graph.NetworkSpec.needs_error_signal`) is charged no
+  backward-data kernel, error-signal halo or shuffle, as in the engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.comm.collective_models import allreduce_time, alltoall_time
 from repro.nn.graph import NetworkSpec
@@ -102,9 +105,27 @@ class NetworkCostModel:
         #: use one selection rule.
         self.allreduce_algorithm = allreduce_algorithm
         self.shapes = spec.infer_shapes()
+        self.needs_dy = spec.needs_error_signal()
 
     # -- per-layer costing -------------------------------------------------------
     def layer_cost(
+        self, name: str, n_global: int, strategy: ParallelStrategy
+    ) -> ConvLayerCost | None:
+        """Cost of one layer as the network runs it: the isolated layer's
+        cost, minus BPx (kernel, halo, boundary launches) when no parent
+        needs the error signal."""
+        cost = self._isolated_layer_cost(name, n_global, strategy)
+        if cost is not None and not any(
+            p in self.needs_dy for p in self.spec[name].parents
+        ):
+            # Fraction 1 = "backward not decomposed", which is what makes
+            # ``bpx_boundary_launch`` 0: no data kernel, no launches to split.
+            cost = replace(
+                cost, bpx_compute=0.0, bpx_halo=0.0, bp_boundary_fraction=1.0
+            )
+        return cost
+
+    def _isolated_layer_cost(
         self, name: str, n_global: int, strategy: ParallelStrategy
     ) -> ConvLayerCost | None:
         layer = self.spec[name]
@@ -232,8 +253,11 @@ class NetworkCostModel:
                     strategy.for_layer(p).grid_shape
                     != strategy.for_layer(layer.name).grid_shape
                 ):
-                    # Forward and backward each shuffle once.
-                    edge = 2 * self.shuffle_edge_cost(p, n_global, strategy)
+                    # Forward shuffles once, and so does backward when the
+                    # parent takes an error signal.
+                    edge = (1 + (p in self.needs_dy)) * self.shuffle_edge_cost(
+                        p, n_global, strategy
+                    )
                     bd.shuffle_total += edge
                     bd.shuffle_exposed += edge
 

@@ -26,6 +26,10 @@ Builds, for the critical-path rank, the §IV schedule:
   in DAGs and contends with allreduces for the communication channel; the
   backward error-signal shuffle likewise becomes ready with the producing
   layer's data convolution;
+* error signals exist only where the engine computes them
+  (:meth:`~repro.nn.graph.NetworkSpec.needs_error_signal`): a layer whose
+  parent needs none has a filter task but no data or halo task and sends no
+  error-signal shuffle, and a layer that needs none has no backward tasks;
 * the optimizer step waits for all compute and all allreduces.
 
 With ``overlap_halo=False`` / ``overlap_allreduce=False`` /
@@ -207,10 +211,13 @@ class TrainingStepSimulator:
         # parent layer -> error-signal shuffle tasks it must wait for.
         incoming: dict[str, list[str]] = {}
         carry_b: list[str] = []
+        needs_dy = self.cost_model.needs_dy
 
         def route_back_shuffles(name: str, producer: str | None) -> None:
             nonlocal prev_bwd
             for p in shuffle_edges.get(name, ()):
+                if p not in needs_dy:
+                    continue
                 sname = f"bwd:shuf:{name}->{p}"
                 dur = self.cost_model.shuffle_edge_cost(p, n_global, strategy)
                 deps = (producer,) if producer else ()
@@ -222,6 +229,8 @@ class TrainingStepSimulator:
         for layer in reversed(order):
             c = costs.get(layer.name)
             name = layer.name
+            if name not in needs_dy:
+                continue
             if c is None:
                 carry_b.extend(incoming.pop(name, ()))
                 route_back_shuffles(name, prev_bwd)
@@ -253,17 +262,19 @@ class TrainingStepSimulator:
                     "compute",
                     (f"bwd:{name}:halo", f"bwd:{name}:data_interior"),
                 )
+                prev_bwd = f"bwd:{name}:data"
             else:
                 deps = base_deps
                 if c.bpx_halo > 0:
                     eng.add(f"bwd:{name}:halo", c.bpx_halo, "comm", deps)
                     deps = (f"bwd:{name}:halo",)
                 eng.add(f"bwd:{name}:filter", c.bpw_compute, "compute", deps)
-                eng.add(
-                    f"bwd:{name}:data", c.bpx_compute, "compute",
-                    (f"bwd:{name}:filter",),
-                )
-            prev_bwd = f"bwd:{name}:data"
+                prev_bwd = f"bwd:{name}:filter"
+                if c.bpx_compute > 0:  # the cost model zeroes a dead BPx
+                    prev_bwd = f"bwd:{name}:data"
+                    eng.add(
+                        prev_bwd, c.bpx_compute, "compute", (f"bwd:{name}:filter",)
+                    )
             route_back_shuffles(name, prev_bwd)
             if c.allreduce > 0:
                 if bucketing and c.allreduce_bytes > 0:

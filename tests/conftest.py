@@ -14,6 +14,12 @@ one-rank-per-node — all traffic over TCP — when unset.
 """
 
 import pytest
+from hypothesis import settings
+
+# Tier-1 runs every property test at hypothesis' defaults.  CI's coverage
+# job re-runs the kernel sweeps with ``--hypothesis-profile=wide``; only
+# tests that set no ``max_examples`` of their own follow it.
+settings.register_profile("wide", max_examples=600, deadline=None)
 
 SPMD_BACKENDS = ("thread", "process", "socket")
 

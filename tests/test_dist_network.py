@@ -276,6 +276,140 @@ class TestOverlapFlagMatrix:
             )
 
 
+def dead_input_nets():
+    """Four ways an input feeds the first parameterised layer; in each, the
+    error signal toward the input (and toward ``p0`` in ``pool``) is dead.
+    Stride-2 convolutions keep the phase-decomposed Eq. 3 on the live path."""
+    nets = {}
+    for label in ("conv", "pool", "bn", "skip"):
+        net = NetworkSpec(f"dead-input-{label}")
+        net.add("input", "input", channels=2, height=16, width=16)
+        tip = "input"
+        if label == "pool":
+            tip = net.add("p0", "pool", [tip], mode="avg", kernel=3, stride=1, pad=1)
+        if label == "bn":
+            tip = net.add("b0", "bn", [tip])
+        net.add("c1", "conv", [tip], filters=2, kernel=3, pad=1, bias=True)
+        tip = "c1"
+        if label == "skip":
+            tip = net.add("j", "add", ["c1", "input"])
+        net.add("r1", "relu", [tip])
+        net.add("c2", "conv", ["r1"], filters=3, kernel=5, stride=2, pad=2)
+        net.add("b2", "bn", ["c2"])
+        net.add("predict", "conv", ["b2"], filters=1, kernel=1, bias=True)
+        net.add("loss", "bce", ["predict"])
+        nets[label] = net
+    return nets
+
+
+DEAD_STEPS = 2
+SPATIAL2 = LayerParallelism(height=2)
+#: Sample-parallel input feeding a spatial body: every edge out of the input
+#: is a forward shuffle.
+SAMPLE_THEN_SPATIAL = ParallelStrategy(
+    {"input": LayerParallelism(sample=2)}, default=SPATIAL2
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _dead_input_run(backend):
+    """Per net and strategy, rank 0's ``(grads as float.hex, region_data
+    exchanges, shuffles)`` after ``DEAD_STEPS`` steps on 2 ranks."""
+    nets = dead_input_nets()
+
+    def prog(comm):
+        out = {}
+        for label, spec in nets.items():
+            x, t = make_batch(spec, n=2, seed=5)
+            for sname, strategy in (
+                ("spatial", SPATIAL2), ("sample-spatial", SAMPLE_THEN_SPATIAL)
+            ):
+                net = DistNetwork(spec, comm, strategy, seed=3, collective_algorithm="direct")
+                comm.stats.reset()
+                for _ in range(DEAD_STEPS):
+                    net.forward(x, targets=t)
+                    grads = net.backward()
+                out[label, sname] = (
+                    {
+                        f"{layer}.{pname}": [float(v).hex() for v in g.ravel()]
+                        for layer, lg in grads.items()
+                        for pname, g in lg.items()
+                    },
+                    comm.stats.collectives.get("region_data", 0),
+                    comm.stats.collectives.get("shuffle", 0),
+                )
+        return out
+
+    return run_spmd(2, prog, backend=backend)[0]
+
+
+class TestDeadInputGradient:
+    """No error signal is computed for, exchanged toward or shuffled to a
+    layer that needs none (``NetworkSpec.needs_error_signal``), and the
+    gradients that remain are the sequential algorithm's."""
+
+    @pytest.mark.parametrize("label", ["conv", "pool", "bn", "skip"])
+    def test_grads_match_local_and_backends(self, label, backend):
+        spec = dead_input_nets()[label]
+        local = LocalNetwork(spec, seed=3)
+        _, ref = local.loss_and_grad(*make_batch(spec, n=2, seed=5))
+        want = {f"{layer}.{p}": g for layer, lg in ref.items() for p, g in lg.items()}
+        for sname in ("spatial", "sample-spatial"):
+            hexes, _, _ = _dead_input_run(backend)[label, sname]
+            assert hexes == _dead_input_run("thread")[label, sname][0]
+            assert hexes.keys() == want.keys()
+            for key, g in want.items():
+                got = np.array([float.fromhex(h) for h in hexes[key]]).reshape(g.shape)
+                np.testing.assert_allclose(got, g, rtol=RTOL, atol=ATOL)
+
+    def test_first_conv_posts_no_backward_halo_exchange(self):
+        run = _dead_input_run("thread")
+        # Forward: c1 and c2 gather halos (predict is 1x1).  Backward: c2
+        # alone - c1's parent needs no error signal.
+        assert run["conv", "spatial"][1] == DEAD_STEPS * (2 + 1)
+        # With a BN in front, c1's parent does need one: that one exchange
+        # per step is the whole difference.
+        assert run["bn", "spatial"][1] == run["conv", "spatial"][1] + DEAD_STEPS
+        # The average pool in front of c1 gathers its own forward halo; its
+        # backward never runs.
+        assert run["pool", "spatial"][1] == run["conv", "spatial"][1] + DEAD_STEPS
+
+    def test_no_shuffle_toward_an_input(self):
+        run = _dead_input_run("thread")
+        # One forward shuffle per edge out of the input, none back.
+        for label, edges in (("conv", 1), ("pool", 1), ("bn", 1), ("skip", 2)):
+            assert run[label, "sample-spatial"][2] == DEAD_STEPS * edges
+            assert run[label, "spatial"][2] == 0
+
+    def test_layer_default_still_returns_dx(self):
+        """``need_dx`` is the network's call: a bare ``DistConv2d.backward(dy)``
+        returns ``dx``; ``need_dx=False`` returns the same ``dw`` and posts
+        no exchange."""
+        from repro.core.dist_conv import DistConv2d
+        from repro.core.parallelism import activation_dist
+        from repro.tensor import DistTensor, ProcessGrid
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 2, 8, 8))
+        w = rng.standard_normal((3, 2, 3, 3))
+        dy = rng.standard_normal((1, 3, 8, 8))
+
+        def prog(comm):
+            grid = ProcessGrid(comm, (1, 1, 2, 1))
+            conv = DistConv2d(grid, w, pad=1)
+            xt = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
+            dyt = DistTensor.from_global(grid, activation_dist(grid.shape, dy.shape), dy)
+            conv.forward(xt)
+            dx, dw, _ = conv.backward(dyt)
+            conv.forward(xt)
+            before = comm.stats.collectives["region_data"]
+            none, dw_only, _ = conv.backward(dyt, need_dx=False)
+            assert comm.stats.collectives["region_data"] == before
+            return dx is not None, none is None, np.array_equal(dw, dw_only)
+
+        assert run_spmd(2, prog) == [(True, True, True)] * 2
+
+
 class TestValidation:
     def test_strategy_rank_mismatch(self):
         spec = small_conv_net()

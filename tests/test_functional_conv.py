@@ -31,6 +31,58 @@ def naive_conv2d(x, w, stride, pad):
     return y
 
 
+def scatter_backward_data(dy, w, stride, pad, x_spatial):
+    """Eq. (3) by brute force, straight from the forward definition: output
+    (i, j) read input (i*s + a - p, j*s + b - p) through tap (a, b), so its
+    error flows back there.  ``pad`` is the left offset, ``x_spatial`` the
+    extent kept; no gather formula, no stride phases."""
+    (sh, sw), (ph, pw) = stride, pad
+    n, f, oh, ow = dy.shape
+    _, c, kh, kw = w.shape
+    dx = np.zeros((n, c) + tuple(x_spatial))
+    for i in range(oh):
+        for j in range(ow):
+            for a in range(kh):
+                for b in range(kw):
+                    r, q = i * sh + a - ph, j * sw + b - pw
+                    if 0 <= r < x_spatial[0] and 0 <= q < x_spatial[1]:
+                        dx[:, :, r, q] += dy[:, :, i, j] @ w[:, :, a, b]
+    return dx
+
+
+def parent_backward_data(dy, w, stride, pad, x_spatial):
+    """Frozen copy of the kernel this file's subject replaced (zero-stuffed
+    dy, one full K x K stride-1 correlation): the reference the stride-1
+    case must still equal bit for bit."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    (sh, sw), (ph, pw) = stride, pad
+    n, f, oh, ow = dy.shape
+    _, c, kh, kw = w.shape
+    xh, xw = x_spatial
+    if xh == 0 or xw == 0:
+        return np.zeros((n, c, xh, xw), dtype=dy.dtype)
+    zh, zw = (oh - 1) * sh + 1, (ow - 1) * sw + 1
+    z = np.zeros((n, f, zh, zw), dtype=dy.dtype)
+    z[:, :, ::sh, ::sw] = dy
+    offh, offw = kh - 1 - ph, kw - 1 - pw
+    lo_h, hi_h = -offh, -offh + xh + kh - 1
+    lo_w, hi_w = -offw, -offw + xw + kw - 1
+    zwin = np.zeros((n, f, hi_h - lo_h, hi_w - lo_w), dtype=dy.dtype)
+    src_h = slice(max(lo_h, 0), min(hi_h, zh))
+    src_w = slice(max(lo_w, 0), min(hi_w, zw))
+    if src_h.start < src_h.stop and src_w.start < src_w.stop:
+        zwin[
+            :,
+            :,
+            src_h.start - lo_h : src_h.stop - lo_h,
+            src_w.start - lo_w : src_w.stop - lo_w,
+        ] = z[:, :, src_h, src_w]
+    win = sliding_window_view(zwin, (kh, kw), axis=(2, 3))
+    dx = np.tensordot(win, w[:, :, ::-1, ::-1], axes=([1, 4, 5], [0, 2, 3]))
+    return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+
+
 CASES = [
     # (N, C, H, W, F, K, S, P) — includes the paper's layer shapes scaled down
     (1, 1, 5, 5, 1, 3, 1, 1),
@@ -158,12 +210,20 @@ class TestBackwardDataOffsets:
     sub-block via a gathered dy region and effective padding must equal the
     corresponding slice of the full backward pass."""
 
-    @pytest.mark.parametrize("s,p,k", [(1, 1, 3), (2, 1, 3), (2, 2, 5), (2, 3, 7), (1, 0, 1)])
+    @pytest.mark.parametrize(
+        "s,p,k",
+        [
+            (1, 1, 3), (2, 1, 3), (2, 2, 5), (2, 3, 7), (1, 0, 1),
+            (3, 1, 3), (3, 2, 5), (3, 3, 7), (3, 0, 1), (2, 0, 1),  # incl. K < S
+            (2, 1, (3, 5)), (3, 2, (5, 3)), (1, 1, (3, 1)), (3, 0, (2, 4)),
+        ],
+    )
     def test_region_equivalence(self, s, p, k):
         rng = np.random.default_rng(11)
         h = w = 12
         x = rng.standard_normal((1, 2, h, w))
-        wt = rng.standard_normal((3, 2, k, k))
+        wt = rng.standard_normal((3, 2) + (k if isinstance(k, tuple) else (k, k)))
+        k = wt.shape[2]  # the blocks below split rows
         y = conv2d_forward(x, wt, stride=s, pad=p)
         dy = rng.standard_normal(y.shape)
         full_dx = conv2d_backward_data(dy, wt, stride=s, pad=p, x_spatial=(h, w))
@@ -186,6 +246,81 @@ class TestBackwardDataOffsets:
             np.testing.assert_allclose(
                 dx_block, full_dx[:, :, xlo:xhi, :], rtol=1e-10, atol=1e-12
             )
+
+
+# -- backward-data sweeps -------------------------------------------------------
+# Seeded (``derandomize``), and no ``max_examples``: tier-1 runs a fixed
+# 100-example slice, CI's coverage job the 600 of the ``wide`` profile
+# (tests/conftest.py).
+
+seeded_sweep = settings(derandomize=True, deadline=None)
+
+
+def _pairs(lo, hi):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi))
+
+
+@st.composite
+def backward_data_geometries(draw, stride=_pairs(1, 3)):
+    """Anything the spatial ``_bwd_piece`` path may ask of the kernel:
+    rectangular kernels and strides, K < S, left offsets up to two strides
+    past K - 1, and dx extents that end before or run past what dy reaches."""
+    kh, kw = draw(_pairs(1, 5))
+    sh, sw = draw(stride)
+    pad = (draw(st.integers(0, kh - 1 + 2 * sh)), draw(st.integers(0, kw - 1 + 2 * sw)))
+    n, c, f = draw(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)))
+    dy_shape = (n, f) + draw(_pairs(1, 5))
+    x_spatial = draw(_pairs(1, 14))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    dy = rng.standard_normal(dy_shape)
+    wt = rng.standard_normal((f, c, kh, kw))
+    return dy, wt, (sh, sw), pad, x_spatial
+
+
+@seeded_sweep
+@given(backward_data_geometries())
+def test_backward_data_matches_loop_oracle(geometry):
+    dy, wt, stride, pad, x_spatial = geometry
+    got = conv2d_backward_data(dy, wt, stride=stride, pad=pad, x_spatial=x_spatial)
+    want = scatter_backward_data(dy, wt, stride, pad, x_spatial)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@seeded_sweep
+@given(backward_data_geometries(stride=st.just((1, 1))))
+def test_backward_data_stride1_bitwise_equals_parent_kernel(geometry):
+    """Stride 1 is the single-phase case of the phase loop: same im2col
+    matrix, same GEMM, same bits as the kernel it replaced."""
+    dy, wt, stride, pad, x_spatial = geometry
+    got = conv2d_backward_data(dy, wt, stride=stride, pad=pad, x_spatial=x_spatial)
+    np.testing.assert_array_equal(
+        got, parent_backward_data(dy, wt, stride, pad, x_spatial)
+    )
+
+
+@seeded_sweep
+@given(
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)),
+    hw=_pairs(3, 10),
+    kernel=_pairs(1, 5),
+    stride=_pairs(1, 3),
+    pad=_pairs(0, 3),
+)
+def test_backward_data_adjoint_sweep(shape, hw, kernel, stride, pad):
+    """<dy, conv(x, w)> == <bwd_data(dy, w), x> for rectangular kernels,
+    strides and pads, K < S and inputs whose last rows no window reads."""
+    (n, c, f), (h, w), (kh, kw) = shape, hw, kernel
+    if h + 2 * pad[0] < kh or w + 2 * pad[1] < kw:
+        return
+    rng = np.random.default_rng(h * 1000 + w * 100 + kh * 10 + kw)
+    x = rng.standard_normal((n, c, h, w))
+    wt = rng.standard_normal((f, c, kh, kw))
+    y = conv2d_forward(x, wt, stride=stride, pad=pad)
+    dy = rng.standard_normal(y.shape)
+    dx = conv2d_backward_data(dy, wt, stride=stride, pad=pad, x_spatial=(h, w))
+    np.testing.assert_allclose((dy * y).sum(), (dx * x).sum(), rtol=1e-9, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

@@ -142,8 +142,8 @@ class TestBatchNorm:
         np.testing.assert_allclose(y_ext, y_local, rtol=1e-10)
 
     def test_distributed_backward_formula(self):
-        """batchnorm_backward with stat_sums aggregated over two halves of
-        the batch equals the single-shot backward."""
+        """batchnorm_backward_data with the sums aggregated over two halves
+        of the batch equals the single-shot backward."""
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 2, 4, 4))
         gamma, beta = np.ones(2) * 1.3, np.zeros(2)
@@ -159,17 +159,66 @@ class TestBatchNorm:
         for sl in halves:
             yk, ck = F.batchnorm_forward(x[sl], gamma, beta, mean=mean, var=var)
             caches.append(ck)
-            partials.append(
-                ((dy[sl] * ck["xhat"]).sum(axis=(0, 2, 3)), dy[sl].sum(axis=(0, 2, 3)))
-            )
+            partials.append(F.batchnorm_backward_sums(dy[sl], ck))
         dg = partials[0][0] + partials[1][0]
         db = partials[0][1] + partials[1][1]
         m = float(x.shape[0] * x.shape[2] * x.shape[3])
         for sl, ck in zip(halves, caches):
-            dxk, _, _ = F.batchnorm_backward(dy[sl], ck, stat_sums=(dg, db, m))
+            dxk = F.batchnorm_backward_data(dy[sl], ck, dg, db, m)
             np.testing.assert_allclose(dxk, dx_ref[sl], rtol=1e-10)
         np.testing.assert_allclose(dg, dg_ref, rtol=1e-10)
         np.testing.assert_allclose(db, db_ref, rtol=1e-10)
+
+
+    def test_each_backward_reduction_is_evaluated_once(self, monkeypatch):
+        """``sum dy*xhat`` and ``sum dy`` run once per BN backward — in the
+        single-device composition and in ``DistBatchNorm`` — and the
+        kernels' outputs keep the bits of the formulas written out."""
+        from repro.comm import run_spmd
+        from repro.core.dist_layers import DistBatchNorm
+        from repro.core.parallelism import activation_dist
+        from repro.tensor import DistTensor, ProcessGrid
+
+        calls = []
+        real = F.batchnorm_backward_sums
+
+        def counted(dy, cache):
+            calls.append(dy.shape)
+            return real(dy, cache)
+
+        monkeypatch.setattr(F, "batchnorm_backward_sums", counted)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((4, 3, 4, 4))
+        gamma, beta = rng.standard_normal(3) + 1.5, rng.standard_normal(3)
+        y, cache = F.batchnorm_forward(x, gamma, beta)
+        dy = rng.standard_normal(y.shape)
+
+        dx, dgamma, dbeta = F.batchnorm_backward(dy, cache)
+        assert len(calls) == 1
+        xhat, m = cache["xhat"], 4 * 4 * 4
+        np.testing.assert_array_equal(dgamma, (dy * xhat).sum(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(dbeta, dy.sum(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(
+            dx,
+            (gamma * cache["inv_std"]).reshape(1, -1, 1, 1)
+            * (dy - dbeta.reshape(1, -1, 1, 1) / m - xhat * dgamma.reshape(1, -1, 1, 1) / m),
+        )
+
+        def prog(comm):
+            grid = ProcessGrid(comm, (2, 1, 1, 1))
+            bn = DistBatchNorm(grid, gamma, beta)
+            dist = activation_dist(grid.shape, x.shape)
+            bn.forward(DistTensor.from_global(grid, dist, x))
+            before = len(calls)
+            dxt, dg, db = bn.backward(DistTensor.from_global(grid, dist, dy))
+            return len(calls) - before, dxt.to_global(), comm.allreduce(dg), comm.allreduce(db)
+
+        # Thread ranks share ``calls``: two ranks, one evaluation each.
+        for ncalls, dx_dist, dg_dist, db_dist in run_spmd(2, prog):
+            assert ncalls <= 2 and len(calls) == 3
+            np.testing.assert_allclose(dx_dist, dx, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(dg_dist, dgamma, rtol=1e-12)
+            np.testing.assert_allclose(db_dist, dbeta, rtol=1e-12)
 
 
 class TestReluLinear:

@@ -39,6 +39,23 @@ class TestNetworkSpec:
         assert net.children_of("c1") == ["r1", "add"]
         assert [out.name for out in net.outputs()] == ["add"]
 
+    def test_needs_error_signal(self):
+        """Parameters, or a parent that needs one — nothing else."""
+        net = NetworkSpec("t")
+        net.add("input", "input", channels=2, height=8, width=8)
+        net.add("p0", "pool", ["input"], kernel=2)
+        net.add("r0", "relu", ["p0"])
+        net.add("c1", "conv", ["r0"], filters=2, kernel=3, pad=1)
+        net.add("j", "add", ["c1", "r0"])
+        net.add("side", "relu", ["input"])
+        net.add("loss", "bce", ["j"])
+        assert net.needs_error_signal() == {"c1", "j", "loss"}
+        for build in (mesh_model_tiny, build_resnet_tiny):
+            spec = build()
+            assert spec.needs_error_signal() == {
+                layer.name for layer in spec if layer.kind != "input"
+            }
+
     def test_add_shape_mismatch(self):
         net = NetworkSpec("t")
         net.add("input", "input", channels=1, height=8, width=8)
@@ -199,6 +216,42 @@ class TestLocalNetworkExecution:
             gamma[c] = orig
             num = (lp - lm) / (2 * eps)
             np.testing.assert_allclose(grads["b1"]["gamma"][c], num, rtol=1e-4, atol=1e-8)
+
+    @pytest.mark.parametrize("first", ["bn", "pool"])
+    def test_gradcheck_when_first_layer_sends_no_dx(self, first):
+        """A BN (parameter gradients without ``dx``) or a pool (no backward
+        at all) between the input and the first conv."""
+        spec = NetworkSpec("dead-input")
+        spec.add("input", "input", channels=2, height=6, width=6)
+        if first == "bn":
+            spec.add("f0", "bn", ["input"])
+        else:
+            spec.add("f0", "pool", ["input"], mode="avg", kernel=3, stride=1, pad=1)
+        spec.add("c1", "conv", ["f0"], filters=3, kernel=3, stride=2, pad=1)
+        spec.add("gap", "gap", ["c1"])
+        spec.add("fc", "fc", ["gap"], units=2)
+        spec.add("loss", "softmax_ce", ["fc"])
+        net = LocalNetwork(spec, seed=4)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 2, 6, 6))
+        labels = np.array([0, 1, 1])
+        _, grads = net.loss_and_grad(x, labels)
+        assert set(grads) == {"c1", "fc"} | ({"f0"} if first == "bn" else set())
+        eps = 1e-6
+        checks = [("c1", "w", (0, 0, 0, 0)), ("c1", "w", (2, 1, 1, 2))]
+        if first == "bn":
+            checks += [("f0", "gamma", (0,)), ("f0", "beta", (1,))]
+        for layer, pname, idx in checks:
+            param = net.params[layer][pname]
+            orig = param[idx]
+            param[idx] = orig + eps
+            lp = net.forward(x, targets=labels)
+            param[idx] = orig - eps
+            lm = net.forward(x, targets=labels)
+            param[idx] = orig
+            np.testing.assert_allclose(
+                grads[layer][pname][idx], (lp - lm) / (2 * eps), rtol=1e-4, atol=1e-8
+            )
 
     def test_inference_mode_uses_running_stats(self):
         spec = NetworkSpec("bn2")

@@ -351,6 +351,55 @@ class TestMemoryModel:
         assert LASSEN.comm_buffer_bytes(2048) > LASSEN.comm_buffer_bytes(4)
 
 
+class TestDeadErrorSignal:
+    """Cost, shuffle and memory models charge no error signal where
+    ``NetworkSpec.needs_error_signal`` says the engine computes none."""
+
+    @staticmethod
+    def _spec():
+        from repro.nn import NetworkSpec
+
+        spec = NetworkSpec("dead-input")
+        spec.add("input", "input", channels=4, height=32, width=32)
+        spec.add("p0", "pool", ["input"], mode="avg", kernel=3, stride=1, pad=1)
+        spec.add("c1", "conv", ["p0"], filters=8, kernel=3, pad=1)
+        spec.add("c2", "conv", ["c1"], filters=8, kernel=3, pad=1)
+        return spec
+
+    def test_no_backward_data_below_first_parameterised_layer(self):
+        spec = self._spec()
+        model = NetworkCostModel(spec, LASSEN)
+        strategy = ParallelStrategy.uniform(LP(height=2, width=2))
+        p0, c1, c2 = (model.layer_cost(n, 8, strategy) for n in ("p0", "c1", "c2"))
+        assert p0.fp_halo > 0 and p0.bp_time() == 0.0
+        assert c1.fp_halo > 0
+        assert (c1.bpx_compute, c1.bpx_halo, c1.bpx_boundary_launch) == (0.0, 0.0, 0.0)
+        assert c1.bp_time() == c1.bpw_compute > 0
+        assert c2.bpx_compute > 0 and c2.bpx_halo > 0 and c2.bpx_boundary_launch > 0
+        # The isolated layer (Figs. 2/3) is priced as before.
+        iso = conv_layer_cost(
+            LASSEN, model.conv_model, n_global=8, c=4, h=32, w=32, f=8, kernel=3,
+            pad=1, parallelism=LP(height=2, width=2),
+        )
+        assert iso.bpx_compute > 0 and iso.bpx_halo > 0
+        assert (iso.fp_compute, iso.bpw_compute) == (c1.fp_compute, c1.bpw_compute)
+
+    def test_no_backward_shuffle_toward_input(self):
+        spec = self._spec()
+        model = NetworkCostModel(spec, LASSEN)
+        strategy = ParallelStrategy({"input": LP(sample=4)}, default=LP(height=2, width=2))
+        assert model.cost(8, strategy).shuffle_total == pytest.approx(
+            model.shuffle_edge_cost("input", 8, strategy)
+        )
+
+    def test_memory_counts_error_signals_of_needing_layers_only(self):
+        spec = self._spec()
+        bd = MemoryModel(spec, LASSEN).breakdown(8, LP(sample=1))
+        acts = bd.per_layer_activations
+        assert bd.error_signals == pytest.approx(acts["c1"] + acts["c2"])
+        assert bd.activations == pytest.approx(sum(acts.values()))
+
+
 class TestPoolBoundaryFraction:
     """Pooling overlaps its forward gather (PR 4) *and* its backward
     scatter-add (PR 8): the cost model gives pool layers a real forward

@@ -189,6 +189,26 @@ class TestTrainingSimulator:
         assert bd_on.shuffle_exposed == pytest.approx(bd_on.shuffle_total)
         assert bd_off.shuffle_exposed == bd_off.shuffle_total
 
+    def test_no_error_signal_tasks_below_first_parameterised_layer(self):
+        """Same predicate as the engine: the first conv has a filter task
+        but no data/halo task, the pool under it has no backward at all,
+        and no error-signal shuffle goes back to the input."""
+        spec = NetworkSpec("dead-input")
+        spec.add("input", "input", channels=4, height=16, width=16)
+        spec.add("p0", "pool", ["input"], mode="avg", kernel=3, stride=1, pad=1)
+        spec.add("c1", "conv", ["p0"], filters=8, kernel=3, pad=1)
+        spec.add("c2", "conv", ["c1"], filters=8, kernel=3, pad=1)
+        strategy = ParallelStrategy({"input": LP(sample=4)}, default=LP(height=2, width=2))
+        for overlap_halo in (True, False):
+            eng = TrainingStepSimulator(
+                spec, LASSEN, overlap_halo=overlap_halo
+            ).simulate(8, strategy).engine
+            bwd = {t.name for t in eng.tasks() if t.name.startswith("bwd:")}
+            assert "fwd:shuf:input->p0" in eng._tasks
+            assert {"bwd:c2:halo", "bwd:c2:filter", "bwd:c2:data", "bwd:c1:filter"} <= bwd
+            assert not any(n.startswith(("bwd:c1:data", "bwd:c1:halo")) for n in bwd)
+            assert not any(n.startswith(("bwd:p0", "bwd:shuf")) for n in bwd)
+
     def test_bucketing_requires_overlap(self):
         """Bucket bytes are ignored when allreduce overlap is disabled."""
         spec = mesh_model_1k()
