@@ -73,11 +73,9 @@ from repro.comm.collective_models import (
     DIRECT_ALGORITHM,
     HIERARCHICAL_ALGORITHM,
     TwoTierTopology,
-    allgather_time,
     allreduce_time,
     allreduce_wire_bytes,
     alltoall_time,
-    bcast_time,
     bucketed_allreduce_time,
     pt2pt_time,
     reduce_scatter_time,
@@ -111,7 +109,6 @@ __all__ = [
     "JobConfig",
     "Request",
     "TwoTierTopology",
-    "allgather_time",
     "allreduce_wire_bytes",
     "hierarchical_allreduce_time",
     "hierarchical_inter_wire_bytes",
@@ -124,7 +121,6 @@ __all__ = [
     "resolve_backend",
     "allreduce_time",
     "alltoall_time",
-    "bcast_time",
     "bucketed_allreduce_time",
     "pt2pt_time",
     "segmented_allreduce_time",

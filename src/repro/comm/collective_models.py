@@ -502,25 +502,6 @@ def reduce_scatter_time(p: int, nbytes: float, link: LinkParameters) -> float:
     return math.log2(p) * link.alpha + frac * nbytes * (link.beta + link.gamma)
 
 
-def allgather_time(p: int, nbytes: float, link: LinkParameters) -> float:
-    """Allgather to ``n`` total bytes over ``p`` ranks (recursive doubling)."""
-    if p <= 1 or nbytes <= 0:
-        return 0.0
-    frac = (p - 1) / p
-    return math.log2(p) * link.alpha + frac * nbytes * link.beta
-
-
-def bcast_time(p: int, nbytes: float, link: LinkParameters) -> float:
-    """Broadcast of ``n`` bytes (scatter + allgather, van de Geijn)."""
-    if p <= 1 or nbytes <= 0:
-        return 0.0
-    lg = math.log2(p)
-    frac = (p - 1) / p
-    if nbytes < SMALL_MESSAGE_CUTOFF:
-        return lg * (link.alpha + nbytes * link.beta)  # binomial tree
-    return (lg + p - 1) * link.alpha + 2 * frac * nbytes * link.beta
-
-
 def alltoall_time(p: int, nbytes_per_pair: float, link: LinkParameters) -> float:
     """All-to-all where each rank exchanges ``nbytes_per_pair`` with every other.
 

@@ -325,14 +325,11 @@ class _RunnerRequest(Request):
         runner: Any,
         opname: str,
         combine: Callable[[Any], Any] | None = None,
-        *,
-        count_stats: bool = True,
     ) -> None:
         self._comm = comm
         self._runner = runner
         self._opname = opname
         self._combine = combine
-        self._count_stats = count_stats
         self._t_launch = perf_counter()
         runner.launch()
         if runner.driven:
@@ -348,10 +345,7 @@ class _RunnerRequest(Request):
         waited = now - t_wait
         overlapped = (now - self._t_launch) - waited
         nbytes = payload_nbytes(result)
-        comm.stats.record_async(
-            self._opname, nbytes, waited, overlapped,
-            collective=self._count_stats,
-        )
+        comm.stats.record_async(self._opname, nbytes, waited, overlapped)
         if _trace.is_on():
             _trace.wait_span(self._opname, waited, overlapped, nbytes)
         if self._runner.driven:
@@ -963,13 +957,7 @@ class Communicator:
         )
         return result
 
-    def ialltoall(
-        self,
-        payloads: Sequence[Any],
-        *,
-        opname: str = "ialltoall",
-        count_stats: bool = True,
-    ) -> Request:
+    def ialltoall(self, payloads: Sequence[Any]) -> Request:
         """Nonblocking all-to-all: sends immediately, returns a handle.
 
         ``wait()`` blocks only until every member's piece has arrived (never
@@ -978,16 +966,12 @@ class Communicator:
         fast rank keeps computing while peers are still producing their
         payloads.  All members must issue their nonblocking collectives on
         a communicator in the same order.
-
-        ``opname``/``count_stats`` label the request in
-        :class:`~repro.comm.stats.CommStats`: structured patterns (e.g. the
-        shuffle) pass their own op name and account volume themselves.
         """
         if len(payloads) != self.size:
             raise ValueError(f"alltoall requires exactly {self.size} payloads")
         return _RunnerRequest(
-            self, self._exchange(opname, [_freeze(p) for p in payloads]),
-            opname, count_stats=count_stats,
+            self, self._exchange("ialltoall", [_freeze(p) for p in payloads]),
+            "ialltoall",
         )
 
     def reduce(

@@ -118,11 +118,6 @@ class HostMap:
         return cls([by_name[n] for n in order], names=order)
 
     @classmethod
-    def single_node(cls, nranks: int, name: str = "node0") -> "HostMap":
-        """Every rank on one node (the thread/process backend default)."""
-        return cls([range(max(1, nranks))], names=[name])
-
-    @classmethod
     def one_per_rank(cls, nranks: int) -> "HostMap":
         """Every rank its own node (the socket backend default: all-TCP)."""
         n = max(1, nranks)

@@ -19,15 +19,14 @@ As the paper notes, the two compose naturally: a filter-parallel layer
 produces ``y`` partitioned on F, which is exactly a C-partitioned input for
 a channel-parallel successor — no redistribution needed.
 
-Both compose with spatial partitioning: the spatial halo machinery operates
-on the channel-sliced tensors unchanged.  The input/error-signal region
-gathers run through :class:`~repro.tensor.halo.RegionExchange` — eager
-send strips plus posted ``irecv``s from a plan cached per layer and
-direction; when no rank's region reaches off-shard, the exchange
-degenerates to a purely local materialization with zero communication.
-The convolution kernels here stay fused, so the exchange is finished right
-after it starts and ``overlap_halo`` (kept for symmetry with
-:class:`~repro.core.dist_conv.DistConv2d`) has no ``finish()`` to move.
+Both compose with spatial partitioning: a layer is a window geometry and a
+kernel, and the geometry (:mod:`repro.core.window`) operates on the
+channel-sliced tensors unchanged — only the dim-1 slot of each rank's
+dependency region differs.  The input/error-signal gathers run the cached
+plan through :class:`~repro.tensor.halo.RegionExchange`; when no rank's
+region reaches off-shard, the gather degenerates to a purely local
+materialization with zero communication.  The convolution kernels here stay
+fused, so each exchange is finished right after it starts.
 """
 
 from __future__ import annotations
@@ -39,51 +38,86 @@ from repro.nn import functional as F
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.distribution import DimKind, Distribution
 from repro.tensor.grid import ProcessGrid
-from repro.tensor.halo import (
-    any_region_remote,
-    local_region,
-    plan_region_exchange,
-    start_region_exchange,
-)
+from repro.tensor.halo import local_region
 from repro.tensor.indexing import block_bounds
-from repro.core.dist_conv import (
-    _bwd_region_builder,
-    _floor_div,
-    _fwd_region_builder,
-    _pair,
-)
+from repro.core.dist_conv import start_gather
+from repro.core.window import WindowGeometry, window_geometry
 
 
-def _gather_planned(
-    dt: DistTensor,
-    grid: ProcessGrid,
-    cache: dict,
-    key,
-    region_of_coords,
-    pool,
-) -> np.ndarray:
-    """Gather this rank's dependency region for a conv layer.
+class _SlicedConv:
+    """What the channel- and filter-parallel convolutions share: a weight
+    slice ``w_local``, the cached window geometry of each direction, and
+    the gathered regions the fused local kernels run on."""
 
-    The gather runs through a cached exchange plan;
-    ``region_of_coords(coords)`` must yield any rank's ``(lo, hi)`` region
-    from shared layer geometry — which is what lets every rank mirror the
-    send side of the exchange without a request round-trip.  The schedule
-    (and the no-communication fast path decision) is computed once per
-    ``key`` and reused every step.
-    """
-    entry = cache.get(key)
-    if entry is None:
-        regions = [
-            region_of_coords(grid.coords_of(r)) for r in range(grid.comm.size)
-        ]
-        lo, hi = regions[grid.comm.rank]
-        exchanged = any_region_remote(dt, regions)
-        plan = plan_region_exchange(dt, lo, hi, regions) if exchanged else None
-        entry = cache[key] = (lo, hi, exchanged, plan)
-    lo, hi, exchanged, plan = entry
-    if not exchanged:
-        return local_region(dt, lo, hi, pool=pool)
-    return start_region_exchange(dt, lo, hi, pool=pool, plan=plan).finish()
+    w_local: np.ndarray
+
+    def __init__(self, grid: ProcessGrid, weights: np.ndarray, stride, pad) -> None:
+        if grid.ndim != 4 or grid.shape[1] < 2:
+            raise ValueError(
+                f"{type(self).__name__} needs a 4D grid with axis 1 > 1"
+            )
+        self.grid = grid
+        self.stride = F._pair(stride)
+        self.pad = F._pair(pad)
+        self.kernel = (weights.shape[2], weights.shape[3])
+        self.w_full_shape = weights.shape
+        self._x_ext: np.ndarray | None = None
+        self._x_meta: tuple | None = None
+        # Recycles the gathered input / error-signal regions and the
+        # exchange payloads across steps.
+        self._pool = BufferPool()
+        # Cached window geometry per direction and distribution.
+        self._geom: dict = {}
+
+    def _gather(
+        self, source: DistTensor, dist, shape, channels_of, transposed=False
+    ) -> tuple[WindowGeometry, np.ndarray]:
+        """This rank's dependency region of ``source`` for the kernel
+        producing block tensor ``(dist, shape)``; ``channels_of(coords)``
+        is any rank's dim-1 slot of it.  The geometry (and with it the
+        exchange plan and the no-communication decision) is computed once
+        and reused every step; the kernels are fused, so the exchange is
+        finished where it starts."""
+        key = (transposed, source.dist, source.global_shape, dist, shape)
+        g = self._geom.get(key)
+        if g is None:
+            g = self._geom[key] = window_geometry(
+                source, dist, shape, self.kernel, self.stride, self.pad,
+                channels_of, transposed,
+            )
+        ex = start_gather(source, g, self._pool, overlap=False)
+        if ex is None:
+            return g, local_region(source, g.lo, g.hi, pool=self._pool)
+        return g, ex.out
+
+    def _forward_input(self, x: DistTensor, y_dist, y_shape, channels_of) -> np.ndarray:
+        """Gather (and keep for backward) the input region of this rank's
+        output block."""
+        _, self._x_ext = self._gather(x, y_dist, y_shape, channels_of)
+        self._x_meta = (x.dist, x.global_shape)
+        return self._x_ext
+
+    def _backward_local(self, dy: DistTensor, channels_of) -> tuple[DistTensor, np.ndarray]:
+        """Eq. 2 and Eq. 3 on the weight slice: ``(dx, dw_local)``, ``dx``
+        summed over the local filters only.  ``channels_of`` is the dim-1
+        slot of the gathered error signal."""
+        if self._x_ext is None:
+            raise RuntimeError("backward() before forward()")
+        x_dist, x_shape = self._x_meta
+        dw_local = F.conv2d_backward_filter(
+            self._x_ext, dy.local, kernel=self.kernel, stride=self.stride, pad=0
+        )
+        g, dy_ext = self._gather(dy, x_dist, x_shape, channels_of, transposed=True)
+        rows, cols = g.bounds[2], g.bounds[3]
+        dx_local = F.conv2d_backward_data(
+            dy_ext, self.w_local, stride=self.stride,
+            pad=g.transposed_pad(rows, cols),
+            x_spatial=(rows[1] - rows[0], cols[1] - cols[0]),
+        )
+        self._pool.give(self._x_ext)
+        self._x_ext = None
+        self._pool.give(dy_ext)
+        return DistTensor(self.grid, x_dist, x_shape, dx_local), dw_local
 
 
 def _channel_replicated_dist(grid_shape, shape) -> Distribution:
@@ -96,7 +130,7 @@ def _channel_replicated_dist(grid_shape, shape) -> Distribution:
     return Distribution(tuple(int(g) for g in grid_shape), tuple(kinds))
 
 
-class ChannelParallelConv2d:
+class ChannelParallelConv2d(_SlicedConv):
     """Convolution with the input-channel dimension partitioned (grid axis 1).
 
     Expects ``x`` block-distributed on C; produces ``y`` with F *replicated*
@@ -123,34 +157,19 @@ class ChannelParallelConv2d:
         weights: np.ndarray,
         stride=1,
         pad=0,
-        overlap_halo: bool = True,
         overlap_allreduce: bool = True,
         allreduce_blocks: int = 4,
     ) -> None:
-        if grid.ndim != 4 or grid.shape[1] < 2:
-            raise ValueError("ChannelParallelConv2d needs a 4D grid with axis 1 > 1")
-        self.grid = grid
-        self.stride = _pair(stride)
-        self.pad = _pair(pad)
-        self.kernel = (weights.shape[2], weights.shape[3])
+        super().__init__(grid, weights, stride, pad)
         c_total = weights.shape[1]
         self.c_lo, self.c_hi = block_bounds(c_total, grid.shape[1], grid.coords[1])
-        self.w_full_shape = weights.shape
         self.w_local = np.ascontiguousarray(weights[:, self.c_lo : self.c_hi])
-        self.overlap_halo = bool(overlap_halo)
         self.overlap_allreduce = bool(overlap_allreduce)
         if allreduce_blocks < 1:
             raise ValueError(
                 f"allreduce_blocks must be >= 1, got {allreduce_blocks}"
             )
         self.allreduce_blocks = int(allreduce_blocks)
-        self._x_ext: np.ndarray | None = None
-        self._x_meta: tuple | None = None
-        # Recycles the gathered input / error-signal regions and the
-        # exchange payloads across steps.
-        self._pool = BufferPool()
-        # Cached (region, exchange plan) per direction and distribution.
-        self._geom: dict = {}
 
     def forward(self, x: DistTensor) -> DistTensor:
         if not x.dist.is_split(1):
@@ -160,16 +179,10 @@ class ChannelParallelConv2d:
         f = self.w_full_shape[0]
         y_shape = (n, f, oh, ow)
         y_dist = _channel_replicated_dist(self.grid.shape, y_shape)
-        region_of = _fwd_region_builder(
-            self.kernel, self.stride, self.pad, y_dist, y_shape,
+        x_ext = self._forward_input(
+            x, y_dist, y_shape,
             lambda coords: block_bounds(c, self.grid.shape[1], coords[1]),
         )
-        x_ext = _gather_planned(
-            x, self.grid, self._geom, ("fwd", x.dist, x.global_shape),
-            region_of, self._pool,
-        )
-        self._x_ext = x_ext
-        self._x_meta = (x.dist, x.global_shape)
 
         # Complete the channel summation of Eq. 1 over the channel group.
         group = self.grid.axis_comm(1)
@@ -205,44 +218,11 @@ class ChannelParallelConv2d:
 
     def backward(self, dy: DistTensor) -> tuple[DistTensor, np.ndarray]:
         """Returns (dx, dw_local_slice); dw reduction group excludes axis 1."""
-        if self._x_ext is None:
-            raise RuntimeError("backward() before forward()")
-        x_dist, x_shape = self._x_meta
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.pad
-
-        dw_local = F.conv2d_backward_filter(
-            self._x_ext, dy.local, kernel=self.kernel, stride=self.stride, pad=0
-        )
-
-        xb = x_dist.local_bounds(x_shape, self.grid.coords)
-        (n_lo, n_hi), _, (xh_lo, xh_hi), (xw_lo, xw_hi) = xb
-        dh_lo = _floor_div(xh_lo + ph - (kh - 1), sh)
-        dw_lo_ = _floor_div(xw_lo + pw - (kw - 1), sw)
         dy_channels = dy.global_shape[1]
-        region_of = _bwd_region_builder(
-            self.kernel, self.stride, self.pad, x_dist, x_shape,
-            lambda coords: (0, dy_channels),
-        )
-        dy_ext = _gather_planned(
-            dy, self.grid, self._geom,
-            ("bwd", dy.dist, dy.global_shape, x_dist, x_shape),
-            region_of, self._pool,
-        )
-        pad_eff = (xh_lo + ph - sh * dh_lo, xw_lo + pw - sw * dw_lo_)
-        dx_local = F.conv2d_backward_data(
-            dy_ext, self.w_local, stride=self.stride, pad=pad_eff,
-            x_spatial=(xh_hi - xh_lo, xw_hi - xw_lo),
-        )
-        self._pool.give(self._x_ext)
-        self._x_ext = None
-        self._pool.give(dy_ext)
-        dx = DistTensor(self.grid, x_dist, x_shape, dx_local)
-        return dx, dw_local
+        return self._backward_local(dy, lambda coords: (0, dy_channels))
 
 
-class FilterParallelConv2d:
+class FilterParallelConv2d(_SlicedConv):
     """Convolution with the filter dimension partitioned (grid axis 1).
 
     Expects ``x`` with C replicated across the filter group; produces ``y``
@@ -257,23 +237,11 @@ class FilterParallelConv2d:
         weights: np.ndarray,
         stride=1,
         pad=0,
-        overlap_halo: bool = True,
     ) -> None:
-        if grid.ndim != 4 or grid.shape[1] < 2:
-            raise ValueError("FilterParallelConv2d needs a 4D grid with axis 1 > 1")
-        self.grid = grid
-        self.stride = _pair(stride)
-        self.pad = _pair(pad)
-        self.kernel = (weights.shape[2], weights.shape[3])
+        super().__init__(grid, weights, stride, pad)
         f_total = weights.shape[0]
         self.f_lo, self.f_hi = block_bounds(f_total, grid.shape[1], grid.coords[1])
-        self.w_full_shape = weights.shape
         self.w_local = np.ascontiguousarray(weights[self.f_lo : self.f_hi])
-        self.overlap_halo = bool(overlap_halo)
-        self._x_ext: np.ndarray | None = None
-        self._x_meta: tuple | None = None
-        self._pool = BufferPool()
-        self._geom: dict = {}
 
     def forward(self, x: DistTensor) -> DistTensor:
         if x.dist.is_split(1):
@@ -292,55 +260,16 @@ class FilterParallelConv2d:
         if (f_lo, f_hi) != (self.f_lo, self.f_hi):
             raise AssertionError("filter slice misaligned with distribution")
 
-        region_of = _fwd_region_builder(
-            self.kernel, self.stride, self.pad, y_dist, y_shape,
-            lambda coords: (0, c),
-        )
-        x_ext = _gather_planned(
-            x, self.grid, self._geom, ("fwd", x.dist, x.global_shape),
-            region_of, self._pool,
-        )
-        self._x_ext = x_ext
-        self._x_meta = (x.dist, x.global_shape)
+        x_ext = self._forward_input(x, y_dist, y_shape, lambda coords: (0, c))
         y_local = F.conv2d_forward(x_ext, self.w_local, stride=self.stride, pad=0)
         return DistTensor(self.grid, y_dist, y_shape, y_local)
 
     def backward(self, dy: DistTensor) -> tuple[DistTensor, np.ndarray]:
         """Returns (dx, dw_local_slice)."""
-        if self._x_ext is None:
-            raise RuntimeError("backward() before forward()")
-        x_dist, x_shape = self._x_meta
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.pad
-
-        dw_local = F.conv2d_backward_filter(
-            self._x_ext, dy.local, kernel=self.kernel, stride=self.stride, pad=0
-        )
-
-        xb = x_dist.local_bounds(x_shape, self.grid.coords)
-        (n_lo, n_hi), _, (xh_lo, xh_hi), (xw_lo, xw_hi) = xb
-        dh_lo = _floor_div(xh_lo + ph - (kh - 1), sh)
-        dw_lo_ = _floor_div(xw_lo + pw - (kw - 1), sw)
         f_total = self.w_full_shape[0]
-        region_of = _bwd_region_builder(
-            self.kernel, self.stride, self.pad, x_dist, x_shape,
-            lambda coords: block_bounds(f_total, self.grid.shape[1], coords[1]),
+        dx, dw_local = self._backward_local(
+            dy, lambda coords: block_bounds(f_total, self.grid.shape[1], coords[1])
         )
-        dy_ext = _gather_planned(
-            dy, self.grid, self._geom,
-            ("bwd", dy.dist, dy.global_shape, x_dist, x_shape),
-            region_of, self._pool,
-        )
-        pad_eff = (xh_lo + ph - sh * dh_lo, xw_lo + pw - sw * dw_lo_)
-        partial_dx = F.conv2d_backward_data(
-            dy_ext, self.w_local, stride=self.stride, pad=pad_eff,
-            x_spatial=(xh_hi - xh_lo, xw_hi - xw_lo),
-        )
-        self._pool.give(self._x_ext)
-        self._x_ext = None
-        self._pool.give(dy_ext)
         # Complete the filter summation of Eq. 3 over the filter group.
-        dx_local = self.grid.axis_comm(1).allreduce(partial_dx)
-        dx = DistTensor(self.grid, x_dist, x_shape, dx_local)
+        dx.local = self.grid.axis_comm(1).allreduce(dx.local)
         return dx, dw_local

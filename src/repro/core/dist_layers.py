@@ -5,6 +5,11 @@ convolutional layer can be parallelized as above.  Pooling layers are
 parallelized similarly.  Element-wise operations such as ReLUs parallelize
 trivially regardless of distribution." (§III-B)
 
+A layer is a window geometry and a kernel: pooling shares convolution's
+region algebra (:mod:`repro.core.window`) and its post-halo / interior /
+``finish()`` / boundary sequence (:func:`~repro.core.dist_conv.run_block`),
+and its backward scatter-add is the forward gather's plan read backwards.
+
 Batch normalization offers the paper's design choice explicitly: purely
 local statistics, statistics aggregated over the spatial group of each
 sample ("a variant that aggregates over the spatial distribution of a
@@ -14,69 +19,39 @@ training and is what the exactness tests use).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.comm.buffers import BufferPool
 from repro.nn import functional as F
+from repro.comm.buffers import BufferPool
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
-from repro.tensor.halo import (
-    ExchangePlan,
-    any_region_remote,
-    local_region,
-    plan_region_exchange,
-    start_region_exchange,
-)
-from repro.tensor.indexing import ceil_div
-from repro.core.dist_conv import _frame_pieces, _fwd_region_builder
 from repro.core.parallelism import activation_dist
-
-
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
-
-
-@dataclass(frozen=True)
-class _PoolGeometry:
-    """Static forward geometry of one pooling layer, cached across steps
-    (same discipline as :class:`~repro.core.dist_conv._ConvGeometry`)."""
-
-    y_dist: object
-    y_shape: tuple[int, ...]
-    bounds: tuple            # this rank's output bounds
-    lo: tuple[int, ...]      # gathered dependency region, inclusive start
-    hi: tuple[int, ...]      # gathered dependency region, exclusive end
-    exchanged: bool          # does any rank need remote data?
-    pieces: tuple            # ((rows, cols, is_interior), ...) decomposition
-    plan: ExchangePlan | None
+from repro.core.dist_conv import run_block, start_gather
+from repro.core.window import WindowGeometry, window_geometry
 
 
 class DistPool2d:
     """Distributed max/average pooling.
 
-    Forward gathers the same dependency region as convolution; backward
-    computes gradients on the extended region and *scatter-adds* them back
-    to their owners (windows straddling a partition boundary contribute to
-    a neighbor's cells — the reverse halo exchange).
+    A window geometry and a kernel, like convolution: forward gathers the
+    same dependency region; backward computes gradients on the extended
+    region and *scatter-adds* them back to their owners (windows straddling
+    a partition boundary contribute to a neighbor's cells — the reverse
+    halo exchange).
 
     One implementation per transfer; ``overlap_halo`` only moves the
-    forward exchange's ``finish()``.  Forward posts the gather as a
-    :class:`~repro.tensor.halo.RegionExchange` (plan cached per layer) and
-    decomposes the output into interior windows — those reading only
-    locally owned input (or virtual padding) — computed while the halo
-    strips travel, plus boundary strips completed after ``finish()``; with
+    forward exchange's ``finish()``.  Forward runs the one sequence of
+    :func:`~repro.core.dist_conv.run_block`: interior windows — those reading
+    only locally owned input (or virtual padding) — are computed while the
+    halo strips travel, boundary strips after ``finish()``; with
     ``overlap_halo=False`` the ``finish()`` comes right after the start and
     the same pieces run.  Pooling windows are reduced per output element,
     so the piecewise kernels are bitwise identical to one fused kernel.
     Backward's scatter-add (:meth:`~repro.tensor.dist_tensor.DistTensor.
-    start_scatter_region_add`, routing plan cached per layer like the
-    forward exchange plan) launches the contribution all-to-all, accumulates
-    the rank's own contribution — the bulk of the error signal — while the
-    boundary strips travel, and folds the remote contributions in on
+    start_scatter_region_add`) is the forward gather's plan read backwards:
+    it sends the boundary strips to the ranks the forward received from,
+    accumulates the rank's own contribution — the bulk of the error signal
+    — while they travel, and folds the remote contributions in on
     ``finish()`` (own first, then ascending comm rank); nothing else can
     run in between, so it is the same in both modes.
     """
@@ -94,174 +69,90 @@ class DistPool2d:
             raise ValueError(f"unknown pooling mode {mode!r}")
         self.grid = grid
         self.mode = mode
-        self.kernel = _pair(kernel)
-        self.stride = _pair(stride if stride is not None else kernel)
-        self.pad = _pair(pad)
+        self.kernel = F._pair(kernel)
+        self.stride = F._pair(stride if stride is not None else kernel)
+        self.pad = F._pair(pad)
         self.overlap_halo = bool(overlap_halo)
         self._cache: dict = {}
         # Recycles the gathered extended region, the halo send strips and
         # the scatter-add contribution payloads across steps.
         self._pool = BufferPool()
         self._geom: dict = {}
-        # Backward scatter-add routing plans, cached per input layout (the
-        # gradient DistTensor is rebuilt every backward, so the plan lives
-        # on the layer, keyed like the forward geometry).
-        self._scatter_plans: dict = {}
 
     def output_global_shape(self, x_shape: tuple[int, ...]) -> tuple[int, ...]:
         n, c, h, w = x_shape
         oh, ow = F.conv2d_output_shape((h, w), self.kernel, self.stride, self.pad)
         return (n, c, oh, ow)
 
-    def _interior(self, x: DistTensor, yb) -> tuple:
-        """Output rows/cols whose windows need only locally owned input
-        (windows past the global edge read virtual padding — local
-        knowledge, so global-boundary ranks keep a full interior)."""
-        xb = x.dist.local_bounds(x.global_shape, self.grid.coords)
-        spans = []
-        for axis, k, s, p in (
-            (2, self.kernel[0], self.stride[0], self.pad[0]),
-            (3, self.kernel[1], self.stride[1], self.pad[1]),
-        ):
-            b_lo, b_hi = xb[axis]
-            o_lo, o_hi = yb[axis]
-            extent = x.global_shape[axis]
-            lo = o_lo if b_lo == 0 else max(o_lo, ceil_div(b_lo + p, s))
-            hi = o_hi if b_hi == extent else min(o_hi, (b_hi + p - k) // s + 1)
-            spans.append((lo, hi))
-        return tuple(spans)
-
-    def _fwd_geom(self, x: DistTensor) -> _PoolGeometry:
+    def _geometry(self, x: DistTensor) -> WindowGeometry:
         key = (x.global_shape, x.dist)
-        geom = self._geom.get(key)
-        if geom is not None:
-            return geom
-        y_shape = self.output_global_shape(x.global_shape)
-        y_dist = activation_dist(self.grid.shape, y_shape)
-        for d in (2, 3):
-            if x.dist.is_split(d) and not y_dist.is_split(d):
-                raise ValueError(
-                    "pooling output too small for the spatial decomposition "
-                    f"(axis {d}: {y_shape[d]} rows over {self.grid.shape[d]} "
-                    "parts); assign this layer a smaller spatial parallelism"
-                )
-        yb = y_dist.local_bounds(y_shape, self.grid.coords)
-        # Same dependency-region algebra as convolution; pooling keeps its
-        # channel block, so the dim-1 slot comes from the output bounds.
-        region_of = _fwd_region_builder(
-            self.kernel, self.stride, self.pad, y_dist, y_shape,
-            lambda coords: y_dist.local_bounds(y_shape, coords)[1],
-        )
-        regions = [
-            region_of(self.grid.coords_of(r)) for r in range(self.grid.comm.size)
-        ]
-        lo, hi = regions[self.grid.comm.rank]
-        exchanged = any_region_remote(x, regions)
-        pieces: tuple = ()
-        plan = None
-        if exchanged:
-            inner_h, inner_w = self._interior(x, yb)
-            pieces = tuple(_frame_pieces(yb[2], yb[3], inner_h, inner_w))
-            plan = plan_region_exchange(x, lo, hi, regions)
-        geom = _PoolGeometry(y_dist, y_shape, yb, lo, hi, exchanged, pieces, plan)
-        self._geom[key] = geom
-        return geom
+        g = self._geom.get(key)
+        if g is None:
+            y_shape = self.output_global_shape(x.global_shape)
+            y_dist = activation_dist(self.grid.shape, y_shape)
+            for d in (2, 3):
+                if x.dist.is_split(d) and not y_dist.is_split(d):
+                    raise ValueError(
+                        "pooling output too small for the spatial decomposition "
+                        f"(axis {d}: {y_shape[d]} rows over {self.grid.shape[d]} "
+                        "parts); assign this layer a smaller spatial parallelism"
+                    )
+            # Pooling keeps its channel block, so the gathered region's
+            # dim-1 slot comes from the output bounds.
+            g = self._geom[key] = window_geometry(
+                x, y_dist, y_shape, self.kernel, self.stride, self.pad,
+                lambda coords: y_dist.local_bounds(y_shape, coords)[1],
+            )
+        return g
 
-    def _pool_piece(
-        self, x_ext, yb, rows, cols, y_local, argmax
-    ) -> None:
-        """Pool one output sub-rectangle from its slice of ``x_ext``.
-
-        Window reductions are per output element, so piecewise evaluation
-        is bitwise identical to the fused kernel."""
-        (a, b), (c, d) = rows, cols
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        _, _, (oh_lo, _), (ow_lo, _) = yb
-        hs = (a - oh_lo) * sh
-        ws = (c - ow_lo) * sw
-        xs = x_ext[
-            :, :, hs : hs + (b - a - 1) * sh + kh, ws : ws + (d - c - 1) * sw + kw
-        ]
-        dst = (slice(None), slice(None), slice(a - oh_lo, b - oh_lo), slice(c - ow_lo, d - ow_lo))
+    def _pool_piece(self, x_ext, g: WindowGeometry, rows, cols) -> tuple:
+        """Pool output rows/cols from their slice of ``x_ext``: ``(y,)``,
+        or ``(y, argmax)`` for max pooling (in-window flat indices, so
+        offset-free).  Window reductions are per output element, so
+        piecewise evaluation is bitwise identical to the fused kernel."""
+        xs = x_ext[g.source_index(rows, cols)]
         if self.mode == "max":
-            y_piece, a_piece = F.maxpool2d_forward(xs, self.kernel, self.stride, 0)
-            y_local[dst] = y_piece
-            argmax[dst] = a_piece  # in-window flat indices: offset-free
-        else:
-            y_local[dst] = F.avgpool2d_forward(xs, self.kernel, self.stride, 0)
+            return F.maxpool2d_forward(xs, self.kernel, self.stride, 0)
+        return (F.avgpool2d_forward(xs, self.kernel, self.stride, 0),)
 
     def forward(self, x: DistTensor) -> DistTensor:
-        g = self._fwd_geom(x)
-        yb = g.bounds
-        # Max pooling must not let virtual padding win: fill with -inf-like.
+        g = self._geometry(x)
+        # Max pooling must not let virtual padding win: fill with -inf.
         fill = -np.inf if self.mode == "max" else 0.0
-
-        if not g.exchanged:
-            # No rank needs remote data: materialize locally, one fused kernel.
-            x_ext = local_region(x, g.lo, g.hi, fill=fill, pool=self._pool)
-            if self.mode == "max":
-                y_local, argmax = F.maxpool2d_forward(x_ext, self.kernel, self.stride, 0)
-                self._cache = {"argmax": argmax}
-            else:
-                y_local = F.avgpool2d_forward(x_ext, self.kernel, self.stride, 0)
-                self._cache = {}
-        else:
-            (n_lo, n_hi), (c_lo, c_hi), (oh_lo, oh_hi), (ow_lo, ow_hi) = yb
-            y_local = np.empty(
-                (n_hi - n_lo, c_hi - c_lo, oh_hi - oh_lo, ow_hi - ow_lo),
-                dtype=x.dtype,
-            )
-            argmax = (
-                np.empty(y_local.shape, dtype=np.int64)
-                if self.mode == "max"
-                else None
-            )
-            ex = start_region_exchange(
-                x, g.lo, g.hi, fill=fill, pool=self._pool, plan=g.plan
-            )
-            if not self.overlap_halo:
-                ex.finish()
-            x_ext = ex.out
-            for rows, cols, interior in g.pieces:
-                if interior:
-                    self._pool_piece(x_ext, yb, rows, cols, y_local, argmax)
-            ex.finish()
-            for rows, cols, interior in g.pieces:
-                if not interior:
-                    self._pool_piece(x_ext, yb, rows, cols, y_local, argmax)
-            self._cache = {"argmax": argmax} if self.mode == "max" else {}
-        self._cache.update(
-            {"region_lo": g.lo, "x_ext_shape": x_ext.shape, "x": x}
+        ex = start_gather(x, g, self._pool, self.overlap_halo, fill=fill)
+        outs, x_ext = run_block(
+            self._pool_piece, x, g, ex, self._pool,
+            (x.dtype, np.int64) if self.mode == "max" else (x.dtype,),
+            fill=fill,
         )
+        y_local = outs[0]
+        self._cache = {
+            "geom": g, "x": x, "argmax": outs[1] if self.mode == "max" else None
+        }
         self._pool.give(x_ext)  # backward needs only its shape (and argmax)
-        return DistTensor(self.grid, g.y_dist, g.y_shape, y_local)
+        return DistTensor(self.grid, g.dist, g.shape, y_local)
 
     def backward(self, dy: DistTensor) -> DistTensor:
         cache = self._cache
         if not cache:
             raise RuntimeError("backward() before forward()")
+        g: WindowGeometry = cache["geom"]
+        x: DistTensor = cache["x"]
         if self.mode == "max":
             dx_ext = F.maxpool2d_backward(
-                dy.local, cache["argmax"], cache["x_ext_shape"],
+                dy.local, cache["argmax"], g.plan.shape,
                 self.kernel, self.stride, 0,
             )
         else:
             dx_ext = F.avgpool2d_backward(
-                dy.local, cache["x_ext_shape"], self.kernel, self.stride, 0
+                dy.local, g.plan.shape, self.kernel, self.stride, 0
             )
-        x: DistTensor = cache["x"]
         dx = DistTensor.zeros(x.grid, x.dist, x.global_shape, dtype=dy.dtype)
-        key = (x.global_shape, x.dist)
-        plan = self._scatter_plans.get(key)
-        if plan is None:
-            plan = dx.scatter_add_plan(cache["region_lo"], dx_ext.shape)
-            self._scatter_plans[key] = plan
-        # Launch the contribution all-to-all, accumulate our own
-        # contribution while the boundary strips travel, fold in the
+        # The forward gather read backwards: send the boundary strips,
+        # accumulate our own contribution while they travel, fold in the
         # remote ones on finish.
         dx.start_scatter_region_add(
-            dx_ext, cache["region_lo"], pool=self._pool, plan=plan
+            dx_ext, g.lo, pool=self._pool, plan=g.plan
         ).finish()
         # Replicated output dims mean every replica scattered identical
         # contributions into disjoint replica groups — already consistent.

@@ -33,9 +33,10 @@ the matrix against :class:`~repro.nn.network.LocalNetwork`).
   before the first kernel.
 * **Inter-layer shuffles** (``overlap_shuffle``; §III-C redistributions at
   layer boundaries whose distributions differ): a layer's activation is
-  launched toward each child's distribution as a
-  :class:`~repro.tensor.shuffle.ShuffleExchange` the moment it is produced
-  and finished only where the child consumes it, so the pieces travel
+  launched toward each distinct placement its children expect — one
+  :class:`~repro.tensor.shuffle.ShuffleExchange` per (target grid,
+  distribution), shared by every child that wants it — the moment it is
+  produced and finished only where a child consumes it, so the pieces travel
   behind whatever runs in between (sibling branches of a DAG, the reducer's
   gradient bucketing in backward); in backward the error-signal shuffle
   toward a parent is started before the layer's weight-gradient allreduce
@@ -140,8 +141,11 @@ class DistNetwork:
         # Recycles the staged shuffle send payloads across steps (deferred
         # reclamation once the receivers drop their zero-copy views).
         self._shuffle_pool = BufferPool()
-        # In-flight forward shuffles keyed by (child layer, parent index).
-        self._pending_fwd: dict[tuple[str, int], ShuffleExchange] = {}
+        # This forward pass's shuffles, keyed by (parent layer, target grid
+        # shape, target distribution): one exchange per key, whose result
+        # every child that wants it shares (no layer mutates its input).
+        self._pending_fwd: dict[tuple, ShuffleExchange] = {}
+        self._routes: dict[tuple, tuple | None] = {}
 
         self._grids: dict[tuple[int, ...], ProcessGrid] = {}
         self.params: dict[str, dict[str, np.ndarray]] = {}
@@ -163,32 +167,20 @@ class DistNetwork:
         return grid
 
     def _build(self) -> None:
+        self.params = I.init_params(self.spec, self.shapes, self.seed, self.dtype)
         for layer in self.spec.topo_order():
             name = layer.name
             grid = self._grid(self.strategy.for_layer(name).grid_shape)
+            p = self.params.get(name, {})
             if layer.kind == "input":
                 self._layers[name] = None
-                continue
-            parent_shape = self.shapes[layer.parents[0]]
-            if layer.kind == "conv":
-                c_in = parent_shape[0]
-                k = layer.params["kernel"]
-                kh, kw = (k, k) if isinstance(k, int) else k
-                w = I.conv_weights(
-                    layer.params["filters"], c_in, kh, kw, self.seed, name
-                ).astype(self.dtype)
-                b = (
-                    I.zeros(layer.params["filters"]).astype(self.dtype)
-                    if layer.params.get("bias", False)
-                    else None
-                )
-                self.params[name] = {"w": w} | ({"b": b} if b is not None else {})
+            elif layer.kind == "conv":
                 self._layers[name] = DistConv2d(
                     grid,
-                    w,
+                    p["w"],
                     stride=layer.params.get("stride", 1),
                     pad=layer.params.get("pad", 0),
-                    bias=b,
+                    bias=p.get("b"),
                     overlap_halo=self.overlap_halo,
                 )
             elif layer.kind == "pool":
@@ -201,12 +193,8 @@ class DistNetwork:
                     overlap_halo=self.overlap_halo,
                 )
             elif layer.kind == "bn":
-                c = parent_shape[0]
-                gamma = I.ones(c).astype(self.dtype)
-                beta = I.zeros(c).astype(self.dtype)
-                self.params[name] = {"gamma": gamma, "beta": beta}
                 self._layers[name] = DistBatchNorm(
-                    grid, gamma, beta, aggregate=self.bn_aggregate,
+                    grid, p["gamma"], p["beta"], aggregate=self.bn_aggregate,
                     momentum=layer.params.get("momentum", 0.9),
                 )
             elif layer.kind == "relu":
@@ -216,17 +204,7 @@ class DistNetwork:
             elif layer.kind == "gap":
                 self._layers[name] = DistGlobalAvgPool(grid)
             elif layer.kind == "fc":
-                c, h, w_ = parent_shape
-                w = I.fc_weights(
-                    layer.params["units"], c * h * w_, self.seed, name
-                ).astype(self.dtype)
-                b = (
-                    I.zeros(layer.params["units"]).astype(self.dtype)
-                    if layer.params.get("bias", True)
-                    else None
-                )
-                self.params[name] = {"w": w} | ({"b": b} if b is not None else {})
-                self._layers[name] = DistFC(grid, w, b)
+                self._layers[name] = DistFC(grid, p["w"], p.get("b"))
             elif layer.kind == "softmax_ce":
                 self._layers[name] = DistSoftmaxCrossEntropy(grid)
             elif layer.kind == "bce":
@@ -235,37 +213,47 @@ class DistNetwork:
                 raise AssertionError(layer.kind)
 
     # -- execution ---------------------------------------------------------------------
-    def _want_dist(self, act: DistTensor, grid: ProcessGrid):
-        """The distribution a layer on ``grid`` expects ``act`` in, or
-        ``None`` when no redistribution is needed."""
-        want = activation_dist(grid.shape, act.global_shape)
-        if act.dist == want and (act.grid is grid or act.grid.shape == grid.shape):
-            return None
-        return want
+    def _route(self, act: DistTensor, child: str):
+        """``(grid, distribution)`` layer ``child`` expects ``act`` in, or
+        ``None`` when no redistribution is needed.  A pure function of the
+        key below, asked twice per edge per step, so it is memoised."""
+        key = (child, act.grid.shape, act.dist, act.global_shape)
+        if key not in self._routes:
+            grid = self._grid(self.strategy.for_layer(child).grid_shape)
+            want = activation_dist(grid.shape, act.global_shape)
+            same = act.dist == want and act.grid.shape == grid.shape
+            self._routes[key] = None if same else (grid, want)
+        return self._routes[key]
 
-    def _start_shuffle(self, act: DistTensor, child: str, idx: int) -> None:
-        """Launch ``act`` toward the distribution layer ``child`` expects
-        its parent #``idx`` in (nothing to do when it already matches)."""
-        grid = self._grid(self.strategy.for_layer(child).grid_shape)
-        want = self._want_dist(act, grid)
-        if want is not None:
-            self._pending_fwd[(child, idx)] = start_shuffle(
+    def _start_shuffle(self, parent: str, child: str) -> ShuffleExchange | None:
+        """The exchange carrying ``parent``'s activation to the distribution
+        layer ``child`` expects it in, launched unless an earlier child
+        with the same placement already did; ``None`` when the activation
+        already matches."""
+        act = self._acts[parent]
+        route = self._route(act, child)
+        if route is None:
+            return None
+        grid, want = route
+        key = (parent, grid.shape, want)
+        ex = self._pending_fwd.get(key)
+        if ex is None:
+            self.shuffle_count += 1
+            ex = self._pending_fwd[key] = start_shuffle(
                 act, grid, want, pool=self._shuffle_pool
             )
+        return ex
 
     def _start_child_shuffles(self, name: str) -> None:
-        """Launch the redistributions every child of ``name`` will need.
+        """Launch the redistributions the children of ``name`` will need.
 
         Called right after a layer's activation is produced (overlap mode):
         the exchanges travel behind whatever computes next — sibling
         branches of the DAG, the remaining forward layers — and are
         finished where each child consumes its input.
         """
-        act = self._acts[name]
         for child in self.spec.children_of(name):
-            for idx, pname in enumerate(self.spec[child].parents):
-                if pname == name:
-                    self._start_shuffle(act, child, idx)
+            self._start_shuffle(name, child)
 
     def forward(
         self,
@@ -304,12 +292,11 @@ class DistNetwork:
                 # Record the parent's original placement so backward can route
                 # the error signal back through the same shuffle.
                 self._fwd_dist[name] = [(p.grid, p.dist) for p in parents]
-                for idx, p in enumerate(parents):
-                    if not self.overlap_shuffle:
-                        self._start_shuffle(p, name, idx)
-                    ex = self._pending_fwd.pop((name, idx), None)
+                for idx, pname in enumerate(layer.parents):
+                    # In flight since the parent produced it
+                    # (overlap_shuffle), else started right here.
+                    ex = self._start_shuffle(pname, name)
                     if ex is not None:
-                        self.shuffle_count += 1
                         parents[idx] = ex.finish()
                 impl = self._layers[name]
 
@@ -338,6 +325,7 @@ class DistNetwork:
                 self._acts[name] = y
                 if self.overlap_shuffle:
                     self._start_child_shuffles(name)
+        self._pending_fwd = {}  # backward needs none of the redistributed tensors
         return self.loss
 
     def backward(self, grad_hook=None) -> dict[str, dict[str, np.ndarray]]:
@@ -558,9 +546,6 @@ class DistNetwork:
         if loss is None:
             raise RuntimeError("network has no loss layer or targets missing")
         return loss, self.backward(grad_hook=grad_hook)
-
-    def local_activation(self, name: str) -> DistTensor:
-        return self._acts[name]
 
     def gather_activation(self, name: str) -> np.ndarray:
         """Assemble a layer's global output on every rank (test helper)."""

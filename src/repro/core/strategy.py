@@ -319,21 +319,3 @@ class StrategyOptimizer:
             candidates_considered=candidates_considered,
             paths_optimized=paths,
         )
-
-
-def plan_for_ranks(
-    spec: NetworkSpec,
-    machine: MachineSpec,
-    nranks: int,
-    n_global: int,
-    **kwargs,
-) -> OptimizationReport:
-    """Plan a fresh strategy for a (possibly shrunk) world of ``nranks``.
-
-    Elastic restarts may relaunch with fewer ranks than the run was
-    originally planned for; the old strategy's factorizations no longer
-    apply, so the optimizer is re-run from scratch against the surviving
-    rank count.  Thin wrapper over :class:`StrategyOptimizer` so callers
-    (the elastic runner, benchmarks) don't repeat the constructor spelling.
-    """
-    return StrategyOptimizer(spec, machine, nranks, n_global, **kwargs).optimize()

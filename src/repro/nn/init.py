@@ -26,21 +26,47 @@ def he_normal(
     return _layer_rng(seed, name).standard_normal(shape) * std
 
 
-def conv_weights(
-    filters: int, in_channels: int, kh: int, kw: int, seed: int, name: str
-) -> np.ndarray:
-    return he_normal(
-        (filters, in_channels, kh, kw), in_channels * kh * kw, seed, name
-    )
+def init_params(
+    spec, shapes: dict, seed: int, dtype
+) -> dict[str, dict[str, np.ndarray]]:
+    """Initial parameters of every conv / BN / FC layer of ``spec``.
 
-
-def fc_weights(units: int, in_features: int, seed: int, name: str) -> np.ndarray:
-    return he_normal((units, in_features), in_features, seed, name)
-
-
-def zeros(shape: tuple[int, ...] | int) -> np.ndarray:
-    return np.zeros(shape)
-
-
-def ones(shape: tuple[int, ...] | int) -> np.ndarray:
-    return np.ones(shape)
+    ``shapes`` is ``spec.infer_shapes()``.  The single-device reference
+    (:class:`~repro.nn.network.LocalNetwork`) and the engine
+    (:class:`~repro.core.dist_network.DistNetwork`) both build their
+    parameters here, so the rules — kernel pair, ``bias`` defaulting to
+    off for conv and on for FC, the dtype cast — cannot drift apart.
+    """
+    params: dict[str, dict[str, np.ndarray]] = {}
+    for layer in spec:
+        # Cast each array as it is drawn: the float64 draw of one layer must
+        # not outlive the next layer's (MB-scale temporaries otherwise stack).
+        if layer.kind == "conv":
+            c_in = shapes[layer.parents[0]][0]
+            k = layer.params["kernel"]
+            kh, kw = (k, k) if isinstance(k, int) else k
+            filters = layer.params["filters"]
+            p = {
+                "w": he_normal(
+                    (filters, c_in, kh, kw), c_in * kh * kw, seed, layer.name
+                ).astype(dtype)
+            }
+            if layer.params.get("bias", False):
+                p["b"] = np.zeros(filters, dtype=dtype)
+        elif layer.kind == "bn":
+            c = shapes[layer.parents[0]][0]
+            p = {"gamma": np.ones(c, dtype=dtype), "beta": np.zeros(c, dtype=dtype)}
+        elif layer.kind == "fc":
+            c, h, w = shapes[layer.parents[0]]
+            units = layer.params["units"]
+            p = {
+                "w": he_normal(
+                    (units, c * h * w), c * h * w, seed, layer.name
+                ).astype(dtype)
+            }
+            if layer.params.get("bias", True):
+                p["b"] = np.zeros(units, dtype=dtype)
+        else:
+            continue
+        params[layer.name] = p
+    return params

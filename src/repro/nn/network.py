@@ -30,41 +30,16 @@ class LocalNetwork:
         self.activations: dict[str, np.ndarray] = {}
 
     def _build_params(self) -> None:
-        for layer in self.spec:
-            if layer.kind == "conv":
-                c_in = self.shapes[layer.parents[0]][0]
-                k = layer.params["kernel"]
-                kh, kw = (k, k) if isinstance(k, int) else k
-                p = {
-                    "w": I.conv_weights(
-                        layer.params["filters"], c_in, kh, kw, self.seed, layer.name
-                    ).astype(self.dtype)
-                }
-                if layer.params.get("bias", False):
-                    p["b"] = I.zeros(layer.params["filters"]).astype(self.dtype)
-                self.params[layer.name] = p
-            elif layer.kind == "bn":
-                c = self.shapes[layer.parents[0]][0]
-                self.params[layer.name] = {
-                    "gamma": I.ones(c).astype(self.dtype),
-                    "beta": I.zeros(c).astype(self.dtype),
-                }
-                # Running statistics are state, not learnable parameters.
-                self._running = getattr(self, "_running", {})
-                self._running[layer.name] = {
-                    "mean": I.zeros(c).astype(self.dtype),
-                    "var": I.ones(c).astype(self.dtype),
-                }
-            elif layer.kind == "fc":
-                c, h, w = self.shapes[layer.parents[0]]
-                p = {
-                    "w": I.fc_weights(
-                        layer.params["units"], c * h * w, self.seed, layer.name
-                    ).astype(self.dtype)
-                }
-                if layer.params.get("bias", True):
-                    p["b"] = I.zeros(layer.params["units"]).astype(self.dtype)
-                self.params[layer.name] = p
+        self.params = I.init_params(self.spec, self.shapes, self.seed, self.dtype)
+        # Running statistics are state, not learnable parameters.
+        self._running = {
+            name: {
+                "mean": np.zeros_like(p["gamma"]),
+                "var": np.ones_like(p["gamma"]),
+            }
+            for name, p in self.params.items()
+            if "gamma" in p
+        }
 
     # -- execution ---------------------------------------------------------------
     def forward(

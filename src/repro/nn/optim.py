@@ -47,10 +47,6 @@ class SGD:
                     g = v
                 p -= self.lr * g
 
-    def state_size(self) -> int:
-        """Number of velocity scalars held (for the memory model)."""
-        return sum(v.size for v in self._velocity.values())
-
     def state_dict(self) -> dict:
         """Persistent optimizer state (momentum velocities), as copies."""
         return {

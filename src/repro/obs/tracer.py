@@ -91,9 +91,6 @@ class _RankContext:
         if config is not None:
             self.base = (time.time() - config.epoch) - time.perf_counter()
 
-    def now_us(self) -> float:
-        return (time.perf_counter() + self.base) * 1e6
-
 
 # Rank context: thread-local for the thread backend (N ranks share one
 # process), with a process-global fallback so helper threads in forked

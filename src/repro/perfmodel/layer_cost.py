@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.comm.collective_models import allreduce_time, pt2pt_time
+from repro.nn.functional import _pair
 from repro.perfmodel.conv_model import ConvGeometry
 from repro.perfmodel.machine import MachineSpec
 from repro.tensor.indexing import block_size, ceil_div
@@ -115,12 +116,6 @@ class ConvLayerCost:
 
     def total(self, overlap: bool = True) -> float:
         return self.fp_time(overlap) + self.bp_time(overlap, include_allreduce=True)
-
-
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
 
 
 def local_extents(

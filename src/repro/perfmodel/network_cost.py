@@ -46,7 +46,8 @@ class NetworkCostBreakdown:
     bp_compute_total: float = 0.0
     allreduce_total: float = 0.0
     allreduce_exposed: float = 0.0
-    #: Payload time of all shuffles (forward + backward, every edge).
+    #: Payload time of all shuffles (forward: one per parent and target
+    #: grid; backward: one per edge).
     shuffle_total: float = 0.0
     #: What the critical path pays for shuffles: the payload time.
     #: DAG-level hiding behind sibling-branch compute (what
@@ -79,7 +80,6 @@ class NetworkCostModel:
         overlap_allreduce: bool = True,
         cheap_layers: str = "memory",
         allreduce_bucket_bytes: int | None = None,
-        overlap_shuffle: bool = True,
         allreduce_algorithm: str | None = None,
     ) -> None:
         if cheap_layers not in ("memory", "free"):
@@ -93,10 +93,6 @@ class NetworkCostModel:
         self.overlap_allreduce = overlap_allreduce
         self.cheap_layers = cheap_layers
         self.allreduce_bucket_bytes = allreduce_bucket_bytes
-        #: Does not move this model's numbers: every shuffle is charged its
-        #: payload time, fully exposed, in both modes (see
-        #: ``NetworkCostBreakdown.shuffle_exposed``).
-        self.overlap_shuffle = overlap_shuffle
         #: Allreduce wire algorithm, matching the engine's ``algorithm=``
         #: knob: None keeps the historical fastest-per-(p, n) pricing,
         #: "auto" applies the *same* Thakur-style selection the
@@ -243,19 +239,22 @@ class NetworkCostModel:
         db = self.machine.dtype_bytes
 
         # Forward pass + shuffles where adjacent distributions differ.
+        fwd_shuffled: set[tuple[str, tuple]] = set()
         for layer in order:
             cost = self.layer_cost(layer.name, n_global, strategy)
             if cost is not None:
                 bd.per_layer[layer.name] = cost
                 bd.fp_total += cost.fp_time(self.overlap)
+            target = strategy.for_layer(layer.name).grid_shape
             for p in layer.parents:
-                if (
-                    strategy.for_layer(p).grid_shape
-                    != strategy.for_layer(layer.name).grid_shape
-                ):
-                    # Forward shuffles once, and so does backward when the
-                    # parent takes an error signal.
-                    edge = (1 + (p in self.needs_dy)) * self.shuffle_edge_cost(
+                if strategy.for_layer(p).grid_shape != target:
+                    # Forward redistributes a parent once per target grid
+                    # (every child there reads the same tensor); backward
+                    # shuffles once per edge when the parent takes an
+                    # error signal.
+                    fwd = (p, target) not in fwd_shuffled
+                    fwd_shuffled.add((p, target))
+                    edge = (fwd + (p in self.needs_dy)) * self.shuffle_edge_cost(
                         p, n_global, strategy
                     )
                     bd.shuffle_total += edge

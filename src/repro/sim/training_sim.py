@@ -133,13 +133,20 @@ class TrainingStepSimulator:
         prev_fwd: str | None = None
         fwd_done: dict[str, str] = {}  # layer -> task marking its output ready
         carry: list[str] = []  # shuffle tasks consumed by cost-less layers
+        # (parent, target grid) -> its one forward shuffle task: every child
+        # on that grid reads the same redistributed tensor.
+        fwd_shuffles: dict[tuple, str] = {}
         for layer in order:
             c = costs.get(layer.name)
             name = layer.name
             base_deps = (prev_fwd,) if prev_fwd else ()
             shuf_deps: list[str] = []
             for p in shuffle_edges.get(name, ()):
-                sname = f"fwd:shuf:{p}->{name}"
+                key = (p, strategy.for_layer(name).grid_shape)
+                if key in fwd_shuffles:
+                    shuf_deps.append(fwd_shuffles[key])
+                    continue
+                sname = fwd_shuffles[key] = f"fwd:shuf:{p}->{name}"
                 dur = self.cost_model.shuffle_edge_cost(p, n_global, strategy)
                 if self.overlap_shuffle:
                     # Ready the moment the producer finishes — the engine

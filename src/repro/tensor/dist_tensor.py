@@ -17,6 +17,14 @@ algorithms are built from:
   :meth:`DistTensor.start_scatter_region_add` is the same transfer with the
   finish left to the caller.
 
+A transfer is a plan and an exchange.  ``gather_region`` is the plan-free
+request/reply reference the tests compare against; everything on the hot
+path runs a :class:`~repro.tensor.exchange.TransferPlan` through a
+:class:`~repro.tensor.exchange.PlannedExchange`.
+:func:`plan_region_exchange` builds the plan of a region gather from the
+ownership resolution below, and the scatter-add is that same plan read
+backwards — its receives are what to send, its sends what to accumulate.
+
 Both are collective over the grid's communicator.  Regions may extend past
 the global tensor boundary; out-of-range parts are zero-filled on gather
 (materializing convolution padding) and dropped on scatter.
@@ -36,6 +44,13 @@ import numpy as np
 
 from repro.comm.communicator import Communicator
 from repro.tensor.distribution import Distribution
+from repro.tensor.exchange import (
+    HALO_OP,
+    PlannedExchange,
+    TransferPlan,
+    cells,
+    stage_payload,
+)
 from repro.tensor.grid import ProcessGrid
 from repro.tensor.indexing import (
     block_coords_of_interval,
@@ -167,24 +182,7 @@ class DistTensor:
             owners.append((self.grid.rank_of(coords), overlap))
         return owners
 
-    @staticmethod
-    def _stage_payload(arr: np.ndarray, pool) -> np.ndarray:
-        """Stage an off-rank alltoall payload through ``pool``.
-
-        Without a pool the raw view is returned (the communicator copies or
-        freezes it as needed).  With a pool, the data is copied into a
-        recycled contiguous buffer whose read-only view crosses the
-        boundary; the buffer returns to the pool (deferred) once every
-        receiver drops the view — the halo send-strip discipline.
-        """
-        if pool is None:
-            return arr
-        buf = pool.take(arr.shape, arr.dtype)
-        np.copyto(buf, arr)
-        view = buf.view()
-        view.flags.writeable = False
-        pool.give_deferred(buf, view)
-        return view
+    _stage_payload = staticmethod(stage_payload)
 
     def _local_slice_of(self, region: tuple[tuple[int, int], ...]) -> np.ndarray:
         """View of the local shard covering global ``region`` (must be owned)."""
@@ -264,92 +262,54 @@ class DistTensor:
                 place_region(out, data, offset)
         return out
 
-    def scatter_add_plan(
-        self, lo: Sequence[int], shape: Sequence[int]
-    ) -> list[tuple[int, tuple[tuple[int, int], ...], tuple[slice, ...]]]:
-        """Precompute the scatter-add routing for region ``[lo, lo+shape)``.
-
-        Returns ``[(comm_rank, owned overlap, slice into the region), ...]``
-        — pure layout algebra, no communication.  The plan depends only on
-        the grid, distribution, and global shape, so it is reusable across
-        steps *and* across :class:`DistTensor` instances with identical
-        layout (a layer's freshly-zeroed gradient tensor every backward),
-        which is why :class:`~repro.core.dist_layers.DistPool2d` caches it
-        alongside its forward geometry.
-        """
-        lo = tuple(int(v) for v in lo)
-        hi = tuple(b + int(s) for b, s in zip(lo, shape))
-        plan = []
-        for rank, overlap in self._owners_of_region(lo, hi):
-            sl = tuple(
-                slice(iv[0] - b, iv[1] - b) for iv, b in zip(overlap, lo)
-            )
-            plan.append((rank, overlap, sl))
-        return plan
-
-    def _accumulate_contributions(self, contributions) -> None:
-        my = self.bounds
-        for overlap, data in contributions:
-            offset = tuple(iv[0] - b[0] for iv, b in zip(overlap, my))
-            place_region(self.local, data, offset, accumulate=True)
-
     def start_scatter_region_add(
         self,
         region: np.ndarray,
         lo: Sequence[int],
         pool=None,
-        plan=None,
+        plan: TransferPlan | None = None,
     ) -> "ScatterAddExchange":
         """Scatter ``region`` (anchored at global ``lo``) to its owners,
-        *adding* into their shards: launch the contribution all-to-all and
-        accumulate the *own* contribution immediately.
+        *adding* into their shards: send the contributions and accumulate
+        the *own* contribution immediately.
 
-        The returned handle's :meth:`~ScatterAddExchange.finish` waits for
-        the peers' deposits and folds in the remote contributions.  The
-        accumulation order is fixed and documented — own contribution
-        first (it overlaps the in-flight transfer), then remote
-        contributions in ascending comm rank.  ``pool`` stages the off-rank
-        contribution payloads (same deferred recycling as
-        :meth:`gather_region`'s replies); ``plan`` is an optional
-        precomputed :meth:`scatter_add_plan` (it must match ``lo`` and
-        ``region.shape``); layers cache it across steps.
+        The transfer is the gather of ``[lo, lo + region.shape)`` read
+        backwards.  ``plan`` is that gather's
+        :func:`plan_region_exchange` (layers pass their cached forward
+        plan); without one, the ranks learn each other's regions with one
+        small allgather and build it.  The returned handle's
+        :meth:`~ScatterAddExchange.finish` folds in the remote
+        contributions.  The accumulation order is fixed and documented —
+        own contribution first (it overlaps the in-flight transfer), then
+        remote contributions in ascending comm rank.  ``pool`` stages the
+        off-rank contribution payloads (same deferred recycling as
+        :meth:`gather_region`'s replies).
         """
         lo = tuple(int(v) for v in lo)
+        hi = tuple(b + int(s) for b, s in zip(lo, region.shape))
         if plan is None:
-            plan = self.scatter_add_plan(lo, region.shape)
-        comm = self.comm
-
-        sends: list[list[tuple[tuple[tuple[int, int], ...], np.ndarray]]] = [
-            [] for _ in range(comm.size)
-        ]
-        own: list[tuple[tuple[tuple[int, int], ...], np.ndarray]] = []
-        for rank, overlap, sl in plan:
-            piece = region[sl]
-            if rank != comm.rank:
-                sends[rank].append((overlap, self._stage_payload(piece, pool)))
-            else:
-                own.append((overlap, piece))
-
-        comm.stats.record_collective(
-            "region_data",
-            sum(
-                arr.nbytes
-                for j, pieces in enumerate(sends)
-                for _, arr in pieces
-                if j != comm.rank
-            ),
+            plan = plan_region_exchange(
+                self, lo, hi, self.comm.allgather((lo, hi))
+            )
+        elif plan.lo != lo or plan.shape != region.shape:
+            raise ValueError(
+                f"plan was built for region {plan.box}, not {tuple(zip(lo, hi))}"
+            )
+        return ScatterAddExchange(
+            PlannedExchange(
+                self.comm, plan.reversed(),
+                region, lo,
+                self.local, tuple(b for b, _ in self.bounds),
+                opname=HALO_OP, stat="region_data", accumulate=True, pool=pool,
+            )
         )
-        request = comm.ialltoall(sends)
-        # Own contribution accumulates while peers are still depositing.
-        self._accumulate_contributions(own)
-        return ScatterAddExchange(self, request)
 
     def scatter_region_add(
         self,
         region: np.ndarray,
         lo: Sequence[int],
         pool=None,
-        plan=None,
+        plan: TransferPlan | None = None,
     ) -> None:
         """Collectively scatter ``region`` (anchored at global ``lo``) to its
         owners, *adding* into their local shards.
@@ -373,45 +333,70 @@ class DistTensor:
             out[sl] = local
         return out
 
-    def allreduce_replicas(self) -> None:
-        """Sum-reduce the shard across its replica group, in place.
-
-        No-op for purely partitioned tensors.  Used when replicas hold
-        partial contributions that must be combined (e.g. error signals
-        produced by layers that reduce over a replicated dimension).
-        """
-        axes = tuple(
-            d
-            for d in range(self.dist.ndim)
-            if not self.dist.is_split(d) and self.grid.shape[d] > 1
-        )
-        if not axes:
-            return
-        sub = self.grid.axes_comm(axes)
-        self.local = sub.allreduce(self.local)
-
 
 class ScatterAddExchange:
     """In-flight scatter-add (:meth:`DistTensor.start_scatter_region_add`).
 
     The owner's own contribution is already accumulated by the time the
-    handle exists; :meth:`finish` waits for the peers' deposits and folds
-    in the remote contributions in ascending comm rank.
+    handle exists; :meth:`finish` waits for the peers' contributions and
+    folds them in, in ascending comm rank.
     """
 
-    __slots__ = ("_tensor", "_request")
+    __slots__ = ("_exchange",)
 
-    def __init__(self, tensor: DistTensor, request) -> None:
-        self._tensor = tensor
-        self._request = request
+    def __init__(self, exchange: PlannedExchange) -> None:
+        self._exchange = exchange
 
     def finish(self) -> None:
         """Fold in the remote contributions; a repeated call is a no-op."""
-        if self._request is None:
-            return
-        received = self._request.wait()
-        self._request = None
-        tensor = self._tensor
-        for j, contributions in enumerate(received):
-            if j != tensor.comm.rank:
-                tensor._accumulate_contributions(contributions)
+        self._exchange.finish()
+
+
+def plan_region_exchange(
+    dt: DistTensor,
+    lo: Sequence[int],
+    hi: Sequence[int],
+    peer_regions: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> TransferPlan:
+    """Build the static schedule for a gather of ``[lo, hi)`` from ``dt``.
+
+    ``peer_regions[j]`` must be the ``(lo, hi)`` region comm-rank ``j``
+    gathers in the same exchange — identical on every rank (each rank
+    derives all regions from shared layer geometry), which is what lets the
+    send side be mirrored from the receive side without a request
+    round-trip.  Halo geometry is a function of the layer and distribution
+    alone, so layers build the plan once and reuse it every step, exactly
+    as the paper's implementation sets up its halo exchanges per layer
+    rather than per invocation.
+    """
+    lo = tuple(int(v) for v in lo)
+    hi = tuple(int(v) for v in hi)
+    if any(h < b for b, h in zip(lo, hi)):
+        raise ValueError(
+            f"negative region shape {tuple(h - b for b, h in zip(lo, hi))}"
+        )
+    comm = dt.comm
+    grid = dt.grid
+
+    sends = []
+    for peer in range(comm.size):
+        if peer == comm.rank:
+            continue
+        peer_lo, peer_hi = peer_regions[peer]
+        if any(h - b <= 0 for b, h in zip(peer_lo, peer_hi)):
+            continue
+        owners = dt._owners_of_region(peer_lo, peer_hi, coords=grid.coords_of(peer))
+        sends.extend((peer, box) for rank, box in owners if rank == comm.rank)
+
+    recvs = []
+    local = []
+    if all(h > b for b, h in zip(lo, hi)):
+        for rank, box in dt._owners_of_region(lo, hi):
+            if rank == comm.rank:
+                local.append(box)
+            else:
+                recvs.append((rank, box))
+    return TransferPlan(
+        tuple(zip(lo, hi)), tuple(sends), tuple(recvs), tuple(local),
+        sum(cells(box) for _, box in sends),
+    )

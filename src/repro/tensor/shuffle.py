@@ -14,24 +14,24 @@ Replication is handled on both sides:
 * if the *destination* replicates a dimension, every replica receives its
   copy.
 
-The subsystem mirrors the halo exchange of :mod:`repro.tensor.halo` — one
-implementation per transfer, split into a start and a finish:
+A transfer is a plan and an exchange — the same pair the halo gather of
+:mod:`repro.tensor.halo` is made of:
 
-* :class:`ShufflePlan` — the static send/receive schedule of one
-  redistribution.  Which regions of this rank's shard go to which peers,
-  and which pieces arrive from which canonical owners, is a pure function
-  of (src grid+distribution, dst grid+distribution, global shape), so the
-  plan is computed once per communicator (:func:`plan_shuffle`, cached on
-  the communicator keyed by exactly that tuple) instead of re-intersecting
-  every rank pair on every training step.
-* :class:`ShuffleExchange` (via :func:`start_shuffle`) — the redistribution
-  as a first-class nonblocking collective
-  (:meth:`~repro.comm.communicator.Communicator.ialltoall`, the in-process
-  analogue of an Aluminum/NCCL nonblocking all-to-all).
-  :meth:`~ShuffleExchange.start` deposits this rank's payloads and returns
-  immediately, so the caller can run independent computation (the next
-  layer's kernels on another branch, gradient bucketing, ...) before
-  :meth:`~ShuffleExchange.finish` drains and assembles.
+* :func:`plan_shuffle` — builds the
+  :class:`~repro.tensor.exchange.TransferPlan` of one redistribution.
+  Which boxes of this rank's shard go to which peers, and which arrive
+  from which canonical owners, is a pure function of (src
+  grid+distribution, dst grid+distribution, global shape), so the plan is
+  computed once per communicator (cached on it, keyed by exactly that
+  tuple) instead of re-intersecting every rank pair on every training
+  step.
+* :class:`ShuffleExchange` (via :func:`start_shuffle`) — the plan run
+  through the one :class:`~repro.tensor.exchange.PlannedExchange`:
+  point-to-point messages to the plan's partners only.  Starting sends
+  this rank's boxes and returns immediately, so the caller can run
+  independent computation (the next layer's kernels on another branch,
+  gradient bucketing, ...) before :meth:`~ShuffleExchange.finish` drains
+  and assembles.
 * :func:`shuffle` — the blocking form: the same exchange finished right
   after it is started.  Overlap is only a question of *where* ``finish()``
   is called, so the two forms cannot differ in their bits.
@@ -43,47 +43,17 @@ discipline the halo send strips use.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.comm.communicator import Request
-from repro.obs import tracer as _trace
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.distribution import Distribution
+from repro.tensor.exchange import Box, PlannedExchange, TransferPlan, cells
 from repro.tensor.grid import ProcessGrid
-from repro.tensor.indexing import intersect, interval_is_empty, place_region
+from repro.tensor.indexing import intersect, interval_is_empty
 
 #: CommStats op name under which shuffle traffic and its wait/overlap split
 #: are recorded.
 SHUFFLE_OP = "shuffle"
-
-Region = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class ShufflePlan:
-    """Static schedule of one redistribution, from this rank's viewpoint.
-
-    Mirrors :class:`repro.tensor.halo.ExchangePlan`: everything here is a
-    pure function of (src grid+distribution, dst grid+distribution, global
-    shape) — independent of the tensor *values* and of dtype — so one plan
-    serves every training step of a layer boundary.
-    """
-
-    global_shape: tuple[int, ...]
-    #: This rank's destination block (``I_p(D_dst)``) and its shape.
-    dst_bounds: Region
-    out_shape: tuple[int, ...]
-    #: ``(peer comm-rank, region of my src shard to send)`` in peer order.
-    sends: tuple[tuple[int, Region], ...] = ()
-    #: ``(canonical owner comm-rank, region of my dst block to receive)``.
-    recvs: tuple[tuple[int, Region], ...] = ()
-    #: Regions of my dst block served from my own (canonical) src shard.
-    local: tuple[Region, ...] = ()
-    #: Cells shipped off-rank by this rank (bytes = cells * itemsize).
-    sent_cells: int = 0
 
 
 class _PlanCache:
@@ -130,13 +100,9 @@ def _is_canonical(dist: Distribution, grid_shape, coords) -> bool:
     )
 
 
-def _cells(region: Region) -> int:
-    return math.prod(hi - lo for lo, hi in region)
-
-
 def plan_shuffle(
     src: DistTensor, dst_grid: ProcessGrid, dst_dist: Distribution
-) -> ShufflePlan:
+) -> TransferPlan:
     """Build (or fetch from the communicator's cache) the redistribution plan.
 
     The cache key is ``(src grid shape, src dist, dst grid shape, dst dist,
@@ -155,9 +121,8 @@ def plan_shuffle(
 
     global_shape = src.global_shape
     my_src_bounds = src.bounds
-    sends: list[tuple[int, Region]] = []
-    local: list[Region] = []
-    sent_cells = 0
+    sends: list[tuple[int, Box]] = []
+    local: list[Box] = []
     if _is_canonical(src.dist, src.grid.shape, src.grid.coords):
         for j in range(comm.size):
             dst_b = dst_dist.local_bounds(global_shape, dst_grid.coords_of(j))
@@ -170,10 +135,9 @@ def plan_shuffle(
                 local.append(overlap)
             else:
                 sends.append((j, overlap))
-                sent_cells += _cells(overlap)
 
     my_dst_bounds = dst_dist.local_bounds(global_shape, dst_grid.coords)
-    recvs: list[tuple[int, Region]] = []
+    recvs: list[tuple[int, Box]] = []
     for i in range(comm.size):
         if i == comm.rank:
             continue
@@ -185,41 +149,30 @@ def plan_shuffle(
             continue
         recvs.append((i, overlap))
 
-    plan = ShufflePlan(
-        global_shape,
-        my_dst_bounds,
-        tuple(hi - lo for lo, hi in my_dst_bounds),
-        tuple(sends),
-        tuple(recvs),
-        tuple(local),
-        sent_cells,
+    filled = sum(cells(box) for box in local) + sum(cells(box) for _, box in recvs)
+    if filled != cells(my_dst_bounds):
+        raise RuntimeError(
+            f"shuffle would assemble {filled} elements but the local block "
+            f"has {cells(my_dst_bounds)}; source distribution did not cover "
+            "the tensor"
+        )
+    plan = TransferPlan(
+        my_dst_bounds, tuple(sends), tuple(recvs), tuple(local),
+        sum(cells(box) for _, box in sends),
     )
     cache.plans[key] = plan
     return plan
 
 
-def _stage_payloads(src: DistTensor, plan: ShufflePlan, pool) -> list:
-    """Per-peer payload list for the plan's sends (pooled when possible)."""
-    payloads: list[np.ndarray | None] = [None] * src.comm.size
-    for peer, region in plan.sends:
-        payloads[peer] = DistTensor._stage_payload(
-            src._local_slice_of(region), pool
-        )
-    return payloads
-
-
 class ShuffleExchange:
-    """An in-flight overlapped redistribution.
+    """An in-flight overlapped redistribution (started on construction).
 
-    Constructed (not yet started) with the source tensor and destination
-    placement; :meth:`start` deposits this rank's payloads into a
-    nonblocking all-to-all and places the locally served pieces, after
-    which the caller is free to run any computation that does not need the
-    redistributed tensor.  :meth:`finish` drains the collective, assembles
-    the received pieces, verifies the destination block was covered
-    exactly, and returns the new
-    :class:`~repro.tensor.dist_tensor.DistTensor`.  :func:`start_shuffle`
-    is the construct-and-start convenience used on the hot path.
+    This rank's boxes are already sent and the locally served pieces
+    placed, so the caller is free to run any computation that does not
+    need the redistributed tensor.  :meth:`finish` assembles the received
+    pieces and returns the new
+    :class:`~repro.tensor.dist_tensor.DistTensor`.  Collective: every rank
+    must start the same shuffle at the same logical point.
     """
 
     def __init__(
@@ -228,116 +181,39 @@ class ShuffleExchange:
         dst_grid: ProcessGrid,
         dst_dist: Distribution,
         pool=None,
-        plan: ShufflePlan | None = None,
     ) -> None:
-        _validate(src, dst_grid, dst_dist)
-        self.src = src
-        self.dst_grid = dst_grid
-        self.dst_dist = dst_dist
-        self.plan = plan if plan is not None else plan_shuffle(src, dst_grid, dst_dist)
-        self._pool = pool
-        self._out: np.ndarray | None = None
-        self._request: Request | None = None
-        self._filled = 0
-        self._result: DistTensor | None = None
-
-    @property
-    def started(self) -> bool:
-        return self._out is not None
+        plan = plan_shuffle(src, dst_grid, dst_dist)
+        # Zero-init the new block; the plan's boxes tile it exactly.
+        out = np.zeros(plan.shape, dtype=src.dtype)
+        self._exchange = PlannedExchange(
+            src.comm, plan,
+            src.local, tuple(b for b, _ in src.bounds),
+            out, plan.lo,
+            opname=SHUFFLE_OP, stat=SHUFFLE_OP, pool=pool,
+        )
+        self._result = DistTensor(dst_grid, dst_dist, src.global_shape, out)
 
     @property
     def remaining(self) -> int:
         """Pieces not yet received and placed."""
-        if self._result is not None or self._request is None:
-            return 0
-        return len(self.plan.recvs)
-
-    def start(self) -> "ShuffleExchange":
-        """Deposit payloads into the nonblocking all-to-all and place the
-        locally served pieces.
-
-        Collective: every rank must start the same shuffle at the same
-        logical point (nonblocking collectives on a communicator are
-        sequence-matched in program order).  Depositing never blocks.
-        Returns ``self`` for chaining.
-        """
-        if self._out is not None:
-            raise RuntimeError("ShuffleExchange already started")
-        with _trace.span(
-            "shuffle.start",
-            cat="exchange",
-            bytes=int(self.plan.sent_cells * self.src.dtype.itemsize),
-        ):
-            return self._start()
-
-    def _start(self) -> "ShuffleExchange":
-        src = self.src
-        comm = src.comm
-        plan = self.plan
-
-        self._request = comm.ialltoall(
-            _stage_payloads(src, plan, self._pool),
-            opname=SHUFFLE_OP,
-            count_stats=False,
-        )
-        comm.stats.record_collective(
-            SHUFFLE_OP, plan.sent_cells * src.dtype.itemsize
-        )
-
-        # Zero-init the new block and place what we already own; remote
-        # pieces are assembled when the collective completes.
-        self._out = np.zeros(plan.out_shape, dtype=src.dtype)
-        for region in plan.local:
-            self._place(region, src._local_slice_of(region))
-        return self
-
-    def _place(self, region: Region, data: np.ndarray) -> None:
-        offset = tuple(
-            r[0] - b[0] for r, b in zip(region, self.plan.dst_bounds)
-        )
-        place_region(self._out, data, offset)
-        self._filled += _cells(region)
-
-    def _assemble(self, received: list) -> None:
-        for rank, region in self.plan.recvs:
-            self._place(region, received[rank])
-        self._check_coverage()
-        self._result = DistTensor(
-            self.dst_grid, self.dst_dist, self.plan.global_shape, self._out
-        )
+        return self._exchange.remaining
 
     def poll(self) -> int:
-        """Assemble if every peer has deposited; never blocks.
+        """Assemble whatever has landed; never blocks.
 
         Returns the number of pieces still outstanding.
         """
-        if self._result is None and self._request is not None:
-            if self._request.test():
-                self._assemble(self._request.wait())
-        return self.remaining
+        return self._exchange.poll()
 
     def finish(self) -> DistTensor:
-        """Drain the collective and return the redistributed tensor.
+        """Drain the exchange and return the redistributed tensor.
 
         Pieces target disjoint sub-regions of the destination block, so
         assembly order cannot change the result.  Idempotent: a repeated
         call returns the same tensor.
         """
-        if self._result is not None:
-            return self._result
-        if self._out is None:
-            self.start()
-        with _trace.span("shuffle.finish", cat="exchange", pending=self.remaining):
-            self._assemble(self._request.wait())
+        self._exchange.finish()
         return self._result
-
-    def _check_coverage(self) -> None:
-        expected = self._out.size
-        if self._filled != expected:
-            raise RuntimeError(
-                f"shuffle assembled {self._filled} elements but local block "
-                f"has {expected}; source distribution did not cover the tensor"
-            )
 
 
 def start_shuffle(
@@ -345,7 +221,6 @@ def start_shuffle(
     dst_grid: ProcessGrid,
     dst_dist: Distribution,
     pool=None,
-    plan: ShufflePlan | None = None,
 ) -> ShuffleExchange:
     """Begin an overlapped redistribution of ``src`` to ``dst_dist``.
 
@@ -354,7 +229,7 @@ def start_shuffle(
     consumed.  ``pool`` stages the send payloads through a
     :class:`~repro.comm.buffers.BufferPool` (deferred reclamation).
     """
-    return ShuffleExchange(src, dst_grid, dst_dist, pool=pool, plan=plan).start()
+    return ShuffleExchange(src, dst_grid, dst_dist, pool=pool)
 
 
 def shuffle(

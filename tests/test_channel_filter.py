@@ -249,8 +249,7 @@ class TestPlannedGather:
     """The plan-cached RegionExchange gather of the channel/filter layers
     assembles exactly what the plan-free ``gather_region`` reference
     fetches.  The kernels stay fused, so the exchange is finished right
-    after it starts and ``overlap_halo`` has no ``finish()`` to move: both
-    values run the same code."""
+    after it starts."""
 
     @pytest.mark.parametrize(
         "cls,grid_shape",
@@ -266,46 +265,42 @@ class TestPlannedGather:
         x = rng.standard_normal((2, 4, 9, 9))
         w = rng.standard_normal((4, 4, 3, 3))
 
-        def prog(comm, overlap):
+        def prog(comm):
             grid = ProcessGrid(comm, grid_shape)
             if cls is ChannelParallelConv2d:
                 dist = Distribution.make(grid_shape)
             else:
                 dist = _channel_replicated_dist(grid_shape, x.shape)
             xd = DistTensor.from_global(grid, dist, x)
-            conv = cls(grid, w, stride=1, pad=1, overlap_halo=overlap)
+            conv = cls(grid, w, stride=1, pad=1)
             outs = []
             for _ in range(2):  # second pass runs on the cached plan
                 y = conv.forward(xd)
-                lo, hi = conv._geom[("fwd", xd.dist, xd.global_shape)][:2]
+                (g,) = conv._geom.values()  # one geometry, built once
                 np.testing.assert_array_equal(
-                    conv._x_ext, xd.gather_region(lo, hi)
+                    conv._x_ext, xd.gather_region(g.lo, g.hi)
                 )
                 dyd = DistTensor.from_global(grid, y.dist, np.ones(y.global_shape))
                 dx, dw_local = conv.backward(dyd)
+                del conv._geom[next(reversed(conv._geom))]  # drop the bwd entry
                 outs.append((y.local.copy(), dx.local.copy(), dw_local.copy()))
             return outs
 
-        nranks = int(np.prod(grid_shape))
-        sync = run_spmd(nranks, prog, False)
-        overlapped = run_spmd(nranks, prog, True)
-        for outs_s, outs_o in zip(sync, overlapped):
-            for (y_s, dx_s, dw_s), (y_o, dx_o, dw_o) in zip(outs_s, outs_o):
-                np.testing.assert_array_equal(y_o, y_s)
-                np.testing.assert_array_equal(dx_o, dx_s)
-                np.testing.assert_array_equal(dw_o, dw_s)
+        for first, second in run_spmd(int(np.prod(grid_shape)), prog):
+            for a, b in zip(first, second):
+                np.testing.assert_array_equal(a, b)
 
-    def test_gathers_are_pt2pt_in_both_modes(self):
-        """Neither flag value issues all-to-all collectives for the region
-        gathers; traffic volume is recorded under the region_data stat."""
+    def test_gathers_are_pt2pt(self):
+        """The region gathers issue no all-to-all collectives; traffic
+        volume is recorded under the region_data stat."""
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 4, 8, 8))
         w = rng.standard_normal((4, 4, 3, 3))
 
-        def prog(comm, overlap):
+        def prog(comm):
             grid = ProcessGrid(comm, (1, 2, 2, 1))
             xd = DistTensor.from_global(grid, Distribution.make(grid.shape), x)
-            conv = ChannelParallelConv2d(grid, w, pad=1, overlap_halo=overlap)
+            conv = ChannelParallelConv2d(grid, w, pad=1)
             comm.stats.reset()
             y = conv.forward(xd)
             dyd = DistTensor.from_global(grid, y.dist, np.ones(y.global_shape))
@@ -316,11 +311,8 @@ class TestPlannedGather:
                 s.collective_bytes.get("region_data", 0),
             )
 
-        sync = run_spmd(4, prog, False)
-        overlapped = run_spmd(4, prog, True)
-        for (a2a_s, bytes_s), (a2a_o, bytes_o) in zip(sync, overlapped):
-            assert a2a_s == 0 and a2a_o == 0
-            assert bytes_o == bytes_s > 0
+        for a2a, nbytes in run_spmd(4, prog):
+            assert a2a == 0 and nbytes > 0
 
     def test_overlap_allreduce_pipelines_filter_blocks(self):
         """The piecewise forward launches one channel iallreduce per filter

@@ -194,10 +194,11 @@ class TestMeshTinyExactness:
 
 
 def flag_matrix_net():
-    """Sample-parallel stem feeding a spatial body: the r1 activation is
-    shuffled toward c2 *and* along the skip edge into ``j`` (in flight
-    behind c2/p2), p2 is a K > S pool whose windows straddle the partition,
-    and conv/bn/fc layers all carry gradients."""
+    """Sample-parallel stem feeding a spatial body: the r1 activation has
+    two consumers on the far side of the strategy cut — c2 and, along the
+    skip edge, ``j`` — which share one forward shuffle (in flight behind
+    c2/p2 for ``j``), p2 is a K > S pool whose windows straddle the
+    partition, and conv/bn/fc layers all carry gradients."""
     net = NetworkSpec("flag-matrix")
     net.add("input", "input", channels=2, height=12, width=12)
     net.add("c1", "conv", ["input"], filters=4, kernel=3, pad=1, bias=True)
@@ -222,7 +223,7 @@ def _flag_batch(spec):
 @functools.lru_cache(maxsize=None)
 def _flag_run(backend, overlap_halo, overlap_shuffle, overlap_grad_reduce):
     """Per rank: (loss trajectory as float.hex, region_data bytes, shuffle
-    bytes) of 3 steps under one flag combination."""
+    bytes, shuffles) of 3 steps under one flag combination."""
     spec = flag_matrix_net()
     x, t = _flag_batch(spec)
     sample = LayerParallelism(sample=4)
@@ -241,12 +242,13 @@ def _flag_run(backend, overlap_halo, overlap_shuffle, overlap_grad_reduce):
         )
         trainer = DistTrainer(net, SGD(lr=0.1))
         losses = [trainer.step(x, t) for _ in range(FLAG_STEPS)]
-        assert net.shuffle_count > 0
         rows = comm.stats.collective_bytes
+        assert net.shuffle_count == comm.stats.collectives["shuffle"]
         return (
             [float(v).hex() for v in losses],
             rows.get("region_data", 0),
             rows.get("shuffle", 0),
+            net.shuffle_count,
         )
 
     return run_spmd(4, prog, backend=backend)
@@ -266,11 +268,14 @@ class TestOverlapFlagMatrix:
         default = _flag_run(backend, True, True, True)
         got = _flag_run(backend, *flags)
         assert got == default
-        assert all(rd > 0 and sh > 0 for _, rd, sh in got)
+        assert all(rd > 0 and sh > 0 for _, rd, sh, _ in got)
+        # Per step: r1 is redistributed once for both of its consumers
+        # (c2 and the skip edge into j); each sends its error signal back.
+        assert all(count == FLAG_STEPS * (1 + 2) for *_, count in got)
 
         spec = flag_matrix_net()
         ref_losses, _ = run_local(spec, *_flag_batch(spec), steps=FLAG_STEPS)
-        for hexes, _, _ in got:
+        for hexes, *_ in got:
             np.testing.assert_allclose(
                 [float.fromhex(h) for h in hexes], ref_losses, rtol=RTOL
             )
@@ -376,9 +381,10 @@ class TestDeadInputGradient:
 
     def test_no_shuffle_toward_an_input(self):
         run = _dead_input_run("thread")
-        # One forward shuffle per edge out of the input, none back.
-        for label, edges in (("conv", 1), ("pool", 1), ("bn", 1), ("skip", 2)):
-            assert run[label, "sample-spatial"][2] == DEAD_STEPS * edges
+        # One forward shuffle of the input (in "skip", both of its
+        # consumers read the same redistributed tensor), none back.
+        for label in ("conv", "pool", "bn", "skip"):
+            assert run[label, "sample-spatial"][2] == DEAD_STEPS
             assert run[label, "spatial"][2] == 0
 
     def test_layer_default_still_returns_dx(self):

@@ -1,4 +1,6 @@
-"""Process grids, distributions, and the DistTensor region primitives."""
+"""Process grids, distributions, and the plan-free ``gather_region`` oracle
+(the planned transfers are checked against it in
+``test_transfer_property.py``)."""
 
 import numpy as np
 import pytest
@@ -8,9 +10,7 @@ from hypothesis import strategies as st
 from repro.comm import run_spmd
 from repro.tensor import DistTensor, Distribution, ProcessGrid
 from repro.tensor.distribution import DimKind
-from repro.tensor.halo import start_region_exchange
 from repro.tensor.indexing import extract_padded
-from repro.tensor.shuffle import ShuffleExchange
 
 
 def make_grid_prog(grid_shape, dist, global_array, body):
@@ -230,136 +230,6 @@ class TestGatherRegion:
             return True
 
         assert all(run_spmd(4, make_grid_prog((2, 2), dist, x, body)))
-
-
-class TestScatterRegionAdd:
-    def test_reverse_halo_accumulation(self):
-        """Each rank scatters a region one cell wider than its block; interior
-        overlaps accumulate, out-of-range parts are dropped."""
-        dist = Distribution.make((2,))
-
-        def prog(comm):
-            grid = ProcessGrid(comm, (2,))
-            dt = DistTensor.zeros(grid, dist, (8,))
-            lo, hi = dt.bounds[0]
-            region = np.ones(hi - lo + 2)
-            dt.scatter_region_add(region, (lo - 1,))
-            return dt.to_global()
-
-        for got in run_spmd(2, prog):
-            # Interior boundary cells (3 and 4) get contributions from both
-            # ranks; edge cells' out-of-range contributions are dropped.
-            np.testing.assert_array_equal(
-                got, [1, 1, 1, 2, 2, 1, 1, 1]
-            )
-
-    def test_scatter_gather_adjoint(self):
-        """<gather(x), y> == <x, scatter_add(y)> — the two primitives are
-        adjoint linear maps, the property conv backprop relies on."""
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((6, 6))
-        dist = Distribution.make((2, 2))
-        lo, hi = (-1, 2), (4, 7)
-        y = rng.standard_normal(tuple(h - b for b, h in zip(lo, hi)))
-
-        def prog(comm):
-            grid = ProcessGrid(comm, (2, 2))
-            dt = DistTensor.from_global(grid, dist, x)
-            gathered = dt.gather_region(lo, hi) if comm.rank == 0 else dt.gather_region((0, 0), (0, 0))
-            acc = DistTensor.zeros(grid, dist, x.shape)
-            if comm.rank == 0:
-                acc.scatter_region_add(y, lo)
-            else:
-                acc.scatter_region_add(np.zeros((0, 0)), (0, 0))
-            sy = acc.to_global()
-            return gathered, sy
-
-        results = run_spmd(4, prog)
-        gathered = results[0][0]
-        scattered = results[0][1]
-        lhs = float((gathered * y).sum())
-        rhs = float((x * scattered).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_replica_consistency(self):
-        """Scatter-add on a replicated-dim tensor keeps replicas identical."""
-        dist = Distribution.make((2, 2), replicated_axes=[0])
-
-        def prog(comm):
-            grid = ProcessGrid(comm, (2, 2))
-            dt = DistTensor.zeros(grid, dist, (3, 8))
-            lo, hi = dt.bounds[1]
-            dt.scatter_region_add(np.ones((3, hi - lo)), (0, lo))
-            return dt.local.copy()
-
-        shards = run_spmd(4, prog)
-        np.testing.assert_array_equal(shards[0], shards[2])
-        np.testing.assert_array_equal(shards[1], shards[3])
-        assert shards[0].sum() == 3 * 4
-
-
-def _finish_region_exchange_twice(comm):
-    x = np.arange(32.0).reshape(1, 1, 8, 4)
-    grid = ProcessGrid(comm, (1, 1, 2, 1))
-    dist = Distribution.make(grid.shape)
-    dt = DistTensor.from_global(grid, dist, x)
-    regions = []
-    for r in range(comm.size):
-        b = dist.local_bounds(x.shape, grid.coords_of(r))
-        regions.append(
-            ((0, 0, b[2][0] - 1, 0), (1, 1, b[2][1] + 1, 4))
-        )
-    lo, hi = regions[comm.rank]
-    ex = start_region_exchange(dt, lo, hi, regions)
-    first = ex.finish()
-    np.testing.assert_array_equal(first, extract_padded(x, lo, hi))
-    snapshot = first.copy()
-    second = ex.finish()
-    assert second is first and ex.remaining == 0
-    np.testing.assert_array_equal(second, snapshot)
-
-
-def _finish_shuffle_exchange_twice(comm):
-    x = np.arange(32.0).reshape(8, 4)
-    src_grid, dst_grid = ProcessGrid(comm, (2, 1)), ProcessGrid(comm, (1, 2))
-    src = DistTensor.from_global(src_grid, Distribution.make((2, 1)), x)
-    dst_dist = Distribution.make((1, 2))
-    ex = ShuffleExchange(src, dst_grid, dst_dist)
-    assert not ex.started  # finish() on an unstarted exchange starts it
-    first = ex.finish()
-    want = DistTensor.from_global(dst_grid, dst_dist, x)
-    np.testing.assert_array_equal(first.local, want.local)
-    assert ex.finish() is first
-    np.testing.assert_array_equal(first.local, want.local)
-
-
-def _finish_scatter_add_twice(comm):
-    grid = ProcessGrid(comm, (1, 1, 2, 1))
-    dt = DistTensor.zeros(grid, Distribution.make(grid.shape), (1, 1, 8, 4))
-    h_lo, h_hi = dt.bounds[2]
-    region = np.ones((1, 1, h_hi - h_lo + 2, 4))
-    ex = dt.start_scatter_region_add(region, (0, 0, h_lo - 1, 0))
-    ex.finish()
-    # Own 4 rows x 4 cols, plus the neighbour's one-row overhang.
-    assert dt.local.sum() == 20.0
-    ex.finish()
-    assert dt.local.sum() == 20.0  # remote contributions fold in once
-
-
-@pytest.mark.parametrize(
-    "case",
-    [
-        _finish_region_exchange_twice,
-        _finish_shuffle_exchange_twice,
-        _finish_scatter_add_twice,
-    ],
-    ids=["RegionExchange", "ShuffleExchange", "ScatterAddExchange"],
-)
-def test_exchange_finish_is_idempotent(case):
-    """Sync mode is an early ``finish()`` followed by the usual one, so a
-    repeated ``finish()`` must return the same object / leave the same
-    bits on every exchange class."""
-    run_spmd(2, case)
 
 
 class TestDistTensorValidation:

@@ -19,8 +19,9 @@ import pytest
 from conftest import reduce_for_process
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
-from repro.core.dist_conv import DistConv2d, _frame_pieces
+from repro.core.dist_conv import DistConv2d
 from repro.core.dist_layers import DistPool2d
+from repro.core.window import _frame_pieces
 from repro.core.parallelism import activation_dist
 from repro.nn import NetworkSpec, SGD
 from repro.nn import functional as F
@@ -200,22 +201,23 @@ class TestPoolAgainstGlobalArray:
         k, s = 3, 2
 
         def prog(comm):
-            layer = DistPool2d(ProcessGrid(comm, (1, 1, 1, 1)), mode, k, s, 0)
-            if mode == "max":
-                fused, fused_arg = F.maxpool2d_forward(x_ext, k, s, 0)
-            else:
-                fused, fused_arg = F.avgpool2d_forward(x_ext, k, s, 0), None
-            oh, ow = fused.shape[2:]
-            yb = ((0, 2), (0, 3), (0, oh), (0, ow))
-            pieces = _frame_pieces(yb[2], yb[3], (1, oh - 1), (2, ow - 1))
+            grid = ProcessGrid(comm, (1, 1, 1, 1))
+            layer = DistPool2d(grid, mode, k, s, 0)
+            xd = DistTensor.from_global(
+                grid, activation_dist(grid.shape, x_ext.shape), x_ext
+            )
+            g = layer._geometry(xd)
+            fused = layer._pool_piece(x_ext, g, g.bounds[2], g.bounds[3])
+            oh, ow = fused[0].shape[2:]
+            pieces = _frame_pieces(g.bounds[2], g.bounds[3], (1, oh - 1), (2, ow - 1))
             assert len(pieces) == 5
-            y = np.full(fused.shape, np.nan)
-            argmax = np.full(fused.shape, -1, dtype=np.int64)
+            outs = [np.full(fused[0].shape, -1, dtype=f.dtype) for f in fused]
             for rows, cols, _ in pieces:
-                layer._pool_piece(x_ext, yb, rows, cols, y, argmax)
-            np.testing.assert_array_equal(y, fused)
-            if mode == "max":
-                np.testing.assert_array_equal(argmax, fused_arg)
+                for out, piece in zip(outs, layer._pool_piece(x_ext, g, rows, cols)):
+                    out[g.block_index(rows, cols)] = piece
+            assert len(outs) == (2 if mode == "max" else 1)  # y (+ argmax)
+            for out, f in zip(outs, fused):
+                np.testing.assert_array_equal(out, f)
             return True
 
         assert all(run_spmd(1, prog))

@@ -180,14 +180,38 @@ class TestTrainingSimulator:
         assert sim_off.minibatch_time >= sim_on.minibatch_time
 
         # The analytic breakdown charges every shuffle its payload, fully
-        # exposed, in both modes (2 edges x fwd+bwd = 4 shuffles here).
-        bd_on = model.cost(n, strategy)
-        bd_off = NetworkCostModel(
-            spec, LASSEN, overlap_shuffle=False
-        ).cost(n, strategy)
-        assert bd_on.shuffle_total == pytest.approx(2 * (s_c0 + s_a1))
-        assert bd_on.shuffle_exposed == pytest.approx(bd_on.shuffle_total)
-        assert bd_off.shuffle_exposed == bd_off.shuffle_total
+        # exposed (2 edges x fwd+bwd = 4 shuffles here).
+        bd = model.cost(n, strategy)
+        assert bd.shuffle_total == pytest.approx(2 * (s_c0 + s_a1))
+        assert bd.shuffle_exposed == bd.shuffle_total
+
+    def test_one_forward_shuffle_per_parent_and_target_grid(self):
+        """Two consumers of one activation on the far side of a strategy cut
+        read the same redistributed tensor: model and simulator charge one
+        forward shuffle (as the engine launches one), and one backward
+        shuffle per edge."""
+        spec = NetworkSpec("shared-shuffle")
+        spec.add("input", "input", channels=4, height=16, width=16)
+        spec.add("c0", "conv", ["input"], filters=8, kernel=3, pad=1)
+        spec.add("a1", "conv", ["c0"], filters=8, kernel=3, pad=1)
+        spec.add("join", "add", ["a1", "c0"])
+        strategy = ParallelStrategy(
+            {"input": LP(sample=4), "c0": LP(sample=4)},
+            default=LP(height=2, width=2),
+        )
+        n = 8
+        model = NetworkCostModel(spec, LASSEN)
+        s_c0 = model.shuffle_edge_cost("c0", n, strategy)
+        assert model.cost(n, strategy).shuffle_total == pytest.approx(3 * s_c0)
+
+        for overlap_shuffle in (True, False):
+            tasks = TrainingStepSimulator(
+                spec, LASSEN, overlap_shuffle=overlap_shuffle
+            ).simulate(n, strategy).engine._tasks
+            shuffles = sorted(t for t in tasks if ":shuf:" in t)
+            assert shuffles == [
+                "bwd:shuf:a1->c0", "bwd:shuf:join->c0", "fwd:shuf:c0->a1"
+            ]
 
     def test_no_error_signal_tasks_below_first_parameterised_layer(self):
         """Same predicate as the engine: the first conv has a filter task
