@@ -294,9 +294,6 @@ class DistAdd:
             out += x.local
         return DistTensor(self.grid, first.dist, first.global_shape, out)
 
-    def backward(self, dy: DistTensor, nparents: int) -> list[DistTensor]:
-        return [dy for _ in range(nparents)]
-
 
 class DistGlobalAvgPool:
     """Global average pooling: local spatial sums + allreduce over the
@@ -433,7 +430,7 @@ class DistBCEWithLogits:
 
     def forward_loss(self, logits: DistTensor, targets: np.ndarray) -> float:
         b = logits.bounds
-        t_local = targets[
+        t_local = np.asarray(targets, dtype=logits.dtype)[
             b[0][0] : b[0][1], b[1][0] : b[1][1], b[2][0] : b[2][1], b[3][0] : b[3][1]
         ]
         count_global = float(np.prod(logits.global_shape))

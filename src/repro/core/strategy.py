@@ -35,6 +35,7 @@ from repro.perfmodel.machine import MachineSpec
 from repro.perfmodel.memory import MemoryModel
 from repro.perfmodel.network_cost import NetworkCostModel
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
+from repro.core.schedule import lower
 
 #: Layer kinds that choose their own distribution; the rest inherit.
 DECISION_KINDS = ("conv", "fc")
@@ -95,6 +96,8 @@ class StrategyOptimizer:
         self.memory = MemoryModel(spec, machine)
         self.check_memory = check_memory
         self.shapes = spec.infer_shapes()
+        #: ``_shuffle_cost`` by (layer, is its input edge a cut?).
+        self._cut_price: dict[tuple[str, bool], float] = {}
 
     # -- candidate generation ----------------------------------------------------
     def candidates(self, name: str) -> list[LayerParallelism]:
@@ -155,12 +158,25 @@ class StrategyOptimizer:
                 total += cost.fp_time() + cost.bp_time()
         return total
 
-    def _shuffle_cost(self, parent: str, pa: LayerParallelism, pb: LayerParallelism) -> float:
-        if pa.grid_shape == pb.grid_shape:
-            return 0.0
-        c, h, w = self.shapes[parent]
-        nbytes = float(self.n_global) * c * h * w * self.machine.dtype_bytes
-        return 2 * self.cost_model._shuffle_cost(nbytes, self.total_ranks)
+    def _shuffle_cost(self, name: str, pa: LayerParallelism, pb: LayerParallelism) -> float:
+        """Price of running decision layer ``name`` under ``pb`` when the
+        segment feeding it runs under ``pa``: the shuffles the lowered
+        schedule issues on the edges into ``name`` — the tensor crossing
+        the cut is its parent's, the last inherit-layer of that segment;
+        forward once, backward iff that parent takes an error signal —
+        each at the cost model's price.  Which tensors cross, and the
+        price of moving them, depend on the pair only through whether it is
+        a cut at all, so one lowering per (layer, cut?) serves every
+        candidate pair."""
+        key = (name, pa == pb)
+        if key not in self._cut_price:
+            strategy = ParallelStrategy({name: pb}, default=pa)
+            cut = lower(self.spec, strategy, self.n_global)
+            self._cut_price[key] = sum(
+                self.cost_model.shuffle_edge_cost(s.parent, self.n_global, strategy)
+                for e in cut[name].edges for s in (e.fwd, e.bwd) if s
+            )
+        return self._cut_price[key]
 
     # -- path optimization ----------------------------------------------------------
     def _decision_graph(self) -> nx.DiGraph:
@@ -227,7 +243,7 @@ class StrategyOptimizer:
                         prev_name = prev[0]
                         prev_par = g.nodes[prev]["par"]
                         w = self._layer_cost(prev_name, prev_par)
-                        w += self._shuffle_cost(prev_name, prev_par, par)
+                        w += self._shuffle_cost(name, prev_par, par)
                         g.add_edge(prev, node, weight=w)
             prev_nodes = nodes
         g.add_node(("sink",))

@@ -207,38 +207,35 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
     """Run ``TrainingStepSimulator`` for the given net/strategy and distil
     per-layer predictions the analyzer can set against measured spans.
 
-    Per-layer modeled time is the window (last finish − first start) of
-    that layer's simulated tasks, matching what the runtime's
-    ``fwd:{layer}``/``bwd:{layer}`` spans measure; allreduce bytes come
-    from ``NetworkCostModel.layer_cost``.
+    Joined on op id: a layer's modeled time is the window (last finish −
+    first start) of the simulated tasks of its ``fwd:{layer}`` /
+    ``bwd:{layer}`` op — the ids the runtime's layer spans carry; allreduce
+    bytes come from ``NetworkCostModel.layer_cost``.
     """
     from repro.sim.training_sim import TrainingStepSimulator
 
     sim = TrainingStepSimulator(spec, machine, **sim_kwargs)
     res = sim.simulate(n_global, strategy)
-    eng = res.engine
 
-    windows: dict = defaultdict(lambda: {"start": None, "finish": None})
-    for task in eng.tasks():
-        parts = task.name.split(":")
-        if len(parts) < 2 or parts[0] not in ("fwd", "bwd") or parts[1] == "shuf":
-            continue
-        slot = windows[(parts[0], parts[1])]
-        slot["start"] = task.start if slot["start"] is None else min(slot["start"], task.start)
-        slot["finish"] = task.finish if slot["finish"] is None else max(slot["finish"], task.finish)
+    windows: dict = {}
+    for task in res.engine.tasks():
+        lo, hi = windows.get(task.op, (task.start, task.finish))
+        windows[task.op] = (min(lo, task.start), max(hi, task.finish))
+
+    def seconds(op_id: str) -> float:
+        lo, hi = windows.get(op_id, (0.0, 0.0))
+        return hi - lo
 
     layers = {}
     ar_bytes_total = 0
     for layer in spec.topo_order():
         name = layer.name
         cost = sim.cost_model.layer_cost(name, n_global, strategy)
-        fwd = windows.get(("fwd", name))
-        bwd = windows.get(("bwd", name))
-        ar_bytes = int(getattr(cost, "allreduce_bytes", 0) or 0) if cost is not None else 0
+        ar_bytes = int(cost.allreduce_bytes) if cost is not None else 0
         ar_bytes_total += ar_bytes
         layers[name] = {
-            "fwd_s": (fwd["finish"] - fwd["start"]) if fwd else 0.0,
-            "bwd_s": (bwd["finish"] - bwd["start"]) if bwd else 0.0,
+            "fwd_s": seconds(f"fwd:{name}"),
+            "bwd_s": seconds(f"bwd:{name}"),
             "ar_bytes": ar_bytes,
         }
     return {

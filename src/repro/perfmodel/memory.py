@@ -1,8 +1,8 @@
 """Per-GPU memory model (the feasibility side of strategy selection).
 
 LBANN statically allocates, for every layer, both its output activations
-and its output error signal (here: for every layer that needs one, see
-:meth:`~repro.nn.graph.NetworkSpec.needs_error_signal`); training
+and its output error signal (here: for every layer the lowered schedule
+runs backward, see :func:`repro.core.schedule.backward_set`); training
 additionally holds the replicated
 parameters, their gradients, optimizer state, convolution workspace, and
 communication buffers.  This model reproduces the paper's feasibility
@@ -22,6 +22,7 @@ from repro.nn.graph import NetworkSpec
 from repro.perfmodel.machine import MachineSpec
 from repro.perfmodel.layer_cost import local_extents
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
+from repro.core.schedule import backward_set
 
 
 @dataclass
@@ -74,7 +75,7 @@ class MemoryModel:
         self.spec = spec
         self.machine = machine
         self.shapes = spec.infer_shapes()
-        self.needs_dy = spec.needs_error_signal()
+        self._runs_backward = backward_set(spec)[0]
 
     def breakdown(
         self, n_global: int, strategy: ParallelStrategy | LayerParallelism
@@ -92,7 +93,7 @@ class MemoryModel:
             out_bytes = float(i_n) * c * i_h * i_w * db
             m.per_layer_activations[layer.name] = out_bytes
             m.activations += out_bytes
-            if layer.name in self.needs_dy:
+            if layer.name in self._runs_backward:
                 m.error_signals += out_bytes
             if layer.kind == "bn":
                 m.bn_saved += out_bytes  # xhat

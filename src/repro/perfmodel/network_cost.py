@@ -14,10 +14,12 @@ Extends the per-layer model to a full network:
 * ``allreduce_bucket_bytes`` additionally models the engine's bucketed
   reducer: consecutive gradients of the same group are coalesced until the
   bucket fills, amortizing per-collective latency — the analytic
-  counterpart of :class:`repro.core.grad_reducer.BucketedGradReducer`;
-* a layer whose parent needs no error signal
-  (:meth:`~repro.nn.graph.NetworkSpec.needs_error_signal`) is charged no
-  backward-data kernel, error-signal halo or shuffle, as in the engine.
+  counterpart of :class:`repro.core.grad_reducer.BucketedGradReducer`.
+
+What a step *does* — which edges shuffle, which layers run backward and
+with a ``dx``, where a bucket is cut — is read off the lowered schedule
+(:func:`repro.core.schedule.lower`) the engine interprets; this module only
+prices it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ from repro.perfmodel.layer_cost import (
 )
 from repro.perfmodel.machine import MachineSpec
 from repro.core.parallelism import ParallelStrategy
+from repro.core.schedule import (
+    GradBucket,
+    StepSchedule,
+    backward_set,
+    cut_buckets,
+    lower,
+)
 
 
 @dataclass
@@ -56,6 +65,12 @@ class NetworkCostBreakdown:
     shuffle_exposed: float = 0.0
     optimizer_total: float = 0.0
     per_layer: dict[str, ConvLayerCost] = field(default_factory=dict)
+    #: The lowered step that was priced, the gradient buckets cut on it
+    #: (``allreduce_bucket_bytes``), and the seconds charged per shuffle
+    #: and bucket op id — what the task-graph simulator schedules.
+    schedule: StepSchedule | None = None
+    buckets: list[GradBucket] = field(default_factory=list)
+    comm_ops: dict[str, float] = field(default_factory=dict)
 
     @property
     def minibatch_time(self) -> float:
@@ -101,7 +116,7 @@ class NetworkCostModel:
         #: use one selection rule.
         self.allreduce_algorithm = allreduce_algorithm
         self.shapes = spec.infer_shapes()
-        self.needs_dy = spec.needs_error_signal()
+        self._need_dx = backward_set(spec)[1]
 
     # -- per-layer costing -------------------------------------------------------
     def layer_cost(
@@ -111,9 +126,7 @@ class NetworkCostModel:
         cost, minus BPx (kernel, halo, boundary launches) when no parent
         needs the error signal."""
         cost = self._isolated_layer_cost(name, n_global, strategy)
-        if cost is not None and not any(
-            p in self.needs_dy for p in self.spec[name].parents
-        ):
+        if cost is not None and name not in self._need_dx:
             # Fraction 1 = "backward not decomposed", which is what makes
             # ``bpx_boundary_launch`` 0: no data kernel, no launches to split.
             cost = replace(
@@ -212,65 +225,50 @@ class NetworkCostModel:
             )
         return None  # input / loss layers
 
-    def _shuffle_cost(
-        self, nbytes_global: float, nranks: int
-    ) -> float:
-        """Shuffle(D_i, D_j): all-to-all moving ~1/P of the tensor per pair."""
-        if nranks <= 1:
-            return 0.0
-        link = self.machine.link_for_group(nranks)
-        per_pair = nbytes_global / (nranks * nranks)
-        return alltoall_time(nranks, per_pair, link)
-
     def shuffle_edge_cost(self, parent: str, n_global: int, strategy) -> float:
         """Payload time of one redistribution of ``parent``'s activation
-        (one direction — forward and backward each pay it once).  This is
-        the duration the training-step simulator assigns its shuffle tasks,
-        guarded by ``tests/test_sim.py`` the same way ``boundary_fraction``
-        guards the halo decomposition."""
+        (one direction), Shuffle(D_i, D_j): an all-to-all moving ~1/P of
+        the tensor per pair.  The price of every
+        :class:`~repro.core.schedule.ShuffleOp`, here and in the simulator."""
+        nranks = strategy.nranks
+        if nranks <= 1:
+            return 0.0
         c, h, w = self.shapes[parent]
         nbytes = float(n_global) * c * h * w * self.machine.dtype_bytes
-        return self._shuffle_cost(nbytes, strategy.nranks)
+        link = self.machine.link_for_group(nranks)
+        return alltoall_time(nranks, nbytes / (nranks * nranks), link)
 
     # -- whole network -------------------------------------------------------------
     def cost(self, n_global: int, strategy: ParallelStrategy) -> NetworkCostBreakdown:
-        bd = NetworkCostBreakdown()
-        order = self.spec.topo_order()
+        sched = lower(self.spec, strategy, n_global)
+        bd = NetworkCostBreakdown(schedule=sched)
         db = self.machine.dtype_bytes
 
-        # Forward pass + shuffles where adjacent distributions differ.
-        fwd_shuffled: set[tuple[str, tuple]] = set()
-        for layer in order:
-            cost = self.layer_cost(layer.name, n_global, strategy)
+        # Forward pass, and every shuffle at the layer that issues it: the
+        # forward one at its first consumer, the backward one at its child.
+        for op in sched.layers:
+            cost = self.layer_cost(op.name, n_global, strategy)
             if cost is not None:
-                bd.per_layer[layer.name] = cost
+                bd.per_layer[op.name] = cost
                 bd.fp_total += cost.fp_time(self.overlap)
-            target = strategy.for_layer(layer.name).grid_shape
-            for p in layer.parents:
-                if strategy.for_layer(p).grid_shape != target:
-                    # Forward redistributes a parent once per target grid
-                    # (every child there reads the same tensor); backward
-                    # shuffles once per edge when the parent takes an
-                    # error signal.
-                    fwd = (p, target) not in fwd_shuffled
-                    fwd_shuffled.add((p, target))
-                    edge = (fwd + (p in self.needs_dy)) * self.shuffle_edge_cost(
-                        p, n_global, strategy
-                    )
-                    bd.shuffle_total += edge
-                    bd.shuffle_exposed += edge
+            for e in op.edges:
+                issued = [
+                    s for s in (e.fwd, e.bwd)
+                    if s is not None and s.consumers[0] == op.name
+                ]
+                if issued:
+                    one = self.shuffle_edge_cost(e.parent, n_global, strategy)
+                    bd.comm_ops.update((s.op_id, one) for s in issued)
+                    bd.shuffle_total += len(issued) * one
+                    bd.shuffle_exposed += len(issued) * one
 
-        # Backward pass with greedy allreduce overlap: walk layers in
-        # reverse; each allreduce starts when its layer's backprop ends and
-        # the (single) communication channel is free.  With bucketing,
-        # consecutive gradients of the same group are coalesced first.
+        # Backward pass with greedy allreduce overlap: walk the backward
+        # list; each allreduce starts when its layer's backprop ends and
+        # the (single) communication channel is free.  With bucketing, a
+        # bucket goes out after the layer that fills it, the rest at the end.
         t = 0.0
         ar_free_at = 0.0
         ar_end = 0.0
-        # Buckets are keyed by gradient-group *identity* — (group size,
-        # grid shape) — matching the engine's per-communicator buckets:
-        # same-sized groups over different axes must not be coalesced.
-        pending: dict[tuple, float] = {}
 
         def start_allreduce(duration: float) -> None:
             nonlocal ar_free_at, ar_end
@@ -279,40 +277,43 @@ class NetworkCostModel:
             ar_end = ar_free_at
             bd.allreduce_total += duration
 
-        def flush_bucket(key: tuple) -> None:
-            nbytes = pending.pop(key, 0.0)
-            group = key[0]
-            if nbytes > 0:
-                start_allreduce(
-                    allreduce_time(
-                        group, nbytes, self.machine.link_for_group(group),
-                        self.allreduce_algorithm,
-                    )
+        if self.overlap_allreduce and self.allreduce_bucket_bytes:
+            # The schedule's cut rule over the bytes and group this model
+            # prices each layer's dL/dw allreduce at.
+            bd.buckets = cut_buckets(
+                (
+                    (op.name, (c.allreduce_group, op.grid_shape), c.allreduce_bytes)
+                    for op in sched.backward
+                    if (c := bd.per_layer.get(op.name)) is not None
+                    and c.allreduce > 0 and c.allreduce_bytes > 0
+                ),
+                self.allreduce_bucket_bytes,
+            )
+            for b in bd.buckets:
+                bd.comm_ops[b.op_id] = allreduce_time(
+                    b.group[0], b.nbytes, self.machine.link_for_group(b.group[0]),
+                    self.allreduce_algorithm,
                 )
-
-        bucketing = bool(self.overlap_allreduce and self.allreduce_bucket_bytes)
-        for layer in reversed(order):
-            cost = bd.per_layer.get(layer.name)
+        bucket_of = {name: b for b in bd.buckets for name in b.layers}
+        for op in sched.backward:
+            cost = bd.per_layer.get(op.name)
             if cost is None:
                 continue
             t += cost.bp_time(self.overlap)
-            if cost.allreduce > 0:
-                if bucketing and cost.allreduce_bytes > 0:
-                    key = (
-                        cost.allreduce_group,
-                        strategy.for_layer(layer.name).grid_shape,
-                    )
-                    pending[key] = pending.get(key, 0.0) + cost.allreduce_bytes
-                    if pending[key] >= self.allreduce_bucket_bytes:
-                        flush_bucket(key)
-                elif self.overlap_allreduce:
+            b = bucket_of.get(op.name)
+            if b is not None:
+                if b.full and b.layers[-1] == op.name:
+                    start_allreduce(bd.comm_ops[b.op_id])
+            elif cost.allreduce > 0:
+                if self.overlap_allreduce:
                     start_allreduce(cost.allreduce)
                 else:
                     t += cost.allreduce
                     ar_end = t
                     bd.allreduce_total += cost.allreduce
-        for key in list(pending):
-            flush_bucket(key)
+        for b in bd.buckets:
+            if not b.full:
+                start_allreduce(bd.comm_ops[b.op_id])
         bd.bp_compute_total = t
         if self.overlap_allreduce:
             # Greedy channel model, floored by the machine's overlap

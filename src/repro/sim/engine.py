@@ -20,6 +20,9 @@ class Task:
     duration: float
     resource: str
     deps: tuple[str, ...] = ()
+    #: Id of the schedule op this task belongs to (its own name when the
+    #: op is a single task): what measured spans are joined on.
+    op: str = ""
     start: float = field(default=-1.0, init=False)
     finish: float = field(default=-1.0, init=False)
 
@@ -35,13 +38,15 @@ class SimEngine:
         self._tasks: dict[str, Task] = {}
         self._order: list[str] = []
 
-    def add(self, name: str, duration: float, resource: str, deps=()) -> Task:
+    def add(
+        self, name: str, duration: float, resource: str, deps=(), op: str | None = None
+    ) -> Task:
         if name in self._tasks:
             raise ValueError(f"duplicate task {name!r}")
         for d in deps:
             if d not in self._tasks:
                 raise ValueError(f"task {name!r} depends on unknown {d!r}")
-        t = Task(name, float(duration), resource, tuple(deps))
+        t = Task(name, float(duration), resource, tuple(deps), op or name)
         self._tasks[name] = t
         self._order.append(name)
         return t

@@ -18,18 +18,25 @@ Builds, for the critical-path rank, the §IV schedule:
   matching the engine's overlapped backward;
 * each layer's dL/dw allreduce is queued on the communication stream as
   soon as its filter convolution finishes (one allreduce at a time);
-* inter-layer *shuffles* (§III-C redistributions where adjacent layers'
-  grids differ) are communication-stream tasks whose dependencies mirror
-  the engine's overlapped :class:`~repro.tensor.shuffle.ShuffleExchange`:
-  a forward shuffle becomes ready the moment its *producer* finishes (not
-  when the consumer is reached), so it hides behind sibling-branch compute
-  in DAGs and contends with allreduces for the communication channel; the
-  backward error-signal shuffle likewise becomes ready with the producing
-  layer's data convolution;
-* error signals exist only where the engine computes them
-  (:meth:`~repro.nn.graph.NetworkSpec.needs_error_signal`): a layer whose
-  parent needs none has a filter task but no data or halo task and sends no
-  error-signal shuffle, and a layer that needs none has no backward tasks;
+* the step's communication ops are the lowered schedule's
+  (:func:`repro.core.schedule.lower`, priced by the cost model) — the
+  engine interprets the same list, so there is no task here for a transfer
+  the engine does not make:
+
+  - a forward *shuffle* (§III-C) is a communication-stream task that
+    becomes ready the moment its *producer* finishes (not when the consumer
+    is reached), so it hides behind sibling-branch compute in DAGs and
+    contends with allreduces for the channel; the backward error-signal
+    shuffle likewise becomes ready with the producing layer's data
+    convolution;
+  - a layer that computes no ``dx`` has a filter task but no data or halo
+    task, and a layer backward does not reach has no backward tasks;
+  - with ``allreduce_bucket_bytes``, the dL/dw payloads of one gradient
+    bucket are one comm-stream task that becomes ready when its *last*
+    contributor's filter convolution finishes, amortizing per-collective
+    latency at the price of a slightly later start — the trade the engine's
+    :class:`~repro.core.grad_reducer.BucketedGradReducer` makes;
+
 * the optimizer step waits for all compute and all allreduces.
 
 With ``overlap_halo=False`` / ``overlap_allreduce=False`` /
@@ -38,22 +45,13 @@ finished where it starts waits for *all* preceding compute and gates
 everything after it; its duration is the same payload time (the engine
 runs one exchange implementation in both modes).  The ablation benchmarks
 toggle exactly these.
-
-``allreduce_bucket_bytes`` mirrors the engine's bucketed gradient reducer
-(:class:`repro.core.grad_reducer.BucketedGradReducer`): consecutive layers'
-dL/dw payloads destined for the same gradient group are coalesced into one
-comm-stream task that becomes ready when its *last* contributor's filter
-convolution finishes, amortizing per-collective latency at the price of a
-slightly later start — exactly the trade the real reducer makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.comm.collective_models import allreduce_time
 from repro.nn.graph import NetworkSpec
-from repro.perfmodel.layer_cost import ConvLayerCost
 from repro.perfmodel.machine import MachineSpec
 from repro.perfmodel.network_cost import NetworkCostModel
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
@@ -102,6 +100,8 @@ class TrainingStepSimulator:
         # re-derives the *schedule*, never the kernel times.
         self.cost_model = NetworkCostModel(
             spec, machine, conv_model=conv_model, overlap=True,
+            overlap_allreduce=overlap_allreduce,
+            allreduce_bucket_bytes=allreduce_bucket_bytes,
             allreduce_algorithm=allreduce_algorithm,
         )
 
@@ -111,214 +111,140 @@ class TrainingStepSimulator:
         if isinstance(strategy, LayerParallelism):
             strategy = ParallelStrategy.uniform(strategy)
         eng = SimEngine()
-        order = [layer for layer in self.spec.topo_order() if layer.kind != "input"]
-        costs: dict[str, ConvLayerCost] = {}
-        for layer in order:
-            c = self.cost_model.layer_cost(layer.name, n_global, strategy)
-            if c is not None:
-                costs[layer.name] = c
-
-        # -- shuffle edges (§III-C layer boundaries) ------------------------------
-        # child layer -> parents whose activations must be redistributed.
-        shuffle_edges: dict[str, list[str]] = {}
-        for layer in order:
-            for p in self.spec[layer.name].parents:
-                if (
-                    strategy.for_layer(p).grid_shape
-                    != strategy.for_layer(layer.name).grid_shape
-                ):
-                    shuffle_edges.setdefault(layer.name, []).append(p)
+        # The priced schedule: per-layer costs, the lowered ops, the bucket
+        # cuts, and one duration per shuffle / bucket op.
+        bd = self.cost_model.cost(n_global, strategy)
+        sched, costs, price = bd.schedule, bd.per_layer, bd.comm_ops
 
         # -- forward ------------------------------------------------------------
         prev_fwd: str | None = None
         fwd_done: dict[str, str] = {}  # layer -> task marking its output ready
-        carry: list[str] = []  # shuffle tasks consumed by cost-less layers
-        # (parent, target grid) -> its one forward shuffle task: every child
-        # on that grid reads the same redistributed tensor.
-        fwd_shuffles: dict[tuple, str] = {}
-        for layer in order:
-            c = costs.get(layer.name)
-            name = layer.name
+        for op in sched.layers:
+            c = costs.get(op.name)
+            name = op.name
             base_deps = (prev_fwd,) if prev_fwd else ()
-            shuf_deps: list[str] = []
-            for p in shuffle_edges.get(name, ()):
-                key = (p, strategy.for_layer(name).grid_shape)
-                if key in fwd_shuffles:
-                    shuf_deps.append(fwd_shuffles[key])
-                    continue
-                sname = fwd_shuffles[key] = f"fwd:shuf:{p}->{name}"
-                dur = self.cost_model.shuffle_edge_cost(p, n_global, strategy)
-                if self.overlap_shuffle:
-                    # Ready the moment the producer finishes — the engine
-                    # launches the exchange as the activation is produced.
-                    dep = fwd_done.get(p)
-                    deps = (dep,) if dep else ()
-                else:
-                    # Started and finished at consumption time: waits for
-                    # all preceding compute.
-                    deps = base_deps
-                eng.add(sname, dur, "comm", deps)
-                shuf_deps.append(sname)
+            for s in op.issues:
+                # Ready the moment the producer finishes (the engine
+                # launches the exchange as the activation is produced), or
+                # started and finished at consumption time: waits for all
+                # preceding compute.
+                producer = fwd_done.get(s.parent)
+                ready = (producer,) if producer else ()
+                eng.add(
+                    s.op_id, price[s.op_id], "comm",
+                    ready if self.overlap_shuffle else base_deps,
+                )
+            shuf_deps = [e.fwd.op_id for e in op.edges if e.fwd is not None]
             if c is None:
-                carry.extend(shuf_deps)
+                # No task of its own: its output is ready with its input.
                 if shuf_deps:
                     fwd_done[name] = shuf_deps[-1]
-                elif layer.parents and layer.parents[0] in fwd_done:
-                    fwd_done[name] = fwd_done[layer.parents[0]]
+                elif op.edges and op.edges[0].parent in fwd_done:
+                    fwd_done[name] = fwd_done[op.edges[0].parent]
                 continue
-            base_deps = base_deps + tuple(carry) + tuple(shuf_deps)
-            carry = []
+            base_deps = base_deps + tuple(shuf_deps)
+            fwd = f"fwd:{name}"
             if c.fp_halo > 0 and self.overlap_halo:
                 interior = c.fp_compute * (1 - c.boundary_fraction)
                 boundary = c.fp_compute * c.boundary_fraction + c.boundary_launch
-                eng.add(f"fwd:{name}:halo", c.fp_halo, "comm", base_deps)
-                eng.add(f"fwd:{name}:interior", interior, "compute", base_deps)
-                eng.add(
-                    f"fwd:{name}",
-                    boundary,
-                    "compute",
-                    (f"fwd:{name}:halo", f"fwd:{name}:interior"),
-                )
+                eng.add(f"{fwd}:halo", c.fp_halo, "comm", base_deps, op=fwd)
+                eng.add(f"{fwd}:interior", interior, "compute", base_deps, op=fwd)
+                eng.add(fwd, boundary, "compute", (f"{fwd}:halo", f"{fwd}:interior"))
             else:
                 if c.fp_halo > 0:
-                    eng.add(f"fwd:{name}:halo", c.fp_halo, "comm", base_deps)
-                    base_deps = (f"fwd:{name}:halo",)
-                eng.add(f"fwd:{name}", c.fp_compute, "compute", base_deps)
-            prev_fwd = f"fwd:{name}"
-            fwd_done[name] = prev_fwd
+                    eng.add(f"{fwd}:halo", c.fp_halo, "comm", base_deps, op=fwd)
+                    base_deps = (f"{fwd}:halo",)
+                eng.add(fwd, c.fp_compute, "compute", base_deps)
+            prev_fwd = fwd_done[name] = fwd
 
         # -- backward -------------------------------------------------------------
         prev_bwd = prev_fwd
         allreduces: list[str] = []
-        last_ar: str | None = None
-        bucketing = bool(self.overlap_allreduce and self.allreduce_bucket_bytes)
-        # Keyed by gradient-group identity — (size, grid shape) — mirroring
-        # the engine's per-communicator buckets; the value is
-        # (pending bytes, contributing filter-conv task names).
-        buckets: dict[tuple, tuple[float, list[str]]] = {}
+        bucket_of = {name: b for b in bd.buckets for name in b.layers}
 
-        def flush_bucket(key: tuple) -> None:
-            nonlocal last_ar
-            nbytes, contributors = buckets.pop(key)
-            group = key[0]
-            if nbytes <= 0:
-                return
-            dur = allreduce_time(
-                group, nbytes, self.machine.link_for_group(group),
-                self.allreduce_algorithm,
-            )
-            deps = list(contributors)
-            if last_ar is not None:
-                deps.append(last_ar)  # one allreduce at a time
-            name = f"ar:bucket{len(allreduces)}:g{group}"
+        def allreduce_task(name: str, dur: float, deps: list[str]) -> None:
+            if allreduces:
+                deps.append(allreduces[-1])  # one allreduce at a time
             eng.add(name, dur, "comm", tuple(deps))
             allreduces.append(name)
-            last_ar = name
 
-        # parent layer -> error-signal shuffle tasks it must wait for.
+        def bucket_task(b) -> None:
+            # Ready when its last contributor's filter convolution is.
+            allreduce_task(
+                b.op_id, price[b.op_id], [f"bwd:{layer}:filter" for layer in b.layers]
+            )
+
+        # layer -> error-signal shuffle tasks it must wait for.
         incoming: dict[str, list[str]] = {}
-        carry_b: list[str] = []
-        needs_dy = self.cost_model.needs_dy
-
-        def route_back_shuffles(name: str, producer: str | None) -> None:
-            nonlocal prev_bwd
-            for p in shuffle_edges.get(name, ()):
-                if p not in needs_dy:
-                    continue
-                sname = f"bwd:shuf:{name}->{p}"
-                dur = self.cost_model.shuffle_edge_cost(p, n_global, strategy)
-                deps = (producer,) if producer else ()
-                eng.add(sname, dur, "comm", deps)
-                incoming.setdefault(p, []).append(sname)
-                if not self.overlap_shuffle:
-                    prev_bwd = sname  # blocking: gates everything after it
-
-        for layer in reversed(order):
-            c = costs.get(layer.name)
-            name = layer.name
-            if name not in needs_dy:
-                continue
-            if c is None:
-                carry_b.extend(incoming.pop(name, ()))
-                route_back_shuffles(name, prev_bwd)
-                continue
-            base_deps = (prev_bwd,) if prev_bwd else ()
-            base_deps = base_deps + tuple(carry_b) + tuple(incoming.pop(name, ()))
-            carry_b = []
-            if c.bpx_halo > 0 and self.overlap_halo:
-                # An undecomposed backward (fraction pinned at 1, no
-                # boundary launches) makes this timeline degenerate
-                # exactly to the synchronous cost; pooling now carries a
-                # real backward fraction (its scatter-add overlaps the own
-                # contribution with the in-flight boundary strips).
-                interior = c.bpx_compute * (1 - c.bpx_boundary_fraction)
-                boundary = (
-                    c.bpx_compute * c.bpx_boundary_fraction + c.bpx_boundary_launch
-                )
-                eng.add(f"bwd:{name}:halo", c.bpx_halo, "comm", base_deps)
-                eng.add(f"bwd:{name}:filter", c.bpw_compute, "compute", base_deps)
-                eng.add(
-                    f"bwd:{name}:data_interior",
-                    interior,
-                    "compute",
-                    (f"bwd:{name}:filter",),
-                )
-                eng.add(
-                    f"bwd:{name}:data",
-                    boundary,
-                    "compute",
-                    (f"bwd:{name}:halo", f"bwd:{name}:data_interior"),
-                )
-                prev_bwd = f"bwd:{name}:data"
-            else:
-                deps = base_deps
-                if c.bpx_halo > 0:
-                    eng.add(f"bwd:{name}:halo", c.bpx_halo, "comm", deps)
-                    deps = (f"bwd:{name}:halo",)
-                eng.add(f"bwd:{name}:filter", c.bpw_compute, "compute", deps)
-                prev_bwd = f"bwd:{name}:filter"
-                if c.bpx_compute > 0:  # the cost model zeroes a dead BPx
-                    prev_bwd = f"bwd:{name}:data"
+        for op in sched.backward:
+            c = costs.get(op.name)
+            name = op.name
+            bwd = f"bwd:{name}"
+            if c is not None:
+                base_deps = (prev_bwd,) if prev_bwd else ()
+                base_deps = base_deps + tuple(incoming.pop(name, ()))
+                if c.bpx_halo > 0 and self.overlap_halo:
+                    # An undecomposed backward (fraction pinned at 1, no
+                    # boundary launches) makes this timeline degenerate
+                    # exactly to the synchronous cost; pooling now carries a
+                    # real backward fraction (its scatter-add overlaps the own
+                    # contribution with the in-flight boundary strips).
+                    interior = c.bpx_compute * (1 - c.bpx_boundary_fraction)
+                    boundary = (
+                        c.bpx_compute * c.bpx_boundary_fraction + c.bpx_boundary_launch
+                    )
+                    eng.add(f"{bwd}:halo", c.bpx_halo, "comm", base_deps, op=bwd)
+                    eng.add(f"{bwd}:filter", c.bpw_compute, "compute", base_deps, op=bwd)
                     eng.add(
-                        prev_bwd, c.bpx_compute, "compute", (f"bwd:{name}:filter",)
+                        f"{bwd}:data_interior", interior, "compute",
+                        (f"{bwd}:filter",), op=bwd,
                     )
-            route_back_shuffles(name, prev_bwd)
-            if c.allreduce > 0:
-                if bucketing and c.allreduce_bytes > 0:
-                    key = (
-                        c.allreduce_group,
-                        strategy.for_layer(name).grid_shape,
+                    eng.add(
+                        f"{bwd}:data", boundary, "compute",
+                        (f"{bwd}:halo", f"{bwd}:data_interior"), op=bwd,
                     )
-                    nbytes, contributors = buckets.get(key, (0.0, []))
-                    contributors.append(f"bwd:{name}:filter")
-                    buckets[key] = (nbytes + c.allreduce_bytes, contributors)
-                    if buckets[key][0] >= self.allreduce_bucket_bytes:
-                        flush_bucket(key)
-                    continue
-                ar_deps = [f"bwd:{name}:filter"]
+                    prev_bwd = f"{bwd}:data"
+                else:
+                    deps = base_deps
+                    if c.bpx_halo > 0:
+                        eng.add(f"{bwd}:halo", c.bpx_halo, "comm", deps, op=bwd)
+                        deps = (f"{bwd}:halo",)
+                    eng.add(f"{bwd}:filter", c.bpw_compute, "compute", deps, op=bwd)
+                    prev_bwd = f"{bwd}:filter"
+                    if c.bpx_compute > 0:  # the cost model zeroes a dead BPx
+                        prev_bwd = f"{bwd}:data"
+                        eng.add(
+                            prev_bwd, c.bpx_compute, "compute", (f"{bwd}:filter",),
+                            op=bwd,
+                        )
+            # The error-signal shuffles become ready with this layer's dx.
+            dx_ready = (prev_bwd,) if prev_bwd else ()
+            for e in op.edges:
+                if e.bwd is not None:
+                    eng.add(e.bwd.op_id, price[e.bwd.op_id], "comm", dx_ready)
+                    incoming.setdefault(e.parent, []).append(e.bwd.op_id)
+                    if not self.overlap_shuffle:
+                        prev_bwd = e.bwd.op_id  # blocking: gates everything after it
+            b = bucket_of.get(name)
+            if b is not None:
+                if b.full and b.layers[-1] == name:
+                    bucket_task(b)
+            elif c is not None and c.allreduce > 0:
+                ar_deps = [f"{bwd}:filter"]
                 if not self.overlap_allreduce and prev_bwd:
                     ar_deps.append(prev_bwd)
-                if last_ar is not None:
-                    ar_deps.append(last_ar)  # one allreduce at a time
-                ar_name = f"ar:{name}"
                 # The non-hideable fraction contends with compute (modeled
                 # as an extension of the allreduce on the comm stream).
-                eng.add(ar_name, c.allreduce, "comm", tuple(ar_deps))
-                allreduces.append(ar_name)
-                last_ar = ar_name
+                allreduce_task(f"ar:{name}", c.allreduce, ar_deps)
                 if not self.overlap_allreduce:
-                    prev_bwd = ar_name
-
-        for key in list(buckets):
-            flush_bucket(key)
+                    prev_bwd = f"ar:{name}"
+        for b in bd.buckets:
+            if not b.full:
+                bucket_task(b)
 
         # -- optimizer ------------------------------------------------------------
-        params = self.spec.total_params()
-        opt_time = self.machine.gpu.elementwise_time(
-            3 * params * self.machine.dtype_bytes
-        )
         deps = tuple(x for x in ([prev_bwd] + allreduces) if x)
-        eng.add("optimizer", opt_time, "compute", deps)
+        eng.add("optimizer", bd.optimizer_total, "compute", deps)
 
         makespan = eng.run()
         return SimResult(

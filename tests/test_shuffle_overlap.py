@@ -3,7 +3,8 @@
 The engine launches each redistribution
 (:class:`~repro.tensor.shuffle.ShuffleExchange`) when an activation is
 produced and finishes it where it is consumed; ``overlap_shuffle=False``
-starts and finishes it at the consumption point instead.  Both placements
+starts and finishes it at the consumption point instead (the two launch
+placements of :class:`repro.core.schedule.LayerOp`: ``starts`` / ``issues``).  Both placements
 must train like the sequential algorithm (``LocalNetwork``) and — same
 pieces placed into the same zero-initialized blocks — be *bitwise*
 identical to each other.  These tests assert that over entire training runs
@@ -21,7 +22,9 @@ import pytest
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
 from repro.core.parallelism import ParallelStrategy
+from repro.core.schedule import lower
 from repro.nn import LocalNetwork, NetworkSpec, SGD
+from repro.obs.analyze import load_trace
 from repro.tensor.shuffle import SHUFFLE_OP, shuffle_plan_stats
 
 
@@ -128,30 +131,47 @@ class TestShuffleOverlapBitwiseEquivalence:
             # Identical traffic volume recorded under the "shuffle" op.
             assert ovl[3] == blk[3] and ovl[4] == blk[4]
 
-    def test_overlap_is_default_and_exchanges_in_flight(self):
-        """DistNetwork defaults to the overlapped path, and forward really
-        launches exchanges before their consumers run."""
+    @pytest.mark.parametrize("overlap_shuffle", [True, False])
+    def test_forward_shuffles_start_at_their_launch_site(
+        self, overlap_shuffle, tmp_path
+    ):
+        """Each forward shuffle is started right after its producer ran —
+        inside the producer's layer span, so it is in flight across
+        everything up to its first consumer — on the (default) overlapped
+        path, and inside its first consumer's span otherwise: the
+        schedule's two launch placements, observed on a traced forward."""
         spec = mixed_model()
         strategy = STRATEGIES["sample->spatial"]
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((4, 2, 9, 11))
+        x, _ = batch()
 
         def prog(comm):
-            net = DistNetwork(spec, comm, strategy, seed=0)
-            assert net.overlap_shuffle
-            launched = []
-            orig = net._start_child_shuffles
-
-            def spy(name):
-                orig(name)
-                launched.append((name, len(net._pending_fwd)))
-
-            net._start_child_shuffles = spy
+            kwargs = {} if overlap_shuffle else {"overlap_shuffle": False}
+            net = DistNetwork(spec, comm, strategy, seed=0, **kwargs)
+            assert net.overlap_shuffle == overlap_shuffle  # overlapped by default
             net.forward(x)
-            assert max(n for _, n in launched) >= 1  # something was in flight
-            return True
 
-        assert all(run_spmd(4, prog))
+        path = str(tmp_path / "forward.trace")
+        run_spmd(4, prog, trace=path)
+        expected = [
+            f"fwd:{op.name}"
+            for op in lower(spec, strategy, len(x)).layers
+            for _ in (op.starts if overlap_shuffle else op.issues)
+        ]
+        assert expected == (
+            ["fwd:c1", "fwd:r1"] if overlap_shuffle else ["fwd:c2", "fwd:j"]
+        )
+        spans = [e for e in load_trace(path)["traceEvents"] if e.get("ph") == "X"]
+        for rank in range(4):
+            mine = sorted((e for e in spans if e["pid"] == rank), key=lambda e: e["ts"])
+            layers = [e for e in mine if e.get("cat") == "layer"]
+            launched_in = [
+                next(
+                    layer["name"] for layer in layers
+                    if layer["ts"] <= e["ts"] <= layer["ts"] + layer["dur"]
+                )
+                for e in mine if e["name"] == f"{SHUFFLE_OP}.start"
+            ]
+            assert launched_in == expected
 
 
 class TestShuffleAccounting:

@@ -1,13 +1,17 @@
 """Discrete-event engine and training-step simulation."""
 
+import numpy as np
 import pytest
 
+from repro.comm import run_spmd
+from repro.core import DistNetwork
 from repro.core.parallelism import LayerParallelism as LP
 from repro.core.parallelism import ParallelStrategy
+from repro.core.schedule import lower
 from repro.nn import NetworkSpec
 from repro.nn.meshnet import mesh_model_1k
 from repro.nn.resnet import build_resnet50
-from repro.perfmodel import LASSEN, NetworkCostModel
+from repro.perfmodel import LASSEN, MemoryModel, NetworkCostModel
 from repro.sim import SimEngine, TrainingStepSimulator
 
 
@@ -61,6 +65,155 @@ class TestSimEngine:
         eng.add("b", 0.5, "nic")
         eng.run()
         assert eng.busy_time("gpu") == pytest.approx(1.5)
+
+
+#: Two-rank placements the generated cases cut between.
+A, B = LP(sample=2), LP(height=2)
+
+
+def _net(name: str, body) -> NetworkSpec:
+    """input -> ``body(spec)`` (returns its tip) -> gap -> fc -> loss."""
+    spec = NetworkSpec(name)
+    spec.add("input", "input", channels=4, height=16, width=16)
+    tip = body(spec)
+    spec.add("gap", "gap", [tip])
+    spec.add("fc", "fc", ["gap"], units=3)
+    spec.add("loss", "softmax_ce", ["fc"])
+    return spec
+
+
+def _branch(spec: NetworkSpec) -> str:
+    spec.add("c0", "conv", ["input"], filters=8, kernel=3, pad=1)
+    spec.add("a1", "conv", ["c0"], filters=8, kernel=3, pad=1)
+    return spec.add("join", "add", ["a1", "c0"])
+
+
+def _line(spec: NetworkSpec) -> str:
+    spec.add("c1", "conv", ["input"], filters=8, kernel=3, pad=1, bias=True)
+    spec.add("r1", "relu", ["c1"])
+    spec.add("c2", "conv", ["r1"], filters=8, kernel=3, pad=1)
+    return spec.add("r2", "relu", ["c2"])
+
+
+def _dead_input(spec: NetworkSpec) -> str:
+    spec.add("p0", "pool", ["input"], mode="avg", kernel=3, stride=1, pad=1)
+    spec.add("c1", "conv", ["p0"], filters=8, kernel=3, pad=1)
+    return spec.add("c2", "conv", ["c1"], filters=8, kernel=3, pad=1)
+
+
+def _case(name, body, on_a, shuffles):
+    """``() -> (spec, mixed strategy, shuffle op ids)``: ``on_a`` layers run
+    on A and the rest on B; the ids are what one step of it issues, in
+    issue order."""
+    return lambda: (
+        _net(name, body), ParallelStrategy(dict.fromkeys(on_a, A), default=B), shuffles
+    )
+
+
+#: Generated small networks x the mixed strategy that cuts each of them.
+CASES = {
+    # A line with one cut: one forward and one backward shuffle.
+    "line": _case(
+        "line", _line, ["input", "c1", "r1"],
+        ["fwd:shuf:r1->c2", "bwd:shuf:c2->r1"],
+    ),
+    # A skip edge crossing the cut: both parents of the join redistribute.
+    "skip": _case(
+        "shuffle-branch", _branch, ["input", "c0", "a1"],
+        ["fwd:shuf:c0->join", "fwd:shuf:a1->join",
+         "bwd:shuf:join->a1", "bwd:shuf:join->c0"],
+    ),
+    # Two children on one placement read the same redistributed tensor:
+    # one forward shuffle, one backward shuffle per edge.
+    "shared": _case(
+        "shared-shuffle", _branch, ["input", "c0"],
+        ["fwd:shuf:c0->a1", "bwd:shuf:join->c0", "bwd:shuf:a1->c0"],
+    ),
+    # Nothing below the first conv takes an error signal: the input's
+    # activation is shuffled forward and nothing comes back.
+    "dead-input": _case(
+        "dead-input", _dead_input, ["input"], ["fwd:shuf:input->p0"]
+    ),
+}
+
+
+def _cases():
+    for label, make in CASES.items():
+        spec, mixed, shuffles = make()
+        yield pytest.param(spec, mixed, shuffles, id=f"{label}-mixed")
+        yield pytest.param(spec, ParallelStrategy.uniform(B), [], id=f"{label}-uniform")
+
+
+@pytest.mark.parametrize("spec,strategy,shuffles", list(_cases()))
+class TestScheduleConformance:
+    """Engine, cost model, simulator and memory model read one lowered
+    schedule (``repro.core.schedule.lower``): every communication op of it
+    is one simulator task and one cost-model term, and is what a real step
+    puts on the wire."""
+
+    N = 4
+    BUCKET = 1 << 10
+
+    def test_lowered_shuffles(self, spec, strategy, shuffles):
+        assert [s.op_id for s in lower(spec, strategy, self.N).shuffles] == shuffles
+
+    @pytest.mark.parametrize("overlap_shuffle", [True, False])
+    @pytest.mark.parametrize("bucket", [None, BUCKET])
+    def test_one_sim_task_and_one_cost_term_per_comm_op(
+        self, spec, strategy, shuffles, overlap_shuffle, bucket
+    ):
+        bd = NetworkCostModel(spec, LASSEN, allreduce_bucket_bytes=bucket).cost(
+            self.N, strategy
+        )
+        eng = TrainingStepSimulator(
+            spec, LASSEN, overlap_shuffle=overlap_shuffle,
+            allreduce_bucket_bytes=bucket,
+        ).simulate(self.N, strategy).engine
+        tasks = {
+            t.name: t.duration for t in eng.tasks()
+            if ":shuf:" in t.name or t.name.startswith("ar:bucket")
+        }
+        assert tasks == bd.comm_ops
+        assert sorted(n for n in tasks if ":shuf:" in n) == sorted(shuffles)
+        assert (bucket is None) == (not any(n.startswith("ar:") for n in tasks))
+
+    @pytest.mark.parametrize("overlap_shuffle", [True, False])
+    def test_real_step_issues_the_scheduled_ops(
+        self, spec, strategy, shuffles, overlap_shuffle
+    ):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((self.N, 4, 16, 16))
+        t = rng.integers(0, 3, size=self.N)
+
+        def prog(comm):
+            net = DistNetwork(
+                spec, comm, strategy, seed=0, overlap_shuffle=overlap_shuffle,
+                grad_bucket_bytes=self.BUCKET,
+            )
+            comm.stats.reset()
+            net.loss_and_grad(x, t)
+            stats = comm.stats
+            return (
+                net.shuffle_count,
+                stats.collectives.get("shuffle", 0),
+                stats.collectives.get("iallreduce", 0),
+                stats.collective_bytes.get("iallreduce", 0),
+            )
+
+        buckets = lower(spec, strategy, self.N).grad_buckets(self.BUCKET, itemsize=8)
+        assert len(buckets) > 1  # the small bucket size really cuts
+        expected = (
+            len(shuffles), len(shuffles),
+            len(buckets), sum(b.nbytes for b in buckets),
+        )
+        assert run_spmd(2, prog) == [expected, expected]
+
+    def test_error_signals_are_the_backward_layers(self, spec, strategy, shuffles):
+        mem = MemoryModel(spec, LASSEN).breakdown(self.N, strategy)
+        backward = lower(spec, strategy, self.N).backward
+        assert mem.error_signals == sum(
+            mem.per_layer_activations[op.name] for op in reversed(backward)
+        )
 
 
 class TestTrainingSimulator:
@@ -135,20 +288,11 @@ class TestTrainingSimulator:
         )
 
     def test_overlapped_shuffle_decomposition(self):
-        """Engine-vs-sim consistency for the overlapped-shuffle task: on a
-        small mesh config with a skip edge crossing a strategy change, the
-        simulator's step time follows the analytic
-        ``max(compute, shuffle) + exposed`` decomposition, and the sim's
-        shuffle task durations equal the cost model's per-edge shuffle cost
-        — guarded the same way halo ``boundary_fraction`` is."""
-        spec = NetworkSpec("shuffle-branch")
-        spec.add("input", "input", channels=4, height=16, width=16)
-        spec.add("c0", "conv", ["input"], filters=8, kernel=3, pad=1)
-        spec.add("a1", "conv", ["c0"], filters=8, kernel=3, pad=1)
-        spec.add("join", "add", ["a1", "c0"])
-        strategy = ParallelStrategy(
-            {"join": LP(height=2, width=2)}, default=LP(sample=4)
-        )
+        """On a small mesh config with a skip edge crossing a strategy
+        change, the simulator's step time follows the analytic
+        ``max(compute, shuffle) + exposed`` decomposition (which shuffle
+        tasks exist, and at what price, is ``TestScheduleConformance``)."""
+        spec, strategy, _ = CASES["skip"]()
         n = 8
         sim_on = TrainingStepSimulator(spec, LASSEN).simulate(n, strategy)
         sim_off = TrainingStepSimulator(
@@ -156,17 +300,11 @@ class TestTrainingSimulator:
         ).simulate(n, strategy)
         model = NetworkCostModel(spec, LASSEN)
         eng = sim_on.engine
-
-        # Guard: sim shuffle tasks carry exactly the analytic per-edge cost.
         s_c0 = model.shuffle_edge_cost("c0", n, strategy)
         s_a1 = model.shuffle_edge_cost("a1", n, strategy)
-        assert eng["fwd:shuf:c0->join"].duration == pytest.approx(s_c0)
-        assert eng["fwd:shuf:a1->join"].duration == pytest.approx(s_a1)
-        assert "bwd:shuf:join->c0" in eng._tasks
-        assert "bwd:shuf:join->a1" in eng._tasks
 
-        # Decomposition: the skip-edge shuffle (ready when c0 finishes)
-        # hides behind the a1 branch; join waits for
+        # The skip-edge shuffle (ready when c0 finishes) hides behind the
+        # a1 branch; join waits for
         # c0 + max(skip shuffle, branch compute) + the a1 shuffle.
         t0 = eng["fwd:c0"].finish
         branch = eng["fwd:a1"].duration
@@ -184,34 +322,6 @@ class TestTrainingSimulator:
         bd = model.cost(n, strategy)
         assert bd.shuffle_total == pytest.approx(2 * (s_c0 + s_a1))
         assert bd.shuffle_exposed == bd.shuffle_total
-
-    def test_one_forward_shuffle_per_parent_and_target_grid(self):
-        """Two consumers of one activation on the far side of a strategy cut
-        read the same redistributed tensor: model and simulator charge one
-        forward shuffle (as the engine launches one), and one backward
-        shuffle per edge."""
-        spec = NetworkSpec("shared-shuffle")
-        spec.add("input", "input", channels=4, height=16, width=16)
-        spec.add("c0", "conv", ["input"], filters=8, kernel=3, pad=1)
-        spec.add("a1", "conv", ["c0"], filters=8, kernel=3, pad=1)
-        spec.add("join", "add", ["a1", "c0"])
-        strategy = ParallelStrategy(
-            {"input": LP(sample=4), "c0": LP(sample=4)},
-            default=LP(height=2, width=2),
-        )
-        n = 8
-        model = NetworkCostModel(spec, LASSEN)
-        s_c0 = model.shuffle_edge_cost("c0", n, strategy)
-        assert model.cost(n, strategy).shuffle_total == pytest.approx(3 * s_c0)
-
-        for overlap_shuffle in (True, False):
-            tasks = TrainingStepSimulator(
-                spec, LASSEN, overlap_shuffle=overlap_shuffle
-            ).simulate(n, strategy).engine._tasks
-            shuffles = sorted(t for t in tasks if ":shuf:" in t)
-            assert shuffles == [
-                "bwd:shuf:a1->c0", "bwd:shuf:join->c0", "fwd:shuf:c0->a1"
-            ]
 
     def test_no_error_signal_tasks_below_first_parameterised_layer(self):
         """Same predicate as the engine: the first conv has a filter task

@@ -136,6 +136,29 @@ class TestOptimizer:
         # Inherit layers follow their parent.
         assert report.strategy.for_layer("r1") == big
 
+    def test_cut_is_priced_as_the_cost_model_charges_it(self):
+        """conv -> pool -> conv: the tensor crossing a cut in front of the
+        second conv is the pool's output (4x smaller than the first conv's),
+        shuffled forward once and back once.  The path search must weigh
+        that edge exactly as the full model charges the resulting strategy
+        (it used to price the first conv's output)."""
+        spec = NetworkSpec("cut")
+        spec.add("input", "input", channels=4, height=32, width=32)
+        spec.add("c1", "conv", ["input"], filters=8, kernel=3, pad=1)
+        spec.add("p1", "pool", ["c1"], mode="max", kernel=2)
+        spec.add("c2", "conv", ["p1"], filters=16, kernel=3, pad=1)
+        spec.add("gap", "gap", ["c2"])
+        spec.add("fc", "fc", ["gap"], units=4)
+        spec.add("loss", "softmax_ce", ["fc"])
+        n = 8
+        opt = StrategyOptimizer(spec, LASSEN, total_ranks=4, n_global=n)
+        before, after = LP(height=2, width=2), LP(sample=4)
+        cut = ParallelStrategy(dict.fromkeys(["input", "c1", "p1"], before), default=after)
+        charged = opt.cost_model.cost(n, cut).shuffle_total
+        assert charged == 2 * opt.cost_model.shuffle_edge_cost("p1", n, cut) > 0
+        assert opt._shuffle_cost("c2", before, after) == charged
+        assert opt._shuffle_cost("c2", after, after) == 0.0
+
     def test_describe(self):
         opt = StrategyOptimizer(build_resnet_tiny(), LASSEN, total_ranks=2, n_global=8)
         report = opt.optimize()
