@@ -13,8 +13,8 @@ in :mod:`repro.core.window`; this module supplies the convolution kernels:
   is then summed over the grid by an allreduce;
 * **backward-data** (Eq. 3) — the rank gathers the error-signal region of
   its input block and evaluates the transposed convolution with the
-  effective left padding that aligns the two.  The kernel runs one
-  stride-1 correlation per stride residue over the gathered region itself
+  effective left padding that aligns the two.  The kernel is one GEMM over
+  the gathered region itself plus a col2im scatter clipped to the block
   (:func:`repro.nn.functional.conv2d_backward_data`), and the whole step —
   gather included — is skipped when the network tells the layer its parent
   needs no error signal (``backward(dy, need_dx=False)``).

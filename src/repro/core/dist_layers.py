@@ -169,6 +169,13 @@ class DistBatchNorm:
     * ``aggregate='global'`` — allreduce over every rank holding distinct
       data: statistics over the full mini-batch, exactly replicating
       single-device batch norm.
+
+    An aggregating layer costs two collectives per step: one allreduce of
+    the stacked ``(sum, sum of squares)`` in forward and one of the stacked
+    ``(dgamma, dbeta)`` in backward (the latter only when ``dx`` is
+    needed).  The reduction is element-wise, so stacking moves no bit, and
+    the size of the normalization set is not communicated at all — every
+    rank derives it from the global shape.
     """
 
     AGGREGATES = ("local", "spatial", "global")
@@ -219,9 +226,13 @@ class DistBatchNorm:
         s, ss, count = F.batchnorm_stats(x.local)
         comm = self._stats_comm(x.dist)
         if comm is not None:
-            s = comm.allreduce(s)
-            ss = comm.allreduce(ss)
-            count = comm.allreduce(count)
+            s, ss = comm.allreduce(np.stack((s, ss)))
+            # The group's element count, from shapes: it spans the whole
+            # spatial extent and, for "global", the whole mini-batch.
+            n, _, h, w = x.global_shape
+            if self.aggregate == "spatial":
+                n = x.local.shape[0]
+            count = float(n * h * w)
         mean = s / count
         var = ss / count - mean**2
         mom = self.momentum
@@ -250,8 +261,7 @@ class DistBatchNorm:
         dg, db = local_dgamma, local_dbeta
         comm = self._stats_comm(cache["dist"])
         if comm is not None:
-            dg = comm.allreduce(dg)
-            db = comm.allreduce(db)
+            dg, db = comm.allreduce(np.stack((dg, db)))
         dx_local = F.batchnorm_backward_data(
             dy.local, cache["bn"], dg, db, cache["count"]
         )

@@ -1,11 +1,24 @@
 """Stateless forward/backward kernels (the local compute oracle).
 
-All kernels operate on NCHW tensors and are fully vectorized: convolutions
-use strided window views + ``tensordot`` (the numpy analogue of im2col +
-GEMM, which is what cuDNN's IMPLICIT_GEMM algorithm computes), and the
-backward kernels implement the paper's Eqs. (2) and (3) exactly — Eq. (3)
-as one such GEMM per stride residue, so a strided layer multiplies only
-the (tap, dy) pairs the equation names.
+All kernels operate on NCHW tensors and are fully vectorized.  The three
+convolution kernels share one layout and run one GEMM each (im2col + GEMM,
+which is what cuDNN's IMPLICIT_GEMM algorithm computes):
+
+* :func:`_im2col` lays the input out as a ``(C*Kh*Kw, N*Ho*Wo)`` patch
+  matrix — one row per (channel, kernel tap), one column per window —
+  filled by one slab copy per tap, so the copy moves whole output rows;
+* forward (Eq. 1) is ``w @ col`` with ``w`` viewed as ``(F, C*Kh*Kw)``;
+  backward-filter (Eq. 2) is ``dy @ col.T`` with ``dy`` as ``(F, N*Ho*Wo)``,
+  whose product already is ``dw``; backward-data (Eq. 3) is ``w.T @ dy``
+  followed by col2im, each tap's slab added onto the ``dx`` positions the
+  tap read — exactly Eq. (3)'s products at any stride;
+* :func:`_gemm` orders the two products that read the weights so that the
+  larger of (weights, activation operand) is the right-hand matrix.  The
+  left/right choice decides how BLAS walks each operand, and a layer whose
+  weights dwarf its activations (MB of filters over a handful of windows)
+  loses more to ``w @ col`` than the common case gains; see its docstring
+  for the measurement.  Nothing else selects a code path: no kernel-size or
+  stride special case.
 
 Two kernels take the *effective padding* formulation needed by the
 distributed algorithms (paper §III-A): the spatially partitioned layers
@@ -78,6 +91,52 @@ def _windows(xp: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -
     return win[:, :, ::sh, ::sw]
 
 
+def _im2col(
+    xp: np.ndarray,
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    out_hw: tuple[int, int],
+) -> np.ndarray:
+    """``(C*Kh*Kw, N*Ho*Wo)`` patch matrix of an already padded NCHW tensor.
+
+    Row ``(c, a, b)`` holds what kernel tap ``(a, b)`` reads for every
+    window ``(n, i, j)``: ``xp[n, c, i*sh + a, j*sw + b]``.  It is filled
+    with one slab copy per tap, whose innermost contiguous run is a whole
+    output row — not the ``Kw`` elements a window-major ``(N*Ho*Wo,
+    C*Kh*Kw)`` layout would gather at a time.
+    """
+    kh, kw = kernel
+    sh, sw = stride
+    oh, ow = out_hw
+    n, c = xp.shape[:2]
+    col = np.empty((c, kh, kw, n, oh, ow), dtype=xp.dtype)
+    xt = xp.transpose(1, 0, 2, 3)
+    for a in range(kh):
+        rows = slice(a, a + (oh - 1) * sh + 1, sh)
+        for b in range(kw):
+            col[:, a, b] = xt[:, :, rows, b : b + (ow - 1) * sw + 1 : sw]
+    return col.reshape(c * kh * kw, n * oh * ow)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with the larger operand on the right: as written when ``b``
+    is the larger, else ``(b.T @ a.T).T``.
+
+    Either spelling is one BLAS call on views — a transposed operand is a
+    flag, not a copy, and the swapped product comes back as a transposed
+    view that the callers' reshapes split without copying.  What differs is
+    how BLAS walks each operand, and that matters once the weights are the
+    large one.  Measured in situ on the e2e benchmark's ``wide_sample_p2``
+    (384 -> 384 channels, 3x3: 10.6 MB of weights against 16 output
+    positions per rank): with the weights always on the left, as in the
+    common case, ``conv2d_backward_data`` takes 14-15 ms of the step and
+    ``conv2d_forward`` 8-9 ms; ordered by size they take 8.5 and 6.6 ms and
+    the step is 6-10% faster, 3 of 3 pairs.  Every activation-dominated
+    layer — all of the mesh and ResNet workloads — keeps ``w @ col``.
+    """
+    return a @ b if a.size <= b.size else (b.T @ a.T).T
+
+
 def conv2d_forward(
     x: np.ndarray,
     w: np.ndarray,
@@ -88,6 +147,8 @@ def conv2d_forward(
     """Cross-correlation (deep-learning "convolution"), paper Eq. (1).
 
     ``x``: (N, C, H, W); ``w``: (F, C, Kh, Kw); returns (N, F, Ho, Wo).
+    One GEMM: ``w`` as ``(F, C*Kh*Kw)`` times the :func:`_im2col` patch
+    matrix, operands ordered by :func:`_gemm`.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
@@ -95,21 +156,33 @@ def conv2d_forward(
     n, c, h, wdt = x.shape
     if c != cw:
         raise ValueError(f"channel mismatch: x has {c}, w expects {cw}")
-    conv2d_output_shape((h, wdt), (kh, kw), (sh, sw), (ph, pw))
+    oh, ow = conv2d_output_shape((h, wdt), (kh, kw), (sh, sw), (ph, pw))
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
-    win = _windows(xp, (kh, kw), (sh, sw))
+    col = _im2col(xp, (kh, kw), (sh, sw), (oh, ow))
     # Contract (C, Kh, Kw): the triple sum of Eq. (1).
-    y = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))  # (N, Ho, Wo, F)
-    y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+    y = _gemm(w.reshape(f, c * kh * kw), col)  # (F, N*Ho*Wo)
+    y = np.ascontiguousarray(y.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
     if bias is not None:
         y += bias.reshape(1, -1, 1, 1)
     return y
 
 
+def _dy_matrix(dy: np.ndarray) -> np.ndarray:
+    """``dy`` (N, F, Ho, Wo) as the ``(F, N*Ho*Wo)`` matrix whose columns
+    line up with :func:`_im2col`'s."""
+    n, f, oh, ow = dy.shape
+    return dy.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
+
+
 def conv2d_backward_filter(
     x: np.ndarray, dy: np.ndarray, kernel, stride=1, pad=0
 ) -> np.ndarray:
-    """Weight gradients, paper Eq. (2): ``dw[f,c,a,b] = sum dy[k,f,i,j] x[k,c,i*s+a-p,...]``."""
+    """Weight gradients, paper Eq. (2): ``dw[f,c,a,b] = sum dy[k,f,i,j] x[k,c,i*s+a-p,...]``.
+
+    One GEMM: ``dy`` as ``(F, N*Ho*Wo)`` times the transposed *view* of the
+    :func:`_im2col` patch matrix; the ``(F, C*Kh*Kw)`` product already is
+    ``dw``'s memory layout.
+    """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
@@ -117,55 +190,23 @@ def conv2d_backward_filter(
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
     if xp.shape[2] < (oh - 1) * sh + kh or xp.shape[3] < (ow - 1) * sw + kw:
         raise ValueError("dy spatial extent inconsistent with x/kernel/stride/pad")
-    win = _windows(xp, (kh, kw), (sh, sw))  # (N, C, Oh', Ow', Kh, Kw)
-    win = win[:, :, :oh, :ow]  # strided view may overshoot by up to s-1 windows
-    dw = np.tensordot(dy, win, axes=([0, 2, 3], [0, 2, 3]))  # (F, C, Kh, Kw)
-    return np.ascontiguousarray(dw)
+    col = _im2col(xp, (kh, kw), (sh, sw), (oh, ow))
+    return (_dy_matrix(dy) @ col.T).reshape(f, x.shape[1], kh, kw)
 
 
-def _zero_extended(
-    a: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]
-) -> np.ndarray:
-    """``a[:, :, rows[0]:rows[1], cols[0]:cols[1]]`` with zeros wherever the
-    index window leaves ``a``'s spatial extent (a view when it never does)."""
-    (lo_h, hi_h), (lo_w, hi_w) = rows, cols
-    h, w = a.shape[2:]
-    if lo_h >= 0 and hi_h <= h and lo_w >= 0 and hi_w <= w:
-        return a[:, :, lo_h:hi_h, lo_w:hi_w]
-    out = np.zeros(a.shape[:2] + (hi_h - lo_h, hi_w - lo_w), dtype=a.dtype)
-    src_h = slice(max(lo_h, 0), min(hi_h, h))
-    src_w = slice(max(lo_w, 0), min(hi_w, w))
-    if src_h.start < src_h.stop and src_w.start < src_w.stop:
-        out[
-            :,
-            :,
-            src_h.start - lo_h : src_h.stop - lo_h,
-            src_w.start - lo_w : src_w.stop - lo_w,
-        ] = a[:, :, src_h, src_w]
-    return out
-
-
-def _backward_data_phase(
-    dy: np.ndarray, w_sub: np.ndarray, q0: tuple[int, int], out: np.ndarray
-) -> None:
-    """One stride residue of Eq. (3): ``out[n] = sum_m w_sub[m] dy[q0 + n - m]``.
-
-    ``w_sub`` holds the kernel taps ``r, r + s, ...`` of the residue and
-    ``out`` is the strided view of ``dx`` they reach, so this is a stride-1
-    correlation of ``dy`` itself with the flipped sub-kernel.  ``out`` stays
-    untouched (zero) when no tap falls on the residue (``k < s``).
-    """
-    mh, mw = w_sub.shape[2:]
-    nh, nw = out.shape[2:]
-    if 0 in (mh, mw, nh, nw):
-        return
-    lo_h, lo_w = q0[0] - (mh - 1), q0[1] - (mw - 1)
-    dy_win = _zero_extended(
-        dy, (lo_h, lo_h + nh + mh - 1), (lo_w, lo_w + nw + mw - 1)
-    )
-    win = _windows(dy_win, (mh, mw), (1, 1))  # (N, F, nh, nw, Mh, Mw)
-    phase = np.tensordot(win, w_sub[:, :, ::-1, ::-1], axes=([1, 4, 5], [0, 2, 3]))
-    out[...] = phase.transpose(0, 3, 1, 2)  # (N, nh, nw, C) -> NCHW
+def _tap_span(
+    tap: int, stride: int, pad: int, n_out: int, n_in: int
+) -> tuple[slice, slice] | None:
+    """Where one kernel tap connects outputs to inputs along one axis: the
+    output indices ``i`` in ``[0, n_out)`` with ``0 <= i*stride + tap - pad <
+    n_in``, and the input indices they land on — ``None`` when there are
+    none."""
+    i_lo = max(0, -((tap - pad) // stride))
+    i_hi = min(n_out, (n_in - 1 + pad - tap) // stride + 1)
+    if i_lo >= i_hi:
+        return None
+    first = i_lo * stride + tap - pad
+    return slice(i_lo, i_hi), slice(first, first + (i_hi - i_lo - 1) * stride + 1, stride)
 
 
 def conv2d_backward_data(
@@ -177,11 +218,13 @@ def conv2d_backward_data(
 ) -> np.ndarray:
     """Data gradients, paper Eq. (3): ``dx[i] = sum_a w[a] dy[(i + p - a)/s]``.
 
-    Only the taps ``a = i + p (mod s)`` land on an integer ``dy`` index, so
-    the sum splits by stride residue ``r``: the positions ``i = r - p
-    (mod s)`` see the sub-kernel ``w[r::s]`` slide over ``dy`` with stride 1.
-    Each of the ``sh * sw`` residues is one GEMM over exactly the products
-    Eq. (3) names; stride 1 is the single-residue case.
+    The adjoint of the forward GEMM, read backwards: one GEMM — ``w`` as
+    ``(F, C*Kh*Kw)``, transposed, times ``dy`` as ``(F, N*Ho*Wo)``, operands
+    ordered by :func:`_gemm` — gives every window's error for every tap
+    (the gradient of the :func:`_im2col` patch matrix), and col2im adds each
+    tap's slab onto the ``dx`` positions that tap read, ``i*s + a - p``.
+    Those are exactly the products Eq. (3) names, at any stride: nothing is
+    zero-stuffed, and a tap that lands outside ``dx`` is clipped away.
 
     ``pad`` is the *left offset* relating dy indices to dx indices; it may
     exceed ``k - 1`` (the distributed algorithm passes ``x_lo + P - s*d_lo``
@@ -202,17 +245,17 @@ def conv2d_backward_data(
     if xh < 0 or xw < 0:
         raise ValueError(f"negative x extent {x_spatial}")
 
-    dx = np.zeros((n, c, xh, xw), dtype=np.result_type(dy.dtype, w.dtype))
-    for rh in range(sh):
-        i0 = (rh - ph) % sh  # first dx row of this residue
-        for rw in range(sw):
-            j0 = (rw - pw) % sw
-            _backward_data_phase(
-                dy,
-                w[:, :, rh::sh, rw::sw],
-                ((i0 + ph) // sh, (j0 + pw) // sw),
-                dx[:, :, i0::sh, j0::sw],
-            )
+    dcol = _gemm(w.reshape(f, c * kh * kw).T, _dy_matrix(dy)).reshape(
+        c, kh, kw, n, oh, ow
+    )
+    dx = np.zeros((n, c, xh, xw), dtype=dcol.dtype)
+    dxt = dx.transpose(1, 0, 2, 3)
+    for a in range(kh):
+        rows = _tap_span(a, sh, ph, oh, xh)
+        for b in range(kw):
+            cols = _tap_span(b, sw, pw, ow, xw)
+            if rows and cols:
+                dxt[:, :, rows[1], cols[1]] += dcol[:, a, b, :, rows[0], cols[0]]
     return dx
 
 

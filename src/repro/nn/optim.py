@@ -42,8 +42,11 @@ class SGD:
                 if self.momentum:
                     key = (lname, pname)
                     v = self._velocity.get(key)
-                    v = self.momentum * v + g if v is not None else g.copy()
-                    self._velocity[key] = v
+                    if v is None:
+                        v = self._velocity[key] = g.copy()
+                    else:  # v = momentum * v + g, in place
+                        v *= self.momentum
+                        v += g
                     g = v
                 p -= self.lr * g
 
@@ -57,8 +60,8 @@ class SGD:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output bitwise (velocities rebound —
-        ``step`` rebinds them every update anyway)."""
+        """Restore :meth:`state_dict` output bitwise (velocities are copied:
+        ``step`` updates them in place)."""
         self.lr = state["lr"]
         self.momentum = state["momentum"]
         self.weight_decay = state["weight_decay"]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.tensor.indexing import block_bounds
@@ -101,11 +102,7 @@ class Distribution:
         self, global_shape: Sequence[int], coords: Sequence[int]
     ) -> tuple[tuple[int, int], ...]:
         """``I_p(D)``: per-dimension intervals owned at grid ``coords``."""
-        if len(coords) != self.ndim or len(global_shape) != self.ndim:
-            raise ValueError("coords/global_shape rank mismatch")
-        return tuple(
-            self.dim_bounds(global_shape, d, coords[d]) for d in range(self.ndim)
-        )
+        return _local_bounds(self, tuple(global_shape), tuple(coords))
 
     def local_shape(
         self, global_shape: Sequence[int], coords: Sequence[int]
@@ -129,3 +126,18 @@ class Distribution:
         for g, k in zip(self.grid_shape, self.kinds):
             parts.append(f"{g}" if k is DimKind.BLOCK else f"*{g}")
         return "Dist(" + "x".join(parts) + ")"
+
+
+@lru_cache(maxsize=4096)
+def _local_bounds(
+    dist: Distribution, global_shape: tuple[int, ...], coords: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """:meth:`Distribution.local_bounds`, memoised: a pure function of a
+    frozen dataclass and two tuples that every ``DistTensor`` construction
+    and region gather asks again (a mismatch raises every time — errors are
+    not cached)."""
+    if len(coords) != dist.ndim or len(global_shape) != dist.ndim:
+        raise ValueError("coords/global_shape rank mismatch")
+    return tuple(
+        dist.dim_bounds(global_shape, d, coords[d]) for d in range(dist.ndim)
+    )

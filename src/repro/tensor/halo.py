@@ -50,12 +50,13 @@ def any_region_remote(dt: DistTensor, regions: Sequence) -> bool:
     return False
 
 
-def _filled(shape: tuple[int, ...], dtype, fill: float, pool) -> np.ndarray:
-    """A ``fill``-initialised assembly buffer, recycled through ``pool``."""
-    if pool is None:
-        return np.full(shape, fill, dtype=dtype)
-    out = pool.take(shape, dtype)
-    out.fill(fill)
+def _filled(shape: tuple[int, ...], dtype, fill: float | None, pool) -> np.ndarray:
+    """An assembly buffer recycled through ``pool``, initialised to ``fill``
+    — or left as found when ``fill`` is ``None`` (the caller overwrites all
+    of it)."""
+    out = pool.take(shape, dtype) if pool is not None else np.empty(shape, dtype=dtype)
+    if fill is not None:
+        out.fill(fill)
     return out
 
 
@@ -69,21 +70,19 @@ def local_region(
     """Materialize a region that is fully local (plus virtual padding)
     without any communication — the fast path layers take when
     :func:`any_region_remote` says no rank needs remote data."""
-    lo = tuple(int(v) for v in lo)
-    hi = tuple(int(v) for v in hi)
-    out_shape = tuple(h - b for b, h in zip(lo, hi))
-    out = _filled(out_shape, dt.dtype, fill, pool)
-    if all(s > 0 for s in out_shape):
-        clipped = tuple(
-            (max(b, 0), min(h, dt.global_shape[d]))
-            for d, (b, h) in enumerate(zip(lo, hi))
+    box = tuple((int(b), int(h)) for b, h in zip(lo, hi))
+    out_shape = tuple(h - b for b, h in box)
+    clipped = tuple(
+        (max(b, 0), min(h, n)) for (b, h), n in zip(box, dt.global_shape)
+    )
+    # Virtual padding exists only where the box leaves the tensor; a box
+    # inside it (every unpadded convolution) is overwritten whole below.
+    out = _filled(out_shape, dt.dtype, None if clipped == box else fill, pool)
+    if all(s > 0 for s in out_shape) and all(c_hi > c_lo for c_lo, c_hi in clipped):
+        sl = tuple(
+            slice(c_lo - b, c_hi - b) for (c_lo, c_hi), (b, _) in zip(clipped, box)
         )
-        if all(c_hi > c_lo for c_lo, c_hi in clipped):
-            sl = tuple(
-                slice(c_lo - b, c_hi - b)
-                for (c_lo, c_hi), b in zip(clipped, lo)
-            )
-            out[sl] = dt._local_slice_of(clipped)
+        out[sl] = dt._local_slice_of(clipped)
     return out
 
 

@@ -221,6 +221,100 @@ class TestBatchNorm:
             np.testing.assert_allclose(db_dist, dbeta, rtol=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "grid_shape,replicated",
+        [
+            ((2, 1, 1, 1), ()),    # sample shards 3 + 2
+            ((1, 1, 2, 1), ()),    # row shards 3 + 2
+            ((2, 1, 2, 1), ()),    # both, on 4 ranks
+            ((2, 1, 1, 2), (3,)),  # columns replicated across the last grid axis
+            ((1, 1, 2, 2), (3,)),
+        ],
+    )
+    @pytest.mark.parametrize("aggregate", ["local", "spatial", "global"])
+    def test_packed_statistics_equal_five_allreduce_formulation(
+        self, monkeypatch, grid_shape, replicated, aggregate
+    ):
+        """``DistBatchNorm`` reduces (s, ss) stacked, (dgamma, dbeta) stacked
+        and takes ``count`` from shapes.  Under ``"direct"`` that is bit for
+        bit the formulation it replaced — s, ss, count, dgamma, dbeta each
+        allreduced on its own — on uneven shards and replicated axes."""
+        from repro.comm import run_spmd
+        from repro.core.dist_layers import DistBatchNorm
+        from repro.tensor import DistTensor, Distribution, ProcessGrid
+
+        monkeypatch.setenv("REPRO_COLLECTIVE_ALG", "direct")
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((5, 3, 5, 4))
+        dy = rng.standard_normal(x.shape)
+        gamma, beta = rng.standard_normal(3) + 1.5, rng.standard_normal(3)
+
+        def prog(comm):
+            grid = ProcessGrid(comm, grid_shape)
+            dist = Distribution.make(grid_shape, replicated_axes=replicated)
+            xt = DistTensor.from_global(grid, dist, x)
+            dyt = DistTensor.from_global(grid, dist, dy)
+            bn = DistBatchNorm(grid, gamma, beta, aggregate=aggregate)
+            group = bn._stats_comm(dist)
+
+            s, ss, count = F.batchnorm_stats(xt.local)
+            if group is not None:
+                s, ss = group.allreduce(s), group.allreduce(ss)
+                count = group.allreduce(count)
+            mean = s / count
+            y_ref, cache = F.batchnorm_forward(
+                xt.local, gamma, beta, eps=bn.eps, mean=mean, var=ss / count - mean**2
+            )
+            dg, db = F.batchnorm_backward_sums(dyt.local, cache)
+            if group is not None:
+                dg, db = group.allreduce(dg), group.allreduce(db)
+            dx_ref = F.batchnorm_backward_data(dyt.local, cache, dg, db, count)
+
+            before = comm.stats.total_collective_calls("allreduce")
+            y = bn.forward(xt)
+            dx, _, _ = bn.backward(dyt)
+            issued = comm.stats.total_collective_calls("allreduce") - before
+            assert issued == (0 if group is None else 2)
+            assert bn._cache["count"] == count
+            np.testing.assert_array_equal(y.local, y_ref)
+            np.testing.assert_array_equal(dx.local, dx_ref)
+
+        run_spmd(int(np.prod(grid_shape)), prog)
+
+    @pytest.mark.parametrize("sample,height,expected", [(2, 1, 3), (2, 2, 4)])
+    def test_one_bn_net_issues_two_statistics_allreduces_per_step(
+        self, sample, height, expected
+    ):
+        """A training step of a one-BN net blocks on 3 allreduces: the
+        packed statistics forward, the packed sums backward, and the loss
+        (plus the pooling layer's spatial sum once rows are split)."""
+        from repro.comm import run_spmd
+        from repro.core import DistNetwork, DistTrainer, LayerParallelism
+        from repro.nn import NetworkSpec
+
+        spec = NetworkSpec("one-bn")
+        spec.add("input", "input", channels=2, height=6, width=6)
+        spec.add("c1", "conv", ["input"], filters=3, kernel=3, pad=1)
+        spec.add("b1", "bn", ["c1"])
+        spec.add("gap", "gap", ["b1"])
+        spec.add("fc", "fc", ["gap"], units=3)
+        spec.add("loss", "softmax_ce", ["fc"])
+        rng = np.random.default_rng(22)
+        x, t = rng.standard_normal((5, 2, 6, 6)), rng.integers(0, 3, size=5)
+
+        def prog(comm):
+            net = DistNetwork(
+                spec, comm, LayerParallelism(sample=sample, height=height), seed=0
+            )
+            trainer = DistTrainer(net)
+            trainer.step(x, t)  # warm-up: sub-communicators are split on first use
+            before = comm.stats.total_collective_calls("allreduce")
+            trainer.step(x, t)
+            return comm.stats.total_collective_calls("allreduce") - before
+
+        assert run_spmd(sample * height, prog) == [expected] * (sample * height)
+
+
 class TestReluLinear:
     def test_relu(self):
         x = np.array([-2.0, 0.0, 3.0])
