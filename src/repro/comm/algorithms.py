@@ -53,7 +53,7 @@ algorithmic results match it to floating-point *allclose*, not bitwise —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -556,12 +556,18 @@ class ScheduleRunner:
         self._opname = opname
         self._steps = steps
         self._shape = value.shape
-        # Private working copy: flattened, reduced in place.
-        # ``owns_buffer=True`` skips the copy when the caller hands over a
-        # freshly built array nothing else references (e.g. the
-        # concatenated reduce_scatter parts).
+        # The working buffer, flattened and reduced in place.  The runner
+        # owns what it is given (``owns_buffer``: a donated contribution,
+        # or an array the caller just built) or what it builds:
+        # ``ascontiguousarray`` has already copied a non-contiguous value,
+        # so copy only when ``flat`` is still the caller's memory (a view
+        # overlaps its bounds, a fresh array cannot) or cannot be written.
         flat = np.ascontiguousarray(value).reshape(-1)
-        self._buf = flat if owns_buffer else flat.copy()
+        if not flat.flags.writeable or (
+            not owns_buffer and np.may_share_memory(flat, value)
+        ):
+            flat = flat.copy()
+        self._buf = flat
         # ``offsets`` overrides the near-equal chunking for ops whose
         # chunks are semantic units (reduce_scatter's per-destination
         # parts); every rank must derive the identical table.
@@ -617,18 +623,20 @@ class ScheduleRunner:
             self.wire_sent_inter += view.nbytes
 
     def _apply(self, step: Step, payload: np.ndarray) -> None:
+        """The receive sink of one step: fold or place ``payload`` into its
+        segment of the working buffer.  The transport may still own the
+        payload's bytes (an arena view), so nothing here keeps it."""
         a, b = self._range(step)
+        seg = self._buf[a:b]
         if step.kind == "recv":
-            self._buf[a:b] = payload
+            seg[...] = payload
         elif self._ufunc is not None:
-            seg = self._buf[a:b]
             if step.acc_first:
                 self._ufunc(seg, payload, out=seg)
             else:
                 self._ufunc(payload, seg, out=seg)
         else:
-            seg = self._buf[a:b]
-            self._buf[a:b] = (
+            seg[...] = (
                 self._fn(seg, payload) if step.acc_first else self._fn(payload, seg)
             )
         _trace.flow_in(self._comm._members[step.peer], self._tag)
@@ -648,43 +656,35 @@ class ScheduleRunner:
         """Run eagerly up to the first unsatisfied receive (never blocks)."""
         return self.progress()
 
-    def progress(self) -> bool:
-        """Advance as far as nonblocking probes allow; True when complete."""
+    def _advance(self, block: bool) -> bool:
+        """Run steps in order; every receive is consumed by :meth:`_apply`
+        as the transport's sink.  Nonblocking, stop at the first receive
+        whose message has not arrived (False)."""
         comm = self._comm
+        world, me = comm._world, comm.world_rank
         while self._pos < len(self._steps):
             step = self._steps[self._pos]
             if step.kind == "send":
                 self._send(step)
-            else:
-                a, b = self._range(step)
-                if b > a:
-                    got, payload = comm._world.try_collect(
-                        comm.world_rank, comm._members[step.peer], self._tag
+            elif self._off[step.hi] > self._off[step.lo]:
+                source = comm._members[step.peer]
+                sink = partial(self._apply, step)
+                if block:
+                    world.collect(
+                        me, source, self._tag, opname=self._describe(), sink=sink
                     )
-                    if not got:
-                        return False
-                    self._apply(step, payload)
+                elif not world.try_collect(me, source, self._tag, sink=sink)[0]:
+                    return False
             self._pos += 1
         return True
 
+    def progress(self) -> bool:
+        """Advance as far as nonblocking probes allow; True when complete."""
+        return self._advance(block=False)
+
     def finish(self) -> np.ndarray:
         """Block through the remaining steps; return the reduced array."""
-        comm = self._comm
-        while self._pos < len(self._steps):
-            step = self._steps[self._pos]
-            if step.kind == "send":
-                self._send(step)
-            else:
-                a, b = self._range(step)
-                if b > a:
-                    payload = comm._world.collect(
-                        comm.world_rank,
-                        comm._members[step.peer],
-                        self._tag,
-                        opname=self._describe(),
-                    )
-                    self._apply(step, payload)
-            self._pos += 1
+        self._advance(block=True)
         return self._buf.reshape(self._shape)
 
     @property

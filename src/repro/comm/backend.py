@@ -207,11 +207,27 @@ class BaseWorld(abc.ABC):
 
     @abc.abstractmethod
     def collect(
-        self, dest: int, source: int, tag: Any, opname: str = "recv"
-    ) -> Any: ...
+        self, dest: int, source: int, tag: Any, opname: str = "recv",
+        sink: Callable[[Any], Any] | None = None,
+    ) -> Any:
+        """Block for the matching message and return its payload.
+
+        With a ``sink``, the payload is handed to ``sink(payload)`` while
+        the transport still owns its bytes — on the forked backends array
+        data is then a read-only view of the shared-memory arena, released
+        as soon as the sink returns — and the sink's result is returned
+        instead.  A sink must consume the payload (reduce it, copy it into
+        place), never keep a reference.  Recv-point faults run on the
+        payload before the sink sees it.
+        """
 
     @abc.abstractmethod
-    def try_collect(self, dest: int, source: int, tag: Any) -> tuple[bool, Any]: ...
+    def try_collect(
+        self, dest: int, source: int, tag: Any,
+        sink: Callable[[Any], Any] | None = None,
+    ) -> tuple[bool, Any]:
+        """Nonblocking :meth:`collect`: ``(True, payload or sink result)``
+        when a matching message had arrived, else ``(False, None)``."""
 
     @abc.abstractmethod
     def rank_stats(self, world_rank: int):
@@ -549,7 +565,9 @@ class World(BaseWorld):
                 return
         self._mailboxes[dest].put(source, tag, payload)
 
-    def collect(self, dest: int, source: int, tag: Any, opname: str = "recv") -> Any:
+    def collect(
+        self, dest: int, source: int, tag: Any, opname: str = "recv", sink=None
+    ) -> Any:
         self._check_rank(source, "source")
         describe = (
             f"{opname}(world rank {dest} <- {source}, tag={tag!r})"
@@ -557,17 +575,21 @@ class World(BaseWorld):
         payload = self._mailboxes[dest].get(
             source, tag, self.timeout_for(opname), describe
         )
-        return self._recv_fault(dest, source, tag, payload)
+        return self._received(dest, source, tag, payload, sink)
 
-    def try_collect(self, dest: int, source: int, tag: Any) -> tuple[bool, Any]:
+    def try_collect(
+        self, dest: int, source: int, tag: Any, sink=None
+    ) -> tuple[bool, Any]:
         self._check_rank(source, "source")
         ok, payload = self._mailboxes[dest].try_get(source, tag)
         if ok:
-            payload = self._recv_fault(dest, source, tag, payload)
+            payload = self._received(dest, source, tag, payload, sink)
         return ok, payload
 
-    def _recv_fault(self, dest: int, source: int, tag: Any, payload: Any) -> Any:
-        """Apply recv-point faults on a *successful* retrieval.
+    def _received(self, dest: int, source: int, tag: Any, payload: Any, sink) -> Any:
+        """Apply recv-point faults on a *successful* retrieval, then hand
+        the payload to the ``sink`` (payloads here are private arrays or
+        frozen views the sender keeps alive: nothing to release).
 
         Counting only retrievals (never empty polls) keeps ``after``
         deterministic even though ``try_collect`` may poll a
@@ -578,7 +600,7 @@ class World(BaseWorld):
             _, payload = inj.on_transport(
                 "recv", source, tag, payload, lambda detail: None
             )
-        return payload
+        return payload if sink is None else sink(payload)
 
     def rank_stats(self, world_rank: int):
         return self._stats_registry[world_rank]

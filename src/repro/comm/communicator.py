@@ -21,6 +21,45 @@ immutable (``bcast``/``scatter`` results are exempt — they are private
 writable copies, since they commonly carry small control state the
 receiver updates in place).
 
+**Copy discipline** — one rule: *a byte is copied only where two owners
+would otherwise write and read the same memory, by whoever hands it over,
+and freed by whoever consumes it.*  Where that puts every copy:
+
+====================  ==========================  ===========================
+mechanism             who copies, when            who frees / how long it lives
+====================  ==========================  ===========================
+``_freeze``           nobody for a C-contiguous   the view lives as long as
+(``send``, ``isend``, array (a read-only view     receivers hold it; the
+nonblocking           crosses); the sender, once, sender never mutates the
+contributions)        for a non-contiguous one    buffer again
+``_detached``         the caller's rank, once     garbage-collected with the
+(blocking ``direct``  per call, only on a         last receiver's reference
+collectives)          zero-copy transport: the
+                      buffer is the caller's to
+                      reuse on return
+``_stage_segment``    the sending runner, per     the communicator's
+(schedule sends on a  send, into a pooled         ``BufferPool``, once every
+zero-copy transport,  buffer: the working buffer  receiver dropped its view
+and self-sends)       is reduced into afterwards
+arena send            ``deliver``, synchronously  the receiver, when the
+(process / socket     (``copies_on_send``), so    message is *matched*: after
+intra-node, arrays    schedule sends skip the     the sink returns, or after
+of 2 KiB and up)      staging copy                copying out; at drain time
+                                                  when the arena is over half
+                                                  full (``proc_backend._Inbox``)
+donated buffer        nobody: the runner reduces  the caller gave it up; the
+(``iallreduce(        in the array it is given    result is that memory
+donate=True)``,       or just built; otherwise
+``owns_buffer``)      one working copy at issue
+sink                  nobody: a scheduled         the transport, right after
+(``collect(sink=)``)  receive is folded or        the sink returns; an unsunk
+                      placed into the working     receive gets a private
+                      buffer where it landed      read-only array instead
+``_private``          the receiver, once          the receiver (``bcast`` /
+                                                  ``scatter`` results are
+                                                  writable)
+====================  ==========================  ===========================
+
 Semantics implemented:
 
 * eager buffered ``send``/``recv``/``sendrecv`` matched on ``(source, tag)``;
@@ -656,8 +695,12 @@ class Communicator:
         fn: Callable[[Any, Any], Any],
         segment_bytes: Any = None,
         ufunc: Any = None,
+        owns_buffer: bool = False,
     ) -> "_alg.ScheduleRunner":
         """Build the schedule runner for one scheduled reduction.
+
+        ``owns_buffer``: the runner may reduce in place in ``value`` (a
+        donated contribution) instead of in a private copy.
 
         With a resolved ``segment_bytes`` that splits the payload into
         ``nseg >= 2`` segments, the compiled schedule is expanded
@@ -686,7 +729,8 @@ class Communicator:
                 self.stats.record_segments(opname, nseg)
         return _alg.ScheduleRunner(
             self, opname, steps, value, fn, self._next_coll_seq(),
-            offsets=offsets, inter_peers=self._inter_flags(), ufunc=ufunc,
+            offsets=offsets, owns_buffer=owns_buffer,
+            inter_peers=self._inter_flags(), ufunc=ufunc,
         )
 
     def _resolve_tree(self, algorithm: Any, opname: str) -> str:
@@ -1110,8 +1154,15 @@ class Communicator:
         *,
         algorithm: str | None = None,
         segment_bytes: int | str | None = None,
+        donate: bool = False,
     ) -> Request:
         """Nonblocking allreduce: returns a handle immediately.
+
+        ``donate=True`` gives ``value``'s memory to the operation (the
+        ``MPI_IN_PLACE`` analogue): the caller must not read or write it
+        again, a scheduled algorithm reduces in it instead of in a private
+        copy, and the result may alias it.  Without it the caller's array
+        is only ever read.
 
         ``algorithm`` and ``segment_bytes`` select the wire path exactly
         as in :meth:`allreduce` — a segmented schedule gives ``test()``
@@ -1144,7 +1195,7 @@ class Communicator:
             )
         runner = self._reduction_runner(
             "iallreduce", alg, value, fn, segment_bytes,
-            ufunc=_REDUCE_UFUNCS.get(op),
+            ufunc=_REDUCE_UFUNCS.get(op), owns_buffer=donate,
         )
         return _RunnerRequest(self, runner, "iallreduce")
 
@@ -1192,7 +1243,7 @@ class Communicator:
             runner = _alg.ScheduleRunner(
                 self, "reduce_scatter", steps, flat, fn,
                 self._next_coll_seq(), offsets=tuple(offsets),
-                owns_buffer=True,  # the concatenation above is fresh
+                owns_buffer=True,  # just built above: nobody else holds it
                 inter_peers=self._inter_flags(),
                 ufunc=_REDUCE_UFUNCS.get(op),
             )

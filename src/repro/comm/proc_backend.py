@@ -11,9 +11,11 @@ without pickling) and implements the same
   Large C-contiguous ndarray payloads travel through a fixed
   ``multiprocessing.shared_memory.SharedMemory`` **arena** created by the
   parent before the fork: the sender copies the array into a run of
-  arena blocks and enqueues only a tiny descriptor; the receiver
-  reconstructs the array from the shared mapping, copies it out, and frees
-  the blocks.  Small payloads and arbitrary Python objects fall back to
+  arena blocks and enqueues only a tiny descriptor; the receiver, once a
+  receive *matches* the message, either hands its consumer a read-only
+  view of the blocks (a ``sink``: a schedule step reducing straight out
+  of the arena) or copies the array out, and frees the blocks (see
+  :class:`_Inbox`).  Small payloads and arbitrary Python objects fall back to
   pickling through the queue (as does any array when the arena is
   momentarily full — the send path never blocks, preserving the eager
   buffered-send contract).  Nested containers are walked recursively, so a
@@ -123,6 +125,40 @@ class _ShmRef:
 
     def __reduce__(self):
         return (_ShmRef, (self.index,))
+
+
+class _ArenaMessage:
+    """A buffered message whose arrays still sit in the sender's arena
+    blocks: the queue-safe skeleton plus the ``(offset, nbytes, shape,
+    dtype)`` descriptors its :class:`_ShmRef` placeholders index."""
+
+    __slots__ = ("skeleton", "descs")
+
+    def __init__(self, skeleton: Any, descs: list) -> None:
+        self.skeleton = skeleton
+        self.descs = descs
+
+    def open(self, arena: "_Arena", copy: bool) -> Any:
+        """The payload, its arrays read-only: private copies (``copy``) or
+        views of the arena blocks, valid until :meth:`release`."""
+        arrays = []
+        for offset, nbytes, shape, dtype in self.descs:
+            arr = arena.flat()[offset : offset + nbytes].view(dtype).reshape(shape)
+            if copy:
+                arr = arr.copy()
+            arr.flags.writeable = False
+            arrays.append(arr)
+        return _unpack(self.skeleton, arrays)
+
+    def release(self, arena: "_Arena") -> None:
+        for offset, nbytes, _shape, _dtype in self.descs:
+            arena.free(offset, nbytes)
+
+    def take(self, arena: "_Arena") -> Any:
+        """Copy the payload out of the arena and free its blocks."""
+        payload = self.open(arena, copy=True)
+        self.release(arena)
+        return payload
 
 
 class _Arena:
@@ -393,6 +429,20 @@ class _Inbox:
     The queue is FIFO over all sources; messages that do not match the
     current receive are buffered locally, preserving per-(source, tag)
     FIFO order — the same matching the thread backend's ``_Mailbox`` does.
+
+    **Admit at match.**  A drained message whose arrays rode the arena is
+    buffered as an :class:`_ArenaMessage` — descriptors only, the bytes
+    stay where the sender put them — and ``get``/``try_get`` return that
+    record; :meth:`ProcessWorld._consume` then either lends the matched
+    receive's sink a view of the blocks or copies the arrays out, and
+    frees the blocks.  So a message is copied at most once on this side,
+    and only if its consumer wants a private array.
+
+    **The half-full rule.**  A message matched late holds its blocks until
+    then, and a sender that finds no free run falls back to inline
+    pickling.  So when more than half the arena is in use at drain time
+    the message is copied out and freed at once: a lazy receiver can cost
+    a sender at most half the arena.
     """
 
     def __init__(self, world: "ProcessWorld") -> None:
@@ -422,17 +472,14 @@ class _Inbox:
         self._qfd = reader.fileno() if reader is not None else None
 
     def _admit(self, source: int, tag: Any, skeleton: Any, descs: list) -> None:
-        arena = self._world._shared.arena
-        arrays = []
-        for offset, nbytes, shape, dtype in descs:
-            src = (
-                arena.flat()[offset : offset + nbytes].view(dtype).reshape(shape)
-            )
-            out = src.copy()
-            out.flags.writeable = False
-            arrays.append(out)
-            arena.free(offset, nbytes)
-        self._deposit(source, tag, _unpack(skeleton, arrays))
+        if not descs:
+            entry = _unpack(skeleton, [])
+        else:
+            arena = self._world._shared.arena
+            entry = _ArenaMessage(skeleton, descs)
+            if 2 * arena.used_blocks() > arena.nblocks:
+                entry = entry.take(arena)
+        self._deposit(source, tag, entry)
 
     def _deposit(self, source: int, tag: Any, payload: Any) -> None:
         # Single-consumer buffer: no locking.  The socket backend's inbox
@@ -732,30 +779,53 @@ class ProcessWorld(BaseWorld):
             sp.set(lane="queue")
             self._shared.queues[dest].put(msg)
 
-    def collect(self, dest: int, source: int, tag: Any, opname: str = "recv") -> Any:
+    def collect(
+        self, dest: int, source: int, tag: Any, opname: str = "recv", sink=None
+    ) -> Any:
         self._check_rank(source, "source")
         if dest != self.rank:
             raise ValueError(
                 f"process backend can only collect for its own rank "
                 f"({self.rank}), not {dest}"
             )
-        payload = self._inbox.get(
+        entry = self._inbox.get(
             source,
             tag,
             self.timeout_for(opname),
             lambda: f"{opname}(world rank {dest} <- {source}, tag={tag!r})",
         )
-        # Recv-point faults count successful retrievals only, so ``after``
-        # stays deterministic regardless of how often empty polls ran.
-        _, payload = self._fault("recv", source, tag, payload)
-        return payload
+        return self._consume(source, tag, entry, sink)
 
-    def try_collect(self, dest: int, source: int, tag: Any) -> tuple[bool, Any]:
+    def try_collect(
+        self, dest: int, source: int, tag: Any, sink=None
+    ) -> tuple[bool, Any]:
         self._check_rank(source, "source")
-        ok, payload = self._inbox.try_get(source, tag)
+        ok, entry = self._inbox.try_get(source, tag)
         if ok:
-            _, payload = self._fault("recv", source, tag, payload)
-        return ok, payload
+            entry = self._consume(source, tag, entry, sink)
+        return ok, entry
+
+    def _consume(self, source: int, tag: Any, entry: Any, sink) -> Any:
+        """Turn a matched inbox entry into what the receive returns.
+
+        An :class:`_ArenaMessage` is lent to a ``sink`` as views of its
+        arena blocks, or copied out when there is none; either way the
+        blocks are free on return.  Anything else is already private.
+        Recv-point faults run on the payload before the sink and count
+        successful retrievals only, so ``after`` stays deterministic
+        regardless of how often empty polls ran.
+        """
+        arena = self._shared.arena
+        message = entry if type(entry) is _ArenaMessage else None
+        lend = message is not None and sink is not None
+        if message is not None:
+            entry = message.open(arena, copy=False) if lend else message.take(arena)
+        try:
+            _, payload = self._fault("recv", source, tag, entry)
+            return payload if sink is None else sink(payload)
+        finally:
+            if lend:
+                message.release(arena)
 
     def rank_stats(self, world_rank: int):
         from repro.comm.stats import CommStats
@@ -775,9 +845,16 @@ class ProcessWorld(BaseWorld):
 
 
 def _heartbeat_loop(shared: _SharedJobState, rank: int) -> None:
-    """Daemon thread in each child: stamp this rank's liveness slot."""
+    """Daemon thread in each child: stamp this rank's liveness slot.
+
+    Lock-free on purpose, and for the life of the process (the parent
+    ignores stamps once the job aborts): a contended acquire of a shared
+    lock — ``abort_event.is_set()`` takes the event's — drops the GIL, and
+    a main thread calling ``os._exit`` meanwhile (an injected crash) leaves
+    that lock held forever, wedging the parent and every survivor.
+    """
     interval = max(0.02, shared.config.detect_interval / 2.0)
-    while not shared.abort_event.is_set():
+    while True:
         shared.heartbeats[rank] = monotonic()
         time.sleep(interval)
 

@@ -40,6 +40,13 @@ All ranks of a group traverse layers in the same (reverse topological)
 order, so buckets fill and flush at identical points everywhere and the
 iallreduce sequence numbers line up — the same invariant MPI imposes on
 collective call order.
+
+Ownership: :meth:`BucketedGradReducer.add` takes the partials over.  Every
+bucket is *donated* to its ``iallreduce`` — a multi-tensor bucket is a
+fresh concatenation, a single-tensor bucket is the layer's own partial —
+so a scheduled allreduce reduces in that memory and the reduced gradients
+returned by ``poll``/``drain`` may be views of the arrays that were added.
+A caller that still needs a partial after ``add`` must pass a copy.
 """
 
 from __future__ import annotations
@@ -99,7 +106,8 @@ class BucketedGradReducer:
         partials: dict[str, np.ndarray],
         comm: Communicator | None,
     ) -> dict[str, np.ndarray] | None:
-        """Queue a layer's gradient partials for reduction over ``comm``.
+        """Queue a layer's gradient partials for reduction over ``comm``,
+        taking ownership of the arrays (they may be reduced in place).
 
         ``comm=None`` (or a singleton group) means the partials are already
         complete — they pass straight through to the output and are
@@ -135,6 +143,7 @@ class BucketedGradReducer:
                     flat,
                     algorithm=self.algorithm,
                     segment_bytes=self.segment_bytes,
+                    donate=True,  # ours since add(), or built just above
                 ),
                 bucket,
             )

@@ -41,6 +41,7 @@ __all__ = [
     "batchnorm_backward_data",
     "batchnorm_backward_sums",
     "batchnorm_forward",
+    "batchnorm_stats",
     "conv2d_backward_data",
     "conv2d_backward_filter",
     "conv2d_forward",

@@ -16,6 +16,8 @@ one-rank-per-node — all traffic over TCP — when unset.
 import pytest
 from hypothesis import settings
 
+from repro.core.grad_reducer import BucketedGradReducer
+
 # Tier-1 runs every property test at hypothesis' defaults.  CI's coverage
 # job re-runs the kernel sweeps with ``--hypothesis-profile=wide``; only
 # tests that set no ``max_examples`` of their own follow it.
@@ -43,3 +45,13 @@ def reduce_for_process(backend: str, heavy: bool, reason: str) -> None:
     """
     if backend in FORKED_BACKENDS and heavy:
         pytest.skip(f"{backend} backend runs the reduced matrix: {reason}")
+
+
+class CopyingReducer(BucketedGradReducer):
+    """Test double for ``repro.core.dist_network.BucketedGradReducer`` that
+    copies every partial before ``add()``: nothing is ever reduced in place
+    in a layer's own array, so a run that matches the real reducer's bit for
+    bit proves donated buckets alias nothing the engine still reads."""
+
+    def add(self, layer, partials, comm):
+        return super().add(layer, {k: v.copy() for k, v in partials.items()}, comm)

@@ -11,9 +11,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import reduce_for_process
+from conftest import FORKED_BACKENDS, CopyingReducer, reduce_for_process
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
+from repro.core import dist_network
+from repro.core.grad_reducer import BucketedGradReducer
 from repro.nn import LocalNetwork, NetworkSpec, SGD
 from repro.nn.meshnet import mesh_model_tiny
 from repro.nn.resnet import build_resnet_tiny
@@ -221,7 +223,10 @@ def _flag_batch(spec):
 
 
 @functools.lru_cache(maxsize=None)
-def _flag_run(backend, overlap_halo, overlap_shuffle, overlap_grad_reduce):
+def _flag_run(
+    backend, overlap_halo, overlap_shuffle, overlap_grad_reduce,
+    algorithm="direct", reducer=BucketedGradReducer,
+):
     """Per rank: (loss trajectory as float.hex, region_data bytes, shuffle
     bytes, shuffles) of 3 steps under one flag combination."""
     spec = flag_matrix_net()
@@ -238,7 +243,7 @@ def _flag_run(backend, overlap_halo, overlap_shuffle, overlap_grad_reduce):
             overlap_halo=overlap_halo,
             overlap_shuffle=overlap_shuffle,
             overlap_grad_reduce=overlap_grad_reduce,
-            collective_algorithm="direct",
+            collective_algorithm=algorithm,
         )
         trainer = DistTrainer(net, SGD(lr=0.1))
         losses = [trainer.step(x, t) for _ in range(FLAG_STEPS)]
@@ -251,7 +256,9 @@ def _flag_run(backend, overlap_halo, overlap_shuffle, overlap_grad_reduce):
             net.shuffle_count,
         )
 
-    return run_spmd(4, prog, backend=backend)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist_network, "BucketedGradReducer", reducer)
+        return run_spmd(4, prog, backend=backend)
 
 
 class TestOverlapFlagMatrix:
@@ -279,6 +286,23 @@ class TestOverlapFlagMatrix:
             np.testing.assert_allclose(
                 [float.fromhex(h) for h in hexes], ref_losses, rtol=RTOL
             )
+
+    @pytest.mark.parametrize("algorithm", ["direct", "auto"])
+    @pytest.mark.parametrize(
+        "backend,flags",
+        [("thread", f) for f in itertools.product((True, False), repeat=3)]
+        + [(b, (False, False, False)) for b in FORKED_BACKENDS],
+        ids=lambda v: v if isinstance(v, str) else "".join(map(str, map(int, v))),
+    )
+    def test_donated_partials_are_invisible(self, backend, flags, algorithm):
+        """The reducer reduces a layer's partial in place; a reducer that
+        copies every partial first trains to the same bits and bytes, in
+        every corner (the forked backends' reduced matrix: all flags off),
+        under the scheduled algorithms that do reduce in place as under
+        ``"direct"`` — nothing reads a partial after ``add()``."""
+        assert _flag_run(backend, *flags, algorithm, CopyingReducer) == _flag_run(
+            backend, *flags, algorithm
+        )
 
 
 def dead_input_nets():

@@ -252,6 +252,71 @@ class TestProcessBackendCrash:
             assert "rank 2" in str(out[r])
 
 
+#: The forked transports whose scheduled receives are consumed straight
+#: out of the shm arena (socket: between ranks of one logical node).
+ARENA_PATHS = [("process", None), ("socket", "0,1:A")]
+
+
+@pytest.mark.parametrize("backend,hostmap", ARENA_PATHS, ids=["process", "socket"])
+class TestFaultsOnTheSinkPath:
+    """Recv-point faults run on the payload *before* the collective's sink
+    consumes it, whether that payload is a private array (thread, TCP) or
+    a view of arena blocks the transport still owns."""
+
+    @staticmethod
+    def _allreduce(comm):
+        x = np.random.default_rng(comm.rank).standard_normal(4096)
+        out = comm.iallreduce(x, algorithm="ring", donate=True).wait()
+        return out, getattr(comm._world, "transport", {}).get("shm_messages", 0)
+
+    def test_corrupt_perturbs_the_reduction_with_the_same_bits(self, backend, hostmap):
+        plan = "corrupt@rank1:point=recv:tag=#alg; seed=11"
+        want = run_spmd(2, self._allreduce, faults=plan)  # private payloads
+        clean = run_spmd(2, self._allreduce, backend=backend, hostmap=hostmap)
+        got = run_spmd(2, self._allreduce, backend=backend, hostmap=hostmap, faults=plan)
+        for (g, shm), (w, _), (c, _) in zip(got, want, clean):
+            assert shm > 0  # the segments did ride the arena
+            assert g.tobytes() == w.tobytes()
+            assert np.count_nonzero(g != c) == 1  # one seeded element, reduced
+
+    def test_recurring_delay_never_moves_a_training_bit(self, backend, hostmap):
+        from repro.core import DistNetwork, DistTrainer, LayerParallelism
+        from repro.nn import NetworkSpec, SGD
+
+        spec = NetworkSpec("sink-delay")
+        spec.add("input", "input", channels=4, height=8, width=8)
+        spec.add("c1", "conv", ["input"], filters=16, kernel=3, pad=1, bias=True)
+        spec.add("gap", "gap", ["c1"])
+        spec.add("fc", "fc", ["gap"], units=3)
+        spec.add("loss", "softmax_ce", ["fc"])
+        rng = np.random.default_rng(2)
+        x, t = rng.standard_normal((4, 4, 8, 8)), rng.integers(0, 3, size=4)
+
+        def prog(comm):
+            net = DistNetwork(spec, comm, LayerParallelism(sample=2), seed=0)
+            trainer = DistTrainer(net, SGD(lr=0.1, momentum=0.9))
+            losses = [float(trainer.step(x, t)).hex() for _ in range(3)]
+            return losses, comm._world.transport["shm_messages"]
+
+        plan = "delay@rank1:point=recv:tag=#alg:seconds=0.05:recurring"
+        calm = run_spmd(2, prog, backend=backend, hostmap=hostmap)
+        t0 = monotonic()
+        slow = run_spmd(2, prog, backend=backend, hostmap=hostmap, faults=plan)
+        assert monotonic() - t0 >= 3 * 0.05  # at least the bucket, every step
+        assert slow == calm and all(shm > 0 for _, shm in slow)
+
+    def test_crash_holding_arena_blocks_leaks_no_segment(self, backend, hostmap):
+        before = _shm_segments()
+        out = run_spmd(
+            2, self._allreduce, backend=backend, hostmap=hostmap,
+            faults="crash@rank1:point=recv:tag=#alg",
+            allow_failures=True, detect_interval=0.2, timeout=30.0,
+        )
+        assert isinstance(out[0], CommAborted) and "rank 1" in str(out[0])
+        assert isinstance(out[1], CommAborted) and "injected" in str(out[1])
+        assert _shm_segments() == before
+
+
 class TestAllowFailures:
     def test_mixed_results_and_errors_in_rank_order(self):
         def prog(comm):

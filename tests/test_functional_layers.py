@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from repro.nn import functional as F
 
 
+def test_all_lists_every_public_kernel():
+    defined = (k for k, v in vars(F).items() if getattr(v, "__module__", "") == F.__name__)
+    assert sorted(F.__all__) == sorted(k for k in defined if not k.startswith("_"))
+
+
 class TestMaxPool:
     def test_known_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import LocalNetwork, NetworkSpec, SGD
+from repro.nn.optim import _BLOCK
 from repro.nn.meshnet import build_mesh_model, mesh_model_1k, mesh_model_2k, mesh_model_tiny
 from repro.nn.resnet import build_resnet50, build_resnet_tiny
 
@@ -305,3 +306,66 @@ class TestSGD:
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             SGD(lr=0.0)
+
+    @staticmethod
+    def _reference_step(params, grads, vel, lr, momentum, decay):
+        """The unblocked update: ``v = m*v + g`` in place, ``p -= lr*v``."""
+        for key, g in grads.items():
+            p = params[key]
+            if decay and key == "w":
+                g = g + decay * p
+            if momentum:
+                if key in vel:
+                    vel[key] *= momentum
+                    vel[key] += g
+                else:
+                    vel[key] = g.copy()
+                g = vel[key]
+            p -= lr * g
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("decay", [0.0, 1e-2])
+    def test_blocked_update_is_bitwise_the_reference(self, dtype, momentum, decay):
+        B = _BLOCK
+        rng = np.random.default_rng(7)
+        shapes = {f"n{n}": (n,) for n in (0, 1, B - 1, B, B + 1, 3 * B + 7)}
+        shapes["w"] = (5, 7, 31, 33)  # C-contiguous 4-D, > 2 blocks, decayed
+        params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        opt = SGD(lr=0.05, momentum=momentum, weight_decay=decay)
+        vel: dict[str, np.ndarray] = {}
+        for _ in range(3):  # the first step creates the velocities
+            grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+            opt.step({"l": params}, {"l": {k: g.copy() for k, g in grads.items()}})
+            self._reference_step(ref, grads, vel, 0.05, momentum, decay)
+            for k in shapes:
+                assert params[k].dtype == dtype
+                assert params[k].tobytes() == ref[k].tobytes(), k
+        for k, v in vel.items():
+            assert opt._velocity[("l", k)].tobytes() == v.tobytes(), k
+
+    def test_step_allocates_no_tensor_sized_temporary(self):
+        import tracemalloc
+
+        n = 1 << 20  # one 8 MB tensor
+        params = {"l": {"w": np.ones(n)}}
+        grads = {"l": {"w": np.full(n, 0.5)}}
+        opt = SGD(lr=0.1, momentum=0.9, weight_decay=1e-4)
+        tracemalloc.start()
+        try:
+            opt.step(params, grads)  # creates the 8 MB velocity
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step(params, grads)
+            second = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert first < 8 * n + (1 << 20)
+        assert second < 1 << 20
+
+    def test_non_contiguous_parameter_rejected(self):
+        p = np.ones((4, 6)).T  # reshape(-1) would update a copy
+        with pytest.raises(ValueError, match="C-contiguous"):
+            SGD(lr=0.1).step({"l": {"w": p}}, {"l": {"w": np.ones((6, 4))}})

@@ -13,8 +13,10 @@ lives in ``tests/test_collective_algorithms.py``.)
 import numpy as np
 import pytest
 
+from conftest import CopyingReducer
 from repro.comm import run_spmd, set_zero_copy
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
+from repro.core import dist_network
 from repro.nn import NetworkSpec, SGD
 
 
@@ -40,13 +42,15 @@ def make_batch(n=8, seed=0):
     return x, t
 
 
-def train(nranks, strategy, overlap, steps=3, bucket_bytes=None, lr=0.1):
+def train(
+    nranks, strategy, overlap, steps=3, bucket_bytes=None, lr=0.1, algorithm="direct"
+):
     x, t = make_batch()
 
     def prog(comm):
         # "direct" pins the comm-rank-order fold, the mode whose bucketed
         # and per-tensor reductions are bitwise interchangeable.
-        kwargs = {"overlap_grad_reduce": overlap, "collective_algorithm": "direct"}
+        kwargs = {"overlap_grad_reduce": overlap, "collective_algorithm": algorithm}
         if bucket_bytes is not None:
             kwargs["grad_bucket_bytes"] = bucket_bytes
         net = DistNetwork(conv_net(), comm, strategy, seed=0, **kwargs)
@@ -102,6 +106,18 @@ class TestBitwiseStability:
         finally:
             set_zero_copy(prev)
         assert_identical_runs(with_zero_copy, with_copies)
+
+    @pytest.mark.parametrize("algorithm", ["direct", "auto"])
+    def test_donation_regression(self, algorithm, monkeypatch):
+        """The same run with a reducer that copies every partial before
+        ``add()`` — so nothing is reduced in place in a layer's own array —
+        is bitwise identical, zero-copy transport included: the no-aliasing
+        proof for donated buckets."""
+        strategy = ParallelStrategy.uniform(LayerParallelism(sample=2, height=2))
+        donated = train(4, strategy, overlap=True, algorithm=algorithm)
+        monkeypatch.setattr(dist_network, "BucketedGradReducer", CopyingReducer)
+        copied = train(4, strategy, overlap=True, algorithm=algorithm)
+        assert_identical_runs(donated, copied)
 
 
 class TestReducerPlumbing:

@@ -122,6 +122,82 @@ class TestTransport:
         assert ok is True
         assert fallbacks >= 1
 
+    @pytest.mark.parametrize("algorithm", ["ring", "rabenseifner"])
+    def test_donated_iallreduce_copies_nothing_parameter_sized(
+        self, algorithm, monkeypatch
+    ):
+        """A donated contribution is reduced in place and every receive is
+        consumed straight out of the arena: neither rank allocates anything
+        near the payload's size, and the result is the donated memory.  The
+        same call without ``donate`` never writes the caller's array and
+        copies it once — a strided one too (gathered, not gathered then
+        copied)."""
+        # The bound needs every 4 MB segment in the arena, not pickled inline.
+        monkeypatch.delenv("REPRO_SHM_BYTES", raising=False)
+        n = 1 << 20  # 8 MB of float64
+
+        def prog(comm):
+            import tracemalloc
+
+            def peak_of(value, **kwargs):
+                tracemalloc.start()
+                out = comm.iallreduce(value, algorithm=algorithm, **kwargs).wait()
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                return peak, out
+
+            mine = np.full(n, float(comm.rank + 1))
+            kept = (np.arange(2 * n, dtype=np.float64) + comm.rank)[::2]
+            before = kept.copy()
+            comm.barrier()
+            donated_peak, out = peak_of(mine, donate=True)
+            plain_peak, plain = peak_of(kept)
+            return (
+                donated_peak,
+                plain_peak,
+                np.shares_memory(out, mine) and bool((out == 3.0).all()),
+                kept.tobytes() == before.tobytes()
+                and not np.shares_memory(plain, kept)
+                and bool((plain == 2.0 * before + (1 - 2 * comm.rank)).all()),
+                comm._world.transport["arena_full_fallbacks"],
+            )
+
+        for donated_peak, plain_peak, in_place, untouched, fallbacks in run_spmd(
+            2, prog, backend="process"
+        ):
+            assert donated_peak < 0.25 * 8 * n, f"{donated_peak / 2**20:.1f} MiB"
+            assert plain_peak < 1.25 * 8 * n, f"{plain_peak / 2**20:.1f} MiB"
+            assert in_place and untouched and fallbacks == 0
+
+    def test_late_receiver_never_costs_the_sender_the_arena(self, monkeypatch):
+        """Messages are freed when matched, not when drained — so 40 MiB
+        drained long before any receive would pin 40 of the arena's 64 MiB,
+        were it not for the half-full rule: past 32 MiB in use, a drained
+        message is copied out and freed at once.  The sender never falls
+        back to inline pickling and nothing stays allocated."""
+        monkeypatch.delenv("REPRO_SHM_BYTES", raising=False)  # 64 MiB arena
+        count, words = 40, 1 << 17  # 40 x 1 MiB
+
+        def prog(comm):
+            world, arena = comm._world, comm._world._shared.arena
+            if comm.rank == 0:
+                for i in range(count):
+                    comm.send(np.full(words, float(i)), dest=1, tag=i)
+            comm.barrier()  # rank 1 drains all 40 messages here, matches none
+            held = arena.used_blocks() * arena.block
+            ok = comm.rank == 0 or all(
+                np.array_equal(comm.recv(source=0, tag=i), np.full(words, float(i)))
+                for i in reversed(range(count))
+            )
+            comm.barrier()
+            return ok, held, arena.used_blocks(), world.transport["arena_full_fallbacks"]
+
+        out = run_spmd(2, prog, backend="process")
+        for ok, _held, used, fallbacks in out:
+            assert ok and fallbacks == 0
+            assert used <= 8
+        # Rank 1 left in place what fit under the rule and copied the rest out.
+        assert 16 << 20 < out[1][1] <= 33 << 20
 
     @pytest.mark.parametrize("backend", ["process", "socket"])
     def test_inbox_table_bounded_by_inflight_keys(self, backend):
