@@ -217,11 +217,13 @@ class DistBatchNorm:
 
     def forward(self, x: DistTensor, training: bool = True) -> DistTensor:
         if not training:
-            y_local, bn_cache = F.batchnorm_forward(
+            y_local, _ = F.batchnorm_forward(
                 x.local, self.gamma, self.beta, eps=self.eps,
                 mean=self.running_mean, var=self.running_var,
             )
-            self._cache = {"bn": bn_cache, "count": 1.0, "dist": x.dist}
+            # Nothing to backpropagate through: the training-mode formula
+            # (and its count) does not apply to running statistics.
+            self._cache = {"bn": None}
             return DistTensor(self.grid, x.dist, x.global_shape, y_local)
         s, ss, count = F.batchnorm_stats(x.local)
         comm = self._stats_comm(x.dist)
@@ -255,6 +257,8 @@ class DistBatchNorm:
         cache = self._cache
         if not cache:
             raise RuntimeError("backward() before forward()")
+        if cache["bn"] is None:
+            raise RuntimeError("backward() after an evaluation forward")
         local_dgamma, local_dbeta = F.batchnorm_backward_sums(dy.local, cache["bn"])
         if not need_dx:
             return None, local_dgamma, local_dbeta

@@ -27,6 +27,19 @@ When engine and performance model disagree about *what* a step does, they
 cannot: the cost model, simulator, memory model and analyzer read the same
 op list — diff ``lower(spec, strategy, n)``.
 
+Activations and error signals travel **by reference**.  A layer's output is
+handed to every consumer as is; a layer's ``dx`` *is* its parent's ``dy``
+(an ``add`` hands the same array to all its parents), and only a parent with
+several consumers sums into a tensor of its own.  Layers keep what they need
+for backward the same way: a batch-norm cache and a convolution's gathered
+input (:func:`~repro.tensor.halo.local_region`) alias the live activation
+whenever no padding or remote data is involved.  All of it rests on one
+invariant: **no layer writes to its input or to the error signal it is
+given** — what a layer computes goes into a fresh array, what it does not
+compute it passes through untouched.  The only in-place update of an error
+signal is :meth:`DistNetwork.backward`'s own accumulation, and that touches
+nothing but a sum it allocated itself.
+
 Parameters are replicated on every rank and initialized identically to
 :class:`repro.nn.network.LocalNetwork` (seeded by layer name), so
 distributed runs replicate single-device runs to floating-point
@@ -332,7 +345,9 @@ class DistNetwork:
         layer's own gradient bucketing and finished when the parent folds
         it in (``overlap_shuffle``), else where it starts.  Contributions
         are folded in arrival order either way, so both placements perform
-        identical floating-point additions.
+        identical floating-point additions.  A single contribution is taken
+        by reference (no copy); a second one allocates the sum, later ones
+        add into it — the rule of ``LocalNetwork.backward``.
 
         Each layer's partials are queued on a bucketed nonblocking reducer
         as soon as its filter gradients are computed; with
@@ -373,11 +388,16 @@ class DistNetwork:
             kind = _KINDS[op.kind]
             with _trace.span(f"bwd:{name}", cat="layer", kind=op.kind):
                 dy = None
-                for entry in pending.pop(name, ()):
+                for i, entry in enumerate(pending.pop(name, ())):
                     part = entry.finish() if isinstance(entry, ShuffleExchange) else entry
-                    if dy is None:
+                    if i == 0:
+                        dy = part  # by reference: the producer's dx itself
+                    elif i == 1:
+                        # A fork: the sum is a new tensor this loop owns (the
+                        # additions copy-then-+= performed), parts untouched.
                         dy = DistTensor(
-                            part.grid, part.dist, part.global_shape, part.local.copy()
+                            part.grid, part.dist, part.global_shape,
+                            dy.local + part.local,
                         )
                     else:
                         dy.local += part.local

@@ -362,6 +362,44 @@ def global_avgpool_backward(dy: np.ndarray, x_shape: tuple[int, ...]) -> np.ndar
 
 
 # -- batch normalization -----------------------------------------------------------
+#
+# Every kernel below is a per-channel reduction or a per-channel affine map
+# of an activation, and moves each activation byte once per pass.  With
+# ``xhat = (x - mean)*inv_std`` the textbook layer is ``y = gamma*xhat + beta``
+# and ``dx = gamma*inv_std*(dy - dbeta/m - xhat*dgamma/m)``; folding the
+# per-channel constants first leaves
+#
+#   forward    scale = gamma*inv_std, shift = beta - mean*scale
+#              y  = x*scale + shift
+#   sums       dbeta  = sum dy
+#              dgamma = inv_std*(sum dy*x - mean*dbeta)      (= sum dy*xhat)
+#   data       k = scale*inv_std*dgamma/m, c = scale*dbeta/m - mean*k
+#              dx = dy*scale - (x*k + c)
+#
+# so ``xhat`` is never materialized.  The cache *references* the input — the
+# network keeps that activation alive anyway — beside C-element vectors
+# (``mean``, ``var``, ``inv_std``, ``gamma``): no kernel here may write to
+# ``x`` or ``dy``.  ``dgamma`` stays linear in the local sums, which is what
+# lets ``DistBatchNorm`` allreduce per-rank partials.
+#
+# The folded forms subtract ``mean*scale`` (``mean*dbeta``, ``mean*k``) after
+# the multiply instead of centring first, so their rounding error grows like
+# ``eps*|mean|/std`` — the character ``var = ss/count - mean**2`` of the
+# aggregated statistics already has; ``tests/test_functional_layers.py`` pins
+# it on a large-mean input.
+#
+# The product reductions are ``np.einsum`` because ``(a*b).sum(...)`` first
+# writes an activation-sized temporary and then reads it back: einsum
+# multiplies and accumulates in one pass over the operands.
+
+
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel ``sum a*b`` over (N, H, W), with no product temporary."""
+    return np.einsum("nchw,nchw->c", a, b)
+
+
+def _per_channel(v: np.ndarray) -> np.ndarray:
+    return v.reshape(1, -1, 1, 1)
 
 
 def batchnorm_forward(
@@ -372,21 +410,23 @@ def batchnorm_forward(
     mean: np.ndarray | None = None,
     var: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Per-channel batch norm over (N, H, W).
+    """Per-channel batch norm over (N, H, W): ``y = x*scale + shift``.
 
     ``mean``/``var`` may be supplied externally (the distributed variants
     aggregate statistics over a process group first); otherwise they are
     computed from ``x`` (mini-batch statistics, biased variance).
-    Returns ``(y, cache)`` for the backward pass.
+    Returns ``(y, cache)`` for the backward pass; the cache holds ``x`` by
+    reference (no normalized copy) and the statistics used.
     """
     if mean is None:
         mean = x.mean(axis=(0, 2, 3))
     if var is None:
         var = x.var(axis=(0, 2, 3))
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-    y = gamma.reshape(1, -1, 1, 1) * xhat + beta.reshape(1, -1, 1, 1)
-    cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma}
+    scale = gamma * inv_std
+    y = x * _per_channel(scale)
+    y += _per_channel(beta - mean * scale)
+    cache = {"x": x, "mean": mean, "var": var, "inv_std": inv_std, "gamma": gamma}
     return y, cache
 
 
@@ -394,8 +434,11 @@ def batchnorm_backward_sums(
     dy: np.ndarray, cache: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel ``(dgamma, dbeta) = (sum dy*xhat, sum dy)`` over (N, H, W):
-    the parameter gradients, and the two reductions ``dx`` is built from."""
-    return (dy * cache["xhat"]).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
+    the parameter gradients, and the two reductions ``dx`` is built from.
+    Linear in ``dy``'s local sums, so shards' results add up to the whole's."""
+    dbeta = dy.sum(axis=(0, 2, 3))
+    dgamma = cache["inv_std"] * (_channel_dot(dy, cache["x"]) - cache["mean"] * dbeta)
+    return dgamma, dbeta
 
 
 def batchnorm_backward_data(
@@ -403,14 +446,16 @@ def batchnorm_backward_data(
 ) -> np.ndarray:
     """``dx = (gamma*inv_std)*(dy - dbeta/m - xhat*dgamma/m)`` with the sums
     taken over the normalization set of size ``m`` (for distributed batch
-    norm: aggregated over the process group first)."""
-    xhat, inv_std, gamma = cache["xhat"], cache["inv_std"], cache["gamma"]
-    scale = (gamma * inv_std).reshape(1, -1, 1, 1)
-    return scale * (
-        dy
-        - dbeta.reshape(1, -1, 1, 1) / m
-        - xhat * dgamma.reshape(1, -1, 1, 1) / m
-    )
+    norm: aggregated over the process group first), evaluated as
+    ``dy*scale - (x*k + c)``: four passes, ``dx`` and one temporary."""
+    scale = cache["gamma"] * cache["inv_std"]
+    k = scale * cache["inv_std"] * dgamma / m
+    c = scale * dbeta / m - cache["mean"] * k
+    dx = dy * _per_channel(scale)
+    t = cache["x"] * _per_channel(k)
+    t += _per_channel(c)
+    dx -= t
+    return dx
 
 
 def batchnorm_backward(
@@ -427,18 +472,17 @@ def batchnorm_backward(
 def batchnorm_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-channel ``(sum, sum of squares, count)`` — the quantities the
     distributed variants allreduce before normalizing (paper §III-B)."""
-    s = x.sum(axis=(0, 2, 3))
-    ss = (x * x).sum(axis=(0, 2, 3))
     count = float(x.shape[0] * x.shape[2] * x.shape[3])
-    return s, ss, count
+    return x.sum(axis=(0, 2, 3)), _channel_dot(x, x), count
 
 
 # -- element-wise and dense ----------------------------------------------------------
 
 
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = x > 0
-    return x * mask, mask
+    """``(max(x, 0), x > 0)``.  One float pass: a bool-mask multiply casts
+    the mask first and ``np.where`` is slower still (measured 4-8x)."""
+    return np.maximum(x, 0.0), x > 0
 
 
 def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -86,18 +86,20 @@ class LocalNetwork:
                 cache["x_shape"] = x.shape
             elif layer.kind == "bn":
                 p = self.params[layer.name]
+                run = self._running[layer.name]
                 if training:
                     y, bn_cache = F.batchnorm_forward(x, p["gamma"], p["beta"])
-                    run = self._running[layer.name]
+                    # The batch statistics the kernel just normalized with.
                     mom = layer.params.get("momentum", 0.9)
-                    run["mean"] = mom * run["mean"] + (1 - mom) * x.mean(axis=(0, 2, 3))
-                    run["var"] = mom * run["var"] + (1 - mom) * x.var(axis=(0, 2, 3))
+                    run["mean"] = mom * run["mean"] + (1 - mom) * bn_cache["mean"]
+                    run["var"] = mom * run["var"] + (1 - mom) * bn_cache["var"]
+                    cache["bn"] = bn_cache
                 else:
-                    run = self._running[layer.name]
-                    y, bn_cache = F.batchnorm_forward(
+                    # No cache: the training-mode backward formula does not
+                    # apply to running statistics.
+                    y, _ = F.batchnorm_forward(
                         x, p["gamma"], p["beta"], mean=run["mean"], var=run["var"]
                     )
-                cache["bn"] = bn_cache
             elif layer.kind == "relu":
                 y, mask = F.relu_forward(x)
                 cache["mask"] = mask
@@ -201,6 +203,8 @@ class LocalNetwork:
                     dx = F.avgpool2d_backward(dy, cache["x_shape"], kernel, stride, pad)
                 accumulate(x_parent, dx)
             elif layer.kind == "bn":
+                if "bn" not in cache:
+                    raise RuntimeError("backward() after an evaluation forward")
                 dgamma, dbeta = F.batchnorm_backward_sums(dy, cache["bn"])
                 grads[layer.name] = {"gamma": dgamma, "beta": dbeta}
                 if need_dx:

@@ -50,13 +50,10 @@ def any_region_remote(dt: DistTensor, regions: Sequence) -> bool:
     return False
 
 
-def _filled(shape: tuple[int, ...], dtype, fill: float | None, pool) -> np.ndarray:
-    """An assembly buffer recycled through ``pool``, initialised to ``fill``
-    — or left as found when ``fill`` is ``None`` (the caller overwrites all
-    of it)."""
+def _filled(shape: tuple[int, ...], dtype, fill: float, pool) -> np.ndarray:
+    """An assembly buffer recycled through ``pool``, initialised to ``fill``."""
     out = pool.take(shape, dtype) if pool is not None else np.empty(shape, dtype=dtype)
-    if fill is not None:
-        out.fill(fill)
+    out.fill(fill)
     return out
 
 
@@ -67,18 +64,32 @@ def local_region(
     fill: float = 0.0,
     pool=None,
 ) -> np.ndarray:
-    """Materialize a region that is fully local (plus virtual padding)
-    without any communication — the fast path layers take when
-    :func:`any_region_remote` says no rank needs remote data."""
+    """A region that is fully local (plus virtual padding), without any
+    communication — the fast path layers take when
+    :func:`any_region_remote` says no rank needs remote data.
+
+    Decided from the box alone: a non-empty box inside the tensor (every
+    unpadded convolution, every aligned pooling) needs no fill, so it is
+    returned as a read-only view of ``dt.local`` — no copy; the result
+    aliases a live activation or error signal, which no layer may write
+    to.  It is always a view *object* (``.base`` set), never ``dt.local``
+    itself: :meth:`BufferPool.give` recycles only arrays that own their
+    memory, so callers that hand the region back to their pool cannot put
+    the activation on a free-list.  A box that leaves the tensor is staged
+    through ``pool`` with ``fill`` in the padding.
+    """
     box = tuple((int(b), int(h)) for b, h in zip(lo, hi))
     out_shape = tuple(h - b for b, h in box)
     clipped = tuple(
         (max(b, 0), min(h, n)) for (b, h), n in zip(box, dt.global_shape)
     )
-    # Virtual padding exists only where the box leaves the tensor; a box
-    # inside it (every unpadded convolution) is overwritten whole below.
-    out = _filled(out_shape, dt.dtype, None if clipped == box else fill, pool)
-    if all(s > 0 for s in out_shape) and all(c_hi > c_lo for c_lo, c_hi in clipped):
+    nonempty = all(s > 0 for s in out_shape)
+    if nonempty and clipped == box:
+        view = dt._local_slice_of(box)  # raises unless this rank owns it
+        view.flags.writeable = False
+        return view
+    out = _filled(out_shape, dt.dtype, fill, pool)
+    if nonempty and all(c_hi > c_lo for c_lo, c_hi in clipped):
         sl = tuple(
             slice(c_lo - b, c_hi - b) for (c_lo, c_hi), (b, _) in zip(clipped, box)
         )

@@ -19,6 +19,7 @@ from repro.core.grad_reducer import BucketedGradReducer
 from repro.nn import LocalNetwork, NetworkSpec, SGD
 from repro.nn.meshnet import mesh_model_tiny
 from repro.nn.resnet import build_resnet_tiny
+from repro.tensor import DistTensor
 
 RTOL = 1e-9
 ATOL = 1e-11
@@ -222,6 +223,30 @@ def _flag_batch(spec):
     return make_batch(spec, n=4, seed=11)
 
 
+def _flag_strategy():
+    sample = LayerParallelism(sample=4)
+    return ParallelStrategy(
+        {"input": sample, "c1": sample, "r1": sample},
+        default=LayerParallelism(height=2, width=2),
+    )
+
+
+def _flag_train(comm, spec, strategy, flags, algorithm="direct"):
+    """``(net, losses)`` of FLAG_STEPS training steps under one combination
+    of ``(overlap_halo, overlap_shuffle, overlap_grad_reduce)``."""
+    overlap_halo, overlap_shuffle, overlap_grad_reduce = flags
+    net = DistNetwork(
+        spec, comm, strategy, seed=0,
+        overlap_halo=overlap_halo,
+        overlap_shuffle=overlap_shuffle,
+        overlap_grad_reduce=overlap_grad_reduce,
+        collective_algorithm=algorithm,
+    )
+    trainer = DistTrainer(net, SGD(lr=0.1))
+    x, t = _flag_batch(spec)
+    return net, [trainer.step(x, t) for _ in range(FLAG_STEPS)]
+
+
 @functools.lru_cache(maxsize=None)
 def _flag_run(
     backend, overlap_halo, overlap_shuffle, overlap_grad_reduce,
@@ -230,23 +255,10 @@ def _flag_run(
     """Per rank: (loss trajectory as float.hex, region_data bytes, shuffle
     bytes, shuffles) of 3 steps under one flag combination."""
     spec = flag_matrix_net()
-    x, t = _flag_batch(spec)
-    sample = LayerParallelism(sample=4)
-    strategy = ParallelStrategy(
-        {"input": sample, "c1": sample, "r1": sample},
-        default=LayerParallelism(height=2, width=2),
-    )
+    flags = (overlap_halo, overlap_shuffle, overlap_grad_reduce)
 
     def prog(comm):
-        net = DistNetwork(
-            spec, comm, strategy, seed=0,
-            overlap_halo=overlap_halo,
-            overlap_shuffle=overlap_shuffle,
-            overlap_grad_reduce=overlap_grad_reduce,
-            collective_algorithm=algorithm,
-        )
-        trainer = DistTrainer(net, SGD(lr=0.1))
-        losses = [trainer.step(x, t) for _ in range(FLAG_STEPS)]
+        net, losses = _flag_train(comm, spec, _flag_strategy(), flags, algorithm)
         rows = comm.stats.collective_bytes
         assert net.shuffle_count == comm.stats.collectives["shuffle"]
         return (
@@ -303,6 +315,131 @@ class TestOverlapFlagMatrix:
         assert _flag_run(backend, *flags, algorithm, CopyingReducer) == _flag_run(
             backend, *flags, algorithm
         )
+
+
+def fork_net():
+    """conv -> {conv-bn, identity} -> add -> relu -> gap -> fc -> loss: ``c0``
+    is the one layer with two consumers, every other has one."""
+    net = NetworkSpec("fork")
+    net.add("input", "input", channels=2, height=8, width=8)
+    net.add("c0", "conv", ["input"], filters=4, kernel=3, pad=1)
+    net.add("c1", "conv", ["c0"], filters=4, kernel=1)
+    net.add("b1", "bn", ["c1"])
+    net.add("j", "add", ["b1", "c0"])
+    net.add("r", "relu", ["j"])
+    net.add("gap", "gap", ["r"])
+    net.add("fc", "fc", ["gap"], units=3)
+    net.add("loss", "softmax_ce", ["fc"])
+    return net
+
+
+def _wrapped_kinds(wrap):
+    """``dist_network._KINDS`` with every layer kind's backward replaced by
+    ``wrap(kind.backward)``."""
+    return {
+        name: kind._replace(backward=wrap(kind.backward)) if kind.backward else kind
+        for name, kind in dist_network._KINDS.items()
+    }
+
+
+def _private_dy(backward):
+    """The interpreter this one replaced, as a test double: every layer runs
+    backward on a private copy of its error signal."""
+
+    def copying(impl, dy, need_dx):
+        if dy is not None:
+            dy = DistTensor(dy.grid, dy.dist, dy.global_shape, dy.local.copy())
+        return backward(impl, dy, need_dx)
+
+    return copying
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_run(backend, flags, copying, unshuffled_fork=False):
+    """Per rank: (loss trajectory as float.hex, the last step's gradients as
+    bytes) of 3 steps — of the flag-matrix net under one flag combination,
+    or of :func:`fork_net` sample-parallel."""
+    spec = fork_net() if unshuffled_fork else flag_matrix_net()
+    strategy = LayerParallelism(sample=4) if unshuffled_fork else _flag_strategy()
+
+    def prog(comm):
+        net, losses = _flag_train(comm, spec, strategy, flags)
+        grads = {
+            layer: {p: a.tobytes() for p, a in g.items()}
+            for layer, g in net.grads.items()
+        }
+        return [float(v).hex() for v in losses], grads
+
+    with pytest.MonkeyPatch.context() as mp:
+        if copying:
+            mp.setattr(dist_network, "_KINDS", _wrapped_kinds(_private_dy))
+        return run_spmd(4, prog, backend=backend)
+
+
+class TestErrorSignalsByReference:
+    """A layer's ``dx`` is its parent's ``dy``: no copy on a single-consumer
+    edge, a fresh sum at a fork, and nothing a producer still holds is ever
+    written to."""
+
+    def test_single_consumers_alias_and_a_fork_sums_afresh(self):
+        spec = fork_net()
+        x, t = make_batch(spec, n=4, seed=12)
+        log = {}
+
+        def spy(backward):
+            def recording(impl, dy, need_dx):
+                dx, g = backward(impl, dy, need_dx)
+                log[id(impl)] = (dy, dx, None if dx is None else dx.local.copy())
+                return dx, g
+
+            return recording
+
+        def prog(comm):
+            net = DistNetwork(spec, comm, LayerParallelism(sample=2), seed=0)
+            net.forward(x, targets=t)
+            net.backward()
+            seen = {n: log[id(impl)] for n, impl in net._layers.items() if id(impl) in log}
+            assert set(seen) == set(net._layers) - {"input"}
+            # One consumer: the error signal is the child's dx, not a copy.
+            for layer, child in [
+                ("fc", "loss"), ("gap", "fc"), ("r", "gap"), ("j", "r"),
+                ("b1", "j"), ("c1", "b1"),
+            ]:
+                assert np.shares_memory(seen[layer][0].local, seen[child][1].local), layer
+            # Two consumers: a fresh array holding the sum of both, in
+            # arrival order (j's dx, which is j's own dy, then c1's).
+            dy0 = seen["c0"][0].local
+            parts = [seen["j"][1].local, seen["c1"][1].local]
+            assert not any(np.shares_memory(dy0, part) for part in parts)
+            np.testing.assert_array_equal(dy0, parts[0] + parts[1])
+            # Nothing was written to after its producer returned it.
+            for _, dx, returned in seen.values():
+                if dx is not None:
+                    np.testing.assert_array_equal(dx.local, returned)
+            return True
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dist_network, "_KINDS", _wrapped_kinds(spy))
+            assert run_spmd(2, prog) == [True, True]
+
+    @pytest.mark.parametrize(
+        "flags", list(itertools.product((True, False), repeat=3)),
+        ids=lambda f: "halo{}-shuffle{}-reduce{}".format(*map(int, f)),
+    )
+    def test_bitwise_equal_to_copying_every_error_signal(self, flags, backend):
+        """Handing error signals over by reference trains to the bits of an
+        interpreter that gives every layer a private copy — losses and
+        gradients, in every flag corner (forked backends: all flags off)."""
+        reduce_for_process(backend, any(flags), "all-flags-off corner only")
+        assert _reference_run(backend, flags, True) == _reference_run(backend, flags, False)
+
+    def test_bitwise_equal_to_copying_at_an_unshuffled_fork(self):
+        """Same, where the fork's contributions are the producers' own
+        arrays (no shuffle in between hands out fresh ones)."""
+        flags = (True, True, True)
+        got = _reference_run("thread", flags, False, unshuffled_fork=True)
+        assert got == _reference_run("thread", flags, True, unshuffled_fork=True)
+        assert all(rank == got[0] for rank in got)
 
 
 def dead_input_nets():
@@ -463,6 +600,22 @@ class TestValidation:
         losses = run_spmd(2, prog)
         assert np.isfinite(losses).all()
         assert losses[0] == pytest.approx(losses[1])
+
+    def test_backward_after_evaluation_forward_raises(self):
+        """``DistTrainer.evaluate`` is forward-only; a backward after it would
+        apply the training formula to running statistics."""
+        spec = small_conv_net()
+        x, t = make_batch(spec, n=2, seed=8)
+
+        def prog(comm):
+            net = DistNetwork(spec, comm, LayerParallelism(sample=2))
+            net.forward(x, targets=t, training=False)
+            with pytest.raises(RuntimeError, match="after an evaluation forward"):
+                net.backward()
+            net.forward(x, targets=t, training=True)
+            return sorted(net.backward())
+
+        assert run_spmd(2, prog) == [["b1", "b2", "c1", "c2", "predict"]] * 2
 
     def test_trainer_fit(self):
         spec = small_conv_net()

@@ -178,7 +178,7 @@ class TestBatchNorm:
     def test_each_backward_reduction_is_evaluated_once(self, monkeypatch):
         """``sum dy*xhat`` and ``sum dy`` run once per BN backward — in the
         single-device composition and in ``DistBatchNorm`` — and the
-        kernels' outputs keep the bits of the formulas written out."""
+        kernels' outputs are the textbook formulas written out."""
         from repro.comm import run_spmd
         from repro.core.dist_layers import DistBatchNorm
         from repro.core.parallelism import activation_dist
@@ -200,13 +200,17 @@ class TestBatchNorm:
 
         dx, dgamma, dbeta = F.batchnorm_backward(dy, cache)
         assert len(calls) == 1
-        xhat, m = cache["xhat"], 4 * 4 * 4
-        np.testing.assert_array_equal(dgamma, (dy * xhat).sum(axis=(0, 2, 3)))
-        np.testing.assert_array_equal(dbeta, dy.sum(axis=(0, 2, 3)))
-        np.testing.assert_array_equal(
+        m = 4 * 4 * 4
+        inv_std = 1.0 / np.sqrt(x.var(axis=(0, 2, 3)) + 1e-5)
+        xhat = (x - x.mean(axis=(0, 2, 3)).reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        close = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dgamma, (dy * xhat).sum(axis=(0, 2, 3)), **close)
+        np.testing.assert_allclose(dbeta, dy.sum(axis=(0, 2, 3)), **close)
+        np.testing.assert_allclose(
             dx,
-            (gamma * cache["inv_std"]).reshape(1, -1, 1, 1)
+            (gamma * inv_std).reshape(1, -1, 1, 1)
             * (dy - dbeta.reshape(1, -1, 1, 1) / m - xhat * dgamma.reshape(1, -1, 1, 1) / m),
+            **close,
         )
 
         def prog(comm):
@@ -405,3 +409,210 @@ def test_pool_adjoint_property(n, c, h, k, s):
     dy = rng.standard_normal(y.shape)
     dx = F.avgpool2d_backward(dy, x.shape, kernel=k, stride=s)
     np.testing.assert_allclose((y * dy).sum(), (x * dx).sum(), rtol=1e-9, atol=1e-9)
+
+
+# -- batch-norm kernel sweep -----------------------------------------------------
+#
+# The kernels fold the per-channel constants and never form ``xhat``; the
+# reference below is the centred two-pass textbook layer, written out here
+# and evaluated in float64.  Seeded like the convolution sweeps
+# (tests/test_functional_conv.py): 100 examples in tier-1, 600 under CI's
+# ``wide`` profile.
+
+seeded_sweep = settings(derandomize=True, deadline=None)
+
+BN_EPS = 1e-5
+
+
+def _per_channel(v):
+    return v.reshape(1, -1, 1, 1)
+
+
+def textbook_batchnorm(x, gamma, beta, dy):
+    """Every quantity of a training-mode BN layer from its definition."""
+    x, gamma, beta, dy = (np.asarray(a, dtype=np.float64) for a in (x, gamma, beta, dy))
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = x.sum(axis=(0, 2, 3)) / m
+    centred = x - _per_channel(mean)
+    var = (centred * centred).sum(axis=(0, 2, 3)) / m
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = centred * _per_channel(inv_std)
+    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
+    dbeta = dy.sum(axis=(0, 2, 3))
+    return {
+        "s": x.sum(axis=(0, 2, 3)),
+        "ss": (x * x).sum(axis=(0, 2, 3)),
+        "m": float(m),
+        "mean": mean,
+        "var": var,
+        "y": _per_channel(gamma) * xhat + _per_channel(beta),
+        "dgamma": dgamma,
+        "dbeta": dbeta,
+        "dx": _per_channel(gamma * inv_std)
+        * (dy - _per_channel(dbeta) / m - xhat * _per_channel(dgamma) / m),
+    }
+
+
+def _close(got, want, rtol, cond=1.0):
+    """``rtol`` of the reference's largest entry: the sums cancel, so single
+    entries near zero carry the rounding of the terms, not of themselves.
+    ``cond`` widens it by the folded kernels' stated error growth."""
+    want = np.asarray(want)
+    tol = rtol * cond
+    np.testing.assert_allclose(
+        got, want, rtol=tol, atol=tol * max(1.0, float(np.abs(want).max()))
+    )
+
+
+def _strided(values):
+    """``values`` as a non-contiguous slice (every other channel, a spatial
+    window) of a larger buffer — how a piece of a gathered region or a
+    channel block reaches the kernels."""
+    n, c, h, w = values.shape
+    ext = np.zeros((n, 2 * c, h + 2, w + 3), dtype=values.dtype)
+    view = ext[:, ::2, 1 : 1 + h, 2 : 2 + w]
+    view[...] = values
+    return view
+
+
+@st.composite
+def batchnorm_cases(draw):
+    """Shapes down to C = 1, N = 1 and H*W = 1, both dtypes, channel means
+    away from zero, ``x`` and ``dy`` each contiguous or sliced."""
+    shape = draw(
+        st.tuples(
+            st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)
+        )
+    )
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    c = shape[1]
+    offset, spread = rng.uniform(-3, 3, size=c), rng.uniform(0.5, 2, size=c)
+    x = rng.standard_normal(shape) * _per_channel(spread) + _per_channel(offset)
+    x, dy = x.astype(dtype), rng.standard_normal(shape).astype(dtype)
+    if draw(st.booleans()):
+        x = _strided(x)
+    if draw(st.booleans()):
+        dy = _strided(dy)
+    gamma = (rng.standard_normal(c) + 1.5).astype(dtype)
+    beta = rng.standard_normal(c).astype(dtype)
+    return x, dy, gamma, beta, (1e-10 if dtype is np.float64 else 1e-4)
+
+
+@seeded_sweep
+@given(batchnorm_cases())
+def test_batchnorm_kernels_match_textbook(case):
+    x, dy, gamma, beta, rtol = case
+    want = textbook_batchnorm(x, gamma, beta, dy)
+    # eps*|mean|/std: a two-element normalization set can have any ratio.
+    cond = max(1.0, float((np.abs(want["mean"]) / np.sqrt(want["var"] + BN_EPS)).max()))
+
+    s, ss, m = F.batchnorm_stats(x)
+    assert m == want["m"]
+    _close(s, want["s"], rtol)
+    _close(ss, want["ss"], rtol)
+
+    # Own statistics, and statistics handed in (the distributed layers').
+    stats = {"mean": want["mean"].astype(x.dtype), "var": want["var"].astype(x.dtype)}
+    for kwargs in ({}, stats):
+        y, cache = F.batchnorm_forward(x, gamma, beta, eps=BN_EPS, **kwargs)
+        assert y.shape == x.shape and y.dtype == x.dtype and y.flags.c_contiguous
+        _close(y, want["y"], rtol, cond)
+        dgamma, dbeta = F.batchnorm_backward_sums(dy, cache)
+        _close(dgamma, want["dgamma"], rtol, cond)
+        _close(dbeta, want["dbeta"], rtol)
+        dx = F.batchnorm_backward_data(dy, cache, dgamma, dbeta, m)
+        assert dx.shape == x.shape and dx.dtype == x.dtype and dx.flags.c_contiguous
+        _close(dx, want["dx"], rtol, cond)
+
+
+def test_batchnorm_large_mean_keeps_eight_digits():
+    """The folded forms subtract ``mean*scale`` after the multiply, so their
+    error grows like ``eps*|mean|/std``: at mean/std = 1e3 about three
+    digits go, and eight must stay."""
+    rng = np.random.default_rng(13)
+    x = 1e3 + rng.standard_normal((4, 3, 8, 8))
+    dy = rng.standard_normal(x.shape)
+    gamma, beta = rng.standard_normal(3) + 1.5, rng.standard_normal(3)
+    want = textbook_batchnorm(x, gamma, beta, dy)
+    y, cache = F.batchnorm_forward(x, gamma, beta, eps=BN_EPS)
+    dx, dgamma, dbeta = F.batchnorm_backward(dy, cache)
+    _close(y, want["y"], 1e-8)
+    _close(dgamma, want["dgamma"], 1e-8)
+    _close(dx, want["dx"], 1e-8)
+
+
+@pytest.mark.parametrize("axis", [0, 2, 3], ids=["samples", "rows", "columns"])
+def test_batchnorm_backward_sums_add_up_over_shards(axis):
+    """``(dgamma, dbeta)`` are linear in the local sums: two shards' results
+    add up to the whole's — what lets ``DistBatchNorm`` allreduce per-rank
+    partials.  Row and column shards reach the kernel non-contiguous."""
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((4, 3, 6, 6)) + 2.0
+    dy = rng.standard_normal(x.shape)
+    gamma, beta = rng.standard_normal(3) + 1.5, rng.standard_normal(3)
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    _, cache = F.batchnorm_forward(x, gamma, beta, mean=mean, var=var)
+    whole = F.batchnorm_backward_sums(dy, cache)
+
+    total = [0.0, 0.0]
+    for part in (slice(0, 1), slice(1, None)):  # uneven on purpose
+        index = tuple(part if d == axis else slice(None) for d in range(4))
+        _, shard_cache = F.batchnorm_forward(x[index], gamma, beta, mean=mean, var=var)
+        for i, v in enumerate(F.batchnorm_backward_sums(dy[index], shard_cache)):
+            total[i] = total[i] + v
+    for got, want in zip(total, whole):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_batchnorm_keeps_no_normalized_copy():
+    """Memory guard on one 4 MB activation: the cache references ``x`` and
+    otherwise holds C-element vectors; forward allocates its output and
+    nothing else of that size, backward ``dx`` and one temporary."""
+    import tracemalloc
+
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((8, 16, 64, 64))
+    dy = rng.standard_normal(x.shape)
+    gamma, beta = rng.standard_normal(16) + 1.5, rng.standard_normal(16)
+    assert x.nbytes == 4 * 2**20
+
+    def traced(call):
+        call()  # warm-up: one-time imports and caches are not the kernel's
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    s, ss, m = F.batchnorm_stats(x)
+    mean = s / m
+    (y, cache), peak = traced(
+        lambda: F.batchnorm_forward(x, gamma, beta, mean=mean, var=ss / m - mean**2)
+    )
+    assert peak < 1.25 * x.nbytes, peak / x.nbytes
+    for key, value in cache.items():
+        assert np.shares_memory(value, x) or value.size == 16, key
+    assert traced(lambda: F.batchnorm_stats(x))[1] < 0.25 * x.nbytes
+    _, peak = traced(lambda: F.batchnorm_backward(dy, cache))
+    assert peak < 2.25 * x.nbytes, peak / x.nbytes
+
+
+def test_relu_forward_is_a_select():
+    """``y = x where x > 0 else 0`` and ``mask = x > 0``, also at the signed
+    zeros and infinities (a mask multiply turns ``-inf`` into NaN); a NaN
+    stays a NaN, with its mask off."""
+    rng = np.random.default_rng(16)
+    for dtype in (np.float64, np.float32):
+        x = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
+        x[0, 0, 0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        y, mask = F.relu_forward(x)
+        assert y.dtype == dtype and mask.dtype == np.bool_
+        np.testing.assert_array_equal(y, np.where(x > 0, x, 0))
+        np.testing.assert_array_equal(mask, x > 0)
+        x[1, 2, 3, 4] = np.nan
+        y, mask = F.relu_forward(x)
+        assert np.isnan(y[1, 2, 3, 4]) and not mask[1, 2, 3, 4]
+        finite = ~np.isnan(x)
+        np.testing.assert_array_equal(y[finite], np.where(x > 0, x, 0)[finite])

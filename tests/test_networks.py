@@ -266,6 +266,55 @@ class TestLocalNetworkExecution:
         # output differs from exact normalization.
         assert abs(out_eval.mean()) > 1e-3
 
+    def test_running_statistics_are_the_batch_statistics(self):
+        """The running statistics are updated from the mean/var the BN
+        kernel normalized with — bit for bit ``x.mean``/``x.var`` of the
+        layer's input, folded in with the layer's momentum."""
+        spec = build_resnet_tiny(image_size=16)
+        net = LocalNetwork(spec, seed=5)
+        rng = np.random.default_rng(6)
+        x, labels = rng.standard_normal((4, 3, 16, 16)), rng.integers(0, 10, size=4)
+        opt = SGD(lr=0.1, momentum=0.9)
+        bn_layers = [layer for layer in spec.topo_order() if layer.kind == "bn"]
+        want = {
+            layer.name: (np.zeros(c), np.ones(c))
+            for layer in bn_layers
+            for c in [net.shapes[layer.name][0]]
+        }
+        for _ in range(3):
+            _, grads = net.loss_and_grad(x, labels)
+            for layer in bn_layers:
+                a = net.activations[layer.parents[0]]
+                mom = layer.params.get("momentum", 0.9)
+                mean, var = want[layer.name]
+                want[layer.name] = (
+                    mom * mean + (1 - mom) * a.mean(axis=(0, 2, 3)),
+                    mom * var + (1 - mom) * a.var(axis=(0, 2, 3)),
+                )
+            opt.step(net.params, grads)
+        assert len(bn_layers) == 12
+        for name, (mean, var) in want.items():
+            np.testing.assert_array_equal(net._running[name]["mean"], mean)
+            np.testing.assert_array_equal(net._running[name]["var"], var)
+
+    def test_backward_after_evaluation_forward_raises(self):
+        """An evaluation forward normalizes with running statistics; the
+        training-mode backward formula does not apply to it."""
+        spec = NetworkSpec("bn-eval")
+        spec.add("input", "input", channels=2, height=4, width=4)
+        spec.add("c1", "conv", ["input"], filters=3, kernel=3, pad=1)
+        spec.add("b1", "bn", ["c1"])
+        spec.add("gap", "gap", ["b1"])
+        spec.add("fc", "fc", ["gap"], units=2)
+        spec.add("loss", "softmax_ce", ["fc"])
+        net = LocalNetwork(spec, seed=1)
+        x, labels = np.random.default_rng(7).standard_normal((3, 2, 4, 4)), np.array([0, 1, 0])
+        net.forward(x, targets=labels, training=False)
+        with pytest.raises(RuntimeError, match="after an evaluation forward"):
+            net.backward()
+        net.forward(x, targets=labels, training=True)
+        assert set(net.backward()) == {"c1", "b1", "fc"}
+
     def test_deterministic_init_by_name(self):
         n1 = LocalNetwork(build_resnet_tiny(), seed=11)
         n2 = LocalNetwork(build_resnet_tiny(), seed=11)
