@@ -5,19 +5,23 @@ LBANN implementation with a functionally equivalent runtime:
 
 * :mod:`repro.comm.backend` — the SPMD harness (:func:`run_spmd`), the
   abstract world contract (launch + mailbox + failure detection), the
-  backend registry, and the default **thread** backend (one Python thread
-  per rank over shared mailboxes).
-* :mod:`repro.comm.proc_backend` — the **process** backend: one forked OS
-  process per rank with a shared-memory arena transport, so ranks execute
-  in genuine parallel.  Select it with ``run_spmd(..., backend="process")``
-  or globally via ``REPRO_BACKEND=process``.
-* :mod:`repro.comm.socket_backend` — the **socket** backend: forked ranks
-  grouped into logical nodes by a :class:`HostMap`
-  (``run_spmd(..., hostmap="0,1:A 2,3:B")`` or ``REPRO_HOSTMAP``);
-  same-node ranks use the shared-memory transport, cross-node ranks talk
-  TCP.  The node layout also drives the communicator's *hierarchical*
-  collectives (intra-node ring + inter-node exchange), selected by the
-  two-tier cost model (:class:`TwoTierTopology`).
+  backend registry, the one ``(source, tag)`` ``Mailbox`` with the only
+  wait loop every world receives through, and the default **thread**
+  backend (one Python thread per rank over shared mailboxes).
+* :mod:`repro.comm.proc_backend` — the one **forked-rank world**: one OS
+  process per rank, registered under two routing layouts.  ``"process"``
+  puts every rank on one node — all bytes through the shared-memory arena
+  (``run_spmd(..., backend="process")`` or ``REPRO_BACKEND=process``).
+  ``"socket"`` follows a :class:`HostMap`
+  (``run_spmd(..., hostmap="0,1:A 2,3:B")`` or ``REPRO_HOSTMAP``; one node
+  per rank without one): same-node ranks use the shared-memory transport,
+  cross-node ranks talk TCP.  The node layout also drives the
+  communicator's *hierarchical* collectives (intra-node ring + inter-node
+  exchange), selected by the two-tier cost model
+  (:class:`TwoTierTopology`).
+* :mod:`repro.comm.socket_backend` — the wire under the off-node pairs:
+  CRC-checked length-prefixed frames, the per-pair TCP links, heartbeats
+  and EOF-without-BYE peer-death detection.
 * :mod:`repro.comm.communicator` — the :class:`Communicator` API
   (``send``/``recv``/``sendrecv``/``allreduce``/``allgather``/``alltoall``/
   ``bcast``/``barrier``/``split``), mirroring mpi4py's lower-case object
@@ -57,8 +61,7 @@ from repro.comm.faults import (
     InjectedFault,
     JobConfig,
 )
-from repro.comm import proc_backend as _proc_backend  # registers "process"
-from repro.comm import socket_backend as _socket_backend  # registers "socket"
+from repro.comm import proc_backend as _proc_backend  # registers "process", "socket"
 from repro.comm.buffers import BufferPool
 from repro.comm.hostmap import HOSTMAP_ENV, HostMap, resolve_hostmap
 from repro.comm.communicator import (

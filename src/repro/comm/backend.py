@@ -4,15 +4,25 @@ The paper's implementation runs one MPI process per GPU.  This module
 defines the *contract* a rank runtime must satisfy — the abstract
 :class:`BaseWorld`: launch, an eager ``(source, tag)``-matched mailbox
 (``deliver``/``collect``/``try_collect``), and failure detection — plus the
-backend registry :func:`run_spmd` dispatches on, and the default **thread**
-backend: one Python thread per rank over shared mailboxes (numpy releases
+backend registry :func:`run_spmd` dispatches on, the one :class:`Mailbox`
+every world receives through, and the default **thread** backend: one
+Python thread per rank over shared mailboxes (numpy releases
 the GIL for array kernels, so ranks overlap for the bulk of the
 arithmetic, but Python-level work time-shares — "overlap" on this backend
 buys removed synchronization, not parallel compute).
 
-The **process** backend (:mod:`repro.comm.proc_backend`) implements the same
-contract with one OS process per rank and a shared-memory transport, so
-ranks genuinely execute in parallel.  Select a backend per call
+**One mailbox.**  The ``(source, tag)`` store and the wait / retry /
+timeout / abort loop exist once, in :class:`Mailbox`; a transport only says
+how a deposit wakes the owner and how the owner blocks — a condition
+variable between threads, a ``select`` over pipes in a forked rank — so a
+thread rank and a TCP rank time out, retry and attribute an abort by the
+same code.
+
+The **process** and **socket** backends (:mod:`repro.comm.proc_backend`)
+are one forked-rank world — one OS process per rank, so ranks genuinely
+execute in parallel — under two routing layouts: all ranks on one node
+(every byte through shared memory), or the job's host map (shared memory
+within a node, framed TCP across).  Select a backend per call
 (``run_spmd(..., backend="process")``) or globally via the
 ``REPRO_BACKEND`` environment variable; the thread backend stays the
 default because it is the cheap, debuggable choice for tests.
@@ -31,9 +41,10 @@ Payloads cross the thread-backend boundary zero-copy where possible:
 C-contiguous ndarrays are shared as read-only views instead of being
 deep-copied (see ``_freeze`` in :mod:`repro.comm.communicator`), so the
 sender must treat a buffer as transferred once it has been handed to
-``send``/``isend``/a collective.  The process backend copies through a
-shared-memory arena instead (see :mod:`repro.comm.proc_backend`), under the
-same no-mutate-after-send contract.
+``send``/``isend``/a collective.  The forked world copies through a
+shared-memory arena (or a TCP frame) instead (see
+:mod:`repro.comm.proc_backend`), under the same no-mutate-after-send
+contract.
 
 Error handling follows MPI's "abort the job" philosophy: if any rank
 raises, the world is aborted, every blocked receive is woken, and the
@@ -46,7 +57,8 @@ ranks 0-2.  Timeouts identify the stuck operation: the diagnostic names
 the waiting world rank, the operation, (for sequenced collectives) the
 sequence number and schedule step, and dumps the pending inbox — the
 queued-but-unmatched ``(source, tag)`` pairs — rather than a bare "timed
-out".
+out"; the timed-out rank aborts the job with that diagnostic as the
+reason, so every survivor's :class:`CommAborted` carries it too.
 
 Timeouts are per *transport operation*, not per job: ``run_spmd`` takes a
 default ``timeout`` plus ``op_timeouts`` overrides keyed by operation-name
@@ -54,7 +66,7 @@ prefix (e.g. ``{"recv": 5.0, "iallreduce": 30.0}``) and a ``retries``
 grace count (each expiry below the retry budget logs a warning and waits
 another window instead of aborting).  Deterministic fault injection
 (``run_spmd(..., faults=...)`` / ``REPRO_FAULTS``) hooks the same
-transport paths on both backends; see :mod:`repro.comm.faults`.
+transport paths on every backend; see :mod:`repro.comm.faults`.
 """
 
 from __future__ import annotations
@@ -183,9 +195,35 @@ class BaseWorld(abc.ABC):
         reason = self.abort_reason
         return f" — {reason}" if reason else ""
 
+    #: ``(kind, failed rank, host)`` of a wire-level failure this rank saw
+    #: itself (a lost TCP peer, a bad CRC), recorded just before the abort
+    #: it causes; ``None`` on a world with no wire.
+    _failure: tuple[str, int, str] | None = None
+
+    def record_failure(self, kind: str, peer: int, host: str) -> None:
+        """Remember the structured cause behind an imminent abort (first
+        observation wins); :meth:`abort_error` attaches it to survivors."""
+        if self._failure is None:
+            self._failure = (kind, peer, host)
+
+    def abort_error(self, message: str) -> "CommAborted":
+        """The survivor-side exception for an aborted world: a plain
+        :class:`CommAborted` unless this rank recorded a wire-level cause,
+        which then rides along as ``failed_rank``/``host``/``kind`` (an
+        integrity failure as :class:`CommIntegrityError`)."""
+        if self._failure is None:
+            return CommAborted(message)
+        kind, peer, host = self._failure
+        cls = CommIntegrityError if kind == "integrity" else CommAborted
+        return cls(message, failed_rank=peer, host=host, kind=kind)
+
     def timeout_for(self, opname: str) -> float:
         """The timeout bound for one blocked operation named ``opname``."""
         return self.config.timeout_for(opname)
+
+    def _check_rank(self, rank: int, what: str) -> None:
+        if not 0 <= rank < self.size:
+            raise ValueError(f"{what}={rank} out of range for world of size {self.size}")
 
     @property
     def hostmap(self) -> "HostMap | None":
@@ -250,7 +288,7 @@ _BACKENDS: dict[str, Callable[..., list[Any]]] = {}
 #: ``run_spmd`` call that does not pass ``backend=`` explicitly.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Environment override for the process backend's failure-detection pace.
+#: Environment override for the forked backends' failure-detection pace.
 DETECT_INTERVAL_ENV = "REPRO_DETECT_INTERVAL"
 
 
@@ -309,11 +347,11 @@ def run_spmd(
     order.  If any rank raises, the world is aborted and the first exception
     (by rank) is re-raised in the caller.
 
-    ``backend`` selects the world implementation (``"thread"`` or
-    ``"process"``; see :func:`available_backends`).  When omitted, the
-    ``REPRO_BACKEND`` environment variable decides, defaulting to the
-    thread backend.  The process backend requires ``fn``'s results to be
-    picklable and ``fn`` itself to be fork-inheritable (any callable
+    ``backend`` selects the world implementation (``"thread"``,
+    ``"process"`` or ``"socket"``; see :func:`available_backends`).  When
+    omitted, the ``REPRO_BACKEND`` environment variable decides, defaulting
+    to the thread backend.  The forked backends require ``fn``'s results to
+    be picklable and ``fn`` itself to be fork-inheritable (any callable
     defined before the call qualifies, closures included).
 
     Fault-tolerance knobs:
@@ -324,22 +362,23 @@ def run_spmd(
       before the job is aborted.
     * ``faults`` installs a deterministic
       :class:`~repro.comm.faults.FaultPlan` (or a string in the
-      ``REPRO_FAULTS`` syntax) on both backends' transport paths; when
+      ``REPRO_FAULTS`` syntax) on every backend's transport paths; when
       omitted, the ``REPRO_FAULTS`` environment variable applies.
     * ``allow_failures`` returns per-rank exceptions *in the result list*
       instead of re-raising the first one — the chaos-testing mode in
       which survivor ``CommAborted``\\ s are observable alongside the
       failed rank's error.
-    * ``detect_interval`` paces the process backend's failure detector
+    * ``detect_interval`` paces the forked backends' failure detector
       (child-exit watcher + heartbeats; env ``REPRO_DETECT_INTERVAL``);
       a dead rank aborts the job within about one interval.
     * ``hostmap`` (a :class:`~repro.comm.hostmap.HostMap` or a spec string
       like ``"0,1:A 2,3:B"``; env ``REPRO_HOSTMAP``) groups ranks into
       logical nodes: the socket backend routes intra-node traffic over
-      shared memory and inter-node traffic over TCP, and the collective
-      layer selects hierarchical two-level schedules when the layout spans
-      nodes.  ``None`` leaves each backend's default layout (thread and
-      process: all one node; socket: one node per rank).
+      shared memory and inter-node traffic over TCP (the process backend
+      routes everything over shared memory whatever the map says), and the
+      collective layer selects hierarchical two-level schedules when the
+      layout spans nodes.  ``None`` leaves each backend's default layout
+      (thread and process: all one node; socket: one node per rank).
     * ``trace`` (env ``REPRO_TRACE``) enables per-rank span tracing: every
       rank records structured spans/flows (see :mod:`repro.obs.tracer`)
       and, after the job completes, the per-rank files are merged into one
@@ -412,104 +451,133 @@ def _merge_trace(config: JobConfig, nranks: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Mailbox:
-    """Point-to-point message store for one destination rank.
+class Mailbox:
+    """The ``(source, tag)`` -> FIFO message store of one destination rank,
+    and the only wait loop in the package.
 
     Messages are matched MPI-style on ``(source, tag)`` with FIFO order per
-    pair.  Sends are eager (never block); receives block until a matching
-    message arrives or the world aborts.
+    pair.  Deposits are eager (:meth:`put` never blocks); :meth:`get`
+    blocks until a match arrives, the world aborts, or the timeout — plus
+    the job's ``retries`` grace windows — expires.
+
+    A transport supplies two things only, by overriding them: how a deposit
+    *wakes* the owner (:meth:`_wake`, called under the store's lock) and
+    how the owner *blocks until something may have arrived* (:meth:`_wait`,
+    called with the lock held; it must let depositors in while it blocks).
+    This class is the thread transport — sender threads ``put``, the owner
+    waits on the lock's condition; the forked ranks' ``select`` flavour is
+    :class:`repro.comm.proc_backend._Inbox`.  Either wake-up is taken under
+    the lock the owner checked the store under, so it cannot be lost: a
+    lost notify would be a stall of one poll interval, not a hang, which is
+    why ``tests/test_mailbox.py`` times it.
     """
 
-    def __init__(self, world: "World") -> None:
+    def __init__(self, world: BaseWorld) -> None:
         self._world = world
         self._cv = threading.Condition()
-        self._queues: dict[tuple[int, Any], deque[Any]] = {}
+        self._buffered: dict[tuple[int, Any], deque[Any]] = {}
 
+    # -- what a transport supplies -------------------------------------------
+    def _wake(self) -> None:
+        self._cv.notify_all()
+
+    def _wait(self, timeout: float) -> None:
+        # ``timeout == 0`` asks for whatever has arrived to be pulled in;
+        # thread senders deposit directly, so there is never anything to pull.
+        if timeout > 0:
+            self._cv.wait(timeout)
+
+    # -- the store -------------------------------------------------------------
     def put(self, source: int, tag: Any, payload: Any) -> None:
         with self._cv:
-            self._queues.setdefault((source, tag), deque()).append(payload)
-            self._cv.notify_all()
+            self._buffered.setdefault((source, tag), deque()).append(payload)
+            self._wake()
 
-    def _pop(self, key: tuple[int, Any], q: deque) -> Any:
+    def _pop(self, key: tuple[int, Any]) -> tuple[bool, Any]:
+        """``(True, oldest payload)`` under ``key``, else ``(False, None)``."""
+        q = self._buffered.get(key)
+        if not q:
+            return False, None
+        payload = q.popleft()
         # Collective tags are unique per operation: drop drained queues so
         # the table does not grow by one entry per collective and peer.
-        payload = q.popleft()
         if not q:
-            del self._queues[key]
-        return payload
+            del self._buffered[key]
+        return True, payload
 
-    def get(self, source: int, tag: Any, timeout: float, describe: str) -> Any:
-        key = (source, tag)
-        retries = self._world.config.retries
+    def get(
+        self, source: int, tag: Any, timeout: float, describe: Callable[[], str]
+    ) -> Any:
+        # ``describe`` is only called on the abort/retry/timeout slow paths:
+        # the hot receive loop never pays for an f-string (tag reprs are not
+        # free at tens of thousands of messages per second).
+        world = self._world
+        retries = world.config.retries
         attempt = 0
+        # Abort is not a deposit, so on a forked rank nothing wakes a blocked
+        # owner for it: the poll interval bounds how late it is noticed.
+        poll = min(0.25, max(0.01, world.config.detect_interval))
+        key = (source, tag)
         deadline = monotonic() + timeout
         with self._cv:
             while True:
-                q = self._queues.get(key)
-                if q:
-                    return self._pop(key, q)
-                if self._world.aborted:
-                    raise CommAborted(
-                        f"{describe} interrupted: world aborted"
-                        f"{self._world.abort_suffix()}"
+                ok, payload = self._pop(key)
+                if ok:
+                    return payload
+                if world.aborted:
+                    raise world.abort_error(
+                        f"{describe()} interrupted: world aborted"
+                        f"{world.abort_suffix()}"
                     )
                 remaining = deadline - monotonic()
-                if remaining <= 0:
-                    if attempt < retries:
-                        attempt += 1
-                        logger.warning(
-                            "%s still waiting after %.1fs; retry %d/%d "
-                            "(pending inbox: %s)",
-                            describe, timeout, attempt, retries,
-                            self.pending_keys(),
-                        )
-                        deadline = monotonic() + timeout
-                        continue
-                    raise CommAborted(
-                        f"{describe} timed out after {timeout:.1f}s"
-                        f"{_retry_note(attempt)}; "
-                        f"pending inbox: {self.pending_keys()}",
-                        kind="timeout",
+                if remaining > 0:
+                    self._wait(min(remaining, poll))
+                    continue
+                self._wait(0)  # the diagnostic lists everything that arrived
+                if attempt < retries:
+                    attempt += 1
+                    # The only log line of this loop, and only past a full
+                    # timeout window: a healthy receive logs nothing (the
+                    # e2e harness counts every ``repro.comm`` WARNING as a
+                    # failed operation).
+                    logger.warning(
+                        "%s still waiting after %.1fs; retry %d/%d "
+                        "(pending inbox: %s)",
+                        describe(), timeout, attempt, retries, self.pending_keys(),
                     )
-                self._cv.wait(timeout=min(remaining, 0.5))
+                    deadline = monotonic() + timeout
+                    continue
+                # Abort the whole job: a wedged collective should fail
+                # everywhere with this rank's diagnostic, not hang peers.
+                reason = (
+                    f"{describe()} timed out after {timeout:.1f}s"
+                    f"{f' (after {attempt} retries)' if attempt else ''}; "
+                    f"pending inbox: {self.pending_keys()}"
+                )
+                world.abort(reason)
+                raise CommAborted(reason, kind="timeout")
 
     def try_get(self, source: int, tag: Any) -> tuple[bool, Any]:
         """Nonblocking probe-and-pop: ``(True, payload)`` or ``(False, None)``."""
-        key = (source, tag)
         with self._cv:
-            q = self._queues.get(key)
-            if q:
-                return True, self._pop(key, q)
-            if self._world.aborted:
-                raise CommAborted(
-                    f"irecv(source={source}, tag={tag}) interrupted: "
-                    f"world aborted{self._world.abort_suffix()}"
-                )
-            return False, None
-
-    def pending(self) -> int:
-        with self._cv:
-            return sum(len(q) for q in self._queues.values())
+            self._wait(0)
+            ok, payload = self._pop((source, tag))
+        if not ok and self._world.aborted:
+            raise self._world.abort_error(
+                f"irecv(source={source}, tag={tag}) interrupted: "
+                f"world aborted{self._world.abort_suffix()}"
+            )
+        return ok, payload
 
     def pending_keys(self, limit: int = 8) -> str:
         """Queued-but-unmatched ``(source, tag)`` pairs, for diagnostics."""
         with self._cv:
-            keys = [k for k, q in self._queues.items() if q]
-        return _format_pending(keys, limit)
-
-
-def _format_pending(keys: list, limit: int) -> str:
-    if not keys:
-        return "(empty)"
-    shown = ", ".join(
-        f"(source={s}, tag={t!r})" for s, t in keys[:limit]
-    )
-    more = len(keys) - limit
-    return f"[{shown}{f', … +{more} more' if more > 0 else ''}]"
-
-
-def _retry_note(attempts: int) -> str:
-    return f" (after {attempts} retries)" if attempts else ""
+            keys = [k for k, q in self._buffered.items() if q]
+        if not keys:
+            return "(empty)"
+        shown = ", ".join(f"(source={s}, tag={t!r})" for s, t in keys[:limit])
+        more = len(keys) - limit
+        return f"[{shown}{f', … +{more} more' if more > 0 else ''}]"
 
 
 @dataclass
@@ -521,7 +589,7 @@ class World(BaseWorld):
     config: JobConfig | None = None
     _aborted: bool = False
     _abort_reason: str | None = None
-    _mailboxes: list[_Mailbox] = field(default_factory=list)
+    _mailboxes: list[Mailbox] = field(default_factory=list)
     _abort_lock: threading.Lock = field(default_factory=threading.Lock)
 
     backend_name = "thread"
@@ -533,7 +601,7 @@ class World(BaseWorld):
             self.config = JobConfig(timeout=self.timeout)
         else:
             self.timeout = self.config.timeout
-        self._mailboxes = [_Mailbox(self) for _ in range(self.size)]
+        self._mailboxes = [Mailbox(self) for _ in range(self.size)]
         # One CommStats per world rank, shared by every communicator that
         # rank participates in, so split comms accumulate into one place.
         self._stats_registry = [CommStats() for _ in range(self.size)]
@@ -569,11 +637,11 @@ class World(BaseWorld):
         self, dest: int, source: int, tag: Any, opname: str = "recv", sink=None
     ) -> Any:
         self._check_rank(source, "source")
-        describe = (
-            f"{opname}(world rank {dest} <- {source}, tag={tag!r})"
-        )
         payload = self._mailboxes[dest].get(
-            source, tag, self.timeout_for(opname), describe
+            source,
+            tag,
+            self.timeout_for(opname),
+            lambda: f"{opname}(world rank {dest} <- {source}, tag={tag!r})",
         )
         return self._received(dest, source, tag, payload, sink)
 
@@ -614,11 +682,7 @@ class World(BaseWorld):
             self._abort_reason = reason
         for mb in self._mailboxes:
             with mb._cv:
-                mb._cv.notify_all()
-
-    def _check_rank(self, rank: int, what: str) -> None:
-        if not 0 <= rank < self.size:
-            raise ValueError(f"{what}={rank} out of range for world of size {self.size}")
+                mb._wake()
 
 
 def _run_spmd_threads(
@@ -662,19 +726,22 @@ def _run_spmd_threads(
     for t in threads:
         t.join()
 
-    if config.allow_failures:
-        return [
-            errors[rank] if errors[rank] is not None else results[rank]
-            for rank in range(nranks)
-        ]
-    first_real = next(
-        (e for e in errors if e is not None and not isinstance(e, CommAborted)), None
-    )
-    if first_real is not None:
-        raise first_real
-    first_any = next((e for e in errors if e is not None), None)
-    if first_any is not None:
-        raise first_any
+    return _job_outcome(results, errors, config.allow_failures)
+
+
+def _job_outcome(
+    results: list[Any], errors: list[BaseException | None], allow_failures: bool
+) -> list[Any]:
+    """The tail every launcher ends with: with ``allow_failures`` each
+    rank's exception takes its result's place; otherwise the first real
+    error by rank is raised — a survivor's :class:`CommAborted` is
+    secondary and only raised when nothing else failed."""
+    if allow_failures:
+        return [r if e is None else e for r, e in zip(results, errors)]
+    failed = [e for e in errors if e is not None]
+    real = [e for e in failed if not isinstance(e, CommAborted)]
+    if failed:
+        raise (real or failed)[0]
     return results
 
 

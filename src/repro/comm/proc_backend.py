@@ -1,31 +1,49 @@
-"""Process-per-rank SPMD backend with shared-memory transport.
+"""The forked-rank world: one OS process per rank, two routing layouts.
 
 The paper's measurements assume one MPI process per accelerator; the thread
 backend time-shares one interpreter, so its overlap wins are
-synchronization-bound.  This backend runs **one OS process per rank**
-(forked, so ``run_spmd``'s closures and captured arrays are inherited
-without pickling) and implements the same
-:class:`~repro.comm.backend.BaseWorld` contract:
+synchronization-bound.  Here every rank is **one forked OS process**
+(``run_spmd``'s closures and captured arrays are inherited without
+pickling) behind the same :class:`~repro.comm.backend.BaseWorld` contract.
+Whether a message is "intra" or "inter" is a property of the rank pair, not
+of the job (paper §II-B), so there is one world, :class:`ForkedWorld`, and a
+*routing map* (a :class:`~repro.comm.hostmap.HostMap`) that says which
+pairs share memory.  The two registered backend names differ in nothing
+else:
 
-* **Transport** — every rank owns a ``multiprocessing.Queue`` inbox.
-  Large C-contiguous ndarray payloads travel through a fixed
+* ``"process"`` — the one-node map: every byte moves through shared
+  memory, no socket is ever constructed.
+* ``"socket"`` — the job's host map, or one node per rank without one:
+  same-node pairs as above, off-node pairs over the framed TCP links of
+  :mod:`repro.comm.socket_backend`.  A ``socket`` job whose map puts all
+  its ranks on one node *is* a ``process`` job.
+
+What the world is made of:
+
+* **Same-node transport** — every rank owns a ``multiprocessing.Queue``
+  and one raw descriptor pipe per peer.  Large C-contiguous ndarray
+  payloads travel through a fixed
   ``multiprocessing.shared_memory.SharedMemory`` **arena** created by the
   parent before the fork: the sender copies the array into a run of
-  arena blocks and enqueues only a tiny descriptor; the receiver, once a
+  arena blocks and ships only a tiny descriptor; the receiver, once a
   receive *matches* the message, either hands its consumer a read-only
   view of the blocks (a ``sink``: a schedule step reducing straight out
   of the arena) or copies the array out, and frees the blocks (see
-  :class:`_Inbox`).  Small payloads and arbitrary Python objects fall back to
-  pickling through the queue (as does any array when the arena is
+  :class:`_Inbox`).  Small payloads and arbitrary Python objects are
+  pickled into the lane itself (as is any array when the arena is
   momentarily full — the send path never blocks, preserving the eager
   buffered-send contract).  Nested containers are walked recursively, so a
   shuffle's list-of-arrays payload ships its big pieces through the arena
-  and its skeleton through the queue.
+  and its skeleton through the lane.
+* **Receiving** — :class:`_Inbox` is the package's one
+  :class:`~repro.comm.backend.Mailbox` with a ``select`` for a wait: the
+  owner drains its lanes on the receiving thread, TCP reader threads
+  deposit under the store's lock and poke a per-rank wake pipe.
 * **Collectives** — none here: the communicator builds every collective
   on ``deliver``/``collect``/``try_collect`` alone, with the same
   arithmetic in the same comm-rank order as on the thread backend, so
   results are bitwise identical across backends.
-* **Failure handling** — a shared abort event plus a result queue, with a
+* **Failure handling** — a shared abort flag plus a result queue, with a
   structured abort *reason* (first failure wins) in a shared buffer so
   every survivor's ``CommAborted`` names the failed rank and cause.  A
   rank that raises aborts the job; the parent re-raises the first real
@@ -38,30 +56,45 @@ without pickling) and implements the same
   stamps a shared **heartbeat** slot from a daemon thread, which the
   parent uses to flag stragglers.  Hangs fail with a diagnostic naming
   the waiting world rank, operation, sequence number, and the pending
-  inbox.  On teardown the parent closes and **unlinks** every
-  shared-memory segment and closes every queue — with failures logged as
-  warnings, never swallowed — so a completed *or aborted* job leaves
-  nothing in ``/dev/shm`` (regression-tested by
-  ``tests/test_proc_backend.py``).
+  inbox; a rank the parent must ``terminate()`` dumps every thread's
+  stack to stderr first.  On teardown the parent closes and **unlinks**
+  every shared-memory segment and closes every queue, pipe and listener
+  — with failures logged as warnings, never swallowed — so a completed
+  *or aborted* job leaves nothing in ``/dev/shm`` and no fd behind
+  (regression-tested by ``tests/test_proc_backend.py`` and
+  ``tests/test_socket_backend.py``).
 
-What this backend does *not* model: NUMA/core pinning, a real NIC, or
-network topology — it is "MPI on one host", giving the engine genuinely
-parallel rank execution (subject to available cores) so BENCH_* overlap
-measurements reflect parallel compute rather than removed GIL contention.
+**The locking rule.**  No non-main thread of a forked rank acquires a
+process-shared lock on the healthy path.  Such a thread drops the GIL while
+it holds (or waits for) the lock, and a main thread calling ``os._exit``
+meanwhile — an injected crash — leaves it held forever, wedging the parent
+and every survivor.  So the heartbeat thread only stores a stamp, the abort
+flag is a lock-free ``RawValue`` (``abort_lock`` is taken to *raise* it: the
+failure path), and the arena lock is only ever taken by a rank's main
+thread — TCP readers deposit under the inbox's thread lock and nothing
+else.  What is left: ``mp.Queue``'s own feeder thread writes the queue lane
+under the queue's shared write lock.
+
+What this world does *not* model: NUMA/core pinning, a real NIC, or network
+topology — it is "MPI on one host" with an optional loopback wire, giving
+the engine genuinely parallel rank execution (subject to available cores).
 """
 
 from __future__ import annotations
 
+import faulthandler
 import logging
 import os
 import pickle
 import queue as queue_mod
 import secrets
 import select
+import signal
+import sys
 import threading
 import time
 import traceback
-from collections import deque
+from functools import partial
 from multiprocessing import shared_memory
 from time import monotonic
 from typing import Any, Callable
@@ -71,25 +104,26 @@ import numpy as np
 from repro.comm.backend import (
     BaseWorld,
     CommAborted,
-    _format_pending,
-    _retry_note,
+    Mailbox,
+    _job_outcome,
     register_backend,
 )
 from repro.comm.faults import INJECTED_CRASH_EXIT, FaultInjector, JobConfig
+from repro.comm.hostmap import HostMap
+from repro.comm.socket_backend import TcpMesh, bind_listeners
 from repro.obs import tracer
 
 logger = logging.getLogger(__name__)
 
 #: Arrays at or above this many bytes are shipped through the shared-memory
 #: arena; smaller ones ride the queue pickle (latency-bound anyway).
-#: Env override: ``REPRO_SHM_MIN_BYTES`` (read per job).
-DEFAULT_SHM_MIN_BYTES = 2048
+SHM_MIN_BYTES = 2048
 
 #: Total arena capacity per SPMD job.  Env override: ``REPRO_SHM_BYTES``.
 DEFAULT_ARENA_BYTES = 64 << 20
 
-#: Arena allocation granularity.  Env override: ``REPRO_SHM_BLOCK``.
-DEFAULT_ARENA_BLOCK = 32 << 10
+#: Arena allocation granularity.
+ARENA_BLOCK = 32 << 10
 
 #: Largest frame (length prefix + pickled message) eligible for the
 #: descriptor-pipe fast lane.  POSIX guarantees writes of at most
@@ -99,15 +133,11 @@ DEFAULT_ARENA_BLOCK = 32 << 10
 #: frame recovery across sender crashes.
 _PIPE_FRAME_MAX = 4096
 
-
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
-
 #: Name prefix of the job arenas (leak checks scan /dev/shm for this).
 SHM_PREFIX = "repro-arena-"
 
 #: How long the parent keeps draining results after the job starts dying
-#: (abort event set, a child crashed, or all children exited) before
+#: (abort flag up, a child crashed, or all children exited) before
 #: declaring unreported ranks hung and tearing everything down.  While the
 #: children are alive and healthy the parent waits indefinitely, exactly
 #: like the thread backend's joins — per-operation timeouts are enforced
@@ -247,26 +277,34 @@ _REASON_BYTES = 1024
 class _SharedJobState:
     """Everything the forked ranks share, created pre-fork by the parent."""
 
-    def __init__(self, ctx, nranks: int, config: JobConfig) -> None:
+    # ``teardown`` also runs on a state whose construction stopped early.
+    pipes: Any = ()
+    listeners: Any = ()
+
+    def __init__(self, ctx, nranks: int, config: JobConfig, routing: HostMap) -> None:
         self.nranks = nranks
         self.config = config
         self.timeout = config.timeout
-        self.shm_min = _env_int("REPRO_SHM_MIN_BYTES", DEFAULT_SHM_MIN_BYTES)
+        #: Which rank pairs share memory and which cross TCP — the one
+        #: thing the registered backends differ in.
+        self.routing = routing
         self.queues = [ctx.Queue() for _ in range(nranks)]
         self.results = ctx.Queue()
-        self.abort_event = ctx.Event()
         # First failure wins: the reason is written exactly once, under
-        # abort_lock, before abort_event is set, so any rank observing the
-        # event also observes the reason.
+        # abort_lock, before the flag is raised, so any rank that sees the
+        # flag also sees the reason.  The flag is a lock-free ``RawValue``:
+        # it is read on every miss of the receive loop and by every
+        # transport thread, and none of those may touch a shared lock.
         self.abort_lock = ctx.Lock()
+        self.abort_flag = ctx.RawValue("b", 0)
         self.abort_reason_buf = ctx.Array("c", _REASON_BYTES, lock=False)
         #: monotonic() stamp per rank, refreshed by a daemon thread in each
         #: child; the parent flags ranks whose stamp goes stale.
         self.heartbeats = ctx.RawArray("d", nranks)
         self.arena = _Arena(
             ctx,
-            _env_int("REPRO_SHM_BYTES", DEFAULT_ARENA_BYTES),
-            _env_int("REPRO_SHM_BLOCK", DEFAULT_ARENA_BLOCK),
+            int(os.environ.get("REPRO_SHM_BYTES", DEFAULT_ARENA_BYTES)),
+            ARENA_BLOCK,
         )
         # Descriptor-pipe fast lane: one raw ``os.pipe`` per ordered rank
         # pair, created pre-fork so both ends are inherited.  Small framed
@@ -286,15 +324,25 @@ class _SharedJobState:
                     os.set_blocking(r, False)
                     os.set_blocking(w, False)
                     self.pipes[s][d] = (r, w)
+        # TCP listeners only where some pair is off-node: a one-node job
+        # constructs no socket at all.
+        if not routing.is_single_node(nranks):
+            try:
+                self.listeners = bind_listeners(nranks)
+            except OSError:
+                self.teardown()
+                raise
+        self.ports = [s.getsockname()[1] for s in self.listeners]
 
-    def _close_pipes(self) -> None:
-        """Close this process's copies of the fast-lane pipe fds (idempotent).
+    def release_parent_fds(self) -> None:
+        """Close this process's copies of the fast-lane pipe fds and the
+        listeners (idempotent).
 
-        Run by the *parent* (post-fork and again at teardown): the children
-        inherited their own descriptors at fork, so the parent's copies are
-        only an fd-hygiene liability.
+        Run by the *parent*, once every child is forked and again at
+        teardown: the children inherited their own descriptors, so the
+        parent's copies are only an fd-hygiene liability.
         """
-        for row in getattr(self, "pipes", []):
+        for row in self.pipes:
             for i, pair in enumerate(row):
                 if pair is not None:
                     for fd in pair:
@@ -303,30 +351,29 @@ class _SharedJobState:
                         except OSError:  # pragma: no cover - already closed
                             pass
                     row[i] = None
+        for i, s in enumerate(self.listeners):
+            if s is not None:
+                s.close()
+                self.listeners[i] = None
+
+    @property
+    def aborted(self) -> bool:
+        return bool(self.abort_flag.value)
 
     def set_abort(self, reason: str | None = None) -> None:
         """Abort the job; the first caller's ``reason`` is the recorded one."""
         with self.abort_lock:
-            if self.abort_event.is_set():
+            if self.abort_flag.value:
                 return
             if reason:
                 data = reason.encode("utf-8", "replace")[: _REASON_BYTES - 1]
                 self.abort_reason_buf[: len(data)] = data
-            self.abort_event.set()
+            self.abort_flag.value = 1
 
     def get_abort_reason(self) -> str | None:
         raw = bytes(self.abort_reason_buf)
         text = raw.split(b"\x00", 1)[0].decode("utf-8", "replace")
         return text or None
-
-    def post_fork_parent(self) -> None:
-        """Hook run in the parent once every child has been forked.
-
-        Releases the parent's copies of the fast-lane pipe fds (the
-        children own theirs from fork on); the socket backend's subclass
-        additionally closes its pre-fork-bound listening sockets.
-        """
-        self._close_pipes()
 
     def teardown(self) -> None:
         """Parent-side cleanup: release queues, unlink the arena.
@@ -335,7 +382,7 @@ class _SharedJobState:
         cleanup error here is exactly the kind of leak (a stuck feeder
         thread, an orphaned ``/dev/shm`` segment) an operator needs to see.
         """
-        self._close_pipes()
+        self.release_parent_fds()
         for i, q in enumerate([*self.queues, self.results]):
             try:
                 q.close()
@@ -355,9 +402,7 @@ class _SharedJobState:
             )
 
 
-def _pack(
-    payload: Any, arena: _Arena, descs: list, counters: dict, shm_min: int
-) -> Any:
+def _pack(payload: Any, arena: _Arena, descs: list, counters: dict) -> Any:
     """Replace large arrays in ``payload`` with arena references.
 
     Returns the queue-safe skeleton; array data lands in the arena with a
@@ -365,7 +410,7 @@ def _pack(
     not a plain ndarray) is left in the skeleton for the queue pickle.
     """
     if isinstance(payload, np.ndarray) and payload.dtype != object:
-        if payload.nbytes >= shm_min:
+        if payload.nbytes >= SHM_MIN_BYTES:
             arr = np.ascontiguousarray(payload)
             offset = arena.alloc(arr.nbytes)
             if offset is not None:
@@ -391,14 +436,11 @@ def _pack(
             return payload.copy()
         return payload
     if isinstance(payload, tuple):
-        return tuple(_pack(p, arena, descs, counters, shm_min) for p in payload)
+        return tuple(_pack(p, arena, descs, counters) for p in payload)
     if isinstance(payload, list):
-        return [_pack(p, arena, descs, counters, shm_min) for p in payload]
+        return [_pack(p, arena, descs, counters) for p in payload]
     if isinstance(payload, dict):
-        return {
-            k: _pack(v, arena, descs, counters, shm_min)
-            for k, v in payload.items()
-        }
+        return {k: _pack(v, arena, descs, counters) for k, v in payload.items()}
     return payload
 
 
@@ -423,17 +465,28 @@ def _unpack(payload: Any, arrays: list) -> Any:
     return payload
 
 
-class _Inbox:
-    """(source, tag)-matched mailbox fed by this rank's message queue.
+class _Inbox(Mailbox):
+    """The :class:`~repro.comm.backend.Mailbox` of a forked rank: the store
+    and wait loop are inherited, fed from this rank's shared-memory lanes
+    and, for off-node peers, its TCP reader threads.
 
-    The queue is FIFO over all sources; messages that do not match the
-    current receive are buffered locally, preserving per-(source, tag)
-    FIFO order — the same matching the thread backend's ``_Mailbox`` does.
+    **Wake and wait.**  The owner blocks in its own ``select`` over the
+    descriptor pipes, the ``mp.Queue`` fd and a per-rank *wake pipe*, and
+    drains whatever lane became readable on the receiving thread.  TCP
+    readers ``put`` under the store's lock and poke the wake pipe — only
+    while the owner is inside ``select`` (``_asleep`` is flipped under the
+    same lock), so a deposit the owner will see on its next check costs no
+    syscall, and one it would sleep through cannot be missed.  The wake
+    pipe belongs to this process alone: it is created here, in the child,
+    never in the pre-fork shared state.
+
+    The lanes are FIFO over all sources; messages that do not match the
+    current receive are buffered, preserving per-(source, tag) FIFO order.
 
     **Admit at match.**  A drained message whose arrays rode the arena is
     buffered as an :class:`_ArenaMessage` — descriptors only, the bytes
     stay where the sender put them — and ``get``/``try_get`` return that
-    record; :meth:`ProcessWorld._consume` then either lends the matched
+    record; :meth:`ForkedWorld._consume` then either lends the matched
     receive's sink a view of the blocks or copies the arrays out, and
     frees the blocks.  So a message is copied at most once on this side,
     and only if its consumer wants a private array.
@@ -445,55 +498,73 @@ class _Inbox:
     a sender at most half the arena.
     """
 
-    def __init__(self, world: "ProcessWorld") -> None:
-        self._world = world
-        self._queue = world._shared.queues[world.rank]
-        self._buffered: dict[tuple[int, Any], deque[Any]] = {}
+    def __init__(
+        self, world: BaseWorld, queue: Any, rpipes: list[int], arena: _Arena
+    ) -> None:
+        super().__init__(world)
+        self._queue = queue
+        self._qfd = queue._reader.fileno()
+        self._arena = arena
         # Cross-lane ordering: next expected per-sender sequence number,
         # plus a parking lot for messages that overtook a predecessor
         # still in the other lane (always *future* seqs — each lane is
         # itself FIFO, so a message can only arrive early, never late).
         self._expected = [0] * world.size
         self._parked: dict[tuple[int, int], tuple] = {}
-        # Fast-lane read ends: source rank -> fd, with a per-source
-        # accumulator for frames split across reads (atomic writes mean a
-        # frame is either fully in the pipe or absent, but one ``os.read``
-        # may still return several frames plus the head of another).
-        self._rpipes: dict[int, int] = {}
-        self._rbufs: dict[int, bytearray] = {}
-        pipes = getattr(world._shared, "pipes", None)
-        if pipes is not None:
-            for s in range(world.size):
-                pair = pipes[s][world.rank] if s != world.rank else None
-                if pair is not None:
-                    self._rpipes[s] = pair[0]
-                    self._rbufs[s] = bytearray()
-        reader = getattr(self._queue, "_reader", None)
-        self._qfd = reader.fileno() if reader is not None else None
+        # Fast-lane read ends, each with an accumulator for frames split
+        # across reads (atomic writes mean a frame is either fully in the
+        # pipe or absent, but one ``os.read`` may still return several
+        # frames plus the head of another).
+        self._rbufs = {fd: bytearray() for fd in rpipes}
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        self._asleep = False
 
+    # -- what this transport supplies ------------------------------------------
+    def _wake(self) -> None:
+        if self._asleep:
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # pipe full: that many wake-ups are already pending
+
+    def _wait(self, timeout: float) -> None:
+        fds = [*self._rbufs, self._qfd, self._wake_r]
+        if timeout > 0:
+            # Depositors need the lock while the owner sleeps; everything
+            # else here runs under it, so lane admissions need no wake.
+            self._asleep = True
+            self._cv.release()
+            try:
+                ready, _, _ = select.select(fds, [], [], timeout)
+            finally:
+                self._cv.acquire()
+                self._asleep = False
+            if not ready:
+                return
+        # One zero-timeout ``select`` replaces p-1 EAGAIN reads plus a
+        # queue probe (and its ``Empty`` exception) — this runs on every
+        # nonblocking ``try_get``, so the constant matters.  (A blocking
+        # wait selects twice; reusing its ready set is ROADMAP item 3's
+        # rider (a), to be measured on its own.)
+        for fd in select.select(fds, [], [], 0)[0]:
+            if fd == self._qfd:
+                self._drain_queue()
+            elif fd == self._wake_r:
+                os.read(fd, 1 << 12)
+            else:
+                self._drain_pipe(fd)
+
+    # -- the lanes ---------------------------------------------------------------
     def _admit(self, source: int, tag: Any, skeleton: Any, descs: list) -> None:
         if not descs:
             entry = _unpack(skeleton, [])
         else:
-            arena = self._world._shared.arena
             entry = _ArenaMessage(skeleton, descs)
-            if 2 * arena.used_blocks() > arena.nblocks:
-                entry = entry.take(arena)
-        self._deposit(source, tag, entry)
-
-    def _deposit(self, source: int, tag: Any, payload: Any) -> None:
-        # Single-consumer buffer: no locking.  The socket backend's inbox
-        # overrides this with its condition-variable ``put`` (its buffer
-        # is fed from multiple threads).
-        self._buffered.setdefault((source, tag), deque()).append(payload)
-
-    def _pop(self, key: tuple[int, Any], q: deque) -> Any:
-        # Collective tags are unique per operation: drop drained queues so
-        # the table does not grow by one entry per collective and peer.
-        payload = q.popleft()
-        if not q:
-            del self._buffered[key]
-        return payload
+            if 2 * self._arena.used_blocks() > self._arena.nblocks:
+                entry = entry.take(self._arena)
+        self.put(source, tag, entry)  # lock already held; owner awake: no poke
 
     def _store(self, msg: tuple) -> None:
         seq, source, tag, skeleton, descs = msg
@@ -508,10 +579,9 @@ class _Inbox:
                 return
             _, source, tag, skeleton, descs = nxt
 
-    def _drain_pipe(self, source: int) -> bool:
-        """Read and store every complete fast-lane frame from ``source``."""
-        fd = self._rpipes[source]
-        buf = self._rbufs[source]
+    def _drain_pipe(self, fd: int) -> None:
+        """Read and store every complete frame in one fast-lane pipe."""
+        buf = self._rbufs[fd]
         while True:
             try:
                 chunk = os.read(fd, 1 << 16)
@@ -524,10 +594,9 @@ class _Inbox:
                 # watching the fd (a persistent-EOF fd would spin the
                 # select loop); crash detection is the parent watcher's
                 # job, not ours.
-                del self._rpipes[source]
+                del self._rbufs[fd]
                 break
             buf += chunk
-        got = False
         while len(buf) >= 4:
             ln = int.from_bytes(buf[:4], "little")
             if len(buf) < 4 + ln:
@@ -535,149 +604,66 @@ class _Inbox:
             msg = pickle.loads(bytes(buf[4 : 4 + ln]))
             del buf[: 4 + ln]
             self._store(msg)
-            got = True
-        return got
 
-    def _drain_queue_ready(self) -> bool:
-        got = False
+    def _drain_queue(self) -> None:
         while True:
             try:
-                msg = self._queue.get_nowait()
+                self._store(self._queue.get_nowait())
             except queue_mod.Empty:
-                return got
-            self._store(msg)
-            got = True
-
-    def _drain_blocking(self, timeout: float) -> bool:
-        if self._qfd is None:  # pragma: no cover - mp.Queue internals changed
-            if self._drain_ready():
-                return True
-            try:
-                msg = self._queue.get(timeout=max(0.0, timeout))
-            except queue_mod.Empty:
-                return False
-            self._store(msg)
-            return True
-        fds = [*self._rpipes.values(), self._qfd]
-        ready, _, _ = select.select(fds, [], [], max(0.0, timeout))
-        if not ready:
-            return False
-        return self._drain_ready()
-
-    def _drain_ready(self) -> bool:
-        # One zero-timeout ``select`` replaces p-1 EAGAIN reads plus a
-        # queue probe (and its ``Empty`` exception) — this runs on every
-        # nonblocking ``try_get``, so the constant matters.
-        if self._qfd is None:  # pragma: no cover - mp.Queue internals changed
-            got = False
-            for source in list(self._rpipes):
-                got |= self._drain_pipe(source)
-            return got | self._drain_queue_ready()
-        fds = [*self._rpipes.values(), self._qfd]
-        ready, _, _ = select.select(fds, [], [], 0)
-        if not ready:
-            return False
-        got = False
-        if self._rpipes:
-            rset = set(ready)
-            for source, fd in list(self._rpipes.items()):
-                if fd in rset:
-                    got |= self._drain_pipe(source)
-        if self._qfd in ready:
-            got |= self._drain_queue_ready()
-        return got
-
-    def get(
-        self, source: int, tag: Any, timeout: float, describe: Any
-    ) -> Any:
-        # ``describe`` may be a zero-arg callable: diagnostics are only
-        # formatted on the abort/timeout slow paths, so the hot receive
-        # loop never pays for an f-string (tag reprs are not free at
-        # tens of thousands of messages per second).
-        world = self._world
-        retries = world.config.retries
-        attempt = 0
-        deadline = monotonic() + timeout
-        poll = min(0.25, max(0.01, world.config.detect_interval))
-        key = (source, tag)
-        while True:
-            q = self._buffered.get(key)
-            if q:
-                return self._pop(key, q)
-            if world.aborted:
-                raise CommAborted(
-                    f"{describe() if callable(describe) else describe} "
-                    f"interrupted: world aborted{world.abort_suffix()}"
-                )
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                self._drain_ready()
-                if attempt < retries:
-                    attempt += 1
-                    logger.warning(
-                        "%s still waiting after %.1fs; retry %d/%d "
-                        "(pending inbox: %s)",
-                        describe() if callable(describe) else describe,
-                        timeout, attempt, retries,
-                        self.pending_keys(),
-                    )
-                    deadline = monotonic() + timeout
-                    continue
-                # Abort the whole job: a wedged collective should fail
-                # everywhere with this rank's diagnostic, not hang peers.
-                reason = (
-                    f"{describe() if callable(describe) else describe} "
-                    f"timed out after {timeout:.1f}s"
-                    f"{_retry_note(attempt)}; "
-                    f"pending inbox: {self.pending_keys()}"
-                )
-                world.abort(reason)
-                raise CommAborted(reason, kind="timeout")
-            self._drain_blocking(min(remaining, poll))
-
-    def try_get(self, source: int, tag: Any) -> tuple[bool, Any]:
-        self._drain_ready()
-        q = self._buffered.get((source, tag))
-        if q:
-            return True, self._pop((source, tag), q)
-        if self._world.aborted:
-            raise CommAborted(
-                f"irecv(source={source}, tag={tag}) interrupted: "
-                f"world aborted{self._world.abort_suffix()}"
-            )
-        return False, None
-
-    def pending_keys(self, limit: int = 8) -> str:
-        """Queued-but-unmatched ``(source, tag)`` pairs, for diagnostics."""
-        keys = [k for k, q in self._buffered.items() if q]
-        return _format_pending(keys, limit)
+                return
 
 
-class ProcessWorld(BaseWorld):
-    """One rank's view of a process-per-rank SPMD job."""
+class ForkedWorld(BaseWorld):
+    """One rank's view of a process-per-rank SPMD job.
 
-    backend_name = "process"
+    The ``"process"`` and ``"socket"`` backends are this one world under two
+    *routing maps* (``shared.routing``): ``deliver`` runs the sender's fault
+    hook, keeps a self-send in-process, ships to a same-node peer through
+    the arena and a pipe/queue lane, and frames everything else onto the
+    pair's TCP link.  ``"process"`` is the one-node map, so it never opens a
+    socket; a rank with no off-node peer has no mesh, no monitor thread and
+    nothing to flush on exit.
+    """
+
     #: ``deliver`` copies every cross-process payload out synchronously
     #: before returning (arena ``np.copyto``, inline snapshot, or TCP
-    #: pickle in the socket subclass), so senders — in particular
+    #: pickle), so senders — in particular
     #: :class:`~repro.comm.algorithms.ScheduleRunner` — may pass live
     #: views of buffers they keep mutating, skipping the staging copy the
     #: thread backend's zero-copy transport requires.
     copies_on_send = True
 
-    def __init__(self, shared: _SharedJobState, rank: int) -> None:
+    def __init__(self, shared: _SharedJobState, rank: int, backend_name: str) -> None:
+        self.backend_name = backend_name
         self.size = shared.nranks
         self.timeout = shared.timeout
         self.config = shared.config
         self.rank = rank
         self._shared = shared
-        self._inbox = _Inbox(self)
+        #: The map ``hostmap``/``node_of`` answer from: the job's own, else
+        #: the routing default — as the collective layer has always seen it.
+        self._hostmap: HostMap = shared.config.hostmap or shared.routing
+        node = shared.routing.node_of
+        self._same_node = [node(r) == node(rank) for r in range(self.size)]
+        # Fast-lane ends of this rank (peer -> fd) and per-dest sequence
+        # numbers spanning both local lanes (see ``_send_local``).
+        peers = [r for r in range(self.size) if r != rank]
+        self._wpipes = {d: shared.pipes[rank][d][1] for d in peers}
+        self._send_seq = [0] * self.size
+        self._inbox = _Inbox(
+            self,
+            shared.queues[rank],
+            [shared.pipes[s][rank][0] for s in peers],
+            shared.arena,
+        )
+        self._mesh: TcpMesh | None = None
         self._stats: dict[int, Any] = {}
         faults = shared.config.faults
         self._injector: FaultInjector | None = (
             faults.injector(rank) if faults is not None else None
         )
-        #: Per-process transport counters (this rank's sends only).
+        #: Per-process transport counters (this rank's sends only), tallied
+        #: synchronously in ``deliver``.
         self.transport = {
             "shm_messages": 0,
             "shm_bytes": 0,
@@ -685,37 +671,42 @@ class ProcessWorld(BaseWorld):
             "arena_full_fallbacks": 0,
             "pipe_messages": 0,
             "queue_messages": 0,
+            "tcp_messages": 0,
+            "tcp_bytes": 0,          # full frame payloads (pickle included)
+            "tcp_payload_bytes": 0,  # ndarray bytes only (model-comparable)
         }
-        # Fast-lane write ends (dest rank -> fd) and per-dest sequence
-        # numbers spanning both lanes (see ``_send_local``).
-        self._wpipes: dict[int, int] = {}
-        pipes = getattr(shared, "pipes", None)
-        if pipes is not None:
-            for d in range(self.size):
-                pair = pipes[rank][d] if d != rank else None
-                if pair is not None:
-                    self._wpipes[d] = pair[1]
-        self._send_seq = [0] * self.size
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        """Post-fork setup inside the child, before the rank function runs.
-
-        The process backend's transport (queues + arena) is fully inherited
-        from the parent, so there is nothing to do; the socket backend
-        overrides this to establish its inter-node TCP mesh.
-        """
+        """Connect to the off-node peers, if the routing map has any."""
+        off_node = [r for r in range(self.size) if not self._same_node[r]]
+        if off_node:
+            # Received arrays are frozen, mirroring every other lane:
+            # received data is immutable by contract.
+            self._mesh = TcpMesh(
+                self, lambda s, tag, p: self._inbox.put(s, tag, _unpack(p, []))
+            )
+            self._mesh.start(off_node, self._shared.listeners, self._shared.ports)
 
     def shutdown(self, ok: bool) -> None:
         """Pre-exit teardown inside the child (``ok`` = rank succeeded)."""
+        if self._mesh is not None:
+            self._mesh.shutdown(ok)
 
     @property
     def aborted(self) -> bool:
-        return self._shared.abort_event.is_set()
+        return self._shared.aborted
 
     @property
     def abort_reason(self) -> str | None:
         return self._shared.get_abort_reason()
+
+    @property
+    def hostmap(self) -> HostMap:
+        return self._hostmap
+
+    def node_of(self, world_rank: int) -> int:
+        return self._hostmap.node_of(world_rank)
 
     def _fault(self, point: str, peer: int, tag: Any, payload: Any):
         """Run this rank's armed faults at a transport point.
@@ -741,13 +732,16 @@ class ProcessWorld(BaseWorld):
                 return
         if dest == self.rank:
             # Self-delivery stays in-process (no copy), matching the thread
-            # backend's zero-copy self-sends.
-            self._inbox._buffered.setdefault((source, tag), deque()).append(payload)
-            return
-        self._send_local(source, dest, tag, payload)
+            # backend's zero-copy self-sends — but goes through the store's
+            # lock like every deposit: TCP readers share the table.
+            self._inbox.put(source, tag, payload)
+        elif self._same_node[dest]:
+            self._send_local(source, dest, tag, payload)
+        else:
+            self._mesh.send(source, dest, tag, payload)
 
     def _send_local(self, source: int, dest: int, tag: Any, payload: Any) -> None:
-        """Ship one message to a same-host peer: arena + fast lane / queue.
+        """Ship one message to a same-node peer: arena + fast lane / queue.
 
         Small framed messages go down the raw descriptor pipe with one
         synchronous atomic write; anything oversized — or a momentarily
@@ -757,24 +751,20 @@ class ProcessWorld(BaseWorld):
         """
         with tracer.span("xport:send", cat="transport", dest=dest) as sp:
             descs: list = []
-            skeleton = _pack(
-                payload, self._shared.arena, descs, self.transport, self._shared.shm_min
-            )
+            skeleton = _pack(payload, self._shared.arena, descs, self.transport)
             seq = self._send_seq[dest]
             self._send_seq[dest] = seq + 1
             msg = (seq, source, tag, skeleton, descs)
-            w = self._wpipes.get(dest)
-            if w is not None:
-                blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-                if len(blob) + 4 <= _PIPE_FRAME_MAX:
-                    try:
-                        os.write(w, len(blob).to_bytes(4, "little") + blob)
-                    except OSError:
-                        pass  # pipe full or torn down: take the queue lane
-                    else:
-                        self.transport["pipe_messages"] += 1
-                        sp.set(lane="pipe", bytes=len(blob))
-                        return
+            blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+            if len(blob) + 4 <= _PIPE_FRAME_MAX:
+                try:
+                    os.write(self._wpipes[dest], len(blob).to_bytes(4, "little") + blob)
+                except OSError:
+                    pass  # pipe full or torn down: take the queue lane
+                else:
+                    self.transport["pipe_messages"] += 1
+                    sp.set(lane="pipe", bytes=len(blob))
+                    return
             self.transport["queue_messages"] += 1
             sp.set(lane="queue")
             self._shared.queues[dest].put(msg)
@@ -785,7 +775,7 @@ class ProcessWorld(BaseWorld):
         self._check_rank(source, "source")
         if dest != self.rank:
             raise ValueError(
-                f"process backend can only collect for its own rank "
+                f"a forked rank can only collect for itself "
                 f"({self.rank}), not {dest}"
             )
         entry = self._inbox.get(
@@ -839,19 +829,15 @@ class ProcessWorld(BaseWorld):
     def abort(self, reason: str | None = None) -> None:
         self._shared.set_abort(reason)
 
-    def _check_rank(self, rank: int, what: str) -> None:
-        if not 0 <= rank < self.size:
-            raise ValueError(f"{what}={rank} out of range for world of size {self.size}")
-
 
 def _heartbeat_loop(shared: _SharedJobState, rank: int) -> None:
     """Daemon thread in each child: stamp this rank's liveness slot.
 
     Lock-free on purpose, and for the life of the process (the parent
     ignores stamps once the job aborts): a contended acquire of a shared
-    lock — ``abort_event.is_set()`` takes the event's — drops the GIL, and
-    a main thread calling ``os._exit`` meanwhile (an injected crash) leaves
-    that lock held forever, wedging the parent and every survivor.
+    lock drops the GIL, and a main thread calling ``os._exit`` meanwhile
+    (an injected crash) leaves that lock held forever, wedging the parent
+    and every survivor.
     """
     interval = max(0.02, shared.config.detect_interval / 2.0)
     while True:
@@ -865,17 +851,21 @@ def _child_main(
     fn: Callable[..., Any],
     args: tuple,
     kwargs: dict,
-    world_cls: type = None,  # type: ignore[assignment]
+    backend_name: str,
 ) -> None:
     """Rank entry point in the forked child."""
     from repro.comm.communicator import Communicator
 
-    world = (world_cls or ProcessWorld)(shared, rank)
+    # A rank the parent has to ``terminate()`` after ``_PARENT_GRACE`` dumps
+    # every thread's stack first: a hang is a failure with tracebacks.
+    if sys.__stderr__ is not None:
+        faulthandler.register(
+            signal.SIGTERM, file=sys.__stderr__, all_threads=True, chain=True
+        )
+    world = ForkedWorld(shared, rank, backend_name)
     # Rank identity (and tracing, when enabled) for every thread of this
     # child — heartbeat and transport helpers attribute to the rank too.
-    hm = getattr(world, "_hostmap", None) or shared.config.hostmap
-    host = hm.host_of(rank) if hm is not None else "node0"
-    tracer.enter_rank(rank, host, trace=shared.config.trace)
+    tracer.enter_rank(rank, world.hostmap.host_of(rank), trace=shared.config.trace)
     threading.Thread(
         target=_heartbeat_loop,
         args=(shared, rank),
@@ -954,20 +944,19 @@ def _child_main(
 
 
 def _launch_forked(
+    backend_name: str,
+    routing_for: Callable[[JobConfig, int], HostMap],
     nranks: int,
     fn: Callable[..., Any],
     args: tuple,
     kwargs: dict,
     config: JobConfig,
-    shared_factory: Callable[..., _SharedJobState] = _SharedJobState,
-    child_main: Callable[..., None] = _child_main,
 ) -> list[Any]:
-    """Generic forked-children launcher: spawn one child per rank, run the
+    """The forked backends' launcher: fork one child per rank, run the
     failure detector, gather and decode results.
 
-    The process and socket backends share this parent loop; they differ
-    only in the shared state they build pre-fork (``shared_factory``) and
-    the world the children construct (``child_main``).
+    ``routing_for(config, nranks)`` is all a registered name chooses: the
+    map that says which rank pairs share memory and which cross TCP.
     """
     import multiprocessing as mp
 
@@ -975,11 +964,11 @@ def _launch_forked(
         ctx = mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX hosts
         raise RuntimeError(
-            "the process backend requires the fork start method; "
+            "the forked backends require the fork start method; "
             "use backend='thread' on this platform"
         ) from None
 
-    shared = shared_factory(ctx, nranks, config)
+    shared = _SharedJobState(ctx, nranks, config, routing_for(config, nranks))
     detect = max(0.02, config.detect_interval)
     # A heartbeat is "stale" well past its refresh period; generous slack
     # keeps a scheduler hiccup from flagging a healthy rank.
@@ -993,19 +982,19 @@ def _launch_forked(
     try:
         for rank in range(nranks):
             p = ctx.Process(
-                target=child_main,
-                args=(shared, rank, fn, args, kwargs),
+                target=_child_main,
+                args=(shared, rank, fn, args, kwargs, backend_name),
                 name=f"spmd-rank-{rank}",
             )
             p.start()
             procs.append(p)
-        shared.post_fork_parent()
+        shared.release_parent_fds()
 
         # `timeout` bounds individual blocked operations (enforced inside
         # the ranks, exactly as on the thread backend) — it is NOT a job
         # deadline, so a healthy long-computing job is never cut short.
         # The parent only starts a drain deadline once the job is known to
-        # be dying: the abort event fired, a child crashed, or every child
+        # be dying: the abort flag went up, a child crashed, or every child
         # exited without reporting.  The loop doubles as the failure
         # detector, paced by ``config.detect_interval``: a child that died
         # without reporting aborts the job (naming the dead rank) within
@@ -1027,7 +1016,7 @@ def _launch_forked(
                         f"{', injected crash' if injected else ''}) "
                         "before reporting a result"
                     )
-            if not shared.abort_event.is_set():
+            if not shared.aborted:
                 now = monotonic()
                 for r, p in enumerate(procs):
                     if (
@@ -1042,7 +1031,7 @@ def _launch_forked(
                             "(straggler or wedged rank)",
                             r, now - shared.heartbeats[r],
                         )
-            dying = shared.abort_event.is_set() or all(
+            dying = shared.aborted or all(
                 p.exitcode is not None for p in procs
             )
             if not dying:
@@ -1077,59 +1066,36 @@ def _launch_forked(
             if tb and not isinstance(exc, CommAborted):
                 exc.__cause__ = RuntimeError(f"rank {rank} traceback:\n{tb}")
             errors[rank] = exc
-        elif status == "crash":
-            injected = blob == INJECTED_CRASH_EXIT
-            errors[rank] = CommAborted(
-                f"world rank {rank} exited abnormally (exit code {blob}"
-                f"{', injected crash' if injected else ''}) "
-                "before reporting a result",
-                failed_rank=rank,
-                host=(
-                    config.hostmap.host_of(rank)
-                    if config.hostmap is not None
-                    else None
-                ),
-                kind="injected-crash" if injected else "child-exit",
-            )
-        else:  # hang
-            errors[rank] = CommAborted(
-                f"world rank {rank} did not report a result within "
-                f"{_PARENT_GRACE:.0f}s of the job starting to die "
-                f"(abort/crash/exit); job torn down{suffix}",
-                failed_rank=rank,
-                host=(
-                    config.hostmap.host_of(rank)
-                    if config.hostmap is not None
-                    else None
-                ),
-                kind="hang",
-            )
-
-    if config.allow_failures:
-        return [
-            errors[rank] if errors[rank] is not None else results[rank]
-            for rank in range(nranks)
-        ]
-    first_real = next(
-        (e for e in errors if e is not None and not isinstance(e, CommAborted)), None
-    )
-    if first_real is not None:
-        raise first_real
-    first_any = next((e for e in errors if e is not None), None)
-    if first_any is not None:
-        raise first_any
-    return results
+        else:  # no report: "crash" (blob is the exit code) or "hang"
+            if status == "crash":
+                injected = blob == INJECTED_CRASH_EXIT
+                kind = "injected-crash" if injected else "child-exit"
+                message = (
+                    f"world rank {rank} exited abnormally (exit code {blob}"
+                    f"{', injected crash' if injected else ''}) "
+                    "before reporting a result"
+                )
+            else:
+                kind = "hang"
+                message = (
+                    f"world rank {rank} did not report a result within "
+                    f"{_PARENT_GRACE:.0f}s of the job starting to die "
+                    f"(abort/crash/exit); job torn down{suffix}"
+                )
+            host = config.hostmap.host_of(rank) if config.hostmap is not None else None
+            errors[rank] = CommAborted(message, failed_rank=rank, host=host, kind=kind)
+    return _job_outcome(results, errors, config.allow_failures)
 
 
-def _run_spmd_processes(
-    nranks: int,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    config: JobConfig,
-) -> list[Any]:
-    """Process-backend launcher: fork one child per rank, gather results."""
-    return _launch_forked(nranks, fn, args, kwargs, config)
-
-
-register_backend("process", _run_spmd_processes)
+register_backend(
+    "process",
+    partial(_launch_forked, "process", lambda config, n: HostMap.uniform(n, n)),
+)
+register_backend(
+    "socket",
+    partial(
+        _launch_forked,
+        "socket",
+        lambda config, n: config.hostmap or HostMap.one_per_rank(n),
+    ),
+)

@@ -1,17 +1,21 @@
-"""Socket/TCP SPMD backend with host-map routing.
+"""The TCP wire under the forked-rank world's off-node rank pairs.
 
-The process backend is "MPI on one host": every byte moves through shared
+A one-node job is "MPI on one host": every byte moves through shared
 memory.  Real deployments of the paper's fine-grained parallelism span
 nodes, where the inter-node wire — not the NVLink domain — bottlenecks the
-gradient allreduces (§VI-B1).  This backend puts an actual network stack
-under the engine while staying runnable on one machine:
+gradient allreduces (§VI-B1).  This module puts an actual network stack
+under :class:`~repro.comm.proc_backend.ForkedWorld` while staying runnable
+on one machine.  It hides the wire *format* and the links' lifecycle and
+nothing else — routing, the mailbox, fault hooks and the launcher live in
+:mod:`repro.comm.proc_backend`, which hands each rank with an off-node peer
+one :class:`TcpMesh`:
 
-* **Host map** — ranks are grouped into *logical nodes* by a
+* **Routing map** — ranks are grouped into *logical nodes* by a
   :class:`~repro.comm.hostmap.HostMap` (``run_spmd(..., hostmap=...)`` or
   ``REPRO_HOSTMAP``, e.g. ``"0,1:A 2,3:B"``).  Ranks on the same logical
-  node exchange messages exactly as the process backend does (queue +
-  shared-memory arena); ranks on *different* nodes talk over per-pair TCP
-  connections on the loopback interface.  The default map (no host map
+  node exchange messages through the shared-memory arena and its lanes;
+  ranks on *different* nodes talk over per-pair TCP connections on the
+  loopback interface.  The ``"socket"`` backend's default map (no host map
   given) is one rank per node, so every byte crosses TCP.  The same map
   feeds :meth:`BaseWorld.node_of`, which drives the communicator's
   hierarchical collective selection — the transport and the cost model see
@@ -26,33 +30,29 @@ under the engine while staying runnable on one machine:
   job with a :class:`CommIntegrityError` naming the sending rank and host,
   instead of feeding silently wrong bytes into the collectives (an
   elastic-restartable failure class: the data was bad, not the rank).
-  Sends are *eager*: ``deliver`` enqueues
+  Sends are *eager*: :meth:`TcpMesh.send` enqueues
   the frame on a per-peer outbound queue serviced by a sender thread and
   never blocks the caller, preserving the buffered-send contract all
   backends share.  Transport counters (``tcp_messages`` / ``tcp_bytes`` /
   ``tcp_payload_bytes``) are tallied synchronously at ``deliver`` time, so
   they are deterministic and — for the ndarray-payload counter — exactly
   comparable to the collective cost model's wire-byte predictions.
+  Received frames are deposited into the rank's one mailbox from the
+  reader thread, which wakes the owner's ``select`` through its wake pipe.
 * **Failure detection across hosts** — each rank heartbeats its inter-node
   peers over the sockets (and its parent through the shared slot).  A peer
   that dies takes its connections with it: the reader thread sees EOF
   without a preceding ``BYE`` and aborts the job naming the lost rank and
   its host; a peer that is alive but silent past the staleness bound is
   logged as a straggler.  Survivors fail with :class:`CommAborted` naming
-  the failed rank, exactly as on the other backends.
-* **No leaks** — listening sockets are bound pre-fork (port 0, loopback)
+  the failed rank, exactly as over shared memory.
+* **No leaks** — listening sockets are bound pre-fork (port 0, loopback;
+  only when the routing map has two nodes or more)
   and closed by the parent right after the fork; each child closes every
   listener but its own, and closes its connections after a BYE + bounded
   outbound flush on exit.  A completed job leaves no sockets or fds behind
   in the parent (regression-tested by ``tests/test_socket_backend.py`` and
   the CI ``multi-host`` job, mirroring the ``/dev/shm`` leak check).
-
-Fault injection, result plumbing, and the parent's failure detector are
-shared with the process backend (`_launch_forked`, `_pack`/`_unpack`):
-this module only swaps the transport underneath the same
-:class:`~repro.comm.backend.BaseWorld` contract — collectives live above
-it, in the communicator — so every collective stays bitwise identical
-across backends.
 """
 
 from __future__ import annotations
@@ -66,28 +66,15 @@ import time
 import zlib
 from collections import deque
 from time import monotonic
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.comm.backend import (
-    CommAborted,
-    CommIntegrityError,
-    _format_pending,
-    _retry_note,
-    register_backend,
-)
-from repro.comm.faults import JobConfig
-from repro.comm.hostmap import HostMap
+from repro.comm.backend import CommAborted
 from repro.obs import tracer
-from repro.comm.proc_backend import (
-    ProcessWorld,
-    _child_main,
-    _Inbox,
-    _launch_forked,
-    _SharedJobState,
-    _unpack,
-)
+
+if TYPE_CHECKING:
+    from repro.comm.proc_backend import ForkedWorld
 
 logger = logging.getLogger(__name__)
 
@@ -126,162 +113,42 @@ def _array_nbytes(payload: Any) -> int:
     return 0
 
 
-class _SocketShared(_SharedJobState):
-    """Process-backend shared state plus pre-fork-bound listeners + host map."""
-
-    def __init__(self, ctx, nranks: int, config: JobConfig) -> None:
-        super().__init__(ctx, nranks, config)
-        #: Effective node layout: the job's host map, or one-rank-per-node
-        #: (all traffic over TCP) when none was given.
-        self.hostmap: HostMap = config.hostmap or HostMap.one_per_rank(nranks)
-        # One loopback listener per rank, bound pre-fork so every child
-        # knows every port without any rendezvous service.
-        self.listeners: list[socket.socket | None] = []
-        self.ports: list[int] = []
-        try:
-            for _ in range(nranks):
-                s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                s.bind(("127.0.0.1", 0))
-                s.listen(nranks + 4)
-                self.listeners.append(s)
-                self.ports.append(s.getsockname()[1])
-        except OSError:
-            self.post_fork_parent()
-            super().teardown()
-            raise
-
-    def post_fork_parent(self) -> None:
-        """Close the parent's copies of the listeners and fast-lane pipes
-        (the children own theirs from fork on)."""
-        super().post_fork_parent()
-        for i, s in enumerate(self.listeners):
-            if s is not None:
-                try:
-                    s.close()
-                except OSError:  # pragma: no cover - depends on host
-                    pass
-                self.listeners[i] = None
-
-    def teardown(self) -> None:
-        self.post_fork_parent()
-        super().teardown()
-
-
-class _SocketInbox(_Inbox):
-    """(source, tag)-matched mailbox fed by TCP readers and the lane feeder.
-
-    Unlike the process backend's single-consumer `_Inbox`, messages arrive
-    from multiple threads (one reader per TCP connection plus the
-    shared-memory lane feeder), so the buffer is guarded by a condition
-    variable; the owning rank's ``get`` blocks on it, waking immediately
-    on TCP arrivals and — via the feeder's ``select`` over the descriptor
-    pipes and the queue fd — promptly for intra-node arrivals.  The
-    drain/reorder machinery (descriptor-pipe fast lane, cross-lane
-    sequence numbers) is inherited; only admission (``_deposit``) is
-    rerouted through the condition variable.
-    """
-
-    def __init__(self, world: "SocketWorld") -> None:
-        super().__init__(world)
-        self._cv = threading.Condition()
-        threading.Thread(
-            target=self._feeder_loop,
-            name=f"shm-feeder-rank-{world.rank}",
-            daemon=True,
-        ).start()
-
-    # -- producers (reader threads, feeder thread, self-delivery) ----------
-    def put(self, source: int, tag: Any, payload: Any) -> None:
-        with self._cv:
-            self._buffered.setdefault((source, tag), deque()).append(payload)
-            self._cv.notify_all()
-
-    def _deposit(self, source: int, tag: Any, payload: Any) -> None:
-        # Intra-node (arena/pipe/queue) admission from the feeder thread.
-        self.put(source, tag, payload)
-
-    def _feeder_loop(self) -> None:
-        """Drain this rank's intra-node lanes into the buffer."""
-        while True:
-            try:
-                self._drain_blocking(0.25)
-            except (OSError, ValueError):  # queue closed: rank is exiting
-                return
-
-    # -- consumer (the rank's own threads) ---------------------------------
-    def get(
-        self, source: int, tag: Any, timeout: float, describe: Any
-    ) -> Any:
-        # ``describe`` may be a zero-arg callable, formatted only on the
-        # abort/timeout slow paths (see ``_Inbox.get``).
-        world = self._world
-        retries = world.config.retries
-        attempt = 0
-        deadline = monotonic() + timeout
-        poll = min(0.25, max(0.01, world.config.detect_interval))
-        key = (source, tag)
-        with self._cv:
-            while True:
-                q = self._buffered.get(key)
-                if q:
-                    return self._pop(key, q)
-                if world.aborted:
-                    raise world.abort_error(
-                        f"{describe() if callable(describe) else describe} "
-                        f"interrupted: world aborted{world.abort_suffix()}"
-                    )
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    if attempt < retries:
-                        attempt += 1
-                        logger.warning(
-                            "%s still waiting after %.1fs; retry %d/%d "
-                            "(pending inbox: %s)",
-                            describe() if callable(describe) else describe,
-                            timeout, attempt, retries,
-                            self.pending_keys(),
-                        )
-                        deadline = monotonic() + timeout
-                        continue
-                    reason = (
-                        f"{describe() if callable(describe) else describe} "
-                        f"timed out after {timeout:.1f}s"
-                        f"{_retry_note(attempt)}; "
-                        f"pending inbox: {self.pending_keys()}"
-                    )
-                    world.abort(reason)
-                    raise CommAborted(reason, kind="timeout")
-                self._cv.wait(min(remaining, poll))
-
-    def try_get(self, source: int, tag: Any) -> tuple[bool, Any]:
-        with self._cv:
-            q = self._buffered.get((source, tag))
-            if q:
-                return True, self._pop((source, tag), q)
-        if self._world.aborted:
-            raise self._world.abort_error(
-                f"irecv(source={source}, tag={tag}) interrupted: "
-                f"world aborted{self._world.abort_suffix()}"
-            )
-        return False, None
-
-    def pending_keys(self, limit: int = 8) -> str:
-        with self._cv:
-            keys = [k for k, q in self._buffered.items() if q]
-        return _format_pending(keys, limit)
+def bind_listeners(nranks: int) -> list[socket.socket]:
+    """One loopback listener per rank, bound in the parent before the fork
+    so every child knows every port without a rendezvous service.  A bind
+    failure closes the listeners already bound before re-raising."""
+    listeners: list[socket.socket] = []
+    try:
+        for _ in range(nranks):
+            s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listeners.append(s)
+            s.bind(("127.0.0.1", 0))
+            s.listen(nranks + 4)
+    except OSError:
+        for s in listeners:
+            s.close()
+        raise
+    return listeners
 
 
 class _Connection:
     """One TCP link to an inter-node peer: sender + reader threads.
 
     Sends are enqueued (never blocking the caller) and written by the
-    sender thread; the reader feeds the world's inbox and doubles as the
+    sender thread; the reader deposits into the rank's mailbox and doubles as the
     cross-host failure detector — EOF without a preceding BYE means the
     peer died, and aborts the job naming it.
     """
 
-    def __init__(self, world: "SocketWorld", peer: int, sock: socket.socket) -> None:
+    def __init__(
+        self,
+        world: "ForkedWorld",
+        peer: int,
+        sock: socket.socket,
+        deposit: Callable[[int, Any, Any], None],
+    ) -> None:
         self._world = world
+        self._deposit = deposit
         self.peer = peer
         self._sock = sock
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -304,7 +171,7 @@ class _Connection:
 
     # -- sending -----------------------------------------------------------
     def send_frame(self, ftype: int, blob: bytes = b"", crc: int | None = None) -> None:
-        """Queue one frame.  ``crc`` defaults to the blob's CRC32; `deliver`
+        """Queue one frame.  ``crc`` defaults to the blob's CRC32; `TcpMesh.send`
         passes the checksum of the *pre-wire-fault* payload so injected
         on-the-wire corruption is detectable at the receiver, exactly like
         a frame corrupted by the link after the NIC computed its checksum."""
@@ -389,10 +256,7 @@ class _Connection:
                 )
                 return
             if ftype == _FRAME_DATA:
-                source, tag, payload = pickle.loads(blob)
-                # Freeze received arrays, mirroring every other transport:
-                # received data is immutable by contract.
-                world._inbox.put(source, tag, _unpack(payload, []))
+                self._deposit(*pickle.loads(blob))
             elif ftype == _FRAME_BYE:
                 self.peer_done = True
             # heartbeats only refresh last_heard
@@ -431,123 +295,82 @@ class _Connection:
             pass
 
 
-class SocketWorld(ProcessWorld):
-    """One rank's view of a socket-backend SPMD job.
+class TcpMesh:
+    """One rank's TCP links to its off-node peers: mesh setup, eager framed
+    sends, peer heartbeats, and the BYE + bounded-flush shutdown.
 
-    Subclasses :class:`ProcessWorld`: fault injection, abort
-    plumbing, and the intra-node shared-memory path are inherited; only
-    message *routing* (queue/arena within a logical node, TCP frames
-    across nodes) and connection lifecycle differ.
+    ``deposit(source, tag, payload)`` is called from the per-connection
+    reader threads for every ``DATA`` frame that passed its CRC.
     """
 
-    backend_name = "socket"
-
-    def __init__(self, shared: _SocketShared, rank: int) -> None:
-        super().__init__(shared, rank)
-        self._hostmap: HostMap = shared.hostmap
-        self._node = tuple(self._hostmap.node_of(r) for r in range(self.size))
-        self._inbox = _SocketInbox(self)
+    def __init__(
+        self, world: "ForkedWorld", deposit: Callable[[int, Any, Any], None]
+    ) -> None:
+        self._world = world
+        self._deposit = deposit
         self._conns: dict[int, _Connection] = {}
         self._conn_lock = threading.Lock()
         self._shutting_down = False
-        #: Structured cause of a wire-level failure this rank observed
-        #: (kind, peer rank, peer host), recorded just before the abort so
-        #: survivor exceptions can carry it (first observation wins).
-        self._failure: tuple[str, int, str] | None = None
-        self.transport.update(
-            tcp_messages=0,
-            tcp_bytes=0,          # full frame payloads (pickle included)
-            tcp_payload_bytes=0,  # ndarray bytes only (model-comparable)
-        )
 
-    # -- failure attribution -------------------------------------------------
-    def record_failure(self, kind: str, peer: int, host: str) -> None:
-        """Remember the structured cause behind an imminent abort."""
-        if self._failure is None:
-            self._failure = (kind, peer, host)
+    def _connected(self, peer: int, sock: socket.socket) -> None:
+        with self._conn_lock:
+            self._conns[peer] = _Connection(self._world, peer, sock, self._deposit)
 
-    def abort_error(self, message: str) -> CommAborted:
-        """Build the survivor-side exception for an aborted world, carrying
-        the recorded wire-level cause; integrity failures get the dedicated
-        :class:`CommIntegrityError` type."""
-        if self._failure is not None:
-            kind, peer, host = self._failure
-            cls = CommIntegrityError if kind == "integrity" else CommAborted
-            return cls(message, failed_rank=peer, host=host, kind=kind)
-        return CommAborted(message)
-
-    # -- topology ----------------------------------------------------------
-    @property
-    def hostmap(self) -> HostMap:
-        """The *effective* host map (defaulted, unlike ``config.hostmap``)."""
-        return self._hostmap
-
-    def node_of(self, world_rank: int) -> int:
-        return self._node[world_rank]
-
-    def _inter_peers(self) -> list[int]:
-        my = self._node[self.rank]
-        return [q for q in range(self.size) if self._node[q] != my]
-
-    # -- lifecycle ----------------------------------------------------------
-    def start(self) -> None:
-        """Establish the inter-node TCP mesh (rank ``a`` dials ``b`` iff
-        ``a < b``); blocks until every expected connection is up."""
-        shared: _SocketShared = self._shared  # type: ignore[assignment]
-        me = self.rank
-        inter = self._inter_peers()
-        expect_accept = [q for q in inter if q < me]
-        to_dial = [q for q in inter if q > me]
+    def start(
+        self, peers: list[int], listeners: list["socket.socket | None"], ports: list[int]
+    ) -> None:
+        """Connect to ``peers`` (rank ``a`` dials ``b`` iff ``a < b``);
+        blocks until every expected connection is up."""
+        world = self._world
+        me = world.rank
+        expect_accept = [q for q in peers if q < me]
         # Every child inherited every listener; keep only our own (and
         # only if someone will dial it).
-        for q, s in enumerate(shared.listeners):
+        for q, s in enumerate(listeners):
             if s is not None and (q != me or not expect_accept):
-                try:
-                    s.close()
-                except OSError:  # pragma: no cover - depends on host
-                    pass
-                shared.listeners[q] = None
+                s.close()
+                listeners[q] = None
         if expect_accept:
             threading.Thread(
                 target=self._accept_loop,
-                args=(shared.listeners[me], len(expect_accept)),
+                args=(listeners, len(expect_accept)),
                 name=f"tcp-accept-rank-{me}",
                 daemon=True,
             ).start()
-        for q in to_dial:
-            sock = socket.create_connection(
-                ("127.0.0.1", shared.ports[q]), timeout=_CONNECT_TIMEOUT
-            )
-            sock.sendall(_HELLO.pack(me))
-            with self._conn_lock:
-                self._conns[q] = _Connection(self, q, sock)
-        deadline = monotonic() + min(self.timeout, _CONNECT_TIMEOUT)
+        for q in peers:
+            if q > me:
+                sock = socket.create_connection(
+                    ("127.0.0.1", ports[q]), timeout=_CONNECT_TIMEOUT
+                )
+                sock.sendall(_HELLO.pack(me))
+                self._connected(q, sock)
+        deadline = monotonic() + min(world.timeout, _CONNECT_TIMEOUT)
         while True:
             with self._conn_lock:
-                missing = [q for q in inter if q not in self._conns]
+                missing = [q for q in peers if q not in self._conns]
             if not missing:
                 break
-            if self.aborted:
+            if world.aborted:
                 raise CommAborted(
                     f"world rank {me}: connection setup interrupted: world "
-                    f"aborted{self.abort_suffix()}"
+                    f"aborted{world.abort_suffix()}"
                 )
             if monotonic() > deadline:
                 reason = (
                     f"world rank {me} could not reach world rank(s) "
                     f"{missing} within {_CONNECT_TIMEOUT:.0f}s of startup"
                 )
-                self.abort(reason)
+                world.abort(reason)
                 raise CommAborted(reason)
             time.sleep(0.005)
-        if inter:
-            threading.Thread(
-                target=self._peer_monitor_loop,
-                name=f"tcp-heartbeat-rank-{me}",
-                daemon=True,
-            ).start()
+        threading.Thread(
+            target=self._peer_monitor_loop,
+            name=f"tcp-heartbeat-rank-{me}",
+            daemon=True,
+        ).start()
 
-    def _accept_loop(self, listener: socket.socket, expected: int) -> None:
+    def _accept_loop(self, listeners: list, expected: int) -> None:
+        listener = listeners[self._world.rank]
         try:
             for _ in range(expected):
                 sock, _addr = listener.accept()
@@ -555,24 +378,20 @@ class SocketWorld(ProcessWorld):
                 if len(hello) != _HELLO.size:
                     sock.close()
                     continue
-                (peer,) = _HELLO.unpack(hello)
-                with self._conn_lock:
-                    self._conns[peer] = _Connection(self, peer, sock)
+                self._connected(_HELLO.unpack(hello)[0], sock)
         except OSError:  # pragma: no cover - listener closed mid-accept
             pass
         finally:
-            try:
-                listener.close()
-            except OSError:  # pragma: no cover - depends on host
-                pass
-            self._shared.listeners[self.rank] = None
+            listener.close()
+            listeners[self._world.rank] = None
 
     def _peer_monitor_loop(self) -> None:
         """Heartbeat inter-node peers and flag the silent ones."""
-        detect = max(0.02, self.config.detect_interval)
+        world = self._world
+        detect = max(0.02, world.config.detect_interval)
         stale_after = max(10 * detect, 5.0)
         flagged: set[int] = set()
-        while not self.aborted and not self._shutting_down:
+        while not world.aborted and not self._shutting_down:
             now = monotonic()
             with self._conn_lock:
                 conns = list(self._conns.values())
@@ -586,8 +405,8 @@ class SocketWorld(ProcessWorld):
                     logger.warning(
                         "world rank %d: no frames from world rank %d "
                         "(host %s) for %.1fs (straggler or wedged rank)",
-                        self.rank, conn.peer,
-                        self._hostmap.host_of(conn.peer), silent,
+                        world.rank, conn.peer,
+                        world.hostmap.host_of(conn.peer), silent,
                     )
             time.sleep(max(0.02, detect / 2.0))
 
@@ -601,21 +420,9 @@ class SocketWorld(ProcessWorld):
         for conn in conns:
             conn.close(flush_timeout=_FLUSH_TIMEOUT if ok else 1.0)
 
-    # -- transport ----------------------------------------------------------
-    def deliver(self, source: int, dest: int, tag: Any, payload: Any) -> None:
-        self._check_rank(dest, "dest")
-        if source == self.rank:
-            action, payload = self._fault("send", dest, tag, payload)
-            if action == "drop":
-                return
-        if dest == self.rank:
-            self._inbox.put(source, tag, payload)
-            return
-        if self._node[dest] == self._node[self.rank]:
-            # Intra-node: the process backend's arena + fast-lane path.
-            self._send_local(source, dest, tag, payload)
-            return
-        # Inter-node: one DATA frame on the pair's TCP connection.
+    def send(self, source: int, dest: int, tag: Any, payload: Any) -> None:
+        """Queue one ``DATA`` frame on the link to ``dest`` (never blocks)."""
+        world = self._world
         blob = pickle.dumps(
             (source, tag, payload), protocol=pickle.HIGHEST_PROTOCOL
         )
@@ -624,43 +431,18 @@ class SocketWorld(ProcessWorld):
         # checksum and trips its integrity check — modeling a link that
         # flips bits after the sender computed the frame's checksum.
         crc = zlib.crc32(blob) & 0xFFFFFFFF
-        if source == self.rank:
-            _, blob = self._fault("wire", dest, tag, blob)
-        self.transport["tcp_messages"] += 1
-        self.transport["tcp_bytes"] += len(blob)
-        self.transport["tcp_payload_bytes"] += _array_nbytes(payload)
+        if source == world.rank:
+            _, blob = world._fault("wire", dest, tag, blob)
+        # Tallied here, not in the sender thread, so the counters are
+        # deterministic; the payload-bytes one is model-comparable.
+        world.transport["tcp_messages"] += 1
+        world.transport["tcp_bytes"] += len(blob)
+        world.transport["tcp_payload_bytes"] += _array_nbytes(payload)
         conn = self._conns.get(dest)
         if conn is None:  # pragma: no cover - defensive
             raise CommAborted(
-                f"world rank {self.rank} has no connection to world rank "
-                f"{dest} (host {self._hostmap.host_of(dest)})"
+                f"world rank {world.rank} has no connection to world rank "
+                f"{dest} (host {world.hostmap.host_of(dest)})"
             )
         with tracer.span("xport:tcp", cat="transport", dest=dest, bytes=len(blob)):
             conn.send_frame(_FRAME_DATA, blob, crc=crc)
-
-
-def _socket_child_main(
-    shared: _SocketShared,
-    rank: int,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-) -> None:
-    _child_main(shared, rank, fn, args, kwargs, world_cls=SocketWorld)
-
-
-def _run_spmd_sockets(
-    nranks: int,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    config: JobConfig,
-) -> list[Any]:
-    """Socket-backend launcher: the forked parent loop over TCP children."""
-    return _launch_forked(
-        nranks, fn, args, kwargs, config,
-        shared_factory=_SocketShared, child_main=_socket_child_main,
-    )
-
-
-register_backend("socket", _run_spmd_sockets)

@@ -13,6 +13,9 @@ The socket backend sweep runs under whatever ``REPRO_HOSTMAP`` is set
 one-rank-per-node — all traffic over TCP — when unset.
 """
 
+import faulthandler
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -22,6 +25,34 @@ from repro.core.grad_reducer import BucketedGradReducer
 # job re-runs the kernel sweeps with ``--hypothesis-profile=wide``; only
 # tests that set no ``max_examples`` of their own follow it.
 settings.register_profile("wide", max_examples=600, deadline=None)
+
+#: A test that has not finished after this long is hung: dump every
+#: thread's stack and kill the run (stdlib only — ``pytest-timeout`` is not
+#: a dependency).  Tier-1 as a whole takes ~80 s.
+HANG_AFTER_S = 300
+
+_dump_fd = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output capture is suspended while plugins configure, so fd 2 is still
+    # the terminal here; a dump written to a captured stderr would die with
+    # the process it is about to kill.
+    config.stash[_dump_fd] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_dump_fd])
+
+
+@pytest.fixture(autouse=True)
+def _hang_is_a_failure_with_tracebacks(request):
+    faulthandler.dump_traceback_later(
+        HANG_AFTER_S, exit=True, file=request.config.stash[_dump_fd]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
 
 SPMD_BACKENDS = ("thread", "process", "socket")
 

@@ -152,11 +152,37 @@ class TestConvModels:
         assert model.fp(g) == t1  # cached
         assert model.bp_data(g) > 0 and model.bp_filter(g) > 0
 
-    def test_empirical_scales_with_work(self):
+    def test_empirical_times_each_kernel_on_an_injected_clock(self, monkeypatch):
+        """No wall clock in the verdict: each kernel runs ``warmup + runs``
+        times on arrays of the geometry's shape, and the model returns the
+        clock's elapsed time over the timed runs divided by ``runs``."""
+        from types import SimpleNamespace
+
+        from repro.nn import functional as F
+        from repro.perfmodel import conv_model
+
+        ticks = iter([0.0, 3.0, 10.0, 16.0, 20.0, 29.0])  # (t0, t1) per kernel
+        monkeypatch.setattr(
+            conv_model, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
+        )
+        calls: dict[str, list] = {}
+        for name in ("conv2d_forward", "conv2d_backward_data", "conv2d_backward_filter"):
+
+            def spy(a, b, *args, _real=getattr(F, name), _name=name, **kwargs):
+                calls.setdefault(_name, []).append((a.shape, b.shape))
+                return _real(a, b, *args, **kwargs)
+
+            monkeypatch.setattr(F, name, spy)
+
+        g = ConvGeometry(n=2, c=4, h=16, w=12, f=3, kh=3, kw=3, sh=2, sw=1)
         model = EmpiricalConvModel(warmup=1, runs=3)
-        small = model.fp(ConvGeometry(n=1, c=4, h=16, w=16, f=4, kh=3, kw=3))
-        large = model.fp(ConvGeometry(n=1, c=4, h=64, w=64, f=4, kh=3, kw=3))
-        assert large > small
+        assert (model.fp(g), model.bp_data(g), model.bp_filter(g)) == (1.0, 2.0, 3.0)
+        x, w, y = (2, 4, 16, 12), (3, 4, 3, 3), (2, 3, 7, 10)
+        assert calls == {
+            "conv2d_forward": [(x, w)] * 5,  # one untimed call sizes ``dy``
+            "conv2d_backward_data": [(y, w)] * 4,
+            "conv2d_backward_filter": [(x, y)] * 4,
+        }
 
 
 class TestConvLayerCost:

@@ -215,12 +215,10 @@ class TestShuffleAccounting:
 
 def test_shuffle_overlap_benchmark_regression():
     """Tier-1 guard on the shuffle benchmark (benchmarks/bench_*.py is not
-    collected by pytest): the benchmark must run end-to-end, measure the
-    exposed/hidden shuffle split, and the overlapped path must not be
-    *catastrophically* slower (which would indicate a serialization bug,
-    not jitter).  Tight speedup floors live in the benchmark's own smoke
-    check, not here — on 1-2 core runners the honest engine-level delta
-    drowns in scheduler noise, and a tier-1 suite must be deterministic."""
+    collected by pytest): the benchmark must run end-to-end and account
+    for the exposed/hidden shuffle split.  No speedup floor — tier-1
+    compares no wall clocks; the end-to-end benchmark's bounds are the
+    speed guard."""
     sys.path.insert(
         0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
     )
@@ -233,5 +231,4 @@ def test_shuffle_overlap_benchmark_regression():
     )
     for cfg in payload["configs"]:
         assert cfg["sync_step_s"] > 0 and cfg["overlap_step_s"] > 0
-        assert cfg["speedup"] > 0.4, text
         assert cfg["shuffle_hidden_s"] + cfg["shuffle_exposed_s"] > 0, text
