@@ -29,7 +29,6 @@ from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrat
 from repro.nn import NetworkSpec, SGD
 from repro.obs import analyze
 from repro.obs.export import validate_file
-from repro.obs.metrics import comm_stats_snapshot
 from repro.perfmodel.machine import MachineSpec
 
 N_RANKS = 4
@@ -61,7 +60,7 @@ def prog(comm):
     )
     trainer = DistTrainer(net, SGD(lr=0.1, momentum=0.9))
     trainer.fit([(x, t)], epochs=EPOCHS)
-    return comm_stats_snapshot(comm.stats)
+    return comm.stats.snapshot()
 
 
 def main(argv=None) -> int:

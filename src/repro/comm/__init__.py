@@ -27,6 +27,10 @@ LBANN implementation with a functionally equivalent runtime:
   ``bcast``/``barrier``/``split``), mirroring mpi4py's lower-case object
   interface; backend-agnostic, and bitwise-reproducible across backends
   for a fixed rank count.
+* :mod:`repro.comm.payload` — what a payload is: the one walk over
+  tuple/list/dict every copy, byte count and array lift goes through, and
+  the immutability rule built on it (``freeze`` / ``private`` /
+  :func:`set_zero_copy`).
 * :mod:`repro.comm.stats` — per-rank communication statistics (bytes,
   message and collective counts) used by tests and benchmarks to verify the
   communication-volume formulas of the paper's Section V.
@@ -64,12 +68,8 @@ from repro.comm.faults import (
 from repro.comm import proc_backend as _proc_backend  # registers "process", "socket"
 from repro.comm.buffers import BufferPool
 from repro.comm.hostmap import HOSTMAP_ENV, HostMap, resolve_hostmap
-from repro.comm.communicator import (
-    COLLECTIVE_ALG_ENV,
-    Communicator,
-    Request,
-    set_zero_copy,
-)
+from repro.comm.communicator import COLLECTIVE_ALG_ENV, Communicator, Request
+from repro.comm.payload import set_zero_copy
 from repro.comm.stats import CommStats
 from repro.comm.collective_models import (
     AllreduceAlgorithm,

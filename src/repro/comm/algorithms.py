@@ -58,6 +58,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.comm.payload import freeze, payload_nbytes
+from repro.comm.stats import WireTally
 from repro.obs import tracer as _trace
 
 #: Allreduce-family schedule names (`"direct"` is an :class:`Exchange`, not
@@ -203,42 +205,44 @@ def compile_reduce_scatter(p: int) -> tuple[tuple[Step, ...], ...]:
     """
     if p < 1:
         raise ValueError(f"group size must be >= 1, got {p}")
-    if p == 1:
-        return (tuple(),)
-    scheds: list[list[Step]] = [[] for _ in range(p)]
-    for r in range(p):
-        right, left = (r + 1) % p, (r - 1) % p
-        for s in range(p - 1):
-            c_send = (r - 1 - s) % p
-            c_recv = (r - 2 - s) % p
-            scheds[r].append(Step("send", right, c_send, c_send + 1))
-            scheds[r].append(
-                Step("recv_reduce", left, c_recv, c_recv + 1, acc_first=False)
-            )
-    return tuple(tuple(s) for s in scheds)
+    ring = tuple(range(p))
+    return tuple(tuple(_ring_pass(ring, r, r - 1, "recv_reduce")) for r in ring)
+
+
+def _ring_pass(
+    ring: tuple[int, ...], i: int, first: int, kind: str, width: int = 1
+) -> list[Step]:
+    """One trip round a ring, as seen from position ``i`` of ``ring`` (comm
+    ranks in ring order): ``k - 1`` steps, step ``s`` sending chunk
+    ``first - s`` to the right neighbour and receiving chunk
+    ``first - s - 1`` from the left one (mod ``k``; a chunk is ``width``
+    table entries).  ``kind="recv_reduce"`` is a reduce-scatter — position
+    ``i`` ends owning the fold of chunk ``first + 1``, folded in ring order
+    — and ``kind="recv"`` an allgather of finished chunks."""
+    k = len(ring)
+    right, left = ring[(i + 1) % k], ring[(i - 1) % k]
+    steps: list[Step] = []
+    for s in range(k - 1):
+        c_send, c_recv = (first - s) % k, (first - s - 1) % k
+        steps.append(Step("send", right, c_send * width, (c_send + 1) * width))
+        steps.append(
+            Step(kind, left, c_recv * width, (c_recv + 1) * width,
+                 acc_first=kind == "recv")
+        )
+    return steps
 
 
 def _compile_ring(p: int) -> tuple[tuple[Step, ...], ...]:
-    scheds: list[list[Step]] = [[] for _ in range(p)]
-    for r in range(p):
-        right, left = (r + 1) % p, (r - 1) % p
-        # Reduce-scatter: after step s every rank holds the running fold of
-        # chunk (r - s - 1); chunk c completes at rank (c - 1) having been
-        # folded in ring order starting at rank c.
-        for s in range(p - 1):
-            c_send = (r - s) % p
-            c_recv = (r - s - 1) % p
-            scheds[r].append(Step("send", right, c_send, c_send + 1))
-            scheds[r].append(
-                Step("recv_reduce", left, c_recv, c_recv + 1, acc_first=False)
-            )
-        # Allgather: circulate the finished chunks the rest of the way.
-        for s in range(p - 1):
-            c_send = (r + 1 - s) % p
-            c_recv = (r - s) % p
-            scheds[r].append(Step("send", right, c_send, c_send + 1))
-            scheds[r].append(Step("recv", left, c_recv, c_recv + 1))
-    return tuple(tuple(s) for s in scheds)
+    # Chunk c completes its reduce-scatter at rank c - 1, folded in ring
+    # order starting at rank c; the allgather circulates the finished
+    # chunks the rest of the way.
+    ring = tuple(range(p))
+    return tuple(
+        tuple(
+            _ring_pass(ring, r, r, "recv_reduce") + _ring_pass(ring, r, r + 1, "recv")
+        )
+        for r in ring
+    )
 
 
 def _compile_rabenseifner(p: int) -> tuple[tuple[Step, ...], ...]:
@@ -383,20 +387,10 @@ def compile_hierarchical_allreduce(
     for u, group in enumerate(nodes):
         for i, r in enumerate(group):
             steps = scheds[r]
-            right, left = group[(i + 1) % k], group[(i - 1) % k]
             # Phase 1: intra-node ring reduce-scatter over whole windows
             # (window c is folded in node-local ring order starting at
             # local rank c, mirroring _compile_ring's chunk discipline).
-            for s in range(k - 1):
-                c_send = (i - s) % k
-                c_recv = (i - s - 1) % k
-                steps.append(Step("send", right, c_send * m, (c_send + 1) * m))
-                steps.append(
-                    Step(
-                        "recv_reduce", left, c_recv * m, (c_recv + 1) * m,
-                        acc_first=False,
-                    )
-                )
+            steps.extend(_ring_pass(group, i, i, "recv_reduce", m))
             # Phase 2: the owned window's inter-node allreduce — the flat
             # m-rank schedule with chunks shifted into the window and
             # position peers mapped to the same-local-index counterparts.
@@ -414,11 +408,7 @@ def compile_hierarchical_allreduce(
                     )
                 )
             # Phase 3: intra-node ring allgather of the finished windows.
-            for s in range(k - 1):
-                c_send = (i + 1 - s) % k
-                c_recv = (i - s) % k
-                steps.append(Step("send", right, c_send * m, (c_send + 1) * m))
-                steps.append(Step("recv", left, c_recv * m, (c_recv + 1) * m))
+            steps.extend(_ring_pass(group, i, i + 1, "recv", m))
     return tuple(tuple(s) for s in scheds)
 
 
@@ -525,7 +515,7 @@ def _stage_segment(comm, seg: np.ndarray) -> np.ndarray:
     return view
 
 
-class ScheduleRunner:
+class ScheduleRunner(WireTally):
     """Drives one compiled reduction schedule over a communicator.
 
     Execution is *progressive*: :meth:`launch` performs every step up to
@@ -591,16 +581,10 @@ class ScheduleRunner:
         self._tag = comm._tag_key(("#alg", seq))
         self._seq = seq
         self._pos = 0
-        # ``inter_peers[c]`` flags comm rank ``c`` as living on a different
-        # logical node (per the world's host map): bytes exchanged with such
-        # peers are additionally tallied in the ``*_inter`` counters, which
-        # the hierarchical benchmark checks against the two-tier cost
-        # model's predicted inter-node wire volume.
-        self._inter = inter_peers
-        self.wire_sent = 0
-        self.wire_recv = 0
-        self.wire_sent_inter = 0
-        self.wire_recv_inter = 0
+        # The ``*_inter`` counters are what the hierarchical benchmark
+        # checks against the two-tier cost model's predicted inter-node
+        # wire volume.
+        super().__init__(inter_peers)
 
     # -- step primitives ---------------------------------------------------
     def _range(self, step: Step) -> tuple[int, int]:
@@ -618,9 +602,7 @@ class ScheduleRunner:
             view = self._buf[a:b]
         comm._world.deliver(comm.world_rank, dest, self._tag, view)
         _trace.flow_out(dest, self._tag)
-        self.wire_sent += view.nbytes
-        if self._inter is not None and self._inter[step.peer]:
-            self.wire_sent_inter += view.nbytes
+        self.count_sent(step.peer, view.nbytes)
 
     def _apply(self, step: Step, payload: np.ndarray) -> None:
         """The receive sink of one step: fold or place ``payload`` into its
@@ -640,9 +622,7 @@ class ScheduleRunner:
                 self._fn(seg, payload) if step.acc_first else self._fn(payload, seg)
             )
         _trace.flow_in(self._comm._members[step.peer], self._tag)
-        self.wire_recv += payload.nbytes
-        if self._inter is not None and self._inter[step.peer]:
-            self.wire_recv_inter += payload.nbytes
+        self.count_recv(step.peer, payload.nbytes)
 
     def _describe(self) -> str:
         # ``World.collect`` appends "(world rank dest <- source, tag=...)",
@@ -687,66 +667,45 @@ class ScheduleRunner:
         self._advance(block=True)
         return self._buf.reshape(self._shape)
 
-    @property
-    def complete(self) -> bool:
-        return self._pos >= len(self._steps)
 
-
-class Endpoint:
-    """The pt2pt endpoint every unscheduled collective moves over: eager
+class Endpoint(WireTally):
+    """The pt2pt endpoint every unscheduled operation moves over: eager
     :meth:`send`, blocking :meth:`recv` and nonblocking :meth:`try_recv`
-    under one ``(tag_class, seq)`` tag, with the flow-trace marks and the
-    wire-byte tally (``inter_peers[c]`` flags comm rank ``c`` as living on
-    another logical node; bytes moved with such peers also count in the
-    ``*_inter`` counters).
+    under one ``tag``, with the flow-trace marks and the wire-byte tally.
 
-    ``tag_class`` is the traffic class fault specs match on: ``"#coll"``
-    for ``"direct"`` (the exchange and the one-hop star), ``"#alg"`` for
-    compiled routes.
+    A collective's tag is ``(tag_class, seq)`` under the communicator's
+    key, ``tag_class`` being the traffic class fault specs match on:
+    ``"#coll"`` for ``"direct"`` (the exchange and the one-hop star),
+    ``"#alg"`` for compiled routes.
     """
 
     def __init__(
         self,
         comm,
-        opname: str,
-        seq: int,
-        tag_class: str,
+        label: str,
+        tag: Any,
         inter_peers: tuple[bool, ...] | None = None,
     ) -> None:
         self._comm = comm
         # ``collect`` appends "(world rank dest <- source, tag=...)": a
         # timeout names the op, sequence, waiting rank, and the peer whose
         # contribution is missing.
-        self._label = f"{opname}[seq={seq}]"
-        self._tag = comm._tag_key((tag_class, seq))
-        self._inter = inter_peers
-        self.wire_sent = 0
-        self.wire_recv = 0
-        self.wire_sent_inter = 0
-        self.wire_recv_inter = 0
+        self._label = label
+        self._tag = tag
+        super().__init__(inter_peers)
 
     def send(self, peer: int, payload: Any) -> None:
-        from repro.comm.communicator import _freeze, payload_nbytes
-
         comm = self._comm
-        frozen = _freeze(payload)
+        frozen = freeze(payload)
         comm._world.deliver(
             comm.world_rank, comm._members[peer], self._tag, frozen
         )
         _trace.flow_out(comm._members[peer], self._tag)
-        nbytes = payload_nbytes(frozen)
-        self.wire_sent += nbytes
-        if self._inter is not None and self._inter[peer]:
-            self.wire_sent_inter += nbytes
+        self.count_sent(peer, payload_nbytes(frozen))
 
     def _received(self, peer: int, payload: Any) -> Any:
-        from repro.comm.communicator import payload_nbytes
-
         _trace.flow_in(self._comm._members[peer], self._tag)
-        nbytes = payload_nbytes(payload)
-        self.wire_recv += nbytes
-        if self._inter is not None and self._inter[peer]:
-            self.wire_recv_inter += nbytes
+        self.count_recv(peer, payload_nbytes(payload))
         return payload
 
     def recv(self, peer: int) -> Any:
@@ -764,6 +723,34 @@ class Endpoint:
         if got:
             self._received(peer, payload)
         return got, payload
+
+
+class Receive(Endpoint):
+    """One posted point-to-point receive (``irecv``) in the runners'
+    ``launch``/``progress``/``finish`` shape: nothing to launch,
+    :meth:`progress` probes once, :meth:`finish` blocks for the message."""
+
+    #: Completes from the peer's send alone.
+    driven = False
+
+    def __init__(self, comm, opname: str, tag: Any, source: int) -> None:
+        super().__init__(comm, opname, comm._tag_key(tag))
+        self._source = source
+        self._got = False
+        self._payload: Any = None
+
+    def launch(self) -> bool:
+        return False
+
+    def progress(self) -> bool:
+        if not self._got:
+            self._got, self._payload = self.try_recv(self._source)
+        return self._got
+
+    def finish(self) -> Any:
+        if not self._got:
+            self._got, self._payload = True, self.recv(self._source)
+        return self._payload
 
 
 class Exchange(Endpoint):
@@ -788,12 +775,12 @@ class Exchange(Endpoint):
     def __init__(
         self,
         comm,
-        opname: str,
+        label: str,
+        tag: Any,
+        inter_peers: tuple[bool, ...] | None,
         payloads: list[Any],
-        seq: int,
-        inter_peers: tuple[bool, ...] | None = None,
     ) -> None:
-        super().__init__(comm, opname, seq, "#coll", inter_peers)
+        super().__init__(comm, label, tag, inter_peers)
         self._slots = payloads
         self._launched = False
         self._pos = 0  # next comm rank to collect from
@@ -893,44 +880,3 @@ def run_tree_scatter(t: Endpoint, node: TreeNode, payloads: Any) -> Any:
     for child, subtree in node.children:
         t.send(child, [by_rank[r] for r in subtree])
     return by_rank[node.rank]
-
-
-def run_ring_allgather(t: Endpoint, comm, payload: Any) -> list[Any]:
-    """Ring allgather: ``(source comm rank, payload)`` items circulate the
-    ring for ``p - 1`` steps, each rank forwarding the item it just
-    received.  Neighbour-only communication; pure routing, so the result
-    slots are bitwise-identical to the ``"direct"`` exchange (payloads of
-    any type and heterogeneous sizes route unchanged)."""
-    from repro.comm.communicator import _freeze
-
-    p = comm.size
-    right, left = (comm.rank + 1) % p, (comm.rank - 1) % p
-    slots: list[Any] = [None] * p
-    item: tuple[int, Any] = (comm.rank, _freeze(payload))
-    slots[comm.rank] = item[1]
-    for _ in range(p - 1):
-        t.send(right, item)
-        item = t.recv(left)
-        slots[item[0]] = item[1]
-    return slots
-
-
-def run_rd_allgather(t: Endpoint, comm, payload: Any) -> list[Any]:
-    """Recursive-doubling allgather: bundles of ``(source comm rank,
-    payload)`` pairs double each round, ``lg p`` rounds total.  Requires a
-    power-of-two group (the communicator falls back to the ring schedule
-    otherwise).  Pure routing — bitwise-identical to ``"direct"``."""
-    from repro.comm.communicator import _freeze
-
-    p = comm.size
-    bundle: list[tuple[int, Any]] = [(comm.rank, _freeze(payload))]
-    mask = 1
-    while mask < p:
-        peer = comm.rank ^ mask
-        t.send(peer, bundle)
-        bundle = bundle + t.recv(peer)
-        mask <<= 1
-    slots: list[Any] = [None] * p
-    for rank, item in bundle:
-        slots[rank] = item
-    return slots

@@ -71,7 +71,7 @@ class BufferPool:
         layer and the receiver.  Safe to call right after the send.
 
         ``sent_view`` must be the *exact* frozen object that crossed the
-        communication boundary: read-only (so ``_freeze`` forwards it
+        communication boundary: read-only (so ``freeze`` forwards it
         unchanged instead of minting another view the pool cannot see) and
         directly backed by ``arr``.  Violations are rejected, not repaired —
         recycling on a stale refcount would let a later ``take`` overwrite a

@@ -12,12 +12,12 @@ processes.
 Array payloads cross the communication boundary **zero-copy** where
 possible on the thread backend: a C-contiguous ndarray is shared as a
 read-only view instead of being deep-copied (non-contiguous arrays are
-still copied; see :func:`set_zero_copy` to disable the fast path when
-chasing a suspected aliasing bug).  The process backend copies through a
-shared-memory arena instead.  The contract is MPI's either way: a buffer
-handed to ``send``/``isend`` or contributed to a collective must not be
-mutated afterwards.  Received arrays may be read-only; treat them as
-immutable (``bcast``/``scatter`` results are exempt — they are private
+still copied; see :func:`~repro.comm.payload.set_zero_copy` to disable
+the fast path when chasing a suspected aliasing bug).  The process backend
+copies through a shared-memory arena instead.  The contract is MPI's
+either way: a buffer handed to ``send``/``isend`` or contributed to a
+collective must not be mutated afterwards.  Received arrays are read-only;
+treat them as immutable (``bcast``/``scatter`` results are exempt — they are private
 writable copies, since they commonly carry small control state the
 receiver updates in place).
 
@@ -28,7 +28,7 @@ and freed by whoever consumes it.*  Where that puts every copy:
 ====================  ==========================  ===========================
 mechanism             who copies, when            who frees / how long it lives
 ====================  ==========================  ===========================
-``_freeze``           nobody for a C-contiguous   the view lives as long as
+``payload.freeze``    nobody for a C-contiguous   the view lives as long as
 (``send``, ``isend``, array (a read-only view     receivers hold it; the
 nonblocking           crosses); the sender, once, sender never mutates the
 contributions)        for a non-contiguous one    buffer again
@@ -55,10 +55,14 @@ sink                  nobody: a scheduled         the transport, right after
 (``collect(sink=)``)  receive is folded or        the sink returns; an unsunk
                       placed into the working     receive gets a private
                       buffer where it landed      read-only array instead
-``_private``          the receiver, once          the receiver (``bcast`` /
+``payload.private``   the receiver, once          the receiver (``bcast`` /
                                                   ``scatter`` results are
                                                   writable)
 ====================  ==========================  ===========================
+
+``freeze`` and ``private`` (``_detached`` is one after the other) are
+:func:`repro.comm.payload.map_arrays` — the one walk over tuple/list/dict —
+so they reach the same arrays.
 
 Semantics implemented:
 
@@ -103,6 +107,7 @@ from repro.comm.collective_models import (
     select_inter_algorithm,
     select_segment_bytes,
 )
+from repro.comm.payload import freeze, payload_nbytes, private
 from repro.comm.stats import CommStats
 from repro.obs import tracer as _trace
 
@@ -112,6 +117,14 @@ _REDUCE_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "max": lambda a, b: np.maximum(a, b),
     "min": lambda a, b: np.minimum(a, b),
 }
+
+
+def _reduce_fn(op: str) -> Callable[[Any, Any], Any]:
+    try:
+        return _REDUCE_OPS[op]
+    except KeyError:
+        raise ValueError(f"unknown reduction op {op!r}") from None
+
 
 #: The binary ufunc behind each reduction op — handed to
 #: :class:`~repro.comm.algorithms.ScheduleRunner` so scheduled reductions
@@ -148,15 +161,9 @@ _REDUCTION_ALG_CHOICES = {
 }
 _TREE_ALG_CHOICES = {"auto", "direct", "binomial"}
 _RS_ALG_CHOICES = {"auto", "direct", "ring"}
-_AG_ALG_CHOICES = {"auto", "direct", "ring", "recursive_doubling"}
 #: Every name the env override may legally carry; anything else is a typo
 #: and must fail loudly rather than silently disable the override.
-_ALL_ALG_CHOICES = (
-    _REDUCTION_ALG_CHOICES
-    | _TREE_ALG_CHOICES
-    | _RS_ALG_CHOICES
-    | _AG_ALG_CHOICES
-)
+_ALL_ALG_CHOICES = _REDUCTION_ALG_CHOICES | _TREE_ALG_CHOICES | _RS_ALG_CHOICES
 
 
 def _parse_segment_bytes(text: str) -> int | str | None:
@@ -179,75 +186,10 @@ def _parse_segment_bytes(text: str) -> int | str | None:
         )
     return value
 
-#: When True (default), C-contiguous arrays are shared across the boundary
-#: as read-only views instead of deep copies.
-_ZERO_COPY = True
-
-
-def set_zero_copy(enabled: bool) -> bool:
-    """Enable/disable the zero-copy send fast path; returns the old setting.
-
-    Turning it off restores the historical copy-on-send semantics, which is
-    useful as a bisection tool when debugging a suspected aliasing bug (a
-    behavioral difference between the two modes indicates a sender mutating
-    a buffer after handing it to the communicator).
-    """
-    global _ZERO_COPY
-    prev = _ZERO_COPY
-    _ZERO_COPY = bool(enabled)
-    return prev
-
-
-def _freeze(payload: Any) -> Any:
-    """Make an array payload safe to hand across the communication boundary.
-
-    C-contiguous ndarrays become read-only *views* (zero-copy): the receiver
-    cannot write through them, and the sender promises not to mutate the
-    buffer after the send — the MPI contract.  Everything else that needs
-    protecting is copied.
-    """
-    if isinstance(payload, np.ndarray):
-        if _ZERO_COPY and payload.flags.c_contiguous:
-            if not payload.flags.writeable:
-                return payload
-            view = payload.view()
-            view.flags.writeable = False
-            return view
-        return payload.copy()
-    if isinstance(payload, tuple):
-        return tuple(_freeze(p) for p in payload)
-    if isinstance(payload, list):
-        return [_freeze(p) for p in payload]
-    return payload
-
-
-def _private(payload: Any) -> Any:
-    """A writable private copy of a (possibly frozen) payload."""
-    if isinstance(payload, np.ndarray):
-        return payload.copy()
-    if isinstance(payload, tuple):
-        return tuple(_private(p) for p in payload)
-    if isinstance(payload, list):
-        return [_private(p) for p in payload]
-    return payload
-
 
 def _schedulable_array(payload: Any) -> bool:
     """True if a payload can run through the chunked reduction schedules."""
     return isinstance(payload, np.ndarray) and payload.dtype != object
-
-
-def payload_nbytes(payload: Any) -> int:
-    """Approximate wire size of a payload (numpy arrays dominate in practice)."""
-    if isinstance(payload, np.ndarray):
-        return payload.nbytes
-    if isinstance(payload, (tuple, list)):
-        return sum(payload_nbytes(p) for p in payload)
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, dict):
-        return sum(payload_nbytes(v) for v in payload.values())
-    return 64  # nominal envelope for small control messages
 
 
 class Request:
@@ -274,74 +216,13 @@ class Request:
         raise NotImplementedError
 
 
-class _CompletedRequest(Request):
-    """A request born complete (eager ``isend``)."""
-
-    def __init__(self, result: Any = None) -> None:
-        self._done = True
-        self._result = result
-
-    def wait(self) -> Any:
-        return self._result
-
-    def test(self) -> bool:
-        return True
-
-
-class _RecvRequest(Request):
-    """Pending point-to-point receive."""
-
-    def __init__(
-        self, comm: "Communicator", source: int, tag: int, opname: str = "irecv"
-    ) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._opname = opname
-        self._t_launch = perf_counter()
-
-    def _finish(self, payload: Any, waited: float) -> None:
-        comm = self._comm
-        nbytes = payload_nbytes(payload)
-        comm.stats.record_recv(nbytes)
-        overlapped = (perf_counter() - self._t_launch) - waited
-        comm.stats.record_async(self._opname, nbytes, waited, overlapped, collective=False)
-        if _trace.is_on():
-            _trace.flow_in(comm._members[self._source], comm._tag_key(self._tag))
-            _trace.wait_span(self._opname, waited, overlapped, nbytes)
-        self._result = payload
-        self._done = True
-
-    def wait(self) -> Any:
-        if self._done:
-            return self._result
-        comm = self._comm
-        t0 = perf_counter()
-        payload = comm._world.collect(
-            comm.world_rank,
-            comm._members[self._source],
-            comm._tag_key(self._tag),
-            opname=self._opname,
-        )
-        self._finish(payload, waited=perf_counter() - t0)
-        return self._result
-
-    def test(self) -> bool:
-        if self._done:
-            return True
-        comm = self._comm
-        got, payload = comm._world.try_collect(
-            comm.world_rank, comm._members[self._source], comm._tag_key(self._tag)
-        )
-        if got:
-            self._finish(payload, waited=0.0)
-        return self._done
-
-
 class _RunnerRequest(Request):
-    """A collective in flight: drives one ``launch``/``progress``/``finish``
-    runner — an :class:`~repro.comm.algorithms.Exchange` (``"direct"``) or
-    a compiled :class:`~repro.comm.algorithms.ScheduleRunner`.
+    """The one request: an operation in flight, driving one
+    ``launch``/``progress``/``finish`` runner — an
+    :class:`~repro.comm.algorithms.Exchange` (``"direct"``), a compiled
+    :class:`~repro.comm.algorithms.ScheduleRunner`, or the single
+    :class:`~repro.comm.algorithms.Receive` behind ``irecv``
+    (``collective=False``: its bytes book as a receive, not a wire row).
 
     Issue time launches the runner (every send that can go goes, eagerly),
     ``test()`` advances it with nonblocking probes, ``wait()`` blocks
@@ -349,8 +230,9 @@ class _RunnerRequest(Request):
     runner's output into the result.  The arithmetic order is fixed by the
     runner and the fold, so *when* progress happens never affects the bits.
 
-    An exchange completes from the peers' issue-time sends alone, so a fast
-    rank can fire-and-forget many and drain them later, out of order.
+    An exchange or a receive completes from the peers' issue-time sends
+    alone, so a fast rank can fire-and-forget many and drain them later,
+    out of order.
     Later steps of a *driven* runner (a schedule) depend on peers making
     progress on the same schedule, so waiting on one first completes any
     earlier in-flight driven requests on the communicator (they cache
@@ -364,27 +246,41 @@ class _RunnerRequest(Request):
         runner: Any,
         opname: str,
         combine: Callable[[Any], Any] | None = None,
+        collective: bool = True,
     ) -> None:
         self._comm = comm
         self._runner = runner
         self._opname = opname
         self._combine = combine
+        self._collective = collective
         self._t_launch = perf_counter()
         runner.launch()
         if runner.driven:
             comm._inflight.append(self)
+
+    @classmethod
+    def completed(cls, result: Any = None) -> "_RunnerRequest":
+        """A request born complete (eager ``isend``): nothing to drive."""
+        req = cls.__new__(cls)
+        req._done, req._result = True, result
+        return req
 
     def _complete(self, out: Any, t_wait: float) -> None:
         comm = self._comm
         # The caller is blocked while the reduction arithmetic runs, so
         # combine time counts as wait, never as hidden communication.
         result = out if self._combine is None else self._combine(out)
-        comm._record_wire(self._opname, self._runner)
+        nbytes = payload_nbytes(result)
+        if self._collective:
+            comm.stats.record_wire(self._opname, self._runner)
+        else:
+            comm.stats.record_recv(nbytes)
         now = perf_counter()
         waited = now - t_wait
         overlapped = (now - self._t_launch) - waited
-        nbytes = payload_nbytes(result)
-        comm.stats.record_async(self._opname, nbytes, waited, overlapped)
+        comm.stats.record_async(
+            self._opname, nbytes, waited, overlapped, collective=self._collective
+        )
         if _trace.is_on():
             _trace.wait_span(self._opname, waited, overlapped, nbytes)
         if self._runner.driven:
@@ -441,7 +337,7 @@ class Communicator:
         #: receivers drop their zero-copy views).
         self._alg_pool = BufferPool(max_buffers_per_key=4)
         #: In-flight scheduled nonblocking collectives, in issue order.
-        self._inflight: list["_RunnerRequest"] = []
+        self._inflight: list[_RunnerRequest] = []
         #: Lazy caches for the node-hierarchy view of this communicator
         #: (``False`` = not yet computed; the layout is immutable).
         self._hierarchy_cache: Any = False
@@ -489,7 +385,7 @@ class Communicator:
         legal, as in buffered MPI.
         """
         self._check_peer(dest, "dest")
-        frozen = _freeze(payload)
+        frozen = freeze(payload)
         nbytes = payload_nbytes(frozen)
         self.stats.record_send(nbytes)
         tag_key = self._tag_key(tag)
@@ -512,7 +408,7 @@ class Communicator:
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send.  Sends are eager, so the request is born complete."""
         self.send(payload, dest, tag=tag)
-        return _CompletedRequest()
+        return _RunnerRequest.completed()
 
     def irecv(self, source: int, tag: int = 0, *, opname: str = "irecv") -> Request:
         """Nonblocking receive; ``wait()`` returns the payload.
@@ -523,7 +419,9 @@ class Communicator:
         point-to-point traffic.
         """
         self._check_peer(source, "source")
-        return _RecvRequest(self, source, tag, opname=opname)
+        return _RunnerRequest(
+            self, _alg.Receive(self, opname, tag, source), opname, collective=False
+        )
 
     def sendrecv(
         self,
@@ -752,29 +650,58 @@ class Communicator:
         for req in list(self._inflight):
             req.test()
 
+    def _route(self, opname: str, tag_class: str) -> tuple[str, Any, Any]:
+        """Label, tag and inter-node flags for the endpoint of one
+        collective (bumps the sequence every member bumps in step)."""
+        seq = self._next_coll_seq()
+        return (
+            f"{opname}[seq={seq}]", self._tag_key((tag_class, seq)),
+            self._inter_flags(),
+        )
+
     def _exchange(self, opname: str, payloads: list[Any]) -> "_alg.Exchange":
         """The ``"direct"`` transport: frozen ``payloads[j]`` to rank ``j``."""
-        return _alg.Exchange(
-            self, opname, payloads, self._next_coll_seq(),
-            inter_peers=self._inter_flags(),
-        )
+        return _alg.Exchange(self, *self._route(opname, "#coll"), payloads)
 
-    def _record_wire(self, opname: str, t: Any) -> None:
-        """Book a finished runner's or endpoint's byte tally under ``opname``."""
-        self.stats.record_wire(
-            opname, t.wire_sent, t.wire_recv,
-            inter_sent=t.wire_sent_inter, inter_recv=t.wire_recv_inter,
-        )
-
-    def _run(
-        self, runner: Any, opname: str, combine: Callable[[Any], Any] | None = None
+    def _collective(
+        self,
+        opname: str,
+        alg: str,
+        t: Any,
+        run: Callable[[], Any],
+        nbytes: int | None = None,
     ) -> Any:
-        """A blocking collective: an unlaunched runner's ``finish()`` is
-        issue + wait (no issue-time probes, no wait/overlap row)."""
-        out = runner.finish()
-        result = out if combine is None else combine(out)
-        self._record_wire(opname, runner)
-        return result
+        """One blocking collective and all of its accounting: the ``coll``
+        span around ``run()``, then the wire row from the tally of ``t``
+        (the runner or endpoint ``run`` moves bytes over) and the logical
+        row — ``nbytes``, or the size of what ``run`` returned."""
+        with _trace.span(opname, cat="coll", alg=alg) as sp:
+            out = run()
+            if nbytes is None:
+                nbytes = payload_nbytes(out)
+            sp.set(bytes=nbytes)
+        self.stats.record_wire(opname, t)
+        self.stats.record_collective(opname, nbytes)
+        return out
+
+    def _direct(
+        self,
+        opname: str,
+        payloads: list[Any],
+        combine: Callable[[list[Any]], Any] | None = None,
+        nbytes: int | None = None,
+    ) -> Any:
+        """Blocking ``"direct"`` collective over detached ``payloads``: an
+        unlaunched exchange's ``finish()`` is issue + wait (no issue-time
+        probes, no wait/overlap row), then the fold."""
+        exchange = self._exchange(opname, payloads)
+
+        def run() -> Any:
+            self._progress_inflight()
+            out = exchange.finish()
+            return out if combine is None else combine(out)
+
+        return self._collective(opname, "direct", exchange, run, nbytes)
 
     def _detached(self, payload: Any) -> Any:
         """Freeze a contribution to a *blocking* ``"direct"`` collective.
@@ -786,35 +713,17 @@ class Communicator:
         per call, fanned out to every peer.  Transports that copy on send
         need none.
         """
-        if (
-            _ZERO_COPY
-            and self.size > 1
-            and not getattr(self._world, "copies_on_send", False)
-        ):
-            payload = _private(payload)
-        return _freeze(payload)
+        if self.size > 1 and not getattr(self._world, "copies_on_send", False):
+            payload = private(payload)
+        return freeze(payload)
 
     def _detached_pieces(self, payloads: Sequence[Any]) -> list[Any]:
         """Per-destination pieces of a blocking ``"direct"`` collective
         (this rank's own piece never leaves, so it is only frozen)."""
         return [
-            _freeze(p) if j == self.rank else self._detached(p)
+            freeze(p) if j == self.rank else self._detached(p)
             for j, p in enumerate(payloads)
         ]
-
-    def _run_direct(
-        self,
-        opname: str,
-        payloads: list[Any],
-        combine: Callable[[list[Any]], Any] | None = None,
-    ) -> Any:
-        """Blocking ``"direct"`` collective over detached ``payloads``."""
-        sp = _trace.span(opname, cat="coll", alg="direct")
-        with sp:
-            if _trace.is_on():
-                sp.set(bytes=payload_nbytes(payloads[self.rank]))
-            self._progress_inflight()
-            return self._run(self._exchange(opname, payloads), opname, combine)
 
     def _rooted(
         self, opname: str, alg: str, root: int
@@ -829,10 +738,9 @@ class Communicator:
         else:
             nodes = _alg.compile_tree(self.size, root)
         t = _alg.Endpoint(
-            self, opname, self._next_coll_seq(),
-            "#coll" if alg == "direct" else "#alg", self._inter_flags(),
+            self, *self._route(opname, "#coll" if alg == "direct" else "#alg")
         )
-        return nodes[self.rank], t, self._detached if alg == "direct" else _freeze
+        return nodes[self.rank], t, self._detached if alg == "direct" else freeze
 
     # -- collectives ------------------------------------------------------------
     def barrier(self) -> None:
@@ -854,15 +762,11 @@ class Communicator:
         """
         self._check_peer(root, "root")
         alg = self._resolve_tree(algorithm, "bcast")
-        node, t, freeze = self._rooted("bcast", alg, root)
-        with _trace.span("bcast", cat="coll", alg=alg):
-            got = _alg.run_tree_bcast(
-                t, node, freeze(payload) if self.rank == root else None
-            )
-        result = _private(got)
-        self._record_wire("bcast", t)
-        self.stats.record_collective("bcast", payload_nbytes(result))
-        return result
+        node, t, frozen = self._rooted("bcast", alg, root)
+        mine = frozen(payload) if self.rank == root else None
+        return self._collective(
+            "bcast", alg, t, lambda: private(_alg.run_tree_bcast(t, node, mine))
+        )
 
     def gather(
         self, payload: Any, root: int = 0, *, algorithm: str | None = None
@@ -878,17 +782,12 @@ class Communicator:
         """
         self._check_peer(root, "root")
         alg = self._resolve_tree(algorithm, "gather")
-        node, t, freeze = self._rooted("gather", alg, root)
-        with _trace.span("gather", cat="coll", alg=alg):
-            gathered = _alg.run_tree_gather(t, node, freeze(payload))
-        self._record_wire("gather", t)
-        if self.rank == root:
-            self.stats.record_collective(
-                "gather", sum(payload_nbytes(s) for s in gathered)
-            )
-            return gathered
-        self.stats.record_collective("gather", payload_nbytes(payload))
-        return None
+        node, t, frozen = self._rooted("gather", alg, root)
+        return self._collective(
+            "gather", alg, t,
+            lambda: _alg.run_tree_gather(t, node, frozen(payload)),
+            None if self.rank == root else payload_nbytes(payload),
+        )
 
     def scatter(
         self,
@@ -912,94 +811,36 @@ class Communicator:
                     f"scatter root must supply exactly {self.size} payloads"
                 )
         alg = self._resolve_tree(algorithm, "scatter")
-        node, t, freeze = self._rooted("scatter", alg, root)
-        with _trace.span("scatter", cat="coll", alg=alg):
-            own = _alg.run_tree_scatter(
-                t, node, freeze(list(payloads)) if self.rank == root else None
-            )
-        result = _private(own)
-        self._record_wire("scatter", t)
-        self.stats.record_collective(
-            "scatter",
-            sum(payload_nbytes(p) for p in payloads)
-            if self.rank == root
-            else payload_nbytes(result),
+        node, t, frozen = self._rooted("scatter", alg, root)
+        pieces = frozen(list(payloads)) if self.rank == root else None
+        return self._collective(
+            "scatter", alg, t,
+            lambda: private(_alg.run_tree_scatter(t, node, pieces)),
+            payload_nbytes(pieces) if self.rank == root else None,
         )
-        return result
 
-    def allgather(
-        self, payload: Any, *, algorithm: str | None = None
-    ) -> list[Any]:
+    def allgather(self, payload: Any) -> list[Any]:
         """Gather every member's payload at every member (comm-rank order).
 
-        ``algorithm``: ``"auto"`` (the default) stays on the ``"direct"``
-        exchange (one frozen payload fanned out to every peer — the
-        cheapest control-plane shape).  The compiled schedules
-        are opt-in: ``"recursive_doubling"`` doubles ``(source rank,
-        payload)`` bundles over ``lg p`` rounds (power-of-two groups;
-        other sizes fall back to ``"ring"``), ``"ring"`` circulates them
-        neighbour-to-neighbour in ``p - 1`` steps.  All modes are pure
-        routing — heterogeneous payloads of any type route unchanged and
-        results are bitwise identical; only the message structure (and
-        the wire counters) differ.
-
-        Unlike allreduce, ``"auto"`` must *not* pick a schedule from the
-        payload size: allgather payloads are per-rank (uneven shards,
-        even empty ones), so a size-based choice can diverge across ranks
-        and deadlock the collective.  Explicit knobs and the
-        ``REPRO_COLLECTIVE_ALG`` override are the same on every rank, so
-        those may name a schedule safely.
+        One ``"direct"`` exchange: the frozen payload is fanned out to
+        every peer.  Pure routing — heterogeneous payloads of any type and
+        per-rank size (uneven shards, even empty ones) route unchanged.
         """
-        alg = self._resolve_allgather(algorithm, payload)
-        if alg == "direct":
-            result = self._run_direct(
-                "allgather", [self._detached(payload)] * self.size
-            )
-        else:
-            self._progress_inflight()
-            run = (
-                _alg.run_rd_allgather
-                if alg == "recursive_doubling"
-                else _alg.run_ring_allgather
-            )
-            t = _alg.Endpoint(
-                self, "allgather", self._next_coll_seq(), "#alg",
-                self._inter_flags(),
-            )
-            with _trace.span("allgather", cat="coll", alg=alg):
-                result = run(t, self, payload)
-            self._record_wire("allgather", t)
-        self.stats.record_collective("allgather", payload_nbytes(payload))
-        return result
-
-    def _resolve_allgather(self, algorithm: Any, payload: Any) -> str:
-        name = self._knob(algorithm, _AG_ALG_CHOICES, "allgather")
-        if self.size == 1:
-            return "direct"
-        if name == "auto":
-            # Never size-select here: allgather payload sizes are
-            # per-rank, and a choice that differs across ranks mixes the
-            # direct exchange with a schedule and deadlocks.  Knob and
-            # env override are rank-symmetric, so only they pick schedules.
-            return "direct"
-        if name == "recursive_doubling" and not _alg.is_power_of_two(self.size):
-            name = "ring"  # schedule-level fallback, like rabenseifner's
-        return name
+        return self._direct(
+            "allgather", [self._detached(payload)] * self.size,
+            nbytes=payload_nbytes(payload),
+        )
 
     def alltoall(self, payloads: Sequence[Any]) -> list[Any]:
         """``payloads[j]`` is sent to comm-rank ``j``; returns what each rank sent us."""
         if len(payloads) != self.size:
             raise ValueError(f"alltoall requires exactly {self.size} payloads")
-        result = self._run_direct("alltoall", self._detached_pieces(payloads))
-        self.stats.record_collective(
-            "alltoall",
-            sum(
-                payload_nbytes(p)
-                for i, p in enumerate(payloads)
-                if i != self.rank
+        return self._direct(
+            "alltoall", self._detached_pieces(payloads),
+            nbytes=sum(
+                payload_nbytes(p) for i, p in enumerate(payloads) if i != self.rank
             ),
         )
-        return result
 
     def ialltoall(self, payloads: Sequence[Any]) -> Request:
         """Nonblocking all-to-all: sends immediately, returns a handle.
@@ -1014,7 +855,7 @@ class Communicator:
         if len(payloads) != self.size:
             raise ValueError(f"alltoall requires exactly {self.size} payloads")
         return _RunnerRequest(
-            self, self._exchange("ialltoall", [_freeze(p) for p in payloads]),
+            self, self._exchange("ialltoall", [freeze(p) for p in payloads]),
             "ialltoall",
         )
 
@@ -1040,24 +881,19 @@ class Communicator:
         root receives ``⌈lg p⌉`` messages instead of ``p - 1``.
         """
         self._check_peer(root, "root")
-        try:
-            fn = _REDUCE_OPS[op]
-        except KeyError:
-            raise ValueError(f"unknown reduction op {op!r}") from None
+        fn = _reduce_fn(op)
         alg = self._resolve_tree(algorithm, "reduce")
         if alg == "binomial" and not _schedulable_array(value):
             alg = "direct"
-        n = payload_nbytes(value)
-        node, t, freeze = self._rooted("reduce", alg, root)
-        with _trace.span("reduce", cat="coll", alg=alg, bytes=n):
+        node, t, frozen = self._rooted("reduce", alg, root)
+
+        def run() -> Any:
             if alg == "binomial":
-                result = _alg.run_tree_reduce(t, node, value, fn)
-            else:
-                slots = _alg.run_tree_gather(t, node, freeze(value))
-                result = self._reduce_combine(fn)(slots) if slots else None
-        self._record_wire("reduce", t)
-        self.stats.record_collective("reduce", n)
-        return result
+                return _alg.run_tree_reduce(t, node, value, fn)
+            slots = _alg.run_tree_gather(t, node, frozen(value))
+            return self._reduce_combine(fn)(slots) if slots else None
+
+        return self._collective("reduce", alg, t, run, payload_nbytes(value))
 
     @staticmethod
     def _reduce_combine(fn: Callable[[Any, Any], Any]) -> Callable[[list[Any]], Any]:
@@ -1065,7 +901,7 @@ class Communicator:
 
         def combine(slots: list[Any]) -> Any:
             if len(slots) == 1:
-                return _private(slots[0])
+                return private(slots[0])
             acc = fn(slots[0], slots[1])
             for s in slots[2:]:
                 acc = fn(acc, s)
@@ -1126,26 +962,18 @@ class Communicator:
         ``REPRO_COLLECTIVE_ALG`` environment variable overrides the knob
         globally.
         """
-        try:
-            fn = _REDUCE_OPS[op]
-        except KeyError:
-            raise ValueError(f"unknown reduction op {op!r}") from None
-
+        fn = _reduce_fn(op)
         alg = self._resolve_reduction(algorithm, value, "allreduce")
         if alg == "direct":
-            result = self._run_direct(
+            return self._direct(
                 "allreduce", [self._detached(value)] * self.size,
                 self._reduce_combine(fn),
             )
-        else:
-            runner = self._reduction_runner(
-                "allreduce", alg, value, fn, segment_bytes,
-                ufunc=_REDUCE_UFUNCS.get(op),
-            )
-            with _trace.span("allreduce", cat="coll", alg=alg, bytes=value.nbytes):
-                result = self._run(runner, "allreduce")
-        self.stats.record_collective("allreduce", payload_nbytes(result))
-        return result
+        runner = self._reduction_runner(
+            "allreduce", alg, value, fn, segment_bytes,
+            ufunc=_REDUCE_UFUNCS.get(op),
+        )
+        return self._collective("allreduce", alg, runner, runner.finish, value.nbytes)
 
     def iallreduce(
         self,
@@ -1183,14 +1011,11 @@ class Communicator:
         only move when their owner drives them, so a rank that abandons
         one can starve peers that wait it.
         """
-        try:
-            fn = _REDUCE_OPS[op]
-        except KeyError:
-            raise ValueError(f"unknown reduction op {op!r}") from None
+        fn = _reduce_fn(op)
         alg = self._resolve_reduction(algorithm, value, "iallreduce")
         if alg == "direct":
             return _RunnerRequest(
-                self, self._exchange("iallreduce", [_freeze(value)] * self.size),
+                self, self._exchange("iallreduce", [freeze(value)] * self.size),
                 "iallreduce", self._reduce_combine(fn),
             )
         runner = self._reduction_runner(
@@ -1217,11 +1042,7 @@ class Communicator:
         """
         if len(parts) != self.size:
             raise ValueError(f"reduce_scatter requires exactly {self.size} parts")
-        try:
-            fn = _REDUCE_OPS[op]
-        except KeyError:
-            raise ValueError(f"unknown reduction op {op!r}") from None
-
+        fn = _reduce_fn(op)
         alg = self._knob(algorithm, _RS_ALG_CHOICES, "reduce_scatter")
         if (
             self.size == 1
@@ -1232,35 +1053,32 @@ class Communicator:
         elif alg == "auto":
             alg = "ring"
 
-        if alg == "ring":
-            flat = np.concatenate(
-                [np.ascontiguousarray(x).reshape(-1) for x in parts]
-            )
-            offsets = [0]
-            for x in parts:
-                offsets.append(offsets[-1] + x.size)
-            steps = _alg.compile_reduce_scatter(self.size)[self.rank]
-            runner = _alg.ScheduleRunner(
-                self, "reduce_scatter", steps, flat, fn,
-                self._next_coll_seq(), offsets=tuple(offsets),
-                owns_buffer=True,  # just built above: nobody else holds it
-                inter_peers=self._inter_flags(),
-                ufunc=_REDUCE_UFUNCS.get(op),
-            )
-            with _trace.span("reduce_scatter", cat="coll", alg="ring", bytes=flat.nbytes):
-                out = self._run(runner, "reduce_scatter")
-            result = out[offsets[self.rank] : offsets[self.rank + 1]].reshape(
-                parts[self.rank].shape
-            )
-        else:
+        if alg != "ring":
             # Each member receives only the pieces destined for it and
             # folds them in comm-rank order.
-            result = self._run_direct(
+            return self._direct(
                 "reduce_scatter", self._detached_pieces(parts),
                 self._reduce_combine(fn),
             )
-        self.stats.record_collective("reduce_scatter", payload_nbytes(result))
-        return result
+        flat = np.concatenate(
+            [np.ascontiguousarray(x).reshape(-1) for x in parts]
+        )
+        offsets = [0]
+        for x in parts:
+            offsets.append(offsets[-1] + x.size)
+        steps = _alg.compile_reduce_scatter(self.size)[self.rank]
+        runner = _alg.ScheduleRunner(
+            self, "reduce_scatter", steps, flat, fn,
+            self._next_coll_seq(), offsets=tuple(offsets),
+            owns_buffer=True,  # just built above: nobody else holds it
+            inter_peers=self._inter_flags(),
+            ufunc=_REDUCE_UFUNCS.get(op),
+        )
+        lo, hi = offsets[self.rank], offsets[self.rank + 1]
+        return self._collective(
+            "reduce_scatter", "ring", runner,
+            lambda: runner.finish()[lo:hi].reshape(parts[self.rank].shape),
+        )
 
     # -- sub-communicators ----------------------------------------------------
     def split(self, color: int | None, key: int | None = None) -> "Communicator | None":

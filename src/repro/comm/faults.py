@@ -42,6 +42,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.comm.payload import map_arrays
+
 #: Environment variable carrying a :meth:`FaultPlan.parse` spec applied to
 #: every ``run_spmd`` call that does not pass ``faults=`` explicitly.
 FAULTS_ENV = "REPRO_FAULTS"
@@ -199,9 +201,10 @@ class FaultPlan:
 def _corrupt_payload(payload: Any, rng: np.random.Generator) -> Any:
     """Deterministically perturb the first float/int array in ``payload``.
 
-    Containers are walked recursively; exactly one element of the first
-    eligible array is overwritten with a large seeded value, so a corrupted
-    allreduce is detectably — and reproducibly — wrong.
+    Exactly one element of the first eligible array (in
+    :func:`~repro.comm.payload.map_arrays` order) is overwritten with a
+    large seeded value, so a corrupted allreduce is detectably — and
+    reproducibly — wrong.
     """
     if isinstance(payload, (bytes, bytearray)) and len(payload):
         # Serialized wire frames: flip every bit of one seeded byte, so a
@@ -209,8 +212,14 @@ def _corrupt_payload(payload: Any, rng: np.random.Generator) -> Any:
         bad = bytearray(payload)
         bad[int(rng.integers(0, len(bad)))] ^= 0xFF
         return bytes(bad)
-    if isinstance(payload, np.ndarray) and payload.dtype != object and payload.size:
-        bad = payload.copy()
+    done = False
+
+    def corrupt(arr: np.ndarray) -> np.ndarray:
+        nonlocal done
+        if done or arr.dtype == object or not arr.size:
+            return arr
+        done = True
+        bad = arr.copy()
         idx = int(rng.integers(0, bad.size))
         flat = bad.reshape(-1)
         if np.issubdtype(bad.dtype, np.floating):
@@ -220,31 +229,8 @@ def _corrupt_payload(payload: Any, rng: np.random.Generator) -> Any:
         else:  # bool and friends: invert
             flat[idx] = not flat[idx]
         return bad
-    if isinstance(payload, tuple):
-        out = list(payload)
-        for i, p in enumerate(out):
-            q = _corrupt_payload(p, rng)
-            if q is not p:
-                out[i] = q
-                return tuple(out)
-        return payload
-    if isinstance(payload, list):
-        for i, p in enumerate(payload):
-            q = _corrupt_payload(p, rng)
-            if q is not p:
-                out = list(payload)
-                out[i] = q
-                return out
-        return payload
-    if isinstance(payload, dict):
-        for k, v in payload.items():
-            q = _corrupt_payload(v, rng)
-            if q is not v:
-                out = dict(payload)
-                out[k] = q
-                return out
-        return payload
-    return payload
+
+    return map_arrays(payload, corrupt)
 
 
 class FaultInjector:

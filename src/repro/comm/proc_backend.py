@@ -32,9 +32,9 @@ What the world is made of:
   :class:`_Inbox`).  Small payloads and arbitrary Python objects are
   pickled into the lane itself (as is any array when the arena is
   momentarily full — the send path never blocks, preserving the eager
-  buffered-send contract).  Nested containers are walked recursively, so a
-  shuffle's list-of-arrays payload ships its big pieces through the arena
-  and its skeleton through the lane.
+  buffered-send contract).  Containers are split by the one payload walk
+  (:func:`repro.comm.payload.split`), so a list-of-arrays payload ships
+  its big pieces through the arena and its skeleton through the lane.
 * **Receiving** — :class:`_Inbox` is the package's one
   :class:`~repro.comm.backend.Mailbox` with a ``select`` for a wait: the
   owner drains its lanes on the receiving thread, TCP reader threads
@@ -110,6 +110,7 @@ from repro.comm.backend import (
 )
 from repro.comm.faults import INJECTED_CRASH_EXIT, FaultInjector, JobConfig
 from repro.comm.hostmap import HostMap
+from repro.comm.payload import join, map_arrays, split
 from repro.comm.socket_backend import TcpMesh, bind_listeners
 from repro.obs import tracer
 
@@ -145,22 +146,11 @@ SHM_PREFIX = "repro-arena-"
 _PARENT_GRACE = 30.0
 
 
-class _ShmRef:
-    """Placeholder for an ndarray shipped out-of-band through the arena."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __reduce__(self):
-        return (_ShmRef, (self.index,))
-
-
 class _ArenaMessage:
     """A buffered message whose arrays still sit in the sender's arena
     blocks: the queue-safe skeleton plus the ``(offset, nbytes, shape,
-    dtype)`` descriptors its :class:`_ShmRef` placeholders index."""
+    dtype)`` descriptors its :class:`~repro.comm.payload.ArrayRef`
+    placeholders index."""
 
     __slots__ = ("skeleton", "descs")
 
@@ -178,7 +168,8 @@ class _ArenaMessage:
                 arr = arr.copy()
             arr.flags.writeable = False
             arrays.append(arr)
-        return _unpack(self.skeleton, arrays)
+        # Small arrays of the same payload rode the lane pickle: mark those.
+        return map_arrays(join(self.skeleton, arrays), _readonly)
 
     def release(self, arena: "_Arena") -> None:
         for offset, nbytes, _shape, _dtype in self.descs:
@@ -402,67 +393,55 @@ class _SharedJobState:
             )
 
 
-def _pack(payload: Any, arena: _Arena, descs: list, counters: dict) -> Any:
-    """Replace large arrays in ``payload`` with arena references.
+def _pack(payload: Any, arena: _Arena, counters: dict) -> tuple[Any, list]:
+    """Move the large arrays of ``payload`` into the arena.
 
-    Returns the queue-safe skeleton; array data lands in the arena with a
-    descriptor appended to ``descs``.  Anything that does not fit (or is
-    not a plain ndarray) is left in the skeleton for the queue pickle.
+    Returns the queue-safe skeleton and one ``(offset, nbytes, shape,
+    dtype)`` descriptor per array that went.  Anything that does not fit
+    (or is not a plain ndarray) stays in the skeleton for the lane pickle.
     """
-    if isinstance(payload, np.ndarray) and payload.dtype != object:
-        if payload.nbytes >= SHM_MIN_BYTES:
-            arr = np.ascontiguousarray(payload)
+    descs: list = []
+    exposed = False  # a writable array stayed in the skeleton
+
+    def ship(arr: np.ndarray) -> bool:
+        nonlocal exposed
+        if arr.dtype == object:
+            return False
+        if arr.nbytes >= SHM_MIN_BYTES:
             offset = arena.alloc(arr.nbytes)
             if offset is not None:
-                dst = (
-                    arena.flat()[offset : offset + arr.nbytes]
-                    .view(arr.dtype)
-                    .reshape(arr.shape)
-                )
-                np.copyto(dst, arr)
+                dst = arena.flat()[offset : offset + arr.nbytes]
+                np.copyto(dst.view(arr.dtype).reshape(arr.shape), arr)
                 descs.append((offset, arr.nbytes, arr.shape, arr.dtype.str))
                 counters["shm_messages"] += 1
                 counters["shm_bytes"] += arr.nbytes
-                return _ShmRef(len(descs) - 1)
+                return True
             counters["arena_full_fallbacks"] += 1
         counters["inline_messages"] += 1
-        if payload.flags.writeable:
-            # ``mp.Queue.put`` pickles in the feeder thread *after*
-            # returning, so a still-writable array (e.g. a schedule's
-            # working buffer, delivered unstaged because this backend
-            # advertises ``copies_on_send``) could mutate before it is
-            # serialized.  Snapshot it now so the inline path gives the
-            # same synchronous-copy guarantee as the arena path.
-            return payload.copy()
-        return payload
-    if isinstance(payload, tuple):
-        return tuple(_pack(p, arena, descs, counters) for p in payload)
-    if isinstance(payload, list):
-        return [_pack(p, arena, descs, counters) for p in payload]
-    if isinstance(payload, dict):
-        return {k: _pack(v, arena, descs, counters) for k, v in payload.items()}
-    return payload
+        exposed = exposed or arr.flags.writeable
+        return False
+
+    skeleton, _ = split(payload, ship)
+    if exposed:
+        # ``mp.Queue.put`` pickles in the feeder thread *after* returning,
+        # so a still-writable array (e.g. a schedule's working buffer,
+        # delivered unstaged because this backend advertises
+        # ``copies_on_send``) could mutate before it is serialized.  Copy
+        # it now so the inline path gives the same synchronous-copy
+        # guarantee as the arena path.
+        skeleton = map_arrays(
+            skeleton,
+            lambda a: a.copy() if a.flags.writeable and a.dtype != object else a,
+        )
+    return skeleton, descs
 
 
-def _unpack(payload: Any, arrays: list) -> Any:
-    """Rebuild a payload from its skeleton + out-of-band arrays.
-
-    Received arrays are marked read-only, mirroring the thread backend's
-    frozen zero-copy views: received data is immutable by contract.
-    """
-    if isinstance(payload, _ShmRef):
-        return arrays[payload.index]
-    if isinstance(payload, np.ndarray):
-        if payload.flags.writeable and payload.dtype != object:
-            payload.flags.writeable = False
-        return payload
-    if isinstance(payload, tuple):
-        return tuple(_unpack(p, arrays) for p in payload)
-    if isinstance(payload, list):
-        return [_unpack(p, arrays) for p in payload]
-    if isinstance(payload, dict):
-        return {k: _unpack(v, arrays) for k, v in payload.items()}
-    return payload
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """Received data is immutable by contract, mirroring the thread
+    backend's frozen zero-copy views: mark an unpickled array read-only."""
+    if arr.flags.writeable and arr.dtype != object:
+        arr.flags.writeable = False
+    return arr
 
 
 class _Inbox(Mailbox):
@@ -559,7 +538,7 @@ class _Inbox(Mailbox):
     # -- the lanes ---------------------------------------------------------------
     def _admit(self, source: int, tag: Any, skeleton: Any, descs: list) -> None:
         if not descs:
-            entry = _unpack(skeleton, [])
+            entry = map_arrays(skeleton, _readonly)
         else:
             entry = _ArenaMessage(skeleton, descs)
             if 2 * self._arena.used_blocks() > self._arena.nblocks:
@@ -684,7 +663,8 @@ class ForkedWorld(BaseWorld):
             # Received arrays are frozen, mirroring every other lane:
             # received data is immutable by contract.
             self._mesh = TcpMesh(
-                self, lambda s, tag, p: self._inbox.put(s, tag, _unpack(p, []))
+                self,
+                lambda s, tag, p: self._inbox.put(s, tag, map_arrays(p, _readonly)),
             )
             self._mesh.start(off_node, self._shared.listeners, self._shared.ports)
 
@@ -750,8 +730,7 @@ class ForkedWorld(BaseWorld):
         send order, preserving per-(source, tag) FIFO across lanes.
         """
         with tracer.span("xport:send", cat="transport", dest=dest) as sp:
-            descs: list = []
-            skeleton = _pack(payload, self._shared.arena, descs, self.transport)
+            skeleton, descs = _pack(payload, self._shared.arena, self.transport)
             seq = self._send_seq[dest]
             self._send_seq[dest] = seq + 1
             msg = (seq, source, tag, skeleton, descs)

@@ -68,9 +68,8 @@ from collections import deque
 from time import monotonic
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from repro.comm.backend import CommAborted
+from repro.comm.payload import array_nbytes
 from repro.obs import tracer
 
 if TYPE_CHECKING:
@@ -94,23 +93,6 @@ _FLUSH_TIMEOUT = 10.0
 
 #: Bound on establishing the full inter-node mesh at startup.
 _CONNECT_TIMEOUT = 60.0
-
-
-def _array_nbytes(payload: Any) -> int:
-    """Total ndarray bytes in ``payload`` (recursively; object dtype excluded).
-
-    The model-comparable part of a message: collective schedules ship bare
-    array segments, so for them this equals the wire bytes the cost model
-    prices — pickle framing and container skeletons are excluded, keeping
-    the modeled == measured comparison exact.
-    """
-    if isinstance(payload, np.ndarray):
-        return 0 if payload.dtype == object else payload.nbytes
-    if isinstance(payload, (tuple, list)):
-        return sum(_array_nbytes(p) for p in payload)
-    if isinstance(payload, dict):
-        return sum(_array_nbytes(v) for v in payload.values())
-    return 0
 
 
 def bind_listeners(nranks: int) -> list[socket.socket]:
@@ -437,7 +419,7 @@ class TcpMesh:
         # deterministic; the payload-bytes one is model-comparable.
         world.transport["tcp_messages"] += 1
         world.transport["tcp_bytes"] += len(blob)
-        world.transport["tcp_payload_bytes"] += _array_nbytes(payload)
+        world.transport["tcp_payload_bytes"] += array_nbytes(payload)
         conn = self._conns.get(dest)
         if conn is None:  # pragma: no cover - defensive
             raise CommAborted(

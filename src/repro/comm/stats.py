@@ -30,7 +30,43 @@ Collectives additionally split **logical** bytes from **wire** bytes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+
+class WireTally:
+    """Bytes one operation put on and took off the wire, and the part of
+    them exchanged with peers on a *different* logical node —
+    ``inter_peers[c]`` flags comm rank ``c`` as such a peer (per the
+    world's host map); ``None`` means there is none to meter.  The base of
+    every runner and endpoint; :meth:`CommStats.record_wire` books it."""
+
+    def __init__(self, inter_peers: tuple[bool, ...] | None = None) -> None:
+        self._inter = inter_peers
+        self.wire_sent = self.wire_recv = 0
+        self.wire_sent_inter = self.wire_recv_inter = 0
+
+    def count_sent(self, peer: int, nbytes: int) -> None:
+        self.wire_sent += nbytes
+        if self._inter is not None and self._inter[peer]:
+            self.wire_sent_inter += nbytes
+
+    def count_recv(self, peer: int, nbytes: int) -> None:
+        self.wire_recv += nbytes
+        if self._inter is not None and self._inter[peer]:
+            self.wire_recv_inter += nbytes
+
+
+#: Trace-file spellings of the fields whose snapshot key is not their name
+#: (``repro.obs.analyze`` and merged traces written before read these).
+_SNAPSHOT_KEYS = {
+    "collective_wire_sent": "wire_out",
+    "collective_wire_recv": "wire_in",
+    "collective_wire_sent_inter": "wire_out_inter",
+    "collective_wire_recv_inter": "wire_in_inter",
+    "collective_segments": "segments",
+    "wait_seconds": "wait_s",
+    "overlap_seconds": "overlap_s",
+}
 
 
 @dataclass
@@ -78,36 +114,18 @@ class CommStats:
         self.collectives[name] = self.collectives.get(name, 0) + 1
         self.collective_bytes[name] = self.collective_bytes.get(name, 0) + nbytes
 
-    def record_wire(
-        self,
-        name: str,
-        sent: int = 0,
-        recv: int = 0,
-        inter_sent: int = 0,
-        inter_recv: int = 0,
-    ) -> None:
-        """Record the wire-byte side of one collective (sent/received).
-
-        ``inter_sent``/``inter_recv`` are the portion of those bytes that
-        crossed a logical-node boundary (already included in ``sent`` /
-        ``recv``, never in addition to them).
-        """
-        if sent:
-            self.collective_wire_sent[name] = (
-                self.collective_wire_sent.get(name, 0) + sent
-            )
-        if recv:
-            self.collective_wire_recv[name] = (
-                self.collective_wire_recv.get(name, 0) + recv
-            )
-        if inter_sent:
-            self.collective_wire_sent_inter[name] = (
-                self.collective_wire_sent_inter.get(name, 0) + inter_sent
-            )
-        if inter_recv:
-            self.collective_wire_recv_inter[name] = (
-                self.collective_wire_recv_inter.get(name, 0) + inter_recv
-            )
+    def record_wire(self, name: str, tally: WireTally) -> None:
+        """Book the wire-byte side of one finished collective.  The
+        ``*_inter`` bytes are the portion that crossed a logical-node
+        boundary (already included in sent/received, never in addition)."""
+        for table, n in (
+            (self.collective_wire_sent, tally.wire_sent),
+            (self.collective_wire_recv, tally.wire_recv),
+            (self.collective_wire_sent_inter, tally.wire_sent_inter),
+            (self.collective_wire_recv_inter, tally.wire_recv_inter),
+        ):
+            if n:
+                table[name] = table.get(name, 0) + n
 
     def record_segments(self, name: str, nseg: int) -> None:
         """Record that one collective ran as ``nseg`` pipeline segments."""
@@ -116,9 +134,7 @@ class CommStats:
         )
 
     def total_segments(self, name: str | None = None) -> int:
-        if name is None:
-            return sum(self.collective_segments.values())
-        return self.collective_segments.get(name, 0)
+        return self._total(self.collective_segments, name)
 
     def record_async(
         self,
@@ -143,44 +159,43 @@ class CommStats:
         )
 
     def reset(self) -> None:
-        self.sends = 0
-        self.recvs = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.collectives.clear()
-        self.collective_bytes.clear()
-        self.collective_wire_sent.clear()
-        self.collective_wire_recv.clear()
-        self.collective_wire_sent_inter.clear()
-        self.collective_wire_recv_inter.clear()
-        self.collective_segments.clear()
-        self.wait_seconds.clear()
-        self.overlap_seconds.clear()
+        for f in fields(self):
+            if f.default_factory is dict:
+                getattr(self, f.name).clear()  # in place: callers hold these
+            else:
+                setattr(self, f.name, f.default)
+
+    def snapshot(self) -> dict:
+        """Every counter as a JSON-serializable dict (embedded verbatim into
+        traces, so analyzer comm rows agree with the live counters exactly).
+        A field's key is its name unless :data:`_SNAPSHOT_KEYS` renames it."""
+        snap: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default_factory is dict:
+                cast = float if f.name.endswith("_seconds") else int
+                value = {op: cast(v) for op, v in value.items()}
+            snap[_SNAPSHOT_KEYS.get(f.name, f.name)] = value
+        return snap
+
+    @staticmethod
+    def _total(table: dict[str, int], name: str | None) -> int:
+        return sum(table.values()) if name is None else table.get(name, 0)
 
     def total_collective_calls(self, name: str | None = None) -> int:
-        if name is None:
-            return sum(self.collectives.values())
-        return self.collectives.get(name, 0)
+        return self._total(self.collectives, name)
 
     def total_wire_sent(self, name: str | None = None) -> int:
-        if name is None:
-            return sum(self.collective_wire_sent.values())
-        return self.collective_wire_sent.get(name, 0)
+        return self._total(self.collective_wire_sent, name)
 
     def total_wire_recv(self, name: str | None = None) -> int:
-        if name is None:
-            return sum(self.collective_wire_recv.values())
-        return self.collective_wire_recv.get(name, 0)
+        return self._total(self.collective_wire_recv, name)
 
     def total_wire_sent_inter(self, name: str | None = None) -> int:
-        if name is None:
-            return sum(self.collective_wire_sent_inter.values())
-        return self.collective_wire_sent_inter.get(name, 0)
+        return self._total(self.collective_wire_sent_inter, name)
 
     def total_wire_recv_inter(self, name: str | None = None) -> int:
-        if name is None:
-            return sum(self.collective_wire_recv_inter.values())
-        return self.collective_wire_recv_inter.get(name, 0)
+        return self._total(self.collective_wire_recv_inter, name)
 
     def total_wait_seconds(self) -> float:
         return sum(self.wait_seconds.values())
@@ -191,16 +206,8 @@ class CommStats:
     def report(self) -> str:
         """Human-readable per-op summary (calls, logical vs wire bytes,
         wait vs overlap)."""
-        ops = sorted(
-            set(self.collectives)
-            | set(self.collective_wire_sent)
-            | set(self.collective_wire_recv)
-            | set(self.collective_wire_sent_inter)
-            | set(self.collective_wire_recv_inter)
-            | set(self.collective_segments)
-            | set(self.wait_seconds)
-            | set(self.overlap_seconds)
-        )
+        tables = (getattr(self, f.name) for f in fields(self) if f.default_factory is dict)
+        ops = sorted(set().union(*tables))
         lines = [
             "comm stats: "
             f"{self.sends} sends / {self.bytes_sent} B out, "

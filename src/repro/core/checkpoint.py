@@ -44,6 +44,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.comm.payload import ArrayRef, join, split
+
 #: Legacy checkpoint filename pattern: one file per (step, rank).
 _FILE_FMT = "step{step:08d}.rank{rank}.npz"
 #: World-stamped pattern: one file per (step, world, rank).
@@ -64,48 +66,10 @@ def parse_checkpoint_name(name: str) -> tuple[int, int | None, int] | None:
     return (int(m.group("step")), int(world) if world else None, int(m.group("rank")))
 
 
-class _ArrRef:
-    """Placeholder for an ndarray lifted out of the pickled skeleton."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __reduce__(self):
-        return (_ArrRef, (self.index,))
-
-
-def _flatten(state: Any, arrays: list[np.ndarray]) -> Any:
-    """Replace every ndarray in ``state`` with an :class:`_ArrRef`.
-
-    Arrays land in ``arrays`` (stored losslessly via ``np.savez``); the
-    returned skeleton is pickled.  Keeping arrays out of the pickle is what
-    makes the round-trip bitwise — pickle of an ndarray is also exact, but
-    ``savez`` keeps the file inspectable and the arrays lazily loadable.
-    """
-    if isinstance(state, np.ndarray):
-        arrays.append(state)
-        return _ArrRef(len(arrays) - 1)
-    if isinstance(state, tuple):
-        return tuple(_flatten(s, arrays) for s in state)
-    if isinstance(state, list):
-        return [_flatten(s, arrays) for s in state]
-    if isinstance(state, dict):
-        return {k: _flatten(v, arrays) for k, v in state.items()}
-    return state
-
-
-def _unflatten(skeleton: Any, arrays: list[np.ndarray]) -> Any:
-    if isinstance(skeleton, _ArrRef):
-        return arrays[skeleton.index]
-    if isinstance(skeleton, tuple):
-        return tuple(_unflatten(s, arrays) for s in skeleton)
-    if isinstance(skeleton, list):
-        return [_unflatten(s, arrays) for s in skeleton]
-    if isinstance(skeleton, dict):
-        return {k: _unflatten(v, arrays) for k, v in skeleton.items()}
-    return skeleton
+#: Skeletons pickled before the placeholder moved to ``comm/payload.py``
+#: name it ``repro.core.checkpoint._ArrRef``; checkpoints on disk outlive
+#: the code that wrote them.
+_ArrRef = ArrayRef
 
 
 def checkpoint_path(
@@ -131,8 +95,9 @@ def save_state(
     count) to emit a world-stamped name that elastic resume can re-shard.
     """
     os.makedirs(directory, exist_ok=True)
-    arrays: list[np.ndarray] = []
-    skeleton = _flatten(state, arrays)
+    # Arrays stay out of the pickle: ``savez`` stores them losslessly and
+    # keeps the file inspectable and the arrays lazily loadable.
+    skeleton, arrays = split(state, lambda arr: True)
     payload = {f"a{i}": arr for i, arr in enumerate(arrays)}
     payload[_META_KEY] = np.frombuffer(
         pickle.dumps(skeleton, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
@@ -173,7 +138,7 @@ def load_state(
     with np.load(path, allow_pickle=False) as npz:
         skeleton = pickle.loads(npz[_META_KEY].tobytes())
         arrays = [npz[f"a{i}"] for i in range(len(npz.files) - 1)]
-    return _unflatten(skeleton, arrays)
+    return join(skeleton, arrays)
 
 
 def _rank_files(

@@ -332,7 +332,6 @@ class ElasticRunner:
         faults: Any = None,
         checkpoint_dir: str | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        metrics: Any = None,
         **spmd_kwargs: Any,
     ) -> None:
         if nranks < 1:
@@ -356,7 +355,6 @@ class ElasticRunner:
         self.fault_schedule: list[Any] = list(faults) if faults else []
         self.checkpoint_dir = checkpoint_dir
         self.sleep = sleep
-        self.metrics = metrics
         self.spmd_kwargs = spmd_kwargs
 
     # -- internals ---------------------------------------------------------
@@ -433,7 +431,7 @@ class ElasticRunner:
             results = self._launch(nranks, hostmap, attempt, fn, args, kwargs)
             failures = classify_failures(results, hostmap)
             if not failures:
-                report = ElasticReport(
+                return ElasticReport(
                     ok=True,
                     degraded=degraded,
                     results=results,
@@ -443,8 +441,6 @@ class ElasticRunner:
                     blacklisted_ranks=tuple(bad_ranks),
                     elapsed_seconds=monotonic() - t_start,
                 )
-                self._record_metrics(report)
-                return report
 
             detect_seconds = monotonic() - t_launch
             for f in failures:
@@ -470,7 +466,7 @@ class ElasticRunner:
 
             if attempt > self.max_restarts:
                 record.action = "gave-up"
-                report = ElasticReport(
+                return ElasticReport(
                     ok=False,
                     degraded=degraded,
                     results=results,
@@ -480,8 +476,6 @@ class ElasticRunner:
                     blacklisted_ranks=tuple(bad_ranks),
                     elapsed_seconds=monotonic() - t_start,
                 )
-                self._record_metrics(report)
-                return report
 
             # Blacklist any culprit that has now failed often enough —
             # repeated deaths on one host (or rank) stop looking transient.
@@ -506,7 +500,7 @@ class ElasticRunner:
                     record.blacklisted = tuple(
                         str(k[1]) for k in to_blacklist
                     )
-                    report = ElasticReport(
+                    return ElasticReport(
                         ok=False,
                         degraded=True,
                         results=results,
@@ -516,8 +510,6 @@ class ElasticRunner:
                         blacklisted_ranks=tuple(bad_ranks),
                         elapsed_seconds=monotonic() - t_start,
                     )
-                    self._record_metrics(report)
-                    return report
                 record.action = "shrink"
                 record.next_nranks = next_nranks
                 record.blacklisted = tuple(str(k[1]) for k in to_blacklist)
@@ -551,14 +543,6 @@ class ElasticRunner:
             return shrunk.size, shrunk
         # No host attribution: drop one rank per blacklisted culprit.
         return max(0, nranks - max(1, len(set(ranks)) + len(hosts))), None
-
-    def _record_metrics(self, report: ElasticReport) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.inc("elastic_restarts", report.total_restarts)
-        self.metrics.inc("elastic_steps_replayed", report.total_steps_replayed)
-        self.metrics.set("elastic_final_nranks", report.final_nranks)
-        self.metrics.set("elastic_degraded", 1.0 if report.degraded else 0.0)
 
 
 def run_elastic(
@@ -596,7 +580,7 @@ def run_elastic(
         elif name in env:
             knobs[name] = env[name]
     runner_keys = (
-        "backend", "hostmap", "faults", "checkpoint_dir", "sleep", "metrics",
+        "backend", "hostmap", "faults", "checkpoint_dir", "sleep",
     )
     runner_kwargs = {k: kwargs.pop(k) for k in runner_keys if k in kwargs}
     runner = ElasticRunner(nranks, **knobs, **runner_kwargs, **kwargs)

@@ -23,7 +23,6 @@ from repro.core import checkpoint as ckpt
 from repro.core.dist_network import DistNetwork
 from repro.obs import tracer as _trace
 from repro.obs.logging import get_logger
-from repro.obs.metrics import comm_stats_snapshot
 
 
 @dataclass
@@ -244,7 +243,7 @@ class DistTrainer:
             for inputs, targets in iterable:
                 self.step(inputs, targets)
         if _trace.is_on():
-            _trace.annotate("comm_stats", comm_stats_snapshot(self.network.comm.stats))
+            _trace.annotate("comm_stats", self.network.comm.stats.snapshot())
             _trace.annotate(
                 "train_stats",
                 {

@@ -1,5 +1,6 @@
-"""Observability: per-rank span tracing, cross-rank metrics, rank-aware
-logging, trace merge/export, and the measured-vs-modeled analyzer.
+"""Observability: per-rank span tracing, rank-aware logging, trace
+merge/export, and the measured-vs-modeled analyzer.  (Counters live in
+:class:`repro.comm.stats.CommStats`; its ``snapshot()`` rides in the trace.)
 
 Heavy pieces (``export``, ``analyze``) are imported lazily by their users
 to keep ``repro.comm`` -> ``repro.obs`` import cost near zero.
@@ -8,7 +9,6 @@ to keep ``repro.comm`` -> ``repro.obs`` import cost near zero.
 from repro.obs import tracer
 from repro.obs.logging import configure as configure_logging
 from repro.obs.logging import get_logger
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, comm_stats_snapshot
 from repro.obs.tracer import TRACE_ENV, TraceConfig, span
 
 __all__ = [
@@ -16,10 +16,6 @@ __all__ = [
     "span",
     "TraceConfig",
     "TRACE_ENV",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "comm_stats_snapshot",
     "get_logger",
     "configure_logging",
 ]

@@ -32,7 +32,6 @@ from repro.comm.collective_models import (
     TwoTierTopology,
     hierarchical_allreduce_time,
 )
-from repro.comm.timemodel import ClusterTopology
 
 
 @dataclass(frozen=True)
@@ -127,13 +126,6 @@ class MachineSpec:
     #: backpropagation computation" (§VI-B1): NCCL rings contend with
     #: compute kernels for SMs and memory bandwidth.
     allreduce_overlap_efficiency: float = 0.15
-
-    def topology(self) -> ClusterTopology:
-        return ClusterTopology(
-            gpus_per_node=self.gpus_per_node,
-            intra_link=self.intra_link,
-            inter_link=self.inter_link,
-        )
 
     def link_for_group(self, nranks: int, ranks_per_node: int | None = None) -> LinkParameters:
         """Effective link for a collective over ``nranks`` consecutive ranks."""

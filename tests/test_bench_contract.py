@@ -8,11 +8,13 @@ moves one of them fails here before the benchmark does.
 """
 
 import importlib
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from repro.comm import BufferPool, run_spmd
+from repro.comm import BufferPool, Request, run_spmd
 from repro.comm.stats import CommStats
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
 from repro.nn import NetworkSpec, SGD
@@ -51,6 +53,54 @@ def test_wrapped_callable_is_defined_where_the_benchmark_looks(module, cls, attr
     if cls is not None:
         owner = vars(owner)[cls]
     assert callable(vars(owner)[attr])
+
+
+def test_request_classes_the_benchmark_discovers():
+    """``spans.py`` walks ``Request.__subclasses__()`` and wraps ``wait`` and
+    ``test`` only where the class body defines them; with none found,
+    ``comm.wait_ms``/``comm.test_ms``/``comm.exposed_frac`` read zero and
+    nothing else fails.  Every handle the communicator returns must be one
+    of the classes found."""
+
+    def subclasses(cls):
+        return [s for sub in cls.__subclasses__() for s in (sub, *subclasses(sub))]
+
+    found = subclasses(Request)
+    assert found
+    for cls in found:
+        assert callable(vars(cls)["wait"]) and callable(vars(cls)["test"])
+
+    def prog(comm):
+        peer = 1 - comm.rank
+        handles = [
+            comm.isend(np.ones(3), peer),
+            comm.irecv(peer),
+            comm.iallreduce(np.ones(3), algorithm="direct"),
+            comm.iallreduce(np.ones(3), algorithm="ring"),
+            comm.ialltoall([None, None]),
+        ]
+        kinds = {type(h) for h in handles}
+        for h in handles:
+            h.wait()
+        return kinds
+
+    for kinds in run_spmd(2, prog):
+        assert kinds <= set(found)
+
+
+def test_environment_knobs_are_the_documented_ones():
+    """Every ``REPRO_*`` variable ``src/`` reads is in the README and the
+    README names no other: adding or removing a knob fails here until the
+    docs say so."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    knob = re.compile(r"REPRO_[A-Z_]+")
+    in_src = {
+        name
+        for path in (root / "src").rglob("*.py")
+        for name in knob.findall(path.read_text())
+    }
+    in_readme = set(knob.findall((root / "README.md").read_text()))
+    assert in_src and in_src == in_readme
 
 
 def test_counters_the_harness_reads():

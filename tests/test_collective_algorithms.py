@@ -698,14 +698,10 @@ class TestSelection:
         p = 4
         assert run_spmd(p, prog)[0] == 2 * 4096 * 8 * (p - 1) // p
 
-    def test_consecutive_splits_get_distinct_keys_under_env_ring(
-        self, monkeypatch, backend
-    ):
+    def test_consecutive_splits_get_distinct_keys(self, backend):
         """The child key comes from the one sequence every collective
-        bumps: with the split's allgather running as a schedule, two
-        splits used to share a key and their in-flight traffic
-        cross-matched."""
-        monkeypatch.setenv("REPRO_COLLECTIVE_ALG", "ring")
+        bumps: two splits in a row never share a key, so their in-flight
+        traffic cannot cross-match."""
 
         def prog(comm):
             a = comm.split(0)

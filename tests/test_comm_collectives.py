@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm import run_spmd
+from repro.comm.payload import map_arrays
 
 
 class TestBasicCollectives:
@@ -25,14 +26,38 @@ class TestBasicCollectives:
         for got in run_spmd(nranks, prog):
             np.testing.assert_array_equal(got, np.arange(10))
 
-    def test_bcast_result_is_private_copy(self):
-        def prog(comm):
-            got = comm.bcast(np.zeros(4), root=0)
-            got += comm.rank  # must not leak to other ranks
-            comm.barrier()
-            return float(got[0])
+    def test_bcast_and_scatter_results_are_private_copies(self, backend):
+        """Bare, in a dict, or in a dict nested in a tuple: every array of a
+        ``bcast``/``scatter`` result is writable and shares memory with
+        neither the root's payload nor another rank's result."""
 
-        assert run_spmd(3, prog) == [0.0, 1.0, 2.0]
+        def prog(comm):
+            a = np.zeros(4)
+            shapes = [a, {"w": a}, (1, {"w": a, "l": [a]}, None)]
+            mine = []
+
+            def bump(arr):
+                arr += comm.rank + 1  # must not leak to the root or a peer
+                mine.append(arr)
+                return arr
+
+            for shape in shapes:
+                for alg in ("binomial", "direct"):
+                    root = comm.rank == 0
+                    map_arrays(comm.bcast(shape if root else None, algorithm=alg), bump)
+                    pieces = [shape] * comm.size if root else None
+                    map_arrays(comm.scatter(pieces, algorithm=alg), bump)
+            comm.barrier()
+            return a, mine
+
+        results = run_spmd(3, prog, backend=backend)
+        everything = [arr for a, mine in results for arr in (a, *mine)]
+        for rank, (a, mine) in enumerate(results):
+            np.testing.assert_array_equal(a, np.zeros(4))
+            assert len(mine) == 2 * 2 * (1 + 1 + 2)
+            for arr in mine:
+                np.testing.assert_array_equal(arr, np.full(4, rank + 1.0))
+                assert sum(np.shares_memory(arr, other) for other in everything) == 1
 
     @pytest.mark.parametrize("nranks", [2, 4, 7])
     def test_allgather(self, nranks):

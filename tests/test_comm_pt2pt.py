@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from repro.comm import run_spmd
+from repro.comm.payload import map_arrays
+
+#: How an array rides in a payload: bare, and inside each walked container.
+PAYLOAD_SHAPES = (
+    lambda a: a,
+    lambda a: {"w": a},
+    lambda a: (1, {"w": a, "l": [a]}, None),
+)
 
 
 class TestSendRecv:
@@ -87,6 +95,38 @@ class TestSendRecv:
 
         results = run_spmd(2, prog)
         np.testing.assert_array_equal(results[1], np.arange(0, 16, 2, dtype=np.float64))
+
+    def test_receiver_cannot_write_into_sent_payload(self, backend):
+        """Whatever container carries them, received arrays are read-only
+        and a write attempt never reaches the sender (a dict used to cross
+        the thread backend as a writable alias of the sender's array)."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                a = np.ones(8)
+                for tag, wrap in enumerate(PAYLOAD_SHAPES):
+                    comm.send(wrap(a), dest=1, tag=2 * tag)
+                    comm.isend(wrap(a), dest=1, tag=2 * tag + 1).wait()
+                comm.barrier()
+                return a.tolist()
+            writable = []
+
+            def poke(arr):
+                writable.append(arr.flags.writeable)
+                try:
+                    arr[...] = 9.0
+                except ValueError:
+                    pass
+                return arr
+
+            for tag in range(2 * len(PAYLOAD_SHAPES)):
+                map_arrays(comm.recv(source=0, tag=tag), poke)
+            comm.barrier()
+            return writable
+
+        sent, writable = run_spmd(2, prog, backend=backend)
+        assert sent == [1.0] * 8
+        assert len(writable) == 2 * (1 + 1 + 2) and not any(writable)
 
     def test_tag_matching_out_of_order(self):
         """A recv on tag 2 must not consume the tag-1 message."""

@@ -263,19 +263,6 @@ class TestRestartLoop:
         with pytest.raises(ValueError, match="nranks"):
             ElasticRunner(0)
 
-    def test_metrics_recorded(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        ElasticRunner(
-            2, backoff=0.0, sleep=lambda s: None,
-            faults=["crash@rank1:after=0"], timeout=10.0, metrics=metrics,
-        ).run(work)
-        local = metrics.local()
-        assert local["counters"]["elastic_restarts"] == 1
-        assert local["gauges"]["elastic_degraded"] == 0.0
-        assert local["gauges"]["elastic_final_nranks"] == 2
-
 
 class TestElasticTraining:
     """The acceptance criteria: kill-then-auto-resume parity."""

@@ -1,12 +1,10 @@
-"""Cross-subsystem integration: optimizer -> functional execution, topology,
+"""Cross-subsystem integration: optimizer -> functional execution,
 trainer bookkeeping, and end-to-end learning on the synthetic datasets."""
 
 import numpy as np
 import pytest
 
 from repro.comm import run_spmd
-from repro.comm.collective_models import LinkParameters
-from repro.comm.timemodel import ClusterTopology
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
 from repro.core.strategy import StrategyOptimizer
 from repro.core.trainer import TrainStats
@@ -15,40 +13,6 @@ from repro.nn import LocalNetwork, NetworkSpec, SGD
 from repro.nn.meshnet import build_mesh_model
 from repro.nn.resnet import build_resnet_tiny
 from repro.perfmodel import LASSEN, MemoryModel
-
-
-class TestClusterTopology:
-    def topo(self):
-        return ClusterTopology(
-            gpus_per_node=4,
-            intra_link=LinkParameters(alpha=1e-6, beta=1e-10),
-            inter_link=LinkParameters(alpha=5e-6, beta=1e-9),
-        )
-
-    def test_node_mapping(self):
-        t = self.topo()
-        assert t.node_of(0) == 0 and t.node_of(3) == 0 and t.node_of(4) == 1
-
-    def test_link_selection(self):
-        t = self.topo()
-        assert t.link_between(0, 3) is t.intra_link
-        assert t.link_between(3, 4) is t.inter_link
-
-    def test_collective_link(self):
-        t = self.topo()
-        assert t.collective_link([0, 1, 2, 3]) is t.intra_link
-        assert t.collective_link([0, 4]) is t.inter_link
-        assert t.nodes_used(range(9)) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ClusterTopology(0, LinkParameters(1e-6, 1e-9), LinkParameters(1e-6, 1e-9))
-
-    def test_machine_topology_roundtrip(self):
-        t = LASSEN.topology()
-        assert t.gpus_per_node == LASSEN.gpus_per_node
-        assert not t.spans_nodes([0, 1, 2, 3])
-        assert t.spans_nodes([0, 4])
 
 
 class TestOptimizerToExecution:

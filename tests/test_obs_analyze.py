@@ -1,4 +1,4 @@
-"""The critical-path analyzer and the cross-rank metrics registry.
+"""The critical-path analyzer and the ``CommStats`` snapshot it reads.
 
 A traced training run must analyze into (a) a non-empty critical path
 walking flows and same-track gaps, (b) an exposed-vs-hidden wait table,
@@ -8,16 +8,16 @@ the verbatim snapshots each rank annotates into its trace, so a mismatch
 means the annotation plumbing dropped or double-counted something.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.comm import run_spmd
+from repro.comm import CommStats, run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
 from repro.nn import NetworkSpec, SGD
 from repro.obs import analyze
-from repro.obs.metrics import MetricsRegistry, comm_stats_snapshot
 from repro.perfmodel.machine import MachineSpec
 
 
@@ -39,7 +39,7 @@ def _train_prog(comm):
     net = DistNetwork(small_net(), comm, LayerParallelism(sample=comm.size), seed=0)
     trainer = DistTrainer(net, SGD(lr=0.1))
     trainer.fit([(x, t)], epochs=2)
-    return comm_stats_snapshot(comm.stats)
+    return comm.stats.snapshot()
 
 
 @pytest.fixture(scope="module")
@@ -133,55 +133,36 @@ class TestAnalyzer:
         assert "critical path" in out
 
 
-class TestMetricsRegistry:
-    def test_counters_reduce_across_ranks(self):
-        def prog(comm):
-            reg = MetricsRegistry()
-            reg.inc("steps", comm.rank + 1)  # 1 + 2 = 3
-            reg.set("loss", float(comm.rank))  # min 0, mean 0.5, max 1
-            if comm.rank == 0:
-                reg.inc("rank0_only", 5)  # union must include it
-            return reg.reduce(comm)
-
-        reduced = run_spmd(2, prog)
-        for r in reduced:  # every rank sees the same folded view
-            assert r["nranks"] == 2
-            assert r["counters"]["steps"] == 3.0
-            assert r["counters"]["rank0_only"] == 5.0
-            assert r["gauges"]["loss"] == {"min": 0.0, "mean": 0.5, "max": 1.0}
-
-    def test_ingest_comm_stats_and_render(self):
-        def prog(comm):
-            comm.allreduce(np.ones(4))
-            reg = MetricsRegistry()
-            reg.ingest_comm_stats(comm.stats)
-            return reg.report(comm)
-
-        table = run_spmd(2, prog)[0]
-        assert "comm.allreduce.calls" in table
-        assert "metrics over 2 ranks" in table
-
-    def test_ingest_train_transport_faults(self):
-        from repro.core.trainer import TrainStats
-
-        stats = TrainStats()
-        stats.record(0.7, 0.02)
-        reg = MetricsRegistry()
-        reg.ingest_train_stats(stats)
-        reg.ingest_transport({"shm_bytes": 1024, "queue_msgs": 3})
-        reg.ingest_faults([2])
-        local = reg.local()
-        assert local["counters"]["train.steps"] == 1
-        assert local["counters"]["transport.shm_bytes"] == 1024
-        assert local["counters"]["faults.failed_ranks"] == 1
-        assert local["gauges"]["train.last_loss"] == pytest.approx(0.7)
-
+class TestCommStatsSnapshot:
     def test_snapshot_matches_stats(self):
         def prog(comm):
             comm.allreduce(np.ones(4))
-            snap = comm_stats_snapshot(comm.stats)
+            snap = comm.stats.snapshot()
             assert snap["collectives"]["allreduce"] == 1
             assert snap["collective_bytes"]["allreduce"] == 32
             return True
 
         assert all(run_spmd(2, prog))
+
+    def test_snapshot_carries_every_counter(self):
+        """A field added to ``CommStats`` without a snapshot key would drop
+        out of every trace silently (``bytes_sent``/``bytes_received`` did)."""
+        stats = CommStats()
+        for i, f in enumerate(dataclasses.fields(CommStats), start=1):
+            value = getattr(stats, f.name)
+            if isinstance(value, dict):
+                value["op"] = i
+            else:
+                setattr(stats, f.name, i)
+        snap = stats.snapshot()
+        flat = sorted(v["op"] if isinstance(v, dict) else v for v in snap.values())
+        assert flat == list(range(1, len(dataclasses.fields(CommStats)) + 1))
+        json.dumps(snap)
+        # The spellings ``repro.obs.analyze`` and merged traces read.
+        assert {
+            "collectives", "collective_bytes", "wire_out", "wire_in",
+            "wire_out_inter", "wire_in_inter", "segments", "wait_s",
+            "overlap_s", "sends", "recvs", "bytes_sent", "bytes_received",
+        } <= set(snap)
+        stats.reset()
+        assert stats == CommStats()

@@ -17,10 +17,7 @@ every SPMD backend:
   ``segmented_allreduce_wire_bytes`` to the byte: segmentation re-chunks
   the schedule, it never changes the volume;
 * **env override** — ``REPRO_SEGMENT_BYTES`` parses loudly and overrides
-  the call site, and ``collective_segments`` proves the pipeline engaged;
-* **allgather schedules** — the ring / recursive-doubling allgathers are
-  first-class compiled schedules: bitwise identical to ``"direct"`` (no
-  reduction, so no rounding freedom at all).
+  the call site, and ``collective_segments`` proves the pipeline engaged.
 """
 
 import numpy as np
@@ -190,25 +187,3 @@ class TestEnvOverride:
             return comm.stats.total_segments("allreduce")
 
         assert run_spmd(4, prog, timeout=60) == [0, 0, 0, 0]
-
-
-class TestAllgatherSchedules:
-    @pytest.mark.parametrize("alg", ("ring", "recursive_doubling"))
-    def test_bitwise_parity_with_direct(self, backend, alg):
-        reduce_for_process(
-            backend,
-            heavy=alg != "ring",
-            reason="forked backends run the ring column",
-        )
-
-        def prog(comm):
-            rng = np.random.default_rng(77 + comm.rank)
-            x = rng.standard_normal(131)  # uneven: n not divisible by p
-            direct = comm.allgather(x, algorithm="direct")
-            sched = comm.allgather(x, algorithm=alg)
-            return direct, sched
-
-        for direct, sched in run_spmd(4, prog, backend=backend, timeout=60):
-            assert len(sched) == 4
-            for d, s in zip(direct, sched):
-                np.testing.assert_array_equal(np.asarray(s), np.asarray(d))
