@@ -546,18 +546,15 @@ class ScheduleRunner(WireTally):
         self._opname = opname
         self._steps = steps
         self._shape = value.shape
-        # The working buffer, flattened and reduced in place.  The runner
-        # owns what it is given (``owns_buffer``: a donated contribution,
-        # or an array the caller just built) or what it builds:
-        # ``ascontiguousarray`` has already copied a non-contiguous value,
-        # so copy only when ``flat`` is still the caller's memory (a view
-        # overlaps its bounds, a fresh array cannot) or cannot be written.
-        flat = np.ascontiguousarray(value).reshape(-1)
-        if not flat.flags.writeable or (
-            not owns_buffer and np.may_share_memory(flat, value)
-        ):
-            flat = flat.copy()
-        self._buf = flat
+        # The working buffer, flat and reduced in place: the array the runner
+        # is given when it owns it (``owns_buffer``: a donated contribution,
+        # or one the caller just built) and can use it as it is, else one
+        # C-order copy (``flatten`` gathers a strided value once).
+        flags = value.flags
+        if owns_buffer and flags.c_contiguous and flags.writeable:
+            self._buf = value.reshape(-1)
+        else:
+            self._buf = value.flatten()
         # ``offsets`` overrides the near-equal chunking for ops whose
         # chunks are semantic units (reduce_scatter's per-destination
         # parts); every rank must derive the identical table.

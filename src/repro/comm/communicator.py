@@ -47,6 +47,10 @@ intra-node, arrays    schedule sends skip the     the sink returns, or after
 of 2 KiB and up)      staging copy                copying out; at drain time
                                                   when the arena is over half
                                                   full (``proc_backend._Inbox``)
+inline frame          ``deliver``, synchronously  garbage-collected: received
+(process / socket,    (``tobytes`` into the       arrays are read-only views
+smaller arrays; every frame); the receiver does   of the frame's immutable
+array over TCP)       not copy                    bytes and keep it alive
 donated buffer        nobody: the runner reduces  the caller gave it up; the
 (``iallreduce(        in the array it is given    result is that memory
 donate=True)``,       or just built; otherwise
@@ -187,6 +191,32 @@ def _parse_segment_bytes(text: str) -> int | str | None:
     return value
 
 
+#: "``REPRO_SEGMENT_BYTES`` is unset": distinct from its ``None`` (= off).
+_NO_OVERRIDE = object()
+
+
+def _env_knobs() -> tuple[str | None, Any]:
+    """``(REPRO_COLLECTIVE_ALG, REPRO_SEGMENT_BYTES)`` validated and parsed
+    — ``None`` / :data:`_NO_OVERRIDE` when unset.  Read once, when a job's
+    world communicator is built (set them before ``run_spmd``); a typo
+    raises there, naming the variable."""
+    alg = os.environ.get(COLLECTIVE_ALG_ENV) or None
+    if alg is not None and alg not in _ALL_ALG_CHOICES:
+        raise ValueError(
+            f"{COLLECTIVE_ALG_ENV}={alg!r} names no collective "
+            f"algorithm; expected one of {sorted(_ALL_ALG_CHOICES)}"
+        )
+    seg = os.environ.get(SEGMENT_BYTES_ENV)
+    if seg is None or seg.strip() == "":
+        return alg, _NO_OVERRIDE
+    return alg, _parse_segment_bytes(seg)
+
+
+#: A reduction plan is ``(algorithm, this rank's compiled steps, offset table,
+#: segment count)``; this one says "take the ``"direct"`` exchange".
+_DIRECT_PLAN = ("direct", None, None, 0)
+
+
 def _schedulable_array(payload: Any) -> bool:
     """True if a payload can run through the chunked reduction schedules."""
     return isinstance(payload, np.ndarray) and payload.dtype != object
@@ -325,6 +355,7 @@ class Communicator:
         members: tuple[int, ...],
         rank: int,
         key: Any,
+        knobs: tuple[str | None, Any] | None = None,
     ) -> None:
         self._world = world
         self._members = members
@@ -342,6 +373,13 @@ class Communicator:
         #: (``False`` = not yet computed; the layout is immutable).
         self._hierarchy_cache: Any = False
         self._inter_flags_cache: tuple[bool, ...] | None = None
+        #: The environment overrides as parsed for the world communicator;
+        #: ``split``/``dup`` hand theirs down, so a job reads them once.
+        self._knobs = _env_knobs() if knobs is None else knobs
+        #: ``(op, algorithm knob, segment knob, element count, dtype)`` ->
+        #: resolved reduction plan (:meth:`_reduction_plan`), so a repeated
+        #: shape skips selection, compilation and the offset tables.
+        self._plans: dict[tuple, tuple] = {}
         self.stats: CommStats = world.rank_stats(members[rank])
 
     # -- construction -------------------------------------------------------
@@ -485,16 +523,8 @@ class Communicator:
                 f"unknown {opname} algorithm {name!r}; "
                 f"expected one of {sorted(choices)}"
             )
-        env = os.environ.get(COLLECTIVE_ALG_ENV)
-        if env:
-            if env not in _ALL_ALG_CHOICES:
-                raise ValueError(
-                    f"{COLLECTIVE_ALG_ENV}={env!r} names no collective "
-                    f"algorithm; expected one of {sorted(_ALL_ALG_CHOICES)}"
-                )
-            if env in choices:
-                name = env
-        return name
+        env = self._knobs[0]
+        return env if env in choices else name
 
     # -- node hierarchy -------------------------------------------------------
     def hierarchy(self) -> tuple[tuple[int, ...], ...] | None:
@@ -541,23 +571,70 @@ class Communicator:
             self._inter_flags_cache = flags if any(flags) else ()
         return self._inter_flags_cache or None
 
-    def _resolve_reduction(self, algorithm: Any, payload: Any, opname: str) -> str:
-        name = self._knob(algorithm, _REDUCTION_ALG_CHOICES, opname)
-        if self.size == 1 or not _schedulable_array(payload):
-            return "direct"
-        if name == "auto":
-            return resolve_allreduce_algorithm(
-                "auto", self.size, payload.nbytes, self._two_tier()
+    def _reduction_plan(
+        self, opname: str, algorithm: Any, segment_bytes: Any, value: Any
+    ) -> tuple:
+        """How this communicator runs one allreduce of ``value``'s shape:
+        ``(algorithm, steps, offsets, nseg)``, resolved once per distinct
+        ``(op, algorithm knob, segment knob, element count, dtype)`` the way
+        ``tensor/`` memoises a ``TransferPlan``.  ``steps is None`` means the
+        ``"direct"`` exchange (always, for non-array payloads)."""
+        if not isinstance(value, np.ndarray):
+            self._knob(algorithm, _REDUCTION_ALG_CHOICES, opname)  # validate
+            return _DIRECT_PLAN
+        key = (opname, algorithm, segment_bytes, value.size, value.dtype)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan_reduction(*key)
+        return plan
+
+    def _plan_reduction(
+        self, opname: str, algorithm: Any, segment_bytes: Any, n: int, dtype: np.dtype
+    ) -> tuple:
+        """Resolve the knobs for ``n`` elements of ``dtype`` and compile.
+
+        With a resolved segment size that splits the payload into
+        ``nseg >= 2`` segments, the compiled schedule is expanded
+        step-major over the :func:`~repro.comm.algorithms.segmented_offsets`
+        table (:func:`~repro.comm.algorithms.segment_steps`), so segment
+        ``k+1`` is on the wire while ``k`` reduces; ``nseg <= 1`` leaves
+        the base schedule untouched — bitwise-identical to the
+        unsegmented path.
+        """
+        alg = self._knob(algorithm, _REDUCTION_ALG_CHOICES, opname)
+        if self.size == 1 or dtype == object:
+            return _DIRECT_PLAN
+        nbytes = n * dtype.itemsize
+        if alg == "auto":
+            alg = resolve_allreduce_algorithm(
+                "auto", self.size, nbytes, self._two_tier()
             )
-        if name == HIERARCHICAL_ALGORITHM and self.hierarchy() is None:
+        elif alg == HIERARCHICAL_ALGORITHM and self.hierarchy() is None:
             # Forced hierarchical without a usable node layout (no host
             # map, non-uniform groups, or a single node): fall back to the
             # flat model-driven choice rather than fail the collective.
-            return resolve_allreduce_algorithm("auto", self.size, payload.nbytes)
-        return name
+            alg = resolve_allreduce_algorithm("auto", self.size, nbytes)
+        if alg == "direct":
+            return _DIRECT_PLAN
+        if alg == HIERARCHICAL_ALGORITHM:
+            h = self.hierarchy()
+            inter = select_inter_algorithm(len(h), max(1.0, nbytes / len(h[0])))
+            steps = _alg.compile_hierarchical_allreduce(h, inter.value)[self.rank]
+        else:
+            steps = _alg.compile_allreduce(self.size, alg)[self.rank]
+        seg = self._resolve_segment_bytes(segment_bytes, nbytes, alg)
+        nseg = len(segment_sizes(nbytes, seg)) if seg else 0
+        if nseg <= 1:
+            return alg, steps, _alg.chunk_offsets(n, self.size), 0
+        return (
+            alg,
+            _alg.segment_steps(steps, self.size, nseg),
+            _alg.segmented_offsets(n, self.size, nseg),
+            nseg,
+        )
 
     def _resolve_segment_bytes(
-        self, segment_bytes: Any, value: np.ndarray, alg: str
+        self, segment_bytes: Any, nbytes: int, alg: str
     ) -> int | None:
         """Normalize a ``segment_bytes`` knob to a concrete byte count.
 
@@ -566,18 +643,16 @@ class Communicator:
         :func:`~repro.comm.collective_models.select_segment_bytes`
         minimization for this ``(p, nbytes, algorithm)``; an integer
         forces that size.  :data:`SEGMENT_BYTES_ENV` overrides the call
-        site.  ``"direct"`` has no schedule to segment and always returns
-        ``None``.
+        site.
         """
-        env = os.environ.get(SEGMENT_BYTES_ENV)
-        if env is not None and env.strip() != "":
-            segment_bytes = _parse_segment_bytes(env)
+        if self._knobs[1] is not _NO_OVERRIDE:
+            segment_bytes = self._knobs[1]
         elif isinstance(segment_bytes, str):
             segment_bytes = _parse_segment_bytes(segment_bytes)
-        if segment_bytes is None or alg == "direct":
+        if segment_bytes is None:
             return None
         if segment_bytes == "auto":
-            return select_segment_bytes(self.size, value.nbytes, algorithm=alg)
+            return select_segment_bytes(self.size, nbytes, algorithm=alg)
         seg = int(segment_bytes)
         if seg < 1:
             raise ValueError(
@@ -588,47 +663,23 @@ class Communicator:
     def _reduction_runner(
         self,
         opname: str,
-        alg: str,
-        value: Any,
-        fn: Callable[[Any, Any], Any],
-        segment_bytes: Any = None,
-        ufunc: Any = None,
+        plan: tuple,
+        value: np.ndarray,
+        op: str,
         owns_buffer: bool = False,
     ) -> "_alg.ScheduleRunner":
-        """Build the schedule runner for one scheduled reduction.
+        """The schedule runner for one scheduled reduction under ``plan``.
 
         ``owns_buffer``: the runner may reduce in place in ``value`` (a
         donated contribution) instead of in a private copy.
-
-        With a resolved ``segment_bytes`` that splits the payload into
-        ``nseg >= 2`` segments, the compiled schedule is expanded
-        step-major over the :func:`~repro.comm.algorithms.segmented_offsets`
-        table (:func:`~repro.comm.algorithms.segment_steps`), so segment
-        ``k+1`` is on the wire while ``k`` reduces; ``nseg <= 1`` leaves
-        the base schedule untouched — bitwise-identical to the
-        unsegmented path.
         """
-        if alg == HIERARCHICAL_ALGORITHM:
-            h = self.hierarchy()
-            assert h is not None  # _resolve_reduction guarantees it
-            inter = select_inter_algorithm(
-                len(h), max(1.0, value.nbytes / len(h[0]))
-            )
-            steps = _alg.compile_hierarchical_allreduce(h, inter.value)[self.rank]
-        else:
-            steps = _alg.compile_allreduce(self.size, alg)[self.rank]
-        offsets = None
-        seg = self._resolve_segment_bytes(segment_bytes, value, alg)
-        if seg:
-            nseg = len(segment_sizes(value.nbytes, seg))
-            if nseg > 1:
-                steps = _alg.segment_steps(steps, self.size, nseg)
-                offsets = _alg.segmented_offsets(value.size, self.size, nseg)
-                self.stats.record_segments(opname, nseg)
+        _, steps, offsets, nseg = plan
+        if nseg:
+            self.stats.record_segments(opname, nseg)
         return _alg.ScheduleRunner(
-            self, opname, steps, value, fn, self._next_coll_seq(),
+            self, opname, steps, value, _reduce_fn(op), self._next_coll_seq(),
             offsets=offsets, owns_buffer=owns_buffer,
-            inter_peers=self._inter_flags(), ufunc=ufunc,
+            inter_peers=self._inter_flags(), ufunc=_REDUCE_UFUNCS.get(op),
         )
 
     def _resolve_tree(self, algorithm: Any, opname: str) -> str:
@@ -962,18 +1013,16 @@ class Communicator:
         ``REPRO_COLLECTIVE_ALG`` environment variable overrides the knob
         globally.
         """
-        fn = _reduce_fn(op)
-        alg = self._resolve_reduction(algorithm, value, "allreduce")
-        if alg == "direct":
+        plan = self._reduction_plan("allreduce", algorithm, segment_bytes, value)
+        if plan is _DIRECT_PLAN:
             return self._direct(
                 "allreduce", [self._detached(value)] * self.size,
-                self._reduce_combine(fn),
+                self._reduce_combine(_reduce_fn(op)),
             )
-        runner = self._reduction_runner(
-            "allreduce", alg, value, fn, segment_bytes,
-            ufunc=_REDUCE_UFUNCS.get(op),
+        runner = self._reduction_runner("allreduce", plan, value, op)
+        return self._collective(
+            "allreduce", plan[0], runner, runner.finish, value.nbytes
         )
-        return self._collective("allreduce", alg, runner, runner.finish, value.nbytes)
 
     def iallreduce(
         self,
@@ -1011,17 +1060,13 @@ class Communicator:
         only move when their owner drives them, so a rank that abandons
         one can starve peers that wait it.
         """
-        fn = _reduce_fn(op)
-        alg = self._resolve_reduction(algorithm, value, "iallreduce")
-        if alg == "direct":
+        plan = self._reduction_plan("iallreduce", algorithm, segment_bytes, value)
+        if plan is _DIRECT_PLAN:
             return _RunnerRequest(
                 self, self._exchange("iallreduce", [freeze(value)] * self.size),
-                "iallreduce", self._reduce_combine(fn),
+                "iallreduce", self._reduce_combine(_reduce_fn(op)),
             )
-        runner = self._reduction_runner(
-            "iallreduce", alg, value, fn, segment_bytes,
-            ufunc=_REDUCE_UFUNCS.get(op), owns_buffer=donate,
-        )
+        runner = self._reduction_runner("iallreduce", plan, value, op, donate)
         return _RunnerRequest(self, runner, "iallreduce")
 
     def reduce_scatter(
@@ -1105,12 +1150,12 @@ class Communicator:
         new_members = tuple(self._members[comm_rank] for _, comm_rank in group)
         new_rank = new_members.index(self.world_rank)
         new_key = (self._key, "split", seq, color)
-        return Communicator(self._world, new_members, new_rank, new_key)
+        return Communicator(self._world, new_members, new_rank, new_key, self._knobs)
 
     def dup(self) -> "Communicator":
         """Duplicate this communicator (fresh collective context and tags)."""
         seq = self._coll_seq
         self.barrier()
         return Communicator(
-            self._world, self._members, self.rank, key=(self._key, "dup", seq)
+            self._world, self._members, self.rank, (self._key, "dup", seq), self._knobs
         )

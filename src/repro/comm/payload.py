@@ -18,6 +18,7 @@ moves; the communicator's copy-discipline table says who makes which, when.
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Callable
 
 import numpy as np
@@ -86,6 +87,91 @@ def join(skeleton: Any, arrays: list) -> Any:
     return _walk(
         skeleton, lambda x: arrays[x.index] if type(x) is ArrayRef else x
     )
+
+
+# ---------------------------------------------------------------------------
+# The frame: one message as bytes
+# ---------------------------------------------------------------------------
+
+#: Every inline array starts on a multiple of this many bytes from the start
+#: of its frame — the strictest alignment a numpy scalar type asks for
+#: (``longdouble``), and what a ``bytes`` object's data starts on — so a
+#: received array is ``flags.aligned`` exactly as an unpickled one was.
+FRAME_ALIGN = 16
+
+
+def encode_frame(
+    head: Any, payload: Any, place: Callable[[np.ndarray], int | None] | None = None
+) -> bytes:
+    """One message as ``bytes``: a pickled header and the raw bytes of its
+    arrays, so no array is ever pickled.
+
+    Layout: ``[u32 header length][header][pad][array 0][pad][array 1]…``.
+    The header is ``pickle((head, skeleton, descriptors))``: ``skeleton`` is
+    ``payload`` with every array lifted out by :func:`split` — containers,
+    scalars, :class:`ArrayRef` placeholders, and the arrays a raw copy
+    cannot carry (object dtype), which stay and are pickled — and descriptor
+    ``i`` is ``(offset, nbytes, shape, dtype)`` of the array ``ArrayRef(i)``
+    stands for, with one of two placements:
+
+    * ``offset is None`` — **inline**: the array's C-order bytes ride this
+      frame.  Inline arrays follow the header in descriptor order, each
+      starting on the next :data:`FRAME_ALIGN` boundary; the copy is made
+      here, so the caller may mutate the array as soon as this returns.
+    * an integer — what ``place(arr)`` answered: the transport has already
+      put the bytes somewhere both sides can reach (the forked world's
+      shared-memory arena) and the receiver resolves the offset there.
+
+    ``dtype`` travels as its ``str`` code, or as the ``np.dtype`` itself
+    when it has fields the code would lose.
+    """
+    descs: list[tuple] = []
+    raw: list[bytes] = []
+
+    def lift(arr: np.ndarray) -> bool:
+        dtype = arr.dtype
+        if dtype.hasobject:
+            return False
+        offset = None if place is None else place(arr)
+        nbytes = arr.nbytes
+        if offset is None:
+            raw.append(arr.tobytes())
+            if nbytes % FRAME_ALIGN:
+                raw.append(bytes(-nbytes % FRAME_ALIGN))
+        descs.append(
+            (offset, nbytes, arr.shape, dtype.str if dtype.names is None else dtype)
+        )
+        return True
+
+    skeleton, _ = split(payload, lift)
+    header = pickle.dumps((head, skeleton, descs), protocol=pickle.HIGHEST_PROTOCOL)
+    hlen = len(header)
+    return b"".join(
+        (hlen.to_bytes(4, "little"), header, bytes(-(4 + hlen) % FRAME_ALIGN), *raw)
+    )
+
+
+def decode_frame(frame: bytes) -> tuple[Any, Any, list, int]:
+    """Inverse of :func:`encode_frame`: ``(head, skeleton, arrays, placed)``.
+
+    ``arrays[i]`` is the array ``ArrayRef(i)`` stands for when it rode
+    inline — a read-only view of ``frame`` (``bytes`` are immutable), no
+    copy — or its ``(offset, nbytes, shape, dtype)`` descriptor when the
+    sender placed it elsewhere; ``placed`` counts the latter.  With
+    ``placed == 0``, ``join(skeleton, arrays)`` is the payload.
+    """
+    hlen = int.from_bytes(frame[:4], "little")
+    head, skeleton, arrays = pickle.loads(frame[4 : 4 + hlen])
+    pos = 4 + hlen
+    placed = 0
+    for i, (offset, nbytes, shape, dtype) in enumerate(arrays):
+        if offset is None:
+            pos += -pos % FRAME_ALIGN
+            arrays[i] = np.ndarray(shape, dtype, frame, pos)
+            pos += nbytes
+        else:
+            placed += 1
+    return head, skeleton, arrays, placed
 
 
 def _leaves(payload: Any) -> list:

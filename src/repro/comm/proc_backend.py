@@ -21,20 +21,29 @@ else:
 What the world is made of:
 
 * **Same-node transport** — every rank owns a ``multiprocessing.Queue``
-  and one raw descriptor pipe per peer.  Large C-contiguous ndarray
-  payloads travel through a fixed
+  and one raw descriptor pipe per peer, and a message crosses either lane
+  as one **frame** (:func:`repro.comm.payload.encode_frame`): a small
+  pickled header — the lane's ``(seq, source, tag)``, the payload's
+  *skeleton* (its containers, scalars and object-dtype arrays, every other
+  array lifted out by the one payload walk and replaced by an
+  :class:`~repro.comm.payload.ArrayRef`) and one ``(offset, nbytes, shape,
+  dtype)`` descriptor per lifted array — followed by raw array bytes.  No
+  array is pickled; a descriptor places its array one of two ways.
+  *Arena* (``offset`` an integer, arrays of :data:`SHM_MIN_BYTES` and up):
+  the sender copied the array into a run of blocks of a fixed
   ``multiprocessing.shared_memory.SharedMemory`` **arena** created by the
-  parent before the fork: the sender copies the array into a run of
-  arena blocks and ships only a tiny descriptor; the receiver, once a
-  receive *matches* the message, either hands its consumer a read-only
-  view of the blocks (a ``sink``: a schedule step reducing straight out
-  of the arena) or copies the array out, and frees the blocks (see
-  :class:`_Inbox`).  Small payloads and arbitrary Python objects are
-  pickled into the lane itself (as is any array when the arena is
-  momentarily full — the send path never blocks, preserving the eager
-  buffered-send contract).  Containers are split by the one payload walk
-  (:func:`repro.comm.payload.split`), so a list-of-arrays payload ships
-  its big pieces through the arena and its skeleton through the lane.
+  parent before the fork, and the frame carries the descriptor alone; the
+  receiver, once a receive *matches* the message, either hands its
+  consumer a read-only view of the blocks (a ``sink``: a schedule step
+  reducing straight out of the arena) or copies the array out, and frees
+  the blocks (see :class:`_Inbox`).  *Inline* (``offset`` ``None``: small
+  arrays, and any array when the arena is momentarily full — the send path
+  never blocks, preserving the eager buffered-send contract): the array's
+  C-order bytes ride the frame after the header, each array starting on a
+  16-byte boundary of the frame, and the receiver builds the array over
+  the frame's immutable bytes — born read-only and aligned, never copied.
+  A frame of at most :data:`_PIPE_FRAME_MAX` bytes is one atomic pipe
+  write; a larger one, or a full pipe, takes the queue.
 * **Receiving** — :class:`_Inbox` is the package's one
   :class:`~repro.comm.backend.Mailbox` with a ``select`` for a wait: the
   owner drains its lanes on the receiving thread, TCP reader threads
@@ -110,14 +119,14 @@ from repro.comm.backend import (
 )
 from repro.comm.faults import INJECTED_CRASH_EXIT, FaultInjector, JobConfig
 from repro.comm.hostmap import HostMap
-from repro.comm.payload import join, map_arrays, split
+from repro.comm.payload import decode_frame, encode_frame, join
 from repro.comm.socket_backend import TcpMesh, bind_listeners
 from repro.obs import tracer
 
 logger = logging.getLogger(__name__)
 
 #: Arrays at or above this many bytes are shipped through the shared-memory
-#: arena; smaller ones ride the queue pickle (latency-bound anyway).
+#: arena; smaller ones ride their frame inline (latency-bound anyway).
 SHM_MIN_BYTES = 2048
 
 #: Total arena capacity per SPMD job.  Env override: ``REPRO_SHM_BYTES``.
@@ -126,13 +135,17 @@ DEFAULT_ARENA_BYTES = 64 << 20
 #: Arena allocation granularity.
 ARENA_BLOCK = 32 << 10
 
-#: Largest frame (length prefix + pickled message) eligible for the
+#: Largest frame (length prefix + header + inline array bytes) eligible for the
 #: descriptor-pipe fast lane.  POSIX guarantees writes of at most
 #: ``PIPE_BUF`` (>= 4096) bytes to an ``O_NONBLOCK`` pipe are atomic —
 #: they either transfer completely or fail with ``EAGAIN`` — so framed
 #: messages never interleave or split and the reader needs no partial-
 #: frame recovery across sender crashes.
 _PIPE_FRAME_MAX = 4096
+
+#: What one drain ``os.read`` asks a fast-lane pipe for (Linux's default pipe
+#: capacity: one read can take everything a full pipe holds).
+_PIPE_READ = 1 << 16
 
 #: Name prefix of the job arenas (leak checks scan /dev/shm for this).
 SHM_PREFIX = "repro-arena-"
@@ -147,33 +160,35 @@ _PARENT_GRACE = 30.0
 
 
 class _ArenaMessage:
-    """A buffered message whose arrays still sit in the sender's arena
-    blocks: the queue-safe skeleton plus the ``(offset, nbytes, shape,
-    dtype)`` descriptors its :class:`~repro.comm.payload.ArrayRef`
-    placeholders index."""
+    """A buffered message some of whose arrays still sit in the sender's
+    arena blocks: the decoded frame's skeleton and array list, in which an
+    arena-placed array is still its ``(offset, nbytes, shape, dtype)``
+    descriptor (see :func:`~repro.comm.payload.decode_frame`)."""
 
-    __slots__ = ("skeleton", "descs")
+    __slots__ = ("skeleton", "arrays")
 
-    def __init__(self, skeleton: Any, descs: list) -> None:
+    def __init__(self, skeleton: Any, arrays: list) -> None:
         self.skeleton = skeleton
-        self.descs = descs
+        self.arrays = arrays
 
     def open(self, arena: "_Arena", copy: bool) -> Any:
-        """The payload, its arrays read-only: private copies (``copy``) or
-        views of the arena blocks, valid until :meth:`release`."""
+        """The payload, its arrays read-only: the arena's as private copies
+        (``copy``) or as views of the blocks, valid until :meth:`release`."""
         arrays = []
-        for offset, nbytes, shape, dtype in self.descs:
-            arr = arena.flat()[offset : offset + nbytes].view(dtype).reshape(shape)
-            if copy:
-                arr = arr.copy()
-            arr.flags.writeable = False
+        for arr in self.arrays:
+            if type(arr) is tuple:
+                offset, nbytes, shape, dtype = arr
+                arr = arena.flat()[offset : offset + nbytes].view(dtype).reshape(shape)
+                if copy:
+                    arr = arr.copy()
+                arr.flags.writeable = False
             arrays.append(arr)
-        # Small arrays of the same payload rode the lane pickle: mark those.
-        return map_arrays(join(self.skeleton, arrays), _readonly)
+        return join(self.skeleton, arrays)
 
     def release(self, arena: "_Arena") -> None:
-        for offset, nbytes, _shape, _dtype in self.descs:
-            arena.free(offset, nbytes)
+        for arr in self.arrays:
+            if type(arr) is tuple:
+                arena.free(arr[0], arr[1])
 
     def take(self, arena: "_Arena") -> Any:
         """Copy the payload out of the arena and free its blocks."""
@@ -189,7 +204,7 @@ class _Arena:
     mapping (no per-message attach) and the parent alone owns the unlink.
     Allocation is guarded by one cross-process lock; ``alloc`` returns
     ``None`` when no contiguous run is free — callers must fall back to
-    inline pickling rather than block, keeping sends eager.
+    shipping the array inline rather than block, keeping sends eager.
     """
 
     def __init__(self, ctx, nbytes: int, block: int) -> None:
@@ -393,55 +408,30 @@ class _SharedJobState:
             )
 
 
-def _pack(payload: Any, arena: _Arena, counters: dict) -> tuple[Any, list]:
-    """Move the large arrays of ``payload`` into the arena.
+def _pack(head: tuple, payload: Any, arena: _Arena, counters: dict) -> bytes:
+    """The :func:`~repro.comm.payload.encode_frame` of one same-node
+    message, its arrays of :data:`SHM_MIN_BYTES` and up moved into the arena.
 
-    Returns the queue-safe skeleton and one ``(offset, nbytes, shape,
-    dtype)`` descriptor per array that went.  Anything that does not fit
-    (or is not a plain ndarray) stays in the skeleton for the lane pickle.
+    An array the arena has no room for rides the frame inline like the small
+    ones; either way the array's bytes are copied before this returns, so
+    the sender may keep mutating it (``copies_on_send``).
     """
-    descs: list = []
-    exposed = False  # a writable array stayed in the skeleton
 
-    def ship(arr: np.ndarray) -> bool:
-        nonlocal exposed
-        if arr.dtype == object:
-            return False
-        if arr.nbytes >= SHM_MIN_BYTES:
-            offset = arena.alloc(arr.nbytes)
+    def place(arr: np.ndarray) -> int | None:
+        nbytes = arr.nbytes
+        if nbytes >= SHM_MIN_BYTES:
+            offset = arena.alloc(nbytes)
             if offset is not None:
-                dst = arena.flat()[offset : offset + arr.nbytes]
+                dst = arena.flat()[offset : offset + nbytes]
                 np.copyto(dst.view(arr.dtype).reshape(arr.shape), arr)
-                descs.append((offset, arr.nbytes, arr.shape, arr.dtype.str))
                 counters["shm_messages"] += 1
-                counters["shm_bytes"] += arr.nbytes
-                return True
+                counters["shm_bytes"] += nbytes
+                return offset
             counters["arena_full_fallbacks"] += 1
         counters["inline_messages"] += 1
-        exposed = exposed or arr.flags.writeable
-        return False
+        return None
 
-    skeleton, _ = split(payload, ship)
-    if exposed:
-        # ``mp.Queue.put`` pickles in the feeder thread *after* returning,
-        # so a still-writable array (e.g. a schedule's working buffer,
-        # delivered unstaged because this backend advertises
-        # ``copies_on_send``) could mutate before it is serialized.  Copy
-        # it now so the inline path gives the same synchronous-copy
-        # guarantee as the arena path.
-        skeleton = map_arrays(
-            skeleton,
-            lambda a: a.copy() if a.flags.writeable and a.dtype != object else a,
-        )
-    return skeleton, descs
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    """Received data is immutable by contract, mirroring the thread
-    backend's frozen zero-copy views: mark an unpickled array read-only."""
-    if arr.flags.writeable and arr.dtype != object:
-        arr.flags.writeable = False
-    return arr
+    return encode_frame(head, payload, place)
 
 
 class _Inbox(Mailbox):
@@ -462,17 +452,17 @@ class _Inbox(Mailbox):
     The lanes are FIFO over all sources; messages that do not match the
     current receive are buffered, preserving per-(source, tag) FIFO order.
 
-    **Admit at match.**  A drained message whose arrays rode the arena is
-    buffered as an :class:`_ArenaMessage` — descriptors only, the bytes
-    stay where the sender put them — and ``get``/``try_get`` return that
+    **Admit at match.**  A drained message with arrays in the arena is
+    buffered as an :class:`_ArenaMessage` — their descriptors only, the
+    bytes stay where the sender put them — and ``get``/``try_get`` return that
     record; :meth:`ForkedWorld._consume` then either lends the matched
     receive's sink a view of the blocks or copies the arrays out, and
     frees the blocks.  So a message is copied at most once on this side,
     and only if its consumer wants a private array.
 
     **The half-full rule.**  A message matched late holds its blocks until
-    then, and a sender that finds no free run falls back to inline
-    pickling.  So when more than half the arena is in use at drain time
+    then, and a sender that finds no free run falls back to shipping the
+    array inline.  So when more than half the arena is in use at drain time
     the message is copied out and freed at once: a lazy receiver can cost
     a sender at most half the arena.
     """
@@ -490,14 +480,15 @@ class _Inbox(Mailbox):
         # itself FIFO, so a message can only arrive early, never late).
         self._expected = [0] * world.size
         self._parked: dict[tuple[int, int], tuple] = {}
-        # Fast-lane read ends, each with an accumulator for frames split
-        # across reads (atomic writes mean a frame is either fully in the
-        # pipe or absent, but one ``os.read`` may still return several
-        # frames plus the head of another).
-        self._rbufs = {fd: bytearray() for fd in rpipes}
+        # Fast-lane read ends, each with the bytes of a frame split across
+        # reads (atomic writes mean a frame is either fully in the pipe or
+        # absent, but one ``os.read`` may still return several frames plus
+        # the head of another).
+        self._rbufs = {fd: b"" for fd in rpipes}
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
+        self._fds = [*rpipes, self._qfd, self._wake_r]
         self._asleep = False
 
     # -- what this transport supplies ------------------------------------------
@@ -509,25 +500,22 @@ class _Inbox(Mailbox):
                 pass  # pipe full: that many wake-ups are already pending
 
     def _wait(self, timeout: float) -> None:
-        fds = [*self._rbufs, self._qfd, self._wake_r]
+        """One ``select`` — sleeping up to ``timeout``, or a zero-timeout
+        probe for a nonblocking ``try_get`` (which replaces p-1 EAGAIN reads
+        and a queue probe) — then drain exactly the lanes it reported."""
         if timeout > 0:
             # Depositors need the lock while the owner sleeps; everything
             # else here runs under it, so lane admissions need no wake.
             self._asleep = True
             self._cv.release()
             try:
-                ready, _, _ = select.select(fds, [], [], timeout)
+                ready = select.select(self._fds, [], [], timeout)[0]
             finally:
                 self._cv.acquire()
                 self._asleep = False
-            if not ready:
-                return
-        # One zero-timeout ``select`` replaces p-1 EAGAIN reads plus a
-        # queue probe (and its ``Empty`` exception) — this runs on every
-        # nonblocking ``try_get``, so the constant matters.  (A blocking
-        # wait selects twice; reusing its ready set is ROADMAP item 3's
-        # rider (a), to be measured on its own.)
-        for fd in select.select(fds, [], [], 0)[0]:
+        else:
+            ready = select.select(self._fds, [], [], 0)[0]
+        for fd in ready:
             if fd == self._qfd:
                 self._drain_queue()
             elif fd == self._wake_r:
@@ -536,36 +524,42 @@ class _Inbox(Mailbox):
                 self._drain_pipe(fd)
 
     # -- the lanes ---------------------------------------------------------------
-    def _admit(self, source: int, tag: Any, skeleton: Any, descs: list) -> None:
-        if not descs:
-            entry = map_arrays(skeleton, _readonly)
-        else:
-            entry = _ArenaMessage(skeleton, descs)
-            if 2 * self._arena.used_blocks() > self._arena.nblocks:
-                entry = entry.take(self._arena)
+    def _admit(self, source: int, tag: Any, entry: Any) -> None:
+        if type(entry) is _ArenaMessage and (
+            2 * self._arena.used_blocks() > self._arena.nblocks
+        ):
+            entry = entry.take(self._arena)
         self.put(source, tag, entry)  # lock already held; owner awake: no poke
 
-    def _store(self, msg: tuple) -> None:
-        seq, source, tag, skeleton, descs = msg
+    def _store(self, frame: bytes) -> None:
+        """Decode one frame off a lane and admit it in send order."""
+        (seq, source, tag), skeleton, arrays, placed = decode_frame(frame)
+        entry = _ArenaMessage(skeleton, arrays) if placed else join(skeleton, arrays)
         if seq != self._expected[source]:
-            self._parked[(source, seq)] = msg
+            self._parked[(source, seq)] = (tag, entry)
             return
         while True:
-            self._admit(source, tag, skeleton, descs)
+            self._admit(source, tag, entry)
             self._expected[source] += 1
             nxt = self._parked.pop((source, self._expected[source]), None)
             if nxt is None:
                 return
-            _, source, tag, skeleton, descs = nxt
+            tag, entry = nxt
 
     def _drain_pipe(self, fd: int) -> None:
-        """Read and store every complete frame in one fast-lane pipe."""
-        buf = self._rbufs[fd]
+        """Read and store every complete frame in one fast-lane pipe.
+
+        ``select`` reported the pipe readable, so the first read returns
+        data; a read shorter than asked for emptied the pipe, so the common
+        one-message drain is one ``os.read`` and no ``EAGAIN``.
+        """
+        data = self._rbufs[fd]
+        eof = False
         while True:
             try:
-                chunk = os.read(fd, 1 << 16)
+                chunk = os.read(fd, _PIPE_READ)
             except BlockingIOError:
-                break
+                break  # the previous, full read had emptied the pipe exactly
             except OSError:  # pragma: no cover - fd torn down mid-drain
                 chunk = b""
             if not chunk:
@@ -573,16 +567,23 @@ class _Inbox(Mailbox):
                 # watching the fd (a persistent-EOF fd would spin the
                 # select loop); crash detection is the parent watcher's
                 # job, not ours.
-                del self._rbufs[fd]
+                eof = True
                 break
-            buf += chunk
-        while len(buf) >= 4:
-            ln = int.from_bytes(buf[:4], "little")
-            if len(buf) < 4 + ln:
+            data += chunk
+            if len(chunk) < _PIPE_READ:
                 break
-            msg = pickle.loads(bytes(buf[4 : 4 + ln]))
-            del buf[: 4 + ln]
-            self._store(msg)
+        pos, end = 0, len(data)
+        while end - pos >= 4:
+            stop = pos + 4 + int.from_bytes(data[pos : pos + 4], "little")
+            if stop > end:
+                break
+            self._store(data[pos + 4 : stop])
+            pos = stop
+        if eof:
+            del self._rbufs[fd]
+            self._fds.remove(fd)
+        else:
+            self._rbufs[fd] = data[pos:]
 
     def _drain_queue(self) -> None:
         while True:
@@ -605,8 +606,8 @@ class ForkedWorld(BaseWorld):
     """
 
     #: ``deliver`` copies every cross-process payload out synchronously
-    #: before returning (arena ``np.copyto``, inline snapshot, or TCP
-    #: pickle), so senders — in particular
+    #: before returning (arena ``np.copyto``, or the ``tobytes`` of an
+    #: inline array — in a lane's frame or a TCP one), so senders — in particular
     #: :class:`~repro.comm.algorithms.ScheduleRunner` — may pass live
     #: views of buffers they keep mutating, skipping the staging copy the
     #: thread backend's zero-copy transport requires.
@@ -651,7 +652,7 @@ class ForkedWorld(BaseWorld):
             "pipe_messages": 0,
             "queue_messages": 0,
             "tcp_messages": 0,
-            "tcp_bytes": 0,          # full frame payloads (pickle included)
+            "tcp_bytes": 0,          # full frame payloads (header included)
             "tcp_payload_bytes": 0,  # ndarray bytes only (model-comparable)
         }
 
@@ -660,12 +661,7 @@ class ForkedWorld(BaseWorld):
         """Connect to the off-node peers, if the routing map has any."""
         off_node = [r for r in range(self.size) if not self._same_node[r]]
         if off_node:
-            # Received arrays are frozen, mirroring every other lane:
-            # received data is immutable by contract.
-            self._mesh = TcpMesh(
-                self,
-                lambda s, tag, p: self._inbox.put(s, tag, map_arrays(p, _readonly)),
-            )
+            self._mesh = TcpMesh(self, self._inbox.put)
             self._mesh.start(off_node, self._shared.listeners, self._shared.ports)
 
     def shutdown(self, ok: bool) -> None:
@@ -730,23 +726,27 @@ class ForkedWorld(BaseWorld):
         send order, preserving per-(source, tag) FIFO across lanes.
         """
         with tracer.span("xport:send", cat="transport", dest=dest) as sp:
-            skeleton, descs = _pack(payload, self._shared.arena, self.transport)
             seq = self._send_seq[dest]
             self._send_seq[dest] = seq + 1
-            msg = (seq, source, tag, skeleton, descs)
-            blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-            if len(blob) + 4 <= _PIPE_FRAME_MAX:
+            frame = _pack(
+                (seq, source, tag), payload, self._shared.arena, self.transport
+            )
+            if len(frame) + 4 <= _PIPE_FRAME_MAX:
                 try:
-                    os.write(self._wpipes[dest], len(blob).to_bytes(4, "little") + blob)
+                    os.write(
+                        self._wpipes[dest], len(frame).to_bytes(4, "little") + frame
+                    )
                 except OSError:
                     pass  # pipe full or torn down: take the queue lane
                 else:
                     self.transport["pipe_messages"] += 1
-                    sp.set(lane="pipe", bytes=len(blob))
+                    sp.set(lane="pipe", bytes=len(frame))
                     return
             self.transport["queue_messages"] += 1
             sp.set(lane="queue")
-            self._shared.queues[dest].put(msg)
+            # The frame is immutable ``bytes``: the queue's feeder thread
+            # pickles it after this returns and still ships what was sent.
+            self._shared.queues[dest].put(frame)
 
     def collect(
         self, dest: int, source: int, tag: Any, opname: str = "recv", sink=None

@@ -22,10 +22,13 @@ one :class:`TcpMesh`:
   one topology.
 * **Wire protocol** — length-prefixed frames (``!BII`` header: type,
   payload length, CRC32 of the payload) over ``TCP_NODELAY`` sockets.
-  ``DATA`` frames carry a pickled ``(source, tag, payload)``; ``HEARTBEAT``
+  ``DATA`` frames carry the message as
+  :func:`~repro.comm.payload.encode_frame` lays it out — a pickled
+  ``((source, tag), skeleton, descriptors)`` header, then every array's
+  bytes raw, the layout the shared-memory lanes use; ``HEARTBEAT``
   frames keep liveness fresh; a ``BYE`` frame announces an orderly exit, so
   the subsequent EOF is not mistaken for a crash.  The receiver recomputes
-  every payload's CRC32 before unpickling: a mismatch — real link
+  every payload's CRC32 before decoding: a mismatch — real link
   corruption, or an injected ``corrupt@…:point=wire`` fault — aborts the
   job with a :class:`CommIntegrityError` naming the sending rank and host,
   instead of feeding silently wrong bytes into the collectives (an
@@ -58,7 +61,6 @@ one :class:`TcpMesh`:
 from __future__ import annotations
 
 import logging
-import pickle
 import socket
 import struct
 import threading
@@ -69,7 +71,7 @@ from time import monotonic
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.comm.backend import CommAborted
-from repro.comm.payload import array_nbytes
+from repro.comm.payload import array_nbytes, decode_frame, encode_frame, join
 from repro.obs import tracer
 
 if TYPE_CHECKING:
@@ -228,7 +230,7 @@ class _Connection:
             self.last_heard = monotonic()
             if (zlib.crc32(blob) & 0xFFFFFFFF) != crc:
                 # Corrupted on the wire: abort with an integrity failure
-                # instead of unpickling garbage into the collectives.
+                # instead of decoding garbage into the collectives.
                 host = world.hostmap.host_of(self.peer)
                 world.record_failure("integrity", self.peer, host)
                 world.abort(
@@ -238,7 +240,8 @@ class _Connection:
                 )
                 return
             if ftype == _FRAME_DATA:
-                self._deposit(*pickle.loads(blob))
+                (source, tag), skeleton, arrays, _ = decode_frame(blob)
+                self._deposit(source, tag, join(skeleton, arrays))
             elif ftype == _FRAME_BYE:
                 self.peer_done = True
             # heartbeats only refresh last_heard
@@ -405,9 +408,7 @@ class TcpMesh:
     def send(self, source: int, dest: int, tag: Any, payload: Any) -> None:
         """Queue one ``DATA`` frame on the link to ``dest`` (never blocks)."""
         world = self._world
-        blob = pickle.dumps(
-            (source, tag, payload), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        blob = encode_frame((source, tag), payload)
         # The frame's CRC32 is stamped *before* the wire fault point, so an
         # injected on-the-wire corruption reaches the receiver with a stale
         # checksum and trips its integrity check — modeling a link that

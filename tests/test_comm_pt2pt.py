@@ -13,6 +13,18 @@ PAYLOAD_SHAPES = (
     lambda a: (1, {"w": a, "l": [a]}, None),
 )
 
+#: A dtype whose ``str`` code (``|V8``) does not name its fields.
+FIELDS = np.dtype([("a", "<f4"), ("b", "<i4")])
+
+#: What rides in them: a plain vector, and a structured array on either side
+#: of the forked world's 2 KiB arena threshold (the arena descriptor used to
+#: carry ``dtype.str`` and deliver the large one as ``|V8``).
+PAYLOAD_ARRAYS = {
+    "float64": lambda: np.ones(8),
+    "fields-64B": lambda: np.ones(8, dtype=FIELDS),
+    "fields-8KiB": lambda: np.ones(1024, dtype=FIELDS),
+}
+
 
 class TestSendRecv:
     def test_two_rank_exchange(self):
@@ -96,23 +108,28 @@ class TestSendRecv:
         results = run_spmd(2, prog)
         np.testing.assert_array_equal(results[1], np.arange(0, 16, 2, dtype=np.float64))
 
-    def test_receiver_cannot_write_into_sent_payload(self, backend):
-        """Whatever container carries them, received arrays are read-only
-        and a write attempt never reaches the sender (a dict used to cross
-        the thread backend as a writable alias of the sender's array)."""
+    @pytest.mark.parametrize("array", PAYLOAD_ARRAYS)
+    def test_receiver_cannot_write_into_sent_payload(self, backend, array):
+        """Whatever container carries them, received arrays keep their dtype
+        and bits, are read-only, and a write attempt never reaches the
+        sender (a dict used to cross the thread backend as a writable alias
+        of the sender's array)."""
+        original = PAYLOAD_ARRAYS[array]()
 
         def prog(comm):
             if comm.rank == 0:
-                a = np.ones(8)
+                a = original.copy()
                 for tag, wrap in enumerate(PAYLOAD_SHAPES):
                     comm.send(wrap(a), dest=1, tag=2 * tag)
                     comm.isend(wrap(a), dest=1, tag=2 * tag + 1).wait()
                 comm.barrier()
-                return a.tolist()
-            writable = []
+                return a.tobytes()
+            seen = []
 
             def poke(arr):
-                writable.append(arr.flags.writeable)
+                seen.append(
+                    (arr.flags.writeable, arr.dtype == original.dtype, arr.tobytes())
+                )
                 try:
                     arr[...] = 9.0
                 except ValueError:
@@ -122,11 +139,11 @@ class TestSendRecv:
             for tag in range(2 * len(PAYLOAD_SHAPES)):
                 map_arrays(comm.recv(source=0, tag=tag), poke)
             comm.barrier()
-            return writable
+            return seen
 
-        sent, writable = run_spmd(2, prog, backend=backend)
-        assert sent == [1.0] * 8
-        assert len(writable) == 2 * (1 + 1 + 2) and not any(writable)
+        sent, seen = run_spmd(2, prog, backend=backend)
+        assert sent == original.tobytes()
+        assert seen == [(False, True, sent)] * (2 * (1 + 1 + 2))
 
     def test_tag_matching_out_of_order(self):
         """A recv on tag 2 must not consume the tag-1 message."""

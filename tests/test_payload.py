@@ -1,12 +1,20 @@
-"""The one payload walk (``repro.comm.payload``), property-checked.
+"""The one payload walk (``repro.comm.payload``) and the frame built on it,
+property-checked.
 
-Freezing a send, the private copy of a ``bcast`` result, the arena's and a
+Freezing a send, the private copy of a ``bcast`` result, the frame's and a
 checkpoint's array lifting, the byte counters and fault corruption are all
 :func:`map_arrays`; these tests generate nested payloads — tuple/list/dict,
-zero-size, non-contiguous and object-dtype arrays, scalars, ``None``,
+0-d, zero-size, strided and Fortran-ordered arrays, ``bool`` / ``complex128``
+/ big-endian / ``float16`` / structured / object dtypes, scalars, ``None``,
 bytes — and hold the walk to: ``join`` inverts ``split`` leaf for leaf and
 bit for bit under every ``take`` rule in use, each array is visited exactly
 once, and the byte counters agree on array bytes.
+
+The ``frame`` tests hold the forked world's wire format (header pickle + raw
+array bytes, ``encode_frame`` / ``decode_frame``) to the same standard: what
+a ``process`` or ``socket`` rank receives is what a ``thread`` rank receives,
+read-only, whichever lane and placement — arena, inline, pipe, queue, TCP —
+each array took.
 """
 
 import multiprocessing as mp
@@ -14,12 +22,15 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import run_spmd
 from repro.comm.payload import (
+    FRAME_ALIGN,
     ArrayRef,
     array_nbytes,
+    decode_frame,
     freeze,
     join,
     map_arrays,
@@ -28,6 +39,7 @@ from repro.comm.payload import (
     split,
 )
 from repro.comm.proc_backend import (
+    _PIPE_FRAME_MAX,
     ARENA_BLOCK,
     SHM_MIN_BYTES,
     _Arena,
@@ -39,9 +51,17 @@ from repro.core import checkpoint
 # -- generated payloads ---------------------------------------------------------
 
 
+#: A dtype whose ``str`` code (``|V8``) does not name its fields.
+FIELDS = np.dtype([("a", "<f4"), ("b", "<i4")])
+
+
 @st.composite
 def arrays(draw):
-    kind = draw(st.sampled_from(["f8", "f4", "i8", "u1", "bool", "object"]))
+    kind = draw(
+        st.sampled_from(
+            ["f8", "f4", "i8", "u1", "bool", "c16", ">f8", "f2", "fields", "object"]
+        )
+    )
     shape = tuple(draw(st.lists(st.integers(0, 9), min_size=0, max_size=3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     if kind == "object":
@@ -49,7 +69,14 @@ def arrays(draw):
         arr[...] = "x"
         return arr
     # Up to 9**3 float64 = 5.8 KB: both sides of the arena's 2 KiB rule.
-    arr = (rng.standard_normal(shape) * 100).astype(kind)
+    if kind == "fields":
+        arr = np.zeros(shape, dtype=FIELDS)
+        arr["a"] = rng.standard_normal(shape)
+        arr["b"] = rng.integers(-99, 99, shape)
+    elif kind == "c16":
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    else:
+        arr = (rng.standard_normal(shape) * 100).astype(kind)
     layout = draw(st.sampled_from(["c", "strided", "transposed"]))
     if layout == "strided" and arr.ndim:
         arr = np.repeat(arr, 2, axis=-1)[..., ::2]
@@ -103,13 +130,17 @@ def same(a, b) -> bool:
     return a == b
 
 
-def arena_rule(arr: np.ndarray) -> bool:
-    return arr.flags.c_contiguous and arr.dtype != object and arr.nbytes >= SHM_MIN_BYTES
+def plain_arrays(payload) -> list[np.ndarray]:
+    """The arrays a frame lifts: everything a raw copy can carry."""
+    return [
+        x for x in leaves_of(payload)
+        if isinstance(x, np.ndarray) and not x.dtype.hasobject
+    ]
 
 
 TAKE_RULES = {
     "checkpoint": lambda arr: True,
-    "arena": arena_rule,
+    "frame": lambda arr: not arr.dtype.hasobject,
     "nothing": lambda arr: False,
 }
 
@@ -126,10 +157,12 @@ def test_join_inverts_split_under_every_take_rule(payload):
         left = leaves_of(skeleton)
         assert sum(type(x) is ArrayRef for x in left) == len(lifted)
         assert not any(isinstance(x, np.ndarray) and take(x) for x in left)
-        # The skeleton is what gets pickled (lane message, ``__meta__``).
-        rebuilt = join(pickle.loads(pickle.dumps(skeleton)), lifted)
-        assert same(rebuilt, payload)
         assert same(join(skeleton, lifted), payload)
+        # A skeleton that gets pickled (frame header, ``__meta__``) holds no
+        # plain array — numpy's pickle would un-swap a big-endian one.
+        if not plain_arrays(skeleton):
+            blob = pickle.dumps(skeleton, protocol=pickle.HIGHEST_PROTOCOL)
+            assert same(join(pickle.loads(blob), lifted), payload)
 
 
 @given(payloads)
@@ -169,7 +202,11 @@ def test_freeze_then_private_is_an_independent_writable_copy(payload):
             assert not any(np.shares_memory(arr, o) for o in originals)
 
 
-# -- the arena's take rule, for real ----------------------------------------------
+# -- the frame ----------------------------------------------------------------------
+
+
+def frozen_everywhere(payload) -> bool:
+    return not any(x.flags.writeable for x in plain_arrays(payload))
 
 
 @pytest.fixture(scope="module")
@@ -179,32 +216,160 @@ def arena():
     a.destroy()
 
 
-@given(payload=payloads)
-def test_arena_round_trip(arena, payload):
-    counters = dict.fromkeys(
+def fresh_counters() -> dict:
+    return dict.fromkeys(
         ("shm_messages", "shm_bytes", "inline_messages", "arena_full_fallbacks"), 0
     )
-    skeleton, descs = _pack(payload, arena, counters)
-    shipped = [
-        x for x in leaves_of(payload)
-        if isinstance(x, np.ndarray) and x.dtype != object and x.nbytes >= SHM_MIN_BYTES
-    ]
-    assert len(descs) == counters["shm_messages"] == len(shipped)
-    assert counters["shm_bytes"] == sum(x.nbytes for x in shipped)
-    assert counters["arena_full_fallbacks"] == 0
-    # What stays inline is pickled after ``deliver`` returns: nothing the
-    # sender can still write to may be left in it.
-    for x in leaves_of(skeleton):
-        if isinstance(x, np.ndarray) and x.dtype != object and x.flags.writeable:
-            assert not any(np.shares_memory(x, o) for o in leaves_of(payload)
-                           if isinstance(o, np.ndarray))
-    message = _ArenaMessage(pickle.loads(pickle.dumps(skeleton)), descs)
-    received = message.take(arena) if descs else message.open(arena, copy=True)
-    assert same(received, payload)
+
+
+@given(payload=payloads)
+def test_frame_round_trip_through_the_arena(arena, payload):
+    counters = fresh_counters()
+    sent = private(payload)
+    frame = _pack((3, 0, ("tag", 1)), payload, arena, counters)
+    plain = plain_arrays(payload)
+    big = [x for x in plain if x.nbytes >= SHM_MIN_BYTES]
+    assert counters == {
+        "shm_messages": len(big),
+        "shm_bytes": sum(x.nbytes for x in big),
+        "inline_messages": len(plain) - len(big),
+        "arena_full_fallbacks": 0,
+    }
+    # Every byte was copied before ``_pack`` returned (``copies_on_send``):
+    # the sender scribbling over its arrays now changes nothing.
+    for x in plain:
+        x[...] = np.zeros((), x.dtype)
+    head, skeleton, arrays, placed = decode_frame(frame)
+    assert head == (3, 0, ("tag", 1)) and placed == len(big)
+    # No plain array is pickled: the header holds placeholders only.
+    assert not plain_arrays(skeleton)
+    received = _ArenaMessage(skeleton, arrays).take(arena)
+    assert same(received, sent)
     assert arena.used_blocks() == 0
-    for x in leaves_of(received):
-        if isinstance(x, np.ndarray) and x.dtype != object:
-            assert not x.flags.writeable
+    assert frozen_everywhere(received)
+    assert all(x.flags.aligned for x in plain_arrays(received))
+
+
+def digest(payload):
+    """``payload`` with every array spelled out as plain data.  A forked
+    rank's *result* is pickled at the default protocol, where numpy un-swaps
+    a big-endian array: what a rank received is compared by this instead."""
+    return map_arrays(
+        payload,
+        lambda a: (
+            "ndarray", repr(a.dtype), a.shape,
+            a.tolist() if a.dtype.hasobject else a.tobytes(),
+        ),
+    )
+
+
+def _send_all(comm, batch):
+    """Rank 0 sends every payload of ``batch``; rank 1 returns a digest of
+    what arrived and whether all of it was read-only, rank 0 its transport
+    counters."""
+    if comm.rank == 0:
+        for tag, payload in enumerate(batch):
+            comm.send(payload, dest=1, tag=tag)
+        comm.barrier()
+        return dict(getattr(comm._world, "transport", {}))
+    got = [comm.recv(source=0, tag=tag) for tag in range(len(batch))]
+    comm.barrier()
+    return digest(got), all(frozen_everywhere(p) for p in got)
+
+
+@settings(max_examples=15, deadline=None)
+@given(batch=st.lists(payloads, min_size=6, max_size=6))
+def test_frame_delivers_what_the_thread_backend_delivers(batch):
+    _, (wanted, frozen) = run_spmd(2, _send_all, batch)
+    assert frozen and wanted == digest(list(batch))
+    plain = [x for payload in batch for x in plain_arrays(payload)]
+    small = sum(x.nbytes < SHM_MIN_BYTES for x in plain)
+    for backend in ("process", "socket"):
+        t, (got, frozen) = run_spmd(2, _send_all, batch, backend=backend, timeout=60)
+        assert frozen and got == wanted
+        if backend == "socket":  # one rank per node: every message is a TCP frame
+            assert t["tcp_messages"] >= len(batch)
+            assert t["tcp_payload_bytes"] == sum(x.nbytes for x in plain)
+            assert t["shm_messages"] == t["inline_messages"] == t["pipe_messages"] == 0
+            continue
+        # ``shm_messages`` counts arrays that went to the arena,
+        # ``inline_messages`` those that rode their frame (the small ones,
+        # and — under CI's 1 MiB arena — any the arena had no room for).
+        assert t["shm_messages"] + t["inline_messages"] == len(plain)
+        assert t["inline_messages"] == small + t["arena_full_fallbacks"]
+        assert t["pipe_messages"] + t["queue_messages"] >= len(batch)
+        assert t["tcp_messages"] == 0
+
+
+def test_frame_bits_do_not_depend_on_lane_or_placement(monkeypatch):
+    """One message per way a frame can travel: descriptor-only (array in the
+    arena, pipe lane), inline (pipe lane), inline but past
+    ``_PIPE_FRAME_MAX`` (queue lane), and arena-full fallback (inline, queue
+    lane) — mixed in one payload at the end."""
+    monkeypatch.setenv("REPRO_SHM_BYTES", str(2 * ARENA_BLOCK))
+    rng = np.random.default_rng(5)
+    in_arena = rng.standard_normal(SHM_MIN_BYTES // 8)
+    inline = rng.standard_normal(SHM_MIN_BYTES // 8 - 1)
+    fat = [inline * k for k in (1.0, 2.0, 3.0)]  # 3 x ~2 KiB inline > 4 KiB
+    no_room = rng.standard_normal(3 * ARENA_BLOCK // 8)
+    messages = [in_arena, inline, fat, no_room, {"a": in_arena, "b": (inline, no_room)}]
+    assert sum(x.nbytes for x in fat) + 4 > _PIPE_FRAME_MAX > inline.nbytes + 512
+
+    def prog(comm):
+        if comm.rank == 1:
+            got = [comm.recv(source=0, tag=tag) for tag in range(len(messages))]
+            return got, all(frozen_everywhere(p) for p in got)
+        t = comm._world.transport
+        lanes = []
+        for tag, payload in enumerate(messages):
+            before = dict(t)
+            comm.send(payload, dest=1, tag=tag)
+            lanes.append({k: t[k] - before[k] for k in t if t[k] != before[k]})
+        return lanes
+
+    lanes, (got, frozen) = run_spmd(2, prog, backend="process", timeout=60)
+    assert frozen and same(got, messages)
+    assert lanes == [
+        {"shm_messages": 1, "shm_bytes": in_arena.nbytes, "pipe_messages": 1},
+        {"inline_messages": 1, "pipe_messages": 1},
+        {"inline_messages": 3, "queue_messages": 1},
+        {"inline_messages": 1, "arena_full_fallbacks": 1, "queue_messages": 1},
+        {"shm_messages": 1, "shm_bytes": in_arena.nbytes, "inline_messages": 2,
+         "arena_full_fallbacks": 1, "queue_messages": 1},
+    ]
+
+
+def test_frame_recv_corruption_is_a_copy(backend):
+    """An inline array is a view of immutable frame bytes: a recv-point
+    ``corrupt`` fault must hand on a corrupted *copy* (one seeded element,
+    the same on every backend), not try to write through it."""
+    clean = np.arange(16.0)
+
+    def prog(comm):
+        if comm.rank == 0:
+            comm.send(clean, dest=1, tag=5)
+            comm.send(clean, dest=1, tag=5)
+            return None
+        return comm.recv(source=0, tag=5), comm.recv(source=0, tag=5)
+
+    plan = "corrupt@rank1:point=recv:tag=5; seed=3"
+    _, (bad, good) = run_spmd(2, prog, backend=backend, faults=plan, timeout=60)
+    _, (wanted, _) = run_spmd(2, prog, faults=plan)
+    assert same(good, clean) and same(bad, wanted)
+    assert (bad != clean).sum() == 1
+
+
+def test_frame_layout_is_header_then_aligned_raw_bytes(arena):
+    small, odd = np.arange(5, dtype="<f8"), np.arange(3, dtype="u1")
+    frame = _pack("head", [odd, small, "text"], arena, fresh_counters())
+    hlen = int.from_bytes(frame[:4], "little")
+    head, skeleton, descs = pickle.loads(frame[4 : 4 + hlen])
+    assert head == "head" and [type(x) for x in skeleton] == [ArrayRef, ArrayRef, str]
+    assert descs == [(None, 3, (3,), "|u1"), (None, 40, (5,), "<f8")]
+    first = -(-(4 + hlen) // FRAME_ALIGN) * FRAME_ALIGN
+    assert frame[first : first + 3] == odd.tobytes()
+    assert frame[first + FRAME_ALIGN : first + FRAME_ALIGN + 40] == small.tobytes()
+    assert len(frame) == first + FRAME_ALIGN + 40 + 8
 
 
 # -- checkpoints on disk outlive the code that wrote them ---------------------------

@@ -215,6 +215,117 @@ class TestTransport:
         assert run_spmd(2, prog, backend=backend) == [0, 0]
 
 
+class _Counting:
+    """Stand-in for a module (or ``os.environ``) inside one forked rank:
+    attribute access falls through to the real thing, the names in
+    ``counted`` go through a call counter first."""
+
+    def __init__(self, real, counts, *counted):
+        self._real, self._counts, self._counted = real, counts, counted
+
+    def __getattr__(self, name):
+        attr = getattr(self._real, name)
+        if name not in self._counted:
+            return attr
+
+        def counting(*args, **kwargs):
+            self._counts[name] = self._counts.get(name, 0) + 1
+            try:
+                return attr(*args, **kwargs)
+            except BlockingIOError:
+                self._counts["BlockingIOError"] = self._counts.get("BlockingIOError", 0) + 1
+                raise
+
+        return counting
+
+
+class TestFixedCostPerMessage:
+    """What a tiny message costs, as counts (no clock): the patches below
+    are made inside a forked rank and die with it."""
+
+    def test_blocking_receive_is_one_select_and_one_read(self):
+        def prog(comm):
+            from repro.comm import proc_backend
+
+            if comm.rank == 0:
+                comm.send(np.ones(128), dest=1, tag=1)  # 1 KiB: rides its frame
+                comm.barrier()
+                return None
+            # Wait for the frame without consuming it: the pipe turns readable.
+            (pipe,) = comm._world._inbox._rbufs
+            assert proc_backend.select.select([pipe], [], [], 30.0)[0]
+            counts = {}
+            proc_backend.select = _Counting(proc_backend.select, counts, "select")
+            proc_backend.os = _Counting(proc_backend.os, counts, "read")
+            got = comm.recv(source=0, tag=1)
+            proc_backend.select = proc_backend.select._real
+            proc_backend.os = proc_backend.os._real
+            comm.barrier()
+            return counts, bool((got == 1.0).all())
+
+        _, (counts, ok) = run_spmd(2, prog, backend="process", timeout=60)
+        assert ok and counts == {"select": 1, "read": 1}
+
+    def test_collective_resolves_its_plan_once(self, monkeypatch):
+        """The second allreduce of a shape re-runs no selection, no offset
+        table and no environment lookup; a new shape or knob misses once;
+        ``split``/``dup`` children start empty with the parent's knobs."""
+        monkeypatch.setenv("REPRO_SEGMENT_BYTES", "off")
+
+        def prog(comm):
+            from repro.comm import algorithms, collective_models, communicator
+
+            counts = {}
+            communicator.os = _Counting(
+                communicator.os, counts, "getenv"
+            )
+            communicator.os.environ = _Counting(os.environ, counts, "get")
+            collective_models.select_allreduce_algorithm = _Counting(
+                collective_models, counts, "select_allreduce_algorithm"
+            ).select_allreduce_algorithm
+            algorithms.chunk_offsets = _Counting(
+                algorithms, counts, "chunk_offsets"
+            ).chunk_offsets
+            # The world communicator parsed the environment before this ran:
+            # changing it now changes nothing, here or in a child.
+            os.environ["REPRO_COLLECTIVE_ALG"] = "direct"
+
+            def cost(c, *args, **kwargs):
+                counts.clear()
+                c.stats.reset()
+                out = c.allreduce(*args, **kwargs)
+                assert float(out.reshape(-1)[0]) == c.size
+                return dict(counts), c.stats.total_wire_sent("allreduce")
+
+            x = np.ones((2, 64))
+            miss = {"select_allreduce_algorithm": 1, "chunk_offsets": 1}
+            log = [
+                cost(comm, x),                          # first of its shape
+                cost(comm, x),                          # memo hit
+                cost(comm, np.ones(7)),                 # new shape
+                cost(comm, x, algorithm="ring"),        # new knob, no selection
+                cost(comm, x, algorithm="ring"),
+                cost(comm, x, segment_bytes=256),       # env "off" wins
+                cost(comm, x),
+            ]
+            child, twin = comm.split(0), comm.dup()
+            assert child._plans == {} and twin._plans == {}
+            assert child._knobs is comm._knobs is twin._knobs
+            log += [cost(child, x), cost(child, x), cost(twin, x), cost(twin, x)]
+            assert len(comm._plans) == 4 and len(child._plans) == 1
+            return log, miss
+
+        for log, miss in run_spmd(2, prog, backend="process", timeout=60):
+            whole, ring = 1024, 2 * 512  # p = 2: one exchange / two half-steps
+            assert log == [
+                (miss, whole), ({}, whole),
+                (miss, 56),
+                ({"chunk_offsets": 1}, ring), ({}, ring),
+                (miss, whole), ({}, whole),
+                (miss, whole), ({}, whole), (miss, whole), ({}, whole),
+            ]
+
+
 class TestBitwiseParity:
     def test_collectives_match_thread_backend(self):
         def prog(comm):
