@@ -1,11 +1,11 @@
 """Scaling study: where does spatial parallelism pay off? (paper §VI)
 
-Sweeps strong scaling of ResNet-50 and the mesh models with the calibrated
-performance model, reporting speedups, the memory picture, and the
-crossover where sample parallelism stops being available or profitable —
-the quantitative version of the paper's headline message: "exploiting
-parallelism within the spatial domain allows scaling to continue beyond
-the mini-batch size."
+Regenerates the paper's strong-scaling Tables I-III with the calibrated
+performance model — each cell printed as published | modelled, and the
+speedup over the table's first column at its smallest mini-batch — and the
+memory picture behind them: the quantitative version of the paper's
+headline message, "exploiting parallelism within the spatial domain allows
+scaling to continue beyond the mini-batch size."
 
 Run:  python examples/resnet_scaling_study.py
 """
@@ -13,31 +13,41 @@ Run:  python examples/resnet_scaling_study.py
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
 from repro.nn.meshnet import mesh_model_1k, mesh_model_2k
 from repro.nn.resnet import build_resnet50
-from repro.perfmodel import LASSEN, MemoryModel, NetworkCostModel
+from repro.perfmodel import LASSEN, MemoryModel, NetworkCostModel, published
 
 
-def strong_scaling(label: str, spec, n: int, ways_list) -> None:
-    print("=" * 72)
-    print(f"{label}: strong scaling at mini-batch {n}")
-    print("=" * 72)
+def table(title: str, spec, rows: dict, ways_list, per_group: int = 1) -> None:
+    """One published table beside the model: ``rows`` maps a mini-batch size
+    to its published seconds per entry of ``ways_list`` (GPUs per group of
+    ``per_group`` samples)."""
     model = NetworkCostModel(spec, LASSEN)
-    memory = MemoryModel(spec, LASSEN)
-    base = None
-    print(f"  {'decomposition':<32s} {'GPUs':>5s} {'time':>10s} "
-          f"{'speedup':>8s} {'mem/GPU':>9s}")
-    for ways in ways_list:
-        par = LayerParallelism.spatial_square(sample=n, ways=ways)
-        strategy = ParallelStrategy.uniform(par)
-        mem = memory.required_bytes(n, strategy) / 1024**3
-        if not memory.fits(n, strategy):
-            print(f"  {par.describe():<32s} {par.nranks:>5d} "
-                  f"{'—':>10s} {'OOM':>8s} {mem:>8.1f}G")
-            continue
-        t = model.minibatch_time(n, strategy)
-        if base is None:
-            base = t
-        print(f"  {par.describe():<32s} {par.nranks:>5d} {t * 1e3:>8.2f}ms "
-              f"{base / t:>7.2f}x {mem:>8.1f}G")
+
+    def modelled(n: int) -> list[float]:
+        return [
+            model.minibatch_time(n, ParallelStrategy.uniform(
+                LayerParallelism.spatial_square(sample=n // per_group, ways=w)
+            ))
+            for w in ways_list
+        ]
+
+    def line(label: str, cells) -> str:
+        return f"{label:>6s}" + "".join(f"{c:>19s}" for c in cells)
+
+    header = line("N", (f"{per_group} on {w} GPU(s)" for w in ways_list))
+    print("=" * len(header))
+    print(f"{title}: mini-batch seconds, published | modelled")
+    print("=" * len(header))
+    print(header)
+    for n, paper in rows.items():
+        print(line(str(n), (
+            f"{p:.4f} | {o:.4f}" if p is not None else "n/a"
+            for p, o in zip(paper, modelled(n))
+        )))
+    first = min(rows)
+    paper, ours = rows[first], modelled(first)
+    print(line("", (
+        f"{paper[0] / p:.1f}x | {ours[0] / o:.1f}x" for p, o in zip(paper, ours)
+    )) + f"   <- speedup at N={first}")
     print()
 
 
@@ -62,10 +72,12 @@ def memory_story() -> None:
 
 
 def main() -> None:
-    strong_scaling("ResNet-50 (N=256, 32 samples/group)", build_resnet50(),
-                   256 // 32 * 32, [1, 2, 4])
-    strong_scaling("1K mesh model (N=8)", mesh_model_1k(), 8, [1, 2, 4, 8, 16])
-    strong_scaling("2K mesh model (N=4)", mesh_model_2k(), 4, [1, 2, 4, 8, 16])
+    table("Table I — 1K mesh model", mesh_model_1k(),
+          published.TABLE1, published.TABLE1_WAYS)
+    table("Table II — 2K mesh model", mesh_model_2k(),
+          published.TABLE2, published.TABLE2_WAYS)
+    table("Table III — ResNet-50", build_resnet50(), published.TABLE3,
+          published.TABLE3_WAYS, published.TABLE3_SAMPLES_PER_GROUP)
     memory_story()
 
 

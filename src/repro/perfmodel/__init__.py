@@ -18,6 +18,8 @@
   error signals, parameters, workspace), reproducing the paper's
   feasibility boundaries (the 2K model needs >= 2-way spatial parallelism;
   the 1K model fits exactly one sample per GPU).
+* :mod:`repro.perfmodel.published` — the paper's Tables I-III and Fig. 2/3
+  anchor values, data only: what ``LASSEN`` was calibrated against.
 """
 
 from repro.perfmodel.machine import GPUSpec, MachineSpec, LASSEN
@@ -25,6 +27,7 @@ from repro.perfmodel.conv_model import CalibratedConvModel, EmpiricalConvModel
 from repro.perfmodel.layer_cost import ConvLayerCost, conv_layer_cost
 from repro.perfmodel.network_cost import NetworkCostModel, NetworkCostBreakdown
 from repro.perfmodel.memory import MemoryModel, MemoryBreakdown
+from repro.perfmodel import published
 
 __all__ = [
     "CalibratedConvModel",
@@ -38,4 +41,5 @@ __all__ = [
     "NetworkCostBreakdown",
     "NetworkCostModel",
     "conv_layer_cost",
+    "published",
 ]

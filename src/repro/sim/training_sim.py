@@ -43,8 +43,10 @@ With ``overlap_halo=False`` / ``overlap_allreduce=False`` /
 ``overlap_shuffle=False`` the dependencies serialize instead — a shuffle
 finished where it starts waits for *all* preceding compute and gates
 everything after it; its duration is the same payload time (the engine
-runs one exchange implementation in both modes).  The ablation benchmarks
-toggle exactly these.
+runs one exchange implementation in both modes).
+``tests/test_sim.py::TestTrainingSimulator`` toggles exactly these
+(``test_overlap_off_is_slower``, ``test_overlapped_shuffle_decomposition``,
+``test_bucketing_requires_overlap``).
 """
 
 from __future__ import annotations

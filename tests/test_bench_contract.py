@@ -103,6 +103,20 @@ def test_environment_knobs_are_the_documented_ones():
     assert in_src and in_src == in_readme
 
 
+@pytest.mark.parametrize(
+    "doc", ["README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"]
+)
+def test_file_paths_the_docs_and_ci_name_exist(doc):
+    """Every ``benchmarks/``, ``tests/``, ``examples/`` or ``src/`` file path
+    in the README, the CI workflow or the verify skill is in the tree: a
+    deleted script cannot live on in a doc or a CI step."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = re.compile(r"\b(?:benchmarks|tests|examples|src)/[\w./-]*\.\w+")
+    named = set(path.findall((root / doc).read_text()))
+    missing = sorted(name for name in named if not (root / name).is_file())
+    assert named and not missing, f"{doc} names files that do not exist: {missing}"
+
+
 def test_counters_the_harness_reads():
     assert BufferPool().hits == 0
     assert CommStats().sends == 0

@@ -290,6 +290,38 @@ class TestBatchNorm:
 
         run_spmd(int(np.prod(grid_shape)), prog)
 
+    def test_aggregation_scope_orders_deviation_from_single_device(self):
+        """Paper §III-B's three variants on a hybrid 2 x (2 x 2) grid, on an
+        input whose tiles genuinely differ: ``"global"`` statistics *are*
+        single-device batch norm, per-tile (``"local"``) ones deviate most,
+        and aggregating over each sample's spatial group lies in between."""
+        from repro.comm import run_spmd
+        from repro.core.dist_layers import DistBatchNorm
+        from repro.core.parallelism import activation_dist
+        from repro.tensor import DistTensor, ProcessGrid
+
+        grid_shape = (2, 1, 2, 2)
+        rng = np.random.default_rng(0)
+        ramp = np.linspace(-4.0, 4.0, 8)
+        x = rng.standard_normal((4, 3, 8, 8)) * 2.0 + 5.0
+        x += ramp[None, None, :, None] + ramp[None, None, None, :]
+        y_ref, _ = F.batchnorm_forward(x, np.ones(3), np.zeros(3))
+
+        def prog(comm):
+            grid = ProcessGrid(comm, grid_shape)
+            xt = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
+            return {
+                aggregate: DistBatchNorm(
+                    grid, np.ones(3), np.zeros(3), aggregate=aggregate
+                ).forward(xt).to_global()
+                for aggregate in ("local", "spatial", "global")
+            }
+
+        y = run_spmd(8, prog)[0]
+        deviation = {k: float(np.abs(v - y_ref).max()) for k, v in y.items()}
+        assert deviation["global"] < 1e-10
+        assert deviation["local"] > deviation["spatial"] > deviation["global"]
+
     @pytest.mark.parametrize("sample,height,expected", [(2, 1, 3), (2, 2, 4)])
     def test_one_bn_net_issues_two_statistics_allreduces_per_step(
         self, sample, height, expected

@@ -10,9 +10,6 @@ The equivalence tests run on both world backends (the ``backend``
 fixture); the process backend covers a reduced rank/geometry matrix.
 """
 
-import os
-import sys
-
 import numpy as np
 import pytest
 
@@ -359,23 +356,3 @@ class TestRegionExchange:
             # Steps 2-4 should recycle the assembly buffers AND the send
             # strips staged in steps 1-3; far more hits than cold misses.
             assert hits > misses, (hits, misses)
-
-
-def test_halo_overlap_benchmark_regression():
-    """Tier-1 guard on the halo benchmark (benchmarks/bench_*.py is not
-    collected by pytest): it must run end-to-end and account for the
-    exposed/hidden halo split.  No speedup floor — tier-1 compares no wall
-    clocks; the end-to-end benchmark's bounds are the speed guard."""
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
-    )
-    try:
-        import bench_halo_overlap as bh
-    finally:
-        sys.path.pop(0)
-    text, payload = bh.generate_halo_overlap(
-        steps=2, repeats=1, json_path=None, backends=("thread",)
-    )
-    for cfg in payload["configs"]:
-        assert cfg["sync_step_s"] > 0 and cfg["overlap_step_s"] > 0
-        assert cfg["halo_hidden_s"] + cfg["halo_exposed_s"] > 0, text

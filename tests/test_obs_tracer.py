@@ -1,8 +1,8 @@
 """The span tracer's core contract: free when off, lossless when on.
 
-Disabled tracing must be a no-op — no files, no context, and a per-call
-cost bounded by a pin — because the instrumentation is compiled into every
-hot path of the engine.  Enabled tracing must close every span (also under
+Disabled tracing must be a no-op — no files, no context, no allocation —
+because the instrumentation is compiled into every hot path of the
+engine.  Enabled tracing must close every span (also under
 exceptions), stamp flow events with deterministic per-(peer, tag)
 sequence numbers, and survive a round trip through the rank file.
 """
@@ -11,7 +11,7 @@ import io
 import json
 import logging
 import os
-from time import perf_counter
+import sys
 
 import pytest
 
@@ -51,19 +51,19 @@ class TestDisabled:
             tracer.exit_rank(thread_scope=True)
         assert os.listdir(tmp_path) == []
 
-    def test_disabled_span_cost_is_pinned(self):
-        """A disabled span() is a flag check + cached null object.
-
-        The pin is deliberately loose (10us/call) — it catches a regression
-        to eager-event construction, not scheduler noise.
-        """
-        n = 50_000
-        t0 = perf_counter()
+    def test_disabled_span_allocates_nothing(self):
+        """A disabled span() is a flag check + the cached null object: N
+        entries leave no allocated block behind, where building an event
+        per call would leave N — a count, not a clock."""
+        n = 10_000
+        null = tracer.span("warm")
+        before = sys.getallocatedblocks()
         for _ in range(n):
-            with tracer.span("bench", cat="bench", bytes=0):
+            entered = tracer.span("bench", cat="bench", bytes=0)
+            with entered:
                 pass
-        per_call = (perf_counter() - t0) / n
-        assert per_call < 10e-6, f"disabled span() costs {per_call * 1e9:.0f} ns"
+            assert entered is null
+        assert sys.getallocatedblocks() - before < 16  # loop temporaries
 
     def test_null_span_is_cached(self):
         assert tracer.span("a") is tracer.span("b")

@@ -23,6 +23,7 @@ from repro.perfmodel import (
     LASSEN,
     MemoryModel,
     NetworkCostModel,
+    published,
 )
 from repro.perfmodel.conv_model import ConvGeometry
 from repro.perfmodel.layer_cost import conv_layer_cost
@@ -131,13 +132,15 @@ class TestConvModels:
         GPU; the calibrated model must land within 35%."""
         model = CalibratedConvModel(LASSEN.gpu)
         g = ConvGeometry(n=1, c=18, h=2052, w=2052, f=128, kh=5, kw=5, sh=2, sw=2)
-        assert model.fp(g) == pytest.approx(7.5e-3, rel=0.35)
+        fp_ms, _ = published.FIG_ONE_GPU_MS["conv1_1"]
+        assert model.fp(g) == pytest.approx(fp_ms * 1e-3, rel=0.35)
 
     def test_calibrated_fp_anchor_res3b(self):
         """Fig. 2: res3b_branch2a FP at N=1 is ~40 us on one GPU."""
         model = CalibratedConvModel(LASSEN.gpu)
         g = ConvGeometry(n=1, c=512, h=28, w=28, f=128, kh=1, kw=1)
-        assert 10e-6 < model.fp(g) < 80e-6
+        fp_ms, _ = published.FIG_ONE_GPU_MS["res3b_branch2a"]
+        assert fp_ms * 1e-3 / 4 < model.fp(g) < fp_ms * 1e-3 * 2
 
     def test_bp_slower_than_fp(self):
         model = CalibratedConvModel(LASSEN.gpu)
@@ -193,10 +196,17 @@ class TestConvLayerCost:
         base.update(over)
         return base
 
-    def test_no_halo_for_1x1(self):
+    @pytest.mark.parametrize("ways", [2, 4, 8, 16])
+    @pytest.mark.parametrize(
+        "geometry",
+        [dict(kernel=1, pad=0), published.FIG_LAYERS["res3b_branch2a"]],
+        ids=["generic", "res3b_branch2a"],
+    )
+    def test_no_halo_for_1x1(self, geometry, ways):
+        """Fig. 2: "the filter size means that no halo exchange is needed"."""
         cost = conv_layer_cost(
-            LASSEN, CalibratedConvModel(LASSEN.gpu),
-            **self.kwargs(kernel=1, pad=0), parallelism=LP(height=2, width=2),
+            LASSEN, CalibratedConvModel(LASSEN.gpu), **self.kwargs(**geometry),
+            parallelism=LP.spatial_square(sample=1, ways=ways),
         )
         assert cost.fp_halo == 0.0
 
@@ -234,6 +244,54 @@ class TestConvLayerCost:
         )
         assert four.fp_compute < one.fp_compute / 2
 
+    @staticmethod
+    def fig_layer_times(layer, ways):
+        """(FP, BP) seconds of a Fig. 2/3 layer at N=1 on ``ways`` GPUs,
+        halo overlapped and allreduce excluded as in the paper's plots."""
+        cost = conv_layer_cost(
+            LASSEN, CalibratedConvModel(LASSEN.gpu), n_global=1, total_ranks=ways,
+            parallelism=LP.spatial_square(sample=1, ways=ways),
+            **published.FIG_LAYERS[layer],
+        )
+        return cost.fp_time(overlap=True), cost.bp_time(overlap=True)
+
+    @pytest.mark.parametrize("layer", published.FIG_LAYERS)
+    def test_fig_one_gpu_forward_anchor(self, layer):
+        """Within a factor of two of the plotted value: the calibration
+        prioritises the end-to-end tables over single layers."""
+        fp_ms, _ = published.FIG_ONE_GPU_MS[layer]
+        fp, _ = self.fig_layer_times(layer, 1)
+        assert fp_ms / 2 < fp * 1e3 < fp_ms * 2
+
+    def test_fig3_scaling_contrast(self):
+        """Fig. 3: the 2K ``conv1_1`` gains ~14.8x on 16 GPUs where the deep
+        ``conv6_1`` gains ~1.4x — spatial parallelism pays on large domains."""
+        _, bp_ms = published.FIG_ONE_GPU_MS["conv1_1"]
+        assert self.fig_layer_times("conv1_1", 1)[1] * 1e3 == pytest.approx(bp_ms, rel=0.5)
+        gain = {
+            layer: sum(self.fig_layer_times(layer, 1)) / sum(self.fig_layer_times(layer, 16))
+            for layer in ("conv1_1", "conv6_1")
+        }
+        assert 10.0 < gain["conv1_1"] <= 16.5
+        assert gain["conv6_1"] < 2.5
+
+
+def _cells(table, ways):
+    """``(N, GPUs/sample, published seconds)`` of every measured cell."""
+    return [
+        (n, w, seconds)
+        for n, row in table.items()
+        for w, seconds in zip(ways, row)
+        if seconds is not None
+    ]
+
+
+def _modelled(model, n, ways, per_group=1):
+    """The model's mini-batch time for a table cell: ``n`` samples in groups
+    of ``per_group``, each group spread over ``ways`` GPUs."""
+    par = LP.spatial_square(sample=n // per_group, ways=ways)
+    return model.minibatch_time(n, ParallelStrategy.uniform(par))
+
 
 class TestNetworkCostAnchors:
     """Regression-guard the calibration against the paper's anchor cells.
@@ -242,75 +300,76 @@ class TestNetworkCostAnchors:
     need not match) but pins the *shape*: who wins and by roughly how much.
     """
 
+    MESH1K = NetworkCostModel(mesh_model_1k(), LASSEN)
+    MESH2K = NetworkCostModel(mesh_model_2k(), LASSEN)
+    RESNET = NetworkCostModel(build_resnet50(), LASSEN)
+
     @pytest.mark.parametrize(
-        "par,paper",
-        [
-            (LP(sample=4), 0.403),
-            (LP(sample=4, width=2), 0.200),
-            (LP(sample=4, height=2, width=2), 0.121),
-            (LP(sample=4, height=4, width=2), 0.0906),
-            (LP(sample=4, height=4, width=4), 0.066),
-        ],
+        "n,ways,paper", _cells(published.TABLE1, published.TABLE1_WAYS)
     )
-    def test_mesh1k_anchor(self, par, paper):
-        t = NetworkCostModel(mesh_model_1k(), LASSEN).minibatch_time(
-            4, ParallelStrategy.uniform(par)
-        )
-        assert t == pytest.approx(paper, rel=0.35)
+    def test_mesh1k_anchor(self, n, ways, paper):
+        assert _modelled(self.MESH1K, n, ways) == pytest.approx(paper, rel=0.35)
+
+    @pytest.mark.parametrize(
+        "n,ways,paper", _cells(published.TABLE2, published.TABLE2_WAYS)
+    )
+    def test_mesh2k_anchor(self, n, ways, paper):
+        """The 2K absolutes run ~1.3x slow in this calibration; every
+        speedup ratio matches (next tests)."""
+        assert _modelled(self.MESH2K, n, ways) == pytest.approx(paper, rel=0.60)
+
+    @pytest.mark.parametrize(
+        "n,ways,paper", _cells(published.TABLE3, published.TABLE3_WAYS)
+    )
+    def test_resnet_anchor(self, n, ways, paper):
+        t = _modelled(self.RESNET, n, ways, published.TABLE3_SAMPLES_PER_GROUP)
+        assert t == pytest.approx(paper, rel=0.40)
 
     def test_mesh1k_speedup_shape(self):
         """Table I speedups at N=4: ~2.0, 3.3, 4.4, 6.1."""
-        model = NetworkCostModel(mesh_model_1k(), LASSEN)
-        base = model.minibatch_time(4, ParallelStrategy.uniform(LP(sample=4)))
-        speedups = [
-            base / model.minibatch_time(4, ParallelStrategy.uniform(p))
-            for p in (
-                LP(sample=4, width=2),
-                LP(sample=4, height=2, width=2),
-                LP(sample=4, height=4, width=2),
-                LP(sample=4, height=4, width=4),
-            )
-        ]
-        paper = [2.0, 3.3, 4.4, 6.1]
-        for got, want in zip(speedups, paper):
-            assert got == pytest.approx(want, rel=0.25)
+        base, *rest = published.TABLE1[4]
+        ours = [_modelled(self.MESH1K, 4, w) for w in published.TABLE1_WAYS]
+        speedups = [ours[0] / t for t in ours[1:]]
+        for got, seconds in zip(speedups, rest):
+            assert got == pytest.approx(base / seconds, rel=0.25)
         # Monotone but sub-linear: each doubling of GPUs gains < 2x.
         assert speedups[0] < speedups[1] < speedups[2] < speedups[3]
         assert speedups[3] < 2 * speedups[2]
 
     def test_mesh2k_speedup_shape(self):
-        """Table II speedups over 2 GPUs/sample: ~2.1, 2.9, 3.6."""
-        model = NetworkCostModel(mesh_model_2k(), LASSEN)
-        base = model.minibatch_time(
-            2, ParallelStrategy.uniform(LP(sample=2, width=2))
-        )
-        speedups = [
-            base / model.minibatch_time(2, ParallelStrategy.uniform(p))
-            for p in (
-                LP(sample=2, height=2, width=2),
-                LP(sample=2, height=4, width=2),
-                LP(sample=2, height=4, width=4),
-            )
-        ]
+        """Table II speedups over 2 GPUs/sample at N=2: ~2.1, 2.9, 3.6."""
+        base, *rest = published.TABLE2[2]
+        ours = [_modelled(self.MESH2K, 2, w) for w in published.TABLE2_WAYS]
+        speedups = [ours[0] / t for t in ours[1:]]
         # Our calibration scales the 2K model somewhat better than the
-        # paper measured at the finest decompositions (see EXPERIMENTS.md).
-        for got, want in zip(speedups, [2.1, 2.9, 3.6]):
-            assert got == pytest.approx(want, rel=0.45)
+        # paper measured at the finest decompositions.
+        for got, seconds in zip(speedups, rest):
+            assert got == pytest.approx(base / seconds, rel=0.45)
         assert speedups[0] < speedups[1] < speedups[2]
 
+    def resnet_hybrid_gains(self, n):
+        """Speedup of hybrid 2- and 4-way over sample parallelism at N=n."""
+        base, two, four = (
+            _modelled(self.RESNET, n, w, published.TABLE3_SAMPLES_PER_GROUP)
+            for w in published.TABLE3_WAYS
+        )
+        return base / two, base / four
+
     def test_resnet_speedup_shape(self):
-        """Table III: hybrid 2-way ~1.4x, 4-way ~1.7x at N=128."""
-        model = NetworkCostModel(build_resnet50(), LASSEN)
-        base = model.minibatch_time(128, ParallelStrategy.uniform(LP(sample=4)))
-        s2 = base / model.minibatch_time(
-            128, ParallelStrategy.uniform(LP(sample=4, width=2))
-        )
-        s4 = base / model.minibatch_time(
-            128, ParallelStrategy.uniform(LP(sample=4, height=2, width=2))
-        )
-        assert s2 == pytest.approx(1.4, rel=0.25)
-        assert s4 == pytest.approx(1.7, rel=0.25)
-        assert 1.0 < s2 < s4 < 4.0  # far from linear: small spatial domains
+        """Table III: hybrid 2-way ~1.4x, 4-way ~1.8x at N=128."""
+        paper, paper2, paper4 = published.TABLE3[128]
+        s2, s4 = self.resnet_hybrid_gains(128)
+        assert s2 == pytest.approx(paper / paper2, rel=0.25)
+        assert s4 == pytest.approx(paper / paper4, rel=0.25)
+
+    @pytest.mark.parametrize("n", published.TABLE3)
+    def test_resnet_hybrid_gain_band(self, n):
+        """Table III at every mini-batch size: hybrid 2-way ~1.3-1.5x,
+        4-way ~1.4-1.8x — "achieving near-linear speedup is unlikely"."""
+        s2, s4 = self.resnet_hybrid_gains(n)
+        assert 1.2 <= s2 <= 1.8
+        assert 1.3 <= s4 <= 2.2
+        assert s2 < s4  # far from linear: small spatial domains
 
     def test_weak_scaling_flat(self):
         """Fig. 4: mini-batch time stays ~flat as N grows with GPUs."""

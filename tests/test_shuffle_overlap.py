@@ -13,9 +13,6 @@ are recorded under the ``"shuffle"`` op, and that plans are cached across
 steps.
 """
 
-import os
-import sys
-
 import numpy as np
 import pytest
 
@@ -211,24 +208,3 @@ class TestShuffleAccounting:
             assert split > 0.0  # the timing split is actually recorded
             assert "shuffle" in report
             assert "hidden behind adjacent compute" in report
-
-
-def test_shuffle_overlap_benchmark_regression():
-    """Tier-1 guard on the shuffle benchmark (benchmarks/bench_*.py is not
-    collected by pytest): the benchmark must run end-to-end and account
-    for the exposed/hidden shuffle split.  No speedup floor — tier-1
-    compares no wall clocks; the end-to-end benchmark's bounds are the
-    speed guard."""
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
-    )
-    try:
-        import bench_shuffle_overlap as bs
-    finally:
-        sys.path.pop(0)
-    text, payload = bs.generate_shuffle_overlap(
-        steps=2, repeats=1, json_path=None, backends=("thread",)
-    )
-    for cfg in payload["configs"]:
-        assert cfg["sync_step_s"] > 0 and cfg["overlap_step_s"] > 0
-        assert cfg["shuffle_hidden_s"] + cfg["shuffle_exposed_s"] > 0, text
