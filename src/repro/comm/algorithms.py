@@ -52,7 +52,7 @@ algorithmic results match it to floating-point *allclose*, not bitwise —
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Any, Callable
 
@@ -75,7 +75,10 @@ class Step:
     whole-buffer algorithms the range spans every chunk).  ``acc_first``
     orders the combine of a ``recv_reduce``: ``fn(acc, recv)`` when True,
     ``fn(recv, acc)`` when False — fixed at compile time so the reduction
-    order is a pure function of ``(algorithm, p)``.
+    order is a pure function of ``(algorithm, p)``.  ``done`` marks the
+    steps that move *finished* chunks (every member's contribution folded
+    in): the ``recv_reduce`` that completes a chunk's fold on its owner,
+    and every send or receive of it after that (:func:`_mark_done`).
     """
 
     kind: str  # "send" | "recv" | "recv_reduce"
@@ -83,6 +86,7 @@ class Step:
     lo: int
     hi: int
     acc_first: bool = True
+    done: bool = False
 
 
 def chunk_offsets(n: int, p: int) -> tuple[int, ...]:
@@ -123,12 +127,59 @@ def compile_allreduce(p: int, algorithm: str) -> tuple[tuple[Step, ...], ...]:
     if p == 1:
         return (tuple(),)
     if algorithm == "ring":
-        return _compile_ring(p)
+        return _mark_done(_compile_ring(p))
     if algorithm == "rabenseifner":
         if not is_power_of_two(p):
-            return _compile_ring(p)
-        return _compile_rabenseifner(p)
-    return _compile_recursive_doubling(p)
+            return compile_allreduce(p, "ring")
+        return _mark_done(_compile_rabenseifner(p))
+    return _mark_done(_compile_recursive_doubling(p))
+
+
+def _mark_done(
+    scheds: tuple[tuple[Step, ...], ...]
+) -> tuple[tuple[Step, ...], ...]:
+    """Set :attr:`Step.done` by running every rank's schedule symbolically.
+
+    Each rank starts with one contribution in every chunk; a send carries
+    the sender's per-chunk counts, a ``recv`` replaces the receiver's and a
+    ``recv_reduce`` adds to them, matched per ``(sender, receiver)`` in
+    program order as the mailbox matches them.  A step is ``done`` when the
+    chunks it moves hold all ``p`` contributions.  Within one step that is
+    all of its chunks or none — the schedules only ever send finished
+    chunks as plain ``recv``s — which is asserted, so a schedule that broke
+    the rule could not silently fuse an update into a partial sum.
+    """
+    p = len(scheds)
+    nchunks = max(st.hi for steps in scheds for st in steps)
+    counts = [[1] * nchunks for _ in range(p)]
+    wires: dict[tuple[int, int], list[list[int]]] = {}
+    pos = [0] * p
+    out: list[list[Step]] = [[] for _ in range(p)]
+    moved = True
+    while moved:
+        moved = False
+        for r, steps in enumerate(scheds):
+            while pos[r] < len(steps):
+                st = steps[pos[r]]
+                mine = counts[r]
+                if st.kind == "send":
+                    wires.setdefault((r, st.peer), []).append(mine[st.lo : st.hi])
+                else:
+                    queue = wires.get((st.peer, r))
+                    if not queue:
+                        break
+                    got = queue.pop(0)
+                    if st.kind == "recv":
+                        mine[st.lo : st.hi] = got
+                    else:
+                        mine[st.lo : st.hi] = map(sum, zip(mine[st.lo : st.hi], got))
+                full = {c == p for c in mine[st.lo : st.hi]}
+                assert len(full) <= 1 and (st.kind != "recv" or full == {True}), st
+                out[r].append(replace(st, done=full == {True}))
+                pos[r] += 1
+                moved = True
+    assert all(pos[r] == len(steps) for r, steps in enumerate(scheds))
+    return tuple(tuple(steps) for steps in out)
 
 
 @lru_cache(maxsize=None)
@@ -178,19 +229,11 @@ def segment_steps(
     """
     if nseg <= 1:
         return steps
-    out: list[Step] = []
-    for st in steps:
-        for g in range(nseg):
-            out.append(
-                Step(
-                    st.kind,
-                    st.peer,
-                    g * p + st.lo,
-                    g * p + st.hi,
-                    st.acc_first,
-                )
-            )
-    return tuple(out)
+    return tuple(
+        replace(st, lo=g * p + st.lo, hi=g * p + st.hi)
+        for st in steps
+        for g in range(nseg)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -397,19 +440,15 @@ def compile_hierarchical_allreduce(
             w = (i + 1) % k if k > 1 else 0
             base = w * m
             counterparts = tuple(nodes[j][i] for j in range(m))
-            for st in inter[u]:
-                steps.append(
-                    Step(
-                        st.kind,
-                        counterparts[st.peer],
-                        st.lo + base,
-                        st.hi + base,
-                        st.acc_first,
-                    )
+            steps.extend(
+                replace(
+                    st, peer=counterparts[st.peer], lo=st.lo + base, hi=st.hi + base
                 )
+                for st in inter[u]
+            )
             # Phase 3: intra-node ring allgather of the finished windows.
             steps.extend(_ring_pass(group, i, i + 1, "recv", m))
-    return tuple(tuple(s) for s in scheds)
+    return _mark_done(tuple(tuple(s) for s in scheds))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +563,18 @@ class ScheduleRunner(WireTally):
     :meth:`finish` blocks through the remaining steps.  The arithmetic
     order is fixed by the compiled schedule, so *when* progress happens
     never affects the result.
+
+    ``update(lo, hi, reduced, out)``, if given, is an element-wise map
+    fused into the reduction: right after the ``recv_reduce`` that
+    completes the fold of elements ``[lo, hi)`` on this rank (a
+    :attr:`Step.done` one) it is called with that reduced slice and the
+    slice of ``out`` where the mapped values must go.  Every later step
+    moves finished elements between the ``out`` buffers (default: the
+    working buffer itself; ignored without an ``update``), so the
+    allgather half carries mapped values and :meth:`finish` returns
+    ``out``.  A rank maps only the elements its own folds finished — under
+    ring and Rabenseifner one rank per element, under recursive doubling
+    every rank that took part in the doubling.
     """
 
     #: Later steps only move when every member drives its own runner.
@@ -541,6 +592,8 @@ class ScheduleRunner(WireTally):
         owns_buffer: bool = False,
         inter_peers: tuple[bool, ...] | None = None,
         ufunc: Any = None,
+        update: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None,
+        out: np.ndarray | None = None,
     ) -> None:
         self._comm = comm
         self._opname = opname
@@ -555,6 +608,8 @@ class ScheduleRunner(WireTally):
             self._buf = value.reshape(-1)
         else:
             self._buf = value.flatten()
+        self._update = update
+        self._out = self._buf if update is None or out is None else out.reshape(-1)
         # ``offsets`` overrides the near-equal chunking for ops whose
         # chunks are semantic units (reduce_scatter's per-destination
         # parts); every rank must derive the identical table.
@@ -593,10 +648,9 @@ class ScheduleRunner(WireTally):
             return  # empty segment: skipped symmetrically on the recv side
         comm = self._comm
         dest = comm._members[step.peer]
+        view = (self._out if step.done else self._buf)[a:b]
         if self._stage or dest == comm.world_rank:
-            view = _stage_segment(comm, self._buf[a:b])
-        else:
-            view = self._buf[a:b]
+            view = _stage_segment(comm, view)
         comm._world.deliver(comm.world_rank, dest, self._tag, view)
         _trace.flow_out(dest, self._tag)
         self.count_sent(step.peer, view.nbytes)
@@ -608,7 +662,7 @@ class ScheduleRunner(WireTally):
         a, b = self._range(step)
         seg = self._buf[a:b]
         if step.kind == "recv":
-            seg[...] = payload
+            (self._out if step.done else self._buf)[a:b] = payload
         elif self._ufunc is not None:
             if step.acc_first:
                 self._ufunc(seg, payload, out=seg)
@@ -635,8 +689,9 @@ class ScheduleRunner(WireTally):
 
     def _advance(self, block: bool) -> bool:
         """Run steps in order; every receive is consumed by :meth:`_apply`
-        as the transport's sink.  Nonblocking, stop at the first receive
-        whose message has not arrived (False)."""
+        as the transport's sink (the fused map runs after the transport
+        has let go of the message).  Nonblocking, stop at the first
+        receive whose message has not arrived (False)."""
         comm = self._comm
         world, me = comm._world, comm.world_rank
         while self._pos < len(self._steps):
@@ -652,6 +707,11 @@ class ScheduleRunner(WireTally):
                     )
                 elif not world.try_collect(me, source, self._tag, sink=sink)[0]:
                     return False
+                if self._update and step.done and step.kind == "recv_reduce":
+                    # This fold finished these elements: map them into
+                    # ``out`` before any later step sends them.
+                    a, b = self._range(step)
+                    self._update(a, b, self._buf[a:b], self._out[a:b])
             self._pos += 1
         return True
 
@@ -660,9 +720,10 @@ class ScheduleRunner(WireTally):
         return self._advance(block=False)
 
     def finish(self) -> np.ndarray:
-        """Block through the remaining steps; return the reduced array."""
+        """Block through the remaining steps; return the reduced (or, with
+        an ``update``, mapped) array."""
         self._advance(block=True)
-        return self._buf.reshape(self._shape)
+        return self._out.reshape(self._shape)
 
 
 class Endpoint(WireTally):

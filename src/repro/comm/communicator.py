@@ -95,6 +95,7 @@ Semantics implemented:
 from __future__ import annotations
 
 import os
+from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
@@ -215,6 +216,21 @@ def _env_knobs() -> tuple[str | None, Any]:
 #: A reduction plan is ``(algorithm, this rank's compiled steps, offset table,
 #: segment count)``; this one says "take the ``"direct"`` exchange".
 _DIRECT_PLAN = ("direct", None, None, 0)
+
+
+def _mapped(
+    combine: Callable[[list[Any]], Any],
+    update: Callable[[int, int, np.ndarray, np.ndarray], None],
+    out: np.ndarray | None,
+    slots: list[Any],
+) -> np.ndarray:
+    """The ``"direct"`` fold of an :meth:`Communicator.iallreduce`, then its
+    fused map over the whole (fresh) folded buffer."""
+    reduced = combine(slots)
+    flat = reduced.reshape(-1)
+    dst = flat if out is None else out.reshape(-1)
+    update(0, flat.size, flat, dst)
+    return dst.reshape(reduced.shape)
 
 
 def _schedulable_array(payload: Any) -> bool:
@@ -582,11 +598,41 @@ class Communicator:
         if not isinstance(value, np.ndarray):
             self._knob(algorithm, _REDUCTION_ALG_CHOICES, opname)  # validate
             return _DIRECT_PLAN
-        key = (opname, algorithm, segment_bytes, value.size, value.dtype)
+        return self._array_plan(
+            opname, algorithm, segment_bytes, value.size, value.dtype
+        )
+
+    def _array_plan(self, *key: Any) -> tuple:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._plan_reduction(*key)
         return plan
+
+    def owned_ranges(
+        self,
+        n: int,
+        dtype: Any,
+        *,
+        algorithm: str | None = None,
+        segment_bytes: int | str | None = None,
+    ) -> tuple[tuple[int, int], ...]:
+        """The element ranges ``[lo, hi)`` of an ``n``-element
+        :meth:`iallreduce` (same knobs) whose fold completes on this rank:
+        where its ``update`` map runs here, in the order it runs.  The
+        ``"direct"`` exchange — and so a one-rank group — folds everything
+        everywhere; recursive doubling finishes the whole buffer on every
+        rank that takes part in the doubling; ring and Rabenseifner give each
+        rank its own chunk (one per pipeline segment)."""
+        _, steps, offsets, _ = self._array_plan(
+            "iallreduce", algorithm, segment_bytes, n, np.dtype(dtype)
+        )
+        if steps is None:
+            return ((0, n),) if n else ()
+        return tuple(
+            (offsets[st.lo], offsets[st.hi])
+            for st in steps
+            if st.done and st.kind == "recv_reduce" and offsets[st.hi] > offsets[st.lo]
+        )
 
     def _plan_reduction(
         self, opname: str, algorithm: Any, segment_bytes: Any, n: int, dtype: np.dtype
@@ -667,11 +713,14 @@ class Communicator:
         value: np.ndarray,
         op: str,
         owns_buffer: bool = False,
+        update: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None,
+        out: np.ndarray | None = None,
     ) -> "_alg.ScheduleRunner":
         """The schedule runner for one scheduled reduction under ``plan``.
 
         ``owns_buffer``: the runner may reduce in place in ``value`` (a
-        donated contribution) instead of in a private copy.
+        donated contribution) instead of in a private copy; ``update`` and
+        ``out``: the fused map (:meth:`iallreduce`).
         """
         _, steps, offsets, nseg = plan
         if nseg:
@@ -680,6 +729,7 @@ class Communicator:
             self, opname, steps, value, _reduce_fn(op), self._next_coll_seq(),
             offsets=offsets, owns_buffer=owns_buffer,
             inter_peers=self._inter_flags(), ufunc=_REDUCE_UFUNCS.get(op),
+            update=update, out=out,
         )
 
     def _resolve_tree(self, algorithm: Any, opname: str) -> str:
@@ -1032,6 +1082,8 @@ class Communicator:
         algorithm: str | None = None,
         segment_bytes: int | str | None = None,
         donate: bool = False,
+        update: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None,
+        out: np.ndarray | None = None,
     ) -> Request:
         """Nonblocking allreduce: returns a handle immediately.
 
@@ -1040,6 +1092,19 @@ class Communicator:
         again, a scheduled algorithm reduces in it instead of in a private
         copy, and the result may alias it.  Without it the caller's array
         is only ever read.
+
+        ``update(lo, hi, reduced, dst)`` fuses an element-wise map into the
+        reduction (Das et al.'s part-reduce / part-broadcast): a rank maps
+        the elements whose fold finished on it — :meth:`owned_ranges` says
+        which — with ``reduced`` the reduced slice ``[lo, hi)`` and ``dst``
+        the same slice of ``out`` (a C-contiguous array of ``value``'s
+        size; default: the reduced buffer itself) to write the mapped
+        values to.  The allgather half then
+        carries mapped values, and the result is ``out``.  On a scheduled
+        algorithm the map runs between the reduce-scatter and the
+        allgather, on this rank's chunks only; ``"direct"`` maps the whole
+        folded buffer on every rank.  Wire bytes, messages and the reduced
+        values the map sees are exactly the plain allreduce's.
 
         ``algorithm`` and ``segment_bytes`` select the wire path exactly
         as in :meth:`allreduce` — a segmented schedule gives ``test()``
@@ -1062,11 +1127,16 @@ class Communicator:
         """
         plan = self._reduction_plan("iallreduce", algorithm, segment_bytes, value)
         if plan is _DIRECT_PLAN:
+            combine = self._reduce_combine(_reduce_fn(op))
+            if update is not None:
+                combine = partial(_mapped, combine, update, out)
             return _RunnerRequest(
                 self, self._exchange("iallreduce", [freeze(value)] * self.size),
-                "iallreduce", self._reduce_combine(_reduce_fn(op)),
+                "iallreduce", combine,
             )
-        runner = self._reduction_runner("iallreduce", plan, value, op, donate)
+        runner = self._reduction_runner(
+            "iallreduce", plan, value, op, donate, update, out
+        )
         return _RunnerRequest(self, runner, "iallreduce")
 
     def reduce_scatter(

@@ -242,6 +242,8 @@ class DistNetwork:
         #: ``_sched`` is the last forward's.
         self._lowered: dict[int, StepSchedule] = {}
         self._sched: StepSchedule | None = None
+        #: One gradient reducer per lowered schedule, cut by it.
+        self._reducers: dict[StepSchedule, BucketedGradReducer] = {}
         self._acts: dict[str, DistTensor] = {}
         self.loss: float | None = None
         self.shuffle_count = 0
@@ -333,8 +335,28 @@ class DistNetwork:
                         launch(s)
         return self.loss
 
-    def backward(self, grad_hook=None) -> dict[str, dict[str, np.ndarray]]:
-        """Backpropagate and complete weight gradients with allreduces.
+    def _reducer(self) -> BucketedGradReducer:
+        """The gradient reducer of the current schedule: its buckets are
+        the schedule's cuts — one per layer when ``overlap_grad_reduce`` is
+        off, so draining after every layer reduces each on its own."""
+        reducer = self._reducers.get(self._sched)
+        if reducer is None:
+            cuts = self._sched.grad_buckets(
+                self.grad_bucket_bytes if self.overlap_grad_reduce else 1,
+                np.dtype(self.dtype).itemsize,
+            )
+            reducer = self._reducers[self._sched] = BucketedGradReducer(
+                cuts, self.params,
+                algorithm=self.collective_algorithm,
+                segment_bytes=self.grad_segment_bytes,
+            )
+        return reducer
+
+    def backward(
+        self, grad_hook=None, optimizer=None
+    ) -> dict[str, dict[str, np.ndarray]]:
+        """Backpropagate and complete weight gradients with allreduces —
+        or, given an ``optimizer``, update the parameters with them.
 
         Walks the schedule's backward list — only layers that need an error
         signal (:meth:`~repro.nn.graph.NetworkSpec.needs_error_signal`);
@@ -356,26 +378,35 @@ class DistNetwork:
         before returning, otherwise the reducer is drained after every
         layer.
 
+        With an ``optimizer`` (what :class:`~repro.core.trainer.DistTrainer`
+        passes), its step is fused into the reduction: each rank updates
+        the slices of a bucket whose fold it finished, as soon as it
+        finishes them, and the allgather half carries the updated weights
+        (:mod:`repro.core.grad_reducer`).  No complete gradient is ever
+        assembled then, so the returned dict is empty — the parameters are
+        bitwise those of ``backward()`` followed by ``optimizer.step``.
+
         ``grad_hook(layer, grads)``, if given, is invoked once per layer
         as soon as that layer's *reduced* gradients are complete — for the
         overlapped reducer this happens mid-backpropagation as buckets
         finish (each layer's enqueue polls the in-flight requests, landing
-        one more pipeline segment of each segmented allreduce), so an
-        optimizer can apply early layers' updates while later gradients
-        are still on the wire.  Every layer is hooked exactly once; layers
-        still pending at the end are hooked after the final drain.  The
-        returned dict is unchanged — hooking is observation, not
-        consumption.
+        one more pipeline segment of each segmented allreduce).  Every
+        layer is hooked exactly once; layers still pending at the end are
+        hooked after the final drain.  The returned dict is unchanged —
+        hooking is observation, not consumption — and there is nothing to
+        observe under a fused update.
         """
+        if grad_hook is not None and optimizer is not None:
+            raise ValueError(
+                "grad_hook observes reduced gradients, which a fused "
+                "optimizer update never assembles"
+            )
         grads: dict[str, dict[str, np.ndarray]] = {}
         #: Per-layer error contributions (DistTensor or in-flight
         #: ShuffleExchange), in arrival order.
         pending: dict[str, list] = {}
-        reducer = BucketedGradReducer(
-            self.grad_bucket_bytes,
-            algorithm=self.collective_algorithm,
-            segment_bytes=self.grad_segment_bytes,
-        )
+        reducer = self._reducer()
+        reducer.optimizer = optimizer
         hooked: set[str] = set()
 
         def hook(name: str, g: dict[str, np.ndarray]) -> None:
@@ -423,7 +454,7 @@ class DistNetwork:
                 done = reducer.add(name, g, comm)
                 if not self.overlap_grad_reduce:
                     grads.update(reducer.drain())
-                    done = grads[name]
+                    done = grads.get(name)
                 if done is not None:
                     # Already complete: a singleton gradient group (add()
                     # passed the partials straight through) or the drain above.
@@ -480,12 +511,12 @@ class DistNetwork:
 
     # -- convenience -----------------------------------------------------------------
     def loss_and_grad(
-        self, inputs, targets, grad_hook=None
+        self, inputs, targets, grad_hook=None, optimizer=None
     ) -> tuple[float, dict[str, dict[str, np.ndarray]]]:
         loss = self.forward(inputs, targets=targets, training=True)
         if loss is None:
             raise RuntimeError("network has no loss layer or targets missing")
-        return loss, self.backward(grad_hook=grad_hook)
+        return loss, self.backward(grad_hook=grad_hook, optimizer=optimizer)
 
     def gather_activation(self, name: str) -> np.ndarray:
         """Assemble a layer's global output on every rank (test helper)."""

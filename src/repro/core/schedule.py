@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from repro.nn.graph import NetworkSpec
@@ -119,6 +120,14 @@ def backward_set(spec: NetworkSpec) -> tuple[frozenset[str], frozenset[str]]:
         layer.name for layer in spec if any(p in needs for p in layer.parents)
     )
     return needs, need_dx
+
+
+@lru_cache(maxsize=None)
+def grad_axes(grid_shape: tuple[int, ...], shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The grid axes a layer's dL/dw partials are summed over (paper Eq. 2):
+    those along which its output, of global ``shape``, is partitioned."""
+    out = activation_dist(grid_shape, shape)
+    return tuple(d for d in range(out.ndim) if out.is_split(d))
 
 
 def cut_buckets(
@@ -219,7 +228,7 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
                 # the forward delivered and lands in the parent's own.
                 back = ShuffleOp(f"bwd:shuf:{name}->{p}", p, (name,), shuf.dst, shuf.src)
             edges.append(Edge(p, shuf, p in runs_backward, back))
-        axes = tuple(d for d in range(out[name].ndim) if out[name].is_split(d))
+        axes = grad_axes(grids[name], gshape[name])
         size = math.prod(grids[name][d] for d in axes)
         params = spec.param_count(name, shapes)
         ops.append(

@@ -1,8 +1,15 @@
 """The distributed training loop.
 
-After the gradient allreduce every rank holds identical gradients, so "SGD
-can proceed independently on each processor" (§III-A): the optimizer step is
-purely local and replicas stay bitwise consistent.
+"SGD can proceed independently on each processor" after the gradient
+allreduce (§III-A) describes the reference path — reduce, then step every
+replica — not what a :meth:`DistTrainer.step` runs.  Here the step is fused
+into the bucketed reduction (:mod:`repro.core.grad_reducer`): each rank
+updates the slices whose fold it finished, between the reduce-scatter and
+allgather halves of each bucket, and the allgather carries updated weights.
+Under ring and Rabenseifner (what ``"auto"`` picks for large buckets) every
+weight is updated once per gradient group rather than once per rank, each
+rank keeps momentum only for what it updates, and the replicas stay
+bitwise equal to the reference path's (``tests/test_fused_update.py``).
 
 The trainer also surfaces the communication picture of each run: per-step
 wall time plus the communicator's :class:`~repro.comm.stats.CommStats`,
@@ -69,7 +76,6 @@ class DistTrainer:
         checkpoint_every: int = 0,
         checkpoint_keep: int = 2,
         rng: np.random.Generator | None = None,
-        incremental_update: bool = False,
     ) -> None:
         self.network = network
         self.optimizer = optimizer or SGD(lr=0.1)
@@ -78,46 +84,20 @@ class DistTrainer:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_keep = checkpoint_keep
         self.rng = rng
-        #: Apply each layer's optimizer update as soon as its reduced
-        #: gradient completes (mid-backpropagation, via the network's
-        #: ``grad_hook``) instead of once after the full drain.  With the
-        #: segmented bucketed reducer this starts updating early layers
-        #: while later gradients' segments are still on the wire.  SGD
-        #: updates are independent per (layer, param), so the resulting
-        #: parameters are bitwise identical to the all-at-once step.
-        self.incremental_update = incremental_update
         #: Completed optimizer steps (the unit checkpoints are keyed by).
         self.step_index = 0
 
     def step(self, inputs, targets) -> float:
-        """One training step: forward, backward+overlapped allreduce, update."""
+        """One training step: forward, then backward with the overlapped
+        bucket reductions, each bucket's update fused into its own."""
         with _trace.span("step", cat="train", index=self.step_index):
             return self._step(inputs, targets)
 
     def _step(self, inputs, targets) -> float:
         t0 = perf_counter()
-        if self.incremental_update:
-            applied: set[str] = set()
-
-            def hook(name: str, g) -> None:
-                applied.add(name)
-                self.optimizer.step(self.network.params, {name: g})
-
-            loss, grads = self.network.loss_and_grad(
-                inputs, targets, grad_hook=hook
-            )
-            # Defensive: the hook covers every layer the backward pass
-            # reduced; anything else in grads would be applied twice, so
-            # only the never-hooked remainder is applied here.
-            leftover = {
-                k: v for k, v in grads.items() if k not in applied
-            }
-            if leftover:
-                self.optimizer.step(self.network.params, leftover)
-        else:
-            loss, grads = self.network.loss_and_grad(inputs, targets)
-            with _trace.span("optimizer", cat="train", params=len(grads)):
-                self.optimizer.step(self.network.params, grads)
+        loss, _ = self.network.loss_and_grad(
+            inputs, targets, optimizer=self.optimizer
+        )
         self.stats.record(loss, perf_counter() - t0)
         self.step_index += 1
         if (
@@ -132,20 +112,46 @@ class DistTrainer:
     def save_checkpoint(self) -> str:
         """Atomically persist this rank's training state; return the path.
 
-        No barrier: ranks save independently (replicated state is identical
-        anyway), and :meth:`resume` agrees on the newest step every rank
-        holds, so a rank killed mid-save costs one cadence, not the run.
+        One collective: momentum is sharded in memory (each rank keeps the
+        slices it updates), so the full velocity is assembled from the
+        owners' slices by one allgather over the world, and every rank
+        writes the same replicated state.  Every rank must call this at the
+        same step (``checkpoint_every`` does).  The writes themselves are
+        independent, and :meth:`resume` agrees on the newest step every
+        rank holds, so a rank killed mid-write costs one cadence, not the
+        run.
         """
         if self.checkpoint_dir is None:
             raise RuntimeError("DistTrainer has no checkpoint_dir configured")
         with _trace.span("checkpoint", cat="train", step=self.step_index):
             return self._save_checkpoint()
 
+    def _replicated_velocity(self, local: dict) -> dict:
+        """The full velocity of every parameter, from every rank's
+        ``(layer, param)`` arrays and ``(layer, param, offset)`` slices —
+        identical on every rank (the slices of one element agree wherever
+        several ranks hold them)."""
+        full: dict[tuple[str, str], np.ndarray] = {}
+        for piece in self.network.comm.allgather(local):
+            for key, v in sorted(piece.items(), key=lambda kv: len(kv[0])):
+                layer, pname, *offset = key
+                if not offset:
+                    full[key] = np.array(v)
+                    continue
+                dst = full.get((layer, pname))
+                if dst is None:
+                    shape = self.network.params[layer][pname].shape
+                    dst = full[layer, pname] = np.empty(shape, v.dtype)
+                dst.reshape(-1)[offset[0] : offset[0] + v.size] = v
+        return full
+
     def _save_checkpoint(self) -> str:
+        optimizer = self.optimizer.state_dict()
+        optimizer["velocity"] = self._replicated_velocity(optimizer["velocity"])
         state = {
             "step": self.step_index,
             "network": self.network.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
+            "optimizer": optimizer,
             "rng": self.rng.bit_generator.state if self.rng is not None else None,
         }
         comm = self.network.comm

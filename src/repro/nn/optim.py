@@ -12,10 +12,16 @@ _BLOCK = 1 << 14
 class SGD:
     """Stochastic gradient descent over nested ``{layer: {param: array}}``.
 
-    After the gradient allreduce, "SGD can proceed independently on each
-    processor" (paper §III-A): every rank holds identical replicated
-    parameters and applies identical updates, so no further communication is
-    needed.  The update is deterministic for bitwise replica consistency.
+    "SGD can proceed independently on each processor" after the gradient
+    allreduce (paper §III-A) describes the *reference* path: every rank
+    holds the reduced gradients and applies the identical update to its
+    replica.  :class:`~repro.core.trainer.DistTrainer` instead fuses the
+    update into the reduction (:class:`~repro.core.grad_reducer.BucketedGradReducer`):
+    each rank steps only the slices whose fold it finished and the
+    allgather half carries updated weights — under ring and Rabenseifner
+    every element is updated once per gradient group — and momentum is kept
+    only for those slices (``offsets``, :meth:`shard`).  The update is
+    element-wise, so both paths produce the same bits.
     """
 
     def __init__(
@@ -37,6 +43,7 @@ class SGD:
         self,
         params: dict[str, dict[str, np.ndarray]],
         grads: dict[str, dict[str, np.ndarray]],
+        offsets: dict[tuple[str, str], int] | None = None,
     ) -> None:
         """Update ``params`` in place from ``grads``.
 
@@ -44,7 +51,13 @@ class SGD:
         ``v = momentum * v + g``, ``p -= lr * v`` — evaluated one
         :data:`_BLOCK`-element block at a time, so each parameter, velocity
         and gradient byte is read once and no tensor-sized temporary is
-        allocated.  Element-wise, hence bitwise independent of the blocking.
+        allocated.  Element-wise, hence bitwise independent of the blocking
+        and of how a parameter is sliced.
+
+        ``offsets[layer, param]``, where given, says the arrays are the
+        slice of that parameter starting at that flat element offset (a
+        sharded update): its momentum is kept for that slice alone, under
+        ``(layer, param, offset)``.
         """
         lr, momentum = self.lr, self.momentum
         for lname, lgrads in grads.items():
@@ -59,12 +72,13 @@ class SGD:
                 decay = self.weight_decay if pname == "w" else 0.0
                 v = fresh = None
                 if momentum:
-                    v = self._velocity.get((lname, pname))
+                    key = (lname, pname)
+                    if offsets is not None and key in offsets:
+                        key += (offsets[key],)
+                    v = self._velocity.get(key)
                     fresh = v is None
                     if fresh:
-                        v = self._velocity[(lname, pname)] = np.empty(
-                            g.shape, g.dtype
-                        )
+                        v = self._velocity[key] = np.empty(g.shape, g.dtype)
                     v = v.reshape(-1)
                 p, g = p.reshape(-1), g.ravel()
                 t = self._scratch.get(p.dtype)
@@ -88,8 +102,31 @@ class SGD:
                     np.multiply(gb, lr, out=tb)
                     pb -= tb
 
+    def shard(
+        self, owned: dict[tuple[str, str], tuple[tuple[int, int], ...]]
+    ) -> None:
+        """Cut full velocities down to the slices this rank will update.
+
+        ``owned[layer, param]`` lists the ``(offset, size)`` element ranges
+        of the parameter whose sharded :meth:`step` runs here.  A full
+        velocity held for a parameter that is not owned whole — as
+        :meth:`load_state_dict` restores one — is replaced by copies of
+        those slices (nothing, if none is owned); otherwise this does
+        nothing.
+        """
+        for key, ranges in owned.items():
+            full = self._velocity.get(key)
+            if full is None or ranges == ((0, full.size),):
+                continue
+            del self._velocity[key]
+            flat = full.reshape(-1)
+            for off, size in ranges:
+                self._velocity[key + (off,)] = flat[off : off + size].copy()
+
     def state_dict(self) -> dict:
-        """Persistent optimizer state (momentum velocities), as copies."""
+        """Persistent optimizer state (momentum velocities), as copies —
+        keyed ``(layer, param)``, or ``(layer, param, offset)`` for the
+        slices of a sharded update."""
         return {
             "lr": self.lr,
             "momentum": self.momentum,

@@ -3,10 +3,11 @@
 LBANN statically allocates, for every layer, both its output activations
 and its output error signal (here: for every layer the lowered schedule
 runs backward, see :func:`repro.core.schedule.backward_set`); training
-additionally holds the replicated
-parameters, their gradients, optimizer state, convolution workspace, and
-communication buffers.  This model reproduces the paper's feasibility
-boundaries on 16 GB V100s:
+additionally holds the replicated parameters, their gradients, the
+optimizer state of the slices it updates (1/g of a layer's parameters for a
+gradient group of g ranks), convolution workspace, and communication
+buffers.  This model reproduces the paper's feasibility boundaries on 16 GB
+V100s:
 
 * the 2K mesh model cannot train with even one sample per GPU under pure
   sample parallelism — spatial parallelism is *required* (§I, §VI-B1);
@@ -16,13 +17,14 @@ boundaries on 16 GB V100s:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.nn.graph import NetworkSpec
 from repro.perfmodel.machine import MachineSpec
 from repro.perfmodel.layer_cost import local_extents
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
-from repro.core.schedule import backward_set
+from repro.core.schedule import backward_set, grad_axes
 
 
 @dataclass
@@ -85,10 +87,16 @@ class MemoryModel:
         m = MemoryBreakdown()
         db = self.machine.dtype_bytes
         max_conv_out = 0.0
+        momentum = 0.0  # elements: 1/g of each layer's parameters
 
         for layer in self.spec.topo_order():
             par = strategy.for_layer(layer.name)
             c, h, w = self.shapes[layer.name]
+            params = self.spec.param_count(layer.name, self.shapes)
+            if params:
+                grid = par.grid_shape
+                axes = grad_axes(grid, (n_global, c, h, w))
+                momentum += params / math.prod(grid[d] for d in axes)
             i_n, i_h, i_w = local_extents(n_global, h, w, par)
             out_bytes = float(i_n) * c * i_h * i_w * db
             m.per_layer_activations[layer.name] = out_bytes
@@ -108,8 +116,8 @@ class MemoryModel:
                     rows = float(i_n) * pc * db
                     m.halo_buffers += 2 * o * rows * (i_w + i_h)
 
-        # Parameters + gradients + momentum, replicated on every rank.
-        m.parameters = 3.0 * self.spec.total_params() * db
+        # Parameters and gradients, replicated on every rank, + momentum.
+        m.parameters = (2.0 * self.spec.total_params() + momentum) * db
         # cuDNN workspace scales with the largest convolution, capped at 1 GiB.
         m.workspace = min(max_conv_out, 1024.0**3)
         m.comm_buffers = self.machine.comm_buffer_bytes(strategy.nranks)

@@ -325,8 +325,13 @@ class NetworkCostModel:
         else:
             bd.allreduce_exposed = bd.allreduce_total
 
-        # Optimizer: one memory-bound pass over parameters (+momentum).
-        params = self.spec.total_params()
+        # Optimizer: one memory-bound pass over parameters (+momentum), over
+        # the 1/g of each layer's parameters this rank updates — the update
+        # is fused into the bucket reductions of a gradient group of g.
+        params = sum(
+            op.param_count / (op.grad_group[0] if op.grad_group else 1)
+            for op in sched.layers
+        )
         bd.optimizer_total = self.machine.gpu.elementwise_time(3 * params * db)
         return bd
 

@@ -188,86 +188,3 @@ class TestReducerPlumbing:
         blocking = train(1, strategy, overlap=False)
         overlapped = train(1, strategy, overlap=True)
         assert_identical_runs(blocking, overlapped)
-
-
-class TestIncrementalUpdate:
-    """The grad_hook / poll path: the optimizer consumes partially-drained
-    buckets as their segments land, bitwise identical to the all-at-once
-    step (SGD updates are independent per (layer, param))."""
-
-    def _train(self, nranks, incremental, segment_bytes=None, steps=3):
-        x, t = make_batch()
-        strategy = ParallelStrategy.uniform(LayerParallelism(sample=nranks))
-
-        def prog(comm):
-            net = DistNetwork(
-                conv_net(), comm, strategy, seed=0,
-                overlap_grad_reduce=True, collective_algorithm="direct",
-                grad_segment_bytes=segment_bytes,
-            )
-            trainer = DistTrainer(
-                net, SGD(lr=0.1, momentum=0.9),
-                incremental_update=incremental,
-            )
-            losses = [trainer.step(x, t) for _ in range(steps)]
-            params = {
-                k: {p: a.copy() for p, a in v.items()}
-                for k, v in net.params.items()
-            }
-            return losses, params
-
-        return run_spmd(nranks, prog)
-
-    def test_incremental_matches_all_at_once(self):
-        assert_identical_runs(
-            self._train(4, incremental=False), self._train(4, incremental=True)
-        )
-
-    def test_incremental_with_segmented_buckets(self):
-        """Segmentation only changes when buckets complete, never the
-        per-layer gradients — incremental stays bitwise with "direct"."""
-        assert_identical_runs(
-            self._train(4, incremental=False),
-            self._train(4, incremental=True, segment_bytes="auto"),
-        )
-
-    def test_grad_hook_fires_once_per_reduced_layer(self):
-        x, t = make_batch()
-        strategy = ParallelStrategy.uniform(LayerParallelism(sample=2))
-
-        def prog(comm):
-            net = DistNetwork(
-                conv_net(), comm, strategy, seed=0,
-                overlap_grad_reduce=True, collective_algorithm="direct",
-            )
-            calls: list[str] = []
-            loss, grads = net.loss_and_grad(
-                x, t, grad_hook=lambda name, g: calls.append(name)
-            )
-            return sorted(calls), sorted(grads)
-
-        for calls, grads in run_spmd(2, prog):
-            assert calls == grads  # every layer exactly once, none twice
-
-    def test_poll_returns_each_layer_exactly_once(self):
-        from repro.core.grad_reducer import BucketedGradReducer
-
-        def prog(comm):
-            red = BucketedGradReducer(bucket_bytes=256, algorithm="direct")
-            for i in range(6):  # 128 B each: two layers per bucket
-                red.add(f"L{i}", {"w": np.full(16, float(i + comm.rank))}, comm)
-            polled: list[str] = []
-            for _ in range(200):
-                polled.extend(red.poll())
-                if red.inflight == 0:
-                    break
-            final = red.drain()
-            return polled, final
-
-        for polled, final in run_spmd(2, prog):
-            assert len(polled) == len(set(polled))  # no layer twice
-            assert sorted(final) == [f"L{i}" for i in range(6)]
-            for i in range(6):  # poll results stay in the final drain
-                np.testing.assert_array_equal(
-                    final[f"L{i}"]["w"], np.full(16, 2.0 * i + 1.0)
-                )
