@@ -20,8 +20,9 @@ LBANN implementation with a functionally equivalent runtime:
   exchange), selected by the two-tier cost model
   (:class:`TwoTierTopology`).
 * :mod:`repro.comm.socket_backend` — the wire under the off-node pairs:
-  CRC-checked length-prefixed frames, the per-pair TCP links, heartbeats
-  and EOF-without-BYE peer-death detection.
+  CRC-checked length-prefixed frames, the per-pair TCP links (read by the
+  waiting thread's drain, written on the calling thread), heartbeats and
+  EOF-without-BYE peer-death detection.
 * :mod:`repro.comm.communicator` — the :class:`Communicator` API
   (``send``/``recv``/``sendrecv``/``allreduce``/``allgather``/``alltoall``/
   ``bcast``/``barrier``/``split``), mirroring mpi4py's lower-case object

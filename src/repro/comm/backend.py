@@ -463,13 +463,15 @@ class Mailbox:
     A transport supplies two things only, by overriding them: how a deposit
     *wakes* the owner (:meth:`_wake`, called under the store's lock) and
     how the owner *blocks until something may have arrived* (:meth:`_wait`,
-    called with the lock held; it must let depositors in while it blocks).
-    This class is the thread transport — sender threads ``put``, the owner
-    waits on the lock's condition; the forked ranks' ``select`` flavour is
-    :class:`repro.comm.proc_backend._Inbox`.  Either wake-up is taken under
-    the lock the owner checked the store under, so it cannot be lost: a
-    lost notify would be a stall of one poll interval, not a hang, which is
-    why ``tests/test_mailbox.py`` times it.
+    called with the lock held).  This class is the thread transport —
+    sender threads ``put``, and the owner waits on the lock's condition,
+    which lets them in while it blocks; the wake-up is taken under the lock
+    the owner checked the store under, so it cannot be lost: a lost notify
+    would be a stall of one poll interval, not a hang, which is why
+    ``tests/test_mailbox.py`` times it.  The forked ranks' flavour,
+    :class:`repro.comm.proc_backend._Inbox`, has no depositing thread to
+    wake: its ``_wait`` is a ``select`` over the rank's lanes that drains
+    the readable ones itself.
     """
 
     def __init__(self, world: BaseWorld) -> None:

@@ -45,9 +45,9 @@ What the world is made of:
   A frame of at most :data:`_PIPE_FRAME_MAX` bytes is one atomic pipe
   write; a larger one, or a full pipe, takes the queue.
 * **Receiving** — :class:`_Inbox` is the package's one
-  :class:`~repro.comm.backend.Mailbox` with a ``select`` for a wait: the
-  owner drains its lanes on the receiving thread, TCP reader threads
-  deposit under the store's lock and poke a per-rank wake pipe.
+  :class:`~repro.comm.backend.Mailbox` with a ``select`` for a wait: its
+  lanes are the pipes, the queue and the off-node peers' TCP links, and
+  every message is taken in by the waiting thread's drain.
 * **Collectives** — none here: the communicator builds every collective
   on ``deliver``/``collect``/``try_collect`` alone, with the same
   arithmetic in the same comm-rank order as on the thread backend, so
@@ -80,9 +80,10 @@ meanwhile — an injected crash — leaves it held forever, wedging the parent
 and every survivor.  So the heartbeat thread only stores a stamp, the abort
 flag is a lock-free ``RawValue`` (``abort_lock`` is taken to *raise* it: the
 failure path), and the arena lock is only ever taken by a rank's main
-thread — TCP readers deposit under the inbox's thread lock and nothing
-else.  What is left: ``mp.Queue``'s own feeder thread writes the queue lane
-under the queue's shared write lock.
+thread — as is every deposit, since all lanes are read by the waiting
+thread's drain.  The TCP sender and heartbeat threads take only their
+link's thread lock.  What is left: ``mp.Queue``'s own feeder thread writes
+the queue lane under the queue's shared write lock.
 
 What this world does *not* model: NUMA/core pinning, a real NIC, or network
 topology — it is "MPI on one host" with an optional loopback wire, giving
@@ -436,18 +437,13 @@ def _pack(head: tuple, payload: Any, arena: _Arena, counters: dict) -> bytes:
 
 class _Inbox(Mailbox):
     """The :class:`~repro.comm.backend.Mailbox` of a forked rank: the store
-    and wait loop are inherited, fed from this rank's shared-memory lanes
-    and, for off-node peers, its TCP reader threads.
+    and wait loop are inherited, fed from this rank's lanes — its
+    shared-memory pipes and queue and, for off-node peers, its TCP links.
 
-    **Wake and wait.**  The owner blocks in its own ``select`` over the
-    descriptor pipes, the ``mp.Queue`` fd and a per-rank *wake pipe*, and
-    drains whatever lane became readable on the receiving thread.  TCP
-    readers ``put`` under the store's lock and poke the wake pipe — only
-    while the owner is inside ``select`` (``_asleep`` is flipped under the
-    same lock), so a deposit the owner will see on its next check costs no
-    syscall, and one it would sleep through cannot be missed.  The wake
-    pipe belongs to this process alone: it is created here, in the child,
-    never in the pre-fork shared state.
+    **Wait.**  The owner blocks in its own ``select`` over every lane and
+    drains whichever became readable on the receiving thread — the waiting
+    thread's drain.  No other thread deposits, so there is nobody to wake
+    and nothing to release the store's lock for.
 
     The lanes are FIFO over all sources; messages that do not match the
     current receive are buffered, preserving per-(source, tag) FIFO order.
@@ -485,43 +481,34 @@ class _Inbox(Mailbox):
         # absent, but one ``os.read`` may still return several frames plus
         # the head of another).
         self._rbufs = {fd: b"" for fd in rpipes}
-        self._wake_r, self._wake_w = os.pipe()
-        os.set_blocking(self._wake_r, False)
-        os.set_blocking(self._wake_w, False)
-        self._fds = [*rpipes, self._qfd, self._wake_r]
-        self._asleep = False
+        #: Every lane ``select`` watches: fd -> its drain, which returns
+        #: ``False`` once the lane is finished (EOF).
+        self._lanes: dict[int, Callable[[], bool]] = {
+            fd: partial(self._drain_pipe, fd) for fd in rpipes
+        }
+        self._lanes[self._qfd] = self._drain_queue
+        self._fds = list(self._lanes)
+
+    def watch(self, fd: int, drain: Callable[[], bool]) -> None:
+        """Add a lane: ``drain()`` runs on the receiving thread whenever
+        ``select`` finds ``fd`` readable (a TCP link's, for the mesh)."""
+        self._lanes[fd] = drain
+        self._fds.append(fd)
 
     # -- what this transport supplies ------------------------------------------
     def _wake(self) -> None:
-        if self._asleep:
-            try:
-                os.write(self._wake_w, b"\0")
-            except BlockingIOError:
-                pass  # pipe full: that many wake-ups are already pending
+        pass  # every deposit is made by the owner thread itself
 
     def _wait(self, timeout: float) -> None:
         """One ``select`` — sleeping up to ``timeout``, or a zero-timeout
         probe for a nonblocking ``try_get`` (which replaces p-1 EAGAIN reads
         and a queue probe) — then drain exactly the lanes it reported."""
-        if timeout > 0:
-            # Depositors need the lock while the owner sleeps; everything
-            # else here runs under it, so lane admissions need no wake.
-            self._asleep = True
-            self._cv.release()
-            try:
-                ready = select.select(self._fds, [], [], timeout)[0]
-            finally:
-                self._cv.acquire()
-                self._asleep = False
-        else:
-            ready = select.select(self._fds, [], [], 0)[0]
-        for fd in ready:
-            if fd == self._qfd:
-                self._drain_queue()
-            elif fd == self._wake_r:
-                os.read(fd, 1 << 12)
-            else:
-                self._drain_pipe(fd)
+        for fd in select.select(self._fds, [], [], timeout)[0]:
+            if not self._lanes[fd]():
+                # A finished lane stays readable (EOF): stop watching it,
+                # or it would spin the loop.
+                del self._lanes[fd]
+                self._fds.remove(fd)
 
     # -- the lanes ---------------------------------------------------------------
     def _admit(self, source: int, tag: Any, entry: Any) -> None:
@@ -529,7 +516,7 @@ class _Inbox(Mailbox):
             2 * self._arena.used_blocks() > self._arena.nblocks
         ):
             entry = entry.take(self._arena)
-        self.put(source, tag, entry)  # lock already held; owner awake: no poke
+        self.put(source, tag, entry)
 
     def _store(self, frame: bytes) -> None:
         """Decode one frame off a lane and admit it in send order."""
@@ -546,7 +533,7 @@ class _Inbox(Mailbox):
                 return
             tag, entry = nxt
 
-    def _drain_pipe(self, fd: int) -> None:
+    def _drain_pipe(self, fd: int) -> bool:
         """Read and store every complete frame in one fast-lane pipe.
 
         ``select`` reported the pipe readable, so the first read returns
@@ -563,10 +550,8 @@ class _Inbox(Mailbox):
             except OSError:  # pragma: no cover - fd torn down mid-drain
                 chunk = b""
             if not chunk:
-                # EOF: the sender exited and the pipe is drained.  Stop
-                # watching the fd (a persistent-EOF fd would spin the
-                # select loop); crash detection is the parent watcher's
-                # job, not ours.
+                # EOF: the sender exited and the pipe is drained; crash
+                # detection is the parent watcher's job, not ours.
                 eof = True
                 break
             data += chunk
@@ -581,16 +566,16 @@ class _Inbox(Mailbox):
             pos = stop
         if eof:
             del self._rbufs[fd]
-            self._fds.remove(fd)
-        else:
-            self._rbufs[fd] = data[pos:]
+            return False
+        self._rbufs[fd] = data[pos:]
+        return True
 
-    def _drain_queue(self) -> None:
+    def _drain_queue(self) -> bool:
         while True:
             try:
                 self._store(self._queue.get_nowait())
             except queue_mod.Empty:
-                return
+                return True
 
 
 class ForkedWorld(BaseWorld):
@@ -661,7 +646,7 @@ class ForkedWorld(BaseWorld):
         """Connect to the off-node peers, if the routing map has any."""
         off_node = [r for r in range(self.size) if not self._same_node[r]]
         if off_node:
-            self._mesh = TcpMesh(self, self._inbox.put)
+            self._mesh = TcpMesh(self, self._inbox)
             self._mesh.start(off_node, self._shared.listeners, self._shared.ports)
 
     def shutdown(self, ok: bool) -> None:
@@ -708,8 +693,7 @@ class ForkedWorld(BaseWorld):
                 return
         if dest == self.rank:
             # Self-delivery stays in-process (no copy), matching the thread
-            # backend's zero-copy self-sends — but goes through the store's
-            # lock like every deposit: TCP readers share the table.
+            # backend's zero-copy self-sends.
             self._inbox.put(source, tag, payload)
         elif self._same_node[dest]:
             self._send_local(source, dest, tag, payload)

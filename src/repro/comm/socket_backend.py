@@ -33,34 +33,40 @@ one :class:`TcpMesh`:
   job with a :class:`CommIntegrityError` naming the sending rank and host,
   instead of feeding silently wrong bytes into the collectives (an
   elastic-restartable failure class: the data was bad, not the rank).
-  Sends are *eager*: :meth:`TcpMesh.send` enqueues
-  the frame on a per-peer outbound queue serviced by a sender thread and
-  never blocks the caller, preserving the buffered-send contract all
-  backends share.  Transport counters (``tcp_messages`` / ``tcp_bytes`` /
+  Sends are *eager*: :meth:`TcpMesh.send` writes the frame on the calling
+  thread, header and payload in one nonblocking ``sendmsg``; what the
+  kernel will not take waits for the link's sender thread, so a send never
+  blocks the caller, preserving the buffered-send contract all backends
+  share.  Transport counters (``tcp_messages`` / ``tcp_bytes`` /
   ``tcp_payload_bytes``) are tallied synchronously at ``deliver`` time, so
   they are deterministic and — for the ndarray-payload counter — exactly
   comparable to the collective cost model's wire-byte predictions.
-  Received frames are deposited into the rank's one mailbox from the
-  reader thread, which wakes the owner's ``select`` through its wake pipe.
+  Frames are received by the waiting thread's drain: every link's socket is
+  one more lane of the owner's ``select``
+  (:class:`~repro.comm.proc_backend._Inbox`), read, checked and deposited
+  on the receiving thread exactly like a pipe lane.
 * **Failure detection across hosts** — each rank heartbeats its inter-node
   peers over the sockets (and its parent through the shared slot).  A peer
-  that dies takes its connections with it: the reader thread sees EOF
-  without a preceding ``BYE`` and aborts the job naming the lost rank and
-  its host; a peer that is alive but silent past the staleness bound is
-  logged as a straggler.  Survivors fail with :class:`CommAborted` naming
-  the failed rank, exactly as over shared memory.
+  that dies takes its connections with it: the waiting thread's drain sees
+  EOF without a preceding ``BYE`` and aborts the job naming the lost rank
+  and its host; a peer that is alive but silent past the staleness bound —
+  nothing drained from it, and nothing unread on its link — is logged as a
+  straggler.  Survivors fail with :class:`CommAborted` naming the failed
+  rank, exactly as over shared memory.
 * **No leaks** — listening sockets are bound pre-fork (port 0, loopback;
   only when the routing map has two nodes or more)
   and closed by the parent right after the fork; each child closes every
-  listener but its own, and closes its connections after a BYE + bounded
-  outbound flush on exit.  A completed job leaves no sockets or fds behind
-  in the parent (regression-tested by ``tests/test_socket_backend.py`` and
-  the CI ``multi-host`` job, mirroring the ``/dev/shm`` leak check).
+  listener but its own, and on exit half-closes every link (BYE, bounded
+  outbound flush, ``SHUT_WR``) before draining each to the peer's EOF and
+  closing it.  A completed job leaves no sockets or fds behind in the
+  parent (regression-tested by ``tests/test_socket_backend.py`` and the CI
+  ``multi-host`` job, mirroring the ``/dev/shm`` leak check).
 """
 
 from __future__ import annotations
 
 import logging
+import select
 import socket
 import struct
 import threading
@@ -68,14 +74,16 @@ import time
 import zlib
 from collections import deque
 from time import monotonic
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.comm.backend import CommAborted
 from repro.comm.payload import array_nbytes, decode_frame, encode_frame, join
 from repro.obs import tracer
 
 if TYPE_CHECKING:
-    from repro.comm.proc_backend import ForkedWorld
+    from repro.comm.proc_backend import ForkedWorld, _Inbox
 
 logger = logging.getLogger(__name__)
 
@@ -88,13 +96,23 @@ _FRAME_BYE = 2
 _HEADER = struct.Struct("!BII")
 _HELLO = struct.Struct("!I")
 
-#: How long an exiting rank waits for its outbound frames to drain before
-#: closing a connection (per connection; an orderly peer drains in
-#: microseconds — this bound only matters when the peer is wedged).
+#: Size of a link's staging buffer: what one drain ``recv_into`` asks for.
+#: A frame that fits is read whole with the frames around it (one syscall
+#: for a small message); a larger one's body is read straight into a
+#: buffer of its own size.
+_STAGE_BYTES = 1 << 16
+
+#: How long an exiting rank waits for its links to close: outbound frames
+#: flushed, then each peer's EOF (an orderly peer takes microseconds — this
+#: bound only matters when the peer is wedged or still computing).
 _FLUSH_TIMEOUT = 10.0
 
 #: Bound on establishing the full inter-node mesh at startup.
 _CONNECT_TIMEOUT = 60.0
+
+#: A peer is logged as a straggler after this long without a frame (or
+#: ``10 * detect_interval``, if longer).
+_STALE_AFTER = 5.0
 
 
 def bind_listeners(nranks: int) -> list[socket.socket]:
@@ -116,163 +134,233 @@ def bind_listeners(nranks: int) -> list[socket.socket]:
 
 
 class _Connection:
-    """One TCP link to an inter-node peer: sender + reader threads.
+    """One TCP link to an inter-node peer.
 
-    Sends are enqueued (never blocking the caller) and written by the
-    sender thread; the reader deposits into the rank's mailbox and doubles as the
-    cross-host failure detector — EOF without a preceding BYE means the
-    peer died, and aborts the job naming it.
+    **Sending** happens on the calling thread: one nonblocking ``sendmsg``
+    of header and payload.  Whatever the kernel will not take waits in
+    ``_out`` for the link's ``tcp-send`` thread, and every later frame
+    queues behind it, so frames never interleave and a send never blocks.
+
+    **Receiving** is the waiting thread's drain: the socket is a lane of the
+    owner's ``select``, and :meth:`drain` reads what the link holds, checks
+    each frame's CRC32 and deposits the ``DATA`` frames.  The drain doubles
+    as the cross-host failure detector — EOF without a preceding BYE means
+    the peer died, and aborts the job naming it.
     """
 
     def __init__(
-        self,
-        world: "ForkedWorld",
-        peer: int,
-        sock: socket.socket,
-        deposit: Callable[[int, Any, Any], None],
+        self, world: "ForkedWorld", peer: int, sock: socket.socket, inbox: "_Inbox"
     ) -> None:
         self._world = world
-        self._deposit = deposit
+        self._deposit = inbox.put
         self.peer = peer
         self._sock = sock
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # Blocking, for the sender thread; the calling thread and the drain
+        # pass MSG_DONTWAIT.
         sock.settimeout(None)
-        self._out: deque[bytes] = deque()
+        self.fileno = sock.fileno()
+        #: The unsent tails of frames, oldest first.
+        self._out: deque[memoryview] = deque()
         self._cv = threading.Condition()
-        self._sending = False
+        #: No frame may be queued or written any more (half-closed, failed).
         self._closed = False
+        # Inbound: bytes staged from offset 0, and the body of a frame too
+        # large to stage while it is being read (with its type and CRC).
+        self._stage = bytearray(_STAGE_BYTES)
+        self._staged = memoryview(self._stage)
+        self._have = 0
+        self._body: memoryview | None = None
+        self._got = 0
+        self._body_head = (0, 0)
         #: Peer announced an orderly exit (BYE received).
         self.peer_done = False
-        #: monotonic() stamp of the last frame read from this peer.
+        #: monotonic() stamp of the last drain that read from this peer.
         self.last_heard = monotonic()
-        name = f"rank-{world.rank}-peer-{peer}"
         threading.Thread(
-            target=self._sender_loop, name=f"tcp-send-{name}", daemon=True
-        ).start()
-        threading.Thread(
-            target=self._reader_loop, name=f"tcp-recv-{name}", daemon=True
+            target=self._sender_loop,
+            name=f"tcp-send-rank-{world.rank}-peer-{peer}",
+            daemon=True,
         ).start()
 
     # -- sending -----------------------------------------------------------
     def send_frame(self, ftype: int, blob: bytes = b"", crc: int | None = None) -> None:
-        """Queue one frame.  ``crc`` defaults to the blob's CRC32; `TcpMesh.send`
-        passes the checksum of the *pre-wire-fault* payload so injected
-        on-the-wire corruption is detectable at the receiver, exactly like
-        a frame corrupted by the link after the NIC computed its checksum."""
+        """Write one frame, or queue what the kernel would not take.  ``crc``
+        defaults to the blob's CRC32; `TcpMesh.send` passes the checksum of
+        the *pre-wire-fault* payload so injected on-the-wire corruption is
+        detectable at the receiver, exactly like a frame corrupted by the
+        link after the NIC computed its checksum."""
         if crc is None:
             crc = zlib.crc32(blob) & 0xFFFFFFFF
-        frame = _HEADER.pack(ftype, len(blob), crc) + blob
+        header = _HEADER.pack(ftype, len(blob), crc)
         with self._cv:
             if self._closed:
                 return
-            self._out.append(frame)
-            self._cv.notify_all()
+            sent = 0
+            if not self._out:  # nothing queued ahead of this frame
+                try:
+                    sent = self._sock.sendmsg((header, blob), (), socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    pass
+                except OSError:
+                    self._write_failed()
+                    return
+            for buf in (header, blob):
+                if sent < len(buf):
+                    self._out.append(memoryview(buf)[sent:])
+                    sent = 0
+                else:
+                    sent -= len(buf)
+            if self._out:
+                self._cv.notify_all()
 
     def _sender_loop(self) -> None:
+        """Write the backlog, blocking as long as the peer does not read."""
         while True:
             with self._cv:
                 while not self._out and not self._closed:
-                    self._cv.wait(0.25)
+                    self._cv.wait()
                 if not self._out:
-                    return  # closed and drained
-                frame = self._out.popleft()
-                self._sending = True
+                    return  # closed and flushed
+                buf = self._out[0]
             try:
-                self._sock.sendall(frame)
-            except OSError as exc:
-                world = self._world
+                n = self._sock.send(buf)
+            except OSError:
                 with self._cv:
-                    self._out.clear()
-                    self._sending = False
-                    self._cv.notify_all()
-                if self.peer_done or world.aborted or self._closed:
-                    # The peer exited cleanly (or the job is already dying):
-                    # frames to a finished rank are fire-and-forget leftovers.
-                    return
-                world.record_failure(
-                    "peer-death", self.peer, world.hostmap.host_of(self.peer)
-                )
-                world.abort(
-                    f"world rank {self.peer} "
-                    f"(host {world.hostmap.host_of(self.peer)}) unreachable "
-                    f"from world rank {world.rank}: send failed "
-                    f"({type(exc).__name__}: {exc})"
-                )
+                    self._write_failed()
                 return
             with self._cv:
-                self._sending = False
-                if not self._out:
-                    self._cv.notify_all()
+                if n < len(buf):
+                    self._out[0] = buf[n:]
+                else:
+                    self._out.popleft()
+
+    def _write_failed(self) -> None:
+        """The peer's end is gone (lock held): stop writing.  Whether it
+        exited or died is the drain's call — BYE then EOF, or EOF alone —
+        so a heartbeat that races a finished peer's close aborts nothing."""
+        self._closed = True
+        self._out.clear()
+        self._cv.notify_all()
 
     # -- receiving ---------------------------------------------------------
-    def _recv_exact(self, n: int) -> bytes | None:
-        buf = bytearray()
-        while len(buf) < n:
-            try:
-                chunk = self._sock.recv(n - len(buf))
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            buf += chunk
-        return bytes(buf)
+    def drain(self) -> bool:
+        """Read what the link holds and deposit every complete ``DATA``
+        frame; ``False`` once the link is finished (EOF, or a frame failed
+        its CRC and aborted the job).
 
-    def _reader_loop(self) -> None:
-        world = self._world
+        ``select`` reported the socket readable, so the first read returns
+        data; a read shorter than asked for emptied the socket, so the
+        common one-message drain is one ``recv_into``.
+        """
         while True:
-            header = self._recv_exact(_HEADER.size)
-            if header is None:
-                break
-            ftype, length, crc = _HEADER.unpack(header)
-            blob = self._recv_exact(length) if length else b""
-            if blob is None:
-                break
+            body = self._body
+            view = self._staged[self._have :] if body is None else body[self._got :]
+            try:
+                n = self._sock.recv_into(view, 0, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                return True  # the previous, full read had emptied the socket
+            except OSError:
+                n = 0  # reset by the peer: an EOF
+            if not n:
+                return self._eof()
             self.last_heard = monotonic()
-            if (zlib.crc32(blob) & 0xFFFFFFFF) != crc:
-                # Corrupted on the wire: abort with an integrity failure
-                # instead of decoding garbage into the collectives.
-                host = world.hostmap.host_of(self.peer)
-                world.record_failure("integrity", self.peer, host)
-                world.abort(
-                    f"frame from world rank {self.peer} (host {host}) "
-                    f"failed its CRC32 integrity check at world rank "
-                    f"{world.rank} (payload corrupted on the wire)"
-                )
-                return
-            if ftype == _FRAME_DATA:
-                (source, tag), skeleton, arrays, _ = decode_frame(blob)
-                self._deposit(source, tag, join(skeleton, arrays))
-            elif ftype == _FRAME_BYE:
-                self.peer_done = True
-            # heartbeats only refresh last_heard
-        if self.peer_done or self._closed or world.aborted:
-            return  # orderly EOF
-        world.record_failure(
-            "peer-death", self.peer, world.hostmap.host_of(self.peer)
-        )
-        world.abort(
-            f"world rank {self.peer} "
-            f"(host {world.hostmap.host_of(self.peer)}) lost: connection "
-            f"closed unexpectedly (crash or network failure), detected by "
-            f"world rank {world.rank}"
-        )
+            if body is None:
+                self._have += n
+                if not self._unstage():
+                    return False
+            else:
+                self._got += n
+                if self._got == len(body):
+                    self._body = None
+                    if not self._frame(*self._body_head, body.toreadonly()):
+                        return False
+            if n < len(view):
+                return True
+
+    def _unstage(self) -> bool:
+        """Take every complete frame out of the staging buffer; start the
+        body of one too large for it; keep the head of the next."""
+        staged, pos, end = self._staged, 0, self._have
+        while end - pos >= _HEADER.size:
+            ftype, length, crc = _HEADER.unpack_from(staged, pos)
+            start = pos + _HEADER.size
+            if start + length <= end:
+                pos = start + length
+                if not self._frame(ftype, crc, staged[start:pos].tobytes()):
+                    return False
+            elif _HEADER.size + length > _STAGE_BYTES:
+                body = memoryview(np.empty(length, np.uint8))
+                body[: end - start] = staged[start:end]
+                self._body, self._got, self._body_head = body, end - start, (ftype, crc)
+                pos = end
+            else:
+                break
+        self._have = end - pos
+        if pos and self._have:
+            self._stage[: self._have] = self._stage[pos:end]
+        return True
+
+    def _frame(self, ftype: int, crc: int, blob) -> bool:
+        """Check one frame's CRC32 and act on it; ``False`` if it failed."""
+        if (zlib.crc32(blob) & 0xFFFFFFFF) != crc:
+            # Corrupted on the wire: abort with an integrity failure
+            # instead of decoding garbage into the collectives.
+            world = self._world
+            host = world.hostmap.host_of(self.peer)
+            world.record_failure("integrity", self.peer, host)
+            world.abort(
+                f"frame from world rank {self.peer} (host {host}) "
+                f"failed its CRC32 integrity check at world rank "
+                f"{world.rank} (payload corrupted on the wire)"
+            )
+            return False
+        if ftype == _FRAME_DATA:
+            (source, tag), skeleton, arrays, _ = decode_frame(blob)
+            self._deposit(source, tag, join(skeleton, arrays))
+        elif ftype == _FRAME_BYE:
+            self.peer_done = True
+        # heartbeats only refresh last_heard
+        return True
+
+    def _eof(self) -> bool:
+        world = self._world
+        if not (self.peer_done or world.aborted):
+            host = world.hostmap.host_of(self.peer)
+            world.record_failure("peer-death", self.peer, host)
+            world.abort(
+                f"world rank {self.peer} (host {host}) lost: connection "
+                f"closed unexpectedly (crash or network failure), detected "
+                f"by world rank {world.rank}"
+            )
+        return False
+
+    def unread(self) -> bool:
+        """Whether bytes from the peer wait on the link (a zero-timeout
+        probe, safe from any thread)."""
+        try:
+            return bool(select.select([self.fileno], [], [], 0)[0])
+        except (OSError, ValueError):  # closed under the probe
+            return False
 
     # -- teardown ----------------------------------------------------------
-    def close(self, flush_timeout: float = _FLUSH_TIMEOUT) -> None:
-        """Drain outbound frames (bounded), then close the socket."""
-        deadline = monotonic() + flush_timeout
+    def flushed(self) -> bool:
+        return not self._out
+
+    def half_close(self) -> None:
+        """No more frames: send the FIN after what is already written."""
         with self._cv:
-            while self._out or self._sending:
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    logger.warning(
-                        "world rank %d: dropping %d unflushed frames to "
-                        "world rank %d on close",
-                        self._world.rank, len(self._out), self.peer,
-                    )
-                    break
-                self._cv.wait(min(0.05, remaining))
             self._closed = True
+            self._cv.notify_all()
+        try:
+            self._sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the peer is already gone
+            pass
+
+    def close(self) -> None:
+        with self._cv:
+            self._closed = True
+            self._out.clear()
             self._cv.notify_all()
         try:
             self._sock.close()
@@ -282,30 +370,30 @@ class _Connection:
 
 class TcpMesh:
     """One rank's TCP links to its off-node peers: mesh setup, eager framed
-    sends, peer heartbeats, and the BYE + bounded-flush shutdown.
+    sends, peer heartbeats, and the two-pass shutdown.
 
-    ``deposit(source, tag, payload)`` is called from the per-connection
-    reader threads for every ``DATA`` frame that passed its CRC.
+    Every link is a lane of ``inbox``: once the mesh is up, its socket joins
+    the inbox's ``select`` and its ``DATA`` frames are ``put`` by the
+    waiting thread's drain.
     """
 
-    def __init__(
-        self, world: "ForkedWorld", deposit: Callable[[int, Any, Any], None]
-    ) -> None:
+    def __init__(self, world: "ForkedWorld", inbox: "_Inbox") -> None:
         self._world = world
-        self._deposit = deposit
+        self._inbox = inbox
         self._conns: dict[int, _Connection] = {}
         self._conn_lock = threading.Lock()
         self._shutting_down = False
 
     def _connected(self, peer: int, sock: socket.socket) -> None:
         with self._conn_lock:
-            self._conns[peer] = _Connection(self._world, peer, sock, self._deposit)
+            self._conns[peer] = _Connection(self._world, peer, sock, self._inbox)
 
     def start(
         self, peers: list[int], listeners: list["socket.socket | None"], ports: list[int]
     ) -> None:
         """Connect to ``peers`` (rank ``a`` dials ``b`` iff ``a < b``);
-        blocks until every expected connection is up."""
+        blocks until every expected connection is up, then hands each link
+        to the inbox."""
         world = self._world
         me = world.rank
         expect_accept = [q for q in peers if q < me]
@@ -348,6 +436,8 @@ class TcpMesh:
                 world.abort(reason)
                 raise CommAborted(reason)
             time.sleep(0.005)
+        for conn in self._conns.values():
+            self._inbox.watch(conn.fileno, conn.drain)
         threading.Thread(
             target=self._peer_monitor_loop,
             name=f"tcp-heartbeat-rank-{me}",
@@ -374,7 +464,7 @@ class TcpMesh:
         """Heartbeat inter-node peers and flag the silent ones."""
         world = self._world
         detect = max(0.02, world.config.detect_interval)
-        stale_after = max(10 * detect, 5.0)
+        stale_after = max(10 * detect, _STALE_AFTER)
         flagged: set[int] = set()
         while not world.aborted and not self._shutting_down:
             now = monotonic()
@@ -385,7 +475,9 @@ class TcpMesh:
                     continue
                 conn.send_frame(_FRAME_HEARTBEAT)
                 silent = now - conn.last_heard
-                if silent > stale_after and conn.peer not in flagged:
+                # ``last_heard`` only moves when this rank drains: frames
+                # waiting unread mean the peer is alive and this rank busy.
+                if silent > stale_after and conn.peer not in flagged and not conn.unread():
                     flagged.add(conn.peer)
                     logger.warning(
                         "world rank %d: no frames from world rank %d "
@@ -396,17 +488,51 @@ class TcpMesh:
             time.sleep(max(0.02, detect / 2.0))
 
     def shutdown(self, ok: bool) -> None:
-        """Announce an orderly exit and flush + close every connection."""
+        """Announce an orderly exit and close every link, in two passes.
+
+        First every link is half-closed: BYE, outbound backlog flushed,
+        ``SHUT_WR``.  Only then is each drained to the peer's EOF before it
+        is closed — a socket closed with unread bytes resets, and a reset
+        can take frames the slower peer has not read yet with it.  Closing
+        the links one at a time instead would make ranks wait on each other
+        pair by pair.  Inbound frames are drained all along, so two ranks
+        flushing to each other cannot stall.  A failed rank, or one in an
+        aborted job, only flushes, within 1 s.
+        """
         self._shutting_down = True
+        world = self._world
         with self._conn_lock:
             conns = list(self._conns.values())
         for conn in conns:
             conn.send_frame(_FRAME_BYE)
+        linger = ok and not world.aborted
+        deadline = monotonic() + (_FLUSH_TIMEOUT if linger else 1.0)
+        unflushed = list(conns)
+        reading = {conn.fileno: conn for conn in conns}
+        while True:
+            for conn in [conn for conn in unflushed if conn.flushed()]:
+                conn.half_close()
+                unflushed.remove(conn)
+            linger = linger and not world.aborted
+            if not unflushed and not (linger and reading):
+                break
+            remaining = deadline - monotonic()
+            if remaining <= 0:
+                for conn in unflushed:
+                    logger.warning(
+                        "world rank %d: dropping unflushed frames to world "
+                        "rank %d on close", world.rank, conn.peer,
+                    )
+                break
+            ready = select.select(list(reading), [], [], min(0.05, remaining))[0]
+            for fd in ready:
+                if not reading[fd].drain():
+                    del reading[fd]
         for conn in conns:
-            conn.close(flush_timeout=_FLUSH_TIMEOUT if ok else 1.0)
+            conn.close()
 
     def send(self, source: int, dest: int, tag: Any, payload: Any) -> None:
-        """Queue one ``DATA`` frame on the link to ``dest`` (never blocks)."""
+        """Write one ``DATA`` frame on the link to ``dest`` (never blocks)."""
         world = self._world
         blob = encode_frame((source, tag), payload)
         # The frame's CRC32 is stamped *before* the wire fault point, so an
@@ -416,8 +542,9 @@ class TcpMesh:
         crc = zlib.crc32(blob) & 0xFFFFFFFF
         if source == world.rank:
             _, blob = world._fault("wire", dest, tag, blob)
-        # Tallied here, not in the sender thread, so the counters are
-        # deterministic; the payload-bytes one is model-comparable.
+        # Tallied here, not by whichever thread writes the bytes, so the
+        # counters are deterministic; the payload-bytes one is
+        # model-comparable.
         world.transport["tcp_messages"] += 1
         world.transport["tcp_bytes"] += len(blob)
         world.transport["tcp_payload_bytes"] += array_nbytes(payload)

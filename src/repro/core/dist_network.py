@@ -223,9 +223,8 @@ class DistNetwork:
         #: Segment size for the bucketed gradient allreduces (the
         #: ``segment_bytes`` knob of
         #: :meth:`~repro.comm.communicator.Communicator.iallreduce`):
-        #: segmented buckets complete one pipeline segment per reducer
-        #: poll, so a ``backward(grad_hook=...)`` caller sees early
-        #: buckets while later segments are still on the wire.
+        #: a segmented bucket pipelines its fold, one segment on the wire
+        #: while the previous one is reduced.
         self.grad_segment_bytes = grad_segment_bytes
         self.shapes = spec.infer_shapes()
         # Recycles the staged shuffle send payloads across steps (deferred
@@ -352,9 +351,7 @@ class DistNetwork:
             )
         return reducer
 
-    def backward(
-        self, grad_hook=None, optimizer=None
-    ) -> dict[str, dict[str, np.ndarray]]:
+    def backward(self, optimizer=None) -> dict[str, dict[str, np.ndarray]]:
         """Backpropagate and complete weight gradients with allreduces —
         or, given an ``optimizer``, update the parameters with them.
 
@@ -385,34 +382,13 @@ class DistNetwork:
         (:mod:`repro.core.grad_reducer`).  No complete gradient is ever
         assembled then, so the returned dict is empty — the parameters are
         bitwise those of ``backward()`` followed by ``optimizer.step``.
-
-        ``grad_hook(layer, grads)``, if given, is invoked once per layer
-        as soon as that layer's *reduced* gradients are complete — for the
-        overlapped reducer this happens mid-backpropagation as buckets
-        finish (each layer's enqueue polls the in-flight requests, landing
-        one more pipeline segment of each segmented allreduce).  Every
-        layer is hooked exactly once; layers still pending at the end are
-        hooked after the final drain.  The returned dict is unchanged —
-        hooking is observation, not consumption — and there is nothing to
-        observe under a fused update.
         """
-        if grad_hook is not None and optimizer is not None:
-            raise ValueError(
-                "grad_hook observes reduced gradients, which a fused "
-                "optimizer update never assembles"
-            )
         grads: dict[str, dict[str, np.ndarray]] = {}
         #: Per-layer error contributions (DistTensor or in-flight
         #: ShuffleExchange), in arrival order.
         pending: dict[str, list] = {}
         reducer = self._reducer()
         reducer.optimizer = optimizer
-        hooked: set[str] = set()
-
-        def hook(name: str, g: dict[str, np.ndarray]) -> None:
-            if grad_hook is not None and name not in hooked:
-                hooked.add(name)
-                grad_hook(name, g)
 
         for op in self._sched.backward:
             name = op.name
@@ -451,22 +427,11 @@ class DistNetwork:
                 comm = None
                 if op.grad_group is not None:
                     comm = self._grid(op.grid_shape).axes_comm(op.grad_group[2])
-                done = reducer.add(name, g, comm)
+                reducer.add(name, g, comm)
                 if not self.overlap_grad_reduce:
                     grads.update(reducer.drain())
-                    done = grads.get(name)
-                if done is not None:
-                    # Already complete: a singleton gradient group (add()
-                    # passed the partials straight through) or the drain above.
-                    hook(name, done)
-                elif grad_hook is not None:
-                    for lname, lg in reducer.poll().items():
-                        hook(lname, lg)
 
         grads.update(reducer.drain())
-        if grad_hook is not None:
-            for name, g in grads.items():
-                hook(name, g)
         self.grads = grads
         return grads
 
@@ -511,12 +476,12 @@ class DistNetwork:
 
     # -- convenience -----------------------------------------------------------------
     def loss_and_grad(
-        self, inputs, targets, grad_hook=None, optimizer=None
+        self, inputs, targets, optimizer=None
     ) -> tuple[float, dict[str, dict[str, np.ndarray]]]:
         loss = self.forward(inputs, targets=targets, training=True)
         if loss is None:
             raise RuntimeError("network has no loss layer or targets missing")
-        return loss, self.backward(grad_hook=grad_hook, optimizer=optimizer)
+        return loss, self.backward(optimizer=optimizer)
 
     def gather_activation(self, name: str) -> np.ndarray:
         """Assemble a layer's global output on every rank (test helper)."""

@@ -78,6 +78,31 @@ def reduce_for_process(backend: str, heavy: bool, reason: str) -> None:
         pytest.skip(f"{backend} backend runs the reduced matrix: {reason}")
 
 
+class Counting:
+    """Stand-in for a module, a socket or ``os.environ`` inside one forked
+    rank: attribute access falls through to the real thing (``_real``), the
+    names in ``counted`` go through a call counter first (an ``EAGAIN``
+    they raise is counted as ``BlockingIOError``)."""
+
+    def __init__(self, real, counts, *counted):
+        self._real, self._counts, self._counted = real, counts, counted
+
+    def __getattr__(self, name):
+        attr = getattr(self._real, name)
+        if name not in self._counted:
+            return attr
+
+        def counting(*args, **kwargs):
+            self._counts[name] = self._counts.get(name, 0) + 1
+            try:
+                return attr(*args, **kwargs)
+            except BlockingIOError:
+                self._counts["BlockingIOError"] = self._counts.get("BlockingIOError", 0) + 1
+                raise
+
+        return counting
+
+
 class CopyingReducer(BucketedGradReducer):
     """Test double for ``repro.core.dist_network.BucketedGradReducer`` that
     copies every partial before ``add()``: nothing is ever reduced in place

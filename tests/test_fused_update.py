@@ -14,8 +14,7 @@ allgather carry updated weights.  The contract held here, with no clocks:
   nothing on a rank recursive doubling folds away), keeps momentum for
   exactly those, and puts the allreduce path's bytes on the wire;
 * **checkpoints** — momentum is sharded in memory and replicated on disk;
-* the reducer's ``grad_hook``/``poll`` plumbing, which the unfused path
-  keeps.
+* the reducer's ``poll``, which the unfused path keeps.
 """
 
 import numpy as np
@@ -257,40 +256,9 @@ class TestCheckpoint:
                     assert params[layer][pname].tobytes() == arr.tobytes()
 
 
-def _conv_net():
-    net = NetworkSpec("hooked")
-    net.add("input", "input", channels=3, height=8, width=8)
-    net.add("c1", "conv", ["input"], filters=4, kernel=3, pad=1, bias=True)
-    net.add("r1", "relu", ["c1"])
-    net.add("gap", "gap", ["r1"])
-    net.add("fc", "fc", ["gap"], units=5, bias=True)
-    net.add("loss", "softmax_ce", ["fc"])
-    return net
-
-
 class TestUnfusedPlumbing:
-    """``backward(grad_hook=)`` and ``BucketedGradReducer.poll`` on the
-    unfused path (no optimizer handed to the reducer)."""
-
-    def test_grad_hook_fires_once_per_reduced_layer(self):
-        rng = np.random.default_rng(1)
-        x, t = rng.standard_normal((8, 3, 8, 8)), rng.integers(0, 5, size=8)
-
-        def prog(comm):
-            net = DistNetwork(
-                _conv_net(), comm, LayerParallelism(sample=2), seed=0,
-                collective_algorithm="direct",
-            )
-            calls: list[str] = []
-            _, grads = net.loss_and_grad(
-                x, t, grad_hook=lambda name, g: calls.append(name)
-            )
-            with pytest.raises(ValueError, match="grad_hook"):
-                net.loss_and_grad(x, t, grad_hook=print, optimizer=SGD())
-            return sorted(calls), sorted(grads)
-
-        for calls, grads in run_spmd(2, prog):
-            assert calls == grads  # every layer exactly once, none twice
+    """``BucketedGradReducer.poll`` on the unfused path (no optimizer handed
+    to the reducer)."""
 
     def test_poll_returns_each_layer_exactly_once(self):
         names = [f"L{i}" for i in range(6)]

@@ -1,16 +1,23 @@
 """The mailbox contract once, for every feeder.
 
-Every world receives through the one :class:`repro.comm.backend.Mailbox`:
-the thread transport wakes its owner through the store's condition
-variable, a forked rank's :class:`repro.comm.proc_backend._Inbox` through a
-wake pipe its ``select`` watches.  Both flavours are driven in-process here:
+Every world receives through the one :class:`repro.comm.backend.Mailbox`.
+The thread transport's senders deposit from their own threads and wake the
+owner through the store's condition variable; a forked rank's
+:class:`repro.comm.proc_backend._Inbox` has no depositing thread — its
+owner drains every lane (pipes, queue, TCP links) in its own ``select``.
+Both flavours are driven in-process here:
 
 * a stateful model check of ``(source, tag)`` matching — per-pair FIFO, no
   loss, no duplicate, a miss leaves the store untouched, ``pending_keys``
   lists exactly the unmatched pairs, and the table is empty once everything
   was matched;
-* a lost-wake-up check — a notify that went missing would cost the blocked
-  owner one 250 ms poll interval, not a hang, so it has to be timed;
+* a lost-wake-up check of the thread flavour — a notify that went missing
+  would cost the blocked owner one 250 ms poll interval, not a hang, so it
+  has to be timed;
+* a TCP link as a lane of the forked flavour — its frames are deposited by
+  the waiting thread, reassembled however the stream is split, and its EOF
+  and CRC failures are named; and threads sending on it at once never
+  interleave their frames;
 
 and two checks from the outside, through ``run_spmd``:
 
@@ -23,14 +30,18 @@ and two checks from the outside, through ``run_spmd``:
 
 import multiprocessing as mp
 import os
+import select
 import socket
+import sys
 import threading
+import zlib
 from collections import deque
+from contextlib import contextmanager
 from time import monotonic, sleep
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -40,9 +51,18 @@ from hypothesis.stateful import (
 )
 
 from conftest import SPMD_BACKENDS
-from repro.comm import CommAborted, run_spmd
+from repro.comm import CommAborted, CommIntegrityError, HostMap, JobConfig, run_spmd
 from repro.comm.backend import Mailbox, World
+from repro.comm.payload import encode_frame
 from repro.comm.proc_backend import SHM_PREFIX, _Inbox
+from repro.comm.socket_backend import (
+    _FRAME_BYE,
+    _FRAME_DATA,
+    _FRAME_HEARTBEAT,
+    _HEADER,
+    _STAGE_BYTES,
+    _Connection,
+)
 
 NSOURCES = 3
 
@@ -57,23 +77,19 @@ class _ThreadBox:
         pass
 
 
-class _PipeBox:
-    """A pipe-wake mailbox as a forked rank owns one, minus the fork: its
-    queue lane stays silent, deposits arrive the way TCP readers make
-    them — ``put`` from another thread."""
+class _ForkedBox:
+    """A forked rank's inbox minus the fork: its queue lane stays silent,
+    and the owner deposits itself, as its lane drains do."""
 
-    def __init__(self):
+    def __init__(self, world=None):
         self._queue = mp.get_context("fork").Queue()
-        self.box = _Inbox(World(size=NSOURCES), self._queue, [], arena=None)
+        world = world if world is not None else World(size=NSOURCES)
+        self.box = _Inbox(world, self._queue, [], arena=None)
 
     def close(self):
-        os.close(self.box._wake_r)
-        os.close(self.box._wake_w)
         self._queue.close()
         self._queue.join_thread()
 
-
-WAKES = pytest.mark.parametrize("make", [_ThreadBox, _PipeBox], ids=["thread", "pipe"])
 
 _keys = st.tuples(st.integers(0, NSOURCES - 1), st.sampled_from([0, 1, "a", ("c", 2)]))
 
@@ -144,23 +160,22 @@ class _ThreadWakeMachine(_MailboxMachine):
     make = _ThreadBox
 
 
-class _PipeWakeMachine(_MailboxMachine):
-    make = _PipeBox
+class _ForkedInboxMachine(_MailboxMachine):
+    make = _ForkedBox
 
 
 TestThreadWakeContract = _ThreadWakeMachine.TestCase
 TestThreadWakeContract.settings = _machine_settings
-TestPipeWakeContract = _PipeWakeMachine.TestCase
-TestPipeWakeContract.settings = _machine_settings
+TestForkedInboxContract = _ForkedInboxMachine.TestCase
+TestForkedInboxContract.settings = _machine_settings
 
 
 class TestWakeUps:
-    @WAKES
-    def test_a_deposit_wakes_a_blocked_owner(self, make):
+    def test_a_deposit_wakes_a_blocked_owner(self):
         """200 times: the owner blocks in ``get`` (5 s timeout), a second
         thread deposits after a barrier.  A lost wake-up would surface one
         poll interval (250 ms) later; a delivered one in well under 0.2 s."""
-        owner = make()
+        owner = _ThreadBox()
         box = owner.box
         try:
             for i in range(200):
@@ -185,29 +200,173 @@ class TestWakeUps:
         finally:
             owner.close()
 
-    def test_pipe_wake_is_only_poked_while_the_owner_sleeps(self):
-        """Deposits the owner will see on its next check cost no syscall:
-        nothing is written to the wake pipe unless the owner is inside its
-        ``select`` — and a wake pipe that is full is not an error."""
-        owner = _PipeBox()
-        box = owner.box
-        try:
-            for i in range(3):
-                box.put(0, "t", i)
-            assert os.get_blocking(box._wake_r) is False
-            with pytest.raises(BlockingIOError):
-                os.read(box._wake_r, 1)
-            box._asleep = True  # as if blocked: every deposit pokes
+
+def _frame(ftype, blob=b"", crc=None):
+    crc = zlib.crc32(blob) if crc is None else crc
+    return _HEADER.pack(ftype, len(blob), crc) + blob
+
+
+def _data(payload, tag="t"):
+    return _frame(_FRAME_DATA, encode_frame((1, tag), payload))
+
+
+@contextmanager
+def _link_lane():
+    """A forked inbox (owner: world rank 0) with one real loopback TCP link
+    from world rank 1 as a lane; yields ``(world, box, link, peer)``, where
+    ``peer`` is rank 1's raw end of the link."""
+    world = World(size=NSOURCES, config=JobConfig(hostmap=HostMap.one_per_rank(NSOURCES)))
+    world.rank = 0
+    owner = _ForkedBox(world)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = socket.create_connection(listener.getsockname())
+        mine, _ = listener.accept()
+    link = _Connection(world, 1, mine, owner.box)
+    owner.box.watch(link.fileno, link.drain)
+    try:
+        yield world, owner.box, link, peer
+    finally:
+        link.close()
+        peer.close()
+        owner.close()
+
+
+def _drain_until_finished(box, link):
+    """Let the owner drain until the link has left its ``select``."""
+    for _ in range(10):
+        if link.fileno not in box._lanes:
+            return
+        select.select([link.fileno], [], [], 5.0)
+        box.try_get(1, "never sent")
+
+
+#: A stream item: a heartbeat, a small ``DATA`` frame, or one too large to
+#: stage (its body is read into a buffer of its own).
+_items = st.one_of(
+    st.none(), st.integers(0, 300), st.just(_STAGE_BYTES // 8 + 100)
+)
+
+
+class TestLinkLane:
+    """A TCP link is a lane of the forked inbox, read by the waiting thread,
+    and one writer shared by every thread that sends on it."""
+
+    def test_a_frame_is_deposited_by_the_waiting_thread(self):
+        with _link_lane() as (_, box, link, peer):
+            depositors = []
+            put = box.put
+
+            def recording_put(*args):
+                depositors.append(threading.current_thread())
+                put(*args)
+
+            link._deposit = recording_put
+            sender = threading.Thread(target=peer.sendall, args=(_data(7),))
+            sender.start()
+            assert box.get(1, "t", 5.0, _describe) == 7
+            sender.join(timeout=5)
+            assert not sender.is_alive()
+            assert depositors == [threading.current_thread()]
+
+    def test_concurrent_senders_never_interleave_frames(self):
+        """Four threads send over one link at once, far faster than the peer
+        reads, with the interpreter switching threads every microsecond:
+        each write goes out on its caller's thread or queues behind the
+        backlog, and frames reach the peer whole, in each sender's order."""
+        nthreads, count, size = 4, 50, 100_000
+        with _link_lane() as (_, _, link, peer):
+
+            def send(t):
+                for i in range(count):
+                    link.send_frame(_FRAME_DATA, bytes([t, i]) * (size // 2))
+
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
             try:
-                while True:
-                    os.write(box._wake_w, b"\0" * 4096)
-            except BlockingIOError:
-                pass
-            box.put(0, "t", 3)  # pipe full: ignored, wake-ups are pending
-            box._asleep = False
-            assert [box.get(0, "t", 5.0, _describe) for _ in range(4)] == [0, 1, 2, 3]
-        finally:
-            owner.close()
+                workers = [threading.Thread(target=send, args=(t,)) for t in range(nthreads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(w.is_alive() for w in workers)
+            peer.settimeout(30)
+            data, expect = bytearray(), nthreads * count * (_HEADER.size + size)
+            while len(data) < expect:
+                chunk = peer.recv(1 << 20)
+                assert chunk
+                data += chunk
+        seen: dict[int, list[int]] = {t: [] for t in range(nthreads)}
+        for pos in range(0, expect, _HEADER.size + size):
+            ftype, length, crc = _HEADER.unpack_from(data, pos)
+            blob = bytes(data[pos + _HEADER.size : pos + _HEADER.size + length])
+            assert (ftype, length, zlib.crc32(blob)) == (_FRAME_DATA, size, crc)
+            t, i = blob[:2]
+            assert blob == bytes([t, i]) * (size // 2)
+            seen[t].append(i)
+        assert len(data) == expect
+        assert seen == {t: list(range(count)) for t in range(nthreads)}
+
+    @settings(max_examples=30, deadline=None)
+    @given(items=st.lists(_items, min_size=1, max_size=8),
+           cuts=st.lists(st.integers(1, 3 * _STAGE_BYTES), max_size=10))
+    def test_frames_split_anywhere_reassemble(self, items, cuts):
+        """However the stream is cut, every ``DATA`` frame is deposited once,
+        in order, bit for bit and read-only; heartbeats deposit nothing."""
+        sent = [np.arange(n, dtype=np.float64) + i for i, n in enumerate(items) if n is not None]
+        stream = b"".join(
+            _frame(_FRAME_HEARTBEAT) if n is None else _data(np.arange(n, dtype=np.float64) + i)
+            for i, n in enumerate(items)
+        )
+        with _link_lane() as (world, box, link, peer):
+            got, pos = [], 0
+            for cut in [*cuts, len(stream)]:
+                chunk = stream[pos : pos + cut]
+                if not chunk:
+                    break
+                peer.sendall(chunk)
+                pos += len(chunk)
+                select.select([link.fileno], [], [], 5.0)
+                ok, payload = box.try_get(1, "t")
+                while ok:
+                    got.append(payload)
+                    ok, payload = box.try_get(1, "t")
+            while len(got) < len(sent):
+                got.append(box.get(1, "t", 5.0, _describe))
+            assert box._buffered == {} and not world.aborted
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in sent]
+        assert not any(a.flags.writeable for a in got)
+
+    def test_eof_after_bye_is_orderly(self):
+        with _link_lane() as (world, box, link, peer):
+            peer.sendall(_data(3) + _frame(_FRAME_BYE))
+            peer.close()
+            assert box.get(1, "t", 5.0, _describe) == 3
+            _drain_until_finished(box, link)
+            assert link.fileno not in box._fds and link.peer_done
+            assert not world.aborted
+
+    def test_eof_without_bye_aborts_naming_the_peer(self):
+        with _link_lane() as (world, box, link, peer):
+            peer.close()
+            with pytest.raises(CommAborted) as info:
+                box.get(1, "never sent", 5.0, _describe)
+            err = info.value
+            assert (err.kind, err.failed_rank, err.host) == ("peer-death", 1, "node1")
+            assert "world rank 1 (host node1) lost" in str(err)
+            assert link.fileno not in box._fds
+
+    def test_a_bad_crc_aborts_naming_the_sender(self):
+        with _link_lane() as (world, box, link, peer):
+            blob = encode_frame((1, "t"), np.ones(4))
+            peer.sendall(_frame(_FRAME_DATA, blob, crc=zlib.crc32(blob) ^ 1))
+            with pytest.raises(CommIntegrityError) as info:
+                box.get(1, "t", 5.0, _describe)
+            err = info.value
+            assert (err.kind, err.failed_rank, err.host) == ("integrity", 1, "node1")
+            assert "CRC32" in str(err)
+            assert link.fileno not in box._fds and box._buffered == {}
 
 
 def _exchange(comm):

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import Counting
 from repro.comm import (
     CommAborted,
     available_backends,
@@ -215,30 +216,6 @@ class TestTransport:
         assert run_spmd(2, prog, backend=backend) == [0, 0]
 
 
-class _Counting:
-    """Stand-in for a module (or ``os.environ``) inside one forked rank:
-    attribute access falls through to the real thing, the names in
-    ``counted`` go through a call counter first."""
-
-    def __init__(self, real, counts, *counted):
-        self._real, self._counts, self._counted = real, counts, counted
-
-    def __getattr__(self, name):
-        attr = getattr(self._real, name)
-        if name not in self._counted:
-            return attr
-
-        def counting(*args, **kwargs):
-            self._counts[name] = self._counts.get(name, 0) + 1
-            try:
-                return attr(*args, **kwargs)
-            except BlockingIOError:
-                self._counts["BlockingIOError"] = self._counts.get("BlockingIOError", 0) + 1
-                raise
-
-        return counting
-
-
 class TestFixedCostPerMessage:
     """What a tiny message costs, as counts (no clock): the patches below
     are made inside a forked rank and die with it."""
@@ -255,8 +232,8 @@ class TestFixedCostPerMessage:
             (pipe,) = comm._world._inbox._rbufs
             assert proc_backend.select.select([pipe], [], [], 30.0)[0]
             counts = {}
-            proc_backend.select = _Counting(proc_backend.select, counts, "select")
-            proc_backend.os = _Counting(proc_backend.os, counts, "read")
+            proc_backend.select = Counting(proc_backend.select, counts, "select")
+            proc_backend.os = Counting(proc_backend.os, counts, "read")
             got = comm.recv(source=0, tag=1)
             proc_backend.select = proc_backend.select._real
             proc_backend.os = proc_backend.os._real
@@ -276,14 +253,14 @@ class TestFixedCostPerMessage:
             from repro.comm import algorithms, collective_models, communicator
 
             counts = {}
-            communicator.os = _Counting(
+            communicator.os = Counting(
                 communicator.os, counts, "getenv"
             )
-            communicator.os.environ = _Counting(os.environ, counts, "get")
-            collective_models.select_allreduce_algorithm = _Counting(
+            communicator.os.environ = Counting(os.environ, counts, "get")
+            collective_models.select_allreduce_algorithm = Counting(
                 collective_models, counts, "select_allreduce_algorithm"
             ).select_allreduce_algorithm
-            algorithms.chunk_offsets = _Counting(
+            algorithms.chunk_offsets = Counting(
                 algorithms, counts, "chunk_offsets"
             ).chunk_offsets
             # The world communicator parsed the environment before this ran:

@@ -11,19 +11,29 @@ These tests pin:
 * cross-backend parity, **bitwise**, for the direct and scheduled
   collectives;
 * cross-host failure detection — a killed rank's peers fail with
-  :class:`CommAborted` naming the dead world rank;
+  :class:`CommAborted` naming the dead world rank, and a busy rank does not
+  report a peer whose heartbeats wait unread on its link;
+* what an off-node frame costs, as counts — one ``select`` and one
+  ``recv_into`` on the receiving thread, one ``sendmsg`` on the calling
+  one — and that a send never blocks and loses nothing;
 * resource hygiene — a completed (or aborted) job leaks no sockets or
   file descriptors in the parent, mirroring the ``/dev/shm`` arena check.
 """
 
 import gc
 import os
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from conftest import Counting
 from repro.comm import CommAborted, HostMap, run_spmd
+from repro.comm import socket_backend
 from repro.comm.hostmap import resolve_hostmap
+from repro.comm.socket_backend import _FRAME_DATA, _HEADER
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -221,6 +231,179 @@ class TestCrossHostFailure:
             3, prog, backend="socket", timeout=30, detect_interval=0.1
         )
         assert out == [out[0]] * 3
+
+    def test_a_busy_rank_does_not_report_its_heartbeating_peer(
+        self, caplog, monkeypatch
+    ):
+        """A rank only hears a peer when it drains, so one that computes
+        past the staleness bound must probe the link before it warns:
+        heartbeats waiting unread mean the peer is alive.  (Records are
+        read inside each rank: a forked rank logs into its own copy of
+        ``caplog``.)"""
+        monkeypatch.setattr(socket_backend, "_STALE_AFTER", 0.2)
+
+        def prog(comm):
+            if comm.rank == 1:
+                time.sleep(1.0)  # computing, 5x past the bound
+            comm.barrier()
+            return [r.getMessage() for r in caplog.records]
+
+        out = run_spmd(
+            2, prog, backend="socket", hostmap="0:A 1:B",
+            detect_interval=0.02, timeout=30,
+        )
+        assert out == [[], []]
+
+
+# ---------------------------------------------------------------------------
+# What an off-node frame costs
+# ---------------------------------------------------------------------------
+
+#: Two logical nodes whatever ``REPRO_HOSTMAP`` says: every byte crosses TCP.
+OFF_NODE = "0:A 1:B"
+
+
+def _link(comm, peer):
+    return comm._world._mesh._conns[peer]
+
+
+def _await_data_frame(sock):
+    """Block until a whole ``DATA`` frame waits unread on ``sock``, peeking
+    past the heartbeats ahead of it (consumes nothing)."""
+    need = _HEADER.size
+    while True:
+        data = sock.recv(need, socket.MSG_PEEK | socket.MSG_WAITALL)
+        pos = 0
+        while True:
+            need = pos + _HEADER.size
+            if need > len(data):
+                break
+            ftype, length, _ = _HEADER.unpack_from(data, pos)
+            need += length
+            if need > len(data):
+                break
+            if ftype == _FRAME_DATA:
+                return
+            pos = need
+
+
+class _ThreadCalls:
+    """A socket stand-in logging ``(method, thread name)`` for the named
+    methods; everything else falls through to ``_real``."""
+
+    def __init__(self, real, log, *logged):
+        self._real, self._log, self._logged = real, log, logged
+
+    def __getattr__(self, name):
+        attr = getattr(self._real, name)
+        if name not in self._logged:
+            return attr
+
+        def logging_call(*args, **kwargs):
+            self._log.append((name, threading.current_thread().name))
+            return attr(*args, **kwargs)
+
+        return logging_call
+
+
+class TestFixedCostPerFrame:
+    """What an off-node message costs, as counts (no clock): the patches
+    are made inside a forked rank and die with it."""
+
+    def test_no_thread_reads_a_link(self):
+        def prog(comm):
+            return sorted(t.name for t in threading.enumerate())
+
+        for rank, names in enumerate(
+            run_spmd(2, prog, backend="socket", hostmap=OFF_NODE, timeout=60)
+        ):
+            assert not [n for n in names if n.startswith("tcp-recv")]
+            assert f"tcp-send-rank-{rank}-peer-{1 - rank}" in names
+
+    def test_receiving_an_arrived_frame_is_one_select_and_one_recv(self):
+        def prog(comm):
+            from repro.comm import proc_backend
+
+            if comm.rank == 0:
+                comm.send(np.ones(128), dest=1, tag=1)  # 1 KiB
+                comm.barrier()
+                return None
+            link = _link(comm, 0)
+            _await_data_frame(link._sock)
+            counts = {}
+            proc_backend.select = Counting(proc_backend.select, counts, "select")
+            link._sock = Counting(link._sock, counts, "recv_into")
+            got = comm.recv(source=0, tag=1)
+            proc_backend.select = proc_backend.select._real
+            link._sock = link._sock._real
+            comm.barrier()
+            return counts, bool((got == 1.0).all())
+
+        _, (counts, ok) = run_spmd(
+            2, prog, backend="socket", hostmap=OFF_NODE, timeout=60
+        )
+        assert ok and counts == {"select": 1, "recv_into": 1}
+
+    def test_a_send_on_an_idle_link_is_one_sendmsg_on_the_calling_thread(self):
+        def prog(comm):
+            peer = 1 - comm.rank
+            link = _link(comm, peer)
+            calls = []
+            link._sock = _ThreadCalls(link._sock, calls, "sendmsg", "send")
+            comm.send(np.ones(128), peer, tag=1)  # 1 KiB
+            queued = len(link._out)
+            link._sock = link._sock._real
+            got = comm.recv(peer, tag=1)
+            heartbeats = f"tcp-heartbeat-rank-{comm.rank}"
+            return [c for c in calls if c[1] != heartbeats], queued, bool((got == 1).all())
+
+        for calls, queued, ok in run_spmd(
+            2, prog, backend="socket", hostmap=OFF_NODE, timeout=60
+        ):
+            assert calls == [("sendmsg", "MainThread")]
+            assert queued == 0 and ok
+
+    def test_two_ranks_each_send_16_mib_before_either_receives(self):
+        """Neither kernel takes 16 MiB at once: the rest waits for the
+        link's sender thread while the caller moves on to its receive."""
+        words = (16 << 20) // 8
+
+        def prog(comm):
+            peer = 1 - comm.rank
+            comm.send(np.arange(words, dtype=np.float64) * (comm.rank + 1), peer, tag=7)
+            backlog = len(_link(comm, peer)._out)
+            got = comm.recv(peer, tag=7)
+            expect = np.arange(words, dtype=np.float64) * (peer + 1)
+            return backlog, got.tobytes() == expect.tobytes()
+
+        out = run_spmd(2, prog, backend="socket", hostmap=OFF_NODE, timeout=60)
+        assert all(ok for _, ok in out)
+        assert any(backlog for backlog, _ in out)
+
+    def test_a_rank_that_returns_after_its_last_send_loses_nothing(self):
+        """Rank 0 exits with 16 MiB still on their way; rank 1 pauses before
+        each receive, heartbeating all along.  Rank 0's backlog is on the
+        wire during the second pause, so a plain close would let the next
+        heartbeat reset the frames still in its kernel away.  It half-closes
+        and drains to rank 1's EOF instead."""
+        words = (8 << 20) // 8
+        sent = np.arange(words, dtype=np.float64)
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(sent, 1, tag=1)
+                comm.send(sent, 1, tag=2)
+                return None
+            got = []
+            for tag in (1, 2):
+                time.sleep(0.3)
+                got.append(comm.recv(0, tag=tag).tobytes() == sent.tobytes())
+            return got
+
+        out = run_spmd(
+            2, prog, backend="socket", hostmap=OFF_NODE, detect_interval=0.02, timeout=60
+        )
+        assert out == [None, [True, True]]
 
 
 # ---------------------------------------------------------------------------
