@@ -17,9 +17,10 @@ Package map (see DESIGN.md for the full inventory):
   (sample/spatial/hybrid, plus channel/filter extensions), distributed
   network execution and training, and the strategy optimizer.
 * :mod:`repro.perfmodel` — machine spec, convolution cost model, per-layer
-  and whole-network cost models, memory model.
-* :mod:`repro.sim` — discrete-event simulator reproducing the paper's
-  scale experiments (Tables I–III, Figures 2–4).
+  costs, memory model, and the one step evaluator: a discrete-event
+  simulation of the priced step reproducing the paper's scale experiments
+  (Tables I–III, Figures 2–4); :mod:`repro.sim` exports it under its
+  simulator name.
 * :mod:`repro.data` — synthetic mesh-tangling and ImageNet-like datasets.
 """
 

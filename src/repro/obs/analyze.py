@@ -6,10 +6,10 @@ Usage::
     python -m repro.obs.analyze trace.json [--model model.json] [--top N]
 
 ``--model`` points at a JSON produced by :func:`model_predictions`, which
-runs :class:`repro.sim.training_sim.TrainingStepSimulator` (and its
-``NetworkCostModel.layer_cost``) for the same network/strategy so the
-analyzer can put measured per-layer times and comm bytes next to the §V
-model's predictions.  Comm-byte rows come from the ``comm_stats``
+runs the step evaluator (:meth:`repro.perfmodel.NetworkCostModel.simulate`,
+exported as ``repro.sim.TrainingStepSimulator``) for the same
+network/strategy so the analyzer can put measured per-layer times and comm
+bytes next to the §V model's predictions.  Comm-byte rows come from the ``comm_stats``
 annotations each rank embeds in its trace — a verbatim ``CommStats``
 snapshot, so those rows agree with the live counters exactly.
 """
@@ -204,7 +204,7 @@ def comm_rows(doc: dict) -> dict:
 
 
 def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> dict:
-    """Run ``TrainingStepSimulator`` for the given net/strategy and distil
+    """Simulate the step for the given net/strategy and distil
     per-layer predictions the analyzer can set against measured spans.
 
     Joined on op id: a layer's modeled time is the window (last finish −
@@ -212,7 +212,7 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
     ``bwd:{layer}`` op — the ids the runtime's layer spans carry; allreduce
     bytes come from ``NetworkCostModel.layer_cost``.
     """
-    from repro.sim.training_sim import TrainingStepSimulator
+    from repro.sim import TrainingStepSimulator
 
     sim = TrainingStepSimulator(spec, machine, **sim_kwargs)
     res = sim.simulate(n_global, strategy)
@@ -230,7 +230,7 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
     ar_bytes_total = 0
     for layer in spec.topo_order():
         name = layer.name
-        cost = sim.cost_model.layer_cost(name, n_global, strategy)
+        cost = sim.layer_cost(name, n_global, strategy)
         ar_bytes = int(cost.allreduce_bytes) if cost is not None else 0
         ar_bytes_total += ar_bytes
         layers[name] = {

@@ -11,9 +11,11 @@
   as cuDNN may select among many algorithms").
 * :mod:`repro.perfmodel.layer_cost` — FP, BPx, BPw, BPa per layer with
   halo-exchange terms and overlap adjustments (§V-A).
-* :mod:`repro.perfmodel.network_cost` — whole-CNN mini-batch time: per-layer
-  costs, shuffle costs between differing distributions, and greedy
-  allreduce/backprop overlap (§V-B).
+* :mod:`repro.perfmodel.network_cost` — whole-CNN mini-batch time (§V-B):
+  per-layer costs, shuffle and gradient-bucket costs of the lowered step,
+  and one timeline — the step as a task graph over compute and
+  communication streams (:mod:`repro.perfmodel.sim_engine`), whose
+  makespan is the mini-batch time.
 * :mod:`repro.perfmodel.memory` — per-GPU memory requirements (activations,
   error signals, parameters, workspace), reproducing the paper's
   feasibility boundaries (the 2K model needs >= 2-way spatial parallelism;

@@ -59,10 +59,8 @@ class ConvLayerCost:
     #: Extra kernel launches when the input is decomposed into interior +
     #: boundary regions for overlap (§IV-A).
     boundary_launch: float = 0.0
-    #: Payload and group of the dL/dw allreduce, kept alongside its time so
-    #: schedule-level models (bucketing/segmentation) can re-cost it.
+    #: Payload of the dL/dw allreduce (the analyzer's modeled bytes).
     allreduce_bytes: float = 0.0
-    allreduce_group: int = 1
     #: Fraction of the layer's compute that belongs to the boundary kernels
     #: (must wait for the halo).  0 = everything overlaps the exchange,
     #: 1 = nothing does (the engine's synchronous layers).
@@ -229,7 +227,6 @@ def conv_layer_cost(
         allreduce=ar,
         boundary_launch=boundary_launch,
         allreduce_bytes=params_bytes,
-        allreduce_group=total_ranks,
         boundary_fraction=boundary_fraction,
     )
 
@@ -359,5 +356,4 @@ def elementwise_layer_cost(
         bpw_compute=0.0,
         allreduce=ar,
         allreduce_bytes=params_bytes if ar > 0 else 0.0,
-        allreduce_group=total_ranks if ar > 0 else 1,
     )

@@ -1,19 +1,16 @@
-"""Discrete-event simulation of distributed training (S12 in DESIGN.md).
+"""The task-graph simulator's names.
 
-The analytic model of :mod:`repro.perfmodel` makes closed-form overlap
-assumptions (§V).  This package cross-checks them by actually *scheduling*
-one training step as a task graph over two per-rank resources (a compute
-stream and a communication stream), which is how the LBANN implementation
+One evaluator prices and schedules a training step: the timeline lives
+with the pricing in :mod:`repro.perfmodel.network_cost`, whose
+:meth:`~repro.perfmodel.network_cost.NetworkCostModel.simulate` runs the
+step as a task graph over a compute and a communication stream
+(:mod:`repro.perfmodel.sim_engine`), the way the LBANN implementation
 overlaps halo exchanges with interior convolutions and allreduces with
-backpropagation (§IV-A).
-
-* :mod:`repro.sim.engine` — a minimal dependency-driven event simulator.
-* :mod:`repro.sim.training_sim` — builds the per-step task graph for a
-  (network, strategy, machine) triple and reports the simulated mini-batch
-  time, with overlap independently toggleable for ablations.
+backpropagation (§IV-A).  ``TrainingStepSimulator`` is that class under
+the name simulation callers use.
 """
 
-from repro.sim.engine import SimEngine, Task
-from repro.sim.training_sim import TrainingStepSimulator
+from repro.perfmodel.network_cost import NetworkCostModel as TrainingStepSimulator
+from repro.perfmodel.sim_engine import SimEngine, Task
 
 __all__ = ["SimEngine", "Task", "TrainingStepSimulator"]

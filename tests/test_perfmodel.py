@@ -381,20 +381,10 @@ class TestNetworkCostAnchors:
         assert max(times) / min(times) < 1.15
 
     def test_overlap_helps(self):
-        on = NetworkCostModel(mesh_model_2k(), LASSEN, overlap=True)
-        off = NetworkCostModel(mesh_model_2k(), LASSEN, overlap=False)
+        on = NetworkCostModel(mesh_model_2k(), LASSEN, overlap_halo=True)
+        off = NetworkCostModel(mesh_model_2k(), LASSEN, overlap_halo=False)
         par = ParallelStrategy.uniform(LP(sample=2, height=4, width=4))
         assert on.minibatch_time(2, par) < off.minibatch_time(2, par)
-
-    def test_cheap_layers_free_mode(self):
-        free = NetworkCostModel(mesh_model_1k(), LASSEN, cheap_layers="free")
-        mem = NetworkCostModel(mesh_model_1k(), LASSEN, cheap_layers="memory")
-        par = ParallelStrategy.uniform(LP(sample=4))
-        assert free.minibatch_time(4, par) < mem.minibatch_time(4, par)
-
-    def test_invalid_cheap_layers(self):
-        with pytest.raises(ValueError):
-            NetworkCostModel(mesh_model_1k(), LASSEN, cheap_layers="bogus")
 
 
 class TestMemoryModel:
