@@ -14,7 +14,7 @@ buys removed synchronization, not parallel compute).
 **One mailbox.**  The ``(source, tag)`` store and the wait / retry /
 timeout / abort loop exist once, in :class:`Mailbox`; a transport only says
 how a deposit wakes the owner and how the owner blocks — a condition
-variable between threads, a ``select`` over pipes in a forked rank — so a
+variable between threads, a ``select`` over links in a forked rank — so a
 thread rank and a TCP rank time out, retry and attribute an abort by the
 same code.
 
@@ -470,7 +470,7 @@ class Mailbox:
     would be a stall of one poll interval, not a hang, which is why
     ``tests/test_mailbox.py`` times it.  The forked ranks' flavour,
     :class:`repro.comm.proc_backend._Inbox`, has no depositing thread to
-    wake: its ``_wait`` is a ``select`` over the rank's lanes that drains
+    wake: its ``_wait`` is a ``select`` over the rank's links that drains
     the readable ones itself.
     """
 
@@ -572,7 +572,7 @@ class Mailbox:
         return ok, payload
 
     def pending_keys(self, limit: int = 8) -> str:
-        """Queued-but-unmatched ``(source, tag)`` pairs, for diagnostics."""
+        """Buffered-but-unmatched ``(source, tag)`` pairs, for diagnostics."""
         with self._cv:
             keys = [k for k, q in self._buffered.items() if q]
         if not keys:

@@ -18,7 +18,7 @@ schedules), an 8-rank job folds to four ranks per node.  This is what lets
 CI pin one 2-logical-host layout and run the whole parity suite under it.
 
 On one physical machine the "hosts" are logical: the socket backend routes
-intra-node traffic over shared memory / queues and inter-node traffic over
+intra-node traffic over shared memory / socketpairs and inter-node traffic over
 real TCP sockets, so the transport boundary is exercised end-to-end even
 though everything runs on localhost.  The same map drives the hierarchical
 collective schedules (:func:`repro.comm.algorithms.compile_hierarchical_allreduce`)

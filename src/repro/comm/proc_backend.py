@@ -12,23 +12,26 @@ pairs share memory.  The two registered backend names differ in nothing
 else:
 
 * ``"process"`` — the one-node map: every byte moves through shared
-  memory, no socket is ever constructed.
+  memory and socketpairs, no TCP socket is ever constructed.
 * ``"socket"`` — the job's host map, or one node per rank without one:
-  same-node pairs as above, off-node pairs over the framed TCP links of
-  :mod:`repro.comm.socket_backend`.  A ``socket`` job whose map puts all
-  its ranks on one node *is* a ``process`` job.
+  same-node pairs as above, off-node pairs over TCP.  A ``socket`` job
+  whose map puts all its ranks on one node *is* a ``process`` job.
 
-What the world is made of:
+Either way every cross-process rank pair has exactly one
+:class:`~repro.comm.socket_backend.Link` — an ``AF_UNIX`` socketpair for a
+same-node pair, a TCP connection for an off-node one — and a message is one
+framed write on it.  What the world is made of:
 
-* **Same-node transport** — every rank owns a ``multiprocessing.Queue``
-  and one raw descriptor pipe per peer, and a message crosses either lane
-  as one **frame** (:func:`repro.comm.payload.encode_frame`): a small
-  pickled header — the lane's ``(seq, source, tag)``, the payload's
-  *skeleton* (its containers, scalars and object-dtype arrays, every other
-  array lifted out by the one payload walk and replaced by an
-  :class:`~repro.comm.payload.ArrayRef`) and one ``(offset, nbytes, shape,
-  dtype)`` descriptor per lifted array — followed by raw array bytes.  No
-  array is pickled; a descriptor places its array one of two ways.
+* **Same-node transport** — every same-node rank pair shares one
+  ``socket.socketpair()``, made by the parent before the fork, and a message
+  crosses it as one **frame** (:func:`repro.comm.payload.encode_frame`) in
+  the link's framing, exactly like a TCP one: a small pickled header — the
+  message's ``(source, tag)``, the payload's *skeleton* (its containers,
+  scalars and object-dtype arrays, every other array lifted out by the one
+  payload walk and replaced by an :class:`~repro.comm.payload.ArrayRef`)
+  and one ``(offset, nbytes, shape, dtype)`` descriptor per lifted array —
+  followed by raw array bytes.  No array is pickled; a descriptor places
+  its array one of two ways.
   *Arena* (``offset`` an integer, arrays of :data:`SHM_MIN_BYTES` and up):
   the sender copied the array into a run of blocks of a fixed
   ``multiprocessing.shared_memory.SharedMemory`` **arena** created by the
@@ -42,36 +45,42 @@ What the world is made of:
   C-order bytes ride the frame after the header, each array starting on a
   16-byte boundary of the frame, and the receiver builds the array over
   the frame's immutable bytes — born read-only and aligned, never copied.
-  A frame of at most :data:`_PIPE_FRAME_MAX` bytes is one atomic pipe
-  write; a larger one, or a full pipe, takes the queue.
+  The sending thread writes the frame with one nonblocking ``sendmsg``,
+  whatever its size; the link's sender thread only writes a tail the
+  kernel would not take.
 * **Receiving** — :class:`_Inbox` is the package's one
   :class:`~repro.comm.backend.Mailbox` with a ``select`` for a wait: its
-  lanes are the pipes, the queue and the off-node peers' TCP links, and
-  every message is taken in by the waiting thread's drain.
+  lanes are the rank's links, one per peer, and every message is taken in
+  by the waiting thread's drain and admitted through the inbox's one
+  store, whichever kind of link it came over.
 * **Collectives** — none here: the communicator builds every collective
   on ``deliver``/``collect``/``try_collect`` alone, with the same
   arithmetic in the same comm-rank order as on the thread backend, so
   results are bitwise identical across backends.
-* **Failure handling** — a shared abort flag plus a result queue, with a
-  structured abort *reason* (first failure wins) in a shared buffer so
-  every survivor's ``CommAborted`` names the failed rank and cause.  A
-  rank that raises aborts the job; the parent re-raises the first real
-  error by rank (``CommAborted`` from surviving ranks is secondary, as in
-  the thread backend).  A **child-exit watcher** in the parent (paced by
+* **Failure handling** — a shared abort flag plus one result pipe per
+  rank (written once, at exit), with a structured abort *reason* (first
+  failure wins) in a shared buffer so every survivor's ``CommAborted``
+  names the failed rank and cause.  A rank that raises aborts the job; the
+  parent re-raises the first real error by rank (``CommAborted`` from
+  surviving ranks is secondary, as in the thread backend).  A
+  **child-exit watcher** in the parent (paced by
   ``JobConfig.detect_interval``) spots a rank that died without reporting
   — segfault, OOM kill, or an injected ``os._exit`` crash — and aborts
   the job naming that rank within about one interval, so survivors fail
-  fast instead of waiting out their per-op timeouts; each child also
-  stamps a shared **heartbeat** slot from a daemon thread, which the
-  parent uses to flag stragglers.  Hangs fail with a diagnostic naming
-  the waiting world rank, operation, sequence number, and the pending
-  inbox; a rank the parent must ``terminate()`` dumps every thread's
-  stack to stderr first.  On teardown the parent closes and **unlinks**
-  every shared-memory segment and closes every queue, pipe and listener
-  — with failures logged as warnings, never swallowed — so a completed
-  *or aborted* job leaves nothing in ``/dev/shm`` and no fd behind
-  (regression-tested by ``tests/test_proc_backend.py`` and
-  ``tests/test_socket_backend.py``).
+  fast instead of waiting out their per-op timeouts (a same-node peer's
+  EOF leaves that verdict to it).  Each child also stamps a shared
+  **heartbeat** slot from a daemon thread, which the parent uses to flag
+  stragglers.  Hangs fail with a diagnostic naming the waiting world
+  rank, operation, sequence number, and the pending inbox; a rank the
+  parent must ``terminate()`` dumps every thread's stack to stderr first.
+  Each process keeps only its own ends of the links and result pipes
+  (:meth:`_SharedJobState.keep_own`, :meth:`~_SharedJobState.release_parent_fds`),
+  so a rank's exit is an EOF to its peers and its parent.  On teardown
+  the parent closes and **unlinks** every shared-memory segment and
+  closes every result pipe and listener — with failures logged as
+  warnings, never swallowed — so a completed *or aborted* job leaves
+  nothing in ``/dev/shm`` and no fd behind (regression-tested by
+  ``tests/test_proc_backend.py`` and ``tests/test_socket_backend.py``).
 
 **The locking rule.**  No non-main thread of a forked rank acquires a
 process-shared lock on the healthy path.  Such a thread drops the GIL while
@@ -80,10 +89,9 @@ meanwhile — an injected crash — leaves it held forever, wedging the parent
 and every survivor.  So the heartbeat thread only stores a stamp, the abort
 flag is a lock-free ``RawValue`` (``abort_lock`` is taken to *raise* it: the
 failure path), and the arena lock is only ever taken by a rank's main
-thread — as is every deposit, since all lanes are read by the waiting
-thread's drain.  The TCP sender and heartbeat threads take only their
-link's thread lock.  What is left: ``mp.Queue``'s own feeder thread writes
-the queue lane under the queue's shared write lock.
+thread — as is every deposit, since all links are read by the waiting
+thread's drain.  A link's sender thread and the TCP heartbeat thread take
+only their link's thread lock.
 
 What this world does *not* model: NUMA/core pinning, a real NIC, or network
 topology — it is "MPI on one host" with an optional loopback wire, giving
@@ -96,16 +104,17 @@ import faulthandler
 import logging
 import os
 import pickle
-import queue as queue_mod
 import secrets
 import select
 import signal
+import socket
 import sys
 import threading
 import time
 import traceback
 from functools import partial
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 from time import monotonic
 from typing import Any, Callable
 
@@ -121,7 +130,13 @@ from repro.comm.backend import (
 from repro.comm.faults import INJECTED_CRASH_EXIT, FaultInjector, JobConfig
 from repro.comm.hostmap import HostMap
 from repro.comm.payload import decode_frame, encode_frame, join
-from repro.comm.socket_backend import TcpMesh, bind_listeners
+from repro.comm.socket_backend import (
+    _FRAME_DATA,
+    Link,
+    TcpMesh,
+    bind_listeners,
+    close_links,
+)
 from repro.obs import tracer
 
 logger = logging.getLogger(__name__)
@@ -135,18 +150,6 @@ DEFAULT_ARENA_BYTES = 64 << 20
 
 #: Arena allocation granularity.
 ARENA_BLOCK = 32 << 10
-
-#: Largest frame (length prefix + header + inline array bytes) eligible for the
-#: descriptor-pipe fast lane.  POSIX guarantees writes of at most
-#: ``PIPE_BUF`` (>= 4096) bytes to an ``O_NONBLOCK`` pipe are atomic —
-#: they either transfer completely or fail with ``EAGAIN`` — so framed
-#: messages never interleave or split and the reader needs no partial-
-#: frame recovery across sender crashes.
-_PIPE_FRAME_MAX = 4096
-
-#: What one drain ``os.read`` asks a fast-lane pipe for (Linux's default pipe
-#: capacity: one read can take everything a full pipe holds).
-_PIPE_READ = 1 << 16
 
 #: Name prefix of the job arenas (leak checks scan /dev/shm for this).
 SHM_PREFIX = "repro-arena-"
@@ -281,11 +284,29 @@ class _Arena:
 _REASON_BYTES = 1024
 
 
+def _close(ends: list, what: str, keep: int | None = None) -> None:
+    """Close every end in ``ends`` but the one at index ``keep``, and mark
+    it closed (``None``); a failure is logged as a warning, never
+    swallowed — a leaked fd is what an operator needs to see."""
+    for i, end in enumerate(ends):
+        if end is not None and i != keep:
+            try:
+                end.close()
+            except Exception as exc:
+                logger.warning(
+                    "proc backend: failed to close %s %d: %s: %s",
+                    what, i, type(exc).__name__, exc,
+                )
+            ends[i] = None
+
+
 class _SharedJobState:
     """Everything the forked ranks share, created pre-fork by the parent."""
 
     # ``teardown`` also runs on a state whose construction stopped early.
-    pipes: Any = ()
+    links: Any = ()
+    readers: Any = ()
+    writers: Any = ()
     listeners: Any = ()
 
     def __init__(self, ctx, nranks: int, config: JobConfig, routing: HostMap) -> None:
@@ -295,8 +316,6 @@ class _SharedJobState:
         #: Which rank pairs share memory and which cross TCP — the one
         #: thing the registered backends differ in.
         self.routing = routing
-        self.queues = [ctx.Queue() for _ in range(nranks)]
-        self.results = ctx.Queue()
         # First failure wins: the reason is written exactly once, under
         # abort_lock, before the flag is raised, so any rank that sees the
         # flag also sees the reason.  The flag is a lock-free ``RawValue``:
@@ -313,55 +332,54 @@ class _SharedJobState:
             int(os.environ.get("REPRO_SHM_BYTES", DEFAULT_ARENA_BYTES)),
             ARENA_BLOCK,
         )
-        # Descriptor-pipe fast lane: one raw ``os.pipe`` per ordered rank
-        # pair, created pre-fork so both ends are inherited.  Small framed
-        # messages (arena descriptors, mostly) are written *synchronously*
-        # by the sender — no ``mp.Queue`` feeder-thread handoff, which on a
-        # contended host costs a GIL handoff plus a scheduler round trip
-        # per message.  Oversized frames and full pipes fall back to the
-        # queue; per-(sender, dest) sequence numbers let the receiver
-        # restore exact send order across the two lanes.
-        self.pipes: list[list[tuple[int, int] | None]] = [
-            [None] * nranks for _ in range(nranks)
-        ]
-        for s in range(nranks):
-            for d in range(nranks):
-                if s != d:
-                    r, w = os.pipe()
-                    os.set_blocking(r, False)
-                    os.set_blocking(w, False)
-                    self.pipes[s][d] = (r, w)
-        # TCP listeners only where some pair is off-node: a one-node job
-        # constructs no socket at all.
-        if not routing.is_single_node(nranks):
-            try:
+        try:
+            # One link per same-node rank pair, made pre-fork so both ends
+            # are inherited: ``links[r][d]`` is rank r's end of the
+            # socketpair it shares with d (``None`` on the diagonal and
+            # for off-node pairs, which dial TCP).
+            self.links = [[None] * nranks for _ in range(nranks)]
+            node = routing.node_of
+            for a in range(nranks):
+                for b in range(a + 1, nranks):
+                    if node(a) == node(b):
+                        self.links[a][b], self.links[b][a] = socket.socketpair()
+            # Each rank reports its outcome once, on a pipe of its own.
+            self.readers, self.writers = (
+                list(ends) for ends in zip(*(ctx.Pipe(duplex=False) for _ in range(nranks)))
+            )
+            # TCP listeners only where some pair is off-node: a one-node
+            # job binds no port.
+            if not routing.is_single_node(nranks):
                 self.listeners = bind_listeners(nranks)
-            except OSError:
-                self.teardown()
-                raise
+        except OSError:
+            self.teardown()
+            raise
         self.ports = [s.getsockname()[1] for s in self.listeners]
 
+    def keep_own(self, rank: int) -> None:
+        """Run in ``rank``'s child right after the fork: close every
+        inherited link end and result pipe end that is not this rank's.
+        A peer's exit only reaches its links as an EOF, and the parent
+        only sees a dead rank's result pipe end, once no other process
+        holds the ends."""
+        for r, row in enumerate(self.links):
+            if r != rank:
+                _close(row, "link end")
+        _close(self.readers, "result pipe")
+        _close(self.writers, "result pipe", keep=rank)
+
     def release_parent_fds(self) -> None:
-        """Close this process's copies of the fast-lane pipe fds and the
-        listeners (idempotent).
+        """Close this process's copies of every link end, every result
+        pipe's write end and the listeners (idempotent).
 
         Run by the *parent*, once every child is forked and again at
-        teardown: the children inherited their own descriptors, so the
-        parent's copies are only an fd-hygiene liability.
+        teardown: the children inherited their own ends, and the parent
+        holding one would keep the EOF a dead rank's peers wait for.
         """
-        for row in self.pipes:
-            for i, pair in enumerate(row):
-                if pair is not None:
-                    for fd in pair:
-                        try:
-                            os.close(fd)
-                        except OSError:  # pragma: no cover - already closed
-                            pass
-                    row[i] = None
-        for i, s in enumerate(self.listeners):
-            if s is not None:
-                s.close()
-                self.listeners[i] = None
+        for row in self.links:
+            _close(row, "link end")
+        _close(self.writers, "result pipe")
+        _close(self.listeners, "listener")
 
     @property
     def aborted(self) -> bool:
@@ -383,22 +401,15 @@ class _SharedJobState:
         return text or None
 
     def teardown(self) -> None:
-        """Parent-side cleanup: release queues, unlink the arena.
+        """Parent-side cleanup: close every fd the job made, unlink the
+        arena.
 
         Failures are logged as warnings, never swallowed silently — a
-        cleanup error here is exactly the kind of leak (a stuck feeder
-        thread, an orphaned ``/dev/shm`` segment) an operator needs to see.
+        cleanup error here is exactly the kind of leak (an fd left open, an
+        orphaned ``/dev/shm`` segment) an operator needs to see.
         """
         self.release_parent_fds()
-        for i, q in enumerate([*self.queues, self.results]):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception as exc:  # pragma: no cover - depends on host
-                logger.warning(
-                    "proc backend teardown: failed to close queue %d: %s: %s",
-                    i, type(exc).__name__, exc,
-                )
+        _close(self.readers, "result pipe")
         try:
             self.arena.destroy()
         except Exception as exc:  # pragma: no cover - depends on host
@@ -437,16 +448,17 @@ def _pack(head: tuple, payload: Any, arena: _Arena, counters: dict) -> bytes:
 
 class _Inbox(Mailbox):
     """The :class:`~repro.comm.backend.Mailbox` of a forked rank: the store
-    and wait loop are inherited, fed from this rank's lanes — its
-    shared-memory pipes and queue and, for off-node peers, its TCP links.
+    and wait loop are inherited, fed from this rank's lanes — its links,
+    one per peer, a socketpair for a same-node one and TCP otherwise.
 
     **Wait.**  The owner blocks in its own ``select`` over every lane and
     drains whichever became readable on the receiving thread — the waiting
     thread's drain.  No other thread deposits, so there is nobody to wake
     and nothing to release the store's lock for.
 
-    The lanes are FIFO over all sources; messages that do not match the
-    current receive are buffered, preserving per-(source, tag) FIFO order.
+    Each link is FIFO; messages that do not match the current receive are
+    buffered, preserving per-(source, tag) FIFO order.  Every ``DATA``
+    frame, of either kind of link, is admitted by :meth:`store`.
 
     **Admit at match.**  A drained message with arrays in the arena is
     buffered as an :class:`_ArenaMessage` — their descriptors only, the
@@ -463,35 +475,17 @@ class _Inbox(Mailbox):
     a sender at most half the arena.
     """
 
-    def __init__(
-        self, world: BaseWorld, queue: Any, rpipes: list[int], arena: _Arena
-    ) -> None:
+    def __init__(self, world: BaseWorld, arena: _Arena | None) -> None:
         super().__init__(world)
-        self._queue = queue
-        self._qfd = queue._reader.fileno()
         self._arena = arena
-        # Cross-lane ordering: next expected per-sender sequence number,
-        # plus a parking lot for messages that overtook a predecessor
-        # still in the other lane (always *future* seqs — each lane is
-        # itself FIFO, so a message can only arrive early, never late).
-        self._expected = [0] * world.size
-        self._parked: dict[tuple[int, int], tuple] = {}
-        # Fast-lane read ends, each with the bytes of a frame split across
-        # reads (atomic writes mean a frame is either fully in the pipe or
-        # absent, but one ``os.read`` may still return several frames plus
-        # the head of another).
-        self._rbufs = {fd: b"" for fd in rpipes}
         #: Every lane ``select`` watches: fd -> its drain, which returns
         #: ``False`` once the lane is finished (EOF).
-        self._lanes: dict[int, Callable[[], bool]] = {
-            fd: partial(self._drain_pipe, fd) for fd in rpipes
-        }
-        self._lanes[self._qfd] = self._drain_queue
-        self._fds = list(self._lanes)
+        self._lanes: dict[int, Callable[[], bool]] = {}
+        self._fds: list[int] = []
 
     def watch(self, fd: int, drain: Callable[[], bool]) -> None:
         """Add a lane: ``drain()`` runs on the receiving thread whenever
-        ``select`` finds ``fd`` readable (a TCP link's, for the mesh)."""
+        ``select`` finds ``fd`` readable (a link's)."""
         self._lanes[fd] = drain
         self._fds.append(fd)
 
@@ -501,8 +495,8 @@ class _Inbox(Mailbox):
 
     def _wait(self, timeout: float) -> None:
         """One ``select`` — sleeping up to ``timeout``, or a zero-timeout
-        probe for a nonblocking ``try_get`` (which replaces p-1 EAGAIN reads
-        and a queue probe) — then drain exactly the lanes it reported."""
+        probe for a nonblocking ``try_get`` (which replaces p-1 EAGAIN
+        reads) — then drain exactly the lanes it reported."""
         for fd in select.select(self._fds, [], [], timeout)[0]:
             if not self._lanes[fd]():
                 # A finished lane stays readable (EOF): stop watching it,
@@ -510,72 +504,17 @@ class _Inbox(Mailbox):
                 del self._lanes[fd]
                 self._fds.remove(fd)
 
-    # -- the lanes ---------------------------------------------------------------
-    def _admit(self, source: int, tag: Any, entry: Any) -> None:
-        if type(entry) is _ArenaMessage and (
-            2 * self._arena.used_blocks() > self._arena.nblocks
-        ):
-            entry = entry.take(self._arena)
+    def store(self, frame) -> None:
+        """Decode one ``DATA`` frame off a link and admit its message —
+        as arena descriptors unless the half-full rule copies it out now."""
+        (source, tag), skeleton, arrays, placed = decode_frame(frame)
+        if not placed:
+            entry = join(skeleton, arrays)
+        else:
+            entry = _ArenaMessage(skeleton, arrays)
+            if 2 * self._arena.used_blocks() > self._arena.nblocks:
+                entry = entry.take(self._arena)
         self.put(source, tag, entry)
-
-    def _store(self, frame: bytes) -> None:
-        """Decode one frame off a lane and admit it in send order."""
-        (seq, source, tag), skeleton, arrays, placed = decode_frame(frame)
-        entry = _ArenaMessage(skeleton, arrays) if placed else join(skeleton, arrays)
-        if seq != self._expected[source]:
-            self._parked[(source, seq)] = (tag, entry)
-            return
-        while True:
-            self._admit(source, tag, entry)
-            self._expected[source] += 1
-            nxt = self._parked.pop((source, self._expected[source]), None)
-            if nxt is None:
-                return
-            tag, entry = nxt
-
-    def _drain_pipe(self, fd: int) -> bool:
-        """Read and store every complete frame in one fast-lane pipe.
-
-        ``select`` reported the pipe readable, so the first read returns
-        data; a read shorter than asked for emptied the pipe, so the common
-        one-message drain is one ``os.read`` and no ``EAGAIN``.
-        """
-        data = self._rbufs[fd]
-        eof = False
-        while True:
-            try:
-                chunk = os.read(fd, _PIPE_READ)
-            except BlockingIOError:
-                break  # the previous, full read had emptied the pipe exactly
-            except OSError:  # pragma: no cover - fd torn down mid-drain
-                chunk = b""
-            if not chunk:
-                # EOF: the sender exited and the pipe is drained; crash
-                # detection is the parent watcher's job, not ours.
-                eof = True
-                break
-            data += chunk
-            if len(chunk) < _PIPE_READ:
-                break
-        pos, end = 0, len(data)
-        while end - pos >= 4:
-            stop = pos + 4 + int.from_bytes(data[pos : pos + 4], "little")
-            if stop > end:
-                break
-            self._store(data[pos + 4 : stop])
-            pos = stop
-        if eof:
-            del self._rbufs[fd]
-            return False
-        self._rbufs[fd] = data[pos:]
-        return True
-
-    def _drain_queue(self) -> bool:
-        while True:
-            try:
-                self._store(self._queue.get_nowait())
-            except queue_mod.Empty:
-                return True
 
 
 class ForkedWorld(BaseWorld):
@@ -584,15 +523,15 @@ class ForkedWorld(BaseWorld):
     The ``"process"`` and ``"socket"`` backends are this one world under two
     *routing maps* (``shared.routing``): ``deliver`` runs the sender's fault
     hook, keeps a self-send in-process, ships to a same-node peer through
-    the arena and a pipe/queue lane, and frames everything else onto the
-    pair's TCP link.  ``"process"`` is the one-node map, so it never opens a
-    socket; a rank with no off-node peer has no mesh, no monitor thread and
-    nothing to flush on exit.
+    the arena and the pair's socketpair, and frames everything else onto
+    the pair's TCP link.  ``"process"`` is the one-node map, so it never
+    dials TCP; a rank with no off-node peer has no mesh and no heartbeat
+    monitor.
     """
 
     #: ``deliver`` copies every cross-process payload out synchronously
     #: before returning (arena ``np.copyto``, or the ``tobytes`` of an
-    #: inline array — in a lane's frame or a TCP one), so senders — in particular
+    #: inline array into its frame), so senders — in particular
     #: :class:`~repro.comm.algorithms.ScheduleRunner` — may pass live
     #: views of buffers they keep mutating, skipping the staging copy the
     #: thread backend's zero-copy transport requires.
@@ -610,17 +549,15 @@ class ForkedWorld(BaseWorld):
         self._hostmap: HostMap = shared.config.hostmap or shared.routing
         node = shared.routing.node_of
         self._same_node = [node(r) == node(rank) for r in range(self.size)]
-        # Fast-lane ends of this rank (peer -> fd) and per-dest sequence
-        # numbers spanning both local lanes (see ``_send_local``).
-        peers = [r for r in range(self.size) if r != rank]
-        self._wpipes = {d: shared.pipes[rank][d][1] for d in peers}
-        self._send_seq = [0] * self.size
-        self._inbox = _Inbox(
-            self,
-            shared.queues[rank],
-            [shared.pipes[s][rank][0] for s in peers],
-            shared.arena,
-        )
+        self._inbox = _Inbox(self, shared.arena)
+        #: Peer -> this rank's link to it: a socketpair end per same-node
+        #: peer from the start, a TCP connection per off-node one once
+        #: ``start`` has made the mesh.
+        self._links: dict[int, Link] = {
+            d: Link(self, d, sock, self._inbox)
+            for d, sock in enumerate(shared.links[rank])
+            if sock is not None
+        }
         self._mesh: TcpMesh | None = None
         self._stats: dict[int, Any] = {}
         faults = shared.config.faults
@@ -634,8 +571,7 @@ class ForkedWorld(BaseWorld):
             "shm_bytes": 0,
             "inline_messages": 0,
             "arena_full_fallbacks": 0,
-            "pipe_messages": 0,
-            "queue_messages": 0,
+            "local_frames": 0,
             "tcp_messages": 0,
             "tcp_bytes": 0,          # full frame payloads (header included)
             "tcp_payload_bytes": 0,  # ndarray bytes only (model-comparable)
@@ -643,16 +579,22 @@ class ForkedWorld(BaseWorld):
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        """Connect to the off-node peers, if the routing map has any."""
+        """Connect to the off-node peers, if the routing map has any, and
+        make every link a lane of the inbox."""
         off_node = [r for r in range(self.size) if not self._same_node[r]]
         if off_node:
-            self._mesh = TcpMesh(self, self._inbox)
+            self._mesh = TcpMesh(self, self._inbox, self._links)
             self._mesh.start(off_node, self._shared.listeners, self._shared.ports)
+        for link in self._links.values():
+            self._inbox.watch(link.fileno, link.drain)
 
     def shutdown(self, ok: bool) -> None:
-        """Pre-exit teardown inside the child (``ok`` = rank succeeded)."""
+        """Pre-exit teardown inside the child (``ok`` = rank succeeded):
+        close every link, of either kind, in :func:`close_links`' two
+        passes."""
         if self._mesh is not None:
-            self._mesh.shutdown(ok)
+            self._mesh.stopped = True
+        close_links(self, list(self._links.values()), ok)
 
     @property
     def aborted(self) -> bool:
@@ -701,36 +643,13 @@ class ForkedWorld(BaseWorld):
             self._mesh.send(source, dest, tag, payload)
 
     def _send_local(self, source: int, dest: int, tag: Any, payload: Any) -> None:
-        """Ship one message to a same-node peer: arena + fast lane / queue.
-
-        Small framed messages go down the raw descriptor pipe with one
-        synchronous atomic write; anything oversized — or a momentarily
-        full pipe — falls back to the ``mp.Queue``.  Both lanes carry a
-        per-(sender, dest) sequence number so the receiver restores exact
-        send order, preserving per-(source, tag) FIFO across lanes.
-        """
+        """Ship one message to a same-node peer: its large arrays into the
+        arena, the frame down the pair's socketpair."""
         with tracer.span("xport:send", cat="transport", dest=dest) as sp:
-            seq = self._send_seq[dest]
-            self._send_seq[dest] = seq + 1
-            frame = _pack(
-                (seq, source, tag), payload, self._shared.arena, self.transport
-            )
-            if len(frame) + 4 <= _PIPE_FRAME_MAX:
-                try:
-                    os.write(
-                        self._wpipes[dest], len(frame).to_bytes(4, "little") + frame
-                    )
-                except OSError:
-                    pass  # pipe full or torn down: take the queue lane
-                else:
-                    self.transport["pipe_messages"] += 1
-                    sp.set(lane="pipe", bytes=len(frame))
-                    return
-            self.transport["queue_messages"] += 1
-            sp.set(lane="queue")
-            # The frame is immutable ``bytes``: the queue's feeder thread
-            # pickles it after this returns and still ships what was sent.
-            self._shared.queues[dest].put(frame)
+            frame = _pack((source, tag), payload, self._shared.arena, self.transport)
+            self.transport["local_frames"] += 1
+            sp.set(bytes=len(frame))
+            self._links[dest].send_frame(_FRAME_DATA, frame)
 
     def collect(
         self, dest: int, source: int, tag: Any, opname: str = "recv", sink=None
@@ -819,6 +738,7 @@ def _child_main(
     """Rank entry point in the forked child."""
     from repro.comm.communicator import Communicator
 
+    shared.keep_own(rank)
     # A rank the parent has to ``terminate()`` after ``_PARENT_GRACE`` dumps
     # every thread's stack first: a hang is a failure with tracebacks.
     if sys.__stderr__ is not None:
@@ -890,20 +810,7 @@ def _child_main(
             "world rank %d: trace flush failed: %s: %s",
             rank, type(exc).__name__, exc,
         )
-    if status == "ok":
-        # A fast rank may exit while its queue feeder threads still hold
-        # undelivered messages (e.g. fire-and-forget nonblocking exchanges a
-        # slow peer has yet to read).  close() lets each feeder flush and
-        # exit; the interpreter then joins them at process exit, so nothing
-        # a completing rank sent can be lost.
-        for q in shared.queues:
-            q.close()
-    else:
-        # On abort the job is over: losing queued messages is fine, and
-        # waiting on feeders is not (a peer may already be gone).
-        for q in shared.queues:
-            q.cancel_join_thread()
-    shared.results.put((rank, status, blob))
+    shared.writers[rank].send_bytes(pickle.dumps((status, blob)))
 
 
 def _launch_forked(
@@ -963,13 +870,16 @@ def _launch_forked(
         # without reporting aborts the job (naming the dead rank) within
         # about one interval, and stale heartbeats are flagged.
         drain_deadline: float | None = None
+        unreported = {reader: r for r, reader in enumerate(shared.readers)}
         while len(outcomes) < nranks:
-            try:
-                rank, status, blob = shared.results.get(timeout=min(0.25, detect))
-                outcomes[rank] = (status, blob)
-                continue
-            except queue_mod.Empty:
-                pass
+            for reader in wait(list(unreported), timeout=min(0.25, detect)):
+                rank = unreported.pop(reader)
+                try:
+                    outcomes[rank] = pickle.loads(reader.recv_bytes())
+                except (EOFError, OSError):
+                    # Exited without reporting: reap it, so the watcher
+                    # below names it now rather than an interval later.
+                    procs[rank].join(timeout=detect)
             for r, p in enumerate(procs):
                 if r not in outcomes and p.exitcode not in (None, 0):
                     outcomes[r] = ("crash", p.exitcode)

@@ -1,66 +1,72 @@
-"""The TCP wire under the forked-rank world's off-node rank pairs.
+"""The link: one framed stream socket per cross-process rank pair.
 
-A one-node job is "MPI on one host": every byte moves through shared
-memory.  Real deployments of the paper's fine-grained parallelism span
-nodes, where the inter-node wire — not the NVLink domain — bottlenecks the
-gradient allreduces (§VI-B1).  This module puts an actual network stack
-under :class:`~repro.comm.proc_backend.ForkedWorld` while staying runnable
-on one machine.  It hides the wire *format* and the links' lifecycle and
-nothing else — routing, the mailbox, fault hooks and the launcher live in
-:mod:`repro.comm.proc_backend`, which hands each rank with an off-node peer
-one :class:`TcpMesh`:
+Every two ranks of a :class:`~repro.comm.proc_backend.ForkedWorld` that
+live in different processes talk over one :class:`Link`.  Whether the pair
+shares memory decides only the socket's kind and what its frames carry: a
+*same-node* pair gets an ``AF_UNIX`` ``socketpair`` made before the fork,
+whose frames mostly carry descriptors into the shared-memory arena; an
+*off-node* pair gets a loopback TCP connection, whose frames carry every
+byte.  TCP is one kind of link: this module also sets the TCP links up
+(:class:`TcpMesh`).  Routing, the mailbox, fault hooks and the launcher
+live in :mod:`repro.comm.proc_backend`.
+
+A one-node job is "MPI on one host".  Real deployments of the paper's
+fine-grained parallelism span nodes, where the inter-node wire — not the
+NVLink domain — bottlenecks the gradient allreduces (§VI-B1); the TCP
+links put an actual network stack under the forked world while staying
+runnable on one machine.
 
 * **Routing map** — ranks are grouped into *logical nodes* by a
   :class:`~repro.comm.hostmap.HostMap` (``run_spmd(..., hostmap=...)`` or
   ``REPRO_HOSTMAP``, e.g. ``"0,1:A 2,3:B"``).  Ranks on the same logical
-  node exchange messages through the shared-memory arena and its lanes;
-  ranks on *different* nodes talk over per-pair TCP connections on the
-  loopback interface.  The ``"socket"`` backend's default map (no host map
-  given) is one rank per node, so every byte crosses TCP.  The same map
-  feeds :meth:`BaseWorld.node_of`, which drives the communicator's
-  hierarchical collective selection — the transport and the cost model see
-  one topology.
+  node share the arena and a socketpair; ranks on *different* nodes talk
+  over per-pair TCP connections on the loopback interface.  The
+  ``"socket"`` backend's default map (no host map given) is one rank per
+  node, so every byte crosses TCP.  The same map feeds
+  :meth:`BaseWorld.node_of`, which drives the communicator's hierarchical
+  collective selection — the transport and the cost model see one topology.
 * **Wire protocol** — length-prefixed frames (``!BII`` header: type,
-  payload length, CRC32 of the payload) over ``TCP_NODELAY`` sockets.
-  ``DATA`` frames carry the message as
+  payload length, CRC32 of the payload), the same on both kinds of link
+  (TCP ones with ``TCP_NODELAY``).  ``DATA`` frames carry the message as
   :func:`~repro.comm.payload.encode_frame` lays it out — a pickled
-  ``((source, tag), skeleton, descriptors)`` header, then every array's
-  bytes raw, the layout the shared-memory lanes use; ``HEARTBEAT``
-  frames keep liveness fresh; a ``BYE`` frame announces an orderly exit, so
-  the subsequent EOF is not mistaken for a crash.  The receiver recomputes
-  every payload's CRC32 before decoding: a mismatch — real link
+  ``((source, tag), skeleton, descriptors)`` header, then the bytes of
+  every array not placed in the arena, raw; ``HEARTBEAT`` frames keep an
+  off-node peer's liveness fresh; a ``BYE`` frame announces an orderly
+  exit, so the subsequent EOF is not mistaken for a crash.  The receiver
+  recomputes every payload's CRC32 before decoding: a mismatch — real link
   corruption, or an injected ``corrupt@…:point=wire`` fault — aborts the
   job with a :class:`CommIntegrityError` naming the sending rank and host,
   instead of feeding silently wrong bytes into the collectives (an
   elastic-restartable failure class: the data was bad, not the rank).
-  Sends are *eager*: :meth:`TcpMesh.send` writes the frame on the calling
-  thread, header and payload in one nonblocking ``sendmsg``; what the
-  kernel will not take waits for the link's sender thread, so a send never
-  blocks the caller, preserving the buffered-send contract all backends
-  share.  Transport counters (``tcp_messages`` / ``tcp_bytes`` /
-  ``tcp_payload_bytes``) are tallied synchronously at ``deliver`` time, so
-  they are deterministic and — for the ndarray-payload counter — exactly
-  comparable to the collective cost model's wire-byte predictions.
-  Frames are received by the waiting thread's drain: every link's socket is
-  one more lane of the owner's ``select``
-  (:class:`~repro.comm.proc_backend._Inbox`), read, checked and deposited
-  on the receiving thread exactly like a pipe lane.
-* **Failure detection across hosts** — each rank heartbeats its inter-node
-  peers over the sockets (and its parent through the shared slot).  A peer
-  that dies takes its connections with it: the waiting thread's drain sees
-  EOF without a preceding ``BYE`` and aborts the job naming the lost rank
-  and its host; a peer that is alive but silent past the staleness bound —
-  nothing drained from it, and nothing unread on its link — is logged as a
-  straggler.  Survivors fail with :class:`CommAborted` naming the failed
-  rank, exactly as over shared memory.
+  Sends are *eager*: :meth:`Link.send_frame` writes the frame on the
+  calling thread, header and payload in one nonblocking ``sendmsg``; what
+  the kernel will not take waits for the link's sender thread, so a send
+  never blocks the caller, preserving the buffered-send contract all
+  backends share.  TCP transport counters (``tcp_messages`` / ``tcp_bytes``
+  / ``tcp_payload_bytes``) are tallied synchronously at ``deliver`` time,
+  so they are deterministic and — for the ndarray-payload counter — exactly
+  comparable to the collective cost model's wire-byte predictions.  Frames
+  are received by the waiting thread's drain: every link's socket is one
+  lane of the owner's ``select``
+  (:class:`~repro.comm.proc_backend._Inbox`), read, checked and handed to
+  the inbox's one store on the receiving thread.
+* **Failure detection** — each rank heartbeats its off-node peers over TCP
+  (and its parent through the shared slot).  A peer that dies takes its
+  links with it.  An off-node peer's EOF without a preceding ``BYE`` makes
+  the waiting thread's drain abort the job naming the lost rank and its
+  host; a same-node peer's only stops the drain watching it — the parent,
+  which alone sees the exit code, names that rank.  An off-node peer that
+  is alive but silent past the staleness bound — nothing drained from it,
+  and nothing unread on its link — is logged as a straggler.  Survivors
+  fail with :class:`CommAborted` naming the failed rank either way.
 * **No leaks** — listening sockets are bound pre-fork (port 0, loopback;
-  only when the routing map has two nodes or more)
-  and closed by the parent right after the fork; each child closes every
-  listener but its own, and on exit half-closes every link (BYE, bounded
-  outbound flush, ``SHUT_WR``) before draining each to the peer's EOF and
-  closing it.  A completed job leaves no sockets or fds behind in the
-  parent (regression-tested by ``tests/test_socket_backend.py`` and the CI
-  ``multi-host`` job, mirroring the ``/dev/shm`` leak check).
+  only when the routing map has two nodes or more) and closed by the parent
+  right after the fork; each child closes every listener but its own, and
+  on exit every link, of either kind, half-closes (BYE, bounded outbound
+  flush, ``SHUT_WR``) before it is drained to the peer's EOF and closed
+  (:func:`close_links`).  A completed job leaves no sockets or fds behind
+  in the parent (regression-tested by ``tests/test_socket_backend.py`` and
+  the CI ``multi-host`` job, mirroring the ``/dev/shm`` leak check).
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.comm.backend import CommAborted
-from repro.comm.payload import array_nbytes, decode_frame, encode_frame, join
+from repro.comm.payload import array_nbytes, encode_frame
 from repro.obs import tracer
 
 if TYPE_CHECKING:
@@ -133,29 +139,34 @@ def bind_listeners(nranks: int) -> list[socket.socket]:
     return listeners
 
 
-class _Connection:
-    """One TCP link to an inter-node peer.
+class Link:
+    """One rank's end of the stream socket to one peer process: an
+    ``AF_UNIX`` socketpair end for a same-node peer, a TCP connection for
+    an off-node one.  Frames, locking and the close are the same for both.
 
     **Sending** happens on the calling thread: one nonblocking ``sendmsg``
     of header and payload.  Whatever the kernel will not take waits in
-    ``_out`` for the link's ``tcp-send`` thread, and every later frame
-    queues behind it, so frames never interleave and a send never blocks.
+    ``_out`` for the link's sender thread (started the first time there is
+    such a tail), and every later frame queues behind it, so frames never
+    interleave and a send never blocks.
 
     **Receiving** is the waiting thread's drain: the socket is a lane of the
     owner's ``select``, and :meth:`drain` reads what the link holds, checks
-    each frame's CRC32 and deposits the ``DATA`` frames.  The drain doubles
-    as the cross-host failure detector — EOF without a preceding BYE means
-    the peer died, and aborts the job naming it.
+    each frame's CRC32 and hands the ``DATA`` frames to the inbox's store.
+    EOF without a preceding BYE means the peer died: a TCP link's drain
+    aborts the job naming it; a same-node link's leaves the verdict to the
+    parent, which alone sees the exit code.
     """
 
     def __init__(
         self, world: "ForkedWorld", peer: int, sock: socket.socket, inbox: "_Inbox"
     ) -> None:
         self._world = world
-        self._deposit = inbox.put
+        self._deposit = inbox.store
         self.peer = peer
         self._sock = sock
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        #: The peer is on another node: its death is this rank's to report.
+        self.remote = sock.family != socket.AF_UNIX
         # Blocking, for the sender thread; the calling thread and the drain
         # pass MSG_DONTWAIT.
         sock.settimeout(None)
@@ -163,6 +174,7 @@ class _Connection:
         #: The unsent tails of frames, oldest first.
         self._out: deque[memoryview] = deque()
         self._cv = threading.Condition()
+        self._sender: threading.Thread | None = None
         #: No frame may be queued or written any more (half-closed, failed).
         self._closed = False
         # Inbound: bytes staged from offset 0, and the body of a frame too
@@ -177,11 +189,6 @@ class _Connection:
         self.peer_done = False
         #: monotonic() stamp of the last drain that read from this peer.
         self.last_heard = monotonic()
-        threading.Thread(
-            target=self._sender_loop,
-            name=f"tcp-send-rank-{world.rank}-peer-{peer}",
-            daemon=True,
-        ).start()
 
     # -- sending -----------------------------------------------------------
     def send_frame(self, ftype: int, blob: bytes = b"", crc: int | None = None) -> None:
@@ -212,6 +219,13 @@ class _Connection:
                 else:
                     sent -= len(buf)
             if self._out:
+                if self._sender is None:
+                    self._sender = threading.Thread(
+                        target=self._sender_loop,
+                        name=f"link-send-rank-{self._world.rank}-peer-{self.peer}",
+                        daemon=True,
+                    )
+                    self._sender.start()
                 self._cv.notify_all()
 
     def _sender_loop(self) -> None:
@@ -230,6 +244,8 @@ class _Connection:
                     self._write_failed()
                 return
             with self._cv:
+                if not self._out or self._out[0] is not buf:
+                    continue  # ``close`` dropped the backlog meanwhile
                 if n < len(buf):
                     self._out[0] = buf[n:]
                 else:
@@ -245,7 +261,7 @@ class _Connection:
 
     # -- receiving ---------------------------------------------------------
     def drain(self) -> bool:
-        """Read what the link holds and deposit every complete ``DATA``
+        """Read what the link holds and store every complete ``DATA``
         frame; ``False`` once the link is finished (EOF, or a frame failed
         its CRC and aborted the job).
 
@@ -316,8 +332,7 @@ class _Connection:
             )
             return False
         if ftype == _FRAME_DATA:
-            (source, tag), skeleton, arrays, _ = decode_frame(blob)
-            self._deposit(source, tag, join(skeleton, arrays))
+            self._deposit(blob)
         elif ftype == _FRAME_BYE:
             self.peer_done = True
         # heartbeats only refresh last_heard
@@ -325,7 +340,7 @@ class _Connection:
 
     def _eof(self) -> bool:
         world = self._world
-        if not (self.peer_done or world.aborted):
+        if self.remote and not (self.peer_done or world.aborted):
             host = world.hostmap.host_of(self.peer)
             world.record_failure("peer-death", self.peer, host)
             world.abort(
@@ -368,32 +383,77 @@ class _Connection:
             pass
 
 
-class TcpMesh:
-    """One rank's TCP links to its off-node peers: mesh setup, eager framed
-    sends, peer heartbeats, and the two-pass shutdown.
+def close_links(world: "ForkedWorld", links: list[Link], ok: bool) -> None:
+    """Announce an orderly exit and close every link, in two passes.
 
-    Every link is a lane of ``inbox``: once the mesh is up, its socket joins
-    the inbox's ``select`` and its ``DATA`` frames are ``put`` by the
-    waiting thread's drain.
+    First every link is half-closed: BYE, outbound backlog flushed,
+    ``SHUT_WR``.  Only then is each drained to the peer's EOF before it is
+    closed — a TCP socket closed with unread bytes resets, and a reset can
+    take frames the slower peer has not read yet with it.  Closing the links
+    one at a time instead would make ranks wait on each other pair by pair.
+    Inbound frames are drained all along, so two ranks flushing to each
+    other cannot stall.  A failed rank, or one in an aborted job, only
+    flushes, within 1 s.
+    """
+    for link in links:
+        link.send_frame(_FRAME_BYE)
+    linger = ok and not world.aborted
+    deadline = monotonic() + (_FLUSH_TIMEOUT if linger else 1.0)
+    unflushed = list(links)
+    reading = {link.fileno: link for link in links}
+    while True:
+        for link in [link for link in unflushed if link.flushed()]:
+            link.half_close()
+            unflushed.remove(link)
+        linger = linger and not world.aborted
+        if not unflushed and not (linger and reading):
+            break
+        remaining = deadline - monotonic()
+        if remaining <= 0:
+            for link in unflushed:
+                logger.warning(
+                    "world rank %d: dropping unflushed frames to world "
+                    "rank %d on close", world.rank, link.peer,
+                )
+            break
+        ready = select.select(list(reading), [], [], min(0.05, remaining))[0]
+        for fd in ready:
+            if not reading[fd].drain():
+                del reading[fd]
+    for link in links:
+        link.close()
+
+
+class TcpMesh:
+    """One rank's TCP links to its off-node peers: mesh setup, framed
+    ``DATA`` sends with their wire counters, and peer heartbeats.
+
+    The links are made into ``links`` — the world's one table of links, a
+    same-node peer's socketpair end beside them — and closed with the rest
+    by :func:`close_links`.
     """
 
-    def __init__(self, world: "ForkedWorld", inbox: "_Inbox") -> None:
+    def __init__(
+        self, world: "ForkedWorld", inbox: "_Inbox", links: dict[int, Link]
+    ) -> None:
         self._world = world
         self._inbox = inbox
-        self._conns: dict[int, _Connection] = {}
-        self._conn_lock = threading.Lock()
-        self._shutting_down = False
+        self._links = links
+        self._links_lock = threading.Lock()
+        #: No more heartbeats or straggler warnings: the rank is closing.
+        self.stopped = False
 
     def _connected(self, peer: int, sock: socket.socket) -> None:
-        with self._conn_lock:
-            self._conns[peer] = _Connection(self._world, peer, sock, self._inbox)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._links_lock:
+            self._links[peer] = Link(self._world, peer, sock, self._inbox)
 
     def start(
         self, peers: list[int], listeners: list["socket.socket | None"], ports: list[int]
     ) -> None:
         """Connect to ``peers`` (rank ``a`` dials ``b`` iff ``a < b``);
-        blocks until every expected connection is up, then hands each link
-        to the inbox."""
+        blocks until every expected connection is up and this rank holds no
+        listener any more."""
         world = self._world
         me = world.rank
         expect_accept = [q for q in peers if q < me]
@@ -403,13 +463,15 @@ class TcpMesh:
             if s is not None and (q != me or not expect_accept):
                 s.close()
                 listeners[q] = None
+        accepter = None
         if expect_accept:
-            threading.Thread(
+            accepter = threading.Thread(
                 target=self._accept_loop,
                 args=(listeners, len(expect_accept)),
                 name=f"tcp-accept-rank-{me}",
                 daemon=True,
-            ).start()
+            )
+            accepter.start()
         for q in peers:
             if q > me:
                 sock = socket.create_connection(
@@ -419,8 +481,8 @@ class TcpMesh:
                 self._connected(q, sock)
         deadline = monotonic() + min(world.timeout, _CONNECT_TIMEOUT)
         while True:
-            with self._conn_lock:
-                missing = [q for q in peers if q not in self._conns]
+            with self._links_lock:
+                missing = [q for q in peers if q not in self._links]
             if not missing:
                 break
             if world.aborted:
@@ -436,10 +498,11 @@ class TcpMesh:
                 world.abort(reason)
                 raise CommAborted(reason)
             time.sleep(0.005)
-        for conn in self._conns.values():
-            self._inbox.watch(conn.fileno, conn.drain)
+        if accepter is not None:
+            accepter.join()  # closes the listener on its way out
         threading.Thread(
             target=self._peer_monitor_loop,
+            args=([self._links[q] for q in peers],),
             name=f"tcp-heartbeat-rank-{me}",
             daemon=True,
         ).start()
@@ -460,76 +523,30 @@ class TcpMesh:
             listener.close()
             listeners[self._world.rank] = None
 
-    def _peer_monitor_loop(self) -> None:
-        """Heartbeat inter-node peers and flag the silent ones."""
+    def _peer_monitor_loop(self, links: list[Link]) -> None:
+        """Heartbeat off-node peers and flag the silent ones."""
         world = self._world
         detect = max(0.02, world.config.detect_interval)
         stale_after = max(10 * detect, _STALE_AFTER)
         flagged: set[int] = set()
-        while not world.aborted and not self._shutting_down:
+        while not world.aborted and not self.stopped:
             now = monotonic()
-            with self._conn_lock:
-                conns = list(self._conns.values())
-            for conn in conns:
-                if conn.peer_done:
+            for link in links:
+                if link.peer_done:
                     continue
-                conn.send_frame(_FRAME_HEARTBEAT)
-                silent = now - conn.last_heard
+                link.send_frame(_FRAME_HEARTBEAT)
+                silent = now - link.last_heard
                 # ``last_heard`` only moves when this rank drains: frames
                 # waiting unread mean the peer is alive and this rank busy.
-                if silent > stale_after and conn.peer not in flagged and not conn.unread():
-                    flagged.add(conn.peer)
+                if silent > stale_after and link.peer not in flagged and not link.unread():
+                    flagged.add(link.peer)
                     logger.warning(
                         "world rank %d: no frames from world rank %d "
                         "(host %s) for %.1fs (straggler or wedged rank)",
-                        world.rank, conn.peer,
-                        world.hostmap.host_of(conn.peer), silent,
+                        world.rank, link.peer,
+                        world.hostmap.host_of(link.peer), silent,
                     )
             time.sleep(max(0.02, detect / 2.0))
-
-    def shutdown(self, ok: bool) -> None:
-        """Announce an orderly exit and close every link, in two passes.
-
-        First every link is half-closed: BYE, outbound backlog flushed,
-        ``SHUT_WR``.  Only then is each drained to the peer's EOF before it
-        is closed — a socket closed with unread bytes resets, and a reset
-        can take frames the slower peer has not read yet with it.  Closing
-        the links one at a time instead would make ranks wait on each other
-        pair by pair.  Inbound frames are drained all along, so two ranks
-        flushing to each other cannot stall.  A failed rank, or one in an
-        aborted job, only flushes, within 1 s.
-        """
-        self._shutting_down = True
-        world = self._world
-        with self._conn_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            conn.send_frame(_FRAME_BYE)
-        linger = ok and not world.aborted
-        deadline = monotonic() + (_FLUSH_TIMEOUT if linger else 1.0)
-        unflushed = list(conns)
-        reading = {conn.fileno: conn for conn in conns}
-        while True:
-            for conn in [conn for conn in unflushed if conn.flushed()]:
-                conn.half_close()
-                unflushed.remove(conn)
-            linger = linger and not world.aborted
-            if not unflushed and not (linger and reading):
-                break
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                for conn in unflushed:
-                    logger.warning(
-                        "world rank %d: dropping unflushed frames to world "
-                        "rank %d on close", world.rank, conn.peer,
-                    )
-                break
-            ready = select.select(list(reading), [], [], min(0.05, remaining))[0]
-            for fd in ready:
-                if not reading[fd].drain():
-                    del reading[fd]
-        for conn in conns:
-            conn.close()
 
     def send(self, source: int, dest: int, tag: Any, payload: Any) -> None:
         """Write one ``DATA`` frame on the link to ``dest`` (never blocks)."""
@@ -548,11 +565,5 @@ class TcpMesh:
         world.transport["tcp_messages"] += 1
         world.transport["tcp_bytes"] += len(blob)
         world.transport["tcp_payload_bytes"] += array_nbytes(payload)
-        conn = self._conns.get(dest)
-        if conn is None:  # pragma: no cover - defensive
-            raise CommAborted(
-                f"world rank {world.rank} has no connection to world rank "
-                f"{dest} (host {world.hostmap.host_of(dest)})"
-            )
         with tracer.span("xport:tcp", cat="transport", dest=dest, bytes=len(blob)):
-            conn.send_frame(_FRAME_DATA, blob, crc=crc)
+            self._links[dest].send_frame(_FRAME_DATA, blob, crc=crc)

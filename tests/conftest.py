@@ -71,7 +71,7 @@ def reduce_for_process(backend: str, heavy: bool, reason: str) -> None:
     """Skip a heavyweight parameterization on the forked backends.
 
     The process and socket backends run the same suites on a reduced
-    matrix (fork + queue/TCP transport make big rank counts slow in CI);
+    matrix (fork + socketpair/TCP transport make big rank counts slow in CI);
     the thread backend keeps full coverage.
     """
     if backend in FORKED_BACKENDS and heavy:

@@ -16,6 +16,7 @@ import pytest
 from repro.comm import CommAborted, FaultPlan, FaultSpec, InjectedCrash, run_spmd
 from repro.comm.faults import INJECTED_CRASH_EXIT
 from repro.comm.proc_backend import SHM_PREFIX
+from repro.core import classify_failures
 
 SHM_DIR = "/dev/shm"
 
@@ -205,7 +206,7 @@ class TestProcessBackendCrash:
                 # and in tests/test_abort_propagation.py.
                 comm.allreduce(x, algorithm="direct")
             except CommAborted as exc:
-                return (monotonic() - t0, str(exc))
+                return (monotonic() - t0, exc)
             return None  # only the crashed rank "returns" nothing
 
         out = run_spmd(
@@ -224,11 +225,19 @@ class TestProcessBackendCrash:
             assert isinstance(out[1], CommAborted)
             assert "exit code 117" in str(out[1]) and "injected" in str(out[1])
         for r in (0, 2, 3):
-            elapsed, message = out[r]
-            assert "rank 1" in message, message
+            elapsed, err = out[r]
+            assert "rank 1" in str(err), str(err)
             assert elapsed < 2.0 * detect, (
                 f"survivor {r} took {elapsed:.2f}s > 2x detection interval"
             )
+        if backend == "process":
+            # A same-node peer's EOF is no verdict of its own: the parent's
+            # exit-code watcher names the crash, and every survivor echoes
+            # it — none turns the lost link into a "peer-death".
+            errors = [o if r == 1 else o[1] for r, o in enumerate(out)]
+            assert [(f.rank, f.kind) for f in classify_failures(errors)] == [
+                (1, "injected-crash")
+            ]
         assert _shm_segments() == before
 
     def test_exit_code_is_the_injected_sentinel(self):

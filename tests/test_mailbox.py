@@ -4,8 +4,8 @@ Every world receives through the one :class:`repro.comm.backend.Mailbox`.
 The thread transport's senders deposit from their own threads and wake the
 owner through the store's condition variable; a forked rank's
 :class:`repro.comm.proc_backend._Inbox` has no depositing thread — its
-owner drains every lane (pipes, queue, TCP links) in its own ``select``.
-Both flavours are driven in-process here:
+owner drains every lane (its links) in its own ``select``.  Both flavours
+are driven in-process here:
 
 * a stateful model check of ``(source, tag)`` matching — per-pair FIFO, no
   loss, no duplicate, a miss leaves the store untouched, ``pending_keys``
@@ -14,21 +14,22 @@ Both flavours are driven in-process here:
 * a lost-wake-up check of the thread flavour — a notify that went missing
   would cost the blocked owner one 250 ms poll interval, not a hang, so it
   has to be timed;
-* a TCP link as a lane of the forked flavour — its frames are deposited by
-  the waiting thread, reassembled however the stream is split, and its EOF
-  and CRC failures are named; and threads sending on it at once never
-  interleave their frames;
+* a link as a lane of the forked flavour, over loopback TCP and over an
+  ``AF_UNIX`` socketpair — its frames are deposited by the waiting thread,
+  reassembled however the stream is split, its CRC failures are named, and
+  an EOF without BYE is a death only off-node; and threads sending on it
+  at once never interleave their frames;
 
 and two checks from the outside, through ``run_spmd``:
 
 * a ``socket`` job whose host map has one node *is* the ``process``
-  backend: same threads, same transport counters, no socket constructed;
+  backend: same threads, same transport counters, no TCP socket
+  constructed;
 * a receive that times out on one rank names its operation, sequence
   number, peer and pending inbox in every survivor's ``CommAborted`` — on
   the thread, process and socket backends alike.
 """
 
-import multiprocessing as mp
 import os
 import select
 import socket
@@ -61,7 +62,7 @@ from repro.comm.socket_backend import (
     _FRAME_HEARTBEAT,
     _HEADER,
     _STAGE_BYTES,
-    _Connection,
+    Link,
 )
 
 NSOURCES = 3
@@ -78,17 +79,15 @@ class _ThreadBox:
 
 
 class _ForkedBox:
-    """A forked rank's inbox minus the fork: its queue lane stays silent,
-    and the owner deposits itself, as its lane drains do."""
+    """A forked rank's inbox minus the fork: it watches no link until a
+    test adds one, and the owner deposits itself, as its link drains do."""
 
     def __init__(self, world=None):
-        self._queue = mp.get_context("fork").Queue()
         world = world if world is not None else World(size=NSOURCES)
-        self.box = _Inbox(world, self._queue, [], arena=None)
+        self.box = _Inbox(world, arena=None)
 
     def close(self):
-        self._queue.close()
-        self._queue.join_thread()
+        pass
 
 
 _keys = st.tuples(st.integers(0, NSOURCES - 1), st.sampled_from([0, 1, "a", ("c", 2)]))
@@ -210,18 +209,25 @@ def _data(payload, tag="t"):
     return _frame(_FRAME_DATA, encode_frame((1, tag), payload))
 
 
+#: The two kinds of link: an off-node peer's, a same-node peer's.
+LINK_KINDS = ("tcp", "socketpair")
+
+
 @contextmanager
-def _link_lane():
-    """A forked inbox (owner: world rank 0) with one real loopback TCP link
-    from world rank 1 as a lane; yields ``(world, box, link, peer)``, where
-    ``peer`` is rank 1's raw end of the link."""
+def _link_lane(kind):
+    """A forked inbox (owner: world rank 0) with one real link from world
+    rank 1 as a lane — loopback TCP or an ``AF_UNIX`` socketpair; yields
+    ``(world, box, link, peer)``, where ``peer`` is rank 1's raw end."""
     world = World(size=NSOURCES, config=JobConfig(hostmap=HostMap.one_per_rank(NSOURCES)))
     world.rank = 0
     owner = _ForkedBox(world)
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-        peer = socket.create_connection(listener.getsockname())
-        mine, _ = listener.accept()
-    link = _Connection(world, 1, mine, owner.box)
+    if kind == "tcp":
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            peer = socket.create_connection(listener.getsockname())
+            mine, _ = listener.accept()
+    else:
+        mine, peer = socket.socketpair()
+    link = Link(world, 1, mine, owner.box)
     owner.box.watch(link.fileno, link.drain)
     try:
         yield world, owner.box, link, peer
@@ -247,20 +253,22 @@ _items = st.one_of(
 )
 
 
+@pytest.mark.parametrize("kind", LINK_KINDS)
 class TestLinkLane:
-    """A TCP link is a lane of the forked inbox, read by the waiting thread,
-    and one writer shared by every thread that sends on it."""
+    """A link of either kind is a lane of the forked inbox, read by the
+    waiting thread, and one writer shared by every thread that sends on
+    it."""
 
-    def test_a_frame_is_deposited_by_the_waiting_thread(self):
-        with _link_lane() as (_, box, link, peer):
+    def test_a_frame_is_deposited_by_the_waiting_thread(self, kind):
+        with _link_lane(kind) as (_, box, link, peer):
             depositors = []
-            put = box.put
+            store = link._deposit
 
-            def recording_put(*args):
+            def recording_store(frame):
                 depositors.append(threading.current_thread())
-                put(*args)
+                store(frame)
 
-            link._deposit = recording_put
+            link._deposit = recording_store
             sender = threading.Thread(target=peer.sendall, args=(_data(7),))
             sender.start()
             assert box.get(1, "t", 5.0, _describe) == 7
@@ -268,13 +276,13 @@ class TestLinkLane:
             assert not sender.is_alive()
             assert depositors == [threading.current_thread()]
 
-    def test_concurrent_senders_never_interleave_frames(self):
+    def test_concurrent_senders_never_interleave_frames(self, kind):
         """Four threads send over one link at once, far faster than the peer
         reads, with the interpreter switching threads every microsecond:
         each write goes out on its caller's thread or queues behind the
         backlog, and frames reach the peer whole, in each sender's order."""
         nthreads, count, size = 4, 50, 100_000
-        with _link_lane() as (_, _, link, peer):
+        with _link_lane(kind) as (_, _, link, peer):
 
             def send(t):
                 for i in range(count):
@@ -308,23 +316,41 @@ class TestLinkLane:
         assert len(data) == expect
         assert seen == {t: list(range(count)) for t in range(nthreads)}
 
+    def test_a_close_racing_the_sender_thread_raises_nothing(self, kind, monkeypatch):
+        """The peer has read the last byte the sender thread wrote, and the
+        owner closes the link before that thread books the write: the
+        thread finds its backlog dropped and exits quietly."""
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_type))
+        for _ in range(200):
+            with _link_lane(kind) as (_, _, link, peer):
+                # A small send buffer: the sender thread writes most of it.
+                link._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                link.send_frame(_FRAME_DATA, bytes(100_000))
+                got = 0
+                while got < _HEADER.size + 100_000:
+                    got += len(peer.recv(1 << 20))
+            link._sender.join(timeout=5)
+            assert not link._sender.is_alive()
+        assert errors == []
+
     @settings(max_examples=30, deadline=None)
     @given(items=st.lists(_items, min_size=1, max_size=8),
            cuts=st.lists(st.integers(1, 3 * _STAGE_BYTES), max_size=10))
-    def test_frames_split_anywhere_reassemble(self, items, cuts):
+    def test_frames_split_anywhere_reassemble(self, kind, items, cuts):
         """However the stream is cut, every ``DATA`` frame is deposited once,
-        in order, bit for bit and read-only; heartbeats deposit nothing."""
+        in order, bit for bit and read-only; heartbeats deposit nothing.
+        (Past the drawn cuts the rest goes in pieces a socketpair's buffer
+        takes at once.)"""
         sent = [np.arange(n, dtype=np.float64) + i for i, n in enumerate(items) if n is not None]
         stream = b"".join(
             _frame(_FRAME_HEARTBEAT) if n is None else _data(np.arange(n, dtype=np.float64) + i)
             for i, n in enumerate(items)
         )
-        with _link_lane() as (world, box, link, peer):
-            got, pos = [], 0
-            for cut in [*cuts, len(stream)]:
-                chunk = stream[pos : pos + cut]
-                if not chunk:
-                    break
+        with _link_lane(kind) as (world, box, link, peer):
+            got, pos, cuts = [], 0, iter(cuts)
+            while pos < len(stream):
+                chunk = stream[pos : pos + next(cuts, 3 * _STAGE_BYTES)]
                 peer.sendall(chunk)
                 pos += len(chunk)
                 select.select([link.fileno], [], [], 5.0)
@@ -338,8 +364,8 @@ class TestLinkLane:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in sent]
         assert not any(a.flags.writeable for a in got)
 
-    def test_eof_after_bye_is_orderly(self):
-        with _link_lane() as (world, box, link, peer):
+    def test_eof_after_bye_is_orderly(self, kind):
+        with _link_lane(kind) as (world, box, link, peer):
             peer.sendall(_data(3) + _frame(_FRAME_BYE))
             peer.close()
             assert box.get(1, "t", 5.0, _describe) == 3
@@ -347,9 +373,16 @@ class TestLinkLane:
             assert link.fileno not in box._fds and link.peer_done
             assert not world.aborted
 
-    def test_eof_without_bye_aborts_naming_the_peer(self):
-        with _link_lane() as (world, box, link, peer):
+    def test_eof_without_bye_is_a_death_only_off_node(self, kind):
+        """An off-node peer's EOF without BYE aborts naming it.  A same-node
+        peer's only unwatches the link: the parent, which alone sees the
+        exit code, names that rank."""
+        with _link_lane(kind) as (world, box, link, peer):
             peer.close()
+            if kind == "socketpair":
+                _drain_until_finished(box, link)
+                assert link.fileno not in box._fds and not world.aborted
+                return
             with pytest.raises(CommAborted) as info:
                 box.get(1, "never sent", 5.0, _describe)
             err = info.value
@@ -357,8 +390,8 @@ class TestLinkLane:
             assert "world rank 1 (host node1) lost" in str(err)
             assert link.fileno not in box._fds
 
-    def test_a_bad_crc_aborts_naming_the_sender(self):
-        with _link_lane() as (world, box, link, peer):
+    def test_a_bad_crc_aborts_naming_the_sender(self, kind):
+        with _link_lane(kind) as (world, box, link, peer):
             blob = encode_frame((1, "t"), np.ones(4))
             peer.sendall(_frame(_FRAME_DATA, blob, crc=zlib.crc32(blob) ^ 1))
             with pytest.raises(CommIntegrityError) as info:
@@ -393,22 +426,22 @@ class TestOneForkedWorld:
 
         class SpySocket(socket.socket):
             def __init__(self, *args, **kwargs):
-                constructed.append(args)
                 super().__init__(*args, **kwargs)
+                constructed.append(self.family)
 
-        # Listeners are bound pre-fork, so the launching process's count is
-        # the whole story.
+        # Links and listeners are made pre-fork, so the launching process's
+        # sockets are the whole story: one socketpair, no TCP.
         monkeypatch.setattr(socket, "socket", SpySocket)
         proc = run_spmd(2, _exchange, backend="process", timeout=60)
         sock = run_spmd(2, _exchange, backend="socket", hostmap="0,1:A", timeout=60)
-        assert constructed == []
+        assert constructed == [socket.AF_UNIX] * 4
         for (p_names, p_transport, p_name), (s_names, s_transport, s_name) in zip(
             proc, sock
         ):
             assert p_names == s_names
-            assert not [n for n in s_names if n.startswith(("tcp-", "shm-feeder"))]
+            assert not [n for n in s_names if n.startswith(("tcp-", "link-"))]
             assert p_transport == s_transport
-            assert p_transport["tcp_messages"] == 0 < p_transport["pipe_messages"]
+            assert p_transport["tcp_messages"] == 0 < p_transport["local_frames"]
             assert (p_name, s_name) == ("process", "socket")
 
     def test_a_two_node_map_binds_one_listener_per_rank(self, monkeypatch):
@@ -425,8 +458,9 @@ class TestOneForkedWorld:
 
     def test_a_failed_bind_leaks_nothing(self, monkeypatch):
         """The pre-fork state is half built when a listener cannot be
-        bound: the arena, queues, pipes and the listeners already bound
-        must all be released before the error reaches the caller."""
+        bound: the arena, the links, the result pipes and the listeners
+        already bound must all be released before the error reaches the
+        caller."""
         binds = []
 
         class FlakySocket(socket.socket):

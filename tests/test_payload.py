@@ -13,8 +13,8 @@ once, and the byte counters agree on array bytes.
 The ``frame`` tests hold the forked world's wire format (header pickle + raw
 array bytes, ``encode_frame`` / ``decode_frame``) to the same standard: what
 a ``process`` or ``socket`` rank receives is what a ``thread`` rank receives,
-read-only, whichever lane and placement — arena, inline, pipe, queue, TCP —
-each array took.
+read-only, whichever link and placement — arena, inline, arena-full
+fallback, a body too large to stage, socketpair or TCP — each array took.
 """
 
 import multiprocessing as mp
@@ -39,13 +39,13 @@ from repro.comm.payload import (
     split,
 )
 from repro.comm.proc_backend import (
-    _PIPE_FRAME_MAX,
     ARENA_BLOCK,
     SHM_MIN_BYTES,
     _Arena,
     _ArenaMessage,
     _pack,
 )
+from repro.comm.socket_backend import _STAGE_BYTES
 from repro.core import checkpoint
 
 # -- generated payloads ---------------------------------------------------------
@@ -290,52 +290,58 @@ def test_frame_delivers_what_the_thread_backend_delivers(batch):
         if backend == "socket":  # one rank per node: every message is a TCP frame
             assert t["tcp_messages"] >= len(batch)
             assert t["tcp_payload_bytes"] == sum(x.nbytes for x in plain)
-            assert t["shm_messages"] == t["inline_messages"] == t["pipe_messages"] == 0
+            assert t["shm_messages"] == t["inline_messages"] == t["local_frames"] == 0
             continue
         # ``shm_messages`` counts arrays that went to the arena,
         # ``inline_messages`` those that rode their frame (the small ones,
         # and — under CI's 1 MiB arena — any the arena had no room for).
         assert t["shm_messages"] + t["inline_messages"] == len(plain)
         assert t["inline_messages"] == small + t["arena_full_fallbacks"]
-        assert t["pipe_messages"] + t["queue_messages"] >= len(batch)
+        assert t["local_frames"] >= len(batch)
         assert t["tcp_messages"] == 0
 
 
-def test_frame_bits_do_not_depend_on_lane_or_placement(monkeypatch):
-    """One message per way a frame can travel: descriptor-only (array in the
-    arena, pipe lane), inline (pipe lane), inline but past
-    ``_PIPE_FRAME_MAX`` (queue lane), and arena-full fallback (inline, queue
-    lane) — mixed in one payload at the end."""
-    monkeypatch.setenv("REPRO_SHM_BYTES", str(2 * ARENA_BLOCK))
+def test_frame_bits_do_not_depend_on_placement(monkeypatch):
+    """One message per way an array can be placed: in the arena
+    (descriptor-only frame), inline, arena-full fallback (inline), and
+    inline in a frame too large for the receiver's staging buffer (read
+    into a body buffer of its own) — mixed in one payload at the end.
+    Every message is one frame on the socketpair.  The receiver acks each
+    one, so the arena's one block is free again for the next."""
+    monkeypatch.setenv("REPRO_SHM_BYTES", str(ARENA_BLOCK))
     rng = np.random.default_rng(5)
     in_arena = rng.standard_normal(SHM_MIN_BYTES // 8)
     inline = rng.standard_normal(SHM_MIN_BYTES // 8 - 1)
-    fat = [inline * k for k in (1.0, 2.0, 3.0)]  # 3 x ~2 KiB inline > 4 KiB
-    no_room = rng.standard_normal(3 * ARENA_BLOCK // 8)
-    messages = [in_arena, inline, fat, no_room, {"a": in_arena, "b": (inline, no_room)}]
-    assert sum(x.nbytes for x in fat) + 4 > _PIPE_FRAME_MAX > inline.nbytes + 512
+    no_room = rng.standard_normal(5 * ARENA_BLOCK // 32)  # 1.25 arenas
+    unstaged = [inline * k for k in range(40)]
+    messages = [in_arena, inline, no_room, unstaged, {"a": in_arena, "b": (inline, no_room)}]
+    assert no_room.nbytes + 1024 < _STAGE_BYTES < sum(x.nbytes for x in unstaged)
 
     def prog(comm):
         if comm.rank == 1:
-            got = [comm.recv(source=0, tag=tag) for tag in range(len(messages))]
+            got = []
+            for tag in range(len(messages)):
+                got.append(comm.recv(source=0, tag=tag))
+                comm.send(None, dest=0, tag="ack")
             return got, all(frozen_everywhere(p) for p in got)
         t = comm._world.transport
-        lanes = []
+        deltas = []
         for tag, payload in enumerate(messages):
             before = dict(t)
             comm.send(payload, dest=1, tag=tag)
-            lanes.append({k: t[k] - before[k] for k in t if t[k] != before[k]})
-        return lanes
+            deltas.append({k: t[k] - before[k] for k in t if t[k] != before[k]})
+            comm.recv(source=1, tag="ack")
+        return deltas
 
-    lanes, (got, frozen) = run_spmd(2, prog, backend="process", timeout=60)
+    deltas, (got, frozen) = run_spmd(2, prog, backend="process", timeout=60)
     assert frozen and same(got, messages)
-    assert lanes == [
-        {"shm_messages": 1, "shm_bytes": in_arena.nbytes, "pipe_messages": 1},
-        {"inline_messages": 1, "pipe_messages": 1},
-        {"inline_messages": 3, "queue_messages": 1},
-        {"inline_messages": 1, "arena_full_fallbacks": 1, "queue_messages": 1},
-        {"shm_messages": 1, "shm_bytes": in_arena.nbytes, "inline_messages": 2,
-         "arena_full_fallbacks": 1, "queue_messages": 1},
+    arena = {"shm_messages": 1, "shm_bytes": in_arena.nbytes}
+    assert deltas == [
+        {**arena, "local_frames": 1},
+        {"inline_messages": 1, "local_frames": 1},
+        {"inline_messages": 1, "arena_full_fallbacks": 1, "local_frames": 1},
+        {"inline_messages": 40, "local_frames": 1},
+        {**arena, "inline_messages": 2, "arena_full_fallbacks": 1, "local_frames": 1},
     ]
 
 

@@ -218,30 +218,9 @@ class TestTransport:
 
 class TestFixedCostPerMessage:
     """What a tiny message costs, as counts (no clock): the patches below
-    are made inside a forked rank and die with it."""
-
-    def test_blocking_receive_is_one_select_and_one_read(self):
-        def prog(comm):
-            from repro.comm import proc_backend
-
-            if comm.rank == 0:
-                comm.send(np.ones(128), dest=1, tag=1)  # 1 KiB: rides its frame
-                comm.barrier()
-                return None
-            # Wait for the frame without consuming it: the pipe turns readable.
-            (pipe,) = comm._world._inbox._rbufs
-            assert proc_backend.select.select([pipe], [], [], 30.0)[0]
-            counts = {}
-            proc_backend.select = Counting(proc_backend.select, counts, "select")
-            proc_backend.os = Counting(proc_backend.os, counts, "read")
-            got = comm.recv(source=0, tag=1)
-            proc_backend.select = proc_backend.select._real
-            proc_backend.os = proc_backend.os._real
-            comm.barrier()
-            return counts, bool((got == 1.0).all())
-
-        _, (counts, ok) = run_spmd(2, prog, backend="process", timeout=60)
-        assert ok and counts == {"select": 1, "read": 1}
+    are made inside a forked rank and die with it.  What a frame costs on
+    a link is ``tests/test_socket_backend.py::TestFixedCostPerFrame``,
+    for a same-node socketpair and a TCP link alike."""
 
     def test_collective_resolves_its_plan_once(self, monkeypatch):
         """The second allreduce of a shape re-runs no selection, no offset
@@ -590,18 +569,15 @@ class TestFaultTeardown:
         assert "'unwanted'" in msg and "source=0" in msg
 
     def test_teardown_logs_warnings_instead_of_swallowing(self, caplog):
-        """Unit test for the satellite: a queue close or arena unlink
-        failure produces a warning naming the resource, not silence."""
+        """A link end, result pipe or arena unlink that fails to close
+        produces a warning naming the resource, not silence."""
         import logging
 
         from repro.comm import proc_backend as pb
 
-        class BadQueue:
+        class BadEnd:
             def close(self):
-                raise OSError("queue handle already torn down")
-
-            def cancel_join_thread(self):  # pragma: no cover - close raises
-                pass
+                raise OSError("handle already torn down")
 
         class BadArena:
             name = "repro_shm_testdead"
@@ -610,15 +586,20 @@ class TestFaultTeardown:
                 raise FileNotFoundError("segment vanished")
 
         state = object.__new__(pb._SharedJobState)
-        state.queues = [BadQueue()]
-        state.results = BadQueue()
+        state.links = [[None, BadEnd()], [BadEnd(), None]]
+        state.readers = [BadEnd(), None]
+        state.writers = [None, BadEnd()]
         state.arena = BadArena()
 
         with caplog.at_level(logging.WARNING, logger="repro.comm.proc_backend"):
             state.teardown()  # must not raise
 
         messages = [r.message for r in caplog.records]
-        assert sum("failed to close queue" in m for m in messages) == 2
+        assert sum("failed to close link end" in m for m in messages) == 2
+        assert sum("failed to close result pipe" in m for m in messages) == 2
+        # Every end is marked closed all the same: a second pass is silent.
+        assert state.links == [[None, None], [None, None]]
+        assert state.readers == state.writers == [None, None]
         assert any(
             "failed to unlink arena" in m and "repro_shm_testdead" in m
             for m in messages

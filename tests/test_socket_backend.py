@@ -13,11 +13,13 @@ These tests pin:
 * cross-host failure detection — a killed rank's peers fail with
   :class:`CommAborted` naming the dead world rank, and a busy rank does not
   report a peer whose heartbeats wait unread on its link;
-* what an off-node frame costs, as counts — one ``select`` and one
+* what a frame costs on either kind of link — a same-node socketpair
+  (``process``) or TCP (``socket``) — as counts: one ``select`` and one
   ``recv_into`` on the receiving thread, one ``sendmsg`` on the calling
-  one — and that a send never blocks and loses nothing;
-* resource hygiene — a completed (or aborted) job leaks no sockets or
-  file descriptors in the parent, mirroring the ``/dev/shm`` arena check.
+  one; and that a send never blocks and loses nothing;
+* resource hygiene — a rank holds one socket per link and no other, and a
+  completed (or aborted) job leaks no sockets or file descriptors in the
+  parent, mirroring the ``/dev/shm`` arena check.
 """
 
 import gc
@@ -256,15 +258,26 @@ class TestCrossHostFailure:
 
 
 # ---------------------------------------------------------------------------
-# What an off-node frame costs
+# What a frame costs, on either kind of link
 # ---------------------------------------------------------------------------
 
 #: Two logical nodes whatever ``REPRO_HOSTMAP`` says: every byte crosses TCP.
 OFF_NODE = "0:A 1:B"
 
 
+@pytest.fixture(params=["process", "socket"])
+def link_job(request, monkeypatch):
+    """``run_spmd`` keywords for a two-rank job whose one link is a
+    same-node socketpair (``process``) or a TCP connection (``socket``)."""
+    # An arena too small for the MB-scale sends below: they ride inline.
+    monkeypatch.setenv("REPRO_SHM_BYTES", str(1 << 20))
+    if request.param == "socket":
+        return dict(backend="socket", hostmap=OFF_NODE, timeout=60)
+    return dict(backend="process", timeout=60)
+
+
 def _link(comm, peer):
-    return comm._world._mesh._conns[peer]
+    return comm._world._links[peer]
 
 
 def _await_data_frame(sock):
@@ -307,25 +320,26 @@ class _ThreadCalls:
 
 
 class TestFixedCostPerFrame:
-    """What an off-node message costs, as counts (no clock): the patches
-    are made inside a forked rank and die with it."""
+    """What a message costs on either kind of link, as counts (no clock):
+    the patches are made inside a forked rank and die with it."""
 
-    def test_no_thread_reads_a_link(self):
+    def test_no_thread_reads_a_link_or_writes_an_idle_one(self, link_job):
         def prog(comm):
+            comm.barrier()
             return sorted(t.name for t in threading.enumerate())
 
-        for rank, names in enumerate(
-            run_spmd(2, prog, backend="socket", hostmap=OFF_NODE, timeout=60)
-        ):
-            assert not [n for n in names if n.startswith("tcp-recv")]
-            assert f"tcp-send-rank-{rank}-peer-{1 - rank}" in names
+        for rank, names in enumerate(run_spmd(2, prog, **link_job)):
+            helpers = [f"heartbeat-rank-{rank}"]
+            if link_job["backend"] == "socket":
+                helpers.append(f"tcp-heartbeat-rank-{rank}")
+            assert names == sorted(["MainThread", *helpers])
 
-    def test_receiving_an_arrived_frame_is_one_select_and_one_recv(self):
+    def test_receiving_an_arrived_frame_is_one_select_and_one_recv(self, link_job):
         def prog(comm):
             from repro.comm import proc_backend
 
             if comm.rank == 0:
-                comm.send(np.ones(128), dest=1, tag=1)  # 1 KiB
+                comm.send(np.ones(128), dest=1, tag=1)  # 1 KiB: rides its frame
                 comm.barrier()
                 return None
             link = _link(comm, 0)
@@ -339,12 +353,10 @@ class TestFixedCostPerFrame:
             comm.barrier()
             return counts, bool((got == 1.0).all())
 
-        _, (counts, ok) = run_spmd(
-            2, prog, backend="socket", hostmap=OFF_NODE, timeout=60
-        )
+        _, (counts, ok) = run_spmd(2, prog, **link_job)
         assert ok and counts == {"select": 1, "recv_into": 1}
 
-    def test_a_send_on_an_idle_link_is_one_sendmsg_on_the_calling_thread(self):
+    def test_a_send_on_an_idle_link_is_one_sendmsg_on_the_calling_thread(self, link_job):
         def prog(comm):
             peer = 1 - comm.rank
             link = _link(comm, peer)
@@ -357,15 +369,14 @@ class TestFixedCostPerFrame:
             heartbeats = f"tcp-heartbeat-rank-{comm.rank}"
             return [c for c in calls if c[1] != heartbeats], queued, bool((got == 1).all())
 
-        for calls, queued, ok in run_spmd(
-            2, prog, backend="socket", hostmap=OFF_NODE, timeout=60
-        ):
+        for calls, queued, ok in run_spmd(2, prog, **link_job):
             assert calls == [("sendmsg", "MainThread")]
             assert queued == 0 and ok
 
-    def test_two_ranks_each_send_16_mib_before_either_receives(self):
-        """Neither kernel takes 16 MiB at once: the rest waits for the
-        link's sender thread while the caller moves on to its receive."""
+    def test_two_ranks_each_send_16_mib_before_either_receives(self, link_job):
+        """Neither kernel takes 16 MiB at once (inline: the arena is too
+        small for it): the rest waits for the link's sender thread while
+        the caller moves on to its receive."""
         words = (16 << 20) // 8
 
         def prog(comm):
@@ -376,16 +387,16 @@ class TestFixedCostPerFrame:
             expect = np.arange(words, dtype=np.float64) * (peer + 1)
             return backlog, got.tobytes() == expect.tobytes()
 
-        out = run_spmd(2, prog, backend="socket", hostmap=OFF_NODE, timeout=60)
+        out = run_spmd(2, prog, **link_job)
         assert all(ok for _, ok in out)
         assert any(backlog for backlog, _ in out)
 
-    def test_a_rank_that_returns_after_its_last_send_loses_nothing(self):
-        """Rank 0 exits with 16 MiB still on their way; rank 1 pauses before
-        each receive, heartbeating all along.  Rank 0's backlog is on the
-        wire during the second pause, so a plain close would let the next
-        heartbeat reset the frames still in its kernel away.  It half-closes
-        and drains to rank 1's EOF instead."""
+    def test_a_rank_that_returns_after_its_last_send_loses_nothing(self, link_job):
+        """Rank 0 exits with 16 MiB (inline) still on their way; rank 1
+        pauses before each receive.  Rank 0's backlog is on the link during
+        the second pause, so a plain close — over TCP, where the next
+        heartbeat would reset the frames still in its kernel away — could
+        lose it.  It half-closes and drains to rank 1's EOF instead."""
         words = (8 << 20) // 8
         sent = np.arange(words, dtype=np.float64)
 
@@ -400,9 +411,7 @@ class TestFixedCostPerFrame:
                 got.append(comm.recv(0, tag=tag).tobytes() == sent.tobytes())
             return got
 
-        out = run_spmd(
-            2, prog, backend="socket", hostmap=OFF_NODE, detect_interval=0.02, timeout=60
-        )
+        out = run_spmd(2, prog, detect_interval=0.02, **link_job)
         assert out == [None, [True, True]]
 
 
@@ -421,51 +430,81 @@ def _open_fds():
     return fds
 
 
+def _new_sockets(before, after):
+    """fd -> socket of every socket in ``after`` that ``before`` lacks."""
+    return {
+        n: t for n, t in after.items() if t.startswith("socket:") and before.get(n) != t
+    }
+
+
+#: One job per layout: all-socketpair, and socketpairs beside TCP links.
+FD_JOBS = [
+    pytest.param(dict(backend="process"), id="process"),
+    pytest.param(dict(backend="socket", hostmap=HOSTMAP_2X2), id="socket"),
+]
+
+
 class TestNoLeaks:
-    def test_no_sockets_or_fds_leak_in_the_parent(self):
+    @pytest.mark.parametrize("job", FD_JOBS)
+    def test_a_rank_holds_one_socket_per_link_and_no_other(self, job):
+        """Right after the fork a rank closes every inherited link end that
+        is not its own (and the listeners it will not accept on): its socket
+        fds are its same-node peers' socketpair ends plus its TCP links.
+        Sockets the launching process already held are inherited, not made
+        by the job, and are left out."""
+        inherited = _open_fds()
+
+        def prog(comm):
+            comm.barrier()
+            links = comm._world._links
+            mine = sorted(int(n) for n in _new_sockets(inherited, _open_fds()))
+            return mine, sorted(link.fileno for link in links.values()), sorted(links)
+
+        for rank, (mine, link_fds, peers) in enumerate(run_spmd(4, prog, timeout=60, **job)):
+            assert mine == link_fds
+            assert peers == [r for r in range(4) if r != rank]
+
+    @pytest.mark.parametrize("job", FD_JOBS)
+    def test_no_sockets_or_fds_leak_in_the_parent(self, job):
         def prog(comm):
             comm.allreduce(np.ones(8192))
             return comm.rank
 
         # Warm any lazily created module state first.
-        run_spmd(4, prog, backend="socket", hostmap=HOSTMAP_2X2, timeout=60)
+        run_spmd(4, prog, timeout=60, **job)
         gc.collect()
         before = _open_fds()
         for _ in range(3):
-            run_spmd(4, prog, backend="socket", hostmap=HOSTMAP_2X2, timeout=60)
+            run_spmd(4, prog, timeout=60, **job)
         gc.collect()
         after = _open_fds()
-        new_sockets = [
-            t for n, t in after.items()
-            if t.startswith("socket:") and before.get(n) != t
-        ]
-        assert not new_sockets, f"leaked sockets: {new_sockets}"
-        # fd *count* must not grow either (pipes, queues, shm handles).
-        assert len(after) <= len(before)
+        leaked = _new_sockets(before, after)
+        assert not leaked, f"leaked sockets: {leaked}"
+        # The fd *count* is back where it was (result pipes, shm handles).
+        assert len(after) == len(before)
 
-    def test_no_leak_after_an_aborted_job(self):
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    def test_no_leak_after_an_aborted_job(self, backend):
         def prog(comm):
             comm.allreduce(np.ones(1024))
             return comm.rank
 
-        run_spmd(2, prog, backend="socket", timeout=60)  # warm-up
+        run_spmd(2, prog, backend=backend, timeout=60)  # warm-up
         gc.collect()
         before = _open_fds()
         with pytest.raises(CommAborted):
             run_spmd(
                 2, prog,
-                backend="socket",
+                backend=backend,
                 faults="crash@rank1:point=send:after=0",
                 detect_interval=0.1,
                 timeout=30,
             )
         gc.collect()
         after = _open_fds()
-        new_sockets = [
-            t for n, t in after.items()
-            if t.startswith("socket:") and before.get(n) != t
-        ]
-        assert not new_sockets, f"leaked sockets: {new_sockets}"
+        leaked = _new_sockets(before, after)
+        assert not leaked, f"leaked sockets: {leaked}"
+        assert len(after) == len(before)
 
 
 # ---------------------------------------------------------------------------
