@@ -14,8 +14,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.nn` — local (single-device) numpy kernels, layers and network
   graphs: conv/pool/BN/ReLU/FC, ResNet-50, the mesh-tangling models.
 * :mod:`repro.core` — the paper's contribution: distributed convolution
-  (sample/spatial/hybrid, plus channel/filter extensions), distributed
-  network execution and training, and the strategy optimizer.
+  (sample/spatial/hybrid), distributed network execution and training, and
+  the strategy optimizer.
 * :mod:`repro.perfmodel` — machine spec, convolution cost model, per-layer
   costs, memory model, and the one step evaluator: a discrete-event
   simulation of the priced step reproducing the paper's scale experiments

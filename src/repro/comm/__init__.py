@@ -82,7 +82,6 @@ from repro.comm.collective_models import (
     alltoall_time,
     bucketed_allreduce_time,
     pt2pt_time,
-    reduce_scatter_time,
     hierarchical_allreduce_time,
     hierarchical_inter_wire_bytes,
     resolve_allreduce_algorithm,
@@ -128,7 +127,6 @@ __all__ = [
     "bucketed_allreduce_time",
     "pt2pt_time",
     "segmented_allreduce_time",
-    "reduce_scatter_time",
     "run_spmd",
     "select_allreduce_algorithm",
     "set_zero_copy",

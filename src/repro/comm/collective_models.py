@@ -494,14 +494,6 @@ def bucketed_allreduce_time(
     return total
 
 
-def reduce_scatter_time(p: int, nbytes: float, link: LinkParameters) -> float:
-    """Reduce-scatter of ``n`` total bytes over ``p`` ranks (pairwise exchange)."""
-    if p <= 1 or nbytes <= 0:
-        return 0.0
-    frac = (p - 1) / p
-    return math.log2(p) * link.alpha + frac * nbytes * (link.beta + link.gamma)
-
-
 def alltoall_time(p: int, nbytes_per_pair: float, link: LinkParameters) -> float:
     """All-to-all where each rank exchanges ``nbytes_per_pair`` with every other.
 

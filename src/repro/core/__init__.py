@@ -1,7 +1,7 @@
 """The paper's primary contribution: finer-grained parallel CNN training.
 
 * :mod:`repro.core.parallelism` — per-layer parallelism descriptors
-  (sample x channel x height x width process-grid factorizations) and
+  (sample x height x width process-grid factorizations) and
   parallel execution strategies (assignments of a descriptor to every
   layer, §V-C).
 * :mod:`repro.core.dist_conv` — distributed convolution (§III-A): sample,
@@ -21,8 +21,6 @@
   checkpoint/resume (:mod:`repro.core.checkpoint`).
 * :mod:`repro.core.strategy` — the performance-model-driven strategy
   optimizer (§V-C): candidate generation + shortest-path assignment.
-* :mod:`repro.core.channel_filter` — channel/filter-parallel convolution
-  (§III-D; sketched in the paper, implemented here as an extension).
 * :mod:`repro.core.elastic` — elastic self-healing supervision: restart
   with backoff, blacklist-and-shrink, cross-world checkpoint re-sharding,
   graceful degradation (:class:`~repro.core.elastic.ElasticRunner`).

@@ -114,8 +114,7 @@ class DistConv2d:
     """A distributed 2D convolutional layer.
 
     Weights (and bias) are replicated on every rank of ``grid``; the
-    activation tensors are distributed along (N, H, W) per the grid shape
-    (the channel axis is handled by :mod:`repro.core.channel_filter`).
+    activation tensors are distributed along (N, H, W) per the grid shape.
 
     ``overlap_halo`` places the halo exchange's ``finish()``: after the
     interior kernels (the default) or right after the start; the kernel
@@ -133,10 +132,6 @@ class DistConv2d:
     ) -> None:
         if grid.ndim != 4:
             raise ValueError("DistConv2d expects a 4D (N, C, H, W) grid")
-        if grid.shape[1] != 1:
-            raise ValueError(
-                "channel-parallel convolution lives in repro.core.channel_filter"
-            )
         self.grid = grid
         self.w = weights
         self.bias = bias
@@ -173,10 +168,8 @@ class DistConv2d:
             if block is None:
                 shape = self.output_global_shape(source.global_shape)
                 block = activation_dist(self.grid.shape, shape), shape
-            channels = source.global_shape[1]
             g = self._geom[key] = window_geometry(
-                source, *block, self.kernel, self.stride, self.pad,
-                lambda coords: (0, channels), transposed,
+                source, *block, self.kernel, self.stride, self.pad, transposed
             )
         return g
 

@@ -97,11 +97,8 @@ class DistPool2d:
                         f"(axis {d}: {y_shape[d]} rows over {self.grid.shape[d]} "
                         "parts); assign this layer a smaller spatial parallelism"
                     )
-            # Pooling keeps its channel block, so the gathered region's
-            # dim-1 slot comes from the output bounds.
             g = self._geom[key] = window_geometry(
-                x, y_dist, y_shape, self.kernel, self.stride, self.pad,
-                lambda coords: y_dist.local_bounds(y_shape, coords)[1],
+                x, y_dist, y_shape, self.kernel, self.stride, self.pad
             )
         return g
 
@@ -344,12 +341,10 @@ class DistGlobalAvgPool:
 class DistFC:
     """Sample-parallel fully connected layer (weights replicated).
 
-    The paper's *model-parallel* FC (Elemental-style distributed GEMM) is
-    equivalent to a filter-parallel 1x1 convolution, provided by
-    :mod:`repro.core.channel_filter`; cost-wise it is modeled in
-    :mod:`repro.perfmodel`.  Here activations must not be spatially split
-    (shuffle to a sample-only distribution first, as LBANN does before FC
-    layers).
+    The paper's *model-parallel* FC (an Elemental-style distributed GEMM, a
+    filter split) is not implemented.  Activations must not be spatially
+    split (shuffle to a sample-only distribution first, as LBANN does
+    before FC layers).
     """
 
     def __init__(

@@ -1,8 +1,9 @@
 """Parallelism descriptors and execution strategies.
 
-A :class:`LayerParallelism` factorizes the available ranks into the paper's
-five parallelizable dimensions (we keep channel in the descriptor for the
-§III-D extension; height and width are the *spatial* dimensions):
+A :class:`LayerParallelism` factorizes the available ranks over the
+dimensions the paper's results split: samples, and the *spatial* height and
+width.  The channel/filter split of §III-D is only sketched in the paper and
+is not implemented, so the channel axis of every process grid is 1:
 
 * ``LayerParallelism(sample=16)`` — pure sample (data) parallelism;
 * ``LayerParallelism(height=2, width=2)`` — 4-way spatial parallelism;
@@ -29,39 +30,35 @@ from repro.tensor.distribution import DimKind, Distribution
 
 @dataclass(frozen=True)
 class LayerParallelism:
-    """How one layer's work is split: (N, C, H, W) process-grid factors."""
+    """How one layer's work is split: (N, H, W) process-grid factors."""
 
     sample: int = 1
-    channel: int = 1
     height: int = 1
     width: int = 1
 
     def __post_init__(self) -> None:
-        for f in (self.sample, self.channel, self.height, self.width):
+        for f in (self.sample, self.height, self.width):
             if f < 1:
                 raise ValueError(f"parallelism factors must be >= 1: {self}")
 
     @property
     def grid_shape(self) -> tuple[int, int, int, int]:
-        return (self.sample, self.channel, self.height, self.width)
+        """The (N, C, H, W) grid that pairs with NCHW tensor dims; C is 1."""
+        return (self.sample, 1, self.height, self.width)
 
     @property
     def nranks(self) -> int:
-        return self.sample * self.channel * self.height * self.width
+        return self.sample * self.height * self.width
 
     @property
     def spatial_ways(self) -> int:
         """GPUs per sample (the paper's "k GPUs/sample" knob)."""
-        return self.channel * self.height * self.width
+        return self.height * self.width
 
     def describe(self) -> str:
         if self.spatial_ways == 1:
             return f"sample({self.sample})"
-        return (
-            f"hybrid(sample={self.sample}, spatial={self.height}x{self.width}"
-            + (f", channel={self.channel}" if self.channel > 1 else "")
-            + ")"
-        )
+        return f"hybrid(sample={self.sample}, spatial={self.height}x{self.width})"
 
     @classmethod
     def spatial_square(cls, sample: int, ways: int) -> "LayerParallelism":

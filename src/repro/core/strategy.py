@@ -109,7 +109,7 @@ class StrategyOptimizer:
             if sample > self.n_global:
                 continue  # load balance: no empty sample shards
             if layer.kind == "fc" and (gh > 1 or gw > 1):
-                continue  # FC layers are sample- or model-parallel only
+                continue  # FC layers are sample-parallel only
             if gh > 1 and h < gh:
                 continue
             if gw > 1 and w < gw:

@@ -1,10 +1,11 @@
 """Window geometry: the kernel/stride/pad region algebra of windowed layers.
 
 A layer is a window geometry and a kernel.  Convolution (forward and
-Eq. 3's transposed form), pooling and the channel/filter-parallel
-convolutions all evaluate, for every index of a rank's block, a kernel over
-a window of another tensor; which rows that window covers is the only thing
-that distinguishes them here.  Let a rank own block rows ``[a, b)`` (W is
+Eq. 3's transposed form) and pooling both evaluate, for every index of a
+rank's block, a kernel over a window of another tensor; which rows that
+window covers is the only thing that distinguishes them here.  Samples and
+space are split, channels never are: every rank gathers the source's full
+channel range.  Let a rank own block rows ``[a, b)`` (W is
 symmetric).  With kernel K, stride S, padding P:
 
 * **forward** — output row ``j`` reads input rows ``[jS - P, jS - P + K)``,
@@ -34,7 +35,6 @@ travel, ``finish()`` the exchange, run the boundary kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.exchange import TransferPlan
@@ -168,26 +168,25 @@ def window_geometry(
     kernel: tuple[int, int],
     stride: tuple[int, int],
     pad: tuple[int, int],
-    channels_of: Callable[[tuple[int, ...]], Span],
     transposed: bool = False,
 ) -> WindowGeometry:
     """Geometry of a windowed kernel producing the block tensor ``(dist,
-    shape)`` from windows of ``source``.
-
-    ``channels_of(coords)`` supplies any rank's dim-1 slot of the gathered
-    region (the layer decides whether that is the full extent, the rank's
-    own block, or a channel/filter slice).
-    """
+    shape)`` from windows of ``source``; every rank's region spans all of
+    ``source``'s channels, so its grid's channel axis must be 1."""
     grid = source.grid
+    if grid.shape[1] != 1:
+        raise ValueError(
+            f"channels are never split: grid axis 1 must be 1, got {grid.shape}"
+        )
+    channels = source.global_shape[1]
     windows = tuple(
         Window(k, s, p, transposed) for k, s, p in zip(kernel, stride, pad)
     )
 
     def region_of(coords):
         (n_lo, n_hi), _, rows, cols = dist.local_bounds(shape, coords)
-        c_lo, c_hi = channels_of(coords)
         (h0, h1), (w0, w1) = windows[0].span(*rows), windows[1].span(*cols)
-        return (n_lo, c_lo, h0, w0), (n_hi, c_hi, h1, w1)
+        return (n_lo, 0, h0, w0), (n_hi, channels, h1, w1)
 
     regions = [region_of(grid.coords_of(r)) for r in range(grid.comm.size)]
     lo, hi = regions[grid.comm.rank]

@@ -170,15 +170,14 @@ def conv_layer_cost(
     # -- halo exchange (paper's SR terms) -----------------------------------------
     o_h, o_w = kh // 2, kw // 2
     db = machine.dtype_bytes
-    spatial_ways = par.height * par.width
     link = (
         machine.intra_link
-        if spatial_ways <= machine.gpus_per_node
+        if par.spatial_ways <= machine.gpus_per_node
         else machine.inter_link
     )
     msg_overhead = (
         machine.halo_msg_overhead_intra
-        if spatial_ways <= machine.gpus_per_node
+        if par.spatial_ways <= machine.gpus_per_node
         else machine.halo_msg_overhead_inter
     )
     halo = 0.0
@@ -262,10 +261,9 @@ def pool_layer_cost(
     # Pooling needs neighbor data only when windows overlap (K > S).
     o_h = max(0, kh - sh)
     o_w = max(0, kw - sw)
-    spatial_ways = par.height * par.width
     link = (
         machine.intra_link
-        if spatial_ways <= machine.gpus_per_node
+        if par.spatial_ways <= machine.gpus_per_node
         else machine.inter_link
     )
     halo = 0.0

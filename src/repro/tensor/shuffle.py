@@ -1,10 +1,10 @@
 """Data redistribution between two distributions (the paper's §III-C).
 
 When adjacent layers use different distributions (e.g. a spatially
-partitioned convolution feeding a sample-parallel convolution, or a
-convolutional layer feeding a model-parallel FC layer), the activations and
-error signals must be shuffled: "a processor sends indices it no longer
-owns, and receives its new indices" via an all-to-all collective.
+partitioned convolution feeding a sample-parallel convolution or FC layer),
+the activations and error signals must be shuffled: "a processor sends
+indices it no longer owns, and receives its new indices" via an all-to-all
+collective.
 
 Replication is handled on both sides:
 

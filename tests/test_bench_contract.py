@@ -7,6 +7,7 @@ that class body or module, not inherited or re-exported — and
 moves one of them fails here before the benchmark does.
 """
 
+import ast
 import importlib
 import pathlib
 import re
@@ -115,6 +116,50 @@ def test_file_paths_the_docs_and_ci_name_exist(doc):
     named = set(path.findall((root / doc).read_text()))
     missing = sorted(name for name in named if not (root / name).is_file())
     assert named and not missing, f"{doc} names files that do not exist: {missing}"
+
+
+def _resolves(name):
+    """Import the longest module prefix of dotted ``name``, then ``getattr``
+    the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def _docstrings(path):
+    tree = ast.parse(path.read_text())
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return "\n".join(
+        ast.get_docstring(node) or ""
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+    )
+
+
+@pytest.mark.parametrize("doc", ["README.md", ".claude/skills/verify/SKILL.md", "src"])
+def test_dotted_names_the_docs_name_resolve(doc):
+    """Every dotted ``repro.…`` name in the README, the verify skill or a
+    ``src/`` docstring (``:mod:``/``:class:``/``:func:`` roles and their
+    ``~`` prefix included) imports and resolves: a deleted module, class or
+    function cannot live on in prose."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    if doc == "src":
+        text = "\n".join(_docstrings(p) for p in (root / "src").rglob("*.py"))
+    else:
+        text = (root / doc).read_text()
+    named = set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text))
+    missing = sorted(name for name in named if not _resolves(name))
+    assert named and not missing, f"{doc} names what does not exist: {missing}"
 
 
 def test_counters_the_harness_reads():

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import run_spmd
-from repro.core.dist_conv import DistConv2d
+from repro.core.dist_conv import DistConv2d, start_gather
+from repro.core.dist_layers import DistPool2d
+from repro.core.window import window_geometry
 from repro.nn import functional as F
-from repro.tensor import DistTensor, ProcessGrid
+from repro.tensor import DistTensor, Distribution, ProcessGrid
+from repro.tensor.halo import local_region
 from repro.core.parallelism import activation_dist
 
 RTOL = 1e-11
@@ -165,12 +168,27 @@ class TestDistConvExactness:
             np.testing.assert_allclose(dx_got, dx_ref, rtol=RTOL)
             np.testing.assert_allclose(dw_got, dw_ref, rtol=1e-10)
 
-    def test_channel_axis_rejected(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda grid: DistConv2d(grid, np.zeros((2, 2, 3, 3)), pad=1),
+            lambda grid: DistPool2d(grid, "max", 2),
+        ],
+        ids=["DistConv2d", "DistPool2d"],
+    )
+    def test_channel_axis_rejected(self, make):
+        """Channels are never split: a windowed layer on a grid with axis 1
+        > 1 raises at its first geometry instead of gathering a channel
+        block."""
+
         def prog(comm):
             grid = ProcessGrid(comm, (1, 2, 1, 1))
-            DistConv2d(grid, np.zeros((2, 2, 3, 3)))
+            x = np.zeros((1, 2, 4, 4))
+            make(grid).forward(
+                DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
+            )
 
-        with pytest.raises(ValueError, match="channel_filter"):
+        with pytest.raises(ValueError, match="grid axis 1 must be 1"):
             run_spmd(2, prog, timeout=10)
 
     def test_backward_before_forward(self):
@@ -185,6 +203,67 @@ class TestDistConvExactness:
 
         with pytest.raises(RuntimeError, match="before forward"):
             run_spmd(1, prog, timeout=10)
+
+
+class TestWindowGeometry:
+    """Every windowed layer gathers, on every rank, a region spanning all of
+    its source's channels, and the cached exchange plan assembles exactly
+    what the plan-free ``gather_region`` oracle fetches for that region."""
+
+    @staticmethod
+    def geometry(kind, grid, x):
+        """``(geometry, source, fill)`` of conv forward, conv Eq. 3 or max
+        pooling over ``x``."""
+        xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
+        if kind == "pool":
+            return DistPool2d(grid, "max", 3, 2, 1)._geometry(xd), xd, -np.inf
+        conv = DistConv2d(grid, np.ones((4, x.shape[1], 3, 3)), stride=2, pad=1)
+        if kind == "conv_forward":
+            return conv._geometry(xd), xd, 0.0
+        y_shape = conv.output_global_shape(x.shape)
+        dy = np.random.default_rng(4).standard_normal(y_shape)
+        dyd = DistTensor.from_global(grid, activation_dist(grid.shape, y_shape), dy)
+        return conv._geometry(dyd, (xd.dist, x.shape)), dyd, 0.0
+
+    @pytest.mark.parametrize("kind", ["conv_forward", "conv_eq3", "pool"])
+    @pytest.mark.parametrize(
+        "grid_shape",
+        [(4, 1, 1, 1), (1, 1, 2, 2), (1, 1, 4, 1), (2, 1, 2, 1)],
+        ids=["sample4", "spatial2x2", "spatial4x1", "hybrid2x2x1"],
+    )
+    def test_region_spans_channels_and_gathers_exactly(self, kind, grid_shape):
+        x = np.random.default_rng(3).standard_normal((4, 3, 12, 10))
+
+        def prog(comm):
+            grid = ProcessGrid(comm, grid_shape)
+            g, src, fill = self.geometry(kind, grid, x)
+            assert (g.lo[1], g.hi[1]) == (0, src.global_shape[1])
+            assert g.exchanged == (grid_shape[2] * grid_shape[3] > 1)
+            ex = start_gather(src, g, None, overlap=False, fill=fill)
+            got = local_region(src, g.lo, g.hi, fill=fill) if ex is None else ex.out
+            np.testing.assert_array_equal(
+                got, src.gather_region(g.lo, g.hi, fill=fill)
+            )
+            return True
+
+        assert all(run_spmd(int(np.prod(grid_shape)), prog))
+
+    @pytest.mark.parametrize(
+        "grid_shape", [(1, 2, 1, 1), (1, 2, 2, 1), (2, 2, 1, 1)],
+        ids=["channel2", "channel2_spatial2", "sample2_channel2"],
+    )
+    def test_rejects_channel_split_source(self, grid_shape):
+        """The guard holds on hybrid grids too, where a spatial halo plan
+        would otherwise be built around a channel block."""
+        x = np.zeros((2, 4, 8, 8))
+
+        def prog(comm):
+            grid = ProcessGrid(comm, grid_shape)
+            xd = DistTensor.from_global(grid, Distribution.make(grid_shape), x)
+            window_geometry(xd, xd.dist, x.shape, (3, 3), (1, 1), (1, 1))
+
+        with pytest.raises(ValueError, match="grid axis 1 must be 1"):
+            run_spmd(int(np.prod(grid_shape)), prog, timeout=10)
 
 
 @settings(max_examples=12, deadline=None)

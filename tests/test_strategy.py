@@ -1,5 +1,7 @@
 """Strategy optimizer (§V-C): candidates, shortest path, branchy networks."""
 
+import math
+
 import pytest
 
 from repro.core.parallelism import LayerParallelism as LP
@@ -37,6 +39,39 @@ class TestParallelism:
             LP(sample=0)
         with pytest.raises(ValueError):
             LP.spatial_square(1, 0)
+
+    @pytest.mark.parametrize("field", ["sample", "height", "width"])
+    def test_each_factor_at_least_one(self, field):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            LP(**{field: 0})
+
+    def test_no_channel_factor(self):
+        """Channels are never split: there is no factor to set."""
+        with pytest.raises(TypeError):
+            LP(channel=2)
+
+    @pytest.mark.parametrize(
+        "par,grid_shape,spatial,text",
+        [
+            (LP(), (1, 1, 1, 1), 1, "sample(1)"),
+            (LP(sample=4), (4, 1, 1, 1), 1, "sample(4)"),
+            (LP(height=2, width=2), (1, 1, 2, 2), 4, "hybrid(sample=1, spatial=2x2)"),
+            (LP(height=4), (1, 1, 4, 1), 4, "hybrid(sample=1, spatial=4x1)"),
+            (LP(sample=2, width=2), (2, 1, 1, 2), 2, "hybrid(sample=2, spatial=1x2)"),
+            (
+                LP(sample=2, height=2, width=2), (2, 1, 2, 2), 4,
+                "hybrid(sample=2, spatial=2x2)",
+            ),
+        ],
+        ids=["one", "sample4", "spatial2x2", "spatial4x1", "hybrid2x1x2", "hybrid2x2x2"],
+    )
+    def test_factors_pair_with_nchw_grid(self, par, grid_shape, spatial, text):
+        """The grid pairs with NCHW tensor dims, its channel axis 1; a layer's
+        ranks are its sample groups times its GPUs per sample."""
+        assert par.grid_shape == grid_shape
+        assert par.spatial_ways == spatial
+        assert par.nranks == par.sample * spatial == math.prod(grid_shape)
+        assert par.describe() == text
 
     def test_strategy_uniform_and_override(self):
         s = ParallelStrategy.uniform(LP(sample=4))
