@@ -23,11 +23,11 @@ LBANN implementation with a functionally equivalent runtime:
   CRC-checked length-prefixed frames, the per-pair TCP links (read by the
   waiting thread's drain, written on the calling thread), heartbeats and
   EOF-without-BYE peer-death detection.
-* :mod:`repro.comm.communicator` — the :class:`Communicator` API
-  (``send``/``recv``/``sendrecv``/``allreduce``/``allgather``/``alltoall``/
-  ``bcast``/``barrier``/``split``), mirroring mpi4py's lower-case object
-  interface; backend-agnostic, and bitwise-reproducible across backends
-  for a fixed rank count.
+* :mod:`repro.comm.communicator` — the :class:`Communicator` API the
+  engine calls (``send``/``recv``/``irecv``/``barrier``/``bcast``/
+  ``allgather``/``alltoall``/``allreduce``/``iallreduce``/``split``),
+  mirroring mpi4py's lower-case object interface; backend-agnostic, and
+  bitwise-reproducible across backends for a fixed rank count.
 * :mod:`repro.comm.payload` — what a payload is: the one walk over
   tuple/list/dict every copy, byte count and array lift goes through, and
   the immutability rule built on it (``freeze`` / ``private`` /
@@ -40,9 +40,9 @@ LBANN implementation with a functionally equivalent runtime:
 
 The communicator is *buffered and eager*: ``send`` never blocks, so the
 halo-exchange and shuffle patterns used by the distributed tensor library
-cannot deadlock regardless of ordering.  Nonblocking variants
-(``isend``/``irecv``/``iallreduce``/``ialltoall``) return :class:`Request`
-handles with ``wait()``/``test()``; on the thread backend contiguous array
+cannot deadlock regardless of ordering.  The nonblocking operations
+(``irecv``/``iallreduce``) return :class:`Request` handles with
+``wait()``/``test()``; on the thread backend contiguous array
 payloads cross the boundary zero-copy as read-only views (see
 :func:`set_zero_copy`).
 """

@@ -1,6 +1,8 @@
 """Every collective's wire pattern, over the backends' pt2pt mailbox: the
-``"direct"`` all-to-all :class:`Exchange`, and ring / Rabenseifner /
-recursive doubling (and binomial trees) as chunked schedules.
+``"direct"`` all-to-all :class:`Exchange`, the plain :class:`Endpoint`
+that ``bcast``'s one-hop star and ``irecv`` (:class:`Receive`) move over,
+and the allreduce schedules — ring / Rabenseifner / recursive doubling and
+their two-level hierarchical composition — as chunked step lists.
 
 The cost model (:mod:`repro.comm.collective_models`) prices the
 bandwidth-optimal allreduces of Thakur, Rabenseifner & Gropp — each rank
@@ -24,11 +26,9 @@ Compiled schedules (``compile_allreduce``):
   for small messages); non-power-of-two groups use the MPICH fold: the
   first ``2r`` ranks pair up (``r = p - 2^⌊lg p⌋``), the even partner folds
   into the odd one and receives the finished result at the end.
-
-Binomial trees (``compile_tree``) route the rooted collectives —
-bcast / reduce / gather / scatter — in ``⌈lg p⌉`` rounds instead of the
-``p-1`` messages in or out of the root of the one-hop star
-(``compile_star``, their ``"direct"`` layout).
+* ``hierarchical`` (``compile_hierarchical_allreduce``) — intra-node ring
+  reduce-scatter, an inter-node allreduce of each rank's window, and an
+  intra-node ring allgather.
 
 Determinism contract
 --------------------
@@ -42,8 +42,6 @@ both backends produce bitwise-identical results *for a given algorithm*:
   its two operands by the *minimum comm rank* their partial sums cover, so
   the fold is the balanced binary tree over (masked) rank bits — e.g.
   ``(x_0 + x_1) + (x_2 + x_3)`` for recursive doubling on 4 ranks.
-* binomial ``reduce``: a node folds its children in ascending relative
-  rank, each child delivering its already-folded subtree.
 
 These orders differ from the ``"direct"`` ascending-comm-rank fold, so
 algorithmic results match it to floating-point *allclose*, not bitwise —
@@ -234,22 +232,6 @@ def segment_steps(
         for st in steps
         for g in range(nseg)
     )
-
-
-@lru_cache(maxsize=None)
-def compile_reduce_scatter(p: int) -> tuple[tuple[Step, ...], ...]:
-    """Ring reduce-scatter schedules: rank ``r`` ends owning chunk ``r``.
-
-    Chunk ``c`` circulates the ring starting at rank ``c + 1`` and is
-    folded in ring order (``x_{c+1}, x_{c+2}, …, x_c``), completing at its
-    destination after ``p - 1`` steps — ``(p-1)/p`` of the total payload
-    sent per rank, the same volume as the direct per-destination routing
-    but pipelined as a schedule of partial sums.
-    """
-    if p < 1:
-        raise ValueError(f"group size must be >= 1, got {p}")
-    ring = tuple(range(p))
-    return tuple(tuple(_ring_pass(ring, r, r - 1, "recv_reduce")) for r in ring)
 
 
 def _ring_pass(
@@ -452,86 +434,6 @@ def compile_hierarchical_allreduce(
 
 
 # ---------------------------------------------------------------------------
-# Binomial trees for the rooted collectives
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """One rank's position in a binomial tree rooted at ``root``.
-
-    ``children`` are ``(child comm rank, subtree comm ranks)`` pairs in
-    *descending subtree size* (the order a binomial bcast sends); gather
-    and reduce walk them in reverse (ascending relative rank), which is
-    the documented fold order.
-    """
-
-    rank: int
-    parent: int | None
-    children: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @property
-    def subtree(self) -> tuple[int, ...]:
-        """Comm ranks under this node in ascending relative rank, itself
-        first — the order gather bundles arrive in and scatter bundles
-        leave in, so bundles carry bare payloads and no rank labels."""
-        return (self.rank,) + tuple(
-            r for _child, sub in reversed(self.children) for r in sub
-        )
-
-
-@lru_cache(maxsize=None)
-def compile_star(p: int, root: int) -> tuple[TreeNode, ...]:
-    """Star over ``p`` ranks: every other rank is a leaf child of ``root``.
-
-    The ``"direct"`` routing of the rooted collectives — one hop, ``p - 1``
-    messages in or out of the root — expressed as a tree so the same
-    ``run_tree_*`` runners serve it.
-    """
-    if not 0 <= root < p:
-        raise ValueError(f"root={root} out of range for group of size {p}")
-    leaves = tuple((root + d) % p for d in range(p - 1, 0, -1))
-    return tuple(
-        TreeNode(r, None, tuple((c, (c,)) for c in leaves))
-        if r == root
-        else TreeNode(r, root, ())
-        for r in range(p)
-    )
-
-
-@lru_cache(maxsize=None)
-def compile_tree(p: int, root: int) -> tuple[TreeNode, ...]:
-    """Binomial tree over ``p`` ranks rooted at ``root`` (per-rank nodes)."""
-    if not 0 <= root < p:
-        raise ValueError(f"root={root} out of range for group of size {p}")
-    nodes = []
-    for r in range(p):
-        rel = (r - root) % p
-        parent: int | None = None
-        mask = 1
-        while mask < p:
-            if rel & mask:
-                parent = (r - mask) % p
-                break
-            mask <<= 1
-        # For non-roots the loop broke at the lowest set bit of ``rel``;
-        # for the root it ran to the first power of two >= p.  Children sit
-        # at every smaller power-of-two distance.
-        children: list[tuple[int, tuple[int, ...]]] = []
-        cmask = mask >> 1
-        while cmask > 0:
-            if rel + cmask < p:
-                subtree = tuple(
-                    (root + rel2) % p
-                    for rel2 in range(rel + cmask, min(rel + 2 * cmask, p))
-                )
-                children.append(((r + cmask) % p, subtree))
-            cmask >>= 1
-        nodes.append(TreeNode(rank=r, parent=parent, children=tuple(children)))
-    return tuple(nodes)
-
-
-# ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
@@ -600,9 +502,9 @@ class ScheduleRunner(WireTally):
         self._steps = steps
         self._shape = value.shape
         # The working buffer, flat and reduced in place: the array the runner
-        # is given when it owns it (``owns_buffer``: a donated contribution,
-        # or one the caller just built) and can use it as it is, else one
-        # C-order copy (``flatten`` gathers a strided value once).
+        # is given when it owns it (``owns_buffer``: a donated contribution)
+        # and can use it as it is, else one C-order copy (``flatten``
+        # gathers a strided value once).
         flags = value.flags
         if owns_buffer and flags.c_contiguous and flags.writeable:
             self._buf = value.reshape(-1)
@@ -610,9 +512,8 @@ class ScheduleRunner(WireTally):
             self._buf = value.flatten()
         self._update = update
         self._out = self._buf if update is None or out is None else out.reshape(-1)
-        # ``offsets`` overrides the near-equal chunking for ops whose
-        # chunks are semantic units (reduce_scatter's per-destination
-        # parts); every rank must derive the identical table.
+        # ``offsets`` overrides the near-equal chunking (a segmented
+        # plan's table); every rank must derive the identical table.
         self._off = (
             offsets
             if offsets is not None
@@ -733,8 +634,9 @@ class Endpoint(WireTally):
 
     A collective's tag is ``(tag_class, seq)`` under the communicator's
     key, ``tag_class`` being the traffic class fault specs match on:
-    ``"#coll"`` for ``"direct"`` (the exchange and the one-hop star),
-    ``"#alg"`` for compiled routes.
+    ``"#coll"`` for the ``"direct"`` exchange and ``bcast``'s one-hop
+    star, ``"#alg"`` only for the segments of a compiled schedule
+    (:class:`ScheduleRunner`).
     """
 
     def __init__(
@@ -878,63 +780,3 @@ class Exchange(Endpoint):
         """Block for the missing pieces; return all in comm-rank order."""
         self._advance(block=True)
         return self._slots
-
-
-def run_tree_bcast(t: Endpoint, node: TreeNode, payload: Any) -> Any:
-    """Tree broadcast: pure routing, bitwise-identical on any layout."""
-    if node.parent is not None:
-        payload = t.recv(node.parent)
-    for child, _subtree in node.children:  # largest subtree first
-        t.send(child, payload)
-    return payload
-
-
-def run_tree_reduce(
-    t: Endpoint, node: TreeNode, value: Any, fn: Callable[[Any, Any], Any]
-) -> Any:
-    """Binomial reduce toward the root (``None`` elsewhere).
-
-    Children are folded in ascending relative rank (each delivering its
-    already-folded subtree), so for root 0 on 4 ranks the root computes
-    ``(x0 + x1) + (x2 + x3)`` — fixed for a given ``(p, root)``.
-    """
-    acc = value
-    for child, _subtree in reversed(node.children):  # ascending relative rank
-        acc = fn(acc, t.recv(child))
-    if node.parent is not None:
-        t.send(node.parent, acc)
-        return None
-    return acc
-
-
-def run_tree_gather(
-    t: Endpoint, node: TreeNode, payload: Any
-) -> list[Any] | None:
-    """Tree gather: subtree bundles (payloads in :attr:`TreeNode.subtree`
-    order) merge on the way up; the root assembles the comm-rank-ordered
-    list, ``None`` elsewhere.  Pure routing — bitwise-identical on any
-    layout."""
-    bundle: list[Any] = [payload]
-    for child, _subtree in reversed(node.children):
-        bundle.extend(t.recv(child))
-    if node.parent is not None:
-        t.send(node.parent, bundle)
-        return None
-    slots: list[Any] = [None] * len(bundle)
-    for rank, item in zip(node.subtree, bundle):
-        slots[rank] = item
-    return slots
-
-
-def run_tree_scatter(t: Endpoint, node: TreeNode, payloads: Any) -> Any:
-    """Tree scatter: the root sends each child its subtree's bundle
-    (payloads in :attr:`TreeNode.subtree` order); interior nodes keep
-    their own piece and forward the rest.  Pure routing —
-    bitwise-identical on any layout."""
-    if node.parent is None:
-        by_rank = {r: payloads[r] for r in node.subtree}
-    else:
-        by_rank = dict(zip(node.subtree, t.recv(node.parent)))
-    for child, subtree in node.children:
-        t.send(child, [by_rank[r] for r in subtree])
-    return by_rank[node.rank]

@@ -41,7 +41,7 @@ Payloads cross the thread-backend boundary zero-copy where possible:
 C-contiguous ndarrays are shared as read-only views instead of being
 deep-copied (see :func:`repro.comm.payload.freeze`), so the
 sender must treat a buffer as transferred once it has been handed to
-``send``/``isend``/a collective.  The forked world copies through a
+``send`` or a collective.  The forked world copies through a
 shared-memory arena (or a TCP frame) instead (see
 :mod:`repro.comm.proc_backend`), under the same no-mutate-after-send
 contract.

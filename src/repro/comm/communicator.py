@@ -15,11 +15,11 @@ read-only view instead of being deep-copied (non-contiguous arrays are
 still copied; see :func:`~repro.comm.payload.set_zero_copy` to disable
 the fast path when chasing a suspected aliasing bug).  The process backend
 copies through a shared-memory arena instead.  The contract is MPI's
-either way: a buffer handed to ``send``/``isend`` or contributed to a
-collective must not be mutated afterwards.  Received arrays are read-only;
-treat them as immutable (``bcast``/``scatter`` results are exempt — they are private
-writable copies, since they commonly carry small control state the
-receiver updates in place).
+either way: a buffer handed to ``send`` or contributed to a collective
+must not be mutated afterwards.  Received arrays are read-only; treat them
+as immutable (``bcast`` results are exempt — they are private writable
+copies, since they commonly carry small control state the receiver
+updates in place).
 
 **Copy discipline** — one rule: *a byte is copied only where two owners
 would otherwise write and read the same memory, by whoever hands it over,
@@ -29,7 +29,7 @@ and freed by whoever consumes it.*  Where that puts every copy:
 mechanism             who copies, when            who frees / how long it lives
 ====================  ==========================  ===========================
 ``payload.freeze``    nobody for a C-contiguous   the view lives as long as
-(``send``, ``isend``, array (a read-only view     receivers hold it; the
+(``send`` and         array (a read-only view     receivers hold it; the
 nonblocking           crosses); the sender, once, sender never mutates the
 contributions)        for a non-contiguous one    buffer again
 ``_detached``         the caller's rank, once     garbage-collected with the
@@ -59,32 +59,31 @@ sink                  nobody: a scheduled         the transport, right after
 (``collect(sink=)``)  receive is folded or        the sink returns; an unsunk
                       placed into the working     receive gets a private
                       buffer where it landed      read-only array instead
-``payload.private``   the receiver, once          the receiver (``bcast`` /
-                                                  ``scatter`` results are
-                                                  writable)
+``payload.private``   the receiver, once          the receiver (``bcast``
+                                                  results are writable)
 ====================  ==========================  ===========================
 
 ``freeze`` and ``private`` (``_detached`` is one after the other) are
 :func:`repro.comm.payload.map_arrays` — the one walk over tuple/list/dict —
 so they reach the same arrays.
 
-Semantics implemented:
+Semantics implemented — what the engine calls, and nothing else:
 
-* eager buffered ``send``/``recv``/``sendrecv`` matched on ``(source, tag)``;
-* ``barrier``, ``bcast``, ``gather``, ``scatter``, ``allgather``,
-  ``alltoall``, ``reduce``, ``allreduce``, ``reduce_scatter``;
-* **nonblocking** ``isend``/``irecv``/``iallreduce``/``ialltoall`` returning
-  :class:`Request` handles with MPI-style ``wait()``/``test()``; any number
-  of requests may be in flight per communicator and they may be completed
-  out of order.  This is the primitive the training engine uses to overlap
-  the dL/dw allreduces with backpropagation (paper §IV);
+* eager buffered ``send``/``recv`` matched on ``(source, tag)``;
+* ``barrier``, ``bcast`` (the one rooted op: a one-hop star from the
+  root), ``allgather``, ``alltoall``, ``allreduce``;
+* **nonblocking** ``irecv``/``iallreduce`` returning :class:`Request`
+  handles with MPI-style ``wait()``/``test()``; any number of requests may
+  be in flight per communicator and they may be completed out of order.
+  This is the primitive the training engine uses to overlap the dL/dw
+  allreduces with backpropagation (paper §IV);
 * ``split(color, key)`` creating sub-communicators, the building block for
   the sample-group × spatial-group process grids of the paper's hybrid
   sample/spatial parallelism;
-* **algorithmic wire schedules**: the reduction and rooted collectives take
-  an ``algorithm=`` knob (``"auto"`` → the cost model's Thakur-style
+* **algorithmic wire schedules**: ``allreduce``/``iallreduce`` take an
+  ``algorithm=`` knob (``"auto"`` → the cost model's Thakur-style
   selection; ``REPRO_COLLECTIVE_ALG`` overrides globally) that compiles
-  ring / Rabenseifner / recursive-doubling / binomial-tree schedules onto
+  ring / Rabenseifner / recursive-doubling / hierarchical schedules onto
   the point-to-point transport (:mod:`repro.comm.algorithms`), cutting an
   allreduce's per-rank wire volume from ``n(p-1)`` to ``2n(p-1)/p``;
   ``"direct"`` — an all-to-all :class:`~repro.comm.algorithms.Exchange`
@@ -144,14 +143,12 @@ _REDUCE_UFUNCS: dict[str, Any] = {
     "min": np.minimum,
 }
 
-#: Environment override for every ``algorithm=`` collective knob: set to
-#: ``direct`` for the bitwise-reference mode (every collective exchanges
-#: whole contributions and folds in comm-rank order), to ``ring`` /
-#: ``rabenseifner`` /
-#: ``recursive_doubling`` to force the reduction schedules, to
-#: ``binomial`` to force the rooted trees, or to ``auto`` for model-driven
-#: selection.  Values that are meaningless for an op (e.g. ``binomial``
-#: for an allreduce) leave that op on its own default resolution.
+#: Environment override for the allreduce ``algorithm=`` knob: set to
+#: ``direct`` for the bitwise-reference mode (every contribution is
+#: exchanged whole and folded in comm-rank order), to ``ring`` /
+#: ``rabenseifner`` / ``recursive_doubling`` / ``hierarchical`` to force a
+#: schedule, or to ``auto`` for model-driven selection.  Anything else
+#: fails loudly.
 COLLECTIVE_ALG_ENV = "REPRO_COLLECTIVE_ALG"
 
 #: Environment override for the reduction collectives' ``segment_bytes=``
@@ -161,14 +158,12 @@ COLLECTIVE_ALG_ENV = "REPRO_COLLECTIVE_ALG"
 #: forces that segment size in bytes.  Anything else fails loudly.
 SEGMENT_BYTES_ENV = "REPRO_SEGMENT_BYTES"
 
-_REDUCTION_ALG_CHOICES = {
+#: Every name the ``algorithm=`` knob and its env override may carry;
+#: anything else is a typo and must fail loudly rather than silently
+#: disable the override.
+_ALG_CHOICES = {
     "auto", "direct", HIERARCHICAL_ALGORITHM, *_alg.REDUCTION_ALGORITHMS
 }
-_TREE_ALG_CHOICES = {"auto", "direct", "binomial"}
-_RS_ALG_CHOICES = {"auto", "direct", "ring"}
-#: Every name the env override may legally carry; anything else is a typo
-#: and must fail loudly rather than silently disable the override.
-_ALL_ALG_CHOICES = _REDUCTION_ALG_CHOICES | _TREE_ALG_CHOICES | _RS_ALG_CHOICES
 
 
 def _parse_segment_bytes(text: str) -> int | str | None:
@@ -202,10 +197,10 @@ def _env_knobs() -> tuple[str | None, Any]:
     world communicator is built (set them before ``run_spmd``); a typo
     raises there, naming the variable."""
     alg = os.environ.get(COLLECTIVE_ALG_ENV) or None
-    if alg is not None and alg not in _ALL_ALG_CHOICES:
+    if alg is not None and alg not in _ALG_CHOICES:
         raise ValueError(
-            f"{COLLECTIVE_ALG_ENV}={alg!r} names no collective "
-            f"algorithm; expected one of {sorted(_ALL_ALG_CHOICES)}"
+            f"{COLLECTIVE_ALG_ENV}={alg!r} names no allreduce "
+            f"algorithm; expected one of {sorted(_ALG_CHOICES)}"
         )
     seg = os.environ.get(SEGMENT_BYTES_ENV)
     if seg is None or seg.strip() == "":
@@ -233,16 +228,11 @@ def _mapped(
     return dst.reshape(reduced.shape)
 
 
-def _schedulable_array(payload: Any) -> bool:
-    """True if a payload can run through the chunked reduction schedules."""
-    return isinstance(payload, np.ndarray) and payload.dtype != object
-
-
 class Request:
     """Handle to an in-flight nonblocking operation (MPI_Request analogue).
 
-    ``wait()`` blocks until the operation completes and returns its result
-    (``None`` for sends).  ``test()`` polls without blocking and returns
+    ``wait()`` blocks until the operation completes and returns its
+    result.  ``test()`` polls without blocking and returns
     whether the operation has completed; once it returns True the result is
     available from ``wait()`` immediately.  Requests may be completed in any
     order.  If the world aborts, both raise :class:`CommAborted`.
@@ -303,13 +293,6 @@ class _RunnerRequest(Request):
         runner.launch()
         if runner.driven:
             comm._inflight.append(self)
-
-    @classmethod
-    def completed(cls, result: Any = None) -> "_RunnerRequest":
-        """A request born complete (eager ``isend``): nothing to drive."""
-        req = cls.__new__(cls)
-        req._done, req._result = True, result
-        return req
 
     def _complete(self, out: Any, t_wait: float) -> None:
         comm = self._comm
@@ -390,7 +373,7 @@ class Communicator:
         self._hierarchy_cache: Any = False
         self._inter_flags_cache: tuple[bool, ...] | None = None
         #: The environment overrides as parsed for the world communicator;
-        #: ``split``/``dup`` hand theirs down, so a job reads them once.
+        #: ``split`` hands them down, so a job reads them once.
         self._knobs = _env_knobs() if knobs is None else knobs
         #: ``(op, algorithm knob, segment knob, element count, dtype)`` ->
         #: resolved reduction plan (:meth:`_reduction_plan`), so a repeated
@@ -418,10 +401,6 @@ class Communicator:
     def backend(self) -> str:
         """Name of the world backend this communicator runs on."""
         return self._world.backend_name
-
-    def translate(self, comm_rank: int) -> int:
-        """Map a rank of this communicator to its world rank."""
-        return self._members[comm_rank]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -459,11 +438,6 @@ class Communicator:
         self.stats.record_recv(nbytes)
         return payload
 
-    def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send.  Sends are eager, so the request is born complete."""
-        self.send(payload, dest, tag=tag)
-        return _RunnerRequest.completed()
-
     def irecv(self, source: int, tag: int = 0, *, opname: str = "irecv") -> Request:
         """Nonblocking receive; ``wait()`` returns the payload.
 
@@ -476,18 +450,6 @@ class Communicator:
         return _RunnerRequest(
             self, _alg.Receive(self, opname, tag, source), opname, collective=False
         )
-
-    def sendrecv(
-        self,
-        payload: Any,
-        dest: int,
-        source: int,
-        send_tag: int = 0,
-        recv_tag: int = 0,
-    ) -> Any:
-        """Combined send+receive; safe in any order because sends are eager."""
-        self.send(payload, dest, tag=send_tag)
-        return self.recv(source, tag=recv_tag)
 
     def _check_peer(self, peer: int, what: str) -> None:
         if not 0 <= peer < self.size:
@@ -525,22 +487,16 @@ class Communicator:
         self._coll_seq += 1
         return seq
 
-    def _knob(self, algorithm: Any, choices: set, opname: str) -> str:
-        """Validate an ``algorithm=`` knob and apply the env override.
-
-        ``REPRO_COLLECTIVE_ALG`` overrides every call site when its value
-        is meaningful for the op (``direct`` always is — the global
-        bitwise-reference mode); meaningless combinations (``binomial``
-        for an allreduce) leave the op on its own resolution.
-        """
+    def _knob(self, algorithm: Any, opname: str) -> str:
+        """Validate an ``algorithm=`` knob; ``REPRO_COLLECTIVE_ALG``, when
+        set, overrides every call site."""
         name = "auto" if algorithm is None else getattr(algorithm, "value", algorithm)
-        if name not in choices:
+        if name not in _ALG_CHOICES:
             raise ValueError(
                 f"unknown {opname} algorithm {name!r}; "
-                f"expected one of {sorted(choices)}"
+                f"expected one of {sorted(_ALG_CHOICES)}"
             )
-        env = self._knobs[0]
-        return env if env in choices else name
+        return self._knobs[0] or name
 
     # -- node hierarchy -------------------------------------------------------
     def hierarchy(self) -> tuple[tuple[int, ...], ...] | None:
@@ -596,7 +552,7 @@ class Communicator:
         ``tensor/`` memoises a ``TransferPlan``.  ``steps is None`` means the
         ``"direct"`` exchange (always, for non-array payloads)."""
         if not isinstance(value, np.ndarray):
-            self._knob(algorithm, _REDUCTION_ALG_CHOICES, opname)  # validate
+            self._knob(algorithm, opname)  # validate
             return _DIRECT_PLAN
         return self._array_plan(
             opname, algorithm, segment_bytes, value.size, value.dtype
@@ -647,7 +603,7 @@ class Communicator:
         the base schedule untouched — bitwise-identical to the
         unsegmented path.
         """
-        alg = self._knob(algorithm, _REDUCTION_ALG_CHOICES, opname)
+        alg = self._knob(algorithm, opname)
         if self.size == 1 or dtype == object:
             return _DIRECT_PLAN
         nbytes = n * dtype.itemsize
@@ -731,12 +687,6 @@ class Communicator:
             inter_peers=self._inter_flags(), ufunc=_REDUCE_UFUNCS.get(op),
             update=update, out=out,
         )
-
-    def _resolve_tree(self, algorithm: Any, opname: str) -> str:
-        name = self._knob(algorithm, _TREE_ALG_CHOICES, opname)
-        if self.size == 1:
-            return "direct"
-        return "binomial" if name == "auto" else name
 
     def _progress_inflight(self) -> None:
         """Advance pending scheduled collectives without blocking.
@@ -826,23 +776,6 @@ class Communicator:
             for j, p in enumerate(payloads)
         ]
 
-    def _rooted(
-        self, opname: str, alg: str, root: int
-    ) -> tuple["_alg.TreeNode", "_alg.Endpoint", Callable[[Any], Any]]:
-        """This rank's tree position, pt2pt endpoint and send-side freeze
-        for one rooted collective: ``"direct"`` is the one-hop star
-        (``#coll`` traffic, detached contributions), ``"binomial"`` the
-        compiled tree (``#alg``)."""
-        if alg == "direct":
-            self._progress_inflight()
-            nodes = _alg.compile_star(self.size, root)
-        else:
-            nodes = _alg.compile_tree(self.size, root)
-        t = _alg.Endpoint(
-            self, *self._route(opname, "#coll" if alg == "direct" else "#alg")
-        )
-        return nodes[self.rank], t, self._detached if alg == "direct" else freeze
-
     # -- collectives ------------------------------------------------------------
     def barrier(self) -> None:
         with _trace.span("barrier", cat="coll"):
@@ -850,75 +783,25 @@ class Communicator:
             # An exchange of nothing: no request, so no wire row either.
             self._exchange("barrier", [None] * self.size).finish()
 
-    def bcast(
-        self, payload: Any, root: int = 0, *, algorithm: str | None = None
-    ) -> Any:
-        """Broadcast ``root``'s payload to every member.
-
-        ``algorithm``: ``"binomial"`` (the default via ``"auto"``) routes
-        the payload down a binomial tree in ``⌈lg p⌉`` point-to-point
-        rounds, so the root sends ``⌈lg p⌉`` copies instead of ``p - 1``;
-        ``"direct"`` sends root -> everyone in one hop.  Both are pure
-        routing — results are bitwise identical either way.
-        """
+    def bcast(self, payload: Any, root: int = 0) -> Any:
+        """Broadcast ``root``'s payload to every member: a one-hop star
+        under ``#coll``, the root sending its detached payload to each peer
+        in ascending comm rank.  Pure routing, so every member's result has
+        the root's bits; each is a private, writable copy."""
         self._check_peer(root, "root")
-        alg = self._resolve_tree(algorithm, "bcast")
-        node, t, frozen = self._rooted("bcast", alg, root)
-        mine = frozen(payload) if self.rank == root else None
-        return self._collective(
-            "bcast", alg, t, lambda: private(_alg.run_tree_bcast(t, node, mine))
-        )
+        self._progress_inflight()
+        t = _alg.Endpoint(self, *self._route("bcast", "#coll"))
+        mine = self._detached(payload) if self.rank == root else None
 
-    def gather(
-        self, payload: Any, root: int = 0, *, algorithm: str | None = None
-    ) -> list[Any] | None:
-        """Gather every member's payload at ``root`` (comm-rank order).
+        def run() -> Any:
+            if self.rank != root:
+                return private(t.recv(root))
+            for j in range(self.size):
+                if j != root:
+                    t.send(j, mine)
+            return private(mine)
 
-        ``"binomial"`` (the default via ``"auto"``) merges subtree bundles
-        up a binomial tree; ``"direct"`` ships every contribution straight
-        to the root.  Pure routing — bitwise identical either way.  The
-        root's stats row accounts the full gathered volume (non-roots
-        their own contribution), so ``comm_report`` rows line up with the
-        transport counters.
-        """
-        self._check_peer(root, "root")
-        alg = self._resolve_tree(algorithm, "gather")
-        node, t, frozen = self._rooted("gather", alg, root)
-        return self._collective(
-            "gather", alg, t,
-            lambda: _alg.run_tree_gather(t, node, frozen(payload)),
-            None if self.rank == root else payload_nbytes(payload),
-        )
-
-    def scatter(
-        self,
-        payloads: Sequence[Any] | None,
-        root: int = 0,
-        *,
-        algorithm: str | None = None,
-    ) -> Any:
-        """Distribute ``payloads[j]`` from ``root`` to comm-rank ``j``.
-
-        ``"binomial"`` (the default via ``"auto"``) sends each child its
-        subtree's bundle down a binomial tree; ``"direct"`` ships from the
-        root directly.  Pure routing — bitwise identical either way.  The
-        root's stats row accounts all scattered pieces (non-roots their
-        received piece).
-        """
-        self._check_peer(root, "root")
-        if self.rank == root:
-            if payloads is None or len(payloads) != self.size:
-                raise ValueError(
-                    f"scatter root must supply exactly {self.size} payloads"
-                )
-        alg = self._resolve_tree(algorithm, "scatter")
-        node, t, frozen = self._rooted("scatter", alg, root)
-        pieces = frozen(list(payloads)) if self.rank == root else None
-        return self._collective(
-            "scatter", alg, t,
-            lambda: private(_alg.run_tree_scatter(t, node, pieces)),
-            payload_nbytes(pieces) if self.rank == root else None,
-        )
+        return self._collective("bcast", "direct", t, run)
 
     def allgather(self, payload: Any) -> list[Any]:
         """Gather every member's payload at every member (comm-rank order).
@@ -942,59 +825,6 @@ class Communicator:
                 payload_nbytes(p) for i, p in enumerate(payloads) if i != self.rank
             ),
         )
-
-    def ialltoall(self, payloads: Sequence[Any]) -> Request:
-        """Nonblocking all-to-all: sends immediately, returns a handle.
-
-        ``wait()`` blocks only until every member's piece has arrived (never
-        until they have read theirs) — bitwise identical to
-        :meth:`alltoall`, the same exchange with the wait deferred, so a
-        fast rank keeps computing while peers are still producing their
-        payloads.  All members must issue their nonblocking collectives on
-        a communicator in the same order.
-        """
-        if len(payloads) != self.size:
-            raise ValueError(f"alltoall requires exactly {self.size} payloads")
-        return _RunnerRequest(
-            self, self._exchange("ialltoall", [freeze(p) for p in payloads]),
-            "ialltoall",
-        )
-
-    def reduce(
-        self,
-        value: Any,
-        op: str = "sum",
-        root: int = 0,
-        *,
-        algorithm: str | None = None,
-    ) -> Any | None:
-        """Rooted reduction: the result lands at ``root``, ``None`` elsewhere.
-
-        Historically this ran a full allreduce and threw the result away
-        on non-roots — allreduce wire volume for a rooted op.  It is now a
-        genuinely rooted collective recorded under its own ``"reduce"``
-        stats: ``"direct"`` gathers every contribution at the root in one
-        hop (non-roots move just their own payload) and folds in comm-rank
-        order — bitwise identical to the ``"direct"`` allreduce — while
-        ``"binomial"`` (the default via ``"auto"`` for array payloads)
-        folds up a binomial tree, each node combining its children in
-        ascending relative rank, so non-roots move ``O(n log p)`` and the
-        root receives ``⌈lg p⌉`` messages instead of ``p - 1``.
-        """
-        self._check_peer(root, "root")
-        fn = _reduce_fn(op)
-        alg = self._resolve_tree(algorithm, "reduce")
-        if alg == "binomial" and not _schedulable_array(value):
-            alg = "direct"
-        node, t, frozen = self._rooted("reduce", alg, root)
-
-        def run() -> Any:
-            if alg == "binomial":
-                return _alg.run_tree_reduce(t, node, value, fn)
-            slots = _alg.run_tree_gather(t, node, frozen(value))
-            return self._reduce_combine(fn)(slots) if slots else None
-
-        return self._collective("reduce", alg, t, run, payload_nbytes(value))
 
     @staticmethod
     def _reduce_combine(fn: Callable[[Any, Any], Any]) -> Callable[[list[Any]], Any]:
@@ -1139,61 +969,6 @@ class Communicator:
         )
         return _RunnerRequest(self, runner, "iallreduce")
 
-    def reduce_scatter(
-        self, parts: Sequence[Any], op: str = "sum", *, algorithm: str | None = None
-    ) -> Any:
-        """``parts[j]`` is this rank's contribution destined for rank ``j``.
-
-        Returns the reduction, over all ranks, of their contribution for
-        *this* rank.
-
-        ``algorithm``: ``"ring"`` (the default via ``"auto"`` when every
-        part is an ndarray of one dtype) circulates partial sums around
-        the ring — part ``j`` is folded in ring order starting at rank
-        ``j + 1`` — moving the same ``(p-1)/p`` volume as ``"direct"`` but
-        as a pipelined schedule; ``"direct"`` ships each piece to its
-        destination and folds in comm-rank order (bitwise reference).
-        """
-        if len(parts) != self.size:
-            raise ValueError(f"reduce_scatter requires exactly {self.size} parts")
-        fn = _reduce_fn(op)
-        alg = self._knob(algorithm, _RS_ALG_CHOICES, "reduce_scatter")
-        if (
-            self.size == 1
-            or not all(_schedulable_array(x) for x in parts)
-            or len({x.dtype for x in parts}) != 1
-        ):
-            alg = "direct"
-        elif alg == "auto":
-            alg = "ring"
-
-        if alg != "ring":
-            # Each member receives only the pieces destined for it and
-            # folds them in comm-rank order.
-            return self._direct(
-                "reduce_scatter", self._detached_pieces(parts),
-                self._reduce_combine(fn),
-            )
-        flat = np.concatenate(
-            [np.ascontiguousarray(x).reshape(-1) for x in parts]
-        )
-        offsets = [0]
-        for x in parts:
-            offsets.append(offsets[-1] + x.size)
-        steps = _alg.compile_reduce_scatter(self.size)[self.rank]
-        runner = _alg.ScheduleRunner(
-            self, "reduce_scatter", steps, flat, fn,
-            self._next_coll_seq(), offsets=tuple(offsets),
-            owns_buffer=True,  # just built above: nobody else holds it
-            inter_peers=self._inter_flags(),
-            ufunc=_REDUCE_UFUNCS.get(op),
-        )
-        lo, hi = offsets[self.rank], offsets[self.rank + 1]
-        return self._collective(
-            "reduce_scatter", "ring", runner,
-            lambda: runner.finish()[lo:hi].reshape(parts[self.rank].shape),
-        )
-
     # -- sub-communicators ----------------------------------------------------
     def split(self, color: int | None, key: int | None = None) -> "Communicator | None":
         """Partition the communicator by ``color``; order new ranks by ``key``.
@@ -1220,11 +995,3 @@ class Communicator:
         new_rank = new_members.index(self.world_rank)
         new_key = (self._key, "split", seq, color)
         return Communicator(self._world, new_members, new_rank, new_key, self._knobs)
-
-    def dup(self) -> "Communicator":
-        """Duplicate this communicator (fresh collective context and tags)."""
-        seq = self._coll_seq
-        self.barrier()
-        return Communicator(
-            self._world, self._members, self.rank, (self._key, "dup", seq), self._knobs
-        )

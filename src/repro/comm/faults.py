@@ -76,8 +76,9 @@ class FaultSpec:
     ``after`` counts *matching* operations: the fault fires on the
     ``after``-th match (0 = the first).  ``tag`` is matched as a substring
     of ``repr(tag)`` so callers can target a traffic class (``"#alg"`` for
-    schedule segments and tree routes, ``"#coll"`` for ``"direct"``
-    collectives) without spelling out full tag tuples.  ``once``
+    compiled schedule segments only, ``"#coll"`` for ``"direct"``
+    collectives and ``bcast``'s one-hop star) without spelling out full
+    tag tuples.  ``once``
     (default) disarms the spec after it fires; recurring faults
     (``once=False``) re-fire on every subsequent match — meaningless for
     ``crash``, which ends the rank.

@@ -1,7 +1,7 @@
-"""Abort propagation through the scheduled collectives (PR 5's wire
-algorithms): a rank crashed at *any* schedule phase must take the whole job
-down promptly, with every survivor's ``CommAborted`` naming the failed rank
-— never a hang.
+"""Abort propagation through the scheduled collectives and ``bcast``'s
+star: a rank crashed at *any* schedule phase must take the whole job down
+promptly, with every survivor's ``CommAborted`` naming the failed rank —
+never a hang.
 
 The crash points are derived from the compiled schedules themselves: for
 each algorithm the crashing rank's sends are counted and the fault is
@@ -114,49 +114,6 @@ class TestScheduledAllreduceAbort:
         )
         _assert_survivors_name_crashed_rank(out, backend)
 
-
-class TestTreeCollectiveAbort:
-    """Binomial-tree rooted collectives (bcast/reduce) under a crash."""
-
-    @pytest.mark.parametrize("op", ["bcast", "reduce"])
-    def test_crash_in_tree_schedule(self, backend, op):
-        reduce_for_process(
-            backend,
-            heavy=op != "bcast",
-            reason="one tree op exercises the path with real forks",
-        )
-
-        def prog(comm):
-            x = np.ones(16) * (comm.rank + 1)
-            if op == "bcast":
-                out = comm.bcast(
-                    x if comm.rank == 0 else None, root=0, algorithm="binomial"
-                )
-            else:
-                out = comm.reduce(x, root=0, algorithm="binomial")
-            comm.barrier()
-            return out
-
-        # In a binomial bcast the crashing rank may be a leaf (no sends),
-        # so arm the crash on its tree *receive*; in reduce every non-root
-        # sends exactly once, so the send point fires.
-        point = "recv" if op == "bcast" else "send"
-        out = run_spmd(
-            NRANKS,
-            prog,
-            backend=backend,
-            faults=f"crash@rank{CRASH_RANK}:point={point}:tag=#alg",
-            allow_failures=True,
-            timeout=20.0,
-            detect_interval=0.2,
-        )
-        for r, res in enumerate(out):
-            if r == CRASH_RANK:
-                assert isinstance(res, (InjectedCrash, CommAborted)), res
-            else:
-                assert isinstance(res, CommAborted), f"rank {r}: {res!r}"
-                assert f"rank {CRASH_RANK}" in str(res)
-
     def test_no_hang_when_crash_precedes_any_send(self, backend):
         """A rank that dies before its first schedule send (recv-point
         crash) still takes the job down promptly."""
@@ -172,6 +129,33 @@ class TestTreeCollectiveAbort:
             prog,
             backend=backend,
             faults=f"crash@rank{CRASH_RANK}:point=recv:tag=#alg",
+            allow_failures=True,
+            timeout=20.0,
+            detect_interval=0.2,
+        )
+        _assert_survivors_name_crashed_rank(out, backend)
+
+
+class TestStarBcastAbort:
+    """``bcast``'s one-hop star (``#coll`` traffic) under a crash."""
+
+    @pytest.mark.parametrize("point", ["recv", "send"])
+    def test_crash_in_star_bcast(self, backend, point):
+        """``recv``: a non-root dies at its one receive; ``send``: the
+        root dies at its first send, before any peer has the payload."""
+        root = CRASH_RANK if point == "send" else 0
+
+        def prog(comm):
+            x = np.ones(16) * (comm.rank + 1)
+            out = comm.bcast(x if comm.rank == root else None, root=root)
+            comm.barrier()
+            return out
+
+        out = run_spmd(
+            NRANKS,
+            prog,
+            backend=backend,
+            faults=f"crash@rank{CRASH_RANK}:point={point}:tag=#coll",
             allow_failures=True,
             timeout=20.0,
             detect_interval=0.2,

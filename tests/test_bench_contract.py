@@ -73,12 +73,11 @@ def test_request_classes_the_benchmark_discovers():
 
     def prog(comm):
         peer = 1 - comm.rank
+        comm.send(np.ones(3), peer)
         handles = [
-            comm.isend(np.ones(3), peer),
             comm.irecv(peer),
             comm.iallreduce(np.ones(3), algorithm="direct"),
             comm.iallreduce(np.ones(3), algorithm="ring"),
-            comm.ialltoall([None, None]),
         ]
         kinds = {type(h) for h in handles}
         for h in handles:

@@ -1,4 +1,4 @@
-"""Nonblocking communication semantics: isend/irecv/iallreduce + Request.
+"""Nonblocking communication semantics: irecv/iallreduce + Request.
 
 Covers the MPI-style contract of the request handles: out-of-order
 ``wait()``, ``test()`` polling loops, many operations in flight per
@@ -128,12 +128,12 @@ class TestIallreduce:
         assert results == [1, 1, 5, 5]
 
 
-class TestIsendIrecv:
+class TestIrecv:
     def test_ring_exchange(self, backend):
         def prog(comm):
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            comm.isend(np.full(8, float(comm.rank)), dest=right)
+            comm.send(np.full(8, float(comm.rank)), dest=right)
             req = comm.irecv(source=left)
             got = req.wait()
             return float(got[0])
@@ -160,16 +160,23 @@ class TestIsendIrecv:
         assert payload == "payload"
         assert polls > 0
 
-    def test_isend_is_born_complete(self, backend):
+    def test_irecv_of_arrived_message_is_born_complete(self, backend):
+        """A receive posted after its message arrived completes on its
+        first ``test()``, without a ``wait()``."""
+
         def prog(comm):
             if comm.rank == 0:
-                req = comm.isend(1, dest=1)
-                assert req.test() and req.complete
-                req.wait()
+                comm.send(np.arange(4.0), dest=1)
+                comm.barrier()
                 return None
-            return comm.recv(source=0)
+            comm.barrier()  # rank 0's send went out before its barrier frame
+            req = comm.irecv(source=0)
+            assert req.test() and req.complete
+            return req.wait()
 
-        assert run_spmd(2, prog, backend=backend)[1] == 1
+        np.testing.assert_array_equal(
+            run_spmd(2, prog, backend=backend)[1], np.arange(4.0)
+        )
 
 
 class TestAbortPropagation:

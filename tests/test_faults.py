@@ -83,7 +83,7 @@ class TestFaultKinds:
             return (
                 comm.allreduce(x, algorithm="direct"),
                 comm.iallreduce(x, op="prod", algorithm="direct").wait(),
-                comm.reduce_scatter([x[j::3] for j in range(comm.size)], algorithm="direct"),
+                comm.alltoall([x[j::3] for j in range(comm.size)]),
                 comm.allreduce(0.1 * (comm.rank + 1)),
             )
 
@@ -98,6 +98,31 @@ class TestFaultKinds:
         for c, s in zip(calm, slow):
             for a, b in zip(c, s):
                 np.testing.assert_array_equal(a, b)
+
+    def test_delayed_star_bcast_stays_bitwise(self, backend):
+        """``bcast``'s star is ``#coll`` traffic: a delay on the root's
+        sends and on a peer's receive reaches it, and the bits delivered
+        never depend on the timing."""
+
+        def prog(comm):
+            x = np.random.default_rng(7).standard_normal(33)
+            return [
+                comm.bcast(x * k if comm.rank == 0 else None, root=0)
+                for k in range(4)
+            ]
+
+        plan = (
+            "delay@rank0:seconds=0.03:tag=#coll:recurring;"
+            "delay@rank2:point=recv:seconds=0.02:tag=#coll:recurring"
+        )
+        calm = run_spmd(3, prog, backend=backend)
+        t0 = monotonic()
+        slow = run_spmd(3, prog, backend=backend, faults=plan)
+        assert monotonic() - t0 >= 0.03 * 2 * 4  # root: 2 sends x 4 bcasts
+        for c, s in zip(calm, slow):
+            for a, b in zip(c, s):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(calm[1][3], calm[0][3])
 
     def test_drop_turns_into_timeout_naming_pending_inbox(self):
         def prog(comm):

@@ -264,7 +264,7 @@ class TestFixedCostPerMessage:
                 cost(comm, x, segment_bytes=256),       # env "off" wins
                 cost(comm, x),
             ]
-            child, twin = comm.split(0), comm.dup()
+            child, twin = comm.split(0), comm.split(0)
             assert child._plans == {} and twin._plans == {}
             assert child._knobs is comm._knobs is twin._knobs
             log += [cost(child, x), cost(child, x), cost(twin, x), cost(twin, x)]
@@ -287,20 +287,14 @@ class TestBitwiseParity:
         def prog(comm):
             rng = np.random.default_rng(comm.rank)
             v = rng.standard_normal(33)
-            gathered = comm.gather(v, root=1)
-            scattered = comm.scatter(
-                [v * j for j in range(comm.size)] if comm.rank == 1 else None,
-                root=1,
-            )
             return (
                 comm.allreduce(v),
                 comm.iallreduce(v).wait(),
                 comm.bcast(v if comm.rank == 0 else None),
                 comm.allgather(float(v[0])),
-                comm.reduce_scatter([v + j for j in range(comm.size)]),
+                comm.allgather(v),
                 comm.alltoall([v[: j + 1] for j in range(comm.size)]),
-                gathered if gathered is not None else [],
-                scattered,
+                comm.alltoall([v * j for j in range(comm.size)]),
             )
 
         thread = run_spmd(4, prog, backend="thread")
@@ -314,39 +308,37 @@ class TestBitwiseParity:
                     np.testing.assert_array_equal(t, p)
 
     def test_rooted_collectives_route_narrowly(self):
-        """On the process backend a direct gather flows everyone->root and a
-        direct bcast root->everyone — non-participating pairs ship nothing
-        (the thread backend's shared slots make routing moot there).  The
-        default binomial-tree routing is covered by
-        tests/test_collective_algorithms.py."""
+        """On the process backend an alltoall whose only array pieces are
+        bound for the root flows everyone->root, and the star bcast
+        root->everyone — non-participating pairs ship no arena bytes (the
+        thread backend's shared slots make routing moot there)."""
         big = np.arange(8192, dtype=np.float64)  # well above the shm floor
 
         def prog(comm):
-            comm.gather(big * comm.rank, root=0, algorithm="direct")
+            comm.alltoall([big * comm.rank if j == 0 else None for j in range(comm.size)])
             after_gather = comm._world.transport["shm_messages"]
-            comm.bcast(
-                big if comm.rank == 0 else None, root=0, algorithm="direct"
-            )
+            comm.bcast(big if comm.rank == 0 else None, root=0)
             after_bcast = comm._world.transport["shm_messages"]
             comm.barrier()
             return after_gather, after_bcast - after_gather
 
         results = run_spmd(4, prog, backend="process")
-        # gather: root ships nothing, every non-root ships exactly one copy.
+        # gather-shaped alltoall: the root's own piece never leaves, every
+        # non-root ships exactly one arena copy.
         assert [g for g, _ in results] == [0, 1, 1, 1]
         # bcast: root ships size-1 copies, non-roots ship nothing.
         assert [b for _, b in results] == [3, 0, 0, 0]
 
     def test_alltoall_ships_per_destination_pieces(self):
-        """alltoall/ialltoall route only piece j to rank j (MPI volume),
-        not the full payload list to every peer."""
+        """alltoall routes only piece j to rank j (MPI volume), not the
+        full payload list to every peer."""
         def prog(comm):
             big = [np.full(8192, float(j)) for j in range(comm.size)]
             got = comm.alltoall(big)
-            got_nb = comm.ialltoall(big).wait()
+            again = comm.alltoall(big)
             for i in range(comm.size):
                 assert got[i][0] == float(comm.rank)
-                np.testing.assert_array_equal(got[i], got_nb[i])
+                np.testing.assert_array_equal(got[i], again[i])
             comm.barrier()
             return comm._world.transport["shm_messages"]
 
@@ -434,13 +426,13 @@ class TestFailureHandling:
             run_spmd(2, prog_sched, timeout=2.0, backend="process")
 
     def test_direct_bcast_timeout_names_rank_op_and_seq(self):
-        """The one-hop star of the rooted direct collectives keeps the
-        same diagnostic: op, sequence, waiting rank, missing peer."""
+        """``bcast``'s one-hop star keeps the same diagnostic: op,
+        sequence, waiting rank, missing peer."""
 
         def prog(comm):
             if comm.rank == 0:
                 return None  # the root never sends
-            return comm.bcast(None, root=0, algorithm="direct")
+            return comm.bcast(None, root=0)
 
         with pytest.raises(
             CommAborted, match=r"bcast\[seq=0\]\(world rank 1 <- 0.*timed out"
