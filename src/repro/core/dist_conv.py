@@ -24,13 +24,10 @@ partitioned, each direction runs the one sequence of
 :func:`run_block`: post the halo strips, run the
 interior kernel while they travel, ``finish()`` the exchange, run the
 boundary kernels; in backward the error-signal exchange additionally hides
-inside the filter convolution (Eq. 2 needs no halo).  One implementation
-per transfer: ``overlap_halo`` only moves the ``finish()`` — with
-``overlap_halo=False`` it is called right after the start, before any
-kernel.  Both modes therefore perform *identical* floating-point operations
-on identical data and are bitwise equal over entire training runs (BLAS
-kernels are not sub-block invariant, which is why the synchronous mode must
-decompose too rather than issue one fused kernel).
+inside the filter convolution (Eq. 2 needs no halo).  The kernel sequence
+does not depend on when the strips arrive — each lands in its fixed slot
+of the gathered region — so the result is bitwise the same under any
+message delay.
 
 Because communication is expressed through the same region algebra as
 ``gather_region``, the same code handles pure sample parallelism (zero
@@ -56,19 +53,14 @@ def start_gather(
     source: DistTensor,
     g: WindowGeometry,
     pool,
-    overlap: bool = True,
     fill: float = 0.0,
 ) -> RegionExchange | None:
-    """Post the halo exchange of ``g``'s dependency region — ``None`` when
-    no rank needs remote data (materialize it with
-    :func:`~repro.tensor.halo.local_region` instead).  ``overlap`` places
-    the ``finish()``: left to the caller, or right here after the start."""
+    """Post the halo exchange of ``g``'s dependency region, for the caller
+    to ``finish()`` — ``None`` when no rank needs remote data (materialize
+    it with :func:`~repro.tensor.halo.local_region` instead)."""
     if not g.exchanged:
         return None
-    ex = start_region_exchange(source, g.lo, g.hi, fill=fill, pool=pool, plan=g.plan)
-    if not overlap:
-        ex.finish()
-    return ex
+    return start_region_exchange(source, g.lo, g.hi, fill=fill, pool=pool, plan=g.plan)
 
 
 def run_block(
@@ -114,11 +106,8 @@ class DistConv2d:
     """A distributed 2D convolutional layer.
 
     Weights (and bias) are replicated on every rank of ``grid``; the
-    activation tensors are distributed along (N, H, W) per the grid shape.
-
-    ``overlap_halo`` places the halo exchange's ``finish()``: after the
-    interior kernels (the default) or right after the start; the kernel
-    sequence is the same, so both modes are bitwise equal.
+    activation tensors are distributed along (N, H, W) per the grid shape;
+    the halo exchange's ``finish()`` comes after the interior kernels.
     """
 
     def __init__(
@@ -128,7 +117,6 @@ class DistConv2d:
         stride=1,
         pad=0,
         bias: np.ndarray | None = None,
-        overlap_halo: bool = True,
     ) -> None:
         if grid.ndim != 4:
             raise ValueError("DistConv2d expects a 4D (N, C, H, W) grid")
@@ -138,7 +126,6 @@ class DistConv2d:
         self.stride = F._pair(stride)
         self.pad = F._pair(pad)
         self.kernel = (weights.shape[2], weights.shape[3])
-        self.overlap_halo = bool(overlap_halo)
         self._x_ext: np.ndarray | None = None
         self._x_global_shape: tuple[int, ...] | None = None
         self._x_dist = None
@@ -201,7 +188,7 @@ class DistConv2d:
     # -- forward ---------------------------------------------------------------------
     def forward(self, x: DistTensor) -> DistTensor:
         g = self._geometry(x)
-        ex = start_gather(x, g, self._pool, self.overlap_halo)
+        ex = start_gather(x, g, self._pool)
         (y_local,), self._x_ext = run_block(
             self._fwd_piece, x, g, ex, self._pool,
             (np.result_type(x.dtype, self.w.dtype),),
@@ -219,8 +206,8 @@ class DistConv2d:
         The weight-gradient partials still need the allreduce over the
         layer's gradient group (paper Eq. 2's sum over N) — performed by the
         network so it can be overlapped/batched.  The error-signal halo
-        exchange is posted first; with ``overlap_halo`` it hides behind the
-        filter convolution and the interior data convolution.
+        exchange is posted first and hides behind the filter convolution and
+        the interior data convolution.
 
         ``need_dx=False`` — passed by the network when the layer's parent
         needs no error signal — runs Eq. 2 alone: no Eq. 3, no error-signal
@@ -239,7 +226,7 @@ class DistConv2d:
             # convolution needs no remote data, so the strips travel
             # behind it.
             g = self._geometry(dy, (x_dist, x_shape))
-            ex = start_gather(dy, g, self._pool, self.overlap_halo)
+            ex = start_gather(dy, g, self._pool)
 
         # Eq. 2: local filter gradients from the saved extended input region.
         dw = F.conv2d_backward_filter(

@@ -39,21 +39,18 @@ class DistPool2d:
     a partition boundary contribute to a neighbor's cells — the reverse
     halo exchange).
 
-    One implementation per transfer; ``overlap_halo`` only moves the
-    forward exchange's ``finish()``.  Forward runs the one sequence of
+    Forward runs the one sequence of
     :func:`~repro.core.dist_conv.run_block`: interior windows — those reading
     only locally owned input (or virtual padding) — are computed while the
-    halo strips travel, boundary strips after ``finish()``; with
-    ``overlap_halo=False`` the ``finish()`` comes right after the start and
-    the same pieces run.  Pooling windows are reduced per output element,
-    so the piecewise kernels are bitwise identical to one fused kernel.
-    Backward's scatter-add (:meth:`~repro.tensor.dist_tensor.DistTensor.
-    start_scatter_region_add`) is the forward gather's plan read backwards:
-    it sends the boundary strips to the ranks the forward received from,
-    accumulates the rank's own contribution — the bulk of the error signal
-    — while they travel, and folds the remote contributions in on
-    ``finish()`` (own first, then ascending comm rank); nothing else can
-    run in between, so it is the same in both modes.
+    halo strips travel, boundary strips after ``finish()``.  Pooling windows
+    are reduced per output element, so the piecewise kernels are bitwise
+    identical to one fused kernel.  Backward's scatter-add
+    (:meth:`~repro.tensor.dist_tensor.DistTensor.start_scatter_region_add`)
+    is the forward gather's plan read backwards: it sends the boundary
+    strips to the ranks the forward received from, accumulates the rank's
+    own contribution — the bulk of the error signal — while they travel,
+    and folds the remote contributions in on ``finish()`` (own first, then
+    ascending comm rank, whatever order they arrive in).
     """
 
     def __init__(
@@ -63,7 +60,6 @@ class DistPool2d:
         kernel,
         stride=None,
         pad=0,
-        overlap_halo: bool = True,
     ) -> None:
         if mode not in ("max", "avg"):
             raise ValueError(f"unknown pooling mode {mode!r}")
@@ -72,7 +68,6 @@ class DistPool2d:
         self.kernel = F._pair(kernel)
         self.stride = F._pair(stride if stride is not None else kernel)
         self.pad = F._pair(pad)
-        self.overlap_halo = bool(overlap_halo)
         self._cache: dict = {}
         # Recycles the gathered extended region, the halo send strips and
         # the scatter-add contribution payloads across steps.
@@ -116,7 +111,7 @@ class DistPool2d:
         g = self._geometry(x)
         # Max pooling must not let virtual padding win: fill with -inf.
         fill = -np.inf if self.mode == "max" else 0.0
-        ex = start_gather(x, g, self._pool, self.overlap_halo, fill=fill)
+        ex = start_gather(x, g, self._pool, fill=fill)
         outs, x_ext = run_block(
             self._pool_piece, x, g, ex, self._pool,
             (x.dtype, np.int64) if self.mode == "max" else (x.dtype,),

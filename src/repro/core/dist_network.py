@@ -8,20 +8,18 @@ and which gradient group each layer's dL/dw partials are summed over
 (paper Eq. 2); :meth:`DistNetwork.forward` / :meth:`DistNetwork.backward`
 walk that list, looking each layer kind up in one table (``_KINDS``).
 
-A flag is a placement rule.  Every transfer is a ``start`` and a
-``finish()`` of one implementation, so the flags move a call and change no
-arithmetic — all eight combinations are bitwise equal under
-``collective_algorithm="direct"`` (``tests/test_dist_network.py``):
-
-* ``overlap_shuffle`` — a forward shuffle starts with the layer that
-  produces the activation (and is finished by its first consumer), or
-  starts and finishes with that first consumer; a backward shuffle is
-  finished by the parent that folds it in, or right where it starts.
-* ``overlap_grad_reduce`` — the bucketed reducer
-  (:class:`~repro.core.grad_reducer.BucketedGradReducer`) is drained once
-  after the last layer, or after every layer's ``add``.
-* ``overlap_halo`` — passed to the windowed layers, which place their halo
-  exchange's ``finish()`` after or before the interior kernel (§IV-A).
+Every step runs the §IV schedule, and every transfer is a ``start`` and a
+``finish()`` of one implementation.  A forward shuffle starts with the
+layer that produces the activation and is finished by its first consumer;
+a backward shuffle starts with the child's ``dx`` and is finished by the
+parent that folds it in; the bucketed gradient reducer
+(:class:`~repro.core.grad_reducer.BucketedGradReducer`) is drained once,
+after the last layer; the windowed layers finish their halo exchange
+between the interior and boundary kernels (§IV-A).  When a message
+arrives changes no arithmetic: every receive lands in a slot fixed by the
+plan and every fold runs in a fixed order, so losses are bitwise equal
+under any delay of any message (``tests/test_dist_network.py``,
+``TestTimingIndependence``).
 
 When engine and performance model disagree about *what* a step does, they
 cannot: the cost model, simulator, memory model and analyzer read the same
@@ -139,7 +137,6 @@ _KINDS: dict[str, _Kind] = {
             stride=layer.get("stride", 1),
             pad=layer.get("pad", 0),
             bias=p.get("b"),
-            overlap_halo=net.overlap_halo,
         ),
         _unary,
         _weights,
@@ -151,7 +148,6 @@ _KINDS: dict[str, _Kind] = {
             layer.params["kernel"],
             layer.get("stride", layer.params["kernel"]),
             layer.get("pad", 0),
-            overlap_halo=net.overlap_halo,
         ),
         _unary,
         _dx_only,
@@ -190,10 +186,7 @@ class DistNetwork:
         seed: int = 0,
         dtype=np.float64,
         bn_aggregate: str = "global",
-        overlap_grad_reduce: bool = True,
         grad_bucket_bytes: int = DEFAULT_BUCKET_BYTES,
-        overlap_halo: bool = True,
-        overlap_shuffle: bool = True,
         collective_algorithm: str | None = None,
         grad_segment_bytes: int | str | None = None,
     ) -> None:
@@ -210,15 +203,12 @@ class DistNetwork:
         self.seed = seed
         self.dtype = dtype
         self.bn_aggregate = bn_aggregate
-        self.overlap_grad_reduce = overlap_grad_reduce
         self.grad_bucket_bytes = grad_bucket_bytes
-        self.overlap_halo = overlap_halo
-        self.overlap_shuffle = overlap_shuffle
         #: Wire algorithm for the gradient allreduces (the
         #: :meth:`~repro.comm.communicator.Communicator.allreduce` knob):
         #: None == "auto" (model-driven schedule selection); "direct" pins
-        #: the bitwise-reference deposit-combine path, making the
-        #: overlapped and blocking reducers bitwise-identical.
+        #: the bitwise-reference deposit-combine path, under which the
+        #: bucket cuts never change the bits.
         self.collective_algorithm = collective_algorithm
         #: Segment size for the bucketed gradient allreduces (the
         #: ``segment_bytes`` knob of
@@ -283,11 +273,10 @@ class DistNetwork:
         same ones); each rank slices its own shard.  Loss layers slice the
         targets by their logits' bounds.
 
-        Each forward shuffle is started at its launch site — with the layer
-        producing the activation (``overlap_shuffle``, the default: it
-        travels behind whatever runs before its first consumer), else with
-        that first consumer, finished on the spot — and every consumer
-        reads the one finished result (no layer mutates its input).
+        Each forward shuffle is started with the layer producing the
+        activation — it travels behind whatever runs before its first
+        consumer, which finishes it — and every consumer reads the one
+        finished result (no layer mutates its input).
         """
         if isinstance(inputs, np.ndarray):
             (inp,) = self.spec.inputs()
@@ -302,19 +291,12 @@ class DistNetwork:
         self.loss = None
         inflight: dict[str, ShuffleExchange] = {}
 
-        def launch(s: ShuffleOp) -> ShuffleExchange:
-            ex = inflight[s.op_id] = self._start(s, acts[s.parent])
-            return ex
-
         for op in sched.layers:
             name = op.name
             span = _NO_SPAN  # inputs run no kernel and carry no layer span
             if op.edges:
                 span = _trace.span(f"fwd:{name}", cat="layer", kind=op.kind)
             with span:
-                if not self.overlap_shuffle:
-                    for s in op.issues:
-                        launch(s).finish()
                 if op.edges:
                     xs = [
                         acts[e.parent] if e.fwd is None
@@ -329,20 +311,17 @@ class DistNetwork:
                         self._grid(op.grid_shape), op.out,
                         np.asarray(inputs[name], dtype=self.dtype),
                     )
-                if self.overlap_shuffle:
-                    for s in op.starts:
-                        launch(s)
+                for s in op.starts:
+                    inflight[s.op_id] = self._start(s, acts[name])
         return self.loss
 
     def _reducer(self) -> BucketedGradReducer:
         """The gradient reducer of the current schedule: its buckets are
-        the schedule's cuts — one per layer when ``overlap_grad_reduce`` is
-        off, so draining after every layer reduces each on its own."""
+        the schedule's cuts at ``grad_bucket_bytes``."""
         reducer = self._reducers.get(self._sched)
         if reducer is None:
             cuts = self._sched.grad_buckets(
-                self.grad_bucket_bytes if self.overlap_grad_reduce else 1,
-                np.dtype(self.dtype).itemsize,
+                self.grad_bucket_bytes, np.dtype(self.dtype).itemsize
             )
             reducer = self._reducers[self._sched] = BucketedGradReducer(
                 cuts, self.params,
@@ -362,18 +341,15 @@ class DistNetwork:
         each parent that wants one, through the edge's backward shuffle
         when the placements differ; the shuffle is *started* before the
         layer's own gradient bucketing and finished when the parent folds
-        it in (``overlap_shuffle``), else where it starts.  Contributions
-        are folded in arrival order either way, so both placements perform
-        identical floating-point additions.  A single contribution is taken
-        by reference (no copy); a second one allocates the sum, later ones
-        add into it — the rule of ``LocalNetwork.backward``.
+        it in.  Contributions are folded in the schedule's order, however
+        their messages arrive.  A single contribution is taken by reference
+        (no copy); a second one allocates the sum, later ones add into it —
+        the rule of ``LocalNetwork.backward``.
 
         Each layer's partials are queued on a bucketed nonblocking reducer
-        as soon as its filter gradients are computed; with
-        ``overlap_grad_reduce`` (the default) the allreduces run
+        as soon as its filter gradients are computed; the allreduces run
         concurrently with the rest of backpropagation and are drained just
-        before returning, otherwise the reducer is drained after every
-        layer.
+        before returning.
 
         With an ``optimizer`` (what :class:`~repro.core.trainer.DistTrainer`
         passes), its step is fused into the reduction: each rank updates
@@ -383,9 +359,8 @@ class DistNetwork:
         assembled then, so the returned dict is empty — the parameters are
         bitwise those of ``backward()`` followed by ``optimizer.step``.
         """
-        grads: dict[str, dict[str, np.ndarray]] = {}
         #: Per-layer error contributions (DistTensor or in-flight
-        #: ShuffleExchange), in arrival order.
+        #: ShuffleExchange), in the order backward produced them.
         pending: dict[str, list] = {}
         reducer = self._reducer()
         reducer.optimizer = optimizer
@@ -416,11 +391,7 @@ class DistNetwork:
                 for e in op.edges:
                     if not e.wants_dx:
                         continue
-                    entry = dx
-                    if e.bwd is not None:
-                        entry = self._start(e.bwd, dx)
-                        if not self.overlap_shuffle:
-                            entry.finish()
+                    entry = dx if e.bwd is None else self._start(e.bwd, dx)
                     pending.setdefault(e.parent, []).append(entry)
                 if g is None:
                     continue
@@ -428,12 +399,9 @@ class DistNetwork:
                 if op.grad_group is not None:
                     comm = self._grid(op.grid_shape).axes_comm(op.grad_group[2])
                 reducer.add(name, g, comm)
-                if not self.overlap_grad_reduce:
-                    grads.update(reducer.drain())
 
-        grads.update(reducer.drain())
-        self.grads = grads
-        return grads
+        self.grads = reducer.drain()
+        return self.grads
 
     # -- checkpointing ---------------------------------------------------------------
     def state_dict(self) -> dict:

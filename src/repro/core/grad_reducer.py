@@ -50,14 +50,13 @@ exchange.
 Bitwise stability (``algorithm="direct"``): a direct allreduce combines
 contributions element-wise in comm-rank order, so concatenating tensors
 into one buffer performs the *identical* floating-point additions as
-reducing them one by one — so where the buckets are cut and when they are
-drained (at the end of backprop, or after every layer with
-``DistNetwork(overlap_grad_reduce=False)``) never changes the bits, which
+reducing them one by one — so where the buckets are cut (one per layer
+with ``DistNetwork(grad_bucket_bytes=1)``) never changes the bits, which
 ``tests/test_overlap_reducer.py`` verifies on whole training runs.
 Scheduled algorithms chunk the bucket, so their reduction order (still
 deterministic across runs and backends) depends on the bucketing:
-drain-at-end vs drain-per-layer and ``"auto"``-vs-``"direct"`` then match
-to floating-point allclose rather than bitwise.
+different cuts and ``"auto"``-vs-``"direct"`` then match to
+floating-point allclose rather than bitwise.
 
 All ranks of a group traverse layers in the same (reverse topological)
 order, so buckets fill and flush at identical points everywhere and the

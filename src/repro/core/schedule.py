@@ -79,13 +79,10 @@ class LayerOp:
     #: Placement of the output.
     out: Distribution
     edges: tuple[Edge, ...]
-    #: The two placements of a forward shuffle's start.  ``starts``: the
-    #: shuffles of this layer's output, one per target placement — launched
-    #: with the producer, they travel behind whatever runs before their
-    #: first consumer.  ``issues``: those this layer is the first consumer
-    #: of — launched where they are needed.
+    #: The shuffles of this layer's output, one per target placement —
+    #: launched with the producer, they travel behind whatever runs before
+    #: their first consumer.
     starts: tuple[ShuffleOp, ...]
-    issues: tuple[ShuffleOp, ...]
     #: Backward reaches this layer / it computes an input gradient.
     runs_backward: bool
     need_dx: bool
@@ -239,9 +236,6 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
                 out=out[name],
                 edges=tuple(edges),
                 starts=tuple(starts.get(name, ())),
-                issues=tuple(
-                    e.fwd for e in edges if e.fwd and e.fwd.consumers[0] == name
-                ),
                 runs_backward=name in runs_backward,
                 need_dx=name in need_dx,
                 param_count=params,

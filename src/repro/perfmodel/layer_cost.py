@@ -7,20 +7,23 @@ local extents I_N, I_C, I_H, I_W:
         + 2 SR(O I_N I_C I_H) + 2 SR(O I_N I_C I_W) + 4 SR(O^2 I_N I_C)
     BPx = C_x(...) + same halo terms (on dL/dy)
     BPw = C_w(...)
-    BPa = AR(|P(D(C), D(F))|, I_F I_C K^2)
+
+BPa, the dL/dw allreduce, is priced per gradient bucket by
+:class:`~repro.perfmodel.network_cost.NetworkCostModel`, as the engine
+reduces it; a layer carries only its payload (``allreduce_bytes``).
 
 Halo terms drop out when a spatial dimension is not split (or when K = 1),
 and "if the implementation supports it, the halo exchanges can be
-overlapped with interior computation" — modeled by ``overlap=True`` with
-the engine's actual interior/boundary kernel decomposition: a fraction
+overlapped with interior computation" — the engine always does, and the
+cost follows its interior/boundary kernel decomposition: a fraction
 ``beta`` of the convolution (the boundary strips, derived from the local
 block geometry) must wait for the halo, while the interior ``1 - beta``
 runs concurrently with the exchange:
 
-    FP(overlap)  = max((1-beta) C, halo) + beta C + launch overhead
-    BP(overlap)  = max(C_w + (1-beta) C_x, halo) + beta C_x + launch
-                   (the error-signal halo hides inside the filter
-                   convolution *and* the interior data convolution, §IV-A)
+    FP  = max((1-beta) C, halo) + beta C + launch overhead
+    BP  = max(C_w + (1-beta) C_x, halo) + beta C_x + launch
+          (the error-signal halo hides inside the filter convolution *and*
+          the interior data convolution, §IV-A)
 
 Pooling layers decompose (and overlap) the forward gather exactly like
 convolution, and the backward scatter-add now overlaps too (the own
@@ -30,7 +33,7 @@ real forward ``boundary_fraction`` *and* a real backward
 the scatter-add's remote strips live.
 Layers the engine does not decompose at all (batch-norm statistics
 allreduces) carry ``boundary_fraction=1``, which degenerates both formulas
-to the synchronous cost — the model matches what the engine actually
+to the serialized cost — the model matches what the engine actually
 overlaps rather than the best case.
 """
 
@@ -55,7 +58,6 @@ class ConvLayerCost:
     bpx_compute: float
     bpx_halo: float
     bpw_compute: float
-    allreduce: float
     #: Extra kernel launches when the input is decomposed into interior +
     #: boundary regions for overlap (§IV-A).
     boundary_launch: float = 0.0
@@ -63,14 +65,14 @@ class ConvLayerCost:
     allreduce_bytes: float = 0.0
     #: Fraction of the layer's compute that belongs to the boundary kernels
     #: (must wait for the halo).  0 = everything overlaps the exchange,
-    #: 1 = nothing does (the engine's synchronous layers).
+    #: 1 = nothing does (layers the engine does not decompose).
     boundary_fraction: float = 1.0
     #: Backward-specific boundary fraction; ``None`` means "same as
     #: forward".  Pooling layers carry an explicit value: their backward
     #: decomposition lives on the *input* grid (the scatter-add's remote
     #: contribution strips), a different geometry than the forward
     #: output-window split.  A value of 1 means the backward pass is not
-    #: decomposed and degenerates exactly to the synchronous cost.
+    #: decomposed and degenerates exactly to the serialized cost.
     bp_boundary_fraction: float | None = None
 
     @property
@@ -87,33 +89,27 @@ class ConvLayerCost:
         Charged only when the backward pass is actually decomposed
         (fraction < 1); an undecomposed backward (fraction pinned at 1)
         pays none, so the overlap formula degenerates exactly to the
-        synchronous cost.
+        serialized cost.
         """
         return 0.0 if self.bpx_boundary_fraction >= 1.0 else self.boundary_launch
 
-    def fp_time(self, overlap: bool = True) -> float:
-        if overlap and self.fp_halo > 0:
+    def fp_time(self) -> float:
+        """FP, the halo exchange overlapped with the interior kernel."""
+        if self.fp_halo > 0:
             interior = self.fp_compute * (1.0 - self.boundary_fraction)
             boundary = self.fp_compute - interior
             return max(interior, self.fp_halo) + boundary + self.boundary_launch
-        return self.fp_compute + self.fp_halo
+        return self.fp_compute
 
-    def bp_time(self, overlap: bool = True, include_allreduce: bool = False) -> float:
-        """BPx + BPw; the dL/dw allreduce is overlapped at network level
-        unless ``include_allreduce``."""
-        if overlap and self.bpx_halo > 0:
+    def bp_time(self) -> float:
+        """BPx + BPw, the error-signal halo exchange overlapped with the
+        filter and interior data kernels."""
+        if self.bpx_halo > 0:
             interior = self.bpx_compute * (1.0 - self.bpx_boundary_fraction)
             boundary = self.bpx_compute - interior
             t = max(self.bpw_compute + interior, self.bpx_halo) + boundary
-            t += self.bpx_boundary_launch
-        else:
-            t = self.bpw_compute + self.bpx_halo + self.bpx_compute
-        if include_allreduce:
-            t += self.allreduce
-        return t
-
-    def total(self, overlap: bool = True) -> float:
-        return self.fp_time(overlap) + self.bp_time(overlap, include_allreduce=True)
+            return t + self.bpx_boundary_launch
+        return self.bpw_compute + self.bpx_compute
 
 
 def local_extents(
@@ -139,8 +135,6 @@ def conv_layer_cost(
     stride=1,
     pad=0,
     parallelism: LayerParallelism,
-    total_ranks: int | None = None,
-    allreduce_algorithm=None,
 ) -> ConvLayerCost:
     """Cost of one convolutional layer under ``parallelism``.
 
@@ -151,7 +145,6 @@ def conv_layer_cost(
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
     par = parallelism
-    total_ranks = total_ranks or par.nranks
 
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
@@ -210,12 +203,7 @@ def conv_layer_cost(
         interior_elems = max(0, i_oh - 2 * t_h) * max(0, i_ow - 2 * t_w)
         boundary_fraction = 1.0 - interior_elems / float(out_elems)
     else:
-        boundary_fraction = 1.0  # no decomposition: synchronous semantics
-
-    # -- gradient allreduce: AR(|P(D(C), D(F))|, F*C*K^2) --------------------------
-    params_bytes = f * c * kh * kw * db
-    ar_link = machine.link_for_group(total_ranks)
-    ar = allreduce_time(total_ranks, params_bytes, ar_link, allreduce_algorithm)
+        boundary_fraction = 1.0  # no decomposition: serialized
 
     return ConvLayerCost(
         fp_compute=fp_c,
@@ -223,9 +211,8 @@ def conv_layer_cost(
         bpx_compute=bpx_c,
         bpx_halo=halo,
         bpw_compute=bpw_c,
-        allreduce=ar,
         boundary_launch=boundary_launch,
-        allreduce_bytes=params_bytes,
+        allreduce_bytes=f * c * kh * kw * db,
         boundary_fraction=boundary_fraction,
     )
 
@@ -286,7 +273,7 @@ def pool_layer_cost(
         interior_elems = max(0, i_oh - 2 * t_h) * max(0, i_ow - 2 * t_w)
         boundary_fraction = 1.0 - interior_elems / float(out_elems)
     else:
-        boundary_fraction = 1.0  # no decomposition: synchronous semantics
+        boundary_fraction = 1.0  # no decomposition: serialized
 
     # The *backward* scatter-add overlaps too — the own contribution (the
     # interior of the local input shard) accumulates while the remote
@@ -294,7 +281,7 @@ def pool_layer_cost(
     # boundary is the band of input cells that receive contributions from
     # (or send them to) a neighbor, ``o = K - S`` rows/cols per split
     # edge.  No split (or non-overlapping windows) pins it at 1: the
-    # backward degenerates exactly to the synchronous cost.
+    # backward degenerates exactly to the serialized cost.
     in_elems = i_h_in * i_w_in
     if (split_h or split_w) and in_elems > 0:
         interior_in = max(0, i_h_in - 2 * (o_h if split_h else 0)) * max(
@@ -310,7 +297,6 @@ def pool_layer_cost(
         bpx_compute=bp_c,
         bpx_halo=halo,
         bpw_compute=0.0,
-        allreduce=0.0,
         boundary_launch=boundary_launch,
         boundary_fraction=boundary_fraction,
         bp_boundary_fraction=bp_boundary_fraction,
@@ -324,13 +310,12 @@ def elementwise_layer_cost(
     passes_fwd: int = 2,
     passes_bwd: int = 2,
     params_bytes: float = 0.0,
-    total_ranks: int = 1,
     stats_allreduce_bytes: float = 0.0,
     stats_group: int = 1,
     allreduce_algorithm=None,
 ) -> ConvLayerCost:
     """BN / ReLU / add / GAP: memory-bound passes (+BN's statistics
-    allreduces over its aggregation group and parameter allreduce)."""
+    allreduces over its aggregation group, and its dL/dw payload)."""
     db = machine.dtype_bytes
     fp = machine.gpu.elementwise_time(passes_fwd * local_elems * db)
     bp = machine.gpu.elementwise_time(passes_bwd * local_elems * db)
@@ -340,18 +325,11 @@ def elementwise_layer_cost(
         halo = allreduce_time(
             stats_group, stats_allreduce_bytes, link, allreduce_algorithm
         )
-    ar = 0.0
-    if params_bytes > 0 and total_ranks > 1:
-        ar = allreduce_time(
-            total_ranks, params_bytes, machine.link_for_group(total_ranks),
-            allreduce_algorithm,
-        )
     return ConvLayerCost(
         fp_compute=fp,
         fp_halo=halo,
         bpx_compute=bp,
         bpx_halo=halo,
         bpw_compute=0.0,
-        allreduce=ar,
-        allreduce_bytes=params_bytes if ar > 0 else 0.0,
+        allreduce_bytes=params_bytes,
     )

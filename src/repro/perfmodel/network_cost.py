@@ -13,11 +13,11 @@ Pricing (:meth:`NetworkCostModel.cost`):
   paper leaves them free — the ranking of strategies is the same);
 * each redistribution between layers with different distributions is
   charged a Shuffle(D_i, D_j) all-to-all (§III-C);
-* every dL/dw allreduce is priced over the layer's gradient group (paper
-  Eq. 2: the grid axes its output is split along), and the gradient
-  buckets are the engine's (:meth:`~repro.core.schedule.StepSchedule.grad_buckets`
-  at ``allreduce_bucket_bytes``, the reducer's default), coalesced
-  payloads amortizing per-collective latency;
+* the dL/dw allreduces are the engine's gradient buckets
+  (:meth:`~repro.core.schedule.StepSchedule.grad_buckets` at
+  ``allreduce_bucket_bytes``, the reducer's default), each priced over its
+  gradient group (paper Eq. 2: the grid axes the layers' outputs are split
+  along), coalesced payloads amortizing per-collective latency;
 * the optimizer is one memory-bound pass over the parameters this rank
   updates.
 
@@ -54,14 +54,6 @@ critical-path rank's compute and communication streams
   ``1 - machine.allreduce_overlap_efficiency`` of its duration (a
   ``{op id}:contend`` task, ready with it);
 * the optimizer step waits for all compute and all allreduces.
-
-With ``overlap_halo=False`` / ``overlap_allreduce=False`` /
-``overlap_shuffle=False`` the dependencies serialize instead — a shuffle
-finished where it starts waits for *all* preceding compute and gates
-everything after it, at the same payload time (the engine runs one
-exchange implementation in both modes); without allreduce overlap each
-layer's allreduce blocks backward, unbucketed.
-``tests/test_sim.py::TestTrainingSimulator`` toggles exactly these.
 """
 
 from __future__ import annotations
@@ -130,21 +122,19 @@ class NetworkCostModel:
         spec: NetworkSpec,
         machine: MachineSpec,
         conv_model=None,
-        overlap_halo: bool = True,
-        overlap_shuffle: bool = True,
-        overlap_allreduce: bool = True,
-        allreduce_bucket_bytes: int | None = DEFAULT_BUCKET_BYTES,
+        allreduce_bucket_bytes: int = DEFAULT_BUCKET_BYTES,
         allreduce_algorithm: str | None = None,
     ) -> None:
+        if allreduce_bucket_bytes is None or allreduce_bucket_bytes <= 0:
+            raise ValueError(
+                "allreduce_bucket_bytes must be a positive byte count (the "
+                f"engine's bucket cut), got {allreduce_bucket_bytes!r}"
+            )
         self.spec = spec
         self.machine = machine
         self.conv_model = conv_model or CalibratedConvModel(
             machine.gpu, machine.dtype_bytes
         )
-        self.overlap_halo = overlap_halo
-        self.overlap_shuffle = overlap_shuffle
-        self.overlap_allreduce = overlap_allreduce
-        #: ``None``: one allreduce per layer instead of the engine's buckets.
         self.allreduce_bucket_bytes = allreduce_bucket_bytes
         #: Allreduce wire algorithm, matching the engine's ``algorithm=``
         #: knob: None keeps the historical fastest-per-(p, n) pricing,
@@ -177,11 +167,6 @@ class NetworkCostModel:
     ) -> ConvLayerCost | None:
         layer = self.spec[name]
         par = strategy.for_layer(name)
-        # dL/dw is summed over the gradient group (paper Eq. 2), not all ranks.
-        group = math.prod(
-            par.grid_shape[d]
-            for d in grad_axes(par.grid_shape, (n_global, *self.shapes[name]))
-        )
         if layer.kind == "conv":
             c, h, w = self.shapes[layer.parents[0]]
             return conv_layer_cost(
@@ -196,8 +181,6 @@ class NetworkCostModel:
                 stride=layer.params.get("stride", 1),
                 pad=layer.params.get("pad", 0),
                 parallelism=par,
-                total_ranks=group,
-                allreduce_algorithm=self.allreduce_algorithm,
             )
         if layer.kind == "pool":
             c, h, w = self.shapes[layer.parents[0]]
@@ -219,13 +202,18 @@ class NetworkCostModel:
             if layer.kind == "bn":
                 db = self.machine.dtype_bytes
                 stats_group = par.height * par.width  # 'spatial' aggregation
+                # Its dL/dw payload counts where a gradient group (paper
+                # Eq. 2) of more than one rank reduces it.
+                group = math.prod(
+                    par.grid_shape[d]
+                    for d in grad_axes(par.grid_shape, (n_global, *self.shapes[name]))
+                )
                 return elementwise_layer_cost(
                     self.machine,
                     local_elems=local,
                     passes_fwd=3,
                     passes_bwd=4,
-                    params_bytes=2 * c * db,
-                    total_ranks=group,
+                    params_bytes=2 * c * db if group > 1 else 0.0,
                     stats_allreduce_bytes=2 * c * db,
                     stats_group=stats_group,
                     allreduce_algorithm=self.allreduce_algorithm,
@@ -248,12 +236,9 @@ class NetworkCostModel:
                                gpu.fwd_tflops_max)
             bp = 2 * gpu.conv_time(flops, (i_n * c * h * w + i_n * units) * db,
                                    gpu.bwd_data_tflops_max)
-            ar_bytes = units * c * h * w * db
-            ar = allreduce_time(
-                group, ar_bytes, self.machine.link_for_group(group),
-                self.allreduce_algorithm,
+            return ConvLayerCost(
+                fp, 0.0, bp, 0.0, 0.0, allreduce_bytes=units * c * h * w * db
             )
-            return ConvLayerCost(fp, 0.0, bp, 0.0, 0.0, ar, allreduce_bytes=ar_bytes)
         return None  # input / loss layers
 
     def shuffle_edge_cost(self, parent: str, n_global: int, strategy) -> float:
@@ -287,13 +272,12 @@ class NetworkCostModel:
                         one = self.shuffle_edge_cost(e.parent, n_global, strategy)
                         bd.comm_ops[s.op_id] = one
                         bd.shuffle_total += one
-        if self.overlap_allreduce and self.allreduce_bucket_bytes:
-            bd.buckets = sched.grad_buckets(self.allreduce_bucket_bytes, db)
-            for b in bd.buckets:
-                p = b.group[0]
-                bd.comm_ops[b.op_id] = allreduce_time(
-                    p, b.nbytes, self.machine.link_for_group(p), self.allreduce_algorithm
-                )
+        bd.buckets = sched.grad_buckets(self.allreduce_bucket_bytes, db)
+        for b in bd.buckets:
+            p = b.group[0]
+            bd.comm_ops[b.op_id] = allreduce_time(
+                p, b.nbytes, self.machine.link_for_group(p), self.allreduce_algorithm
+            )
         # Optimizer: one memory-bound pass over parameters (+momentum), over
         # the 1/g of each layer's parameters this rank updates — the update
         # is fused into the bucket reductions of a gradient group of g.
@@ -320,18 +304,15 @@ class NetworkCostModel:
         for op in sched.layers:
             c = costs.get(op.name)
             name = op.name
-            base_deps = (prev_fwd,) if prev_fwd else ()
-            for s in op.issues:
-                # Ready the moment the producer finishes (the engine
-                # launches the exchange as the activation is produced), or
-                # started and finished at consumption time: waits for all
-                # preceding compute.
-                producer = fwd_done.get(s.parent)
-                ready = (producer,) if producer else ()
-                eng.add(
-                    s.op_id, price[s.op_id], "comm",
-                    ready if self.overlap_shuffle else base_deps,
-                )
+            for e in op.edges:
+                if e.fwd is not None and e.fwd.consumers[0] == name:
+                    # Ready the moment the producer finishes: the engine
+                    # launches the exchange as the activation is produced.
+                    producer = fwd_done.get(e.parent)
+                    eng.add(
+                        e.fwd.op_id, price[e.fwd.op_id], "comm",
+                        (producer,) if producer else (),
+                    )
             shuf_deps = [e.fwd.op_id for e in op.edges if e.fwd is not None]
             if c is None:
                 # No task of its own: its output is ready with its input.
@@ -340,18 +321,15 @@ class NetworkCostModel:
                 elif op.edges and op.edges[0].parent in fwd_done:
                     fwd_done[name] = fwd_done[op.edges[0].parent]
                 continue
-            base_deps = base_deps + tuple(shuf_deps)
+            base_deps = ((prev_fwd,) if prev_fwd else ()) + tuple(shuf_deps)
             fwd = f"fwd:{name}"
-            if c.fp_halo > 0 and self.overlap_halo:
+            if c.fp_halo > 0:
                 interior = c.fp_compute * (1 - c.boundary_fraction)
                 boundary = c.fp_compute * c.boundary_fraction + c.boundary_launch
                 eng.add(f"{fwd}:halo", c.fp_halo, "comm", base_deps, op=fwd)
                 eng.add(f"{fwd}:interior", interior, "compute", base_deps, op=fwd)
                 eng.add(fwd, boundary, "compute", (f"{fwd}:halo", f"{fwd}:interior"))
             else:
-                if c.fp_halo > 0:
-                    eng.add(f"{fwd}:halo", c.fp_halo, "comm", base_deps, op=fwd)
-                    base_deps = (f"{fwd}:halo",)
                 eng.add(fwd, c.fp_compute, "compute", base_deps)
             prev_fwd = fwd_done[name] = fwd
 
@@ -361,21 +339,16 @@ class NetworkCostModel:
         bucket_of = {name: b for b in bd.buckets for name in b.layers}
         hidden = self.machine.allreduce_overlap_efficiency
 
-        def allreduce_task(name: str, dur: float, deps: list[str]) -> None:
-            if allreduces:
-                deps.append(allreduces[-1])  # one allreduce at a time
-            eng.add(name, dur, "comm", tuple(deps))
-            if self.overlap_allreduce:
-                # The part that cannot hide contends with compute.
-                eng.add(f"{name}:contend", (1 - hidden) * dur, "compute",
-                        tuple(deps), op=name)
-            allreduces.append(name)
-
         def bucket_task(b: GradBucket) -> None:
-            # Ready when its last contributor's filter convolution is.
-            allreduce_task(
-                b.op_id, price[b.op_id], [f"bwd:{layer}:filter" for layer in b.layers]
-            )
+            # Ready when its last contributor's filter convolution is, one
+            # allreduce at a time.
+            deps = tuple(f"bwd:{layer}:filter" for layer in b.layers)
+            deps += tuple(allreduces[-1:])
+            dur = price[b.op_id]
+            eng.add(b.op_id, dur, "comm", deps)
+            # The part that cannot hide contends with compute.
+            eng.add(f"{b.op_id}:contend", (1 - hidden) * dur, "compute", deps, op=b.op_id)
+            allreduces.append(b.op_id)
 
         # layer -> error-signal shuffle tasks it must wait for.
         incoming: dict[str, list[str]] = {}
@@ -386,10 +359,10 @@ class NetworkCostModel:
             if c is not None:
                 base_deps = (prev_bwd,) if prev_bwd else ()
                 base_deps = base_deps + tuple(incoming.pop(name, ()))
-                if c.bpx_halo > 0 and self.overlap_halo:
+                if c.bpx_halo > 0:
                     # An undecomposed backward (fraction pinned at 1, no
                     # boundary launches) makes this timeline degenerate
-                    # exactly to the synchronous cost; pooling carries a
+                    # exactly to the serialized cost; pooling carries a
                     # real backward fraction (its scatter-add overlaps the own
                     # contribution with the in-flight boundary strips).
                     interior = c.bpx_compute * (1 - c.bpx_boundary_fraction)
@@ -408,11 +381,7 @@ class NetworkCostModel:
                     )
                     prev_bwd = f"{bwd}:data"
                 else:
-                    deps = base_deps
-                    if c.bpx_halo > 0:
-                        eng.add(f"{bwd}:halo", c.bpx_halo, "comm", deps, op=bwd)
-                        deps = (f"{bwd}:halo",)
-                    eng.add(f"{bwd}:filter", c.bpw_compute, "compute", deps, op=bwd)
+                    eng.add(f"{bwd}:filter", c.bpw_compute, "compute", base_deps, op=bwd)
                     prev_bwd = f"{bwd}:filter"
                     if c.bpx_compute > 0:  # a dead BPx is priced at zero
                         prev_bwd = f"{bwd}:data"
@@ -426,19 +395,9 @@ class NetworkCostModel:
                 if e.bwd is not None:
                     eng.add(e.bwd.op_id, price[e.bwd.op_id], "comm", dx_ready)
                     incoming.setdefault(e.parent, []).append(e.bwd.op_id)
-                    if not self.overlap_shuffle:
-                        prev_bwd = e.bwd.op_id  # blocking: gates everything after it
             b = bucket_of.get(name)
-            if b is not None:
-                if b.full and b.layers[-1] == name:
-                    bucket_task(b)
-            elif c is not None and c.allreduce > 0:
-                ar_deps = [f"{bwd}:filter"]
-                if not self.overlap_allreduce and prev_bwd:
-                    ar_deps.append(prev_bwd)
-                allreduce_task(f"ar:{name}", c.allreduce, ar_deps)
-                if not self.overlap_allreduce:
-                    prev_bwd = f"ar:{name}"
+            if b is not None and b.full and b.layers[-1] == name:
+                bucket_task(b)
         for b in bd.buckets:
             if not b.full:
                 bucket_task(b)

@@ -29,10 +29,9 @@ partitioned global view of multidimensional tensors" with halo exchange
 
 A transfer is a plan and an exchange; a layer is a window geometry and a
 kernel.  Halo gather, shuffle and pooling's scatter-add are three plans
-over the one exchange: every transfer is a start and a ``finish()``, the
-blocking spellings (``shuffle``, ``scatter_region_add``) finish right after
-they start, and each ``overlap_*`` flag of the layers above only moves the
-``finish()``.
+over the one exchange: every transfer is a start and a ``finish()``, and
+the blocking spellings (``shuffle``, ``scatter_region_add``) finish right
+after they start.
 """
 
 from repro.tensor.indexing import (

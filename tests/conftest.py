@@ -60,6 +60,15 @@ SPMD_BACKENDS = ("thread", "process", "socket")
 #: run them on a reduced matrix).
 FORKED_BACKENDS = ("process", "socket")
 
+#: ``REPRO_FAULTS`` plans for the timing-independence tests: a recurring
+#: delay at every receive of rank 1, or at every send of rank 2.  Either
+#: reorders arrivals; neither may move a bit.
+DELAY_S = 0.001
+DELAY_PLANS = {
+    "recv": f"delay@rank1:point=recv:seconds={DELAY_S}:recurring",
+    "send": f"delay@rank2:point=send:seconds={DELAY_S}:recurring",
+}
+
 
 @pytest.fixture(params=SPMD_BACKENDS)
 def backend(request):

@@ -239,8 +239,8 @@ class TestWindowGeometry:
             g, src, fill = self.geometry(kind, grid, x)
             assert (g.lo[1], g.hi[1]) == (0, src.global_shape[1])
             assert g.exchanged == (grid_shape[2] * grid_shape[3] > 1)
-            ex = start_gather(src, g, None, overlap=False, fill=fill)
-            got = local_region(src, g.lo, g.hi, fill=fill) if ex is None else ex.out
+            ex = start_gather(src, g, None, fill=fill)
+            got = local_region(src, g.lo, g.hi, fill=fill) if ex is None else ex.finish()
             np.testing.assert_array_equal(
                 got, src.gather_region(g.lo, g.hi, fill=fill)
             )

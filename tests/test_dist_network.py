@@ -6,16 +6,17 @@ per-layer strategies that force data redistributions (§III-C).
 """
 
 import functools
-import itertools
+from time import monotonic
 
 import numpy as np
 import pytest
 
-from conftest import FORKED_BACKENDS, CopyingReducer, reduce_for_process
+from conftest import DELAY_PLANS, DELAY_S, CopyingReducer
 from repro.comm import run_spmd
+from repro.comm.faults import FAULTS_ENV
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
 from repro.core import dist_network
-from repro.core.grad_reducer import BucketedGradReducer
+from repro.core.grad_reducer import DEFAULT_BUCKET_BYTES, BucketedGradReducer
 from repro.nn import LocalNetwork, NetworkSpec, SGD
 from repro.nn.meshnet import mesh_model_tiny
 from repro.nn.resnet import build_resnet_tiny
@@ -196,18 +197,22 @@ class TestMeshTinyExactness:
             np.testing.assert_allclose(losses, ref_losses, rtol=RTOL)
 
 
-def flag_matrix_net():
-    """Sample-parallel stem feeding a spatial body: the r1 activation has
-    two consumers on the far side of the strategy cut — c2 and, along the
-    skip edge, ``j`` — which share one forward shuffle (in flight behind
-    c2/p2 for ``j``), p2 is a K > S pool whose windows straddle the
-    partition, and conv/bn/fc layers all carry gradients."""
-    net = NetworkSpec("flag-matrix")
+def transfer_net():
+    """Every kind of transfer a step makes.  A sample-parallel stem feeds a
+    spatial body: the r1 activation has two consumers on the far side of
+    the strategy cut — c2 and, along the skip edge, ``j`` — which share one
+    forward shuffle (in flight behind c2/p2 for ``j``) and each send an
+    error signal back; c2 gathers halos, p2 is a K > S pool whose windows
+    straddle the partition (a scatter-add in backward: averaging, so that
+    every contribution to a corner cell is nonzero and their order shows in
+    the bits), b3 allreduces its statistics, and conv/bn/fc layers all
+    carry gradients."""
+    net = NetworkSpec("transfers")
     net.add("input", "input", channels=2, height=12, width=12)
     net.add("c1", "conv", ["input"], filters=4, kernel=3, pad=1, bias=True)
     net.add("r1", "relu", ["c1"])
     net.add("c2", "conv", ["r1"], filters=4, kernel=3, pad=1)
-    net.add("p2", "pool", ["c2"], mode="max", kernel=3, stride=1, pad=1)
+    net.add("p2", "pool", ["c2"], mode="avg", kernel=3, stride=1, pad=1)
     net.add("j", "add", ["p2", "r1"])
     net.add("b3", "bn", ["j"])
     net.add("gap", "gap", ["b3"])
@@ -216,14 +221,18 @@ def flag_matrix_net():
     return net
 
 
-FLAG_STEPS = 3
+TRANSFER_STEPS = 3
+
+#: Each plan of DELAY_PLANS delays at least this many transport operations
+#: per step of :func:`transfer_net`.
+DELAYED_OPS_PER_STEP = 30
 
 
-def _flag_batch(spec):
+def _transfer_batch(spec):
     return make_batch(spec, n=4, seed=11)
 
 
-def _flag_strategy():
+def _transfer_strategy():
     sample = LayerParallelism(sample=4)
     return ParallelStrategy(
         {"input": sample, "c1": sample, "r1": sample},
@@ -231,34 +240,32 @@ def _flag_strategy():
     )
 
 
-def _flag_train(comm, spec, strategy, flags, algorithm="direct"):
-    """``(net, losses)`` of FLAG_STEPS training steps under one combination
-    of ``(overlap_halo, overlap_shuffle, overlap_grad_reduce)``."""
-    overlap_halo, overlap_shuffle, overlap_grad_reduce = flags
+def _transfer_train(
+    comm, spec, strategy, algorithm="direct", bucket_bytes=DEFAULT_BUCKET_BYTES
+):
+    """``(net, losses)`` of TRANSFER_STEPS training steps."""
     net = DistNetwork(
-        spec, comm, strategy, seed=0,
-        overlap_halo=overlap_halo,
-        overlap_shuffle=overlap_shuffle,
-        overlap_grad_reduce=overlap_grad_reduce,
-        collective_algorithm=algorithm,
+        spec, comm, strategy, seed=0, collective_algorithm=algorithm,
+        grad_bucket_bytes=bucket_bytes,
     )
     trainer = DistTrainer(net, SGD(lr=0.1))
-    x, t = _flag_batch(spec)
-    return net, [trainer.step(x, t) for _ in range(FLAG_STEPS)]
+    x, t = _transfer_batch(spec)
+    return net, [trainer.step(x, t) for _ in range(TRANSFER_STEPS)]
 
 
-@functools.lru_cache(maxsize=None)
-def _flag_run(
-    backend, overlap_halo, overlap_shuffle, overlap_grad_reduce,
-    algorithm="direct", reducer=BucketedGradReducer,
+def _transfer_job(
+    backend, algorithm="direct", reducer=BucketedGradReducer, faults=None,
+    bucket_bytes=DEFAULT_BUCKET_BYTES,
 ):
     """Per rank: (loss trajectory as float.hex, region_data bytes, shuffle
-    bytes, shuffles) of 3 steps under one flag combination."""
-    spec = flag_matrix_net()
-    flags = (overlap_halo, overlap_shuffle, overlap_grad_reduce)
+    bytes, shuffles, the trained parameters as bytes) of 3 steps of
+    :func:`transfer_net`, under the ``REPRO_FAULTS`` plan ``faults``."""
+    spec = transfer_net()
 
     def prog(comm):
-        net, losses = _flag_train(comm, spec, _flag_strategy(), flags, algorithm)
+        net, losses = _transfer_train(
+            comm, spec, _transfer_strategy(), algorithm, bucket_bytes
+        )
         rows = comm.stats.collective_bytes
         assert net.shuffle_count == comm.stats.collectives["shuffle"]
         return (
@@ -266,55 +273,66 @@ def _flag_run(
             rows.get("region_data", 0),
             rows.get("shuffle", 0),
             net.shuffle_count,
+            {lay: {p: a.tobytes() for p, a in ps.items()} for lay, ps in net.params.items()},
         )
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dist_network, "BucketedGradReducer", reducer)
+        if faults is not None:
+            mp.setenv(FAULTS_ENV, faults)
         return run_spmd(4, prog, backend=backend)
 
 
-class TestOverlapFlagMatrix:
-    """Each ``overlap_*`` flag only moves a ``finish()``: all eight
-    combinations train to the same bits and move the same bytes, and the
-    trajectory is the sequential algorithm's."""
+_transfer_run = functools.lru_cache(maxsize=None)(_transfer_job)
 
-    @pytest.mark.parametrize(
-        "flags", list(itertools.product((True, False), repeat=3)),
-        ids=lambda f: "halo{}-shuffle{}-reduce{}".format(*map(int, f)),
-    )
-    def test_all_combinations_bitwise_equal(self, flags, backend):
-        reduce_for_process(backend, any(flags), "all-flags-off corner only")
-        default = _flag_run(backend, True, True, True)
-        got = _flag_run(backend, *flags)
-        assert got == default
-        assert all(rd > 0 and sh > 0 for _, rd, sh, _ in got)
+
+class TestTimingIndependence:
+    """When a message arrives never changes a bit: synchronous SGD stays
+    the sequential algorithm however its messages arrive (Das et al.,
+    1602.06709).  Every receive lands in a slot its plan fixes and every
+    fold runs in a fixed order, so halo gathers, the scatter-add, shared
+    and backward shuffles, BN statistics and bucketed gradient allreduces
+    train to the undelayed bits and bytes under adversarial arrival order.
+    The buckets ask for ``"hierarchical"``: the two-level composition under
+    a host map of two nodes, the flat ``"auto"`` schedule otherwise."""
+
+    ALGORITHM = "hierarchical"
+
+    @pytest.mark.parametrize("plan", list(DELAY_PLANS))
+    def test_delayed_messages_move_no_bit(self, backend, plan):
+        calm = _transfer_run(backend, self.ALGORITHM)
+        assert all(rd > 0 and sh > 0 for _, rd, sh, *_ in calm)
         # Per step: r1 is redistributed once for both of its consumers
         # (c2 and the skip edge into j); each sends its error signal back.
-        assert all(count == FLAG_STEPS * (1 + 2) for *_, count in got)
-
-        spec = flag_matrix_net()
-        ref_losses, _ = run_local(spec, *_flag_batch(spec), steps=FLAG_STEPS)
-        for hexes, *_ in got:
+        assert all(count == TRANSFER_STEPS * (1 + 2) for *_, count, _ in calm)
+        spec = transfer_net()
+        ref_losses, _ = run_local(spec, *_transfer_batch(spec), steps=TRANSFER_STEPS)
+        for hexes, *_ in calm:
             np.testing.assert_allclose(
                 [float.fromhex(h) for h in hexes], ref_losses, rtol=RTOL
             )
+        t0 = monotonic()
+        assert _transfer_job(backend, self.ALGORITHM, faults=DELAY_PLANS[plan]) == calm
+        # The delays did fire.
+        assert monotonic() - t0 >= TRANSFER_STEPS * DELAYED_OPS_PER_STEP * DELAY_S
 
-    @pytest.mark.parametrize("algorithm", ["direct", "auto"])
+
+class TestDonatedPartials:
     @pytest.mark.parametrize(
-        "backend,flags",
-        [("thread", f) for f in itertools.product((True, False), repeat=3)]
-        + [(b, (False, False, False)) for b in FORKED_BACKENDS],
-        ids=lambda v: v if isinstance(v, str) else "".join(map(str, map(int, v))),
+        "bucket_bytes", [DEFAULT_BUCKET_BYTES, 1], ids=["buckets", "per-layer"]
     )
-    def test_donated_partials_are_invisible(self, backend, flags, algorithm):
-        """The reducer reduces a layer's partial in place; a reducer that
-        copies every partial first trains to the same bits and bytes, in
-        every corner (the forked backends' reduced matrix: all flags off),
-        under the scheduled algorithms that do reduce in place as under
+    @pytest.mark.parametrize("algorithm", ["direct", "auto"])
+    def test_donated_partials_are_invisible(self, backend, algorithm, bucket_bytes):
+        """The reducer reduces a donated bucket in place — a fresh
+        concatenation under the default cut, the layer's own partial in a
+        single-tensor bucket under one bucket per layer; a reducer that
+        copies every partial first trains to the same bits and bytes, under
+        the scheduled algorithms that do reduce in place as under
         ``"direct"`` — nothing reads a partial after ``add()``."""
-        assert _flag_run(backend, *flags, algorithm, CopyingReducer) == _flag_run(
-            backend, *flags, algorithm
+        copying = _transfer_run(
+            backend, algorithm, CopyingReducer, bucket_bytes=bucket_bytes
         )
+        assert copying == _transfer_run(backend, algorithm, bucket_bytes=bucket_bytes)
 
 
 def fork_net():
@@ -355,15 +373,15 @@ def _private_dy(backward):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_run(backend, flags, copying, unshuffled_fork=False):
+def _reference_run(backend, copying, unshuffled_fork=False):
     """Per rank: (loss trajectory as float.hex, the last step's gradients as
-    bytes) of 3 steps — of the flag-matrix net under one flag combination,
-    or of :func:`fork_net` sample-parallel."""
-    spec = fork_net() if unshuffled_fork else flag_matrix_net()
-    strategy = LayerParallelism(sample=4) if unshuffled_fork else _flag_strategy()
+    bytes) of 3 steps — of :func:`transfer_net`, or of :func:`fork_net`
+    sample-parallel."""
+    spec = fork_net() if unshuffled_fork else transfer_net()
+    strategy = LayerParallelism(sample=4) if unshuffled_fork else _transfer_strategy()
 
     def prog(comm):
-        net, losses = _flag_train(comm, spec, strategy, flags)
+        net, losses = _transfer_train(comm, spec, strategy)
         grads = {
             layer: {p: a.tobytes() for p, a in g.items()}
             for layer, g in net.grads.items()
@@ -422,23 +440,17 @@ class TestErrorSignalsByReference:
             mp.setattr(dist_network, "_KINDS", _wrapped_kinds(spy))
             assert run_spmd(2, prog) == [True, True]
 
-    @pytest.mark.parametrize(
-        "flags", list(itertools.product((True, False), repeat=3)),
-        ids=lambda f: "halo{}-shuffle{}-reduce{}".format(*map(int, f)),
-    )
-    def test_bitwise_equal_to_copying_every_error_signal(self, flags, backend):
+    def test_bitwise_equal_to_copying_every_error_signal(self, backend):
         """Handing error signals over by reference trains to the bits of an
         interpreter that gives every layer a private copy — losses and
-        gradients, in every flag corner (forked backends: all flags off)."""
-        reduce_for_process(backend, any(flags), "all-flags-off corner only")
-        assert _reference_run(backend, flags, True) == _reference_run(backend, flags, False)
+        gradients."""
+        assert _reference_run(backend, True) == _reference_run(backend, False)
 
     def test_bitwise_equal_to_copying_at_an_unshuffled_fork(self):
         """Same, where the fork's contributions are the producers' own
         arrays (no shuffle in between hands out fresh ones)."""
-        flags = (True, True, True)
-        got = _reference_run("thread", flags, False, unshuffled_fork=True)
-        assert got == _reference_run("thread", flags, True, unshuffled_fork=True)
+        got = _reference_run("thread", False, unshuffled_fork=True)
+        assert got == _reference_run("thread", True, unshuffled_fork=True)
         assert all(rank == got[0] for rank in got)
 
 

@@ -8,7 +8,7 @@ allgather carry updated weights.  The contract held here, with no clocks:
 * **parity** — parameters and velocity after three trainer steps are
   bitwise those of the reference path (``net.loss_and_grad()`` then
   ``SGD.step`` on every replica), over backend x algorithm x segmenting x
-  world size x ``overlap_grad_reduce``;
+  world size;
 * **counts** — each rank steps the elements of its own chunks (n/p +- 1 per
   ring or Rabenseifner bucket, n under power-of-two recursive doubling,
   nothing on a rank recursive doubling folds away), keeps momentum for
@@ -58,21 +58,19 @@ def _optimizer():
     return SGD(lr=0.05, momentum=0.9, weight_decay=1e-3)
 
 
-def _net(comm, algorithm, segment_bytes, overlap):
+def _net(comm, algorithm, segment_bytes):
     return DistNetwork(
         fused_net(), comm, LayerParallelism(sample=comm.size), seed=0,
         collective_algorithm=algorithm, grad_segment_bytes=segment_bytes,
-        overlap_grad_reduce=overlap, grad_bucket_bytes=BUCKET_BYTES,
+        grad_bucket_bytes=BUCKET_BYTES,
     )
 
 
-def _mismatches(comm, algorithm, segment_bytes, overlap):
+def _mismatches(comm, algorithm, segment_bytes):
     """Train the fused and the reference path side by side; name every
     parameter or velocity slice whose bits differ."""
     x, t = batch()
-    fused, reference = (
-        _net(comm, algorithm, segment_bytes, overlap) for _ in range(2)
-    )
+    fused, reference = (_net(comm, algorithm, segment_bytes) for _ in range(2))
     trainer, ref_opt = DistTrainer(fused, _optimizer()), _optimizer()
     for _ in range(STEPS):
         trainer.step(x, t)
@@ -90,7 +88,7 @@ def _mismatches(comm, algorithm, segment_bytes, overlap):
         at = offset[0] if offset else 0
         if v.reshape(-1).tobytes() != full[at : at + v.size].tobytes():
             bad.append(f"velocity {key}")
-    return [(algorithm, segment_bytes, overlap, bad)] if bad else []
+    return [(algorithm, segment_bytes, bad)] if bad else []
 
 
 ALGORITHMS = ("auto", "ring", "rabenseifner", "recursive_doubling", "direct")
@@ -101,8 +99,7 @@ def _parity_prog(comm, algorithms):
         miss
         for algorithm in algorithms
         for segment_bytes in (None, "auto")
-        for overlap in (True, False)
-        for miss in _mismatches(comm, algorithm, segment_bytes, overlap)
+        for miss in _mismatches(comm, algorithm, segment_bytes)
     ]
 
 
@@ -138,7 +135,7 @@ class TestParity:
             return [
                 miss
                 for algorithm in ("ring", "rabenseifner", "recursive_doubling")
-                for miss in _mismatches(comm, algorithm, 1024, True)
+                for miss in _mismatches(comm, algorithm, 1024)
             ]
 
         assert run_spmd(p, prog) == [[]] * p
@@ -149,7 +146,7 @@ def _count_prog(comm, algorithm):
     velocity elements kept, and the wire bytes of the fused and the plain
     path."""
     x, t = batch()
-    net = _net(comm, algorithm, None, True)
+    net = _net(comm, algorithm, None)
     trainer = DistTrainer(net, _optimizer())
     stepped: dict[str, int] = {}
     step = trainer.optimizer.step
@@ -205,7 +202,7 @@ class TestCounts:
 
 def _ckpt_prog(comm, ckdir, resume):
     x, t = batch()
-    net = _net(comm, "ring", None, True)
+    net = _net(comm, "ring", None)
     trainer = DistTrainer(net, _optimizer(), checkpoint_dir=ckdir)
     if resume:
         assert trainer.resume() == 2
@@ -224,7 +221,7 @@ def _replicated_velocity(steps):
 
     def prog(comm):
         x, t = batch()
-        net, opt = _net(comm, "ring", None, True), _optimizer()
+        net, opt = _net(comm, "ring", None), _optimizer()
         for _ in range(steps):
             _, grads = net.loss_and_grad(x, t)
             opt.step(net.params, grads)

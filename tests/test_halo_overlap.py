@@ -1,19 +1,25 @@
-"""Overlapped halo exchange: bitwise equivalence and accounting (§IV-A).
+"""Overlapped halo exchange: correctness and accounting (§IV-A).
 
-The engine's overlapped path (nonblocking strips + interior/boundary kernel
-decomposition) must be *bitwise* identical to the synchronous path — same
-floating-point operations in the same per-element order, only the
-communication discipline differs.  These tests assert that at the layer
-level across strategies/kernels/strides, and over entire training runs.
+The windowed layers post their halo strips, run the interior kernels while
+they travel and the boundary kernels after ``finish()``.  These tests hold
+pooling to the fused kernel on the global array, the exchange to the
+plan-free ``gather_region`` oracle in content and bytes, and check that
+the wait/overlap split of the halo time is measured.  That arrival timing
+never changes a bit is checked per layer here and network-wide by
+``tests/test_dist_network.py::TestTimingIndependence``, both under
+injected delays.
 
-The equivalence tests run on both world backends (the ``backend``
-fixture); the process backend covers a reduced rank/geometry matrix.
+The equivalence tests run on every world backend (the ``backend``
+fixture); the forked backends cover a reduced geometry matrix.
 """
+
+import functools
+from time import monotonic
 
 import numpy as np
 import pytest
 
-from conftest import reduce_for_process
+from conftest import DELAY_PLANS, DELAY_S, reduce_for_process
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
 from repro.core.dist_conv import DistConv2d
@@ -24,27 +30,6 @@ from repro.nn import NetworkSpec, SGD
 from repro.nn import functional as F
 from repro.tensor import DistTensor, Distribution, ProcessGrid
 from repro.tensor.halo import HALO_OP, start_region_exchange
-
-
-def run_dist_conv(
-    nranks, grid_shape, x, w, stride, pad, overlap, bias=None, backend="thread"
-):
-    """Distributed fwd+bwd; returns per-rank (y_local, dx_local, dw, db)."""
-
-    def prog(comm):
-        grid = ProcessGrid(comm, grid_shape)
-        xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
-        conv = DistConv2d(
-            grid, w, stride=stride, pad=pad, bias=bias, overlap_halo=overlap
-        )
-        y = conv.forward(xd)
-        rng = np.random.default_rng(99)
-        dy_global = rng.standard_normal(y.global_shape)
-        dy = DistTensor.from_global(grid, y.dist, dy_global)
-        dx, dw_partial, db_partial = conv.backward(dy)
-        return y.local.copy(), dx.local.copy(), dw_partial, db_partial
-
-    return run_spmd(nranks, prog, backend=backend)
 
 
 GEOMETRIES = [
@@ -61,95 +46,105 @@ GEOMETRIES = [
     ((4, 1, 1, 1), 4, 3, 8, 8, 5, 3, 1, 1),     # pure sample: local fast path
 ]
 
+POOL_GEOMS = [
+    # (grid_shape, N, C, H, W, K, S, P)
+    ((1, 1, 2, 2), 2, 3, 9, 11, 3, 2, 1),   # classic 3x3/2 overlap pool
+    ((1, 1, 2, 2), 2, 3, 8, 8, 3, 1, 1),    # K > S on every boundary
+    ((2, 1, 2, 1), 2, 2, 8, 8, 2, 2, 0),    # K == S: no halo at all
+    ((1, 1, 4, 1), 1, 2, 16, 8, 3, 2, 1),   # deep 1D spatial split
+]
 
-class TestOverlapBitwiseEquivalence:
-    @pytest.mark.parametrize("grid_shape,n,c,h,w_,f,k,s,p", GEOMETRIES)
-    def test_layer_overlap_equals_sync(self, grid_shape, n, c, h, w_, f, k, s, p, backend):
-        nranks = int(np.prod(grid_shape))
-        reduce_for_process(backend, nranks > 4, "nranks <= 4")
-        rng = np.random.default_rng(42)
-        x = rng.standard_normal((n, c, h, w_))
-        w = rng.standard_normal((f, c, k, k))
-        b = rng.standard_normal(f)
 
-        sync = run_dist_conv(
-            nranks, grid_shape, x, w, s, p, overlap=False, bias=b, backend=backend
+def _conv_job(geom, backend, faults=None):
+    """Per rank: the bytes of ``(y, dx, dw, db)`` of one DistConv2d forward
+    and backward on ``geom`` (a GEOMETRIES row), and its region_data bytes,
+    under the ``REPRO_FAULTS`` plan ``faults``."""
+    grid_shape, n, c, h, w_, f, k, s, p = geom
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((n, c, h, w_))
+    w = rng.standard_normal((f, c, k, k))
+    b = rng.standard_normal(f)
+
+    def prog(comm):
+        grid = ProcessGrid(comm, grid_shape)
+        xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
+        conv = DistConv2d(grid, w, stride=s, pad=p, bias=b)
+        y = conv.forward(xd)
+        dy = np.random.default_rng(99).standard_normal(y.global_shape)
+        dx, dw, db = conv.backward(DistTensor.from_global(grid, y.dist, dy))
+        return (
+            [a.tobytes() for a in (y.local, dx.local, dw, db)],
+            comm.stats.collective_bytes.get("region_data", 0),
         )
-        ovl = run_dist_conv(
-            nranks, grid_shape, x, w, s, p, overlap=True, bias=b, backend=backend
+
+    return run_spmd(int(np.prod(grid_shape)), prog, backend=backend, faults=faults)
+
+
+def _pool_job(geom, mode, backend, faults=None):
+    """Per rank: the bytes of ``(y, dx)`` of one DistPool2d forward and
+    backward on ``geom`` (a POOL_GEOMS row), and its region_data bytes."""
+    grid_shape, n, c, h, w_, k, s, p = geom
+    x = np.random.default_rng(17).standard_normal((n, c, h, w_))
+
+    def prog(comm):
+        grid = ProcessGrid(comm, grid_shape)
+        xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
+        pool = DistPool2d(grid, mode, k, s, p)
+        y = pool.forward(xd)
+        dy = np.random.default_rng(7).standard_normal(y.global_shape)
+        dx = pool.backward(DistTensor.from_global(grid, y.dist, dy))
+        return (
+            [a.tobytes() for a in (y.local, dx.local)],
+            comm.stats.collective_bytes.get("region_data", 0),
         )
-        for (y_s, dx_s, dw_s, db_s), (y_o, dx_o, dw_o, db_o) in zip(sync, ovl):
-            np.testing.assert_array_equal(y_o, y_s)
-            np.testing.assert_array_equal(dx_o, dx_s)
-            np.testing.assert_array_equal(dw_o, dw_s)
-            np.testing.assert_array_equal(db_o, db_s)
 
-    @pytest.mark.parametrize(
-        "par",
-        [
-            LayerParallelism(height=2, width=2),
-            LayerParallelism(sample=2, height=2),
-            LayerParallelism(sample=4),
-        ],
-        ids=["spatial2x2", "hybrid2x2", "sample4"],
-    )
-    def test_training_run_bitwise_equal(self, par, backend):
-        """Loss trajectories and final parameters of whole training runs are
-        bitwise identical with the overlapped exchange on and off."""
-        reduce_for_process(
-            backend, (par.sample, par.height, par.width) != (1, 2, 2),
-            "spatial 2x2 only",
-        )
-        spec = NetworkSpec("halo-eq")
-        spec.add("input", "input", channels=2, height=9, width=11)
-        spec.add("c1", "conv", ["input"], filters=4, kernel=3, pad=1, bias=True)
-        spec.add("r1", "relu", ["c1"])
-        spec.add("c2", "conv", ["r1"], filters=4, kernel=5, pad=2)
-        spec.add("r2", "relu", ["c2"])
-        spec.add("c3", "conv", ["r2"], filters=4, kernel=3, stride=2, pad=1)
-        spec.add("gap", "gap", ["c3"])
-        spec.add("fc", "fc", ["gap"], units=3)
-        spec.add("loss", "softmax_ce", ["fc"])
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 2, 9, 11))
-        t = rng.integers(0, 3, size=4)
+    return run_spmd(int(np.prod(grid_shape)), prog, backend=backend, faults=faults)
 
-        def run(overlap):
-            def prog(comm):
-                net = DistNetwork(spec, comm, par, seed=0, overlap_halo=overlap)
-                trainer = DistTrainer(net, SGD(lr=0.05))
-                for _ in range(4):
-                    trainer.step(x, t)
-                params = {
-                    layer: {p: a.copy() for p, a in v.items()}
-                    for layer, v in net.params.items()
-                }
-                return trainer.stats.losses, params
 
-            return run_spmd(par.nranks, prog, backend=backend)
+@functools.lru_cache(maxsize=None)
+def _calm_run(job, *args):
+    """The undelayed ``job(*args)``, shared by the delay plans."""
+    return job(*args)
 
-        for (losses_o, params_o), (losses_s, params_s) in zip(run(True), run(False)):
-            assert losses_o == losses_s
-            for layer in params_s:
-                for pname in params_s[layer]:
-                    np.testing.assert_array_equal(
-                        params_o[layer][pname], params_s[layer][pname]
-                    )
+
+def _geom_ids(geoms):
+    return ["x".join(map(str, g[0])) + "-" + "-".join(map(str, g[1:])) for g in geoms]
+
+
+def _assert_delays_move_no_bit(job, plan, *args):
+    """``job(*args)`` under DELAY_PLANS[plan] equals the undelayed run; a
+    layer that exchanges halos waited for the delays."""
+    calm = _calm_run(job, *args)
+    t0 = monotonic()
+    assert job(*args, faults=DELAY_PLANS[plan]) == calm
+    if any(region_bytes for _, region_bytes in calm):
+        assert monotonic() - t0 >= DELAY_S
+
+
+class TestLayerTimingIndependence:
+    """Halo strips that arrive late or out of order move no bit of a
+    windowed layer: forward, backward and the backward scatter-add of the
+    halo contributions (folded own-first, then by comm rank, not as they
+    arrive) equal the undelayed run under each recurring delay plan of
+    ``DELAY_PLANS``."""
+
+    @pytest.mark.parametrize("plan", list(DELAY_PLANS))
+    @pytest.mark.parametrize("geom", GEOMETRIES, ids=_geom_ids(GEOMETRIES))
+    def test_conv_delayed_halos_move_no_bit(self, geom, plan, backend):
+        reduce_for_process(backend, np.prod(geom[0]) > 4, "nranks <= 4")
+        _assert_delays_move_no_bit(_conv_job, plan, geom, backend)
+
+    @pytest.mark.parametrize("plan", list(DELAY_PLANS))
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("geom", POOL_GEOMS, ids=_geom_ids(POOL_GEOMS))
+    def test_pool_delayed_halos_move_no_bit(self, geom, mode, plan, backend):
+        _assert_delays_move_no_bit(_pool_job, plan, geom, mode, backend)
 
 
 class TestPoolAgainstGlobalArray:
     """DistPool2d — interior windows behind the in-flight halo strips,
     boundary strips after ``finish()``, backward scatter-add — must
-    reproduce the fused kernel on the global array with the halo finish
-    late (``overlap_halo=True``) or right after the start."""
-
-    POOL_GEOMS = [
-        # (grid_shape, N, C, H, W, K, S, P)
-        ((1, 1, 2, 2), 2, 3, 9, 11, 3, 2, 1),   # classic 3x3/2 overlap pool
-        ((1, 1, 2, 2), 2, 3, 8, 8, 3, 1, 1),    # K > S on every boundary
-        ((2, 1, 2, 1), 2, 2, 8, 8, 2, 2, 0),    # K == S: no halo at all
-        ((1, 1, 4, 1), 1, 2, 16, 8, 3, 2, 1),   # deep 1D spatial split
-    ]
+    reproduce the fused kernel on the global array."""
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
     @pytest.mark.parametrize("grid_shape,n,c,h,w_,k,s,p", POOL_GEOMS)
@@ -172,22 +167,21 @@ class TestPoolAgainstGlobalArray:
             dy_ref = np.random.default_rng(7).standard_normal(y_ref.shape)
             dx_ref = F.avgpool2d_backward(dy_ref, x.shape, k, s, p)
 
-        def prog(comm, overlap):
+        def prog(comm):
             grid = ProcessGrid(comm, grid_shape)
             xd = DistTensor.from_global(
                 grid, activation_dist(grid_shape, x.shape), x
             )
-            pool = DistPool2d(grid, mode, k, s, p, overlap_halo=overlap)
+            pool = DistPool2d(grid, mode, k, s, p)
             y = pool.forward(xd)
             dx = pool.backward(DistTensor.from_global(grid, y.dist, dy_ref))
             return y.to_global(), dx.to_global()
 
-        for overlap in (False, True):
-            for y, dx in run_spmd(nranks, prog, overlap, backend=backend):
-                # Window reductions are per output element: exact.
-                np.testing.assert_array_equal(y, y_ref)
-                # Overlapping windows accumulate own-first, then by rank.
-                np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-14)
+        for y, dx in run_spmd(nranks, prog, backend=backend):
+            # Window reductions are per output element: exact.
+            np.testing.assert_array_equal(y, y_ref)
+            # Overlapping windows accumulate own-first, then by rank.
+            np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
     def test_piecewise_kernels_equal_fused_bitwise(self, mode):
@@ -230,7 +224,7 @@ class TestPoolAgainstGlobalArray:
             xd = DistTensor.from_global(
                 grid, activation_dist(grid.shape, x.shape), x
             )
-            pool = DistPool2d(grid, "max", 3, 1, 1, overlap_halo=True)
+            pool = DistPool2d(grid, "max", 3, 1, 1)
             comm.stats.reset()
             pool.forward(xd)
             s = comm.stats
@@ -279,30 +273,29 @@ class TestRegionExchange:
 
     def test_halo_traffic_volume_matches_sync(self):
         """The overlapped exchange moves exactly the bytes the synchronous
-        gather moves (recorded under the same region_data stat)."""
+        ``gather_region`` of the same region moves (recorded under the same
+        region_data stat)."""
         n, c, h, w_, f, k = 1, 2, 16, 8, 3, 3
         rng = np.random.default_rng(7)
         x = rng.standard_normal((n, c, h, w_))
         w = rng.standard_normal((f, c, k, k))
 
-        def prog_for(overlap):
-            def prog(comm):
-                grid = ProcessGrid(comm, (1, 1, 4, 1))
-                xd = DistTensor.from_global(
-                    grid, activation_dist(grid.shape, x.shape), x
-                )
-                conv = DistConv2d(grid, w, stride=1, pad=1, overlap_halo=overlap)
-                comm.stats.reset()
-                conv.forward(xd)
-                return comm.stats.collective_bytes.get("region_data", 0)
+        def prog(comm):
+            grid = ProcessGrid(comm, (1, 1, 4, 1))
+            xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
+            conv = DistConv2d(grid, w, stride=1, pad=1)
+            comm.stats.reset()
+            conv.forward(xd)
+            ovl = comm.stats.collective_bytes.get("region_data", 0)
+            g = conv._geometry(xd)
+            comm.stats.reset()
+            xd.gather_region(g.lo, g.hi)
+            return ovl, comm.stats.collective_bytes.get("region_data", 0)
 
-            return prog
-
-        sync_bytes = run_spmd(4, prog_for(False))
-        ovl_bytes = run_spmd(4, prog_for(True))
+        ovl_bytes, sync_bytes = zip(*run_spmd(4, prog))
         assert ovl_bytes == sync_bytes
         halo_row = n * c * w_ * 8  # O=1 row of float64
-        assert ovl_bytes == [halo_row, 2 * halo_row, 2 * halo_row, halo_row]
+        assert ovl_bytes == (halo_row, 2 * halo_row, 2 * halo_row, halo_row)
 
     def test_halo_wait_and_overlap_measured(self):
         """CommStats separates exposed (waited) from hidden (in flight
@@ -314,7 +307,7 @@ class TestRegionExchange:
         def prog(comm):
             grid = ProcessGrid(comm, (1, 1, 2, 2))
             xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
-            conv = DistConv2d(grid, w, pad=1, overlap_halo=True)
+            conv = DistConv2d(grid, w, pad=1)
             comm.stats.reset()
             y = conv.forward(xd)
             dy = DistTensor.from_global(grid, y.dist, np.ones(y.global_shape))

@@ -1,12 +1,14 @@
-"""Integration: overlapped bucketed gradient reduction == blocking path.
+"""Integration: coalesced gradient buckets == one bucket per layer.
 
-The overlapped reducer concatenates gradients into buckets and reduces them
-with nonblocking allreduces; with the bitwise-reference
-``collective_algorithm="direct"`` it performs the *identical* element-wise
-additions in the identical comm-rank order — so whole training runs must be
-bitwise equal to the blocking path, for every strategy and bucket size, and
+The reducer concatenates gradients into buckets and reduces them with
+nonblocking allreduces overlapping backpropagation; with the
+bitwise-reference ``collective_algorithm="direct"`` it performs the
+*identical* element-wise additions in the identical comm-rank order
+wherever the buckets are cut — so whole training runs with the default
+buckets must be bitwise equal to one bucket per layer
+(``grad_bucket_bytes=1``), for every strategy and bucket size, and
 regardless of the zero-copy boundary mode.  (The scheduled wire algorithms
-chunk buckets, so their cross-mode match is allclose instead; that parity
+chunk buckets, so their cross-cut match is allclose instead; that parity
 lives in ``tests/test_collective_algorithms.py``.)
 """
 
@@ -42,15 +44,13 @@ def make_batch(n=8, seed=0):
     return x, t
 
 
-def train(
-    nranks, strategy, overlap, steps=3, bucket_bytes=None, lr=0.1, algorithm="direct"
-):
+def train(nranks, strategy, steps=3, bucket_bytes=None, lr=0.1, algorithm="direct"):
     x, t = make_batch()
 
     def prog(comm):
         # "direct" pins the comm-rank-order fold, the mode whose bucketed
         # and per-tensor reductions are bitwise interchangeable.
-        kwargs = {"overlap_grad_reduce": overlap, "collective_algorithm": algorithm}
+        kwargs = {"collective_algorithm": algorithm}
         if bucket_bytes is not None:
             kwargs["grad_bucket_bytes"] = bucket_bytes
         net = DistNetwork(conv_net(), comm, strategy, seed=0, **kwargs)
@@ -82,27 +82,30 @@ STRATEGIES = [
 class TestBitwiseStability:
     @pytest.mark.parametrize("name,nranks,par", STRATEGIES, ids=[s[0] for s in STRATEGIES])
     def test_overlapped_matches_blocking(self, name, nranks, par):
+        """The default coalesced buckets train to the bits of one bucket
+        per layer."""
         strategy = ParallelStrategy.uniform(par)
-        blocking = train(nranks, strategy, overlap=False)
-        overlapped = train(nranks, strategy, overlap=True)
-        assert_identical_runs(blocking, overlapped)
+        per_layer = train(nranks, strategy, bucket_bytes=1)
+        coalesced = train(nranks, strategy)
+        assert_identical_runs(per_layer, coalesced)
 
     @pytest.mark.parametrize("bucket_bytes", [1, 4096, 1 << 22])
     def test_bucket_size_invariance(self, bucket_bytes):
-        """One-tensor-per-bucket, mid, and everything-in-one-bucket agree."""
+        """One-tensor-per-bucket, mid, and everything-in-one-bucket agree
+        with the default cut."""
         strategy = ParallelStrategy.uniform(LayerParallelism(sample=4))
-        blocking = train(4, strategy, overlap=False)
-        overlapped = train(4, strategy, overlap=True, bucket_bytes=bucket_bytes)
-        assert_identical_runs(blocking, overlapped)
+        default = train(4, strategy)
+        cut = train(4, strategy, bucket_bytes=bucket_bytes)
+        assert_identical_runs(default, cut)
 
     def test_zero_copy_regression(self):
         """Full training runs are bitwise identical with zero-copy on/off —
         the no-aliasing proof for the zero-copy send fast path."""
         strategy = ParallelStrategy.uniform(LayerParallelism(sample=2, height=2))
-        with_zero_copy = train(4, strategy, overlap=True)
+        with_zero_copy = train(4, strategy)
         prev = set_zero_copy(False)
         try:
-            with_copies = train(4, strategy, overlap=True)
+            with_copies = train(4, strategy)
         finally:
             set_zero_copy(prev)
         assert_identical_runs(with_zero_copy, with_copies)
@@ -114,9 +117,9 @@ class TestBitwiseStability:
         is bitwise identical, zero-copy transport included: the no-aliasing
         proof for donated buckets."""
         strategy = ParallelStrategy.uniform(LayerParallelism(sample=2, height=2))
-        donated = train(4, strategy, overlap=True, algorithm=algorithm)
+        donated = train(4, strategy, algorithm=algorithm)
         monkeypatch.setattr(dist_network, "BucketedGradReducer", CopyingReducer)
-        copied = train(4, strategy, overlap=True, algorithm=algorithm)
+        copied = train(4, strategy, algorithm=algorithm)
         assert_identical_runs(donated, copied)
 
 
@@ -140,32 +143,6 @@ class TestReducerPlumbing:
             assert calls >= 1
             assert nbytes > 0
 
-    def test_sync_mode_drains_one_bucket_per_layer(self):
-        """``overlap_grad_reduce=False`` is the same reducer drained after
-        every layer: one allreduce per parameterised layer (c1, b1, c2, fc)
-        instead of one coalesced bucket, moving the same gradient bytes."""
-        x, t = make_batch()
-
-        def prog(comm, overlap):
-            net = DistNetwork(
-                conv_net(), comm, LayerParallelism(sample=4), seed=0,
-                overlap_grad_reduce=overlap,
-            )
-            trainer = DistTrainer(net, SGD(lr=0.1))
-            comm.stats.reset()
-            trainer.step(x, t)
-            return (
-                comm.stats.collectives.get("iallreduce", 0),
-                comm.stats.collective_bytes.get("iallreduce", 0),
-            )
-
-        sync = run_spmd(4, prog, False)
-        overlapped = run_spmd(4, prog, True)
-        for (calls_s, bytes_s), (calls_o, bytes_o) in zip(sync, overlapped):
-            assert calls_s == 4
-            assert calls_o == 1  # everything fits the default bucket
-            assert bytes_s == bytes_o
-
     def test_trainer_comm_report(self):
         x, t = make_batch()
 
@@ -183,8 +160,9 @@ class TestReducerPlumbing:
         assert "steps: 2" in report
 
     def test_single_rank_passthrough(self):
-        """Size-1 worlds have no gradient groups; overlap must be a no-op."""
+        """Size-1 worlds have no gradient groups; the bucket cut must be a
+        no-op."""
         strategy = ParallelStrategy.uniform(LayerParallelism())
-        blocking = train(1, strategy, overlap=False)
-        overlapped = train(1, strategy, overlap=True)
-        assert_identical_runs(blocking, overlapped)
+        per_layer = train(1, strategy, bucket_bytes=1)
+        coalesced = train(1, strategy)
+        assert_identical_runs(per_layer, coalesced)

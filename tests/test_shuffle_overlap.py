@@ -1,16 +1,13 @@
-"""Inter-layer shuffle placement: oracle, bitwise equivalence, accounting.
+"""Inter-layer shuffle placement: oracle, launch site, accounting.
 
 The engine launches each redistribution
 (:class:`~repro.tensor.shuffle.ShuffleExchange`) when an activation is
-produced and finishes it where it is consumed; ``overlap_shuffle=False``
-starts and finishes it at the consumption point instead (the two launch
-placements of :class:`repro.core.schedule.LayerOp`: ``starts`` / ``issues``).  Both placements
-must train like the sequential algorithm (``LocalNetwork``) and — same
-pieces placed into the same zero-initialized blocks — be *bitwise*
-identical to each other.  These tests assert that over entire training runs
-with per-layer strategies, that the wait/overlap split and traffic volumes
-are recorded under the ``"shuffle"`` op, and that plans are cached across
-steps.
+produced and finishes it where it is consumed
+(:attr:`repro.core.schedule.LayerOp.starts`).  These tests assert that
+whole training runs with per-layer strategies follow the sequential
+algorithm (``LocalNetwork``), that the launch site is the producer, that
+the wait/overlap split is recorded under the ``"shuffle"`` op, and that
+plans are cached across steps.
 """
 
 import numpy as np
@@ -78,14 +75,12 @@ def train_local(steps: int = 4) -> list[float]:
     return losses
 
 
-def train(strategy: ParallelStrategy, overlap_shuffle: bool, steps: int = 4):
+def train(strategy: ParallelStrategy, steps: int = 4):
     spec = mixed_model()
     x, t = batch()
 
     def prog(comm):
-        net = DistNetwork(
-            spec, comm, strategy, seed=0, overlap_shuffle=overlap_shuffle
-        )
+        net = DistNetwork(spec, comm, strategy, seed=0)
         trainer = DistTrainer(net, SGD(lr=0.05))
         for _ in range(steps):
             trainer.step(x, t)
@@ -106,57 +101,40 @@ def train(strategy: ParallelStrategy, overlap_shuffle: bool, steps: int = 4):
     return run_spmd(4, prog)
 
 
-class TestShuffleOverlapBitwiseEquivalence:
+class TestShuffledTraining:
     @pytest.mark.parametrize("label", list(STRATEGIES))
-    def test_training_run_bitwise_equal(self, label):
+    def test_training_run_matches_sequential(self, label):
         """Whole training runs follow the sequential algorithm's loss
-        trajectory, and are bitwise identical — losses, final parameters —
-        wherever the shuffles are finished."""
+        trajectory, with one forward shuffle per redistributed parent and
+        one backward shuffle per redistributed edge each step, booked
+        under the ``"shuffle"`` op."""
         strategy = STRATEGIES[label]
-        overlapped = train(strategy, overlap_shuffle=True)
-        blocking = train(strategy, overlap_shuffle=False)
+        sched = lower(mixed_model(), strategy, 4)
         ref_losses = train_local()
-        for ovl, blk in zip(overlapped, blocking):
-            np.testing.assert_allclose(ovl[0], ref_losses, rtol=1e-9)
-            assert ovl[0] == blk[0]  # losses
-            for layer in blk[1]:
-                for pname in blk[1][layer]:
-                    np.testing.assert_array_equal(
-                        ovl[1][layer][pname], blk[1][layer][pname]
-                    )
-            assert ovl[2] == blk[2]  # shuffle_count parity
-            # Identical traffic volume recorded under the "shuffle" op.
-            assert ovl[3] == blk[3] and ovl[4] == blk[4]
+        for losses, _, count, booked, nbytes, _ in train(strategy):
+            np.testing.assert_allclose(losses, ref_losses, rtol=1e-9)
+            assert count == booked == 4 * len(sched.shuffles) and nbytes > 0
 
-    @pytest.mark.parametrize("overlap_shuffle", [True, False])
-    def test_forward_shuffles_start_at_their_launch_site(
-        self, overlap_shuffle, tmp_path
-    ):
+    def test_forward_shuffles_start_at_their_launch_site(self, tmp_path):
         """Each forward shuffle is started right after its producer ran —
         inside the producer's layer span, so it is in flight across
-        everything up to its first consumer — on the (default) overlapped
-        path, and inside its first consumer's span otherwise: the
-        schedule's two launch placements, observed on a traced forward."""
+        everything up to its first consumer — observed on a traced
+        forward."""
         spec = mixed_model()
         strategy = STRATEGIES["sample->spatial"]
         x, _ = batch()
 
         def prog(comm):
-            kwargs = {} if overlap_shuffle else {"overlap_shuffle": False}
-            net = DistNetwork(spec, comm, strategy, seed=0, **kwargs)
-            assert net.overlap_shuffle == overlap_shuffle  # overlapped by default
-            net.forward(x)
+            DistNetwork(spec, comm, strategy, seed=0).forward(x)
 
         path = str(tmp_path / "forward.trace")
         run_spmd(4, prog, trace=path)
         expected = [
             f"fwd:{op.name}"
             for op in lower(spec, strategy, len(x)).layers
-            for _ in (op.starts if overlap_shuffle else op.issues)
+            for _ in op.starts
         ]
-        assert expected == (
-            ["fwd:c1", "fwd:r1"] if overlap_shuffle else ["fwd:c2", "fwd:j"]
-        )
+        assert expected == ["fwd:c1", "fwd:r1"]
         spans = [e for e in load_trace(path)["traceEvents"] if e.get("ph") == "X"]
         for rank in range(4):
             mine = sorted((e for e in spans if e["pid"] == rank), key=lambda e: e["ts"])
@@ -176,8 +154,8 @@ class TestShuffleAccounting:
         """Regression: repeated steps reuse cached plans — the number of
         plan constructions (misses) must not grow with the step count."""
         strategy = STRATEGIES["sample->spatial"]
-        after_2 = train(strategy, overlap_shuffle=True, steps=2)
-        after_6 = train(strategy, overlap_shuffle=True, steps=6)
+        after_2 = train(strategy, steps=2)
+        after_6 = train(strategy, steps=6)
         for r2, r6 in zip(after_2, after_6):
             hits2, misses2 = r2[5]
             hits6, misses6 = r6[5]

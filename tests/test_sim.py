@@ -166,17 +166,15 @@ class TestScheduleConformance:
     def test_lowered_shuffles(self, spec, strategy, shuffles):
         assert [s.op_id for s in lower(spec, strategy, self.N).shuffles] == shuffles
 
-    @pytest.mark.parametrize("overlap_shuffle", [True, False])
-    @pytest.mark.parametrize("bucket", [None, BUCKET])
+    @pytest.mark.parametrize("bucket", [DEFAULT_BUCKET_BYTES, BUCKET, 1])
     def test_one_sim_task_and_one_cost_term_per_comm_op(
-        self, spec, strategy, shuffles, overlap_shuffle, bucket
+        self, spec, strategy, shuffles, bucket
     ):
         bd = NetworkCostModel(spec, LASSEN, allreduce_bucket_bytes=bucket).cost(
             self.N, strategy
         )
         eng = TrainingStepSimulator(
-            spec, LASSEN, overlap_shuffle=overlap_shuffle,
-            allreduce_bucket_bytes=bucket,
+            spec, LASSEN, allreduce_bucket_bytes=bucket
         ).simulate(self.N, strategy).engine
         tasks = {
             t.name: t.duration for t in eng.tasks()
@@ -185,7 +183,7 @@ class TestScheduleConformance:
         }
         assert tasks == bd.comm_ops
         assert sorted(n for n in tasks if ":shuf:" in n) == sorted(shuffles)
-        assert (bucket is None) == (not any(n.startswith("ar:") for n in tasks))
+        assert any(n.startswith("ar:") for n in tasks)
 
     def test_buckets_are_the_engines(self, spec, strategy, shuffles):
         """By default the evaluator reduces gradients in the engine's
@@ -199,19 +197,15 @@ class TestScheduleConformance:
             (b.op_id, b.layers, b.group[0]) for b in engine
         ]
 
-    @pytest.mark.parametrize("overlap_shuffle", [True, False])
-    def test_real_step_issues_the_scheduled_ops(
-        self, spec, strategy, shuffles, overlap_shuffle
-    ):
+    @pytest.mark.parametrize("bucket", [BUCKET, 1])
+    def test_real_step_issues_the_scheduled_ops(self, spec, strategy, shuffles, bucket):
+        """A cut that coalesces layers, and one bucket per layer."""
         rng = np.random.default_rng(0)
         x = rng.standard_normal((self.N, 4, 16, 16))
         t = rng.integers(0, 3, size=self.N)
 
         def prog(comm):
-            net = DistNetwork(
-                spec, comm, strategy, seed=0, overlap_shuffle=overlap_shuffle,
-                grad_bucket_bytes=self.BUCKET,
-            )
+            net = DistNetwork(spec, comm, strategy, seed=0, grad_bucket_bytes=bucket)
             comm.stats.reset()
             net.loss_and_grad(x, t)
             stats = comm.stats
@@ -222,7 +216,7 @@ class TestScheduleConformance:
                 stats.collective_bytes.get("iallreduce", 0),
             )
 
-        buckets = lower(spec, strategy, self.N).grad_buckets(self.BUCKET, itemsize=8)
+        buckets = lower(spec, strategy, self.N).grad_buckets(bucket, itemsize=8)
         assert len(buckets) > 1  # the small bucket size really cuts
         expected = (
             len(shuffles), len(shuffles),
@@ -244,8 +238,8 @@ class TestTrainingSimulator:
         [
             (mesh_model_1k, LP(sample=4), 4, {}),
             (mesh_model_1k, LP(sample=4, height=2, width=2), 4,
-             {"overlap_halo": False, "allreduce_bucket_bytes": None}),
-            (build_resnet50, LP(sample=4, width=2), 128, {"overlap_allreduce": False}),
+             {"allreduce_bucket_bytes": 1}),
+            (build_resnet50, LP(sample=4, width=2), 128, {"allreduce_algorithm": "ring"}),
         ],
     )
     def test_minibatch_time_is_the_simulated_makespan(self, spec_fn, par, n, kwargs):
@@ -257,14 +251,14 @@ class TestTrainingSimulator:
         simulated = TrainingStepSimulator(spec, LASSEN, **kwargs).simulate(n, strategy)
         assert modeled == simulated.minibatch_time
 
-    def test_overlap_off_is_slower(self):
+    def test_overlap_hides_communication(self):
+        """Halo exchanges and allreduces run beside compute: the step is
+        shorter than its compute and communication laid end to end."""
         spec = mesh_model_1k()
         strategy = ParallelStrategy.uniform(LP(sample=4, height=4, width=4))
-        on = TrainingStepSimulator(spec, LASSEN).simulate(4, strategy)
-        off = TrainingStepSimulator(
-            spec, LASSEN, overlap_halo=False, overlap_allreduce=False
-        ).simulate(4, strategy)
-        assert off.minibatch_time > on.minibatch_time
+        res = TrainingStepSimulator(spec, LASSEN).simulate(4, strategy)
+        assert res.comm_busy > 0
+        assert res.minibatch_time < res.compute_busy + res.comm_busy
 
     def test_comm_exposure_nonnegative(self):
         spec = mesh_model_1k()
@@ -286,13 +280,14 @@ class TestTrainingSimulator:
         assert halo_tasks == []
 
     def test_bucketed_allreduce_schedule(self):
-        """Bucketing coalesces per-layer allreduces into fewer comm tasks
-        and never beats compute alone, but stays close to the per-layer
-        overlap schedule."""
+        """Bucketing coalesces per-layer allreduces (one-byte buckets) into
+        fewer comm tasks and never beats compute alone, but stays close to
+        the per-layer schedule.  A bucket size that cuts nothing is
+        refused."""
         spec = mesh_model_1k()
         strategy = ParallelStrategy.uniform(LP(sample=4, height=2, width=2))
         per_layer = TrainingStepSimulator(
-            spec, LASSEN, allreduce_bucket_bytes=None
+            spec, LASSEN, allreduce_bucket_bytes=1
         ).simulate(4, strategy)
         bucketed = TrainingStepSimulator(
             spec, LASSEN, allreduce_bucket_bytes=1 << 22
@@ -312,6 +307,9 @@ class TestTrainingSimulator:
         assert bucketed.minibatch_time == pytest.approx(
             per_layer.minibatch_time, rel=0.05
         )
+        for bad in (None, 0, -1):
+            with pytest.raises(ValueError, match="allreduce_bucket_bytes"):
+                TrainingStepSimulator(spec, LASSEN, allreduce_bucket_bytes=bad)
 
     def test_overlapped_shuffle_decomposition(self):
         """On a small mesh config with a skip edge crossing a strategy
@@ -320,12 +318,8 @@ class TestTrainingSimulator:
         tasks exist, and at what price, is ``TestScheduleConformance``)."""
         spec, strategy, _ = CASES["skip"]()
         n = 8
-        sim_on = TrainingStepSimulator(spec, LASSEN).simulate(n, strategy)
-        sim_off = TrainingStepSimulator(
-            spec, LASSEN, overlap_shuffle=False
-        ).simulate(n, strategy)
+        eng = TrainingStepSimulator(spec, LASSEN).simulate(n, strategy).engine
         model = NetworkCostModel(spec, LASSEN)
-        eng = sim_on.engine
         s_c0 = model.shuffle_edge_cost("c0", n, strategy)
         s_a1 = model.shuffle_edge_cost("a1", n, strategy)
 
@@ -338,10 +332,7 @@ class TestTrainingSimulator:
             t0 + max(s_c0, branch) + s_a1
         )
 
-        # Finishing where it starts serializes the shuffle at consumption;
-        # its duration is the same payload time (one exchange implementation).
-        assert sim_off.engine["fwd:shuf:c0->join"].duration == s_c0
-        assert sim_off.minibatch_time >= sim_on.minibatch_time
+        assert eng["fwd:shuf:c0->join"].duration == s_c0
 
         # Every shuffle is priced at its payload (2 edges x fwd+bwd = 4 here).
         assert model.cost(n, strategy).shuffle_total == pytest.approx(2 * (s_c0 + s_a1))
@@ -356,24 +347,9 @@ class TestTrainingSimulator:
         spec.add("c1", "conv", ["p0"], filters=8, kernel=3, pad=1)
         spec.add("c2", "conv", ["c1"], filters=8, kernel=3, pad=1)
         strategy = ParallelStrategy({"input": LP(sample=4)}, default=LP(height=2, width=2))
-        for overlap_halo in (True, False):
-            eng = TrainingStepSimulator(
-                spec, LASSEN, overlap_halo=overlap_halo
-            ).simulate(8, strategy).engine
-            bwd = {t.name for t in eng.tasks() if t.name.startswith("bwd:")}
-            assert "fwd:shuf:input->p0" in eng._tasks
-            assert {"bwd:c2:halo", "bwd:c2:filter", "bwd:c2:data", "bwd:c1:filter"} <= bwd
-            assert not any(n.startswith(("bwd:c1:data", "bwd:c1:halo")) for n in bwd)
-            assert not any(n.startswith(("bwd:p0", "bwd:shuf")) for n in bwd)
-
-    def test_bucketing_requires_overlap(self):
-        """Bucket bytes are ignored when allreduce overlap is disabled."""
-        spec = mesh_model_1k()
-        strategy = ParallelStrategy.uniform(LP(sample=4))
-        plain = TrainingStepSimulator(
-            spec, LASSEN, overlap_allreduce=False
-        ).simulate(4, strategy)
-        with_bucket = TrainingStepSimulator(
-            spec, LASSEN, overlap_allreduce=False, allreduce_bucket_bytes=1 << 22
-        ).simulate(4, strategy)
-        assert with_bucket.minibatch_time == plain.minibatch_time
+        eng = TrainingStepSimulator(spec, LASSEN).simulate(8, strategy).engine
+        bwd = {t.name for t in eng.tasks() if t.name.startswith("bwd:")}
+        assert "fwd:shuf:input->p0" in eng._tasks
+        assert {"bwd:c2:halo", "bwd:c2:filter", "bwd:c2:data", "bwd:c1:filter"} <= bwd
+        assert not any(n.startswith(("bwd:c1:data", "bwd:c1:halo")) for n in bwd)
+        assert not any(n.startswith(("bwd:p0", "bwd:shuf")) for n in bwd)

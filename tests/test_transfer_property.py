@@ -13,8 +13,8 @@ count), replicated axes — and regions reaching past the global edge:
 * scatter-add == accumulating every rank's region on the global array
   (small integers, so order cannot matter), with and without a plan, and is
   the adjoint of the gather: ``<gather(x), r> == <x, scatter_add(r)>``;
-* ``finish()`` is idempotent on every exchange (sync mode is an early
-  ``finish()`` followed by the usual one);
+* ``finish()`` is idempotent on every exchange (a forward shuffle shared
+  by several consumers is finished by each of them);
 * the floating-point order of an accumulating exchange — own contribution
   first, then peers in ascending comm rank — gives the same bits on the
   thread, process and socket backends.
