@@ -7,16 +7,17 @@
 * :mod:`repro.core.dist_conv` — distributed convolution (§III-A): sample,
   spatial, and hybrid sample/spatial decompositions with halo exchange,
   exactly replicating single-device convolution.
-* :mod:`repro.core.dist_layers` — distributed pooling, batch norm (local /
-  spatially-aggregated / global variants, §III-B), ReLU, add, global
+* :mod:`repro.core.dist_layers` — distributed pooling, batch norm (§III-B,
+  over the statistics group the schedule hands it), ReLU, add, global
   pooling, FC, and loss layers.
 * :mod:`repro.core.dist_network` — end-to-end distributed execution of a
   :class:`~repro.nn.graph.NetworkSpec` under a strategy, including data
   redistribution between layers (§III-C) and gradient allreduce.
 * :mod:`repro.core.schedule` — ``lower(spec, strategy, n)``: the one op
   list of a training step (layers and their backward role, shuffle ops,
-  gradient-bucket cuts) that ``DistNetwork`` interprets and the cost
-  model, simulator, memory model and strategy optimizer price.
+  the layers' blocking collectives and their groups, gradient-bucket
+  cuts) that ``DistNetwork`` interprets and the cost model, simulator,
+  memory model and strategy optimizer price.
 * :mod:`repro.core.trainer` — the distributed training loop, with atomic
   checkpoint/resume (:mod:`repro.core.checkpoint`).
 * :mod:`repro.core.strategy` — the performance-model-driven strategy

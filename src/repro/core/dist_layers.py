@@ -10,19 +10,22 @@ region algebra (:mod:`repro.core.window`) and its post-halo / interior /
 ``finish()`` / boundary sequence (:func:`~repro.core.dist_conv.run_block`),
 and its backward scatter-add is the forward gather's plan read backwards.
 
-Batch normalization offers the paper's design choice explicitly: purely
-local statistics, statistics aggregated over the spatial group of each
-sample ("a variant that aggregates over the spatial distribution of a
-sample"), or fully global statistics (which exactly replicates single-device
-training and is what the exactness tests use).
+No layer here picks a group to communicate over: batch-norm statistics,
+global average pooling and the loss are collectives of the lowered step
+(:func:`repro.core.schedule.lower` decides the grid axes each spans, and so
+§III-B's choice of statistics), and each layer is handed its op's
+sub-communicator, or ``None``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.nn import functional as F
 from repro.comm.buffers import BufferPool
+from repro.comm.communicator import Communicator
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
 from repro.core.parallelism import activation_dist
@@ -152,62 +155,37 @@ class DistPool2d:
 
 
 class DistBatchNorm:
-    """Distributed batch normalization with selectable aggregation (§III-B).
+    """Distributed batch normalization (§III-B).
 
-    * ``aggregate='local'``  — statistics over the local shard only ("batch
-      normalization is typically computed locally on each processor");
-    * ``aggregate='spatial'`` — allreduce statistics over the spatial group,
-      so each sample group normalizes over complete samples;
-    * ``aggregate='global'`` — allreduce over every rank holding distinct
-      data: statistics over the full mini-batch, exactly replicating
-      single-device batch norm.
-
-    An aggregating layer costs two collectives per step: one allreduce of
-    the stacked ``(sum, sum of squares)`` in forward and one of the stacked
-    ``(dgamma, dbeta)`` in backward (the latter only when ``dx`` is
-    needed).  The reduction is element-wise, so stacking moves no bit, and
-    the size of the normalization set is not communicated at all — every
-    rank derives it from the global shape.
+    A training forward is handed the communicator of its statistics group
+    and the grid ``axes`` it spans (``None``, ``()``: the local shard's).
+    A group costs two collectives per step: one allreduce of the stacked
+    ``(sum, sum of squares)`` in forward and one of the stacked ``(dgamma,
+    dbeta)`` in backward (only when ``dx`` is needed).  The reduction is element-wise,
+    so stacking moves no bit, and the size of the normalization set is not
+    communicated: it is the global extent on ``axes``, the local elsewhere.
     """
-
-    AGGREGATES = ("local", "spatial", "global")
 
     def __init__(
         self,
         grid: ProcessGrid,
         gamma: np.ndarray,
         beta: np.ndarray,
-        aggregate: str = "global",
         eps: float = 1e-5,
         momentum: float = 0.9,
     ) -> None:
-        if aggregate not in self.AGGREGATES:
-            raise ValueError(
-                f"aggregate must be one of {self.AGGREGATES}, got {aggregate!r}"
-            )
         self.grid = grid
         self.gamma = gamma
         self.beta = beta
-        self.aggregate = aggregate
         self.eps = eps
         self.momentum = momentum
         self.running_mean = np.zeros_like(gamma)
         self.running_var = np.ones_like(gamma)
         self._cache: dict = {}
 
-    def _stats_comm(self, dist):
-        """Communicator over which statistics are aggregated."""
-        if self.aggregate == "local":
-            return None
-        if self.aggregate == "spatial":
-            axes = [d for d in (2, 3) if dist.is_split(d)]
-        else:  # global: every axis along which data is partitioned
-            axes = [d for d in (0, 2, 3) if dist.is_split(d)]
-        if not axes:
-            return None
-        return self.grid.axes_comm(axes)
-
-    def forward(self, x: DistTensor, training: bool = True) -> DistTensor:
+    def forward(
+        self, x: DistTensor, training: bool = True, comm: Communicator | None = None, axes=()
+    ) -> DistTensor:
         if not training:
             y_local, _ = F.batchnorm_forward(
                 x.local, self.gamma, self.beta, eps=self.eps,
@@ -217,16 +195,12 @@ class DistBatchNorm:
             # (and its count) does not apply to running statistics.
             self._cache = {"bn": None}
             return DistTensor(self.grid, x.dist, x.global_shape, y_local)
-        s, ss, count = F.batchnorm_stats(x.local)
-        comm = self._stats_comm(x.dist)
+        s, ss, _ = F.batchnorm_stats(x.local)
         if comm is not None:
             s, ss = comm.allreduce(np.stack((s, ss)))
-            # The group's element count, from shapes: it spans the whole
-            # spatial extent and, for "global", the whole mini-batch.
-            n, _, h, w = x.global_shape
-            if self.aggregate == "spatial":
-                n = x.local.shape[0]
-            count = float(n * h * w)
+        count = float(
+            math.prod((x.global_shape if d in axes else x.local.shape)[d] for d in (0, 2, 3))
+        )
         mean = s / count
         var = ss / count - mean**2
         mom = self.momentum
@@ -235,17 +209,18 @@ class DistBatchNorm:
         y_local, bn_cache = F.batchnorm_forward(
             x.local, self.gamma, self.beta, eps=self.eps, mean=mean, var=var
         )
-        self._cache = {"bn": bn_cache, "count": count, "dist": x.dist}
+        self._cache = {"bn": bn_cache, "count": count}
         return DistTensor(self.grid, x.dist, x.global_shape, y_local)
 
     def backward(
-        self, dy: DistTensor, need_dx: bool = True
+        self, dy: DistTensor, need_dx: bool = True, comm: Communicator | None = None
     ) -> tuple[DistTensor | None, np.ndarray, np.ndarray]:
         """Returns ``(dx, dgamma_partial, dbeta_partial)``; the partials
         still need the layer-gradient allreduce (like conv's ``dw``).
-        ``need_dx=False`` (the network passes it when the parent needs no
-        error signal) skips ``dx`` and the statistics allreduces only it
-        uses, and returns ``None`` in its place."""
+        ``comm`` is the forward's statistics group.  ``need_dx=False`` (the
+        network passes it when the parent needs no error signal) skips
+        ``dx`` and the statistics allreduce only it uses, and returns
+        ``None`` in its place."""
         cache = self._cache
         if not cache:
             raise RuntimeError("backward() before forward()")
@@ -255,7 +230,6 @@ class DistBatchNorm:
         if not need_dx:
             return None, local_dgamma, local_dbeta
         dg, db = local_dgamma, local_dbeta
-        comm = self._stats_comm(cache["dist"])
         if comm is not None:
             dg, db = comm.allreduce(np.stack((dg, db)))
         dx_local = F.batchnorm_backward_data(
@@ -302,20 +276,18 @@ class DistAdd:
 
 
 class DistGlobalAvgPool:
-    """Global average pooling: local spatial sums + allreduce over the
-    spatial group; the (N, C, 1, 1) output is replicated over the spatial
-    axes so no rank holds an empty shard."""
+    """Global average pooling: local spatial sums + an allreduce over
+    ``comm``, the spatial group; the (N, C, 1, 1) output is replicated over
+    the spatial axes so no rank holds an empty shard."""
 
     def __init__(self, grid: ProcessGrid) -> None:
         self.grid = grid
         self._cache: dict = {}
 
-    def forward(self, x: DistTensor) -> DistTensor:
+    def forward(self, x: DistTensor, comm: Communicator | None = None) -> DistTensor:
         n, c, h, w = x.global_shape
         local_sum = x.local.sum(axis=(2, 3))
-        axes = [d for d in (2, 3) if x.dist.is_split(d)]
-        if axes:
-            comm = self.grid.axes_comm(axes)
+        if comm is not None:
             local_sum = comm.allreduce(local_sum)
         y_local = (local_sum / (h * w))[:, :, None, None]
         y_shape = (n, c, 1, 1)
@@ -381,38 +353,21 @@ class DistFC:
         return dx, dw, (db if self.bias is not None else None)
 
 
-class DistSoftmaxCrossEntropy:
-    """Mean softmax cross-entropy over the global mini-batch.
-
-    Each rank evaluates its local samples against its slice of the labels;
-    the scalar loss is completed with an allreduce over the sample axis.
-    """
+class _DistLoss:
+    """A loss layer: each rank evaluates its own block, the sum is completed
+    by an allreduce over ``comm`` (``None``: nothing to complete), and
+    backward seeds the error signal cached by the forward."""
 
     def __init__(self, grid: ProcessGrid) -> None:
         self.grid = grid
         self._cache: dict = {}
 
-    def forward_loss(self, logits: DistTensor, labels: np.ndarray) -> float:
-        n_global = logits.global_shape[0]
-        (n_lo, n_hi) = logits.bounds[0]
-        local_labels = labels[n_lo:n_hi]
-        flat = logits.local.reshape(logits.local.shape[0], -1)
-        if flat.shape[0] > 0:
-            local_loss_sum, dlogits = F.softmax_cross_entropy(flat, local_labels)
-            local_loss_sum *= flat.shape[0]
-            dlogits = dlogits * flat.shape[0] / n_global
-        else:  # pragma: no cover - empty shard edge case
-            local_loss_sum, dlogits = 0.0, np.zeros_like(flat)
-        # Sum each sample's loss exactly once: reduce over the sample axis.
-        axes = [d for d in (0,) if logits.dist.is_split(d)]
-        total = local_loss_sum
-        if axes:
-            total = self.grid.axes_comm(axes).allreduce(local_loss_sum)
-        self._cache = {
-            "dlogits": dlogits.reshape(logits.local.shape),
-            "logits": logits,
-        }
-        return float(total) / n_global
+    def _mean(self, logits, dlogits, local_sum, comm, count) -> float:
+        # One element, folded in comm-rank order: the same bits everywhere.
+        self._cache = {"dlogits": dlogits, "logits": logits}
+        if comm is not None:
+            local_sum = comm.allreduce(np.array([local_sum]), algorithm="direct")[0]
+        return float(local_sum) / count
 
     def backward(self) -> DistTensor:
         logits: DistTensor = self._cache["logits"]
@@ -421,38 +376,43 @@ class DistSoftmaxCrossEntropy:
         )
 
 
-class DistBCEWithLogits:
+class DistSoftmaxCrossEntropy(_DistLoss):
+    """Mean softmax cross-entropy over the global mini-batch.
+
+    Each rank evaluates its local samples against its slice of the labels;
+    the loss is completed over ``comm``, the sample group.
+    """
+
+    def forward_loss(
+        self, logits: DistTensor, labels: np.ndarray, comm: Communicator | None = None
+    ) -> float:
+        n_global = logits.global_shape[0]
+        (n_lo, n_hi) = logits.bounds[0]
+        flat = logits.local.reshape(logits.local.shape[0], -1)
+        local_loss_sum, dlogits = F.softmax_cross_entropy(flat, labels[n_lo:n_hi])
+        local_loss_sum *= flat.shape[0]
+        dlogits = dlogits * flat.shape[0] / n_global
+        return self._mean(
+            logits, dlogits.reshape(logits.local.shape), local_loss_sum, comm, n_global
+        )
+
+
+class DistBCEWithLogits(_DistLoss):
     """Per-pixel binary cross-entropy (the mesh-tangling loss).
 
     Targets are supplied globally; each rank slices its block.  The mean is
-    completed by an allreduce over all split axes.
+    completed over ``comm``, every split axis.
     """
 
-    def __init__(self, grid: ProcessGrid) -> None:
-        self.grid = grid
-        self._cache: dict = {}
-
-    def forward_loss(self, logits: DistTensor, targets: np.ndarray) -> float:
+    def forward_loss(
+        self, logits: DistTensor, targets: np.ndarray, comm: Communicator | None = None
+    ) -> float:
         b = logits.bounds
         t_local = np.asarray(targets, dtype=logits.dtype)[
             b[0][0] : b[0][1], b[1][0] : b[1][1], b[2][0] : b[2][1], b[3][0] : b[3][1]
         ]
         count_global = float(np.prod(logits.global_shape))
-        if logits.local.size:
-            local_loss, dlogits = F.sigmoid_bce_with_logits(logits.local, t_local)
-            local_sum = local_loss * logits.local.size
-            dlogits = dlogits * logits.local.size / count_global
-        else:  # pragma: no cover
-            local_sum, dlogits = 0.0, np.zeros_like(logits.local)
-        axes = [d for d in range(4) if logits.dist.is_split(d)]
-        total = local_sum
-        if axes:
-            total = self.grid.axes_comm(axes).allreduce(local_sum)
-        self._cache = {"dlogits": dlogits, "logits": logits}
-        return float(total) / count_global
-
-    def backward(self) -> DistTensor:
-        logits: DistTensor = self._cache["logits"]
-        return DistTensor(
-            self.grid, logits.dist, logits.global_shape, self._cache["dlogits"]
-        )
+        local_loss, dlogits = F.sigmoid_bce_with_logits(logits.local, t_local)
+        local_sum = local_loss * logits.local.size
+        dlogits = dlogits * logits.local.size / count_global
+        return self._mean(logits, dlogits, local_sum, comm, count_global)

@@ -3,10 +3,11 @@
 This is the LBANN-analogue training pipeline (paper §IV).  A step is
 :func:`repro.core.schedule.lower` plus one interpreter: the schedule says
 which layers run (and which run backward, with or without a ``dx``), which
-edges redistribute (§III-C shuffles, one per parent and target placement)
-and which gradient group each layer's dL/dw partials are summed over
-(paper Eq. 2); :meth:`DistNetwork.forward` / :meth:`DistNetwork.backward`
-walk that list, looking each layer kind up in one table (``_KINDS``).
+edges redistribute (§III-C shuffles, one per parent and target placement),
+which gradient group each layer's dL/dw partials are summed over (paper
+Eq. 2) and which ranks a layer's blocking collective spans;
+:meth:`DistNetwork.forward` / :meth:`DistNetwork.backward` walk that list,
+looking each layer kind up in one table (``_KINDS``).
 
 Every step runs the §IV schedule, and every transfer is a ``start`` and a
 ``finish()`` of one implementation.  A forward shuffle starts with the
@@ -63,7 +64,7 @@ from repro.tensor.shuffle import ShuffleExchange, start_shuffle
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
 from repro.core.dist_conv import DistConv2d
 from repro.core.grad_reducer import DEFAULT_BUCKET_BYTES, BucketedGradReducer
-from repro.core.schedule import ShuffleOp, StepSchedule, lower
+from repro.core.schedule import LayerOp, ShuffleOp, StepSchedule, lower
 from repro.core.dist_layers import (
     DistAdd,
     DistBatchNorm,
@@ -83,10 +84,11 @@ class _Kind(NamedTuple):
     """How the interpreter runs one layer kind.
 
     ``build(net, layer, grid, params)`` constructs the layer;
-    ``forward(net, impl, xs, training, targets)`` returns its output;
-    ``backward(impl, dy, need_dx)`` returns ``(dx, grads)`` — one ``dx``
-    for every parent, ``grads`` the dL/dw partials or ``None``.  A loss
-    ``seeds`` backward from its own cache instead of taking a ``dy``.
+    ``forward(net, impl, xs, training, targets, group)`` returns its output;
+    ``backward(impl, dy, need_dx, group)`` returns ``(dx, grads)`` — one
+    ``dx`` for every parent, ``grads`` the dL/dw partials or ``None``;
+    ``group`` is :meth:`DistNetwork._group`.  A loss ``seeds`` backward from
+    its own cache instead of taking a ``dy``.
     """
 
     build: Callable
@@ -95,27 +97,27 @@ class _Kind(NamedTuple):
     seeds: bool = False
 
 
-def _unary(net, impl, xs, training, targets):
+def _unary(net, impl, xs, training, targets, group):
     return impl.forward(xs[0])
 
 
-def _dx_only(impl, dy, need_dx):
+def _dx_only(impl, dy, need_dx, group):
     return impl.backward(dy), None
 
 
-def _weights(impl, dy, need_dx):
+def _weights(impl, dy, need_dx, group):
     dx, dw, db = impl.backward(dy, need_dx)
     return dx, ({"w": dw} if db is None else {"w": dw, "b": db})
 
 
-def _bn_backward(impl, dy, need_dx):
-    dx, dgamma, dbeta = impl.backward(dy, need_dx)
+def _bn_backward(impl, dy, need_dx, group):
+    dx, dgamma, dbeta = impl.backward(dy, need_dx, group[0])
     return dx, {"gamma": dgamma, "beta": dbeta}
 
 
-def _loss_forward(net, impl, xs, training, targets):
+def _loss_forward(net, impl, xs, training, targets, group):
     if targets is not None:
-        net.loss = impl.forward_loss(xs[0], targets)
+        net.loss = impl.forward_loss(xs[0], targets, group[0])
     return xs[0]
 
 
@@ -123,7 +125,7 @@ def _loss(cls) -> _Kind:
     return _Kind(
         lambda net, layer, grid, p: cls(grid),
         _loss_forward,
-        lambda impl, dy, need_dx: (impl.backward(), None),
+        lambda impl, dy, need_dx, group: (impl.backward(), None),
         seeds=True,
     )
 
@@ -154,18 +156,21 @@ _KINDS: dict[str, _Kind] = {
     ),
     "bn": _Kind(
         lambda net, layer, grid, p: DistBatchNorm(
-            grid, p["gamma"], p["beta"], aggregate=net.bn_aggregate,
-            momentum=layer.get("momentum", 0.9),
+            grid, p["gamma"], p["beta"], momentum=layer.get("momentum", 0.9)
         ),
-        lambda net, impl, xs, training, targets: impl.forward(xs[0], training=training),
+        lambda net, impl, xs, training, targets, group: impl.forward(xs[0], training, *group),
         _bn_backward,
     ),
     "relu": _Kind(lambda net, layer, grid, p: DistReLU(grid), _unary, _dx_only),
-    "gap": _Kind(lambda net, layer, grid, p: DistGlobalAvgPool(grid), _unary, _dx_only),
+    "gap": _Kind(
+        lambda net, layer, grid, p: DistGlobalAvgPool(grid),
+        lambda net, impl, xs, training, targets, group: impl.forward(xs[0], group[0]),
+        _dx_only,
+    ),
     "add": _Kind(
         lambda net, layer, grid, p: DistAdd(grid),
-        lambda net, impl, xs, training, targets: impl.forward(*xs),
-        lambda impl, dy, need_dx: (dy, None),  # every parent gets dy itself
+        lambda net, impl, xs, training, targets, group: impl.forward(*xs),
+        lambda impl, dy, need_dx, group: (dy, None),  # every parent gets dy itself
     ),
     "fc": _Kind(
         lambda net, layer, grid, p: DistFC(grid, p["w"], p.get("b")), _unary, _weights
@@ -185,7 +190,6 @@ class DistNetwork:
         strategy: ParallelStrategy | LayerParallelism,
         seed: int = 0,
         dtype=np.float64,
-        bn_aggregate: str = "global",
         grad_bucket_bytes: int = DEFAULT_BUCKET_BYTES,
         collective_algorithm: str | None = None,
         grad_segment_bytes: int | str | None = None,
@@ -202,7 +206,6 @@ class DistNetwork:
         self.strategy = strategy
         self.seed = seed
         self.dtype = dtype
-        self.bn_aggregate = bn_aggregate
         self.grad_bucket_bytes = grad_bucket_bytes
         #: Wire algorithm for the gradient allreduces (the
         #: :meth:`~repro.comm.communicator.Communicator.allreduce` knob):
@@ -260,6 +263,12 @@ class DistNetwork:
             tensor, self._grid(op.dst.grid_shape), op.dst, pool=self._shuffle_pool
         )
 
+    def _group(self, phase: str, op: LayerOp) -> tuple[Communicator | None, tuple]:
+        """``(sub-communicator, grid axes)`` of the collective the schedule
+        has ``op`` block on in ``phase``; ``(None, ())`` when it has none."""
+        c = self._sched.collective(phase, op.name)
+        return (None, ()) if c is None else (self._grid(op.grid_shape).axes_comm(c.axes), c.axes)
+
     def forward(
         self,
         inputs: dict[str, np.ndarray] | np.ndarray,
@@ -304,7 +313,8 @@ class DistNetwork:
                         for e in op.edges
                     ]
                     acts[name] = _KINDS[op.kind].forward(
-                        self, self._layers[name], xs, training, targets
+                        self, self._layers[name], xs, training, targets,
+                        self._group("fwd", op),
                     )
                 else:  # an input: shard the global array
                     acts[name] = DistTensor.from_global(
@@ -385,7 +395,9 @@ class DistNetwork:
                         dy.local += part.local
                 if dy is None and not kind.seeds:
                     continue  # no path to the loss
-                dx, g = kind.backward(self._layers[name], dy, op.need_dx)
+                dx, g = kind.backward(
+                    self._layers[name], dy, op.need_dx, self._group("bwd", op)
+                )
                 # The dx shuffle first: it is in flight while the reducer
                 # coalesces and launches this layer's gradient allreduce.
                 for e in op.edges:

@@ -11,22 +11,27 @@ first-class ops —
 * one **backward shuffle** per redistributed edge whose parent needs an
   error signal;
 * the **gradient buckets** (:meth:`StepSchedule.grad_buckets`): where each
-  gradient group's dL/dw allreduces are cut.
+  gradient group's dL/dw allreduces are cut;
+* the **blocking collectives** (:attr:`StepSchedule.collectives`) a layer
+  issues inside its window — batch-norm statistics, global average
+  pooling's sums, the loss — each over the grid axes chosen here.
 
 The engine (:class:`~repro.core.dist_network.DistNetwork`) interprets this
 list; the cost model, the task-graph simulator, the memory model, the
 strategy optimizer's edge price and the analyzer's model table read the
-same one.  The three decisions a step is made of — which edges
-redistribute, which layers run backward and compute a ``dx``, and where a
-gradient bucket is cut — are each taken here and nowhere else, so a model
-cannot charge a transfer the engine does not make.  (The single-process
+same one.  The decisions a step is made of — which edges redistribute,
+which layers run backward and compute a ``dx``, where a gradient bucket is
+cut and which ranks a collective spans — are each taken here and nowhere
+else, so a model cannot charge a message the engine does not send (halos
+aside: the windowed layers post them).  The single-process
 :class:`~repro.nn.network.LocalNetwork` deliberately does not use this
-module: it is the reference the engine is checked against.)
+module: it is the reference the engine is checked against.
 
 Pure data: no communicator, no tensors, no cost numbers.  Op ids are
 stable strings (``fwd:shuf:{parent}->{first consumer}``,
-``bwd:shuf:{child}->{parent}``, ``ar:bucket{i}:g{group size}``) and double
-as the simulator's task names.
+``bwd:shuf:{child}->{parent}``, ``ar:bucket{i}:g{group size}``,
+``{fwd|bwd}:{bnstats|gap|loss}:{layer}:g{group size}``) and double as the
+simulator's task names.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from repro.nn.graph import NetworkSpec
+from repro.nn.graph import LayerSpec, NetworkSpec
 from repro.tensor.distribution import Distribution
 from repro.core.parallelism import ParallelStrategy, activation_dist
 
@@ -91,6 +96,19 @@ class LayerOp:
     #: sub-communicator its dL/dw partials are summed over (paper Eq. 2);
     #: ``None`` when there is nothing to reduce.
     grad_group: tuple | None
+
+
+@dataclass(frozen=True)
+class CollectiveOp:
+    """One blocking allreduce a layer issues inside its window."""
+
+    op_id: str
+    layer: str
+    #: The grid axes it spans (a sub-grid of the layer's), of ``group`` > 1 ranks.
+    axes: tuple[int, ...]
+    group: int
+    #: Payload in elements on the largest block (the critical-path rank).
+    elems: int
 
 
 @dataclass(frozen=True)
@@ -159,7 +177,7 @@ def cut_buckets(
 class StepSchedule:
     """The lowered step: layer ops in topological order (see module doc)."""
 
-    def __init__(self, layers: tuple[LayerOp, ...]) -> None:
+    def __init__(self, layers: tuple[LayerOp, ...], collectives: dict[tuple, CollectiveOp]) -> None:
         self.layers = layers
         self._by_name = {op.name: op for op in layers}
         #: The layers backward visits, in the order it visits them.
@@ -170,9 +188,22 @@ class StepSchedule:
         ) + tuple(
             e.bwd for op in self.backward for e in op.edges if e.bwd is not None
         )
+        self._collectives = collectives
+        #: Every blocking collective of one step, forward then backward, in
+        #: issue order.
+        self.collectives: tuple[CollectiveOp, ...] = tuple(
+            c
+            for phase, ops in (("fwd", layers), ("bwd", self.backward))
+            for op in ops
+            if (c := collectives.get((phase, op.name))) is not None
+        )
 
     def __getitem__(self, name: str) -> LayerOp:
         return self._by_name[name]
+
+    def collective(self, phase: str, layer: str) -> CollectiveOp | None:
+        """What ``layer`` blocks on in ``phase`` (``"fwd"``/``"bwd"``), if anything."""
+        return self._collectives.get((phase, layer))
 
     def grad_buckets(self, bucket_bytes: float, itemsize: int) -> list[GradBucket]:
         """The dL/dw allreduces of one step for parameters of ``itemsize``
@@ -185,6 +216,38 @@ class StepSchedule:
             ),
             bucket_bytes,
         )
+
+
+def _collectives(
+    layer: LayerSpec, grid: tuple, x_shape: tuple, need_dx: bool
+) -> list[tuple[str, CollectiveOp]]:
+    """``[(phase, op)]``: the blocking collectives of ``layer``, reading an
+    input of global shape ``x_shape`` in its placement on ``grid``.  Batch
+    norm's statistics span its gradient axes — the mini-batch's statistics,
+    exactly single-device batch norm — forward, and backward when it
+    computes a ``dx``; global pooling's sums the split spatial axes; softmax
+    cross-entropy the sample axis, per-pixel BCE every split axis."""
+    x = activation_dist(grid, x_shape)
+    split = tuple(d for d in range(x.ndim) if x.is_split(d))
+    n_local, c = x.local_shape(x_shape, (0,) * x.ndim)[:2]
+    if layer.kind == "bn":
+        tag, axes, elems = "bnstats", grad_axes(grid, x_shape), 2 * c
+    elif layer.kind == "gap":
+        tag, axes, elems = "gap", tuple(d for d in split if d in (2, 3)), n_local * c
+    elif layer.kind == "softmax_ce":
+        tag, axes, elems = "loss", tuple(d for d in split if d == 0), 1
+    elif layer.kind == "bce":
+        tag, axes, elems = "loss", split, 1
+    else:
+        return []
+    group = math.prod(grid[d] for d in axes)
+    if group == 1:
+        return []
+    phases = ("fwd", "bwd") if layer.kind == "bn" and need_dx else ("fwd",)
+    return [
+        (ph, CollectiveOp(f"{ph}:{tag}:{layer.name}:g{group}", layer.name, axes, group, elems))
+        for ph in phases
+    ]
 
 
 def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepSchedule:
@@ -214,8 +277,13 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
         starts.setdefault(p, []).append(shuf)
 
     ops = []
+    collectives: dict[tuple[str, str], CollectiveOp] = {}
     for layer in spec:
         name = layer.name
+        if layer.parents:
+            x_shape = gshape[layer.parents[0]]
+            for phase, c in _collectives(layer, grids[name], x_shape, name in need_dx):
+                collectives[phase, name] = c
         edges = []
         for p in layer.parents:
             shuf = fwd.get((p, grids[name]))
@@ -248,4 +316,4 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
         e.bwd.dst == out[e.parent] if e.bwd else e.fwd is None
         for op in ops for e in op.edges if e.wants_dx
     )
-    return StepSchedule(tuple(ops))
+    return StepSchedule(tuple(ops), collectives)

@@ -98,6 +98,8 @@ class StrategyOptimizer:
         self.shapes = spec.infer_shapes()
         #: ``_shuffle_cost`` by (layer, is its input edge a cut?).
         self._cut_price: dict[tuple[str, bool], float] = {}
+        #: Per candidate: each layer's blocking collectives, priced.
+        self._coll_price: dict[LayerParallelism, dict[str, float]] = {}
 
     # -- candidate generation ----------------------------------------------------
     def candidates(self, name: str) -> list[LayerParallelism]:
@@ -150,12 +152,20 @@ class StrategyOptimizer:
         return out
 
     def _layer_cost(self, name: str, par: LayerParallelism) -> float:
+        """The segment's kernels, halos and blocking collectives under ``par``."""
         strategy = ParallelStrategy.uniform(par)
+        colls = self._coll_price.get(par)
+        if colls is None:
+            bd = self.cost_model.cost(self.n_global, strategy)
+            colls = self._coll_price[par] = {}
+            for c in bd.schedule.collectives:
+                colls[c.layer] = colls.get(c.layer, 0.0) + bd.comm_ops[c.op_id]
         total = 0.0
         for seg_name in self._segment_layers(name):
             cost = self.cost_model.layer_cost(seg_name, self.n_global, strategy)
             if cost is not None:
                 total += cost.fp_time() + cost.bp_time()
+            total += colls.get(seg_name, 0.0)
         return total
 
     def _shuffle_cost(self, name: str, pa: LayerParallelism, pb: LayerParallelism) -> float:

@@ -209,13 +209,14 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
 
     Joined on op id: a layer's modeled time is the window (last finish −
     first start) of the simulated tasks of its ``fwd:{layer}`` /
-    ``bwd:{layer}`` op — the ids the runtime's layer spans carry; allreduce
-    bytes come from ``NetworkCostModel.layer_cost``.
+    ``bwd:{layer}`` op — the ids the runtime's layer spans carry; a layer's
+    allreduce bytes are its parameters in the step's gradient buckets.
     """
     from repro.sim import TrainingStepSimulator
 
     sim = TrainingStepSimulator(spec, machine, **sim_kwargs)
     res = sim.simulate(n_global, strategy)
+    sched = sim.cost(n_global, strategy).schedule
 
     windows: dict = {}
     for task in res.engine.tasks():
@@ -228,10 +229,9 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
 
     layers = {}
     ar_bytes_total = 0
-    for layer in spec.topo_order():
-        name = layer.name
-        cost = sim.layer_cost(name, n_global, strategy)
-        ar_bytes = int(cost.allreduce_bytes) if cost is not None else 0
+    for op in sched.layers:
+        name = op.name
+        ar_bytes = op.param_count * machine.dtype_bytes if op.grad_group else 0
         ar_bytes_total += ar_bytes
         layers[name] = {
             "fwd_s": seconds(f"fwd:{name}"),

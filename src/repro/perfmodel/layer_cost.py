@@ -8,9 +8,10 @@ local extents I_N, I_C, I_H, I_W:
     BPx = C_x(...) + same halo terms (on dL/dy)
     BPw = C_w(...)
 
-BPa, the dL/dw allreduce, is priced per gradient bucket by
-:class:`~repro.perfmodel.network_cost.NetworkCostModel`, as the engine
-reduces it; a layer carries only its payload (``allreduce_bytes``).
+BPa, the dL/dw allreduce, is priced per gradient bucket, and a layer's
+blocking collectives (batch-norm statistics, global pooling, the loss) per
+schedule op, by :class:`~repro.perfmodel.network_cost.NetworkCostModel`:
+a layer's cost here is its kernels and halo only.
 
 Halo terms drop out when a spatial dimension is not split (or when K = 1),
 and "if the implementation supports it, the halo exchanges can be
@@ -31,17 +32,13 @@ contribution accumulates while boundary strips travel), so they carry a
 real forward ``boundary_fraction`` *and* a real backward
 ``bp_boundary_fraction`` — the latter measured on the input grid, where
 the scatter-add's remote strips live.
-Layers the engine does not decompose at all (batch-norm statistics
-allreduces) carry ``boundary_fraction=1``, which degenerates both formulas
-to the serialized cost — the model matches what the engine actually
-overlaps rather than the best case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.comm.collective_models import allreduce_time, pt2pt_time
+from repro.comm.collective_models import pt2pt_time
 from repro.nn.functional import _pair
 from repro.perfmodel.conv_model import ConvGeometry
 from repro.perfmodel.machine import MachineSpec
@@ -61,8 +58,6 @@ class ConvLayerCost:
     #: Extra kernel launches when the input is decomposed into interior +
     #: boundary regions for overlap (§IV-A).
     boundary_launch: float = 0.0
-    #: Payload of the dL/dw allreduce (the analyzer's modeled bytes).
-    allreduce_bytes: float = 0.0
     #: Fraction of the layer's compute that belongs to the boundary kernels
     #: (must wait for the halo).  0 = everything overlaps the exchange,
     #: 1 = nothing does (layers the engine does not decompose).
@@ -212,7 +207,6 @@ def conv_layer_cost(
         bpx_halo=halo,
         bpw_compute=bpw_c,
         boundary_launch=boundary_launch,
-        allreduce_bytes=f * c * kh * kw * db,
         boundary_fraction=boundary_fraction,
     )
 
@@ -300,36 +294,4 @@ def pool_layer_cost(
         boundary_launch=boundary_launch,
         boundary_fraction=boundary_fraction,
         bp_boundary_fraction=bp_boundary_fraction,
-    )
-
-
-def elementwise_layer_cost(
-    machine: MachineSpec,
-    *,
-    local_elems: float,
-    passes_fwd: int = 2,
-    passes_bwd: int = 2,
-    params_bytes: float = 0.0,
-    stats_allreduce_bytes: float = 0.0,
-    stats_group: int = 1,
-    allreduce_algorithm=None,
-) -> ConvLayerCost:
-    """BN / ReLU / add / GAP: memory-bound passes (+BN's statistics
-    allreduces over its aggregation group, and its dL/dw payload)."""
-    db = machine.dtype_bytes
-    fp = machine.gpu.elementwise_time(passes_fwd * local_elems * db)
-    bp = machine.gpu.elementwise_time(passes_bwd * local_elems * db)
-    halo = 0.0
-    if stats_allreduce_bytes > 0 and stats_group > 1:
-        link = machine.link_for_group(stats_group)
-        halo = allreduce_time(
-            stats_group, stats_allreduce_bytes, link, allreduce_algorithm
-        )
-    return ConvLayerCost(
-        fp_compute=fp,
-        fp_halo=halo,
-        bpx_compute=bp,
-        bpx_halo=halo,
-        bpw_compute=0.0,
-        allreduce_bytes=params_bytes,
     )

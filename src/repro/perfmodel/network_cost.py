@@ -18,6 +18,9 @@ Pricing (:meth:`NetworkCostModel.cost`):
   ``allreduce_bucket_bytes``, the reducer's default), each priced over its
   gradient group (paper Eq. 2: the grid axes the layers' outputs are split
   along), coalesced payloads amortizing per-collective latency;
+* a layer's blocking collectives (batch-norm statistics, global average
+  pooling, the loss) are allreduces of their declared payload over the
+  group ``lower()`` chose;
 * the optimizer is one memory-bound pass over the parameters this rank
   updates.
 
@@ -40,6 +43,9 @@ critical-path rank's compute and communication streams
   only the boundary strips of the data convolution waiting on the halo;
   a layer that computes no ``dx`` has a filter task but no data or halo
   task, and a layer backward does not reach has no backward tasks;
+* a layer's blocking collective is a communication task in its
+  ``fwd:{layer}`` / ``bwd:{layer}`` window that the layer's kernels wait
+  for;
 * a forward *shuffle* is a communication task that becomes ready the
   moment its *producer* finishes (not when the consumer is reached), so it
   hides behind sibling-branch compute in DAGs and contends with allreduces
@@ -58,7 +64,6 @@ critical-path rank's compute and communication streams
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from repro.comm.collective_models import allreduce_time, alltoall_time
@@ -67,7 +72,6 @@ from repro.perfmodel.conv_model import CalibratedConvModel
 from repro.perfmodel.layer_cost import (
     ConvLayerCost,
     conv_layer_cost,
-    elementwise_layer_cost,
     local_extents,
     pool_layer_cost,
 )
@@ -77,9 +81,9 @@ from repro.core.grad_reducer import DEFAULT_BUCKET_BYTES
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
 from repro.core.schedule import (
     GradBucket,
+    LayerOp,
     StepSchedule,
     backward_set,
-    grad_axes,
     lower,
 )
 
@@ -94,8 +98,8 @@ class NetworkCostBreakdown:
     optimizer_total: float = 0.0
     per_layer: dict[str, ConvLayerCost] = field(default_factory=dict)
     #: The lowered step that was priced, its gradient buckets
-    #: (``allreduce_bucket_bytes``), and the seconds charged per shuffle
-    #: and bucket op id.
+    #: (``allreduce_bucket_bytes``), and the seconds charged per shuffle,
+    #: collective and bucket op id.
     schedule: StepSchedule | None = None
     buckets: list[GradBucket] = field(default_factory=list)
     comm_ops: dict[str, float] = field(default_factory=dict)
@@ -199,32 +203,10 @@ class NetworkCostModel:
             c, h, w = self.shapes[layer.parents[0]]
             i_n, i_h, i_w = local_extents(n_global, h, w, par)
             local = float(i_n) * c * i_h * i_w
-            if layer.kind == "bn":
-                db = self.machine.dtype_bytes
-                stats_group = par.height * par.width  # 'spatial' aggregation
-                # Its dL/dw payload counts where a gradient group (paper
-                # Eq. 2) of more than one rank reduces it.
-                group = math.prod(
-                    par.grid_shape[d]
-                    for d in grad_axes(par.grid_shape, (n_global, *self.shapes[name]))
-                )
-                return elementwise_layer_cost(
-                    self.machine,
-                    local_elems=local,
-                    passes_fwd=3,
-                    passes_bwd=4,
-                    params_bytes=2 * c * db if group > 1 else 0.0,
-                    stats_allreduce_bytes=2 * c * db,
-                    stats_group=stats_group,
-                    allreduce_algorithm=self.allreduce_algorithm,
-                )
-            passes = {"relu": (2, 2), "add": (3, 1), "gap": (1, 1)}[layer.kind]
-            return elementwise_layer_cost(
-                self.machine,
-                local_elems=local,
-                passes_fwd=passes[0],
-                passes_bwd=passes[1],
-            )
+            passes = {"bn": (3, 4), "relu": (2, 2), "add": (3, 1), "gap": (1, 1)}[layer.kind]
+            db, gpu = self.machine.dtype_bytes, self.machine.gpu
+            fp, bp = (gpu.elementwise_time(k * local * db) for k in passes)
+            return ConvLayerCost(fp, 0.0, bp, 0.0, 0.0)
         if layer.kind == "fc":
             c, h, w = self.shapes[layer.parents[0]]
             units = layer.params["units"]
@@ -236,9 +218,7 @@ class NetworkCostModel:
                                gpu.fwd_tflops_max)
             bp = 2 * gpu.conv_time(flops, (i_n * c * h * w + i_n * units) * db,
                                    gpu.bwd_data_tflops_max)
-            return ConvLayerCost(
-                fp, 0.0, bp, 0.0, 0.0, allreduce_bytes=units * c * h * w * db
-            )
+            return ConvLayerCost(fp, 0.0, bp, 0.0, 0.0)
         return None  # input / loss layers
 
     def shuffle_edge_cost(self, parent: str, n_global: int, strategy) -> float:
@@ -272,12 +252,16 @@ class NetworkCostModel:
                         one = self.shuffle_edge_cost(e.parent, n_global, strategy)
                         bd.comm_ops[s.op_id] = one
                         bd.shuffle_total += one
+
+        def allreduce(group: int, nbytes: float) -> float:
+            link = self.machine.link_for_group(group)
+            return allreduce_time(group, nbytes, link, self.allreduce_algorithm)
+
+        for c in sched.collectives:
+            bd.comm_ops[c.op_id] = allreduce(c.group, c.elems * db)
         bd.buckets = sched.grad_buckets(self.allreduce_bucket_bytes, db)
         for b in bd.buckets:
-            p = b.group[0]
-            bd.comm_ops[b.op_id] = allreduce_time(
-                p, b.nbytes, self.machine.link_for_group(p), self.allreduce_algorithm
-            )
+            bd.comm_ops[b.op_id] = allreduce(b.group[0], b.nbytes)
         # Optimizer: one memory-bound pass over parameters (+momentum), over
         # the 1/g of each layer's parameters this rank updates — the update
         # is fused into the bucket reductions of a gradient group of g.
@@ -298,6 +282,13 @@ class NetworkCostModel:
         bd = self.cost(n_global, strategy)
         sched, costs, price = bd.schedule, bd.per_layer, bd.comm_ops
 
+        def blocking(phase: str, op: LayerOp, deps: tuple) -> tuple[str, ...]:
+            coll = sched.collective(phase, op.name)
+            if coll is None:
+                return ()
+            eng.add(coll.op_id, price[coll.op_id], "comm", deps, op=f"{phase}:{op.name}")
+            return (coll.op_id,)
+
         # -- forward ------------------------------------------------------------
         prev_fwd: str | None = None
         fwd_done: dict[str, str] = {}  # layer -> task marking its output ready
@@ -314,15 +305,19 @@ class NetworkCostModel:
                         (producer,) if producer else (),
                     )
             shuf_deps = [e.fwd.op_id for e in op.edges if e.fwd is not None]
+            base_deps = ((prev_fwd,) if prev_fwd else ()) + tuple(shuf_deps)
+            fwd = f"fwd:{name}"
+            coll = blocking("fwd", op, base_deps)
             if c is None:
-                # No task of its own: its output is ready with its input.
-                if shuf_deps:
+                # No kernel: its output is ready with its input (a loss's, with its allreduce).
+                if coll:
+                    prev_fwd = fwd_done[name] = coll[0]
+                elif shuf_deps:
                     fwd_done[name] = shuf_deps[-1]
                 elif op.edges and op.edges[0].parent in fwd_done:
                     fwd_done[name] = fwd_done[op.edges[0].parent]
                 continue
-            base_deps = ((prev_fwd,) if prev_fwd else ()) + tuple(shuf_deps)
-            fwd = f"fwd:{name}"
+            base_deps += coll
             if c.fp_halo > 0:
                 interior = c.fp_compute * (1 - c.boundary_fraction)
                 boundary = c.fp_compute * c.boundary_fraction + c.boundary_launch
@@ -359,6 +354,7 @@ class NetworkCostModel:
             if c is not None:
                 base_deps = (prev_bwd,) if prev_bwd else ()
                 base_deps = base_deps + tuple(incoming.pop(name, ()))
+                coll = blocking("bwd", op, base_deps)
                 if c.bpx_halo > 0:
                     # An undecomposed backward (fraction pinned at 1, no
                     # boundary launches) makes this timeline degenerate
@@ -377,7 +373,7 @@ class NetworkCostModel:
                     )
                     eng.add(
                         f"{bwd}:data", boundary, "compute",
-                        (f"{bwd}:halo", f"{bwd}:data_interior"), op=bwd,
+                        (f"{bwd}:halo", f"{bwd}:data_interior") + coll, op=bwd,
                     )
                     prev_bwd = f"{bwd}:data"
                 else:
@@ -386,8 +382,8 @@ class NetworkCostModel:
                     if c.bpx_compute > 0:  # a dead BPx is priced at zero
                         prev_bwd = f"{bwd}:data"
                         eng.add(
-                            prev_bwd, c.bpx_compute, "compute", (f"{bwd}:filter",),
-                            op=bwd,
+                            prev_bwd, c.bpx_compute, "compute",
+                            (f"{bwd}:filter",) + coll, op=bwd,
                         )
             # The error-signal shuffles become ready with this layer's dx.
             dx_ready = (prev_bwd,) if prev_bwd else ()

@@ -74,24 +74,15 @@ class ProcessGrid:
         return self.rank_of(coords)
 
     # -- sub-communicators -------------------------------------------------------
-    def axis_comm(self, axis: int) -> Communicator:
-        """Communicator over ranks varying along ``axis`` (others fixed).
-
-        E.g. on a hybrid grid ``(4, 1, 2, 2)``, ``axis_comm(0)`` is this
-        rank's *sample group* peer set and ``axes_comm((2, 3))`` its
-        *spatial group*.
-
-        This is collective over the grid's communicator: all ranks must call
-        it, in the same order, the first time (results are cached).
-        """
-        return self.axes_comm((axis,))
-
     def axes_comm(self, axes: Sequence[int]) -> Communicator:
         """Communicator over the sub-grid spanned by ``axes``.
 
         Ranks sharing coordinates on all *other* axes form one group; the
-        new comm's ranks are ordered row-major over ``axes``.  Collective on
-        first use (cached thereafter).
+        new comm's ranks are ordered row-major over ``axes``.  E.g. on a
+        hybrid grid ``(4, 1, 2, 2)``, ``axes_comm((0,))`` is this rank's
+        *sample group* and ``axes_comm((2, 3))`` its *spatial group*.
+        Collective over the grid's communicator on first use: all ranks must
+        call it, in the same order (cached thereafter).
         """
         axes = tuple(sorted(set(int(a) for a in axes)))
         for a in axes:

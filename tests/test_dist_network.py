@@ -364,10 +364,10 @@ def _private_dy(backward):
     """The interpreter this one replaced, as a test double: every layer runs
     backward on a private copy of its error signal."""
 
-    def copying(impl, dy, need_dx):
+    def copying(impl, dy, need_dx, group):
         if dy is not None:
             dy = DistTensor(dy.grid, dy.dist, dy.global_shape, dy.local.copy())
-        return backward(impl, dy, need_dx)
+        return backward(impl, dy, need_dx, group)
 
     return copying
 
@@ -405,8 +405,8 @@ class TestErrorSignalsByReference:
         log = {}
 
         def spy(backward):
-            def recording(impl, dy, need_dx):
-                dx, g = backward(impl, dy, need_dx)
+            def recording(impl, dy, need_dx, group):
+                dx, g = backward(impl, dy, need_dx, group)
                 log[id(impl)] = (dy, dx, None if dx is None else dx.local.copy())
                 return dx, g
 
@@ -600,6 +600,11 @@ class TestValidation:
             run_spmd(2, prog, timeout=10)
 
     def test_eval_mode_runs(self):
+        """An evaluation forward blocks on the schedule's forward
+        collectives except batch norm's statistics: it normalises with the
+        running ones."""
+        from repro.core.schedule import lower
+
         spec = small_conv_net()
         x, t = make_batch(spec, n=2, seed=8)
 
@@ -607,11 +612,17 @@ class TestValidation:
             net = DistNetwork(spec, comm, LayerParallelism(sample=2))
             trainer = DistTrainer(net)
             trainer.step(x, t)
-            return trainer.evaluate(x, t)
+            before = comm.stats.total_collective_calls("allreduce")
+            loss = trainer.evaluate(x, t)
+            return loss, comm.stats.total_collective_calls("allreduce") - before
 
-        losses = run_spmd(2, prog)
+        losses, issued = zip(*run_spmd(2, prog))
         assert np.isfinite(losses).all()
         assert losses[0] == pytest.approx(losses[1])
+        sched = lower(spec, ParallelStrategy.uniform(LayerParallelism(sample=2)), 2)
+        ops = [c.op_id for c in sched.collectives if c.op_id.startswith("fwd:")]
+        assert any(":bnstats:" in op for op in ops)
+        assert issued == (sum(":bnstats:" not in op for op in ops),) * 2
 
     def test_backward_after_evaluation_forward_raises(self):
         """``DistTrainer.evaluate`` is forward-only; a backward after it would

@@ -65,8 +65,8 @@ class TestProcessGrid:
     def test_axis_comm_groups(self):
         def prog(comm):
             grid = ProcessGrid(comm, (2, 2))
-            row = grid.axis_comm(1)  # varies along axis 1
-            col = grid.axis_comm(0)
+            row = grid.axes_comm((1,))  # varies along axis 1
+            col = grid.axes_comm((0,))
             return (row.allreduce(comm.rank), col.allreduce(comm.rank))
 
         results = run_spmd(4, prog)

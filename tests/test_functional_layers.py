@@ -86,6 +86,11 @@ class TestAvgPool:
         np.testing.assert_allclose((y * dy).sum(), (x * dx).sum(), rtol=1e-12)
 
 
+#: The statistics groups a batch-norm layer can be handed, as the grid axes
+#: they may span (a test reduces over the split ones among them).
+STATS_AXES = {"none": (), "spatial": (2, 3), "every-split": (0, 2, 3)}
+
+
 class TestBatchNorm:
     def test_normalizes(self):
         rng = np.random.default_rng(4)
@@ -217,9 +222,10 @@ class TestBatchNorm:
             grid = ProcessGrid(comm, (2, 1, 1, 1))
             bn = DistBatchNorm(grid, gamma, beta)
             dist = activation_dist(grid.shape, x.shape)
-            bn.forward(DistTensor.from_global(grid, dist, x))
+            group = grid.axes_comm((0,))
+            bn.forward(DistTensor.from_global(grid, dist, x), True, group, (0,))
             before = len(calls)
-            dxt, dg, db = bn.backward(DistTensor.from_global(grid, dist, dy))
+            dxt, dg, db = bn.backward(DistTensor.from_global(grid, dist, dy), comm=group)
             return len(calls) - before, dxt.to_global(), comm.allreduce(dg), comm.allreduce(db)
 
         # Thread ranks share ``calls``: two ranks, one evaluation each.
@@ -240,14 +246,16 @@ class TestBatchNorm:
             ((1, 1, 2, 2), (3,)),
         ],
     )
-    @pytest.mark.parametrize("aggregate", ["local", "spatial", "global"])
+    @pytest.mark.parametrize("stats_axes", STATS_AXES, ids=list(STATS_AXES))
     def test_packed_statistics_equal_five_allreduce_formulation(
-        self, monkeypatch, grid_shape, replicated, aggregate
+        self, monkeypatch, grid_shape, replicated, stats_axes
     ):
         """``DistBatchNorm`` reduces (s, ss) stacked, (dgamma, dbeta) stacked
-        and takes ``count`` from shapes.  Under ``"direct"`` that is bit for
-        bit the formulation it replaced — s, ss, count, dgamma, dbeta each
-        allreduced on its own — on uneven shards and replicated axes."""
+        and takes ``count`` from shapes — the global extent on the axes it
+        is handed, the local one elsewhere.  Under ``"direct"`` that is bit
+        for bit the formulation it replaced — s, ss, count, dgamma, dbeta
+        each allreduced on its own — on uneven shards and replicated axes,
+        for every statistics group."""
         from repro.comm import run_spmd
         from repro.core.dist_layers import DistBatchNorm
         from repro.tensor import DistTensor, Distribution, ProcessGrid
@@ -263,8 +271,9 @@ class TestBatchNorm:
             dist = Distribution.make(grid_shape, replicated_axes=replicated)
             xt = DistTensor.from_global(grid, dist, x)
             dyt = DistTensor.from_global(grid, dist, dy)
-            bn = DistBatchNorm(grid, gamma, beta, aggregate=aggregate)
-            group = bn._stats_comm(dist)
+            bn = DistBatchNorm(grid, gamma, beta)
+            axes = tuple(d for d in STATS_AXES[stats_axes] if dist.is_split(d))
+            group = grid.axes_comm(axes) if axes else None
 
             s, ss, count = F.batchnorm_stats(xt.local)
             if group is not None:
@@ -280,8 +289,8 @@ class TestBatchNorm:
             dx_ref = F.batchnorm_backward_data(dyt.local, cache, dg, db, count)
 
             before = comm.stats.total_collective_calls("allreduce")
-            y = bn.forward(xt)
-            dx, _, _ = bn.backward(dyt)
+            y = bn.forward(xt, True, group, axes)
+            dx, _, _ = bn.backward(dyt, comm=group)
             issued = comm.stats.total_collective_calls("allreduce") - before
             assert issued == (0 if group is None else 2)
             assert bn._cache["count"] == count
@@ -292,9 +301,10 @@ class TestBatchNorm:
 
     def test_aggregation_scope_orders_deviation_from_single_device(self):
         """Paper §III-B's three variants on a hybrid 2 x (2 x 2) grid, on an
-        input whose tiles genuinely differ: ``"global"`` statistics *are*
-        single-device batch norm, per-tile (``"local"``) ones deviate most,
-        and aggregating over each sample's spatial group lies in between."""
+        input whose tiles genuinely differ: statistics over every split axis
+        *are* single-device batch norm, per-tile ones (no axes) deviate
+        most, and aggregating over each sample's spatial group lies in
+        between."""
         from repro.comm import run_spmd
         from repro.core.dist_layers import DistBatchNorm
         from repro.core.parallelism import activation_dist
@@ -311,26 +321,26 @@ class TestBatchNorm:
             grid = ProcessGrid(comm, grid_shape)
             xt = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
             return {
-                aggregate: DistBatchNorm(
-                    grid, np.ones(3), np.zeros(3), aggregate=aggregate
-                ).forward(xt).to_global()
-                for aggregate in ("local", "spatial", "global")
+                name: DistBatchNorm(grid, np.ones(3), np.zeros(3)).forward(
+                    xt, True, grid.axes_comm(axes) if axes else None, axes
+                ).to_global()
+                for name, axes in STATS_AXES.items()
             }
 
         y = run_spmd(8, prog)[0]
         deviation = {k: float(np.abs(v - y_ref).max()) for k, v in y.items()}
-        assert deviation["global"] < 1e-10
-        assert deviation["local"] > deviation["spatial"] > deviation["global"]
+        assert deviation["every-split"] < 1e-10
+        assert deviation["none"] > deviation["spatial"] > deviation["every-split"]
 
-    @pytest.mark.parametrize("sample,height,expected", [(2, 1, 3), (2, 2, 4)])
-    def test_one_bn_net_issues_two_statistics_allreduces_per_step(
-        self, sample, height, expected
-    ):
-        """A training step of a one-BN net blocks on 3 allreduces: the
-        packed statistics forward, the packed sums backward, and the loss
-        (plus the pooling layer's spatial sum once rows are split)."""
+    @pytest.mark.parametrize("sample,height", [(2, 1), (2, 2)])
+    def test_one_bn_net_issues_two_statistics_allreduces_per_step(self, sample, height):
+        """A training step of a one-BN net blocks on the allreduces its
+        schedule lists: the packed statistics forward, the packed sums
+        backward, and the loss (plus the pooling layer's spatial sum once
+        rows are split) — and on nothing else."""
         from repro.comm import run_spmd
-        from repro.core import DistNetwork, DistTrainer, LayerParallelism
+        from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
+        from repro.core.schedule import lower
         from repro.nn import NetworkSpec
 
         spec = NetworkSpec("one-bn")
@@ -353,7 +363,12 @@ class TestBatchNorm:
             trainer.step(x, t)
             return comm.stats.total_collective_calls("allreduce") - before
 
-        assert run_spmd(sample * height, prog) == [expected] * (sample * height)
+        par = LayerParallelism(sample=sample, height=height)
+        ops = [c.op_id for c in lower(spec, ParallelStrategy.uniform(par), 5).collectives]
+        assert ops[0] == f"fwd:bnstats:b1:g{sample * height}"
+        assert ops[-1] == f"bwd:bnstats:b1:g{sample * height}"
+        assert sum(":bnstats:" in op for op in ops) == 2
+        assert run_spmd(sample * height, prog) == [len(ops)] * (sample * height)
 
 
 class TestReluLinear:

@@ -24,7 +24,7 @@ from repro.perfmodel.machine import MachineSpec
 def small_net():
     net = NetworkSpec("obs-analyze")
     net.add("input", "input", channels=3, height=8, width=8)
-    net.add("c1", "conv", ["input"], filters=4, kernel=3, stride=1, pad=1)
+    net.add("c1", "conv", ["input"], filters=4, kernel=3, stride=1, pad=1, bias=True)
     net.add("r1", "relu", ["c1"])
     net.add("gap", "gap", ["r1"])
     net.add("fc", "fc", ["gap"], units=3, bias=True)
@@ -107,9 +107,28 @@ class TestAnalyzer:
         assert model["source"] == "TrainingStepSimulator"
         assert model["minibatch_s"] > 0
         assert model["layers"]["c1"]["fwd_s"] > 0
-        # allreduce bytes come straight from the cost model's layer_cost
-        assert model["layers"]["c1"]["ar_bytes"] > 0
-        assert model["layers"]["r1"]["ar_bytes"] == 0
+
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_model_allreduce_bytes_are_the_gradient_buckets(self, ranks):
+        """A layer's modeled allreduce bytes are its whole parameter payload
+        — a biased layer's bias included — where a gradient group of more
+        than one rank reduces it, and they sum to the schedule's buckets."""
+        from repro.core.grad_reducer import DEFAULT_BUCKET_BYTES
+        from repro.core.schedule import lower
+
+        net, machine = small_net(), MachineSpec()
+        strategy = ParallelStrategy.uniform(LayerParallelism(sample=ranks))
+        model = analyze.model_predictions(net, machine, 4, strategy)
+        ar = {name: row["ar_bytes"] for name, row in model["layers"].items()}
+        db = machine.dtype_bytes
+        buckets = lower(net, strategy, 4).grad_buckets(DEFAULT_BUCKET_BYTES, db)
+        assert model["allreduce_bytes_per_rank"] == sum(b.nbytes for b in buckets)
+        if ranks == 1:
+            assert set(ar.values()) == {0}
+            return
+        assert ar["c1"] == (4 * 3 * 3 * 3 + 4) * db  # weights and bias
+        assert ar["fc"] == (3 * 4 + 3) * db
+        assert ar["r1"] == ar["gap"] == 0
 
     def test_render_report_and_cli(self, traced_run, tmp_path, capsys):
         path, doc, _ = traced_run

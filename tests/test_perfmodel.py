@@ -215,7 +215,7 @@ class TestConvLayerCost:
             LASSEN, CalibratedConvModel(LASSEN.gpu),
             **self.kwargs(), parallelism=LP(sample=4),
         )
-        assert cost.fp_halo == 0.0 and cost.allreduce_bytes > 0
+        assert cost.fp_halo == 0.0 and cost.bpx_halo == 0.0
 
     def test_spatial_has_halo(self):
         cost = conv_layer_cost(

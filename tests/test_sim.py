@@ -95,7 +95,8 @@ def _line(spec: NetworkSpec) -> str:
     spec.add("c1", "conv", ["input"], filters=8, kernel=3, pad=1, bias=True)
     spec.add("r1", "relu", ["c1"])
     spec.add("c2", "conv", ["r1"], filters=8, kernel=3, pad=1)
-    return spec.add("r2", "relu", ["c2"])
+    spec.add("b2", "bn", ["c2"])
+    return spec.add("r2", "relu", ["b2"])
 
 
 def _dead_input(spec: NetworkSpec) -> str:
@@ -156,9 +157,9 @@ def _cases():
 @pytest.mark.parametrize("spec,strategy,shuffles", list(_cases()))
 class TestScheduleConformance:
     """Engine, evaluator and memory model read one lowered schedule
-    (``repro.core.schedule.lower``): every communication op of it is one
-    simulated communication task and one priced term, and is what a real
-    step puts on the wire."""
+    (``repro.core.schedule.lower``): every communication op of it — shuffle,
+    blocking collective, gradient bucket — is one simulated communication
+    task and one priced term, and is what a real step puts on the wire."""
 
     N = 4
     BUCKET = 1 << 10
@@ -178,12 +179,18 @@ class TestScheduleConformance:
         ).simulate(self.N, strategy).engine
         tasks = {
             t.name: t.duration for t in eng.tasks()
-            if t.resource == "comm"
-            and (":shuf:" in t.name or t.name.startswith("ar:bucket"))
+            if t.resource == "comm" and not t.name.endswith(":halo")
         }
         assert tasks == bd.comm_ops
         assert sorted(n for n in tasks if ":shuf:" in n) == sorted(shuffles)
         assert any(n.startswith("ar:") for n in tasks)
+        # Each blocking collective sits in its layer's window: the analyzer
+        # joins it to that layer's span.
+        colls = bd.schedule.collectives
+        assert colls
+        for c in colls:
+            phase = c.op_id.partition(":")[0]
+            assert eng[c.op_id].op == f"{phase}:{c.layer}"
 
     def test_buckets_are_the_engines(self, spec, strategy, shuffles):
         """By default the evaluator reduces gradients in the engine's
@@ -212,14 +219,18 @@ class TestScheduleConformance:
             return (
                 net.shuffle_count,
                 stats.collectives.get("shuffle", 0),
+                stats.collectives.get("allreduce", 0),
+                stats.collective_bytes.get("allreduce", 0),
                 stats.collectives.get("iallreduce", 0),
                 stats.collective_bytes.get("iallreduce", 0),
             )
 
-        buckets = lower(spec, strategy, self.N).grad_buckets(bucket, itemsize=8)
+        sched = lower(spec, strategy, self.N)
+        buckets = sched.grad_buckets(bucket, itemsize=8)
         assert len(buckets) > 1  # the small bucket size really cuts
         expected = (
             len(shuffles), len(shuffles),
+            len(sched.collectives), sum(c.elems * 8 for c in sched.collectives),
             len(buckets), sum(b.nbytes for b in buckets),
         )
         assert run_spmd(strategy.nranks, prog) == [expected] * strategy.nranks
