@@ -15,9 +15,12 @@
   redistribution between layers (§III-C) and gradient allreduce.
 * :mod:`repro.core.schedule` — ``lower(spec, strategy, n)``: the one op
   list of a training step (layers and their backward role, shuffle ops,
-  the layers' blocking collectives and their groups, gradient-bucket
-  cuts) that ``DistNetwork`` interprets and the cost model, simulator,
-  memory model and strategy optimizer price.
+  the layers' blocking collectives and their groups, halo exchanges,
+  gradient-bucket cuts) that ``DistNetwork`` interprets and the cost
+  model, simulator, memory model and strategy optimizer price.
+* :mod:`repro.core.window` — the window geometry of convolution and
+  pooling: regions, interior/boundary pieces and the halo plan of a rank,
+  a pure cached function the layers and the schedule's halo ops share.
 * :mod:`repro.core.trainer` — the distributed training loop, with atomic
   checkpoint/resume (:mod:`repro.core.checkpoint`).
 * :mod:`repro.core.strategy` — the performance-model-driven strategy

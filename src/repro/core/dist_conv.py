@@ -60,7 +60,7 @@ def start_gather(
     it with :func:`~repro.tensor.halo.local_region` instead)."""
     if not g.exchanged:
         return None
-    return start_region_exchange(source, g.lo, g.hi, fill=fill, pool=pool, plan=g.plan)
+    return start_region_exchange(source, g.plan, fill=fill, pool=pool)
 
 
 def run_block(
@@ -132,9 +132,6 @@ class DistConv2d:
         # Recycles the gathered input / error-signal staging buffers across
         # steps, plus (deferred) the contiguous halo send strips.
         self._pool = BufferPool()
-        # Static geometry (regions, decompositions, exchange plans) per
-        # (direction, global shape, distribution).
-        self._geom: dict = {}
 
     # -- geometry ------------------------------------------------------------------
     def output_global_shape(self, x_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -145,20 +142,18 @@ class DistConv2d:
         return (n, self.w.shape[0], oh, ow)
 
     def _geometry(self, source: DistTensor, block=None) -> WindowGeometry:
-        """Cached geometry of the kernel reading ``source``: Eq. 3 producing
-        the ``block = (dist, shape)`` tensor ``dx``, or — ``None`` — the
-        forward convolution, whose output placement follows from ``source``."""
-        key = (source.global_shape, source.dist, block)
-        g = self._geom.get(key)
-        if g is None:
-            transposed = block is not None
-            if block is None:
-                shape = self.output_global_shape(source.global_shape)
-                block = activation_dist(self.grid.shape, shape), shape
-            g = self._geom[key] = window_geometry(
-                source, *block, self.kernel, self.stride, self.pad, transposed
-            )
-        return g
+        """Geometry of the kernel reading ``source`` on this rank: Eq. 3
+        producing the ``block = (dist, shape)`` tensor ``dx``, or — ``None``
+        — the forward convolution, whose output placement follows from
+        ``source``."""
+        transposed = block is not None
+        if block is None:
+            shape = self.output_global_shape(source.global_shape)
+            block = activation_dist(self.grid.shape, shape), shape
+        return window_geometry(
+            self.grid.coords, (source.dist, source.global_shape), block,
+            self.kernel, self.stride, self.pad, transposed,
+        )
 
     # -- kernels over one sub-rectangle of the block ---------------------------------
     def _fwd_piece(self, x_ext, g: WindowGeometry, rows, cols) -> tuple:

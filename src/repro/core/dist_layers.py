@@ -28,6 +28,7 @@ from repro.comm.buffers import BufferPool
 from repro.comm.communicator import Communicator
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
+from repro.tensor.indexing import place_region
 from repro.core.parallelism import activation_dist
 from repro.core.dist_conv import run_block, start_gather
 from repro.core.window import WindowGeometry, window_geometry
@@ -75,7 +76,6 @@ class DistPool2d:
         # Recycles the gathered extended region, the halo send strips and
         # the scatter-add contribution payloads across steps.
         self._pool = BufferPool()
-        self._geom: dict = {}
 
     def output_global_shape(self, x_shape: tuple[int, ...]) -> tuple[int, ...]:
         n, c, h, w = x_shape
@@ -83,22 +83,19 @@ class DistPool2d:
         return (n, c, oh, ow)
 
     def _geometry(self, x: DistTensor) -> WindowGeometry:
-        key = (x.global_shape, x.dist)
-        g = self._geom.get(key)
-        if g is None:
-            y_shape = self.output_global_shape(x.global_shape)
-            y_dist = activation_dist(self.grid.shape, y_shape)
-            for d in (2, 3):
-                if x.dist.is_split(d) and not y_dist.is_split(d):
-                    raise ValueError(
-                        "pooling output too small for the spatial decomposition "
-                        f"(axis {d}: {y_shape[d]} rows over {self.grid.shape[d]} "
-                        "parts); assign this layer a smaller spatial parallelism"
-                    )
-            g = self._geom[key] = window_geometry(
-                x, y_dist, y_shape, self.kernel, self.stride, self.pad
-            )
-        return g
+        y_shape = self.output_global_shape(x.global_shape)
+        y_dist = activation_dist(self.grid.shape, y_shape)
+        for d in (2, 3):
+            if x.dist.is_split(d) and not y_dist.is_split(d):
+                raise ValueError(
+                    "pooling output too small for the spatial decomposition "
+                    f"(axis {d}: {y_shape[d]} rows over {self.grid.shape[d]} "
+                    "parts); assign this layer a smaller spatial parallelism"
+                )
+        return window_geometry(
+            self.grid.coords, (x.dist, x.global_shape), (y_dist, y_shape),
+            self.kernel, self.stride, self.pad,
+        )
 
     def _pool_piece(self, x_ext, g: WindowGeometry, rows, cols) -> tuple:
         """Pool output rows/cols from their slice of ``x_ext``: ``(y,)``,
@@ -143,12 +140,18 @@ class DistPool2d:
                 dy.local, g.plan.shape, self.kernel, self.stride, 0
             )
         dx = DistTensor.zeros(x.grid, x.dist, x.global_shape, dtype=dy.dtype)
-        # The forward gather read backwards: send the boundary strips,
-        # accumulate our own contribution while they travel, fold in the
-        # remote ones on finish.
-        dx.start_scatter_region_add(
-            dx_ext, g.lo, pool=self._pool, plan=g.plan
-        ).finish()
+        if g.exchanged:
+            # The forward gather read backwards: send the boundary strips,
+            # accumulate our own contribution while they travel, fold in
+            # the remote ones on finish.
+            dx.start_scatter_region_add(
+                dx_ext, g.lo, pool=self._pool, plan=g.plan
+            ).finish()
+        else:
+            # No window reads off-shard: the own contribution is all of dx
+            # (its virtual-padding part clipped away).
+            offset = tuple(lo - b for lo, (b, _) in zip(g.lo, dx.bounds))
+            place_region(dx.local, dx_ext, offset, accumulate=True)
         # Replicated output dims mean every replica scattered identical
         # contributions into disjoint replica groups — already consistent.
         return dx

@@ -3,8 +3,8 @@
 :func:`lower` turns a :class:`~repro.nn.graph.NetworkSpec` under a
 :class:`~repro.core.parallelism.ParallelStrategy` into a
 :class:`StepSchedule`: the layers in topological order, each with its grid,
-output placement and backward role, plus the step's communication as
-first-class ops —
+output placement and backward role, plus every message of the step as a
+first-class op —
 
 * one **forward shuffle** per (parent, target placement), shared by every
   child that reads the parent's activation in that placement (§III-C);
@@ -14,24 +14,30 @@ first-class ops —
   gradient group's dL/dw allreduces are cut;
 * the **blocking collectives** (:attr:`StepSchedule.collectives`) a layer
   issues inside its window — batch-norm statistics, global average
-  pooling's sums, the loss — each over the grid axes chosen here.
+  pooling's sums, the loss — each over the grid axes chosen here;
+* the **halo exchanges** (:attr:`StepSchedule.halos`) of the windowed
+  layers — convolution's input gather, its Eq. 3 error-signal gather when
+  it computes a ``dx``, pooling's input gather and the scatter-add that
+  reads it backwards — wherever some rank's window reads off-shard.  Each
+  carries its window (:func:`~repro.core.window.window_geometry`'s key), so
+  a rank's peers and bytes are the plan the layer executes.
 
 The engine (:class:`~repro.core.dist_network.DistNetwork`) interprets this
 list; the cost model, the task-graph simulator, the memory model, the
 strategy optimizer's edge price and the analyzer's model table read the
 same one.  The decisions a step is made of — which edges redistribute,
 which layers run backward and compute a ``dx``, where a gradient bucket is
-cut and which ranks a collective spans — are each taken here and nowhere
-else, so a model cannot charge a message the engine does not send (halos
-aside: the windowed layers post them).  The single-process
+cut, which ranks a collective spans and which windows exchange a halo —
+are each taken here and nowhere else, so a model cannot charge a message
+the engine does not send.  The single-process
 :class:`~repro.nn.network.LocalNetwork` deliberately does not use this
 module: it is the reference the engine is checked against.
 
 Pure data: no communicator, no tensors, no cost numbers.  Op ids are
 stable strings (``fwd:shuf:{parent}->{first consumer}``,
 ``bwd:shuf:{child}->{parent}``, ``ar:bucket{i}:g{group size}``,
-``{fwd|bwd}:{bnstats|gap|loss}:{layer}:g{group size}``) and double as the
-simulator's task names.
+``{fwd|bwd}:{bnstats|gap|loss}:{layer}:g{group size}``,
+``{fwd|bwd}:halo:{layer}``) and double as the simulator's task names.
 """
 
 from __future__ import annotations
@@ -41,9 +47,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from repro.nn.functional import _pair
 from repro.nn.graph import LayerSpec, NetworkSpec
 from repro.tensor.distribution import Distribution
+from repro.tensor.exchange import TransferPlan
 from repro.core.parallelism import ParallelStrategy, activation_dist
+from repro.core.window import WindowGeometry, window_geometry
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,10 @@ class LayerOp:
     #: sub-communicator its dL/dw partials are summed over (paper Eq. 2);
     #: ``None`` when there is nothing to reduce.
     grad_group: tuple | None
+    #: A convolution's or pooling's forward window: the arguments of
+    #: :func:`~repro.core.window.window_geometry` after the rank's
+    #: coordinates.  ``None`` for other kinds.
+    window: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -109,6 +122,28 @@ class CollectiveOp:
     group: int
     #: Payload in elements on the largest block (the critical-path rank).
     elems: int
+
+
+@dataclass(frozen=True)
+class HaloOp:
+    """One halo exchange of a windowed layer: the gather its window plans,
+    or — ``reverse`` — that plan read backwards (pooling's scatter-add)."""
+
+    op_id: str
+    layer: str
+    #: :func:`~repro.core.window.window_geometry`'s arguments after the
+    #: rank's coordinates.
+    window: tuple
+    reverse: bool = False
+
+    def geometry(self, coords: tuple[int, ...]) -> WindowGeometry:
+        """The window as the rank at grid ``coords`` runs it."""
+        return window_geometry(coords, *self.window)
+
+    def plan(self, coords: tuple[int, ...]) -> TransferPlan:
+        """What the rank at ``coords`` sends and receives in this op."""
+        plan = self.geometry(coords).plan
+        return plan.reversed() if self.reverse else plan
 
 
 @dataclass(frozen=True)
@@ -177,7 +212,12 @@ def cut_buckets(
 class StepSchedule:
     """The lowered step: layer ops in topological order (see module doc)."""
 
-    def __init__(self, layers: tuple[LayerOp, ...], collectives: dict[tuple, CollectiveOp]) -> None:
+    def __init__(
+        self,
+        layers: tuple[LayerOp, ...],
+        collectives: dict[tuple, CollectiveOp],
+        halos: dict[tuple, HaloOp],
+    ) -> None:
         self.layers = layers
         self._by_name = {op.name: op for op in layers}
         #: The layers backward visits, in the order it visits them.
@@ -189,13 +229,18 @@ class StepSchedule:
             e.bwd for op in self.backward for e in op.edges if e.bwd is not None
         )
         self._collectives = collectives
-        #: Every blocking collective of one step, forward then backward, in
-        #: issue order.
-        self.collectives: tuple[CollectiveOp, ...] = tuple(
-            c
-            for phase, ops in (("fwd", layers), ("bwd", self.backward))
-            for op in ops
-            if (c := collectives.get((phase, op.name))) is not None
+        self._halos = halos
+        #: Every blocking collective and every halo exchange of one step,
+        #: forward then backward, in issue order.
+        self.collectives: tuple[CollectiveOp, ...] = self._in_order(collectives)
+        self.halos: tuple[HaloOp, ...] = self._in_order(halos)
+
+    def _in_order(self, ops: dict[tuple, object]) -> tuple:
+        return tuple(
+            o
+            for phase, layers in (("fwd", self.layers), ("bwd", self.backward))
+            for op in layers
+            if (o := ops.get((phase, op.name))) is not None
         )
 
     def __getitem__(self, name: str) -> LayerOp:
@@ -204,6 +249,10 @@ class StepSchedule:
     def collective(self, phase: str, layer: str) -> CollectiveOp | None:
         """What ``layer`` blocks on in ``phase`` (``"fwd"``/``"bwd"``), if anything."""
         return self._collectives.get((phase, layer))
+
+    def halo(self, phase: str, layer: str) -> HaloOp | None:
+        """The halo exchange of ``layer`` in ``phase``, if it has one."""
+        return self._halos.get((phase, layer))
 
     def grad_buckets(self, bucket_bytes: float, itemsize: int) -> list[GradBucket]:
         """The dL/dw allreduces of one step for parameters of ``itemsize``
@@ -250,6 +299,42 @@ def _collectives(
     ]
 
 
+def _window(layer: LayerSpec, grid: tuple, x_shape: tuple, y_shape: tuple) -> tuple | None:
+    """The forward window of a convolution or pooling layer reading an
+    input of global shape ``x_shape`` into ``y_shape`` on ``grid``, as the
+    engine's layer builds it (``None`` for other kinds)."""
+    if layer.kind not in ("conv", "pool"):
+        return None
+    kernel = layer.params["kernel"]
+    stride = layer.get("stride", 1 if layer.kind == "conv" else kernel)
+    return (
+        (activation_dist(grid, x_shape), x_shape),
+        (activation_dist(grid, y_shape), y_shape),
+        _pair(kernel), _pair(stride), _pair(layer.get("pad", 0)),
+    )
+
+
+def _halos(op: LayerOp) -> list[tuple[str, HaloOp]]:
+    """``[(phase, op)]``: the halo exchanges of windowed layer ``op`` in
+    which some rank's window reads off-shard.  Convolution gathers its
+    input forward and, when it computes a ``dx``, its error signal for
+    Eq. 3 (the forward window transposed); pooling gathers forward and, when
+    backward reaches it, scatter-adds along the same plan reversed."""
+    x, y, *params = op.window
+    phases = [("fwd", op.window, False)]
+    if op.kind == "conv" and op.need_dx:
+        phases.append(("bwd", (y, x, *params, True), False))
+    elif op.kind == "pool" and op.runs_backward:
+        phases.append(("bwd", op.window, True))
+    # Every rank agrees on whether a window exchanges: ask the first.
+    origin = (0,) * len(op.grid_shape)
+    return [
+        (phase, HaloOp(f"{phase}:halo:{op.name}", op.name, window, reverse))
+        for phase, window, reverse in phases
+        if window_geometry(origin, *window).exchanged
+    ]
+
+
 def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepSchedule:
     """Lower ``spec`` under ``strategy`` for a mini-batch of ``n_global``."""
     shapes = spec.infer_shapes()
@@ -278,12 +363,15 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
 
     ops = []
     collectives: dict[tuple[str, str], CollectiveOp] = {}
+    halos: dict[tuple[str, str], HaloOp] = {}
     for layer in spec:
         name = layer.name
+        window = None
         if layer.parents:
             x_shape = gshape[layer.parents[0]]
             for phase, c in _collectives(layer, grids[name], x_shape, name in need_dx):
                 collectives[phase, name] = c
+            window = _window(layer, grids[name], x_shape, gshape[name])
         edges = []
         for p in layer.parents:
             shuf = fwd.get((p, grids[name]))
@@ -308,12 +396,15 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
                 need_dx=name in need_dx,
                 param_count=params,
                 grad_group=(size, grids[name], axes) if params and size > 1 else None,
+                window=window,
             )
         )
+        if window is not None:
+            halos.update(((phase, name), h) for phase, h in _halos(ops[-1]))
     # Every contribution to a layer's error signal arrives in that layer's
     # own placement, so backward sums them without a further shuffle.
     assert all(
         e.bwd.dst == out[e.parent] if e.bwd else e.fwd is None
         for op in ops for e in op.edges if e.wants_dx
     )
-    return StepSchedule(tuple(ops), collectives)
+    return StepSchedule(tuple(ops), collectives, halos)

@@ -98,8 +98,11 @@ class StrategyOptimizer:
         self.shapes = spec.infer_shapes()
         #: ``_shuffle_cost`` by (layer, is its input edge a cut?).
         self._cut_price: dict[tuple[str, bool], float] = {}
-        #: Per candidate: each layer's blocking collectives, priced.
-        self._coll_price: dict[LayerParallelism, dict[str, float]] = {}
+        #: Per candidate: each layer's kernels, halos and blocking
+        #: collectives, priced.
+        self._price: dict[LayerParallelism, dict[str, float]] = {}
+        #: ``_fits`` by candidate.
+        self._fit: dict[LayerParallelism, bool] = {}
 
     # -- candidate generation ----------------------------------------------------
     def candidates(self, name: str) -> list[LayerParallelism]:
@@ -125,14 +128,19 @@ class StrategyOptimizer:
             # replicated by activation_dist, so execution stays correct.
             cands = [LayerParallelism(sample=self.total_ranks)]
         if self.check_memory:
-            feasible = [
-                p
-                for p in cands
-                if self.memory.fits(self.n_global, ParallelStrategy.uniform(p))
-            ]
+            feasible = [p for p in cands if self._fits(p)]
             if feasible:
                 return feasible
         return cands
+
+    def _fits(self, par: LayerParallelism) -> bool:
+        """Does the whole network fit under ``par``?  Every decision layer
+        asks about the same few candidates."""
+        fits = self._fit.get(par)
+        if fits is None:
+            uniform = ParallelStrategy.uniform(par)
+            fits = self._fit[par] = self.memory.fits(self.n_global, uniform)
+        return fits
 
     # -- cost pieces --------------------------------------------------------------
     def _segment_layers(self, name: str) -> list[str]:
@@ -153,20 +161,16 @@ class StrategyOptimizer:
 
     def _layer_cost(self, name: str, par: LayerParallelism) -> float:
         """The segment's kernels, halos and blocking collectives under ``par``."""
-        strategy = ParallelStrategy.uniform(par)
-        colls = self._coll_price.get(par)
-        if colls is None:
-            bd = self.cost_model.cost(self.n_global, strategy)
-            colls = self._coll_price[par] = {}
+        prices = self._price.get(par)
+        if prices is None:
+            bd = self.cost_model.cost(self.n_global, ParallelStrategy.uniform(par))
+            prices = self._price[par] = {
+                layer: cost.fp_time() + cost.bp_time()
+                for layer, cost in bd.per_layer.items()
+            }
             for c in bd.schedule.collectives:
-                colls[c.layer] = colls.get(c.layer, 0.0) + bd.comm_ops[c.op_id]
-        total = 0.0
-        for seg_name in self._segment_layers(name):
-            cost = self.cost_model.layer_cost(seg_name, self.n_global, strategy)
-            if cost is not None:
-                total += cost.fp_time() + cost.bp_time()
-            total += colls.get(seg_name, 0.0)
-        return total
+                prices[c.layer] = prices.get(c.layer, 0.0) + bd.comm_ops[c.op_id]
+        return sum(prices.get(seg_name, 0.0) for seg_name in self._segment_layers(name))
 
     def _shuffle_cost(self, name: str, pa: LayerParallelism, pb: LayerParallelism) -> float:
         """Price of running decision layer ``name`` under ``pb`` when the
@@ -330,7 +334,7 @@ class StrategyOptimizer:
                 continue
             par = LayerParallelism(sample=sample, height=gh, width=gw)
             uniform = ParallelStrategy.uniform(par)
-            if self.check_memory and not self.memory.fits(self.n_global, uniform):
+            if self.check_memory and not self._fits(par):
                 continue
             try:
                 t = self.cost_model.minibatch_time(self.n_global, uniform)

@@ -21,12 +21,19 @@ symmetric).  With kernel K, stride S, padding P:
   region with the block exactly.
 
 :func:`window_geometry` turns that into everything a layer needs per
-(direction, shape, distribution), computed once and cached by the layer:
-every rank's dependency region, whether any of them reaches off-shard, the
-decomposition of this rank's block into an *interior* — indices whose
-windows lie entirely in locally owned data or virtual padding — and up to
-four *boundary* strips that depend on halo cells (§IV-A), and the exchange
-plan.  :func:`~repro.core.dist_conv.start_gather` and
+(rank, direction, placements): the rank's dependency region, whether any
+rank's window reads off-shard, the decomposition of the rank's block into
+an *interior* — indices whose windows lie entirely in locally owned data or
+virtual padding — and up to four *boundary* strips that depend on halo
+cells (§IV-A), and the exchange plan.  It is a pure, cached function of the
+rank's grid coordinates, the two placements and the window — no tensor, no
+communicator — so the engine's layers, the lowered schedule's
+:class:`~repro.core.schedule.HaloOp` and every model that prices one ask
+for the same answer.  This is the one place a halo is decided: which
+source rows a window reads, whom a rank exchanges them with, and which
+block points wait for them.
+
+:func:`~repro.core.dist_conv.start_gather` and
 :func:`~repro.core.dist_conv.run_block` are the one sequence every such
 layer runs on it: post the halo strips, run the interior kernels while they
 travel, ``finish()`` the exchange, run the boundary kernels.
@@ -35,13 +42,16 @@ travel, ``finish()`` the exchange, run the boundary kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.tensor.dist_tensor import DistTensor
-from repro.tensor.exchange import TransferPlan
-from repro.tensor.halo import any_region_remote, plan_region_exchange
+from repro.tensor.dist_tensor import plan_region
+from repro.tensor.distribution import Distribution
+from repro.tensor.exchange import TransferPlan, cells
 from repro.tensor.indexing import ceil_div
 
 Span = tuple[int, int]
+#: Where a tensor lives: ``(distribution, global shape)``.
+Placement = tuple[Distribution, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -111,14 +121,13 @@ def _frame_pieces(
 
 @dataclass(frozen=True)
 class WindowGeometry:
-    """Static execution geometry of one layer and direction on this rank.
+    """Static execution geometry of one layer and direction on one rank.
 
-    Everything here is a pure function of (global shapes, distributions,
-    layer hyper-parameters), so layers compute it once per (direction,
-    shape, distribution) — including the halo plan — rather than per step.
-    The *block* tensor is the one the kernel produces (the output in
-    forward, the input gradient in Eq. 3); the *source* is the one it
-    reads through windows.
+    Everything here is a pure function of (rank coordinates, global shapes,
+    distributions, layer hyper-parameters), computed once per key —
+    including the halo plan — rather than per step.  The *block* tensor is
+    the one the kernel produces (the output in forward, the input gradient
+    in Eq. 3); the *source* is the one it reads through windows.
     """
 
     dist: object                 # distribution of the block tensor
@@ -134,6 +143,20 @@ class WindowGeometry:
     @property
     def block_shape(self) -> tuple[int, ...]:
         return tuple(hi - lo for lo, hi in self.bounds)
+
+    @property
+    def boundary_fraction(self) -> float:
+        """Share of the block computed after the halo lands: 1 when the
+        block is not decomposed (nothing exchanged, or an empty block)."""
+        if not self.pieces:
+            return 1.0
+        interior = sum(cells((r, c)) for r, c, inside in self.pieces if inside)
+        return 1.0 - interior / cells(self.bounds[2:])
+
+    @property
+    def boundary_pieces(self) -> int:
+        """Boundary kernels the block runs after the halo lands."""
+        return sum(not inside for *_, inside in self.pieces)
 
     def block_index(self, rows: Span, cols: Span) -> tuple:
         """Index of block rows/cols ``rows`` x ``cols`` in the local block."""
@@ -161,46 +184,68 @@ class WindowGeometry:
         )
 
 
+@lru_cache(maxsize=4096)
 def window_geometry(
-    source: DistTensor,
-    dist,
-    shape: tuple[int, ...],
+    coords: tuple[int, ...],
+    source: Placement,
+    block: Placement,
     kernel: tuple[int, int],
     stride: tuple[int, int],
     pad: tuple[int, int],
     transposed: bool = False,
 ) -> WindowGeometry:
-    """Geometry of a windowed kernel producing the block tensor ``(dist,
-    shape)`` from windows of ``source``; every rank's region spans all of
-    ``source``'s channels, so its grid's channel axis must be 1."""
-    grid = source.grid
-    if grid.shape[1] != 1:
+    """Geometry, on the rank at grid ``coords``, of a windowed kernel
+    producing the ``block`` tensor from windows of the ``source`` tensor —
+    two placements on one grid (``dist.grid_shape``).
+
+    Every region spans all of the source's channels, so the grid's channel
+    axis must be 1, and a window never crosses the sample axis, so the two
+    tensors must place samples alike.  Only the rank's own sample group
+    (the ranks sharing its sample coordinate) can then read its shard: the
+    exchange is planned over that group, whatever the sample-way count, and
+    whether any window reads off-shard is decided on the spatial axes,
+    which every group splits alike.
+    """
+    (src_dist, src_shape), (dist, shape) = source, block
+    grid = src_dist.grid_shape
+    if grid[1] != 1:
         raise ValueError(
-            f"channels are never split: grid axis 1 must be 1, got {grid.shape}"
+            f"channels are never split: grid axis 1 must be 1, got {grid}"
         )
-    channels = source.global_shape[1]
+    if (src_shape[0], src_dist.kinds[0]) != (shape[0], dist.kinds[0]):
+        raise ValueError("a window never crosses the sample axis")
     windows = tuple(
         Window(k, s, p, transposed) for k, s, p in zip(kernel, stride, pad)
     )
 
-    def region_of(coords):
-        (n_lo, n_hi), _, rows, cols = dist.local_bounds(shape, coords)
+    def region_of(c):
+        (n_lo, n_hi), _, rows, cols = dist.local_bounds(shape, c)
         (h0, h1), (w0, w1) = windows[0].span(*rows), windows[1].span(*cols)
-        return (n_lo, 0, h0, w0), (n_hi, channels, h1, w1)
+        return (n_lo, 0, h0, w0), (n_hi, src_shape[1], h1, w1)
 
-    regions = [region_of(grid.coords_of(r)) for r in range(grid.comm.size)]
-    lo, hi = regions[grid.comm.rank]
-    bounds = dist.local_bounds(shape, grid.coords)
-    exchanged = any_region_remote(source, regions)
+    def off_shard(c, region) -> bool:
+        owned = src_dist.local_bounds(src_shape, c)[2:]
+        box = [(max(region[0][d], 0), min(region[1][d], src_shape[d])) for d in (2, 3)]
+        return all(b < e for b, e in box) and any(
+            b < o_lo or e > o_hi for (b, e), (o_lo, o_hi) in zip(box, owned)
+        )
+
+    group = [
+        (c, region_of(c))
+        for c in ((coords[0], 0, h, w) for h in range(grid[2]) for w in range(grid[3]))
+    ]
+    lo, hi = region_of(coords)
+    bounds = dist.local_bounds(shape, coords)
+    exchanged = any(off_shard(c, region) for c, region in group)
     pieces: tuple = ()
     if exchanged:
-        owned = source.bounds
+        owned = src_dist.local_bounds(src_shape, coords)
         inner = [
-            w.interior(bounds[d], owned[d], source.global_shape[d])
+            w.interior(bounds[d], owned[d], src_shape[d])
             for d, w in zip((2, 3), windows)
         ]
         pieces = tuple(_frame_pieces(bounds[2], bounds[3], *inner))
-    plan = plan_region_exchange(source, lo, hi, regions)
+    plan = plan_region(src_dist, src_shape, coords, lo, hi, group)
     return WindowGeometry(
         dist, shape, bounds, lo, hi, exchanged, pieces, plan, windows
     )

@@ -210,8 +210,11 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
     Joined on op id: a layer's modeled time is the window (last finish −
     first start) of the simulated tasks of its ``fwd:{layer}`` /
     ``bwd:{layer}`` op — the ids the runtime's layer spans carry; a layer's
-    allreduce bytes are its parameters in the step's gradient buckets.
+    allreduce bytes are its parameters in the step's gradient buckets, and
+    the step's halo bytes what the priced rank's plan of each halo op sends
+    (the ``region_data`` counter).
     """
+    from repro.perfmodel.layer_cost import priced_coords
     from repro.sim import TrainingStepSimulator
 
     sim = TrainingStepSimulator(spec, machine, **sim_kwargs)
@@ -238,6 +241,10 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
             "bwd_s": seconds(f"bwd:{name}"),
             "ar_bytes": ar_bytes,
         }
+    halo_bytes = sum(
+        h.plan(priced_coords(sched[h.layer].grid_shape)).sent_cells
+        for h in sched.halos
+    ) * machine.dtype_bytes
     return {
         "source": "TrainingStepSimulator",
         "n_global": n_global,
@@ -245,6 +252,7 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
         "compute_busy_s": res.compute_busy,
         "comm_busy_s": res.comm_busy,
         "allreduce_bytes_per_rank": ar_bytes_total,
+        "halo_bytes_per_rank": halo_bytes,
         "layers": layers,
     }
 
@@ -293,6 +301,9 @@ def render_report(doc: dict, model: dict | None = None, top: int = 12) -> str:
                 f"{_fmt_ms(slot['hidden_us']):>10}"
             )
 
+    step_spans = [
+        ev for spans in tracks.values() for ev in spans if ev["name"] == "step"
+    ]
     comm = comm_rows(doc)
     if comm:
         lines.append("")
@@ -300,6 +311,12 @@ def render_report(doc: dict, model: dict | None = None, top: int = 12) -> str:
         lines.append(f"  {'op':<18} {'calls':>7} {'bytes':>14}")
         for op in sorted(comm):
             lines.append(f"  {op:<18} {comm[op]['calls']:>7} {comm[op]['bytes']:>14}")
+            if op == "region_data" and model is not None and step_spans:
+                lines.append(
+                    f"    per rank and step: measured "
+                    f"{comm[op]['bytes'] / len(step_spans):.0f} B vs modeled "
+                    f"{model.get('halo_bytes_per_rank', 0)} B"
+                )
 
     if model is not None:
         measured = layer_times(doc)
@@ -316,9 +333,6 @@ def render_report(doc: dict, model: dict | None = None, top: int = 12) -> str:
                 f"{pred['fwd_s'] * 1e3:>13.3f} {_fmt_ms(meas['bwd_us']):>12} "
                 f"{pred['bwd_s'] * 1e3:>13.3f} {pred['ar_bytes']:>11}"
             )
-        step_spans = [
-            ev for spans in tracks.values() for ev in spans if ev["name"] == "step"
-        ]
         if step_spans:
             meas_step = sum(ev["dur"] for ev in step_spans) / len(step_spans)
             lines.append(

@@ -9,8 +9,9 @@
   paper-scale experiments) and an *empirical* model that times this
   package's own numpy kernels ("we use empirical estimates for convolution,
   as cuDNN may select among many algorithms").
-* :mod:`repro.perfmodel.layer_cost` — FP, BPx, BPw, BPa per layer with
-  halo-exchange terms and overlap adjustments (§V-A).
+* :mod:`repro.perfmodel.layer_cost` — FP, BPx, BPw per layer: the kernels
+  over the region a window gathers, and the overlap of a layer's halo op
+  with them (§V-A).
 * :mod:`repro.perfmodel.network_cost` — whole-CNN mini-batch time (§V-B):
   per-layer costs, shuffle and gradient-bucket costs of the lowered step,
   and one timeline — the step as a task graph over compute and

@@ -2,12 +2,13 @@
 
 LBANN statically allocates, for every layer, both its output activations
 and its output error signal (here: for every layer the lowered schedule
-runs backward, see :func:`repro.core.schedule.backward_set`); training
-additionally holds the replicated parameters, their gradients, the
-optimizer state of the slices it updates (1/g of a layer's parameters for a
-gradient group of g ranks), convolution workspace, and communication
-buffers.  This model reproduces the paper's feasibility boundaries on 16 GB
-V100s:
+runs backward, :func:`repro.core.schedule.lower`); training additionally
+holds the replicated parameters, their gradients, the optimizer state of
+the slices it updates (1/g of a layer's parameters for a gradient group of
+g ranks), the halo cells each forward halo exchange receives (the
+schedule's :class:`~repro.core.schedule.HaloOp`, on the priced rank),
+convolution workspace, and communication buffers.  This model reproduces
+the paper's feasibility boundaries on 16 GB V100s:
 
 * the 2K mesh model cannot train with even one sample per GPU under pure
   sample parallelism — spatial parallelism is *required* (§I, §VI-B1);
@@ -17,14 +18,13 @@ V100s:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.nn.graph import NetworkSpec
 from repro.perfmodel.machine import MachineSpec
-from repro.perfmodel.layer_cost import local_extents
+from repro.perfmodel.layer_cost import local_extents, priced_coords
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
-from repro.core.schedule import backward_set, grad_axes
+from repro.core.schedule import lower
 
 
 @dataclass
@@ -77,7 +77,6 @@ class MemoryModel:
         self.spec = spec
         self.machine = machine
         self.shapes = spec.infer_shapes()
-        self._runs_backward = backward_set(spec)[0]
 
     def breakdown(
         self, n_global: int, strategy: ParallelStrategy | LayerParallelism
@@ -89,32 +88,28 @@ class MemoryModel:
         max_conv_out = 0.0
         momentum = 0.0  # elements: 1/g of each layer's parameters
 
-        for layer in self.spec.topo_order():
-            par = strategy.for_layer(layer.name)
-            c, h, w = self.shapes[layer.name]
-            params = self.spec.param_count(layer.name, self.shapes)
-            if params:
-                grid = par.grid_shape
-                axes = grad_axes(grid, (n_global, c, h, w))
-                momentum += params / math.prod(grid[d] for d in axes)
+        sched = lower(self.spec, strategy, n_global)
+        for op in sched.layers:
+            par = strategy.for_layer(op.name)
+            c, h, w = self.shapes[op.name]
+            if op.param_count:
+                momentum += op.param_count / (op.grad_group[0] if op.grad_group else 1)
             i_n, i_h, i_w = local_extents(n_global, h, w, par)
             out_bytes = float(i_n) * c * i_h * i_w * db
-            m.per_layer_activations[layer.name] = out_bytes
+            m.per_layer_activations[op.name] = out_bytes
             m.activations += out_bytes
-            if layer.name in self._runs_backward:
+            if op.runs_backward:
                 m.error_signals += out_bytes
-            if layer.kind == "bn":
+            if op.kind == "bn":
                 m.bn_saved += out_bytes  # xhat
-            if layer.kind == "conv":
+            if op.kind == "conv":
                 max_conv_out = max(max_conv_out, out_bytes)
-                k = layer.params["kernel"]
-                kh = k if isinstance(k, int) else k[0]
-                if par.height > 1 or par.width > 1:
-                    # Halo-extended input copy held during fwd+bwd.
-                    pc, ph_, pw_ = self.shapes[layer.parents[0]]
-                    o = kh // 2
-                    rows = float(i_n) * pc * db
-                    m.halo_buffers += 2 * o * rows * (i_w + i_h)
+            halo = sched.halo("fwd", op.name)
+            if halo is not None:
+                # The halo cells the forward exchange receives, held with
+                # the gathered region until backward.
+                plan = halo.plan(priced_coords(op.grid_shape))
+                m.halo_buffers += plan.received_cells * db
 
         # Parameters and gradients, replicated on every rank, + momentum.
         m.parameters = (2.0 * self.spec.total_params() + momentum) * db

@@ -8,9 +8,17 @@ the engine interprets.  This module prices it and then schedules it, and
 
 Pricing (:meth:`NetworkCostModel.cost`):
 
-* every layer gets a :class:`~repro.perfmodel.layer_cost.ConvLayerCost`;
-  layers other than convolution are costed as memory-bound passes (the
-  paper leaves them free — the ranking of strategies is the same);
+* every layer gets a :class:`~repro.perfmodel.layer_cost.ConvLayerCost`
+  for its kernels on its largest block; layers other than convolution and
+  pooling are costed as memory-bound passes (the paper leaves them free —
+  the ranking of strategies is the same);
+* each halo exchange is its schedule op, priced on the rank with the most
+  halo (:func:`~repro.perfmodel.layer_cost.priced_coords`): one α-β
+  message plus the fixed per-message overhead for every box that rank
+  receives in the op's plan — over NVLink from a peer on its node, the
+  network otherwise — and the interior/boundary split of the layer's kernel
+  is the op's window geometry there (a scatter-add sends what its whole
+  kernel produced, so nothing of that kernel overlaps it);
 * each redistribution between layers with different distributions is
   charged a Shuffle(D_i, D_j) all-to-all (§III-C);
 * the dL/dw allreduces are the engine's gradient buckets
@@ -28,19 +36,15 @@ Timeline (:meth:`NetworkCostModel.simulate`): a task graph over the
 critical-path rank's compute and communication streams
 (:class:`~repro.perfmodel.sim_engine.SimEngine`), the §IV schedule —
 
-* forward, per layer: the halo exchange runs on the communication stream
-  *concurrently* with the interior convolution; the boundary convolutions
-  run after both ("our implementation automatically decomposes an input
-  tensor into its interior domain and boundary domains ... so that halo
-  exchanges can be run concurrently with the convolution of the interior
-  domain").  The interior/boundary split is the per-layer
-  ``boundary_fraction`` derived from the local block geometry — the same
-  decomposition the engine's :class:`~repro.core.dist_conv.DistConv2d`
-  executes;
-* backward, per layer: the error-signal halo exchange is hidden inside the
+* forward, per layer: the halo op runs on the communication stream
+  *concurrently* with the interior kernel; the boundary kernels run after
+  both ("our implementation automatically decomposes an input tensor into
+  its interior domain and boundary domains ... so that halo exchanges can
+  be run concurrently with the convolution of the interior domain");
+* backward, per layer: the error-signal halo op is hidden inside the
   filter convolution ("we exploit the task-level parallelism of backward
   data and filter convolutions") *and* the interior data convolution, with
-  only the boundary strips of the data convolution waiting on the halo;
+  only the boundary pieces of the data convolution waiting on the halo;
   a layer that computes no ``dx`` has a filter task but no data or halo
   task, and a layer backward does not reach has no backward tasks;
 * a layer's blocking collective is a communication task in its
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.comm.collective_models import allreduce_time, alltoall_time
+from repro.comm.collective_models import allreduce_time, alltoall_time, pt2pt_time
 from repro.nn.graph import NetworkSpec
 from repro.perfmodel.conv_model import CalibratedConvModel
 from repro.perfmodel.layer_cost import (
@@ -74,17 +78,22 @@ from repro.perfmodel.layer_cost import (
     conv_layer_cost,
     local_extents,
     pool_layer_cost,
+    priced_coords,
 )
 from repro.perfmodel.machine import MachineSpec
 from repro.perfmodel.sim_engine import SimEngine
+from repro.tensor.exchange import cells
+from repro.tensor.grid import rank_at
 from repro.core.grad_reducer import DEFAULT_BUCKET_BYTES
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
-from repro.core.schedule import (
-    GradBucket,
-    LayerOp,
-    StepSchedule,
-    backward_set,
-    lower,
+from repro.core.schedule import GradBucket, HaloOp, LayerOp, StepSchedule, lower
+from repro.core.window import window_geometry
+
+
+#: The :class:`ConvLayerCost` fields a layer's halo op of each phase sets.
+_HALO_FIELDS = (
+    ("fwd", ("fp_halo", "boundary_fraction", "boundary_launch")),
+    ("bwd", ("bpx_halo", "bpx_boundary_fraction", "bpx_boundary_launch")),
 )
 
 
@@ -99,7 +108,7 @@ class NetworkCostBreakdown:
     per_layer: dict[str, ConvLayerCost] = field(default_factory=dict)
     #: The lowered step that was priced, its gradient buckets
     #: (``allreduce_bucket_bytes``), and the seconds charged per shuffle,
-    #: collective and bucket op id.
+    #: collective, halo and bucket op id.
     schedule: StepSchedule | None = None
     buckets: list[GradBucket] = field(default_factory=list)
     comm_ops: dict[str, float] = field(default_factory=dict)
@@ -148,78 +157,61 @@ class NetworkCostModel:
         #: use one selection rule.
         self.allreduce_algorithm = allreduce_algorithm
         self.shapes = spec.infer_shapes()
-        self._need_dx = backward_set(spec)[1]
 
     # -- per-layer costing -------------------------------------------------------
-    def layer_cost(
-        self, name: str, n_global: int, strategy: ParallelStrategy
+    def _kernels(
+        self, op: LayerOp, n_global: int, strategy: ParallelStrategy
     ) -> ConvLayerCost | None:
-        """Cost of one layer as the network runs it: the isolated layer's
-        cost, minus BPx (kernel, halo, boundary launches) when no parent
-        needs the error signal."""
-        cost = self._isolated_layer_cost(name, n_global, strategy)
-        if cost is not None and name not in self._need_dx:
-            # Fraction 1 = "backward not decomposed", which is what makes
-            # ``bpx_boundary_launch`` 0: no data kernel, no launches to split.
-            cost = replace(
-                cost, bpx_compute=0.0, bpx_halo=0.0, bp_boundary_fraction=1.0
-            )
-        return cost
-
-    def _isolated_layer_cost(
-        self, name: str, n_global: int, strategy: ParallelStrategy
-    ) -> ConvLayerCost | None:
-        layer = self.spec[name]
-        par = strategy.for_layer(name)
-        if layer.kind == "conv":
+        """The kernels of one layer on its largest block (the first part of
+        every grid axis), without BPx when no parent needs the error
+        signal."""
+        layer = self.spec[op.name]
+        if op.window is not None:
+            g = window_geometry((0,) * len(op.grid_shape), *op.window)
+            if layer.kind == "conv":
+                cost = conv_layer_cost(self.conv_model, g, layer.params["filters"])
+            else:
+                cost = pool_layer_cost(self.machine, g)
+        elif layer.kind in ("bn", "relu", "add", "gap", "fc"):
             c, h, w = self.shapes[layer.parents[0]]
-            return conv_layer_cost(
-                self.machine,
-                self.conv_model,
-                n_global=n_global,
-                c=c,
-                h=h,
-                w=w,
-                f=layer.params["filters"],
-                kernel=layer.params["kernel"],
-                stride=layer.params.get("stride", 1),
-                pad=layer.params.get("pad", 0),
-                parallelism=par,
-            )
-        if layer.kind == "pool":
-            c, h, w = self.shapes[layer.parents[0]]
-            return pool_layer_cost(
-                self.machine,
-                n_global=n_global,
-                c=c,
-                h=h,
-                w=w,
-                kernel=layer.params["kernel"],
-                stride=layer.params.get("stride", layer.params["kernel"]),
-                pad=layer.params.get("pad", 0),
-                parallelism=par,
-            )
-        if layer.kind in ("bn", "relu", "add", "gap"):
-            c, h, w = self.shapes[layer.parents[0]]
-            i_n, i_h, i_w = local_extents(n_global, h, w, par)
-            local = float(i_n) * c * i_h * i_w
-            passes = {"bn": (3, 4), "relu": (2, 2), "add": (3, 1), "gap": (1, 1)}[layer.kind]
             db, gpu = self.machine.dtype_bytes, self.machine.gpu
-            fp, bp = (gpu.elementwise_time(k * local * db) for k in passes)
-            return ConvLayerCost(fp, 0.0, bp, 0.0, 0.0)
-        if layer.kind == "fc":
-            c, h, w = self.shapes[layer.parents[0]]
-            units = layer.params["units"]
-            i_n = local_extents(n_global, 1, 1, par)[0]
-            flops = 2.0 * i_n * c * h * w * units
-            db = self.machine.dtype_bytes
-            gpu = self.machine.gpu
-            fp = gpu.conv_time(flops, (i_n * c * h * w + i_n * units) * db,
-                               gpu.fwd_tflops_max)
-            bp = 2 * gpu.conv_time(flops, (i_n * c * h * w + i_n * units) * db,
-                                   gpu.bwd_data_tflops_max)
-            return ConvLayerCost(fp, 0.0, bp, 0.0, 0.0)
-        return None  # input / loss layers
+            par = strategy.for_layer(op.name)
+            if layer.kind == "fc":
+                units = layer.params["units"]
+                i_n = local_extents(n_global, 1, 1, par)[0]
+                flops = 2.0 * i_n * c * h * w * units
+                nbytes = (i_n * c * h * w + i_n * units) * db
+                fp = gpu.conv_time(flops, nbytes, gpu.fwd_tflops_max)
+                bp = 2 * gpu.conv_time(flops, nbytes, gpu.bwd_data_tflops_max)
+            else:
+                i_n, i_h, i_w = local_extents(n_global, h, w, par)
+                local = float(i_n) * c * i_h * i_w
+                passes = {"bn": (3, 4), "relu": (2, 2), "add": (3, 1), "gap": (1, 1)}
+                fp, bp = (gpu.elementwise_time(k * local * db) for k in passes[layer.kind])
+            cost = ConvLayerCost(fp_compute=fp, bpx_compute=bp)
+        else:
+            return None  # input / loss layers
+        return cost if op.need_dx else replace(cost, bpx_compute=0.0)
+
+    def _halo(self, h: HaloOp, grid_shape: tuple[int, ...]) -> tuple[float, float, float]:
+        """``(seconds, boundary fraction, boundary launch seconds)`` of halo
+        op ``h`` on the priced rank of a layer on ``grid_shape`` (see module
+        doc)."""
+        coords = priced_coords(grid_shape)
+        node = self.machine.gpus_per_node
+        me = rank_at(grid_shape, coords) // node
+        seconds = 0.0
+        for peer, box in h.plan(coords).recvs:
+            if peer // node == me:
+                link, overhead = self.machine.intra_link, self.machine.halo_msg_overhead_intra
+            else:
+                link, overhead = self.machine.inter_link, self.machine.halo_msg_overhead_inter
+            seconds += pt2pt_time(cells(box) * self.machine.dtype_bytes, link) + overhead
+        if h.reverse:  # a scatter-add sends what its whole kernel produced
+            return seconds, 1.0, 0.0
+        g = h.geometry(coords)
+        launch = g.boundary_pieces * self.machine.gpu.kernel_latency
+        return seconds, g.boundary_fraction, launch
 
     def shuffle_edge_cost(self, parent: str, n_global: int, strategy) -> float:
         """Payload time of one redistribution of ``parent``'s activation
@@ -241,8 +233,14 @@ class NetworkCostModel:
         bd = NetworkCostBreakdown(schedule=sched)
         db = self.machine.dtype_bytes
         for op in sched.layers:
-            cost = self.layer_cost(op.name, n_global, strategy)
+            cost = self._kernels(op, n_global, strategy)
             if cost is not None:
+                for phase, fields in _HALO_FIELDS:
+                    h = sched.halo(phase, op.name)
+                    if h is not None:
+                        priced = self._halo(h, op.grid_shape)
+                        bd.comm_ops[h.op_id] = priced[0]
+                        cost = replace(cost, **dict(zip(fields, priced)))
                 bd.per_layer[op.name] = cost
             # Each shuffle at the layer that issues it: the forward one at
             # its first consumer, the backward one at its child.
@@ -318,12 +316,13 @@ class NetworkCostModel:
                     fwd_done[name] = fwd_done[op.edges[0].parent]
                 continue
             base_deps += coll
-            if c.fp_halo > 0:
+            halo = sched.halo("fwd", name)
+            if halo is not None:
                 interior = c.fp_compute * (1 - c.boundary_fraction)
                 boundary = c.fp_compute * c.boundary_fraction + c.boundary_launch
-                eng.add(f"{fwd}:halo", c.fp_halo, "comm", base_deps, op=fwd)
+                eng.add(halo.op_id, price[halo.op_id], "comm", base_deps, op=fwd)
                 eng.add(f"{fwd}:interior", interior, "compute", base_deps, op=fwd)
-                eng.add(fwd, boundary, "compute", (f"{fwd}:halo", f"{fwd}:interior"))
+                eng.add(fwd, boundary, "compute", (halo.op_id, f"{fwd}:interior"))
             else:
                 eng.add(fwd, c.fp_compute, "compute", base_deps)
             prev_fwd = fwd_done[name] = fwd
@@ -355,17 +354,15 @@ class NetworkCostModel:
                 base_deps = (prev_bwd,) if prev_bwd else ()
                 base_deps = base_deps + tuple(incoming.pop(name, ()))
                 coll = blocking("bwd", op, base_deps)
-                if c.bpx_halo > 0:
-                    # An undecomposed backward (fraction pinned at 1, no
-                    # boundary launches) makes this timeline degenerate
-                    # exactly to the serialized cost; pooling carries a
-                    # real backward fraction (its scatter-add overlaps the own
-                    # contribution with the in-flight boundary strips).
+                halo = sched.halo("bwd", name)
+                if halo is not None:
+                    # An undecomposed backward (fraction 1, no boundary
+                    # launches) makes this timeline the serialized cost.
                     interior = c.bpx_compute * (1 - c.bpx_boundary_fraction)
                     boundary = (
                         c.bpx_compute * c.bpx_boundary_fraction + c.bpx_boundary_launch
                     )
-                    eng.add(f"{bwd}:halo", c.bpx_halo, "comm", base_deps, op=bwd)
+                    eng.add(halo.op_id, price[halo.op_id], "comm", base_deps, op=bwd)
                     eng.add(f"{bwd}:filter", c.bpw_compute, "compute", base_deps, op=bwd)
                     eng.add(
                         f"{bwd}:data_interior", interior, "compute",
@@ -373,7 +370,7 @@ class NetworkCostModel:
                     )
                     eng.add(
                         f"{bwd}:data", boundary, "compute",
-                        (f"{bwd}:halo", f"{bwd}:data_interior") + coll, op=bwd,
+                        (halo.op_id, f"{bwd}:data_interior") + coll, op=bwd,
                     )
                     prev_bwd = f"{bwd}:data"
                 else:

@@ -53,9 +53,10 @@ TABLE3 = {
     32768: (0.109, 0.0869, None),
 }
 
-#: Fig. 2/3 — the four microbenchmarked layers: ``conv_layer_cost`` geometry
-#: as printed above each plot, and the one-GPU N=1 (forward, backward)
-#: milliseconds read off it.
+#: Fig. 2/3 — the four microbenchmarked layers: input channels and extent,
+#: filters and window as printed above each plot (a convolution of a
+#: network, priced with its halo op), and the one-GPU N=1 (forward,
+#: backward) milliseconds read off it.
 FIG_LAYERS = {
     "conv1": dict(c=3, h=224, w=224, f=64, kernel=7, pad=3, stride=2),
     "res3b_branch2a": dict(c=512, h=28, w=28, f=128, kernel=1, pad=0, stride=1),

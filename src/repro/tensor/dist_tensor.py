@@ -21,9 +21,10 @@ A transfer is a plan and an exchange.  ``gather_region`` is the plan-free
 request/reply reference the tests compare against; everything on the hot
 path runs a :class:`~repro.tensor.exchange.TransferPlan` through a
 :class:`~repro.tensor.exchange.PlannedExchange`.
-:func:`plan_region_exchange` builds the plan of a region gather from the
-ownership resolution below, and the scatter-add is that same plan read
-backwards — its receives are what to send, its sends what to accumulate.
+:func:`plan_region` builds the plan of a region gather from the pure
+ownership resolution :func:`owners_of_region`, and the scatter-add is that
+same plan read backwards — its receives are what to send, its sends what
+to accumulate.
 
 Both are collective over the grid's communicator.  Regions may extend past
 the global tensor boundary; out-of-range parts are zero-filled on gather
@@ -38,7 +39,7 @@ bitwise consistent without extra synchronization.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,12 +47,13 @@ from repro.comm.communicator import Communicator
 from repro.tensor.distribution import Distribution
 from repro.tensor.exchange import (
     HALO_OP,
+    Box,
     PlannedExchange,
     TransferPlan,
     cells,
     stage_payload,
 )
-from repro.tensor.grid import ProcessGrid
+from repro.tensor.grid import ProcessGrid, rank_at
 from repro.tensor.indexing import (
     block_coords_of_interval,
     intersect,
@@ -135,53 +137,6 @@ class DistTensor:
             f"bounds={self.bounds})"
         )
 
-    # -- ownership resolution ----------------------------------------------------
-    def _owners_of_region(
-        self,
-        lo: Sequence[int],
-        hi: Sequence[int],
-        coords: Sequence[int] | None = None,
-    ) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-        """Ranks owning parts of global region ``[lo, hi)`` and their overlaps.
-
-        Replicated dimensions resolve to the replica group of ``coords`` (the
-        caller's own coordinates by default) — passing another rank's
-        coordinates answers "whom would *that* rank fetch this region from",
-        which is what the sender side of the overlapped halo exchange needs
-        to mirror the receive side without a request round-trip.
-        Returns ``[(comm_rank, per-dim clipped interval), ...]``.
-        """
-        if coords is None:
-            coords = self.grid.coords
-        per_dim: list[list[tuple[int, tuple[int, int]]]] = []
-        for d in range(self.dist.ndim):
-            n = self.global_shape[d]
-            clipped = intersect((int(lo[d]), int(hi[d])), (0, n))
-            if interval_is_empty(clipped):
-                return []
-            if self.dist.is_split(d):
-                c0, c1 = block_coords_of_interval(
-                    n, self.dist.grid_shape[d], clipped[0], clipped[1]
-                )
-                options = []
-                for c in range(c0, c1 + 1):
-                    overlap = intersect(
-                        clipped, self.dist.dim_bounds(self.global_shape, d, c)
-                    )
-                    if not interval_is_empty(overlap):
-                        options.append((c, overlap))
-                per_dim.append(options)
-            else:
-                # Unsplit: stay within the requester's replica group.
-                per_dim.append([(coords[d], clipped)])
-
-        owners = []
-        for combo in itertools.product(*per_dim):
-            coords = tuple(c for c, _ in combo)
-            overlap = tuple(iv for _, iv in combo)
-            owners.append((self.grid.rank_of(coords), overlap))
-        return owners
-
     _stage_payload = staticmethod(stage_payload)
 
     def _local_slice_of(self, region: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -221,7 +176,10 @@ class DistTensor:
         if any(s < 0 for s in out_shape):
             raise ValueError(f"negative region shape {out_shape}")
 
-        owners = self._owners_of_region(lo, hi) if all(s > 0 for s in out_shape) else []
+        owners = (
+            owners_of_region(self.dist, self.global_shape, lo, hi, self.grid.coords)
+            if all(s > 0 for s in out_shape) else []
+        )
         comm = self.comm
 
         requests: list[list[tuple[tuple[int, int], ...]]] = [
@@ -352,22 +310,61 @@ class ScatterAddExchange:
         self._exchange.finish()
 
 
-def plan_region_exchange(
-    dt: DistTensor,
+def owners_of_region(
+    dist: Distribution,
+    shape: Sequence[int],
     lo: Sequence[int],
     hi: Sequence[int],
-    peer_regions: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> TransferPlan:
-    """Build the static schedule for a gather of ``[lo, hi)`` from ``dt``.
+    coords: Sequence[int],
+) -> list[tuple[int, Box]]:
+    """Ranks owning parts of global region ``[lo, hi)`` of a tensor of
+    global ``shape`` placed by ``dist``, and their overlaps — whom the rank
+    at grid ``coords`` fetches the region from.  Replicated dimensions
+    resolve to the replica group of ``coords``.  Returns
+    ``[(comm_rank, per-dim clipped interval), ...]``.
+    """
+    per_dim: list[list[tuple[int, tuple[int, int]]]] = []
+    for d in range(dist.ndim):
+        n = shape[d]
+        clipped = intersect((int(lo[d]), int(hi[d])), (0, n))
+        if interval_is_empty(clipped):
+            return []
+        if dist.is_split(d):
+            c0, c1 = block_coords_of_interval(
+                n, dist.grid_shape[d], clipped[0], clipped[1]
+            )
+            options = []
+            for c in range(c0, c1 + 1):
+                overlap = intersect(clipped, dist.dim_bounds(shape, d, c))
+                if not interval_is_empty(overlap):
+                    options.append((c, overlap))
+            per_dim.append(options)
+        else:
+            # Unsplit: stay within the requester's replica group.
+            per_dim.append([(coords[d], clipped)])
+    return [
+        (rank_at(dist.grid_shape, [c for c, _ in combo]), tuple(iv for _, iv in combo))
+        for combo in itertools.product(*per_dim)
+    ]
 
-    ``peer_regions[j]`` must be the ``(lo, hi)`` region comm-rank ``j``
-    gathers in the same exchange — identical on every rank (each rank
-    derives all regions from shared layer geometry), which is what lets the
-    send side be mirrored from the receive side without a request
-    round-trip.  Halo geometry is a function of the layer and distribution
-    alone, so layers build the plan once and reuse it every step, exactly
-    as the paper's implementation sets up its halo exchanges per layer
-    rather than per invocation.
+
+def plan_region(
+    dist: Distribution,
+    shape: Sequence[int],
+    coords: Sequence[int],
+    lo: Sequence[int],
+    hi: Sequence[int],
+    peers: Iterable[tuple[Sequence[int], tuple[Sequence[int], Sequence[int]]]],
+) -> TransferPlan:
+    """The static schedule of a gather of ``[lo, hi)`` by the rank at grid
+    ``coords`` from a tensor of global ``shape`` placed by ``dist`` — a pure
+    function of placement and regions, no tensor and no communicator.
+
+    ``peers`` are ``(coords, (lo, hi))``, in ascending rank order, of every
+    rank that may read this rank's shard in the same exchange, with the
+    region it gathers — identical on every rank (each rank derives all
+    regions from shared layer geometry), which is what lets the send side
+    be mirrored from the receive side without a request round-trip.
     """
     lo = tuple(int(v) for v in lo)
     hi = tuple(int(v) for v in hi)
@@ -375,28 +372,54 @@ def plan_region_exchange(
         raise ValueError(
             f"negative region shape {tuple(h - b for b, h in zip(lo, hi))}"
         )
-    comm = dt.comm
-    grid = dt.grid
-
+    me = rank_at(dist.grid_shape, coords)
+    mine = dist.local_bounds(shape, coords)
+    split = [dist.is_split(d) for d in range(dist.ndim)]
     sends = []
-    for peer in range(comm.size):
-        if peer == comm.rank:
-            continue
-        peer_lo, peer_hi = peer_regions[peer]
-        if any(h - b <= 0 for b, h in zip(peer_lo, peer_hi)):
-            continue
-        owners = dt._owners_of_region(peer_lo, peer_hi, coords=grid.coords_of(peer))
-        sends.extend((peer, box) for rank, box in owners if rank == comm.rank)
+    for peer_coords, (peer_lo, peer_hi) in peers:
+        peer = rank_at(dist.grid_shape, peer_coords)
+        box = tuple(
+            (max(b, o_lo), min(h, o_hi))
+            for b, h, (o_lo, o_hi) in zip(peer_lo, peer_hi, mine)
+        )
+        # The receive side's ownership rule, mirrored: a peer reads this
+        # shard where its region overlaps it, within its replica group.
+        if (
+            peer != me
+            and all(b < h for b, h in box)
+            and all(s or p == c for s, p, c in zip(split, peer_coords, coords))
+        ):
+            sends.append((peer, box))
 
     recvs = []
     local = []
     if all(h > b for b, h in zip(lo, hi)):
-        for rank, box in dt._owners_of_region(lo, hi):
-            if rank == comm.rank:
+        for rank, box in owners_of_region(dist, shape, lo, hi, coords):
+            if rank == me:
                 local.append(box)
             else:
                 recvs.append((rank, box))
     return TransferPlan(
         tuple(zip(lo, hi)), tuple(sends), tuple(recvs), tuple(local),
         sum(cells(box) for _, box in sends),
+    )
+
+
+def plan_region_exchange(
+    dt: DistTensor,
+    lo: Sequence[int],
+    hi: Sequence[int],
+    peer_regions: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> TransferPlan:
+    """:func:`plan_region` for ``dt``'s rank, with ``peer_regions[j]`` the
+    ``(lo, hi)`` region comm-rank ``j`` gathers in the same exchange.
+    Halo geometry is a function of the layer and distribution alone, so
+    layers build the plan once and reuse it every step, exactly as the
+    paper's implementation sets up its halo exchanges per layer rather than
+    per invocation.
+    """
+    grid = dt.grid
+    return plan_region(
+        dt.dist, dt.global_shape, grid.coords, lo, hi,
+        ((grid.coords_of(j), region) for j, region in enumerate(peer_regions)),
     )

@@ -68,12 +68,16 @@ class TransferPlan:
     def shape(self) -> tuple[int, ...]:
         return tuple(hi - lo for lo, hi in self.box)
 
+    @property
+    def received_cells(self) -> int:
+        """Cells this rank receives from its peers."""
+        return sum(cells(box) for _, box in self.recvs)
+
     def reversed(self) -> "TransferPlan":
         """The adjoint transfer: what the plan receives is sent back to
         where it came from, what it sends is received."""
         return TransferPlan(
-            self.box, self.recvs, self.sends, self.local,
-            sum(cells(box) for _, box in self.recvs),
+            self.box, self.recvs, self.sends, self.local, self.received_cells
         )
 
 

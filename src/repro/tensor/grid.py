@@ -26,6 +26,14 @@ import numpy as np
 from repro.comm.communicator import Communicator
 
 
+def rank_at(shape: Sequence[int], coords: Sequence[int]) -> int:
+    """Comm rank at grid ``coords`` of a grid of ``shape`` (row-major)."""
+    rank = 0
+    for c, s in zip(coords, shape):
+        rank = rank * s + c
+    return rank
+
+
 class ProcessGrid:
     """A dense Cartesian arrangement of the ranks of a communicator."""
 
@@ -55,7 +63,7 @@ class ProcessGrid:
         for c, s in zip(coords, self.shape):
             if not 0 <= c < s:
                 raise ValueError(f"coords {coords} out of range for grid {self.shape}")
-        return int(np.ravel_multi_index(coords, self.shape))
+        return rank_at(self.shape, coords)
 
     def coords_of(self, rank: int) -> tuple[int, ...]:
         return tuple(int(c) for c in np.unravel_index(rank, self.shape))

@@ -2,7 +2,7 @@
 
 A transfer is a plan and an exchange.  :func:`start_region_exchange` runs
 the :class:`~repro.tensor.exchange.TransferPlan` of a region gather
-(:func:`plan_region_exchange`) through the one
+(:func:`~repro.tensor.dist_tensor.plan_region`) through the one
 :class:`~repro.tensor.exchange.PlannedExchange` and returns it as a
 :class:`RegionExchange`: it fetches the same arbitrary hyper-rectangular
 dependency regions as
@@ -17,7 +17,7 @@ Because every rank can compute every peer's dependency region from shared
 layer geometry, the exchange needs no request round-trip: each rank posts
 receives for the pieces it lacks and eagerly sends the pieces of its own
 shard that peers will ask for — mirrored through the same ownership
-resolution on both sides.
+rule on both sides.
 """
 
 from __future__ import annotations
@@ -26,28 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tensor.dist_tensor import DistTensor, plan_region_exchange
+from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.exchange import HALO_OP, PlannedExchange, TransferPlan
-
-
-def any_region_remote(dt: DistTensor, regions: Sequence) -> bool:
-    """True if any rank's region reaches beyond its own shard, i.e. the
-    gather genuinely exchanges data.  ``regions[r]`` is rank ``r``'s
-    ``(lo, hi)`` region; the answer is identical on every rank because the
-    regions are derived from shared geometry."""
-    dist, shape, grid = dt.dist, dt.global_shape, dt.grid
-    for r, (lo, hi) in enumerate(regions):
-        bounds = dist.local_bounds(shape, grid.coords_of(r))
-        clipped = [
-            (max(int(b), 0), min(int(h), shape[d]))
-            for d, (b, h) in enumerate(zip(lo, hi))
-        ]
-        if any(c_hi <= c_lo for c_lo, c_hi in clipped):
-            continue  # empty region: nothing to fetch
-        for (c_lo, c_hi), (b_lo, b_hi) in zip(clipped, bounds):
-            if c_lo < b_lo or c_hi > b_hi:
-                return True
-    return False
 
 
 def _filled(shape: tuple[int, ...], dtype, fill: float, pool) -> np.ndarray:
@@ -65,8 +45,9 @@ def local_region(
     pool=None,
 ) -> np.ndarray:
     """A region that is fully local (plus virtual padding), without any
-    communication — the fast path layers take when
-    :func:`any_region_remote` says no rank needs remote data.
+    communication — the fast path layers take when no rank's window reads
+    off-shard (a :class:`~repro.core.window.WindowGeometry` that is not
+    ``exchanged``).
 
     Decided from the box alone: a non-empty box inside the tensor (every
     unpadded convolution, every aligned pooling) needs no fill, so it is
@@ -135,14 +116,13 @@ class RegionExchange:
 
 def start_region_exchange(
     dt: DistTensor,
-    lo: Sequence[int],
-    hi: Sequence[int],
-    peer_regions: Sequence[tuple[Sequence[int], Sequence[int]]] | None = None,
+    plan: TransferPlan,
     fill: float = 0.0,
     pool=None,
-    plan: TransferPlan | None = None,
 ) -> RegionExchange:
-    """Begin an overlapped gather of global region ``[lo, hi)``.
+    """Begin an overlapped gather of ``plan``'s region (``plan.box``) from
+    ``dt`` — ``plan`` is :func:`~repro.tensor.dist_tensor.plan_region_exchange`'s
+    (or a layer's cached window plan).
 
     Every rank must call this at the same logical point: the exchange is
     matched by a per-communicator sequence number, and each rank eagerly
@@ -150,22 +130,10 @@ def start_region_exchange(
     ``irecv``s for the pieces it lacks.  Out-of-range parts of the region
     are ``fill``ed immediately (virtual padding is local knowledge).
 
-    Pass either ``peer_regions`` (the schedule is derived on the fly) or a
-    cached ``plan`` from :func:`plan_region_exchange` (the hot-path form —
-    the schedule is static per layer).  The returned
-    :class:`RegionExchange` already contains all locally owned data; only
-    remote pieces are outstanding.  Off-rank bytes are recorded under the
-    same ``"region_data"`` stat as ``gather_region`` so the §V volume
-    formulas hold on either path.
+    The returned :class:`RegionExchange` already contains all locally owned
+    data; only remote pieces are outstanding.  Off-rank bytes are recorded
+    under the same ``"region_data"`` stat as ``gather_region``.
     """
-    if plan is None:
-        if peer_regions is None:
-            raise ValueError("need peer_regions or a precomputed plan")
-        plan = plan_region_exchange(dt, lo, hi, peer_regions)
-    else:
-        box = tuple((int(b), int(h)) for b, h in zip(lo, hi))
-        if box != plan.box:
-            raise ValueError(f"plan was built for region {plan.box}, not {box}")
     out = _filled(plan.shape, dt.dtype, fill, pool)
     exchange = PlannedExchange(
         dt.comm, plan,

@@ -260,7 +260,8 @@ class TestWindowGeometry:
         def prog(comm):
             grid = ProcessGrid(comm, grid_shape)
             xd = DistTensor.from_global(grid, Distribution.make(grid_shape), x)
-            window_geometry(xd, xd.dist, x.shape, (3, 3), (1, 1), (1, 1))
+            placement = (xd.dist, x.shape)
+            window_geometry(grid.coords, placement, placement, (3, 3), (1, 1), (1, 1))
 
         with pytest.raises(ValueError, match="grid axis 1 must be 1"):
             run_spmd(int(np.prod(grid_shape)), prog, timeout=10)

@@ -29,6 +29,7 @@ from repro.core.parallelism import activation_dist
 from repro.nn import NetworkSpec, SGD
 from repro.nn import functional as F
 from repro.tensor import DistTensor, Distribution, ProcessGrid
+from repro.tensor.dist_tensor import plan_region_exchange
 from repro.tensor.halo import HALO_OP, start_region_exchange
 
 
@@ -263,7 +264,7 @@ class TestRegionExchange:
                     )
                 )
             lo, hi = regions[comm.rank]
-            ex = start_region_exchange(dt, lo, hi, regions)
+            ex = start_region_exchange(dt, plan_region_exchange(dt, lo, hi, regions))
             got = ex.finish().copy()
             want = dt.gather_region(lo, hi)
             np.testing.assert_array_equal(got, want)

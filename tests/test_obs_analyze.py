@@ -42,6 +42,14 @@ def _train_prog(comm):
     return comm.stats.snapshot()
 
 
+def _spatial_prog(comm):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 3, 8, 8))
+    t = rng.integers(0, 3, size=4)
+    net = DistNetwork(small_net(), comm, LayerParallelism(height=comm.size), seed=0)
+    DistTrainer(net, SGD(lr=0.1)).fit([(x, t)], epochs=2)
+
+
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("trace") / "train.trace")
@@ -129,6 +137,29 @@ class TestAnalyzer:
         assert ar["c1"] == (4 * 3 * 3 * 3 + 4) * db  # weights and bias
         assert ar["fc"] == (3 * 4 + 3) * db
         assert ar["r1"] == ar["gap"] == 0
+
+    def test_model_halo_bytes_are_the_measured_ones(self, tmp_path):
+        """On a height-split net the modeled halo bytes per rank and step —
+        the priced rank's plan of every halo op — are what each rank's
+        ``region_data`` counter measured, and the report prints the two
+        side by side."""
+        path = str(tmp_path / "spatial.trace")
+        run_spmd(2, _spatial_prog, trace=path)
+        doc = analyze.load_trace(path)
+        strategy = ParallelStrategy.uniform(LayerParallelism(height=2))
+        model = analyze.model_predictions(
+            small_net(), MachineSpec(dtype_bytes=8), 4, strategy  # float64
+        )
+        steps = sum(
+            ev["name"] == "step" for ev in doc["traceEvents"] if ev.get("ph") == "X"
+        )
+        assert steps == 2 * 2  # two ranks, two steps
+        measured = analyze.comm_rows(doc)["region_data"]["bytes"]
+        assert model["halo_bytes_per_rank"] == measured / steps > 0
+        assert (
+            f"measured {measured // steps} B vs modeled {model['halo_bytes_per_rank']} B"
+            in analyze.render_report(doc, model=model)
+        )
 
     def test_render_report_and_cli(self, traced_run, tmp_path, capsys):
         path, doc, _ = traced_run

@@ -1,5 +1,7 @@
 """Performance and memory models: components and paper-anchor regressions."""
 
+import dataclasses
+
 import pytest
 
 from repro.comm.collective_models import (
@@ -15,6 +17,8 @@ from repro.comm.collective_models import (
 )
 from repro.core.parallelism import LayerParallelism as LP
 from repro.core.parallelism import ParallelStrategy
+from repro.core.schedule import lower
+from repro.core.window import window_geometry
 from repro.nn.meshnet import mesh_model_1k, mesh_model_2k
 from repro.nn.resnet import build_resnet50
 from repro.perfmodel import (
@@ -26,7 +30,7 @@ from repro.perfmodel import (
     published,
 )
 from repro.perfmodel.conv_model import ConvGeometry
-from repro.perfmodel.layer_cost import conv_layer_cost
+from repro.perfmodel.layer_cost import conv_layer_cost, priced_coords
 
 LINK = LinkParameters(alpha=5e-6, beta=1e-9, gamma=1e-10)
 
@@ -188,73 +192,97 @@ class TestConvModels:
         }
 
 
+def _windowed(kind="conv", n_channels=64, h=128, w=128, **params):
+    """input -> a 1x1 ``pre`` conv (so the layer computes a ``dx``) ->
+    ``layer``, a convolution or pooling of ``params`` reading ``n_channels``
+    x ``h`` x ``w``."""
+    from repro.nn import NetworkSpec
+
+    spec = NetworkSpec(f"windowed-{kind}")
+    spec.add("input", "input", channels=n_channels, height=h, width=w)
+    spec.add("pre", "conv", ["input"], filters=n_channels, kernel=1)
+    spec.add("layer", kind, ["pre"], **params)
+    return spec
+
+
+def _layer(spec, n, par, machine=LASSEN):
+    """``(layer's priced cost, lowered schedule)`` of ``spec`` on ``par``."""
+    bd = NetworkCostModel(spec, machine).cost(n, ParallelStrategy.uniform(par))
+    return bd.per_layer["layer"], bd.schedule
+
+
 class TestConvLayerCost:
-    def kwargs(self, **over):
-        base = dict(
-            n_global=4, c=64, h=128, w=128, f=64, kernel=3, stride=1, pad=1
-        )
-        base.update(over)
-        return base
+    CONV = dict(filters=64, kernel=3, stride=1, pad=1)
 
     @pytest.mark.parametrize("ways", [2, 4, 8, 16])
     @pytest.mark.parametrize(
         "geometry",
-        [dict(kernel=1, pad=0), published.FIG_LAYERS["res3b_branch2a"]],
+        [dict(c=64, h=128, w=128, f=64, kernel=1, pad=0),
+         published.FIG_LAYERS["res3b_branch2a"]],
         ids=["generic", "res3b_branch2a"],
     )
     def test_no_halo_for_1x1(self, geometry, ways):
-        """Fig. 2: "the filter size means that no halo exchange is needed"."""
-        cost = conv_layer_cost(
-            LASSEN, CalibratedConvModel(LASSEN.gpu), **self.kwargs(**geometry),
-            parallelism=LP.spatial_square(sample=1, ways=ways),
+        """Fig. 2: "the filter size means that no halo exchange is needed" —
+        the lowered step has no halo op."""
+        g = dict(geometry)
+        spec = _windowed(
+            "conv", g.pop("c"), g.pop("h"), g.pop("w"), filters=g.pop("f"), **g
         )
-        assert cost.fp_halo == 0.0
+        par = LP.spatial_square(sample=1, ways=ways)
+        assert lower(spec, ParallelStrategy.uniform(par), 4).halos == ()
 
     def test_no_halo_for_sample_parallel(self):
-        cost = conv_layer_cost(
-            LASSEN, CalibratedConvModel(LASSEN.gpu),
-            **self.kwargs(), parallelism=LP(sample=4),
-        )
+        spec = _windowed(**self.CONV)
+        assert lower(spec, ParallelStrategy.uniform(LP(sample=4)), 4).halos == ()
+        cost, _ = _layer(spec, 4, LP(sample=4))
         assert cost.fp_halo == 0.0 and cost.bpx_halo == 0.0
 
     def test_spatial_has_halo(self):
-        cost = conv_layer_cost(
-            LASSEN, CalibratedConvModel(LASSEN.gpu),
-            **self.kwargs(), parallelism=LP(height=2, width=2),
-        )
+        cost, sched = _layer(_windowed(**self.CONV), 4, LP(height=2, width=2))
+        assert [h.op_id for h in sched.halos] == ["fwd:halo:layer", "bwd:halo:layer"]
         assert cost.fp_halo > 0 and cost.bpx_halo > 0
+
+    def test_halo_is_the_papers_sr_terms_at_stride_one(self):
+        """§V-A's ``2 SR(O I_N I_C I_H) + 2 SR(O I_N I_C I_W) + 4 SR(O^2
+        I_N I_C)`` is what the plan of a stride-1, symmetrically padded
+        window reduces to on a rank with neighbours on every side: one
+        message per received box."""
+        machine = dataclasses.replace(LASSEN, gpus_per_node=16)  # one link
+        cost, sched = _layer(_windowed(**self.CONV), 4, LP(height=4, width=4), machine)
+        i_n, i_c, i_h, i_w, o = 4, 64, 32, 32, 1
+        db, link = machine.dtype_bytes, machine.intra_link
+
+        def sr(cells):
+            return pt2pt_time(cells * db, link) + machine.halo_msg_overhead_intra
+
+        terms = 2 * sr(o * i_n * i_c * i_h) + 2 * sr(o * i_n * i_c * i_w)
+        terms += 4 * sr(o * o * i_n * i_c)
+        assert cost.fp_halo == pytest.approx(terms)
+        assert cost.bpx_halo == pytest.approx(terms)
+        assert len(sched.halos[0].plan((0, 0, 2, 2)).recvs) == 8
 
     def test_overlap_never_slower(self):
         """The overlapped layer is never slower than its kernels and halo
         exchange laid end to end."""
-        cost = conv_layer_cost(
-            LASSEN, CalibratedConvModel(LASSEN.gpu),
-            **self.kwargs(), parallelism=LP(height=2, width=2),
-        )
+        cost, _ = _layer(_windowed(**self.CONV), 4, LP(height=2, width=2))
         assert cost.fp_time() <= cost.fp_compute + cost.fp_halo
         assert cost.bp_time() <= cost.bpw_compute + cost.bpx_compute + cost.bpx_halo
 
     def test_spatial_reduces_big_layer_compute(self):
-        model = CalibratedConvModel(LASSEN.gpu)
-        one = conv_layer_cost(
-            LASSEN, model, **self.kwargs(h=1024, w=1024, n_global=1),
-            parallelism=LP(),
-        )
-        four = conv_layer_cost(
-            LASSEN, model, **self.kwargs(h=1024, w=1024, n_global=1),
-            parallelism=LP(height=2, width=2),
-        )
+        spec = _windowed(h=1024, w=1024, **self.CONV)
+        one, _ = _layer(spec, 1, LP())
+        four, _ = _layer(spec, 1, LP(height=2, width=2))
         assert four.fp_compute < one.fp_compute / 2
 
     @staticmethod
     def fig_layer_times(layer, ways):
         """(FP, BP) seconds of a Fig. 2/3 layer at N=1 on ``ways`` GPUs,
         halo overlapped and allreduce excluded as in the paper's plots."""
-        cost = conv_layer_cost(
-            LASSEN, CalibratedConvModel(LASSEN.gpu), n_global=1,
-            parallelism=LP.spatial_square(sample=1, ways=ways),
-            **published.FIG_LAYERS[layer],
+        g = dict(published.FIG_LAYERS[layer])
+        spec = _windowed(
+            "conv", g.pop("c"), g.pop("h"), g.pop("w"), filters=g.pop("f"), **g
         )
+        cost, _ = _layer(spec, 1, LP.spatial_square(sample=1, ways=ways))
         return cost.fp_time(), cost.bp_time()
 
     @pytest.mark.parametrize("layer", published.FIG_LAYERS)
@@ -426,6 +454,21 @@ class TestMemoryModel:
         assert bd.total == pytest.approx(parts)
         assert "TOTAL" in bd.summary()
 
+    def test_halo_buffers_are_what_the_forward_halos_receive(self):
+        """A height-only split holds the rows its forward halo exchanges
+        receive on the priced rank: no W strips, the exchanged tensor's own
+        channels, and a pool's gather counted like a convolution's."""
+        from repro.nn import NetworkSpec
+
+        spec = NetworkSpec("height-halo")
+        spec.add("input", "input", channels=4, height=32, width=16)
+        spec.add("c1", "conv", ["input"], filters=8, kernel=3, pad=1)
+        spec.add("p1", "pool", ["c1"], mode="max", kernel=3, stride=1, pad=1)
+        bd = MemoryModel(spec, LASSEN).breakdown(2, LP(height=4))
+        # Part 2 of 4: one row from each neighbour, 2 samples x 16 columns.
+        rows = 2 * 2 * 16
+        assert bd.halo_buffers == rows * (4 + 8) * LASSEN.dtype_bytes
+
     def test_comm_buffers_grow_with_scale(self):
         assert LASSEN.comm_buffer_bytes(2048) > LASSEN.comm_buffer_bytes(4)
 
@@ -449,18 +492,20 @@ class TestDeadErrorSignal:
         spec = self._spec()
         model = NetworkCostModel(spec, LASSEN)
         strategy = ParallelStrategy.uniform(LP(height=2, width=2))
-        p0, c1, c2 = (model.layer_cost(n, 8, strategy) for n in ("p0", "c1", "c2"))
+        bd = model.cost(8, strategy)
+        p0, c1, c2 = (bd.per_layer[n] for n in ("p0", "c1", "c2"))
+        assert [h.op_id for h in bd.schedule.halos] == [
+            "fwd:halo:p0", "fwd:halo:c1", "fwd:halo:c2", "bwd:halo:c2",
+        ]
         assert p0.fp_halo > 0 and p0.bp_time() == 0.0
         assert c1.fp_halo > 0
         assert (c1.bpx_compute, c1.bpx_halo, c1.bpx_boundary_launch) == (0.0, 0.0, 0.0)
         assert c1.bp_time() == c1.bpw_compute > 0
         assert c2.bpx_compute > 0 and c2.bpx_halo > 0 and c2.bpx_boundary_launch > 0
-        # The isolated layer (Figs. 2/3) is priced as before.
-        iso = conv_layer_cost(
-            LASSEN, model.conv_model, n_global=8, c=4, h=32, w=32, f=8, kernel=3,
-            pad=1, parallelism=LP(height=2, width=2),
-        )
-        assert iso.bpx_compute > 0 and iso.bpx_halo > 0
+        # The kernels of the isolated layer (Figs. 2/3) are priced as before.
+        g = window_geometry((0, 0, 0, 0), *bd.schedule["c1"].window)
+        iso = conv_layer_cost(model.conv_model, g, 8)
+        assert iso.bpx_compute > 0
         assert (iso.fp_compute, iso.bpw_compute) == (c1.fp_compute, c1.bpw_compute)
 
     def test_no_backward_shuffle_toward_input(self):
@@ -480,68 +525,58 @@ class TestDeadErrorSignal:
 
 
 class TestPoolBoundaryFraction:
-    """Pooling overlaps its forward gather (PR 4) *and* its backward
-    scatter-add (PR 8): the cost model gives pool layers a real forward
-    boundary fraction and a real — input-grid — backward one."""
+    """A windowed layer overlaps what its window geometry decomposes: the
+    interior/boundary split of a layer's cost is the ``pieces`` of its halo
+    op's window on the priced rank, and pooling's backward scatter-add —
+    the forward plan reversed, sent once the whole kernel has run —
+    overlaps nothing."""
 
-    def _cost(self, k, s, par, h=256, w=256, c=64):
-        from repro.perfmodel.layer_cost import pool_layer_cost
-
-        return pool_layer_cost(
-            LASSEN, n_global=4, c=c, h=h, w=w, kernel=k, stride=s, pad=k // 2,
-            parallelism=par,
-        )
+    POOL = dict(kernel=3, stride=1, pad=1)
 
     def test_overlapping_windows_get_partial_fraction(self):
-        c = self._cost(3, 2, LP(height=2, width=2))
-        assert c.fp_halo > 0
-        assert 0.0 < c.boundary_fraction < 1.0
-        # Backward decomposes on the input grid: a real fraction, distinct
-        # from the forward output-window split (o=K-S strips are thin
-        # relative to the input extent, so it is the smaller of the two).
-        assert 0.0 < c.bp_boundary_fraction < 1.0
-        assert c.bpx_boundary_fraction == c.bp_boundary_fraction
-        assert c.bp_boundary_fraction < c.boundary_fraction
-        # The overlap formulas actually use the decompositions.
+        par = LP(height=2, width=2)
+        c, sched = _layer(_windowed("pool", **self.POOL), 4, par)
+        fwd, bwd = sched.halos
+        assert (fwd.op_id, bwd.op_id, bwd.reverse) == (
+            "fwd:halo:layer", "bwd:halo:layer", True
+        )
+        g = fwd.geometry(priced_coords(par.grid_shape))
+        assert 0.0 < c.boundary_fraction == g.boundary_fraction < 1.0
+        assert c.boundary_launch == g.boundary_pieces * LASSEN.gpu.kernel_latency > 0
+        assert c.fp_halo > 0 and c.bpx_halo > 0
+        assert (c.bpx_boundary_fraction, c.bpx_boundary_launch) == (1.0, 0.0)
+        # The overlap formulas use the decompositions.
         interior = c.fp_compute * (1 - c.boundary_fraction)
         expected = max(interior, c.fp_halo) + (
             c.fp_compute - interior
         ) + c.boundary_launch
         assert c.fp_time() == pytest.approx(expected)
-        bp_interior = c.bpx_compute * (1 - c.bpx_boundary_fraction)
-        bp_expected = max(c.bpw_compute + bp_interior, c.bpx_halo) + (
-            c.bpx_compute - bp_interior
-        ) + c.bpx_boundary_launch
-        assert c.bp_time() == pytest.approx(bp_expected)
+        assert c.bp_time() == pytest.approx(c.bpx_compute + c.bpx_halo)
 
     def test_overlap_wins_once_halo_exceeds_launch_overhead(self):
         """For memory-bound pooling the boundary kernel launches are not
         free; the modeled overlap pays off once the hidden halo time
-        exceeds them (large spatial extents), exactly as measured — now in
-        both directions."""
-        c = self._cost(3, 2, LP(height=2, width=2), h=1024, w=1024)
+        exceeds them (large spatial extents)."""
+        c, _ = _layer(_windowed("pool", h=1024, w=1024, **self.POOL), 4, LP(height=2, width=2))
         assert c.fp_halo > c.boundary_launch
         assert c.fp_time() < c.fp_compute + c.fp_halo
-        # Backward is decomposed too (own scatter-add contribution hides
-        # the strips in flight), so overlap now wins there as well.
-        assert c.bpx_boundary_launch == c.boundary_launch
-        assert c.bp_time() < c.bpw_compute + c.bpx_compute + c.bpx_halo
 
     def test_non_overlapping_windows_have_no_halo(self):
-        c = self._cost(2, 2, LP(height=2, width=2))
+        c, sched = _layer(_windowed("pool", kernel=2, stride=2), 4, LP(height=2, width=2))
+        assert sched.halos == ()
         assert c.fp_halo == 0.0
         assert c.fp_time() == c.fp_compute
-        # No neighbor contributions: backward stays undecomposed.
-        assert c.bp_boundary_fraction == 1.0
-        assert c.bpx_boundary_launch == 0.0
         assert c.bp_time() == c.bpw_compute + c.bpx_compute
 
-    def test_conv_backward_fraction_unchanged(self):
-        """Conv layers still use one fraction for both directions."""
-        cost = conv_layer_cost(
-            LASSEN, CalibratedConvModel(LASSEN.gpu),
-            n_global=4, c=8, h=32, w=32, f=8, kernel=3, stride=1, pad=1,
-            parallelism=LP(height=2, width=2),
+    def test_conv_backward_fraction_is_its_own_window(self):
+        """Eq. 3 decomposes the input-gradient block by its own window."""
+        par = LP(height=2, width=2)
+        c, sched = _layer(
+            _windowed(n_channels=8, h=32, w=32, filters=8, kernel=3, stride=2, pad=1),
+            4, par,
         )
-        assert cost.bp_boundary_fraction is None
-        assert cost.bpx_boundary_fraction == cost.boundary_fraction
+        bwd = sched.halo("bwd", "layer")
+        g = bwd.geometry(priced_coords(par.grid_shape))
+        assert g.windows[0].transposed and not bwd.reverse
+        assert c.bpx_boundary_fraction == g.boundary_fraction < 1.0
+        assert c.bpx_boundary_launch == g.boundary_pieces * LASSEN.gpu.kernel_latency

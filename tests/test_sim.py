@@ -105,6 +105,12 @@ def _dead_input(spec: NetworkSpec) -> str:
     return spec.add("c2", "conv", ["c1"], filters=8, kernel=3, pad=1)
 
 
+def _strided(spec: NetworkSpec) -> str:
+    spec.add("c1", "conv", ["input"], filters=8, kernel=3, stride=2, pad=1)
+    spec.add("p1", "pool", ["c1"], mode="max", kernel=3, stride=2, pad=1)
+    return spec.add("c2", "conv", ["p1"], filters=8, kernel=3, pad=1)
+
+
 def _case(name, body, on_a, shuffles, a=A, b=B):
     """``() -> (spec, mixed strategy, shuffle op ids)``: ``on_a`` layers run
     on ``a`` and the rest on ``b``; the ids are what one step of it issues,
@@ -138,6 +144,12 @@ CASES = {
     "dead-input": _case(
         "dead-input", _dead_input, ["input"], ["fwd:shuf:input->p0"]
     ),
+    # Stride-2 windows on a height split: one-sided halos, and a max pool
+    # between two convolutions whose backward scatter-adds along its
+    # forward plan reversed.
+    "strided": _case(
+        "strided", _strided, ["input"], ["fwd:shuf:input->c1"]
+    ),
     # Four ranks: the FC layer's gradient group is 2 of them.
     "hybrid": _case(
         "hybrid", _line, ["input", "c1", "r1"],
@@ -158,8 +170,9 @@ def _cases():
 class TestScheduleConformance:
     """Engine, evaluator and memory model read one lowered schedule
     (``repro.core.schedule.lower``): every communication op of it — shuffle,
-    blocking collective, gradient bucket — is one simulated communication
-    task and one priced term, and is what a real step puts on the wire."""
+    blocking collective, halo exchange, gradient bucket — is one simulated
+    communication task and one priced term, and is what a real step puts on
+    the wire."""
 
     N = 4
     BUCKET = 1 << 10
@@ -177,18 +190,18 @@ class TestScheduleConformance:
         eng = TrainingStepSimulator(
             spec, LASSEN, allreduce_bucket_bytes=bucket
         ).simulate(self.N, strategy).engine
-        tasks = {
-            t.name: t.duration for t in eng.tasks()
-            if t.resource == "comm" and not t.name.endswith(":halo")
-        }
+        tasks = {t.name: t.duration for t in eng.tasks() if t.resource == "comm"}
         assert tasks == bd.comm_ops
         assert sorted(n for n in tasks if ":shuf:" in n) == sorted(shuffles)
+        assert sorted(n for n in tasks if ":halo:" in n) == sorted(
+            h.op_id for h in bd.schedule.halos
+        )
         assert any(n.startswith("ar:") for n in tasks)
-        # Each blocking collective sits in its layer's window: the analyzer
-        # joins it to that layer's span.
+        # Each blocking collective and halo exchange sits in its layer's
+        # window: the analyzer joins it to that layer's span.
         colls = bd.schedule.collectives
         assert colls
-        for c in colls:
+        for c in colls + bd.schedule.halos:
             phase = c.op_id.partition(":")[0]
             assert eng[c.op_id].op == f"{phase}:{c.layer}"
 
@@ -206,7 +219,9 @@ class TestScheduleConformance:
 
     @pytest.mark.parametrize("bucket", [BUCKET, 1])
     def test_real_step_issues_the_scheduled_ops(self, spec, strategy, shuffles, bucket):
-        """A cut that coalesces layers, and one bucket per layer."""
+        """A cut that coalesces layers, and one bucket per layer.  Every
+        rank starts one exchange per halo op and sends what its own plan of
+        each op says."""
         rng = np.random.default_rng(0)
         x = rng.standard_normal((self.N, 4, 16, 16))
         t = rng.integers(0, 3, size=self.N)
@@ -223,6 +238,8 @@ class TestScheduleConformance:
                 stats.collective_bytes.get("allreduce", 0),
                 stats.collectives.get("iallreduce", 0),
                 stats.collective_bytes.get("iallreduce", 0),
+                stats.collectives.get("region_data", 0),
+                stats.collective_bytes.get("region_data", 0),
             )
 
         sched = lower(spec, strategy, self.N)
@@ -233,7 +250,17 @@ class TestScheduleConformance:
             len(sched.collectives), sum(c.elems * 8 for c in sched.collectives),
             len(buckets), sum(b.nbytes for b in buckets),
         )
-        assert run_spmd(strategy.nranks, prog) == [expected] * strategy.nranks
+
+        def halo_bytes(rank: int) -> int:
+            return sum(
+                h.plan(tuple(map(int, np.unravel_index(rank, sched[h.layer].grid_shape))))
+                .sent_cells * 8
+                for h in sched.halos
+            )
+
+        assert run_spmd(strategy.nranks, prog) == [
+            expected + (len(sched.halos), halo_bytes(r)) for r in range(strategy.nranks)
+        ]
 
     def test_error_signals_are_the_backward_layers(self, spec, strategy, shuffles):
         mem = MemoryModel(spec, LASSEN).breakdown(self.N, strategy)
@@ -361,6 +388,6 @@ class TestTrainingSimulator:
         eng = TrainingStepSimulator(spec, LASSEN).simulate(8, strategy).engine
         bwd = {t.name for t in eng.tasks() if t.name.startswith("bwd:")}
         assert "fwd:shuf:input->p0" in eng._tasks
-        assert {"bwd:c2:halo", "bwd:c2:filter", "bwd:c2:data", "bwd:c1:filter"} <= bwd
-        assert not any(n.startswith(("bwd:c1:data", "bwd:c1:halo")) for n in bwd)
+        assert {"bwd:halo:c2", "bwd:c2:filter", "bwd:c2:data", "bwd:c1:filter"} <= bwd
+        assert not any(n.startswith(("bwd:c1:data", "bwd:halo:c1")) for n in bwd)
         assert not any(n.startswith(("bwd:p0", "bwd:shuf")) for n in bwd)

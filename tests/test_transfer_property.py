@@ -139,23 +139,21 @@ def run_cases(check, batch, nranks: int, backend: str = "thread") -> None:
 
 
 def check_gather(comm, case: Case) -> None:
-    """Planned gather (on-the-fly schedule, then the cached plan through a
-    pool) == ``gather_region``; ``finish()`` idempotent."""
+    """Planned gather (without, then with a buffer pool) ==
+    ``gather_region``; ``finish()`` idempotent."""
     x = case.tensor()
     dt = DistTensor.from_global(ProcessGrid(comm, case.src.grid), case.src.dist, x)
     lo, hi = case.regions[comm.rank]
     want = dt.gather_region(lo, hi, fill=-1.0)
 
-    ex = start_region_exchange(dt, lo, hi, case.regions, fill=-1.0)
+    plan = plan_region_exchange(dt, lo, hi, case.regions)
+    ex = start_region_exchange(dt, plan, fill=-1.0)
     got = ex.finish()
     np.testing.assert_array_equal(got, want)
     assert ex.finish() is got and ex.remaining == 0
     np.testing.assert_array_equal(got, want)
 
-    plan = plan_region_exchange(dt, lo, hi, case.regions)
-    pooled = start_region_exchange(
-        dt, lo, hi, fill=-1.0, pool=BufferPool(), plan=plan
-    )
+    pooled = start_region_exchange(dt, plan, fill=-1.0, pool=BufferPool())
     pooled.poll()
     np.testing.assert_array_equal(pooled.finish(), want)
 
