@@ -45,8 +45,9 @@ from repro.nn import functional as F
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
 from repro.tensor.halo import RegionExchange, local_region, start_region_exchange
-from repro.core.parallelism import activation_dist
-from repro.core.window import WindowGeometry, window_geometry
+from repro.core.window import (
+    WindowGeometry, forward_window, transposed_window, window_geometry,
+)
 
 
 def start_gather(
@@ -61,6 +62,14 @@ def start_gather(
     if not g.exchanged:
         return None
     return start_region_exchange(source, g.plan, fill=fill, pool=pool)
+
+
+def own_window(layer, x: DistTensor) -> tuple:
+    """The forward window of windowed ``layer`` driven on its own, without
+    a lowered op's: ``x`` read into its grid's placement of the output."""
+    y_shape = layer.output_global_shape(x.global_shape)
+    source = x.dist, x.global_shape
+    return forward_window(source, y_shape, layer.kernel, layer.stride, layer.pad)
 
 
 def run_block(
@@ -127,8 +136,7 @@ class DistConv2d:
         self.pad = F._pair(pad)
         self.kernel = (weights.shape[2], weights.shape[3])
         self._x_ext: np.ndarray | None = None
-        self._x_global_shape: tuple[int, ...] | None = None
-        self._x_dist = None
+        self._window: tuple | None = None
         # Recycles the gathered input / error-signal staging buffers across
         # steps, plus (deferred) the contiguous halo send strips.
         self._pool = BufferPool()
@@ -140,20 +148,6 @@ class DistConv2d:
             (h, w), self.kernel, self.stride, self.pad
         )
         return (n, self.w.shape[0], oh, ow)
-
-    def _geometry(self, source: DistTensor, block=None) -> WindowGeometry:
-        """Geometry of the kernel reading ``source`` on this rank: Eq. 3
-        producing the ``block = (dist, shape)`` tensor ``dx``, or — ``None``
-        — the forward convolution, whose output placement follows from
-        ``source``."""
-        transposed = block is not None
-        if block is None:
-            shape = self.output_global_shape(source.global_shape)
-            block = activation_dist(self.grid.shape, shape), shape
-        return window_geometry(
-            self.grid.coords, (source.dist, source.global_shape), block,
-            self.kernel, self.stride, self.pad, transposed,
-        )
 
     # -- kernels over one sub-rectangle of the block ---------------------------------
     def _fwd_piece(self, x_ext, g: WindowGeometry, rows, cols) -> tuple:
@@ -181,15 +175,18 @@ class DistConv2d:
         )
 
     # -- forward ---------------------------------------------------------------------
-    def forward(self, x: DistTensor) -> DistTensor:
-        g = self._geometry(x)
+    def forward(self, x: DistTensor, window: tuple | None = None) -> DistTensor:
+        """``window`` is the layer's lowered forward window
+        (:attr:`~repro.core.schedule.LayerOp.window`), which the network
+        hands it; ``None``: :func:`own_window`."""
+        window = window or own_window(self, x)
+        g = window_geometry(self.grid.coords, *window)
         ex = start_gather(x, g, self._pool)
         (y_local,), self._x_ext = run_block(
             self._fwd_piece, x, g, ex, self._pool,
             (np.result_type(x.dtype, self.w.dtype),),
         )
-        self._x_global_shape = x.global_shape
-        self._x_dist = x.dist
+        self._window = window
         return DistTensor(self.grid, g.dist, g.shape, y_local)
 
     # -- backward --------------------------------------------------------------------
@@ -212,15 +209,12 @@ class DistConv2d:
         if self._x_ext is None:
             raise RuntimeError("backward() before forward()")
 
-        x_dist = self._x_dist
-        x_shape = self._x_global_shape
-        assert x_dist is not None and x_shape is not None
         g = ex = None
         if need_dx:
             # Post the dy halo exchange before Eq. 2: the filter
             # convolution needs no remote data, so the strips travel
             # behind it.
-            g = self._geometry(dy, (x_dist, x_shape))
+            g = window_geometry(self.grid.coords, *transposed_window(self._window))
             ex = start_gather(dy, g, self._pool)
 
         # Eq. 2: local filter gradients from the saved extended input region.
@@ -241,4 +235,4 @@ class DistConv2d:
             (np.result_type(dy.dtype, self.w.dtype),),
         )
         self._pool.give(dy_ext)
-        return DistTensor(self.grid, x_dist, x_shape, dx_local), dw, db
+        return DistTensor(self.grid, g.dist, g.shape, dx_local), dw, db

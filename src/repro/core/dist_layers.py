@@ -30,7 +30,7 @@ from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
 from repro.tensor.indexing import place_region
 from repro.core.parallelism import activation_dist
-from repro.core.dist_conv import run_block, start_gather
+from repro.core.dist_conv import own_window, run_block, start_gather
 from repro.core.window import WindowGeometry, window_geometry
 
 
@@ -82,21 +82,6 @@ class DistPool2d:
         oh, ow = F.conv2d_output_shape((h, w), self.kernel, self.stride, self.pad)
         return (n, c, oh, ow)
 
-    def _geometry(self, x: DistTensor) -> WindowGeometry:
-        y_shape = self.output_global_shape(x.global_shape)
-        y_dist = activation_dist(self.grid.shape, y_shape)
-        for d in (2, 3):
-            if x.dist.is_split(d) and not y_dist.is_split(d):
-                raise ValueError(
-                    "pooling output too small for the spatial decomposition "
-                    f"(axis {d}: {y_shape[d]} rows over {self.grid.shape[d]} "
-                    "parts); assign this layer a smaller spatial parallelism"
-                )
-        return window_geometry(
-            self.grid.coords, (x.dist, x.global_shape), (y_dist, y_shape),
-            self.kernel, self.stride, self.pad,
-        )
-
     def _pool_piece(self, x_ext, g: WindowGeometry, rows, cols) -> tuple:
         """Pool output rows/cols from their slice of ``x_ext``: ``(y,)``,
         or ``(y, argmax)`` for max pooling (in-window flat indices, so
@@ -107,8 +92,16 @@ class DistPool2d:
             return F.maxpool2d_forward(xs, self.kernel, self.stride, 0)
         return (F.avgpool2d_forward(xs, self.kernel, self.stride, 0),)
 
-    def forward(self, x: DistTensor) -> DistTensor:
-        g = self._geometry(x)
+    def forward(self, x: DistTensor, window: tuple | None = None) -> DistTensor:
+        """``window`` as in :meth:`~repro.core.dist_conv.DistConv2d.forward`."""
+        g = window_geometry(self.grid.coords, *(window or own_window(self, x)))
+        for d in (2, 3):
+            if x.dist.is_split(d) and not g.dist.is_split(d):
+                raise ValueError(
+                    "pooling output too small for the spatial decomposition "
+                    f"(axis {d}: {g.shape[d]} rows over {self.grid.shape[d]} "
+                    "parts); assign this layer a smaller spatial parallelism"
+                )
         # Max pooling must not let virtual padding win: fill with -inf.
         fill = -np.inf if self.mode == "max" else 0.0
         ex = start_gather(x, g, self._pool, fill=fill)

@@ -64,7 +64,7 @@ from repro.tensor.shuffle import ShuffleExchange, start_shuffle
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
 from repro.core.dist_conv import DistConv2d
 from repro.core.grad_reducer import DEFAULT_BUCKET_BYTES, BucketedGradReducer
-from repro.core.schedule import LayerOp, ShuffleOp, StepSchedule, lower
+from repro.core.schedule import LayerOp, ShuffleOp, StepSchedule, lower, window_params
 from repro.core.dist_layers import (
     DistAdd,
     DistBatchNorm,
@@ -84,11 +84,12 @@ class _Kind(NamedTuple):
     """How the interpreter runs one layer kind.
 
     ``build(net, layer, grid, params)`` constructs the layer;
-    ``forward(net, impl, xs, training, targets, group)`` returns its output;
+    ``forward(net, impl, xs, training, targets, op)`` returns its output,
+    handing the layer what its lowered ``op`` decided — a windowed layer's
+    window, another's collective group (:meth:`DistNetwork._group`);
     ``backward(impl, dy, need_dx, group)`` returns ``(dx, grads)`` — one
-    ``dx`` for every parent, ``grads`` the dL/dw partials or ``None``;
-    ``group`` is :meth:`DistNetwork._group`.  A loss ``seeds`` backward from
-    its own cache instead of taking a ``dy``.
+    ``dx`` for every parent, ``grads`` the dL/dw partials or ``None``.  A
+    loss ``seeds`` backward from its own cache instead of taking a ``dy``.
     """
 
     build: Callable
@@ -97,8 +98,12 @@ class _Kind(NamedTuple):
     seeds: bool = False
 
 
-def _unary(net, impl, xs, training, targets, group):
+def _unary(net, impl, xs, training, targets, op):
     return impl.forward(xs[0])
+
+
+def _windowed(net, impl, xs, training, targets, op):
+    return impl.forward(xs[0], op.window)
 
 
 def _dx_only(impl, dy, need_dx, group):
@@ -115,9 +120,9 @@ def _bn_backward(impl, dy, need_dx, group):
     return dx, {"gamma": dgamma, "beta": dbeta}
 
 
-def _loss_forward(net, impl, xs, training, targets, group):
+def _loss_forward(net, impl, xs, training, targets, op):
     if targets is not None:
-        net.loss = impl.forward_loss(xs[0], targets, group[0])
+        net.loss = impl.forward_loss(xs[0], targets, net._group("fwd", op)[0])
     return xs[0]
 
 
@@ -134,42 +139,38 @@ _KINDS: dict[str, _Kind] = {
     "input": _Kind(lambda net, layer, grid, p: None),
     "conv": _Kind(
         lambda net, layer, grid, p: DistConv2d(
-            grid,
-            p["w"],
-            stride=layer.get("stride", 1),
-            pad=layer.get("pad", 0),
-            bias=p.get("b"),
+            grid, p["w"], *window_params(layer)[1:], bias=p.get("b")
         ),
-        _unary,
+        _windowed,
         _weights,
     ),
     "pool": _Kind(
         lambda net, layer, grid, p: DistPool2d(
-            grid,
-            layer.get("mode", "max"),
-            layer.params["kernel"],
-            layer.get("stride", layer.params["kernel"]),
-            layer.get("pad", 0),
+            grid, layer.get("mode", "max"), *window_params(layer)
         ),
-        _unary,
+        _windowed,
         _dx_only,
     ),
     "bn": _Kind(
         lambda net, layer, grid, p: DistBatchNorm(
             grid, p["gamma"], p["beta"], momentum=layer.get("momentum", 0.9)
         ),
-        lambda net, impl, xs, training, targets, group: impl.forward(xs[0], training, *group),
+        lambda net, impl, xs, training, targets, op: impl.forward(
+            xs[0], training, *net._group("fwd", op)
+        ),
         _bn_backward,
     ),
     "relu": _Kind(lambda net, layer, grid, p: DistReLU(grid), _unary, _dx_only),
     "gap": _Kind(
         lambda net, layer, grid, p: DistGlobalAvgPool(grid),
-        lambda net, impl, xs, training, targets, group: impl.forward(xs[0], group[0]),
+        lambda net, impl, xs, training, targets, op: impl.forward(
+            xs[0], net._group("fwd", op)[0]
+        ),
         _dx_only,
     ),
     "add": _Kind(
         lambda net, layer, grid, p: DistAdd(grid),
-        lambda net, impl, xs, training, targets, group: impl.forward(*xs),
+        lambda net, impl, xs, training, targets, op: impl.forward(*xs),
         lambda impl, dy, need_dx, group: (dy, None),  # every parent gets dy itself
     ),
     "fc": _Kind(
@@ -313,8 +314,7 @@ class DistNetwork:
                         for e in op.edges
                     ]
                     acts[name] = _KINDS[op.kind].forward(
-                        self, self._layers[name], xs, training, targets,
-                        self._group("fwd", op),
+                        self, self._layers[name], xs, training, targets, op
                     )
                 else:  # an input: shard the global array
                     acts[name] = DistTensor.from_global(

@@ -52,7 +52,9 @@ from repro.nn.graph import LayerSpec, NetworkSpec
 from repro.tensor.distribution import Distribution
 from repro.tensor.exchange import TransferPlan
 from repro.core.parallelism import ParallelStrategy, activation_dist
-from repro.core.window import WindowGeometry, window_geometry
+from repro.core.window import (
+    WindowGeometry, forward_window, transposed_window, window_geometry,
+)
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,9 @@ class LayerOp:
     #: sub-communicator its dL/dw partials are summed over (paper Eq. 2);
     #: ``None`` when there is nothing to reduce.
     grad_group: tuple | None
-    #: A convolution's or pooling's forward window: the arguments of
-    #: :func:`~repro.core.window.window_geometry` after the rank's
-    #: coordinates.  ``None`` for other kinds.
+    #: A convolution's or pooling's forward window, which the engine hands
+    #: the layer: the arguments of :func:`~repro.core.window.window_geometry`
+    #: after the rank's coordinates.  ``None`` for other kinds.
     window: tuple | None = None
 
 
@@ -144,6 +146,15 @@ class HaloOp:
         """What the rank at ``coords`` sends and receives in this op."""
         plan = self.geometry(coords).plan
         return plan.reversed() if self.reverse else plan
+
+    @property
+    def group(self) -> tuple[tuple[int, ...], ...]:
+        """Grid coordinates of the first sample group.  A window never
+        crosses the sample axis and every group splits space alike, so
+        these ranks' plans are every plan of the op, up to the sample
+        coordinate."""
+        grid = self.window[0][0].grid_shape
+        return tuple((0, 0, h, w) for h in range(grid[2]) for w in range(grid[3]))
 
 
 @dataclass(frozen=True)
@@ -299,19 +310,22 @@ def _collectives(
     ]
 
 
-def _window(layer: LayerSpec, grid: tuple, x_shape: tuple, y_shape: tuple) -> tuple | None:
-    """The forward window of a convolution or pooling layer reading an
-    input of global shape ``x_shape`` into ``y_shape`` on ``grid``, as the
-    engine's layer builds it (``None`` for other kinds)."""
-    if layer.kind not in ("conv", "pool"):
-        return None
+def window_params(layer: LayerSpec) -> tuple[tuple[int, int], ...]:
+    """``(kernel, stride, pad)`` of a convolution or pooling layer: a
+    convolution's stride defaults to 1, a pooling's to its kernel."""
     kernel = layer.params["kernel"]
     stride = layer.get("stride", 1 if layer.kind == "conv" else kernel)
-    return (
-        (activation_dist(grid, x_shape), x_shape),
-        (activation_dist(grid, y_shape), y_shape),
-        _pair(kernel), _pair(stride), _pair(layer.get("pad", 0)),
-    )
+    return _pair(kernel), _pair(stride), _pair(layer.get("pad", 0))
+
+
+def _window(layer: LayerSpec, grid: tuple, x_shape: tuple, y_shape: tuple) -> tuple | None:
+    """The forward window of a convolution or pooling layer reading an
+    input of global shape ``x_shape`` into ``y_shape`` on ``grid`` — what
+    the engine hands the layer (``None`` for other kinds)."""
+    if layer.kind not in ("conv", "pool"):
+        return None
+    source = activation_dist(grid, x_shape), x_shape
+    return forward_window(source, y_shape, *window_params(layer))
 
 
 def _halos(op: LayerOp) -> list[tuple[str, HaloOp]]:
@@ -320,10 +334,9 @@ def _halos(op: LayerOp) -> list[tuple[str, HaloOp]]:
     input forward and, when it computes a ``dx``, its error signal for
     Eq. 3 (the forward window transposed); pooling gathers forward and, when
     backward reaches it, scatter-adds along the same plan reversed."""
-    x, y, *params = op.window
     phases = [("fwd", op.window, False)]
     if op.kind == "conv" and op.need_dx:
-        phases.append(("bwd", (y, x, *params, True), False))
+        phases.append(("bwd", transposed_window(op.window), False))
     elif op.kind == "pool" and op.runs_backward:
         phases.append(("bwd", op.window, True))
     # Every rank agrees on whether a window exchanges: ask the first.

@@ -31,7 +31,10 @@ communicator — so the engine's layers, the lowered schedule's
 :class:`~repro.core.schedule.HaloOp` and every model that prices one ask
 for the same answer.  This is the one place a halo is decided: which
 source rows a window reads, whom a rank exchanges them with, and which
-block points wait for them.
+block points wait for them.  Its key, after the coordinates, is built once
+per layer (:func:`forward_window`; Eq. 3's is :func:`transposed_window` of
+it): :func:`~repro.core.schedule.lower` builds it, and the network hands
+it to the layer.
 
 :func:`~repro.core.dist_conv.start_gather` and
 :func:`~repro.core.dist_conv.run_block` are the one sequence every such
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.tensor.dist_tensor import plan_region
+from repro.core.parallelism import activation_dist
 from repro.tensor.distribution import Distribution
 from repro.tensor.exchange import TransferPlan, cells
 from repro.tensor.indexing import ceil_div
@@ -249,3 +253,25 @@ def window_geometry(
     return WindowGeometry(
         dist, shape, bounds, lo, hi, exchanged, pieces, plan, windows
     )
+
+
+def forward_window(
+    source: Placement,
+    block_shape: tuple[int, ...],
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    pad: tuple[int, int],
+) -> tuple:
+    """:func:`window_geometry`'s arguments after the rank's coordinates for
+    a kernel reading ``source`` into a ``block_shape`` tensor, placed on the
+    source's grid as every activation is
+    (:func:`~repro.core.parallelism.activation_dist`)."""
+    block = activation_dist(source[0].grid_shape, block_shape), block_shape
+    return source, block, kernel, stride, pad
+
+
+def transposed_window(window: tuple) -> tuple:
+    """Eq. 3's window of forward window ``window``: the block's error
+    signal read back into the source's placement."""
+    source, block, *params = window
+    return (block, source, *params, True)

@@ -211,10 +211,9 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
     first start) of the simulated tasks of its ``fwd:{layer}`` /
     ``bwd:{layer}`` op — the ids the runtime's layer spans carry; a layer's
     allreduce bytes are its parameters in the step's gradient buckets, and
-    the step's halo bytes what the priced rank's plan of each halo op sends
-    (the ``region_data`` counter).
+    the step's halo bytes what the plans of its halo ops send, on the mean
+    rank (the ``region_data`` counter summed over ranks, over their number).
     """
-    from repro.perfmodel.layer_cost import priced_coords
     from repro.sim import TrainingStepSimulator
 
     sim = TrainingStepSimulator(spec, machine, **sim_kwargs)
@@ -242,7 +241,7 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
             "ar_bytes": ar_bytes,
         }
     halo_bytes = sum(
-        h.plan(priced_coords(sched[h.layer].grid_shape)).sent_cells
+        sum(h.plan(c).sent_cells for c in h.group) / len(h.group)
         for h in sched.halos
     ) * machine.dtype_bytes
     return {
@@ -315,7 +314,7 @@ def render_report(doc: dict, model: dict | None = None, top: int = 12) -> str:
                 lines.append(
                     f"    per rank and step: measured "
                     f"{comm[op]['bytes'] / len(step_spans):.0f} B vs modeled "
-                    f"{model.get('halo_bytes_per_rank', 0)} B"
+                    f"{model.get('halo_bytes_per_rank', 0):.0f} B"
                 )
 
     if model is not None:

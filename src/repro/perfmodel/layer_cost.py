@@ -79,15 +79,6 @@ class ConvLayerCost:
         return t + self.bpx_boundary_launch
 
 
-def priced_coords(grid_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The grid coordinates a halo op is priced on: the first sample group,
-    the middle of each spatial axis — a neighbour on both sides of a split
-    axis from three parts on, and at two parts the one a one-sided
-    (strided) halo lands on.  Kernels are priced on the largest block,
-    the first part of every axis."""
-    return (0, 0, grid_shape[2] // 2, grid_shape[3] // 2)
-
-
 def local_extents(
     n_global: int, oh: int, ow: int, par: LayerParallelism
 ) -> tuple[int, int, int]:

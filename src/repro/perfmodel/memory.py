@@ -6,7 +6,8 @@ runs backward, :func:`repro.core.schedule.lower`); training additionally
 holds the replicated parameters, their gradients, the optimizer state of
 the slices it updates (1/g of a layer's parameters for a gradient group of
 g ranks), the halo cells each forward halo exchange receives (the
-schedule's :class:`~repro.core.schedule.HaloOp`, on the priced rank),
+schedule's :class:`~repro.core.schedule.HaloOp`, on the rank of its sample
+group that receives the most),
 convolution workspace, and communication buffers.  This model reproduces
 the paper's feasibility boundaries on 16 GB V100s:
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.nn.graph import NetworkSpec
 from repro.perfmodel.machine import MachineSpec
-from repro.perfmodel.layer_cost import local_extents, priced_coords
+from repro.perfmodel.layer_cost import local_extents
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
 from repro.core.schedule import lower
 
@@ -108,8 +109,9 @@ class MemoryModel:
             if halo is not None:
                 # The halo cells the forward exchange receives, held with
                 # the gathered region until backward.
-                plan = halo.plan(priced_coords(op.grid_shape))
-                m.halo_buffers += plan.received_cells * db
+                m.halo_buffers += max(
+                    halo.plan(c).received_cells for c in halo.group
+                ) * db
 
         # Parameters and gradients, replicated on every rank, + momentum.
         m.parameters = (2.0 * self.spec.total_params() + momentum) * db

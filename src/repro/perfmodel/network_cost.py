@@ -12,13 +12,15 @@ Pricing (:meth:`NetworkCostModel.cost`):
   for its kernels on its largest block; layers other than convolution and
   pooling are costed as memory-bound passes (the paper leaves them free —
   the ranking of strategies is the same);
-* each halo exchange is its schedule op, priced on the rank with the most
-  halo (:func:`~repro.perfmodel.layer_cost.priced_coords`): one α-β
-  message plus the fixed per-message overhead for every box that rank
-  receives in the op's plan — over NVLink from a peer on its node, the
-  network otherwise — and the interior/boundary split of the layer's kernel
-  is the op's window geometry there (a scatter-add sends what its whole
-  kernel produced, so nothing of that kernel overlaps it);
+* each halo exchange is its schedule op, priced on the rank of its sample
+  group (:attr:`~repro.core.schedule.HaloOp.group`) that waits longest for
+  it: one α-β message plus the fixed per-message overhead for every box
+  that rank receives in the op's plan — over NVLink from a peer on its
+  node, the network otherwise — and the interior/boundary split of the
+  layer's kernel is the op's window geometry there (a one-sided strided
+  gather lands on one side of a split and its scatter-add on the other; a
+  scatter-add sends what its whole kernel produced, so nothing of that
+  kernel overlaps it);
 * each redistribution between layers with different distributions is
   charged a Shuffle(D_i, D_j) all-to-all (§III-C);
 * the dL/dw allreduces are the engine's gradient buckets
@@ -78,7 +80,6 @@ from repro.perfmodel.layer_cost import (
     conv_layer_cost,
     local_extents,
     pool_layer_cost,
-    priced_coords,
 )
 from repro.perfmodel.machine import MachineSpec
 from repro.perfmodel.sim_engine import SimEngine
@@ -195,23 +196,25 @@ class NetworkCostModel:
 
     def _halo(self, h: HaloOp, grid_shape: tuple[int, ...]) -> tuple[float, float, float]:
         """``(seconds, boundary fraction, boundary launch seconds)`` of halo
-        op ``h`` on the priced rank of a layer on ``grid_shape`` (see module
-        doc)."""
-        coords = priced_coords(grid_shape)
+        op ``h`` of a layer on ``grid_shape``, on the rank of its sample
+        group that waits longest for it (see module doc)."""
         node = self.machine.gpus_per_node
-        me = rank_at(grid_shape, coords) // node
-        seconds = 0.0
-        for peer, box in h.plan(coords).recvs:
-            if peer // node == me:
-                link, overhead = self.machine.intra_link, self.machine.halo_msg_overhead_intra
-            else:
-                link, overhead = self.machine.inter_link, self.machine.halo_msg_overhead_inter
-            seconds += pt2pt_time(cells(box) * self.machine.dtype_bytes, link) + overhead
-        if h.reverse:  # a scatter-add sends what its whole kernel produced
-            return seconds, 1.0, 0.0
-        g = h.geometry(coords)
-        launch = g.boundary_pieces * self.machine.gpu.kernel_latency
-        return seconds, g.boundary_fraction, launch
+
+        def on(coords) -> tuple[float, float, float]:
+            me = rank_at(grid_shape, coords) // node
+            seconds = 0.0
+            for peer, box in h.plan(coords).recvs:
+                if peer // node == me:
+                    link, overhead = self.machine.intra_link, self.machine.halo_msg_overhead_intra
+                else:
+                    link, overhead = self.machine.inter_link, self.machine.halo_msg_overhead_inter
+                seconds += pt2pt_time(cells(box) * self.machine.dtype_bytes, link) + overhead
+            if h.reverse:  # a scatter-add sends what its whole kernel produced
+                return seconds, 1.0, 0.0
+            g = h.geometry(coords)
+            return seconds, g.boundary_fraction, g.boundary_pieces * self.machine.gpu.kernel_latency
+
+        return max(map(on, h.group))
 
     def shuffle_edge_cost(self, parent: str, n_global: int, strategy) -> float:
         """Payload time of one redistribution of ``parent``'s activation

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import run_spmd
-from repro.core.dist_conv import DistConv2d, start_gather
+from repro.core.dist_conv import DistConv2d, own_window, start_gather
 from repro.core.dist_layers import DistPool2d
-from repro.core.window import window_geometry
+from repro.core.window import transposed_window, window_geometry
 from repro.nn import functional as F
 from repro.tensor import DistTensor, Distribution, ProcessGrid
 from repro.tensor.halo import local_region
@@ -215,15 +215,18 @@ class TestWindowGeometry:
         """``(geometry, source, fill)`` of conv forward, conv Eq. 3 or max
         pooling over ``x``."""
         xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
-        if kind == "pool":
-            return DistPool2d(grid, "max", 3, 2, 1)._geometry(xd), xd, -np.inf
-        conv = DistConv2d(grid, np.ones((4, x.shape[1], 3, 3)), stride=2, pad=1)
-        if kind == "conv_forward":
-            return conv._geometry(xd), xd, 0.0
-        y_shape = conv.output_global_shape(x.shape)
+        layer = (
+            DistPool2d(grid, "max", 3, 2, 1) if kind == "pool"
+            else DistConv2d(grid, np.ones((4, x.shape[1], 3, 3)), stride=2, pad=1)
+        )
+        window = own_window(layer, xd)
+        if kind != "conv_eq3":
+            fill = -np.inf if kind == "pool" else 0.0
+            return window_geometry(grid.coords, *window), xd, fill
+        y_shape = layer.output_global_shape(x.shape)
         dy = np.random.default_rng(4).standard_normal(y_shape)
         dyd = DistTensor.from_global(grid, activation_dist(grid.shape, y_shape), dy)
-        return conv._geometry(dyd, (xd.dist, x.shape)), dyd, 0.0
+        return window_geometry(grid.coords, *transposed_window(window)), dyd, 0.0
 
     @pytest.mark.parametrize("kind", ["conv_forward", "conv_eq3", "pool"])
     @pytest.mark.parametrize(

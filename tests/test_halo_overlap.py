@@ -22,9 +22,9 @@ import pytest
 from conftest import DELAY_PLANS, DELAY_S, reduce_for_process
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
-from repro.core.dist_conv import DistConv2d
+from repro.core.dist_conv import DistConv2d, own_window
 from repro.core.dist_layers import DistPool2d
-from repro.core.window import _frame_pieces
+from repro.core.window import _frame_pieces, window_geometry
 from repro.core.parallelism import activation_dist
 from repro.nn import NetworkSpec, SGD
 from repro.nn import functional as F
@@ -198,7 +198,7 @@ class TestPoolAgainstGlobalArray:
             xd = DistTensor.from_global(
                 grid, activation_dist(grid.shape, x_ext.shape), x_ext
             )
-            g = layer._geometry(xd)
+            g = window_geometry(grid.coords, *own_window(layer, xd))
             fused = layer._pool_piece(x_ext, g, g.bounds[2], g.bounds[3])
             oh, ow = fused[0].shape[2:]
             pieces = _frame_pieces(g.bounds[2], g.bounds[3], (1, oh - 1), (2, ow - 1))
@@ -288,7 +288,7 @@ class TestRegionExchange:
             comm.stats.reset()
             conv.forward(xd)
             ovl = comm.stats.collective_bytes.get("region_data", 0)
-            g = conv._geometry(xd)
+            g = window_geometry(grid.coords, *conv._window)
             comm.stats.reset()
             xd.gather_region(g.lo, g.hi)
             return ovl, comm.stats.collective_bytes.get("region_data", 0)

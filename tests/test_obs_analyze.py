@@ -9,6 +9,7 @@ means the annotation plumbing dropped or double-counted something.
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -42,11 +43,25 @@ def _train_prog(comm):
     return comm.stats.snapshot()
 
 
-def _spatial_prog(comm):
+def strided_net():
+    """One-sided halos: a stride-2 conv and pool, whose forward gathers land
+    on one side of a height split and whose scatter-add on the other."""
+    net = NetworkSpec("obs-analyze-strided")
+    net.add("input", "input", channels=3, height=8, width=8)
+    net.add("c1", "conv", ["input"], filters=4, kernel=3, stride=2, pad=1)
+    net.add("p1", "pool", ["c1"], mode="max", kernel=3, stride=2, pad=1)
+    net.add("c2", "conv", ["p1"], filters=4, kernel=3, pad=1)
+    net.add("gap", "gap", ["c2"])
+    net.add("fc", "fc", ["gap"], units=3, bias=True)
+    net.add("loss", "softmax_ce", ["fc"])
+    return net
+
+
+def _spatial_prog(comm, make_net):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 3, 8, 8))
     t = rng.integers(0, 3, size=4)
-    net = DistNetwork(small_net(), comm, LayerParallelism(height=comm.size), seed=0)
+    net = DistNetwork(make_net(), comm, LayerParallelism(height=comm.size), seed=0)
     DistTrainer(net, SGD(lr=0.1)).fit([(x, t)], epochs=2)
 
 
@@ -138,17 +153,19 @@ class TestAnalyzer:
         assert ar["fc"] == (3 * 4 + 3) * db
         assert ar["r1"] == ar["gap"] == 0
 
-    def test_model_halo_bytes_are_the_measured_ones(self, tmp_path):
+    @pytest.mark.parametrize("make_net", [small_net, strided_net], ids=["symmetric", "strided"])
+    def test_model_halo_bytes_are_the_measured_ones(self, tmp_path, make_net):
         """On a height-split net the modeled halo bytes per rank and step —
-        the priced rank's plan of every halo op — are what each rank's
-        ``region_data`` counter measured, and the report prints the two
-        side by side."""
+        what the plans of its halo ops send, on the mean rank — are what the
+        ranks' ``region_data`` counters measured, also when the two ranks
+        send different amounts, and the report prints the two side by
+        side."""
         path = str(tmp_path / "spatial.trace")
-        run_spmd(2, _spatial_prog, trace=path)
+        run_spmd(2, functools.partial(_spatial_prog, make_net=make_net), trace=path)
         doc = analyze.load_trace(path)
         strategy = ParallelStrategy.uniform(LayerParallelism(height=2))
         model = analyze.model_predictions(
-            small_net(), MachineSpec(dtype_bytes=8), 4, strategy  # float64
+            make_net(), MachineSpec(dtype_bytes=8), 4, strategy  # float64
         )
         steps = sum(
             ev["name"] == "step" for ev in doc["traceEvents"] if ev.get("ph") == "X"
@@ -157,7 +174,7 @@ class TestAnalyzer:
         measured = analyze.comm_rows(doc)["region_data"]["bytes"]
         assert model["halo_bytes_per_rank"] == measured / steps > 0
         assert (
-            f"measured {measured // steps} B vs modeled {model['halo_bytes_per_rank']} B"
+            f"measured {measured / steps:.0f} B vs modeled {model['halo_bytes_per_rank']:.0f} B"
             in analyze.render_report(doc, model=model)
         )
 

@@ -30,7 +30,7 @@ from repro.perfmodel import (
     published,
 )
 from repro.perfmodel.conv_model import ConvGeometry
-from repro.perfmodel.layer_cost import conv_layer_cost, priced_coords
+from repro.perfmodel.layer_cost import conv_layer_cost
 
 LINK = LinkParameters(alpha=5e-6, beta=1e-9, gamma=1e-10)
 
@@ -209,6 +209,12 @@ def _layer(spec, n, par, machine=LASSEN):
     """``(layer's priced cost, lowered schedule)`` of ``spec`` on ``par``."""
     bd = NetworkCostModel(spec, machine).cost(n, ParallelStrategy.uniform(par))
     return bd.per_layer["layer"], bd.schedule
+
+
+def _busiest(h):
+    """The coordinates of the rank of halo op ``h``'s sample group that
+    receives the most."""
+    return max(h.group, key=lambda c: h.plan(c).received_cells)
 
 
 class TestConvLayerCost:
@@ -456,8 +462,9 @@ class TestMemoryModel:
 
     def test_halo_buffers_are_what_the_forward_halos_receive(self):
         """A height-only split holds the rows its forward halo exchanges
-        receive on the priced rank: no W strips, the exchanged tensor's own
-        channels, and a pool's gather counted like a convolution's."""
+        receive on the rank that receives the most: no W strips, the
+        exchanged tensor's own channels, and a pool's gather counted like a
+        convolution's."""
         from repro.nn import NetworkSpec
 
         spec = NetworkSpec("height-halo")
@@ -465,7 +472,7 @@ class TestMemoryModel:
         spec.add("c1", "conv", ["input"], filters=8, kernel=3, pad=1)
         spec.add("p1", "pool", ["c1"], mode="max", kernel=3, stride=1, pad=1)
         bd = MemoryModel(spec, LASSEN).breakdown(2, LP(height=4))
-        # Part 2 of 4: one row from each neighbour, 2 samples x 16 columns.
+        # An inner part: one row from each neighbour, 2 samples x 16 columns.
         rows = 2 * 2 * 16
         assert bd.halo_buffers == rows * (4 + 8) * LASSEN.dtype_bytes
 
@@ -527,20 +534,25 @@ class TestDeadErrorSignal:
 class TestPoolBoundaryFraction:
     """A windowed layer overlaps what its window geometry decomposes: the
     interior/boundary split of a layer's cost is the ``pieces`` of its halo
-    op's window on the priced rank, and pooling's backward scatter-add —
-    the forward plan reversed, sent once the whole kernel has run —
-    overlaps nothing."""
+    op's window on the rank that waits longest for it, and pooling's
+    backward scatter-add — the forward plan reversed, sent once the whole
+    kernel has run — overlaps nothing."""
 
-    POOL = dict(kernel=3, stride=1, pad=1)
+    POOL = dict(kernel=3, stride=2, pad=1)
 
     def test_overlapping_windows_get_partial_fraction(self):
+        """A strided pool's halo is one-sided: on a 2 x 2 split the forward
+        gather lands on the last part of each axis and the scatter-add on
+        the first, and each op is priced on the rank it lands on."""
         par = LP(height=2, width=2)
         c, sched = _layer(_windowed("pool", **self.POOL), 4, par)
         fwd, bwd = sched.halos
         assert (fwd.op_id, bwd.op_id, bwd.reverse) == (
             "fwd:halo:layer", "bwd:halo:layer", True
         )
-        g = fwd.geometry(priced_coords(par.grid_shape))
+        assert (_busiest(fwd), _busiest(bwd)) == ((0, 0, 1, 1), (0, 0, 0, 0))
+        assert fwd.plan((0, 0, 0, 0)).recvs == bwd.plan((0, 0, 1, 1)).recvs == ()
+        g = fwd.geometry(_busiest(fwd))
         assert 0.0 < c.boundary_fraction == g.boundary_fraction < 1.0
         assert c.boundary_launch == g.boundary_pieces * LASSEN.gpu.kernel_latency > 0
         assert c.fp_halo > 0 and c.bpx_halo > 0
@@ -576,7 +588,7 @@ class TestPoolBoundaryFraction:
             4, par,
         )
         bwd = sched.halo("bwd", "layer")
-        g = bwd.geometry(priced_coords(par.grid_shape))
+        g = bwd.geometry(_busiest(bwd))
         assert g.windows[0].transposed and not bwd.reverse
         assert c.bpx_boundary_fraction == g.boundary_fraction < 1.0
         assert c.bpx_boundary_launch == g.boundary_pieces * LASSEN.gpu.kernel_latency
