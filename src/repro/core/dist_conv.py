@@ -45,9 +45,8 @@ from repro.nn import functional as F
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
 from repro.tensor.halo import RegionExchange, local_region, start_region_exchange
-from repro.core.window import (
-    WindowGeometry, forward_window, transposed_window, window_geometry,
-)
+from repro.core.parallelism import activation_dist
+from repro.core.window import WindowGeometry, transposed_window, window_geometry
 
 
 def start_gather(
@@ -66,10 +65,11 @@ def start_gather(
 
 def own_window(layer, x: DistTensor) -> tuple:
     """The forward window of windowed ``layer`` driven on its own, without
-    a lowered op's: ``x`` read into its grid's placement of the output."""
+    a lowered op's: ``x`` read into its grid's placement of the output, the
+    one every activation has (:func:`~repro.core.parallelism.activation_dist`)."""
     y_shape = layer.output_global_shape(x.global_shape)
-    source = x.dist, x.global_shape
-    return forward_window(source, y_shape, layer.kernel, layer.stride, layer.pad)
+    block = activation_dist(layer.grid.shape, y_shape), y_shape
+    return (x.dist, x.global_shape), block, layer.kernel, layer.stride, layer.pad, False
 
 
 def run_block(

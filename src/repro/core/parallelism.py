@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from repro.tensor.distribution import DimKind, Distribution
@@ -75,6 +76,7 @@ class LayerParallelism:
         return cls(sample=sample, height=best[0], width=best[1])
 
 
+@lru_cache(maxsize=4096)
 def activation_dist(
     grid_shape: Sequence[int], shape: Sequence[int]
 ) -> Distribution:

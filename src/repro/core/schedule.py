@@ -53,7 +53,7 @@ from repro.tensor.distribution import Distribution
 from repro.tensor.exchange import TransferPlan
 from repro.core.parallelism import ParallelStrategy, activation_dist
 from repro.core.window import (
-    WindowGeometry, forward_window, transposed_window, window_geometry,
+    WindowGeometry, group_plans, transposed_window, window_geometry,
 )
 
 
@@ -148,13 +148,15 @@ class HaloOp:
         return plan.reversed() if self.reverse else plan
 
     @property
-    def group(self) -> tuple[tuple[int, ...], ...]:
-        """Grid coordinates of the first sample group.  A window never
-        crosses the sample axis and every group splits space alike, so
-        these ranks' plans are every plan of the op, up to the sample
-        coordinate."""
-        grid = self.window[0][0].grid_shape
-        return tuple((0, 0, h, w) for h in range(grid[2]) for w in range(grid[3]))
+    def plans(self) -> dict[tuple[int, ...], TransferPlan]:
+        """What each rank of the first sample group sends and receives in
+        this op, by grid coordinates.  A window never crosses the sample
+        axis and every group splits space alike, so these are every plan of
+        the op, up to the sample coordinate."""
+        plans = group_plans(0, *self.window)[1]
+        if not self.reverse:
+            return plans
+        return {coords: plan.reversed() for coords, plan in plans.items()}
 
 
 @dataclass(frozen=True)
@@ -318,16 +320,6 @@ def window_params(layer: LayerSpec) -> tuple[tuple[int, int], ...]:
     return _pair(kernel), _pair(stride), _pair(layer.get("pad", 0))
 
 
-def _window(layer: LayerSpec, grid: tuple, x_shape: tuple, y_shape: tuple) -> tuple | None:
-    """The forward window of a convolution or pooling layer reading an
-    input of global shape ``x_shape`` into ``y_shape`` on ``grid`` — what
-    the engine hands the layer (``None`` for other kinds)."""
-    if layer.kind not in ("conv", "pool"):
-        return None
-    source = activation_dist(grid, x_shape), x_shape
-    return forward_window(source, y_shape, *window_params(layer))
-
-
 def _halos(op: LayerOp) -> list[tuple[str, HaloOp]]:
     """``[(phase, op)]``: the halo exchanges of windowed layer ``op`` in
     which some rank's window reads off-shard.  Convolution gathers its
@@ -384,7 +376,6 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
             x_shape = gshape[layer.parents[0]]
             for phase, c in _collectives(layer, grids[name], x_shape, name in need_dx):
                 collectives[phase, name] = c
-            window = _window(layer, grids[name], x_shape, gshape[name])
         edges = []
         for p in layer.parents:
             shuf = fwd.get((p, grids[name]))
@@ -394,6 +385,12 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
                 # the forward delivered and lands in the parent's own.
                 back = ShuffleOp(f"bwd:shuf:{name}->{p}", p, (name,), shuf.dst, shuf.src)
             edges.append(Edge(p, shuf, p in runs_backward, back))
+        if layer.kind in ("conv", "pool"):
+            # The forward window: the input where its edge delivers it, read
+            # into the layer's output placement.
+            p, shuf = edges[0].parent, edges[0].fwd
+            source = (out[p] if shuf is None else shuf.dst), gshape[p]
+            window = source, (out[name], gshape[name]), *window_params(layer), False
         axes = grad_axes(grids[name], gshape[name])
         size = math.prod(grids[name][d] for d in axes)
         params = spec.param_count(name, shapes)

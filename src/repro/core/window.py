@@ -27,14 +27,15 @@ an *interior* — indices whose windows lie entirely in locally owned data or
 virtual padding — and up to four *boundary* strips that depend on halo
 cells (§IV-A), and the exchange plan.  It is a pure, cached function of the
 rank's grid coordinates, the two placements and the window — no tensor, no
-communicator — so the engine's layers, the lowered schedule's
+communicator; the plans of a sample group are made together
+(:func:`group_plans`) — so the engine's layers, the lowered schedule's
 :class:`~repro.core.schedule.HaloOp` and every model that prices one ask
 for the same answer.  This is the one place a halo is decided: which
 source rows a window reads, whom a rank exchanges them with, and which
-block points wait for them.  Its key, after the coordinates, is built once
-per layer (:func:`forward_window`; Eq. 3's is :func:`transposed_window` of
-it): :func:`~repro.core.schedule.lower` builds it, and the network hands
-it to the layer.
+block points wait for them.  Its key after the coordinates, a layer's
+window, is built once: :func:`~repro.core.schedule.lower` builds it from
+the step's placements and the network hands it to the layer (Eq. 3's is
+:func:`transposed_window` of it).
 
 :func:`~repro.core.dist_conv.start_gather` and
 :func:`~repro.core.dist_conv.run_block` are the one sequence every such
@@ -47,8 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.tensor.dist_tensor import plan_region
-from repro.core.parallelism import activation_dist
+from repro.tensor.dist_tensor import plan_regions
 from repro.tensor.distribution import Distribution
 from repro.tensor.exchange import TransferPlan, cells
 from repro.tensor.indexing import ceil_div
@@ -207,8 +207,8 @@ def window_geometry(
     tensors must place samples alike.  Only the rank's own sample group
     (the ranks sharing its sample coordinate) can then read its shard: the
     exchange is planned over that group, whatever the sample-way count, and
-    whether any window reads off-shard is decided on the spatial axes,
-    which every group splits alike.
+    every group splits space alike, so whether any rank reads off-shard is
+    one answer for all of them.
     """
     (src_dist, src_shape), (dist, shape) = source, block
     grid = src_dist.grid_shape
@@ -218,29 +218,12 @@ def window_geometry(
         )
     if (src_shape[0], src_dist.kinds[0]) != (shape[0], dist.kinds[0]):
         raise ValueError("a window never crosses the sample axis")
-    windows = tuple(
-        Window(k, s, p, transposed) for k, s, p in zip(kernel, stride, pad)
+    exchanged, plans = group_plans(
+        coords[0], source, block, kernel, stride, pad, transposed
     )
-
-    def region_of(c):
-        (n_lo, n_hi), _, rows, cols = dist.local_bounds(shape, c)
-        (h0, h1), (w0, w1) = windows[0].span(*rows), windows[1].span(*cols)
-        return (n_lo, 0, h0, w0), (n_hi, src_shape[1], h1, w1)
-
-    def off_shard(c, region) -> bool:
-        owned = src_dist.local_bounds(src_shape, c)[2:]
-        box = [(max(region[0][d], 0), min(region[1][d], src_shape[d])) for d in (2, 3)]
-        return all(b < e for b, e in box) and any(
-            b < o_lo or e > o_hi for (b, e), (o_lo, o_hi) in zip(box, owned)
-        )
-
-    group = [
-        (c, region_of(c))
-        for c in ((coords[0], 0, h, w) for h in range(grid[2]) for w in range(grid[3]))
-    ]
-    lo, hi = region_of(coords)
+    plan = plans[tuple(coords)]
+    windows = _windows(kernel, stride, pad, transposed)
     bounds = dist.local_bounds(shape, coords)
-    exchanged = any(off_shard(c, region) for c, region in group)
     pieces: tuple = ()
     if exchanged:
         owned = src_dist.local_bounds(src_shape, coords)
@@ -249,29 +232,48 @@ def window_geometry(
             for d, w in zip((2, 3), windows)
         ]
         pieces = tuple(_frame_pieces(bounds[2], bounds[3], *inner))
-    plan = plan_region(src_dist, src_shape, coords, lo, hi, group)
+    hi = tuple(h for _, h in plan.box)
     return WindowGeometry(
-        dist, shape, bounds, lo, hi, exchanged, pieces, plan, windows
+        dist, shape, bounds, plan.lo, hi, exchanged, pieces, plan, windows
     )
 
 
-def forward_window(
+def _windows(kernel, stride, pad, transposed) -> tuple[Window, Window]:
+    return tuple(Window(k, s, p, transposed) for k, s, p in zip(kernel, stride, pad))
+
+
+@lru_cache(maxsize=4096)
+def group_plans(
+    n: int,
     source: Placement,
-    block_shape: tuple[int, ...],
+    block: Placement,
     kernel: tuple[int, int],
     stride: tuple[int, int],
     pad: tuple[int, int],
-) -> tuple:
-    """:func:`window_geometry`'s arguments after the rank's coordinates for
-    a kernel reading ``source`` into a ``block_shape`` tensor, placed on the
-    source's grid as every activation is
-    (:func:`~repro.core.parallelism.activation_dist`)."""
-    block = activation_dist(source[0].grid_shape, block_shape), block_shape
-    return source, block, kernel, stride, pad
+    transposed: bool = False,
+) -> tuple[bool, dict[tuple[int, ...], TransferPlan]]:
+    """``(does any rank read off-shard, plan by grid coordinates)`` of the
+    exchange of sample group ``n`` — :func:`window_geometry`'s plans of
+    every rank of it, planned together."""
+    (src_dist, src_shape), (dist, shape) = source, block
+    grid = src_dist.grid_shape
+    windows = _windows(kernel, stride, pad, transposed)
+
+    def region_of(c):
+        (n_lo, n_hi), _, rows, cols = dist.local_bounds(shape, c)
+        (h0, h1), (w0, w1) = windows[0].span(*rows), windows[1].span(*cols)
+        return (n_lo, 0, h0, w0), (n_hi, src_shape[1], h1, w1)
+
+    group = [
+        (c, region_of(c))
+        for c in ((n, 0, h, w) for h in range(grid[2]) for w in range(grid[3]))
+    ]
+    plans = plan_regions(src_dist, src_shape, group)
+    return any(p.recvs for p in plans), dict(zip((c for c, _ in group), plans))
 
 
 def transposed_window(window: tuple) -> tuple:
     """Eq. 3's window of forward window ``window``: the block's error
     signal read back into the source's placement."""
-    source, block, *params = window
-    return (block, source, *params, True)
+    source, block, kernel, stride, pad, _ = window
+    return block, source, kernel, stride, pad, True

@@ -241,7 +241,7 @@ def model_predictions(spec, machine, n_global: int, strategy, **sim_kwargs) -> d
             "ar_bytes": ar_bytes,
         }
     halo_bytes = sum(
-        sum(h.plan(c).sent_cells for c in h.group) / len(h.group)
+        sum(plan.sent_cells for plan in h.plans.values()) / len(h.plans)
         for h in sched.halos
     ) * machine.dtype_bytes
     return {

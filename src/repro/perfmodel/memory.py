@@ -110,7 +110,7 @@ class MemoryModel:
                 # The halo cells the forward exchange receives, held with
                 # the gathered region until backward.
                 m.halo_buffers += max(
-                    halo.plan(c).received_cells for c in halo.group
+                    plan.received_cells for plan in halo.plans.values()
                 ) * db
 
         # Parameters and gradients, replicated on every rank, + momentum.

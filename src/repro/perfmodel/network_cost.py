@@ -13,7 +13,7 @@ Pricing (:meth:`NetworkCostModel.cost`):
   pooling are costed as memory-bound passes (the paper leaves them free —
   the ranking of strategies is the same);
 * each halo exchange is its schedule op, priced on the rank of its sample
-  group (:attr:`~repro.core.schedule.HaloOp.group`) that waits longest for
+  group (:attr:`~repro.core.schedule.HaloOp.plans`) that waits longest for
   it: one α-β message plus the fixed per-message overhead for every box
   that rank receives in the op's plan — over NVLink from a peer on its
   node, the network otherwise — and the interior/boundary split of the
@@ -199,22 +199,25 @@ class NetworkCostModel:
         op ``h`` of a layer on ``grid_shape``, on the rank of its sample
         group that waits longest for it (see module doc)."""
         node = self.machine.gpus_per_node
+        plans = h.plans
 
-        def on(coords) -> tuple[float, float, float]:
+        def seconds(coords) -> float:
             me = rank_at(grid_shape, coords) // node
-            seconds = 0.0
-            for peer, box in h.plan(coords).recvs:
+            total = 0.0
+            for peer, box in plans[coords].recvs:
                 if peer // node == me:
                     link, overhead = self.machine.intra_link, self.machine.halo_msg_overhead_intra
                 else:
                     link, overhead = self.machine.inter_link, self.machine.halo_msg_overhead_inter
-                seconds += pt2pt_time(cells(box) * self.machine.dtype_bytes, link) + overhead
-            if h.reverse:  # a scatter-add sends what its whole kernel produced
-                return seconds, 1.0, 0.0
-            g = h.geometry(coords)
-            return seconds, g.boundary_fraction, g.boundary_pieces * self.machine.gpu.kernel_latency
+                total += pt2pt_time(cells(box) * self.machine.dtype_bytes, link) + overhead
+            return total
 
-        return max(map(on, h.group))
+        coords = max(plans, key=seconds)
+        if h.reverse:  # a scatter-add sends what its whole kernel produced
+            return seconds(coords), 1.0, 0.0
+        g = h.geometry(coords)
+        launch = g.boundary_pieces * self.machine.gpu.kernel_latency
+        return seconds(coords), g.boundary_fraction, launch
 
     def shuffle_edge_cost(self, parent: str, n_global: int, strategy) -> float:
         """Payload time of one redistribution of ``parent``'s activation

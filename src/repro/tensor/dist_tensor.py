@@ -21,7 +21,7 @@ A transfer is a plan and an exchange.  ``gather_region`` is the plan-free
 request/reply reference the tests compare against; everything on the hot
 path runs a :class:`~repro.tensor.exchange.TransferPlan` through a
 :class:`~repro.tensor.exchange.PlannedExchange`.
-:func:`plan_region` builds the plan of a region gather from the pure
+:func:`plan_regions` builds the plans of a region gather from the pure
 ownership resolution :func:`owners_of_region`, and the scatter-add is that
 same plan read backwards — its receives are what to send, its sends what
 to accumulate.
@@ -39,7 +39,7 @@ bitwise consistent without extra synchronization.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -348,61 +348,50 @@ def owners_of_region(
     ]
 
 
-def plan_region(
+def plan_regions(
     dist: Distribution,
     shape: Sequence[int],
-    coords: Sequence[int],
-    lo: Sequence[int],
-    hi: Sequence[int],
-    peers: Iterable[tuple[Sequence[int], tuple[Sequence[int], Sequence[int]]]],
-) -> TransferPlan:
-    """The static schedule of a gather of ``[lo, hi)`` by the rank at grid
-    ``coords`` from a tensor of global ``shape`` placed by ``dist`` — a pure
-    function of placement and regions, no tensor and no communicator.
+    regions: Sequence[tuple[Sequence[int], tuple[Sequence[int], Sequence[int]]]],
+) -> list[TransferPlan]:
+    """The static schedules of one region gather from a tensor of global
+    ``shape`` placed by ``dist``, in which the rank at grid ``coords``
+    gathers ``[lo, hi)`` for each ``(coords, (lo, hi))`` of ``regions`` —
+    a pure function of placement and regions, no tensor and no
+    communicator.  One plan per entry, in order.
 
-    ``peers`` are ``(coords, (lo, hi))``, in ascending rank order, of every
-    rank that may read this rank's shard in the same exchange, with the
-    region it gathers — identical on every rank (each rank derives all
-    regions from shared layer geometry), which is what lets the send side
-    be mirrored from the receive side without a request round-trip.
+    ``regions`` lists, in ascending rank order, every rank that may read
+    another's shard in the exchange.  Each rank receives from the owners
+    of its region (:func:`owners_of_region`) and sends to every rank that
+    receives from it: the send side is the receive side inverted, so the
+    two agree by construction, and each rank's sends are in ascending
+    rank order.
     """
-    lo = tuple(int(v) for v in lo)
-    hi = tuple(int(v) for v in hi)
-    if any(h < b for b, h in zip(lo, hi)):
-        raise ValueError(
-            f"negative region shape {tuple(h - b for b, h in zip(lo, hi))}"
-        )
-    me = rank_at(dist.grid_shape, coords)
-    mine = dist.local_bounds(shape, coords)
-    split = [dist.is_split(d) for d in range(dist.ndim)]
-    sends = []
-    for peer_coords, (peer_lo, peer_hi) in peers:
-        peer = rank_at(dist.grid_shape, peer_coords)
-        box = tuple(
-            (max(b, o_lo), min(h, o_hi))
-            for b, h, (o_lo, o_hi) in zip(peer_lo, peer_hi, mine)
-        )
-        # The receive side's ownership rule, mirrored: a peer reads this
-        # shard where its region overlaps it, within its replica group.
-        if (
-            peer != me
-            and all(b < h for b, h in box)
-            and all(s or p == c for s, p, c in zip(split, peer_coords, coords))
-        ):
-            sends.append((peer, box))
-
-    recvs = []
-    local = []
-    if all(h > b for b, h in zip(lo, hi)):
-        for rank, box in owners_of_region(dist, shape, lo, hi, coords):
-            if rank == me:
-                local.append(box)
-            else:
-                recvs.append((rank, box))
-    return TransferPlan(
-        tuple(zip(lo, hi)), tuple(sends), tuple(recvs), tuple(local),
-        sum(cells(box) for _, box in sends),
-    )
+    regions = [
+        (coords, (tuple(int(v) for v in lo), tuple(int(v) for v in hi)))
+        for coords, (lo, hi) in regions
+    ]
+    owners = []
+    sends: dict[int, list] = {}
+    for coords, (lo, hi) in regions:
+        if any(h < b for b, h in zip(lo, hi)):
+            raise ValueError(
+                f"negative region shape {tuple(h - b for b, h in zip(lo, hi))}"
+            )
+        me = rank_at(dist.grid_shape, coords)
+        owners.append((me, owners_of_region(dist, shape, lo, hi, coords)))
+        for rank, box in owners[-1][1]:
+            if rank != me:
+                sends.setdefault(rank, []).append((me, box))
+    plans = []
+    for (_, (lo, hi)), (me, mine) in zip(regions, owners):
+        out = tuple(sends.get(me, ()))
+        plans.append(TransferPlan(
+            tuple(zip(lo, hi)), out,
+            tuple((rank, box) for rank, box in mine if rank != me),
+            tuple(box for rank, box in mine if rank == me),
+            sum(cells(box) for _, box in out),
+        ))
+    return plans
 
 
 def plan_region_exchange(
@@ -411,15 +400,15 @@ def plan_region_exchange(
     hi: Sequence[int],
     peer_regions: Sequence[tuple[Sequence[int], Sequence[int]]],
 ) -> TransferPlan:
-    """:func:`plan_region` for ``dt``'s rank, with ``peer_regions[j]`` the
-    ``(lo, hi)`` region comm-rank ``j`` gathers in the same exchange.
+    """:func:`plan_regions` for ``dt``'s rank, gathering ``[lo, hi)``, with
+    ``peer_regions[j]`` the ``(lo, hi)`` region comm-rank ``j`` gathers in
+    the same exchange.
     Halo geometry is a function of the layer and distribution alone, so
     layers build the plan once and reuse it every step, exactly as the
     paper's implementation sets up its halo exchanges per layer rather than
     per invocation.
     """
-    grid = dt.grid
-    return plan_region(
-        dt.dist, dt.global_shape, grid.coords, lo, hi,
-        ((grid.coords_of(j), region) for j, region in enumerate(peer_regions)),
-    )
+    grid, me = dt.grid, dt.comm.rank
+    regions = [(grid.coords_of(j), region) for j, region in enumerate(peer_regions)]
+    regions[me] = grid.coords, (lo, hi)
+    return plan_regions(dt.dist, dt.global_shape, regions)[me]

@@ -2,7 +2,7 @@
 
 A transfer is a plan and an exchange.  :func:`start_region_exchange` runs
 the :class:`~repro.tensor.exchange.TransferPlan` of a region gather
-(:func:`~repro.tensor.dist_tensor.plan_region`) through the one
+(:func:`~repro.tensor.dist_tensor.plan_regions`) through the one
 :class:`~repro.tensor.exchange.PlannedExchange` and returns it as a
 :class:`RegionExchange`: it fetches the same arbitrary hyper-rectangular
 dependency regions as

@@ -214,7 +214,7 @@ def _layer(spec, n, par, machine=LASSEN):
 def _busiest(h):
     """The coordinates of the rank of halo op ``h``'s sample group that
     receives the most."""
-    return max(h.group, key=lambda c: h.plan(c).received_cells)
+    return max(h.plans, key=lambda c: h.plans[c].received_cells)
 
 
 class TestConvLayerCost:
