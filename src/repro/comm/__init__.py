@@ -28,6 +28,10 @@ LBANN implementation with a functionally equivalent runtime:
   ``allgather``/``alltoall``/``allreduce``/``iallreduce``/``split``),
   mirroring mpi4py's lower-case object interface; backend-agnostic, and
   bitwise-reproducible across backends for a fixed rank count.
+* :mod:`repro.comm.algorithms` — every collective's wire pattern: the
+  ``"direct"`` exchange and the compiled ring / Rabenseifner /
+  recursive-doubling / hierarchical allreduce schedules, each run whole
+  over ``p`` chunks of the buffer.
 * :mod:`repro.comm.payload` — what a payload is: the one walk over
   tuple/list/dict every copy, byte count and array lift goes through, and
   the immutability rule built on it (``freeze`` / ``private`` /
@@ -80,12 +84,10 @@ from repro.comm.collective_models import (
     allreduce_time,
     allreduce_wire_bytes,
     alltoall_time,
-    bucketed_allreduce_time,
     pt2pt_time,
     hierarchical_allreduce_time,
     hierarchical_inter_wire_bytes,
     resolve_allreduce_algorithm,
-    segmented_allreduce_time,
     select_allreduce_algorithm,
     select_inter_algorithm,
 )
@@ -124,9 +126,7 @@ __all__ = [
     "resolve_backend",
     "allreduce_time",
     "alltoall_time",
-    "bucketed_allreduce_time",
     "pt2pt_time",
-    "segmented_allreduce_time",
     "run_spmd",
     "select_allreduce_algorithm",
     "set_zero_copy",

@@ -180,60 +180,6 @@ def _mark_done(
     return tuple(tuple(steps) for steps in out)
 
 
-@lru_cache(maxsize=None)
-def segmented_offsets(n: int, p: int, nseg: int) -> tuple[int, ...]:
-    """Offset table for a segmented schedule: ``nseg`` outer pipeline
-    segments, each split into the usual ``p`` near-equal chunks.
-
-    The outer split reuses :func:`chunk_offsets`, matching the near-equal
-    segments ``collective_models.segment_sizes`` prices; chunk ``c`` of
-    segment ``g`` lives at table index ``g·p + c`` (table length
-    ``nseg·p + 1``), which is exactly where :func:`segment_steps` points
-    the expanded schedule.  Every rank derives the identical table.
-    """
-    outer = chunk_offsets(n, nseg)
-    offs = [0]
-    for g in range(nseg):
-        inner = chunk_offsets(outer[g + 1] - outer[g], p)
-        base = outer[g]
-        offs.extend(base + o for o in inner[1:])
-    return tuple(offs)
-
-
-@lru_cache(maxsize=None)
-def segment_steps(
-    steps: tuple[Step, ...], p: int, nseg: int
-) -> tuple[Step, ...]:
-    """Expand a compiled schedule to move the buffer in ``nseg`` pipeline
-    segments (over the :func:`segmented_offsets` table).
-
-    Step-major expansion: each base step over chunks ``[lo, hi)`` of the
-    ``p``-chunk table becomes ``nseg`` consecutive per-segment steps over
-    the same chunk range of every segment, in ascending segment order.
-    Pipelining falls out of the runner's eager sends: all ``nseg``
-    per-segment sends of a base send step are staged before the following
-    receive blocks, so while this rank reduces segment ``k`` its
-    neighbour's segment ``k+1`` is already in flight — without reordering
-    any send relative to the base schedule (per-``(peer, tag)`` FIFO
-    matching is preserved because expansion keeps program order on both
-    sides).
-
-    Reduction order: the base algorithm's documented order is applied to
-    every segment independently (segments partition the buffer and steps
-    never cross a segment boundary), so the fold remains a pure function
-    of ``(algorithm, p, nseg)``.  ``nseg <= 1`` returns the base schedule
-    *unchanged* — the unsegmented path is bitwise-identical to the
-    pre-segmentation engine by construction.
-    """
-    if nseg <= 1:
-        return steps
-    return tuple(
-        replace(st, lo=g * p + st.lo, hi=g * p + st.hi)
-        for st in steps
-        for g in range(nseg)
-    )
-
-
 def _ring_pass(
     ring: tuple[int, ...], i: int, first: int, kind: str, width: int = 1
 ) -> list[Step]:
@@ -490,7 +436,6 @@ class ScheduleRunner(WireTally):
         value: np.ndarray,
         fn: Callable[[Any, Any], Any],
         seq: int,
-        offsets: tuple[int, ...] | None = None,
         owns_buffer: bool = False,
         inter_peers: tuple[bool, ...] | None = None,
         ufunc: Any = None,
@@ -512,13 +457,7 @@ class ScheduleRunner(WireTally):
             self._buf = value.flatten()
         self._update = update
         self._out = self._buf if update is None or out is None else out.reshape(-1)
-        # ``offsets`` overrides the near-equal chunking (a segmented
-        # plan's table); every rank must derive the identical table.
-        self._off = (
-            offsets
-            if offsets is not None
-            else chunk_offsets(self._buf.size, comm.size)
-        )
+        self._off = chunk_offsets(self._buf.size, comm.size)
         self._fn = fn
         # Known binary ufunc matching ``fn`` (e.g. ``np.add`` for "sum"):
         # lets ``_apply`` accumulate in place instead of allocating a

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 
 class AllreduceAlgorithm(str, Enum):
@@ -296,202 +295,9 @@ def allreduce_wire_bytes(
         pof2 = 1 << (p.bit_length() - 1)
         extra = nbytes if pof2 != p else 0.0
         return nbytes * math.log2(pof2) + extra
-    if (
-        name == AllreduceAlgorithm.RABENSEIFNER.value
-        and p & (p - 1) != 0
-    ):
-        name = AllreduceAlgorithm.RING.value  # schedule-level fallback
-    # ring and (power-of-two) Rabenseifner are both bandwidth-optimal.
+    # ring and Rabenseifner (and its non-power-of-two ring fallback) are
+    # both bandwidth-optimal.
     return 2.0 * nbytes * (p - 1) / p
-
-
-def segment_sizes(nbytes: float, segment_bytes: float) -> list[float]:
-    """Split ``nbytes`` into near-equal segments of at most ``segment_bytes``."""
-    if nbytes <= 0:
-        return []
-    if not segment_bytes or segment_bytes >= nbytes:
-        return [nbytes]
-    nseg = int(math.ceil(nbytes / segment_bytes))
-    per = nbytes / nseg
-    return [per] * nseg
-
-
-def segmented_allreduce_time(
-    p: int,
-    nbytes: float,
-    link: LinkParameters,
-    segment_bytes: float | None = None,
-    algorithm: AllreduceAlgorithm | None = None,
-) -> float:
-    """Total comm-channel occupancy of an allreduce issued in segments.
-
-    Segmenting pays (nseg - 1) extra latency terms but lets the engine
-    start draining a large gradient while later segments are still being
-    produced — the cost counterpart of the bucketed reducer's pipelining.
-    ``segment_bytes=None`` (or >= nbytes) degenerates to one allreduce.
-    """
-    return sum(
-        allreduce_time(p, s, link, algorithm)
-        for s in segment_sizes(nbytes, segment_bytes or 0)
-    )
-
-
-#: Smallest pipeline segment the selector will consider (4 KiB): below
-#: this the per-segment latency terms dominate any overlap win.
-MIN_SEGMENT_BYTES: int = 1 << 12
-
-
-def schedule_rounds(p: int, algorithm: AllreduceAlgorithm | str) -> int:
-    """Pipeline depth of one compiled allreduce schedule: the number of
-    send/recv rounds on a rank's critical path.
-
-    This is the depth over which a segmented schedule amortizes its extra
-    latency (:func:`pipelined_segmented_allreduce_time`): ring runs
-    ``2(p-1)`` rounds, Rabenseifner ``2·lg p`` (power-of-two groups; other
-    sizes fall back to the ring schedule, mirroring ``compile_allreduce``),
-    recursive doubling ``lg p̂`` plus the two non-power-of-two fold
-    exchanges, and the ``"direct"`` all-to-all exchange is a
-    single unpipelineable round.
-    """
-    if p <= 1:
-        return 1
-    name = (
-        algorithm.value
-        if isinstance(algorithm, AllreduceAlgorithm)
-        else algorithm
-    )
-    if name == DIRECT_ALGORITHM:
-        return 1
-    if name == AllreduceAlgorithm.RABENSEIFNER.value and p & (p - 1) == 0:
-        return 2 * int(math.log2(p))
-    if name == AllreduceAlgorithm.RECURSIVE_DOUBLING.value:
-        pof2 = 1 << (p.bit_length() - 1)
-        return int(math.log2(pof2)) + (2 if pof2 != p else 0)
-    if name in (
-        AllreduceAlgorithm.RING.value,
-        AllreduceAlgorithm.RABENSEIFNER.value,  # non-power-of-two fallback
-    ):
-        return 2 * (p - 1)
-    raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-
-
-def pipelined_segmented_allreduce_time(
-    p: int,
-    nbytes: float,
-    link: LinkParameters,
-    segment_bytes: float | None = None,
-    algorithm: AllreduceAlgorithm | str | None = None,
-) -> float:
-    """AR time of one allreduce whose *schedule* is segmented.
-
-    Unlike :func:`segmented_allreduce_time` (independent back-to-back
-    allreduces, the bucketed-reducer pipelining), this models the engine's
-    in-schedule segmentation: every send/recv/reduce step is split into
-    ``nseg`` per-segment sub-steps, so segment ``k+1`` is on the wire
-    while ``k`` reduces.  The first segment pays the full schedule
-    (``t_seg``); each further segment drains one pipeline round behind it:
-
-        ``t_seg + (nseg - 1) · t_seg / L``,  ``L = schedule_rounds(p, alg)``
-
-    which degenerates to :func:`allreduce_time` at ``nseg <= 1`` and to
-    the unpipelined sum for the depth-1 ``"direct"`` exchange.
-    """
-    if p <= 1 or nbytes <= 0:
-        return 0.0
-    name = resolve_allreduce_algorithm(algorithm, p, nbytes)
-    sizes = segment_sizes(nbytes, segment_bytes or 0)
-    if name == HIERARCHICAL_ALGORITHM:
-        # Depth of the two-level composition depends on the node layout;
-        # approximate with the ring (both are bandwidth-optimal pipelines).
-        name = AllreduceAlgorithm.RING.value
-    if len(sizes) <= 1:
-        return allreduce_time(p, nbytes, link, name)
-    t_seg = allreduce_time(p, sizes[0], link, name)
-    rounds = schedule_rounds(p, name)
-    return t_seg + (len(sizes) - 1) * t_seg / rounds
-
-
-def select_segment_bytes(
-    p: int,
-    nbytes: float,
-    link: LinkParameters = DEFAULT_INTRA_LINK,
-    algorithm: AllreduceAlgorithm | str | None = None,
-) -> int | None:
-    """Segment size minimizing :func:`pipelined_segmented_allreduce_time`,
-    or ``None`` when the whole (unsegmented) schedule is fastest.
-
-    This is the ``segment_bytes="auto"`` rule the communicator applies:
-    power-of-two candidates from :data:`MIN_SEGMENT_BYTES` up to half the
-    payload are priced against the unsegmented schedule.  Small payloads
-    (latency-bound) and the unscheduled ``"direct"`` exchange never
-    segment.
-    """
-    if p <= 1 or nbytes < 2 * MIN_SEGMENT_BYTES:
-        return None
-    name = resolve_allreduce_algorithm(algorithm, p, nbytes)
-    if name == DIRECT_ALGORITHM:
-        return None
-    best_t = pipelined_segmented_allreduce_time(p, nbytes, link, None, name)
-    best: int | None = None
-    seg = MIN_SEGMENT_BYTES
-    while seg <= nbytes / 2:
-        t = pipelined_segmented_allreduce_time(p, nbytes, link, seg, name)
-        if t < best_t:
-            best_t, best = t, seg
-        seg <<= 1
-    return best
-
-
-def segmented_allreduce_wire_bytes(
-    p: int,
-    nbytes: float,
-    segment_bytes: float | None = None,
-    algorithm: AllreduceAlgorithm | str | None = None,
-) -> float:
-    """Per-rank bytes sent by one allreduce issued in pipeline segments.
-
-    The algorithm is resolved once on the *whole* payload (matching the
-    engine, which selects before segmenting) and each segment then moves
-    its own :func:`allreduce_wire_bytes` — total volume is unchanged for
-    the volume-linear ring/Rabenseifner/direct, while recursive doubling's
-    non-power-of-two fold pays its extra payload once per segment.
-    """
-    if p <= 1 or nbytes <= 0:
-        return 0.0
-    name = resolve_allreduce_algorithm(algorithm, p, nbytes)
-    return sum(
-        allreduce_wire_bytes(p, s, name)
-        for s in segment_sizes(nbytes, segment_bytes or 0)
-    )
-
-
-def bucketed_allreduce_time(
-    p: int,
-    sizes: Sequence[float],
-    link: LinkParameters,
-    bucket_bytes: float,
-) -> float:
-    """Allreduce time for per-tensor ``sizes`` coalesced into buckets.
-
-    Models the engine's :class:`~repro.core.grad_reducer.BucketedGradReducer`:
-    consecutive tensors are merged until the bucket reaches ``bucket_bytes``
-    (a tensor larger than the bucket still goes out whole), so per-collective
-    latency is amortized over many small gradients.
-    """
-    if p <= 1:
-        return 0.0
-    total = 0.0
-    pending = 0.0
-    for n in sizes:
-        if n <= 0:
-            continue
-        pending += n
-        if pending >= bucket_bytes:
-            total += allreduce_time(p, pending, link)
-            pending = 0.0
-    if pending > 0:
-        total += allreduce_time(p, pending, link)
-    return total
 
 
 def alltoall_time(p: int, nbytes_per_pair: float, link: LinkParameters) -> float:

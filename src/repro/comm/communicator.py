@@ -85,7 +85,8 @@ Semantics implemented — what the engine calls, and nothing else:
   selection; ``REPRO_COLLECTIVE_ALG`` overrides globally) that compiles
   ring / Rabenseifner / recursive-doubling / hierarchical schedules onto
   the point-to-point transport (:mod:`repro.comm.algorithms`), cutting an
-  allreduce's per-rank wire volume from ``n(p-1)`` to ``2n(p-1)/p``;
+  allreduce's per-rank wire volume from ``n(p-1)`` to ``2n(p-1)/p``; a
+  call runs its one compiled schedule whole, over ``p`` chunks;
   ``"direct"`` — an all-to-all :class:`~repro.comm.algorithms.Exchange`
   of whole contributions followed by the ascending-comm-rank fold — is
   the bitwise-reference mode.
@@ -107,9 +108,7 @@ from repro.comm.collective_models import (
     HIERARCHICAL_ALGORITHM,
     TwoTierTopology,
     resolve_allreduce_algorithm,
-    segment_sizes,
     select_inter_algorithm,
-    select_segment_bytes,
 )
 from repro.comm.payload import freeze, payload_nbytes, private
 from repro.comm.stats import CommStats
@@ -151,13 +150,6 @@ _REDUCE_UFUNCS: dict[str, Any] = {
 #: fails loudly.
 COLLECTIVE_ALG_ENV = "REPRO_COLLECTIVE_ALG"
 
-#: Environment override for the reduction collectives' ``segment_bytes=``
-#: pipelining knob: ``auto`` applies the cost model's
-#: :func:`~repro.comm.collective_models.select_segment_bytes` minimization,
-#: ``none``/``off``/``0`` disables segmentation, and a positive integer
-#: forces that segment size in bytes.  Anything else fails loudly.
-SEGMENT_BYTES_ENV = "REPRO_SEGMENT_BYTES"
-
 #: Every name the ``algorithm=`` knob and its env override may carry;
 #: anything else is a typo and must fail loudly rather than silently
 #: disable the override.
@@ -166,51 +158,22 @@ _ALG_CHOICES = {
 }
 
 
-def _parse_segment_bytes(text: str) -> int | str | None:
-    """Parse a ``segment_bytes`` knob/env value; raise loudly on typos."""
-    t = text.strip().lower()
-    if t in ("none", "off", "0"):
-        return None
-    if t == "auto":
-        return "auto"
-    try:
-        value = int(t)
-    except ValueError:
-        raise ValueError(
-            f"{SEGMENT_BYTES_ENV}={text!r} is not a segment size; expected "
-            f"'auto', 'none', or a positive integer byte count"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"{SEGMENT_BYTES_ENV}={text!r} must be a positive byte count"
-        )
-    return value
-
-
-#: "``REPRO_SEGMENT_BYTES`` is unset": distinct from its ``None`` (= off).
-_NO_OVERRIDE = object()
-
-
-def _env_knobs() -> tuple[str | None, Any]:
-    """``(REPRO_COLLECTIVE_ALG, REPRO_SEGMENT_BYTES)`` validated and parsed
-    — ``None`` / :data:`_NO_OVERRIDE` when unset.  Read once, when a job's
-    world communicator is built (set them before ``run_spmd``); a typo
-    raises there, naming the variable."""
+def _env_algorithm() -> str | None:
+    """``REPRO_COLLECTIVE_ALG``, validated — ``None`` when unset.  Read
+    once, when a job's world communicator is built (set it before
+    ``run_spmd``); a typo raises there, naming the variable."""
     alg = os.environ.get(COLLECTIVE_ALG_ENV) or None
     if alg is not None and alg not in _ALG_CHOICES:
         raise ValueError(
             f"{COLLECTIVE_ALG_ENV}={alg!r} names no allreduce "
             f"algorithm; expected one of {sorted(_ALG_CHOICES)}"
         )
-    seg = os.environ.get(SEGMENT_BYTES_ENV)
-    if seg is None or seg.strip() == "":
-        return alg, _NO_OVERRIDE
-    return alg, _parse_segment_bytes(seg)
+    return alg
 
 
-#: A reduction plan is ``(algorithm, this rank's compiled steps, offset table,
-#: segment count)``; this one says "take the ``"direct"`` exchange".
-_DIRECT_PLAN = ("direct", None, None, 0)
+#: A reduction plan is ``(algorithm, this rank's compiled steps)``; this one
+#: says "take the ``"direct"`` exchange".
+_DIRECT_PLAN = ("direct", None)
 
 
 def _mapped(
@@ -354,7 +317,7 @@ class Communicator:
         members: tuple[int, ...],
         rank: int,
         key: Any,
-        knobs: tuple[str | None, Any] | None = None,
+        alg_override: str | None,
     ) -> None:
         self._world = world
         self._members = members
@@ -372,19 +335,21 @@ class Communicator:
         #: (``False`` = not yet computed; the layout is immutable).
         self._hierarchy_cache: Any = False
         self._inter_flags_cache: tuple[bool, ...] | None = None
-        #: The environment overrides as parsed for the world communicator;
-        #: ``split`` hands them down, so a job reads them once.
-        self._knobs = _env_knobs() if knobs is None else knobs
-        #: ``(op, algorithm knob, segment knob, element count, dtype)`` ->
+        #: ``REPRO_COLLECTIVE_ALG`` as read for the world communicator;
+        #: ``split`` hands it down, so a job reads it once.
+        self._alg_override = alg_override
+        #: ``(op, algorithm knob, element count, dtype)`` ->
         #: resolved reduction plan (:meth:`_reduction_plan`), so a repeated
-        #: shape skips selection, compilation and the offset tables.
+        #: shape skips selection and compilation.
         self._plans: dict[tuple, tuple] = {}
         self.stats: CommStats = world.rank_stats(members[rank])
 
     # -- construction -------------------------------------------------------
     @classmethod
     def _world_comm(cls, world: BaseWorld, rank: int) -> "Communicator":
-        return cls(world, tuple(range(world.size)), rank, key=("world",))
+        return cls(
+            world, tuple(range(world.size)), rank, ("world",), _env_algorithm()
+        )
 
     # -- identity ------------------------------------------------------------
     @property
@@ -496,7 +461,7 @@ class Communicator:
                 f"unknown {opname} algorithm {name!r}; "
                 f"expected one of {sorted(_ALG_CHOICES)}"
             )
-        return self._knobs[0] or name
+        return self._alg_override or name
 
     # -- node hierarchy -------------------------------------------------------
     def hierarchy(self) -> tuple[tuple[int, ...], ...] | None:
@@ -543,20 +508,16 @@ class Communicator:
             self._inter_flags_cache = flags if any(flags) else ()
         return self._inter_flags_cache or None
 
-    def _reduction_plan(
-        self, opname: str, algorithm: Any, segment_bytes: Any, value: Any
-    ) -> tuple:
+    def _reduction_plan(self, opname: str, algorithm: Any, value: Any) -> tuple:
         """How this communicator runs one allreduce of ``value``'s shape:
-        ``(algorithm, steps, offsets, nseg)``, resolved once per distinct
-        ``(op, algorithm knob, segment knob, element count, dtype)`` the way
-        ``tensor/`` memoises a ``TransferPlan``.  ``steps is None`` means the
-        ``"direct"`` exchange (always, for non-array payloads)."""
+        ``(algorithm, steps)``, resolved once per distinct ``(op, algorithm
+        knob, element count, dtype)`` the way ``tensor/`` memoises a
+        ``TransferPlan``.  ``steps is None`` means the ``"direct"`` exchange
+        (always, for non-array payloads)."""
         if not isinstance(value, np.ndarray):
             self._knob(algorithm, opname)  # validate
             return _DIRECT_PLAN
-        return self._array_plan(
-            opname, algorithm, segment_bytes, value.size, value.dtype
-        )
+        return self._array_plan(opname, algorithm, value.size, value.dtype)
 
     def _array_plan(self, *key: Any) -> tuple:
         plan = self._plans.get(key)
@@ -564,45 +525,30 @@ class Communicator:
             plan = self._plans[key] = self._plan_reduction(*key)
         return plan
 
-    def owned_ranges(
-        self,
-        n: int,
-        dtype: Any,
-        *,
-        algorithm: str | None = None,
-        segment_bytes: int | str | None = None,
-    ) -> tuple[tuple[int, int], ...]:
-        """The element ranges ``[lo, hi)`` of an ``n``-element
-        :meth:`iallreduce` (same knobs) whose fold completes on this rank:
-        where its ``update`` map runs here, in the order it runs.  The
+    def owned_range(
+        self, n: int, dtype: Any, *, algorithm: str | None = None
+    ) -> tuple[int, int] | None:
+        """The element range ``[lo, hi)`` of an ``n``-element
+        :meth:`iallreduce` (same knob) whose fold completes on this rank —
+        where its ``update`` map runs here — or ``None`` if none does.  The
         ``"direct"`` exchange — and so a one-rank group — folds everything
         everywhere; recursive doubling finishes the whole buffer on every
-        rank that takes part in the doubling; ring and Rabenseifner give each
-        rank its own chunk (one per pipeline segment)."""
-        _, steps, offsets, _ = self._array_plan(
-            "iallreduce", algorithm, segment_bytes, n, np.dtype(dtype)
-        )
+        rank that takes part in the doubling and nothing on a rank its fold
+        leaves out; ring and Rabenseifner give each rank its own chunk."""
+        _, steps = self._array_plan("iallreduce", algorithm, n, np.dtype(dtype))
         if steps is None:
-            return ((0, n),) if n else ()
-        return tuple(
-            (offsets[st.lo], offsets[st.hi])
-            for st in steps
-            if st.done and st.kind == "recv_reduce" and offsets[st.hi] > offsets[st.lo]
-        )
+            return (0, n) if n else None
+        offsets = _alg.chunk_offsets(n, self.size)
+        for st in steps:
+            if st.done and st.kind == "recv_reduce":
+                lo, hi = offsets[st.lo], offsets[st.hi]
+                return (lo, hi) if hi > lo else None
+        return None
 
     def _plan_reduction(
-        self, opname: str, algorithm: Any, segment_bytes: Any, n: int, dtype: np.dtype
+        self, opname: str, algorithm: Any, n: int, dtype: np.dtype
     ) -> tuple:
-        """Resolve the knobs for ``n`` elements of ``dtype`` and compile.
-
-        With a resolved segment size that splits the payload into
-        ``nseg >= 2`` segments, the compiled schedule is expanded
-        step-major over the :func:`~repro.comm.algorithms.segmented_offsets`
-        table (:func:`~repro.comm.algorithms.segment_steps`), so segment
-        ``k+1`` is on the wire while ``k`` reduces; ``nseg <= 1`` leaves
-        the base schedule untouched — bitwise-identical to the
-        unsegmented path.
-        """
+        """Resolve the knob for ``n`` elements of ``dtype`` and compile."""
         alg = self._knob(algorithm, opname)
         if self.size == 1 or dtype == object:
             return _DIRECT_PLAN
@@ -624,43 +570,7 @@ class Communicator:
             steps = _alg.compile_hierarchical_allreduce(h, inter.value)[self.rank]
         else:
             steps = _alg.compile_allreduce(self.size, alg)[self.rank]
-        seg = self._resolve_segment_bytes(segment_bytes, nbytes, alg)
-        nseg = len(segment_sizes(nbytes, seg)) if seg else 0
-        if nseg <= 1:
-            return alg, steps, _alg.chunk_offsets(n, self.size), 0
-        return (
-            alg,
-            _alg.segment_steps(steps, self.size, nseg),
-            _alg.segmented_offsets(n, self.size, nseg),
-            nseg,
-        )
-
-    def _resolve_segment_bytes(
-        self, segment_bytes: Any, nbytes: int, alg: str
-    ) -> int | None:
-        """Normalize a ``segment_bytes`` knob to a concrete byte count.
-
-        ``None`` → unsegmented (the pre-segmentation schedules, bitwise);
-        ``"auto"`` → the cost model's
-        :func:`~repro.comm.collective_models.select_segment_bytes`
-        minimization for this ``(p, nbytes, algorithm)``; an integer
-        forces that size.  :data:`SEGMENT_BYTES_ENV` overrides the call
-        site.
-        """
-        if self._knobs[1] is not _NO_OVERRIDE:
-            segment_bytes = self._knobs[1]
-        elif isinstance(segment_bytes, str):
-            segment_bytes = _parse_segment_bytes(segment_bytes)
-        if segment_bytes is None:
-            return None
-        if segment_bytes == "auto":
-            return select_segment_bytes(self.size, nbytes, algorithm=alg)
-        seg = int(segment_bytes)
-        if seg < 1:
-            raise ValueError(
-                f"segment_bytes must be a positive byte count, got {seg}"
-            )
-        return seg
+        return alg, steps
 
     def _reduction_runner(
         self,
@@ -678,14 +588,10 @@ class Communicator:
         donated contribution) instead of in a private copy; ``update`` and
         ``out``: the fused map (:meth:`iallreduce`).
         """
-        _, steps, offsets, nseg = plan
-        if nseg:
-            self.stats.record_segments(opname, nseg)
         return _alg.ScheduleRunner(
-            self, opname, steps, value, _reduce_fn(op), self._next_coll_seq(),
-            offsets=offsets, owns_buffer=owns_buffer,
-            inter_peers=self._inter_flags(), ufunc=_REDUCE_UFUNCS.get(op),
-            update=update, out=out,
+            self, opname, plan[1], value, _reduce_fn(op), self._next_coll_seq(),
+            owns_buffer=owns_buffer, inter_peers=self._inter_flags(),
+            ufunc=_REDUCE_UFUNCS.get(op), update=update, out=out,
         )
 
     def _progress_inflight(self) -> None:
@@ -694,7 +600,7 @@ class Communicator:
         Called on entry to the blocking ``"direct"`` collectives: a rank
         about to block on its peers first pushes its in-flight schedules
         as far as the already-arrived messages allow, so peers driving
-        those schedules keep receiving segments.  (The SPMD discipline
+        those schedules keep receiving chunks.  (The SPMD discipline
         still requires every rank to eventually wait each scheduled
         request — a rank that abandons one can starve peers that wait it.)
         """
@@ -846,23 +752,8 @@ class Communicator:
         op: str = "sum",
         *,
         algorithm: str | None = None,
-        segment_bytes: int | str | None = None,
     ) -> Any:
         """Element-wise reduction over every member.
-
-        ``segment_bytes`` pipelines a *scheduled* algorithm: the payload is
-        split into near-equal segments (the cost model's ``segment_sizes``)
-        and every schedule step runs per segment, so segment ``k+1`` is on
-        the wire while ``k`` reduces.  ``None`` (default) keeps the whole
-        schedule — bitwise-identical to the unsegmented path; ``"auto"``
-        applies the model's ``select_segment_bytes`` minimization; an
-        integer forces that segment size.  The ``REPRO_SEGMENT_BYTES``
-        environment variable overrides the knob globally.  Segmentation
-        never changes the per-segment reduction order (the base
-        algorithm's documented order applies to each segment
-        independently), so segmented results remain allclose to
-        ``"direct"`` and deterministic for a given
-        ``(algorithm, p, nseg)``; ``"direct"`` itself never segments.
 
         ``algorithm`` selects how the payload moves on the wire:
 
@@ -893,7 +784,7 @@ class Communicator:
         ``REPRO_COLLECTIVE_ALG`` environment variable overrides the knob
         globally.
         """
-        plan = self._reduction_plan("allreduce", algorithm, segment_bytes, value)
+        plan = self._reduction_plan("allreduce", algorithm, value)
         if plan is _DIRECT_PLAN:
             return self._direct(
                 "allreduce", [self._detached(value)] * self.size,
@@ -910,7 +801,6 @@ class Communicator:
         op: str = "sum",
         *,
         algorithm: str | None = None,
-        segment_bytes: int | str | None = None,
         donate: bool = False,
         update: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None,
         out: np.ndarray | None = None,
@@ -925,7 +815,7 @@ class Communicator:
 
         ``update(lo, hi, reduced, dst)`` fuses an element-wise map into the
         reduction (Das et al.'s part-reduce / part-broadcast): a rank maps
-        the elements whose fold finished on it — :meth:`owned_ranges` says
+        the elements whose fold finished on it — :meth:`owned_range` says
         which — with ``reduced`` the reduced slice ``[lo, hi)`` and ``dst``
         the same slice of ``out`` (a C-contiguous array of ``value``'s
         size; default: the reduced buffer itself) to write the mapped
@@ -936,26 +826,23 @@ class Communicator:
         folded buffer on every rank.  Wire bytes, messages and the reduced
         values the map sees are exactly the plain allreduce's.
 
-        ``algorithm`` and ``segment_bytes`` select the wire path exactly
-        as in :meth:`allreduce` — a segmented schedule gives ``test()``
-        finer progress granularity on top of the in-schedule pipelining
-        (each probe can land one segment instead of one whole chunk).
-        With ``"direct"``, the call sends its contribution to every
+        ``algorithm`` selects the wire path exactly as in
+        :meth:`allreduce`.  With ``"direct"``, the call sends its contribution to every
         peer and ``wait()`` blocks only until every member's has arrived,
         then folds in comm-rank order — bitwise identical to the blocking
         ``"direct"`` allreduce.  With a scheduled algorithm,
-        the first segments are sent eagerly at issue time and the
+        the first chunks are sent eagerly at issue time and the
         remaining steps progress on ``test()``/``wait()``; requests may be
         waited in any order (waiting one first completes earlier in-flight
         scheduled collectives — see :class:`_RunnerRequest`).  All
         members must issue their nonblocking collectives in the same
         order, as always — and, unlike the fire-and-forget-able
         ``"direct"`` exchanges, every member must eventually ``wait()`` (or
-        ``test()`` to completion) each *scheduled* request: later segments
+        ``test()`` to completion) each *scheduled* request: later chunks
         only move when their owner drives them, so a rank that abandons
         one can starve peers that wait it.
         """
-        plan = self._reduction_plan("iallreduce", algorithm, segment_bytes, value)
+        plan = self._reduction_plan("iallreduce", algorithm, value)
         if plan is _DIRECT_PLAN:
             combine = self._reduce_combine(_reduce_fn(op))
             if update is not None:
@@ -994,4 +881,6 @@ class Communicator:
         new_members = tuple(self._members[comm_rank] for _, comm_rank in group)
         new_rank = new_members.index(self.world_rank)
         new_key = (self._key, "split", seq, color)
-        return Communicator(self._world, new_members, new_rank, new_key, self._knobs)
+        return Communicator(
+            self._world, new_members, new_rank, new_key, self._alg_override
+        )

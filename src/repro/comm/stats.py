@@ -63,7 +63,6 @@ _SNAPSHOT_KEYS = {
     "collective_wire_recv": "wire_in",
     "collective_wire_sent_inter": "wire_out_inter",
     "collective_wire_recv_inter": "wire_in_inter",
-    "collective_segments": "segments",
     "wait_seconds": "wait_s",
     "overlap_seconds": "overlap_s",
 }
@@ -90,12 +89,6 @@ class CommStats:
     #: zero when no host map is installed.
     collective_wire_sent_inter: dict[str, int] = field(default_factory=dict)
     collective_wire_recv_inter: dict[str, int] = field(default_factory=dict)
-    #: Pipeline segments launched per op by *segmented* schedules (a
-    #: segmented allreduce of ``nseg`` segments adds ``nseg``; unsegmented
-    #: collectives add nothing) — lets tests assert segmentation actually
-    #: engaged, independent of the byte counters, which stay comparable
-    #: across segmented and whole schedules.
-    collective_segments: dict[str, int] = field(default_factory=dict)
     #: Seconds spent blocked inside ``Request.wait()``/``test()`` per op.
     wait_seconds: dict[str, float] = field(default_factory=dict)
     #: Seconds each nonblocking op spent in flight before the caller waited
@@ -126,15 +119,6 @@ class CommStats:
         ):
             if n:
                 table[name] = table.get(name, 0) + n
-
-    def record_segments(self, name: str, nseg: int) -> None:
-        """Record that one collective ran as ``nseg`` pipeline segments."""
-        self.collective_segments[name] = (
-            self.collective_segments.get(name, 0) + nseg
-        )
-
-    def total_segments(self, name: str | None = None) -> int:
-        return self._total(self.collective_segments, name)
 
     def record_async(
         self,
@@ -216,7 +200,7 @@ class CommStats:
         header = (
             f"  {'op':>16}  {'calls':>7}  {'bytes':>12}  {'wire-out':>12}  "
             f"{'wire-in':>12}  {'wire-out-inter':>14}  {'wire-in-inter':>13}  "
-            f"{'segments':>8}  {'wait ms':>9}  {'overlap ms':>10}"
+            f"{'wait ms':>9}  {'overlap ms':>10}"
         )
         lines.append(header)
         for op in ops:
@@ -227,7 +211,6 @@ class CommStats:
                 f"{self.collective_wire_recv.get(op, 0):>12}  "
                 f"{self.collective_wire_sent_inter.get(op, 0):>14}  "
                 f"{self.collective_wire_recv_inter.get(op, 0):>13}  "
-                f"{self.collective_segments.get(op, 0):>8}  "
                 f"{self.wait_seconds.get(op, 0.0) * 1e3:>9.3f}  "
                 f"{self.overlap_seconds.get(op, 0.0) * 1e3:>10.3f}"
             )

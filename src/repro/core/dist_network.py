@@ -193,7 +193,6 @@ class DistNetwork:
         dtype=np.float64,
         grad_bucket_bytes: int = DEFAULT_BUCKET_BYTES,
         collective_algorithm: str | None = None,
-        grad_segment_bytes: int | str | None = None,
     ) -> None:
         if isinstance(strategy, LayerParallelism):
             strategy = ParallelStrategy.uniform(strategy)
@@ -214,12 +213,6 @@ class DistNetwork:
         #: the bitwise-reference deposit-combine path, under which the
         #: bucket cuts never change the bits.
         self.collective_algorithm = collective_algorithm
-        #: Segment size for the bucketed gradient allreduces (the
-        #: ``segment_bytes`` knob of
-        #: :meth:`~repro.comm.communicator.Communicator.iallreduce`):
-        #: a segmented bucket pipelines its fold, one segment on the wire
-        #: while the previous one is reduced.
-        self.grad_segment_bytes = grad_segment_bytes
         self.shapes = spec.infer_shapes()
         # Recycles the staged shuffle send payloads across steps (deferred
         # reclamation once the receivers drop their zero-copy views).
@@ -334,9 +327,7 @@ class DistNetwork:
                 self.grad_bucket_bytes, np.dtype(self.dtype).itemsize
             )
             reducer = self._reducers[self._sched] = BucketedGradReducer(
-                cuts, self.params,
-                algorithm=self.collective_algorithm,
-                segment_bytes=self.grad_segment_bytes,
+                cuts, self.params, algorithm=self.collective_algorithm
             )
         return reducer
 

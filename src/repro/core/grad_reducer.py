@@ -24,7 +24,7 @@ the optimizer step rides inside the reduction — Das et al.'s part-reduce /
 part-broadcast.  Each bucket's ``iallreduce`` gets an ``update`` map,
 ``SGD.step`` on the bucket's parameters restricted to the elements whose
 fold completes on this rank
-(:meth:`~repro.comm.communicator.Communicator.owned_ranges`), and the
+(:meth:`~repro.comm.communicator.Communicator.owned_range`), and the
 parameters as its output buffer, so the allgather half carries updated
 weights instead of gradients: a single-tensor bucket's allgather lands
 straight in the parameter array, a multi-tensor bucket stages its owned
@@ -45,7 +45,9 @@ reduced gradients instead.
 default ``"auto"`` picks the model-driven schedule — ring / Rabenseifner
 buckets cost ``2n(p-1)/p`` bytes per rank instead of the deposit-combine
 path's ``n(p-1)`` — and ``"direct"`` pins the legacy bitwise-reference
-exchange.
+exchange.  A bucket's reduction runs whole, as one compiled schedule or
+one exchange, so each rank finishes the fold of at most one contiguous
+range of it.
 
 Bitwise stability (``algorithm="direct"``): a direct allreduce combines
 contributions element-wise in comm-rank order, so concatenating tensors
@@ -92,16 +94,16 @@ class _Layout:
     every step: where each tensor sits in the flat buffer and, once an
     update is fused, which pieces of which parameters this rank steps."""
 
-    __slots__ = ("entries", "size", "pieces", "shards", "landing", "out")
+    __slots__ = ("entries", "size", "piece", "shards", "landing", "out")
 
     def __init__(self, entries: list[tuple[str, str, tuple[int, ...], int, int]]):
         #: ``(layer, param, shape, start, size)`` in deposit order.
         self.entries = entries
         self.size = sum(entry[4] for entry in entries)
-        #: ``(lo, hi)`` of each owned range -> ``(params, offsets, parts)``:
-        #: the ``SGD.step`` arguments for it and, per piece, ``(layer,
-        #: param, start in the range, size, shape, flat parameter view)``.
-        self.pieces: dict[tuple[int, int], tuple] | None = None
+        #: ``(params, offsets, parts)`` of the owned range: the ``SGD.step``
+        #: arguments for it and, per piece, ``(layer, param, start in the
+        #: range, size, shape, flat parameter view)``.
+        self.piece: tuple | None = None
         #: ``(layer, param)`` -> owned ``(offset, size)`` ranges (``SGD.shard``).
         self.shards: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
         #: Multi-tensor bucket: ``(flat parameter view, lo, hi)`` of every
@@ -113,55 +115,42 @@ class _Layout:
     def fuse(
         self,
         params: dict[str, dict[str, np.ndarray]],
-        ranges: tuple[tuple[int, int], ...],
+        owned: tuple[int, int] | None,
     ) -> None:
         """Derive the pieces of the fused update from this rank's owned
-        element ranges of the bucket."""
-        pieces: dict[tuple[int, int], tuple] = {}
-        owned: dict[tuple[str, str], list[tuple[int, int]]] = {}
-        flats = {}
-        for layer, pname, *_ in self.entries:
-            arr = params[layer][pname]
+        element range ``[a, b)`` of the bucket (``None``: it owns none)."""
+        a, b = owned or (0, 0)
+        tree: dict[str, dict[str, np.ndarray]] = {}
+        offsets: dict[tuple[str, str], int] = {}
+        parts = []
+        for layer, pname, shape, start, size in self.entries:
+            key, arr = (layer, pname), params[layer][pname]
             if not arr.flags.c_contiguous:
                 raise ValueError(
                     f"parameter {layer}.{pname} must be C-contiguous to be "
                     "updated in place"
                 )
-            flats[layer, pname] = arr.reshape(-1)
-        for a, b in ranges:
-            tree: dict[str, dict[str, np.ndarray]] = {}
-            offsets: dict[tuple[str, str], int] = {}
-            parts = []
-            for layer, pname, shape, start, size in self.entries:
-                lo, hi = max(a, start), min(b, start + size)
-                if lo >= hi:
-                    continue
-                key, at = (layer, pname), lo - start
-                view = flats[key][at : at + hi - lo]
+            flat = arr.reshape(-1)
+            lo, hi = max(a, start), min(b, start + size)
+            self.shards[key] = ()
+            if lo < hi:
+                at = lo - start
+                view = flat[at : at + hi - lo]
                 if hi - lo == size:
                     view = view.reshape(shape)  # whole: momentum keyed as usual
                 else:
                     offsets[key] = at
                 tree.setdefault(layer, {})[pname] = view
                 parts.append((layer, pname, lo - a, hi - lo, view.shape, view))
-                owned.setdefault(key, []).append((at, hi - lo))
-            pieces[a, b] = (tree, offsets, parts)
-        self.pieces = pieces
-        self.shards = {
-            (layer, pname): tuple(owned.get((layer, pname), ()))
-            for layer, pname, *_ in self.entries
-        }
-        if len(self.entries) == 1:
-            self.out = next(iter(flats.values()))
-            return
-        for layer, pname, _shape, start, size in self.entries:
-            edge = 0
-            for at, n in sorted(self.shards[layer, pname]) + [(size, 0)]:
-                if at > edge:
-                    self.landing.append(
-                        (flats[layer, pname][edge:at], start + edge, start + at)
-                    )
-                edge = at + n
+                self.shards[key] = ((at, hi - lo),)
+            if len(self.entries) == 1:
+                self.out = flat
+                continue
+            # The rest of the tensor, on either side of the owned range.
+            for lo, hi in ((start, min(a, start + size)), (max(b, start), start + size)):
+                if lo < hi:
+                    self.landing.append((flat[lo - start : hi - start], lo, hi))
+        self.piece = (tree, offsets, parts)
 
 
 class _Bucket:
@@ -185,7 +174,6 @@ class BucketedGradReducer:
         buckets: list[GradBucket],
         params: dict[str, dict[str, np.ndarray]] | None = None,
         algorithm: str | None = None,
-        segment_bytes: int | str | None = None,
     ) -> None:
         #: The cuts, in launch order (``StepSchedule.grad_buckets``).
         self.buckets = tuple(buckets)
@@ -193,11 +181,6 @@ class BucketedGradReducer:
         self.params = params
         #: Collective algorithm for the bucket allreduces (None == "auto").
         self.algorithm = algorithm
-        #: Segment size for the bucket allreduces (the
-        #: :meth:`~repro.comm.communicator.Communicator.iallreduce` knob):
-        #: segmented buckets progress one pipeline segment per ``poll``
-        #: probe instead of one whole schedule chunk.
-        self.segment_bytes = segment_bytes
         #: Set for a step to fuse its update into the reduction (an
         #: :class:`~repro.nn.optim.SGD`); ``None`` returns the gradients.
         self.optimizer: Any = None
@@ -249,14 +232,11 @@ class BucketedGradReducer:
                 entries.append((layer, pname, arr.shape, start, arr.size))
                 start += arr.size
             layout = self._layouts[i] = _Layout(entries)
-        if self.optimizer is not None and layout.pieces is None:
+        if self.optimizer is not None and layout.piece is None:
             layout.fuse(
                 self.params,
-                bucket.comm.owned_ranges(
-                    layout.size,
-                    bucket.arrays[0].dtype,
-                    algorithm=self.algorithm,
-                    segment_bytes=self.segment_bytes,
+                bucket.comm.owned_range(
+                    layout.size, bucket.arrays[0].dtype, algorithm=self.algorithm
                 ),
             )
         return layout
@@ -276,7 +256,6 @@ class BucketedGradReducer:
         request = bucket.comm.iallreduce(
             flat,
             algorithm=self.algorithm,
-            segment_bytes=self.segment_bytes,
             donate=True,  # ours since add(), or built just above
             update=update,
             out=out,
@@ -290,7 +269,7 @@ class BucketedGradReducer:
         reduced gradient, and (multi-tensor bucket) stage the new weights in
         ``dst`` for the allgather — a single-tensor bucket's ``dst`` is the
         parameter itself."""
-        tree, offsets, parts = layout.pieces[lo, hi]
+        tree, offsets, parts = layout.piece
         grads: dict[str, dict[str, np.ndarray]] = {}
         for layer, pname, at, size, shape, _view in parts:
             grads.setdefault(layer, {})[pname] = reduced[at : at + size].reshape(shape)
@@ -330,8 +309,8 @@ class BucketedGradReducer:
     def poll(self) -> dict[str, dict[str, np.ndarray]]:
         """Probe in-flight buckets; return the layers that just completed.
 
-        Each call ``test()``s every outstanding request (driving one more
-        pipeline segment of each segmented schedule), lands any bucket that
+        Each call ``test()``s every outstanding request (driving each
+        schedule as far as the arrived messages allow), lands any bucket that
         finished, and returns ``{layer: {param: grad}}`` for the layers
         whose gradients became complete on *this* probe (none when the
         update is fused: a finished bucket is updated weights).  Completed

@@ -1,8 +1,8 @@
-"""Aborts during *segmented* and *hierarchical* collective schedules.
+"""Aborts during flat *ring* and *hierarchical* collective schedules.
 
-PR 9 added segmented pipelining and PR 8 hierarchical (two-tier) allreduce;
-this suite crashes a rank mid-schedule for each of them, on both forked
-backends, and pins the cleanup contract:
+This suite crashes a rank mid-schedule in a flat ring allreduce and in the
+hierarchical (two-tier) one, on both forked backends, and pins the cleanup
+contract:
 
 * every survivor raises ``CommAborted`` naming the failed rank (no hangs,
   no wrong answers),
@@ -47,12 +47,14 @@ def _socket_fds() -> set:
     return out
 
 
-def _prog_segmented(comm):
-    # 4096 doubles with 4 KiB segments: an 8-segment pipelined ring, so
-    # the crash lands mid-pipeline with chunks of several segments in
-    # flight.
-    x = np.arange(4096, dtype=np.float64) * (comm.rank + 1)
-    out = comm.allreduce(x, algorithm="ring", segment_bytes=4096)
+RING_ELEMENTS = 1 << 14
+
+
+def _prog_ring(comm):
+    # 128 KiB over 4 ranks: six 32 KiB arena messages per rank, sent
+    # eagerly, so the crash lands with chunks in flight.
+    x = np.arange(RING_ELEMENTS, dtype=np.float64) * (comm.rank + 1)
+    out = comm.allreduce(x, algorithm="ring")
     comm.barrier()
     return float(out.sum())
 
@@ -64,7 +66,7 @@ def _prog_hierarchical(comm):
     return float(out.sum())
 
 
-PROGS = {"segmented-ring": _prog_segmented, "hierarchical": _prog_hierarchical}
+PROGS = {"ring": _prog_ring, "hierarchical": _prog_hierarchical}
 
 
 def _assert_survivors_name_crashed_rank(out):
@@ -100,19 +102,19 @@ class TestAbortMidSchedule:
         assert not leaked, f"leaked socket fds in supervisor: {leaked}"
 
     @pytest.mark.parametrize("backend", ["process", "socket"])
-    def test_clean_segmented_hierarchical_answers_stay_correct(self, backend):
+    def test_clean_ring_and_hierarchical_answers_stay_correct(self, backend):
         """Control: the same schedules with no fault return exact sums on
         every rank (and still leak nothing)."""
         before_shm = _shm_segments()
-        seg, hier = run_spmd(
+        ring, hier = run_spmd(
             NRANKS,
-            lambda comm: (_prog_segmented(comm), _prog_hierarchical(comm)),
+            lambda comm: (_prog_ring(comm), _prog_hierarchical(comm)),
             backend=backend,
             hostmap=HOSTMAP,
             timeout=20.0,
         )[0]
         scale = sum(range(1, NRANKS + 1))
-        assert seg == float(np.arange(4096).sum() * scale)
+        assert ring == float(np.arange(RING_ELEMENTS).sum() * scale)
         assert hier == float(np.arange(1024).sum() * scale)
         gc.collect()
         assert _shm_segments() == before_shm

@@ -22,7 +22,7 @@ communicator, plus ``bcast``'s one-hop star:
 import numpy as np
 import pytest
 
-from conftest import reduce_for_process
+from conftest import FORKED_BACKENDS, reduce_for_process
 from repro.comm import run_spmd
 from repro.comm.algorithms import (
     REDUCTION_ALGORITHMS,
@@ -54,16 +54,16 @@ def _payload(rank: int, shape, op: str) -> np.ndarray:
 
 def _ring_reduce_scatter(comm, parts):
     """Run the ring allreduce's reduce-scatter half alone over ``parts``
-    (one piece per chunk, uneven shapes allowed): rank ``r`` ends owning
-    the fold of piece ``r + 1``.  Returns that piece and the runner (its
-    wire tally)."""
+    (one piece per chunk, sized as ``chunk_offsets`` splits their total):
+    rank ``r`` ends owning the fold of piece ``r + 1``.  Returns that piece
+    and the runner (its wire tally)."""
     p = comm.size
     steps = compile_allreduce(p, "ring")[comm.rank][: 2 * (p - 1)]
-    offsets = tuple(np.cumsum([0] + [x.size for x in parts]).tolist())
     flat = np.concatenate([np.ravel(x) for x in parts])
+    offsets = chunk_offsets(flat.size, p)
+    assert [x.size for x in parts] == np.diff(offsets).tolist()
     runner = ScheduleRunner(
-        comm, "reduce_scatter", steps, flat, np.add, comm._next_coll_seq(),
-        offsets=offsets,
+        comm, "reduce_scatter", steps, flat, np.add, comm._next_coll_seq()
     )
     out = runner.finish()
     own = (comm.rank + 1) % p
@@ -316,8 +316,9 @@ class TestReduceScatter:
         def prog(comm):
             rng = np.random.default_rng(comm.rank)
             p = comm.size
-            # Uneven per-chunk shapes (identical across ranks).
-            parts = [rng.standard_normal((j + 1, 3)) for j in range(p)]
+            # Uneven chunks: the first p // 2 carry one element more.
+            sizes = np.diff(chunk_offsets(5 * p + p // 2, p))
+            parts = [rng.standard_normal(size) for size in sizes]
             # The direct reference: everyone's piece r + 1 at rank r, folded
             # in ascending comm rank.
             pieces = comm.alltoall([parts[(j + 1) % p] for j in range(p)])
@@ -441,6 +442,111 @@ class TestScheduledNonblocking:
             assert v == sum(range(p))
             assert total == sum(range(p))
             assert b == p
+
+
+# ---------------------------------------------------------------------------
+# The fused map: iallreduce(update=, out=) and owned_range
+# ---------------------------------------------------------------------------
+
+#: Payload sizes for the fused map: one element, fewer than p, uneven.
+MAP_SIZES = (1, 3, 17, 1031)
+
+
+def _fused_map_prog(comm, algorithm):
+    """Per size: this rank's ``owned_range``, every ``(lo, hi)`` the fused
+    map ran on, the mapped result and the plain allreduce's."""
+    rows = []
+    for n in MAP_SIZES:
+        x = _payload(comm.rank, (n,), "sum")
+        calls = []
+
+        def double(lo, hi, reduced, dst):
+            calls.append((lo, hi))
+            np.multiply(reduced, 2.0, out=dst)
+
+        plain = comm.allreduce(x, algorithm=algorithm)
+        out = np.empty(n)
+        mapped = comm.iallreduce(
+            x, algorithm=algorithm, update=double, out=out
+        ).wait()
+        owned = comm.owned_range(n, x.dtype, algorithm=algorithm)
+        rows.append((owned, calls, mapped, plain))
+    return rows
+
+
+def _check_fused_map(results):
+    """Each rank maps exactly its ``owned_range`` — once, as one contiguous
+    call, or not at all — and every rank ends with the map of the plain
+    allreduce (doubling is exact).  Returns each size's owned ranges."""
+    owners = []
+    for i, n in enumerate(MAP_SIZES):
+        ranges = []
+        for rank_rows in results:
+            owned, calls, mapped, plain = rank_rows[i]
+            assert calls == ([owned] if owned else []), (n, owned, calls)
+            if owned:
+                lo, hi = owned
+                assert 0 <= lo < hi <= n
+            np.testing.assert_array_equal(mapped, 2.0 * plain)
+            np.testing.assert_array_equal(mapped, results[0][i][2])
+            ranges.append(owned)
+        covered = np.zeros(n, dtype=int)
+        for owned in filter(None, ranges):
+            covered[owned[0] : owned[1]] += 1
+        assert covered.min() >= 1, (n, ranges)  # every element is mapped
+        owners.append(ranges)
+    return owners
+
+
+class TestFusedMap:
+    """``iallreduce(update=, out=)`` runs the map where ``owned_range`` says
+    — the one contiguous range whose fold finished on the rank — and the
+    allgather half carries the mapped values to everyone."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("alg", ("direct",) + REDUCTION_ALGORITHMS)
+    def test_map_runs_once_on_the_owned_range(self, alg, p):
+        owners = _check_fused_map(run_spmd(p, _fused_map_prog, alg))
+        doubling = 1 << (p.bit_length() - 1)  # ranks recursive doubling keeps
+        for n, ranges in zip(MAP_SIZES, owners):
+            whole = [r for r in ranges if r == (0, n)]
+            if alg == "direct":
+                assert len(whole) == p
+            elif alg == "recursive_doubling":
+                assert len(whole) == doubling
+                assert ranges.count(None) == p - doubling
+            else:  # ring, Rabenseifner: each element on exactly one rank
+                owned = sorted(filter(None, ranges))
+                assert owned[0][0] == 0 and owned[-1][1] == n
+                for (_, hi), (lo, _) in zip(owned, owned[1:]):
+                    assert hi == lo, (n, owned)
+
+    @pytest.mark.parametrize(
+        "hostmap",
+        [
+            "0,1:A 2,3:B",
+            "0,2:A 1,3:B",
+            "0,1,2:A 3,4,5:B",
+            "0,1:A 2,3:B 4,5:C",
+            "0,1:A 2,3:B 4,5:C 6,7:D",
+        ],
+    )
+    def test_hierarchical_map_runs_once_on_the_owned_range(self, hostmap):
+        p = sum(len(group.split(":")[0].split(",")) for group in hostmap.split())
+        _check_fused_map(
+            run_spmd(p, _fused_map_prog, "hierarchical", hostmap=hostmap)
+        )
+
+    @pytest.mark.parametrize("alg", ("direct",) + REDUCTION_ALGORITHMS)
+    @pytest.mark.parametrize("forked", FORKED_BACKENDS)
+    def test_forked_map_runs_once_on_the_owned_range(self, forked, alg):
+        hostmap = "0,1:A 2,3:B" if forked == "socket" else None
+        _check_fused_map(
+            run_spmd(
+                4, _fused_map_prog, alg, backend=forked, hostmap=hostmap,
+                timeout=120,
+            )
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +731,28 @@ class TestTransportCounters:
 
         for shm_delta in run_spmd(p, prog, backend="process"):
             assert shm_delta == nbytes * (p - 1)
+
+    @pytest.mark.parametrize("alg", REDUCTION_ALGORITHMS)
+    def test_wire_and_transport_match_model_exactly(self, alg):
+        """Measured wire bytes and the shared-memory transport counter both
+        equal the model to the byte."""
+        p, nbytes = 4, 262_144
+
+        def prog(comm):
+            x = np.full(nbytes // 8, 1.0 + comm.rank)
+            comm.allreduce(x, algorithm=alg)  # warm
+            comm.stats.reset()
+            transport = comm._world.transport
+            before = transport["shm_bytes"]
+            comm.allreduce(x, algorithm=alg)
+            return (
+                comm.stats.total_wire_sent("allreduce"),
+                transport["shm_bytes"] - before,
+            )
+
+        modeled = allreduce_wire_bytes(p, nbytes, alg)
+        for wire, shm in run_spmd(p, prog, backend="process", timeout=120):
+            assert wire == shm == modeled
 
 
 # ---------------------------------------------------------------------------

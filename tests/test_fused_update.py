@@ -7,13 +7,14 @@ allgather carry updated weights.  The contract held here, with no clocks:
 
 * **parity** — parameters and velocity after three trainer steps are
   bitwise those of the reference path (``net.loss_and_grad()`` then
-  ``SGD.step`` on every replica), over backend x algorithm x segmenting x
-  world size;
+  ``SGD.step`` on every replica), over backend x algorithm x world size;
 * **counts** — each rank steps the elements of its own chunks (n/p +- 1 per
   ring or Rabenseifner bucket, n under power-of-two recursive doubling,
   nothing on a rank recursive doubling folds away), keeps momentum for
   exactly those, and puts the allreduce path's bytes on the wire;
 * **checkpoints** — momentum is sharded in memory and replicated on disk;
+* **layout** — a bucket's owned range splits into parameter views that
+  tile it, and the rest of the bucket lands around it;
 * the reducer's ``poll``, which the unfused path keeps.
 """
 
@@ -24,7 +25,7 @@ from conftest import reduce_for_process
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
 from repro.core import checkpoint as ckpt
-from repro.core.grad_reducer import BucketedGradReducer
+from repro.core.grad_reducer import BucketedGradReducer, _Layout
 from repro.core.schedule import cut_buckets, lower
 from repro.nn import NetworkSpec, SGD
 
@@ -58,19 +59,18 @@ def _optimizer():
     return SGD(lr=0.05, momentum=0.9, weight_decay=1e-3)
 
 
-def _net(comm, algorithm, segment_bytes):
+def _net(comm, algorithm):
     return DistNetwork(
         fused_net(), comm, LayerParallelism(sample=comm.size), seed=0,
-        collective_algorithm=algorithm, grad_segment_bytes=segment_bytes,
-        grad_bucket_bytes=BUCKET_BYTES,
+        collective_algorithm=algorithm, grad_bucket_bytes=BUCKET_BYTES,
     )
 
 
-def _mismatches(comm, algorithm, segment_bytes):
+def _mismatches(comm, algorithm):
     """Train the fused and the reference path side by side; name every
     parameter or velocity slice whose bits differ."""
     x, t = batch()
-    fused, reference = (_net(comm, algorithm, segment_bytes) for _ in range(2))
+    fused, reference = (_net(comm, algorithm) for _ in range(2))
     trainer, ref_opt = DistTrainer(fused, _optimizer()), _optimizer()
     for _ in range(STEPS):
         trainer.step(x, t)
@@ -88,19 +88,14 @@ def _mismatches(comm, algorithm, segment_bytes):
         at = offset[0] if offset else 0
         if v.reshape(-1).tobytes() != full[at : at + v.size].tobytes():
             bad.append(f"velocity {key}")
-    return [(algorithm, segment_bytes, bad)] if bad else []
+    return [(algorithm, bad)] if bad else []
 
 
 ALGORITHMS = ("auto", "ring", "rabenseifner", "recursive_doubling", "direct")
 
 
 def _parity_prog(comm, algorithms):
-    return [
-        miss
-        for algorithm in algorithms
-        for segment_bytes in (None, "auto")
-        for miss in _mismatches(comm, algorithm, segment_bytes)
-    ]
+    return [miss for algorithm in algorithms for miss in _mismatches(comm, algorithm)]
 
 
 class TestParity:
@@ -126,27 +121,13 @@ class TestParity:
         )
         assert got == [[]] * p
 
-    @pytest.mark.parametrize("p", [3, 4])
-    def test_forced_segments(self, p):
-        """``"auto"`` never segments buckets this small: 1 KiB segments
-        map each chunk of every segment as its own fold completes."""
-
-        def prog(comm):
-            return [
-                miss
-                for algorithm in ("ring", "rabenseifner", "recursive_doubling")
-                for miss in _mismatches(comm, algorithm, 1024)
-            ]
-
-        assert run_spmd(p, prog) == [[]] * p
-
 
 def _count_prog(comm, algorithm):
     """Per bucket, the gradient elements ``SGD.step`` was handed, the
     velocity elements kept, and the wire bytes of the fused and the plain
     path."""
     x, t = batch()
-    net = _net(comm, algorithm, None)
+    net = _net(comm, algorithm)
     trainer = DistTrainer(net, _optimizer())
     stepped: dict[str, int] = {}
     step = trainer.optimizer.step
@@ -172,9 +153,7 @@ def _count_prog(comm, algorithm):
 class TestCounts:
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("algorithm", ["ring", "rabenseifner", "recursive_doubling"])
-    def test_each_rank_steps_its_own_chunks(self, p, algorithm, monkeypatch):
-        # Unsegmented buckets: one chunk per rank, whatever CI forces.
-        monkeypatch.delenv("REPRO_SEGMENT_BYTES", raising=False)
+    def test_each_rank_steps_its_own_chunks(self, p, algorithm):
         x, _ = batch()
         strategy = ParallelStrategy.uniform(LayerParallelism(sample=p))
         cuts = lower(fused_net(), strategy, len(x)).grad_buckets(BUCKET_BYTES, 8)
@@ -202,7 +181,7 @@ class TestCounts:
 
 def _ckpt_prog(comm, ckdir, resume):
     x, t = batch()
-    net = _net(comm, "ring", None)
+    net = _net(comm, "ring")
     trainer = DistTrainer(net, _optimizer(), checkpoint_dir=ckdir)
     if resume:
         assert trainer.resume() == 2
@@ -221,7 +200,7 @@ def _replicated_velocity(steps):
 
     def prog(comm):
         x, t = batch()
-        net, opt = _net(comm, "ring", None), _optimizer()
+        net, opt = _net(comm, "ring"), _optimizer()
         for _ in range(steps):
             _, grads = net.loss_and_grad(x, t)
             opt.step(net.params, grads)
@@ -280,3 +259,85 @@ class TestUnfusedPlumbing:
                 np.testing.assert_array_equal(
                     final[name]["w"], np.full(16, 2.0 * i + 1.0)
                 )
+
+
+#: A multi-tensor bucket of 15 elements: w (6) | b (4) | v (5).
+LAYOUT = (("fc", "w", (2, 3)), ("fc", "b", (4,)), ("bn", "v", (5,)))
+
+
+def _layout(shapes):
+    """A ``_Layout`` over ``shapes`` and parameters whose values are their
+    elements' positions in the bucket."""
+    entries, params, start = [], {}, 0
+    for layer, pname, shape in shapes:
+        size = int(np.prod(shape))
+        entries.append((layer, pname, shape, start, size))
+        params.setdefault(layer, {})[pname] = np.arange(
+            start, start + size, dtype=float
+        ).reshape(shape)
+        start += size
+    return _Layout(entries), params
+
+
+class TestLayout:
+    """``_Layout.fuse`` over one owned range: views of the parameters that
+    tile it in bucket order (whole tensors keep their shape and unoffset
+    momentum), the shards ``SGD`` keys momentum by, and the landing strips
+    on either side of it."""
+
+    @pytest.mark.parametrize(
+        "owned",
+        [None, (0, 15), (2, 5), (4, 8), (6, 10), (12, 15)],
+        ids=["none", "all", "inside", "straddle", "whole-middle", "tail"],
+    )
+    def test_multi_tensor_pieces_tile_the_owned_range(self, owned):
+        layout, params = _layout(LAYOUT)
+        layout.fuse(params, owned)
+        a, b = owned or (0, 0)
+        tree, offsets, parts = layout.piece
+        assert layout.out is None
+        at = 0
+        for layer, pname, start, size, shape, view in parts:
+            assert start == at  # in bucket order, no gap
+            at += size
+            assert np.shares_memory(view, params[layer][pname])
+            first = a + start
+            assert view.ravel().tolist() == list(range(first, first + size))
+            assert tree[layer][pname] is view
+            whole = shape == params[layer][pname].shape
+            assert ((layer, pname) in offsets) == (not whole)
+        assert at == b - a
+        mine = {
+            (layer, pname): (offsets.get((layer, pname), 0), size)
+            for layer, pname, _, size, _, _ in parts
+        }
+        assert layout.shards == {
+            key: (mine[key],) if key in mine else ()
+            for key in ((layer, pname) for layer, pname, _ in LAYOUT)
+        }
+        covered = list(range(a, b))
+        for view, lo, hi in layout.landing:
+            layer, pname, _, start, _ = next(
+                e for e in layout.entries if e[3] <= lo < e[3] + e[4]
+            )
+            assert np.shares_memory(view, params[layer][pname])
+            assert view.tolist() == list(range(lo, hi))
+            covered.extend(range(lo, hi))
+        assert sorted(covered) == list(range(layout.size))
+
+    @pytest.mark.parametrize(
+        "owned", [None, (0, 10), (3, 7)], ids=["none", "all", "part"]
+    )
+    def test_single_tensor_bucket_lands_in_its_parameter(self, owned):
+        layout, params = _layout((("c", "w", (2, 5)),))
+        layout.fuse(params, owned)
+        w = params["c"]["w"]
+        assert layout.landing == []
+        assert np.shares_memory(layout.out, w) and layout.out.shape == (10,)
+        a, b = owned or (0, 0)
+        _, offsets, parts = layout.piece
+        assert [(start, size) for _, _, start, size, _, _ in parts] == (
+            [(0, b - a)] if owned else []
+        )
+        assert offsets == ({("c", "w"): a} if owned and b - a < 10 else {})
+        assert layout.shards == {("c", "w"): ((a, b - a),) if owned else ()}

@@ -228,7 +228,7 @@ class TestCommStatsSnapshot:
         # The spellings ``repro.obs.analyze`` and merged traces read.
         assert {
             "collectives", "collective_bytes", "wire_out", "wire_in",
-            "wire_out_inter", "wire_in_inter", "segments", "wait_s",
+            "wire_out_inter", "wire_in_inter", "wait_s",
             "overlap_s", "sends", "recvs", "bytes_sent", "bytes_received",
         } <= set(snap)
         stats.reset()

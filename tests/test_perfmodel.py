@@ -9,10 +9,7 @@ from repro.comm.collective_models import (
     LinkParameters,
     allreduce_time,
     alltoall_time,
-    bucketed_allreduce_time,
     pt2pt_time,
-    segment_sizes,
-    segmented_allreduce_time,
     select_allreduce_algorithm,
 )
 from repro.core.parallelism import LayerParallelism as LP
@@ -63,45 +60,6 @@ class TestCollectiveModels:
     def test_monotone_in_size(self):
         ts = [allreduce_time(8, n, LINK) for n in (1e3, 1e5, 1e7)]
         assert ts[0] < ts[1] < ts[2]
-
-    def test_segment_sizes_partition(self):
-        assert segment_sizes(0, 100) == []
-        assert segment_sizes(100, 0) == [100]
-        assert segment_sizes(100, 200) == [100]
-        sizes = segment_sizes(1000, 300)
-        assert len(sizes) == 4
-        assert sum(sizes) == pytest.approx(1000)
-
-    def test_segmented_allreduce_degenerates_to_plain(self):
-        n = 1 << 20
-        assert segmented_allreduce_time(8, n, LINK) == pytest.approx(
-            allreduce_time(8, n, LINK)
-        )
-        assert segmented_allreduce_time(8, n, LINK, segment_bytes=2 * n) == (
-            pytest.approx(allreduce_time(8, n, LINK))
-        )
-
-    def test_segmentation_pays_extra_latency(self):
-        n = 1 << 22
-        whole = segmented_allreduce_time(8, n, LINK)
-        quarters = segmented_allreduce_time(8, n, LINK, segment_bytes=n // 4)
-        assert quarters > whole  # (nseg-1) extra alpha terms
-
-    def test_bucketing_amortizes_latency_of_small_tensors(self):
-        sizes = [512.0] * 32
-        separate = sum(allreduce_time(8, s, LINK) for s in sizes)
-        coalesced = bucketed_allreduce_time(8, sizes, LINK, bucket_bytes=1 << 20)
-        assert coalesced < separate
-        # One bucket holding everything == one allreduce of the total.
-        assert coalesced == pytest.approx(allreduce_time(8, sum(sizes), LINK))
-
-    def test_bucketing_flushes_at_threshold(self):
-        sizes = [1000.0, 1000.0, 1000.0]
-        total = bucketed_allreduce_time(8, sizes, LINK, bucket_bytes=1500)
-        # [1000+1000 >= 1500 -> flush 2000], then trailing 1000.
-        expected = allreduce_time(8, 2000, LINK) + allreduce_time(8, 1000, LINK)
-        assert total == pytest.approx(expected)
-        assert bucketed_allreduce_time(1, sizes, LINK, 1500) == 0.0
 
     def test_alltoall(self):
         assert alltoall_time(1, 100, LINK) == 0.0

@@ -222,11 +222,11 @@ class TestFixedCostPerMessage:
     a link is ``tests/test_socket_backend.py::TestFixedCostPerFrame``,
     for a same-node socketpair and a TCP link alike."""
 
-    def test_collective_resolves_its_plan_once(self, monkeypatch):
-        """The second allreduce of a shape re-runs no selection, no offset
-        table and no environment lookup; a new shape or knob misses once;
-        ``split``/``dup`` children start empty with the parent's knobs."""
-        monkeypatch.setenv("REPRO_SEGMENT_BYTES", "off")
+    def test_collective_resolves_its_plan_once(self):
+        """The second allreduce of a shape re-runs no selection, no schedule
+        compilation and no environment lookup; a new shape or knob misses
+        once; ``split``/``dup`` children start empty with the parent's
+        algorithm override."""
 
         def prog(comm):
             from repro.comm import algorithms, collective_models, communicator
@@ -239,9 +239,9 @@ class TestFixedCostPerMessage:
             collective_models.select_allreduce_algorithm = Counting(
                 collective_models, counts, "select_allreduce_algorithm"
             ).select_allreduce_algorithm
-            algorithms.chunk_offsets = Counting(
-                algorithms, counts, "chunk_offsets"
-            ).chunk_offsets
+            algorithms.compile_allreduce = Counting(
+                algorithms, counts, "compile_allreduce"
+            ).compile_allreduce
             # The world communicator parsed the environment before this ran:
             # changing it now changes nothing, here or in a child.
             os.environ["REPRO_COLLECTIVE_ALG"] = "direct"
@@ -254,21 +254,20 @@ class TestFixedCostPerMessage:
                 return dict(counts), c.stats.total_wire_sent("allreduce")
 
             x = np.ones((2, 64))
-            miss = {"select_allreduce_algorithm": 1, "chunk_offsets": 1}
+            miss = {"select_allreduce_algorithm": 1, "compile_allreduce": 1}
             log = [
                 cost(comm, x),                          # first of its shape
                 cost(comm, x),                          # memo hit
                 cost(comm, np.ones(7)),                 # new shape
                 cost(comm, x, algorithm="ring"),        # new knob, no selection
                 cost(comm, x, algorithm="ring"),
-                cost(comm, x, segment_bytes=256),       # env "off" wins
                 cost(comm, x),
             ]
             child, twin = comm.split(0), comm.split(0)
             assert child._plans == {} and twin._plans == {}
-            assert child._knobs is comm._knobs is twin._knobs
+            assert child._alg_override is comm._alg_override is twin._alg_override
             log += [cost(child, x), cost(child, x), cost(twin, x), cost(twin, x)]
-            assert len(comm._plans) == 4 and len(child._plans) == 1
+            assert len(comm._plans) == 3 and len(child._plans) == 1
             return log, miss
 
         for log, miss in run_spmd(2, prog, backend="process", timeout=60):
@@ -276,8 +275,8 @@ class TestFixedCostPerMessage:
             assert log == [
                 (miss, whole), ({}, whole),
                 (miss, 56),
-                ({"chunk_offsets": 1}, ring), ({}, ring),
-                (miss, whole), ({}, whole),
+                ({"compile_allreduce": 1}, ring), ({}, ring),
+                ({}, whole),
                 (miss, whole), ({}, whole), (miss, whole), ({}, whole),
             ]
 
