@@ -86,7 +86,6 @@ from repro.comm.collective_models import (
     alltoall_time,
     pt2pt_time,
     hierarchical_allreduce_time,
-    hierarchical_inter_wire_bytes,
     resolve_allreduce_algorithm,
     select_allreduce_algorithm,
     select_inter_algorithm,
@@ -116,7 +115,6 @@ __all__ = [
     "TwoTierTopology",
     "allreduce_wire_bytes",
     "hierarchical_allreduce_time",
-    "hierarchical_inter_wire_bytes",
     "resolve_allreduce_algorithm",
     "resolve_hostmap",
     "select_inter_algorithm",

@@ -11,12 +11,11 @@ the GIL for array kernels, so ranks overlap for the bulk of the
 arithmetic, but Python-level work time-shares — "overlap" on this backend
 buys removed synchronization, not parallel compute).
 
-**One mailbox.**  The ``(source, tag)`` store and the wait / retry /
-timeout / abort loop exist once, in :class:`Mailbox`; a transport only says
-how a deposit wakes the owner and how the owner blocks — a condition
-variable between threads, a ``select`` over links in a forked rank — so a
-thread rank and a TCP rank time out, retry and attribute an abort by the
-same code.
+**One mailbox.**  The ``(source, tag)`` store and the wait / timeout /
+abort loop exist once, in :class:`Mailbox`; a transport only says how a
+deposit wakes the owner and how the owner blocks — a condition variable
+between threads, a ``select`` over links in a forked rank — so a thread
+rank and a TCP rank time out and attribute an abort by the same code.
 
 The **process** and **socket** backends (:mod:`repro.comm.proc_backend`)
 are one forked-rank world — one OS process per rank, so ranks genuinely
@@ -50,21 +49,20 @@ Error handling follows MPI's "abort the job" philosophy: if any rank
 raises, the world is aborted, every blocked receive is woken, and the
 original exception is re-raised in
 the caller with :class:`CommAborted` raised inside the surviving ranks.
-Abort reasons are structured: the first failure (rank, operation, cause)
-is recorded once per world and every survivor's :class:`CommAborted`
-carries it, so a chaos test can assert that rank 3's death was named on
-ranks 0-2.  Timeouts identify the stuck operation: the diagnostic names
-the waiting world rank, the operation, (for sequenced collectives) the
-sequence number and schedule step, and dumps the pending inbox — the
-queued-but-unmatched ``(source, tag)`` pairs — rather than a bare "timed
-out"; the timed-out rank aborts the job with that diagnostic as the
-reason, so every survivor's :class:`CommAborted` carries it too.
+A failure has one record, an :class:`AbortCause` — ``(kind, failed_rank,
+message)`` — written once per job by the site that detected it (first
+failure wins), and every survivor's :class:`CommAborted` is built from it,
+so a chaos test can assert that rank 3's death was named on ranks 0-2 and
+the elastic supervisor reads the culprit from attributes, never from text.
+Timeouts identify the stuck operation: the diagnostic names the waiting
+world rank, the operation, (for sequenced collectives) the sequence number
+and schedule step, and dumps the pending inbox — the queued-but-unmatched
+``(source, tag)`` pairs — rather than a bare "timed out"; the timed-out
+rank aborts the job with that diagnostic as the cause's message.
 
 Timeouts are per *transport operation*, not per job: ``run_spmd`` takes a
 default ``timeout`` plus ``op_timeouts`` overrides keyed by operation-name
-prefix (e.g. ``{"recv": 5.0, "iallreduce": 30.0}``) and a ``retries``
-grace count (each expiry below the retry budget logs a warning and waits
-another window instead of aborting).  Deterministic fault injection
+prefix (e.g. ``{"recv": 5.0, "iallreduce": 30.0}``).  Deterministic fault injection
 (``run_spmd(..., faults=...)`` / ``REPRO_FAULTS``) hooks the same
 transport paths on every backend; see :mod:`repro.comm.faults`.
 """
@@ -72,7 +70,6 @@ transport paths on every backend; see :mod:`repro.comm.faults`.
 from __future__ import annotations
 
 import abc
-import logging
 import os
 import threading
 from collections import deque
@@ -86,26 +83,23 @@ from repro.comm.faults import (
     FAULTS_ENV,
     FaultInjector,
     FaultPlan,
+    InjectedCrash,
     JobConfig,
 )
 from repro.comm.hostmap import HOSTMAP_ENV, HostMap, resolve_hostmap
 from repro.comm.stats import CommStats
 
-logger = logging.getLogger(__name__)
-
 
 class CommAborted(RuntimeError):
     """Raised inside surviving ranks when the SPMD world has been aborted.
 
-    ``failed_rank``/``op``/``seq``/``host``/``kind`` carry the structured
-    abort cause when it is known at the raise site (the message always
-    carries it in text; the attributes are a convenience for programmatic
-    handling).  ``kind`` is a failure class the elastic supervisor can act
-    on — ``"injected-crash"``, ``"child-exit"``, ``"peer-death"``,
-    ``"timeout"``, ``"integrity"``, or ``"hang"``; ``host`` is the logical
-    host of the failed rank when a host map attributes one.  The attributes
-    survive process-boundary pickling (see :meth:`__reduce__`), so the
-    parent of a forked job sees the same structure the raising rank built.
+    Built from the job's :class:`AbortCause`: ``kind`` is its failure class
+    (one of :data:`FAILURE_KINDS`), ``failed_rank`` the culprit's world rank
+    and ``host`` that rank's logical host in the job's host map (``None``
+    without one).  These attributes are what the elastic supervisor acts
+    on; the message is for humans.  They survive process-boundary pickling
+    (see :meth:`__reduce__`), so the parent of a forked job sees the same
+    structure the raising rank built.
     """
 
     def __init__(
@@ -113,15 +107,11 @@ class CommAborted(RuntimeError):
         message: str,
         *,
         failed_rank: int | None = None,
-        op: str | None = None,
-        seq: int | None = None,
         host: str | None = None,
         kind: str | None = None,
     ) -> None:
         super().__init__(message)
         self.failed_rank = failed_rank
-        self.op = op
-        self.seq = seq
         self.host = host
         self.kind = kind
 
@@ -131,13 +121,7 @@ class CommAborted(RuntimeError):
         return (
             self.__class__,
             (self.args[0] if self.args else "",),
-            {
-                "failed_rank": self.failed_rank,
-                "op": self.op,
-                "seq": self.seq,
-                "host": self.host,
-                "kind": self.kind,
-            },
+            {"failed_rank": self.failed_rank, "host": self.host, "kind": self.kind},
         )
 
 
@@ -152,6 +136,64 @@ class CommIntegrityError(CommAborted):
     failure as restartable-with-the-same-world for the elastic supervisor:
     the data was bad, not the rank.
     """
+
+
+#: Every failure class an :class:`AbortCause` names: a rank raised, a fault
+#: plan crashed it, its process died, its TCP link closed without a BYE, a
+#: frame it sent failed its CRC, a wait timed out (blamed on the rank that
+#: waited), or ranks never reported.
+FAILURE_KINDS = (
+    "exception",
+    "injected-crash",
+    "child-exit",
+    "peer-death",
+    "integrity",
+    "timeout",
+    "hang",
+)
+
+
+def failure_kind(exc: BaseException) -> str:
+    """The failure class of an exception a rank raised: a
+    :class:`CommAborted`'s own ``kind``, ``"injected-crash"`` for an
+    :class:`~repro.comm.faults.InjectedCrash`, else ``"exception"``."""
+    if isinstance(exc, CommAborted) and exc.kind in FAILURE_KINDS:
+        return exc.kind
+    return "injected-crash" if isinstance(exc, InjectedCrash) else "exception"
+
+
+@dataclass(frozen=True)
+class AbortCause:
+    """Why a job aborted: the one record of a failure, written once per job
+    by the site that detected it (:meth:`BaseWorld.abort`, first failure
+    wins) and read by every survivor.
+
+    ``failed_rank`` is the culprit's world rank — for a timeout, the rank
+    that gave up waiting; ``None`` when no rank can be named.  The host is
+    not stored: it is the failed rank's entry in the job's host map.
+    """
+
+    kind: str
+    failed_rank: int | None
+    message: str
+
+    @classmethod
+    def raised(cls, rank: int, exc: BaseException) -> "AbortCause":
+        """The cause a rank's own uncaught exception records."""
+        return cls(
+            failure_kind(exc), rank,
+            f"world rank {rank} failed: {type(exc).__name__}: {exc}",
+        )
+
+    def error(self, hostmap: "HostMap | None", message: str | None = None) -> CommAborted:
+        """This cause as an exception: ``message`` (default: the cause's
+        own) with the cause's ``kind``/``failed_rank`` and the failed rank's
+        host in ``hostmap``; an integrity failure is a
+        :class:`CommIntegrityError`."""
+        rank = self.failed_rank
+        host = hostmap.host_of(rank) if hostmap is not None and rank is not None else None
+        cls = CommIntegrityError if self.kind == "integrity" else CommAborted
+        return cls(message or self.message, failed_rank=rank, host=host, kind=self.kind)
 
 
 #: Default number of seconds a rank will wait on a peer before concluding the
@@ -177,7 +219,7 @@ class BaseWorld(abc.ABC):
     backend_name: str = "abstract"
     size: int
     timeout: float
-    #: Per-job knobs (op timeouts, retries, faults); every concrete world
+    #: Per-job knobs (op timeouts, faults, host map); every concrete world
     #: assigns one in its constructor.
     config: JobConfig
 
@@ -186,36 +228,17 @@ class BaseWorld(abc.ABC):
     def aborted(self) -> bool: ...
 
     @property
-    def abort_reason(self) -> str | None:
-        """The recorded cause of the abort (first failure wins), if any."""
+    def abort_cause(self) -> AbortCause | None:
+        """The job's recorded cause of the abort (first failure wins)."""
         return None
 
-    def abort_suffix(self) -> str:
-        """Human-readable abort cause to append to survivor diagnostics."""
-        reason = self.abort_reason
-        return f" — {reason}" if reason else ""
-
-    #: ``(kind, failed rank, host)`` of a wire-level failure this rank saw
-    #: itself (a lost TCP peer, a bad CRC), recorded just before the abort
-    #: it causes; ``None`` on a world with no wire.
-    _failure: tuple[str, int, str] | None = None
-
-    def record_failure(self, kind: str, peer: int, host: str) -> None:
-        """Remember the structured cause behind an imminent abort (first
-        observation wins); :meth:`abort_error` attaches it to survivors."""
-        if self._failure is None:
-            self._failure = (kind, peer, host)
-
-    def abort_error(self, message: str) -> "CommAborted":
-        """The survivor-side exception for an aborted world: a plain
-        :class:`CommAborted` unless this rank recorded a wire-level cause,
-        which then rides along as ``failed_rank``/``host``/``kind`` (an
-        integrity failure as :class:`CommIntegrityError`)."""
-        if self._failure is None:
-            return CommAborted(message)
-        kind, peer, host = self._failure
-        cls = CommIntegrityError if kind == "integrity" else CommAborted
-        return cls(message, failed_rank=peer, host=host, kind=kind)
+    def abort_error(self, what: str | None = None) -> CommAborted:
+        """The exception this rank raises in an aborted job, built from the
+        recorded cause: ``what`` (the operation the abort interrupted)
+        followed by the cause's message, or the cause's message alone."""
+        cause = self.abort_cause
+        message = f"{what} interrupted: world aborted — {cause.message}" if what else None
+        return cause.error(self.config.hostmap, message)
 
     def timeout_for(self, opname: str) -> float:
         """The timeout bound for one blocked operation named ``opname``."""
@@ -273,8 +296,9 @@ class BaseWorld(abc.ABC):
         (shared by every communicator that rank participates in)."""
 
     @abc.abstractmethod
-    def abort(self, reason: str | None = None) -> None:
-        """Abort the job; the first non-``None`` ``reason`` is recorded."""
+    def abort(self, cause: AbortCause) -> bool:
+        """Abort the job; ``True`` when ``cause`` is the one recorded (this
+        was the first failure), ``False`` when the job was already aborted."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +311,6 @@ _BACKENDS: dict[str, Callable[..., list[Any]]] = {}
 #: Environment variable overriding the default backend for every
 #: ``run_spmd`` call that does not pass ``backend=`` explicitly.
 BACKEND_ENV = "REPRO_BACKEND"
-
-#: Environment override for the forked backends' failure-detection pace.
-DETECT_INTERVAL_ENV = "REPRO_DETECT_INTERVAL"
 
 
 def register_backend(name: str, launcher: Callable[..., list[Any]]) -> None:
@@ -331,10 +352,9 @@ def run_spmd(
     timeout: float = DEFAULT_TIMEOUT,
     backend: str | None = None,
     op_timeouts: dict[str, float] | None = None,
-    retries: int = 0,
     faults: "FaultPlan | str | None" = None,
     allow_failures: bool = False,
-    detect_interval: float | None = None,
+    detect_interval: float = 0.25,
     hostmap: "HostMap | str | None" = None,
     trace: str | None = None,
     **kwargs: Any,
@@ -357,9 +377,7 @@ def run_spmd(
     Fault-tolerance knobs:
 
     * ``timeout`` bounds one blocked transport operation (not the job);
-      ``op_timeouts`` overrides it per operation-name prefix and
-      ``retries`` grants each wait that many extra logged timeout windows
-      before the job is aborted.
+      ``op_timeouts`` overrides it per operation-name prefix.
     * ``faults`` installs a deterministic
       :class:`~repro.comm.faults.FaultPlan` (or a string in the
       ``REPRO_FAULTS`` syntax) on every backend's transport paths; when
@@ -369,8 +387,8 @@ def run_spmd(
       which survivor ``CommAborted``\\ s are observable alongside the
       failed rank's error.
     * ``detect_interval`` paces the forked backends' failure detector
-      (child-exit watcher + heartbeats; env ``REPRO_DETECT_INTERVAL``);
-      a dead rank aborts the job within about one interval.
+      (child-exit watcher + heartbeats); a dead rank aborts the job within
+      about one interval.
     * ``hostmap`` (a :class:`~repro.comm.hostmap.HostMap` or a spec string
       like ``"0,1:A 2,3:B"``; env ``REPRO_HOSTMAP``) groups ranks into
       logical nodes: the socket backend routes intra-node traffic over
@@ -396,12 +414,9 @@ def run_spmd(
             faults = FaultPlan.parse(env_faults)
     elif isinstance(faults, str):
         faults = FaultPlan.parse(faults)
-    if detect_interval is None:
-        detect_interval = float(os.environ.get(DETECT_INTERVAL_ENV, 0.25))
     config = JobConfig(
         timeout=timeout,
         op_timeouts=dict(op_timeouts or {}),
-        retries=retries,
         faults=faults,
         allow_failures=allow_failures,
         detect_interval=detect_interval,
@@ -457,8 +472,8 @@ class Mailbox:
 
     Messages are matched MPI-style on ``(source, tag)`` with FIFO order per
     pair.  Deposits are eager (:meth:`put` never blocks); :meth:`get`
-    blocks until a match arrives, the world aborts, or the timeout — plus
-    the job's ``retries`` grace windows — expires.
+    blocks until a match arrives, the world aborts, or the timeout expires
+    — which aborts the job, blaming ``rank``, the owner.
 
     A transport supplies two things only, by overriding them: how a deposit
     *wakes* the owner (:meth:`_wake`, called under the store's lock) and
@@ -474,8 +489,9 @@ class Mailbox:
     the readable ones itself.
     """
 
-    def __init__(self, world: BaseWorld) -> None:
+    def __init__(self, world: BaseWorld, rank: int) -> None:
         self._world = world
+        self._rank = rank
         self._cv = threading.Condition()
         self._buffered: dict[tuple[int, Any], deque[Any]] = {}
 
@@ -510,12 +526,10 @@ class Mailbox:
     def get(
         self, source: int, tag: Any, timeout: float, describe: Callable[[], str]
     ) -> Any:
-        # ``describe`` is only called on the abort/retry/timeout slow paths:
-        # the hot receive loop never pays for an f-string (tag reprs are not
+        # ``describe`` is only called on the abort/timeout slow paths: the
+        # hot receive loop never pays for an f-string (tag reprs are not
         # free at tens of thousands of messages per second).
         world = self._world
-        retries = world.config.retries
-        attempt = 0
         # Abort is not a deposit, so on a forked rank nothing wakes a blocked
         # owner for it: the poll interval bounds how late it is noticed.
         poll = min(0.25, max(0.01, world.config.detect_interval))
@@ -527,37 +541,20 @@ class Mailbox:
                 if ok:
                     return payload
                 if world.aborted:
-                    raise world.abort_error(
-                        f"{describe()} interrupted: world aborted"
-                        f"{world.abort_suffix()}"
-                    )
+                    raise world.abort_error(describe())
                 remaining = deadline - monotonic()
                 if remaining > 0:
                     self._wait(min(remaining, poll))
                     continue
                 self._wait(0)  # the diagnostic lists everything that arrived
-                if attempt < retries:
-                    attempt += 1
-                    # The only log line of this loop, and only past a full
-                    # timeout window: a healthy receive logs nothing (the
-                    # e2e harness counts every ``repro.comm`` WARNING as a
-                    # failed operation).
-                    logger.warning(
-                        "%s still waiting after %.1fs; retry %d/%d "
-                        "(pending inbox: %s)",
-                        describe(), timeout, attempt, retries, self.pending_keys(),
-                    )
-                    deadline = monotonic() + timeout
-                    continue
                 # Abort the whole job: a wedged collective should fail
                 # everywhere with this rank's diagnostic, not hang peers.
                 reason = (
-                    f"{describe()} timed out after {timeout:.1f}s"
-                    f"{f' (after {attempt} retries)' if attempt else ''}; "
+                    f"{describe()} timed out after {timeout:.1f}s; "
                     f"pending inbox: {self.pending_keys()}"
                 )
-                world.abort(reason)
-                raise CommAborted(reason, kind="timeout")
+                first = world.abort(AbortCause("timeout", self._rank, reason))
+                raise world.abort_error(None if first else describe())
 
     def try_get(self, source: int, tag: Any) -> tuple[bool, Any]:
         """Nonblocking probe-and-pop: ``(True, payload)`` or ``(False, None)``."""
@@ -565,10 +562,7 @@ class Mailbox:
             self._wait(0)
             ok, payload = self._pop((source, tag))
         if not ok and self._world.aborted:
-            raise self._world.abort_error(
-                f"irecv(source={source}, tag={tag}) interrupted: "
-                f"world aborted{self._world.abort_suffix()}"
-            )
+            raise self._world.abort_error(f"irecv(source={source}, tag={tag})")
         return ok, payload
 
     def pending_keys(self, limit: int = 8) -> str:
@@ -590,7 +584,7 @@ class World(BaseWorld):
     timeout: float = DEFAULT_TIMEOUT
     config: JobConfig | None = None
     _aborted: bool = False
-    _abort_reason: str | None = None
+    _abort_cause: AbortCause | None = None
     _mailboxes: list[Mailbox] = field(default_factory=list)
     _abort_lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -603,7 +597,7 @@ class World(BaseWorld):
             self.config = JobConfig(timeout=self.timeout)
         else:
             self.timeout = self.config.timeout
-        self._mailboxes = [Mailbox(self) for _ in range(self.size)]
+        self._mailboxes = [Mailbox(self, r) for r in range(self.size)]
         # One CommStats per world rank, shared by every communicator that
         # rank participates in, so split comms accumulate into one place.
         self._stats_registry = [CommStats() for _ in range(self.size)]
@@ -618,8 +612,8 @@ class World(BaseWorld):
         return self._aborted
 
     @property
-    def abort_reason(self) -> str | None:
-        return self._abort_reason
+    def abort_cause(self) -> AbortCause | None:
+        return self._abort_cause
 
     # -- point-to-point ----------------------------------------------------
     def deliver(self, source: int, dest: int, tag: Any, payload: Any) -> None:
@@ -676,15 +670,16 @@ class World(BaseWorld):
         return self._stats_registry[world_rank]
 
     # -- failure handling ---------------------------------------------------
-    def abort(self, reason: str | None = None) -> None:
+    def abort(self, cause: AbortCause) -> bool:
         with self._abort_lock:
             if self._aborted:
-                return
+                return False
+            self._abort_cause = cause  # before the flag: whoever sees it has a cause
             self._aborted = True
-            self._abort_reason = reason
         for mb in self._mailboxes:
             with mb._cv:
                 mb._wake()
+        return True
 
 
 def _run_spmd_threads(
@@ -710,12 +705,7 @@ def _run_spmd_threads(
             results[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - must propagate anything
             errors[rank] = exc
-            if not isinstance(exc, CommAborted):
-                world.abort(
-                    f"world rank {rank} failed: {type(exc).__name__}: {exc}"
-                )
-            else:
-                world.abort()
+            world.abort(AbortCause.raised(rank, exc))  # an abort echo: the first cause stands
         finally:
             tracer.exit_rank(thread_scope=True)
 

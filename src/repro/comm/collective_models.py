@@ -222,32 +222,6 @@ def hierarchical_allreduce_time(
     return rs + mid + ag
 
 
-def hierarchical_inter_wire_bytes(
-    nbytes: float,
-    topology: TwoTierTopology,
-    inter_algorithm: AllreduceAlgorithm | str | None = None,
-) -> float:
-    """Per-rank bytes sent on the *inter-node* wire by one hierarchical
-    allreduce of ``n`` bytes.
-
-    Every rank leads the inter-node exchange for its owned ``n/k``
-    segment, so inter traffic is uniform across ranks:
-    ``allreduce_wire_bytes(m, n/k)`` — e.g. ``2(n/k)(m-1)/m`` for the
-    inter ring, versus the flat ring's ``2n(p-1)/p`` crossing the node
-    boundary on every edge rank.  The measured counterpart is the
-    schedule runner's ``wire_sent_inter`` counter and the socket
-    backend's TCP payload-byte transport counter.
-    """
-    k, m = topology.ranks_per_node, topology.nnodes
-    if nbytes <= 0 or m <= 1:
-        return 0.0
-    if k <= 1:
-        return allreduce_wire_bytes(m, nbytes, inter_algorithm)
-    if inter_algorithm is None:
-        inter_algorithm = select_inter_algorithm(m, nbytes / k)
-    return allreduce_wire_bytes(m, nbytes / k, inter_algorithm)
-
-
 def resolve_allreduce_algorithm(
     algorithm: AllreduceAlgorithm | str | None,
     p: int,

@@ -304,20 +304,17 @@ class JobConfig:
 
     ``timeout`` is the default bound on one blocked transport operation;
     ``op_timeouts`` overrides it per operation name *prefix* (longest
-    prefix wins), e.g. ``{"recv": 5.0, "iallreduce": 30.0}``.  ``retries``
-    grants a timed-out wait that many extra timeout windows (each logged as
-    a warning) before the job is aborted — the knob for platforms where a
-    slow rank is more likely than a dead one.  ``detect_interval`` paces
-    the process backend's failure detector (child-exit watcher +
-    heartbeats); a dead rank is detected within roughly one interval
-    rather than at the next per-op timeout.  ``allow_failures`` makes
-    ``run_spmd`` return per-rank exceptions in the result list instead of
-    re-raising the first one — the chaos-testing mode.
+    prefix wins), e.g. ``{"recv": 5.0, "iallreduce": 30.0}``.
+    ``detect_interval`` paces the forked backends' failure detector
+    (child-exit watcher + heartbeats); a dead rank is detected within
+    roughly one interval rather than at the next per-op timeout.
+    ``allow_failures`` makes ``run_spmd`` return per-rank exceptions in the
+    result list instead of re-raising the first one — the chaos-testing
+    mode.
     """
 
     timeout: float = 120.0
     op_timeouts: dict[str, float] = field(default_factory=dict)
-    retries: int = 0
     faults: FaultPlan | None = None
     allow_failures: bool = False
     detect_interval: float = 0.25

@@ -159,14 +159,6 @@ class HostMap:
         """Logical host name of a world rank."""
         return self._names[self.node_of(rank)]
 
-    def groups_for(self, nranks: int) -> tuple[tuple[int, ...], ...]:
-        """Ranks ``0..nranks-1`` grouped by node (empty nodes dropped),
-        ordered by node index — the node layout of one concrete job."""
-        buckets: dict[int, list[int]] = {}
-        for r in range(nranks):
-            buckets.setdefault(self.node_of(r), []).append(r)
-        return tuple(tuple(buckets[n]) for n in sorted(buckets))
-
     def is_single_node(self, nranks: int) -> bool:
         """True when a job of ``nranks`` lands entirely on one node."""
         return len({self.node_of(r) for r in range(nranks)}) <= 1

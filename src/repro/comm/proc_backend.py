@@ -58,12 +58,14 @@ framed write on it.  What the world is made of:
   arithmetic in the same comm-rank order as on the thread backend, so
   results are bitwise identical across backends.
 * **Failure handling** — a shared abort flag plus one result pipe per
-  rank (written once, at exit), with a structured abort *reason* (first
-  failure wins) in a shared buffer so every survivor's ``CommAborted``
-  names the failed rank and cause.  A rank that raises aborts the job; the
-  parent re-raises the first real error by rank (``CommAborted`` from
-  surviving ranks is secondary, as in the thread backend).  A
-  **child-exit watcher** in the parent (paced by
+  rank (written once, at exit), with the job's
+  :class:`~repro.comm.backend.AbortCause` (first failure wins) in shared
+  memory beside the flag — its kind and failed rank in two lock-free
+  ``RawValue`` slots, its message in a buffer — so every survivor's
+  ``CommAborted`` carries the failed rank and the kind of failure.  A rank
+  that raises aborts the job; the parent re-raises the first real error
+  by rank (``CommAborted`` from surviving ranks is secondary, as in the
+  thread backend).  A **child-exit watcher** in the parent (paced by
   ``JobConfig.detect_interval``) spots a rank that died without reporting
   — segfault, OOM kill, or an injected ``os._exit`` crash — and aborts
   the job naming that rank within about one interval, so survivors fail
@@ -121,6 +123,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.comm.backend import (
+    FAILURE_KINDS,
+    AbortCause,
     BaseWorld,
     CommAborted,
     Mailbox,
@@ -280,8 +284,9 @@ class _Arena:
             self.shm.unlink()
 
 
-#: Capacity of the shared abort-reason buffer (UTF-8 bytes, NUL-padded).
-_REASON_BYTES = 1024
+#: Capacity of the shared abort-cause message buffer (UTF-8 bytes,
+#: NUL-padded).
+_MESSAGE_BYTES = 1024
 
 
 def _close(ends: list, what: str, keep: int | None = None) -> None:
@@ -316,14 +321,18 @@ class _SharedJobState:
         #: Which rank pairs share memory and which cross TCP — the one
         #: thing the registered backends differ in.
         self.routing = routing
-        # First failure wins: the reason is written exactly once, under
+        # First failure wins: the cause is written exactly once, under
         # abort_lock, before the flag is raised, so any rank that sees the
-        # flag also sees the reason.  The flag is a lock-free ``RawValue``:
+        # flag also sees the cause.  The flag is a lock-free ``RawValue``:
         # it is read on every miss of the receive loop and by every
         # transport thread, and none of those may touch a shared lock.
         self.abort_lock = ctx.Lock()
         self.abort_flag = ctx.RawValue("b", 0)
-        self.abort_reason_buf = ctx.Array("c", _REASON_BYTES, lock=False)
+        #: The cause: its kind (index into FAILURE_KINDS), its failed rank
+        #: (-1: none) and its message.
+        self.abort_kind = ctx.RawValue("b", 0)
+        self.abort_rank = ctx.RawValue("i", -1)
+        self.abort_message = ctx.Array("c", _MESSAGE_BYTES, lock=False)
         #: monotonic() stamp per rank, refreshed by a daemon thread in each
         #: child; the parent flags ranks whose stamp goes stale.
         self.heartbeats = ctx.RawArray("d", nranks)
@@ -385,20 +394,29 @@ class _SharedJobState:
     def aborted(self) -> bool:
         return bool(self.abort_flag.value)
 
-    def set_abort(self, reason: str | None = None) -> None:
-        """Abort the job; the first caller's ``reason`` is the recorded one."""
+    def set_abort(self, cause: AbortCause) -> bool:
+        """Abort the job; ``True`` when ``cause`` is the recorded one (the
+        first caller's)."""
         with self.abort_lock:
             if self.abort_flag.value:
-                return
-            if reason:
-                data = reason.encode("utf-8", "replace")[: _REASON_BYTES - 1]
-                self.abort_reason_buf[: len(data)] = data
+                return False
+            self.abort_kind.value = FAILURE_KINDS.index(cause.kind)
+            self.abort_rank.value = -1 if cause.failed_rank is None else cause.failed_rank
+            data = cause.message.encode("utf-8", "replace")[: _MESSAGE_BYTES - 1]
+            self.abort_message[: len(data)] = data
             self.abort_flag.value = 1
+            return True
 
-    def get_abort_reason(self) -> str | None:
-        raw = bytes(self.abort_reason_buf)
-        text = raw.split(b"\x00", 1)[0].decode("utf-8", "replace")
-        return text or None
+    @property
+    def abort_cause(self) -> AbortCause | None:
+        if not self.abort_flag.value:
+            return None
+        rank = self.abort_rank.value
+        return AbortCause(
+            FAILURE_KINDS[self.abort_kind.value],
+            None if rank < 0 else rank,
+            bytes(self.abort_message).split(b"\x00", 1)[0].decode("utf-8", "replace"),
+        )
 
     def teardown(self) -> None:
         """Parent-side cleanup: close every fd the job made, unlink the
@@ -475,8 +493,8 @@ class _Inbox(Mailbox):
     a sender at most half the arena.
     """
 
-    def __init__(self, world: BaseWorld, arena: _Arena | None) -> None:
-        super().__init__(world)
+    def __init__(self, world: BaseWorld, rank: int, arena: _Arena | None) -> None:
+        super().__init__(world, rank)
         self._arena = arena
         #: Every lane ``select`` watches: fd -> its drain, which returns
         #: ``False`` once the lane is finished (EOF).
@@ -549,7 +567,7 @@ class ForkedWorld(BaseWorld):
         self._hostmap: HostMap = shared.config.hostmap or shared.routing
         node = shared.routing.node_of
         self._same_node = [node(r) == node(rank) for r in range(self.size)]
-        self._inbox = _Inbox(self, shared.arena)
+        self._inbox = _Inbox(self, rank, shared.arena)
         #: Peer -> this rank's link to it: a socketpair end per same-node
         #: peer from the start, a TCP connection per off-node one once
         #: ``start`` has made the mesh.
@@ -601,8 +619,8 @@ class ForkedWorld(BaseWorld):
         return self._shared.aborted
 
     @property
-    def abort_reason(self) -> str | None:
-        return self._shared.get_abort_reason()
+    def abort_cause(self) -> AbortCause | None:
+        return self._shared.abort_cause
 
     @property
     def hostmap(self) -> HostMap:
@@ -708,8 +726,8 @@ class ForkedWorld(BaseWorld):
         return stats
 
     # -- failure handling ---------------------------------------------------
-    def abort(self, reason: str | None = None) -> None:
-        self._shared.set_abort(reason)
+    def abort(self, cause: AbortCause) -> bool:
+        return self._shared.set_abort(cause)
 
 
 def _heartbeat_loop(shared: _SharedJobState, rank: int) -> None:
@@ -767,35 +785,31 @@ def _child_main(
             # this rank still owed them fail promptly with CommAborted
             # instead of timing out (the error teardown below drops
             # undelivered messages).
-            world.abort(
+            message = (
                 f"world rank {rank} produced an unpicklable result "
                 f"({type(exc).__name__}: {exc})"
             )
+            world.abort(AbortCause("exception", rank, message))
             status = "err"
-            blob = pickle.dumps(
-                (
-                    RuntimeError(
-                        f"rank {rank} produced an unpicklable result "
-                        f"({type(exc).__name__}: {exc})"
-                    ),
-                    "",
-                )
-            )
+            blob = pickle.dumps((RuntimeError(message), ""))
     except BaseException as exc:  # noqa: BLE001 - must propagate anything
-        if isinstance(exc, CommAborted):
-            world.abort()
-        else:
-            world.abort(
-                f"world rank {rank} failed: {type(exc).__name__}: {exc}"
-            )
+        world.abort(AbortCause.raised(rank, exc))  # an abort echo: the first cause stands
         status = "err"
         tb = traceback.format_exc()
         try:
             blob = pickle.dumps((exc, tb))
-        except Exception:
-            blob = pickle.dumps(
-                (CommAborted(f"rank {rank}: {type(exc).__name__}: {exc}"), tb)
-            )
+            pickle.loads(blob)  # what the parent will do with it
+        except Exception as perr:
+            # Still this rank's own error, not an abort echo: its type,
+            # text and traceback ride a RuntimeError that survives the pipe.
+            blob = pickle.dumps((
+                RuntimeError(
+                    f"world rank {rank} failed: {type(exc).__name__}: {exc} "
+                    f"(the exception itself could not cross the process "
+                    f"boundary: {type(perr).__name__}: {perr})"
+                ),
+                tb,
+            ))
     try:
         world.shutdown(status == "ok")
     except Exception as exc:  # pragma: no cover - depends on host
@@ -884,11 +898,12 @@ def _launch_forked(
                 if r not in outcomes and p.exitcode not in (None, 0):
                     outcomes[r] = ("crash", p.exitcode)
                     injected = p.exitcode == INJECTED_CRASH_EXIT
-                    shared.set_abort(
+                    shared.set_abort(AbortCause(
+                        "injected-crash" if injected else "child-exit", r,
                         f"world rank {r} died (exit code {p.exitcode}"
                         f"{', injected crash' if injected else ''}) "
-                        "before reporting a result"
-                    )
+                        "before reporting a result",
+                    ))
             if not shared.aborted:
                 now = monotonic()
                 for r, p in enumerate(procs):
@@ -913,7 +928,9 @@ def _launch_forked(
             if drain_deadline is None:
                 drain_deadline = monotonic() + _PARENT_GRACE
             elif monotonic() > drain_deadline:
-                shared.set_abort("job torn down: unreported ranks presumed hung")
+                shared.set_abort(AbortCause(
+                    "hang", None, "job torn down: unreported ranks presumed hung"
+                ))
                 for r in range(nranks):
                     outcomes.setdefault(r, ("hang", None))
                 break
@@ -924,10 +941,10 @@ def _launch_forked(
             if p.is_alive():  # pragma: no cover - wedged child
                 p.terminate()
                 p.join(timeout=5.0)
-        abort_reason = shared.get_abort_reason()
+        cause = shared.abort_cause
         shared.teardown()
 
-    suffix = f" — {abort_reason}" if abort_reason else ""
+    suffix = f" — {cause.message}" if cause is not None else ""
     results: list[Any] = [None] * nranks
     errors: list[BaseException | None] = [None] * nranks
     for rank in range(nranks):
@@ -955,8 +972,7 @@ def _launch_forked(
                     f"{_PARENT_GRACE:.0f}s of the job starting to die "
                     f"(abort/crash/exit); job torn down{suffix}"
                 )
-            host = config.hostmap.host_of(rank) if config.hostmap is not None else None
-            errors[rank] = CommAborted(message, failed_rank=rank, host=host, kind=kind)
+            errors[rank] = AbortCause(kind, rank, message).error(config.hostmap)
     return _job_outcome(results, errors, config.allow_failures)
 
 

@@ -84,7 +84,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.comm.backend import CommAborted
+from repro.comm.backend import AbortCause
 from repro.comm.payload import array_nbytes, encode_frame
 from repro.obs import tracer
 
@@ -323,13 +323,13 @@ class Link:
             # Corrupted on the wire: abort with an integrity failure
             # instead of decoding garbage into the collectives.
             world = self._world
-            host = world.hostmap.host_of(self.peer)
-            world.record_failure("integrity", self.peer, host)
-            world.abort(
-                f"frame from world rank {self.peer} (host {host}) "
-                f"failed its CRC32 integrity check at world rank "
-                f"{world.rank} (payload corrupted on the wire)"
-            )
+            world.abort(AbortCause(
+                "integrity", self.peer,
+                f"frame from world rank {self.peer} "
+                f"(host {world.hostmap.host_of(self.peer)}) failed its CRC32 "
+                f"integrity check at world rank {world.rank} (payload "
+                f"corrupted on the wire)",
+            ))
             return False
         if ftype == _FRAME_DATA:
             self._deposit(blob)
@@ -341,13 +341,12 @@ class Link:
     def _eof(self) -> bool:
         world = self._world
         if self.remote and not (self.peer_done or world.aborted):
-            host = world.hostmap.host_of(self.peer)
-            world.record_failure("peer-death", self.peer, host)
-            world.abort(
-                f"world rank {self.peer} (host {host}) lost: connection "
-                f"closed unexpectedly (crash or network failure), detected "
-                f"by world rank {world.rank}"
-            )
+            world.abort(AbortCause(
+                "peer-death", self.peer,
+                f"world rank {self.peer} (host {world.hostmap.host_of(self.peer)}) "
+                f"lost: connection closed unexpectedly (crash or network "
+                f"failure), detected by world rank {world.rank}",
+            ))
         return False
 
     def unread(self) -> bool:
@@ -480,23 +479,22 @@ class TcpMesh:
                 sock.sendall(_HELLO.pack(me))
                 self._connected(q, sock)
         deadline = monotonic() + min(world.timeout, _CONNECT_TIMEOUT)
+        setup = f"world rank {me}: connection setup"
         while True:
             with self._links_lock:
                 missing = [q for q in peers if q not in self._links]
             if not missing:
                 break
             if world.aborted:
-                raise CommAborted(
-                    f"world rank {me}: connection setup interrupted: world "
-                    f"aborted{world.abort_suffix()}"
-                )
+                raise world.abort_error(setup)
             if monotonic() > deadline:
+                # A timeout: blamed on the rank that waited, like any other.
                 reason = (
                     f"world rank {me} could not reach world rank(s) "
                     f"{missing} within {_CONNECT_TIMEOUT:.0f}s of startup"
                 )
-                world.abort(reason)
-                raise CommAborted(reason)
+                first = world.abort(AbortCause("timeout", me, reason))
+                raise world.abort_error(None if first else setup)
             time.sleep(0.005)
         if accepter is not None:
             accepter.join()  # closes the listener on its way out

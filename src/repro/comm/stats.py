@@ -162,24 +162,9 @@ class CommStats:
             snap[_SNAPSHOT_KEYS.get(f.name, f.name)] = value
         return snap
 
-    @staticmethod
-    def _total(table: dict[str, int], name: str | None) -> int:
-        return sum(table.values()) if name is None else table.get(name, 0)
-
-    def total_collective_calls(self, name: str | None = None) -> int:
-        return self._total(self.collectives, name)
-
     def total_wire_sent(self, name: str | None = None) -> int:
-        return self._total(self.collective_wire_sent, name)
-
-    def total_wire_recv(self, name: str | None = None) -> int:
-        return self._total(self.collective_wire_recv, name)
-
-    def total_wire_sent_inter(self, name: str | None = None) -> int:
-        return self._total(self.collective_wire_sent_inter, name)
-
-    def total_wire_recv_inter(self, name: str | None = None) -> int:
-        return self._total(self.collective_wire_recv_inter, name)
+        table = self.collective_wire_sent
+        return sum(table.values()) if name is None else table.get(name, 0)
 
     def total_wait_seconds(self) -> float:
         return sum(self.wait_seconds.values())

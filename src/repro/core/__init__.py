@@ -42,21 +42,18 @@ from repro.core.checkpoint import (
 )
 from repro.core.dist_network import DistNetwork
 from repro.core.elastic import (
-    ELASTIC_ENV,
     ElasticReport,
     ElasticRunner,
     RankFailure,
     RestartRecord,
     classify_error,
     classify_failures,
-    run_elastic,
 )
 from repro.core.trainer import DistTrainer
 
 __all__ = [
     "DistNetwork",
     "DistTrainer",
-    "ELASTIC_ENV",
     "ElasticReport",
     "ElasticRunner",
     "LayerParallelism",
@@ -71,6 +68,5 @@ __all__ = [
     "load_state",
     "local_steps",
     "parse_checkpoint_name",
-    "run_elastic",
     "save_state",
 ]

@@ -7,12 +7,13 @@ wraps :func:`repro.comm.run_spmd` in a restart loop that
 
 1. runs the job in chaos mode (``allow_failures=True``) so every rank's
    outcome is observable,
-2. **classifies** what killed it — an injected crash, a child process
-   exiting abnormally, a TCP peer dying (with host attribution from the
-   :class:`~repro.comm.hostmap.HostMap`), a corrupted frame, a timeout —
-   using the structured ``kind``/``failed_rank``/``host`` attributes that
-   :class:`~repro.comm.backend.CommAborted` carries, with a message-regex
-   fallback for errors that crossed a pickling boundary attribute-less,
+2. **classifies** what killed it — a rank's exception, an injected crash,
+   a child process exiting abnormally, a TCP peer dying, a corrupted
+   frame, a timeout — from the ``kind``/``failed_rank``/``host`` attributes
+   every :class:`~repro.comm.backend.CommAborted` carries (the job's one
+   :class:`~repro.comm.backend.AbortCause`, host from the
+   :class:`~repro.comm.hostmap.HostMap`) and the exception types, never
+   from message text,
 3. **relaunches** after an exponential backoff: at the *same* world size
    while failures look transient, or at a *shrunk* world — blacklisting
    the repeatedly-failing host (or rank) via
@@ -28,51 +29,24 @@ Because training state is checkpointed world-stamped
 re-shards the last complete checkpoint set via
 :meth:`~repro.core.trainer.DistTrainer.resume_elastic`; the training
 function itself stays oblivious — it just calls ``resume_elastic()`` on
-entry.  ``REPRO_ELASTIC`` configures the loop from the environment
-(``"max_restarts=4;min_ranks=2;backoff=0.5"``).
+entry.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import time
 from dataclasses import dataclass, field
 from time import monotonic
 from typing import Any, Callable, Sequence
 
-from repro.comm.backend import run_spmd
+from repro.comm.backend import CommAborted, failure_kind, run_spmd
 from repro.comm.faults import FaultPlan
 from repro.comm.hostmap import HOSTMAP_ENV, HostMap, resolve_hostmap
 from repro.core import checkpoint as ckpt
 from repro.obs.logging import get_logger
 
 logger = get_logger("elastic")
-
-#: Environment variable configuring :func:`run_elastic`:
-#: ``"max_restarts=4;min_ranks=2;backoff=0.5;backoff_factor=2;blacklist_after=2"``.
-ELASTIC_ENV = "REPRO_ELASTIC"
-
-#: Failure kinds that do not, by themselves, implicate a specific machine:
-#: the same world is retried (until the per-culprit count trips the
-#: blacklist).  Everything else — peer death, hangs, integrity errors —
-#: counts toward blacklisting immediately but still retries at full size
-#: until the threshold is reached.
-_TRANSIENT_KINDS = frozenset({"injected-crash", "timeout"})
-
-#: Culprit-extraction patterns, tried in order against survivor/parent
-#: messages.  Each names the *failed* rank (never the observer): the diag
-#: prefix of a survivor abort also says "world rank <observer>", so these
-#: anchor on the verb that only ever follows the culprit.
-_CULPRIT_RES = (
-    re.compile(r"world rank (\d+)(?: \(host ([^)]+)\))? failed"),
-    re.compile(r"world rank (\d+)(?: \(host ([^)]+)\))? lost"),
-    re.compile(r"world rank (\d+) exited abnormally"),
-    re.compile(r"world rank (\d+) did not report"),
-    re.compile(r"fired at world rank (\d+)"),
-    re.compile(r"frame from world rank (\d+)(?: \(host ([^)]+)\))?"),
-)
-
 
 @dataclass
 class RankFailure:
@@ -82,8 +56,8 @@ class RankFailure:
     host: str | None
     kind: str
     message: str
-    #: True when the culprit rank came from structured attributes or a
-    #: culprit pattern; False when it defaulted to the observing rank.
+    #: False when the error was a :class:`~repro.comm.backend.CommAborted`
+    #: naming no culprit, so the rank defaulted to the observing one.
     attributed: bool = True
 
     def to_dict(self) -> dict:
@@ -195,45 +169,19 @@ class ElasticReport:
 def classify_error(err: BaseException, observer_rank: int | None = None) -> RankFailure:
     """Map one rank's exception to a :class:`RankFailure`.
 
-    Prefers the structured ``kind``/``failed_rank``/``host`` attributes of
-    :class:`~repro.comm.backend.CommAborted`; falls back to parsing the
-    message (errors re-raised across odd boundaries can lose attributes,
-    and survivor aborts embed the culprit only in their reason text).
+    A :class:`~repro.comm.backend.CommAborted` names its culprit in
+    ``failed_rank``/``host``; any other exception is the observing rank's
+    own failure.  The kind is :func:`~repro.comm.backend.failure_kind` of
+    the exception.
     """
-    message = str(err)
-    kind = getattr(err, "kind", None)
-    rank = getattr(err, "failed_rank", None)
-    host = getattr(err, "host", None)
-    if type(err).__name__ == "InjectedCrash":
-        kind = kind or "injected-crash"
-    if kind is None:
-        for pattern, name in (
-            (r"injected crash|InjectedCrash", "injected-crash"),
-            (r"CRC32 integrity", "integrity"),
-            (r"exited abnormally", "child-exit"),
-            (r"connection closed unexpectedly", "peer-death"),
-            (r"did not report a result", "hang"),
-            (r"timed out", "timeout"),
-        ):
-            if re.search(pattern, message):
-                kind = name
-                break
-        else:
-            kind = "unknown"
-    attributed = rank is not None
-    if rank is None:
-        for pattern in _CULPRIT_RES:
-            m = pattern.search(message)
-            if m:
-                rank = int(m.group(1))
-                if host is None and pattern.groups > 1:
-                    host = m.group(2)
-                attributed = True
-                break
-    if rank is None:
-        rank = observer_rank
+    aborted = isinstance(err, CommAborted)
+    rank = err.failed_rank if aborted else None
     return RankFailure(
-        rank=rank, host=host, kind=kind, message=message, attributed=attributed
+        rank=observer_rank if rank is None else rank,
+        host=err.host if aborted else None,
+        kind=failure_kind(err),
+        message=str(err),
+        attributed=rank is not None or not aborted,
     )
 
 
@@ -243,12 +191,12 @@ def classify_failures(
     """Distill a chaos-mode result list down to the *culprit* failures.
 
     With ``allow_failures=True`` every rank that raised appears in the
-    result list — the rank that actually died *and* every survivor whose
-    collective aborted naming it.  Survivor echoes are folded into the
-    culprit they name: one :class:`RankFailure` per failing rank, with the
-    most specific kind seen (anything beats a survivor's generic
-    "timeout"/"unknown" echo).  Host attribution comes from the error or,
-    failing that, the host map.
+    result list — the rank that actually failed *and* every survivor whose
+    operation aborted naming it.  Survivor echoes are folded into the
+    culprit they name: one :class:`RankFailure` per failing rank, the
+    failing rank's own report preferred over its echoes (a forked rank's
+    exit code says more than a peer's lost link).  Host attribution comes
+    from the error or, failing that, the host map.
     """
     by_rank: dict[int | None, RankFailure] = {}
     for observer, outcome in enumerate(results):
@@ -257,17 +205,13 @@ def classify_failures(
         f = classify_error(outcome, observer_rank=observer)
         if hostmap is not None and f.host is None and f.rank is not None:
             f.host = hostmap.host_of(f.rank)
-        prev = by_rank.get(f.rank)
-        if prev is None or (
-            prev.kind in ("unknown", "timeout")
-            and f.kind not in ("unknown", "timeout")
-        ):
+        if f.rank not in by_rank or f.rank == observer:
             by_rank[f.rank] = f
     failures = list(by_rank.values())
-    # Survivor echoes whose culprit could not be determined default to the
-    # observer's own rank; once a real culprit is known they are noise
-    # (blaming a survivor would poison the blacklist), so keep them only
-    # when nothing better was attributed.
+    # An abort naming no culprit defaults to its observer; once a real
+    # culprit is known such echoes are noise (blaming a survivor would
+    # poison the blacklist), so keep them only when nothing better was
+    # attributed.
     if any(f.attributed for f in failures):
         failures = [f for f in failures if f.attributed]
     return sorted(
@@ -275,41 +219,16 @@ def classify_failures(
     )
 
 
-def parse_elastic_env(value: str | None) -> dict:
-    """Parse ``REPRO_ELASTIC`` (``"key=value;key=value"``) into kwargs."""
-    out: dict[str, Any] = {}
-    if not value:
-        return out
-    casts: dict[str, Callable[[str], Any]] = {
-        "max_restarts": int,
-        "min_ranks": int,
-        "backoff": float,
-        "backoff_factor": float,
-        "blacklist_after": int,
-    }
-    for item in value.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(
-                f"bad {ELASTIC_ENV} entry {item!r}; expected key=value"
-            )
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in casts:
-            raise ValueError(
-                f"unknown {ELASTIC_ENV} key {key!r}; "
-                f"known: {', '.join(sorted(casts))}"
-            )
-        out[key] = casts[key](raw.strip())
-    return out
-
-
 class ElasticRunner:
     """Supervised restart loop around :func:`repro.comm.run_spmd`.
 
-    Parameters mirror :func:`run_elastic`.  ``faults`` may be a single
+    ``max_restarts`` bounds the relaunches; a culprit (host, or rank
+    without a host map) that fails ``blacklist_after`` times is excluded
+    and the world shrinks, but never below ``min_ranks``.  Relaunch ``i``
+    waits ``backoff * backoff_factor**i`` seconds.  ``backend`` and
+    ``hostmap`` choose the world, and further keyword arguments
+    (``timeout=``, ``detect_interval=``, ...) go to ``run_spmd``; ``run``'s
+    positional arguments go to ``fn``.  ``faults`` may be a single
     plan/spec (armed on the first attempt only — a deterministic injected
     fault would otherwise re-fire forever) or a list indexed by attempt
     (``None`` entries run clean).  ``sleep`` is injectable so tests can
@@ -543,45 +462,3 @@ class ElasticRunner:
             return shrunk.size, shrunk
         # No host attribution: drop one rank per blacklisted culprit.
         return max(0, nranks - max(1, len(set(ranks)) + len(hosts))), None
-
-
-def run_elastic(
-    fn: Callable[..., Any],
-    nranks: int,
-    *args: Any,
-    max_restarts: int | None = None,
-    min_ranks: int | None = None,
-    backoff: float | None = None,
-    backoff_factor: float | None = None,
-    blacklist_after: int | None = None,
-    **kwargs: Any,
-) -> ElasticReport:
-    """Run ``fn`` under elastic supervision; return the :class:`ElasticReport`.
-
-    Convenience front-end over :class:`ElasticRunner`: supervision knobs
-    left ``None`` fall back to ``REPRO_ELASTIC``
-    (``"max_restarts=4;min_ranks=2;backoff=0.5"``), then to the class
-    defaults.  Remaining keyword arguments split between the runner
-    (``backend=``, ``hostmap=``, ``faults=``, ``checkpoint_dir=``, ...)
-    and ``run_spmd`` (``timeout=``, ``detect_interval=``, ...); positional
-    ``args`` are passed to ``fn``.
-    """
-    env = parse_elastic_env(os.environ.get(ELASTIC_ENV))
-    knobs: dict[str, Any] = {}
-    for name, value in (
-        ("max_restarts", max_restarts),
-        ("min_ranks", min_ranks),
-        ("backoff", backoff),
-        ("backoff_factor", backoff_factor),
-        ("blacklist_after", blacklist_after),
-    ):
-        if value is not None:
-            knobs[name] = value
-        elif name in env:
-            knobs[name] = env[name]
-    runner_keys = (
-        "backend", "hostmap", "faults", "checkpoint_dir", "sleep",
-    )
-    runner_kwargs = {k: kwargs.pop(k) for k in runner_keys if k in kwargs}
-    runner = ElasticRunner(nranks, **knobs, **runner_kwargs, **kwargs)
-    return runner.run(fn, *args)

@@ -132,11 +132,6 @@ class ParallelStrategy:
     def assignments(self) -> dict[str, LayerParallelism]:
         return dict(self._assignments)
 
-    def with_layer(self, name: str, parallelism: LayerParallelism) -> "ParallelStrategy":
-        new = dict(self._assignments)
-        new[name] = parallelism
-        return ParallelStrategy(new, default=self._default)
-
     def describe(self, layer_names: Sequence[str] | None = None) -> str:
         if not self._assignments and self._default is not None:
             return f"uniform {self._default.describe()}"

@@ -199,13 +199,9 @@ class DistTrainer:
         holds nothing usable.
         """
         comm = self.network.comm
-        step = ckpt.latest_common_step(self.checkpoint_dir, comm)
+        step = self.resume()
         if step is not None:
-            state = ckpt.load_state(
-                self.checkpoint_dir, step, comm.rank, world=comm.size
-            )
-            self._load_state(state)
-            return (self.step_index, comm.size)
+            return (step, comm.size)
         found = comm.bcast(
             ckpt.latest_complete_step(self.checkpoint_dir)
             if comm.rank == 0 else None

@@ -134,8 +134,3 @@ class MeshTanglingDataset:
         """Stack ``n`` samples into ``(x, y)`` arrays (NCHW / N1HW)."""
         xs, ys = zip(*(self.sample(start + i) for i in range(n)))
         return np.stack(xs), np.stack(ys)
-
-    def positive_fraction(self, n: int = 4) -> float:
-        """Fraction of tangling pixels (sanity: labels are non-degenerate)."""
-        _, y = self.batch(n)
-        return float(y.mean())

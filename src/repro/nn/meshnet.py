@@ -105,15 +105,3 @@ def mesh_model_2k(**kwargs) -> NetworkSpec:
     kwargs.setdefault("block_channels", MESH_2K_CHANNELS)
     return build_mesh_model(resolution=2048, convs_per_block=5,
                             name="mesh-2k", **kwargs)
-
-
-def mesh_model_tiny(resolution: int = 64, **kwargs) -> NetworkSpec:
-    """Scaled-down model with the same structure for functional tests."""
-    return build_mesh_model(
-        resolution=resolution,
-        convs_per_block=2,
-        block_channels=(8, 12),
-        input_channels=4,
-        name="mesh-tiny",
-        **kwargs,
-    )

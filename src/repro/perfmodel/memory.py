@@ -127,31 +127,3 @@ class MemoryModel:
     def fits(self, n_global: int, strategy) -> bool:
         """Does this configuration fit in GPU memory?"""
         return self.required_bytes(n_global, strategy) <= self.machine.gpu.memory_bytes
-
-    def max_samples_per_gpu(
-        self, parallelism: LayerParallelism, limit: int = 4096
-    ) -> int:
-        """Largest per-GPU-group sample count that fits (0 = infeasible).
-
-        For hybrid parallelism, "samples per GPU" means samples per spatial
-        group; the mini-batch is ``samples * sample_ways``.
-        """
-        fit = 0
-        n = 1
-        while n <= limit:
-            if self.fits(n * parallelism.sample, ParallelStrategy.uniform(parallelism)):
-                fit = n
-                n *= 2
-            else:
-                break
-        if fit == 0:
-            return 0
-        # Binary refine between fit and 2*fit.
-        lo, hi = fit, min(limit, fit * 2)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.fits(mid * parallelism.sample, ParallelStrategy.uniform(parallelism)):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo

@@ -122,10 +122,6 @@ class SimResult:
     comm_busy: float
     engine: SimEngine
 
-    @property
-    def comm_exposed(self) -> float:
-        return max(0.0, self.minibatch_time - self.compute_busy)
-
 
 class NetworkCostModel:
     """Prices and schedules one training step for (network, strategy,

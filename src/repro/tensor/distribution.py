@@ -75,14 +75,6 @@ class Distribution:
         )
         return cls(grid_shape, kinds)
 
-    @classmethod
-    def fully_replicated(cls, ndim: int, grid_shape: Sequence[int]) -> "Distribution":
-        """Every rank holds the whole tensor (how weights are stored)."""
-        return cls(
-            tuple(int(g) for g in grid_shape),
-            tuple(DimKind.REPLICATED for _ in range(ndim)),
-        )
-
     # -- index sets (paper §II-C) ---------------------------------------------
     @property
     def ndim(self) -> int:
@@ -112,14 +104,6 @@ class Distribution:
     def is_split(self, d: int) -> bool:
         """True if dimension ``d`` is actually partitioned (>1 block)."""
         return self.kinds[d] is DimKind.BLOCK and self.grid_shape[d] > 1
-
-    def replication_factor(self) -> int:
-        """How many ranks hold each element (1 = pure partitioning)."""
-        factor = 1
-        for g, k in zip(self.grid_shape, self.kinds):
-            if k is DimKind.REPLICATED:
-                factor *= g
-        return factor
 
     def __str__(self) -> str:
         parts = []

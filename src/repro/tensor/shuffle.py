@@ -250,10 +250,3 @@ def shuffle(
     """
     return ShuffleExchange(src, dst_grid, dst_dist, pool=pool).finish()
 
-
-def shuffle_cost_bytes(
-    src: DistTensor, dst_grid: ProcessGrid, dst_dist: Distribution
-) -> int:
-    """Bytes this rank ships in :func:`shuffle` (for model validation tests)."""
-    plan = plan_shuffle(src, dst_grid, dst_dist)
-    return plan.sent_cells * src.dtype.itemsize

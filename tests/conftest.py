@@ -19,6 +19,8 @@ import os
 import pytest
 from hypothesis import settings
 
+from repro.comm import HOSTMAP_ENV, CommAborted, resolve_hostmap
+from repro.core import classify_failures
 from repro.core.grad_reducer import BucketedGradReducer
 
 # Tier-1 runs every property test at hypothesis' defaults.  CI's coverage
@@ -74,6 +76,36 @@ DELAY_PLANS = {
 def backend(request):
     """SPMD world backend to run the test under."""
     return request.param
+
+
+#: The cause a survivor may carry for a rank a fault plan crashed: on
+#: ``socket`` a survivor off the dead rank's node may notice its lost TCP
+#: link before the parent's exit-code watcher names the crash.
+CRASH_KINDS = {
+    "thread": {"injected-crash"},
+    "process": {"injected-crash"},
+    "socket": {"injected-crash", "peer-death"},
+}
+
+
+def assert_one_cause(out, culprit, kinds, hostmap=None):
+    """A chaos-mode result list holds the job's one recorded failure.
+
+    Every rank but ``culprit`` raised a ``CommAborted`` carrying the same
+    cause: a ``kind`` among ``kinds``, ``failed_rank == culprit`` and the
+    culprit's host in the job's host map (``hostmap``, else
+    ``REPRO_HOSTMAP``; ``None`` without one).  And the elastic classifier
+    distills the list to exactly the culprit.
+    """
+    hm = resolve_hostmap(hostmap, os.environ.get(HOSTMAP_ENV))
+    host = hm.host_of(culprit) if hm is not None else None
+    survivors = [e for r, e in enumerate(out) if r != culprit]
+    assert all(isinstance(e, CommAborted) for e in survivors), out
+    causes = {(e.kind, e.failed_rank, e.host) for e in survivors}
+    assert len(causes) == 1, causes
+    [(kind, failed_rank, got_host)] = causes
+    assert kind in kinds and (failed_rank, got_host) == (culprit, host), causes
+    assert [(f.rank, f.host) for f in classify_failures(out, hm)] == [(culprit, host)]
 
 
 def reduce_for_process(backend: str, heavy: bool, reason: str) -> None:

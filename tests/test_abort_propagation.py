@@ -15,7 +15,7 @@ import pytest
 
 from repro.comm import CommAborted, InjectedCrash, run_spmd
 from repro.comm import algorithms as alg
-from tests.conftest import reduce_for_process
+from tests.conftest import CRASH_KINDS, assert_one_cause, reduce_for_process
 
 NRANKS = 4
 CRASH_RANK = 2
@@ -34,9 +34,9 @@ def _phase_points(algorithm: str) -> list[tuple[str, int]]:
 
 
 def _assert_survivors_name_crashed_rank(out, backend):
-    """Every non-crashed rank got CommAborted naming CRASH_RANK; the
-    crashed rank died by InjectedCrash (thread) or is reported dead
-    (process)."""
+    """Every non-crashed rank got CommAborted naming CRASH_RANK, in its
+    text and as the job's one cause; the crashed rank died by
+    InjectedCrash (thread) or is reported dead (process)."""
     for r, res in enumerate(out):
         if r == CRASH_RANK:
             if backend == "thread":
@@ -46,6 +46,7 @@ def _assert_survivors_name_crashed_rank(out, backend):
             continue
         assert isinstance(res, CommAborted), f"rank {r}: {res!r}"
         assert f"rank {CRASH_RANK}" in str(res), f"rank {r}: {res}"
+    assert_one_cause(out, CRASH_RANK, CRASH_KINDS[backend])
 
 
 PHASES = [

@@ -5,7 +5,7 @@ hierarchical (two-tier) one, on both forked backends, and pins the cleanup
 contract:
 
 * every survivor raises ``CommAborted`` naming the failed rank (no hangs,
-  no wrong answers),
+  no wrong answers) and carrying the job's one cause with its host,
 * the job leaks nothing — no ``/dev/shm`` arena segments, no listening
   TCP sockets, no stray file descriptors in the supervising process.
 """
@@ -18,6 +18,7 @@ import pytest
 
 from repro.comm import CommAborted, run_spmd
 from repro.comm.proc_backend import SHM_PREFIX
+from tests.conftest import CRASH_KINDS, assert_one_cause
 
 NRANKS = 4
 CRASH_RANK = 2
@@ -69,11 +70,12 @@ def _prog_hierarchical(comm):
 PROGS = {"ring": _prog_ring, "hierarchical": _prog_hierarchical}
 
 
-def _assert_survivors_name_crashed_rank(out):
+def _assert_survivors_name_crashed_rank(out, backend):
     for r, res in enumerate(out):
         assert isinstance(res, CommAborted), f"rank {r}: {res!r}"
         if r != CRASH_RANK:
             assert f"rank {CRASH_RANK}" in str(res), f"rank {r}: {res}"
+    assert_one_cause(out, CRASH_RANK, CRASH_KINDS[backend], hostmap=HOSTMAP)
 
 
 class TestAbortMidSchedule:
@@ -95,7 +97,7 @@ class TestAbortMidSchedule:
             timeout=20.0,
             detect_interval=0.2,
         )
-        _assert_survivors_name_crashed_rank(out)
+        _assert_survivors_name_crashed_rank(out, backend)
         gc.collect()
         assert _shm_segments() == before_shm, "leaked /dev/shm arena segment"
         leaked = _socket_fds() - before_socks

@@ -568,7 +568,7 @@ class TestWireAccounting:
             comm.allreduce(np.ones(n_elems), algorithm=alg)
             return (
                 comm.stats.total_wire_sent("allreduce"),
-                comm.stats.total_wire_recv("allreduce"),
+                comm.stats.collective_wire_recv.get("allreduce", 0),
                 comm.stats.collective_bytes["allreduce"],
             )
 
@@ -589,7 +589,7 @@ class TestWireAccounting:
             comm.iallreduce(x, algorithm="direct").wait()
             s = comm.stats
             return [
-                (s.total_wire_sent(op), s.total_wire_recv(op))
+                (s.total_wire_sent(op), s.collective_wire_recv.get(op, 0))
                 for op in ("allreduce", "iallreduce")
             ]
 
@@ -610,8 +610,8 @@ class TestWireAccounting:
             s = comm.stats
             return [
                 (
-                    s.total_wire_sent(op), s.total_wire_recv(op),
-                    s.total_wire_sent_inter(op), s.total_wire_recv_inter(op),
+                    s.total_wire_sent(op), s.collective_wire_recv.get(op, 0),
+                    s.collective_wire_sent_inter.get(op, 0), s.collective_wire_recv_inter.get(op, 0),
                 )
                 for op in ("allreduce", "iallreduce")
             ]
@@ -648,7 +648,7 @@ class TestWireAccounting:
             return (
                 s.collective_bytes["bcast"],
                 s.total_wire_sent("bcast"),
-                s.total_wire_recv("bcast"),
+                s.collective_wire_recv.get("bcast", 0),
                 set(s.collectives) | set(s.collective_wire_sent)
                 | set(s.collective_wire_recv),
             )

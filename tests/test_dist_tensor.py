@@ -93,7 +93,6 @@ class TestDistribution:
         d = Distribution.make((4,), replicated_axes=[0])
         for c in range(4):
             assert d.dim_bounds((10,), 0, c) == (0, 10)
-        assert d.replication_factor() == 4
 
     def test_extent_one_axis_normalized_to_block(self):
         d = Distribution((1, 4), (DimKind.REPLICATED, DimKind.BLOCK))
@@ -101,8 +100,8 @@ class TestDistribution:
         assert not d.is_split(0) and d.is_split(1)
 
     def test_fully_replicated(self):
-        d = Distribution.fully_replicated(2, (2, 2))
-        assert d.replication_factor() == 4
+        d = Distribution.make((2, 2), replicated_axes=[0, 1])
+        assert not d.is_split(0) and not d.is_split(1)
         assert d.local_shape((6, 8), (1, 1)) == (6, 8)
 
     def test_rank_mismatch(self):

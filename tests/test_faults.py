@@ -8,6 +8,7 @@ no hang, no leaked ``/dev/shm`` segments.
 """
 
 import os
+import traceback
 from time import monotonic
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from repro.comm import CommAborted, FaultPlan, FaultSpec, InjectedCrash, run_spmd
 from repro.comm.faults import INJECTED_CRASH_EXIT
 from repro.comm.proc_backend import SHM_PREFIX
-from repro.core import classify_failures
+from tests.conftest import CRASH_KINDS, assert_one_cause
 
 SHM_DIR = "/dev/shm"
 
@@ -132,10 +133,12 @@ class TestFaultKinds:
                 return comm.recv(source=0, tag="wanted")
             return None
 
-        with pytest.raises(CommAborted, match=r"timed out.*pending inbox"):
+        with pytest.raises(CommAborted, match=r"timed out.*pending inbox") as info:
             run_spmd(
                 2, prog, faults="drop@rank0:tag=wanted", timeout=1.5
             )
+        # No culprit: the rank that waited is blamed.
+        assert (info.value.kind, info.value.failed_rank) == ("timeout", 1)
 
     def test_corrupt_is_deterministic_across_runs(self):
         def prog(comm):
@@ -161,6 +164,7 @@ class TestFaultKinds:
         survivors = [out[r] for r in (0, 2, 3)]
         assert all(isinstance(e, CommAborted) for e in survivors)
         assert all("rank 1" in str(e) for e in survivors)
+        assert_one_cause(out, 1, {"injected-crash"})
 
     def test_after_counts_matching_ops(self):
         """after=N skips the first N matches: sends 0 and 1 pass, send 2
@@ -255,28 +259,30 @@ class TestProcessBackendCrash:
             assert elapsed < 2.0 * detect, (
                 f"survivor {r} took {elapsed:.2f}s > 2x detection interval"
             )
-        if backend == "process":
-            # A same-node peer's EOF is no verdict of its own: the parent's
-            # exit-code watcher names the crash, and every survivor echoes
-            # it — none turns the lost link into a "peer-death".
-            errors = [o if r == 1 else o[1] for r, o in enumerate(out)]
-            assert [(f.rank, f.kind) for f in classify_failures(errors)] == [
-                (1, "injected-crash")
-            ]
+        # On ``process`` a same-node peer's EOF is no verdict of its own:
+        # the parent's exit-code watcher names the crash, and every
+        # survivor carries it — none turns the lost link into a
+        # "peer-death".
+        errors = [o if r == 1 else o[1] for r, o in enumerate(out)]
+        assert_one_cause(errors, 1, CRASH_KINDS[backend])
         assert _shm_segments() == before
 
     def test_exit_code_is_the_injected_sentinel(self):
         assert INJECTED_CRASH_EXIT == 117  # documented in README
 
     def test_crash_during_scheduled_allreduce_names_rank(self):
+        """A rank that exits with no fault plan behind it — the way a
+        segfault or an OOM kill ends one — is a ``child-exit``."""
+
         def prog(comm):
+            if comm.rank == 2:
+                os._exit(3)
             return comm.allreduce(np.ones(64), algorithm="ring")
 
         out = run_spmd(
             4,
             prog,
             backend="process",
-            faults="crash@rank2:tag=#alg",
             allow_failures=True,
             detect_interval=0.2,
             timeout=30.0,
@@ -284,6 +290,8 @@ class TestProcessBackendCrash:
         for r in (0, 1, 3):
             assert isinstance(out[r], CommAborted)
             assert "rank 2" in str(out[r])
+        assert "exit code 3" in str(out[2])
+        assert_one_cause(out, 2, {"child-exit"})
 
 
 #: The forked transports whose scheduled receives are consumed straight
@@ -348,7 +356,18 @@ class TestFaultsOnTheSinkPath:
         )
         assert isinstance(out[0], CommAborted) and "rank 1" in str(out[0])
         assert isinstance(out[1], CommAborted) and "injected" in str(out[1])
+        assert_one_cause(out, 1, {"injected-crash"}, hostmap=hostmap)
         assert _shm_segments() == before
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.callback = lambda: None
+
+
+def _raise_unpicklable():
+    raise _Unpicklable()
 
 
 class TestAllowFailures:
@@ -364,6 +383,30 @@ class TestAllowFailures:
 
         out = run_spmd(3, prog, allow_failures=True, timeout=5.0)
         assert isinstance(out[1], ValueError)
+        assert_one_cause(out, 1, {"exception"})
+
+    def test_an_unpicklable_rank_error_is_that_rank_s_error(self, backend):
+        """A forked rank's exception that cannot cross the pipe is still
+        its own error — type, text and traceback — never mistaken for a
+        survivor's abort echo."""
+
+        def prog(comm):
+            if comm.rank == 2:
+                _raise_unpicklable()
+            comm.barrier()
+
+        kwargs = dict(backend=backend, timeout=20.0, detect_interval=0.2)
+        with pytest.raises(Exception) as info:
+            run_spmd(3, prog, **kwargs)
+        err = info.value
+        assert not isinstance(err, CommAborted)
+        text = "".join(traceback.format_exception(type(err), err, err.__traceback__))
+        assert "holds a lambda" in text and "_raise_unpicklable" in text
+        if backend != "thread":
+            assert "world rank 2 failed: _Unpicklable" in str(err)
+        out = run_spmd(3, prog, allow_failures=True, **kwargs)
+        assert not isinstance(out[2], CommAborted)
+        assert_one_cause(out, 2, {"exception"})
 
     def test_single_rank_allow_failures(self):
         def prog(comm):
@@ -403,21 +446,3 @@ class TestPerOpTimeouts:
         assert cfg.timeout_for("iallreduce") == 5.0
         assert cfg.timeout_for("ialltoall") == 50.0
         assert cfg.timeout_for("recv") == 100.0
-
-    def test_retries_extend_the_wait(self, caplog):
-        """retries grants extra timeout windows (logged) before aborting."""
-        import logging
-
-        def prog(comm):
-            if comm.rank == 0:
-                from time import sleep
-
-                sleep(1.2)  # longer than one window, shorter than two
-                comm.send(np.ones(2), dest=1, tag=5)
-                return True
-            return float(comm.recv(source=0, tag=5)[0])
-
-        with caplog.at_level(logging.WARNING, logger="repro.comm.backend"):
-            out = run_spmd(2, prog, timeout=0.8, retries=2)
-        assert out[1] == 1.0
-        assert any("retry 1/2" in r.message for r in caplog.records)

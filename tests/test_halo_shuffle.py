@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.comm import run_spmd
 from repro.tensor import DistTensor, Distribution, ProcessGrid, shuffle
-from repro.tensor.shuffle import shuffle_cost_bytes
+from repro.tensor import plan_shuffle
 
 
 class TestShuffle:
@@ -60,7 +60,7 @@ class TestShuffle:
         def prog(comm):
             g1 = ProcessGrid(comm, (2, 2))
             src = DistTensor.from_global(g1, Distribution.make((2, 2)), x)
-            dst = shuffle(src, g1, Distribution.fully_replicated(2, (2, 2)))
+            dst = shuffle(src, g1, Distribution.make((2, 2), replicated_axes=[0, 1]))
             return dst.local.copy()
 
         for got in run_spmd(4, prog):
@@ -72,7 +72,8 @@ class TestShuffle:
 
         def prog(comm):
             g = ProcessGrid(comm, (2, 2))
-            src = DistTensor.from_global(g, Distribution.fully_replicated(2, (2, 2)), x)
+            replicated = Distribution.make((2, 2), replicated_axes=[0, 1])
+            src = DistTensor.from_global(g, replicated, x)
             dst = shuffle(src, g, Distribution.make((2, 2)))
             return dst.to_global()
 
@@ -86,7 +87,7 @@ class TestShuffle:
         def prog(comm):
             g = ProcessGrid(comm, (2, 2))
             src = DistTensor.from_global(g, dist, x)
-            return shuffle_cost_bytes(src, g, dist)
+            return plan_shuffle(src, g, dist).sent_cells
 
         assert run_spmd(4, prog) == [0, 0, 0, 0]
 

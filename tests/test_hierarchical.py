@@ -31,7 +31,6 @@ from repro.comm.collective_models import (
     allreduce_time,
     allreduce_wire_bytes,
     hierarchical_allreduce_time,
-    hierarchical_inter_wire_bytes,
     select_allreduce_algorithm,
     select_inter_algorithm,
 )
@@ -109,17 +108,6 @@ class TestTwoTierModel:
         assert hierarchical_allreduce_time(n, topo) == pytest.approx(
             rs + mid + ag
         )
-
-    def test_inter_wire_bytes_formula(self):
-        topo = TwoTierTopology(2, 2)
-        n = float(1 << 20)
-        # Ring over m=2 on the n/k segment: 2*(n/k)*(m-1)/m = n/2.
-        assert hierarchical_inter_wire_bytes(
-            n, topo, AllreduceAlgorithm.RING
-        ) == pytest.approx(n / 2)
-        assert hierarchical_inter_wire_bytes(
-            n, TwoTierTopology(1, 4)
-        ) == 0.0
 
     def test_machine_spec_exposes_the_same_model(self):
         topo = LASSEN.two_tier(nnodes=8)
@@ -230,7 +218,7 @@ def _measured_inter(backend, algorithm, n_elems):
         comm.stats.reset()
         comm.allreduce(x, algorithm=algorithm)
         return (
-            comm.stats.total_wire_sent_inter("allreduce"),
+            comm.stats.collective_wire_sent_inter.get("allreduce", 0),
             comm.stats.total_wire_sent("allreduce"),
         )
 
@@ -244,9 +232,9 @@ class TestModeledEqualsMeasured:
 
     def test_hierarchical_inter_bytes_match_the_model_exactly(self):
         nbytes = self.N * 4
-        topo = TwoTierTopology(2, 2)
+        # Every rank leads the m-node exchange of its own n/k segment.
         inter_alg = select_inter_algorithm(2, nbytes / 2)
-        model = hierarchical_inter_wire_bytes(nbytes, topo, inter_alg)
+        model = allreduce_wire_bytes(2, nbytes / 2, inter_alg)
         for inter_sent, total_sent in _measured_inter(
             "thread", "hierarchical", self.N
         ):
@@ -273,16 +261,15 @@ class TestModeledEqualsMeasured:
             comm.stats.reset()
             comm.allreduce(x, algorithm="hierarchical")
             tcp = comm._world.transport["tcp_payload_bytes"] - before
-            return tcp, comm.stats.total_wire_sent_inter("allreduce")
+            return tcp, comm.stats.collective_wire_sent_inter.get("allreduce", 0)
 
         for tcp, inter in run_spmd(
             4, prog, backend="socket", hostmap=HOSTMAP_2X2, timeout=60
         ):
             assert tcp == inter
             assert tcp == int(
-                hierarchical_inter_wire_bytes(
-                    self.N * 4, TwoTierTopology(2, 2),
-                    select_inter_algorithm(2, self.N * 2),
+                allreduce_wire_bytes(
+                    2, self.N * 2, select_inter_algorithm(2, self.N * 2)
                 )
             )
 
@@ -347,13 +334,12 @@ class TestCommunicatorHierarchy:
             x = np.ones(4096, dtype=np.float32)
             comm.stats.reset()
             comm.allreduce(x)
-            return comm.stats.total_wire_sent_inter("allreduce")
+            return comm.stats.collective_wire_sent_inter.get("allreduce", 0)
 
         nbytes = 4096 * 4
         expect = int(
-            hierarchical_inter_wire_bytes(
-                nbytes, TwoTierTopology(2, 2),
-                select_inter_algorithm(2, nbytes / 2),
+            allreduce_wire_bytes(
+                2, nbytes / 2, select_inter_algorithm(2, nbytes / 2)
             )
         )
         assert run_spmd(4, prog, hostmap=HOSTMAP_2X2) == [expect] * 4
@@ -363,13 +349,13 @@ class TestCommunicatorHierarchy:
             x = np.ones(1 << 18, dtype=np.float32)  # 1 MiB
             comm.stats.reset()
             comm.allreduce(x)  # auto
-            return comm.stats.total_wire_sent_inter("allreduce") > 0
+            return comm.stats.collective_wire_sent_inter.get("allreduce", 0) > 0
 
         def prog_small(comm):
             x = np.ones(8, dtype=np.float32)  # 32 B: flat rec-doubling
             comm.stats.reset()
             comm.allreduce(x)
-            return comm.stats.total_wire_sent_inter("allreduce")
+            return comm.stats.collective_wire_sent_inter.get("allreduce", 0)
 
         assert all(run_spmd(4, prog, hostmap=HOSTMAP_2X2))
         # Small payloads stay flat — but still cross the node boundary.

@@ -51,7 +51,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from conftest import SPMD_BACKENDS
+from conftest import SPMD_BACKENDS, assert_one_cause
 from repro.comm import CommAborted, CommIntegrityError, HostMap, JobConfig, run_spmd
 from repro.comm.backend import Mailbox, World
 from repro.comm.payload import encode_frame
@@ -72,7 +72,7 @@ class _ThreadBox:
     """A thread-wake mailbox (what ``World`` gives every rank)."""
 
     def __init__(self):
-        self.box = Mailbox(World(size=NSOURCES))
+        self.box = Mailbox(World(size=NSOURCES), 0)
 
     def close(self):
         pass
@@ -84,7 +84,7 @@ class _ForkedBox:
 
     def __init__(self, world=None):
         world = world if world is not None else World(size=NSOURCES)
-        self.box = _Inbox(world, arena=None)
+        self.box = _Inbox(world, 0, arena=None)
 
     def close(self):
         pass
@@ -501,6 +501,8 @@ class TestAttributionParity:
         timed_out, survivor = out
         assert isinstance(timed_out, CommAborted) and timed_out.kind == "timeout"
         assert isinstance(survivor, CommAborted)
+        # No culprit: rank 0, which waited, is blamed on both ranks.
+        assert_one_cause(out, 0, {"timeout"})
         text = str(survivor)
         assert "recv(world rank 1 <- 0" in text and "world aborted" in text
         # ... and rank 0's diagnostic: op, seq, peer, what sat in its inbox.

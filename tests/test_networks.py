@@ -5,8 +5,16 @@ import pytest
 
 from repro.nn import LocalNetwork, NetworkSpec, SGD
 from repro.nn.optim import _BLOCK
-from repro.nn.meshnet import build_mesh_model, mesh_model_1k, mesh_model_2k, mesh_model_tiny
+from repro.nn.meshnet import build_mesh_model, mesh_model_1k, mesh_model_2k
 from repro.nn.resnet import build_resnet50, build_resnet_tiny
+
+
+def mesh_model_tiny(resolution=64):
+    """The mesh model's structure, scaled down: two blocks of two convs."""
+    return build_mesh_model(
+        resolution=resolution, convs_per_block=2, block_channels=(8, 12),
+        input_channels=4, name="mesh-tiny",
+    )
 
 
 class TestNetworkSpec:

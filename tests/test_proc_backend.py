@@ -386,6 +386,12 @@ class TestBitwiseParity:
                     )
 
 
+#: Per-op deadline of the timeout tests below.  Each waits for a message
+#: no rank ever sends, so the wait can only end by timing out; the deadline
+#: need only be short.
+TIMEOUT_S = 0.2
+
+
 class TestFailureHandling:
     def test_rank_error_propagates_with_type_and_message(self):
         def prog(comm):
@@ -411,7 +417,7 @@ class TestFailureHandling:
             CommAborted,
             match=r"iallreduce\[seq=0\]\(world rank 1 <- 0.*timed out",
         ):
-            run_spmd(2, prog_direct, timeout=2.0, backend="process")
+            run_spmd(2, prog_direct, timeout=TIMEOUT_S, backend="process")
 
         def prog_sched(comm):
             if comm.rank == 0:
@@ -422,7 +428,7 @@ class TestFailureHandling:
             CommAborted,
             match=r"iallreduce\[seq=0, schedule step \d+\].*world rank 1 <- 0.*timed out",
         ):
-            run_spmd(2, prog_sched, timeout=2.0, backend="process")
+            run_spmd(2, prog_sched, timeout=TIMEOUT_S, backend="process")
 
     def test_direct_bcast_timeout_names_rank_op_and_seq(self):
         """``bcast``'s one-hop star keeps the same diagnostic: op,
@@ -436,7 +442,7 @@ class TestFailureHandling:
         with pytest.raises(
             CommAborted, match=r"bcast\[seq=0\]\(world rank 1 <- 0.*timed out"
         ):
-            run_spmd(2, prog, timeout=2.0, backend="process")
+            run_spmd(2, prog, timeout=TIMEOUT_S, backend="process")
 
     def test_recv_timeout_names_ranks_and_tag(self):
         def prog(comm):
@@ -447,7 +453,7 @@ class TestFailureHandling:
         with pytest.raises(
             CommAborted, match=r"recv\(world rank 1 <- 0.*timed out"
         ):
-            run_spmd(2, prog, timeout=2.0, backend="process")
+            run_spmd(2, prog, timeout=TIMEOUT_S, backend="process")
 
     def test_timeout_aborts_whole_job(self):
         """One rank's timeout must break peers out of unrelated waits."""
@@ -458,7 +464,7 @@ class TestFailureHandling:
             return comm.recv(source=0, tag=2)  # also never sent
 
         with pytest.raises(CommAborted, match="timed out|world aborted"):
-            run_spmd(2, prog, timeout=2.0, backend="process")
+            run_spmd(2, prog, timeout=TIMEOUT_S, backend="process")
 
 
 class TestTeardown:

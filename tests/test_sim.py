@@ -303,7 +303,7 @@ class TestTrainingSimulator:
         res = TrainingStepSimulator(spec, LASSEN).simulate(
             4, ParallelStrategy.uniform(LP(sample=4, width=2))
         )
-        assert res.comm_exposed >= 0.0
+        assert res.minibatch_time >= res.compute_busy
         assert res.comm_busy > 0.0
 
     def test_sample_parallel_comm_is_allreduce_only(self):

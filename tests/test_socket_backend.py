@@ -60,14 +60,14 @@ class TestHostMap:
         hm = HostMap.parse("0-2:n0 3,5:n1 4:n0")
         assert hm.size == 6
         assert hm.node_of(4) == 0
-        assert hm.groups_for(6) == ((0, 1, 2, 4), (3, 5))
+        assert [hm.node_of(r) for r in range(6)] == [0, 0, 0, 1, 0, 1]
 
     def test_modulo_folding_reuses_one_map_for_any_job_size(self):
         hm = HostMap.parse(HOSTMAP_2X2)
         # 2 ranks: both fold onto node A -> effectively single-node.
         assert hm.is_single_node(2)
         # 8 ranks: 0,1,4,5 -> A and 2,3,6,7 -> B.
-        assert hm.groups_for(8) == ((0, 1, 4, 5), (2, 3, 6, 7))
+        assert [hm.node_of(r) for r in range(8)] == [0, 0, 1, 1, 0, 0, 1, 1]
 
     def test_every_rank_exactly_once(self):
         with pytest.raises(ValueError):

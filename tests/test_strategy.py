@@ -76,7 +76,7 @@ class TestParallelism:
     def test_strategy_uniform_and_override(self):
         s = ParallelStrategy.uniform(LP(sample=4))
         assert s.for_layer("anything") == LP(sample=4)
-        s2 = s.with_layer("conv1", LP(height=2, width=2))
+        s2 = ParallelStrategy({"conv1": LP(height=2, width=2)}, default=LP(sample=4))
         assert s2.for_layer("conv1") == LP(height=2, width=2)
         assert s2.for_layer("other") == LP(sample=4)
 
