@@ -34,8 +34,7 @@ LBANN implementation with a functionally equivalent runtime:
   over ``p`` chunks of the buffer.
 * :mod:`repro.comm.payload` — what a payload is: the one walk over
   tuple/list/dict every copy, byte count and array lift goes through, and
-  the immutability rule built on it (``freeze`` / ``private`` /
-  :func:`set_zero_copy`).
+  the copy rule built on it (``freeze`` / ``private``).
 * :mod:`repro.comm.stats` — per-rank communication statistics (bytes,
   message and collective counts) used by tests and benchmarks to verify the
   communication-volume formulas of the paper's Section V.
@@ -46,9 +45,10 @@ The communicator is *buffered and eager*: ``send`` never blocks, so the
 halo-exchange and shuffle patterns used by the distributed tensor library
 cannot deadlock regardless of ordering.  The nonblocking operations
 (``irecv``/``iallreduce``) return :class:`Request` handles with
-``wait()``/``test()``; on the thread backend contiguous array
-payloads cross the boundary zero-copy as read-only views (see
-:func:`set_zero_copy`).
+``wait()``/``test()``.  Every sent array is copied once, by the backend's
+``deliver``, before the send returns: a buffer is the caller's again as
+soon as a send or blocking collective returns, and a nonblocking
+operation's once ``wait()`` does.
 """
 
 from repro.comm.backend import (
@@ -74,7 +74,6 @@ from repro.comm import proc_backend as _proc_backend  # registers "process", "so
 from repro.comm.buffers import BufferPool
 from repro.comm.hostmap import HOSTMAP_ENV, HostMap, resolve_hostmap
 from repro.comm.communicator import COLLECTIVE_ALG_ENV, Communicator, Request
-from repro.comm.payload import set_zero_copy
 from repro.comm.stats import CommStats
 from repro.comm.collective_models import (
     AllreduceAlgorithm,
@@ -127,5 +126,4 @@ __all__ = [
     "pt2pt_time",
     "run_spmd",
     "select_allreduce_algorithm",
-    "set_zero_copy",
 ]

@@ -11,8 +11,9 @@ every peer, everyone folds locally) costs ``n(p-1)`` per rank.  This module
 *compiles* ``(p, algorithm)`` into a per-rank schedule of
 send / recv / recv-reduce steps over chunk ranges of a flat buffer, and a
 :class:`ScheduleRunner` executes the schedule over the backends'
-``(source, tag)``-matched point-to-point primitives, staging each outgoing
-segment through a :class:`~repro.comm.buffers.BufferPool`.
+``(source, tag)``-matched point-to-point primitives, handing each outgoing
+segment to the transport as a view of its working buffer (``deliver``
+copies it before the runner reduces into that buffer again).
 
 Compiled schedules (``compile_allreduce``):
 
@@ -56,7 +57,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.comm.payload import freeze, payload_nbytes
+from repro.comm.payload import payload_nbytes
 from repro.comm.stats import WireTally
 from repro.obs import tracer as _trace
 
@@ -384,24 +385,6 @@ def compile_hierarchical_allreduce(
 # ---------------------------------------------------------------------------
 
 
-def _stage_segment(comm, seg: np.ndarray) -> np.ndarray:
-    """Copy ``seg`` into a pooled staging buffer; return the frozen view.
-
-    The working buffer keeps being reduced into after a send, so segments
-    must never cross the boundary as views of it (a lagging receiver would
-    observe the mutation under the thread backend's zero-copy transport).
-    The pool reclaims the staging buffer once the receivers drop the view
-    (:meth:`~repro.comm.buffers.BufferPool.give_deferred`).
-    """
-    pool = comm._alg_pool
-    buf = pool.take(seg.shape, seg.dtype)
-    np.copyto(buf, seg)
-    view = buf.view()
-    view.flags.writeable = False
-    pool.give_deferred(buf, view)
-    return view
-
-
 class ScheduleRunner(WireTally):
     """Drives one compiled reduction schedule over a communicator.
 
@@ -465,11 +448,6 @@ class ScheduleRunner(WireTally):
         # ``acc_first``, so results stay bitwise identical to the
         # ``fn``-based path.
         self._ufunc = ufunc
-        # Backends whose ``deliver`` copies the payload out synchronously
-        # (process/socket: into the shm arena or a pickle frame) don't need
-        # the staging copy that protects zero-copy transports from seeing
-        # the working buffer mutate after a send.
-        self._stage = not getattr(comm._world, "copies_on_send", False)
         self._tag = comm._tag_key(("#alg", seq))
         self._seq = seq
         self._pos = 0
@@ -489,8 +467,6 @@ class ScheduleRunner(WireTally):
         comm = self._comm
         dest = comm._members[step.peer]
         view = (self._out if step.done else self._buf)[a:b]
-        if self._stage or dest == comm.world_rank:
-            view = _stage_segment(comm, view)
         comm._world.deliver(comm.world_rank, dest, self._tag, view)
         _trace.flow_out(dest, self._tag)
         self.count_sent(step.peer, view.nbytes)
@@ -595,12 +571,11 @@ class Endpoint(WireTally):
 
     def send(self, peer: int, payload: Any) -> None:
         comm = self._comm
-        frozen = freeze(payload)
         comm._world.deliver(
-            comm.world_rank, comm._members[peer], self._tag, frozen
+            comm.world_rank, comm._members[peer], self._tag, payload
         )
         _trace.flow_out(comm._members[peer], self._tag)
-        self.count_sent(peer, payload_nbytes(frozen))
+        self.count_sent(peer, payload_nbytes(payload))
 
     def _received(self, peer: int, payload: Any) -> Any:
         _trace.flow_in(self._comm._members[peer], self._tag)

@@ -36,14 +36,12 @@ issued by sending and completed by receiving: a rank only blocks when it
 for slow peers to read, which is what lets the per-layer dL/dw allreduces
 overlap with the remainder of backpropagation (paper §IV).
 
-Payloads cross the thread-backend boundary zero-copy where possible:
-C-contiguous ndarrays are shared as read-only views instead of being
-deep-copied (see :func:`repro.comm.payload.freeze`), so the
-sender must treat a buffer as transferred once it has been handed to
-``send`` or a collective.  The forked world copies through a
-shared-memory arena (or a TCP frame) instead (see
-:mod:`repro.comm.proc_backend`), under the same no-mutate-after-send
-contract.
+``deliver`` is the one place a sent array is copied, on every backend, and
+the copy is made before it returns: the thread world hands the receiver a
+read-only private copy (:func:`repro.comm.payload.freeze`), the forked
+world copies into a shared-memory arena or a frame (see
+:mod:`repro.comm.proc_backend`).  A sender may therefore reuse its buffer
+as soon as a send returns.
 
 Error handling follows MPI's "abort the job" philosophy: if any rank
 raises, the world is aborted, every blocked receive is woken, and the
@@ -87,6 +85,7 @@ from repro.comm.faults import (
     JobConfig,
 )
 from repro.comm.hostmap import HOSTMAP_ENV, HostMap, resolve_hostmap
+from repro.comm.payload import freeze
 from repro.comm.stats import CommStats
 
 
@@ -264,7 +263,10 @@ class BaseWorld(abc.ABC):
         return 0 if hm is None else hm.node_of(world_rank)
 
     @abc.abstractmethod
-    def deliver(self, source: int, dest: int, tag: Any, payload: Any) -> None: ...
+    def deliver(self, source: int, dest: int, tag: Any, payload: Any) -> None:
+        """Eagerly send ``payload`` to ``dest`` (never blocks).  Every array
+        in it is copied before this returns, so the caller may overwrite
+        its buffers at once; the receiver gets read-only arrays."""
 
     @abc.abstractmethod
     def collect(
@@ -627,7 +629,7 @@ class World(BaseWorld):
             )
             if action == "drop":
                 return
-        self._mailboxes[dest].put(source, tag, payload)
+        self._mailboxes[dest].put(source, tag, freeze(payload))
 
     def collect(
         self, dest: int, source: int, tag: Any, opname: str = "recv", sink=None
@@ -652,8 +654,8 @@ class World(BaseWorld):
 
     def _received(self, dest: int, source: int, tag: Any, payload: Any, sink) -> Any:
         """Apply recv-point faults on a *successful* retrieval, then hand
-        the payload to the ``sink`` (payloads here are private arrays or
-        frozen views the sender keeps alive: nothing to release).
+        the payload to the ``sink`` (payloads here are the private copies
+        ``deliver`` made: nothing to release).
 
         Counting only retrievals (never empty polls) keeps ``after``
         deterministic even though ``try_collect`` may poll a

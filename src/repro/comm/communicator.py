@@ -9,63 +9,41 @@ the :class:`~repro.comm.backend.BaseWorld` pt2pt mailbox
 same arithmetic on the same comm-rank order whether ranks are threads or
 processes.
 
-Array payloads cross the communication boundary **zero-copy** where
-possible on the thread backend: a C-contiguous ndarray is shared as a
-read-only view instead of being deep-copied (non-contiguous arrays are
-still copied; see :func:`~repro.comm.payload.set_zero_copy` to disable
-the fast path when chasing a suspected aliasing bug).  The process backend
-copies through a shared-memory arena instead.  The contract is MPI's
-either way: a buffer handed to ``send`` or contributed to a collective
-must not be mutated afterwards.  Received arrays are read-only; treat them
-as immutable (``bcast`` results are exempt — they are private writable
-copies, since they commonly carry small control state the receiver
-updates in place).
-
-**Copy discipline** — one rule: *a byte is copied only where two owners
-would otherwise write and read the same memory, by whoever hands it over,
-and freed by whoever consumes it.*  Where that puts every copy:
+**Copy discipline** — one rule: *``deliver`` copies; the caller may reuse
+a buffer once a send or blocking collective returns.*  Every sent array is
+copied exactly once, by the transport (``BaseWorld.deliver``), before the
+send returns: the thread world into a read-only private array
+(:func:`~repro.comm.payload.freeze`), the forked world into the
+shared-memory arena or a frame.  Received arrays are read-only; a
+``bcast`` result is a private writable copy.  A nonblocking operation's
+buffers stay the operation's until ``wait()`` returns.  The exceptions to
+"one copy, by ``deliver``":
 
 ====================  ==========================  ===========================
 mechanism             who copies, when            who frees / how long it lives
 ====================  ==========================  ===========================
-``payload.freeze``    nobody for a C-contiguous   the view lives as long as
-(``send`` and         array (a read-only view     receivers hold it; the
-nonblocking           crosses); the sender, once, sender never mutates the
-contributions)        for a non-contiguous one    buffer again
-``_detached``         the caller's rank, once     garbage-collected with the
-(blocking ``direct``  per call, only on a         last receiver's reference
-collectives)          zero-copy transport: the
-                      buffer is the caller's to
-                      reuse on return
-``_stage_segment``    the sending runner, per     the communicator's
-(schedule sends on a  send, into a pooled         ``BufferPool``, once every
-zero-copy transport,  buffer: the working buffer  receiver dropped its view
-and self-sends)       is reduced into afterwards
-arena send            ``deliver``, synchronously  the receiver, when the
-(process / socket     (``copies_on_send``), so    message is *matched*: after
-intra-node, arrays    schedule sends skip the     the sink returns, or after
-of 2 KiB and up)      staging copy                copying out; at drain time
-                                                  when the arena is over half
-                                                  full (``proc_backend._Inbox``)
-inline frame          ``deliver``, synchronously  garbage-collected: received
-(process / socket,    (``tobytes`` into the       arrays are read-only views
-smaller arrays; every frame); the receiver does   of the frame's immutable
-array over TCP)       not copy                    bytes and keep it alive
-donated buffer        nobody: the runner reduces  the caller gave it up; the
-(``iallreduce(        in the array it is given    result is that memory
-donate=True)``,       or just built; otherwise
-``owns_buffer``)      one working copy at issue
 sink                  nobody: a scheduled         the transport, right after
 (``collect(sink=)``)  receive is folded or        the sink returns; an unsunk
                       placed into the working     receive gets a private
                       buffer where it landed      read-only array instead
+donated buffer        nobody: the runner reduces  the caller gave it up; the
+(``iallreduce(        in the array it is given    result is that memory
+donate=True)``,       or just built; otherwise
+``owns_buffer``)      one working copy at issue
+own slot              the caller's rank, once     garbage-collected with the
+(blocking             (``freeze``): the result    result
+``allgather`` /       must not alias the buffer
+``alltoall``)         the caller may reuse
 ``payload.private``   the receiver, once          the receiver (``bcast``
                                                   results are writable)
+arena early copy-out  the receiver, at drain      the receiver: the arena
+(process / socket     time, when the arena is     blocks are freed at once
+intra-node)           over half full
+                      (``proc_backend._Inbox``)
 ====================  ==========================  ===========================
 
-``freeze`` and ``private`` (``_detached`` is one after the other) are
-:func:`repro.comm.payload.map_arrays` — the one walk over tuple/list/dict —
-so they reach the same arrays.
+``freeze`` and ``private`` are :func:`repro.comm.payload.map_arrays` — the
+one walk over tuple/list/dict — so they reach the same arrays.
 
 Semantics implemented — what the engine calls, and nothing else:
 
@@ -103,7 +81,6 @@ import numpy as np
 
 from repro.comm import algorithms as _alg
 from repro.comm.backend import BaseWorld
-from repro.comm.buffers import BufferPool
 from repro.comm.collective_models import (
     HIERARCHICAL_ALGORITHM,
     TwoTierTopology,
@@ -326,9 +303,6 @@ class Communicator:
         self._key = key
         self._coll_seq = 0  # collective sequence (matched across ranks)
         self._xchg_seq = 0  # pt2pt exchange-pattern sequence (matched across ranks)
-        #: Staging buffers for the schedules' send segments (recycled once
-        #: receivers drop their zero-copy views).
-        self._alg_pool = BufferPool(max_buffers_per_key=4)
         #: In-flight scheduled nonblocking collectives, in issue order.
         self._inflight: list[_RunnerRequest] = []
         #: Lazy caches for the node-hierarchy view of this communicator
@@ -378,18 +352,17 @@ class Communicator:
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Eagerly send ``payload`` to comm-rank ``dest`` (never blocks).
 
-        Contiguous arrays are handed over zero-copy: the buffer must not be
-        mutated after the call.  Self-sends (``dest == self.rank``) are
-        legal, as in buffered MPI.
+        The transport copies the payload before the call returns, so the
+        caller may reuse its buffers at once.  Self-sends
+        (``dest == self.rank``) are legal, as in buffered MPI.
         """
         self._check_peer(dest, "dest")
-        frozen = freeze(payload)
-        nbytes = payload_nbytes(frozen)
+        nbytes = payload_nbytes(payload)
         self.stats.record_send(nbytes)
         tag_key = self._tag_key(tag)
         with _trace.span("send", cat="pt2pt", dest=dest, bytes=nbytes):
             _trace.flow_out(self._members[dest], tag_key)
-            self._world.deliver(self.world_rank, self._members[dest], tag_key, frozen)
+            self._world.deliver(self.world_rank, self._members[dest], tag_key, payload)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         """Block until a message from comm-rank ``source`` with ``tag`` arrives."""
@@ -648,7 +621,7 @@ class Communicator:
         combine: Callable[[list[Any]], Any] | None = None,
         nbytes: int | None = None,
     ) -> Any:
-        """Blocking ``"direct"`` collective over detached ``payloads``: an
+        """Blocking ``"direct"`` collective over ``payloads``: an
         unlaunched exchange's ``finish()`` is issue + wait (no issue-time
         probes, no wait/overlap row), then the fold."""
         exchange = self._exchange(opname, payloads)
@@ -660,28 +633,6 @@ class Communicator:
 
         return self._collective(opname, "direct", exchange, run, nbytes)
 
-    def _detached(self, payload: Any) -> Any:
-        """Freeze a contribution to a *blocking* ``"direct"`` collective.
-
-        The call returns once the peers' pieces are in — not once the
-        peers have read this rank's — yet a blocking collective's send
-        buffer is the caller's to reuse on return.  On a zero-copy
-        transport the piece therefore must not alias it: one private copy
-        per call, fanned out to every peer.  Transports that copy on send
-        need none.
-        """
-        if self.size > 1 and not getattr(self._world, "copies_on_send", False):
-            payload = private(payload)
-        return freeze(payload)
-
-    def _detached_pieces(self, payloads: Sequence[Any]) -> list[Any]:
-        """Per-destination pieces of a blocking ``"direct"`` collective
-        (this rank's own piece never leaves, so it is only frozen)."""
-        return [
-            freeze(p) if j == self.rank else self._detached(p)
-            for j, p in enumerate(payloads)
-        ]
-
     # -- collectives ------------------------------------------------------------
     def barrier(self) -> None:
         with _trace.span("barrier", cat="coll"):
@@ -691,42 +642,44 @@ class Communicator:
 
     def bcast(self, payload: Any, root: int = 0) -> Any:
         """Broadcast ``root``'s payload to every member: a one-hop star
-        under ``#coll``, the root sending its detached payload to each peer
-        in ascending comm rank.  Pure routing, so every member's result has
+        under ``#coll``, the root sending its payload to each peer in
+        ascending comm rank.  Pure routing, so every member's result has
         the root's bits; each is a private, writable copy."""
         self._check_peer(root, "root")
         self._progress_inflight()
         t = _alg.Endpoint(self, *self._route("bcast", "#coll"))
-        mine = self._detached(payload) if self.rank == root else None
 
         def run() -> Any:
             if self.rank != root:
                 return private(t.recv(root))
             for j in range(self.size):
                 if j != root:
-                    t.send(j, mine)
-            return private(mine)
+                    t.send(j, payload)
+            return private(payload)
 
         return self._collective("bcast", "direct", t, run)
 
     def allgather(self, payload: Any) -> list[Any]:
         """Gather every member's payload at every member (comm-rank order).
 
-        One ``"direct"`` exchange: the frozen payload is fanned out to
-        every peer.  Pure routing — heterogeneous payloads of any type and
-        per-rank size (uneven shards, even empty ones) route unchanged.
+        One ``"direct"`` exchange: the payload is fanned out to every peer.
+        Pure routing — heterogeneous payloads of any type and per-rank size
+        (uneven shards, even empty ones) route unchanged.  Every slot of the
+        result is read-only, this rank's own a copy like the others.
         """
-        return self._direct(
-            "allgather", [self._detached(payload)] * self.size,
-            nbytes=payload_nbytes(payload),
-        )
+        pieces = [payload] * self.size
+        pieces[self.rank] = freeze(payload)
+        return self._direct("allgather", pieces, nbytes=payload_nbytes(payload))
 
     def alltoall(self, payloads: Sequence[Any]) -> list[Any]:
-        """``payloads[j]`` is sent to comm-rank ``j``; returns what each rank sent us."""
+        """``payloads[j]`` is sent to comm-rank ``j``; returns what each rank
+        sent us (read-only, this rank's own slot a copy like the others)."""
         if len(payloads) != self.size:
             raise ValueError(f"alltoall requires exactly {self.size} payloads")
+        pieces = list(payloads)
+        pieces[self.rank] = freeze(pieces[self.rank])
         return self._direct(
-            "alltoall", self._detached_pieces(payloads),
+            "alltoall", pieces,
             nbytes=sum(
                 payload_nbytes(p) for i, p in enumerate(payloads) if i != self.rank
             ),
@@ -787,8 +740,7 @@ class Communicator:
         plan = self._reduction_plan("allreduce", algorithm, value)
         if plan is _DIRECT_PLAN:
             return self._direct(
-                "allreduce", [self._detached(value)] * self.size,
-                self._reduce_combine(_reduce_fn(op)),
+                "allreduce", [value] * self.size, self._reduce_combine(_reduce_fn(op))
             )
         runner = self._reduction_runner("allreduce", plan, value, op)
         return self._collective(
@@ -848,7 +800,7 @@ class Communicator:
             if update is not None:
                 combine = partial(_mapped, combine, update, out)
             return _RunnerRequest(
-                self, self._exchange("iallreduce", [freeze(value)] * self.size),
+                self, self._exchange("iallreduce", [value] * self.size),
                 "iallreduce", combine,
             )
         runner = self._reduction_runner(

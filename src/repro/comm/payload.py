@@ -10,10 +10,11 @@ corruption — goes through :func:`map_arrays`, so no two of them can
 disagree about which containers are walked.  ``dict`` keys are never
 payload; subclasses of the three containers come back as the plain type.
 
-The rule (MPI's): a payload handed to the communicator is immutable from
-then on, a received one is read-only, and a ``bcast``/``scatter`` result is
-a private writable copy.  :func:`freeze` and :func:`private` are its two
-moves; the communicator's copy-discipline table says who makes which, when.
+The rule: a sent payload is copied once, by the transport, before the send
+returns — so the sender may reuse its buffer at once — a received one is
+read-only, and a ``bcast``/``scatter`` result is a private writable copy.
+:func:`freeze` and :func:`private` are its two moves; the communicator's
+copy-discipline table says who makes which, when.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ import pickle
 from typing import Any, Callable
 
 import numpy as np
-
-#: When True (default), C-contiguous arrays are shared across the boundary
-#: as read-only views instead of deep copies.
-_zero_copy = True
-
 
 def _walk(payload: Any, leaf: Callable[[Any], Any]) -> Any:
     """``payload`` rebuilt with every non-container leaf ``x`` replaced by
@@ -213,41 +209,18 @@ def array_nbytes(payload: Any) -> int:
 # ---------------------------------------------------------------------------
 
 
-def set_zero_copy(enabled: bool) -> bool:
-    """Enable/disable the zero-copy send fast path; returns the old setting.
-
-    Turning it off restores the historical copy-on-send semantics, which is
-    useful as a bisection tool when debugging a suspected aliasing bug (a
-    behavioral difference between the two modes indicates a sender mutating
-    a buffer after handing it to the communicator).
-    """
-    global _zero_copy
-    prev = _zero_copy
-    _zero_copy = bool(enabled)
-    return prev
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    flags = arr.flags
-    if _zero_copy and flags.c_contiguous:
-        if not flags.writeable:
-            return arr
-        out = arr.view()
-    else:
-        out = arr.copy()
+    out = arr.copy()
     out.flags.writeable = False
     return out
 
 
 def freeze(payload: Any) -> Any:
-    """Make a payload safe to hand across the communication boundary.
-
-    C-contiguous ndarrays become read-only *views* (zero-copy): the receiver
-    cannot write through them, and the sender promises not to mutate the
-    buffer after the send — the MPI contract.  Other arrays are copied, and
-    the copy is read-only too: what a receiver may do with an array does
-    not depend on the layout it was sent in.
-    """
+    """A read-only C-contiguous copy of every array in ``payload``: what the
+    thread transport hands a receiver in place of the sender's arrays, and
+    a blocking ``allgather``/``alltoall`` puts in the caller's own slot —
+    made before the call returns, so neither side sees the other's later
+    writes."""
     return map_arrays(payload, _frozen)
 
 

@@ -133,7 +133,7 @@ from repro.comm.backend import (
 )
 from repro.comm.faults import INJECTED_CRASH_EXIT, FaultInjector, JobConfig
 from repro.comm.hostmap import HostMap
-from repro.comm.payload import decode_frame, encode_frame, join
+from repro.comm.payload import decode_frame, encode_frame, freeze, join
 from repro.comm.socket_backend import (
     _FRAME_DATA,
     Link,
@@ -444,7 +444,7 @@ def _pack(head: tuple, payload: Any, arena: _Arena, counters: dict) -> bytes:
 
     An array the arena has no room for rides the frame inline like the small
     ones; either way the array's bytes are copied before this returns, so
-    the sender may keep mutating it (``copies_on_send``).
+    the sender may keep mutating it.
     """
 
     def place(arr: np.ndarray) -> int | None:
@@ -547,14 +547,6 @@ class ForkedWorld(BaseWorld):
     monitor.
     """
 
-    #: ``deliver`` copies every cross-process payload out synchronously
-    #: before returning (arena ``np.copyto``, or the ``tobytes`` of an
-    #: inline array into its frame), so senders — in particular
-    #: :class:`~repro.comm.algorithms.ScheduleRunner` — may pass live
-    #: views of buffers they keep mutating, skipping the staging copy the
-    #: thread backend's zero-copy transport requires.
-    copies_on_send = True
-
     def __init__(self, shared: _SharedJobState, rank: int, backend_name: str) -> None:
         self.backend_name = backend_name
         self.size = shared.nranks
@@ -652,9 +644,8 @@ class ForkedWorld(BaseWorld):
             if action == "drop":
                 return
         if dest == self.rank:
-            # Self-delivery stays in-process (no copy), matching the thread
-            # backend's zero-copy self-sends.
-            self._inbox.put(source, tag, payload)
+            # Self-delivery stays in-process, copied as on the thread backend.
+            self._inbox.put(source, tag, freeze(payload))
         elif self._same_node[dest]:
             self._send_local(source, dest, tag, payload)
         else:

@@ -137,8 +137,8 @@ class DistConv2d:
         self.kernel = (weights.shape[2], weights.shape[3])
         self._x_ext: np.ndarray | None = None
         self._window: tuple | None = None
-        # Recycles the gathered input / error-signal staging buffers across
-        # steps, plus (deferred) the contiguous halo send strips.
+        # Recycles the gathered input / error-signal assembly buffers
+        # across steps.
         self._pool = BufferPool()
 
     # -- geometry ------------------------------------------------------------------

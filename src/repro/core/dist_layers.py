@@ -137,9 +137,7 @@ class DistPool2d:
             # The forward gather read backwards: send the boundary strips,
             # accumulate our own contribution while they travel, fold in
             # the remote ones on finish.
-            dx.start_scatter_region_add(
-                dx_ext, g.lo, pool=self._pool, plan=g.plan
-            ).finish()
+            dx.start_scatter_region_add(dx_ext, g.lo, plan=g.plan).finish()
         else:
             # No window reads off-shard: the own contribution is all of dx
             # (its virtual-padding part clipped away).

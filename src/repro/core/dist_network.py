@@ -53,7 +53,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.comm.buffers import BufferPool
 from repro.comm.communicator import Communicator
 from repro.nn import init as I
 from repro.nn.graph import NetworkSpec
@@ -214,9 +213,6 @@ class DistNetwork:
         #: bucket cuts never change the bits.
         self.collective_algorithm = collective_algorithm
         self.shapes = spec.infer_shapes()
-        # Recycles the staged shuffle send payloads across steps (deferred
-        # reclamation once the receivers drop their zero-copy views).
-        self._shuffle_pool = BufferPool()
 
         self._grids: dict[tuple[int, ...], ProcessGrid] = {}
         self.params: dict[str, dict[str, np.ndarray]] = {}
@@ -253,9 +249,7 @@ class DistNetwork:
     # -- execution ---------------------------------------------------------------------
     def _start(self, op: ShuffleOp, tensor: DistTensor) -> ShuffleExchange:
         self.shuffle_count += 1
-        return start_shuffle(
-            tensor, self._grid(op.dst.grid_shape), op.dst, pool=self._shuffle_pool
-        )
+        return start_shuffle(tensor, self._grid(op.dst.grid_shape), op.dst)
 
     def _group(self, phase: str, op: LayerOp) -> tuple[Communicator | None, tuple]:
         """``(sub-communicator, grid axes)`` of the collective the schedule

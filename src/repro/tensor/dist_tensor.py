@@ -51,7 +51,6 @@ from repro.tensor.exchange import (
     PlannedExchange,
     TransferPlan,
     cells,
-    stage_payload,
 )
 from repro.tensor.grid import ProcessGrid, rank_at
 from repro.tensor.indexing import (
@@ -137,8 +136,6 @@ class DistTensor:
             f"bounds={self.bounds})"
         )
 
-    _stage_payload = staticmethod(stage_payload)
-
     def _local_slice_of(self, region: tuple[tuple[int, int], ...]) -> np.ndarray:
         """View of the local shard covering global ``region`` (must be owned)."""
         my = self.bounds
@@ -165,10 +162,8 @@ class DistTensor:
         pass an empty region to participate without fetching).  Out-of-range
         parts are filled with ``fill``.  ``pool`` (a
         :class:`~repro.comm.buffers.BufferPool`) supplies the assembly
-        buffer *and* stages the off-rank reply payloads (recycled across
-        calls via deferred reclamation once the requesters drop the
-        zero-copy views); the caller owns the result and may ``give`` it
-        back once done reading it.
+        buffer; the caller owns the result and may ``give`` it back once
+        done reading it.
         """
         lo = tuple(int(v) for v in lo)
         hi = tuple(int(v) for v in hi)
@@ -190,13 +185,8 @@ class DistTensor:
 
         incoming = comm.alltoall(requests)
         replies = [
-            [
-                self._stage_payload(self._local_slice_of(region), pool)
-                if j != comm.rank
-                else self._local_slice_of(region)
-                for region in regions
-            ]
-            for j, regions in enumerate(incoming)
+            [self._local_slice_of(region) for region in regions]
+            for regions in incoming
         ]
         comm.stats.record_collective(
             "region_data",
@@ -224,7 +214,6 @@ class DistTensor:
         self,
         region: np.ndarray,
         lo: Sequence[int],
-        pool=None,
         plan: TransferPlan | None = None,
     ) -> "ScatterAddExchange":
         """Scatter ``region`` (anchored at global ``lo``) to its owners,
@@ -239,9 +228,7 @@ class DistTensor:
         :meth:`~ScatterAddExchange.finish` folds in the remote
         contributions.  The accumulation order is fixed and documented —
         own contribution first (it overlaps the in-flight transfer), then
-        remote contributions in ascending comm rank.  ``pool`` stages the
-        off-rank contribution payloads (same deferred recycling as
-        :meth:`gather_region`'s replies).
+        remote contributions in ascending comm rank.
         """
         lo = tuple(int(v) for v in lo)
         hi = tuple(b + int(s) for b, s in zip(lo, region.shape))
@@ -258,7 +245,7 @@ class DistTensor:
                 self.comm, plan.reversed(),
                 region, lo,
                 self.local, tuple(b for b, _ in self.bounds),
-                opname=HALO_OP, stat="region_data", accumulate=True, pool=pool,
+                opname=HALO_OP, stat="region_data", accumulate=True,
             )
         )
 
@@ -266,7 +253,6 @@ class DistTensor:
         self,
         region: np.ndarray,
         lo: Sequence[int],
-        pool=None,
         plan: TransferPlan | None = None,
     ) -> None:
         """Collectively scatter ``region`` (anchored at global ``lo``) to its
@@ -278,7 +264,7 @@ class DistTensor:
         arguments, same accumulation order (own first, then remote in
         ascending comm rank).
         """
-        self.start_scatter_region_add(region, lo, pool=pool, plan=plan).finish()
+        self.start_scatter_region_add(region, lo, plan=plan).finish()
 
     # -- whole-tensor collectives (test/debug helpers) -----------------------------
     def to_global(self) -> np.ndarray:

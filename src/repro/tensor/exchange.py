@@ -6,11 +6,12 @@ different index set — the halo gather (§IV-A), the redistribution shuffle
 (§III-C) and pooling's reverse halo (§III-B).  Here that is one
 :class:`TransferPlan` (which boxes this rank sends to whom, which it
 receives from whom, which it already holds) and one
-:class:`PlannedExchange` that runs a plan: eager sends of staged boxes to
-the plan's partners only, posted ``irecv``s, ``poll()`` to place what has
-landed, ``finish()`` to wait for the rest.  The exchange is parameterised
-only by where a box is read (an array anchored at a global origin) and how
-it is written (copied, or added for the reverse halo).
+:class:`PlannedExchange` that runs a plan: eager sends of boxes to the
+plan's partners only (the transport copies each before the send returns),
+posted ``irecv``s, ``poll()`` to place what has landed, ``finish()`` to
+wait for the rest.  The exchange is parameterised only by where a box is
+read (an array anchored at a global origin) and how it is written (copied,
+or added for the reverse halo).
 """
 
 from __future__ import annotations
@@ -81,26 +82,6 @@ class TransferPlan:
         )
 
 
-def stage_payload(arr: np.ndarray, pool) -> np.ndarray:
-    """Stage an off-rank payload through ``pool``.
-
-    Without a pool the raw view is returned (the communicator copies or
-    freezes it as needed).  With a pool, the data is copied into a
-    recycled contiguous buffer whose read-only view crosses the
-    boundary; the buffer returns to the pool (deferred) once every
-    receiver drops the view — so pooled buffers recycle without waiting
-    on slow peers.
-    """
-    if pool is None:
-        return arr
-    buf = pool.take(arr.shape, arr.dtype)
-    np.copyto(buf, arr)
-    view = buf.view()
-    view.flags.writeable = False
-    pool.give_deferred(buf, view)
-    return view
-
-
 def _cut(arr: np.ndarray, origin: tuple[int, ...], box: Box) -> np.ndarray:
     """View of ``box`` in ``arr``, whose element 0 sits at global ``origin``."""
     return arr[tuple(slice(lo - o, hi - o) for (lo, hi), o in zip(box, origin))]
@@ -135,7 +116,6 @@ class PlannedExchange:
         opname: str,
         stat: str,
         accumulate: bool = False,
-        pool=None,
     ) -> None:
         self._opname = opname
         self._dst = dst
@@ -145,7 +125,7 @@ class PlannedExchange:
         sent_bytes = plan.sent_cells * src.dtype.itemsize
         with _trace.span(f"{opname}.start", cat="exchange", bytes=sent_bytes):
             for peer, box in plan.sends:
-                comm.send(stage_payload(_cut(src, src_lo, box), pool), dest=peer, tag=tag)
+                comm.send(_cut(src, src_lo, box), dest=peer, tag=tag)
             comm.stats.record_collective(stat, sent_bytes)
             for box in plan.local:
                 self._write(box, _cut(src, src_lo, box))

@@ -139,6 +139,6 @@ def start_region_exchange(
         dt.comm, plan,
         dt.local, tuple(b for b, _ in dt.bounds),
         out, plan.lo,
-        opname=HALO_OP, stat="region_data", pool=pool,
+        opname=HALO_OP, stat="region_data",
     )
     return RegionExchange(exchange, out)

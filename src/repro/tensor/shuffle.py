@@ -36,9 +36,8 @@ A transfer is a plan and an exchange — the same pair the halo gather of
   after it is started.  Overlap is only a question of *where* ``finish()``
   is called, so the two forms cannot differ in their bits.
 
-Send payloads can be staged through a :class:`~repro.comm.buffers.BufferPool`
-(deferred reclamation once the receivers drop the zero-copy views), the same
-discipline the halo send strips use.
+The transport copies every sent box before the send returns, so ``src`` is
+free to change once the exchange has started.
 """
 
 from __future__ import annotations
@@ -180,7 +179,6 @@ class ShuffleExchange:
         src: DistTensor,
         dst_grid: ProcessGrid,
         dst_dist: Distribution,
-        pool=None,
     ) -> None:
         plan = plan_shuffle(src, dst_grid, dst_dist)
         # Zero-init the new block; the plan's boxes tile it exactly.
@@ -189,7 +187,7 @@ class ShuffleExchange:
             src.comm, plan,
             src.local, tuple(b for b, _ in src.bounds),
             out, plan.lo,
-            opname=SHUFFLE_OP, stat=SHUFFLE_OP, pool=pool,
+            opname=SHUFFLE_OP, stat=SHUFFLE_OP,
         )
         self._result = DistTensor(dst_grid, dst_dist, src.global_shape, out)
 
@@ -220,33 +218,27 @@ def start_shuffle(
     src: DistTensor,
     dst_grid: ProcessGrid,
     dst_dist: Distribution,
-    pool=None,
 ) -> ShuffleExchange:
     """Begin an overlapped redistribution of ``src`` to ``dst_dist``.
 
     Returns a started :class:`ShuffleExchange`; call
     :meth:`~ShuffleExchange.finish` where the redistributed tensor is
-    consumed.  ``pool`` stages the send payloads through a
-    :class:`~repro.comm.buffers.BufferPool` (deferred reclamation).
+    consumed.
     """
-    return ShuffleExchange(src, dst_grid, dst_dist, pool=pool)
+    return ShuffleExchange(src, dst_grid, dst_dist)
 
 
 def shuffle(
     src: DistTensor,
     dst_grid: ProcessGrid,
     dst_dist: Distribution,
-    pool=None,
 ) -> DistTensor:
     """Redistribute ``src`` to ``dst_dist`` over ``dst_grid``, blocking.
 
     Both grids must be built over the same communicator (the same set of
     ranks in the same order); the grid *shapes* may differ arbitrarily.
     Collective: every rank must call.  This is the :class:`ShuffleExchange`
-    finished right after its start — same cached plan, same send-buffer
-    contract: contiguous pieces of ``src.local`` cross zero-copy unless a
-    ``pool`` stages them, so ``src`` must not be mutated in place while a
-    slower peer may still be assembling.
+    finished right after its start, with the same cached plan.
     """
-    return ShuffleExchange(src, dst_grid, dst_dist, pool=pool).finish()
+    return ShuffleExchange(src, dst_grid, dst_dist).finish()
 

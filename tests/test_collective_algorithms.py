@@ -265,7 +265,7 @@ class TestAllreduceParity:
     def test_blocking_direct_send_buffer_reusable_on_return(self, backend):
         """A blocking collective's contribution is the caller's again on
         return — even while a slow peer (recv-point delay) has yet to
-        fold it, and even on the zero-copy thread transport."""
+        fold it, and this rank's own slot is a copy too."""
 
         def prog(comm):
             r, p = comm.rank, comm.size
@@ -287,10 +287,9 @@ class TestAllreduceParity:
                 np.testing.assert_array_equal(allred, np.full(4, 6.0 + 30 * k))
                 np.testing.assert_array_equal(bc, np.full(4, 1.0 + 10 * k))
                 for j in range(3):
-                    if j != r:  # this rank's own piece never left the caller
-                        want = np.full(4, j + 1.0 + 10 * k)
-                        np.testing.assert_array_equal(ag[j], want)
-                        np.testing.assert_array_equal(a2a[j], want)
+                    want = np.full(4, j + 1.0 + 10 * k)
+                    np.testing.assert_array_equal(ag[j], want)
+                    np.testing.assert_array_equal(a2a[j], want)
 
     def test_integer_payloads_exact(self):
         def prog(comm):

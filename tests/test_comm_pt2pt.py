@@ -47,50 +47,22 @@ class TestSendRecv:
         results = run_spmd(2, prog)
         np.testing.assert_array_equal(results[1], np.arange(1000, dtype=np.float64))
 
-    def test_send_transfers_contiguous_payload_zero_copy(self):
-        """Contiguous arrays are handed over zero-copy as read-only views.
-
-        The contract is MPI's: the sender must not mutate the buffer after
-        the send.  The receiver sees the sender's memory (no copy) but
-        cannot write through it.
-        """
+    def test_send_hands_the_receiver_a_read_only_copy(self, backend):
+        """A contiguous array arrives as a read-only array of its own,
+        never a view of the sender's buffer, on every backend."""
 
         def prog(comm):
-            if comm.rank == 0:
-                data = np.ones(8)
-                comm.send(data, dest=1)
-                comm.barrier()
-                return data
-            got = comm.recv(source=0)
-            comm.barrier()
-            return got
+            data = np.full(8, float(comm.rank))
+            comm.send(data, dest=1 - comm.rank)
+            comm.send(data, dest=comm.rank)  # self-send
+            got = [comm.recv(source=1 - comm.rank), comm.recv(source=comm.rank)]
+            return [
+                (a.tolist(), a.flags.writeable, np.shares_memory(a, data)) for a in got
+            ]
 
-        results = run_spmd(2, prog)
-        sent, got = results
-        np.testing.assert_array_equal(got, np.ones(8))
-        assert not got.flags.writeable
-        assert np.shares_memory(sent, got)
-
-    def test_send_copies_payload_when_zero_copy_disabled(self):
-        """set_zero_copy(False) restores the defensive copy-on-send path."""
-        from repro.comm import set_zero_copy
-
-        def prog(comm):
-            if comm.rank == 0:
-                data = np.ones(8)
-                comm.send(data, dest=1)
-                data[:] = -1.0
-                comm.barrier()
-                return None
-            comm.barrier()
-            return comm.recv(source=0)
-
-        prev = set_zero_copy(False)
-        try:
-            results = run_spmd(2, prog)
-        finally:
-            set_zero_copy(prev)
-        np.testing.assert_array_equal(results[1], np.ones(8))
+        for rank, (peer, own) in enumerate(run_spmd(2, prog, backend=backend)):
+            assert peer == ([float(1 - rank)] * 8, False, False)
+            assert own == ([float(rank)] * 8, False, False)
 
     def test_send_copies_noncontiguous_payload(self):
         """Non-contiguous views are still copied at the boundary."""

@@ -135,7 +135,7 @@ class TestFaultKinds:
 
         with pytest.raises(CommAborted, match=r"timed out.*pending inbox") as info:
             run_spmd(
-                2, prog, faults="drop@rank0:tag=wanted", timeout=1.5
+                2, prog, faults="drop@rank0:tag=wanted", timeout=0.2
             )
         # No culprit: the rank that waited is blamed.
         assert (info.value.kind, info.value.failed_rank) == ("timeout", 1)
@@ -432,7 +432,7 @@ class TestPerOpTimeouts:
             return None
 
         out = run_spmd(
-            2, prog, timeout=60.0, op_timeouts={"recv": 1.0},
+            2, prog, timeout=60.0, op_timeouts={"recv": 0.2},
             allow_failures=True,
         )
         assert out[1] < 10.0  # far below the 60s world default

@@ -6,17 +6,17 @@ bitwise-reference ``collective_algorithm="direct"`` it performs the
 *identical* element-wise additions in the identical comm-rank order
 wherever the buckets are cut — so whole training runs with the default
 buckets must be bitwise equal to one bucket per layer
-(``grad_bucket_bytes=1``), for every strategy and bucket size, and
-regardless of the zero-copy boundary mode.  (The scheduled wire algorithms
-chunk buckets, so their cross-cut match is allclose instead; that parity
-lives in ``tests/test_collective_algorithms.py``.)
+(``grad_bucket_bytes=1``), for every strategy and bucket size.  (The
+scheduled wire algorithms chunk buckets, so their cross-cut match is
+allclose instead; that parity lives in
+``tests/test_collective_algorithms.py``.)
 """
 
 import numpy as np
 import pytest
 
 from conftest import CopyingReducer
-from repro.comm import run_spmd, set_zero_copy
+from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
 from repro.core import dist_network
 from repro.nn import NetworkSpec, SGD
@@ -98,24 +98,11 @@ class TestBitwiseStability:
         cut = train(4, strategy, bucket_bytes=bucket_bytes)
         assert_identical_runs(default, cut)
 
-    def test_zero_copy_regression(self):
-        """Full training runs are bitwise identical with zero-copy on/off —
-        the no-aliasing proof for the zero-copy send fast path."""
-        strategy = ParallelStrategy.uniform(LayerParallelism(sample=2, height=2))
-        with_zero_copy = train(4, strategy)
-        prev = set_zero_copy(False)
-        try:
-            with_copies = train(4, strategy)
-        finally:
-            set_zero_copy(prev)
-        assert_identical_runs(with_zero_copy, with_copies)
-
     @pytest.mark.parametrize("algorithm", ["direct", "auto"])
     def test_donation_regression(self, algorithm, monkeypatch):
         """The same run with a reducer that copies every partial before
         ``add()`` — so nothing is reduced in place in a layer's own array —
-        is bitwise identical, zero-copy transport included: the no-aliasing
-        proof for donated buckets."""
+        is bitwise identical: the no-aliasing proof for donated buckets."""
         strategy = ParallelStrategy.uniform(LayerParallelism(sample=2, height=2))
         donated = train(4, strategy, algorithm=algorithm)
         monkeypatch.setattr(dist_network, "BucketedGradReducer", CopyingReducer)

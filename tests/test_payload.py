@@ -202,6 +202,21 @@ def test_freeze_then_private_is_an_independent_writable_copy(payload):
             assert not any(np.shares_memory(arr, o) for o in originals)
 
 
+@given(payloads)
+def test_freeze_shares_no_memory_with_the_sender(payload):
+    """``freeze`` copies every array, even one that is already read-only
+    and C-contiguous: the receiver never reads the sender's memory."""
+    for arr in leaves_of(payload):
+        if isinstance(arr, np.ndarray) and arr.flags.c_contiguous:
+            arr.flags.writeable = False
+    originals = [x for x in leaves_of(payload) if isinstance(x, np.ndarray)]
+    frozen = [x for x in leaves_of(freeze(payload)) if isinstance(x, np.ndarray)]
+    assert len(frozen) == len(originals)
+    for arr in frozen:
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        assert not any(np.shares_memory(arr, o) for o in originals)
+
+
 # -- the frame ----------------------------------------------------------------------
 
 
@@ -235,7 +250,7 @@ def test_frame_round_trip_through_the_arena(arena, payload):
         "inline_messages": len(plain) - len(big),
         "arena_full_fallbacks": 0,
     }
-    # Every byte was copied before ``_pack`` returned (``copies_on_send``):
+    # Every byte was copied before ``_pack`` returned:
     # the sender scribbling over its arrays now changes nothing.
     for x in plain:
         x[...] = np.zeros((), x.dtype)

@@ -216,7 +216,7 @@ def check_scatter_add(comm, case: Case) -> None:
 
     planned = DistTensor.zeros(grid, dist, case.shape)
     plan = plan_region_exchange(planned, lo, hi, case.regions)
-    ex = planned.start_scatter_region_add(mine, lo, pool=BufferPool(), plan=plan)
+    ex = planned.start_scatter_region_add(mine, lo, plan=plan)
     ex.finish()
     ex.finish()  # remote contributions fold in once
     np.testing.assert_array_equal(planned.local, want)
@@ -439,34 +439,3 @@ class TestPlanCache:
         for hits, misses in run_spmd(4, prog):
             assert misses == 2  # one plan per direction, ever
             assert hits == 2 * steps - 2
-
-    def test_pooled_payloads_stable_allocation_count(self):
-        """With a BufferPool, steady-state steps allocate nothing new: the
-        staged send payloads are reclaimed and recycled."""
-        x = np.arange(64.0).reshape(8, 8)
-        steps = 6
-        nranks = 4
-
-        def prog(comm):
-            g1, g2 = ProcessGrid(comm, (4, 1)), ProcessGrid(comm, (1, 4))
-            d1, d2 = Distribution.make((4, 1)), Distribution.make((1, 4))
-            src = DistTensor.from_global(g1, d1, x)
-            # Each step stages 2 * (nranks - 1) same-shaped payloads; the
-            # free list must hold them all for a fully stable steady state.
-            pool = BufferPool(max_buffers_per_key=16)
-            for _ in range(steps):
-                out = shuffle(src, g2, d2, pool=pool)
-                back = start_shuffle(out, g1, d1, pool=pool).finish()
-                np.testing.assert_array_equal(back.local, src.local)
-                comm.barrier()  # peers drain mailboxes -> payloads reclaimable
-            return pool.stats()
-
-        per_step = 2 * (nranks - 1)  # staged payloads per step per rank
-        for hits, misses in run_spmd(nranks, prog):
-            assert hits + misses == steps * per_step
-            # The allocation count is O(1), not O(steps): at most two
-            # step-populations of buffers exist (one free, one whose sent
-            # views are still being dropped); everything else recycles.
-            # Without the pool every take would be a fresh allocation.
-            assert misses <= 2 * per_step, (hits, misses)
-            assert hits >= (steps - 2) * per_step, (hits, misses)
