@@ -26,20 +26,13 @@
 * :mod:`repro.core.strategy` — the performance-model-driven strategy
   optimizer (§V-C): candidate generation + shortest-path assignment.
 * :mod:`repro.core.elastic` — elastic self-healing supervision: restart
-  with backoff, blacklist-and-shrink, cross-world checkpoint re-sharding,
-  graceful degradation (:class:`~repro.core.elastic.ElasticRunner`).
+  with backoff, blacklist-and-shrink, resume at any world size from the
+  one checkpoint file per step, graceful degradation
+  (:class:`~repro.core.elastic.ElasticRunner`).
 """
 
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
-from repro.core.checkpoint import (
-    gather_global_state,
-    latest_common_step,
-    latest_complete_step,
-    load_state,
-    local_steps,
-    parse_checkpoint_name,
-    save_state,
-)
+from repro.core.checkpoint import load_state, save_state, saved_steps
 from repro.core.dist_network import DistNetwork
 from repro.core.elastic import (
     ElasticReport,
@@ -62,11 +55,7 @@ __all__ = [
     "RestartRecord",
     "classify_error",
     "classify_failures",
-    "gather_global_state",
-    "latest_common_step",
-    "latest_complete_step",
     "load_state",
-    "local_steps",
-    "parse_checkpoint_name",
     "save_state",
+    "saved_steps",
 ]

@@ -22,14 +22,13 @@ wraps :func:`repro.comm.run_spmd` in a restart loop that
 4. and **degrades gracefully**: when shrinking would cross ``min_ranks``,
    the runner stops restarting and returns a structured
    :class:`ElasticReport` whose restart log records every failure cause,
-   backoff, world size, resume point, and replayed-step count.
+   backoff, world size and resume point.
 
-Because training state is checkpointed world-stamped
-(:mod:`repro.core.checkpoint`), a relaunched world of a *different* size
-re-shards the last complete checkpoint set via
-:meth:`~repro.core.trainer.DistTrainer.resume_elastic`; the training
-function itself stays oblivious — it just calls ``resume_elastic()`` on
-entry.
+Training state is replicated, so a checkpoint is one file per step
+(:mod:`repro.core.checkpoint`) and a relaunched world of any size resumes
+from the newest one through the same
+:meth:`~repro.core.trainer.DistTrainer.resume`; the training function
+itself stays oblivious — it just calls ``resume()`` on entry.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class RestartRecord:
     next_nranks: int | None = None
     blacklisted: tuple[str, ...] = ()
     resumed_step: int | None = None
-    steps_replayed: int = 0
     detect_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -97,7 +95,6 @@ class RestartRecord:
             "next_nranks": self.next_nranks,
             "blacklisted": list(self.blacklisted),
             "resumed_step": self.resumed_step,
-            "steps_replayed": self.steps_replayed,
             "detect_seconds": self.detect_seconds,
         }
 
@@ -119,10 +116,6 @@ class ElasticReport:
     def total_restarts(self) -> int:
         return sum(1 for r in self.restarts if r.action in ("restart", "shrink"))
 
-    @property
-    def total_steps_replayed(self) -> int:
-        return sum(r.steps_replayed for r in self.restarts)
-
     def to_dict(self) -> dict:
         """JSON-ready structure (the CI failure artifact format)."""
         return {
@@ -130,7 +123,6 @@ class ElasticReport:
             "degraded": self.degraded,
             "final_nranks": self.final_nranks,
             "total_restarts": self.total_restarts,
-            "total_steps_replayed": self.total_steps_replayed,
             "blacklisted_hosts": list(self.blacklisted_hosts),
             "blacklisted_ranks": list(self.blacklisted_ranks),
             "elapsed_seconds": self.elapsed_seconds,
@@ -141,8 +133,7 @@ class ElasticReport:
         lines = [
             f"elastic run: ok={self.ok} degraded={self.degraded} "
             f"final_nranks={self.final_nranks} "
-            f"restarts={self.total_restarts} "
-            f"steps_replayed={self.total_steps_replayed}"
+            f"restarts={self.total_restarts}"
         ]
         for r in self.restarts:
             culprits = ", ".join(
@@ -157,8 +148,7 @@ class ElasticReport:
                 + (f" [blacklist {', '.join(r.blacklisted)}]" if r.blacklisted else "")
                 + f" after {culprits}"
                 + (
-                    f"; resume step {r.resumed_step} "
-                    f"(~{r.steps_replayed} steps replayed)"
+                    f"; resume step {r.resumed_step}"
                     if r.resumed_step is not None
                     else ""
                 )
@@ -233,8 +223,8 @@ class ElasticRunner:
     fault would otherwise re-fire forever) or a list indexed by attempt
     (``None`` entries run clean).  ``sleep`` is injectable so tests can
     assert the exponential backoff schedule without waiting it out.
-    ``checkpoint_dir`` (with ``nsteps`` expected total steps) enables
-    resume-point and replayed-step accounting in the restart log.
+    ``checkpoint_dir`` names the training function's checkpoint directory,
+    so the restart log can record each attempt's resume point.
     """
 
     def __init__(
@@ -303,34 +293,12 @@ class ElasticRunner:
                 raise
             return [err]
 
-    def _checkpoint_evidence(self, nranks: int) -> tuple[int | None, int]:
-        """``(resume_step, steps_replayed)`` evidence from the filesystem.
-
-        ``steps_replayed`` is a provable lower bound: the newest step any
-        rank managed to checkpoint minus the step the next attempt can
-        actually resume from (work past the last complete cadence is lost
-        and must be recomputed).  Without a checkpoint directory both are
-        unknown (``None``, 0).
-        """
-        d = self.checkpoint_dir
-        if d is None or not os.path.isdir(d):
-            return None, 0
-        newest = -1
-        for name in os.listdir(d):
-            parsed = ckpt.parse_checkpoint_name(name)
-            if parsed is not None:
-                newest = max(newest, parsed[0])
-        common: set[int] | None = None
-        for rank in range(nranks):
-            steps = set(ckpt.local_steps(d, rank, world=nranks))
-            common = steps if common is None else (common & steps)
-        resume = max(common) if common else None
-        if resume is None:
-            found = ckpt.latest_complete_step(d)
-            resume = found[0] if found is not None else None
-        if newest < 0:
-            return resume, 0
-        return resume, max(0, newest - (resume or 0))
+    def _resume_step(self) -> int | None:
+        """The step the next attempt resumes from: the newest checkpoint
+        file (``None`` without a checkpoint directory or file)."""
+        if self.checkpoint_dir is None:
+            return None
+        return max(ckpt.saved_steps(self.checkpoint_dir), default=None)
 
     # -- the loop ----------------------------------------------------------
     def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> ElasticReport:
@@ -370,14 +338,12 @@ class ElasticRunner:
                     attempt, f.rank, f.host or "?", f.kind,
                     f.message.splitlines()[0][:160],
                 )
-            resume_step, replayed = self._checkpoint_evidence(nranks)
             record = RestartRecord(
                 attempt=attempt,
                 nranks=nranks,
                 failures=failures,
                 action="restart",
-                resumed_step=resume_step,
-                steps_replayed=replayed,
+                resumed_step=self._resume_step(),
                 detect_seconds=detect_seconds,
             )
             restarts.append(record)

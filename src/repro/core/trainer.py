@@ -16,6 +16,12 @@ wall time plus the communicator's :class:`~repro.comm.stats.CommStats`,
 whose wait-vs-overlap split measures how much of the (bucketed, nonblocking)
 gradient allreduce was actually hidden behind backpropagation — the
 empirical counterpart of the cost model's exposed-allreduce term (§V-B).
+
+The training state is replicated (§III: every decomposition here keeps
+the weights on every rank), so a checkpoint is one file per step that rank
+0 writes after one allgather has assembled the sharded momentum and shown
+that every rank's replica matches rank 0's; :meth:`DistTrainer.resume`
+loads the newest file on any world size (:mod:`repro.core.checkpoint`).
 """
 
 from __future__ import annotations
@@ -57,15 +63,16 @@ class TrainStats:
 class DistTrainer:
     """Couples a :class:`DistNetwork` with an optimizer.
 
-    Checkpointing (optional): with ``checkpoint_dir`` set, each rank writes
-    an atomic checkpoint of the parameters, optimizer momentum, batch-norm
-    running statistics, step counter, and the data ``rng``'s bit-generator
-    state every ``checkpoint_every`` steps (and on :meth:`save_checkpoint`).
-    :meth:`resume` restores the newest step present on *every* rank and is
-    bitwise exact: a killed-and-resumed run produces the same parameters
-    and losses as an uninterrupted one, on both world backends
-    (``tests/test_checkpoint.py``).  Pass the generator that draws your
-    mini-batches as ``rng`` so resumed runs replay the same data order.
+    Checkpointing (optional): with ``checkpoint_dir`` set, the parameters,
+    optimizer momentum, batch-norm running statistics, step counter, and
+    the data ``rng``'s bit-generator state are saved every
+    ``checkpoint_every`` steps (and on :meth:`save_checkpoint`) as one
+    atomic file per step, written by rank 0 once the ranks have shown they
+    hold the same state.  :meth:`resume` restores the newest file, at any
+    world size, and is bitwise exact: a killed-and-resumed run produces the
+    same parameters and losses as an uninterrupted one, on every world
+    backend (``tests/test_checkpoint.py``).  Pass the generator that draws
+    your mini-batches as ``rng`` so resumed runs replay the same data order.
     """
 
     def __init__(
@@ -110,29 +117,30 @@ class DistTrainer:
 
     # -- checkpoint/resume -------------------------------------------------
     def save_checkpoint(self) -> str:
-        """Atomically persist this rank's training state; return the path.
+        """Persist the training state as this step's one checkpoint file;
+        return its path (the same on every rank).
 
-        One collective: momentum is sharded in memory (each rank keeps the
-        slices it updates), so the full velocity is assembled from the
-        owners' slices by one allgather over the world, and every rank
-        writes the same replicated state.  Every rank must call this at the
-        same step (``checkpoint_every`` does).  The writes themselves are
-        independent, and :meth:`resume` agrees on the newest step every
-        rank holds, so a rank killed mid-write costs one cadence, not the
-        run.
+        One collective and one write: every rank allgathers its momentum
+        slices (each rank keeps only the slices it updates, so the full
+        velocity is assembled from the owners') together with a
+        :func:`~repro.core.checkpoint.fingerprint` of its replicated state.
+        If any rank's fingerprint differs from rank 0's, every rank raises
+        ``ValueError`` naming that rank and leaf, and nothing is written;
+        otherwise rank 0 alone writes the file atomically and prunes.
+        Every rank must call this at the same step (``checkpoint_every``
+        does).
         """
         if self.checkpoint_dir is None:
             raise RuntimeError("DistTrainer has no checkpoint_dir configured")
         with _trace.span("checkpoint", cat="train", step=self.step_index):
             return self._save_checkpoint()
 
-    def _replicated_velocity(self, local: dict) -> dict:
+    def _replicated_velocity(self, pieces: list[dict]) -> dict:
         """The full velocity of every parameter, from every rank's
-        ``(layer, param)`` arrays and ``(layer, param, offset)`` slices —
-        identical on every rank (the slices of one element agree wherever
-        several ranks hold them)."""
+        ``(layer, param)`` arrays and ``(layer, param, offset)`` slices (the
+        slices of one element agree wherever several ranks hold them)."""
         full: dict[tuple[str, str], np.ndarray] = {}
-        for piece in self.network.comm.allgather(local):
+        for piece in pieces:
             for key, v in sorted(piece.items(), key=lambda kv: len(kv[0])):
                 layer, pname, *offset = key
                 if not offset:
@@ -145,80 +153,67 @@ class DistTrainer:
                 dst.reshape(-1)[offset[0] : offset[0] + v.size] = v
         return full
 
+    @staticmethod
+    def _replicated_leaves(state: dict) -> dict:
+        """Every leaf of ``state`` that all ranks hold alike, by name: the
+        step, RNG position, SGD hyperparameters, parameters and BN
+        statistics (the velocity is sharded until the save assembles it)."""
+        optimizer = state["optimizer"]
+        leaves = {"step": state["step"], "rng": state["rng"]}
+        leaves.update(
+            (f"optimizer.{k}", v) for k, v in optimizer.items() if k != "velocity"
+        )
+        for kind, layers in state["network"].items():
+            for layer, arrays in layers.items():
+                leaves.update((f"{kind}.{layer}.{k}", a) for k, a in arrays.items())
+        return leaves
+
     def _save_checkpoint(self) -> str:
+        comm = self.network.comm
         optimizer = self.optimizer.state_dict()
-        optimizer["velocity"] = self._replicated_velocity(optimizer["velocity"])
         state = {
             "step": self.step_index,
             "network": self.network.state_dict(),
             "optimizer": optimizer,
             "rng": self.rng.bit_generator.state if self.rng is not None else None,
         }
-        comm = self.network.comm
-        path = ckpt.save_state(
-            self.checkpoint_dir, self.step_index, comm.rank, state,
-            world=comm.size,
+        gathered = comm.allgather(
+            (optimizer["velocity"], ckpt.fingerprint(self._replicated_leaves(state)))
         )
-        if self.checkpoint_keep > 0:
-            ckpt.prune(self.checkpoint_dir, comm.rank, self.checkpoint_keep)
+        ckpt.verify_replicas([fp for _, fp in gathered], self.step_index)
+        path = ckpt.checkpoint_path(self.checkpoint_dir, self.step_index)
+        if comm.rank == 0:
+            optimizer["velocity"] = self._replicated_velocity(
+                [velocity for velocity, _ in gathered]
+            )
+            ckpt.save_state(self.checkpoint_dir, self.step_index, state)
+            if self.checkpoint_keep > 0:
+                ckpt.prune(self.checkpoint_dir, self.checkpoint_keep)
         return path
 
     def resume(self) -> int | None:
-        """Restore the newest checkpoint step all ranks hold; return it.
+        """Restore the newest checkpoint; return its step.
 
-        Returns ``None`` (leaving state untouched) when no common
-        checkpoint exists.  Restoration is bitwise: parameters, momentum,
-        BN running stats, the step counter, and the data RNG state all
-        match the values at save time exactly.
+        Rank 0 picks the newest complete file and broadcasts its step, and
+        every rank loads that file — the same path whether the world that
+        wrote it had this size or another (the state is replicated; each
+        rank cuts the loaded velocity down to its own slices on its first
+        step).  Returns ``None`` (leaving state untouched) when there is no
+        checkpoint.  Restoration is bitwise: parameters, momentum, BN
+        running stats, the step counter, and the data RNG state all match
+        the values at save time exactly.
         """
+        if self.checkpoint_dir is None:
+            raise RuntimeError("DistTrainer has no checkpoint_dir configured")
         comm = self.network.comm
-        step = ckpt.latest_common_step(self.checkpoint_dir, comm)
-        if step is None:
-            return None
-        state = ckpt.load_state(
-            self.checkpoint_dir, step, comm.rank, world=comm.size
-        )
-        self._load_state(state)
-        return self.step_index
-
-    def resume_elastic(self) -> tuple[int, int] | None:
-        """Restore from the newest usable checkpoint, re-sharding if needed.
-
-        Same-world sets resume exactly like :meth:`resume` (bitwise).  When
-        none exists — the previous incarnation ran with a different rank
-        count — rank 0 scans for the newest *complete* world-stamped set,
-        broadcasts the choice, and every rank loads the verified canonical
-        global state (:func:`repro.core.checkpoint.gather_global_state`).
-        Parameters, momentum, BN statistics, and the data-RNG position are
-        replicated, so re-sharding for the new world is loading the
-        canonical replica under the freshly-planned strategy; each rank
-        then stamps a checkpoint for the *new* world at the resume step so
-        the next restart at this size takes the bitwise path.
-
-        Returns ``(step, source_world)``, or ``None`` when the directory
-        holds nothing usable.
-        """
-        comm = self.network.comm
-        step = self.resume()
-        if step is not None:
-            return (step, comm.size)
-        found = comm.bcast(
-            ckpt.latest_complete_step(self.checkpoint_dir)
+        step = comm.bcast(
+            max(ckpt.saved_steps(self.checkpoint_dir), default=None)
             if comm.rank == 0 else None
         )
-        if found is None:
+        if step is None:
             return None
-        step, src_world = found
-        with _trace.span(
-            "resume_reshard", cat="elastic",
-            step=step, src_world=src_world, world=comm.size,
-        ):
-            state = ckpt.gather_global_state(
-                self.checkpoint_dir, step, src_world
-            )
-            self._load_state(state)
-            self._save_checkpoint()
-        return (self.step_index, src_world)
+        self._load_state(ckpt.load_state(self.checkpoint_dir, step))
+        return self.step_index
 
     def _load_state(self, state) -> None:
         self.network.load_state_dict(state["network"])

@@ -1,6 +1,7 @@
-"""Checkpoint/resume: atomicity, rank agreement, and the headline bitwise
-guarantee — a killed-and-resumed training run produces exactly the same
-parameters and losses as an uninterrupted one, on both world backends.
+"""Checkpoint/resume: atomicity, one file per step, replica agreement at
+save, resume at any world size, and the headline bitwise guarantee — a
+killed-and-resumed training run produces exactly the same parameters and
+losses as an uninterrupted one, on every world backend.
 """
 
 import os
@@ -82,8 +83,8 @@ class TestPrimitives:
             "scalar": 1.5,
             "none": None,
         }
-        ckpt.save_state(str(tmp_path), 3, 0, state)
-        out = ckpt.load_state(str(tmp_path), 3, 0)
+        ckpt.save_state(str(tmp_path), 3, state)
+        out = ckpt.load_state(str(tmp_path), 3)
         assert out["f64"].dtype == np.float64 and out["i8"].dtype == np.int8
         np.testing.assert_array_equal(out["f64"], state["f64"])
         np.testing.assert_array_equal(out["f32"], state["f32"])
@@ -94,8 +95,8 @@ class TestPrimitives:
         assert out["scalar"] == 1.5 and out["none"] is None
 
     def test_save_is_atomic_no_temp_left_under_final_name(self, tmp_path):
-        path = ckpt.save_state(str(tmp_path), 1, 0, {"x": np.ones(4)})
-        assert os.path.basename(path) == "step00000001.rank0.npz"
+        path = ckpt.save_state(str(tmp_path), 1, {"x": np.ones(4)})
+        assert os.path.basename(path) == "step00000001.npz"
         # Nothing but complete final files in the directory.
         assert all(
             not f.startswith(".tmp-") for f in os.listdir(tmp_path)
@@ -104,63 +105,186 @@ class TestPrimitives:
     def test_interrupted_save_leaves_prior_checkpoint_intact(self, tmp_path):
         """os.replace semantics: the final name always points at a complete
         file, so a crash mid-save costs the new step, not the old one."""
-        ckpt.save_state(str(tmp_path), 2, 0, {"x": np.zeros(4)})
+        ckpt.save_state(str(tmp_path), 2, {"x": np.zeros(4)})
         # Simulate the torn write an interrupted save leaves behind.
-        stale = tmp_path / ".tmp-step00000004.rank0-abc.npz"
+        stale = tmp_path / ".tmp-step00000004-abc.npz"
         stale.write_bytes(b"torn")
-        assert ckpt.local_steps(str(tmp_path), 0) == [2]
-        out = ckpt.load_state(str(tmp_path), 2, 0)
+        assert ckpt.saved_steps(str(tmp_path)) == [2]
+        out = ckpt.load_state(str(tmp_path), 2)
         np.testing.assert_array_equal(out["x"], np.zeros(4))
         # The next prune sweeps stale temp files.
-        ckpt.prune(str(tmp_path), 0, keep=5)
+        ckpt.prune(str(tmp_path), keep=5)
         assert not stale.exists()
+
+    def test_saved_steps_of_a_missing_directory_is_empty(self, tmp_path):
+        assert ckpt.saved_steps(str(tmp_path / "missing")) == []
 
     def test_prune_keeps_newest(self, tmp_path):
         for step in (1, 2, 3, 4):
-            ckpt.save_state(str(tmp_path), step, 0, {"s": np.array([step])})
-        removed = ckpt.prune(str(tmp_path), 0, keep=2)
+            ckpt.save_state(str(tmp_path), step, {"s": np.array([step])})
+        removed = ckpt.prune(str(tmp_path), keep=2)
         assert removed == [1, 2]
-        assert ckpt.local_steps(str(tmp_path), 0) == [3, 4]
+        assert ckpt.saved_steps(str(tmp_path)) == [3, 4]
 
     def test_prune_keep_zero_removes_all(self, tmp_path):
         """keep=0 means "keep none" — historically the ``steps[:-0]``
         empty-slice trap made it silently keep everything."""
         for step in (1, 2, 3):
-            ckpt.save_state(str(tmp_path), step, 0, {"s": np.array([step])})
-        removed = ckpt.prune(str(tmp_path), 0, keep=0)
+            ckpt.save_state(str(tmp_path), step, {"s": np.array([step])})
+        removed = ckpt.prune(str(tmp_path), keep=0)
         assert removed == [1, 2, 3]
-        assert ckpt.local_steps(str(tmp_path), 0) == []
+        assert ckpt.saved_steps(str(tmp_path)) == []
 
     def test_prune_negative_keep_rejected(self, tmp_path):
         """Negative keep used to delete the *newest* checkpoints
         (``steps[:-(-2)]`` drops from the front of the sorted list)."""
         for step in (1, 2, 3):
-            ckpt.save_state(str(tmp_path), step, 0, {"s": np.array([step])})
+            ckpt.save_state(str(tmp_path), step, {"s": np.array([step])})
         with pytest.raises(ValueError, match="keep"):
-            ckpt.prune(str(tmp_path), 0, keep=-2)
+            ckpt.prune(str(tmp_path), keep=-2)
         # Nothing was touched.
-        assert ckpt.local_steps(str(tmp_path), 0) == [1, 2, 3]
+        assert ckpt.saved_steps(str(tmp_path)) == [1, 2, 3]
 
-    def test_latest_common_step_intersects_ranks(self, tmp_path):
-        """A crash mid-cadence leaves the newest step on a subset of ranks;
-        every rank must agree on the newest *common* step."""
+
+class TestOneFilePerStep:
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    def test_save_leaves_one_file_per_kept_step(self, backend, nranks, tmp_path):
+        """Rank 0 writes the replicated state once: a p-rank run leaves
+        exactly the ``checkpoint_keep`` newest steps, one file each."""
+        reduce_for_process(
+            backend, heavy=nranks != 2, reason="2-rank run covers the backend"
+        )
         d = str(tmp_path)
-        for rank in (0, 1):
-            ckpt.save_state(d, 2, rank, {"r": np.array([rank])})
-        ckpt.save_state(d, 4, 0, {"r": np.array([0])})  # rank 1 died first
+        run_spmd(nranks, train, d, backend=backend)
+        assert sorted(os.listdir(d)) == ["step00000004.npz", "step00000006.npz"]
+
+
+def _perturb(trainer, leaf):
+    """Move one replicated leaf of this rank's state by the least amount."""
+    net = trainer.network
+    if leaf == "params.c1.w":
+        w = net.params["c1"]["w"]
+        w.flat[0] = np.nextafter(w.flat[0], np.inf)
+    elif leaf == "bn.b1.running_var":
+        bn = net._layers["b1"]
+        bn.running_var = bn.running_var.copy()
+        bn.running_var[0] = np.nextafter(bn.running_var[0], np.inf)
+    elif leaf == "step":
+        trainer.step_index += 1
+    elif leaf == "rng":
+        trainer.rng.random()
+    else:
+        trainer.optimizer.lr = np.nextafter(trainer.optimizer.lr, 1.0)
+
+
+class TestReplicaDivergence:
+    """A save refuses replicas that differ: every rank raises naming the
+    first rank that disagrees with rank 0, and at what, before anything is
+    written."""
+
+    @pytest.mark.parametrize("culprit", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "leaf",
+        ["params.c1.w", "bn.b1.running_var", "step", "rng", "optimizer.lr"],
+    )
+    def test_diverged_replica_refuses_the_save(self, culprit, leaf, tmp_path):
+        d = str(tmp_path)
 
         def prog(comm):
-            return ckpt.latest_common_step(d, comm)
+            net = DistNetwork(
+                small_spec(), comm, LayerParallelism(sample=comm.size), seed=0
+            )
+            trainer = DistTrainer(
+                net, SGD(lr=0.05, momentum=0.9), checkpoint_dir=d,
+                rng=np.random.default_rng(42),
+            )
+            trainer.step(trainer.rng.standard_normal((4, 1, 8, 8)),
+                         trainer.rng.integers(0, 3, size=4))
+            trainer.save_checkpoint()
+            trainer.step_index += 1
+            if comm.rank == culprit:
+                _perturb(trainer, leaf)
+            try:
+                trainer.save_checkpoint()
+            except ValueError as exc:
+                return str(exc)
+            return None
 
-        assert run_spmd(2, prog) == [2, 2]
+        messages = run_spmd(4, prog)
+        assert all(
+            m is not None and f"rank {culprit} and rank 0 disagree at {leaf};" in m
+            for m in messages
+        ), messages
+        assert os.listdir(d) == ["step00000001.npz"]
 
-    def test_latest_common_step_empty(self, tmp_path):
+    def test_divergence_check_is_bitwise(self):
+        """Even a sign-of-zero difference (equal under ==) is divergence."""
+        same = ckpt.fingerprint({"x": np.array([0.0])})
+        ckpt.verify_replicas([same, ckpt.fingerprint({"x": np.array([0.0])})], 1)
+        with pytest.raises(ValueError, match="rank 1 and rank 0 disagree at x;"):
+            ckpt.verify_replicas(
+                [same, ckpt.fingerprint({"x": np.array([-0.0])})], 1
+            )
+
+    def test_a_leaf_is_its_dtype_shape_and_bytes(self):
+        ref = ckpt.fingerprint({"x": np.zeros(4)})
+        assert ckpt.fingerprint({"x": np.zeros(8)[::2]}) == ref  # layout is not state
+        for other in (np.zeros(4, np.float32), np.zeros((2, 2)), np.zeros(5)):
+            assert ckpt.fingerprint({"x": other}) != ref
+
+    def test_a_leaf_only_one_rank_holds_is_divergence(self):
+        ref = ckpt.fingerprint({"x": np.ones(2), "n": 3})
+        extra = ckpt.fingerprint({"x": np.ones(2), "n": 3, "m": 4})
+        with pytest.raises(ValueError, match="rank 2 and rank 0 disagree at m;"):
+            ckpt.verify_replicas([ref, ref, extra], 5)
+
+
+def _save_at(comm, d):
+    """Two steps at this world size, then one save; the state it saved."""
+    trainer = DistTrainer(
+        DistNetwork(small_spec(), comm, LayerParallelism(sample=comm.size), seed=0),
+        SGD(lr=0.05, momentum=0.9, weight_decay=1e-4),
+        checkpoint_dir=d, rng=np.random.default_rng(42),
+    )
+    for _ in range(2):
+        trainer.step(trainer.rng.standard_normal((4, 1, 8, 8)),
+                     trainer.rng.integers(0, 3, size=4))
+    trainer.save_checkpoint()
+    return trainer.network.state_dict(), trainer.rng.bit_generator.state
+
+
+def _resume_at(comm, d):
+    trainer = DistTrainer(
+        DistNetwork(small_spec(), comm, LayerParallelism(sample=comm.size), seed=7),
+        SGD(lr=0.05, momentum=0.9, weight_decay=1e-4),
+        checkpoint_dir=d, rng=np.random.default_rng(0),
+    )
+    step = trainer.resume()
+    return (
+        step, trainer.network.state_dict(),
+        trainer.optimizer.state_dict()["velocity"], trainer.rng.bit_generator.state,
+    )
+
+
+class TestCrossWorldResume:
+    @pytest.mark.parametrize("saved_at,resumed_at", [(4, 2), (4, 1), (2, 4), (1, 2)])
+    def test_plain_resume_restores_another_world_s_state_bitwise(
+        self, saved_at, resumed_at, tmp_path
+    ):
+        """One file, one ``resume()``: parameters, BN statistics, momentum
+        and RNG land bitwise on a world of another size."""
         d = str(tmp_path)
-
-        def prog(comm):
-            return ckpt.latest_common_step(d, comm)
-
-        assert run_spmd(2, prog) == [None, None]
+        (net_state, rng_state), *_ = run_spmd(saved_at, _save_at, d)
+        velocity = ckpt.load_state(d, 2)["optimizer"]["velocity"]
+        for step, state, vel, rng in run_spmd(resumed_at, _resume_at, d):
+            assert step == 2 and rng == rng_state
+            for kind, layers in net_state.items():
+                for layer, arrays in layers.items():
+                    for name, arr in arrays.items():
+                        assert state[kind][layer][name].tobytes() == arr.tobytes()
+            assert set(vel) == set(velocity)
+            for key, v in velocity.items():
+                assert vel[key].dtype == v.dtype and vel[key].tobytes() == v.tobytes()
 
 
 class TestBitwiseResume:
@@ -226,7 +350,7 @@ class TestBitwiseResume:
             timeout=30.0,
         )
         assert any(isinstance(o, (CommAborted, type(None))) for o in out)
-        steps = ckpt.local_steps(ck, 0)
+        steps = ckpt.saved_steps(ck)
         assert steps and max(steps) >= EVERY
 
         resumed = run_spmd(2, train, ck, resume=True, backend="process")
@@ -250,6 +374,23 @@ class TestBitwiseResume:
             return trainer.resume()
 
         assert run_spmd(2, prog) == [None, None]
+
+    def test_resume_without_checkpoint_dir_raises_like_save(self):
+        def prog(comm):
+            net = DistNetwork(
+                small_spec(), comm, LayerParallelism(sample=comm.size), seed=0
+            )
+            trainer = DistTrainer(net, rng=None)
+            messages = []
+            for call in (trainer.save_checkpoint, trainer.resume):
+                try:
+                    call()
+                except RuntimeError as exc:
+                    messages.append(str(exc))
+            return messages
+
+        for messages in run_spmd(2, prog):
+            assert messages == ["DistTrainer has no checkpoint_dir configured"] * 2
 
     def test_resume_demands_rng_when_checkpoint_has_one(self, tmp_path):
         d = str(tmp_path)

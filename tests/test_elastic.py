@@ -7,9 +7,9 @@ The headline guarantees:
   at the *same* world size with **bitwise** identical final parameters to
   an uninterrupted run — on both forked backends;
 * a repeatedly-failing rank/host is blacklisted and the job resumes at a
-  *shrunk* world from re-sharded checkpoints, matching a from-scratch run
-  at the smaller size (allclose: reduction order differs across world
-  sizes) that replays the same global batch order;
+  *shrunk* world from the larger world's checkpoint file, matching a
+  from-scratch run at the smaller size (allclose: reduction order differs
+  across world sizes) that replays the same global batch order;
 * when shrinking would cross ``min_ranks``, the runner stops restarting
   and reports structured degradation instead of looping forever.
 """
@@ -19,7 +19,7 @@ import pytest
 
 from repro.comm import CommAborted, HostMap, InjectedCrash, run_spmd
 from repro.comm.backend import FAILURE_KINDS, AbortCause, CommIntegrityError
-from repro.core import DistNetwork, DistTrainer, LayerParallelism
+from repro.core import DistNetwork, DistTrainer, LayerParallelism, save_state
 from repro.core.elastic import ElasticRunner, classify_error, classify_failures
 from tests.conftest import assert_one_cause
 from repro.nn import NetworkSpec, SGD
@@ -41,11 +41,11 @@ def small_spec() -> NetworkSpec:
 
 
 def etrain(comm, ckdir, nsteps=NSTEPS):
-    """Elastic training entry: resumes from whatever checkpoints exist
-    (same-world bitwise, cross-world re-sharded), then trains to
-    ``nsteps``.  The global batch (size 6: divisible by 1, 2, and 3
-    sample-parallel ways) is drawn from the replicated trainer rng, so
-    every world size replays the identical data order."""
+    """Elastic training entry: resumes from the newest checkpoint (written
+    by a world of this size or another), then trains to ``nsteps``.  The
+    global batch (size 6: divisible by 1, 2, and 3 sample-parallel ways) is
+    drawn from the replicated trainer rng, so every world size replays the
+    identical data order."""
     net = DistNetwork(
         small_spec(), comm, LayerParallelism(sample=comm.size), seed=0
     )
@@ -56,7 +56,7 @@ def etrain(comm, ckdir, nsteps=NSTEPS):
         checkpoint_every=EVERY,
         rng=np.random.default_rng(42),
     )
-    trainer.resume_elastic()
+    trainer.resume()
     for _ in range(trainer.step_index, nsteps):
         x = trainer.rng.standard_normal((6, 1, 8, 8))
         t = trainer.rng.integers(0, 3, size=6)
@@ -214,6 +214,23 @@ class TestRestartLoop:
             ElasticRunner(0)
 
 
+class TestResumePoint:
+    def test_restart_log_records_the_newest_checkpoint_file(self, tmp_path):
+        """Any final-name file can be resumed from, whoever wrote it, so the
+        resume point is the newest one."""
+        d = str(tmp_path)
+        for step in (2, 4):
+            save_state(d, step, {"x": np.ones(2)})
+        report = ElasticRunner(
+            2, backoff=0.0, sleep=lambda s: None, checkpoint_dir=d,
+            faults=["crash@rank1:after=0"], timeout=10.0,
+        ).run(work)
+        assert report.ok
+        [rec] = report.restarts
+        assert rec.resumed_step == 4
+        assert "; resume step 4" in report.describe()
+
+
 class TestElasticTraining:
     """The acceptance criteria: kill-then-auto-resume parity."""
 
@@ -241,8 +258,9 @@ class TestElasticTraining:
 
     def test_shrunk_world_resumes_from_resharded_checkpoints(self, tmp_path):
         """3 ranks, rank 2 dies twice -> blacklisted -> 2-rank world
-        re-shards the 3-rank checkpoint set and matches a from-scratch
-        2-rank run replaying the same global batch order."""
+        resumes from the file the 3-rank world saved, with the same plain
+        ``resume()``, and matches a from-scratch 2-rank run replaying the
+        same global batch order."""
         ref = run_spmd(
             2, etrain, str(tmp_path / "ref"), backend="process", timeout=30.0
         )

@@ -46,7 +46,6 @@ from repro.comm.proc_backend import (
     _pack,
 )
 from repro.comm.socket_backend import _STAGE_BYTES
-from repro.core import checkpoint
 
 # -- generated payloads ---------------------------------------------------------
 
@@ -392,32 +391,3 @@ def test_frame_layout_is_header_then_aligned_raw_bytes(arena):
     assert frame[first + FRAME_ALIGN : first + FRAME_ALIGN + 40] == small.tobytes()
     assert len(frame) == first + FRAME_ALIGN + 40 + 8
 
-
-# -- checkpoints on disk outlive the code that wrote them ---------------------------
-
-
-def test_checkpoint_written_with_the_old_placeholder_name_still_loads(tmp_path, monkeypatch):
-    class OldRef:
-        def __init__(self, index):
-            self.index = index
-
-        def __reduce__(self):
-            return (OldRef, (self.index,))
-
-    OldRef.__module__ = "repro.core.checkpoint"
-    OldRef.__name__ = OldRef.__qualname__ = "_ArrRef"
-    with monkeypatch.context() as patched:
-        patched.setattr(checkpoint, "_ArrRef", OldRef)
-        blob = pickle.dumps(
-            {"step": 3, "params": {"w": OldRef(0), "b": (OldRef(1),)}},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    assert b"_ArrRef" in blob and b"ArrayRef" not in blob
-    w, b = np.arange(6.0).reshape(2, 3), np.ones(2, dtype=np.float32)
-    with open(checkpoint.checkpoint_path(str(tmp_path), 3, 0), "wb") as f:
-        np.savez(f, a0=w, a1=b, __meta__=np.frombuffer(blob, dtype=np.uint8))
-    state = checkpoint.load_state(str(tmp_path), 3, 0)
-    assert same(state, {"step": 3, "params": {"w": w, "b": (b,)}})
-    # And what is written now reads back through the same door.
-    checkpoint.save_state(str(tmp_path), 4, 0, state)
-    assert same(checkpoint.load_state(str(tmp_path), 4, 0), state)
