@@ -13,11 +13,8 @@ import numpy as np
 
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
-from repro.core.dist_conv import DistConv2d
-from repro.core.parallelism import activation_dist
 from repro.nn import LocalNetwork, NetworkSpec, SGD
 from repro.nn import functional as F
-from repro.tensor import DistTensor, ProcessGrid
 
 
 def part1_exact_distributed_convolution() -> None:
@@ -30,19 +27,21 @@ def part1_exact_distributed_convolution() -> None:
 
     y_single = F.conv2d_forward(x, w, stride=1, pad=1)
 
+    spec = NetworkSpec("one-conv")
+    spec.add("input", "input", channels=3, height=32, width=32)
+    spec.add("c1", "conv", ["input"], filters=8, kernel=3, stride=1, pad=1)
+
     def prog(comm):
         # 4 ranks as a 1x1x2x2 grid: H and W each split in half; each rank
         # owns a 16x16 tile and exchanges 1-pixel halos with its neighbors.
-        grid = ProcessGrid(comm, (1, 1, 2, 2))
-        xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
-        conv = DistConv2d(grid, w, stride=1, pad=1)
-        y = conv.forward(xd)
+        net = DistNetwork(spec, comm, LayerParallelism(height=2, width=2))
+        np.copyto(net.params["c1"]["w"], w)  # the single-device weights
+        net.forward(x, training=False)
         print(
-            f"  rank {comm.rank}: local tile {xd.local.shape} -> "
-            f"output tile {y.local.shape}, "
-            f"halo bytes served: {comm.stats.collective_bytes.get('region_data', 0)}"
+            f"  rank {comm.rank}: halo bytes served: "
+            f"{comm.stats.collective_bytes.get('region_data', 0)}"
         )
-        return y.to_global()
+        return net.gather_activation("c1")
 
     results = run_spmd(4, prog)
     err = max(float(np.abs(r - y_single).max()) for r in results)

@@ -1,9 +1,9 @@
-"""Reusable assembly buffers for the region gather and the halo exchange.
+"""Reusable assembly buffers for the halo exchange.
 
-``gather_region`` and the region exchange allocate a fresh extended array per
-call (local shard + halo cells); on the training hot path this means two
-large allocations per convolution per step.  A :class:`BufferPool` recycles
-those buffers across steps.
+A region exchange assembles into an extended array per call (local shard +
+halo cells); on the training hot path that would be two large allocations
+per convolution per step.  A :class:`BufferPool` — one per windowed layer —
+recycles those buffers across steps.
 
 Only *assembly* buffers go through a pool: they never cross the
 communication boundary (the transport copies whatever is sent), so one is

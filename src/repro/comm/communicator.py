@@ -365,16 +365,9 @@ class Communicator:
             self._world.deliver(self.world_rank, self._members[dest], tag_key, payload)
 
     def recv(self, source: int, tag: int = 0) -> Any:
-        """Block until a message from comm-rank ``source`` with ``tag`` arrives."""
-        self._check_peer(source, "source")
-        tag_key = self._tag_key(tag)
-        with _trace.span("recv", cat="pt2pt", source=source) as sp:
-            payload = self._world.collect(self.world_rank, self._members[source], tag_key)
-            _trace.flow_in(self._members[source], tag_key)
-            nbytes = payload_nbytes(payload)
-            sp.set(bytes=nbytes)
-        self.stats.record_recv(nbytes)
-        return payload
+        """Block until a message from comm-rank ``source`` with ``tag``
+        arrives: an :meth:`irecv` waited at once, booked as ``"recv"``."""
+        return self.irecv(source, tag, opname="recv").wait()
 
     def irecv(self, source: int, tag: int = 0, *, opname: str = "irecv") -> Request:
         """Nonblocking receive; ``wait()`` returns the payload.

@@ -143,8 +143,17 @@ def fingerprint(leaves: dict[str, Any]) -> dict[str, bytes]:
     return out
 
 
+def divergence(step: int, rank: int, other: int, name: str) -> ValueError:
+    """The error a save raises when ``rank`` and ``other`` hold different
+    bits of leaf ``name``."""
+    return ValueError(
+        f"checkpoint replicas diverge at step {step}: rank {rank} and rank "
+        f"{other} disagree at {name}; refusing to save ambiguous state"
+    )
+
+
 def verify_replicas(fingerprints: list[dict[str, bytes]], step: int) -> None:
-    """Raise ``ValueError`` naming the first rank and leaf whose
+    """Raise :func:`divergence` naming the first rank and leaf whose
     :func:`fingerprint` differs from rank 0's (``fingerprints`` in rank
     order).  Every rank runs it on the same allgathered list, so every rank
     raises, or none does."""
@@ -152,8 +161,4 @@ def verify_replicas(fingerprints: list[dict[str, bytes]], step: int) -> None:
     for rank, fp in enumerate(fingerprints[1:], 1):
         for name in [*ref, *(k for k in fp if k not in ref)]:
             if fp.get(name) != ref.get(name):
-                raise ValueError(
-                    f"checkpoint replicas diverge at step {step}: rank {rank} "
-                    f"and rank 0 disagree at {name}; refusing to save "
-                    f"ambiguous state"
-                )
+                raise divergence(step, rank, 0, name)

@@ -6,9 +6,10 @@ parallelized similarly.  Element-wise operations such as ReLUs parallelize
 trivially regardless of distribution." (§III-B)
 
 A layer is a window geometry and a kernel: pooling shares convolution's
-region algebra (:mod:`repro.core.window`) and its post-halo / interior /
-``finish()`` / boundary sequence (:func:`~repro.core.dist_conv.run_block`),
-and its backward scatter-add is the forward gather's plan read backwards.
+region algebra (:mod:`repro.core.window`) and its interior / ``finish()`` /
+boundary sequence (:func:`~repro.core.dist_conv.run_block`) over the window
+and started exchange the network hands it, and its backward scatter-add —
+which the network runs — is the forward gather's plan read backwards.
 
 No layer here picks a group to communicate over: batch-norm statistics,
 global average pooling and the loss are collectives of the lowered step
@@ -28,32 +29,35 @@ from repro.comm.buffers import BufferPool
 from repro.comm.communicator import Communicator
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
-from repro.tensor.indexing import place_region
+from repro.tensor.halo import RegionExchange
 from repro.core.parallelism import activation_dist
-from repro.core.dist_conv import own_window, run_block, start_gather
-from repro.core.window import WindowGeometry, window_geometry
+from repro.core.dist_conv import run_block
+from repro.core.window import WindowGeometry
 
 
 class DistPool2d:
     """Distributed max/average pooling.
 
-    A window geometry and a kernel, like convolution: forward gathers the
-    same dependency region; backward computes gradients on the extended
-    region and *scatter-adds* them back to their owners (windows straddling
-    a partition boundary contribute to a neighbor's cells — the reverse
-    halo exchange).
+    A window geometry and a kernel, like convolution: forward reads the
+    same dependency region; backward computes gradients on that extended
+    region, which the network *scatter-adds* back to their owners (windows
+    straddling a partition boundary contribute to a neighbor's cells — the
+    reverse halo exchange).
 
     Forward runs the one sequence of
-    :func:`~repro.core.dist_conv.run_block`: interior windows — those reading
-    only locally owned input (or virtual padding) — are computed while the
-    halo strips travel, boundary strips after ``finish()``.  Pooling windows
-    are reduced per output element, so the piecewise kernels are bitwise
-    identical to one fused kernel.  Backward's scatter-add
-    (:meth:`~repro.tensor.dist_tensor.DistTensor.start_scatter_region_add`)
-    is the forward gather's plan read backwards: it sends the boundary
-    strips to the ranks the forward received from, accumulates the rank's
-    own contribution — the bulk of the error signal — while they travel,
-    and folds the remote contributions in on ``finish()`` (own first, then
+    :func:`~repro.core.dist_conv.run_block` over the geometry and gather the
+    network hands it: interior windows — those reading only locally owned
+    input (or virtual padding) — are computed while the halo strips travel,
+    boundary strips after ``finish()``.  Pooling windows are reduced per
+    output element, so the piecewise kernels are bitwise identical to one
+    fused kernel.  The backward scatter-add
+    (:meth:`~repro.tensor.dist_tensor.DistTensor.start_scatter_region_add`,
+    started by :class:`~repro.core.dist_network.DistNetwork` when the
+    schedule has a reverse :class:`~repro.core.schedule.HaloOp`) is the
+    forward gather's plan read backwards: it sends the boundary strips to
+    the ranks the forward received from, accumulates the rank's own
+    contribution — the bulk of the error signal — while they travel, and
+    folds the remote contributions in on ``finish()`` (own first, then
     ascending comm rank, whatever order they arrive in).
     """
 
@@ -72,10 +76,13 @@ class DistPool2d:
         self.kernel = F._pair(kernel)
         self.stride = F._pair(stride if stride is not None else kernel)
         self.pad = F._pair(pad)
+        #: Virtual padding of the gathered input: max pooling must not let
+        #: it win.
+        self.fill = -np.inf if mode == "max" else 0.0
         self._cache: dict = {}
-        # Recycles the gathered extended region, the halo send strips and
-        # the scatter-add contribution payloads across steps.
-        self._pool = BufferPool()
+        #: Recycles the assembled extended region across steps (the network
+        #: starts this layer's gather into it).
+        self.buffers = BufferPool()
 
     def output_global_shape(self, x_shape: tuple[int, ...]) -> tuple[int, ...]:
         n, c, h, w = x_shape
@@ -92,9 +99,10 @@ class DistPool2d:
             return F.maxpool2d_forward(xs, self.kernel, self.stride, 0)
         return (F.avgpool2d_forward(xs, self.kernel, self.stride, 0),)
 
-    def forward(self, x: DistTensor, window: tuple | None = None) -> DistTensor:
-        """``window`` as in :meth:`~repro.core.dist_conv.DistConv2d.forward`."""
-        g = window_geometry(self.grid.coords, *(window or own_window(self, x)))
+    def forward(
+        self, x: DistTensor, g: WindowGeometry, ex: RegionExchange | None
+    ) -> DistTensor:
+        """``g`` and ``ex`` as in :meth:`~repro.core.dist_conv.DistConv2d.forward`."""
         for d in (2, 3):
             if x.dist.is_split(d) and not g.dist.is_split(d):
                 raise ValueError(
@@ -102,50 +110,31 @@ class DistPool2d:
                     f"(axis {d}: {g.shape[d]} rows over {self.grid.shape[d]} "
                     "parts); assign this layer a smaller spatial parallelism"
                 )
-        # Max pooling must not let virtual padding win: fill with -inf.
-        fill = -np.inf if self.mode == "max" else 0.0
-        ex = start_gather(x, g, self._pool, fill=fill)
         outs, x_ext = run_block(
-            self._pool_piece, x, g, ex, self._pool,
+            self._pool_piece, x, g, ex, self.buffers,
             (x.dtype, np.int64) if self.mode == "max" else (x.dtype,),
-            fill=fill,
+            fill=self.fill,
         )
-        y_local = outs[0]
-        self._cache = {
-            "geom": g, "x": x, "argmax": outs[1] if self.mode == "max" else None
-        }
-        self._pool.give(x_ext)  # backward needs only its shape (and argmax)
-        return DistTensor(self.grid, g.dist, g.shape, y_local)
+        # Backward needs only the region's shape (and argmax).
+        self._cache = {"shape": g.plan.shape, "argmax": outs[1] if self.mode == "max" else None}
+        self.buffers.give(x_ext)
+        return DistTensor(self.grid, g.dist, g.shape, outs[0])
 
-    def backward(self, dy: DistTensor) -> DistTensor:
+    def backward(self, dy: DistTensor) -> np.ndarray:
+        """The error signal over the forward's extended input region (its
+        virtual padding included), for the network to scatter-add to the
+        region's owners."""
         cache = self._cache
         if not cache:
             raise RuntimeError("backward() before forward()")
-        g: WindowGeometry = cache["geom"]
-        x: DistTensor = cache["x"]
         if self.mode == "max":
-            dx_ext = F.maxpool2d_backward(
-                dy.local, cache["argmax"], g.plan.shape,
+            return F.maxpool2d_backward(
+                dy.local, cache["argmax"], cache["shape"],
                 self.kernel, self.stride, 0,
             )
-        else:
-            dx_ext = F.avgpool2d_backward(
-                dy.local, g.plan.shape, self.kernel, self.stride, 0
-            )
-        dx = DistTensor.zeros(x.grid, x.dist, x.global_shape, dtype=dy.dtype)
-        if g.exchanged:
-            # The forward gather read backwards: send the boundary strips,
-            # accumulate our own contribution while they travel, fold in
-            # the remote ones on finish.
-            dx.start_scatter_region_add(dx_ext, g.lo, plan=g.plan).finish()
-        else:
-            # No window reads off-shard: the own contribution is all of dx
-            # (its virtual-padding part clipped away).
-            offset = tuple(lo - b for lo, (b, _) in zip(g.lo, dx.bounds))
-            place_region(dx.local, dx_ext, offset, accumulate=True)
-        # Replicated output dims mean every replica scattered identical
-        # contributions into disjoint replica groups — already consistent.
-        return dx
+        return F.avgpool2d_backward(
+            dy.local, cache["shape"], self.kernel, self.stride, 0
+        )
 
 
 class DistBatchNorm:

@@ -15,8 +15,16 @@ layer that produces the activation and is finished by its first consumer;
 a backward shuffle starts with the child's ``dx`` and is finished by the
 parent that folds it in; the bucketed gradient reducer
 (:class:`~repro.core.grad_reducer.BucketedGradReducer`) is drained once,
-after the last layer; the windowed layers finish their halo exchange
-between the interior and boundary kernels (§IV-A).  When a message
+after the last layer.  Every halo exchange the schedule declares (its
+``halos``) is started here, in the §IV-A order: a layer's forward gather
+before its interior kernels, convolution's Eq. 3 error-signal gather
+before its Eq. 2 filter kernel, pooling's reverse halo once the layer has
+computed its extended-region gradient.  A windowed layer is handed the
+window's geometry and that in-flight exchange (or ``None``, when the
+schedule has none) and finishes it between its interior and boundary
+kernels (:func:`~repro.core.dist_conv.run_block`); so the schedule's
+:meth:`~repro.core.schedule.StepSchedule.halo` is the one place that
+decides whether a window exchanges.  When a message
 arrives changes no arithmetic: every receive lands in a slot fixed by the
 plan and every fold runs in a fixed order, so losses are bitwise equal
 under any delay of any message (``tests/test_dist_network.py``,
@@ -30,7 +38,7 @@ Activations and error signals travel **by reference**.  A layer's output is
 handed to every consumer as is; a layer's ``dx`` *is* its parent's ``dy``
 (an ``add`` hands the same array to all its parents), and only a parent with
 several consumers sums into a tensor of its own.  Layers keep what they need
-for backward the same way: a batch-norm cache and a convolution's gathered
+for backward the same way: a batch-norm cache and a convolution's assembled
 input (:func:`~repro.tensor.halo.local_region`) alias the live activation
 whenever no padding or remote data is involved.  All of it rests on one
 invariant: **no layer writes to its input or to the error signal it is
@@ -59,11 +67,14 @@ from repro.nn.graph import NetworkSpec
 from repro.obs import tracer as _trace
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
+from repro.tensor.halo import RegionExchange, start_region_exchange
+from repro.tensor.indexing import place_region
 from repro.tensor.shuffle import ShuffleExchange, start_shuffle
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
 from repro.core.dist_conv import DistConv2d
 from repro.core.grad_reducer import DEFAULT_BUCKET_BYTES, BucketedGradReducer
 from repro.core.schedule import LayerOp, ShuffleOp, StepSchedule, lower, window_params
+from repro.core.window import WindowGeometry, transposed_window, window_geometry
 from repro.core.dist_layers import (
     DistAdd,
     DistBatchNorm,
@@ -83,12 +94,14 @@ class _Kind(NamedTuple):
     """How the interpreter runs one layer kind.
 
     ``build(net, layer, grid, params)`` constructs the layer;
-    ``forward(net, impl, xs, training, targets, op)`` returns its output,
-    handing the layer what its lowered ``op`` decided — a windowed layer's
-    window, another's collective group (:meth:`DistNetwork._group`);
-    ``backward(impl, dy, need_dx, group)`` returns ``(dx, grads)`` — one
-    ``dx`` for every parent, ``grads`` the dL/dw partials or ``None``.  A
-    loss ``seeds`` backward from its own cache instead of taking a ``dy``.
+    ``forward(net, impl, xs, training, targets, op)`` returns its output and
+    ``backward(net, impl, dy, op)`` returns ``(dx, grads)`` — one ``dx`` for
+    every parent, ``grads`` the dL/dw partials or ``None`` — each handing
+    the layer what its lowered ``op`` decided: a windowed layer's geometry
+    and started halo exchange (:meth:`DistNetwork._window`), another's
+    collective group (:meth:`DistNetwork._group`), whether a ``dx`` is
+    wanted.  A loss ``seeds`` backward from its own cache instead of taking
+    a ``dy``.
     """
 
     build: Callable
@@ -102,20 +115,53 @@ def _unary(net, impl, xs, training, targets, op):
 
 
 def _windowed(net, impl, xs, training, targets, op):
-    return impl.forward(xs[0], op.window)
+    return impl.forward(xs[0], *net._window("fwd", op, op.window, xs[0], impl))
 
 
-def _dx_only(impl, dy, need_dx, group):
+def _dx_only(net, impl, dy, op):
     return impl.backward(dy), None
 
 
-def _weights(impl, dy, need_dx, group):
-    dx, dw, db = impl.backward(dy, need_dx)
-    return dx, ({"w": dw} if db is None else {"w": dw, "b": db})
+def _grads(dw, db) -> dict:
+    return {"w": dw} if db is None else {"w": dw, "b": db}
 
 
-def _bn_backward(impl, dy, need_dx, group):
-    dx, dgamma, dbeta = impl.backward(dy, need_dx, group[0])
+def _fc_backward(net, impl, dy, op):
+    dx, dw, db = impl.backward(dy, op.need_dx)
+    return dx, _grads(dw, db)
+
+
+def _conv_backward(net, impl, dy, op):
+    g = ex = None
+    if op.need_dx:
+        # Post the dy halo exchange before Eq. 2: the filter convolution
+        # needs no remote data, so the strips travel behind it.
+        g, ex = net._window("bwd", op, transposed_window(op.window), dy, impl)
+    dx, dw, db = impl.backward(dy, g, ex)
+    return dx, _grads(dw, db)
+
+
+def _pool_backward(net, impl, dy, op):
+    """The layer's extended-region gradient folded into its input's
+    placement: scatter-added to the owners — the forward gather read
+    backwards — when the schedule has the reverse halo, else all of it is
+    this rank's own (its virtual-padding part clipped away)."""
+    g = window_geometry(impl.grid.coords, *op.window)
+    dx_ext = impl.backward(dy)
+    dist, shape = op.window[0]
+    dx = DistTensor.zeros(impl.grid, dist, shape, dtype=dy.dtype)
+    if net._sched.halo("bwd", op.name) is not None:
+        dx.start_scatter_region_add(dx_ext, g.lo, plan=g.plan).finish()
+    else:
+        offset = tuple(lo - b for lo, (b, _) in zip(g.lo, dx.bounds))
+        place_region(dx.local, dx_ext, offset, accumulate=True)
+    # Replicated output dims mean every replica scattered identical
+    # contributions into disjoint replica groups — already consistent.
+    return dx, None
+
+
+def _bn_backward(net, impl, dy, op):
+    dx, dgamma, dbeta = impl.backward(dy, op.need_dx, net._group("bwd", op)[0])
     return dx, {"gamma": dgamma, "beta": dbeta}
 
 
@@ -129,7 +175,7 @@ def _loss(cls) -> _Kind:
     return _Kind(
         lambda net, layer, grid, p: cls(grid),
         _loss_forward,
-        lambda impl, dy, need_dx, group: (impl.backward(), None),
+        lambda net, impl, dy, op: (impl.backward(), None),
         seeds=True,
     )
 
@@ -141,14 +187,14 @@ _KINDS: dict[str, _Kind] = {
             grid, p["w"], *window_params(layer)[1:], bias=p.get("b")
         ),
         _windowed,
-        _weights,
+        _conv_backward,
     ),
     "pool": _Kind(
         lambda net, layer, grid, p: DistPool2d(
             grid, layer.get("mode", "max"), *window_params(layer)
         ),
         _windowed,
-        _dx_only,
+        _pool_backward,
     ),
     "bn": _Kind(
         lambda net, layer, grid, p: DistBatchNorm(
@@ -170,10 +216,10 @@ _KINDS: dict[str, _Kind] = {
     "add": _Kind(
         lambda net, layer, grid, p: DistAdd(grid),
         lambda net, impl, xs, training, targets, op: impl.forward(*xs),
-        lambda impl, dy, need_dx, group: (dy, None),  # every parent gets dy itself
+        lambda net, impl, dy, op: (dy, None),  # every parent gets dy itself
     ),
     "fc": _Kind(
-        lambda net, layer, grid, p: DistFC(grid, p["w"], p.get("b")), _unary, _weights
+        lambda net, layer, grid, p: DistFC(grid, p["w"], p.get("b")), _unary, _fc_backward
     ),
     "softmax_ce": _loss(DistSoftmaxCrossEntropy),
     "bce": _loss(DistBCEWithLogits),
@@ -250,6 +296,19 @@ class DistNetwork:
     def _start(self, op: ShuffleOp, tensor: DistTensor) -> ShuffleExchange:
         self.shuffle_count += 1
         return start_shuffle(tensor, self._grid(op.dst.grid_shape), op.dst)
+
+    def _window(
+        self, phase: str, op: LayerOp, window: tuple, source: DistTensor, impl
+    ) -> tuple[WindowGeometry, RegionExchange | None]:
+        """``(geometry, in-flight gather)`` of windowed layer ``impl``'s
+        ``window`` on this rank.  The gather of the window's region from
+        ``source`` — into the layer's own recycled buffers, with its padding
+        value — is started exactly when the schedule has ``op`` exchange a
+        halo in ``phase``; otherwise it is ``None``."""
+        g = window_geometry(impl.grid.coords, *window)
+        if self._sched.halo(phase, op.name) is None:
+            return g, None
+        return g, start_region_exchange(source, g.plan, fill=impl.fill, pool=impl.buffers)
 
     def _group(self, phase: str, op: LayerOp) -> tuple[Communicator | None, tuple]:
         """``(sub-communicator, grid axes)`` of the collective the schedule
@@ -380,9 +439,7 @@ class DistNetwork:
                         dy.local += part.local
                 if dy is None and not kind.seeds:
                     continue  # no path to the loss
-                dx, g = kind.backward(
-                    self._layers[name], dy, op.need_dx, self._group("bwd", op)
-                )
+                dx, g = kind.backward(self, self._layers[name], dy, op)
                 # The dx shuffle first: it is in flight while the reducer
                 # coalesces and launches this layer's gradient allreduce.
                 for e in op.edges:

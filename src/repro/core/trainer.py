@@ -124,7 +124,8 @@ class DistTrainer:
         slices (each rank keeps only the slices it updates, so the full
         velocity is assembled from the owners') together with a
         :func:`~repro.core.checkpoint.fingerprint` of its replicated state.
-        If any rank's fingerprint differs from rank 0's, every rank raises
+        If any rank's fingerprint differs from rank 0's, or two ranks hold
+        different bits of the same velocity element, every rank raises
         ``ValueError`` naming that rank and leaf, and nothing is written;
         otherwise rank 0 alone writes the file atomically and prunes.
         Every rank must call this at the same step (``checkpoint_every``
@@ -137,20 +138,39 @@ class DistTrainer:
 
     def _replicated_velocity(self, pieces: list[dict]) -> dict:
         """The full velocity of every parameter, from every rank's
-        ``(layer, param)`` arrays and ``(layer, param, offset)`` slices (the
-        slices of one element agree wherever several ranks hold them)."""
+        ``(layer, param)`` arrays and ``(layer, param, offset)`` slices
+        (``pieces`` in rank order).  Wherever two ranks hold the same
+        element — every element under ``"direct"`` and power-of-two
+        recursive doubling — they must hold the same bits, or this raises
+        :func:`~repro.core.checkpoint.divergence` for
+        ``optimizer.velocity.<layer>.<param>``."""
         full: dict[tuple[str, str], np.ndarray] = {}
-        for piece in pieces:
-            for key, v in sorted(piece.items(), key=lambda kv: len(kv[0])):
-                layer, pname, *offset = key
-                if not offset:
-                    full[key] = np.array(v)
-                    continue
-                dst = full.get((layer, pname))
-                if dst is None:
+        # Per parameter, the rank an element was first taken from (-1: none yet).
+        holder: dict[tuple[str, str], np.ndarray] = {}
+        for rank, piece in enumerate(pieces):
+            for (layer, pname, *offset), v in piece.items():
+                key = layer, pname
+                if key not in full:
                     shape = self.network.params[layer][pname].shape
-                    dst = full[layer, pname] = np.empty(shape, v.dtype)
-                dst.reshape(-1)[offset[0] : offset[0] + v.size] = v
+                    full[key] = np.empty(shape, v.dtype)
+                    holder[key] = np.full(full[key].size, -1)
+                start = offset[0] if offset else 0
+                dst = full[key].reshape(-1)[start : start + v.size]
+                held = holder[key][start : start + v.size]
+                src, both = v.reshape(-1), held >= 0
+                if both.any():
+                    old, new = dst[both], src[both]
+                    differs = (
+                        old.view(np.uint8).reshape(old.size, -1)
+                        != new.view(np.uint8).reshape(new.size, -1)
+                    ).any(axis=1)
+                    if differs.any():
+                        raise ckpt.divergence(
+                            self.step_index, rank, int(held[both][differs.argmax()]),
+                            f"optimizer.velocity.{layer}.{pname}",
+                        )
+                dst[...] = src
+                held[...] = rank
         return full
 
     @staticmethod
@@ -181,11 +201,12 @@ class DistTrainer:
             (optimizer["velocity"], ckpt.fingerprint(self._replicated_leaves(state)))
         )
         ckpt.verify_replicas([fp for _, fp in gathered], self.step_index)
+        # Every rank assembles the velocity, so a divergent copy raises on
+        # every rank alike.
+        velocity = self._replicated_velocity([velocity for velocity, _ in gathered])
         path = ckpt.checkpoint_path(self.checkpoint_dir, self.step_index)
         if comm.rank == 0:
-            optimizer["velocity"] = self._replicated_velocity(
-                [velocity for velocity, _ in gathered]
-            )
+            optimizer["velocity"] = velocity
             ckpt.save_state(self.checkpoint_dir, self.step_index, state)
             if self.checkpoint_keep > 0:
                 ckpt.prune(self.checkpoint_dir, self.checkpoint_keep)

@@ -34,13 +34,15 @@ for the same answer.  This is the one place a halo is decided: which
 source rows a window reads, whom a rank exchanges them with, and which
 block points wait for them.  Its key after the coordinates, a layer's
 window, is built once: :func:`~repro.core.schedule.lower` builds it from
-the step's placements and the network hands it to the layer (Eq. 3's is
-:func:`transposed_window` of it).
+the step's placements, and the network hands the layer its geometry (Eq. 3's
+window is :func:`transposed_window` of it).
 
-:func:`~repro.core.dist_conv.start_gather` and
-:func:`~repro.core.dist_conv.run_block` are the one sequence every such
-layer runs on it: post the halo strips, run the interior kernels while they
-travel, ``finish()`` the exchange, run the boundary kernels.
+The network (:class:`~repro.core.dist_network.DistNetwork`) posts a
+window's halo strips when the schedule has a
+:class:`~repro.core.schedule.HaloOp` for it, and
+:func:`~repro.core.dist_conv.run_block` is the one sequence every such
+layer runs on the geometry and exchange it is handed: the interior kernels
+while the strips travel, ``finish()`` the exchange, the boundary kernels.
 """
 
 from __future__ import annotations

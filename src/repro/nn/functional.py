@@ -22,8 +22,8 @@ which is what cuDNN's IMPLICIT_GEMM algorithm computes):
 
 Two kernels take the *effective padding* formulation needed by the
 distributed algorithms (paper §III-A): the spatially partitioned layers
-materialize halo + virtual padding into an extended local block via
-``gather_region`` and then call these kernels with ``pad=0``, while
+materialize halo + virtual padding into an extended local block via a
+region exchange and then call these kernels with ``pad=0``, while
 backward-data is evaluated with a per-rank left-offset padding that aligns
 the gathered error-signal region with the local input block (see
 :mod:`repro.core.dist_conv` for the offset derivation).

@@ -16,10 +16,9 @@ partitioned global view of multidimensional tensors" with halo exchange
   :class:`~repro.tensor.exchange.PlannedExchange` (eager sends to the
   plan's partners, posted receives, ``poll()``/``finish()``).
 * :mod:`repro.tensor.dist_tensor` — :class:`DistTensor`: local shards with
-  global metadata, the plan-free ``gather_region`` reference (generalized
-  halo), ``plan_region_exchange`` (the plan of a region gather) and
-  ``scatter_region_add`` (reverse halo accumulation: that plan read
-  backwards).
+  global metadata, ``plan_regions`` (the plans of a region gather, the
+  generalized halo) and ``start_scatter_region_add`` (reverse halo
+  accumulation: that plan read backwards).
 * :mod:`repro.tensor.halo` — :class:`~repro.tensor.halo.RegionExchange`,
   the gather plan run so that halo exchanges hide behind interior
   computation (§IV-A).

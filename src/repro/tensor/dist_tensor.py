@@ -2,32 +2,27 @@
 
 A :class:`DistTensor` is the Python analogue of the paper's C++ distributed
 tensor: each rank stores the block of the global tensor selected by its grid
-coordinates under a :class:`~repro.tensor.distribution.Distribution`, and
-the class provides the collective primitives the distributed convolution
-algorithms are built from:
+coordinates under a :class:`~repro.tensor.distribution.Distribution`.  The
+region transfers the distributed convolution algorithms are built from are
+planned here and run by the one
+:class:`~repro.tensor.exchange.PlannedExchange`:
 
-* :meth:`DistTensor.gather_region` — fetch an arbitrary hyper-rectangular
-  region of the global tensor (the *generalized halo exchange*: the region
-  a convolution's local outputs depend on overlaps only grid neighbors in
-  the common case, but the same primitive handles strided and unaligned
-  partitions exactly);
-* :meth:`DistTensor.scatter_region_add` — the reverse operation, scattering
-  and *accumulating* contributions computed for a region back to its owners
-  (needed by pooling backpropagation where windows straddle partitions);
-  :meth:`DistTensor.start_scatter_region_add` is the same transfer with the
-  finish left to the caller.
-
-A transfer is a plan and an exchange.  ``gather_region`` is the plan-free
-request/reply reference the tests compare against; everything on the hot
-path runs a :class:`~repro.tensor.exchange.TransferPlan` through a
-:class:`~repro.tensor.exchange.PlannedExchange`.
-:func:`plan_regions` builds the plans of a region gather from the pure
-ownership resolution :func:`owners_of_region`, and the scatter-add is that
-same plan read backwards — its receives are what to send, its sends what
-to accumulate.
+* :func:`plan_regions` — the static schedules of a *region gather*, in
+  which every rank fetches an arbitrary hyper-rectangular region of the
+  global tensor (the *generalized halo exchange*: the region a
+  convolution's local outputs depend on overlaps only grid neighbors in the
+  common case, but the same plan handles strided and unaligned partitions
+  exactly), built from the pure ownership resolution
+  :func:`owners_of_region`; :func:`~repro.tensor.halo.start_region_exchange`
+  runs one;
+* :meth:`DistTensor.start_scatter_region_add` — the reverse operation, that
+  plan read backwards (its receives are what to send, its sends what to
+  accumulate): contributions computed for a region are scattered to its
+  owners and *accumulated* (pooling backpropagation, where windows straddle
+  partitions); :meth:`DistTensor.scatter_region_add` finishes it at once.
 
 Both are collective over the grid's communicator.  Regions may extend past
-the global tensor boundary; out-of-range parts are zero-filled on gather
+the global tensor boundary; out-of-range parts are filled on gather
 (materializing convolution padding) and dropped on scatter.
 
 Replication is respected: when a dimension is replicated across a grid axis,
@@ -57,7 +52,6 @@ from repro.tensor.indexing import (
     block_coords_of_interval,
     intersect,
     interval_is_empty,
-    place_region,
 )
 
 
@@ -149,94 +143,27 @@ class DistTensor:
         return self.local[tuple(sl)]
 
     # -- collective region primitives ------------------------------------------
-    def gather_region(
-        self,
-        lo: Sequence[int],
-        hi: Sequence[int],
-        fill: float = 0.0,
-        pool=None,
-    ) -> np.ndarray:
-        """Collectively fetch global region ``[lo, hi)`` into a local array.
-
-        All grid ranks must call this together (each with its own region —
-        pass an empty region to participate without fetching).  Out-of-range
-        parts are filled with ``fill``.  ``pool`` (a
-        :class:`~repro.comm.buffers.BufferPool`) supplies the assembly
-        buffer; the caller owns the result and may ``give`` it back once
-        done reading it.
-        """
-        lo = tuple(int(v) for v in lo)
-        hi = tuple(int(v) for v in hi)
-        out_shape = tuple(h - b for b, h in zip(lo, hi))
-        if any(s < 0 for s in out_shape):
-            raise ValueError(f"negative region shape {out_shape}")
-
-        owners = (
-            owners_of_region(self.dist, self.global_shape, lo, hi, self.grid.coords)
-            if all(s > 0 for s in out_shape) else []
-        )
-        comm = self.comm
-
-        requests: list[list[tuple[tuple[int, int], ...]]] = [
-            [] for _ in range(comm.size)
-        ]
-        for rank, overlap in owners:
-            requests[rank].append(overlap)
-
-        incoming = comm.alltoall(requests)
-        replies = [
-            [self._local_slice_of(region) for region in regions]
-            for regions in incoming
-        ]
-        comm.stats.record_collective(
-            "region_data",
-            sum(
-                arr.nbytes
-                for j, regions in enumerate(replies)
-                for arr in regions
-                if j != comm.rank
-            ),
-        )
-        data_back = comm.alltoall(replies)
-
-        if pool is not None:
-            out = pool.take(out_shape, self.dtype)
-            out.fill(fill)
-        else:
-            out = np.full(out_shape, fill, dtype=self.dtype)
-        for rank in range(comm.size):
-            for region, data in zip(requests[rank], data_back[rank]):
-                offset = tuple(r[0] - b for r, b in zip(region, lo))
-                place_region(out, data, offset)
-        return out
-
     def start_scatter_region_add(
         self,
         region: np.ndarray,
         lo: Sequence[int],
-        plan: TransferPlan | None = None,
+        plan: TransferPlan,
     ) -> "ScatterAddExchange":
         """Scatter ``region`` (anchored at global ``lo``) to its owners,
         *adding* into their shards: send the contributions and accumulate
         the *own* contribution immediately.
 
         The transfer is the gather of ``[lo, lo + region.shape)`` read
-        backwards.  ``plan`` is that gather's
-        :func:`plan_region_exchange` (layers pass their cached forward
-        plan); without one, the ranks learn each other's regions with one
-        small allgather and build it.  The returned handle's
+        backwards, and ``plan`` is that gather's (:func:`plan_regions`;
+        pooling passes its window's).  The returned handle's
         :meth:`~ScatterAddExchange.finish` folds in the remote
         contributions.  The accumulation order is fixed and documented —
         own contribution first (it overlaps the in-flight transfer), then
         remote contributions in ascending comm rank.
         """
         lo = tuple(int(v) for v in lo)
-        hi = tuple(b + int(s) for b, s in zip(lo, region.shape))
-        if plan is None:
-            plan = plan_region_exchange(
-                self, lo, hi, self.comm.allgather((lo, hi))
-            )
-        elif plan.lo != lo or plan.shape != region.shape:
+        if plan.lo != lo or plan.shape != region.shape:
+            hi = tuple(b + int(s) for b, s in zip(lo, region.shape))
             raise ValueError(
                 f"plan was built for region {plan.box}, not {tuple(zip(lo, hi))}"
             )
@@ -253,7 +180,7 @@ class DistTensor:
         self,
         region: np.ndarray,
         lo: Sequence[int],
-        plan: TransferPlan | None = None,
+        plan: TransferPlan,
     ) -> None:
         """Collectively scatter ``region`` (anchored at global ``lo``) to its
         owners, *adding* into their local shards.
@@ -264,7 +191,7 @@ class DistTensor:
         arguments, same accumulation order (own first, then remote in
         ascending comm rank).
         """
-        self.start_scatter_region_add(region, lo, plan=plan).finish()
+        self.start_scatter_region_add(region, lo, plan).finish()
 
     # -- whole-tensor collectives (test/debug helpers) -----------------------------
     def to_global(self) -> np.ndarray:
@@ -378,23 +305,3 @@ def plan_regions(
             sum(cells(box) for _, box in out),
         ))
     return plans
-
-
-def plan_region_exchange(
-    dt: DistTensor,
-    lo: Sequence[int],
-    hi: Sequence[int],
-    peer_regions: Sequence[tuple[Sequence[int], Sequence[int]]],
-) -> TransferPlan:
-    """:func:`plan_regions` for ``dt``'s rank, gathering ``[lo, hi)``, with
-    ``peer_regions[j]`` the ``(lo, hi)`` region comm-rank ``j`` gathers in
-    the same exchange.
-    Halo geometry is a function of the layer and distribution alone, so
-    layers build the plan once and reuse it every step, exactly as the
-    paper's implementation sets up its halo exchanges per layer rather than
-    per invocation.
-    """
-    grid, me = dt.grid, dt.comm.rank
-    regions = [(grid.coords_of(j), region) for j, region in enumerate(peer_regions)]
-    regions[me] = grid.coords, (lo, hi)
-    return plan_regions(dt.dist, dt.global_shape, regions)[me]

@@ -45,7 +45,7 @@ class TransferPlan:
 
     A pure function of grids, distributions, global shape and layer
     geometry — independent of tensor values and dtype — so it is built once
-    (:func:`~repro.tensor.dist_tensor.plan_region_exchange`,
+    (:func:`~repro.tensor.dist_tensor.plan_regions`,
     :func:`~repro.tensor.shuffle.plan_shuffle`) and reused every step.
     All boxes are in global coordinates.
     """

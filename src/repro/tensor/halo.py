@@ -4,14 +4,14 @@ A transfer is a plan and an exchange.  :func:`start_region_exchange` runs
 the :class:`~repro.tensor.exchange.TransferPlan` of a region gather
 (:func:`~repro.tensor.dist_tensor.plan_regions`) through the one
 :class:`~repro.tensor.exchange.PlannedExchange` and returns it as a
-:class:`RegionExchange`: it fetches the same arbitrary hyper-rectangular
-dependency regions as
-:meth:`~repro.tensor.dist_tensor.DistTensor.gather_region` — the plan-free
-request/reply reference the tests compare it against — but the caller runs
-the interior convolution while halo strips are in flight, assembles
-received pieces as they land, and finishes with the boundary kernels.  A
-caller with nothing to overlap calls :meth:`~RegionExchange.finish` right
-after the start; there is no separate blocking implementation.
+:class:`RegionExchange`: it fetches arbitrary hyper-rectangular dependency
+regions, and the caller runs the interior convolution while halo strips
+are in flight, assembles received pieces as they land, and finishes with
+the boundary kernels.  A caller with nothing to overlap calls
+:meth:`~RegionExchange.finish` right after the start; there is no separate
+blocking implementation.  In a training step every one is started by
+:class:`~repro.core.dist_network.DistNetwork`, for a halo op of the lowered
+schedule.
 
 Because every rank can compute every peer's dependency region from shared
 layer geometry, the exchange needs no request round-trip: each rank posts
@@ -121,8 +121,9 @@ def start_region_exchange(
     pool=None,
 ) -> RegionExchange:
     """Begin an overlapped gather of ``plan``'s region (``plan.box``) from
-    ``dt`` — ``plan`` is :func:`~repro.tensor.dist_tensor.plan_region_exchange`'s
-    (or a layer's cached window plan).
+    ``dt`` — ``plan`` is one of
+    :func:`~repro.tensor.dist_tensor.plan_regions`' (in a training step, the
+    cached plan of a :class:`~repro.core.window.WindowGeometry`).
 
     Every rank must call this at the same logical point: the exchange is
     matched by a per-communicator sequence number, and each rank eagerly
@@ -132,7 +133,7 @@ def start_region_exchange(
 
     The returned :class:`RegionExchange` already contains all locally owned
     data; only remote pieces are outstanding.  Off-rank bytes are recorded
-    under the same ``"region_data"`` stat as ``gather_region``.
+    under the ``"region_data"`` stat, as the reverse halo's are.
     """
     out = _filled(plan.shape, dt.dtype, fill, pool)
     exchange = PlannedExchange(

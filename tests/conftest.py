@@ -16,12 +16,19 @@ one-rank-per-node — all traffic over TCP — when unset.
 import faulthandler
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.comm import HOSTMAP_ENV, CommAborted, resolve_hostmap
 from repro.core import classify_failures
+from repro.core.dist_layers import DistPool2d
 from repro.core.grad_reducer import BucketedGradReducer
+from repro.core.parallelism import activation_dist
+from repro.core.window import transposed_window, window_geometry
+from repro.tensor import DistTensor, start_region_exchange
+from repro.tensor.dist_tensor import plan_regions
+from repro.tensor.indexing import place_region
 
 # Tier-1 runs every property test at hypothesis' defaults.  CI's coverage
 # job re-runs the kernel sweeps with ``--hypothesis-profile=wide``; only
@@ -152,3 +159,85 @@ class CopyingReducer(BucketedGradReducer):
 
     def add(self, layer, partials, comm):
         return super().add(layer, {k: v.copy() for k, v in partials.items()}, comm)
+
+
+# -- region transfers and windowed layers outside a network ---------------------
+
+
+def region_plan(dt, regions):
+    """This rank's plan of the region gather from ``dt`` in which comm rank
+    ``j`` gathers ``regions[j] = (lo, hi)``."""
+    grid = dt.grid
+    placed = [(grid.coords_of(j), region) for j, region in enumerate(regions)]
+    return plan_regions(dt.dist, dt.global_shape, placed)[dt.comm.rank]
+
+
+def region_of(global_array, lo, hi, fill=0.0):
+    """The numpy oracle of a region gather: ``global_array[lo:hi]``, with
+    ``fill`` wherever the region leaves the array."""
+    out = np.full([h - b for b, h in zip(lo, hi)], fill, dtype=global_array.dtype)
+    src = [(max(b, 0), min(h, n)) for b, h, n in zip(lo, hi, global_array.shape)]
+    if all(s1 > s0 for s0, s1 in src):
+        out[tuple(slice(s0 - b, s1 - b) for (s0, s1), b in zip(src, lo))] = (
+            global_array[tuple(slice(s0, s1) for s0, s1 in src)]
+        )
+    return out
+
+
+def standalone_window(layer, x):
+    """The forward window of windowed ``layer`` reading ``x`` in place: its
+    output in the grid's activation placement, as ``lower()`` places it."""
+    y_shape = layer.output_global_shape(x.global_shape)
+    block = activation_dist(layer.grid.shape, y_shape), y_shape
+    return (x.dist, x.global_shape), block, layer.kernel, layer.stride, layer.pad, False
+
+
+def start_window(layer, source, window):
+    """``(geometry, started gather or None)`` of ``window`` on this rank,
+    started as ``DistNetwork`` starts it — with the layer's padding value
+    into its buffers — wherever a window reads off-shard."""
+    g = window_geometry(layer.grid.coords, *window)
+    if not g.exchanged:
+        return g, None
+    return g, start_region_exchange(source, g.plan, fill=layer.fill, pool=layer.buffers)
+
+
+class Driven:
+    """A convolution or pooling layer driven on its own the way
+    ``DistNetwork`` drives it: the window's gather started before the layer
+    runs, Eq. 3's before the filter kernel, pooling's reverse halo
+    scatter-added after the layer computed its extended-region gradient.
+
+    ``forward(x, window=None)`` (default: :func:`standalone_window`) and
+    ``backward(dy, need_dx=True)`` return what the network would: the
+    output; ``(dx, dw, db)`` for a convolution, ``dx`` for pooling."""
+
+    def __init__(self, layer):
+        self.layer = layer
+        self.window = None
+
+    def __getattr__(self, name):
+        return getattr(self.layer, name)
+
+    def forward(self, x, window=None):
+        self.window = window or standalone_window(self.layer, x)
+        return self.layer.forward(x, *start_window(self.layer, x, self.window))
+
+    def backward(self, dy, need_dx=True):
+        layer, window = self.layer, self.window
+        if not isinstance(layer, DistPool2d):
+            if not need_dx or window is None:
+                return layer.backward(dy)
+            return layer.backward(dy, *start_window(layer, dy, transposed_window(window)))
+        dx_ext = layer.backward(dy)
+        g = window_geometry(layer.grid.coords, *window)
+        dist, shape = window[0]
+        dx = DistTensor.zeros(layer.grid, dist, shape, dtype=dy.dtype)
+        if g.exchanged:
+            dx.start_scatter_region_add(dx_ext, g.lo, plan=g.plan).finish()
+        else:
+            place_region(
+                dx.local, dx_ext, tuple(lo - b for lo, (b, _) in zip(g.lo, dx.bounds)),
+                accumulate=True,
+            )
+        return dx

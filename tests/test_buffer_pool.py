@@ -1,14 +1,15 @@
 """BufferPool recycling: the free-list itself, and the assembly buffers of
-region gathers, pooling and convolution layers."""
+region exchanges, pooling and convolution layers."""
 
 import numpy as np
 import pytest
 
+from conftest import Driven, region_of, region_plan
 from repro.comm import BufferPool, run_spmd
 from repro.core.dist_layers import DistPool2d
 from repro.core.parallelism import activation_dist
 from repro.nn import functional as F
-from repro.tensor import DistTensor, Distribution, ProcessGrid
+from repro.tensor import DistTensor, Distribution, ProcessGrid, start_region_exchange
 from repro.tensor.halo import local_region
 
 
@@ -57,8 +58,8 @@ class TestGatherScatterPayloadPooling:
     """A pool changes where a gathered region is assembled, never what a
     gather or a scatter-add computes."""
 
-    def test_gather_region_assembly_buffers_recycled(self):
-        """A gathered region given back is the buffer the next gather of
+    def test_region_exchange_assembly_buffers_recycled(self):
+        """A gathered region given back is the buffer the next exchange of
         the same shape assembles into: one allocation, then only hits."""
         x = np.arange(144.0).reshape(12, 12)
         dist = Distribution.make((2, 2))
@@ -68,10 +69,14 @@ class TestGatherScatterPayloadPooling:
             grid = ProcessGrid(comm, (2, 2))
             dt = DistTensor.from_global(grid, dist, x)
             pool = BufferPool()
-            (hlo, hhi), (wlo, whi) = dt.bounds
+            regions = []
+            for r in range(comm.size):
+                (hlo, hhi), (wlo, whi) = dist.local_bounds(x.shape, grid.coords_of(r))
+                regions.append(((hlo - 2, wlo - 2), (hhi + 2, whi + 2)))
+            plan = region_plan(dt, regions)
             outs = []
             for _ in range(iters):
-                out = dt.gather_region((hlo - 2, wlo - 2), (hhi + 2, whi + 2), pool=pool)
+                out = start_region_exchange(dt, plan, pool=pool).finish()
                 outs.append(id(out))
                 pool.give(out)
             return pool.stats(), len(set(outs))
@@ -80,7 +85,7 @@ class TestGatherScatterPayloadPooling:
             assert (hits, misses) == (iters - 1, 1)
             assert distinct == 1
 
-    def test_gather_region_pooled_matches_unpooled(self):
+    def test_region_exchange_pooled_matches_unpooled(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((9, 13))
         dist = Distribution.make((2, 2))
@@ -89,12 +94,16 @@ class TestGatherScatterPayloadPooling:
             grid = ProcessGrid(comm, (2, 2))
             dt = DistTensor.from_global(grid, dist, x)
             pool = BufferPool()
-            (hlo, hhi), (wlo, whi) = dt.bounds
-            region = ((hlo - 1, wlo - 2), (hhi + 2, whi + 1))
+            regions = []
+            for r in range(comm.size):
+                (hlo, hhi), (wlo, whi) = dist.local_bounds(x.shape, grid.coords_of(r))
+                regions.append(((hlo - 1, wlo - 2), (hhi + 2, whi + 1)))
+            plan = region_plan(dt, regions)
             for _ in range(3):
-                got = dt.gather_region(*region, pool=pool)
-                want = dt.gather_region(*region)
+                got = start_region_exchange(dt, plan, pool=pool).finish()
+                want = start_region_exchange(dt, plan).finish()
                 np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(got, region_of(x, *regions[comm.rank]))
                 pool.give(got)
             return True
 
@@ -114,8 +123,9 @@ class TestGatherScatterPayloadPooling:
         def prog(comm):
             grid = ProcessGrid(comm, (2, 2))
             dt = DistTensor.zeros(grid, dist, (10, 10))
+            plan = region_plan(dt, [((r, r), (r + 7, r + 7)) for r in range(comm.size)])
             for _ in range(2):
-                dt.scatter_region_add(contributions[comm.rank], (comm.rank, comm.rank))
+                dt.scatter_region_add(contributions[comm.rank], (comm.rank, comm.rank), plan)
             return dt.to_global()
 
         # Small integers: every partial sum is exact, so the accumulation
@@ -124,8 +134,8 @@ class TestGatherScatterPayloadPooling:
             np.testing.assert_array_equal(got, want)
 
     def test_dist_pool2d_numerics_unchanged_under_pooling(self):
-        """DistPool2d routes its gather/scatter traffic through an internal
-        pool; forward/backward must replicate the single-device result
+        """DistPool2d's gather assembles in the layer's own pool;
+        forward/backward must replicate the single-device result
         exactly.  Windows that straddle shards (or read padding) stage the
         gathered region through the pool and repeated steps recycle it;
         windows aligned with the shards gather a view of the input and
@@ -143,13 +153,13 @@ class TestGatherScatterPayloadPooling:
                 grid = ProcessGrid(comm, grid_shape)
                 dist = activation_dist(grid_shape, x.shape)
                 xd = DistTensor.from_global(grid, dist, x)
-                layer = DistPool2d(grid, "max", kernel, stride, pad)
+                layer = Driven(DistPool2d(grid, "max", kernel, stride, pad))
                 for _ in range(3):
                     y = layer.forward(xd)
                     dyd = DistTensor.from_global(grid, y.dist, dy)
                     dx = layer.backward(dyd)
                     comm.barrier()
-                return y.to_global(), dx.to_global(), layer._pool.stats()
+                return y.to_global(), dx.to_global(), layer.buffers.stats()
 
             for y, dx, (hits, misses) in run_spmd(4, prog):
                 np.testing.assert_array_equal(y, y_ref)
@@ -263,7 +273,7 @@ class TestLocalRegion:
             for _ in range(3):
                 trainer.step(x, t)
             pools = [
-                impl._pool for impl in net._layers.values() if hasattr(impl, "_pool")
+                impl.buffers for impl in net._layers.values() if hasattr(impl, "buffers")
             ]
             pooled = [arr for pool in pools for stack in pool._free.values() for arr in stack]
             live = [act.local for act in net._acts.values()]

@@ -217,6 +217,58 @@ class TestReplicaDivergence:
         ), messages
         assert os.listdir(d) == ["step00000001.npz"]
 
+    @staticmethod
+    def _save_after_a_step(comm, d, algorithm, culprit=None):
+        """One momentum step under ``algorithm``; rank ``culprit`` then
+        moves one element of its velocity of ``c1.w``; the save's error
+        message, or ``None`` once it saved."""
+        net = DistNetwork(
+            small_spec(), comm, LayerParallelism(sample=comm.size), seed=0,
+            collective_algorithm=algorithm,
+        )
+        trainer = DistTrainer(
+            net, SGD(lr=0.05, momentum=0.9), checkpoint_dir=d,
+            rng=np.random.default_rng(42),
+        )
+        trainer.step(trainer.rng.standard_normal((4, 1, 8, 8)),
+                     trainer.rng.integers(0, 3, size=4))
+        if comm.rank == culprit:
+            [v] = [v for k, v in trainer.optimizer._velocity.items() if k[:2] == ("c1", "w")]
+            v.flat[0] += 1.0
+        try:
+            trainer.save_checkpoint()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "algorithm,nranks", [("direct", 2), ("recursive_doubling", 4)]
+    )
+    def test_diverged_velocity_refuses_the_save(self, algorithm, nranks, tmp_path):
+        """Where every rank holds the whole velocity, a copy moved on one
+        rank is divergence: every rank raises naming it, and no file is
+        written."""
+        d = str(tmp_path)
+        messages = run_spmd(nranks, self._save_after_a_step, d, algorithm, 1)
+        assert all(
+            m is not None
+            and "rank 1 and rank 0 disagree at optimizer.velocity.c1.w;" in m
+            for m in messages
+        ), messages
+        assert os.listdir(d) == []
+
+    @pytest.mark.parametrize(
+        "algorithm,nranks",
+        [("ring", 4), ("rabenseifner", 4), ("recursive_doubling", 3), ("direct", 2)],
+    )
+    def test_agreeing_velocity_pieces_save(self, algorithm, nranks, tmp_path):
+        """Sharded (ring, Rabenseifner), partly held (recursive doubling at
+        p = 3 folds a rank that holds none) or replicated, a velocity whose
+        pieces agree saves."""
+        d = str(tmp_path)
+        assert run_spmd(nranks, self._save_after_a_step, d, algorithm) == [None] * nranks
+        assert os.listdir(d) == ["step00000001.npz"]
+
     def test_divergence_check_is_bitwise(self):
         """Even a sign-of-zero difference (equal under ==) is divergence."""
         same = ckpt.fingerprint({"x": np.array([0.0])})

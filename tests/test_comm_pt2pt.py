@@ -207,3 +207,23 @@ class TestStats:
         results = run_spmd(2, prog)
         assert results[0] == (400, 0)
         assert results[1] == (0, 400)
+
+    def test_blocking_recv_is_booked_as_an_irecv(self, backend):
+        """``recv`` is ``irecv(..., opname="recv").wait()``: one booking
+        site, so a blocking receive counts its message and bytes once and
+        reports its wait under ``"recv"``, exactly as the request would."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send(np.zeros(100), dest=1)
+                comm.send(np.zeros(50), dest=1, tag=1)
+                return None
+            s = comm.stats
+            comm.recv(source=0)
+            blocking = s.recvs, s.bytes_received, set(s.wait_seconds), s.collectives
+            comm.irecv(source=0, tag=1, opname="recv").wait()
+            return blocking, (s.recvs, s.bytes_received, set(s.wait_seconds))
+
+        blocking, both = run_spmd(2, prog, backend=backend)[1]
+        assert blocking == (1, 800, {"recv"}, {})
+        assert both == (2, 1200, {"recv"})

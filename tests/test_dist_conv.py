@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Driven, region_of, standalone_window, start_window
 from repro.comm import run_spmd
-from repro.core.dist_conv import DistConv2d, own_window, start_gather
+from repro.core.dist_conv import DistConv2d
 from repro.core.dist_layers import DistPool2d
 from repro.core.window import transposed_window, window_geometry
 from repro.nn import functional as F
@@ -27,7 +28,7 @@ def run_dist_conv(nranks, grid_shape, x, w, stride, pad, bias=None):
     def prog(comm):
         grid = ProcessGrid(comm, grid_shape)
         xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
-        conv = DistConv2d(grid, w, stride=stride, pad=pad, bias=bias)
+        conv = Driven(DistConv2d(grid, w, stride=stride, pad=pad, bias=bias))
         y = conv.forward(xd)
         rng = np.random.default_rng(99)
         dy_global = rng.standard_normal(y.global_shape)
@@ -105,10 +106,9 @@ class TestDistConvExactness:
         def prog(comm):
             grid = ProcessGrid(comm, (4, 1, 1, 1))
             xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
-            conv = DistConv2d(grid, w, stride=1, pad=1)
+            conv = Driven(DistConv2d(grid, w, stride=1, pad=1))
             comm.stats.reset()
             conv.forward(xd)
-            # alltoall counts self-addressed payloads as zero off-rank bytes.
             return comm.stats.collective_bytes.get("region_data", 0)
 
         assert run_spmd(4, prog) == [0, 0, 0, 0]
@@ -125,7 +125,7 @@ class TestDistConvExactness:
         def prog(comm):
             grid = ProcessGrid(comm, (1, 1, 4, 1))
             xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
-            conv = DistConv2d(grid, w, stride=1, pad=1)
+            conv = Driven(DistConv2d(grid, w, stride=1, pad=1))
             comm.stats.reset()
             conv.forward(xd)
             return comm.stats.collective_bytes.get("region_data", 0)
@@ -149,7 +149,7 @@ class TestDistConvExactness:
             dist = activation_dist(grid.shape, x.shape)
             assert not dist.is_split(2)  # H=1 < 2 parts -> replicated
             xd = DistTensor.from_global(grid, dist, x)
-            conv = DistConv2d(grid, w)
+            conv = Driven(DistConv2d(grid, w))
             y = conv.forward(xd)
             dy = DistTensor.from_global(
                 grid, y.dist, np.ones(y.global_shape)
@@ -184,7 +184,7 @@ class TestDistConvExactness:
         def prog(comm):
             grid = ProcessGrid(comm, (1, 2, 1, 1))
             x = np.zeros((1, 2, 4, 4))
-            make(grid).forward(
+            Driven(make(grid)).forward(
                 DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
             )
 
@@ -194,7 +194,7 @@ class TestDistConvExactness:
     def test_backward_before_forward(self):
         def prog(comm):
             grid = ProcessGrid(comm, (1, 1, 1, 1))
-            conv = DistConv2d(grid, np.zeros((1, 1, 3, 3)))
+            conv = Driven(DistConv2d(grid, np.zeros((1, 1, 3, 3))))
             conv.backward(
                 DistTensor.from_global(
                     grid, activation_dist(grid.shape, (1, 1, 4, 4)), np.zeros((1, 1, 4, 4))
@@ -208,25 +208,24 @@ class TestDistConvExactness:
 class TestWindowGeometry:
     """Every windowed layer gathers, on every rank, a region spanning all of
     its source's channels, and the cached exchange plan assembles exactly
-    what the plan-free ``gather_region`` oracle fetches for that region."""
+    that region of the global tensor, ``fill`` outside it."""
 
     @staticmethod
     def geometry(kind, grid, x):
-        """``(geometry, source, fill)`` of conv forward, conv Eq. 3 or max
+        """``(layer, window, source)`` of conv forward, conv Eq. 3 or max
         pooling over ``x``."""
         xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
         layer = (
             DistPool2d(grid, "max", 3, 2, 1) if kind == "pool"
             else DistConv2d(grid, np.ones((4, x.shape[1], 3, 3)), stride=2, pad=1)
         )
-        window = own_window(layer, xd)
+        window = standalone_window(layer, xd)
         if kind != "conv_eq3":
-            fill = -np.inf if kind == "pool" else 0.0
-            return window_geometry(grid.coords, *window), xd, fill
+            return layer, window, xd
         y_shape = layer.output_global_shape(x.shape)
         dy = np.random.default_rng(4).standard_normal(y_shape)
         dyd = DistTensor.from_global(grid, activation_dist(grid.shape, y_shape), dy)
-        return window_geometry(grid.coords, *transposed_window(window)), dyd, 0.0
+        return layer, transposed_window(window), dyd
 
     @pytest.mark.parametrize("kind", ["conv_forward", "conv_eq3", "pool"])
     @pytest.mark.parametrize(
@@ -239,13 +238,16 @@ class TestWindowGeometry:
 
         def prog(comm):
             grid = ProcessGrid(comm, grid_shape)
-            g, src, fill = self.geometry(kind, grid, x)
+            layer, window, src = self.geometry(kind, grid, x)
+            g, ex = start_window(layer, src, window)
             assert (g.lo[1], g.hi[1]) == (0, src.global_shape[1])
             assert g.exchanged == (grid_shape[2] * grid_shape[3] > 1)
-            ex = start_gather(src, g, None, fill=fill)
-            got = local_region(src, g.lo, g.hi, fill=fill) if ex is None else ex.finish()
+            got = (
+                local_region(src, g.lo, g.hi, fill=layer.fill) if ex is None
+                else ex.finish()
+            )
             np.testing.assert_array_equal(
-                got, src.gather_region(g.lo, g.hi, fill=fill)
+                got, region_of(src.to_global(), g.lo, g.hi, fill=layer.fill)
             )
             return True
 
@@ -268,6 +270,59 @@ class TestWindowGeometry:
 
         with pytest.raises(ValueError, match="grid axis 1 must be 1"):
             run_spmd(int(np.prod(grid_shape)), prog, timeout=10)
+
+
+class TestHandedExchange:
+    """The network decides whether a window exchanges; a layer only checks
+    that what it is handed fits the geometry.  A window that reads
+    off-shard handed no exchange — which would silently read the halo's
+    fill — raises before any kernel runs, and so does a window that reads
+    nothing off-shard handed one."""
+
+    @pytest.mark.parametrize("kind", ["conv_forward", "conv_eq3", "pool"])
+    def test_exchanged_window_handed_none_raises(self, kind):
+        x = np.random.default_rng(5).standard_normal((1, 2, 8, 6))
+
+        def prog(comm):
+            grid = ProcessGrid(comm, (1, 1, 2, 1))
+            xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
+            layer = (
+                DistPool2d(grid, "max", 3, 1, 1) if kind == "pool"
+                else DistConv2d(grid, np.ones((3, 2, 3, 3)), pad=1)
+            )
+            window = standalone_window(layer, xd)
+            if kind == "conv_eq3":
+                y = Driven(layer).forward(xd, window)
+                dy = DistTensor.from_global(grid, y.dist, np.ones(y.global_shape))
+                g = window_geometry(grid.coords, *transposed_window(window))
+                assert g.exchanged
+                with pytest.raises(ValueError, match="reads off-shard was handed no"):
+                    layer.backward(dy, g, None)
+                return True
+            g = window_geometry(grid.coords, *window)
+            assert g.exchanged
+            with pytest.raises(ValueError, match="reads off-shard was handed no"):
+                layer.forward(xd, g, None)
+            # Nothing computed: no saved input region, no pooling cache.
+            assert getattr(layer, "_x_ext", None) is None and not getattr(layer, "_cache", {})
+            return True
+
+        assert run_spmd(2, prog) == [True, True]
+
+    def test_local_window_handed_an_exchange_raises(self):
+        x = np.zeros((2, 2, 4, 4))
+
+        def prog(comm):
+            grid = ProcessGrid(comm, (2, 1, 1, 1))
+            xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
+            conv = DistConv2d(grid, np.ones((1, 2, 3, 3)), pad=1)
+            g = window_geometry(grid.coords, *standalone_window(conv, xd))
+            assert not g.exchanged
+            with pytest.raises(ValueError, match="does not read off-shard was handed a"):
+                conv.forward(xd, g, object())
+            return True
+
+        assert run_spmd(2, prog) == [True, True]
 
 
 @settings(max_examples=12, deadline=None)

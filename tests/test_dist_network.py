@@ -366,10 +366,10 @@ def _private_dy(backward):
     """The interpreter this one replaced, as a test double: every layer runs
     backward on a private copy of its error signal."""
 
-    def copying(impl, dy, need_dx, group):
+    def copying(net, impl, dy, op):
         if dy is not None:
             dy = DistTensor(dy.grid, dy.dist, dy.global_shape, dy.local.copy())
-        return backward(impl, dy, need_dx, group)
+        return backward(net, impl, dy, op)
 
     return copying
 
@@ -407,8 +407,8 @@ class TestErrorSignalsByReference:
         log = {}
 
         def spy(backward):
-            def recording(impl, dy, need_dx, group):
-                dx, g = backward(impl, dy, need_dx, group)
+            def recording(net, impl, dy, op):
+                dx, g = backward(net, impl, dy, op)
                 log[id(impl)] = (dy, dx, None if dx is None else dx.local.copy())
                 return dx, g
 
@@ -563,9 +563,10 @@ class TestDeadInputGradient:
             assert run[label, "spatial"][2] == 0
 
     def test_layer_default_still_returns_dx(self):
-        """``need_dx`` is the network's call: a bare ``DistConv2d.backward(dy)``
-        returns ``dx``; ``need_dx=False`` returns the same ``dw`` and posts
-        no exchange."""
+        """``need_dx`` is the network's call: a ``DistConv2d.backward``
+        handed Eq. 3's window returns ``dx``; one handed none returns the
+        same ``dw``, and no exchange is posted for it."""
+        from conftest import Driven
         from repro.core.dist_conv import DistConv2d
         from repro.core.parallelism import activation_dist
         from repro.tensor import DistTensor, ProcessGrid
@@ -577,7 +578,7 @@ class TestDeadInputGradient:
 
         def prog(comm):
             grid = ProcessGrid(comm, (1, 1, 2, 1))
-            conv = DistConv2d(grid, w, pad=1)
+            conv = Driven(DistConv2d(grid, w, pad=1))
             xt = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
             dyt = DistTensor.from_global(grid, activation_dist(grid.shape, dy.shape), dy)
             conv.forward(xt)

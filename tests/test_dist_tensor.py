@@ -1,14 +1,15 @@
-"""Process grids, distributions, and the plan-free ``gather_region`` oracle
-(the planned transfers are checked against it in
-``test_transfer_property.py``)."""
+"""Process grids, distributions, and the planned region gather on pinned
+regions against ``extract_padded`` on the global array (generated layouts
+are in ``test_transfer_property.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import region_plan
 from repro.comm import run_spmd
-from repro.tensor import DistTensor, Distribution, ProcessGrid
+from repro.tensor import DistTensor, Distribution, ProcessGrid, start_region_exchange
 from repro.tensor.distribution import DimKind
 from repro.tensor.indexing import extract_padded
 
@@ -22,6 +23,23 @@ def make_grid_prog(grid_shape, dist, global_array, body):
         return body(dt, comm)
 
     return prog
+
+
+def gather(dt, regions, fill=0.0):
+    """This rank's region of the planned gather in which comm rank ``j``
+    gathers ``regions[j] = (lo, hi)``."""
+    return start_region_exchange(dt, region_plan(dt, regions), fill=fill).finish()
+
+
+def own_halo_regions(dt, halo):
+    """Every rank's block widened by ``halo`` on each side, in rank order."""
+    grid = dt.grid
+    return [
+        tuple(zip(*((lo - halo, hi + halo) for lo, hi in dt.dist.local_bounds(
+            dt.global_shape, grid.coords_of(r)
+        ))))
+        for r in range(dt.comm.size)
+    ]
 
 
 class TestProcessGrid:
@@ -150,11 +168,11 @@ class TestFromToGlobal:
         assert shards[0].shape == (2, 2)
 
 
-class TestGatherRegion:
+class TestRegionGather:
     @pytest.mark.parametrize("grid_shape", [(2, 2), (1, 4), (4, 1)])
     def test_matches_extract_padded(self, grid_shape):
-        """gather_region on a distributed tensor == extract_padded on the
-        global array, for regions spanning partitions and boundaries."""
+        """The planned gather of a distributed tensor == extract_padded on
+        the global array, for regions spanning partitions and boundaries."""
         rng = np.random.default_rng(1)
         x = rng.standard_normal((9, 11))
         dist = Distribution.make(grid_shape)
@@ -167,10 +185,7 @@ class TestGatherRegion:
         ]
 
         def body(dt, comm):
-            outs = []
-            for lo, hi in regions:
-                outs.append(dt.gather_region(lo, hi))
-            return outs
+            return [gather(dt, [region] * comm.size) for region in regions]
 
         results = run_spmd(4, make_grid_prog(grid_shape, dist, x, body))
         for outs in results:
@@ -184,10 +199,9 @@ class TestGatherRegion:
         dist = Distribution.make((2, 2))
 
         def body(dt, comm):
-            (hlo, hhi), (wlo, whi) = dt.bounds
-            got = dt.gather_region((hlo - 1, wlo - 1), (hhi + 1, whi + 1))
-            want = extract_padded(x, (hlo - 1, wlo - 1), (hhi + 1, whi + 1))
-            np.testing.assert_array_equal(got, want)
+            regions = own_halo_regions(dt, 1)
+            got = gather(dt, regions)
+            np.testing.assert_array_equal(got, extract_padded(x, *regions[comm.rank]))
             return True
 
         assert all(run_spmd(4, make_grid_prog((2, 2), dist, x, body)))
@@ -199,7 +213,7 @@ class TestGatherRegion:
         dist = Distribution.make((2, 2), replicated_axes=[0])
 
         def body(dt, comm):
-            got = dt.gather_region((0, 2), (2, 10))
+            got = gather(dt, [((0, 2), (2, 10))] * comm.size)
             np.testing.assert_array_equal(got, x[:, 2:10])
             return True
 
@@ -210,11 +224,12 @@ class TestGatherRegion:
         dist = Distribution.make((4, 1))
 
         def body(dt, comm):
+            regions = [((0, 0), (10, 10))] + [((0, 0), (0, 0))] * (comm.size - 1)
+            got = gather(dt, regions)
             if comm.rank == 0:
-                got = dt.gather_region((0, 0), (10, 10))
                 np.testing.assert_array_equal(got, x)
             else:
-                dt.gather_region((0, 0), (0, 0))
+                assert got.size == 0
             return True
 
         assert all(run_spmd(4, make_grid_prog((4, 1), dist, x, body)))
@@ -224,7 +239,7 @@ class TestGatherRegion:
         dist = Distribution.make((2, 2))
 
         def body(dt, comm):
-            got = dt.gather_region((-1, 0), (0, 4), fill=9.0)
+            got = gather(dt, [((-1, 0), (0, 4))] * comm.size, fill=9.0)
             np.testing.assert_array_equal(got, np.full((1, 4), 9.0))
             return True
 
@@ -262,8 +277,8 @@ class TestDistTensorValidation:
         st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10)
     ),
 )
-def test_gather_region_property(h, w, dlo, extent):
-    """gather_region == extract_padded for arbitrary regions and sizes."""
+def test_region_gather_property(h, w, dlo, extent):
+    """The planned gather == extract_padded for arbitrary regions and sizes."""
     rng = np.random.default_rng(h * 100 + w)
     x = rng.standard_normal((h, w))
     dist = Distribution.make((2, 2))
@@ -273,7 +288,7 @@ def test_gather_region_property(h, w, dlo, extent):
     def prog(comm):
         grid = ProcessGrid(comm, (2, 2))
         dt = DistTensor.from_global(grid, dist, x)
-        return dt.gather_region(lo, hi)
+        return gather(dt, [(lo, hi)] * comm.size)
 
     for got in run_spmd(4, prog):
         np.testing.assert_array_equal(got, extract_padded(x, lo, hi))

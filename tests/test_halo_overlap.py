@@ -1,10 +1,12 @@
 """Overlapped halo exchange: correctness and accounting (§IV-A).
 
-The windowed layers post their halo strips, run the interior kernels while
-they travel and the boundary kernels after ``finish()``.  These tests hold
-pooling to the fused kernel on the global array, the exchange to the
-plan-free ``gather_region`` oracle in content and bytes, and check that
-the wait/overlap split of the halo time is measured.  That arrival timing
+The network posts a windowed layer's halo strips; the layer runs the
+interior kernels while they travel and the boundary kernels after
+``finish()``.  Layers run here through ``conftest.Driven``, which starts
+their exchanges as ``DistNetwork`` does.  These tests hold pooling to the
+fused kernel on the global array, the exchange to the global array sliced
+in content and to a cell count in bytes, and check that the wait/overlap
+split of the halo time is measured.  That arrival timing
 never changes a bit is checked per layer here and network-wide by
 ``tests/test_dist_network.py::TestTimingIndependence``, both under
 injected delays.
@@ -19,17 +21,19 @@ from time import monotonic
 import numpy as np
 import pytest
 
-from conftest import DELAY_PLANS, DELAY_S, reduce_for_process
+from conftest import (
+    DELAY_PLANS, DELAY_S, Driven, reduce_for_process, region_of, region_plan,
+    standalone_window,
+)
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism
-from repro.core.dist_conv import DistConv2d, own_window
+from repro.core.dist_conv import DistConv2d
 from repro.core.dist_layers import DistPool2d
 from repro.core.window import _frame_pieces, window_geometry
 from repro.core.parallelism import activation_dist
 from repro.nn import NetworkSpec, SGD
 from repro.nn import functional as F
 from repro.tensor import DistTensor, Distribution, ProcessGrid
-from repro.tensor.dist_tensor import plan_region_exchange
 from repro.tensor.halo import HALO_OP, start_region_exchange
 
 
@@ -69,7 +73,7 @@ def _conv_job(geom, backend, faults=None):
     def prog(comm):
         grid = ProcessGrid(comm, grid_shape)
         xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
-        conv = DistConv2d(grid, w, stride=s, pad=p, bias=b)
+        conv = Driven(DistConv2d(grid, w, stride=s, pad=p, bias=b))
         y = conv.forward(xd)
         dy = np.random.default_rng(99).standard_normal(y.global_shape)
         dx, dw, db = conv.backward(DistTensor.from_global(grid, y.dist, dy))
@@ -90,7 +94,7 @@ def _pool_job(geom, mode, backend, faults=None):
     def prog(comm):
         grid = ProcessGrid(comm, grid_shape)
         xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
-        pool = DistPool2d(grid, mode, k, s, p)
+        pool = Driven(DistPool2d(grid, mode, k, s, p))
         y = pool.forward(xd)
         dy = np.random.default_rng(7).standard_normal(y.global_shape)
         dx = pool.backward(DistTensor.from_global(grid, y.dist, dy))
@@ -173,7 +177,7 @@ class TestPoolAgainstGlobalArray:
             xd = DistTensor.from_global(
                 grid, activation_dist(grid_shape, x.shape), x
             )
-            pool = DistPool2d(grid, mode, k, s, p)
+            pool = Driven(DistPool2d(grid, mode, k, s, p))
             y = pool.forward(xd)
             dx = pool.backward(DistTensor.from_global(grid, y.dist, dy_ref))
             return y.to_global(), dx.to_global()
@@ -198,7 +202,7 @@ class TestPoolAgainstGlobalArray:
             xd = DistTensor.from_global(
                 grid, activation_dist(grid.shape, x_ext.shape), x_ext
             )
-            g = window_geometry(grid.coords, *own_window(layer, xd))
+            g = window_geometry(grid.coords, *standalone_window(layer, xd))
             fused = layer._pool_piece(x_ext, g, g.bounds[2], g.bounds[3])
             oh, ow = fused[0].shape[2:]
             pieces = _frame_pieces(g.bounds[2], g.bounds[3], (1, oh - 1), (2, ow - 1))
@@ -225,7 +229,7 @@ class TestPoolAgainstGlobalArray:
             xd = DistTensor.from_global(
                 grid, activation_dist(grid.shape, x.shape), x
             )
-            pool = DistPool2d(grid, "max", 3, 1, 1)
+            pool = Driven(DistPool2d(grid, "max", 3, 1, 1))
             comm.stats.reset()
             pool.forward(xd)
             s = comm.stats
@@ -241,9 +245,10 @@ class TestPoolAgainstGlobalArray:
 
 
 class TestRegionExchange:
-    def test_matches_gather_region(self, backend):
-        """The overlapped exchange assembles exactly what gather_region
-        fetches — including virtual padding and uneven partitions."""
+    def test_matches_global_slice(self, backend):
+        """The overlapped exchange assembles exactly the region of the
+        global tensor — virtual padding (zero) and uneven partitions
+        included."""
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 3, 9, 11))
         grid_shape = (1, 1, 2, 2)
@@ -264,18 +269,17 @@ class TestRegionExchange:
                     )
                 )
             lo, hi = regions[comm.rank]
-            ex = start_region_exchange(dt, plan_region_exchange(dt, lo, hi, regions))
+            ex = start_region_exchange(dt, region_plan(dt, regions))
             got = ex.finish().copy()
-            want = dt.gather_region(lo, hi)
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, region_of(dt.to_global(), lo, hi))
             return True
 
         assert all(run_spmd(4, prog, backend=backend))
 
-    def test_halo_traffic_volume_matches_sync(self):
-        """The overlapped exchange moves exactly the bytes the synchronous
-        ``gather_region`` of the same region moves (recorded under the same
-        region_data stat)."""
+    def test_halo_traffic_volume_matches_cell_count(self):
+        """A rank's ``region_data`` bytes are the cells of every peer's
+        window region (clipped to the tensor) that lie in this rank's
+        block: the O = 1 row halos the paper's cost model charges."""
         n, c, h, w_, f, k = 1, 2, 16, 8, 3, 3
         rng = np.random.default_rng(7)
         x = rng.standard_normal((n, c, h, w_))
@@ -283,18 +287,24 @@ class TestRegionExchange:
 
         def prog(comm):
             grid = ProcessGrid(comm, (1, 1, 4, 1))
-            xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
-            conv = DistConv2d(grid, w, stride=1, pad=1)
+            dist = activation_dist(grid.shape, x.shape)
+            xd = DistTensor.from_global(grid, dist, x)
+            conv = Driven(DistConv2d(grid, w, stride=1, pad=1))
             comm.stats.reset()
             conv.forward(xd)
-            ovl = comm.stats.collective_bytes.get("region_data", 0)
-            g = window_geometry(grid.coords, *conv._window)
-            comm.stats.reset()
-            xd.gather_region(g.lo, g.hi)
-            return ovl, comm.stats.collective_bytes.get("region_data", 0)
+            # K = 3, S = 1, P = 1: a peer's output rows [a, b) read input
+            # rows [a - 1, b + 1); every peer reads all channels and columns.
+            (r0, r1) = dist.local_bounds(x.shape, grid.coords)[2]
+            cells = 0
+            for peer in range(comm.size):
+                if peer != comm.rank:
+                    a, b = dist.local_bounds(x.shape, grid.coords_of(peer))[2]
+                    lo, hi = max(a - 1, 0, r0), min(b + 1, h, r1)
+                    cells += max(hi - lo, 0) * n * c * w_
+            return comm.stats.collective_bytes.get("region_data", 0), cells * 8
 
-        ovl_bytes, sync_bytes = zip(*run_spmd(4, prog))
-        assert ovl_bytes == sync_bytes
+        ovl_bytes, counted = zip(*run_spmd(4, prog))
+        assert ovl_bytes == counted
         halo_row = n * c * w_ * 8  # O=1 row of float64
         assert ovl_bytes == (halo_row, 2 * halo_row, 2 * halo_row, halo_row)
 
@@ -308,7 +318,7 @@ class TestRegionExchange:
         def prog(comm):
             grid = ProcessGrid(comm, (1, 1, 2, 2))
             xd = DistTensor.from_global(grid, activation_dist(grid.shape, x.shape), x)
-            conv = DistConv2d(grid, w, pad=1)
+            conv = Driven(DistConv2d(grid, w, pad=1))
             comm.stats.reset()
             y = conv.forward(xd)
             dy = DistTensor.from_global(grid, y.dist, np.ones(y.global_shape))
@@ -343,7 +353,7 @@ class TestRegionExchange:
             trainer = DistTrainer(net, SGD(lr=0.01))
             for _ in range(4):
                 trainer.step(x, t)
-            return net._layers["c1"]._pool.stats()
+            return net._layers["c1"].buffers.stats()
 
         for hits, misses in run_spmd(4, prog):
             # Steps 2-4 recycle the assembly buffers of steps 1-3: more

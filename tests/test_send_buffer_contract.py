@@ -15,10 +15,10 @@ overwrite and the receive makes that order certain.
 
 import numpy as np
 
+from conftest import region_plan
 from repro.comm import run_spmd
 from repro.tensor import DistTensor, Distribution, ProcessGrid, start_region_exchange
 from repro.tensor import start_shuffle
-from repro.tensor.dist_tensor import plan_region_exchange
 
 STRAGGLER = "delay@rank1:point=recv:seconds=0.02:recurring"
 
@@ -74,8 +74,7 @@ def _contract_prog(comm):
     # ``from_global`` may hand out a view of its argument: shard a copy.
     dt = DistTensor.from_global(rows, Distribution.make((p, 1)), X.copy())
     regions = [((lo, 0), (hi, 8)) for lo, hi in map(_halo_rows, range(p))]
-    plan = plan_region_exchange(dt, *regions[rank], regions)
-    halo = start_region_exchange(dt, plan)
+    halo = start_region_exchange(dt, region_plan(dt, regions))
     _overwrite(dt.local)
     comm.barrier()
     out["halo"] = halo.finish()

@@ -7,12 +7,14 @@ numpy on the global array over generated layouts — 1-4 ranks, 2D and 4D
 tensors, uneven partitions, empty shards (a dimension smaller than its part
 count), replicated axes — and regions reaching past the global edge:
 
-* planned gather == the plan-free ``gather_region`` oracle;
+* planned gather == the region of ``to_global()`` (``fill`` outside the
+  tensor), and the ``region_data`` bytes a rank records == the cells of
+  every peer's region (clipped to the tensor) that lie in its block;
 * shuffle == ``DistTensor.from_global`` under the destination distribution,
   and there-and-back is the identity;
 * scatter-add == accumulating every rank's region on the global array
-  (small integers, so order cannot matter), with and without a plan, and is
-  the adjoint of the gather: ``<gather(x), r> == <x, scatter_add(r)>``;
+  (small integers, so order cannot matter), and is the adjoint of the
+  gather: ``<gather(x), r> == <x, scatter_add(r)>``;
 * ``finish()`` is idempotent on every exchange (a forward shuffle shared
   by several consumers is finished by each of them);
 * the floating-point order of an accumulating exchange — own contribution
@@ -31,7 +33,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPMD_BACKENDS
+from conftest import SPMD_BACKENDS, region_of, region_plan
 from repro.comm import BufferPool, run_spmd
 from repro.tensor import (
     DistTensor,
@@ -42,8 +44,7 @@ from repro.tensor import (
     start_region_exchange,
     start_shuffle,
 )
-from repro.tensor.dist_tensor import plan_region_exchange
-from repro.tensor.indexing import place_region
+from repro.tensor.indexing import intersect, place_region
 
 # -- generated cases -----------------------------------------------------------
 
@@ -138,20 +139,43 @@ def run_cases(check, batch, nranks: int, backend: str = "thread") -> None:
 # -- checks (run on every rank) ---------------------------------------------------
 
 
-def check_gather(comm, case: Case) -> None:
-    """Planned gather (without, then with a buffer pool) ==
-    ``gather_region``; ``finish()`` idempotent."""
-    x = case.tensor()
-    dt = DistTensor.from_global(ProcessGrid(comm, case.src.grid), case.src.dist, x)
-    lo, hi = case.regions[comm.rank]
-    want = dt.gather_region(lo, hi, fill=-1.0)
+def _replica_group_block_cells(grid, dist, shape, rank, region) -> int:
+    """Cells of ``region``, clipped to the tensor, that ``rank``'s block
+    holds — the cells it serves to a gatherer of its replica group."""
+    n = 1
+    for (b, h), (o_lo, o_hi), extent in zip(
+        zip(*region), dist.local_bounds(shape, grid.coords_of(rank)), shape
+    ):
+        lo, hi = intersect(intersect((b, h), (0, extent)), (o_lo, o_hi))
+        n *= max(hi - lo, 0)
+    return n
 
-    plan = plan_region_exchange(dt, lo, hi, case.regions)
+
+def check_gather(comm, case: Case) -> None:
+    """Planned gather (without, then with a buffer pool) == the region of
+    ``to_global()``, ``fill`` outside it; ``finish()`` idempotent; the bytes
+    recorded == the cells this rank's block holds of its replica-group
+    peers' regions."""
+    x = case.tensor()
+    grid = ProcessGrid(comm, case.src.grid)
+    dt = DistTensor.from_global(grid, case.src.dist, x)
+    lo, hi = case.regions[comm.rank]
+    want = region_of(dt.to_global(), lo, hi, fill=-1.0)
+
+    plan = region_plan(dt, case.regions)
+    before = comm.stats.collective_bytes.get("region_data", 0)
     ex = start_region_exchange(dt, plan, fill=-1.0)
+    sent = comm.stats.collective_bytes.get("region_data", 0) - before
     got = ex.finish()
     np.testing.assert_array_equal(got, want)
     assert ex.finish() is got and ex.remaining == 0
     np.testing.assert_array_equal(got, want)
+    cells = sum(
+        _replica_group_block_cells(grid, case.src.dist, case.shape, comm.rank, region)
+        for j, region in enumerate(case.regions)
+        if j != comm.rank and _same_replica_group(grid, case.src.dist, j)
+    )
+    assert sent == cells * x.itemsize
 
     pooled = start_region_exchange(dt, plan, fill=-1.0, pool=BufferPool())
     pooled.poll()
@@ -196,8 +220,7 @@ def _same_replica_group(grid: ProcessGrid, dist: Distribution, rank: int) -> boo
 
 def check_scatter_add(comm, case: Case) -> None:
     """Scatter-add == accumulate on the global array (per replica group);
-    plan-free and planned spellings agree; ``finish()`` idempotent; and it
-    is the adjoint of the gather."""
+    ``finish()`` idempotent; and it is the adjoint of the gather."""
     grid, dist = ProcessGrid(comm, case.src.grid), case.src.dist
     lo, hi = case.regions[comm.rank]
     mine = case.contribution(comm.rank)
@@ -210,12 +233,8 @@ def check_scatter_add(comm, case: Case) -> None:
             place_region(total, case.contribution(r), case.regions[r][0], accumulate=True)
     want = DistTensor.from_global(grid, dist, total).local
 
-    plan_free = DistTensor.zeros(grid, dist, case.shape)
-    plan_free.scatter_region_add(mine, lo)
-    np.testing.assert_array_equal(plan_free.local, want)
-
     planned = DistTensor.zeros(grid, dist, case.shape)
-    plan = plan_region_exchange(planned, lo, hi, case.regions)
+    plan = region_plan(planned, case.regions)
     ex = planned.start_scatter_region_add(mine, lo, plan=plan)
     ex.finish()
     ex.finish()  # remote contributions fold in once
@@ -225,7 +244,7 @@ def check_scatter_add(comm, case: Case) -> None:
     # ranks of <x shard, scatter-added shard> (each replica group tiles the
     # tensor once on both sides).
     x = DistTensor.from_global(grid, dist, case.tensor())
-    gathered = x.gather_region(lo, hi)
+    gathered = start_region_exchange(x, plan).finish()
     lhs = comm.allreduce(float(np.sum(gathered * mine)))
     rhs = comm.allreduce(float(np.sum(x.local * planned.local)))
     assert lhs == rhs
@@ -233,7 +252,7 @@ def check_scatter_add(comm, case: Case) -> None:
 
 @settings(deadline=None)
 @given(case=cases(regions=True))
-def test_planned_gather_equals_gather_region(case):
+def test_planned_gather_equals_global_region(case):
     run_cases(check_gather, [case], case.nranks)
 
 
@@ -324,7 +343,8 @@ def test_reverse_halo_accumulation():
         grid = ProcessGrid(comm, (2,))
         dt = DistTensor.zeros(grid, dist, (8,))
         lo, hi = dt.bounds[0]
-        dt.scatter_region_add(np.ones(hi - lo + 2), (lo - 1,))
+        regions = [((4 * r - 1,), (4 * r + 5,)) for r in range(comm.size)]
+        dt.scatter_region_add(np.ones(hi - lo + 2), (lo - 1,), region_plan(dt, regions))
         return dt.to_global()
 
     for got in run_spmd(2, prog):
@@ -351,7 +371,7 @@ def test_scatter_add_messages_plan_partners_only():
             for b in bounds
         ]
         lo, hi = regions[comm.rank]
-        plan = plan_region_exchange(dt, lo, hi, regions)
+        plan = region_plan(dt, regions)
         region = np.ones(tuple(h - b for b, h in zip(lo, hi)))
         comm.barrier()
         comm.stats.reset()
@@ -385,7 +405,7 @@ def _corner_scatter_add(comm):
         for r in range(comm.size)
     ]
     lo, hi = regions[comm.rank]
-    plan = plan_region_exchange(dt, lo, hi, regions)
+    plan = region_plan(dt, regions)
     dt.start_scatter_region_add(contributions[comm.rank], lo, plan=plan).finish()
 
     # The documented order: own contribution first, then ascending rank.
@@ -409,7 +429,12 @@ def test_replicated_scatter_add_keeps_replicas_identical():
         grid = ProcessGrid(comm, (2, 2))
         dt = DistTensor.zeros(grid, dist, (3, 8))
         lo, hi = dt.bounds[1]
-        dt.scatter_region_add(np.ones((3, hi - lo)), (0, lo))
+        regions = [
+            ((0, dist.local_bounds((3, 8), grid.coords_of(r))[1][0]),
+             (3, dist.local_bounds((3, 8), grid.coords_of(r))[1][1]))
+            for r in range(comm.size)
+        ]
+        dt.scatter_region_add(np.ones((3, hi - lo)), (0, lo), region_plan(dt, regions))
         return dt.local.copy()
 
     shards = run_spmd(4, prog)
