@@ -82,7 +82,6 @@ from repro.comm.collective_models import (
     TwoTierTopology,
     allreduce_time,
     allreduce_wire_bytes,
-    alltoall_time,
     pt2pt_time,
     hierarchical_allreduce_time,
     resolve_allreduce_algorithm,
@@ -122,7 +121,6 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "allreduce_time",
-    "alltoall_time",
     "pt2pt_time",
     "run_spmd",
     "select_allreduce_algorithm",

@@ -272,14 +272,3 @@ def allreduce_wire_bytes(
     # ring and Rabenseifner (and its non-power-of-two ring fallback) are
     # both bandwidth-optimal.
     return 2.0 * nbytes * (p - 1) / p
-
-
-def alltoall_time(p: int, nbytes_per_pair: float, link: LinkParameters) -> float:
-    """All-to-all where each rank exchanges ``nbytes_per_pair`` with every other.
-
-    Uses the pairwise-exchange model (p-1 rounds), which is what the data
-    redistribution ("shuffle", paper §III-C) maps onto for large messages.
-    """
-    if p <= 1 or nbytes_per_pair <= 0:
-        return 0.0
-    return (p - 1) * (link.alpha + nbytes_per_pair * link.beta)

@@ -295,7 +295,9 @@ class DistNetwork:
     # -- execution ---------------------------------------------------------------------
     def _start(self, op: ShuffleOp, tensor: DistTensor) -> ShuffleExchange:
         self.shuffle_count += 1
-        return start_shuffle(tensor, self._grid(op.dst.grid_shape), op.dst)
+        return start_shuffle(
+            tensor, self._grid(op.dst.grid_shape), op.dst, op.plan(self.comm.rank)
+        )
 
     def _window(
         self, phase: str, op: LayerOp, window: tuple, source: DistTensor, impl

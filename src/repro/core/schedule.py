@@ -9,7 +9,8 @@ first-class op —
 * one **forward shuffle** per (parent, target placement), shared by every
   child that reads the parent's activation in that placement (§III-C);
 * one **backward shuffle** per redistributed edge whose parent needs an
-  error signal;
+  error signal.  A shuffle carries its tensor's global shape, so a rank's
+  peers and bytes in it are its :func:`~repro.tensor.shuffle.shuffle_plan`;
 * the **gradient buckets** (:meth:`StepSchedule.grad_buckets`): where each
   gradient group's dL/dw allreduces are cut;
 * the **blocking collectives** (:attr:`StepSchedule.collectives`) a layer
@@ -51,6 +52,7 @@ from repro.nn.functional import _pair
 from repro.nn.graph import LayerSpec, NetworkSpec
 from repro.tensor.distribution import Distribution
 from repro.tensor.exchange import TransferPlan
+from repro.tensor.shuffle import shuffle_plan
 from repro.core.parallelism import ParallelStrategy, activation_dist
 from repro.core.window import (
     WindowGeometry, group_plans, transposed_window, window_geometry,
@@ -70,6 +72,17 @@ class ShuffleOp:
     consumers: tuple[str, ...]
     src: Distribution
     dst: Distribution
+    #: The global shape of the tensor that moves.
+    shape: tuple[int, ...]
+
+    def plan(self, rank: int) -> TransferPlan:
+        """What ``rank`` sends and receives in this op."""
+        return shuffle_plan(rank, self.src, self.dst, self.shape)
+
+    @property
+    def plans(self) -> dict[int, TransferPlan]:
+        """What every rank sends and receives in this op, by rank."""
+        return {r: self.plan(r) for r in range(math.prod(self.src.grid_shape))}
 
 
 @dataclass(frozen=True)
@@ -362,7 +375,7 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
     for (p, grid), children in readers.items():
         fwd[p, grid] = shuf = ShuffleOp(
             f"fwd:shuf:{p}->{children[0]}", p, tuple(children),
-            out[p], activation_dist(grid, gshape[p]),
+            out[p], activation_dist(grid, gshape[p]), gshape[p],
         )
         starts.setdefault(p, []).append(shuf)
 
@@ -383,7 +396,9 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
             if shuf is not None and p in runs_backward:
                 # The forward shuffle reversed: dx leaves in the placement
                 # the forward delivered and lands in the parent's own.
-                back = ShuffleOp(f"bwd:shuf:{name}->{p}", p, (name,), shuf.dst, shuf.src)
+                back = ShuffleOp(
+                    f"bwd:shuf:{name}->{p}", p, (name,), shuf.dst, shuf.src, shuf.shape
+                )
             edges.append(Edge(p, shuf, p in runs_backward, back))
         if layer.kind in ("conv", "pool"):
             # The forward window: the input where its edge delivers it, read

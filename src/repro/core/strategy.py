@@ -26,7 +26,7 @@ good assignment of distributions to layers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import networkx as nx
 
@@ -34,7 +34,7 @@ from repro.nn.graph import NetworkSpec
 from repro.perfmodel.machine import MachineSpec
 from repro.perfmodel.memory import MemoryModel
 from repro.perfmodel.network_cost import NetworkCostModel
-from repro.core.parallelism import LayerParallelism, ParallelStrategy
+from repro.core.parallelism import LayerParallelism, ParallelStrategy, activation_dist
 from repro.core.schedule import lower
 
 #: Layer kinds that choose their own distribution; the rest inherit.
@@ -96,8 +96,11 @@ class StrategyOptimizer:
         self.memory = MemoryModel(spec, machine)
         self.check_memory = check_memory
         self.shapes = spec.infer_shapes()
-        #: ``_shuffle_cost`` by (layer, is its input edge a cut?).
-        self._cut_price: dict[tuple[str, bool], float] = {}
+        #: The shuffles on the edges into a layer, each with whether it runs
+        #: forward, by (layer, is its input edge a cut?); and the price of
+        #: one shuffle by (global shape, source, destination parallelism).
+        self._crossing: dict[tuple[str, bool], list] = {}
+        self._move_price: dict[tuple, float] = {}
         #: Per candidate: each layer's kernels, halos and blocking
         #: collectives, priced.
         self._price: dict[LayerParallelism, dict[str, float]] = {}
@@ -178,19 +181,28 @@ class StrategyOptimizer:
         schedule issues on the edges into ``name`` — the tensor crossing
         the cut is its parent's, the last inherit-layer of that segment;
         forward once, backward iff that parent takes an error signal —
-        each at the cost model's price.  Which tensors cross, and the
-        price of moving them, depend on the pair only through whether it is
-        a cut at all, so one lowering per (layer, cut?) serves every
-        candidate pair."""
-        key = (name, pa == pb)
-        if key not in self._cut_price:
-            strategy = ParallelStrategy({name: pb}, default=pa)
-            cut = lower(self.spec, strategy, self.n_global)
-            self._cut_price[key] = sum(
-                self.cost_model.shuffle_edge_cost(s.parent, self.n_global, strategy)
-                for e in cut[name].edges for s in (e.fwd, e.bwd) if s
-            )
-        return self._cut_price[key]
+        each at the cost model's price of its plans.  Which tensors cross
+        depends on the pair only through whether it is a cut at all, so
+        one lowering per (layer, cut?) serves every pair; each pair then
+        prices those ops between its own two placements."""
+        crossing = self._crossing.get((name, pa == pb))
+        if crossing is None:
+            cut = lower(self.spec, ParallelStrategy({name: pb}, default=pa), self.n_global)
+            crossing = self._crossing[name, pa == pb] = [
+                (s, s is e.fwd) for e in cut[name].edges for s in (e.fwd, e.bwd) if s
+            ]
+        total = 0.0
+        for s, fwd in crossing:
+            src, dst = (pa, pb) if fwd else (pb, pa)
+            key = (s.shape, src, dst)
+            if key not in self._move_price:
+                self._move_price[key] = self.cost_model.shuffle_time(replace(
+                    s,
+                    src=activation_dist(src.grid_shape, s.shape),
+                    dst=activation_dist(dst.grid_shape, s.shape),
+                ))
+            total += self._move_price[key]
+        return total
 
     # -- path optimization ----------------------------------------------------------
     def _decision_graph(self) -> nx.DiGraph:

@@ -21,8 +21,12 @@ Pricing (:meth:`NetworkCostModel.cost`):
   gather lands on one side of a split and its scatter-add on the other; a
   scatter-add sends what its whole kernel produced, so nothing of that
   kernel overlaps it);
-* each redistribution between layers with different distributions is
-  charged a Shuffle(D_i, D_j) all-to-all (§III-C);
+* each redistribution between layers with different distributions
+  (§III-C) is its schedule op, priced like a halo from its plans
+  (:attr:`~repro.core.schedule.ShuffleOp.plans`, one per rank) on the rank
+  that waits longest for it: one α-β message per box it receives — or,
+  full duplex, per box it sends, when that takes longer (a canonical
+  replica feeding every peer) — without the halo's per-message overhead;
 * the dL/dw allreduces are the engine's gradient buckets
   (:meth:`~repro.core.schedule.StepSchedule.grad_buckets` at
   ``allreduce_bucket_bytes``, the reducer's default), each priced over its
@@ -72,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.comm.collective_models import allreduce_time, alltoall_time, pt2pt_time
+from repro.comm.collective_models import allreduce_time, pt2pt_time
 from repro.nn.graph import NetworkSpec
 from repro.perfmodel.conv_model import CalibratedConvModel
 from repro.perfmodel.layer_cost import (
@@ -87,7 +91,7 @@ from repro.tensor.exchange import cells
 from repro.tensor.grid import rank_at
 from repro.core.grad_reducer import DEFAULT_BUCKET_BYTES
 from repro.core.parallelism import LayerParallelism, ParallelStrategy
-from repro.core.schedule import GradBucket, HaloOp, LayerOp, StepSchedule, lower
+from repro.core.schedule import GradBucket, HaloOp, LayerOp, ShuffleOp, StepSchedule, lower
 from repro.core.window import window_geometry
 
 
@@ -190,43 +194,43 @@ class NetworkCostModel:
             return None  # input / loss layers
         return cost if op.need_dx else replace(cost, bpx_compute=0.0)
 
+    def _messages(self, rank: int, boxes, overhead=(0.0, 0.0)) -> float:
+        """Seconds for ``rank`` to move ``boxes`` (``(peer, box)`` pairs) one
+        after another: one α-β message each, over NVLink to a peer on its
+        node and the network otherwise, plus ``overhead`` (same node, other
+        node) per message."""
+        m = self.machine
+        node = m.gpus_per_node
+        total = 0.0
+        for peer, box in boxes:
+            off = peer // node != rank // node
+            link = m.inter_link if off else m.intra_link
+            total += pt2pt_time(cells(box) * m.dtype_bytes, link) + overhead[off]
+        return total
+
     def _halo(self, h: HaloOp, grid_shape: tuple[int, ...]) -> tuple[float, float, float]:
         """``(seconds, boundary fraction, boundary launch seconds)`` of halo
         op ``h`` of a layer on ``grid_shape``, on the rank of its sample
         group that waits longest for it (see module doc)."""
-        node = self.machine.gpus_per_node
-        plans = h.plans
-
-        def seconds(coords) -> float:
-            me = rank_at(grid_shape, coords) // node
-            total = 0.0
-            for peer, box in plans[coords].recvs:
-                if peer // node == me:
-                    link, overhead = self.machine.intra_link, self.machine.halo_msg_overhead_intra
-                else:
-                    link, overhead = self.machine.inter_link, self.machine.halo_msg_overhead_inter
-                total += pt2pt_time(cells(box) * self.machine.dtype_bytes, link) + overhead
-            return total
-
-        coords = max(plans, key=seconds)
+        m = self.machine
+        overhead = (m.halo_msg_overhead_intra, m.halo_msg_overhead_inter)
+        times = {
+            coords: self._messages(rank_at(grid_shape, coords), plan.recvs, overhead)
+            for coords, plan in h.plans.items()
+        }
+        coords = max(times, key=times.get)
         if h.reverse:  # a scatter-add sends what its whole kernel produced
-            return seconds(coords), 1.0, 0.0
+            return times[coords], 1.0, 0.0
         g = h.geometry(coords)
-        launch = g.boundary_pieces * self.machine.gpu.kernel_latency
-        return seconds(coords), g.boundary_fraction, launch
+        return times[coords], g.boundary_fraction, g.boundary_pieces * m.gpu.kernel_latency
 
-    def shuffle_edge_cost(self, parent: str, n_global: int, strategy) -> float:
-        """Payload time of one redistribution of ``parent``'s activation
-        (one direction), Shuffle(D_i, D_j): an all-to-all moving ~1/P of
-        the tensor per pair.  The price of every
-        :class:`~repro.core.schedule.ShuffleOp`."""
-        nranks = strategy.nranks
-        if nranks <= 1:
-            return 0.0
-        c, h, w = self.shapes[parent]
-        nbytes = float(n_global) * c * h * w * self.machine.dtype_bytes
-        link = self.machine.link_for_group(nranks)
-        return alltoall_time(nranks, nbytes / (nranks * nranks), link)
+    def shuffle_time(self, op: ShuffleOp) -> float:
+        """Seconds of shuffle ``op`` on the rank that waits longest for it
+        (see module doc)."""
+        return max(
+            max(self._messages(rank, plan.recvs), self._messages(rank, plan.sends))
+            for rank, plan in op.plans.items()
+        )
 
     # -- whole network -------------------------------------------------------------
     def cost(self, n_global: int, strategy: ParallelStrategy) -> NetworkCostBreakdown:
@@ -249,7 +253,7 @@ class NetworkCostModel:
             for e in op.edges:
                 for s in (e.fwd, e.bwd):
                     if s is not None and s.consumers[0] == op.name:
-                        one = self.shuffle_edge_cost(e.parent, n_global, strategy)
+                        one = self.shuffle_time(s)
                         bd.comm_ops[s.op_id] = one
                         bd.shuffle_total += one
 

@@ -23,8 +23,8 @@ partitioned global view of multidimensional tensors" with halo exchange
   the gather plan run so that halo exchanges hide behind interior
   computation (§IV-A).
 * :mod:`repro.tensor.shuffle` — redistribution between two distributions
-  (§III-C): ``plan_shuffle`` (cached per communicator) run as a
-  :class:`~repro.tensor.shuffle.ShuffleExchange`.
+  (§III-C): ``shuffle_plan`` (a pure cached function of rank, placements
+  and global shape) run as a :class:`~repro.tensor.shuffle.ShuffleExchange`.
 
 A transfer is a plan and an exchange; a layer is a window geometry and a
 kernel.  Halo gather, shuffle and pooling's scatter-add are three plans
@@ -47,8 +47,8 @@ from repro.tensor.exchange import TransferPlan
 from repro.tensor.halo import RegionExchange, start_region_exchange
 from repro.tensor.shuffle import (
     ShuffleExchange,
-    plan_shuffle,
     shuffle,
+    shuffle_plan,
     shuffle_plan_stats,
     start_shuffle,
 )
@@ -66,8 +66,8 @@ __all__ = [
     "block_size",
     "extract_padded",
     "intersect",
-    "plan_shuffle",
     "shuffle",
+    "shuffle_plan",
     "shuffle_plan_stats",
     "start_region_exchange",
     "start_shuffle",

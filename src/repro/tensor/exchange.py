@@ -46,8 +46,9 @@ class TransferPlan:
     A pure function of grids, distributions, global shape and layer
     geometry — independent of tensor values and dtype — so it is built once
     (:func:`~repro.tensor.dist_tensor.plan_regions`,
-    :func:`~repro.tensor.shuffle.plan_shuffle`) and reused every step.
-    All boxes are in global coordinates.
+    :func:`~repro.tensor.shuffle.shuffle_plan`, both cached) and reused
+    every step, by the engine and the cost model alike.  All boxes are in
+    global coordinates.
     """
 
     #: What this rank assembles: its gather region / destination block.

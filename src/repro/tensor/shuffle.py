@@ -17,24 +17,26 @@ Replication is handled on both sides:
 A transfer is a plan and an exchange — the same pair the halo gather of
 :mod:`repro.tensor.halo` is made of:
 
-* :func:`plan_shuffle` — builds the
-  :class:`~repro.tensor.exchange.TransferPlan` of one redistribution.
-  Which boxes of this rank's shard go to which peers, and which arrive
-  from which canonical owners, is a pure function of (src
-  grid+distribution, dst grid+distribution, global shape), so the plan is
-  computed once per communicator (cached on it, keyed by exactly that
-  tuple) instead of re-intersecting every rank pair on every training
-  step.
-* :class:`ShuffleExchange` (via :func:`start_shuffle`) — the plan run
+* :func:`shuffle_plan` — the :class:`~repro.tensor.exchange.TransferPlan`
+  of one redistribution on one rank: which boxes of its shard go to which
+  peers, and which arrive from which canonical owners.  It is a pure,
+  ``lru_cache``d function of (rank, source distribution, destination
+  distribution, global shape) — every
+  :class:`~repro.tensor.distribution.Distribution` carries its grid shape
+  — so it needs no tensor and no communicator, and the schedule's
+  :class:`~repro.core.schedule.ShuffleOp`, the engine and the cost model
+  read one plan.
+* :class:`ShuffleExchange` (via :func:`start_shuffle`) — a plan run
   through the one :class:`~repro.tensor.exchange.PlannedExchange`:
   point-to-point messages to the plan's partners only.  Starting sends
   this rank's boxes and returns immediately, so the caller can run
   independent computation (the next layer's kernels on another branch,
   gradient bucketing, ...) before :meth:`~ShuffleExchange.finish` drains
   and assembles.
-* :func:`shuffle` — the blocking form: the same exchange finished right
-  after it is started.  Overlap is only a question of *where* ``finish()``
-  is called, so the two forms cannot differ in their bits.
+* :func:`shuffle` — the blocking form: the same exchange, over the same
+  plan, finished right after it is started.  Overlap is only a question
+  of *where* ``finish()`` is called, so the two forms cannot differ in
+  their bits.
 
 The transport copies every sent box before the send returns, so ``src`` is
 free to change once the exchange has started.
@@ -42,125 +44,90 @@ free to change once the exchange has started.
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 
 from repro.tensor.dist_tensor import DistTensor
-from repro.tensor.distribution import Distribution
+from repro.tensor.distribution import DimKind, Distribution
 from repro.tensor.exchange import Box, PlannedExchange, TransferPlan, cells
 from repro.tensor.grid import ProcessGrid
-from repro.tensor.indexing import intersect, interval_is_empty
 
 #: CommStats op name under which shuffle traffic and its wait/overlap split
 #: are recorded.
 SHUFFLE_OP = "shuffle"
 
 
-class _PlanCache:
-    """Per-communicator plan cache with hit/miss counters."""
-
-    __slots__ = ("plans", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.plans: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-
-def _plan_cache(comm) -> _PlanCache:
-    cache = getattr(comm, "_shuffle_plans", None)
-    if cache is None:
-        cache = _PlanCache()
-        comm._shuffle_plans = cache
-    return cache
-
-
 def shuffle_plan_stats(comm) -> tuple[int, int]:
-    """``(hits, misses)`` of the communicator's shuffle-plan cache."""
-    cache = _plan_cache(comm)
-    return cache.hits, cache.misses
+    """``(hits, misses)`` of :func:`shuffle_plan`'s cache — one per
+    process, whatever ``comm`` — as the end-to-end benchmark's
+    ``tensor.plan_hit_ratio`` reads it."""
+    info = shuffle_plan.cache_info()
+    return info.hits, info.misses
 
 
-def _validate(src: DistTensor, dst_grid: ProcessGrid, dst_dist: Distribution) -> None:
-    comm = src.comm
-    if dst_grid.comm.size != comm.size or dst_grid.comm.members != comm.members:
-        raise ValueError("shuffle requires src and dst grids over the same ranks")
-    if dst_dist.ndim != src.dist.ndim:
-        raise ValueError(
-            f"distribution rank mismatch: {src.dist.ndim} vs {dst_dist.ndim}"
-        )
-
-
-def _is_canonical(dist: Distribution, grid_shape, coords) -> bool:
-    """Is ``coords`` the canonical replica (coordinate 0 on replicated axes)?"""
-    return all(
-        coords[d] == 0
-        for d in range(dist.ndim)
-        if not dist.is_split(d) and grid_shape[d] > 1
+@lru_cache(maxsize=4096)
+def _shards(dist: Distribution, global_shape: tuple[int, ...]) -> tuple:
+    """``(box, canonical?)`` of every rank's shard under ``dist``, by rank
+    (grid coordinates in row-major order); the canonical replica sits at
+    coordinate 0 on every replicated axis."""
+    replicated = [d for d, k in enumerate(dist.kinds) if k is DimKind.REPLICATED]
+    return tuple(
+        (dist.local_bounds(global_shape, c), all(c[d] == 0 for d in replicated))
+        for c in itertools.product(*map(range, dist.grid_shape))
     )
 
 
-def plan_shuffle(
-    src: DistTensor, dst_grid: ProcessGrid, dst_dist: Distribution
+def _overlap(a: Box, b: Box) -> Box | None:
+    box = []
+    for (a0, a1), (b0, b1) in zip(a, b):
+        lo, hi = max(a0, b0), min(a1, b1)
+        if lo >= hi:
+            return None
+        box.append((lo, hi))
+    return tuple(box)
+
+
+@lru_cache(maxsize=4096)
+def shuffle_plan(
+    rank: int, src: Distribution, dst: Distribution, global_shape: tuple[int, ...]
 ) -> TransferPlan:
-    """Build (or fetch from the communicator's cache) the redistribution plan.
-
-    The cache key is ``(src grid shape, src dist, dst grid shape, dst dist,
-    global shape)`` — every quantity the schedule depends on; coordinates
-    derive from the comm rank, so identical keys give identical plans.
-    """
-    _validate(src, dst_grid, dst_dist)
-    comm = src.comm
-    cache = _plan_cache(comm)
-    key = (src.grid.shape, src.dist, dst_grid.shape, dst_dist, src.global_shape)
-    plan = cache.plans.get(key)
-    if plan is not None:
-        cache.hits += 1
-        return plan
-    cache.misses += 1
-
-    global_shape = src.global_shape
-    my_src_bounds = src.bounds
+    """What ``rank`` sends, receives and keeps when a tensor of
+    ``global_shape`` moves from placement ``src`` to ``dst`` — two grids
+    over the same ranks, whose shapes may differ arbitrarily.  Only the
+    canonical replica of a source shard sends, so each element ships once;
+    every replica of a destination shard receives its copy."""
+    if dst.ndim != src.ndim:
+        raise ValueError(f"distribution rank mismatch: {src.ndim} vs {dst.ndim}")
+    sources, blocks = _shards(src, global_shape), _shards(dst, global_shape)
+    if len(sources) != len(blocks):
+        raise ValueError(f"grids {src.grid_shape} and {dst.grid_shape} span different ranks")
+    mine, canonical = sources[rank]
+    block = blocks[rank][0]
     sends: list[tuple[int, Box]] = []
     local: list[Box] = []
-    if _is_canonical(src.dist, src.grid.shape, src.grid.coords):
-        for j in range(comm.size):
-            dst_b = dst_dist.local_bounds(global_shape, dst_grid.coords_of(j))
-            overlap = tuple(
-                intersect(a, b) for a, b in zip(my_src_bounds, dst_b)
-            )
-            if any(interval_is_empty(iv) for iv in overlap):
-                continue
-            if j == comm.rank:
-                local.append(overlap)
-            else:
-                sends.append((j, overlap))
-
-    my_dst_bounds = dst_dist.local_bounds(global_shape, dst_grid.coords)
     recvs: list[tuple[int, Box]] = []
-    for i in range(comm.size):
-        if i == comm.rank:
-            continue
-        if not _is_canonical(src.dist, src.grid.shape, src.grid.coords_of(i)):
-            continue
-        src_b = src.dist.local_bounds(global_shape, src.grid.coords_of(i))
-        overlap = tuple(intersect(a, b) for a, b in zip(src_b, my_dst_bounds))
-        if any(interval_is_empty(iv) for iv in overlap):
-            continue
-        recvs.append((i, overlap))
+    for peer, ((theirs, sends_any), (their_block, _)) in enumerate(zip(sources, blocks)):
+        box = _overlap(mine, their_block) if canonical else None
+        if box is not None and peer == rank:
+            local.append(box)
+        elif box is not None:
+            sends.append((peer, box))
+        box = _overlap(theirs, block) if sends_any and peer != rank else None
+        if box is not None:
+            recvs.append((peer, box))
 
     filled = sum(cells(box) for box in local) + sum(cells(box) for _, box in recvs)
-    if filled != cells(my_dst_bounds):
+    if filled != cells(block):
         raise RuntimeError(
             f"shuffle would assemble {filled} elements but the local block "
-            f"has {cells(my_dst_bounds)}; source distribution did not cover "
-            "the tensor"
+            f"has {cells(block)}; source distribution did not cover the tensor"
         )
-    plan = TransferPlan(
-        my_dst_bounds, tuple(sends), tuple(recvs), tuple(local),
+    return TransferPlan(
+        block, tuple(sends), tuple(recvs), tuple(local),
         sum(cells(box) for _, box in sends),
     )
-    cache.plans[key] = plan
-    return plan
 
 
 class ShuffleExchange:
@@ -179,12 +146,15 @@ class ShuffleExchange:
         src: DistTensor,
         dst_grid: ProcessGrid,
         dst_dist: Distribution,
+        plan: TransferPlan,
     ) -> None:
-        plan = plan_shuffle(src, dst_grid, dst_dist)
+        comm = src.comm
+        if dst_grid.comm.size != comm.size or dst_grid.comm.members != comm.members:
+            raise ValueError("shuffle requires src and dst grids over the same ranks")
         # Zero-init the new block; the plan's boxes tile it exactly.
         out = np.zeros(plan.shape, dtype=src.dtype)
         self._exchange = PlannedExchange(
-            src.comm, plan,
+            comm, plan,
             src.local, tuple(b for b, _ in src.bounds),
             out, plan.lo,
             opname=SHUFFLE_OP, stat=SHUFFLE_OP,
@@ -218,14 +188,16 @@ def start_shuffle(
     src: DistTensor,
     dst_grid: ProcessGrid,
     dst_dist: Distribution,
+    plan: TransferPlan,
 ) -> ShuffleExchange:
-    """Begin an overlapped redistribution of ``src`` to ``dst_dist``.
+    """Begin an overlapped redistribution of ``src`` to ``dst_dist`` along
+    ``plan``, this rank's :func:`shuffle_plan` of it.
 
     Returns a started :class:`ShuffleExchange`; call
     :meth:`~ShuffleExchange.finish` where the redistributed tensor is
     consumed.
     """
-    return ShuffleExchange(src, dst_grid, dst_dist)
+    return ShuffleExchange(src, dst_grid, dst_dist, plan)
 
 
 def shuffle(
@@ -238,7 +210,8 @@ def shuffle(
     Both grids must be built over the same communicator (the same set of
     ranks in the same order); the grid *shapes* may differ arbitrarily.
     Collective: every rank must call.  This is the :class:`ShuffleExchange`
-    finished right after its start, with the same cached plan.
+    finished right after its start, over the rank's :func:`shuffle_plan`.
     """
-    return ShuffleExchange(src, dst_grid, dst_dist).finish()
+    plan = shuffle_plan(src.comm.rank, src.dist, dst_dist, src.global_shape)
+    return ShuffleExchange(src, dst_grid, dst_dist, plan).finish()
 

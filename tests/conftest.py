@@ -15,6 +15,7 @@ one-rank-per-node — all traffic over TCP — when unset.
 
 import faulthandler
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     os.close(config.stash[_dump_fd])
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Report the run's CPU seconds — user + system, of this process and
+    the children it waited for (forked ranks) — beside its wall time: on a
+    shared host wall time reads the neighbours, CPU time the suite."""
+    me = resource.getrusage(resource.RUSAGE_SELF)
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    user, system = me.ru_utime + kids.ru_utime, me.ru_stime + kids.ru_stime
+    terminalreporter.write_line(
+        f"CPU seconds: {user + system:.1f} (user {user:.1f}, sys {system:.1f}; "
+        "process and children)"
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -8,13 +8,12 @@ from repro.comm.collective_models import (
     AllreduceAlgorithm,
     LinkParameters,
     allreduce_time,
-    alltoall_time,
     pt2pt_time,
     select_allreduce_algorithm,
 )
 from repro.core.parallelism import LayerParallelism as LP
-from repro.core.parallelism import ParallelStrategy
-from repro.core.schedule import lower
+from repro.core.parallelism import ParallelStrategy, activation_dist
+from repro.core.schedule import ShuffleOp, lower
 from repro.core.window import window_geometry
 from repro.nn.meshnet import mesh_model_1k, mesh_model_2k
 from repro.nn.resnet import build_resnet50
@@ -61,9 +60,55 @@ class TestCollectiveModels:
         ts = [allreduce_time(8, n, LINK) for n in (1e3, 1e5, 1e7)]
         assert ts[0] < ts[1] < ts[2]
 
-    def test_alltoall(self):
-        assert alltoall_time(1, 100, LINK) == 0.0
-        assert alltoall_time(4, 100, LINK) == pytest.approx(3 * (5e-6 + 1e-7))
+
+class TestShufflePrice:
+    """A shuffle is priced from its plans on the rank that waits longest
+    for it: one α-β message per box that rank receives or, when that takes
+    longer, sends — not as a uniform all-to-all of P - 1 equal messages."""
+
+    SHAPE = (8, 16, 32, 32)
+
+    @staticmethod
+    def _op(src_grid, dst_grid, shape):
+        return ShuffleOp(
+            "fwd:shuf:p->c", "p", ("c",),
+            activation_dist(src_grid, shape), activation_dist(dst_grid, shape), shape,
+        )
+
+    def test_sample_and_height_to_sample_is_one_message(self):
+        """(2,1,2,1) -> (4,1,1,1): every rank receives one box of 16,384
+        cells from one peer (the all-to-all assumed 3 of 8,192)."""
+        op = self._op((2, 1, 2, 1), (4, 1, 1, 1), self.SHAPE)
+        assert {(len(p.recvs), p.received_cells) for p in op.plans.values()} == {(1, 16384)}
+        link = LASSEN.intra_link  # four ranks on one node
+        assert NetworkCostModel(mesh_model_1k(), LASSEN).shuffle_time(op) == pt2pt_time(
+            16384 * LASSEN.dtype_bytes, link
+        )
+
+    def test_replicated_source_is_priced_at_its_one_sender(self):
+        """(1,1,4,1) -> (4,1,1,1) at H = W = 2: the height is replicated, so
+        only rank 0 sends — three boxes of 128 cells (1,536 bytes), one per
+        peer — while the all-to-all assumed three messages of 128 bytes
+        (384) on every rank."""
+        op = self._op((1, 1, 4, 1), (4, 1, 1, 1), (8, 16, 2, 2))
+        plans = op.plans
+        assert [len(p.sends) for p in plans.values()] == [3, 0, 0, 0]
+        assert plans[0].sent_cells * LASSEN.dtype_bytes == 1536
+        link = LASSEN.intra_link
+        assert NetworkCostModel(mesh_model_1k(), LASSEN).shuffle_time(op) == pytest.approx(
+            3 * link.alpha + link.beta * 1536, rel=1e-12
+        )
+
+    def test_two_rank_height_to_sample_is_one_quarter_of_the_tensor(self):
+        """p = 2, height -> sample: each rank keeps one quarter of the
+        tensor and sends one quarter, in one message."""
+        machine = dataclasses.replace(LASSEN, dtype_bytes=8)
+        n, c, h, w = self.SHAPE
+        op = self._op((1, 1, 2, 1), (2, 1, 1, 1), self.SHAPE)
+        link = machine.intra_link
+        assert NetworkCostModel(mesh_model_1k(), machine).shuffle_time(op) == (
+            link.alpha + link.beta * (n * c * h * w * 8 / 4)
+        )
 
 
 class TestGPUSpec:
@@ -476,9 +521,10 @@ class TestDeadErrorSignal:
         spec = self._spec()
         model = NetworkCostModel(spec, LASSEN)
         strategy = ParallelStrategy({"input": LP(sample=4)}, default=LP(height=2, width=2))
-        assert model.cost(8, strategy).shuffle_total == pytest.approx(
-            model.shuffle_edge_cost("input", 8, strategy)
-        )
+        bd = model.cost(8, strategy)
+        (only,) = bd.schedule.shuffles
+        assert only.op_id.startswith("fwd:")
+        assert bd.shuffle_total == bd.comm_ops[only.op_id] == model.shuffle_time(only) > 0
 
     def test_memory_counts_error_signals_of_needing_layers_only(self):
         spec = self._spec()

@@ -18,7 +18,7 @@ import numpy as np
 from conftest import region_plan
 from repro.comm import run_spmd
 from repro.tensor import DistTensor, Distribution, ProcessGrid, start_region_exchange
-from repro.tensor import start_shuffle
+from repro.tensor import shuffle_plan, start_shuffle
 
 STRAGGLER = "delay@rank1:point=recv:seconds=0.02:recurring"
 
@@ -82,7 +82,8 @@ def _contract_prog(comm):
     # Shuffle from column blocks to row blocks.
     cols = ProcessGrid(comm, (1, p))
     src = DistTensor.from_global(cols, Distribution.make((1, p)), X.copy())
-    ex = start_shuffle(src, rows, Distribution.make((p, 1)))
+    dst = Distribution.make((p, 1))
+    ex = start_shuffle(src, rows, dst, shuffle_plan(comm.rank, src.dist, dst, X.shape))
     _overwrite(src.local)
     comm.barrier()
     out["shuffle"] = ex.finish().local

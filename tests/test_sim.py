@@ -220,8 +220,8 @@ class TestScheduleConformance:
     @pytest.mark.parametrize("bucket", [BUCKET, 1])
     def test_real_step_issues_the_scheduled_ops(self, spec, strategy, shuffles, bucket):
         """A cut that coalesces layers, and one bucket per layer.  Every
-        rank starts one exchange per halo op and sends what its own plan of
-        each op says."""
+        rank starts one exchange per shuffle and halo op and sends what its
+        own plan of each op says."""
         rng = np.random.default_rng(0)
         x = rng.standard_normal((self.N, 4, 16, 16))
         t = rng.integers(0, 3, size=self.N)
@@ -234,6 +234,7 @@ class TestScheduleConformance:
             return (
                 net.shuffle_count,
                 stats.collectives.get("shuffle", 0),
+                stats.collective_bytes.get("shuffle", 0),
                 stats.collectives.get("allreduce", 0),
                 stats.collective_bytes.get("allreduce", 0),
                 stats.collectives.get("iallreduce", 0),
@@ -245,11 +246,13 @@ class TestScheduleConformance:
         sched = lower(spec, strategy, self.N)
         buckets = sched.grad_buckets(bucket, itemsize=8)
         assert len(buckets) > 1  # the small bucket size really cuts
-        expected = (
-            len(shuffles), len(shuffles),
+        collectives = (
             len(sched.collectives), sum(c.elems * 8 for c in sched.collectives),
             len(buckets), sum(b.nbytes for b in buckets),
         )
+
+        def shuffle_bytes(rank: int) -> int:
+            return sum(op.plan(rank).sent_cells * 8 for op in sched.shuffles)
 
         def halo_bytes(rank: int) -> int:
             return sum(
@@ -259,7 +262,9 @@ class TestScheduleConformance:
             )
 
         assert run_spmd(strategy.nranks, prog) == [
-            expected + (len(sched.halos), halo_bytes(r)) for r in range(strategy.nranks)
+            (len(shuffles), len(shuffles), shuffle_bytes(r))
+            + collectives + (len(sched.halos), halo_bytes(r))
+            for r in range(strategy.nranks)
         ]
 
     def test_error_signals_are_the_backward_layers(self, spec, strategy, shuffles):
@@ -357,9 +362,9 @@ class TestTrainingSimulator:
         spec, strategy, _ = CASES["skip"]()
         n = 8
         eng = TrainingStepSimulator(spec, LASSEN).simulate(n, strategy).engine
-        model = NetworkCostModel(spec, LASSEN)
-        s_c0 = model.shuffle_edge_cost("c0", n, strategy)
-        s_a1 = model.shuffle_edge_cost("a1", n, strategy)
+        bd = NetworkCostModel(spec, LASSEN).cost(n, strategy)
+        price = bd.comm_ops
+        s_c0, s_a1 = price["fwd:shuf:c0->join"], price["fwd:shuf:a1->join"]
 
         # The skip-edge shuffle (ready when c0 finishes) hides behind the
         # a1 branch; join waits for
@@ -372,8 +377,10 @@ class TestTrainingSimulator:
 
         assert eng["fwd:shuf:c0->join"].duration == s_c0
 
-        # Every shuffle is priced at its payload (2 edges x fwd+bwd = 4 here).
-        assert model.cost(n, strategy).shuffle_total == pytest.approx(2 * (s_c0 + s_a1))
+        # Every shuffle is priced from its plans (2 edges x fwd+bwd = 4
+        # here); an edge's backward moves the forward's boxes back.
+        assert price["bwd:shuf:join->c0"] == s_c0 and price["bwd:shuf:join->a1"] == s_a1
+        assert bd.shuffle_total == pytest.approx(2 * (s_c0 + s_a1))
 
     def test_no_error_signal_tasks_below_first_parameterised_layer(self):
         """Same predicate as the engine: the first conv has a filter task

@@ -189,10 +189,39 @@ class TestOptimizer:
         opt = StrategyOptimizer(spec, LASSEN, total_ranks=4, n_global=n)
         before, after = LP(height=2, width=2), LP(sample=4)
         cut = ParallelStrategy(dict.fromkeys(["input", "c1", "p1"], before), default=after)
-        charged = opt.cost_model.cost(n, cut).shuffle_total
-        assert charged == 2 * opt.cost_model.shuffle_edge_cost("p1", n, cut) > 0
-        assert opt._shuffle_cost("c2", before, after) == charged
+        bd = opt.cost_model.cost(n, cut)
+        assert [s.op_id for s in bd.schedule.shuffles] == ["fwd:shuf:p1->c2", "bwd:shuf:c2->p1"]
+        assert bd.shuffle_total == sum(bd.comm_ops[s.op_id] for s in bd.schedule.shuffles) > 0
+        assert opt._shuffle_cost("c2", before, after) == bd.shuffle_total
         assert opt._shuffle_cost("c2", after, after) == 0.0
+
+    def test_each_pair_is_priced_from_its_own_placements(self):
+        """One lowering per (layer, cut?) learns which tensors cross; every
+        candidate pair is then priced between its own two placements,
+        exactly as the full model charges that pair's strategy."""
+        spec = NetworkSpec("pairs")
+        spec.add("input", "input", channels=4, height=32, width=32)
+        spec.add("c1", "conv", ["input"], filters=8, kernel=3, pad=1)
+        spec.add("c2", "conv", ["c1"], filters=16, kernel=3, pad=1)
+        spec.add("gap", "gap", ["c2"])
+        spec.add("fc", "fc", ["gap"], units=4)
+        spec.add("loss", "softmax_ce", ["fc"])
+        n = 8
+        opt = StrategyOptimizer(spec, LASSEN, total_ranks=4, n_global=n)
+        pairs = [
+            (LP(height=2, width=2), LP(sample=4)),
+            (LP(height=4), LP(sample=4)),
+            (LP(sample=2, height=2), LP(sample=4)),
+            (LP(sample=4), LP(height=4)),
+        ]
+        prices = []
+        for pa, pb in pairs:
+            cut = ParallelStrategy(dict.fromkeys(["input", "c1"], pa), default=pb)
+            charged = opt.cost_model.cost(n, cut).shuffle_total
+            assert opt._shuffle_cost("c2", pa, pb) == charged > 0
+            prices.append(charged)
+        assert len(set(prices)) > 1  # the all-to-all priced every cut alike
+        assert list(opt._crossing) == [("c2", False)]
 
     def test_describe(self):
         opt = StrategyOptimizer(build_resnet_tiny(), LASSEN, total_ranks=2, n_global=8)

@@ -40,6 +40,7 @@ from repro.tensor import (
     Distribution,
     ProcessGrid,
     shuffle,
+    shuffle_plan,
     shuffle_plan_stats,
     start_region_exchange,
     start_shuffle,
@@ -192,7 +193,8 @@ def check_shuffle(comm, case: Case) -> None:
     want = DistTensor.from_global(dst_grid, case.dst.dist, x)
 
     at_once = shuffle(src, dst_grid, case.dst.dist)
-    ex = start_shuffle(src, dst_grid, case.dst.dist)
+    plan = shuffle_plan(comm.rank, case.src.dist, case.dst.dist, x.shape)
+    ex = start_shuffle(src, dst_grid, case.dst.dist, plan)
     # Independent work between start and finish: what the engine runs here
     # (sibling branches, gradient bucketing) must not perturb the exchange.
     _ = float(np.sum(src.local)) if src.local.size else 0.0
@@ -445,11 +447,11 @@ def test_replicated_scatter_add_keeps_replicas_identical():
 
 class TestPlanCache:
     def test_plan_reused_across_repeated_shuffles(self):
-        """Regression: the rank-pair intersections are computed once per
-        (grids, distributions, shape) and cached on the communicator — a
-        repeated shuffle must not re-plan."""
+        """Regression: the rank-pair intersections of a redistribution are
+        computed once per (rank, placements, shape) — ``shuffle_plan`` is
+        cached — so a repeated shuffle must not re-plan."""
         x = np.arange(96.0).reshape(8, 12)
-        steps = 6
+        steps, ranks = 6, 4
 
         def prog(comm):
             g1, g2 = ProcessGrid(comm, (4, 1)), ProcessGrid(comm, (2, 2))
@@ -457,10 +459,14 @@ class TestPlanCache:
             src = DistTensor.from_global(g1, d1, x)
             for _ in range(steps):
                 out = shuffle(src, g2, d2)
-                back = start_shuffle(out, g1, d1).finish()
+                plan = shuffle_plan(comm.rank, d2, d1, x.shape)
+                back = start_shuffle(out, g1, d1, plan).finish()
                 np.testing.assert_array_equal(back.local, src.local)
-            return shuffle_plan_stats(comm)
 
-        for hits, misses in run_spmd(4, prog):
-            assert misses == 2  # one plan per direction, ever
-            assert hits == 2 * steps - 2
+        before = shuffle_plan.cache_info()
+        run_spmd(ranks, prog, backend="thread")  # one process: one cache
+        after = shuffle_plan.cache_info()
+        hits, misses = after.hits - before.hits, after.misses - before.misses
+        assert hits + misses == ranks * 2 * steps
+        assert misses <= ranks * 2  # one plan per rank and direction, ever
+        assert shuffle_plan_stats(None) == (after.hits, after.misses)
