@@ -96,10 +96,10 @@ class StrategyOptimizer:
         self.memory = MemoryModel(spec, machine)
         self.check_memory = check_memory
         self.shapes = spec.infer_shapes()
-        #: The shuffles on the edges into a layer, each with whether it runs
-        #: forward, by (layer, is its input edge a cut?); and the price of
+        #: The shuffles on the edges into a layer when its input edge is a
+        #: cut, each with whether it runs forward, by layer; and the price of
         #: one shuffle by (global shape, source, destination parallelism).
-        self._crossing: dict[tuple[str, bool], list] = {}
+        self._crossing: dict[str, list] = {}
         self._move_price: dict[tuple, float] = {}
         #: Per candidate: each layer's kernels, halos and blocking
         #: collectives, priced.
@@ -182,13 +182,16 @@ class StrategyOptimizer:
         the cut is its parent's, the last inherit-layer of that segment;
         forward once, backward iff that parent takes an error signal —
         each at the cost model's price of its plans.  Which tensors cross
-        depends on the pair only through whether it is a cut at all, so
-        one lowering per (layer, cut?) serves every pair; each pair then
-        prices those ops between its own two placements."""
-        crossing = self._crossing.get((name, pa == pb))
+        depends on the pair only through whether it is a cut at all: an
+        edge that is no cut moves nothing, and one lowering per layer
+        serves every cut; each pair then prices those ops between its own
+        two placements."""
+        if pa == pb:
+            return 0.0
+        crossing = self._crossing.get(name)
         if crossing is None:
             cut = lower(self.spec, ParallelStrategy({name: pb}, default=pa), self.n_global)
-            crossing = self._crossing[name, pa == pb] = [
+            crossing = self._crossing[name] = [
                 (s, s is e.fwd) for e in cut[name].edges for s in (e.fwd, e.bwd) if s
             ]
         total = 0.0

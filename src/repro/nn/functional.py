@@ -1,24 +1,30 @@
 """Stateless forward/backward kernels (the local compute oracle).
 
 All kernels operate on NCHW tensors and are fully vectorized.  The three
-convolution kernels share one layout and run one GEMM each (im2col + GEMM,
-which is what cuDNN's IMPLICIT_GEMM algorithm computes):
+convolution kernels share one layout and run one GEMM per workspace block
+(im2col + GEMM, which is what cuDNN's IMPLICIT_GEMM algorithm computes):
 
-* :func:`_im2col` lays the input out as a ``(C*Kh*Kw, N*Ho*Wo)`` patch
-  matrix — one row per (channel, kernel tap), one column per window —
-  filled by one slab copy per tap, so the copy moves whole output rows;
-* forward (Eq. 1) is ``w @ col`` with ``w`` viewed as ``(F, C*Kh*Kw)``;
-  backward-filter (Eq. 2) is ``dy @ col.T`` with ``dy`` as ``(F, N*Ho*Wo)``,
-  whose product already is ``dw``; backward-data (Eq. 3) is ``w.T @ dy``
-  followed by col2im, each tap's slab added onto the ``dx`` positions the
-  tap read — exactly Eq. (3)'s products at any stride;
+* :func:`_blocks` cuts the output into blocks whose patch matrix fits in
+  :data:`_WORKSPACE` — whole samples when one sample's fits, else row
+  ranges of one sample — so no kernel holds more than a cache-sized patch
+  matrix, however large the layer's activations;
+* :func:`_im2col` lays a block of the input out as a ``(C*Kh*Kw,
+  n*rows*Wo)`` patch matrix — one row per (channel, kernel tap), one column
+  per window — filled by one slab copy per tap, so the copy moves whole
+  output rows;
+* forward (Eq. 1) is ``w @ col`` with ``w`` viewed as ``(F, C*Kh*Kw)``,
+  written into the block's rows of ``y``; backward-filter (Eq. 2) sums
+  ``dy @ col.T`` over the blocks, with ``dy``'s block as ``(F,
+  n*rows*Wo)``, whose product already is ``dw``; backward-data (Eq. 3) is
+  ``w.T @ dy`` per block followed by col2im, each tap's slab added onto the
+  ``dx`` positions the tap read — exactly Eq. (3)'s products at any stride;
 * :func:`_gemm` orders the two products that read the weights so that the
-  larger of (weights, activation operand) is the right-hand matrix.  The
-  left/right choice decides how BLAS walks each operand, and a layer whose
-  weights dwarf its activations (MB of filters over a handful of windows)
-  loses more to ``w @ col`` than the common case gains; see its docstring
-  for the measurement.  Nothing else selects a code path: no kernel-size or
-  stride special case.
+  larger of (weights, the block's activation operand) is the right-hand
+  matrix.  The left/right choice decides how BLAS walks each operand, and a
+  layer whose weights dwarf its activations (MB of filters over a handful
+  of windows) loses more to ``w @ col`` than the common case gains; see its
+  docstring for the measurement.  Nothing else selects a code path: no
+  kernel-size or stride special case.
 
 Two kernels take the *effective padding* formulation needed by the
 distributed algorithms (paper §III-A): the spatially partitioned layers
@@ -92,13 +98,46 @@ def _windows(xp: np.ndarray, kernel: tuple[int, int], stride: tuple[int, int]) -
     return win[:, :, ::sh, ::sw]
 
 
+#: Bytes of patch matrix one GEMM works on, sized so that a block's patch
+#: matrix and its product stay in a 4 MiB L2 (the 2-core benchmark host's).
+#: Measured on the e2e benchmark's ``mesh_serial_p1``, whose ``conv1_1``
+#: patch matrix is 29.5 MB whole.
+_WORKSPACE = 2 << 20
+
+
+def _blocks(n: int, oh: int, row_bytes: int):
+    """``(i0, i1, r0, r1)``: the samples ``[i0, i1)`` and output rows ``[r0,
+    r1)`` of each block whose patch matrix fits in :data:`_WORKSPACE`, given
+    the bytes one output row of one sample takes.
+
+    Whole samples per block when one sample's rows fit, else row ranges
+    within one sample (one row at least); either way the blocks are as even
+    as their count allows.  A patch matrix that fits whole is one block.
+    """
+    if not n * oh * row_bytes:  # an empty patch matrix is one block
+        yield 0, n, 0, oh
+        return
+    rows = max(1, _WORKSPACE // row_bytes)
+    if rows < oh:
+        k = -(-oh // rows)
+        for i in range(n):
+            for j in range(k):
+                yield i, i + 1, oh * j // k, oh * (j + 1) // k
+    else:
+        k = -(-n // (rows // oh))
+        for j in range(k):
+            yield n * j // k, n * (j + 1) // k, 0, oh
+
+
 def _im2col(
     xp: np.ndarray,
     kernel: tuple[int, int],
     stride: tuple[int, int],
-    out_hw: tuple[int, int],
+    rows: tuple[int, int],
+    ow: int,
 ) -> np.ndarray:
-    """``(C*Kh*Kw, N*Ho*Wo)`` patch matrix of an already padded NCHW tensor.
+    """``(C*Kh*Kw, N*(r1-r0)*Wo)`` patch matrix of output rows ``rows =
+    (r0, r1)`` of an already padded NCHW tensor.
 
     Row ``(c, a, b)`` holds what kernel tap ``(a, b)`` reads for every
     window ``(n, i, j)``: ``xp[n, c, i*sh + a, j*sw + b]``.  It is filled
@@ -108,20 +147,22 @@ def _im2col(
     """
     kh, kw = kernel
     sh, sw = stride
-    oh, ow = out_hw
+    r0, r1 = rows
     n, c = xp.shape[:2]
-    col = np.empty((c, kh, kw, n, oh, ow), dtype=xp.dtype)
+    col = np.empty((c, kh, kw, n, r1 - r0, ow), dtype=xp.dtype)
     xt = xp.transpose(1, 0, 2, 3)
     for a in range(kh):
-        rows = slice(a, a + (oh - 1) * sh + 1, sh)
+        taps = slice(r0 * sh + a, (r1 - 1) * sh + a + 1, sh)
         for b in range(kw):
-            col[:, a, b] = xt[:, :, rows, b : b + (ow - 1) * sw + 1 : sw]
-    return col.reshape(c * kh * kw, n * oh * ow)
+            col[:, a, b] = xt[:, :, taps, b : b + (ow - 1) * sw + 1 : sw]
+    return col.reshape(c * kh * kw, n * (r1 - r0) * ow)
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` with the larger operand on the right: as written when ``b``
-    is the larger, else ``(b.T @ a.T).T``.
+    is the larger, else ``(b.T @ a.T).T``.  The callers pass one workspace
+    block's activation operand, so the rule compares the weights with a
+    block, not with the whole patch matrix.
 
     Either spelling is one BLAS call on views — a transposed operand is a
     flag, not a copy, and the swapped product comes back as a transposed
@@ -129,13 +170,24 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     how BLAS walks each operand, and that matters once the weights are the
     large one.  Measured in situ on the e2e benchmark's ``wide_sample_p2``
     (384 -> 384 channels, 3x3: 10.6 MB of weights against 16 output
-    positions per rank): with the weights always on the left, as in the
-    common case, ``conv2d_backward_data`` takes 14-15 ms of the step and
-    ``conv2d_forward`` 8-9 ms; ordered by size they take 8.5 and 6.6 ms and
-    the step is 6-10% faster, 3 of 3 pairs.  Every activation-dominated
+    positions per rank, one block): with the weights always on the left, as
+    in the common case, ``conv2d_backward_data`` takes 14-15 ms of the step
+    and ``conv2d_forward`` 8-9 ms; ordered by size they take 8.5 and 6.6 ms
+    and the step is 6-10% faster, 3 of 3 pairs.  Every activation-dominated
     layer — all of the mesh and ResNet workloads — keeps ``w @ col``.
     """
     return a @ b if a.size <= b.size else (b.T @ a.T).T
+
+
+def _dy_block(dy: np.ndarray, i0: int, i1: int, r0: int, r1: int) -> np.ndarray:
+    """Rows ``[r0, r1)`` of samples ``[i0, i1)`` of ``dy`` (N, F, Ho, Wo) as
+    the ``(F, n*rows*Wo)`` matrix whose columns line up with
+    :func:`_im2col`'s: a view for one sample of a contiguous ``dy``, a copy
+    for several."""
+    f, ow = dy.shape[1], dy.shape[3]
+    if i1 - i0 == 1:
+        return dy[i0, :, r0:r1].reshape(f, (r1 - r0) * ow)
+    return dy[i0:i1, :, r0:r1].transpose(1, 0, 2, 3).reshape(f, -1)
 
 
 def conv2d_forward(
@@ -148,8 +200,9 @@ def conv2d_forward(
     """Cross-correlation (deep-learning "convolution"), paper Eq. (1).
 
     ``x``: (N, C, H, W); ``w``: (F, C, Kh, Kw); returns (N, F, Ho, Wo).
-    One GEMM: ``w`` as ``(F, C*Kh*Kw)`` times the :func:`_im2col` patch
-    matrix, operands ordered by :func:`_gemm`.
+    One GEMM per :func:`_blocks` block: ``w`` as ``(F, C*Kh*Kw)`` times the
+    block's :func:`_im2col` patch matrix, operands ordered by :func:`_gemm`,
+    and the product written into the block's rows of ``y``.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
@@ -159,20 +212,17 @@ def conv2d_forward(
         raise ValueError(f"channel mismatch: x has {c}, w expects {cw}")
     oh, ow = conv2d_output_shape((h, wdt), (kh, kw), (sh, sw), (ph, pw))
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
-    col = _im2col(xp, (kh, kw), (sh, sw), (oh, ow))
-    # Contract (C, Kh, Kw): the triple sum of Eq. (1).
-    y = _gemm(w.reshape(f, c * kh * kw), col)  # (F, N*Ho*Wo)
-    y = np.ascontiguousarray(y.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+    wm = w.reshape(f, c * kh * kw)
+    y = np.empty((n, f, oh, ow), dtype=np.result_type(x, w))
+    for i0, i1, r0, r1 in _blocks(n, oh, c * kh * kw * ow * xp.itemsize):
+        col = _im2col(xp[i0:i1], (kh, kw), (sh, sw), (r0, r1), ow)
+        # Contract (C, Kh, Kw): the triple sum of Eq. (1).
+        prod = _gemm(wm, col).reshape(f, i1 - i0, r1 - r0, ow)
+        y[i0:i1, :, r0:r1] = prod.transpose(1, 0, 2, 3)
+        del col, prod  # one block's workspace at a time
     if bias is not None:
         y += bias.reshape(1, -1, 1, 1)
     return y
-
-
-def _dy_matrix(dy: np.ndarray) -> np.ndarray:
-    """``dy`` (N, F, Ho, Wo) as the ``(F, N*Ho*Wo)`` matrix whose columns
-    line up with :func:`_im2col`'s."""
-    n, f, oh, ow = dy.shape
-    return dy.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
 
 
 def conv2d_backward_filter(
@@ -180,19 +230,29 @@ def conv2d_backward_filter(
 ) -> np.ndarray:
     """Weight gradients, paper Eq. (2): ``dw[f,c,a,b] = sum dy[k,f,i,j] x[k,c,i*s+a-p,...]``.
 
-    One GEMM: ``dy`` as ``(F, N*Ho*Wo)`` times the transposed *view* of the
-    :func:`_im2col` patch matrix; the ``(F, C*Kh*Kw)`` product already is
-    ``dw``'s memory layout.
+    One GEMM per :func:`_blocks` block, summed: ``dy``'s block as ``(F,
+    n*rows*Wo)`` times the transposed *view* of the block's :func:`_im2col`
+    patch matrix; the ``(F, C*Kh*Kw)`` product already is ``dw``'s memory
+    layout.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
     n, f, oh, ow = dy.shape
+    c = x.shape[1]
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
     if xp.shape[2] < (oh - 1) * sh + kh or xp.shape[3] < (ow - 1) * sw + kw:
         raise ValueError("dy spatial extent inconsistent with x/kernel/stride/pad")
-    col = _im2col(xp, (kh, kw), (sh, sw), (oh, ow))
-    return (_dy_matrix(dy) @ col.T).reshape(f, x.shape[1], kh, kw)
+    dw = None
+    for i0, i1, r0, r1 in _blocks(n, oh, c * kh * kw * ow * xp.itemsize):
+        col = _im2col(xp[i0:i1], (kh, kw), (sh, sw), (r0, r1), ow)
+        part = _dy_block(dy, i0, i1, r0, r1) @ col.T
+        del col  # one block's workspace at a time
+        if dw is None:
+            dw = part
+        else:
+            dw += part
+    return dw.reshape(f, c, kh, kw)
 
 
 def _tap_span(
@@ -201,7 +261,8 @@ def _tap_span(
     """Where one kernel tap connects outputs to inputs along one axis: the
     output indices ``i`` in ``[0, n_out)`` with ``0 <= i*stride + tap - pad <
     n_in``, and the input indices they land on — ``None`` when there are
-    none."""
+    none.  ``pad`` may be negative (a block whose first output row is past
+    the padding)."""
     i_lo = max(0, -((tap - pad) // stride))
     i_hi = min(n_out, (n_in - 1 + pad - tap) // stride + 1)
     if i_lo >= i_hi:
@@ -219,13 +280,17 @@ def conv2d_backward_data(
 ) -> np.ndarray:
     """Data gradients, paper Eq. (3): ``dx[i] = sum_a w[a] dy[(i + p - a)/s]``.
 
-    The adjoint of the forward GEMM, read backwards: one GEMM — ``w`` as
-    ``(F, C*Kh*Kw)``, transposed, times ``dy`` as ``(F, N*Ho*Wo)``, operands
-    ordered by :func:`_gemm` — gives every window's error for every tap
-    (the gradient of the :func:`_im2col` patch matrix), and col2im adds each
-    tap's slab onto the ``dx`` positions that tap read, ``i*s + a - p``.
-    Those are exactly the products Eq. (3) names, at any stride: nothing is
-    zero-stuffed, and a tap that lands outside ``dx`` is clipped away.
+    The adjoint of the forward GEMM, read backwards, one :func:`_blocks`
+    block of ``dy`` at a time: one GEMM — ``w`` as ``(F, C*Kh*Kw)``,
+    transposed, times the block of ``dy`` as ``(F, n*rows*Wo)``, operands
+    ordered by :func:`_gemm` — gives the block's windows' error for every
+    tap (the gradient of the block's :func:`_im2col` patch matrix), and
+    col2im adds each tap's slab onto the ``dx`` positions that tap read,
+    ``i*s + a - p`` (``i`` counted from the block's first row ``r0``, so the
+    block's offset is ``p - r0*s``).  Neighbouring row blocks add into the
+    ``dx`` rows they share.  Those are exactly the products Eq. (3) names,
+    at any stride: nothing is zero-stuffed, and a tap that lands outside
+    ``dx`` is clipped away.
 
     ``pad`` is the *left offset* relating dy indices to dx indices; it may
     exceed ``k - 1`` (the distributed algorithm passes ``x_lo + P - s*d_lo``
@@ -246,17 +311,23 @@ def conv2d_backward_data(
     if xh < 0 or xw < 0:
         raise ValueError(f"negative x extent {x_spatial}")
 
-    dcol = _gemm(w.reshape(f, c * kh * kw).T, _dy_matrix(dy)).reshape(
-        c, kh, kw, n, oh, ow
-    )
-    dx = np.zeros((n, c, xh, xw), dtype=dcol.dtype)
-    dxt = dx.transpose(1, 0, 2, 3)
-    for a in range(kh):
-        rows = _tap_span(a, sh, ph, oh, xh)
-        for b in range(kw):
-            cols = _tap_span(b, sw, pw, ow, xw)
-            if rows and cols:
-                dxt[:, :, rows[1], cols[1]] += dcol[:, a, b, :, rows[0], cols[0]]
+    wt = w.reshape(f, c * kh * kw).T
+    dtype = np.result_type(dy, w)
+    cols = [_tap_span(b, sw, pw, ow, xw) for b in range(kw)]
+    dx = None
+    for i0, i1, r0, r1 in _blocks(n, oh, c * kh * kw * ow * dtype.itemsize):
+        dcol = _gemm(wt, _dy_block(dy, i0, i1, r0, r1)).reshape(
+            c, kh, kw, i1 - i0, r1 - r0, ow
+        )
+        if dx is None:  # after the first product, which frees its dy copy
+            dx = np.zeros((n, c, xh, xw), dtype=dtype)
+        dxt = dx[i0:i1].transpose(1, 0, 2, 3)
+        for a in range(kh):
+            rows = _tap_span(a, sh, ph - r0 * sh, r1 - r0, xh)
+            for b in range(kw):
+                if rows and cols[b]:
+                    dxt[:, :, rows[1], cols[b][1]] += dcol[:, a, b, :, rows[0], cols[b][0]]
+        del dcol  # one block's workspace at a time
     return dx
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import functional
 from repro.nn.functional import (
     conv2d_backward_data,
     conv2d_backward_filter,
@@ -298,14 +299,35 @@ def forward_geometries(draw):
     return x, wt, dy, stride, pad
 
 
+def _under_workspaces(call, c, kernel, out_hw):
+    """``{setting: call()}`` with :data:`repro.nn.functional._WORKSPACE` at
+    its default, at one output row per block and at one sample per block
+    (the patch bytes of one sample at ``c`` input channels), so the oracle
+    sweeps cross every kind of block boundary: row splits, one-sample and
+    multi-sample blocks."""
+    one_sample = c * kernel[0] * kernel[1] * out_hw[0] * out_hw[1] * 8
+    out = {}
+    for setting, workspace in [
+        ("default", functional._WORKSPACE), ("row", 1), ("sample", one_sample)
+    ]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(functional, "_WORKSPACE", workspace)
+            out[setting] = call()
+    return out
+
+
 @seeded_sweep
 @given(forward_geometries())
 def test_forward_matches_loop_oracle(geometry):
     x, wt, _, stride, pad = geometry
-    got = conv2d_forward(x, wt, stride=stride, pad=pad)
     want = naive_conv2d(x, wt, stride, pad)
-    assert got.shape == want.shape and got.flags.c_contiguous
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    runs = _under_workspaces(
+        lambda: conv2d_forward(x, wt, stride=stride, pad=pad),
+        x.shape[1], wt.shape[2:], want.shape[2:],
+    )
+    for setting, got in runs.items():
+        assert got.shape == want.shape and got.flags.c_contiguous, setting
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=setting)
 
 
 @seeded_sweep
@@ -313,20 +335,50 @@ def test_forward_matches_loop_oracle(geometry):
 def test_backward_filter_matches_loop_oracle(geometry):
     x, wt, dy, stride, pad = geometry
     kernel = wt.shape[2:]
-    got = conv2d_backward_filter(x, dy, kernel=kernel, stride=stride, pad=pad)
     want = loop_backward_filter(x, dy, kernel, stride, pad)
-    assert got.shape == wt.shape and got.flags.c_contiguous
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    runs = _under_workspaces(
+        lambda: conv2d_backward_filter(x, dy, kernel=kernel, stride=stride, pad=pad),
+        x.shape[1], kernel, dy.shape[2:],
+    )
+    for setting, got in runs.items():
+        assert got.shape == wt.shape and got.flags.c_contiguous, setting
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=setting)
 
 
 @seeded_sweep
 @given(backward_data_geometries())
 def test_backward_data_matches_loop_oracle(geometry):
     dy, wt, stride, pad, x_spatial = geometry
-    got = conv2d_backward_data(dy, wt, stride=stride, pad=pad, x_spatial=x_spatial)
     want = scatter_backward_data(dy, wt, stride, pad, x_spatial)
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    runs = _under_workspaces(
+        lambda: conv2d_backward_data(dy, wt, stride=stride, pad=pad, x_spatial=x_spatial),
+        wt.shape[1], wt.shape[2:], dy.shape[2:],
+    )
+    for setting, got in runs.items():
+        assert got.shape == want.shape, setting
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=setting)
+
+
+@seeded_sweep
+@given(
+    n=st.integers(0, 4),
+    oh=st.integers(0, 9),
+    row_bytes=st.integers(0, 64),
+    workspace=st.integers(0, 200),
+)
+def test_blocks_tile_the_output_within_the_workspace(n, oh, row_bytes, workspace):
+    """Every (sample, output row) lies in exactly one block, in order; a
+    block spans whole samples or rows of one sample, and its patch matrix
+    fits in the workspace unless it is a single row."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functional, "_WORKSPACE", workspace)
+        blocks = list(functional._blocks(n, oh, row_bytes))
+    assert blocks
+    cells = [(i, r) for i0, i1, r0, r1 in blocks for i in range(i0, i1) for r in range(r0, r1)]
+    assert cells == [(i, r) for i in range(n) for r in range(oh)]
+    for i0, i1, r0, r1 in blocks:
+        assert (r0, r1) == (0, oh) or i1 - i0 == 1
+        assert (i1 - i0) * (r1 - r0) * row_bytes <= workspace or (i1 - i0, r1 - r0) == (1, 1)
 
 
 @seeded_sweep
@@ -406,3 +458,33 @@ def test_weights_dominant_kernels_copy_no_weight_sized_array(kernel_call):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < wt.nbytes / 2
+
+
+@pytest.mark.parametrize("kernel_call", ["forward", "backward_filter", "backward_data"])
+def test_activation_dominant_kernels_stay_within_workspace(kernel_call):
+    """The mesh workloads' ``conv1_1``: 18 -> 16 channels, 5x5, stride 2 over
+    2 x 128 x 128, whose whole patch matrix is 29.5 MB.  Beyond the array it
+    returns, a kernel may hold the padded input and a couple of workspace
+    blocks — never a patch matrix of the whole layer."""
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 18, 128, 128))
+    wt = rng.standard_normal((16, 18, 5, 5))
+    dy = rng.standard_normal((2, 16, 64, 64))
+    call = {
+        "forward": lambda: conv2d_forward(x, wt, stride=2, pad=2),
+        "backward_filter": lambda: conv2d_backward_filter(x, dy, kernel=5, stride=2, pad=2),
+        "backward_data": lambda: conv2d_backward_data(
+            dy, wt, stride=2, pad=2, x_spatial=(128, 128)
+        ),
+    }[kernel_call]
+    call()  # warm-up: one-time imports and caches are not the kernel's
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    padded = 2 * 18 * 132 * 132 * x.itemsize
+    assert peak - out.nbytes <= padded + 2 * functional._WORKSPACE

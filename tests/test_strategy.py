@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.parallelism import LayerParallelism as LP
 from repro.core.parallelism import ParallelStrategy
+from repro.core.schedule import lower
 from repro.core.strategy import StrategyOptimizer, factorizations
 from repro.nn import NetworkSpec
 from repro.nn.meshnet import mesh_model_2k
@@ -196,7 +197,7 @@ class TestOptimizer:
         assert opt._shuffle_cost("c2", after, after) == 0.0
 
     def test_each_pair_is_priced_from_its_own_placements(self):
-        """One lowering per (layer, cut?) learns which tensors cross; every
+        """One lowering per layer learns which tensors cross a cut; every
         candidate pair is then priced between its own two placements,
         exactly as the full model charges that pair's strategy."""
         spec = NetworkSpec("pairs")
@@ -221,7 +222,25 @@ class TestOptimizer:
             assert opt._shuffle_cost("c2", pa, pb) == charged > 0
             prices.append(charged)
         assert len(set(prices)) > 1  # the all-to-all priced every cut alike
-        assert list(opt._crossing) == [("c2", False)]
+        assert list(opt._crossing) == ["c2"]
+
+    @pytest.mark.parametrize(
+        "build,ranks,n",
+        [(build_resnet50, 16, 512), (build_resnet50, 16, 8), (mesh_model_2k, 16, 2)],
+        ids=["resnet50-n512", "resnet50-n8", "mesh2k-n2"],
+    )
+    def test_an_edge_that_is_no_cut_moves_nothing(self, build, ranks, n):
+        """The example nets under every candidate their layers offer: a
+        uniform strategy lowers to no shuffle, so the price of a same-
+        placement edge is 0.0 and needs no lowering."""
+        spec = build()
+        opt = StrategyOptimizer(spec, LASSEN, total_ranks=ranks, n_global=n)
+        decision = [layer.name for layer in spec if layer.kind in ("conv", "fc")]
+        cands = {p for name in decision for p in opt.candidates(name)}
+        for par in cands:
+            assert lower(spec, ParallelStrategy.uniform(par), n).shuffles == ()
+            assert opt._shuffle_cost(decision[-1], par, par) == 0.0
+        assert opt._crossing == {}
 
     def test_describe(self):
         opt = StrategyOptimizer(build_resnet_tiny(), LASSEN, total_ranks=2, n_global=8)
