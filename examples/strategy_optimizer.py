@@ -2,8 +2,11 @@
 
 Given a platform (modeled Lassen), a network, a rank budget, and a
 mini-batch size, the optimizer generates candidate distributions per layer
-and picks the assignment minimizing predicted mini-batch time via shortest
-path — "a parallel execution strategy with the fastest end-to-end runtime".
+and picks the assignment minimizing the modeled per-layer and shuffle time
+exactly, by min-sum elimination over the decision layers (the paper uses a
+shortest path); the pick is then checked under the full model against every
+uniform strategy — "a parallel execution strategy with the fastest
+end-to-end runtime".
 
 Shows the three regimes the paper describes:
  1. plenty of samples + memory -> pure sample parallelism wins everywhere;

@@ -24,7 +24,7 @@
 * :mod:`repro.core.trainer` — the distributed training loop, with atomic
   checkpoint/resume (:mod:`repro.core.checkpoint`).
 * :mod:`repro.core.strategy` — the performance-model-driven strategy
-  optimizer (§V-C): candidate generation + shortest-path assignment.
+  optimizer (§V-C): candidate generation + an exact min-sum elimination.
 * :mod:`repro.core.elastic` — elastic self-healing supervision: restart
   with backoff, blacklist-and-shrink, resume at any world size from the
   one checkpoint file per step, graceful degradation

@@ -1,9 +1,12 @@
-"""Every third-party package ``src/repro`` imports is declared.
+"""Every third-party package ``src/repro`` imports is declared, and every
+declared one is imported.
 
 A package imported by the library but missing from ``pyproject.toml``'s
 ``[project].dependencies`` installs fine and then fails at import time; one
-missing from ``requirements-ci.txt`` stops CI's tier-1 at collection.  Both
-lists are read as text: ``tomllib`` is Python 3.11+, and CI also runs 3.10.
+missing from ``requirements-ci.txt`` stops CI's tier-1 at collection.  A
+declared package nothing imports is an install every user pays for nothing.
+Both lists are read as text: ``tomllib`` is Python 3.11+, and CI also runs
+3.10.
 """
 
 import ast
@@ -70,3 +73,10 @@ def test_every_third_party_import_is_declared():
     for where, names in declared.items():
         missing = {pkg: files for pkg, files in imported.items() if pkg not in names}
         assert not missing, f"imported by src/repro but not declared in {where}: {missing}"
+
+
+def test_every_declared_dependency_is_imported():
+    imported = third_party_imports()
+    declared = project_dependencies((ROOT / "pyproject.toml").read_text())
+    unused = sorted(declared - set(imported))
+    assert not unused, f"declared in pyproject.toml but imported nowhere in src/repro: {unused}"
