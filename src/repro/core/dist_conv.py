@@ -6,11 +6,10 @@ is influenced by (Eq. 3), which of the block's points need no halo — lives
 in :mod:`repro.core.window`; this module supplies the convolution kernels:
 
 * **forward** — the rank's output block is computed from its input region
-  (its own block plus halo; out-of-range parts are virtual padding, zero
-  filled) with a *local* convolution with ``pad=0``;
-* **backward-filter** (Eq. 2) — reuses the forward's assembled input region
-  against the local error signal, again with ``pad=0``; the partial ``dw``
-  is then summed over the grid by an allreduce;
+  (its own block plus halo; out-of-range parts are virtual padding, zero);
+* **backward-filter** (Eq. 2) — reuses the forward's input region against
+  the local error signal; the partial ``dw`` is then summed over the grid
+  by an allreduce;
 * **backward-data** (Eq. 3) — the error-signal region of the rank's input
   block is evaluated with the transposed convolution at the effective left
   padding that aligns the two.  The kernel is one GEMM over the region
@@ -18,6 +17,16 @@ in :mod:`repro.core.window`; this module supplies the convolution kernels:
   (:func:`repro.nn.functional.conv2d_backward_data`), and the whole step is
   skipped when the layer is handed no Eq. 3 window (its parent needs no
   error signal).
+
+**Regions in place.**  A window that exchanges nothing (every convolution
+at p = 1 or under sample parallelism, and the 1x1 convolutions at any p)
+reads its region straight out of the shard: the kernels take the region's
+virtual padding as their left offset and the block as their output extent
+(:func:`_in_place`), so no padded copy of the activation or the error
+signal is ever made, and the layer keeps a reference to its input, not a
+copy, from forward to backward.  Only a window that exchanges assembles
+its region — halo and virtual padding — into a buffer of the layer's pool,
+and runs the kernels on it with ``pad=0``.
 
 **Overlapped halo exchange (§IV-A).**  The layer decides neither its
 window nor whether it exchanges: the network
@@ -54,6 +63,30 @@ from repro.tensor.halo import RegionExchange, local_region, start_region_exchang
 from repro.core.window import WindowGeometry
 
 
+def _check_handed(g: WindowGeometry, ex: RegionExchange | None) -> None:
+    """Raise unless the network handed a gather exactly to a window that
+    reads off-shard (``g.exchanged``)."""
+    if (ex is None) == g.exchanged:
+        raise ValueError(
+            f"a window that {'reads' if g.exchanged else 'does not read'} "
+            f"off-shard was handed {'no' if ex is None else 'a'} halo exchange"
+        )
+
+
+def _in_place(source: DistTensor, g: WindowGeometry) -> tuple[np.ndarray, tuple[int, int]]:
+    """``(view, (top, left))`` of a window that exchanges nothing: a
+    read-only view of the shard over ``g``'s region clipped to the tensor,
+    and the virtual padding the region has before it — the left offset the
+    convolution kernels read the view at."""
+    clipped = []
+    for b, h, n in zip(g.lo, g.hi, source.global_shape):
+        lo = min(max(b, 0), n)
+        clipped.append((lo, max(lo, min(h, n))))
+    view = source._local_slice_of(clipped)  # raises unless this rank owns it
+    view.flags.writeable = False
+    return view, (clipped[2][0] - g.lo[2], clipped[3][0] - g.lo[3])
+
+
 def run_block(
     piece,
     source: DistTensor,
@@ -63,25 +96,23 @@ def run_block(
     dtypes: tuple,
     fill: float = 0.0,
 ) -> tuple[tuple, np.ndarray]:
-    """Evaluate a windowed kernel over this rank's block.
+    """Evaluate a windowed kernel over this rank's block from its assembled
+    region.
 
     ``piece(ext, g, rows, cols)`` returns the tuple of output arrays for
     block rows/cols from the assembled region ``ext``.  ``ex`` is the
     in-flight gather of ``g``'s region, started by the network exactly when
     some rank's window reads off-shard (``g.exchanged``); a window that
-    exchanges but is handed none raises.  When nothing is exchanged (pure
-    sample parallelism / replicated spatial dims) the kernel is one fused
-    call on the locally materialized region.  Otherwise the block is
-    assembled (one array per entry of ``dtypes``) from the interior pieces,
-    computed while the halo strips travel, and the boundary pieces,
-    computed after ``ex.finish()``.  Returns ``(outputs, assembled
-    region)``.
+    exchanges but is handed none raises.  The block is assembled (one array
+    per entry of ``dtypes``) from the interior pieces, computed while the
+    halo strips travel, and the boundary pieces, computed after
+    ``ex.finish()``.  When nothing is exchanged — only pooling runs such a
+    window through here; convolution reads it in place (:func:`_in_place`)
+    — the kernel is one fused call on the region
+    :func:`~repro.tensor.halo.local_region` stages.  Returns ``(outputs,
+    assembled region)``.
     """
-    if (ex is None) == g.exchanged:
-        raise ValueError(
-            f"a window that {'reads' if g.exchanged else 'does not read'} "
-            f"off-shard was handed {'no' if ex is None else 'a'} halo exchange"
-        )
+    _check_handed(g, ex)
     if ex is None:
         ext = local_region(source, g.lo, g.hi, fill=fill, pool=pool)
         return piece(ext, g, g.bounds[2], g.bounds[3]), ext
@@ -107,7 +138,9 @@ class DistConv2d:
     Weights (and bias) are replicated on every rank of ``grid``; the
     activation tensors are distributed along (N, H, W) per the grid shape.
     Each direction runs over the window geometry and in-flight exchange the
-    network hands it (:func:`run_block`).
+    network hands it: in place when the window exchanges nothing
+    (:func:`_in_place`), else the interior / boundary sequence of
+    :func:`run_block` over the assembled region.
     """
 
     #: Virtual padding of both gathered regions (input, error signal).
@@ -129,9 +162,11 @@ class DistConv2d:
         self.stride = F._pair(stride)
         self.pad = F._pair(pad)
         self.kernel = (weights.shape[2], weights.shape[3])
-        self._x_ext: np.ndarray | None = None
-        #: Recycles the assembled input / error-signal regions across steps
-        #: (the network starts this layer's exchanges into it).
+        #: Forward's input region and the left offset Eq. 2 reads it at:
+        #: a view of the activation, or an assembled region of the pool.
+        self._x: tuple[np.ndarray, tuple[int, int]] | None = None
+        #: Recycles the assembled input / error-signal regions of exchanged
+        #: windows across steps (the network starts those exchanges into it).
         self.buffers = BufferPool()
 
     # -- geometry ------------------------------------------------------------------
@@ -174,10 +209,20 @@ class DistConv2d:
         """Convolve this rank's output block: ``g`` is the forward window's
         geometry on this rank, ``ex`` the gather of its input region the
         network started (``None`` when no window reads off-shard)."""
-        (y_local,), self._x_ext = run_block(
-            self._fwd_piece, x, g, ex, self.buffers,
-            (np.result_type(x.dtype, self.w.dtype),),
-        )
+        if g.exchanged:
+            (y_local,), x_src = run_block(
+                self._fwd_piece, x, g, ex, self.buffers,
+                (np.result_type(x.dtype, self.w.dtype),),
+            )
+            pad = (0, 0)
+        else:
+            _check_handed(g, ex)
+            x_src, pad = _in_place(x, g)
+            y_local = F.conv2d_forward(
+                x_src, self.w, stride=self.stride, pad=pad, bias=self.bias,
+                y_spatial=g.block_shape[2:],
+            )
+        self._x = x_src, pad
         return DistTensor(self.grid, g.dist, g.shape, y_local)
 
     # -- backward --------------------------------------------------------------------
@@ -199,25 +244,38 @@ class DistConv2d:
         data convolution.  Without a ``g`` — the parent needs no error
         signal — this runs Eq. 2 alone and ``dx`` is ``None``.
         """
-        if self._x_ext is None:
+        if self._x is None:
             raise RuntimeError("backward() before forward()")
 
-        # Eq. 2: local filter gradients from the saved extended input region.
+        # Eq. 2: local filter gradients from forward's input region.
+        x_src, pad = self._x
+        self._x = None
         dw = F.conv2d_backward_filter(
-            self._x_ext, dy.local, kernel=self.kernel, stride=self.stride, pad=0
+            x_src, dy.local, kernel=self.kernel, stride=self.stride, pad=pad
         )
         db = dy.local.sum(axis=(0, 2, 3)) if self.bias is not None else None
-        self.buffers.give(self._x_ext)
-        self._x_ext = None
+        self.buffers.give(x_src)  # recycles an assembled region, never a view
         if g is None:
             return None, dw, db
 
         # Eq. 3 over the dy dependency region of our input block.
-        if ex is not None:
-            ex.poll()
-        (dx_local,), dy_ext = run_block(
-            self._bwd_piece, dy, g, ex, self.buffers,
-            (np.result_type(dy.dtype, self.w.dtype),),
-        )
-        self.buffers.give(dy_ext)
+        if g.exchanged:
+            if ex is not None:
+                ex.poll()
+            (dx_local,), dy_ext = run_block(
+                self._bwd_piece, dy, g, ex, self.buffers,
+                (np.result_type(dy.dtype, self.w.dtype),),
+            )
+            self.buffers.give(dy_ext)
+        else:
+            _check_handed(g, ex)
+            dy_src, virtual = _in_place(dy, g)
+            # The offset aligning the clipped region, not the padded one.
+            pad = tuple(
+                p - s * v
+                for p, s, v in zip(g.transposed_pad(*g.bounds[2:]), self.stride, virtual)
+            )
+            dx_local = F.conv2d_backward_data(
+                dy_src, self.w, stride=self.stride, pad=pad, x_spatial=g.block_shape[2:]
+            )
         return DistTensor(self.grid, g.dist, g.shape, dx_local), dw, db

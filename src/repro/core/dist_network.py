@@ -38,9 +38,9 @@ Activations and error signals travel **by reference**.  A layer's output is
 handed to every consumer as is; a layer's ``dx`` *is* its parent's ``dy``
 (an ``add`` hands the same array to all its parents), and only a parent with
 several consumers sums into a tensor of its own.  Layers keep what they need
-for backward the same way: a batch-norm cache and a convolution's assembled
-input (:func:`~repro.tensor.halo.local_region`) alias the live activation
-whenever no padding or remote data is involved.  All of it rests on one
+for backward the same way: a batch-norm cache, and a convolution whose
+window exchanges nothing (padded or not, :mod:`repro.core.dist_conv`),
+alias the live activation.  All of it rests on one
 invariant: **no layer writes to its input or to the error signal it is
 given** — what a layer computes goes into a fresh array, what it does not
 compute it passes through untouched.  The only in-place update of an error

@@ -26,13 +26,18 @@ convolution kernels share one layout and run one GEMM per workspace block
   docstring for the measurement.  Nothing else selects a code path: no
   kernel-size or stride special case.
 
-Two kernels take the *effective padding* formulation needed by the
-distributed algorithms (paper §III-A): the spatially partitioned layers
-materialize halo + virtual padding into an extended local block via a
-region exchange and then call these kernels with ``pad=0``, while
-backward-data is evaluated with a per-rank left-offset padding that aligns
-the gathered error-signal region with the local input block (see
-:mod:`repro.core.dist_conv` for the offset derivation).
+All three take ``pad`` as the *left offset* of the first window and read
+their input as zero outside its extent — the *effective padding*
+formulation the distributed algorithms need (paper §III-A) — and no kernel
+pads a whole layer: :func:`_patches` stages only the padded rows and
+columns one workspace block reads.  Forward is handed its output extent
+(``y_spatial``) and backward-filter takes ``dy``'s, so a distributed layer
+whose window exchanges nothing runs them on a view of its shard with the
+region's virtual padding as the offset, and one whose window exchanges
+runs them with ``pad=0`` on the assembled region (halo + virtual padding).
+Backward-data is evaluated with a per-rank left offset that aligns the
+error-signal region — read in place or gathered — with the local input
+block (see :mod:`repro.core.dist_conv` for the offset derivation).
 """
 
 from __future__ import annotations
@@ -190,19 +195,59 @@ def _dy_block(dy: np.ndarray, i0: int, i1: int, r0: int, r1: int) -> np.ndarray:
     return dy[i0:i1, :, r0:r1].transpose(1, 0, 2, 3).reshape(f, -1)
 
 
+def _patches(
+    x: np.ndarray,
+    block: tuple[int, int, int, int],
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    pad: tuple[int, int],
+    ow: int,
+) -> np.ndarray:
+    """The :func:`_im2col` patch matrix of :func:`_blocks` block ``block =
+    (i0, i1, r0, r1)`` of a convolution whose windows start ``pad`` rows and
+    columns before ``x``: output ``(i, j)`` reads ``x[.., i*sh + a - ph, j*sw
+    + b - pw]``, zero wherever that leaves ``x``.
+
+    When the block's windows stay inside ``x``, the patches are gathered
+    from ``x`` itself; otherwise the rows and columns they read are first
+    staged into one zero-filled buffer of the block's size, so no kernel
+    ever pads the whole layer.  Either way the matrix is the one a padded
+    copy of ``x`` gives, value for value.
+    """
+    (i0, i1, r0, r1), (kh, kw), (sh, sw), (ph, pw) = block, kernel, stride, pad
+    h, w = x.shape[2:]
+    top, left = r0 * sh - ph, -pw
+    bottom = max(top, (r1 - 1) * sh - ph + kh)
+    right = max(left, (ow - 1) * sw - pw + kw)
+    if top >= 0 and left >= 0 and bottom <= h and right <= w:
+        xs = x[i0:i1, :, top:bottom, left:right]
+    else:
+        xs = np.zeros((i1 - i0, x.shape[1], bottom - top, right - left), dtype=x.dtype)
+        h0, h1, w0, w1 = max(top, 0), min(bottom, h), max(left, 0), min(right, w)
+        if h0 < h1 and w0 < w1:  # else the block reads padding only
+            xs[:, :, h0 - top : h1 - top, w0 - left : w1 - left] = x[i0:i1, :, h0:h1, w0:w1]
+    return _im2col(xs, kernel, stride, (0, r1 - r0), ow)
+
+
 def conv2d_forward(
     x: np.ndarray,
     w: np.ndarray,
     stride=1,
     pad=0,
     bias: np.ndarray | None = None,
+    y_spatial: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """Cross-correlation (deep-learning "convolution"), paper Eq. (1).
 
     ``x``: (N, C, H, W); ``w``: (F, C, Kh, Kw); returns (N, F, Ho, Wo).
     One GEMM per :func:`_blocks` block: ``w`` as ``(F, C*Kh*Kw)`` times the
-    block's :func:`_im2col` patch matrix, operands ordered by :func:`_gemm`,
-    and the product written into the block's rows of ``y``.
+    block's patch matrix (:func:`_patches`), operands ordered by
+    :func:`_gemm`, and the product written into the block's rows of ``y``.
+
+    ``pad`` is the *left offset* of the first window (output ``i`` reads
+    input rows ``i*s - p ... i*s - p + K - 1``); the input is zero outside
+    its extent.  ``y_spatial`` fixes the output extent; if omitted, the
+    symmetric formula :func:`conv2d_output_shape` is used.
     """
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
@@ -210,12 +255,14 @@ def conv2d_forward(
     n, c, h, wdt = x.shape
     if c != cw:
         raise ValueError(f"channel mismatch: x has {c}, w expects {cw}")
-    oh, ow = conv2d_output_shape((h, wdt), (kh, kw), (sh, sw), (ph, pw))
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+    if y_spatial is None:
+        y_spatial = conv2d_output_shape((h, wdt), (kh, kw), (sh, sw), (ph, pw))
+    oh, ow = y_spatial
     wm = w.reshape(f, c * kh * kw)
     y = np.empty((n, f, oh, ow), dtype=np.result_type(x, w))
-    for i0, i1, r0, r1 in _blocks(n, oh, c * kh * kw * ow * xp.itemsize):
-        col = _im2col(xp[i0:i1], (kh, kw), (sh, sw), (r0, r1), ow)
+    for block in _blocks(n, oh, c * kh * kw * ow * x.itemsize):
+        i0, i1, r0, r1 = block
+        col = _patches(x, block, (kh, kw), (sh, sw), (ph, pw), ow)
         # Contract (C, Kh, Kw): the triple sum of Eq. (1).
         prod = _gemm(wm, col).reshape(f, i1 - i0, r1 - r0, ow)
         y[i0:i1, :, r0:r1] = prod.transpose(1, 0, 2, 3)
@@ -231,22 +278,21 @@ def conv2d_backward_filter(
     """Weight gradients, paper Eq. (2): ``dw[f,c,a,b] = sum dy[k,f,i,j] x[k,c,i*s+a-p,...]``.
 
     One GEMM per :func:`_blocks` block, summed: ``dy``'s block as ``(F,
-    n*rows*Wo)`` times the transposed *view* of the block's :func:`_im2col`
-    patch matrix; the ``(F, C*Kh*Kw)`` product already is ``dw``'s memory
-    layout.
+    n*rows*Wo)`` times the transposed *view* of the block's patch matrix
+    (:func:`_patches`); the ``(F, C*Kh*Kw)`` product already is ``dw``'s
+    memory layout.  ``pad`` is the left offset of the first window, as in
+    :func:`conv2d_forward`, and ``dy``'s extent is the output's: ``x`` is
+    zero wherever a window leaves it.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
     n, f, oh, ow = dy.shape
     c = x.shape[1]
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
-    if xp.shape[2] < (oh - 1) * sh + kh or xp.shape[3] < (ow - 1) * sw + kw:
-        raise ValueError("dy spatial extent inconsistent with x/kernel/stride/pad")
     dw = None
-    for i0, i1, r0, r1 in _blocks(n, oh, c * kh * kw * ow * xp.itemsize):
-        col = _im2col(xp[i0:i1], (kh, kw), (sh, sw), (r0, r1), ow)
-        part = _dy_block(dy, i0, i1, r0, r1) @ col.T
+    for block in _blocks(n, oh, c * kh * kw * ow * x.itemsize):
+        col = _patches(x, block, (kh, kw), (sh, sw), (ph, pw), ow)
+        part = _dy_block(dy, *block) @ col.T
         del col  # one block's workspace at a time
         if dw is None:
             dw = part

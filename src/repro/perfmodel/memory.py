@@ -8,7 +8,11 @@ the slices it updates (1/g of a layer's parameters for a gradient group of
 g ranks), the halo cells each forward halo exchange receives (the
 schedule's :class:`~repro.core.schedule.HaloOp`, on the rank of its sample
 group that receives the most),
-convolution workspace, and communication buffers.  This model reproduces
+convolution workspace, and communication buffers.  An extended region — a
+layer's input with its halo and virtual padding — exists only where a
+``HaloOp`` does, as in the engine: a convolution whose window exchanges
+nothing reads its input in place (:mod:`repro.core.dist_conv`), so no
+padded copy is counted for it.  This model reproduces
 the paper's feasibility boundaries on 16 GB V100s:
 
 * the 2K mesh model cannot train with even one sample per GPU under pure

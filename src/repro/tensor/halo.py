@@ -45,9 +45,11 @@ def local_region(
     pool=None,
 ) -> np.ndarray:
     """A region that is fully local (plus virtual padding), without any
-    communication — the fast path layers take when no rank's window reads
-    off-shard (a :class:`~repro.core.window.WindowGeometry` that is not
-    ``exchanged``).
+    communication — what pooling reads when no rank's window reads off-shard
+    (a :class:`~repro.core.window.WindowGeometry` that is not
+    ``exchanged``).  Convolution reads such a window in place instead, its
+    virtual padding an offset of the kernels, never staged
+    (:mod:`repro.core.dist_conv`).
 
     Decided from the box alone: a non-empty box inside the tensor (every
     unpadded convolution, every aligned pooling) needs no fill, so it is

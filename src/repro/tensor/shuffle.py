@@ -45,6 +45,7 @@ free to change once the exchange has started.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -68,25 +69,40 @@ def shuffle_plan_stats(comm) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=4096)
-def _shards(dist: Distribution, global_shape: tuple[int, ...]) -> tuple:
-    """``(box, canonical?)`` of every rank's shard under ``dist``, by rank
-    (grid coordinates in row-major order); the canonical replica sits at
-    coordinate 0 on every replicated axis."""
-    replicated = [d for d, k in enumerate(dist.kinds) if k is DimKind.REPLICATED]
+def _spans(dist: Distribution, global_shape: tuple[int, ...]) -> tuple:
+    """Per tensor axis, the span each grid coordinate owns under ``dist``."""
     return tuple(
-        (dist.local_bounds(global_shape, c), all(c[d] == 0 for d in replicated))
-        for c in itertools.product(*map(range, dist.grid_shape))
+        tuple(dist.dim_bounds(global_shape, d, c) for c in range(g))
+        for d, g in enumerate(dist.grid_shape)
     )
 
 
-def _overlap(a: Box, b: Box) -> Box | None:
-    box = []
-    for (a0, a1), (b0, b1) in zip(a, b):
-        lo, hi = max(a0, b0), min(a1, b1)
-        if lo >= hi:
-            return None
-        box.append((lo, hi))
-    return tuple(box)
+def _meeting(
+    dist: Distribution, global_shape: tuple[int, ...], box: Box, canonical: bool
+):
+    """``(rank, overlap)`` of every rank whose shard under ``dist`` meets
+    ``box`` on every axis, in ascending rank (grid coordinates in row-major
+    order), with the box they share — only the canonical replica,
+    coordinate 0 on every replicated axis, when ``canonical``.  Each axis
+    contributes the grid coordinates whose span meets the box's there, so
+    the search costs the sum of the grid's extents, not their product."""
+    offsets, overlaps = [], []
+    for d, (spans, kind, (lo, hi)) in enumerate(
+        zip(_spans(dist, global_shape), dist.kinds, box)
+    ):
+        if canonical and kind is DimKind.REPLICATED:
+            spans = spans[:1]
+        met = [(c, (max(b0, lo), min(b1, hi))) for c, (b0, b1) in enumerate(spans)]
+        met = [(c, span) for c, span in met if span[0] < span[1]]
+        stride = math.prod(dist.grid_shape[d + 1 :])
+        offsets.append([c * stride for c, _ in met])
+        overlaps.append([span for _, span in met])
+    return zip(map(sum, itertools.product(*offsets)), itertools.product(*overlaps))
+
+
+def _coords(rank: int, grid_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Grid coordinates of ``rank`` (row-major), as :func:`_meeting` counts."""
+    return tuple(int(c) for c in np.unravel_index(rank, grid_shape))
 
 
 @lru_cache(maxsize=4096)
@@ -97,26 +113,27 @@ def shuffle_plan(
     ``global_shape`` moves from placement ``src`` to ``dst`` — two grids
     over the same ranks, whose shapes may differ arbitrarily.  Only the
     canonical replica of a source shard sends, so each element ships once;
-    every replica of a destination shard receives its copy."""
+    every replica of a destination shard receives its copy.  Peers are
+    searched only where their blocks meet this rank's (:func:`_meeting`),
+    and kept in ascending rank."""
     if dst.ndim != src.ndim:
         raise ValueError(f"distribution rank mismatch: {src.ndim} vs {dst.ndim}")
-    sources, blocks = _shards(src, global_shape), _shards(dst, global_shape)
-    if len(sources) != len(blocks):
+    if math.prod(src.grid_shape) != math.prod(dst.grid_shape):
         raise ValueError(f"grids {src.grid_shape} and {dst.grid_shape} span different ranks")
-    mine, canonical = sources[rank]
-    block = blocks[rank][0]
+    at = _coords(rank, src.grid_shape)
+    mine = src.local_bounds(global_shape, at)
+    block = dst.local_bounds(global_shape, _coords(rank, dst.grid_shape))
     sends: list[tuple[int, Box]] = []
     local: list[Box] = []
-    recvs: list[tuple[int, Box]] = []
-    for peer, ((theirs, sends_any), (their_block, _)) in enumerate(zip(sources, blocks)):
-        box = _overlap(mine, their_block) if canonical else None
-        if box is not None and peer == rank:
-            local.append(box)
-        elif box is not None:
-            sends.append((peer, box))
-        box = _overlap(theirs, block) if sends_any and peer != rank else None
-        if box is not None:
-            recvs.append((peer, box))
+    if all(c == 0 or k is not DimKind.REPLICATED for c, k in zip(at, src.kinds)):
+        for peer, box in _meeting(dst, global_shape, mine, False):
+            if peer == rank:
+                local.append(box)
+            else:
+                sends.append((peer, box))
+    recvs = [
+        (peer, box) for peer, box in _meeting(src, global_shape, block, True) if peer != rank
+    ]
 
     filled = sum(cells(box) for box in local) + sum(cells(box) for _, box in recvs)
     if filled != cells(block):

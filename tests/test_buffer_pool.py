@@ -257,9 +257,10 @@ class TestLocalRegion:
         assert self._on_row_shards(body) == [True, True]
 
     def test_no_pooled_buffer_aliases_a_live_activation(self):
-        """Three sample-parallel ResNet steps — unpadded 1x1 convolutions
-        gather views, padded ones stage — and no layer's free-list holds
-        memory an activation (or the next step's input) lives in."""
+        """Three spatially split ResNet steps — padded convolutions and
+        pooling assemble their exchanged regions in their pools, 1x1
+        convolutions read the shard in place — and no layer's free-list
+        holds memory an activation (or the next step's input) lives in."""
         from repro.core import DistNetwork, DistTrainer, LayerParallelism
         from repro.nn.resnet import build_resnet_tiny
 
@@ -268,7 +269,7 @@ class TestLocalRegion:
         x, t = rng.standard_normal((4, 3, 16, 16)), rng.integers(0, 10, size=4)
 
         def prog(comm):
-            net = DistNetwork(spec, comm, LayerParallelism(sample=2), seed=0)
+            net = DistNetwork(spec, comm, LayerParallelism(height=2), seed=0)
             trainer = DistTrainer(net)
             for _ in range(3):
                 trainer.step(x, t)

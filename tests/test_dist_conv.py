@@ -205,6 +205,60 @@ class TestDistConvExactness:
             run_spmd(1, prog, timeout=10)
 
 
+class TestInPlaceWindows:
+    """A window that exchanges nothing — every convolution at p = 1 or under
+    sample parallelism — reads the shard in place: forward, ``dw`` and
+    ``dx`` are bitwise the kernels on the shard, the layer keeps a view of
+    its input (no array of its own) from forward to backward, and its
+    buffer pool is never asked for a region."""
+
+    @pytest.mark.parametrize("grid_shape", [(1, 1, 1, 1), (2, 1, 1, 1)], ids=["p1", "sample2"])
+    @pytest.mark.parametrize(
+        "n,c,h,w_,f,k,s,p",
+        [
+            (2, 18, 32, 32, 4, 5, 2, 2),  # conv1_1's K5 S2 P2: one row of bottom padding
+            (2, 3, 9, 9, 4, 3, 2, 1),
+            (2, 3, 8, 8, 5, 1, 1, 0),     # unpadded 1x1
+            (2, 2, 7, 6, 3, 1, 1, 2),     # P >= K: border outputs read padding only
+        ],
+    )
+    def test_bitwise_kernels_on_the_shard(self, grid_shape, n, c, h, w_, f, k, s, p):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((n, c, h, w_))
+        w = rng.standard_normal((f, c, k, k))
+
+        def owned(layer):
+            """The arrays the layer holds that own their memory, its
+            parameters (the network's) aside."""
+            held = [v for name, v in vars(layer).items() if name not in ("w", "bias")]
+            held = [a for v in held for a in (v if isinstance(v, tuple) else (v,))]
+            return [a for a in held if isinstance(a, np.ndarray) and a.base is None]
+
+        def prog(comm):
+            grid = ProcessGrid(comm, grid_shape)
+            xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
+            conv = Driven(DistConv2d(grid, w, stride=s, pad=p))
+            for step in range(3):
+                y = conv.forward(xd)
+                assert owned(conv.layer) == []
+                assert np.shares_memory(conv.layer._x[0], xd.local)
+                dy = np.random.default_rng(step).standard_normal(y.global_shape)
+                dyd = DistTensor.from_global(grid, y.dist, dy)
+                dx, dw, _ = conv.backward(dyd)
+            assert conv.buffers.stats() == (0, 0) and not conv.buffers._free
+            xl, dyl = xd.local, dyd.local
+            np.testing.assert_array_equal(y.local, F.conv2d_forward(xl, w, stride=s, pad=p))
+            np.testing.assert_array_equal(
+                dw, F.conv2d_backward_filter(xl, dyl, kernel=k, stride=s, pad=p)
+            )
+            np.testing.assert_array_equal(
+                dx.local, F.conv2d_backward_data(dyl, w, stride=s, pad=p, x_spatial=(h, w_))
+            )
+            return True
+
+        assert all(run_spmd(int(np.prod(grid_shape)), prog))
+
+
 class TestWindowGeometry:
     """Every windowed layer gathers, on every rank, a region spanning all of
     its source's channels, and the cached exchange plan assembles exactly
@@ -304,7 +358,7 @@ class TestHandedExchange:
             with pytest.raises(ValueError, match="reads off-shard was handed no"):
                 layer.forward(xd, g, None)
             # Nothing computed: no saved input region, no pooling cache.
-            assert getattr(layer, "_x_ext", None) is None and not getattr(layer, "_cache", {})
+            assert getattr(layer, "_x", None) is None and not getattr(layer, "_cache", {})
             return True
 
         assert run_spmd(2, prog) == [True, True]

@@ -14,14 +14,24 @@ from repro.nn.functional import (
 )
 
 
-def naive_conv2d(x, w, stride, pad):
-    """Direct implementation of paper Eq. (1) with explicit loops."""
+def _zero_extended(x, pad, rows, cols):
+    """``x`` with ``pad`` zero rows/columns before it and zeros after it out
+    to at least ``rows`` x ``cols``: what the kernels read past its edges."""
+    (ph, pw), (n, c, h, wd) = pad, x.shape
+    xp = np.zeros((n, c, max(rows, ph + h), max(cols, pw + wd)))
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
+    return xp
+
+
+def naive_conv2d(x, w, stride, pad, y_spatial=None):
+    """Direct implementation of paper Eq. (1) with explicit loops; ``pad``
+    is the left offset and ``y_spatial`` the output extent (default: the
+    symmetric formula)."""
     sh, sw = stride
-    ph, pw = pad
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    oh, ow = conv2d_output_shape((h, wd), (kh, kw), stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh, ow = y_spatial or conv2d_output_shape((h, wd), (kh, kw), stride, pad)
+    xp = _zero_extended(x, pad, (oh - 1) * sh + kh, (ow - 1) * sw + kw)
     y = np.zeros((n, f, oh, ow))
     for kk in range(n):
         for ff in range(f):
@@ -54,9 +64,9 @@ def scatter_backward_data(dy, w, stride, pad, x_spatial):
 def loop_backward_filter(x, dy, kernel, stride, pad):
     """Eq. (2) by brute force: tap (a, b) of output (i, j) read the padded
     input at (i*s + a, j*s + b), so that product lands in dw[:, :, a, b]."""
-    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    (kh, kw), (sh, sw) = kernel, stride
     n, f, oh, ow = dy.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = _zero_extended(x, pad, (oh - 1) * sh + kh, (ow - 1) * sw + kw)
     dw = np.zeros((f, x.shape[1], kh, kw))
     for a in range(kh):
         for b in range(kw):
@@ -273,14 +283,16 @@ def backward_data_geometries(draw):
 @st.composite
 def forward_geometries(draw):
     """The forward / Eq. 2 side of the same family: rectangular kernels and
-    strides, K < S, pads, input rows no window reads, ``x`` and ``dy`` sliced
-    out of larger buffers, a ``dy`` covering fewer windows than ``x`` offers
-    — and channel counts on both sides of the operand-order rule: 48 -> 48
-    channels over a handful of windows (weights the larger GEMM operand)
-    next to <= 3 channels over up to 17 x 13 inputs (the patch matrix)."""
+    strides, K < S, pads up to K + 1 (whole workspace blocks in the
+    padding), input rows no window reads, ``x`` and ``dy`` sliced out of
+    larger buffers, a ``dy`` covering one window fewer or more than the
+    symmetric padding gives — and channel counts on both sides of the
+    operand-order rule: 48 -> 48 channels over a handful of windows (weights
+    the larger GEMM operand) next to <= 3 channels over up to 17 x 13
+    inputs (the patch matrix)."""
     kh, kw = draw(_pairs(1, 5))
     stride = draw(_pairs(1, 3))
-    pad = draw(_pairs(0, 2))
+    pad = (draw(st.integers(0, kh + 1)), draw(st.integers(0, kw + 1)))
     n = draw(st.integers(1, 2))
     if draw(st.booleans()):
         c = f = 48
@@ -293,7 +305,7 @@ def forward_geometries(draw):
     x = _sliced(rng, (n, c, h, w), draw(_pairs(0, 2)))
     wt = rng.standard_normal((f, c, kh, kw))
     oh, ow = conv2d_output_shape((h, w), (kh, kw), stride, pad)
-    drop = draw(_pairs(0, 1))
+    drop = draw(_pairs(-1, 1))
     dy_shape = (n, f, max(1, oh - drop[0]), max(1, ow - drop[1]))
     dy = _sliced(rng, dy_shape, draw(_pairs(0, 2)))
     return x, wt, dy, stride, pad
@@ -319,15 +331,18 @@ def _under_workspaces(call, c, kernel, out_hw):
 @seeded_sweep
 @given(forward_geometries())
 def test_forward_matches_loop_oracle(geometry):
-    x, wt, _, stride, pad = geometry
-    want = naive_conv2d(x, wt, stride, pad)
-    runs = _under_workspaces(
-        lambda: conv2d_forward(x, wt, stride=stride, pad=pad),
-        x.shape[1], wt.shape[2:], want.shape[2:],
-    )
-    for setting, got in runs.items():
-        assert got.shape == want.shape and got.flags.c_contiguous, setting
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=setting)
+    """At the symmetric output extent and at ``dy``'s, which a distributed
+    layer hands over as its block: ``pad`` is then only the left offset."""
+    x, wt, dy, stride, pad = geometry
+    for y_spatial in (None, dy.shape[2:]):
+        want = naive_conv2d(x, wt, stride, pad, y_spatial)
+        runs = _under_workspaces(
+            lambda: conv2d_forward(x, wt, stride=stride, pad=pad, y_spatial=y_spatial),
+            x.shape[1], wt.shape[2:], want.shape[2:],
+        )
+        for setting, got in runs.items():
+            assert got.shape == want.shape and got.flags.c_contiguous, setting
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=setting)
 
 
 @seeded_sweep
@@ -464,8 +479,9 @@ def test_weights_dominant_kernels_copy_no_weight_sized_array(kernel_call):
 def test_activation_dominant_kernels_stay_within_workspace(kernel_call):
     """The mesh workloads' ``conv1_1``: 18 -> 16 channels, 5x5, stride 2 over
     2 x 128 x 128, whose whole patch matrix is 29.5 MB.  Beyond the array it
-    returns, a kernel may hold the padded input and a couple of workspace
-    blocks — never a patch matrix of the whole layer."""
+    returns, a kernel may hold a couple of workspace blocks and the padded
+    input rows of one block — never a patch matrix of the whole layer, nor
+    a padded copy of its input (5.0 MB here)."""
     import tracemalloc
 
     rng = np.random.default_rng(6)
@@ -486,5 +502,8 @@ def test_activation_dominant_kernels_stay_within_workspace(kernel_call):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    padded = 2 * 18 * 132 * 132 * x.itemsize
-    assert peak - out.nbytes <= padded + 2 * functional._WORKSPACE
+    staged = max(
+        (i1 - i0) * 18 * ((r1 - r0 - 1) * 2 + 5) * (63 * 2 + 5) * x.itemsize
+        for i0, i1, r0, r1 in functional._blocks(2, 64, 18 * 5 * 5 * 64 * x.itemsize)
+    )
+    assert peak - out.nbytes <= 2 * functional._WORKSPACE + staged

@@ -45,6 +45,7 @@ from repro.tensor import (
     start_region_exchange,
     start_shuffle,
 )
+from repro.tensor.distribution import DimKind
 from repro.tensor.indexing import intersect, place_region
 
 # -- generated cases -----------------------------------------------------------
@@ -268,6 +269,66 @@ def test_shuffle_equals_global_slice_and_round_trips(case):
 @given(case=cases(regions=True))
 def test_scatter_add_accumulates_and_is_adjoint_of_gather(case):
     run_cases(check_scatter_add, [case], case.nranks)
+
+
+def brute_force_shuffle_plan(rank, src, dst, shape):
+    """``shuffle_plan`` by intersecting ``rank`` with every peer, both ways,
+    in ascending rank: the canonical replica of a source shard (coordinate
+    0 on its replicated axes) sends, every destination replica receives."""
+    from repro.tensor.exchange import TransferPlan, cells
+
+    def shards(dist):
+        rep = [d for d, k in enumerate(dist.kinds) if k is DimKind.REPLICATED]
+        return [
+            (dist.local_bounds(shape, c), all(c[d] == 0 for d in rep))
+            for c in np.ndindex(*dist.grid_shape)
+        ]
+
+    def meet(a, b):
+        box = tuple((max(a0, b0), min(a1, b1)) for (a0, a1), (b0, b1) in zip(a, b))
+        return box if all(h > b for b, h in box) else None
+
+    sources, blocks = shards(src), shards(dst)
+    mine, canonical = sources[rank]
+    block = blocks[rank][0]
+    sends, recvs, local = [], [], []
+    for peer, ((theirs, sends_any), (their_block, _)) in enumerate(zip(sources, blocks)):
+        box = meet(mine, their_block) if canonical else None
+        if box is not None and peer == rank:
+            local.append(box)
+        elif box is not None:
+            sends.append((peer, box))
+        box = meet(theirs, block) if sends_any and peer != rank else None
+        if box is not None:
+            recvs.append((peer, box))
+    return TransferPlan(
+        block, tuple(sends), tuple(recvs), tuple(local), sum(cells(b) for _, b in sends)
+    )
+
+
+@st.composite
+def plan_cases(draw):
+    """(src, dst, shape) over 1-64 ranks: every factorisation of the rank
+    count over 2 or 4 axes, random replicated axes on either side, extents
+    down to 1 (empty shards) and uneven."""
+    nranks = draw(st.sampled_from([1, 2, 4, 8, 16, 64]))
+    ndim = draw(st.sampled_from([2, 4]))
+    src, dst = draw(layouts(nranks, ndim)), draw(layouts(nranks, ndim))
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(ndim))
+    return src.dist, dst.dist, shape
+
+
+@settings(deadline=None)
+@given(plan_cases())
+def test_shuffle_plan_equals_brute_force_oracle(case):
+    """The planner searches only the peers whose blocks meet a rank's on
+    every axis; what it finds, and in which order, is what intersecting
+    every pair gives."""
+    src, dst, shape = case
+    for rank in range(int(np.prod(src.grid_shape))):
+        assert shuffle_plan(rank, src, dst, shape) == brute_force_shuffle_plan(
+            rank, src, dst, shape
+        ), rank
 
 
 # -- pinned inputs ---------------------------------------------------------------
