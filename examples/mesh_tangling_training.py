@@ -56,7 +56,8 @@ def main() -> None:
         history = []
         for step in range(STEPS):
             loss = trainer.step(x, t)
-            logits = net.gather_activation("predict")  # collective: all ranks
+            # The loss forwards its logits; a step keeps only the outputs.
+            logits = net.gather_activation("loss")  # collective: all ranks
             acc = float(((logits > 0) == (t > 0.5)).mean())
             history.append((loss, acc))
             if comm.rank == 0:

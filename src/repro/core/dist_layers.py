@@ -124,7 +124,7 @@ class DistPool2d:
         """The error signal over the forward's extended input region (its
         virtual padding included), for the network to scatter-add to the
         region's owners."""
-        cache = self._cache
+        cache, self._cache = self._cache, {}
         if not cache:
             raise RuntimeError("backward() before forward()")
         if self.mode == "max":
@@ -204,7 +204,7 @@ class DistBatchNorm:
         network passes it when the parent needs no error signal) skips
         ``dx`` and the statistics allreduce only it uses, and returns
         ``None`` in its place."""
-        cache = self._cache
+        cache, self._cache = self._cache, {}
         if not cache:
             raise RuntimeError("backward() before forward()")
         if cache["bn"] is None:
@@ -234,10 +234,11 @@ class DistReLU:
         return DistTensor(self.grid, x.dist, x.global_shape, y_local)
 
     def backward(self, dy: DistTensor) -> DistTensor:
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             raise RuntimeError("backward() before forward()")
         return DistTensor(
-            self.grid, dy.dist, dy.global_shape, F.relu_backward(dy.local, self._mask)
+            self.grid, dy.dist, dy.global_shape, F.relu_backward(dy.local, mask)
         )
 
 
@@ -275,17 +276,18 @@ class DistGlobalAvgPool:
         y_local = (local_sum / (h * w))[:, :, None, None]
         y_shape = (n, c, 1, 1)
         y_dist = activation_dist(self.grid.shape, y_shape)
-        self._cache = {"x": x}
+        # Backward reads only the input's placement, not its values.
+        self._cache = {"dist": x.dist, "shape": x.global_shape, "local": x.local.shape}
         return DistTensor(self.grid, y_dist, y_shape, y_local)
 
     def backward(self, dy: DistTensor) -> DistTensor:
-        x: DistTensor = self._cache["x"]
-        n, c, h, w = x.global_shape
+        cache, self._cache = self._cache, {}
+        n, c, h, w = cache["shape"]
         # d/dx of the mean spreads dy/(H*W) uniformly; every spatial replica
         # of dy is identical, so each rank fills its own block directly.
         grad = dy.local[:, :, 0, 0][:, :, None, None] / (h * w)
-        dx_local = np.broadcast_to(grad, x.local.shape).copy()
-        return DistTensor(self.grid, x.dist, x.global_shape, dx_local)
+        dx_local = np.broadcast_to(grad, cache["local"]).copy()
+        return DistTensor(self.grid, cache["dist"], cache["shape"], dx_local)
 
 
 class DistFC:
@@ -323,8 +325,8 @@ class DistFC:
     ) -> tuple[DistTensor | None, np.ndarray, np.ndarray | None]:
         """Returns ``(dx, dw_partial, db_partial)``; ``dx`` is ``None`` when
         the parent needs no error signal (``need_dx=False``)."""
-        flat = self._cache["flat"]
-        x: DistTensor = self._cache["x"]
+        cache, self._cache = self._cache, {}
+        flat, x = cache["flat"], cache["x"]
         dflat, dw, db = F.linear_backward(
             flat, self.w, dy.local[:, :, 0, 0], need_dx=need_dx
         )
@@ -353,10 +355,9 @@ class _DistLoss:
         return float(local_sum) / count
 
     def backward(self) -> DistTensor:
-        logits: DistTensor = self._cache["logits"]
-        return DistTensor(
-            self.grid, logits.dist, logits.global_shape, self._cache["dlogits"]
-        )
+        cache, self._cache = self._cache, {}
+        logits: DistTensor = cache["logits"]
+        return DistTensor(self.grid, logits.dist, logits.global_shape, cache["dlogits"])
 
 
 class DistSoftmaxCrossEntropy(_DistLoss):

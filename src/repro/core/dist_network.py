@@ -40,12 +40,19 @@ handed to every consumer as is; a layer's ``dx`` *is* its parent's ``dy``
 several consumers sums into a tensor of its own.  Layers keep what they need
 for backward the same way: a batch-norm cache, and a convolution whose
 window exchanges nothing (padded or not, :mod:`repro.core.dist_conv`),
-alias the live activation.  All of it rests on one
-invariant: **no layer writes to its input or to the error signal it is
-given** — what a layer computes goes into a fresh array, what it does not
-compute it passes through untouched.  The only in-place update of an error
-signal is :meth:`DistNetwork.backward`'s own accumulation, and that touches
-nothing but a sum it allocated itself.
+alias the live activation.  A step holds only what backward still reads:
+forward drops an activation once its last reader has run — the layers
+that read it in place, or, when every reader is on another grid, its own
+shuffles' start (the schedule's :attr:`~repro.core.schedule.LayerOp.releases`)
+— and keeps only the network's outputs; each layer's backward takes what
+its forward saved and clears it.  What outlives forward is what a layer
+saved (a batch-norm input, a convolution's view, a ReLU mask), and when
+backward returns the rank holds nothing of the step but the outputs.  All
+of it rests on one invariant: **no layer writes to its input or to the
+error signal it is given** — what a layer computes goes into a fresh
+array, what it does not compute it passes through untouched.  The only
+in-place update of an error signal is :meth:`DistNetwork.backward`'s own
+accumulation, and that touches nothing but a sum it allocated itself.
 
 Parameters are replicated on every rank and initialized identically to
 :class:`repro.nn.network.LocalNetwork` (seeded by layer name), so
@@ -272,6 +279,8 @@ class DistNetwork:
         self._sched: StepSchedule | None = None
         #: One gradient reducer per lowered schedule, cut by it.
         self._reducers: dict[StepSchedule, BucketedGradReducer] = {}
+        #: The last forward's activations still alive: once it returns,
+        #: only the network's outputs.
         self._acts: dict[str, DistTensor] = {}
         self.loss: float | None = None
         self.shuffle_count = 0
@@ -334,7 +343,9 @@ class DistNetwork:
         Each forward shuffle is started with the layer producing the
         activation — it travels behind whatever runs before its first
         consumer, which finishes it — and every consumer reads the one
-        finished result (no layer mutates its input).
+        finished result (no layer mutates its input).  An activation is
+        dropped once the op that :attr:`~repro.core.schedule.LayerOp.releases`
+        it has run, a shuffled copy once its last consumer has.
         """
         if isinstance(inputs, np.ndarray):
             (inp,) = self.spec.inputs()
@@ -371,6 +382,11 @@ class DistNetwork:
                     )
                 for s in op.starts:
                     inflight[s.op_id] = self._start(s, acts[name])
+                for e in op.edges:
+                    if e.fwd is not None and e.fwd.consumers[-1] == name:
+                        inflight.pop(e.fwd.op_id, None)
+                for p in op.releases:
+                    del acts[p]
         return self.loss
 
     def _reducer(self) -> BucketedGradReducer:
@@ -508,5 +524,17 @@ class DistNetwork:
         return loss, self.backward(optimizer=optimizer)
 
     def gather_activation(self, name: str) -> np.ndarray:
-        """Assemble a layer's global output on every rank (test helper)."""
-        return self._acts[name].to_global()
+        """Assemble a network output's global value, as the last forward
+        left it, on every rank (collective; a test and example helper).
+
+        A step keeps only the outputs (:meth:`NetworkSpec.outputs
+        <repro.nn.graph.NetworkSpec.outputs>`, typically the loss, which
+        forwards its logits): every other activation is released after its
+        last forward reader, so asking for one raises ``ValueError``."""
+        act = self._acts.get(name)
+        if act is None:
+            raise ValueError(
+                f"{name!r} is not held after forward: a step keeps only the "
+                f"network's outputs ({', '.join(map(repr, self._acts)) or 'none yet'})"
+            )
+        return act.to_global()

@@ -23,6 +23,11 @@ first-class op —
   carries its window (:func:`~repro.core.window.window_geometry`'s key), so
   a rank's peers and bytes are the plan the layer executes.
 
+Each layer op also says which activations die with it in forward
+(:attr:`LayerOp.releases`): an activation lives until the last layer that
+reads it in place has run — or, read only through shuffles, until they
+have started — and the network's outputs live on.
+
 The engine (:class:`~repro.core.dist_network.DistNetwork`) interprets this
 list; the cost model, the task-graph simulator, the memory model, the
 strategy optimizer's edge price and the analyzer's model table read the
@@ -124,6 +129,10 @@ class LayerOp:
     #: the layer: the arguments of :func:`~repro.core.window.window_geometry`
     #: after the rank's coordinates.  ``None`` for other kinds.
     window: tuple | None = None
+    #: The activations forward drops once this op has run: the parents it
+    #: is the last to read in place, and its own output when every reader
+    #: takes it through a shuffle.  A network output is never released.
+    releases: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -379,6 +388,19 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
         )
         starts.setdefault(p, []).append(shuf)
 
+    # Where each activation dies in forward: after the last layer reading
+    # it in place, else — every reader on another grid — after its own
+    # shuffles have started.  The network's outputs stay.
+    dies: dict[str, str] = {}
+    for layer in spec:
+        for p in layer.parents:
+            if (p, grids[layer.name]) not in fwd:
+                dies[p] = layer.name
+            dies.setdefault(p, p)
+    releases: dict[str, list[str]] = {}
+    for p, at in dies.items():
+        releases.setdefault(at, []).append(p)
+
     ops = []
     collectives: dict[tuple[str, str], CollectiveOp] = {}
     halos: dict[tuple[str, str], HaloOp] = {}
@@ -422,6 +444,7 @@ def lower(spec: NetworkSpec, strategy: ParallelStrategy, n_global: int) -> StepS
                 param_count=params,
                 grad_group=(size, grids[name], axes) if params and size > 1 else None,
                 window=window,
+                releases=tuple(releases.get(name, ())),
             )
         )
         if window is not None:

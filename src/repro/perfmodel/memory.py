@@ -12,8 +12,15 @@ convolution workspace, and communication buffers.  An extended region — a
 layer's input with its halo and virtual padding — exists only where a
 ``HaloOp`` does, as in the engine: a convolution whose window exchanges
 nothing reads its input in place (:mod:`repro.core.dist_conv`), so no
-padded copy is counted for it.  This model reproduces
-the paper's feasibility boundaries on 16 GB V100s:
+padded copy is counted for it.
+
+That is LBANN's static allocation — every activation and every error
+signal, all step long — and so an upper bound of what the engine holds:
+:class:`~repro.core.dist_network.DistNetwork` releases an activation after
+its last forward reader (:attr:`repro.core.schedule.LayerOp.releases`) and
+a layer's saved state in its own backward.  The model keeps the static
+figure because the paper's feasibility claims are made against it.  It
+reproduces the paper's feasibility boundaries on 16 GB V100s:
 
 * the 2K mesh model cannot train with even one sample per GPU under pure
   sample parallelism — spatial parallelism is *required* (§I, §VI-B1);

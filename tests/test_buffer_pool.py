@@ -257,28 +257,62 @@ class TestLocalRegion:
         assert self._on_row_shards(body) == [True, True]
 
     def test_no_pooled_buffer_aliases_a_live_activation(self):
-        """Three spatially split ResNet steps — padded convolutions and
-        pooling assemble their exchanged regions in their pools, 1x1
-        convolutions read the shard in place — and no layer's free-list
-        holds memory an activation (or the next step's input) lives in."""
+        """Three spatially split steps of a small residual net and a
+        forward — padded convolutions and pooling assemble their exchanged
+        regions in their pools, 1x1 convolutions read the shard in place —
+        and no layer's free-list holds memory that the step still holds: an
+        activation forward kept (the network's outputs) or an array a layer
+        saved for backward (a convolution's input region, a batch-norm
+        cache, a ReLU mask, a max-pooling argmax)."""
         from repro.core import DistNetwork, DistTrainer, LayerParallelism
-        from repro.nn.resnet import build_resnet_tiny
+        from repro.nn import NetworkSpec
 
-        spec = build_resnet_tiny(image_size=16)
+        spec = NetworkSpec("pooled-residual")
+        spec.add("input", "input", channels=3, height=16, width=16)
+        spec.add("c1", "conv", ["input"], filters=8, kernel=3, pad=1)
+        spec.add("b1", "bn", ["c1"])
+        spec.add("r1", "relu", ["b1"])
+        spec.add("p1", "pool", ["r1"], mode="max", kernel=3, stride=2, pad=1)
+        spec.add("c2", "conv", ["p1"], filters=8, kernel=1)
+        spec.add("b2", "bn", ["c2"])
+        spec.add("r2", "relu", ["b2"])
+        spec.add("c3", "conv", ["r2"], filters=8, kernel=3, pad=1)
+        spec.add("b3", "bn", ["c3"])
+        spec.add("sum", "add", ["b3", "p1"])
+        spec.add("r3", "relu", ["sum"])
+        spec.add("gap", "gap", ["r3"])
+        spec.add("fc", "conv", ["gap"], filters=10, kernel=1, bias=True)
+        spec.add("loss", "softmax_ce", ["fc"])
         rng = np.random.default_rng(17)
         x, t = rng.standard_normal((4, 3, 16, 16)), rng.integers(0, 10, size=4)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, DistTensor):
+                yield obj.local
+            elif isinstance(obj, (dict, tuple, list)):
+                for v in obj.values() if isinstance(obj, dict) else obj:
+                    yield from arrays(v)
 
         def prog(comm):
             net = DistNetwork(spec, comm, LayerParallelism(height=2), seed=0)
             trainer = DistTrainer(net)
             for _ in range(3):
                 trainer.step(x, t)
+            net.forward(x, t)
             pools = [
                 impl.buffers for impl in net._layers.values() if hasattr(impl, "buffers")
             ]
             pooled = [arr for pool in pools for stack in pool._free.values() for arr in stack]
-            live = [act.local for act in net._acts.values()]
-            assert pooled and len(live) == len(net._layers)
+            saved = {
+                name: list(arrays([getattr(impl, a, None) for a in ("_x", "_mask", "_cache")]))
+                for name, impl in net._layers.items()
+            }
+            live = [a for kept in saved.values() for a in kept]
+            live += [act.local for act in net._acts.values()]
+            kinds = {type(net._layers[name]).__name__ for name, kept in saved.items() if kept}
+            assert pooled and {"DistConv2d", "DistBatchNorm", "DistReLU", "DistPool2d"} <= kinds
             assert not any(np.shares_memory(a, b) for a in pooled for b in live)
             return sum(pool.hits for pool in pools)
 

@@ -456,6 +456,156 @@ class TestErrorSignalsByReference:
         assert all(rank == got[0] for rank in got)
 
 
+def conv_bn_relu_chain(depth=6, channels=8, size=48):
+    """``depth`` conv-BN-ReLU blocks and a 1x1 prediction under BCE."""
+    spec = NetworkSpec("chain")
+    spec.add("input", "input", channels=channels, height=size, width=size)
+    tip = "input"
+    for i in range(depth):
+        spec.add(f"c{i}", "conv", [tip], filters=channels, kernel=3, pad=1)
+        spec.add(f"b{i}", "bn", [f"c{i}"])
+        tip = spec.add(f"r{i}", "relu", [f"b{i}"])
+    spec.add("predict", "conv", [tip], filters=1, kernel=1, bias=True)
+    spec.add("loss", "bce", ["predict"])
+    return spec
+
+
+def _saved_state(net) -> dict[str, list[str]]:
+    """What each layer holds from the step for its backward, by layer."""
+
+    def holds(value) -> bool:
+        return value is not None and not (isinstance(value, dict) and not value)
+
+    held = {}
+    for name, impl in net._layers.items():
+        attrs = [a for a in ("_x", "_mask", "_cache") if holds(getattr(impl, a, None))]
+        if attrs:
+            held[name] = attrs
+    return held
+
+
+LIVENESS_NETS = {
+    "resnet_tiny": lambda: build_resnet_tiny(image_size=16),
+    "mesh_tiny": lambda: build_mesh_model(
+        resolution=32, convs_per_block=2, block_channels=(8, 12), input_channels=4
+    ),
+}
+LIVENESS_CASES = [
+    pytest.param(net, nranks, par, id=f"{net}-p{nranks}")
+    for net in LIVENESS_NETS
+    for nranks, par in [
+        (1, LayerParallelism()),
+        (2, LayerParallelism(sample=2) if net == "resnet_tiny" else LayerParallelism(height=2)),
+    ]
+]
+
+
+class TestStepLiveness:
+    """A step holds only what backward still reads: forward releases each
+    activation after its last reader (the schedule's ``releases``), and each
+    layer's backward consumes what it saved."""
+
+    @staticmethod
+    def _run(net_name, nranks, par, body):
+        spec = LIVENESS_NETS[net_name]()
+        x, t = make_batch(spec, n=2, seed=5)
+
+        def prog(comm):
+            net = DistNetwork(spec, comm, par, seed=0)
+            return body(net, spec, x, t)
+
+        return run_spmd(nranks, prog)
+
+    @pytest.mark.parametrize("net_name,nranks,par", LIVENESS_CASES)
+    def test_forward_keeps_only_the_outputs(self, net_name, nranks, par):
+        def body(net, spec, x, t):
+            net.forward(x, targets=t)
+            return sorted(net._acts) == sorted(layer.name for layer in spec.outputs())
+
+        assert self._run(net_name, nranks, par, body) == [True] * nranks
+
+    @pytest.mark.parametrize("net_name,nranks,par", LIVENESS_CASES)
+    def test_backward_leaves_no_saved_state(self, net_name, nranks, par):
+        def body(net, spec, x, t):
+            for _ in range(2):
+                net.forward(x, targets=t)
+                assert _saved_state(net)  # forward saved what backward reads
+                net.backward()
+                assert _saved_state(net) == {}
+            return True
+
+        assert self._run(net_name, nranks, par, body) == [True] * nranks
+
+    @pytest.mark.parametrize("net_name,nranks,par", LIVENESS_CASES)
+    def test_gathering_a_released_activation_names_the_outputs(self, net_name, nranks, par):
+        def body(net, spec, x, t):
+            net.forward(x, targets=t)
+            with pytest.raises(ValueError, match=r"not held.*'loss'"):
+                net.gather_activation("input")
+            # The loss forwards its logits: the output holds them.
+            return net.gather_activation("loss")
+
+        spec = LIVENESS_NETS[net_name]()
+        x, t = make_batch(spec, n=2, seed=5)
+        local = LocalNetwork(spec, seed=0)
+        local.forward(x, t)
+        expected = local.activations[spec["loss"].parents[0]]
+        for got in self._run(net_name, nranks, par, body):
+            np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
+
+    def test_an_activation_read_only_through_a_shuffle_dies_at_its_start(self):
+        """``r1`` runs sample-parallel and both its readers spatially: its
+        one forward shuffle is the last thing that reads it."""
+        from repro.core.schedule import lower
+
+        spec = transfer_net()
+        sched = lower(spec, _transfer_strategy(), 4)
+        dies = {p: op.name for op in sched.layers for p in op.releases}
+        assert dies["r1"] == "r1" and [s.parent for s in sched["r1"].starts] == ["r1"]
+        assert dies["p2"] == "j" and dies["c1"] == "r1" and "loss" not in dies
+        assert set(dies) == {layer.name for layer in spec} - {"loss"}
+
+        def prog(comm):
+            net, _ = _transfer_train(comm, spec, _transfer_strategy())
+            x, t = _transfer_batch(spec)
+            net.forward(x, targets=t)
+            return sorted(net._acts)
+
+        assert run_spmd(4, prog) == [["loss"]] * 4
+
+    def test_step_peak_is_below_holding_every_activation(self):
+        """A p = 1 chain of six conv-BN-ReLU blocks, traced over one step
+        after a warm-up step, in units of one activation (2 x 8 x 48 x 48
+        float64).  Forward keeps per block the convolution output (in its
+        batch norm's cache), the ReLU output (the next convolution reads it
+        in place) and a bool mask — the batch-norm output dies with its
+        ReLU — and backward frees them block by block.  Holding every
+        activation to the end of backward reads 19.1 after forward, 26.2 at
+        the peak and 19.2 after backward; this schedule reads 13.0, 17.9
+        and 0.3."""
+        import tracemalloc
+
+        spec = conv_bn_relu_chain()
+        x, t = make_batch(spec, n=2, seed=5)
+
+        def prog(comm):
+            net = DistNetwork(spec, comm, LayerParallelism(), seed=0)
+            net.forward(x, targets=t)
+            net.backward()
+            tracemalloc.start()
+            try:
+                net.forward(x, targets=t)
+                kept = tracemalloc.get_traced_memory()[0]
+                net.backward()
+                left, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return kept / x.nbytes, peak / x.nbytes, left / x.nbytes
+
+        ((kept, peak, left),) = run_spmd(1, prog)
+        assert kept < 16 and peak < 22 and left < 1, (kept, peak, left)
+
+
 def dead_input_nets():
     """Four ways an input feeds the first parameterised layer; in each, the
     error signal toward the input (and toward ``p0`` in ``pool``) is dead.

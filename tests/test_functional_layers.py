@@ -290,10 +290,10 @@ class TestBatchNorm:
 
             before = comm.stats.collectives.get("allreduce", 0)
             y = bn.forward(xt, True, group, axes)
+            assert bn._cache["count"] == count  # backward consumes the cache
             dx, _, _ = bn.backward(dyt, comm=group)
             issued = comm.stats.collectives.get("allreduce", 0) - before
             assert issued == (0 if group is None else 2)
-            assert bn._cache["count"] == count
             np.testing.assert_array_equal(y.local, y_ref)
             np.testing.assert_array_equal(dx.local, dx_ref)
 
