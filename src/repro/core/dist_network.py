@@ -14,8 +14,9 @@ Every step runs the §IV schedule, and every transfer is a ``start`` and a
 layer that produces the activation and is finished by its first consumer;
 a backward shuffle starts with the child's ``dx`` and is finished by the
 parent that folds it in; the bucketed gradient reducer
-(:class:`~repro.core.grad_reducer.BucketedGradReducer`) is drained once,
-after the last layer.  Every halo exchange the schedule declares (its
+(:class:`~repro.core.grad_reducer.BucketedGradReducer`) keeps one bucket
+in flight — a launch completes the bucket before it — and is drained
+once, after the last layer.  Every halo exchange the schedule declares (its
 ``halos``) is started here, in the §IV-A order: a layer's forward gather
 before its interior kernels, convolution's Eq. 3 error-signal gather
 before its Eq. 2 filter kernel, pooling's reverse halo once the layer has
@@ -419,9 +420,13 @@ class DistNetwork:
         the rule of ``LocalNetwork.backward``.
 
         Each layer's partials are queued on a bucketed nonblocking reducer
-        as soon as its filter gradients are computed; the allreduces run
-        concurrently with the rest of backpropagation and are drained just
-        before returning.
+        as soon as its filter gradients are computed; each bucket's
+        allreduce runs concurrently with the backpropagation that fills
+        the next one, and launching a bucket completes the one before it
+        (``completes`` of :class:`~repro.core.schedule.GradBucket`), so a
+        rank holds at most two buckets' gradients — the one in flight and
+        the one being filled.  The last ones are drained just before
+        returning.
 
         With an ``optimizer`` (what :class:`~repro.core.trainer.DistTrainer`
         passes), its step is fused into the reduction: each rank updates

@@ -3,9 +3,9 @@ with the optimizer step fused into it.
 
 The paper starts each layer's weight-gradient allreduce "as soon as its
 filter convolution finishes" and lets it proceed concurrently with the
-remaining backpropagation, draining everything before the optimizer step.
-:class:`BucketedGradReducer` implements that discipline over the
-nonblocking :meth:`~repro.comm.communicator.Communicator.iallreduce`:
+remaining backpropagation.  :class:`BucketedGradReducer` implements that
+discipline over the nonblocking
+:meth:`~repro.comm.communicator.Communicator.iallreduce`:
 
 * the buckets are the lowered schedule's
   (:meth:`~repro.core.schedule.StepSchedule.grad_buckets`, the one cut
@@ -16,8 +16,15 @@ nonblocking :meth:`~repro.comm.communicator.Communicator.iallreduce`:
   (the sub-communicator over the grid axes along which the layer's output
   is partitioned), amortizing per-collective latency over many small
   tensors (NCCL/Horovod-style gradient bucketing);
-* :meth:`drain` flushes the remainders and waits for every in-flight
-  request.
+* launching a bucket completes the one launched before it (``completes``
+  of :class:`~repro.core.schedule.GradBucket`): at most one bucket is in
+  flight, overlapping the backpropagation that fills the next, so a rank
+  holds at most two buckets' gradients — the one in flight and the
+  one being filled — instead of every gradient of the step.  The wait
+  sits at a fixed point of the step, not at whatever a probe finds
+  finished, so the step's memory is the same under any message timing;
+* :meth:`drain` flushes the remainders and waits for the last in-flight
+  requests.
 
 **The fused update.**  With an :attr:`~BucketedGradReducer.optimizer` set,
 the optimizer step rides inside the reduction — Das et al.'s part-reduce /
@@ -189,7 +196,8 @@ class BucketedGradReducer:
         }
         self._layouts: dict[int, _Layout] = {}
         self._open: dict[int, _Bucket] = {}
-        self._inflight: list[tuple[Request, _Layout]] = []
+        #: ``(cut index, request, layout)`` in launch order.
+        self._inflight: list[tuple[int, Request, _Layout]] = []
         self._done: dict[str, dict[str, np.ndarray]] = {}
 
     # -- producing side ------------------------------------------------------
@@ -242,6 +250,18 @@ class BucketedGradReducer:
         return layout
 
     def _flush(self, i: int) -> None:
+        self._launch(i)
+        # Launching this bucket completes the one before it, and so every
+        # earlier one: a completed single-tensor bucket's donated gradient
+        # is freed here, during backward.
+        last = self.buckets[i].completes
+        while last is not None and self._inflight[0][0] <= last:
+            _, request, layout = self._inflight.pop(0)
+            self._complete(layout, request.wait())
+
+    def _launch(self, i: int) -> None:
+        """Start bucket ``i``'s allreduce; its partials die with this frame
+        (a multi-tensor bucket's live on only in the concatenation)."""
         bucket = self._open.pop(i)
         layout = self._layout(i, bucket)
         arrays = bucket.arrays
@@ -260,7 +280,7 @@ class BucketedGradReducer:
             update=update,
             out=out,
         )
-        self._inflight.append((request, layout))
+        self._inflight.append((i, request, layout))
 
     def _update(
         self, layout: _Layout, lo: int, hi: int, reduced: np.ndarray, dst: np.ndarray
@@ -285,7 +305,8 @@ class BucketedGradReducer:
     # -- draining side -------------------------------------------------------
     @property
     def inflight(self) -> int:
-        """Number of launched, not-yet-drained allreduces."""
+        """Number of launched, not-yet-completed allreduces (at most one
+        between :meth:`add` calls)."""
         return len(self._inflight)
 
     def _complete(self, layout: _Layout, result: np.ndarray) -> list[str]:
@@ -314,19 +335,21 @@ class BucketedGradReducer:
         finished, and returns ``{layer: {param: grad}}`` for the layers
         whose gradients became complete on *this* probe (none when the
         update is fused: a finished bucket is updated weights).  Completed
-        grads also stay in :attr:`_done` for the final :meth:`drain`, so a
-        caller may ignore ``poll`` results entirely: ``drain`` still
-        returns every layer.  Pending (unflushed) buckets are not launched
-        — only already-launched requests make progress.
+        grads also stay in :attr:`_done` for the final :meth:`drain` — as do
+        those of a bucket the next launch completed, which no probe
+        returns — so a caller may ignore ``poll`` results entirely:
+        ``drain`` still returns every layer.  Pending (unflushed) buckets
+        are not launched — only already-launched requests make progress.
         """
         fresh: dict[str, dict[str, np.ndarray]] = {}
-        still: list[tuple[Request, _Layout]] = []
-        for request, layout in self._inflight:
+        still: list[tuple[int, Request, _Layout]] = []
+        for entry in self._inflight:
+            _, request, layout = entry
             if request.test():
                 for layer in self._complete(layout, request.wait()):
                     fresh[layer] = self._done[layer]
             else:
-                still.append((request, layout))
+                still.append(entry)
         self._inflight = still
         return fresh
 
@@ -343,7 +366,7 @@ class BucketedGradReducer:
         ):
             for i in sorted(self._open):
                 self._flush(i)
-            for request, layout in self._inflight:
+            for _, request, layout in self._inflight:
                 self._complete(layout, request.wait())
         self._inflight.clear()
         out = self._done

@@ -185,13 +185,20 @@ class HaloOp:
 class GradBucket:
     """One dL/dw allreduce: the layers coalesced into it, in backward
     order.  ``full`` buckets launch right after their last layer; the
-    remainders launch at the final drain, in the order they were opened."""
+    remainders launch at the final drain, in the order they were opened.
+
+    Launching a bucket completes the one launched before it (``completes``,
+    its launch-order index; ``None`` for the first), and with it every
+    earlier one: at most one bucket is in flight, so a rank holds at most two
+    buckets' gradients — the one in flight and the one being filled.  The
+    engine's reducer waits there and the cost model draws the edge there."""
 
     op_id: str
     group: tuple
     layers: tuple[str, ...]
     nbytes: float
     full: bool
+    completes: int | None
 
 
 def backward_set(spec: NetworkSpec) -> tuple[frozenset[str], frozenset[str]]:
@@ -228,9 +235,11 @@ def cut_buckets(
 
     def close(key: tuple, full: bool) -> None:
         nbytes, layers = open_.pop(key)
+        i = len(cuts)
         cuts.append(
             GradBucket(
-                f"ar:bucket{len(cuts)}:g{key[0]}", key, tuple(layers), nbytes, full
+                f"ar:bucket{i}:g{key[0]}", key, tuple(layers), nbytes, full,
+                i - 1 if i else None,
             )
         )
 

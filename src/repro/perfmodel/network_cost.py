@@ -64,11 +64,15 @@ critical-path rank's compute and communication streams
 * a gradient bucket is one communication task, ready when its *last*
   contributor's filter convolution finishes (one allreduce at a time) —
   the trade the engine's :class:`~repro.core.grad_reducer.BucketedGradReducer`
-  makes.  An allreduce is not free to hide: "our implementation cannot
-  fully overlap global allreduces with backpropagation computation"
-  (§VI-B1), so each one also occupies the compute stream for
-  ``1 - machine.allreduce_overlap_efficiency`` of its duration (a
-  ``{op id}:contend`` task, ready with it);
+  makes.  Launching a bucket completes the one before it (``completes``
+  of :class:`~repro.core.schedule.GradBucket`): the engine waits for it
+  there, after the launching layer's ``dx``, so the next layer's backward
+  depends on the bucket launched before — one bucket in flight, and at
+  most two buckets' gradients held.  An allreduce is not free to hide:
+  "our implementation cannot fully overlap global allreduces with
+  backpropagation computation" (§VI-B1), so each one also occupies the
+  compute stream for ``1 - machine.allreduce_overlap_efficiency`` of its
+  duration (a ``{op id}:contend`` task, ready with it);
 * the optimizer step waits for all compute and all allreduces.
 """
 
@@ -339,7 +343,9 @@ class NetworkCostModel:
         bucket_of = {name: b for b in bd.buckets for name in b.layers}
         hidden = self.machine.allreduce_overlap_efficiency
 
-        def bucket_task(b: GradBucket) -> None:
+        def bucket_task(b: GradBucket) -> tuple[str, ...]:
+            """Schedule bucket ``b``; returns the bucket its launch
+            completes, which the backward compute after it waits for."""
             # Ready when its last contributor's filter convolution is, one
             # allreduce at a time.
             deps = tuple(f"bwd:{layer}:filter" for layer in b.layers)
@@ -349,16 +355,21 @@ class NetworkCostModel:
             # The part that cannot hide contends with compute.
             eng.add(f"{b.op_id}:contend", (1 - hidden) * dur, "compute", deps, op=b.op_id)
             allreduces.append(b.op_id)
+            return () if b.completes is None else (bd.buckets[b.completes].op_id,)
 
         # layer -> error-signal shuffle tasks it must wait for.
         incoming: dict[str, list[str]] = {}
+        # What the last launch completed, until the next layer's compute
+        # waits for it: the engine's reducer waits after the layer's dx.
+        completed: tuple[str, ...] = ()
         for op in sched.backward:
             c = costs.get(op.name)
             name = op.name
             bwd = f"bwd:{name}"
             if c is not None:
                 base_deps = (prev_bwd,) if prev_bwd else ()
-                base_deps = base_deps + tuple(incoming.pop(name, ()))
+                base_deps += tuple(incoming.pop(name, ())) + completed
+                completed = ()
                 coll = blocking("bwd", op, base_deps)
                 halo = sched.halo("bwd", name)
                 if halo is not None:
@@ -396,7 +407,7 @@ class NetworkCostModel:
                     incoming.setdefault(e.parent, []).append(e.bwd.op_id)
             b = bucket_of.get(name)
             if b is not None and b.full and b.layers[-1] == name:
-                bucket_task(b)
+                completed = bucket_task(b)
         for b in bd.buckets:
             if not b.full:
                 bucket_task(b)

@@ -353,6 +353,76 @@ def fork_net():
     return net
 
 
+#: Hybrid p = 4 with one bucket per layer: ``fc``'s gradient group is the
+#: 2-rank sample axis, every other layer's is all 4 ranks.
+HYBRID = LayerParallelism(sample=2, height=2)
+
+#: Each plan of DELAY_PLANS delays at least this many transport operations
+#: per step of :func:`fork_net` under HYBRID.
+HYBRID_DELAYED_OPS_PER_STEP = 10
+
+
+def _hybrid_job(faults=None):
+    """Per rank: (loss trajectory as float.hex, the trained parameters as
+    bytes, the most launched buckets not yet completed after any ``add``)
+    of TRANSFER_STEPS fused steps of :func:`fork_net` under HYBRID, under
+    the ``REPRO_FAULTS`` plan ``faults``, on the thread backend."""
+    spec = fork_net()
+    x, t = make_batch(spec, n=4, seed=3)
+
+    class Recording(BucketedGradReducer):
+        most = 0
+
+        def add(self, layer, partials, comm):
+            out = super().add(layer, partials, comm)
+            self.most = max(self.most, self.inflight)
+            return out
+
+    def prog(comm):
+        net = DistNetwork(spec, comm, HYBRID, seed=0, grad_bucket_bytes=1)
+        trainer = DistTrainer(net, SGD(lr=0.1, momentum=0.9))
+        losses = [trainer.step(x, t) for _ in range(TRANSFER_STEPS)]
+        return (
+            [float(v).hex() for v in losses],
+            {lay: {p: a.tobytes() for p, a in ps.items()} for lay, ps in net.params.items()},
+            net._reducer().most,
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist_network, "BucketedGradReducer", Recording)
+        if faults is not None:
+            mp.setenv(FAULTS_ENV, faults)
+        return run_spmd(4, prog, backend="thread", timeout=60)
+
+
+class TestBucketCompletionTiming:
+    """Launching a bucket blocks until the one before it completes — a wait
+    inside backward, at a point the schedule fixes.  With one bucket per
+    layer under HYBRID, ``fc``'s bucket (2-rank group) is completed by the
+    launch of ``b1``'s (4-rank group), so the wait crosses
+    sub-communicators; however messages arrive, every rank gets there, no
+    more than one bucket is ever in flight, and training keeps the
+    undelayed bits."""
+
+    def test_buckets_alternate_gradient_groups(self):
+        from repro.core.schedule import lower
+
+        cuts = lower(fork_net(), ParallelStrategy.uniform(HYBRID), 4).grad_buckets(1, 8)
+        assert [(cut.layers, cut.group[0]) for cut in cuts] == [
+            (("fc",), 2), (("b1",), 4), (("c1",), 4), (("c0",), 4)
+        ]
+        assert [cut.completes for cut in cuts] == [None, 0, 1, 2]
+
+    @pytest.mark.parametrize("plan", list(DELAY_PLANS))
+    def test_delayed_messages_move_no_bit(self, plan):
+        calm = _hybrid_job()
+        assert all(most == 1 for *_, most in calm)
+        t0 = monotonic()
+        assert _hybrid_job(DELAY_PLANS[plan]) == calm
+        # The delays did fire.
+        assert monotonic() - t0 >= TRANSFER_STEPS * HYBRID_DELAYED_OPS_PER_STEP * DELAY_S
+
+
 def _wrapped_kinds(wrap):
     """``dist_network._KINDS`` with every layer kind's backward replaced by
     ``wrap(kind.backward)``."""
@@ -467,6 +537,22 @@ def conv_bn_relu_chain(depth=6, channels=8, size=48):
         tip = spec.add(f"r{i}", "relu", [f"b{i}"])
     spec.add("predict", "conv", [tip], filters=1, kernel=1, bias=True)
     spec.add("loss", "bce", ["predict"])
+    return spec
+
+
+def wide_net(depth=4, channels=128, size=2, classes=10):
+    """The e2e benchmark's wide net, scaled down: ``depth`` bias-free 3x3
+    convolutions of ``channels`` filters — each weight its own gradient
+    bucket — then GAP and a 1x1 classifier, which joins the first bucket."""
+    spec = NetworkSpec("wide")
+    spec.add("input", "input", channels=channels, height=size, width=size)
+    tip = "input"
+    for i in range(depth):
+        spec.add(f"c{i}", "conv", [tip], filters=channels, kernel=3, pad=1)
+        tip = spec.add(f"r{i}", "relu", [f"c{i}"])
+    spec.add("gap", "gap", [tip])
+    spec.add("fc", "conv", ["gap"], filters=classes, kernel=1, bias=True)
+    spec.add("loss", "softmax_ce", ["fc"])
     return spec
 
 
@@ -604,6 +690,51 @@ class TestStepLiveness:
 
         ((kept, peak, left),) = run_spmd(1, prog)
         assert kept < 16 and peak < 22 and left < 1, (kept, peak, left)
+
+    def test_fused_step_holds_two_buckets(self):
+        """Two sample-parallel thread ranks, traced over one fused
+        ``DistTrainer`` step after a warm-up step, in units of the largest
+        bucket (1.2 MB; :func:`wide_net` cuts four).  Launching a bucket
+        completes the one before it, so beside its parameters and owned
+        velocity a rank holds at most two buckets' gradients — the one in
+        flight and the one just computed.  The slack, per rank, is one
+        bucket of wire copies (the thread world copies every message, and
+        at p = 2 each of the two buckets has at most one half-bucket
+        message of this rank in flight) and 512 KiB of activations and
+        interpreter state.  Over parameters + velocity, the two ranks'
+        joint peak reads 10.4-10.9 when every gradient lives until the
+        drain and 5.9-6.4 here, under a bound of 6 buckets + 1 MiB (6.9)."""
+        import tracemalloc
+
+        spec = wide_net()
+        x, t = make_batch(spec, n=4, seed=5)
+
+        def prog(comm):
+            net = DistNetwork(spec, comm, LayerParallelism(sample=2), seed=0)
+            opt = SGD(lr=0.1, momentum=0.9)
+            trainer = DistTrainer(net, opt)
+            trainer.step(x, t)
+            comm.barrier()
+            if comm.rank == 0:
+                tracemalloc.reset_peak()
+            comm.barrier()
+            trainer.step(x, t)
+            comm.barrier()
+            peak = tracemalloc.get_traced_memory()[1]
+            held = sum(a.nbytes for layer in net.params.values() for a in layer.values())
+            held += sum(v.nbytes for v in opt._velocity.values())
+            cuts = net._reducer().buckets
+            return peak, held, len(cuts), max(cut.nbytes for cut in cuts)
+
+        tracemalloc.start()
+        try:
+            (peak, held0, n_cuts, bucket), (_, held1, *_) = run_spmd(2, prog)
+        finally:
+            tracemalloc.stop()
+        assert n_cuts == 4
+        slack = bucket + (512 << 10)
+        over = (peak - held0 - held1) / bucket
+        assert peak <= held0 + held1 + 2 * (2 * bucket + slack), over
 
 
 def dead_input_nets():

@@ -19,6 +19,8 @@ from conftest import CopyingReducer
 from repro.comm import run_spmd
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
 from repro.core import dist_network
+from repro.core.grad_reducer import BucketedGradReducer
+from repro.core.schedule import lower
 from repro.nn import NetworkSpec, SGD
 
 
@@ -145,6 +147,26 @@ class TestReducerPlumbing:
         assert "iallreduce" in report
         assert "wait ms" in report and "overlap ms" in report
         assert "steps: 2" in report
+
+    def test_one_bucket_in_flight_after_every_add(self, monkeypatch):
+        """Launching a bucket completes the one before it: with one bucket
+        per layer (four, each launched by its layer's ``add``) and the
+        update fused, no ``add`` returns with more than one launched bucket
+        not yet completed, so a rank holds at most two buckets' gradients."""
+        seen: list[int] = []
+
+        class Recording(BucketedGradReducer):
+            def add(self, layer, partials, comm):
+                out = super().add(layer, partials, comm)
+                seen.append(self.inflight)
+                return out
+
+        monkeypatch.setattr(dist_network, "BucketedGradReducer", Recording)
+        strategy = ParallelStrategy.uniform(LayerParallelism(sample=2))
+        assert len(lower(conv_net(), strategy, 8).grad_buckets(1, 8)) == 4
+        train(2, strategy, steps=2, bucket_bytes=1, algorithm=None)
+        # 2 ranks x 2 steps x 4 layers with gradients.
+        assert len(seen) == 16 and max(seen) == 1
 
     def test_single_rank_passthrough(self):
         """Size-1 worlds have no gradient groups; the bucket cut must be a

@@ -354,6 +354,25 @@ class TestTrainingSimulator:
             with pytest.raises(ValueError, match="allreduce_bucket_bytes"):
                 TrainingStepSimulator(spec, LASSEN, allreduce_bucket_bytes=bad)
 
+    def test_a_launch_completes_the_bucket_before(self):
+        """The evaluator draws the engine's one-bucket-in-flight rule: the
+        backward ops after a bucket's launch wait for the bucket launched
+        before it (``GradBucket.completes``), and for no other."""
+        spec = mesh_model_1k()
+        strategy = ParallelStrategy.uniform(LP(sample=4, height=2, width=2))
+        model = TrainingStepSimulator(spec, LASSEN, allreduce_bucket_bytes=1)
+        buckets = model.cost(4, strategy).buckets
+        assert len(buckets) >= 3 and all(b.full for b in buckets)
+        waited = {
+            dep
+            for task in model.simulate(4, strategy).engine.tasks()
+            if task.name.startswith("bwd:")
+            for dep in task.deps
+            if dep.startswith("ar:")
+        }
+        # The last launch has no backward after it.
+        assert waited == {buckets[b.completes].op_id for b in buckets[1:-1]}
+
     def test_overlapped_shuffle_decomposition(self):
         """On a small mesh config with a skip edge crossing a strategy
         change, the simulator's step time follows the analytic
