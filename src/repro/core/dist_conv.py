@@ -23,8 +23,8 @@ at p = 1 or under sample parallelism, and the 1x1 convolutions at any p)
 reads its region straight out of the shard: the kernels take the region's
 virtual padding as their left offset and the block as their output extent
 (:func:`_in_place`), so no padded copy of the activation or the error
-signal is ever made, and the layer keeps a reference to its input, not a
-copy, from forward to backward.  Only a window that exchanges assembles
+signal is ever made, and what forward saves for Eq. 2 is a view of its
+input, not a copy.  Only a window that exchanges assembles
 its region — halo and virtual padding — into a buffer of the layer's pool,
 and runs the kernels on it with ``pad=0``.
 
@@ -162,9 +162,6 @@ class DistConv2d:
         self.stride = F._pair(stride)
         self.pad = F._pair(pad)
         self.kernel = (weights.shape[2], weights.shape[3])
-        #: Forward's input region and the left offset Eq. 2 reads it at:
-        #: a view of the activation, or an assembled region of the pool.
-        self._x: tuple[np.ndarray, tuple[int, int]] | None = None
         #: Recycles the assembled input / error-signal regions of exchanged
         #: windows across steps (the network starts those exchanges into it).
         self.buffers = BufferPool()
@@ -205,10 +202,14 @@ class DistConv2d:
     # -- forward ---------------------------------------------------------------------
     def forward(
         self, x: DistTensor, g: WindowGeometry, ex: RegionExchange | None
-    ) -> DistTensor:
+    ) -> tuple[DistTensor, tuple[np.ndarray, tuple[int, int]]]:
         """Convolve this rank's output block: ``g`` is the forward window's
         geometry on this rank, ``ex`` the gather of its input region the
-        network started (``None`` when no window reads off-shard)."""
+        network started (``None`` when no window reads off-shard).
+
+        Returns ``(output, saved)``: ``saved`` is the input region and the
+        left offset Eq. 2 reads it at — a view of the activation, or an
+        assembled region of the pool."""
         if g.exchanged:
             (y_local,), x_src = run_block(
                 self._fwd_piece, x, g, ex, self.buffers,
@@ -222,17 +223,18 @@ class DistConv2d:
                 x_src, self.w, stride=self.stride, pad=pad, bias=self.bias,
                 y_spatial=g.block_shape[2:],
             )
-        self._x = x_src, pad
-        return DistTensor(self.grid, g.dist, g.shape, y_local)
+        return DistTensor(self.grid, g.dist, g.shape, y_local), (x_src, pad)
 
     # -- backward --------------------------------------------------------------------
     def backward(
         self,
         dy: DistTensor,
+        saved: tuple[np.ndarray, tuple[int, int]],
         g: WindowGeometry | None = None,
         ex: RegionExchange | None = None,
     ) -> tuple[DistTensor | None, np.ndarray, np.ndarray | None]:
-        """Returns ``(dx, dw_partial, db_partial)``.
+        """Returns ``(dx, dw_partial, db_partial)``; ``saved`` is what
+        :meth:`forward` returned beside the output.
 
         The weight-gradient partials still need the allreduce over the
         layer's gradient group (paper Eq. 2's sum over N) — performed by the
@@ -244,12 +246,8 @@ class DistConv2d:
         data convolution.  Without a ``g`` — the parent needs no error
         signal — this runs Eq. 2 alone and ``dx`` is ``None``.
         """
-        if self._x is None:
-            raise RuntimeError("backward() before forward()")
-
         # Eq. 2: local filter gradients from forward's input region.
-        x_src, pad = self._x
-        self._x = None
+        x_src, pad = saved
         dw = F.conv2d_backward_filter(
             x_src, dy.local, kernel=self.kernel, stride=self.stride, pad=pad
         )

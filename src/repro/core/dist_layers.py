@@ -79,7 +79,6 @@ class DistPool2d:
         #: Virtual padding of the gathered input: max pooling must not let
         #: it win.
         self.fill = -np.inf if mode == "max" else 0.0
-        self._cache: dict = {}
         #: Recycles the assembled extended region across steps (the network
         #: starts this layer's gather into it).
         self.buffers = BufferPool()
@@ -101,8 +100,10 @@ class DistPool2d:
 
     def forward(
         self, x: DistTensor, g: WindowGeometry, ex: RegionExchange | None
-    ) -> DistTensor:
-        """``g`` and ``ex`` as in :meth:`~repro.core.dist_conv.DistConv2d.forward`."""
+    ) -> tuple[DistTensor, tuple]:
+        """``g``, ``ex`` and the returned ``(output, saved)`` as in
+        :meth:`~repro.core.dist_conv.DistConv2d.forward`; backward reads
+        only the region's shape (and the argmax)."""
         for d in (2, 3):
             if x.dist.is_split(d) and not g.dist.is_split(d):
                 raise ValueError(
@@ -115,26 +116,18 @@ class DistPool2d:
             (x.dtype, np.int64) if self.mode == "max" else (x.dtype,),
             fill=self.fill,
         )
-        # Backward needs only the region's shape (and argmax).
-        self._cache = {"shape": g.plan.shape, "argmax": outs[1] if self.mode == "max" else None}
         self.buffers.give(x_ext)
-        return DistTensor(self.grid, g.dist, g.shape, outs[0])
+        argmax = outs[1] if self.mode == "max" else None
+        return DistTensor(self.grid, g.dist, g.shape, outs[0]), (g.plan.shape, argmax)
 
-    def backward(self, dy: DistTensor) -> np.ndarray:
+    def backward(self, dy: DistTensor, saved: tuple) -> np.ndarray:
         """The error signal over the forward's extended input region (its
         virtual padding included), for the network to scatter-add to the
         region's owners."""
-        cache, self._cache = self._cache, {}
-        if not cache:
-            raise RuntimeError("backward() before forward()")
+        shape, argmax = saved
         if self.mode == "max":
-            return F.maxpool2d_backward(
-                dy.local, cache["argmax"], cache["shape"],
-                self.kernel, self.stride, 0,
-            )
-        return F.avgpool2d_backward(
-            dy.local, cache["shape"], self.kernel, self.stride, 0
-        )
+            return F.maxpool2d_backward(dy.local, argmax, shape, self.kernel, self.stride, 0)
+        return F.avgpool2d_backward(dy.local, shape, self.kernel, self.stride, 0)
 
 
 class DistBatchNorm:
@@ -164,20 +157,19 @@ class DistBatchNorm:
         self.momentum = momentum
         self.running_mean = np.zeros_like(gamma)
         self.running_var = np.ones_like(gamma)
-        self._cache: dict = {}
 
     def forward(
         self, x: DistTensor, training: bool = True, comm: Communicator | None = None, axes=()
-    ) -> DistTensor:
+    ) -> tuple[DistTensor, tuple | None]:
+        """``(output, saved)``: ``saved`` is what backward reads, ``None``
+        after an evaluation forward — the training-mode formula (and its
+        count) does not apply to running statistics."""
         if not training:
             y_local, _ = F.batchnorm_forward(
                 x.local, self.gamma, self.beta, eps=self.eps,
                 mean=self.running_mean, var=self.running_var,
             )
-            # Nothing to backpropagate through: the training-mode formula
-            # (and its count) does not apply to running statistics.
-            self._cache = {"bn": None}
-            return DistTensor(self.grid, x.dist, x.global_shape, y_local)
+            return DistTensor(self.grid, x.dist, x.global_shape, y_local), None
         s, ss, _ = F.batchnorm_stats(x.local)
         if comm is not None:
             s, ss = comm.allreduce(np.stack((s, ss)))
@@ -192,11 +184,11 @@ class DistBatchNorm:
         y_local, bn_cache = F.batchnorm_forward(
             x.local, self.gamma, self.beta, eps=self.eps, mean=mean, var=var
         )
-        self._cache = {"bn": bn_cache, "count": count}
-        return DistTensor(self.grid, x.dist, x.global_shape, y_local)
+        return DistTensor(self.grid, x.dist, x.global_shape, y_local), (bn_cache, count)
 
     def backward(
-        self, dy: DistTensor, need_dx: bool = True, comm: Communicator | None = None
+        self, dy: DistTensor, saved: tuple, need_dx: bool = True,
+        comm: Communicator | None = None,
     ) -> tuple[DistTensor | None, np.ndarray, np.ndarray]:
         """Returns ``(dx, dgamma_partial, dbeta_partial)``; the partials
         still need the layer-gradient allreduce (like conv's ``dw``).
@@ -204,20 +196,14 @@ class DistBatchNorm:
         network passes it when the parent needs no error signal) skips
         ``dx`` and the statistics allreduce only it uses, and returns
         ``None`` in its place."""
-        cache, self._cache = self._cache, {}
-        if not cache:
-            raise RuntimeError("backward() before forward()")
-        if cache["bn"] is None:
-            raise RuntimeError("backward() after an evaluation forward")
-        local_dgamma, local_dbeta = F.batchnorm_backward_sums(dy.local, cache["bn"])
+        bn_cache, count = saved
+        local_dgamma, local_dbeta = F.batchnorm_backward_sums(dy.local, bn_cache)
         if not need_dx:
             return None, local_dgamma, local_dbeta
         dg, db = local_dgamma, local_dbeta
         if comm is not None:
             dg, db = comm.allreduce(np.stack((dg, db)))
-        dx_local = F.batchnorm_backward_data(
-            dy.local, cache["bn"], dg, db, cache["count"]
-        )
+        dx_local = F.batchnorm_backward_data(dy.local, bn_cache, dg, db, count)
         dx = DistTensor(self.grid, dy.dist, dy.global_shape, dx_local)
         return dx, local_dgamma, local_dbeta
 
@@ -227,16 +213,12 @@ class DistReLU:
 
     def __init__(self, grid: ProcessGrid) -> None:
         self.grid = grid
-        self._mask: np.ndarray | None = None
 
-    def forward(self, x: DistTensor) -> DistTensor:
-        y_local, self._mask = F.relu_forward(x.local)
-        return DistTensor(self.grid, x.dist, x.global_shape, y_local)
+    def forward(self, x: DistTensor) -> tuple[DistTensor, np.ndarray]:
+        y_local, mask = F.relu_forward(x.local)
+        return DistTensor(self.grid, x.dist, x.global_shape, y_local), mask
 
-    def backward(self, dy: DistTensor) -> DistTensor:
-        mask, self._mask = self._mask, None
-        if mask is None:
-            raise RuntimeError("backward() before forward()")
+    def backward(self, dy: DistTensor, mask: np.ndarray) -> DistTensor:
         return DistTensor(
             self.grid, dy.dist, dy.global_shape, F.relu_backward(dy.local, mask)
         )
@@ -266,9 +248,10 @@ class DistGlobalAvgPool:
 
     def __init__(self, grid: ProcessGrid) -> None:
         self.grid = grid
-        self._cache: dict = {}
 
-    def forward(self, x: DistTensor, comm: Communicator | None = None) -> DistTensor:
+    def forward(
+        self, x: DistTensor, comm: Communicator | None = None
+    ) -> tuple[DistTensor, tuple]:
         n, c, h, w = x.global_shape
         local_sum = x.local.sum(axis=(2, 3))
         if comm is not None:
@@ -277,17 +260,17 @@ class DistGlobalAvgPool:
         y_shape = (n, c, 1, 1)
         y_dist = activation_dist(self.grid.shape, y_shape)
         # Backward reads only the input's placement, not its values.
-        self._cache = {"dist": x.dist, "shape": x.global_shape, "local": x.local.shape}
-        return DistTensor(self.grid, y_dist, y_shape, y_local)
+        saved = (x.dist, x.global_shape, x.local.shape)
+        return DistTensor(self.grid, y_dist, y_shape, y_local), saved
 
-    def backward(self, dy: DistTensor) -> DistTensor:
-        cache, self._cache = self._cache, {}
-        n, c, h, w = cache["shape"]
+    def backward(self, dy: DistTensor, saved: tuple) -> DistTensor:
+        dist, shape, local_shape = saved
+        n, c, h, w = shape
         # d/dx of the mean spreads dy/(H*W) uniformly; every spatial replica
         # of dy is identical, so each rank fills its own block directly.
         grad = dy.local[:, :, 0, 0][:, :, None, None] / (h * w)
-        dx_local = np.broadcast_to(grad, cache["local"]).copy()
-        return DistTensor(self.grid, cache["dist"], cache["shape"], dx_local)
+        dx_local = np.broadcast_to(grad, local_shape).copy()
+        return DistTensor(self.grid, dist, shape, dx_local)
 
 
 class DistFC:
@@ -305,9 +288,8 @@ class DistFC:
         self.grid = grid
         self.w = weights
         self.bias = bias
-        self._cache: dict = {}
 
-    def forward(self, x: DistTensor) -> DistTensor:
+    def forward(self, x: DistTensor) -> tuple[DistTensor, tuple]:
         if any(x.dist.is_split(d) for d in (1, 2, 3)):
             raise ValueError(
                 "DistFC requires sample-only input distribution; shuffle first"
@@ -317,16 +299,14 @@ class DistFC:
         n = x.global_shape[0]
         y_shape = (n, self.w.shape[0], 1, 1)
         y_dist = activation_dist(self.grid.shape, y_shape)
-        self._cache = {"flat": flat, "x": x}
-        return DistTensor(self.grid, y_dist, y_shape, y_local)
+        return DistTensor(self.grid, y_dist, y_shape, y_local), (flat, x)
 
     def backward(
-        self, dy: DistTensor, need_dx: bool = True
+        self, dy: DistTensor, saved: tuple, need_dx: bool = True
     ) -> tuple[DistTensor | None, np.ndarray, np.ndarray | None]:
         """Returns ``(dx, dw_partial, db_partial)``; ``dx`` is ``None`` when
         the parent needs no error signal (``need_dx=False``)."""
-        cache, self._cache = self._cache, {}
-        flat, x = cache["flat"], cache["x"]
+        flat, x = saved
         dflat, dw, db = F.linear_backward(
             flat, self.w, dy.local[:, :, 0, 0], need_dx=need_dx
         )
@@ -340,24 +320,19 @@ class DistFC:
 
 class _DistLoss:
     """A loss layer: each rank evaluates its own block, the sum is completed
-    by an allreduce over ``comm`` (``None``: nothing to complete), and
-    backward seeds the error signal cached by the forward."""
+    by an allreduce over ``comm`` (``None``: nothing to complete).
+    ``forward_loss`` returns ``(loss, dlogits)``: the error signal of the
+    logits, which seeds backward."""
 
     def __init__(self, grid: ProcessGrid) -> None:
         self.grid = grid
-        self._cache: dict = {}
 
-    def _mean(self, logits, dlogits, local_sum, comm, count) -> float:
+    def _mean(self, logits, dlogits, local_sum, comm, count) -> tuple[float, DistTensor]:
         # One element, folded in comm-rank order: the same bits everywhere.
-        self._cache = {"dlogits": dlogits, "logits": logits}
         if comm is not None:
             local_sum = comm.allreduce(np.array([local_sum]), algorithm="direct")[0]
-        return float(local_sum) / count
-
-    def backward(self) -> DistTensor:
-        cache, self._cache = self._cache, {}
-        logits: DistTensor = cache["logits"]
-        return DistTensor(self.grid, logits.dist, logits.global_shape, cache["dlogits"])
+        seed = DistTensor(self.grid, logits.dist, logits.global_shape, dlogits)
+        return float(local_sum) / count, seed
 
 
 class DistSoftmaxCrossEntropy(_DistLoss):
@@ -369,7 +344,7 @@ class DistSoftmaxCrossEntropy(_DistLoss):
 
     def forward_loss(
         self, logits: DistTensor, labels: np.ndarray, comm: Communicator | None = None
-    ) -> float:
+    ) -> tuple[float, DistTensor]:
         n_global = logits.global_shape[0]
         (n_lo, n_hi) = logits.bounds[0]
         flat = logits.local.reshape(logits.local.shape[0], -1)
@@ -390,7 +365,7 @@ class DistBCEWithLogits(_DistLoss):
 
     def forward_loss(
         self, logits: DistTensor, targets: np.ndarray, comm: Communicator | None = None
-    ) -> float:
+    ) -> tuple[float, DistTensor]:
         b = logits.bounds
         t_local = np.asarray(targets, dtype=logits.dtype)[
             b[0][0] : b[0][1], b[1][0] : b[1][1], b[2][0] : b[2][1], b[3][0] : b[3][1]

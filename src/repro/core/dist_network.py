@@ -38,18 +38,21 @@ op list — diff ``lower(spec, strategy, n)``.
 Activations and error signals travel **by reference**.  A layer's output is
 handed to every consumer as is; a layer's ``dx`` *is* its parent's ``dy``
 (an ``add`` hands the same array to all its parents), and only a parent with
-several consumers sums into a tensor of its own.  Layers keep what they need
-for backward the same way: a batch-norm cache, and a convolution whose
-window exchanges nothing (padded or not, :mod:`repro.core.dist_conv`),
-alias the live activation.  A step holds only what backward still reads:
-forward drops an activation once its last reader has run — the layers
-that read it in place, or, when every reader is on another grid, its own
-shuffles' start (the schedule's :attr:`~repro.core.schedule.LayerOp.releases`)
-— and keeps only the network's outputs; each layer's backward takes what
-its forward saved and clears it.  What outlives forward is what a layer
-saved (a batch-norm input, a convolution's view, a ReLU mask), and when
-backward returns the rank holds nothing of the step but the outputs.  All
-of it rests on one invariant: **no layer writes to its input or to the
+several consumers sums into a tensor of its own.  What a layer saves for
+backward aliases the same way: a batch-norm input, and the view of a
+convolution whose window exchanges nothing (:mod:`repro.core.dist_conv`).
+A step holds only what backward still reads, and the interpreter alone
+decides it: a layer's forward returns ``(output, saved)``, its backward
+takes ``saved``, and no layer keeps anything of a step.  Forward drops an
+activation once its last reader has run — the layers that read it in
+place, or, when every reader is on another grid, its own shuffles' start
+(the schedule's :attr:`~repro.core.schedule.LayerOp.releases`) — and keeps
+the network's outputs and one table of what the layers backward reaches
+saved (a batch-norm input, a convolution's view, a ReLU mask, a loss's
+seed), filled by a training forward with targets only.  Backward pops each
+entry into its layer's call, so it dies with that call, and drops the
+table when it returns: then the rank holds nothing of the step but the
+outputs.  All of it rests on one invariant: **no layer writes to its input or to the
 error signal it is given** — what a layer computes goes into a fresh
 array, what it does not compute it passes through untouched.  The only
 in-place update of an error signal is :meth:`DistNetwork.backward`'s own
@@ -102,14 +105,16 @@ class _Kind(NamedTuple):
     """How the interpreter runs one layer kind.
 
     ``build(net, layer, grid, params)`` constructs the layer;
-    ``forward(net, impl, xs, training, targets, op)`` returns its output and
-    ``backward(net, impl, dy, op)`` returns ``(dx, grads)`` — one ``dx`` for
-    every parent, ``grads`` the dL/dw partials or ``None`` — each handing
-    the layer what its lowered ``op`` decided: a windowed layer's geometry
-    and started halo exchange (:meth:`DistNetwork._window`), another's
-    collective group (:meth:`DistNetwork._group`), whether a ``dx`` is
-    wanted.  A loss ``seeds`` backward from its own cache instead of taking
-    a ``dy``.
+    ``forward(net, impl, xs, training, targets, op)`` returns ``(output,
+    saved)`` — ``saved`` what its backward reads, ``None`` when it reads
+    nothing — and ``backward(net, impl, dy, saved, op)`` returns ``(dx,
+    grads)`` — one ``dx`` for every parent, ``grads`` the dL/dw partials or
+    ``None`` — each handing the layer what its lowered ``op`` decided: a
+    windowed layer's geometry and started halo exchange
+    (:meth:`DistNetwork._window`), another's collective group
+    (:meth:`DistNetwork._group`), whether a ``dx`` is wanted.  A loss
+    ``seeds`` backward: what it saved is its logits' error signal, taken
+    instead of a ``dy``.
     """
 
     build: Callable
@@ -126,36 +131,36 @@ def _windowed(net, impl, xs, training, targets, op):
     return impl.forward(xs[0], *net._window("fwd", op, op.window, xs[0], impl))
 
 
-def _dx_only(net, impl, dy, op):
-    return impl.backward(dy), None
+def _dx_only(net, impl, dy, saved, op):
+    return impl.backward(dy, saved), None
 
 
 def _grads(dw, db) -> dict:
     return {"w": dw} if db is None else {"w": dw, "b": db}
 
 
-def _fc_backward(net, impl, dy, op):
-    dx, dw, db = impl.backward(dy, op.need_dx)
+def _fc_backward(net, impl, dy, saved, op):
+    dx, dw, db = impl.backward(dy, saved, op.need_dx)
     return dx, _grads(dw, db)
 
 
-def _conv_backward(net, impl, dy, op):
+def _conv_backward(net, impl, dy, saved, op):
     g = ex = None
     if op.need_dx:
         # Post the dy halo exchange before Eq. 2: the filter convolution
         # needs no remote data, so the strips travel behind it.
         g, ex = net._window("bwd", op, transposed_window(op.window), dy, impl)
-    dx, dw, db = impl.backward(dy, g, ex)
+    dx, dw, db = impl.backward(dy, saved, g, ex)
     return dx, _grads(dw, db)
 
 
-def _pool_backward(net, impl, dy, op):
+def _pool_backward(net, impl, dy, saved, op):
     """The layer's extended-region gradient folded into its input's
     placement: scatter-added to the owners — the forward gather read
     backwards — when the schedule has the reverse halo, else all of it is
     this rank's own (its virtual-padding part clipped away)."""
     g = window_geometry(impl.grid.coords, *op.window)
-    dx_ext = impl.backward(dy)
+    dx_ext = impl.backward(dy, saved)
     dist, shape = op.window[0]
     dx = DistTensor.zeros(impl.grid, dist, shape, dtype=dy.dtype)
     if net._sched.halo("bwd", op.name) is not None:
@@ -168,22 +173,23 @@ def _pool_backward(net, impl, dy, op):
     return dx, None
 
 
-def _bn_backward(net, impl, dy, op):
-    dx, dgamma, dbeta = impl.backward(dy, op.need_dx, net._group("bwd", op)[0])
+def _bn_backward(net, impl, dy, saved, op):
+    dx, dgamma, dbeta = impl.backward(dy, saved, op.need_dx, net._group("bwd", op)[0])
     return dx, {"gamma": dgamma, "beta": dbeta}
 
 
 def _loss_forward(net, impl, xs, training, targets, op):
-    if targets is not None:
-        net.loss = impl.forward_loss(xs[0], targets, net._group("fwd", op)[0])
-    return xs[0]
+    if targets is None:
+        return xs[0], None
+    net.loss, seed = impl.forward_loss(xs[0], targets, net._group("fwd", op)[0])
+    return xs[0], seed
 
 
 def _loss(cls) -> _Kind:
     return _Kind(
         lambda net, layer, grid, p: cls(grid),
         _loss_forward,
-        lambda net, impl, dy, op: (impl.backward(), None),
+        lambda net, impl, dy, seed, op: (seed, None),
         seeds=True,
     )
 
@@ -223,8 +229,8 @@ _KINDS: dict[str, _Kind] = {
     ),
     "add": _Kind(
         lambda net, layer, grid, p: DistAdd(grid),
-        lambda net, impl, xs, training, targets, op: impl.forward(*xs),
-        lambda net, impl, dy, op: (dy, None),  # every parent gets dy itself
+        lambda net, impl, xs, training, targets, op: (impl.forward(*xs), None),
+        lambda net, impl, dy, saved, op: (dy, None),  # every parent gets dy itself
     ),
     "fc": _Kind(
         lambda net, layer, grid, p: DistFC(grid, p["w"], p.get("b")), _unary, _fc_backward
@@ -283,6 +289,9 @@ class DistNetwork:
         #: The last forward's activations still alive: once it returns,
         #: only the network's outputs.
         self._acts: dict[str, DistTensor] = {}
+        #: What the layers backward reaches saved, by name, from a training
+        #: forward with targets to its backward; ``None`` at any other time.
+        self._saved: dict[str, object] | None = None
         self.loss: float | None = None
         self.shuffle_count = 0
 
@@ -346,7 +355,8 @@ class DistNetwork:
         consumer, which finishes it — and every consumer reads the one
         finished result (no layer mutates its input).  An activation is
         dropped once the op that :attr:`~repro.core.schedule.LayerOp.releases`
-        it has run, a shuffled copy once its last consumer has.
+        it has run, a shuffled copy once its last consumer has.  Only a
+        training forward with ``targets`` keeps what the layers saved.
         """
         if isinstance(inputs, np.ndarray):
             (inp,) = self.spec.inputs()
@@ -358,8 +368,10 @@ class DistNetwork:
         self._sched = sched
         acts: dict[str, DistTensor] = {}
         self._acts = acts
+        self._saved = None
         self.loss = None
         inflight: dict[str, ShuffleExchange] = {}
+        saved: dict[str, object] | None = {} if training and targets is not None else None
 
         for op in sched.layers:
             name = op.name
@@ -373,9 +385,12 @@ class DistNetwork:
                         else inflight[e.fwd.op_id].finish()
                         for e in op.edges
                     ]
-                    acts[name] = _KINDS[op.kind].forward(
+                    acts[name], kept = _KINDS[op.kind].forward(
                         self, self._layers[name], xs, training, targets, op
                     )
+                    if saved is not None and op.runs_backward:
+                        saved[name] = kept
+                    del kept  # what no backward will read dies here
                 else:  # an input: shard the global array
                     acts[name] = DistTensor.from_global(
                         self._grid(op.grid_shape), op.out,
@@ -388,6 +403,7 @@ class DistNetwork:
                         inflight.pop(e.fwd.op_id, None)
                 for p in op.releases:
                     del acts[p]
+        self._saved = saved
         return self.loss
 
     def _reducer(self) -> BucketedGradReducer:
@@ -436,6 +452,12 @@ class DistNetwork:
         assembled then, so the returned dict is empty — the parameters are
         bitwise those of ``backward()`` followed by ``optimizer.step``.
         """
+        saved, self._saved = self._saved, None
+        if saved is None:
+            raise RuntimeError(
+                "backward() before forward() or after an evaluation forward: it "
+                "reads what one training forward with targets saved"
+            )
         #: Per-layer error contributions (DistTensor or in-flight
         #: ShuffleExchange), in the order backward produced them.
         pending: dict[str, list] = {}
@@ -462,7 +484,7 @@ class DistNetwork:
                         dy.local += part.local
                 if dy is None and not kind.seeds:
                     continue  # no path to the loss
-                dx, g = kind.backward(self, self._layers[name], dy, op)
+                dx, g = kind.backward(self, self._layers[name], dy, saved.pop(name), op)
                 # The dx shuffle first: it is in flight while the reducer
                 # coalesces and launches this layer's gradient allreduce.
                 for e in op.edges:

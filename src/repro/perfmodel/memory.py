@@ -18,7 +18,7 @@ That is LBANN's static allocation — every activation and every error
 signal, all step long — and so an upper bound of what the engine holds:
 :class:`~repro.core.dist_network.DistNetwork` releases an activation after
 its last forward reader (:attr:`repro.core.schedule.LayerOp.releases`) and
-a layer's saved state in its own backward.  The model keeps the static
+what a layer saved once its backward has run.  The model keeps the static
 figure because the paper's feasibility claims are made against it.  It
 reproduces the paper's feasibility boundaries on 16 GB V100s:
 

@@ -62,9 +62,11 @@ critical-path rank's compute and communication streams
   for the channel; the backward error-signal shuffle likewise becomes
   ready with the producing layer's data convolution;
 * a gradient bucket is one communication task, ready when its *last*
-  contributor's filter convolution finishes (one allreduce at a time) —
-  the trade the engine's :class:`~repro.core.grad_reducer.BucketedGradReducer`
-  makes.  Launching a bucket completes the one before it (``completes``
+  contributor's whole backward finishes, data convolution included — the
+  engine adds a layer's partials after its ``dx`` — and a partial bucket
+  when the last layer's does (one allreduce at a time): the trade the
+  engine's :class:`~repro.core.grad_reducer.BucketedGradReducer` makes.
+  Launching a bucket completes the one before it (``completes``
   of :class:`~repro.core.schedule.GradBucket`): the engine waits for it
   there, after the launching layer's ``dx``, so the next layer's backward
   depends on the bucket launched before — one bucket in flight, and at
@@ -346,10 +348,11 @@ class NetworkCostModel:
         def bucket_task(b: GradBucket) -> tuple[str, ...]:
             """Schedule bucket ``b``; returns the bucket its launch
             completes, which the backward compute after it waits for."""
-            # Ready when its last contributor's filter convolution is, one
-            # allreduce at a time.
-            deps = tuple(f"bwd:{layer}:filter" for layer in b.layers)
-            deps += tuple(allreduces[-1:])
+            # Ready when the backward that launches it has run, data
+            # convolution included (the engine adds a layer's partials after
+            # its whole backward; a partial bucket is drained after the last
+            # layer's), one allreduce at a time.
+            deps = ((prev_bwd,) if prev_bwd else ()) + tuple(allreduces[-1:])
             dur = price[b.op_id]
             eng.add(b.op_id, dur, "comm", deps)
             # The part that cannot hide contends with compute.

@@ -224,26 +224,33 @@ class Driven:
 
     ``forward(x, window=None)`` (default: :func:`standalone_window`) and
     ``backward(dy, need_dx=True)`` return what the network would: the
-    output; ``(dx, dw, db)`` for a convolution, ``dx`` for pooling."""
+    output; ``(dx, dw, db)`` for a convolution, ``dx`` for pooling.  What
+    the layer's forward saved is held in ``saved`` until the backward that
+    consumes it, as the network's table holds it."""
 
     def __init__(self, layer):
         self.layer = layer
         self.window = None
+        self.saved = None
 
     def __getattr__(self, name):
         return getattr(self.layer, name)
 
     def forward(self, x, window=None):
         self.window = window or standalone_window(self.layer, x)
-        return self.layer.forward(x, *start_window(self.layer, x, self.window))
+        y, self.saved = self.layer.forward(x, *start_window(self.layer, x, self.window))
+        return y
 
     def backward(self, dy, need_dx=True):
-        layer, window = self.layer, self.window
+        layer, window, saved = self.layer, self.window, self.saved
+        self.saved = None
         if not isinstance(layer, DistPool2d):
-            if not need_dx or window is None:
-                return layer.backward(dy)
-            return layer.backward(dy, *start_window(layer, dy, transposed_window(window)))
-        dx_ext = layer.backward(dy)
+            if not need_dx:
+                return layer.backward(dy, saved)
+            return layer.backward(
+                dy, saved, *start_window(layer, dy, transposed_window(window))
+            )
+        dx_ext = layer.backward(dy, saved)
         g = window_geometry(layer.grid.coords, *window)
         dist, shape = window[0]
         dx = DistTensor.zeros(layer.grid, dist, shape, dtype=dy.dtype)

@@ -261,9 +261,9 @@ class TestLocalRegion:
         forward — padded convolutions and pooling assemble their exchanged
         regions in their pools, 1x1 convolutions read the shard in place —
         and no layer's free-list holds memory that the step still holds: an
-        activation forward kept (the network's outputs) or an array a layer
-        saved for backward (a convolution's input region, a batch-norm
-        cache, a ReLU mask, a max-pooling argmax)."""
+        activation forward kept (the network's outputs) or an array the
+        network's table saved for backward (a convolution's input region, a
+        batch-norm cache, a ReLU mask, a max-pooling argmax)."""
         from repro.core import DistNetwork, DistTrainer, LayerParallelism
         from repro.nn import NetworkSpec
 
@@ -305,10 +305,7 @@ class TestLocalRegion:
                 impl.buffers for impl in net._layers.values() if hasattr(impl, "buffers")
             ]
             pooled = [arr for pool in pools for stack in pool._free.values() for arr in stack]
-            saved = {
-                name: list(arrays([getattr(impl, a, None) for a in ("_x", "_mask", "_cache")]))
-                for name, impl in net._layers.items()
-            }
+            saved = {name: list(arrays(kept)) for name, kept in net._saved.items()}
             live = [a for kept in saved.values() for a in kept]
             live += [act.local for act in net._acts.values()]
             kinds = {type(net._layers[name]).__name__ for name, kept in saved.items() if kept}

@@ -191,26 +191,13 @@ class TestDistConvExactness:
         with pytest.raises(ValueError, match="grid axis 1 must be 1"):
             run_spmd(2, prog, timeout=10)
 
-    def test_backward_before_forward(self):
-        def prog(comm):
-            grid = ProcessGrid(comm, (1, 1, 1, 1))
-            conv = Driven(DistConv2d(grid, np.zeros((1, 1, 3, 3))))
-            conv.backward(
-                DistTensor.from_global(
-                    grid, activation_dist(grid.shape, (1, 1, 4, 4)), np.zeros((1, 1, 4, 4))
-                )
-            )
-
-        with pytest.raises(RuntimeError, match="before forward"):
-            run_spmd(1, prog, timeout=10)
-
 
 class TestInPlaceWindows:
     """A window that exchanges nothing — every convolution at p = 1 or under
     sample parallelism — reads the shard in place: forward, ``dw`` and
-    ``dx`` are bitwise the kernels on the shard, the layer keeps a view of
-    its input (no array of its own) from forward to backward, and its
-    buffer pool is never asked for a region."""
+    ``dx`` are bitwise the kernels on the shard, what forward saves for
+    backward is a view of its input (the layer holds no array of its own),
+    and its buffer pool is never asked for a region."""
 
     @pytest.mark.parametrize("grid_shape", [(1, 1, 1, 1), (2, 1, 1, 1)], ids=["p1", "sample2"])
     @pytest.mark.parametrize(
@@ -241,7 +228,7 @@ class TestInPlaceWindows:
             for step in range(3):
                 y = conv.forward(xd)
                 assert owned(conv.layer) == []
-                assert np.shares_memory(conv.layer._x[0], xd.local)
+                assert np.shares_memory(conv.saved[0], xd.local)
                 dy = np.random.default_rng(step).standard_normal(y.global_shape)
                 dyd = DistTensor.from_global(grid, y.dist, dy)
                 dx, dw, _ = conv.backward(dyd)
@@ -346,19 +333,20 @@ class TestHandedExchange:
             )
             window = standalone_window(layer, xd)
             if kind == "conv_eq3":
-                y = Driven(layer).forward(xd, window)
+                driven = Driven(layer)
+                y = driven.forward(xd, window)
                 dy = DistTensor.from_global(grid, y.dist, np.ones(y.global_shape))
                 g = window_geometry(grid.coords, *transposed_window(window))
                 assert g.exchanged
                 with pytest.raises(ValueError, match="reads off-shard was handed no"):
-                    layer.backward(dy, g, None)
+                    layer.backward(dy, driven.saved, g, None)
                 return True
             g = window_geometry(grid.coords, *window)
             assert g.exchanged
             with pytest.raises(ValueError, match="reads off-shard was handed no"):
                 layer.forward(xd, g, None)
-            # Nothing computed: no saved input region, no pooling cache.
-            assert getattr(layer, "_x", None) is None and not getattr(layer, "_cache", {})
+            # Nothing computed: no region taken from the layer's pool.
+            assert layer.buffers.stats() == (0, 0)
             return True
 
         assert run_spmd(2, prog) == [True, True]

@@ -436,10 +436,10 @@ def _private_dy(backward):
     """The interpreter this one replaced, as a test double: every layer runs
     backward on a private copy of its error signal."""
 
-    def copying(net, impl, dy, op):
+    def copying(net, impl, dy, saved, op):
         if dy is not None:
             dy = DistTensor(dy.grid, dy.dist, dy.global_shape, dy.local.copy())
-        return backward(net, impl, dy, op)
+        return backward(net, impl, dy, saved, op)
 
     return copying
 
@@ -477,8 +477,8 @@ class TestErrorSignalsByReference:
         log = {}
 
         def spy(backward):
-            def recording(net, impl, dy, op):
-                dx, g = backward(net, impl, dy, op)
+            def recording(net, impl, dy, saved, op):
+                dx, g = backward(net, impl, dy, saved, op)
                 log[id(impl)] = (dy, dx, None if dx is None else dx.local.copy())
                 return dx, g
 
@@ -556,17 +556,33 @@ def wide_net(depth=4, channels=128, size=2, classes=10):
     return spec
 
 
-def _saved_state(net) -> dict[str, list[str]]:
-    """What each layer holds from the step for its backward, by layer."""
+def _saved_state(net) -> list[str]:
+    """The layers whose saved state the network's table holds for backward."""
+    return sorted(net._saved or ())
 
-    def holds(value) -> bool:
-        return value is not None and not (isinstance(value, dict) and not value)
 
-    held = {}
+def _layer_arrays(net) -> list[str]:
+    """``layer.attribute`` of every array a layer refers to beyond its
+    parameters, its ``buffers`` and batch norm's running statistics — what
+    it would have kept of a step."""
+    params = {id(a) for layer in net.params.values() for a in layer.values()}
+    held = []
+
+    def walk(where, value):
+        if isinstance(value, DistTensor):
+            value = value.local
+        if isinstance(value, np.ndarray):
+            if id(value) not in params:
+                held.append(where)
+        elif isinstance(value, (dict, tuple, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            for key, v in items:
+                walk(f"{where}[{key!r}]", v)
+
     for name, impl in net._layers.items():
-        attrs = [a for a in ("_x", "_mask", "_cache") if holds(getattr(impl, a, None))]
-        if attrs:
-            held[name] = attrs
+        for attr, value in vars(impl).items() if impl is not None else ():
+            if attr not in ("buffers", "running_mean", "running_var"):
+                walk(f"{name}.{attr}", value)
     return held
 
 
@@ -575,6 +591,8 @@ LIVENESS_NETS = {
     "mesh_tiny": lambda: build_mesh_model(
         resolution=32, convs_per_block=2, block_channels=(8, 12), input_channels=4
     ),
+    # A max-pool that backward never reaches, in front of the first conv.
+    "dead_maxpool": lambda: dead_input_nets(pool_mode="max")["pool"],
 }
 LIVENESS_CASES = [
     pytest.param(net, nranks, par, id=f"{net}-p{nranks}")
@@ -583,13 +601,15 @@ LIVENESS_CASES = [
         (1, LayerParallelism()),
         (2, LayerParallelism(sample=2) if net == "resnet_tiny" else LayerParallelism(height=2)),
     ]
+    if nranks == 1 or net != "dead_maxpool"
 ]
 
 
 class TestStepLiveness:
     """A step holds only what backward still reads: forward releases each
-    activation after its last reader (the schedule's ``releases``), and each
-    layer's backward consumes what it saved."""
+    activation after its last reader (the schedule's ``releases``), the
+    network's table holds what the layers backward reaches saved, each
+    layer's backward consumes its entry, and no layer keeps any of it."""
 
     @staticmethod
     def _run(net_name, nranks, par, body):
@@ -615,12 +635,30 @@ class TestStepLiveness:
         def body(net, spec, x, t):
             for _ in range(2):
                 net.forward(x, targets=t)
-                assert _saved_state(net)  # forward saved what backward reads
+                # Forward saved for exactly the layers backward reaches.
+                assert _saved_state(net) == sorted(op.name for op in net._sched.backward)
+                assert _layer_arrays(net) == []
                 net.backward()
-                assert _saved_state(net) == {}
+                assert _saved_state(net) == [] and _layer_arrays(net) == []
             return True
 
         assert self._run(net_name, nranks, par, body) == [True] * nranks
+
+    def test_evaluation_forward_keeps_nothing(self):
+        """``DistTrainer.evaluate`` runs forward only, so nothing of it is
+        kept for a backward: no table, and no layer holds a view of an
+        input, a ReLU mask or a pooling argmax."""
+        spec = small_conv_net()
+        x, t = make_batch(spec, n=2, seed=8)
+
+        def prog(comm):
+            net = DistNetwork(spec, comm, LayerParallelism(), seed=0)
+            trainer = DistTrainer(net)
+            trainer.step(x, t)
+            trainer.evaluate(x, t)
+            return net._saved, _layer_arrays(net)
+
+        assert run_spmd(1, prog) == [(None, [])]
 
     @pytest.mark.parametrize("net_name,nranks,par", LIVENESS_CASES)
     def test_gathering_a_released_activation_names_the_outputs(self, net_name, nranks, par):
@@ -737,17 +775,18 @@ class TestStepLiveness:
         assert peak <= held0 + held1 + 2 * (2 * bucket + slack), over
 
 
-def dead_input_nets():
+def dead_input_nets(pool_mode="avg"):
     """Four ways an input feeds the first parameterised layer; in each, the
-    error signal toward the input (and toward ``p0`` in ``pool``) is dead.
-    Stride-2 convolutions keep the phase-decomposed Eq. 3 on the live path."""
+    error signal toward the input (and toward ``p0``, a ``pool_mode``
+    pooling, in ``pool``) is dead.  Stride-2 convolutions keep the
+    phase-decomposed Eq. 3 on the live path."""
     nets = {}
     for label in ("conv", "pool", "bn", "skip"):
         net = NetworkSpec(f"dead-input-{label}")
         net.add("input", "input", channels=2, height=16, width=16)
         tip = "input"
         if label == "pool":
-            tip = net.add("p0", "pool", [tip], mode="avg", kernel=3, stride=1, pad=1)
+            tip = net.add("p0", "pool", [tip], mode=pool_mode, kernel=3, stride=1, pad=1)
         if label == "bn":
             tip = net.add("b0", "bn", [tip])
         net.add("c1", "conv", [tip], filters=2, kernel=3, pad=1, bias=True)
@@ -908,21 +947,52 @@ class TestValidation:
         assert any(":bnstats:" in op for op in ops)
         assert issued == (sum(":bnstats:" not in op for op in ops),) * 2
 
-    def test_backward_after_evaluation_forward_raises(self):
-        """``DistTrainer.evaluate`` is forward-only; a backward after it would
-        apply the training formula to running statistics."""
+    def test_backward_before_forward(self):
         spec = small_conv_net()
-        x, t = make_batch(spec, n=2, seed=8)
 
         def prog(comm):
-            net = DistNetwork(spec, comm, LayerParallelism(sample=2))
-            net.forward(x, targets=t, training=False)
-            with pytest.raises(RuntimeError, match="after an evaluation forward"):
+            net = DistNetwork(spec, comm, LayerParallelism())
+            with pytest.raises(RuntimeError, match="before forward"):
                 net.backward()
-            net.forward(x, targets=t, training=True)
-            return sorted(net.backward())
+            return True
 
-        assert run_spmd(2, prog) == [["b1", "b2", "c1", "c2", "predict"]] * 2
+        assert run_spmd(1, prog) == [True]
+
+    def test_backward_after_evaluation_forward_raises(self):
+        """``DistTrainer.evaluate`` is forward-only; a backward after it would
+        apply the training formula to running statistics — and, on a net
+        without batch norm, return gradients of nothing.  Each backward
+        reads what one training forward with targets saved: a second
+        backward, or one after a training forward without targets (no
+        seed), raises too."""
+        bn_free = NetworkSpec("bn-free")
+        bn_free.add("input", "input", channels=3, height=16, width=16)
+        bn_free.add("c1", "conv", ["input"], filters=4, kernel=3, pad=1)
+        bn_free.add("r1", "relu", ["c1"])
+        bn_free.add("p1", "pool", ["r1"], mode="max", kernel=2)
+        bn_free.add("predict", "conv", ["p1"], filters=1, kernel=1, bias=True)
+        bn_free.add("loss", "bce", ["predict"])
+
+        def prog(comm):
+            grads = []
+            for spec in (small_conv_net(), bn_free):
+                x, t = make_batch(spec, n=2, seed=8)
+                net = DistNetwork(spec, comm, LayerParallelism(sample=2))
+                net.forward(x, targets=t, training=False)
+                with pytest.raises(RuntimeError, match="after an evaluation forward"):
+                    net.backward()
+                net.forward(x, targets=t, training=True)
+                grads.append(sorted(net.backward()))
+                with pytest.raises(RuntimeError, match="before forward"):
+                    net.backward()
+                net.forward(x, training=True)
+                with pytest.raises(RuntimeError, match="before forward"):
+                    net.backward()
+            return grads
+
+        assert run_spmd(2, prog) == [
+            [["b1", "b2", "c1", "c2", "predict"], ["c1", "predict"]]
+        ] * 2
 
     def test_trainer_fit(self):
         spec = small_conv_net()

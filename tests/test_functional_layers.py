@@ -223,9 +223,9 @@ class TestBatchNorm:
             bn = DistBatchNorm(grid, gamma, beta)
             dist = activation_dist(grid.shape, x.shape)
             group = grid.axes_comm((0,))
-            bn.forward(DistTensor.from_global(grid, dist, x), True, group, (0,))
+            _, saved = bn.forward(DistTensor.from_global(grid, dist, x), True, group, (0,))
             before = len(calls)
-            dxt, dg, db = bn.backward(DistTensor.from_global(grid, dist, dy), comm=group)
+            dxt, dg, db = bn.backward(DistTensor.from_global(grid, dist, dy), saved, comm=group)
             return len(calls) - before, dxt.to_global(), comm.allreduce(dg), comm.allreduce(db)
 
         # Thread ranks share ``calls``: two ranks, one evaluation each.
@@ -289,9 +289,9 @@ class TestBatchNorm:
             dx_ref = F.batchnorm_backward_data(dyt.local, cache, dg, db, count)
 
             before = comm.stats.collectives.get("allreduce", 0)
-            y = bn.forward(xt, True, group, axes)
-            assert bn._cache["count"] == count  # backward consumes the cache
-            dx, _, _ = bn.backward(dyt, comm=group)
+            y, saved = bn.forward(xt, True, group, axes)
+            assert saved[1] == count
+            dx, _, _ = bn.backward(dyt, saved, comm=group)
             issued = comm.stats.collectives.get("allreduce", 0) - before
             assert issued == (0 if group is None else 2)
             np.testing.assert_array_equal(y.local, y_ref)
@@ -323,7 +323,7 @@ class TestBatchNorm:
             return {
                 name: DistBatchNorm(grid, np.ones(3), np.zeros(3)).forward(
                     xt, True, grid.axes_comm(axes) if axes else None, axes
-                ).to_global()
+                )[0].to_global()
                 for name, axes in STATS_AXES.items()
             }
 

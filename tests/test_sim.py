@@ -373,6 +373,22 @@ class TestTrainingSimulator:
         # The last launch has no backward after it.
         assert waited == {buckets[b.completes].op_id for b in buckets[1:-1]}
 
+    def test_a_bucket_launches_after_its_layers_data_convolution(self):
+        """The engine adds a layer's partials to the reducer after its whole
+        backward, Eq. 3 included, so the evaluator makes a bucket ready with
+        the launching layer's data convolution, not its filter one."""
+        spec = mesh_model_1k()
+        strategy = ParallelStrategy.uniform(LP(sample=4, height=2, width=2))
+        model = TrainingStepSimulator(spec, LASSEN, allreduce_bucket_bytes=1)
+        bd = model.cost(4, strategy)
+        eng = model.simulate(4, strategy).engine
+        need_dx = {op.name for op in bd.schedule.backward if op.need_dx}
+        launched = [(b.op_id, b.layers[-1]) for b in bd.buckets if b.layers[-1] in need_dx]
+        assert len(launched) >= 3
+        for bucket, layer in launched:
+            assert f"bwd:{layer}:data" in eng[bucket].deps, bucket
+            assert eng[bucket].start >= eng[f"bwd:{layer}:data"].finish
+
     def test_overlapped_shuffle_decomposition(self):
         """On a small mesh config with a skip edge crossing a strategy
         change, the simulator's step time follows the analytic
