@@ -18,14 +18,15 @@ LBANN implementation with a functionally equivalent runtime:
   cross-node ranks talk TCP.  The node layout also drives the
   communicator's *hierarchical* collectives (intra-node ring + inter-node
   exchange), selected by the two-tier cost model
-  (:class:`TwoTierTopology`).
+  (:class:`TwoTierTopology`) in the one allreduce rule,
+  :func:`select_allreduce_algorithm`.
 * :mod:`repro.comm.socket_backend` — the wire under the off-node pairs:
   CRC-checked length-prefixed frames, the per-pair TCP links (read by the
   waiting thread's drain, written on the calling thread), heartbeats and
   EOF-without-BYE peer-death detection.
 * :mod:`repro.comm.communicator` — the :class:`Communicator` API the
   engine calls (``send``/``recv``/``irecv``/``barrier``/``bcast``/
-  ``allgather``/``alltoall``/``allreduce``/``iallreduce``/``split``),
+  ``allgather``/``allreduce``/``iallreduce``/``split``),
   mirroring mpi4py's lower-case object interface; backend-agnostic, and
   bitwise-reproducible across backends for a fixed rank count.
 * :mod:`repro.comm.algorithms` — every collective's wire pattern: the
@@ -39,7 +40,9 @@ LBANN implementation with a functionally equivalent runtime:
   message and collective counts) used by tests and benchmarks to verify the
   communication-volume formulas of the paper's Section V.
 * :mod:`repro.comm.collective_models` — α-β cost models for point-to-point
-  and collective operations (Thakur et al.), used by the performance model.
+  and collective operations (Thakur et al.), used by the performance model,
+  and the allreduce rule (:func:`select_allreduce_algorithm`) the
+  communicator runs and the performance model prices.
 
 The communicator is *buffered and eager*: ``send`` never blocks, so the
 halo-exchange and shuffle patterns used by the distributed tensor library
@@ -76,7 +79,6 @@ from repro.comm.hostmap import HOSTMAP_ENV, HostMap, resolve_hostmap
 from repro.comm.communicator import COLLECTIVE_ALG_ENV, Communicator, Request
 from repro.comm.stats import CommStats
 from repro.comm.collective_models import (
-    AllreduceAlgorithm,
     DIRECT_ALGORITHM,
     HIERARCHICAL_ALGORITHM,
     TwoTierTopology,
@@ -84,13 +86,10 @@ from repro.comm.collective_models import (
     allreduce_wire_bytes,
     pt2pt_time,
     hierarchical_allreduce_time,
-    resolve_allreduce_algorithm,
     select_allreduce_algorithm,
-    select_inter_algorithm,
 )
 
 __all__ = [
-    "AllreduceAlgorithm",
     "BufferPool",
     "COLLECTIVE_ALG_ENV",
     "CommAborted",
@@ -113,9 +112,7 @@ __all__ = [
     "TwoTierTopology",
     "allreduce_wire_bytes",
     "hierarchical_allreduce_time",
-    "resolve_allreduce_algorithm",
     "resolve_hostmap",
-    "select_inter_algorithm",
     "available_backends",
     "default_backend",
     "register_backend",

@@ -13,24 +13,26 @@ bandwidth ``β`` (seconds/byte).  Collective costs follow Thakur, Rabenseifner
   what NCCL uses for large messages.
 
 ``γ`` is the per-byte local reduction cost.  All functions take byte counts.
+
+Which of them a group runs is one rule, :func:`select_allreduce_algorithm`:
+the communicator's ``algorithm="auto"`` compiles its answer and the cost
+model (:meth:`repro.perfmodel.machine.MachineSpec.allreduce_time`) prices
+it, the two-level composition of a group spanning nodes included
+(:func:`hierarchical_allreduce_time`).  :func:`allreduce_time` prices one
+named flat algorithm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-
-class AllreduceAlgorithm(str, Enum):
-    RECURSIVE_DOUBLING = "recursive_doubling"
-    RABENSEIFNER = "rabenseifner"
-    RING = "ring"
-
+from repro.comm.algorithms import REDUCTION_ALGORITHMS
 
 #: The all-to-all exchange (every rank ships its whole payload
-#: to every peer): not a scheduled algorithm, but priceable so modeled and
-#: measured traffic can be compared for the bitwise-reference mode too.
+#: to every peer): not a scheduled algorithm, but its wire volume is
+#: modeled so measured traffic can be compared for the bitwise-reference
+#: mode too.
 DIRECT_ALGORITHM = "direct"
 
 #: The two-level (intra-node reduce-scatter → inter-node allreduce →
@@ -75,9 +77,8 @@ class TwoTierTopology:
 
     The hierarchical composition only makes sense on a *uniform* layout
     (the same rank count on every node), which is what
-    :meth:`Communicator.hierarchy` hands over; degenerate layouts (one
-    node, or one rank per node) are priced as flat collectives on the
-    corresponding link.
+    :meth:`Communicator.hierarchy` hands over; on a degenerate layout (one
+    node, or one rank per node) the rule selects a flat algorithm.
     """
 
     nnodes: int
@@ -107,113 +108,81 @@ def pt2pt_time(nbytes: float, link: LinkParameters) -> float:
 
 
 def allreduce_time(
-    p: int,
-    nbytes: float,
-    link: LinkParameters,
-    algorithm: AllreduceAlgorithm | str | None = None,
+    p: int, nbytes: float, link: LinkParameters, algorithm: str
 ) -> float:
-    """AR(p, n): allreduce of ``n`` bytes over ``p`` ranks.
+    """AR(p, n): allreduce of ``n`` bytes over ``p`` ranks on one ``link``
+    under ``algorithm``, one of :data:`REDUCTION_ALGORITHMS`.
 
-    With ``algorithm=None`` the fastest algorithm for this (p, n, link) is
-    used (mirroring MPICH/NCCL tuned selection and the paper's observation
-    that "allreduces use different algorithms for different n and p").
-    ``algorithm`` also accepts the engine's knob values: ``"auto"``
-    (Thakur-style :func:`select_allreduce_algorithm` — the *same* selection
-    the communicator applies on the wire, so modeled and measured traffic
-    agree) and ``"direct"`` (the all-to-all exchange: ``p-1``
-    full payloads in and out of every rank plus a full local fold).
+    Which algorithm a group runs is :func:`select_allreduce_algorithm`'s
+    decision; :meth:`repro.perfmodel.machine.MachineSpec.allreduce_time`
+    asks it and prices the answer.
     """
     if p <= 1 or nbytes <= 0:
         return 0.0
-    if algorithm is None:
-        return min(
-            allreduce_time(p, nbytes, link, alg) for alg in AllreduceAlgorithm
-        )
-    if not isinstance(algorithm, AllreduceAlgorithm):
-        if algorithm == "auto":
-            algorithm = select_allreduce_algorithm(p, nbytes)
-        elif algorithm == DIRECT_ALGORITHM:
-            a, b, g = link.alpha, link.beta, link.gamma
-            return (p - 1) * (a + nbytes * b) + (p - 1) * nbytes * g
-        else:
-            algorithm = AllreduceAlgorithm(algorithm)
     a, b, g = link.alpha, link.beta, link.gamma
     frac = (p - 1) / p
     lg = math.log2(p)
-    if algorithm is AllreduceAlgorithm.RECURSIVE_DOUBLING:
+    if algorithm == "recursive_doubling":
         return lg * a + lg * nbytes * b + lg * nbytes * g
-    if algorithm is AllreduceAlgorithm.RABENSEIFNER:
+    if algorithm == "rabenseifner":
         return 2 * lg * a + 2 * frac * nbytes * b + frac * nbytes * g
-    if algorithm is AllreduceAlgorithm.RING:
+    if algorithm == "ring":
         return 2 * (p - 1) * a + 2 * frac * nbytes * b + frac * nbytes * g
     raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
 
 
 def select_allreduce_algorithm(
-    p: int, nbytes: float, topology: "TwoTierTopology | None" = None
-) -> AllreduceAlgorithm | str:
-    """Thakur-style selection: latency-optimal for small n, bandwidth for large.
+    p: int, nbytes: float, topology: TwoTierTopology | None = None
+) -> str:
+    """The allreduce rule: the algorithm a group of ``p`` runs on ``nbytes``.
 
-    This is the single selection rule shared by the cost model, the
-    simulator, and the engine's ``algorithm="auto"`` collectives, so the
-    algorithm the model prices is the one the wire actually runs.
+    The one decision behind the communicator's ``algorithm="auto"`` (and
+    a forced ``"hierarchical"`` on a layout that cannot run it) and behind
+    the cost model's :meth:`~repro.perfmodel.machine.MachineSpec.allreduce_time`,
+    so the algorithm the model prices is the one the wire runs.  Returns
+    one of :data:`REDUCTION_ALGORITHMS` — Thakur-style: recursive doubling
+    below :data:`SMALL_MESSAGE_CUTOFF`, Rabenseifner for power-of-two
+    groups, ring otherwise — or :data:`HIERARCHICAL_ALGORITHM`.
 
-    With a hierarchical ``topology`` (>= 2 nodes of >= 2 ranks) the
-    two-tier model is consulted first: when the composed two-level
-    schedule (:func:`hierarchical_allreduce_time`) beats every flat
-    algorithm priced on the bottleneck inter-node link, the string
-    :data:`HIERARCHICAL_ALGORITHM` is returned instead of a flat
-    :class:`AllreduceAlgorithm` member.  One-node (or one-rank-per-node)
-    topologies degenerate to the flat rule, so a host map never *changes*
-    single-node selection.
+    With a hierarchical ``topology`` (>= 2 nodes of >= 2 ranks, ``p``
+    ranks in all) the two-tier model is consulted first: the composition
+    is picked when its fastest inter-node algorithm beats every flat
+    algorithm priced on the bottleneck inter-node link.  Other topologies
+    fall through to the flat rule, so a host map never *changes*
+    single-node selection.  The inter-node stage of the composition is
+    this rule again, over the nodes, on a rank's ``n/k`` segment.
     """
     if topology is not None and topology.hierarchical and p == topology.size:
         flat = min(
             allreduce_time(p, nbytes, topology.inter, alg)
-            for alg in AllreduceAlgorithm
+            for alg in REDUCTION_ALGORITHMS
         )
-        if hierarchical_allreduce_time(nbytes, topology) < flat:
+        hier = min(
+            hierarchical_allreduce_time(nbytes, topology, alg)
+            for alg in REDUCTION_ALGORITHMS
+        )
+        if hier < flat:
             return HIERARCHICAL_ALGORITHM
     if nbytes < SMALL_MESSAGE_CUTOFF:
-        return AllreduceAlgorithm.RECURSIVE_DOUBLING
+        return "recursive_doubling"
     if p & (p - 1) == 0:  # power of two: halving/doubling applies directly
-        return AllreduceAlgorithm.RABENSEIFNER
-    return AllreduceAlgorithm.RING
-
-
-def select_inter_algorithm(
-    nnodes: int, nbytes: float
-) -> AllreduceAlgorithm:
-    """Flat algorithm for the inter-node stage of a hierarchical allreduce.
-
-    The inter-node exchange is itself an allreduce over ``nnodes`` node
-    leaders on a segment of ``nbytes``, so the plain Thakur rule applies.
-    """
-    alg = select_allreduce_algorithm(nnodes, nbytes)
-    assert isinstance(alg, AllreduceAlgorithm)
-    return alg
+        return "rabenseifner"
+    return "ring"
 
 
 def hierarchical_allreduce_time(
-    nbytes: float,
-    topology: TwoTierTopology,
-    inter_algorithm: AllreduceAlgorithm | str | None = None,
+    nbytes: float, topology: TwoTierTopology, inter_algorithm: str
 ) -> float:
     """AR time of the two-level composition on a two-tier topology.
 
-    Intra-node ring reduce-scatter over ``k`` ranks, inter-node allreduce
-    of the ``n/k`` segment over ``m`` node counterparts on the slow link,
-    intra-node ring allgather — the composition
+    Intra-node ring reduce-scatter over ``k`` ranks, ``inter_algorithm``
+    allreduce of the ``n/k`` segment over ``m`` node counterparts on the
+    slow link, intra-node ring allgather — the composition
     :func:`repro.comm.algorithms.compile_hierarchical_allreduce` executes.
-    Degenerate topologies collapse to the flat model on the active link.
     """
-    k, m = topology.ranks_per_node, topology.nnodes
-    if nbytes <= 0 or topology.size <= 1:
+    if nbytes <= 0:
         return 0.0
-    if m <= 1:
-        return allreduce_time(k, nbytes, topology.intra, inter_algorithm)
-    if k <= 1:
-        return allreduce_time(m, nbytes, topology.inter, inter_algorithm)
+    k, m = topology.ranks_per_node, topology.nnodes
     intra = topology.intra
     frac = (k - 1) / k
     rs = (k - 1) * intra.alpha + frac * nbytes * (intra.beta + intra.gamma)
@@ -222,50 +191,25 @@ def hierarchical_allreduce_time(
     return rs + mid + ag
 
 
-def resolve_allreduce_algorithm(
-    algorithm: AllreduceAlgorithm | str | None,
-    p: int,
-    nbytes: float,
-    topology: "TwoTierTopology | None" = None,
-) -> str:
-    """Normalize an ``algorithm=`` knob value to a concrete algorithm name.
-
-    ``None``/``"auto"`` apply :func:`select_allreduce_algorithm` (which may
-    pick ``"hierarchical"`` when a hierarchical ``topology`` is supplied);
-    ``"direct"``/``"hierarchical"`` pass through; anything else must name
-    an :class:`AllreduceAlgorithm` member (``ValueError`` otherwise).
-    """
-    if isinstance(algorithm, AllreduceAlgorithm):
-        return algorithm.value
-    if algorithm in (None, "auto"):
-        selected = select_allreduce_algorithm(p, nbytes, topology)
-        if isinstance(selected, AllreduceAlgorithm):
-            return selected.value
-        return selected
-    if algorithm in (DIRECT_ALGORITHM, HIERARCHICAL_ALGORITHM):
-        return algorithm
-    return AllreduceAlgorithm(algorithm).value
-
-
-def allreduce_wire_bytes(
-    p: int, nbytes: float, algorithm: AllreduceAlgorithm | str | None = None
-) -> float:
-    """Per-rank bytes *sent* on the wire by one allreduce of ``n`` bytes.
+def allreduce_wire_bytes(p: int, nbytes: float, algorithm: str) -> float:
+    """Per-rank bytes *sent* on the wire by one allreduce of ``n`` bytes
+    under ``algorithm`` (``"direct"`` or one of :data:`REDUCTION_ALGORITHMS`).
 
     The model-side counterpart of the engine's wire counters
     (:class:`~repro.comm.stats.CommStats` ``wire`` split / the process
     backend's transport counters): ring and Rabenseifner move the
     bandwidth-optimal ``2n(p-1)/p``, recursive doubling ``n·lg p̂`` (p̂ the
     largest power of two <= p; the non-power-of-two fold adds one payload
-    on the folded ranks — the worst case is reported), and the legacy
+    on the folded ranks — the worst case is reported), and the
     ``"direct"`` exchange ``n(p-1)``.
     """
+    if algorithm != DIRECT_ALGORITHM and algorithm not in REDUCTION_ALGORITHMS:
+        raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
     if p <= 1 or nbytes <= 0:
         return 0.0
-    name = resolve_allreduce_algorithm(algorithm, p, nbytes)
-    if name == DIRECT_ALGORITHM:
+    if algorithm == DIRECT_ALGORITHM:
         return nbytes * (p - 1)
-    if name == AllreduceAlgorithm.RECURSIVE_DOUBLING.value:
+    if algorithm == "recursive_doubling":
         pof2 = 1 << (p.bit_length() - 1)
         extra = nbytes if pof2 != p else 0.0
         return nbytes * math.log2(pof2) + extra

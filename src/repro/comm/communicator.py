@@ -32,8 +32,8 @@ donate=True)``,       or just built; otherwise
 ``owns_buffer``)      one working copy at issue
 own slot              the caller's rank, once     garbage-collected with the
 (blocking             (``freeze``): the result    result
-``allgather`` /       must not alias the buffer
-``alltoall``)         the caller may reuse
+``allgather``)        must not alias the buffer
+                      the caller may reuse
 ``payload.private``   the receiver, once          the receiver (``bcast``
                                                   results are writable)
 arena early copy-out  the receiver, at drain      the receiver: the arena
@@ -49,7 +49,7 @@ Semantics implemented — what the engine calls, and nothing else:
 
 * eager buffered ``send``/``recv`` matched on ``(source, tag)``;
 * ``barrier``, ``bcast`` (the one rooted op: a one-hop star from the
-  root), ``allgather``, ``alltoall``, ``allreduce``;
+  root), ``allgather``, ``allreduce``;
 * **nonblocking** ``irecv``/``iallreduce`` returning :class:`Request`
   handles with MPI-style ``wait()``/``test()``; any number of requests may
   be in flight per communicator and they may be completed out of order.
@@ -75,7 +75,7 @@ from __future__ import annotations
 import os
 from functools import partial
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -84,8 +84,7 @@ from repro.comm.backend import BaseWorld
 from repro.comm.collective_models import (
     HIERARCHICAL_ALGORITHM,
     TwoTierTopology,
-    resolve_allreduce_algorithm,
-    select_inter_algorithm,
+    select_allreduce_algorithm,
 )
 from repro.comm.payload import freeze, payload_nbytes, private
 from repro.comm.stats import CommStats
@@ -421,7 +420,7 @@ class Communicator:
     def _knob(self, algorithm: Any, opname: str) -> str:
         """Validate an ``algorithm=`` knob; ``REPRO_COLLECTIVE_ALG``, when
         set, overrides every call site."""
-        name = "auto" if algorithm is None else getattr(algorithm, "value", algorithm)
+        name = "auto" if algorithm is None else algorithm
         if name not in _ALG_CHOICES:
             raise ValueError(
                 f"unknown {opname} algorithm {name!r}; "
@@ -520,20 +519,18 @@ class Communicator:
             return _DIRECT_PLAN
         nbytes = n * dtype.itemsize
         if alg == "auto":
-            alg = resolve_allreduce_algorithm(
-                "auto", self.size, nbytes, self._two_tier()
-            )
+            alg = select_allreduce_algorithm(self.size, nbytes, self._two_tier())
         elif alg == HIERARCHICAL_ALGORITHM and self.hierarchy() is None:
             # Forced hierarchical without a usable node layout (no host
             # map, non-uniform groups, or a single node): fall back to the
             # flat model-driven choice rather than fail the collective.
-            alg = resolve_allreduce_algorithm("auto", self.size, nbytes)
+            alg = select_allreduce_algorithm(self.size, nbytes)
         if alg == "direct":
             return _DIRECT_PLAN
         if alg == HIERARCHICAL_ALGORITHM:
             h = self.hierarchy()
-            inter = select_inter_algorithm(len(h), max(1.0, nbytes / len(h[0])))
-            steps = _alg.compile_hierarchical_allreduce(h, inter.value)[self.rank]
+            inter = select_allreduce_algorithm(len(h), nbytes / len(h[0]))
+            steps = _alg.compile_hierarchical_allreduce(h, inter)[self.rank]
         else:
             steps = _alg.compile_allreduce(self.size, alg)[self.rank]
         return alg, steps
@@ -663,20 +660,6 @@ class Communicator:
         pieces = [payload] * self.size
         pieces[self.rank] = freeze(payload)
         return self._direct("allgather", pieces, nbytes=payload_nbytes(payload))
-
-    def alltoall(self, payloads: Sequence[Any]) -> list[Any]:
-        """``payloads[j]`` is sent to comm-rank ``j``; returns what each rank
-        sent us (read-only, this rank's own slot a copy like the others)."""
-        if len(payloads) != self.size:
-            raise ValueError(f"alltoall requires exactly {self.size} payloads")
-        pieces = list(payloads)
-        pieces[self.rank] = freeze(pieces[self.rank])
-        return self._direct(
-            "alltoall", pieces,
-            nbytes=sum(
-                payload_nbytes(p) for i, p in enumerate(payloads) if i != self.rank
-            ),
-        )
 
     @staticmethod
     def _reduce_combine(fn: Callable[[Any, Any], Any]) -> Callable[[list[Any]], Any]:

@@ -218,9 +218,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def freeze(payload: Any) -> Any:
     """A read-only C-contiguous copy of every array in ``payload``: what the
     thread transport hands a receiver in place of the sender's arrays, and
-    a blocking ``allgather``/``alltoall`` puts in the caller's own slot —
-    made before the call returns, so neither side sees the other's later
-    writes."""
+    a blocking ``allgather`` puts in the caller's own slot — made before
+    the call returns, so neither side sees the other's later writes."""
     return map_arrays(payload, _frozen)
 
 

@@ -321,17 +321,23 @@ class DistFC:
 class _DistLoss:
     """A loss layer: each rank evaluates its own block, the sum is completed
     by an allreduce over ``comm`` (``None``: nothing to complete).
-    ``forward_loss`` returns ``(loss, dlogits)``: the error signal of the
-    logits, which seeds backward."""
+    ``forward_loss`` returns ``(loss, seed)``: the error signal of the
+    logits, which seeds backward — ``None`` without ``need_seed`` (a
+    forward no backward follows)."""
 
     def __init__(self, grid: ProcessGrid) -> None:
         self.grid = grid
 
-    def _mean(self, logits, dlogits, local_sum, comm, count) -> tuple[float, DistTensor]:
-        # One element, folded in comm-rank order: the same bits everywhere.
+    def _mean(self, logits, loss, dlogits, terms, comm, count) -> tuple[float, DistTensor | None]:
+        """The mean over ``count`` terms from this rank's mean ``loss`` over
+        its ``terms``, and ``dlogits`` weighted the same way as the seed."""
+        local_sum = loss * terms
         if comm is not None:
-            local_sum = comm.allreduce(np.array([local_sum]), algorithm="direct")[0]
-        seed = DistTensor(self.grid, logits.dist, logits.global_shape, dlogits)
+            local_sum = comm.allreduce(np.array([local_sum]))[0]
+        seed = None
+        if dlogits is not None:
+            dlogits = (dlogits * terms / count).reshape(logits.local.shape)
+            seed = DistTensor(self.grid, logits.dist, logits.global_shape, dlogits)
         return float(local_sum) / count, seed
 
 
@@ -343,17 +349,13 @@ class DistSoftmaxCrossEntropy(_DistLoss):
     """
 
     def forward_loss(
-        self, logits: DistTensor, labels: np.ndarray, comm: Communicator | None = None
-    ) -> tuple[float, DistTensor]:
-        n_global = logits.global_shape[0]
+        self, logits: DistTensor, labels: np.ndarray, comm: Communicator | None = None,
+        need_seed: bool = True,
+    ) -> tuple[float, DistTensor | None]:
         (n_lo, n_hi) = logits.bounds[0]
         flat = logits.local.reshape(logits.local.shape[0], -1)
-        local_loss_sum, dlogits = F.softmax_cross_entropy(flat, labels[n_lo:n_hi])
-        local_loss_sum *= flat.shape[0]
-        dlogits = dlogits * flat.shape[0] / n_global
-        return self._mean(
-            logits, dlogits.reshape(logits.local.shape), local_loss_sum, comm, n_global
-        )
+        loss, dlogits = F.softmax_cross_entropy(flat, labels[n_lo:n_hi], need_grad=need_seed)
+        return self._mean(logits, loss, dlogits, flat.shape[0], comm, logits.global_shape[0])
 
 
 class DistBCEWithLogits(_DistLoss):
@@ -364,14 +366,13 @@ class DistBCEWithLogits(_DistLoss):
     """
 
     def forward_loss(
-        self, logits: DistTensor, targets: np.ndarray, comm: Communicator | None = None
-    ) -> tuple[float, DistTensor]:
+        self, logits: DistTensor, targets: np.ndarray, comm: Communicator | None = None,
+        need_seed: bool = True,
+    ) -> tuple[float, DistTensor | None]:
         b = logits.bounds
         t_local = np.asarray(targets, dtype=logits.dtype)[
             b[0][0] : b[0][1], b[1][0] : b[1][1], b[2][0] : b[2][1], b[3][0] : b[3][1]
         ]
-        count_global = float(np.prod(logits.global_shape))
-        local_loss, dlogits = F.sigmoid_bce_with_logits(logits.local, t_local)
-        local_sum = local_loss * logits.local.size
-        dlogits = dlogits * logits.local.size / count_global
-        return self._mean(logits, dlogits, local_sum, comm, count_global)
+        loss, dlogits = F.sigmoid_bce_with_logits(logits.local, t_local, need_grad=need_seed)
+        count = float(np.prod(logits.global_shape))
+        return self._mean(logits, loss, dlogits, logits.local.size, comm, count)

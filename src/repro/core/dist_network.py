@@ -181,7 +181,10 @@ def _bn_backward(net, impl, dy, saved, op):
 def _loss_forward(net, impl, xs, training, targets, op):
     if targets is None:
         return xs[0], None
-    net.loss, seed = impl.forward_loss(xs[0], targets, net._group("fwd", op)[0])
+    # Only a forward that keeps saved state builds the seed backward reads.
+    net.loss, seed = impl.forward_loss(
+        xs[0], targets, net._group("fwd", op)[0], need_seed=training
+    )
     return xs[0], seed
 
 

@@ -630,28 +630,34 @@ def linear_backward(
 
 
 def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch; returns ``(loss, dlogits)``."""
+    logits: np.ndarray, labels: np.ndarray, need_grad: bool = True
+) -> tuple[float, np.ndarray | None]:
+    """Mean cross-entropy over the batch; returns ``(loss, dlogits)``,
+    ``dlogits`` ``None`` without ``need_grad``."""
     n = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
     loss = -float(logp[np.arange(n), labels].mean())
+    if not need_grad:
+        return loss, None
     dlogits = np.exp(logp)
     dlogits[np.arange(n), labels] -= 1.0
     return loss, dlogits / n
 
 
 def sigmoid_bce_with_logits(
-    logits: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
+    logits: np.ndarray, targets: np.ndarray, need_grad: bool = True
+) -> tuple[float, np.ndarray | None]:
     """Mean binary cross-entropy with logits (the per-pixel mesh-tangling
-    segmentation loss); returns ``(loss, dlogits)``."""
+    segmentation loss); returns ``(loss, dlogits)``, ``dlogits`` ``None``
+    without ``need_grad``."""
     # Numerically stable: log(1 + e^-|z|) + max(z, 0) - z*t.
     z = logits
     loss_map = np.maximum(z, 0) - z * targets + np.log1p(np.exp(-np.abs(z)))
     count = z.size
     loss = float(loss_map.sum() / count)
+    if not need_grad:
+        return loss, None
     sig = 1.0 / (1.0 + np.exp(-z))
     return loss, (sig - targets) / count

@@ -19,6 +19,10 @@ EDR.  All constants below are documented calibration inputs:
   pairs on a node; dual-rail EDR gives ~21 GB/s effective per node with
   GPUDirect latencies of a few microseconds.  Collectives spanning nodes
   are bottlenecked by the inter-node links (all four GPUs share the NICs).
+  :meth:`MachineSpec.allreduce_time` is the one place a group's allreduce
+  is priced: it prices the algorithm the engine's selection rule runs on
+  that group, the two-level composition of a group spanning nodes
+  included.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ from dataclasses import dataclass, field
 from repro.comm.collective_models import (
     DEFAULT_INTER_LINK,
     DEFAULT_INTRA_LINK,
+    HIERARCHICAL_ALGORITHM,
     LinkParameters,
     TwoTierTopology,
+    allreduce_time,
     hierarchical_allreduce_time,
+    select_allreduce_algorithm,
 )
 
 
@@ -101,7 +108,7 @@ class MachineSpec:
     #: NVLink2: ~50 GB/s/direction, low launch latency via CUDA IPC.
     #: (Shared with the communicator's topology-aware selection — see
     #: :data:`repro.comm.collective_models.DEFAULT_INTRA_LINK` — so the
-    #: engine's ``algorithm="auto"`` prices the same wire this model does.)
+    #: engine's ``algorithm="auto"`` weighs the same wire this model prices.)
     intra_link: LinkParameters = DEFAULT_INTRA_LINK
     #: Dual-rail IB EDR with GPUDirect RDMA: ~21 GB/s per node effective.
     inter_link: LinkParameters = DEFAULT_INTER_LINK
@@ -127,41 +134,27 @@ class MachineSpec:
     #: compute kernels for SMs and memory bandwidth.
     allreduce_overlap_efficiency: float = 0.15
 
-    def link_for_group(self, nranks: int, ranks_per_node: int | None = None) -> LinkParameters:
-        """Effective link for a collective over ``nranks`` consecutive ranks."""
-        if nranks <= (ranks_per_node or self.gpus_per_node):
-            return self.intra_link
-        return self.inter_link
+    def allreduce_time(self, group: int, nbytes: float) -> float:
+        """Seconds of an allreduce of ``nbytes`` over ``group`` consecutive
+        ranks: the algorithm the engine's ``algorithm="auto"`` runs on that
+        group (:func:`select_allreduce_algorithm`), priced.
 
-    def two_tier(
-        self, nnodes: int, ranks_per_node: int | None = None
-    ) -> TwoTierTopology:
-        """Two-tier (intra/inter) bandwidth-latency topology of this machine.
-
-        The object the communicator's topology-aware ``algorithm="auto"``
-        selection consumes (:func:`select_allreduce_algorithm`), built from
-        the same link constants this model prices halos and shuffles with.
+        A group that spans whole nodes is the uniform two-tier layout
+        (``gpus_per_node`` ranks on each), so the rule may pick the
+        hierarchical composition, priced with the inter-node algorithm the
+        engine compiles for it; a group inside one node runs flat on
+        NVLink, any other flat on the network.
         """
-        return TwoTierTopology(
-            nnodes=nnodes,
-            ranks_per_node=ranks_per_node or self.gpus_per_node,
-            intra=self.intra_link,
-            inter=self.inter_link,
-        )
-
-    def hierarchical_allreduce_time(
-        self,
-        nnodes: int,
-        nbytes: float,
-        ranks_per_node: int | None = None,
-        inter_algorithm=None,
-    ) -> float:
-        """AR time of the two-level schedule on ``nnodes`` nodes of this
-        machine (intra ring reduce-scatter → inter allreduce → intra
-        allgather); see :func:`hierarchical_allreduce_time`."""
-        return hierarchical_allreduce_time(
-            nbytes, self.two_tier(nnodes, ranks_per_node), inter_algorithm
-        )
+        k = self.gpus_per_node
+        topology = None
+        if group > k and group % k == 0:
+            topology = TwoTierTopology(group // k, k, self.intra_link, self.inter_link)
+        alg = select_allreduce_algorithm(group, nbytes, topology)
+        if alg == HIERARCHICAL_ALGORITHM:
+            inter = select_allreduce_algorithm(topology.nnodes, nbytes / k)
+            return hierarchical_allreduce_time(nbytes, topology, inter)
+        link = self.intra_link if group <= k else self.inter_link
+        return allreduce_time(group, nbytes, link, alg)
 
     def comm_buffer_bytes(self, total_ranks: int) -> float:
         """Scale-dependent GPU memory held by the communication runtime."""

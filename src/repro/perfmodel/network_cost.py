@@ -35,6 +35,11 @@ Pricing (:meth:`NetworkCostModel.cost`):
 * a layer's blocking collectives (batch-norm statistics, global average
   pooling, the loss) are allreduces of their declared payload over the
   group ``lower()`` chose;
+* every allreduce — bucket or blocking — is priced as the algorithm the
+  engine runs on its group and size
+  (:meth:`~repro.perfmodel.machine.MachineSpec.allreduce_time`: the
+  communicator's selection rule, the hierarchical composition for a group
+  spanning nodes included);
 * the optimizer is one memory-bound pass over the parameters this rank
   updates.
 
@@ -82,7 +87,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.comm.collective_models import allreduce_time, pt2pt_time
+from repro.comm.collective_models import pt2pt_time
 from repro.nn.graph import NetworkSpec
 from repro.perfmodel.conv_model import CalibratedConvModel
 from repro.perfmodel.layer_cost import (
@@ -143,7 +148,6 @@ class NetworkCostModel:
         machine: MachineSpec,
         conv_model=None,
         allreduce_bucket_bytes: int = DEFAULT_BUCKET_BYTES,
-        allreduce_algorithm: str | None = None,
     ) -> None:
         if allreduce_bucket_bytes is None or allreduce_bucket_bytes <= 0:
             raise ValueError(
@@ -156,13 +160,6 @@ class NetworkCostModel:
             machine.gpu, machine.dtype_bytes
         )
         self.allreduce_bucket_bytes = allreduce_bucket_bytes
-        #: Allreduce wire algorithm, matching the engine's ``algorithm=``
-        #: knob: None keeps the historical fastest-per-(p, n) pricing,
-        #: "auto" applies the *same* Thakur-style selection the
-        #: communicator runs on the wire, and a concrete name (incl.
-        #: "direct") pins one algorithm — so modeled and measured traffic
-        #: use one selection rule.
-        self.allreduce_algorithm = allreduce_algorithm
         self.shapes = spec.infer_shapes()
 
     # -- per-layer costing -------------------------------------------------------
@@ -263,10 +260,7 @@ class NetworkCostModel:
                         bd.comm_ops[s.op_id] = one
                         bd.shuffle_total += one
 
-        def allreduce(group: int, nbytes: float) -> float:
-            link = self.machine.link_for_group(group)
-            return allreduce_time(group, nbytes, link, self.allreduce_algorithm)
-
+        allreduce = self.machine.allreduce_time
         for c in sched.collectives:
             bd.comm_ops[c.op_id] = allreduce(c.group, c.elems * db)
         bd.buckets = sched.grad_buckets(self.allreduce_bucket_bytes, db)

@@ -392,11 +392,11 @@ class TestBitwiseResume:
             killed,
             ck,
             backend="process",
-            # Scheduled allreduces send 3 "#alg" messages per rank per step
-            # (packed BN statistics forward, packed BN sums backward, the
-            # gradient bucket); send 7 is mid-step-3, after the step-2
-            # checkpoint cadence was written.
-            faults="crash@rank1:tag=#alg:after=7",
+            # Scheduled allreduces send 4 "#alg" messages per rank per step
+            # (packed BN statistics forward, the loss, packed BN sums
+            # backward, the gradient bucket); send 9 is mid-step-3, after
+            # the step-2 checkpoint cadence was written.
+            faults="crash@rank1:tag=#alg:after=9",
             allow_failures=True,
             detect_interval=0.2,
             timeout=30.0,

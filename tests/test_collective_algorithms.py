@@ -32,14 +32,17 @@ from repro.comm.algorithms import (
     compile_hierarchical_allreduce,
 )
 from repro.comm.collective_models import (
-    AllreduceAlgorithm,
+    HIERARCHICAL_ALGORITHM,
+    LinkParameters,
+    allreduce_time,
     allreduce_wire_bytes,
-    resolve_allreduce_algorithm,
+    select_allreduce_algorithm,
 )
 from repro.core import DistNetwork, DistTrainer, LayerParallelism, ParallelStrategy
 from repro.nn import NetworkSpec, SGD
 
 OPS = ("sum", "prod", "max", "min")
+LINK_FOR_NAMES = LinkParameters(alpha=1e-6, beta=1e-9)
 SHAPES = ((17,), (3, 5), (2, 3, 4), (1,), (5, 1, 2))  # uneven, incl. n < p
 
 
@@ -150,16 +153,22 @@ class TestCompilation:
         with pytest.raises(ValueError, match="unknown schedule algorithm"):
             compile_allreduce(4, "nope")
 
-    def test_resolver(self):
-        assert resolve_allreduce_algorithm(None, 4, 10) == "recursive_doubling"
-        assert resolve_allreduce_algorithm("auto", 4, 1 << 20) == "rabenseifner"
-        assert resolve_allreduce_algorithm("auto", 6, 1 << 20) == "ring"
-        assert resolve_allreduce_algorithm("direct", 4, 10) == "direct"
-        assert (
-            resolve_allreduce_algorithm(AllreduceAlgorithm.RING, 4, 10) == "ring"
-        )
+    def test_selection_names_a_schedule(self):
+        """The rule answers with a plain name ``compile_allreduce`` takes
+        (or ``"hierarchical"``), and the models refuse unknown names."""
+        for p in range(2, 9):
+            for nbytes in (10, 1 << 20):
+                alg = select_allreduce_algorithm(p, nbytes)
+                assert type(alg) is str and alg in REDUCTION_ALGORITHMS
+                compile_allreduce(p, alg)
+        assert select_allreduce_algorithm(4, 10) == "recursive_doubling"
+        assert select_allreduce_algorithm(4, 1 << 20) == "rabenseifner"
+        assert select_allreduce_algorithm(6, 1 << 20) == "ring"
+        assert HIERARCHICAL_ALGORITHM not in REDUCTION_ALGORITHMS
         with pytest.raises(ValueError):
-            resolve_allreduce_algorithm("nope", 4, 10)
+            allreduce_wire_bytes(4, 10, "nope")
+        with pytest.raises(ValueError):
+            allreduce_time(4, 10, LINK_FOR_NAMES, "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +248,10 @@ class TestAllreduceParity:
                 "none": comm.allgather(None),
                 "dict": comm.allgather({"rank": r, "w": np.full(r, 1.0)}),
                 "shards": comm.allgather(np.arange(float(r))),  # rank 0: empty
-                "alltoall": comm.alltoall([(r, j) if j else None for j in range(comm.size)]),
+                "gapped": comm.allgather((r, 1) if r else None),
                 "bcast": comm.bcast({"k": None} if r == 1 else None, root=1),
                 "strings": comm.allgather("s" * r),
-                "ints": comm.alltoall([r * 10 + j for j in range(comm.size)]),
+                "ints": comm.allgather(r * 10),
             }
 
         p = 3
@@ -257,10 +266,10 @@ class TestAllreduceParity:
             assert [d["w"].size for d in out["dict"]] == list(range(p))
             for j, shard in enumerate(out["shards"]):
                 np.testing.assert_array_equal(shard, np.arange(float(j)))
-            assert out["alltoall"] == [(i, r) if r else None for i in range(p)]
+            assert out["gapped"] == [None] + [(i, 1) for i in range(1, p)]
             assert out["bcast"] == {"k": None}
             assert out["strings"] == ["", "s", "ss"]
-            assert out["ints"] == [i * 10 + r for i in range(p)]
+            assert out["ints"] == [i * 10 for i in range(p)]
 
     def test_blocking_direct_send_buffer_reusable_on_return(self, backend):
         """A blocking collective's contribution is the caller's again on
@@ -268,7 +277,7 @@ class TestAllreduceParity:
         fold it, and this rank's own slot is a copy too."""
 
         def prog(comm):
-            r, p = comm.rank, comm.size
+            r = comm.rank
             x = np.full(4, r + 1.0)
             out = []
             for _ in range(3):
@@ -276,20 +285,18 @@ class TestAllreduceParity:
                     comm.allreduce(x, algorithm="direct"),
                     comm.allgather(x),
                     comm.bcast(x, root=0),
-                    comm.alltoall([x] * p),
                 ))
                 x += 10.0
             return out
 
         slow = "delay@rank1:point=recv:seconds=0.02:tag=#coll:recurring"
         for r, out in enumerate(run_spmd(3, prog, backend=backend, faults=slow)):
-            for k, (allred, ag, bc, a2a) in enumerate(out):
+            for k, (allred, ag, bc) in enumerate(out):
                 np.testing.assert_array_equal(allred, np.full(4, 6.0 + 30 * k))
                 np.testing.assert_array_equal(bc, np.full(4, 1.0 + 10 * k))
                 for j in range(3):
                     want = np.full(4, j + 1.0 + 10 * k)
                     np.testing.assert_array_equal(ag[j], want)
-                    np.testing.assert_array_equal(a2a[j], want)
 
     def test_integer_payloads_exact(self):
         def prog(comm):
@@ -320,7 +327,8 @@ class TestReduceScatter:
             parts = [rng.standard_normal(size) for size in sizes]
             # The direct reference: everyone's piece r + 1 at rank r, folded
             # in ascending comm rank.
-            pieces = comm.alltoall([parts[(j + 1) % p] for j in range(p)])
+            mine = (comm.rank + 1) % p
+            pieces = [theirs[mine] for theirs in comm.allgather(parts)]
             ref = pieces[0]
             for x in pieces[1:]:
                 ref = ref + x
@@ -687,7 +695,7 @@ class TestWireAccounting:
             return set(comm.stats.collective_wire_sent)
 
         for ops in run_spmd(4, prog):
-            assert ops <= {"shuffle"}  # never under the generic "alltoall"
+            assert ops <= {"shuffle"}  # its own row, never a collective's
 
 
 class TestTransportCounters:

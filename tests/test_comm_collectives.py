@@ -114,25 +114,6 @@ class TestReductions:
             run_spmd(2, prog, timeout=10)
 
 
-class TestAlltoall:
-    @pytest.mark.parametrize("nranks", [2, 3, 4])
-    def test_alltoall_matrix_transpose(self, nranks):
-        def prog(comm):
-            sends = [(comm.rank, j) for j in range(comm.size)]
-            return comm.alltoall(sends)
-
-        results = run_spmd(nranks, prog)
-        for j, got in enumerate(results):
-            assert got == [(i, j) for i in range(nranks)]
-
-    def test_alltoall_wrong_length(self):
-        def prog(comm):
-            comm.alltoall([1])
-
-        with pytest.raises(ValueError, match="exactly 2"):
-            run_spmd(2, prog, timeout=10)
-
-
 class TestSplit:
     def test_split_even_odd(self):
         def prog(comm):

@@ -660,6 +660,36 @@ class TestStepLiveness:
 
         assert run_spmd(1, prog) == [(None, [])]
 
+    @pytest.mark.parametrize("net_name", ["resnet_tiny", "mesh_tiny"])
+    def test_evaluation_builds_no_seed(self, net_name, monkeypatch):
+        """An evaluation forward computes the loss but not the logits' error
+        signal, which no backward would read; a training forward does."""
+        from repro.nn import functional as F
+
+        built = []
+        for name in ("softmax_cross_entropy", "sigmoid_bce_with_logits"):
+            def spy(*args, _real=getattr(F, name), **kwargs):
+                loss, grad = _real(*args, **kwargs)
+                built.append(grad is not None)
+                return loss, grad
+
+            monkeypatch.setattr(F, name, spy)
+        spec = LIVENESS_NETS[net_name]()
+        x, t = make_batch(spec, n=2, seed=5)
+        par = LayerParallelism(sample=2) if net_name == "resnet_tiny" else LayerParallelism(height=2)
+
+        def prog(comm, evaluate):
+            net = DistNetwork(spec, comm, par, seed=0)
+            if evaluate:
+                return DistTrainer(net).evaluate(x, t)
+            return net.forward(x, targets=t)
+
+        for evaluate in (True, False):
+            built.clear()
+            losses = run_spmd(2, functools.partial(prog, evaluate=evaluate), backend="thread")
+            assert losses[0] == losses[1] and np.isfinite(losses[0])
+            assert built == [not evaluate] * 2
+
     @pytest.mark.parametrize("net_name,nranks,par", LIVENESS_CASES)
     def test_gathering_a_released_activation_names_the_outputs(self, net_name, nranks, par):
         def body(net, spec, x, t):

@@ -242,11 +242,11 @@ class TestElasticTraining:
         ckdir = str(tmp_path / "kill")
         report = ElasticRunner(
             2, backend=backend, backoff=0.0, sleep=lambda s: None,
-            # 3 "#alg" sends per rank per step (packed BN statistics
-            # forward, packed BN sums backward, the gradient bucket): send
-            # 7 is mid-step-3, after the step-2 checkpoint cadence hit the
-            # disk.
-            faults=["crash@rank1:tag=#alg:after=7"],
+            # 4 "#alg" sends per rank per step (packed BN statistics
+            # forward, the loss, packed BN sums backward, the gradient
+            # bucket): send 9 is mid-step-3, after the step-2 checkpoint
+            # cadence hit the disk.
+            faults=["crash@rank1:tag=#alg:after=9"],
             checkpoint_dir=ckdir,
             detect_interval=0.2, timeout=30.0,
         ).run(etrain, ckdir)
@@ -269,7 +269,7 @@ class TestElasticTraining:
             3, backend="process", backoff=0.0, sleep=lambda s: None,
             min_ranks=2, blacklist_after=2, max_restarts=5,
             faults=[
-                "crash@rank2:tag=#alg:after=7",
+                "crash@rank2:tag=#alg:after=9",
                 "crash@rank2:tag=#alg:after=0",
             ],
             checkpoint_dir=ckdir,
@@ -285,7 +285,7 @@ class TestElasticTraining:
         ckdir = str(tmp_path / "kill")
         report = ElasticRunner(
             2, backoff=0.0, sleep=lambda s: None,
-            faults=["crash@rank1:tag=#alg:after=7"],
+            faults=["crash@rank1:tag=#alg:after=9"],
             checkpoint_dir=ckdir, timeout=20.0,
         ).run(etrain, ckdir)
         assert report.ok, report.describe()

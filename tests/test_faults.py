@@ -84,7 +84,7 @@ class TestFaultKinds:
             return (
                 comm.allreduce(x, algorithm="direct"),
                 comm.iallreduce(x, op="prod", algorithm="direct").wait(),
-                comm.alltoall([x[j::3] for j in range(comm.size)]),
+                comm.allgather(x[comm.rank :: 3]),
                 comm.allreduce(0.1 * (comm.rank + 1)),
             )
 

@@ -22,17 +22,19 @@ import numpy as np
 import pytest
 
 from repro.comm import run_spmd
-from repro.comm.algorithms import Step, compile_hierarchical_allreduce
+from repro.comm.algorithms import (
+    REDUCTION_ALGORITHMS,
+    Step,
+    compile_hierarchical_allreduce,
+)
 from repro.comm.collective_models import (
     HIERARCHICAL_ALGORITHM,
-    AllreduceAlgorithm,
     LinkParameters,
     TwoTierTopology,
     allreduce_time,
     allreduce_wire_bytes,
     hierarchical_allreduce_time,
     select_allreduce_algorithm,
-    select_inter_algorithm,
 )
 from repro.perfmodel.machine import LASSEN
 
@@ -65,7 +67,7 @@ class TestTwoTierModel:
         # 64 B at p=4: one flat recursive-doubling round trip beats the
         # three-phase composition's extra latency terms.
         got = select_allreduce_algorithm(4, 64, TwoTierTopology(2, 2))
-        assert got == AllreduceAlgorithm.RECURSIVE_DOUBLING
+        assert got == "recursive_doubling"
 
     @pytest.mark.parametrize(
         "topo",
@@ -80,12 +82,17 @@ class TestTwoTierModel:
             assert select_allreduce_algorithm(4, nbytes, topo) == (
                 select_allreduce_algorithm(4, nbytes)
             )
-            # The degenerate time model equals the flat model on the
-            # active link (intra for one node, inter for one rank/node).
-            link = topo.intra if topo.nnodes == 1 else topo.inter
-            assert hierarchical_allreduce_time(nbytes, topo) == pytest.approx(
-                allreduce_time(4, nbytes, link)
-            )
+            # The degenerate time model is a flat one on the active link:
+            # one node's ring, or one rank/node's inter-node algorithm.
+            for alg in REDUCTION_ALGORITHMS:
+                flat = (
+                    allreduce_time(4, nbytes, topo.intra, "ring")
+                    if topo.nnodes == 1
+                    else allreduce_time(4, nbytes, topo.inter, alg)
+                )
+                assert hierarchical_allreduce_time(nbytes, topo, alg) == (
+                    pytest.approx(flat)
+                )
 
     def test_size_mismatch_falls_back_to_flat(self):
         # A communicator smaller than the topology (split groups) must not
@@ -104,28 +111,31 @@ class TestTwoTierModel:
             topo.intra.beta + topo.intra.gamma
         )
         ag = (k - 1) * topo.intra.alpha + frac * n * topo.intra.beta
-        mid = allreduce_time(m, n / k, topo.inter)
-        assert hierarchical_allreduce_time(n, topo) == pytest.approx(
-            rs + mid + ag
-        )
+        for alg in REDUCTION_ALGORITHMS:
+            mid = allreduce_time(m, n / k, topo.inter, alg)
+            assert hierarchical_allreduce_time(n, topo, alg) == pytest.approx(
+                rs + mid + ag
+            )
 
     def test_machine_spec_exposes_the_same_model(self):
-        topo = LASSEN.two_tier(nnodes=8)
-        assert topo.ranks_per_node == LASSEN.gpus_per_node
-        assert topo.intra == LASSEN.intra_link
+        # 32 ranks on Lassen's 4-GPU nodes: the two-tier layout of 8 nodes,
+        # priced with the machine's own links.
+        topo = TwoTierTopology(8, LASSEN.gpus_per_node, LASSEN.intra_link, LASSEN.inter_link)
         n = 4 << 20
-        assert LASSEN.hierarchical_allreduce_time(8, n) == pytest.approx(
-            hierarchical_allreduce_time(n, topo)
+        assert select_allreduce_algorithm(32, n, topo) == HIERARCHICAL_ALGORITHM
+        inter = select_allreduce_algorithm(8, n / LASSEN.gpus_per_node)
+        assert LASSEN.allreduce_time(32, n) == hierarchical_allreduce_time(n, topo, inter)
+        # Inside one node, and on a group that covers no whole nodes: flat.
+        assert LASSEN.allreduce_time(4, n) == allreduce_time(
+            4, n, LASSEN.intra_link, "rabenseifner"
+        )
+        assert LASSEN.allreduce_time(6, n) == allreduce_time(
+            6, n, LASSEN.inter_link, "ring"
         )
 
     def test_inter_algorithm_selection_is_flat_thakur(self):
-        assert (
-            select_inter_algorithm(2, 64)
-            == AllreduceAlgorithm.RECURSIVE_DOUBLING
-        )
-        assert select_inter_algorithm(2, 1 << 20) in (
-            AllreduceAlgorithm.RABENSEIFNER, AllreduceAlgorithm.RING,
-        )
+        assert select_allreduce_algorithm(2, 64) == "recursive_doubling"
+        assert select_allreduce_algorithm(2, 1 << 20) in ("rabenseifner", "ring")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +197,7 @@ class TestHierarchicalSchedules:
             return runner.wire_sent
 
         nbytes = n * 8
-        expect = allreduce_wire_bytes(p, nbytes, AllreduceAlgorithm.RING)
+        expect = allreduce_wire_bytes(p, nbytes, "ring")
         assert run_spmd(p, prog) == [int(expect)] * p
 
     def test_validation(self):
@@ -233,14 +243,14 @@ class TestModeledEqualsMeasured:
     def test_hierarchical_inter_bytes_match_the_model_exactly(self):
         nbytes = self.N * 4
         # Every rank leads the m-node exchange of its own n/k segment.
-        inter_alg = select_inter_algorithm(2, nbytes / 2)
+        inter_alg = select_allreduce_algorithm(2, nbytes / 2)
         model = allreduce_wire_bytes(2, nbytes / 2, inter_alg)
         for inter_sent, total_sent in _measured_inter(
             "thread", "hierarchical", self.N
         ):
             assert inter_sent == int(model)
             assert total_sent == int(
-                allreduce_wire_bytes(4, nbytes, AllreduceAlgorithm.RING)
+                allreduce_wire_bytes(4, nbytes, "ring")
             )
 
     def test_hierarchical_beats_flat_ring_on_the_inter_wire(self):
@@ -269,7 +279,7 @@ class TestModeledEqualsMeasured:
             assert tcp == inter
             assert tcp == int(
                 allreduce_wire_bytes(
-                    2, self.N * 2, select_inter_algorithm(2, self.N * 2)
+                    2, self.N * 2, select_allreduce_algorithm(2, self.N * 2)
                 )
             )
 
@@ -339,7 +349,7 @@ class TestCommunicatorHierarchy:
         nbytes = 4096 * 4
         expect = int(
             allreduce_wire_bytes(
-                2, nbytes / 2, select_inter_algorithm(2, nbytes / 2)
+                2, nbytes / 2, select_allreduce_algorithm(2, nbytes / 2)
             )
         )
         assert run_spmd(4, prog, hostmap=HOSTMAP_2X2) == [expect] * 4

@@ -229,15 +229,15 @@ class TestFixedCostPerMessage:
         algorithm override."""
 
         def prog(comm):
-            from repro.comm import algorithms, collective_models, communicator
+            from repro.comm import algorithms, communicator
 
             counts = {}
             communicator.os = Counting(
                 communicator.os, counts, "getenv"
             )
             communicator.os.environ = Counting(os.environ, counts, "get")
-            collective_models.select_allreduce_algorithm = Counting(
-                collective_models, counts, "select_allreduce_algorithm"
+            communicator.select_allreduce_algorithm = Counting(
+                communicator, counts, "select_allreduce_algorithm"
             ).select_allreduce_algorithm
             algorithms.compile_allreduce = Counting(
                 algorithms, counts, "compile_allreduce"
@@ -292,8 +292,7 @@ class TestBitwiseParity:
                 comm.bcast(v if comm.rank == 0 else None),
                 comm.allgather(float(v[0])),
                 comm.allgather(v),
-                comm.alltoall([v[: j + 1] for j in range(comm.size)]),
-                comm.alltoall([v * j for j in range(comm.size)]),
+                comm.allgather(v[: comm.rank + 1]),
             )
 
         thread = run_spmd(4, prog, backend="thread")
@@ -307,43 +306,20 @@ class TestBitwiseParity:
                     np.testing.assert_array_equal(t, p)
 
     def test_rooted_collectives_route_narrowly(self):
-        """On the process backend an alltoall whose only array pieces are
-        bound for the root flows everyone->root, and the star bcast
-        root->everyone — non-participating pairs ship no arena bytes (the
-        thread backend's shared slots make routing moot there)."""
+        """On the process backend the star bcast flows root->everyone:
+        non-participating pairs ship no arena bytes (the thread backend's
+        shared slots make routing moot there)."""
         big = np.arange(8192, dtype=np.float64)  # well above the shm floor
 
         def prog(comm):
-            comm.alltoall([big * comm.rank if j == 0 else None for j in range(comm.size)])
-            after_gather = comm._world.transport["shm_messages"]
+            before = comm._world.transport["shm_messages"]
             comm.bcast(big if comm.rank == 0 else None, root=0)
-            after_bcast = comm._world.transport["shm_messages"]
+            after = comm._world.transport["shm_messages"]
             comm.barrier()
-            return after_gather, after_bcast - after_gather
+            return after - before
 
-        results = run_spmd(4, prog, backend="process")
-        # gather-shaped alltoall: the root's own piece never leaves, every
-        # non-root ships exactly one arena copy.
-        assert [g for g, _ in results] == [0, 1, 1, 1]
         # bcast: root ships size-1 copies, non-roots ship nothing.
-        assert [b for _, b in results] == [3, 0, 0, 0]
-
-    def test_alltoall_ships_per_destination_pieces(self):
-        """alltoall routes only piece j to rank j (MPI volume), not the
-        full payload list to every peer."""
-        def prog(comm):
-            big = [np.full(8192, float(j)) for j in range(comm.size)]
-            got = comm.alltoall(big)
-            again = comm.alltoall(big)
-            for i in range(comm.size):
-                assert got[i][0] == float(comm.rank)
-                np.testing.assert_array_equal(got[i], again[i])
-            comm.barrier()
-            return comm._world.transport["shm_messages"]
-
-        # 3 peers x 2 collectives = 6 single-piece messages per rank; the
-        # naive allgather form would ship 6 four-piece lists instead.
-        assert run_spmd(4, prog, backend="process") == [6] * 4
+        assert run_spmd(4, prog, backend="process") == [3, 0, 0, 0]
 
     def test_training_trajectory_bitwise_equal_across_backends(self):
         """Full engine parity on 4 ranks: overlapped halos, shuffles, and

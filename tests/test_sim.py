@@ -282,7 +282,7 @@ class TestTrainingSimulator:
             (mesh_model_1k, LP(sample=4), 4, {}),
             (mesh_model_1k, LP(sample=4, height=2, width=2), 4,
              {"allreduce_bucket_bytes": 1}),
-            (build_resnet50, LP(sample=4, width=2), 128, {"allreduce_algorithm": "ring"}),
+            (build_resnet50, LP(sample=4, width=2), 128, {"allreduce_bucket_bytes": 1 << 20}),
         ],
     )
     def test_minibatch_time_is_the_simulated_makespan(self, spec_fn, par, n, kwargs):

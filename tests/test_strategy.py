@@ -384,7 +384,7 @@ def test_resnet50_strong_scaled_pick(resnet50_16_8):
     """The example's pick: its modeled time, and how many conv layers run
     under each distribution."""
     report = resnet50_16_8.optimize()
-    assert report.predicted_time * 1e3 == pytest.approx(62.33, abs=5e-3)
+    assert report.predicted_time * 1e3 == pytest.approx(60.47, abs=5e-3)
     counts: dict[LP, int] = {}
     for layer in resnet50_16_8.spec.conv_layers():
         par = report.strategy.for_layer(layer.name)
