@@ -1,13 +1,11 @@
-"""Reusable assembly buffers for the halo exchange.
+"""A free list of ndarrays, kept only as a benchmark pin.
 
-A region exchange assembles into an extended array per call (local shard +
-halo cells); on the training hot path that would be two large allocations
-per convolution per step.  A :class:`BufferPool` — one per windowed layer —
-recycles those buffers across steps.
-
-Only *assembly* buffers go through a pool: they never cross the
-communication boundary (the transport copies whatever is sent), so one is
-safe to recycle as soon as its caller is done reading it.
+No engine code takes from a :class:`BufferPool` any more: every halo
+gather stages into fresh buffers, a convolution only the small source
+boxes of its boundary pieces (:mod:`repro.core.dist_conv`) and pooling its
+small region, so nothing is held between steps.  The class stays because
+the end-to-end benchmark's span tracer wraps :meth:`BufferPool.take` (its
+``tensor.pool_hit_ratio``), and that wrapper must find it.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ class BufferPool:
     """A small free-list of ndarrays keyed by (shape, dtype).
 
     ``take`` returns a matching buffer with *unspecified contents* (the
-    caller must fill it); ``give`` returns a buffer for reuse.  Thread-safe;
-    one pool per layer/rank is typical, but sharing is harmless.
+    caller must fill it); ``give`` returns a buffer for reuse.  Thread-safe.
     """
 
     def __init__(self) -> None:

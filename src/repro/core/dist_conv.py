@@ -18,15 +18,20 @@ in :mod:`repro.core.window`; this module supplies the convolution kernels:
   skipped when the layer is handed no Eq. 3 window (its parent needs no
   error signal).
 
-**Regions in place.**  A window that exchanges nothing (every convolution
-at p = 1 or under sample parallelism, and the 1x1 convolutions at any p)
-reads its region straight out of the shard: the kernels take the region's
-virtual padding as their left offset and the block as their output extent
-(:func:`_in_place`), so no padded copy of the activation or the error
-signal is ever made, and what forward saves for Eq. 2 is a view of its
-input, not a copy.  Only a window that exchanges assembles
-its region — halo and virtual padding — into a buffer of the layer's pool,
-and runs the kernels on it with ``pad=0``.
+**Windows in place.**  Every convolution window reads its shard in place:
+the kernels take a window's virtual padding as their left offset and the
+block (or piece) as their output extent (:func:`_in_place`), so no padded
+copy of the activation or the error signal is ever made.  A window that
+exchanges nothing (every convolution at p = 1 or under sample
+parallelism, and the 1x1 convolutions at any p) is one piece over the
+shard.  A window that exchanges is its interior piece, read in place the
+same way, and its boundary pieces, each reading a small staging buffer of
+its own source box that the gather fills with the halo cells and the few
+owned rows the box needs
+(:attr:`~repro.core.window.WindowGeometry.boundary_boxes`); nothing
+assembles the whole region.  What forward saves for Eq. 2 is what its
+pieces read — a view of the input and the boundary staging buffers — and
+Eq. 2 sums the pieces' partial ``dw``.
 
 **Overlapped halo exchange (§IV-A).**  The layer decides neither its
 window nor whether it exchanges: the network
@@ -39,7 +44,7 @@ while the strips travel, ``finish()`` the exchange, run the boundary
 kernels; in backward the network posts the error-signal exchange before
 the filter convolution (Eq. 2 needs no halo), so it hides there too.  The
 kernel sequence does not depend on when the strips arrive — each lands in
-its fixed slot of the assembled region — so the result is bitwise the
+its fixed slots of the staging buffers — so the result is bitwise the
 same under any message delay.
 
 Because communication is expressed through the one region algebra, the
@@ -53,7 +58,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.buffers import BufferPool
 from repro.nn import functional as F
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
@@ -73,18 +77,21 @@ def _check_handed(g: WindowGeometry, ex: RegionExchange | None) -> None:
         )
 
 
-def _in_place(source: DistTensor, g: WindowGeometry) -> tuple[np.ndarray, tuple[int, int]]:
-    """``(view, (top, left))`` of a window that exchanges nothing: a
-    read-only view of the shard over ``g``'s region clipped to the tensor,
-    and the virtual padding the region has before it — the left offset the
-    convolution kernels read the view at."""
-    clipped = []
-    for b, h, n in zip(g.lo, g.hi, source.global_shape):
-        lo = min(max(b, 0), n)
-        clipped.append((lo, max(lo, min(h, n))))
-    view = source._local_slice_of(clipped)  # raises unless this rank owns it
+def _in_place(source: DistTensor, box) -> tuple[np.ndarray, tuple[int, int]]:
+    """``(view, (top, left))`` of a source ``box`` whose windows need only
+    this rank's shard: a read-only view of the shard over ``box`` clipped
+    to it, and the rows and columns clipped before it — the left offset the
+    convolution kernels read the view at, as zeros.  What is clipped is
+    virtual padding, or (Eq. 3 at stride > 1) a first row of the window's
+    span that no kernel tap reaches."""
+    index, first = [], []
+    for (b, h), (m_lo, m_hi) in zip(box, source.bounds):
+        lo = min(max(b, m_lo), m_hi)
+        index.append(slice(lo - m_lo, max(lo, min(h, m_hi)) - m_lo))
+        first.append(lo - b)
+    view = source.local[tuple(index)]
     view.flags.writeable = False
-    return view, (clipped[2][0] - g.lo[2], clipped[3][0] - g.lo[3])
+    return view, (first[2], first[3])
 
 
 def run_block(
@@ -92,44 +99,62 @@ def run_block(
     source: DistTensor,
     g: WindowGeometry,
     ex: RegionExchange | None,
-    pool,
     dtypes: tuple,
     fill: float = 0.0,
-) -> tuple[tuple, np.ndarray]:
-    """Evaluate a windowed kernel over this rank's block from its assembled
-    region.
+    in_place: bool = False,
+) -> tuple[tuple, tuple]:
+    """Evaluate a windowed kernel over this rank's block, piece by piece.
 
-    ``piece(ext, g, rows, cols)`` returns the tuple of output arrays for
-    block rows/cols from the assembled region ``ext``.  ``ex`` is the
-    in-flight gather of ``g``'s region, started by the network exactly when
+    ``piece(src, virtual, g, rows, cols)`` returns the tuple of output
+    arrays for block rows/cols from ``src``, their windows' source box
+    (:meth:`~repro.core.window.WindowGeometry.source_box`) with its first
+    ``virtual`` rows and columns of padding clipped off.  ``ex`` is the
+    in-flight gather of ``g``'s window, started by the network exactly when
     some rank's window reads off-shard (``g.exchanged``); a window that
-    exchanges but is handed none raises.  The block is assembled (one array
-    per entry of ``dtypes``) from the interior pieces, computed while the
-    halo strips travel, and the boundary pieces, computed after
-    ``ex.finish()``.  When nothing is exchanged — only pooling runs such a
-    window through here; convolution reads it in place (:func:`_in_place`)
-    — the kernel is one fused call on the region
-    :func:`~repro.tensor.halo.local_region` stages.  Returns ``(outputs,
-    assembled region)``.
+    exchanges but is handed none raises.  The interior pieces run while the
+    halo strips travel, the boundary pieces after ``ex.finish()``; a window
+    that exchanges nothing is one interior piece over the block.  The
+    block is assembled (one array per entry of ``dtypes``) from the pieces'
+    outputs, or is the one piece's.
+
+    Where a piece reads: ``in_place`` (convolution), an interior piece
+    reads the shard (:func:`_in_place`) and a boundary piece the buffer the
+    gather staged of its source box (``g.boundary_boxes``, in order).
+    Otherwise (pooling) every piece reads its slice of the whole region,
+    staged with ``fill`` — the gather's one buffer, or
+    :func:`~repro.tensor.halo.local_region` when nothing is exchanged.
+
+    Returns ``(outputs, reads)``: one ``(block index, src, virtual)`` per
+    piece, in the order they ran.
     """
     _check_handed(g, ex)
-    if ex is None:
-        ext = local_region(source, g.lo, g.hi, fill=fill, pool=pool)
-        return piece(ext, g, g.bounds[2], g.bounds[3]), ext
-    ext = ex.out
-    blocks = tuple(np.empty(g.block_shape, dtype=dt) for dt in dtypes)
-
-    def run(want_interior: bool) -> None:
-        for rows, cols, interior in g.pieces:
-            if interior == want_interior:
-                index = g.block_index(rows, cols)
-                for block, out in zip(blocks, piece(ext, g, rows, cols)):
-                    block[index] = out
-
-    run(True)
-    ex.finish()
-    run(False)
-    return blocks, ext
+    if not in_place:
+        ext = local_region(source, g.lo, g.hi, fill=fill) if ex is None else ex.buffers[0]
+    staged = iter(() if ex is None else ex.buffers)
+    whole = len(g.tiles) == 1
+    out = None if whole else tuple(np.empty(g.block_shape, dtype=dt) for dt in dtypes)
+    reads = []
+    finished = ex is None
+    for rows, cols, inside, index, box in g.tiles:  # interior pieces first
+        if not (inside or finished):
+            ex.finish()
+            finished = True
+        if not in_place:
+            src, virtual = ext[g.source_index(rows, cols)], (0, 0)
+        elif inside:
+            src, virtual = _in_place(source, box)
+        else:
+            src, virtual = next(staged), (0, 0)
+        reads.append((index, src, virtual))
+        got = piece(src, virtual, g, rows, cols)
+        if whole:
+            out = got
+        else:
+            for block, part in zip(out, got):
+                block[index] = part
+    if not finished:
+        ex.finish()
+    return out, tuple(reads)
 
 
 class DistConv2d:
@@ -137,14 +162,16 @@ class DistConv2d:
 
     Weights (and bias) are replicated on every rank of ``grid``; the
     activation tensors are distributed along (N, H, W) per the grid shape.
-    Each direction runs over the window geometry and in-flight exchange the
-    network hands it: in place when the window exchanges nothing
-    (:func:`_in_place`), else the interior / boundary sequence of
-    :func:`run_block` over the assembled region.
+    Each direction runs the pieces of :func:`run_block` over the window
+    geometry and in-flight exchange the network hands it, reading the shard
+    in place and the staged boundary boxes.
     """
 
-    #: Virtual padding of both gathered regions (input, error signal).
+    #: Virtual padding of both gathered windows (input, error signal).
     fill = 0.0
+    #: Reads a window's interior in place: the network stages only the
+    #: boundary pieces' source boxes.
+    in_place = True
 
     def __init__(
         self,
@@ -162,9 +189,6 @@ class DistConv2d:
         self.stride = F._pair(stride)
         self.pad = F._pair(pad)
         self.kernel = (weights.shape[2], weights.shape[3])
-        #: Recycles the assembled input / error-signal regions of exchanged
-        #: windows across steps (the network starts those exchanges into it).
-        self.buffers = BufferPool()
 
     # -- geometry ------------------------------------------------------------------
     def output_global_shape(self, x_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -174,27 +198,25 @@ class DistConv2d:
         )
         return (n, self.w.shape[0], oh, ow)
 
-    # -- kernels over one sub-rectangle of the block ---------------------------------
-    def _fwd_piece(self, x_ext, g: WindowGeometry, rows, cols) -> tuple:
-        """Convolve output rows/cols from their slice of ``x_ext``."""
+    # -- kernels over one piece of the block ------------------------------------------
+    def _fwd_piece(self, x, virtual, g: WindowGeometry, rows, cols) -> tuple:
+        """Convolve output rows/cols from their windows' source box ``x``."""
         return (
             F.conv2d_forward(
-                x_ext[g.source_index(rows, cols)],
-                self.w,
-                stride=self.stride,
-                pad=0,
-                bias=self.bias,
+                x, self.w, stride=self.stride, pad=virtual, bias=self.bias,
+                y_spatial=(rows[1] - rows[0], cols[1] - cols[0]),
             ),
         )
 
-    def _bwd_piece(self, dy_ext, g: WindowGeometry, rows, cols) -> tuple:
-        """Transposed-convolve input rows/cols from their slice of ``dy_ext``."""
+    def _bwd_piece(self, dy, virtual, g: WindowGeometry, rows, cols) -> tuple:
+        """Transposed-convolve input rows/cols from their windows' source
+        box ``dy``, at the offset aligning its clipped start with them."""
+        pad = tuple(
+            p - s * v for p, s, v in zip(g.transposed_pad(rows, cols), self.stride, virtual)
+        )
         return (
             F.conv2d_backward_data(
-                dy_ext[g.source_index(rows, cols)],
-                self.w,
-                stride=self.stride,
-                pad=g.transposed_pad(rows, cols),
+                dy, self.w, stride=self.stride, pad=pad,
                 x_spatial=(rows[1] - rows[0], cols[1] - cols[0]),
             ),
         )
@@ -202,34 +224,25 @@ class DistConv2d:
     # -- forward ---------------------------------------------------------------------
     def forward(
         self, x: DistTensor, g: WindowGeometry, ex: RegionExchange | None
-    ) -> tuple[DistTensor, tuple[np.ndarray, tuple[int, int]]]:
+    ) -> tuple[DistTensor, tuple]:
         """Convolve this rank's output block: ``g`` is the forward window's
-        geometry on this rank, ``ex`` the gather of its input region the
+        geometry on this rank, ``ex`` the gather of its boundary boxes the
         network started (``None`` when no window reads off-shard).
 
-        Returns ``(output, saved)``: ``saved`` is the input region and the
-        left offset Eq. 2 reads it at — a view of the activation, or an
-        assembled region of the pool."""
-        if g.exchanged:
-            (y_local,), x_src = run_block(
-                self._fwd_piece, x, g, ex, self.buffers,
-                (np.result_type(x.dtype, self.w.dtype),),
-            )
-            pad = (0, 0)
-        else:
-            _check_handed(g, ex)
-            x_src, pad = _in_place(x, g)
-            y_local = F.conv2d_forward(
-                x_src, self.w, stride=self.stride, pad=pad, bias=self.bias,
-                y_spatial=g.block_shape[2:],
-            )
-        return DistTensor(self.grid, g.dist, g.shape, y_local), (x_src, pad)
+        Returns ``(output, saved)``: ``saved`` is what the pieces read, one
+        ``(block index, source, left offset)`` each — views of the input
+        and the boundary staging buffers — for Eq. 2."""
+        (y_local,), reads = run_block(
+            self._fwd_piece, x, g, ex,
+            (np.result_type(x.dtype, self.w.dtype),), in_place=True,
+        )
+        return DistTensor(self.grid, g.dist, g.shape, y_local), reads
 
     # -- backward --------------------------------------------------------------------
     def backward(
         self,
         dy: DistTensor,
-        saved: tuple[np.ndarray, tuple[int, int]],
+        saved: tuple,
         g: WindowGeometry | None = None,
         ex: RegionExchange | None = None,
     ) -> tuple[DistTensor | None, np.ndarray, np.ndarray | None]:
@@ -246,34 +259,27 @@ class DistConv2d:
         data convolution.  Without a ``g`` — the parent needs no error
         signal — this runs Eq. 2 alone and ``dx`` is ``None``.
         """
-        # Eq. 2: local filter gradients from forward's input region.
-        x_src, pad = saved
-        dw = F.conv2d_backward_filter(
-            x_src, dy.local, kernel=self.kernel, stride=self.stride, pad=pad
-        )
+        # Eq. 2: the pieces' filter gradients, from what forward read.
+        dw = None
+        for index, src, virtual in saved:
+            part = F.conv2d_backward_filter(
+                src, dy.local[index], kernel=self.kernel, stride=self.stride, pad=virtual
+            )
+            if dw is None:
+                dw = part
+            else:
+                dw += part
+        if dw is None:  # an empty block reads nothing
+            dw = np.zeros(self.w.shape, dtype=np.result_type(dy.dtype, self.w.dtype))
         db = dy.local.sum(axis=(0, 2, 3)) if self.bias is not None else None
-        self.buffers.give(x_src)  # recycles an assembled region, never a view
         if g is None:
             return None, dw, db
 
         # Eq. 3 over the dy dependency region of our input block.
-        if g.exchanged:
-            if ex is not None:
-                ex.poll()
-            (dx_local,), dy_ext = run_block(
-                self._bwd_piece, dy, g, ex, self.buffers,
-                (np.result_type(dy.dtype, self.w.dtype),),
-            )
-            self.buffers.give(dy_ext)
-        else:
-            _check_handed(g, ex)
-            dy_src, virtual = _in_place(dy, g)
-            # The offset aligning the clipped region, not the padded one.
-            pad = tuple(
-                p - s * v
-                for p, s, v in zip(g.transposed_pad(*g.bounds[2:]), self.stride, virtual)
-            )
-            dx_local = F.conv2d_backward_data(
-                dy_src, self.w, stride=self.stride, pad=pad, x_spatial=g.block_shape[2:]
-            )
+        if ex is not None:
+            ex.poll()
+        (dx_local,), _ = run_block(
+            self._bwd_piece, dy, g, ex,
+            (np.result_type(dy.dtype, self.w.dtype),), in_place=True,
+        )
         return DistTensor(self.grid, g.dist, g.shape, dx_local), dw, db

@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from repro.nn import functional as F
-from repro.comm.buffers import BufferPool
 from repro.comm.communicator import Communicator
 from repro.tensor.dist_tensor import DistTensor
 from repro.tensor.grid import ProcessGrid
@@ -46,7 +45,8 @@ class DistPool2d:
 
     Forward runs the one sequence of
     :func:`~repro.core.dist_conv.run_block` over the geometry and gather the
-    network hands it: interior windows — those reading only locally owned
+    network hands it, reading its small region staged whole in a fresh
+    buffer each step: interior windows — those reading only locally owned
     input (or virtual padding) — are computed while the halo strips travel,
     boundary strips after ``finish()``.  Pooling windows are reduced per
     output element, so the piecewise kernels are bitwise identical to one
@@ -60,6 +60,9 @@ class DistPool2d:
     folds the remote contributions in on ``finish()`` (own first, then
     ascending comm rank, whatever order they arrive in).
     """
+
+    #: Stages its whole region: its kernels take no virtual padding.
+    in_place = False
 
     def __init__(
         self,
@@ -79,21 +82,18 @@ class DistPool2d:
         #: Virtual padding of the gathered input: max pooling must not let
         #: it win.
         self.fill = -np.inf if mode == "max" else 0.0
-        #: Recycles the assembled extended region across steps (the network
-        #: starts this layer's gather into it).
-        self.buffers = BufferPool()
 
     def output_global_shape(self, x_shape: tuple[int, ...]) -> tuple[int, ...]:
         n, c, h, w = x_shape
         oh, ow = F.conv2d_output_shape((h, w), self.kernel, self.stride, self.pad)
         return (n, c, oh, ow)
 
-    def _pool_piece(self, x_ext, g: WindowGeometry, rows, cols) -> tuple:
-        """Pool output rows/cols from their slice of ``x_ext``: ``(y,)``,
+    def _pool_piece(self, xs, virtual, g: WindowGeometry, rows, cols) -> tuple:
+        """Pool output rows/cols from their slice ``xs`` of the staged
+        region (``virtual`` is always 0: the padding is staged): ``(y,)``,
         or ``(y, argmax)`` for max pooling (in-window flat indices, so
         offset-free).  Window reductions are per output element, so
         piecewise evaluation is bitwise identical to the fused kernel."""
-        xs = x_ext[g.source_index(rows, cols)]
         if self.mode == "max":
             return F.maxpool2d_forward(xs, self.kernel, self.stride, 0)
         return (F.avgpool2d_forward(xs, self.kernel, self.stride, 0),)
@@ -111,12 +111,11 @@ class DistPool2d:
                     f"(axis {d}: {g.shape[d]} rows over {self.grid.shape[d]} "
                     "parts); assign this layer a smaller spatial parallelism"
                 )
-        outs, x_ext = run_block(
-            self._pool_piece, x, g, ex, self.buffers,
+        outs, _ = run_block(
+            self._pool_piece, x, g, ex,
             (x.dtype, np.int64) if self.mode == "max" else (x.dtype,),
             fill=self.fill,
         )
-        self.buffers.give(x_ext)
         argmax = outs[1] if self.mode == "max" else None
         return DistTensor(self.grid, g.dist, g.shape, outs[0]), (g.plan.shape, argmax)
 

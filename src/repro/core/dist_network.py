@@ -39,8 +39,10 @@ Activations and error signals travel **by reference**.  A layer's output is
 handed to every consumer as is; a layer's ``dx`` *is* its parent's ``dy``
 (an ``add`` hands the same array to all its parents), and only a parent with
 several consumers sums into a tensor of its own.  What a layer saves for
-backward aliases the same way: a batch-norm input, and the view of a
-convolution whose window exchanges nothing (:mod:`repro.core.dist_conv`).
+backward aliases the same way: a batch-norm input, and the views of a
+convolution's input — every convolution window reads its shard in place,
+and one that exchanges stages only its boundary pieces' small source boxes
+(:mod:`repro.core.dist_conv`).
 A step holds only what backward still reads, and the interpreter alone
 decides it: a layer's forward returns ``(output, saved)``, its backward
 takes ``saved``, and no layer keeps anything of a step.  Forward drops an
@@ -48,8 +50,8 @@ activation once its last reader has run — the layers that read it in
 place, or, when every reader is on another grid, its own shuffles' start
 (the schedule's :attr:`~repro.core.schedule.LayerOp.releases`) — and keeps
 the network's outputs and one table of what the layers backward reaches
-saved (a batch-norm input, a convolution's view, a ReLU mask, a loss's
-seed), filled by a training forward with targets only.  Backward pops each
+saved (a batch-norm input, a convolution's views and boundary staging, a
+ReLU mask, a loss's seed), filled by a training forward with targets only.  Backward pops each
 entry into its layer's call, so it dies with that call, and drops the
 table when it returns: then the rank holds nothing of the step but the
 outputs.  All of it rests on one invariant: **no layer writes to its input or to the
@@ -325,14 +327,16 @@ class DistNetwork:
         self, phase: str, op: LayerOp, window: tuple, source: DistTensor, impl
     ) -> tuple[WindowGeometry, RegionExchange | None]:
         """``(geometry, in-flight gather)`` of windowed layer ``impl``'s
-        ``window`` on this rank.  The gather of the window's region from
-        ``source`` — into the layer's own recycled buffers, with its padding
-        value — is started exactly when the schedule has ``op`` exchange a
-        halo in ``phase``; otherwise it is ``None``."""
+        ``window`` on this rank.  The gather from ``source`` — staging, with
+        the layer's padding value, the boundary pieces' source boxes of a
+        layer that reads its interior in place, else the whole region — is
+        started exactly when the schedule has ``op`` exchange a halo in
+        ``phase``; otherwise it is ``None``."""
         g = window_geometry(impl.grid.coords, *window)
         if self._sched.halo(phase, op.name) is None:
             return g, None
-        return g, start_region_exchange(source, g.plan, fill=impl.fill, pool=impl.buffers)
+        boxes = g.boundary_boxes if impl.in_place else None
+        return g, start_region_exchange(source, g.plan, fill=impl.fill, boxes=boxes)
 
     def _group(self, phase: str, op: LayerOp) -> tuple[Communicator | None, tuple]:
         """``(sub-communicator, grid axes)`` of the collective the schedule

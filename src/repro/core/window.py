@@ -48,7 +48,7 @@ while the strips travel, ``finish()`` the exchange, the boundary kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.tensor.dist_tensor import plan_regions
 from repro.tensor.distribution import Distribution
@@ -172,13 +172,36 @@ class WindowGeometry:
             slice(rows[0] - h0, rows[1] - h0), slice(cols[0] - w0, cols[1] - w0),
         )
 
+    def source_box(self, rows: Span, cols: Span) -> tuple[Span, ...]:
+        """Global box of the source that the windows of block ``rows`` x
+        ``cols`` read: the region's samples and channels, the windows' rows
+        and columns (virtual padding included)."""
+        return (
+            (self.lo[0], self.hi[0]), (self.lo[1], self.hi[1]),
+            self.windows[0].span(*rows), self.windows[1].span(*cols),
+        )
+
+    @cached_property
+    def tiles(self) -> tuple:
+        """``(rows, cols, interior, block index, source box)`` of every piece
+        the block is computed in, interior first: :attr:`pieces`, or one
+        interior piece over the block when nothing is exchanged."""
+        pieces = self.pieces if self.exchanged else ((*self.bounds[2:], True),)
+        return tuple(
+            (r, c, inside, self.block_index(r, c), self.source_box(r, c))
+            for r, c, inside in pieces
+        )
+
+    @property
+    def boundary_boxes(self) -> tuple[tuple[Span, ...], ...]:
+        """Source boxes of the boundary pieces, in piece order: all of the
+        region a kernel that reads its interior in place has staged."""
+        return tuple(box for *_, inside, _, box in self.tiles if not inside)
+
     def source_index(self, rows: Span, cols: Span) -> tuple:
         """Index, in the gathered region, of the windows of ``rows`` x ``cols``."""
-        (h0, h1), (w0, w1) = self.windows[0].span(*rows), self.windows[1].span(*cols)
-        return (
-            slice(None), slice(None),
-            slice(h0 - self.lo[2], h1 - self.lo[2]),
-            slice(w0 - self.lo[3], w1 - self.lo[3]),
+        return tuple(
+            slice(b - o, h - o) for (b, h), o in zip(self.source_box(rows, cols), self.lo)
         )
 
     def transposed_pad(self, rows: Span, cols: Span) -> tuple[int, int]:

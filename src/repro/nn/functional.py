@@ -31,13 +31,13 @@ their input as zero outside its extent — the *effective padding*
 formulation the distributed algorithms need (paper §III-A) — and no kernel
 pads a whole layer: :func:`_patches` stages only the padded rows and
 columns one workspace block reads.  Forward is handed its output extent
-(``y_spatial``) and backward-filter takes ``dy``'s, so a distributed layer
-whose window exchanges nothing runs them on a view of its shard with the
-region's virtual padding as the offset, and one whose window exchanges
-runs them with ``pad=0`` on the assembled region (halo + virtual padding).
-Backward-data is evaluated with a per-rank left offset that aligns the
-error-signal region — read in place or gathered — with the local input
-block (see :mod:`repro.core.dist_conv` for the offset derivation).
+(``y_spatial``) and backward-filter takes ``dy``'s, so a distributed
+convolution runs them on a view of its shard with a window's virtual
+padding as the offset, and, where its window exchanges, on the small
+staged source box of each boundary piece with ``pad=0``.  Backward-data is
+evaluated with a per-piece left offset that aligns the error-signal rows —
+read in place or staged — with the local input rows (see
+:mod:`repro.core.dist_conv` for the offset derivation).
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ the slices it updates (1/g of a layer's parameters for a gradient group of
 g ranks), the halo cells each forward halo exchange receives (the
 schedule's :class:`~repro.core.schedule.HaloOp`, on the rank of its sample
 group that receives the most),
-convolution workspace, and communication buffers.  An extended region — a
-layer's input with its halo and virtual padding — exists only where a
-``HaloOp`` does, as in the engine: a convolution whose window exchanges
-nothing reads its input in place (:mod:`repro.core.dist_conv`), so no
-padded copy is counted for it.
+convolution workspace, and communication buffers.  No convolution
+assembles an extended region — its input with halo and virtual padding —
+as in the engine: every convolution window reads its shard in place, and
+one that exchanges stages only its boundary pieces' source boxes
+(:mod:`repro.core.dist_conv`).  So the halo term is the halo cells, which
+land in that boundary staging; the few owned rows the staging copies
+beside them are left out.
 
 That is LBANN's static allocation — every activation and every error
 signal, all step long — and so an upper bound of what the engine holds:
@@ -118,8 +120,8 @@ class MemoryModel:
                 max_conv_out = max(max_conv_out, out_bytes)
             halo = sched.halo("fwd", op.name)
             if halo is not None:
-                # The halo cells the forward exchange receives, held with
-                # the gathered region until backward.
+                # The halo cells the forward exchange receives, held in
+                # the boundary staging until backward.
                 m.halo_buffers += max(
                     plan.received_cells for plan in halo.plans.values()
                 ) * db

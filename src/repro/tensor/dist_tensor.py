@@ -171,7 +171,7 @@ class DistTensor:
             PlannedExchange(
                 self.comm, plan.reversed(),
                 region, lo,
-                self.local, tuple(b for b, _ in self.bounds),
+                ((self.local, tuple(b for b, _ in self.bounds)),),
                 opname=HALO_OP, stat="region_data", accumulate=True,
             )
         )

@@ -10,7 +10,8 @@ receives from whom, which it already holds) and one
 plan's partners only (the transport copies each before the send returns),
 posted ``irecv``s, ``poll()`` to place what has landed, ``finish()`` to
 wait for the rest.  The exchange is parameterised only by where a box is
-read (an array anchored at a global origin) and how it is written (copied,
+read (an array anchored at a global origin), where it is written (the
+arrays, each anchored at a global origin, that it meets) and how (copied,
 or added for the reverse halo).
 """
 
@@ -91,8 +92,10 @@ def _cut(arr: np.ndarray, origin: tuple[int, ...], box: Box) -> np.ndarray:
 class PlannedExchange:
     """One in-flight run of a :class:`TransferPlan`.
 
-    Boxes are read from ``src`` and written into ``dst`` (arrays anchored
-    at global ``src_lo`` / ``dst_lo``), copied or — ``accumulate`` — added.
+    Boxes are read from ``src`` (anchored at global ``src_lo``) and
+    written into each ``(array, global origin)`` of ``dst`` they meet — the
+    part of the box inside that array only — copied or, ``accumulate``,
+    added.
     The constructor sends this rank's boxes (eager, never blocks), writes
     the boxes it holds itself and posts the receives, so the caller can
     compute on local data while the rest travels.  Every rank of ``comm``
@@ -111,8 +114,7 @@ class PlannedExchange:
         plan: TransferPlan,
         src: np.ndarray,
         src_lo: tuple[int, ...],
-        dst: np.ndarray,
-        dst_lo: tuple[int, ...],
+        dst: tuple[tuple[np.ndarray, tuple[int, ...]], ...],
         *,
         opname: str,
         stat: str,
@@ -120,7 +122,6 @@ class PlannedExchange:
     ) -> None:
         self._opname = opname
         self._dst = dst
-        self._dst_lo = dst_lo
         self._accumulate = accumulate
         tag = _EXCHANGE_TAG_BASE + comm.next_exchange_seq()
         sent_bytes = plan.sent_cells * src.dtype.itemsize
@@ -136,8 +137,9 @@ class PlannedExchange:
             ]
 
     def _write(self, box: Box, data: np.ndarray) -> None:
-        offset = tuple(lo - o for (lo, _), o in zip(box, self._dst_lo))
-        place_region(self._dst, data, offset, accumulate=self._accumulate)
+        for dst, dst_lo in self._dst:
+            offset = tuple(lo - o for (lo, _), o in zip(box, dst_lo))
+            place_region(dst, data, offset, accumulate=self._accumulate)
 
     @property
     def remaining(self) -> int:

@@ -173,7 +173,7 @@ class ShuffleExchange:
         self._exchange = PlannedExchange(
             comm, plan,
             src.local, tuple(b for b, _ in src.bounds),
-            out, plan.lo,
+            ((out, plan.lo),),
             opname=SHUFFLE_OP, stat=SHUFFLE_OP,
         )
         self._result = DistTensor(dst_grid, dst_dist, src.global_shape, out)

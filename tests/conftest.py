@@ -208,12 +208,14 @@ def standalone_window(layer, x):
 
 def start_window(layer, source, window):
     """``(geometry, started gather or None)`` of ``window`` on this rank,
-    started as ``DistNetwork`` starts it — with the layer's padding value
-    into its buffers — wherever a window reads off-shard."""
+    started as ``DistNetwork`` starts it — with the layer's padding value,
+    staging what the layer reads off the shard — wherever a window reads
+    off-shard."""
     g = window_geometry(layer.grid.coords, *window)
     if not g.exchanged:
         return g, None
-    return g, start_region_exchange(source, g.plan, fill=layer.fill, pool=layer.buffers)
+    boxes = g.boundary_boxes if layer.in_place else None
+    return g, start_region_exchange(source, g.plan, fill=layer.fill, boxes=boxes)
 
 
 class Driven:

@@ -193,11 +193,25 @@ class TestDistConvExactness:
 
 
 class TestInPlaceWindows:
-    """A window that exchanges nothing — every convolution at p = 1 or under
-    sample parallelism — reads the shard in place: forward, ``dw`` and
-    ``dx`` are bitwise the kernels on the shard, what forward saves for
-    backward is a view of its input (the layer holds no array of its own),
-    and its buffer pool is never asked for a region."""
+    """Every convolution window reads its shard in place.  A window that
+    exchanges nothing — every convolution at p = 1 or under sample
+    parallelism — is one piece over the shard: forward, ``dw`` and ``dx``
+    are bitwise the kernels on the shard, and what forward saves for
+    backward is a view of its input (the layer holds no array of its own).
+    A window that exchanges reads its interior in place too and stages only
+    its boundary pieces' source boxes: no buffer the size of its region."""
+
+    @staticmethod
+    def owned(obj):
+        """The arrays in ``obj`` (a layer's attributes, its parameters
+        aside, or what its forward saved) that own their memory."""
+        if hasattr(obj, "grid"):
+            obj = [v for name, v in vars(obj).items() if name not in ("w", "bias")]
+        if isinstance(obj, np.ndarray):
+            return [obj] if obj.base is None else []
+        if isinstance(obj, (tuple, list)):
+            return [a for v in obj for a in TestInPlaceWindows.owned(v)]
+        return []
 
     @pytest.mark.parametrize("grid_shape", [(1, 1, 1, 1), (2, 1, 1, 1)], ids=["p1", "sample2"])
     @pytest.mark.parametrize(
@@ -214,25 +228,18 @@ class TestInPlaceWindows:
         x = rng.standard_normal((n, c, h, w_))
         w = rng.standard_normal((f, c, k, k))
 
-        def owned(layer):
-            """The arrays the layer holds that own their memory, its
-            parameters (the network's) aside."""
-            held = [v for name, v in vars(layer).items() if name not in ("w", "bias")]
-            held = [a for v in held for a in (v if isinstance(v, tuple) else (v,))]
-            return [a for a in held if isinstance(a, np.ndarray) and a.base is None]
-
         def prog(comm):
             grid = ProcessGrid(comm, grid_shape)
             xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
             conv = Driven(DistConv2d(grid, w, stride=s, pad=p))
             for step in range(3):
                 y = conv.forward(xd)
-                assert owned(conv.layer) == []
-                assert np.shares_memory(conv.saved[0], xd.local)
+                ((_, src, _),) = conv.saved
+                assert self.owned(conv.layer) == [] and self.owned(conv.saved) == []
+                assert np.shares_memory(src, xd.local)
                 dy = np.random.default_rng(step).standard_normal(y.global_shape)
                 dyd = DistTensor.from_global(grid, y.dist, dy)
                 dx, dw, _ = conv.backward(dyd)
-            assert conv.buffers.stats() == (0, 0) and not conv.buffers._free
             xl, dyl = xd.local, dyd.local
             np.testing.assert_array_equal(y.local, F.conv2d_forward(xl, w, stride=s, pad=p))
             np.testing.assert_array_equal(
@@ -245,11 +252,71 @@ class TestInPlaceWindows:
 
         assert all(run_spmd(int(np.prod(grid_shape)), prog))
 
+    @pytest.mark.parametrize(
+        "grid_shape", [(1, 1, 2, 1), (1, 1, 2, 2)], ids=["height2", "height2_width2"]
+    )
+    @pytest.mark.parametrize(
+        "n,c,h,w_,f,k,s,p,interior",
+        [
+            (2, 3, 12, 10, 4, 3, 1, 1, True),
+            (2, 3, 13, 11, 4, 3, 2, 1, True),
+            (1, 4, 24, 20, 3, 5, 2, 2, True),   # conv1_1's K5 S2 P2
+            (2, 3, 4, 6, 4, 5, 1, 2, False),    # 2 rows a rank: no interior
+        ],
+        ids=["k3s1", "k3s2", "k5s2_conv1_1", "thin"],
+    )
+    def test_exchanged_windows_stage_only_the_boundary(
+        self, grid_shape, n, c, h, w_, f, k, s, p, interior
+    ):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((n, c, h, w_))
+        w = rng.standard_normal((f, c, k, k))
+        y_ref = F.conv2d_forward(x, w, stride=s, pad=p)
+        dy = rng.standard_normal(y_ref.shape)
+        dw_ref = F.conv2d_backward_filter(x, dy, kernel=k, stride=s, pad=p)
+        dx_ref = F.conv2d_backward_data(dy, w, stride=s, pad=p, x_spatial=(h, w_))
+
+        def prog(comm):
+            grid = ProcessGrid(comm, grid_shape)
+            xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
+            conv = Driven(DistConv2d(grid, w, stride=s, pad=p))
+            y = conv.forward(xd)
+            g = window_geometry(grid.coords, *conv.window)
+            assert g.exchanged and any(inside for *_, inside in g.pieces) == interior
+            # Forward saved what its pieces read: views of the shard, and
+            # staging buffers no larger than a boundary piece's source box.
+            staged = max(
+                (int(np.prod([hi - lo for lo, hi in b])) for b in g.boundary_boxes), default=0
+            )
+            region = int(np.prod(g.plan.shape))
+            assert staged < region or not interior
+            assert all(a.size <= staged for a in self.owned(conv.saved))
+            assert self.owned(conv.layer) == []
+            views = [src for _, src, _ in conv.saved if src.base is not None]
+            assert bool(views) == interior
+            assert all(np.shares_memory(view, xd.local) for view in views)
+            # Eq. 3's gather stages its boundary boxes, nothing else.
+            dyd = DistTensor.from_global(grid, y.dist, dy)
+            g3, ex = start_window(conv.layer, dyd, transposed_window(conv.window))
+            assert [b.shape for b in ex.finish()] == [
+                tuple(hi - lo for lo, hi in box) for box in g3.boundary_boxes
+            ]
+            dx, dw, _ = conv.backward(dyd)
+            axes = [d for d in range(4) if y.dist.is_split(d)]
+            return y.to_global(), dx.to_global(), grid.axes_comm(axes).allreduce(dw)
+
+        for y, dx, dw in run_spmd(int(np.prod(grid_shape)), prog):
+            np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(dw, dw_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
+
 
 class TestWindowGeometry:
     """Every windowed layer gathers, on every rank, a region spanning all of
-    its source's channels, and the cached exchange plan assembles exactly
-    that region of the global tensor, ``fill`` outside it."""
+    its source's channels, and the cached exchange plan stages exactly the
+    boxes of it that the layer reads off its shard — pooling's whole
+    region, convolution's boundary pieces' source boxes — as the global
+    tensor holds them, ``fill`` outside it."""
 
     @staticmethod
     def geometry(kind, grid, x):
@@ -283,13 +350,14 @@ class TestWindowGeometry:
             g, ex = start_window(layer, src, window)
             assert (g.lo[1], g.hi[1]) == (0, src.global_shape[1])
             assert g.exchanged == (grid_shape[2] * grid_shape[3] > 1)
-            got = (
-                local_region(src, g.lo, g.hi, fill=layer.fill) if ex is None
-                else ex.finish()
-            )
-            np.testing.assert_array_equal(
-                got, region_of(src.to_global(), g.lo, g.hi, fill=layer.fill)
-            )
+            whole = src.to_global()
+            if ex is None:
+                staged = [(g.lo, g.hi, local_region(src, g.lo, g.hi, fill=layer.fill))]
+            else:
+                boxes = g.boundary_boxes if layer.in_place else (g.plan.box,)
+                staged = [(*zip(*box), got) for box, got in zip(boxes, ex.finish(), strict=True)]
+            for lo, hi, got in staged:
+                np.testing.assert_array_equal(got, region_of(whole, lo, hi, fill=layer.fill))
             return True
 
         assert all(run_spmd(int(np.prod(grid_shape)), prog))
@@ -345,8 +413,6 @@ class TestHandedExchange:
             assert g.exchanged
             with pytest.raises(ValueError, match="reads off-shard was handed no"):
                 layer.forward(xd, g, None)
-            # Nothing computed: no region taken from the layer's pool.
-            assert layer.buffers.stats() == (0, 0)
             return True
 
         assert run_spmd(2, prog) == [True, True]

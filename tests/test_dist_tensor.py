@@ -28,7 +28,8 @@ def make_grid_prog(grid_shape, dist, global_array, body):
 def gather(dt, regions, fill=0.0):
     """This rank's region of the planned gather in which comm rank ``j``
     gathers ``regions[j] = (lo, hi)``."""
-    return start_region_exchange(dt, region_plan(dt, regions), fill=fill).finish()
+    (region,) = start_region_exchange(dt, region_plan(dt, regions), fill=fill).finish()
+    return region
 
 
 def own_halo_regions(dt, halo):

@@ -277,6 +277,9 @@ class TestElasticTraining:
         ).run(etrain, ckdir)
         assert report.ok, report.describe()
         assert report.final_nranks == 2 and report.degraded
+        # Both crashes land after the step-2 checkpoint: every restart
+        # resumes from it, none restarts from scratch.
+        assert [rec.resumed_step for rec in report.restarts] == [EVERY, EVERY]
         _assert_params_match(ref, report.results, exact=False)
 
     def test_thread_backend_end_to_end(self, tmp_path):
@@ -289,6 +292,8 @@ class TestElasticTraining:
             checkpoint_dir=ckdir, timeout=20.0,
         ).run(etrain, ckdir)
         assert report.ok, report.describe()
+        [rec] = report.restarts
+        assert rec.resumed_step == EVERY  # the crash lands mid-step-3
         _assert_params_match(ref, report.results, exact=True)
 
 

@@ -26,15 +26,13 @@ from conftest import (
     standalone_window,
 )
 from repro.comm import run_spmd
-from repro.core import DistNetwork, DistTrainer, LayerParallelism
 from repro.core.dist_conv import DistConv2d
 from repro.core.dist_layers import DistPool2d
 from repro.core.window import _frame_pieces, window_geometry
 from repro.core.parallelism import activation_dist
-from repro.nn import NetworkSpec, SGD
 from repro.nn import functional as F
 from repro.tensor import DistTensor, Distribution, ProcessGrid
-from repro.tensor.halo import HALO_OP, start_region_exchange
+from repro.tensor.halo import HALO_OP, local_region, start_region_exchange
 
 
 GEOMETRIES = [
@@ -203,14 +201,17 @@ class TestPoolAgainstGlobalArray:
                 grid, activation_dist(grid.shape, x_ext.shape), x_ext
             )
             g = window_geometry(grid.coords, *standalone_window(layer, xd))
-            fused = layer._pool_piece(x_ext, g, g.bounds[2], g.bounds[3])
+            def piece(rows, cols):
+                return layer._pool_piece(x_ext[g.source_index(rows, cols)], (0, 0), g, rows, cols)
+
+            fused = piece(*g.bounds[2:])
             oh, ow = fused[0].shape[2:]
             pieces = _frame_pieces(g.bounds[2], g.bounds[3], (1, oh - 1), (2, ow - 1))
             assert len(pieces) == 5
             outs = [np.full(fused[0].shape, -1, dtype=f.dtype) for f in fused]
             for rows, cols, _ in pieces:
-                for out, piece in zip(outs, layer._pool_piece(x_ext, g, rows, cols)):
-                    out[g.block_index(rows, cols)] = piece
+                for out, part in zip(outs, piece(rows, cols)):
+                    out[g.block_index(rows, cols)] = part
             assert len(outs) == (2 if mode == "max" else 1)  # y (+ argmax)
             for out, f in zip(outs, fused):
                 np.testing.assert_array_equal(out, f)
@@ -270,7 +271,7 @@ class TestRegionExchange:
                 )
             lo, hi = regions[comm.rank]
             ex = start_region_exchange(dt, region_plan(dt, regions))
-            got = ex.finish().copy()
+            (got,) = ex.finish()
             np.testing.assert_array_equal(got, region_of(dt.to_global(), lo, hi))
             return True
 
@@ -333,29 +334,106 @@ class TestRegionExchange:
             assert halo_time > 0.0  # the timing split is actually recorded
             assert exchanges == 2  # one forward + one backward exchange
 
-    def test_assembly_buffers_recycled_across_steps(self):
-        """The conv layer's BufferPool recycles its gathered-region assembly
-        buffers across steps."""
-        spec = NetworkSpec("pool-halo")
-        spec.add("input", "input", channels=2, height=8, width=8)
-        spec.add("c1", "conv", ["input"], filters=3, kernel=3, pad=1)
-        spec.add("gap", "gap", ["c1"])
-        spec.add("fc", "fc", ["gap"], units=2)
-        spec.add("loss", "softmax_ce", ["fc"])
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((2, 2, 8, 8))
-        t = rng.integers(0, 2, size=2)
+    def test_scatter_region_add_matches_global_accumulation(self):
+        """Scatter-add leaves what accumulating every rank's region into the
+        global array leaves (regions past the edge drop)."""
+        rng = np.random.default_rng(8)
+        contributions = rng.integers(-8, 9, size=(4, 7, 7)).astype(np.float64)
+        dist = Distribution.make((2, 2))
+        want = np.zeros((10, 10))
+        for r in range(4):
+            h = min(7, 10 - r)
+            want[r : r + h, r : r + h] += 2 * contributions[r, :h, :h]
 
         def prog(comm):
-            net = DistNetwork(
-                spec, comm, LayerParallelism(height=2, width=2), seed=0
-            )
-            trainer = DistTrainer(net, SGD(lr=0.01))
-            for _ in range(4):
-                trainer.step(x, t)
-            return net._layers["c1"].buffers.stats()
+            grid = ProcessGrid(comm, (2, 2))
+            dt = DistTensor.zeros(grid, dist, (10, 10))
+            plan = region_plan(dt, [((r, r), (r + 7, r + 7)) for r in range(comm.size)])
+            for _ in range(2):
+                dt.scatter_region_add(contributions[comm.rank], (comm.rank, comm.rank), plan)
+            return dt.to_global()
 
-        for hits, misses in run_spmd(4, prog):
-            # Steps 2-4 recycle the assembly buffers of steps 1-3: more
-            # hits than cold misses.
-            assert hits > misses, (hits, misses)
+        # Small integers: every partial sum is exact, so the accumulation
+        # order cannot blur the comparison.
+        for got in run_spmd(4, prog):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestLocalRegion:
+    """``local_region`` hands out a view when the box needs neither padding
+    nor remote data, and stages a fresh buffer otherwise — decided from the
+    box alone."""
+
+    X = np.arange(2 * 3 * 8 * 6, dtype=np.float64).reshape(2, 3, 8, 6)
+
+    @staticmethod
+    def _on_row_shards(body):
+        """Run ``body(dt, rows)`` on 2 ranks that own 4 rows each."""
+        grid_shape = (1, 1, 2, 1)
+
+        def prog(comm):
+            grid = ProcessGrid(comm, grid_shape)
+            dt = DistTensor.from_global(
+                grid, activation_dist(grid_shape, TestLocalRegion.X.shape), TestLocalRegion.X
+            )
+            return body(dt, dt.bounds[2])
+
+        return run_spmd(2, prog)
+
+    def test_view_iff_the_box_lies_inside_the_tensor(self):
+        def body(dt, rows):
+            r0, r1 = rows
+            inside = [
+                ((0, 0, r0, 0), (2, 3, r1, 6)),          # the whole shard
+                ((0, 1, r0 + 1, 2), (2, 2, r1 - 1, 5)),  # a sub-block
+            ]
+            for lo, hi in inside:
+                got = local_region(dt, lo, hi)
+                assert np.shares_memory(got, dt.local)
+                assert got is not dt.local and got.base is not None
+                assert not got.flags.writeable and dt.local.flags.writeable
+                np.testing.assert_array_equal(
+                    got, self.X[tuple(slice(a, b) for a, b in zip(lo, hi))]
+                )
+
+            # Leaving the tensor (columns -1..7 are virtual padding): staged,
+            # with the fill in place.
+            lo, hi = (0, 0, r0, -1), (2, 3, r1, 7)
+            for fill in (0.0, -np.inf):
+                got = local_region(dt, lo, hi, fill=fill)
+                assert not np.shares_memory(got, dt.local) and got.base is None
+                assert (got[..., 0] == fill).all() and (got[..., -1] == fill).all()
+                np.testing.assert_array_equal(got[..., 1:-1], dt.local)
+            return True
+
+        assert self._on_row_shards(body) == [True, True]
+
+    def test_padded_three_by_three_box_is_staged(self):
+        """What a padded 3x3 convolution asks for on one rank: the tensor
+        plus a ring of one."""
+        def prog(comm):
+            grid = ProcessGrid(comm, (1, 1, 1, 1))
+            dt = DistTensor.from_global(
+                grid, activation_dist(grid.shape, self.X.shape), self.X
+            )
+            got = local_region(dt, (0, 0, -1, -1), (2, 3, 9, 7), fill=7.0)
+            assert not np.shares_memory(got, dt.local)
+            np.testing.assert_array_equal(
+                got, np.pad(self.X, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=7.0)
+            )
+            return True
+
+        assert run_spmd(1, prog) == [True]
+
+    def test_unowned_box_still_raises(self):
+        def body(dt, rows):
+            other = (4, 8) if rows == (0, 4) else (0, 4)
+            for lo, hi in [
+                ((0, 0, other[0], 0), (2, 3, other[1], 6)),  # inside, a peer's
+                ((0, 0, 0, -1), (2, 3, 8, 7)),               # padded, both shards
+            ]:
+                with pytest.raises(ValueError, match="not owned locally"):
+                    local_region(dt, lo, hi)
+            return True
+
+        assert self._on_row_shards(body) == [True, True]

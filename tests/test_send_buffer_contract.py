@@ -77,7 +77,7 @@ def _contract_prog(comm):
     halo = start_region_exchange(dt, region_plan(dt, regions))
     _overwrite(dt.local)
     comm.barrier()
-    out["halo"] = halo.finish()
+    (out["halo"],) = halo.finish()
 
     # Shuffle from column blocks to row blocks.
     cols = ProcessGrid(comm, (1, p))

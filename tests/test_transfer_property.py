@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SPMD_BACKENDS, region_of, region_plan
-from repro.comm import BufferPool, run_spmd
+from repro.comm import run_spmd
 from repro.tensor import (
     DistTensor,
     Distribution,
@@ -154,8 +154,8 @@ def _replica_group_block_cells(grid, dist, shape, rank, region) -> int:
 
 
 def check_gather(comm, case: Case) -> None:
-    """Planned gather (without, then with a buffer pool) == the region of
-    ``to_global()``, ``fill`` outside it; ``finish()`` idempotent; the bytes
+    """Planned gather (the whole region, then two staged boxes of it) == the
+    region of ``to_global()``, ``fill`` outside it; ``finish()`` idempotent; the bytes
     recorded == the cells this rank's block holds of its replica-group
     peers' regions."""
     x = case.tensor()
@@ -168,9 +168,9 @@ def check_gather(comm, case: Case) -> None:
     before = comm.stats.collective_bytes.get("region_data", 0)
     ex = start_region_exchange(dt, plan, fill=-1.0)
     sent = comm.stats.collective_bytes.get("region_data", 0) - before
-    got = ex.finish()
+    (got,) = ex.finish()
     np.testing.assert_array_equal(got, want)
-    assert ex.finish() is got and ex.remaining == 0
+    assert ex.finish()[0] is got and ex.remaining == 0
     np.testing.assert_array_equal(got, want)
     cells = sum(
         _replica_group_block_cells(grid, case.src.dist, case.shape, comm.rank, region)
@@ -179,9 +179,17 @@ def check_gather(comm, case: Case) -> None:
     )
     assert sent == cells * x.itemsize
 
-    pooled = start_region_exchange(dt, plan, fill=-1.0, pool=BufferPool())
-    pooled.poll()
-    np.testing.assert_array_equal(pooled.finish(), want)
+    # Staged boxes: two halves of the region along its last axis, sharing
+    # a column where they can; each holds exactly its cells of the region.
+    b, h = plan.box[-1]
+    mid = (b + h) // 2
+    halves = [plan.box[:-1] + ((b, min(mid + 1, h)),), plan.box[:-1] + ((mid, h),)]
+    staged = start_region_exchange(dt, plan, fill=-1.0, boxes=halves)
+    staged.poll()
+    for box, part in zip(halves, staged.finish(), strict=True):
+        np.testing.assert_array_equal(
+            part, want[tuple(slice(lo - o, hi - o) for (lo, hi), o in zip(box, plan.lo))]
+        )
 
 
 def check_shuffle(comm, case: Case) -> None:
@@ -247,7 +255,7 @@ def check_scatter_add(comm, case: Case) -> None:
     # ranks of <x shard, scatter-added shard> (each replica group tiles the
     # tensor once on both sides).
     x = DistTensor.from_global(grid, dist, case.tensor())
-    gathered = start_region_exchange(x, plan).finish()
+    (gathered,) = start_region_exchange(x, plan).finish()
     lhs = comm.allreduce(float(np.sum(gathered * mine)))
     rhs = comm.allreduce(float(np.sum(x.local * planned.local)))
     assert lhs == rhs
