@@ -6,7 +6,8 @@ is influenced by (Eq. 3), which of the block's points need no halo — lives
 in :mod:`repro.core.window`; this module supplies the convolution kernels:
 
 * **forward** — the rank's output block is computed from its input region
-  (its own block plus halo; out-of-range parts are virtual padding, zero);
+  (its own block plus halo; out-of-range parts are virtual padding, read
+  as zero at the kernel's left offset);
 * **backward-filter** (Eq. 2) — reuses the forward's input region against
   the local error signal; the partial ``dw`` is then summed over the grid
   by an allreduce;
@@ -18,20 +19,21 @@ in :mod:`repro.core.window`; this module supplies the convolution kernels:
   skipped when the layer is handed no Eq. 3 window (its parent needs no
   error signal).
 
-**Windows in place.**  Every convolution window reads its shard in place:
-the kernels take a window's virtual padding as their left offset and the
-block (or piece) as their output extent (:func:`_in_place`), so no padded
-copy of the activation or the error signal is ever made.  A window that
-exchanges nothing (every convolution at p = 1 or under sample
-parallelism, and the 1x1 convolutions at any p) is one piece over the
-shard.  A window that exchanges is its interior piece, read in place the
-same way, and its boundary pieces, each reading a small staging buffer of
-its own source box that the gather fills with the halo cells and the few
-owned rows the box needs
-(:attr:`~repro.core.window.WindowGeometry.boundary_boxes`); nothing
-assembles the whole region.  What forward saves for Eq. 2 is what its
-pieces read — a view of the input and the boundary staging buffers — and
-Eq. 2 sums the pieces' partial ``dw``.
+**Windows in place.**  Every windowed layer — convolution and pooling
+alike — reads its shard in place: the kernels take a window's virtual
+padding as their left offset and the block (or piece) as their output
+extent (:func:`_read`), so no padded copy of the activation or the error
+signal is ever made.  A window that exchanges nothing (every convolution
+at p = 1 or under sample parallelism, and the 1x1 convolutions at any p)
+is one piece over the shard.  A window that exchanges is its interior
+piece, read in place the same way, and its boundary pieces, each reading
+a small staging buffer of its own source box, clipped to the tensor, that
+the gather fills with the halo cells and the few owned rows the box needs
+(:attr:`~repro.core.window.WindowGeometry.boundary_boxes`) and reading
+the rest of the box as left offset; nothing assembles the whole region.
+What forward saves for Eq. 2 is what its pieces read — a view of the input
+and the boundary staging buffers — and Eq. 2 sums the pieces' partial
+``dw``.
 
 **Overlapped halo exchange (§IV-A).**  The layer decides neither its
 window nor whether it exchanges: the network
@@ -60,10 +62,11 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.tensor.dist_tensor import DistTensor
+from repro.tensor.exchange import clip
 from repro.tensor.grid import ProcessGrid
 # ``start_region_exchange`` is what the network starts a window's gather
 # with (``ex`` below); ``benchmarks/e2e/spans.py`` finds it here too.
-from repro.tensor.halo import RegionExchange, local_region, start_region_exchange  # noqa: F401
+from repro.tensor.halo import RegionExchange, start_region_exchange  # noqa: F401
 from repro.core.window import WindowGeometry
 
 
@@ -77,21 +80,19 @@ def _check_handed(g: WindowGeometry, ex: RegionExchange | None) -> None:
         )
 
 
-def _in_place(source: DistTensor, box) -> tuple[np.ndarray, tuple[int, int]]:
-    """``(view, (top, left))`` of a source ``box`` whose windows need only
-    this rank's shard: a read-only view of the shard over ``box`` clipped
-    to it, and the rows and columns clipped before it — the left offset the
-    convolution kernels read the view at, as zeros.  What is clipped is
-    virtual padding, or (Eq. 3 at stride > 1) a first row of the window's
-    span that no kernel tap reaches."""
-    index, first = [], []
-    for (b, h), (m_lo, m_hi) in zip(box, source.bounds):
-        lo = min(max(b, m_lo), m_hi)
-        index.append(slice(lo - m_lo, max(lo, min(h, m_hi)) - m_lo))
-        first.append(lo - b)
-    view = source.local[tuple(index)]
+def _read(array: np.ndarray, bounds, box) -> tuple[np.ndarray, tuple[int, int]]:
+    """``(view, (top, left))`` of a source ``box`` read from ``array``, which
+    holds global box ``bounds`` — the shard, or a buffer the gather staged:
+    a read-only view of ``array`` over ``box`` clipped to ``bounds``, and
+    the rows and columns clipped before it — the left offset the kernels
+    read the view at.  What is clipped is virtual padding, or (Eq. 3 at
+    stride > 1, read in place) a first row of the window's span that no
+    kernel tap reaches."""
+    held = clip(box, bounds)
+    view = array[tuple([slice(lo - m, hi - m) for (lo, hi), (m, _) in zip(held, bounds)])]
     view.flags.writeable = False
-    return view, (first[2], first[3])
+    (top, _), (left, _) = held[2:]
+    return view, (top - box[2][0], left - box[3][0])
 
 
 def run_block(
@@ -100,37 +101,28 @@ def run_block(
     g: WindowGeometry,
     ex: RegionExchange | None,
     dtypes: tuple,
-    fill: float = 0.0,
-    in_place: bool = False,
 ) -> tuple[tuple, tuple]:
     """Evaluate a windowed kernel over this rank's block, piece by piece.
 
     ``piece(src, virtual, g, rows, cols)`` returns the tuple of output
     arrays for block rows/cols from ``src``, their windows' source box
     (:meth:`~repro.core.window.WindowGeometry.source_box`) with its first
-    ``virtual`` rows and columns of padding clipped off.  ``ex`` is the
-    in-flight gather of ``g``'s window, started by the network exactly when
-    some rank's window reads off-shard (``g.exchanged``); a window that
-    exchanges but is handed none raises.  The interior pieces run while the
-    halo strips travel, the boundary pieces after ``ex.finish()``; a window
-    that exchanges nothing is one interior piece over the block.  The
-    block is assembled (one array per entry of ``dtypes``) from the pieces'
-    outputs, or is the one piece's.
-
-    Where a piece reads: ``in_place`` (convolution), an interior piece
-    reads the shard (:func:`_in_place`) and a boundary piece the buffer the
-    gather staged of its source box (``g.boundary_boxes``, in order).
-    Otherwise (pooling) every piece reads its slice of the whole region,
-    staged with ``fill`` — the gather's one buffer, or
-    :func:`~repro.tensor.halo.local_region` when nothing is exchanged.
+    ``virtual`` rows and columns clipped off — the kernel's left offset.
+    ``ex`` is the in-flight gather of ``g``'s boundary boxes, started by the
+    network exactly when some rank's window reads off-shard
+    (``g.exchanged``); a window that exchanges but is handed none raises.
+    The interior pieces read the shard in place and run while the halo
+    strips travel; the boundary pieces read the buffers the gather staged
+    (``g.boundary_boxes``, in order) after ``ex.finish()`` (:func:`_read`,
+    either way).  A window that exchanges nothing is one interior piece
+    over the block.  The block is assembled (one array per entry of
+    ``dtypes``) from the pieces' outputs, or is the one piece's.
 
     Returns ``(outputs, reads)``: one ``(block index, src, virtual)`` per
     piece, in the order they ran.
     """
     _check_handed(g, ex)
-    if not in_place:
-        ext = local_region(source, g.lo, g.hi, fill=fill) if ex is None else ex.buffers[0]
-    staged = iter(() if ex is None else ex.buffers)
+    staged = iter(() if ex is None else zip(ex.buffers, ex.boxes))
     whole = len(g.tiles) == 1
     out = None if whole else tuple(np.empty(g.block_shape, dtype=dt) for dt in dtypes)
     reads = []
@@ -139,12 +131,8 @@ def run_block(
         if not (inside or finished):
             ex.finish()
             finished = True
-        if not in_place:
-            src, virtual = ext[g.source_index(rows, cols)], (0, 0)
-        elif inside:
-            src, virtual = _in_place(source, box)
-        else:
-            src, virtual = next(staged), (0, 0)
+        held = (source.local, source.bounds) if inside else next(staged)
+        src, virtual = _read(*held, box)
         reads.append((index, src, virtual))
         got = piece(src, virtual, g, rows, cols)
         if whole:
@@ -166,12 +154,6 @@ class DistConv2d:
     geometry and in-flight exchange the network hands it, reading the shard
     in place and the staged boundary boxes.
     """
-
-    #: Virtual padding of both gathered windows (input, error signal).
-    fill = 0.0
-    #: Reads a window's interior in place: the network stages only the
-    #: boundary pieces' source boxes.
-    in_place = True
 
     def __init__(
         self,
@@ -234,7 +216,7 @@ class DistConv2d:
         and the boundary staging buffers — for Eq. 2."""
         (y_local,), reads = run_block(
             self._fwd_piece, x, g, ex,
-            (np.result_type(x.dtype, self.w.dtype),), in_place=True,
+            (np.result_type(x.dtype, self.w.dtype),),
         )
         return DistTensor(self.grid, g.dist, g.shape, y_local), reads
 
@@ -280,6 +262,6 @@ class DistConv2d:
             ex.poll()
         (dx_local,), _ = run_block(
             self._bwd_piece, dy, g, ex,
-            (np.result_type(dy.dtype, self.w.dtype),), in_place=True,
+            (np.result_type(dy.dtype, self.w.dtype),),
         )
         return DistTensor(self.grid, g.dist, g.shape, dx_local), dw, db

@@ -45,12 +45,13 @@ class DistPool2d:
 
     Forward runs the one sequence of
     :func:`~repro.core.dist_conv.run_block` over the geometry and gather the
-    network hands it, reading its small region staged whole in a fresh
-    buffer each step: interior windows — those reading only locally owned
-    input (or virtual padding) — are computed while the halo strips travel,
-    boundary strips after ``finish()``.  Pooling windows are reduced per
-    output element, so the piecewise kernels are bitwise identical to one
-    fused kernel.  The backward scatter-add
+    network hands it, reading its pieces as convolution does: the interior
+    windows — those reading only locally owned input (or virtual padding) —
+    from a read-only view of the shard while the halo strips travel, each
+    boundary strip from the box the gather staged after ``finish()``, the
+    virtual padding always the kernel's left offset.  Pooling windows are
+    reduced per output element, so the piecewise kernels are bitwise
+    identical to one fused kernel.  The backward scatter-add
     (:meth:`~repro.tensor.dist_tensor.DistTensor.start_scatter_region_add`,
     started by :class:`~repro.core.dist_network.DistNetwork` when the
     schedule has a reverse :class:`~repro.core.schedule.HaloOp`) is the
@@ -60,9 +61,6 @@ class DistPool2d:
     folds the remote contributions in on ``finish()`` (own first, then
     ascending comm rank, whatever order they arrive in).
     """
-
-    #: Stages its whole region: its kernels take no virtual padding.
-    in_place = False
 
     def __init__(
         self,
@@ -79,9 +77,6 @@ class DistPool2d:
         self.kernel = F._pair(kernel)
         self.stride = F._pair(stride if stride is not None else kernel)
         self.pad = F._pair(pad)
-        #: Virtual padding of the gathered input: max pooling must not let
-        #: it win.
-        self.fill = -np.inf if mode == "max" else 0.0
 
     def output_global_shape(self, x_shape: tuple[int, ...]) -> tuple[int, ...]:
         n, c, h, w = x_shape
@@ -89,14 +84,13 @@ class DistPool2d:
         return (n, c, oh, ow)
 
     def _pool_piece(self, xs, virtual, g: WindowGeometry, rows, cols) -> tuple:
-        """Pool output rows/cols from their slice ``xs`` of the staged
-        region (``virtual`` is always 0: the padding is staged): ``(y,)``,
-        or ``(y, argmax)`` for max pooling (in-window flat indices, so
-        offset-free).  Window reductions are per output element, so
-        piecewise evaluation is bitwise identical to the fused kernel."""
+        """Pool output rows/cols from their windows' source box ``xs``, at
+        left offset ``virtual``: ``(y,)``, or ``(y, argmax)`` for max
+        pooling (in-window flat indices, so offset-free)."""
+        extent = (rows[1] - rows[0], cols[1] - cols[0])
         if self.mode == "max":
-            return F.maxpool2d_forward(xs, self.kernel, self.stride, 0)
-        return (F.avgpool2d_forward(xs, self.kernel, self.stride, 0),)
+            return F.maxpool2d_forward(xs, self.kernel, self.stride, virtual, y_spatial=extent)
+        return (F.avgpool2d_forward(xs, self.kernel, self.stride, virtual, y_spatial=extent),)
 
     def forward(
         self, x: DistTensor, g: WindowGeometry, ex: RegionExchange | None
@@ -114,7 +108,6 @@ class DistPool2d:
         outs, _ = run_block(
             self._pool_piece, x, g, ex,
             (x.dtype, np.int64) if self.mode == "max" else (x.dtype,),
-            fill=self.fill,
         )
         argmax = outs[1] if self.mode == "max" else None
         return DistTensor(self.grid, g.dist, g.shape, outs[0]), (g.plan.shape, argmax)

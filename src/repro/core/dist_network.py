@@ -327,16 +327,14 @@ class DistNetwork:
         self, phase: str, op: LayerOp, window: tuple, source: DistTensor, impl
     ) -> tuple[WindowGeometry, RegionExchange | None]:
         """``(geometry, in-flight gather)`` of windowed layer ``impl``'s
-        ``window`` on this rank.  The gather from ``source`` — staging, with
-        the layer's padding value, the boundary pieces' source boxes of a
-        layer that reads its interior in place, else the whole region — is
-        started exactly when the schedule has ``op`` exchange a halo in
-        ``phase``; otherwise it is ``None``."""
+        ``window`` on this rank.  The gather from ``source`` — staging the
+        boundary pieces' source boxes, clipped to the tensor; every layer
+        reads its interior in place — is started exactly when the schedule
+        has ``op`` exchange a halo in ``phase``; otherwise it is ``None``."""
         g = window_geometry(impl.grid.coords, *window)
         if self._sched.halo(phase, op.name) is None:
             return g, None
-        boxes = g.boundary_boxes if impl.in_place else None
-        return g, start_region_exchange(source, g.plan, fill=impl.fill, boxes=boxes)
+        return g, start_region_exchange(source, g.plan, g.boundary_boxes)
 
     def _group(self, phase: str, op: LayerOp) -> tuple[Communicator | None, tuple]:
         """``(sub-communicator, grid axes)`` of the collective the schedule

@@ -10,9 +10,10 @@ symmetric).  With kernel K, stride S, padding P:
 
 * **forward** — output row ``j`` reads input rows ``[jS - P, jS - P + K)``,
   so the block depends on input region ``[aS - P, (b - 1)S - P + K)`` (its
-  own rows plus halo; out-of-range parts are virtual padding, filled by the
-  gather).  When S=1 the halo is exactly ``O = floor(K/2)`` rows on each
-  side — the paper's halo exchange;
+  own rows plus halo; out-of-range parts are virtual padding, never
+  staged: a kernel reads it as the left offset of its first window).
+  When S=1 the halo is exactly ``O = floor(K/2)`` rows on each side — the
+  paper's halo exchange;
 * **transposed** (Eq. 3) — input row ``i`` is influenced by output rows
   ``[(i + P - K + 1)/S, (i + P)/S]``; the block gathers error-signal rows
   ``[floor((a + P - K + 1)/S), floor((b - 1 + P)/S) + 1)``, and the
@@ -195,14 +196,9 @@ class WindowGeometry:
     @property
     def boundary_boxes(self) -> tuple[tuple[Span, ...], ...]:
         """Source boxes of the boundary pieces, in piece order: all of the
-        region a kernel that reads its interior in place has staged."""
+        region the gather stages (clipped to the tensor); the interior
+        piece reads the shard in place."""
         return tuple(box for *_, inside, _, box in self.tiles if not inside)
-
-    def source_index(self, rows: Span, cols: Span) -> tuple:
-        """Index, in the gathered region, of the windows of ``rows`` x ``cols``."""
-        return tuple(
-            slice(b - o, h - o) for (b, h), o in zip(self.source_box(rows, cols), self.lo)
-        )
 
     def transposed_pad(self, rows: Span, cols: Span) -> tuple[int, int]:
         """Effective left padding aligning the gathered error-signal rows of

@@ -195,6 +195,23 @@ def _dy_block(dy: np.ndarray, i0: int, i1: int, r0: int, r1: int) -> np.ndarray:
     return dy[i0:i1, :, r0:r1].transpose(1, 0, 2, 3).reshape(f, -1)
 
 
+def _span(x: np.ndarray, top: int, bottom: int, left: int, right: int, fill=0) -> np.ndarray:
+    """Rows ``[top, bottom)`` and columns ``[left, right)`` of ``x``, reading
+    ``fill`` wherever they leave it: a view of ``x`` when the span lies
+    inside it, else one buffer of the span's size — the cells a padded copy
+    of ``x`` holds there, and no more."""
+    h, w = x.shape[2:]
+    if top >= 0 and left >= 0 and bottom <= h and right <= w:
+        return x[:, :, top:bottom, left:right]
+    xs = np.zeros((*x.shape[:2], bottom - top, right - left), dtype=x.dtype)
+    if fill:
+        xs.fill(fill)
+    h0, h1, w0, w1 = max(top, 0), min(bottom, h), max(left, 0), min(right, w)
+    if h0 < h1 and w0 < w1:  # else the span is padding only
+        xs[:, :, h0 - top : h1 - top, w0 - left : w1 - left] = x[:, :, h0:h1, w0:w1]
+    return xs
+
+
 def _patches(
     x: np.ndarray,
     block: tuple[int, int, int, int],
@@ -208,24 +225,17 @@ def _patches(
     columns before ``x``: output ``(i, j)`` reads ``x[.., i*sh + a - ph, j*sw
     + b - pw]``, zero wherever that leaves ``x``.
 
-    When the block's windows stay inside ``x``, the patches are gathered
-    from ``x`` itself; otherwise the rows and columns they read are first
-    staged into one zero-filled buffer of the block's size, so no kernel
-    ever pads the whole layer.  Either way the matrix is the one a padded
-    copy of ``x`` gives, value for value.
+    The patches are gathered from the :func:`_span` of the rows and columns
+    the block's windows read — ``x`` itself when they stay inside it, else
+    one zero-padded buffer of the block's size — so no kernel ever pads the
+    whole layer.  Either way the matrix is the one a padded copy of ``x``
+    gives, value for value.
     """
     (i0, i1, r0, r1), (kh, kw), (sh, sw), (ph, pw) = block, kernel, stride, pad
-    h, w = x.shape[2:]
     top, left = r0 * sh - ph, -pw
     bottom = max(top, (r1 - 1) * sh - ph + kh)
     right = max(left, (ow - 1) * sw - pw + kw)
-    if top >= 0 and left >= 0 and bottom <= h and right <= w:
-        xs = x[i0:i1, :, top:bottom, left:right]
-    else:
-        xs = np.zeros((i1 - i0, x.shape[1], bottom - top, right - left), dtype=x.dtype)
-        h0, h1, w0, w1 = max(top, 0), min(bottom, h), max(left, 0), min(right, w)
-        if h0 < h1 and w0 < w1:  # else the block reads padding only
-            xs[:, :, h0 - top : h1 - top, w0 - left : w1 - left] = x[i0:i1, :, h0:h1, w0:w1]
+    xs = _span(x[i0:i1], top, bottom, left, right)
     return _im2col(xs, kernel, stride, (0, r1 - r0), ow)
 
 
@@ -380,22 +390,33 @@ def conv2d_backward_data(
 # -- pooling ---------------------------------------------------------------------
 
 
+def _pool_windows(x, kernel, stride, pad, y_spatial, fill) -> np.ndarray:
+    """``(N, C, Ho, Wo, Kh*Kw)``: every pooling window of ``x`` flattened,
+    the first starting ``pad`` rows and columns before ``x``, reading
+    ``fill`` wherever a window leaves ``x`` (the windows are cut from its
+    :func:`_span`, so only the padding they read is staged)."""
+    (kh, kw), (ph, pw) = _pair(kernel), _pair(pad)
+    sh, sw = _pair(stride if stride is not None else kernel)
+    if y_spatial is None:
+        y_spatial = conv2d_output_shape(x.shape[2:], (kh, kw), (sh, sw), (ph, pw))
+    oh, ow = y_spatial
+    xs = _span(x, -ph, (oh - 1) * sh - ph + kh, -pw, (ow - 1) * sw - pw + kw, fill)
+    win = _windows(xs, (kh, kw), (sh, sw))
+    return win.reshape(*win.shape[:4], kh * kw)
+
+
 def maxpool2d_forward(
-    x: np.ndarray, kernel, stride=None, pad=0
+    x: np.ndarray, kernel, stride=None, pad=0, y_spatial: tuple[int, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling; returns ``(y, argmax)`` where argmax holds flat in-window
-    indices needed by the backward pass."""
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride if stride is not None else kernel)
-    ph, pw = _pair(pad)
+    indices needed by the backward pass.
+
+    ``pad`` and ``y_spatial`` mean what they mean in :func:`conv2d_forward`:
+    the left offset of the first window and the output extent (default the
+    symmetric formula).  A window reads the dtype's lowest value where it
+    leaves ``x``, so padding never wins over an input."""
     neg = np.finfo(x.dtype).min if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
-    xp = (
-        np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=neg)
-        if ph or pw
-        else x
-    )
-    win = _windows(xp, (kh, kw), (sh, sw))
-    flat = win.reshape(*win.shape[:4], kh * kw)
+    flat = _pool_windows(x, kernel, stride, pad, y_spatial, neg)
     argmax = flat.argmax(axis=-1)
     y = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
     return np.ascontiguousarray(y), argmax
@@ -434,8 +455,11 @@ def maxpool2d_backward(
     return dx
 
 
-def avgpool2d_forward(x: np.ndarray, kernel, stride=None, pad=0) -> np.ndarray:
-    """Average pooling (divisor is the full window size, zeros included).
+def avgpool2d_forward(
+    x: np.ndarray, kernel, stride=None, pad=0, y_spatial: tuple[int, int] | None = None
+) -> np.ndarray:
+    """Average pooling (divisor is the full window size, zeros included);
+    ``pad`` and ``y_spatial`` as in :func:`maxpool2d_forward`.
 
     Each window is flattened to a contiguous axis before the reduction so
     the per-element accumulation order depends only on the window size —
@@ -443,13 +467,7 @@ def avgpool2d_forward(x: np.ndarray, kernel, stride=None, pad=0) -> np.ndarray:
     (the overlapped halo path of ``DistPool2d``) bitwise identical to the
     fused kernel.
     """
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride if stride is not None else kernel)
-    ph, pw = _pair(pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x
-    win = _windows(xp, (kh, kw), (sh, sw))
-    flat = win.reshape(*win.shape[:4], kh * kw)
-    return np.ascontiguousarray(flat.mean(axis=-1))
+    return np.ascontiguousarray(_pool_windows(x, kernel, stride, pad, y_spatial, 0).mean(axis=-1))
 
 
 def avgpool2d_backward(

@@ -21,13 +21,15 @@ EDR.  All constants below are documented calibration inputs:
   are bottlenecked by the inter-node links (all four GPUs share the NICs).
   :meth:`MachineSpec.allreduce_time` is the one place a group's allreduce
   is priced: it prices the algorithm the engine's selection rule runs on
-  that group, the two-level composition of a group spanning nodes
-  included.
+  that group, from the nodes its members occupy, the two-level composition
+  of a group spanning nodes included.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.comm.collective_models import (
     DEFAULT_INTER_LINK,
@@ -134,27 +136,33 @@ class MachineSpec:
     #: compute kernels for SMs and memory bandwidth.
     allreduce_overlap_efficiency: float = 0.15
 
-    def allreduce_time(self, group: int, nbytes: float) -> float:
-        """Seconds of an allreduce of ``nbytes`` over ``group`` consecutive
-        ranks: the algorithm the engine's ``algorithm="auto"`` runs on that
-        group (:func:`select_allreduce_algorithm`), priced.
+    def allreduce_time(self, members: Sequence[int], nbytes: float) -> float:
+        """Seconds of an allreduce of ``nbytes`` over the world ranks
+        ``members`` (``gpus_per_node`` consecutive ranks to a node): the
+        algorithm the engine's ``algorithm="auto"`` runs on that group
+        (:func:`select_allreduce_algorithm`), priced.
 
-        A group that spans whole nodes is the uniform two-tier layout
-        (``gpus_per_node`` ranks on each), so the rule may pick the
-        hierarchical composition, priced with the inter-node algorithm the
-        engine compiles for it; a group inside one node runs flat on
-        NVLink, any other flat on the network.
+        The group is priced from the nodes its members occupy, as the
+        engine's communicator reads its layout
+        (:meth:`~repro.comm.communicator.Communicator.hierarchy`): at least
+        two nodes holding the same number, two or more, of members each is
+        a two-tier layout, so the rule may pick the hierarchical
+        composition, priced with the inter-node algorithm the engine
+        compiles for it; a group inside one node runs flat on NVLink, any
+        other flat on the network.
         """
-        k = self.gpus_per_node
+        per_node = Counter(r // self.gpus_per_node for r in members)
+        sizes = set(per_node.values())
         topology = None
-        if group > k and group % k == 0:
-            topology = TwoTierTopology(group // k, k, self.intra_link, self.inter_link)
-        alg = select_allreduce_algorithm(group, nbytes, topology)
+        if len(per_node) >= 2 and len(sizes) == 1 and min(sizes) >= 2:
+            topology = TwoTierTopology(len(per_node), min(sizes), self.intra_link, self.inter_link)
+        p = len(members)
+        alg = select_allreduce_algorithm(p, nbytes, topology)
         if alg == HIERARCHICAL_ALGORITHM:
-            inter = select_allreduce_algorithm(topology.nnodes, nbytes / k)
+            inter = select_allreduce_algorithm(topology.nnodes, nbytes / topology.ranks_per_node)
             return hierarchical_allreduce_time(nbytes, topology, inter)
-        link = self.intra_link if group <= k else self.inter_link
-        return allreduce_time(group, nbytes, link, alg)
+        link = self.intra_link if len(per_node) == 1 else self.inter_link
+        return allreduce_time(p, nbytes, link, alg)
 
     def comm_buffer_bytes(self, total_ranks: int) -> float:
         """Scale-dependent GPU memory held by the communication runtime."""

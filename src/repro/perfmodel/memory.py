@@ -8,11 +8,11 @@ the slices it updates (1/g of a layer's parameters for a gradient group of
 g ranks), the halo cells each forward halo exchange receives (the
 schedule's :class:`~repro.core.schedule.HaloOp`, on the rank of its sample
 group that receives the most),
-convolution workspace, and communication buffers.  No convolution
+convolution workspace, and communication buffers.  No windowed layer
 assembles an extended region — its input with halo and virtual padding —
-as in the engine: every convolution window reads its shard in place, and
-one that exchanges stages only its boundary pieces' source boxes
-(:mod:`repro.core.dist_conv`).  So the halo term is the halo cells, which
+as in the engine: every convolution and pooling window reads its shard in
+place, and one that exchanges stages only its boundary pieces' source
+boxes, clipped to the tensor (:mod:`repro.core.dist_conv`).  So the halo term is the halo cells, which
 land in that boundary staging; the few owned rows the staging copies
 beside them are left out.
 

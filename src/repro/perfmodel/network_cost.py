@@ -39,7 +39,9 @@ Pricing (:meth:`NetworkCostModel.cost`):
   engine runs on its group and size
   (:meth:`~repro.perfmodel.machine.MachineSpec.allreduce_time`: the
   communicator's selection rule, the hierarchical composition for a group
-  spanning nodes included);
+  spanning nodes included), the group being rank 0's — its members' world
+  ranks decide which nodes it spans, so a group strided across nodes is
+  not priced as if packed onto them;
 * the optimizer is one memory-bound pass over the parameters this rank
   updates.
 
@@ -86,6 +88,7 @@ critical-path rank's compute and communication streams
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from repro.comm.collective_models import pt2pt_time
 from repro.nn.graph import NetworkSpec
@@ -136,6 +139,13 @@ class SimResult:
     compute_busy: float
     comm_busy: float
     engine: SimEngine
+
+
+def _members(grid_shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...]:
+    """World ranks of rank 0's group over grid ``axes`` of a layer on
+    ``grid_shape``: the communicator ``grid.axes_comm(axes)`` gives it."""
+    spans = (range(n) if d in axes else (0,) for d, n in enumerate(grid_shape))
+    return tuple(rank_at(grid_shape, coords) for coords in product(*spans))
 
 
 class NetworkCostModel:
@@ -261,11 +271,12 @@ class NetworkCostModel:
                         bd.shuffle_total += one
 
         allreduce = self.machine.allreduce_time
+        grids = {op.name: op.grid_shape for op in sched.layers}
         for c in sched.collectives:
-            bd.comm_ops[c.op_id] = allreduce(c.group, c.elems * db)
+            bd.comm_ops[c.op_id] = allreduce(_members(grids[c.layer], c.axes), c.elems * db)
         bd.buckets = sched.grad_buckets(self.allreduce_bucket_bytes, db)
         for b in bd.buckets:
-            bd.comm_ops[b.op_id] = allreduce(b.group[0], b.nbytes)
+            bd.comm_ops[b.op_id] = allreduce(_members(*b.group[1:]), b.nbytes)
         # Optimizer: one memory-bound pass over parameters (+momentum), over
         # the 1/g of each layer's parameters this rank updates — the update
         # is fused into the bucket reductions of a gradient group of g.

@@ -5,7 +5,7 @@ partitioned global view of multidimensional tensors" with halo exchange
 (Section IV).  This package reproduces it:
 
 * :mod:`repro.tensor.indexing` — block partition arithmetic (the index sets
-  ``I_p(D(m))`` of §II-C) and zero-filled region extraction.
+  ``I_p(D(m))`` of §II-C) and clipped region placement.
 * :mod:`repro.tensor.grid` — Cartesian process grids over a communicator
   with per-axis sub-communicators.
 * :mod:`repro.tensor.distribution` — per-dimension Block / Replicated
@@ -37,7 +37,6 @@ from repro.tensor.indexing import (
     block_bounds,
     block_coords_of_interval,
     block_size,
-    extract_padded,
     intersect,
 )
 from repro.tensor.grid import ProcessGrid
@@ -64,7 +63,6 @@ __all__ = [
     "block_bounds",
     "block_coords_of_interval",
     "block_size",
-    "extract_padded",
     "intersect",
     "shuffle",
     "shuffle_plan",

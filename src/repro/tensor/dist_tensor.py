@@ -22,8 +22,8 @@ planned here and run by the one
   partitions); :meth:`DistTensor.scatter_region_add` finishes it at once.
 
 Both are collective over the grid's communicator.  Regions may extend past
-the global tensor boundary; out-of-range parts are filled on gather
-(materializing convolution padding) and dropped on scatter.
+the global tensor boundary; out-of-range parts are never staged on gather
+(a kernel reads them as virtual padding) and are dropped on scatter.
 
 Replication is respected: when a dimension is replicated across a grid axis,
 gathers are served by the replica in the caller's own replica group, and

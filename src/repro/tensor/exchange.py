@@ -40,6 +40,16 @@ def cells(box: Box) -> int:
     return math.prod(hi - lo for lo, hi in box)
 
 
+def clip(box: Box, bounds: Box) -> Box:
+    """``box`` clipped to ``bounds``, per dimension; a side that misses
+    them is empty at their nearer edge."""
+    out = []
+    for (b, h), (m_lo, m_hi) in zip(box, bounds):
+        lo = min(max(b, m_lo), m_hi)
+        out.append((lo, max(lo, min(h, m_hi))))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class TransferPlan:
     """Static schedule of one transfer, from this rank's viewpoint.

@@ -4,10 +4,12 @@ A transfer is a plan and an exchange.  :func:`start_region_exchange` runs
 the :class:`~repro.tensor.exchange.TransferPlan` of a region gather
 (:func:`~repro.tensor.dist_tensor.plan_regions`) through the one
 :class:`~repro.tensor.exchange.PlannedExchange` and returns it as a
-:class:`RegionExchange`: it fetches arbitrary hyper-rectangular dependency
-regions, and the caller runs the interior convolution while halo strips
-are in flight, places received pieces as they land, and finishes with
-the boundary kernels.  A caller with nothing to overlap calls
+:class:`RegionExchange`: it stages the boxes of a hyper-rectangular
+dependency region that the caller reads off its shard, clipped to the
+tensor (virtual padding is never staged: a kernel reads it as its left
+offset), and the caller runs the interior kernels on its shard while halo
+strips are in flight, places received pieces as they land, and finishes
+with the boundary kernels.  A caller with nothing to overlap calls
 :meth:`~RegionExchange.finish` right after the start; there is no separate
 blocking implementation.  In a training step every one is started by
 :class:`~repro.core.dist_network.DistNetwork`, for a halo op of the lowered
@@ -27,63 +29,27 @@ from typing import Sequence
 import numpy as np
 
 from repro.tensor.dist_tensor import DistTensor
-from repro.tensor.exchange import HALO_OP, Box, PlannedExchange, TransferPlan
-
-
-def local_region(
-    dt: DistTensor,
-    lo: Sequence[int],
-    hi: Sequence[int],
-    fill: float = 0.0,
-) -> np.ndarray:
-    """A region that is fully local (plus virtual padding), without any
-    communication — what pooling reads when no rank's window reads off-shard
-    (a :class:`~repro.core.window.WindowGeometry` that is not
-    ``exchanged``).  Convolution reads its windows in place instead, their
-    virtual padding an offset of the kernels, never staged
-    (:mod:`repro.core.dist_conv`).
-
-    Decided from the box alone: a non-empty box inside the tensor (every
-    aligned pooling) needs no fill, so it is returned as a read-only view
-    of ``dt.local`` — no copy; the result aliases a live activation, which
-    no layer may write to.  A box that leaves the tensor is staged in a
-    fresh buffer with ``fill`` in the padding.
-    """
-    box = tuple((int(b), int(h)) for b, h in zip(lo, hi))
-    out_shape = tuple(h - b for b, h in box)
-    clipped = tuple(
-        (max(b, 0), min(h, n)) for (b, h), n in zip(box, dt.global_shape)
-    )
-    nonempty = all(s > 0 for s in out_shape)
-    if nonempty and clipped == box:
-        view = dt._local_slice_of(box)  # raises unless this rank owns it
-        view.flags.writeable = False
-        return view
-    out = np.full(out_shape, fill, dtype=dt.dtype)
-    if nonempty and all(c_hi > c_lo for c_lo, c_hi in clipped):
-        sl = tuple(
-            slice(c_lo - b, c_hi - b) for (c_lo, c_hi), (b, _) in zip(clipped, box)
-        )
-        out[sl] = dt._local_slice_of(clipped)
-    return out
+from repro.tensor.exchange import HALO_OP, Box, PlannedExchange, TransferPlan, clip
 
 
 class RegionExchange:
     """An in-flight overlapped gather of a global region (paper §IV-A).
 
-    Created by :func:`start_region_exchange`.  The gather stages boxes of
-    the region — the whole region, or only the few a caller that reads the
-    rest of it in place needs — each in a fresh buffer of
-    :attr:`buffers`.  The locally owned part of every box (plus virtual
-    padding) is already placed when the constructor returns, so the caller
-    can immediately run any computation that depends only on local data —
-    the *interior* kernels — while the halo strips travel.  :meth:`poll`
-    places whatever has landed without blocking; :meth:`finish` drains the
-    rest and returns the completed buffers.
+    Created by :func:`start_region_exchange`.  The gather stages the boxes
+    of the region a caller reads off its shard — clipped to the tensor,
+    :attr:`boxes` — each in a fresh buffer of :attr:`buffers`.  The locally
+    owned part of every box is already placed when the constructor returns,
+    so the caller can immediately run any computation that depends only on
+    local data — the *interior* kernels — while the halo strips travel.
+    :meth:`poll` places whatever has landed without blocking;
+    :meth:`finish` drains the rest and returns the completed buffers.
     """
 
-    def __init__(self, exchange: PlannedExchange, buffers: tuple[np.ndarray, ...]) -> None:
+    def __init__(
+        self, exchange: PlannedExchange, boxes: tuple[Box, ...], buffers: tuple[np.ndarray, ...]
+    ) -> None:
         self._exchange = exchange
+        self.boxes = boxes
         self.buffers = buffers
 
     @property
@@ -107,21 +73,19 @@ class RegionExchange:
 
 
 def start_region_exchange(
-    dt: DistTensor,
-    plan: TransferPlan,
-    fill: float = 0.0,
-    boxes: Sequence[Box] | None = None,
+    dt: DistTensor, plan: TransferPlan, boxes: Sequence[Box]
 ) -> RegionExchange:
-    """Begin an overlapped gather of ``plan``'s region (``plan.box``) from
-    ``dt`` — ``plan`` is one of
+    """Begin an overlapped gather of ``boxes`` of ``plan``'s region
+    (``plan.box``) from ``dt`` — ``plan`` is one of
     :func:`~repro.tensor.dist_tensor.plan_regions`' (in a training step, the
-    cached plan of a :class:`~repro.core.window.WindowGeometry`).
+    cached plan of a :class:`~repro.core.window.WindowGeometry`, and
+    ``boxes`` its boundary pieces' source boxes).
 
-    Each of ``boxes`` (global boxes inside the region; default the whole
-    region) is staged in a fresh buffer, ``fill``ed where it leaves the
-    tensor (virtual padding is local knowledge): every piece this rank
-    holds or receives is written into each buffer it meets, and nothing
-    outside the boxes is copied.
+    Each box (global, inside the region) is clipped to the tensor — virtual
+    padding is never staged: a kernel reads it as its left offset — and
+    staged in a fresh buffer.  Every piece this rank holds or receives is
+    written into each buffer it meets, which writes every cell of it, and
+    nothing outside the boxes is copied.
 
     Every rank must call this at the same logical point: the exchange is
     matched by a per-communicator sequence number, and each rank eagerly
@@ -133,17 +97,16 @@ def start_region_exchange(
     data; only remote pieces are outstanding.  Off-rank bytes are recorded
     under the ``"region_data"`` stat, as the reverse halo's are.
     """
-    boxes = (plan.box,) if boxes is None else tuple(boxes)
+    tensor = tuple([(0, n) for n in dt.global_shape])
     for box in boxes:
         if any(b < r_lo or h > r_hi for (b, h), (r_lo, r_hi) in zip(box, plan.box)):
             raise ValueError(f"box {box} leaves the gathered region {plan.box}")
-    buffers = tuple(
-        np.full(tuple(h - b for b, h in box), fill, dtype=dt.dtype) for box in boxes
-    )
+    clipped = tuple([clip(box, tensor) for box in boxes])
+    buffers = tuple(np.empty(tuple(h - b for b, h in box), dtype=dt.dtype) for box in clipped)
     exchange = PlannedExchange(
         dt.comm, plan,
         dt.local, tuple(b for b, _ in dt.bounds),
-        tuple(zip(buffers, (tuple(b for b, _ in box) for box in boxes))),
+        tuple(zip(buffers, (tuple(b for b, _ in box) for box in clipped))),
         opname=HALO_OP, stat="region_data",
     )
-    return RegionExchange(exchange, buffers)
+    return RegionExchange(exchange, clipped, buffers)

@@ -1,4 +1,4 @@
-"""Block partition arithmetic and zero-filled region extraction.
+"""Block partition arithmetic and clipped region placement.
 
 Implements the index-set machinery of the paper's §II-C: a *block*
 distribution of ``n`` indices over ``nparts`` parts assigns contiguous,
@@ -79,46 +79,6 @@ def interval_is_empty(iv: tuple[int, int]) -> bool:
     return iv[0] >= iv[1]
 
 
-def extract_padded(
-    arr: np.ndarray,
-    lo: tuple[int, ...],
-    hi: tuple[int, ...],
-    fill: float = 0.0,
-) -> np.ndarray:
-    """Extract ``arr[lo:hi]`` per dimension, zero-filling out-of-range parts.
-
-    ``lo`` may be negative and ``hi`` may exceed the array extent; the
-    out-of-range region is filled with ``fill``.  This is how virtual
-    convolution padding is materialized at global tensor boundaries while
-    interior boundaries are filled by halo data.
-    """
-    if len(lo) != arr.ndim or len(hi) != arr.ndim:
-        raise ValueError(
-            f"lo/hi must have {arr.ndim} entries, got {len(lo)}/{len(hi)}"
-        )
-    out_shape = tuple(h - b for b, h in zip(lo, hi))
-    if any(s < 0 for s in out_shape):
-        raise ValueError(f"negative extraction shape {out_shape}")
-
-    in_bounds = all(
-        b >= 0 and h <= n for b, h, n in zip(lo, hi, arr.shape)
-    )
-    if in_bounds:
-        sl = tuple(slice(b, h) for b, h in zip(lo, hi))
-        return arr[sl].copy()
-
-    out = np.full(out_shape, fill, dtype=arr.dtype)
-    src_sl, dst_sl = [], []
-    for b, h, n in zip(lo, hi, arr.shape):
-        s_lo, s_hi = max(b, 0), min(h, n)
-        if s_lo >= s_hi:
-            return out  # fully out of range along this dim
-        src_sl.append(slice(s_lo, s_hi))
-        dst_sl.append(slice(s_lo - b, s_hi - b))
-    out[tuple(dst_sl)] = arr[tuple(src_sl)]
-    return out
-
-
 def place_region(
     dest: np.ndarray,
     region: np.ndarray,
@@ -127,9 +87,9 @@ def place_region(
 ) -> None:
     """Write (or add) ``region`` into ``dest`` at ``offset`` (clipping).
 
-    Parts of ``region`` falling outside ``dest`` are dropped — the inverse
-    of the zero-fill in :func:`extract_padded`, used when accumulating
-    reverse-halo contributions whose virtual-padding parts are discarded.
+    Parts of ``region`` falling outside ``dest`` are dropped: a box written
+    into each staging buffer it meets lands only in the cells they share,
+    and reverse-halo contributions lose their virtual-padding parts.
     """
     src_sl, dst_sl = [], []
     for off, rn, dn in zip(offset, region.shape, dest.shape):

@@ -186,10 +186,10 @@ def region_plan(dt, regions):
     return plan_regions(dt.dist, dt.global_shape, placed)[dt.comm.rank]
 
 
-def region_of(global_array, lo, hi, fill=0.0):
+def region_of(global_array, lo, hi):
     """The numpy oracle of a region gather: ``global_array[lo:hi]``, with
-    ``fill`` wherever the region leaves the array."""
-    out = np.full([h - b for b, h in zip(lo, hi)], fill, dtype=global_array.dtype)
+    zeros wherever the region leaves the array."""
+    out = np.zeros([h - b for b, h in zip(lo, hi)], dtype=global_array.dtype)
     src = [(max(b, 0), min(h, n)) for b, h, n in zip(lo, hi, global_array.shape)]
     if all(s1 > s0 for s0, s1 in src):
         out[tuple(slice(s0 - b, s1 - b) for (s0, s1), b in zip(src, lo))] = (
@@ -208,14 +208,12 @@ def standalone_window(layer, x):
 
 def start_window(layer, source, window):
     """``(geometry, started gather or None)`` of ``window`` on this rank,
-    started as ``DistNetwork`` starts it — with the layer's padding value,
-    staging what the layer reads off the shard — wherever a window reads
-    off-shard."""
+    started as ``DistNetwork`` starts it — staging the boundary pieces'
+    source boxes — wherever a window reads off-shard."""
     g = window_geometry(layer.grid.coords, *window)
     if not g.exchanged:
         return g, None
-    boxes = g.boundary_boxes if layer.in_place else None
-    return g, start_region_exchange(source, g.plan, fill=layer.fill, boxes=boxes)
+    return g, start_region_exchange(source, g.plan, g.boundary_boxes)
 
 
 class Driven:

@@ -23,7 +23,11 @@ from repro.comm.collective_models import (
     allreduce_time,
     hierarchical_allreduce_time,
 )
+from repro.core import LayerParallelism, ParallelStrategy
+from repro.nn.resnet import build_resnet_tiny
+from repro.perfmodel import NetworkCostModel
 from repro.perfmodel.machine import MachineSpec
+from repro.tensor import ProcessGrid
 
 #: float64 element counts on both sides of the 2 KiB small-message cutoff,
 #: of the ~4 MB size where recursive doubling stops being the fastest flat
@@ -49,28 +53,30 @@ def _engine_picks(comm):
     return comm.size, comm.hierarchy(), picks
 
 
-def _price(spec: MachineSpec, p: int, nbytes: float, alg: str, inter: str | None) -> float:
-    """What an allreduce running ``alg`` (``inter`` between nodes) costs
-    on ``spec``."""
-    k = spec.gpus_per_node
+def _price(spec: MachineSpec, members, nbytes: float, alg: str, inter: str | None) -> float:
+    """What an allreduce over world ranks ``members`` running ``alg``
+    (``inter`` between nodes) costs on ``spec``."""
+    p, nodes = len(members), len({r // spec.gpus_per_node for r in members})
     if alg == HIERARCHICAL_ALGORITHM:
-        topo = TwoTierTopology(p // k, k, spec.intra_link, spec.inter_link)
+        topo = TwoTierTopology(nodes, p // nodes, spec.intra_link, spec.inter_link)
         return hierarchical_allreduce_time(nbytes, topo, inter)
-    link = spec.intra_link if p <= k else spec.inter_link
+    link = spec.intra_link if nodes == 1 else spec.inter_link
     return allreduce_time(p, nbytes, link, alg)
 
 
-def _assert_model_prices_engine(results, spec: MachineSpec) -> list[bool]:
-    """Every rank's pick is the one ``spec.allreduce_time`` prices; returns,
-    per size, whether that price differs from the fastest flat algorithm
-    (the model's answer before it asked the engine's rule)."""
+def _assert_model_prices_engine(results, spec: MachineSpec, members=None) -> list[bool]:
+    """Every rank's pick is the one ``spec.allreduce_time`` prices over
+    ``members``, the world ranks of rank 0's group (default: the first p);
+    returns, per size, whether that price differs from the fastest flat
+    algorithm (the model's answer before it asked the engine's rule)."""
     (p, _, picks), *others = results
     assert all(picks == o[2] for o in others)  # one pick on every rank
+    members = range(p) if members is None else members
     differs = []
     for n, (alg, inter) in zip(ELEMS, picks):
         nbytes = n * 8
-        priced = spec.allreduce_time(p, nbytes)
-        assert priced == _price(spec, p, nbytes, alg, inter), (p, nbytes, alg, inter)
+        priced = spec.allreduce_time(members, nbytes)
+        assert priced == _price(spec, members, nbytes, alg, inter), (p, nbytes, alg, inter)
         link = spec.intra_link if p <= spec.gpus_per_node else spec.inter_link
         fastest = min(allreduce_time(p, nbytes, link, a) for a in REDUCTION_ALGORITHMS)
         differs.append(priced != fastest)
@@ -108,3 +114,32 @@ def test_session_layout():
     h = results[0][1]
     k = 4 if h is None else len(h[0])
     _assert_model_prices_engine(results, MachineSpec(gpus_per_node=k))
+
+
+def _sample_group_picks(comm):
+    """:func:`_engine_picks` of this rank's sample group on a ``(4, 1, 2, 1)``
+    grid: world ranks ``[0, 2, 4, 6]`` for rank 0, strided over the nodes."""
+    return _engine_picks(ProcessGrid(comm, (4, 1, 2, 1)).axes_comm((0,)))
+
+
+def test_strided_group_is_priced_from_the_nodes_it_spans():
+    """A sample group under an inner spatial split holds every other world
+    rank: on 4-GPU nodes, 4 members two to a node — a 2 x 2 two-tier layout
+    the engine runs as one, not a node on NVLink."""
+    results = run_spmd(
+        8, _sample_group_picks, backend="thread", hostmap="0,1,2,3:N0 4,5,6,7:N1"
+    )
+    assert results[0][:2] == (4, ((0, 1), (2, 3)))
+    lassen = MachineSpec(gpus_per_node=4)
+    _assert_model_prices_engine(results, lassen, members=(0, 2, 4, 6))
+
+    # The cost model prices ResNet-tiny's loss allreduce over that group.
+    par = LayerParallelism(sample=4, height=2)
+    bd = NetworkCostModel(build_resnet_tiny(image_size=16), lassen).cost(
+        8, ParallelStrategy.uniform(par)
+    )
+    (loss,) = [c for c in bd.schedule.collectives if ":loss:" in c.op_id]
+    nbytes = loss.elems * lassen.dtype_bytes
+    assert loss.axes == (0,) and loss.group == 4
+    assert bd.comm_ops[loss.op_id] == lassen.allreduce_time((0, 2, 4, 6), nbytes)
+    assert bd.comm_ops[loss.op_id] != lassen.allreduce_time(range(4), nbytes)

@@ -4,6 +4,8 @@
 single GPU (up to floating point accumulation issues)."
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 
 from conftest import Driven, region_of, standalone_window, start_window
 from repro.comm import run_spmd
+from repro.core import dist_conv, dist_layers
 from repro.core.dist_conv import DistConv2d
 from repro.core.dist_layers import DistPool2d
 from repro.core.window import transposed_window, window_geometry
 from repro.nn import functional as F
 from repro.tensor import DistTensor, Distribution, ProcessGrid
-from repro.tensor.halo import local_region
+from repro.tensor import halo
+from repro.tensor.exchange import cells, clip
 from repro.core.parallelism import activation_dist
 
 RTOL = 1e-11
@@ -193,13 +197,14 @@ class TestDistConvExactness:
 
 
 class TestInPlaceWindows:
-    """Every convolution window reads its shard in place.  A window that
-    exchanges nothing — every convolution at p = 1 or under sample
-    parallelism — is one piece over the shard: forward, ``dw`` and ``dx``
-    are bitwise the kernels on the shard, and what forward saves for
+    """Every convolution and pooling window reads its shard in place.  A
+    window that exchanges nothing — every convolution at p = 1 or under
+    sample parallelism — is one piece over the shard: forward, ``dw`` and
+    ``dx`` are bitwise the kernels on the shard, and what forward saves for
     backward is a view of its input (the layer holds no array of its own).
     A window that exchanges reads its interior in place too and stages only
-    its boundary pieces' source boxes: no buffer the size of its region."""
+    its boundary pieces' source boxes, clipped to the tensor: no buffer the
+    size of its region."""
 
     @staticmethod
     def owned(obj):
@@ -260,63 +265,94 @@ class TestInPlaceWindows:
         [
             (2, 3, 12, 10, 4, 3, 1, 1, True),
             (2, 3, 13, 11, 4, 3, 2, 1, True),
-            (1, 4, 24, 20, 3, 5, 2, 2, True),   # conv1_1's K5 S2 P2
-            (2, 3, 4, 6, 4, 5, 1, 2, False),    # 2 rows a rank: no interior
+            (1, 4, 24, 20, 3, 5, 2, 2, True),     # conv1_1's K5 S2 P2
+            (2, 3, 4, 6, 4, 5, 1, 2, False),      # 2 rows a rank: no interior
+            (2, 3, 16, 14, None, 3, 2, 1, True),  # ResNet's pool1: max K3 S2 P1
         ],
-        ids=["k3s1", "k3s2", "k5s2_conv1_1", "thin"],
+        ids=["k3s1", "k3s2", "k5s2_conv1_1", "thin", "pool1_k3s2p1"],
     )
     def test_exchanged_windows_stage_only_the_boundary(
-        self, grid_shape, n, c, h, w_, f, k, s, p, interior
+        self, monkeypatch, grid_shape, n, c, h, w_, f, k, s, p, interior
     ):
         rng = np.random.default_rng(22)
         x = rng.standard_normal((n, c, h, w_))
-        w = rng.standard_normal((f, c, k, k))
-        y_ref = F.conv2d_forward(x, w, stride=s, pad=p)
-        dy = rng.standard_normal(y_ref.shape)
-        dw_ref = F.conv2d_backward_filter(x, dy, kernel=k, stride=s, pad=p)
-        dx_ref = F.conv2d_backward_data(dy, w, stride=s, pad=p, x_spatial=(h, w_))
+        if f is None:  # max pooling
+            y_ref, argmax = F.maxpool2d_forward(x, k, s, p)
+            dy = rng.standard_normal(y_ref.shape)
+            dx_ref = F.maxpool2d_backward(dy, argmax, x.shape, k, s, p)
+        else:
+            w = rng.standard_normal((f, c, k, k))
+            y_ref = F.conv2d_forward(x, w, stride=s, pad=p)
+            dy = rng.standard_normal(y_ref.shape)
+            dw_ref = F.conv2d_backward_filter(x, dy, kernel=k, stride=s, pad=p)
+            dx_ref = F.conv2d_backward_data(dy, w, stride=s, pad=p, x_spatial=(h, w_))
+
+        # What each rank's forward ran its pieces on: the gather it was
+        # handed and what every piece read.
+        forward, run_block = threading.local(), dist_conv.run_block
+
+        def spy(piece, source, g, ex, dtypes):
+            out, forward.reads = run_block(piece, source, g, ex, dtypes)
+            forward.ex = ex
+            return out, forward.reads
+
+        monkeypatch.setattr(dist_layers, "run_block", spy)
+        monkeypatch.setattr(dist_conv, "run_block", spy)
 
         def prog(comm):
             grid = ProcessGrid(comm, grid_shape)
             xd = DistTensor.from_global(grid, activation_dist(grid_shape, x.shape), x)
-            conv = Driven(DistConv2d(grid, w, stride=s, pad=p))
-            y = conv.forward(xd)
-            g = window_geometry(grid.coords, *conv.window)
-            assert g.exchanged and any(inside for *_, inside in g.pieces) == interior
-            # Forward saved what its pieces read: views of the shard, and
-            # staging buffers no larger than a boundary piece's source box.
-            staged = max(
-                (int(np.prod([hi - lo for lo, hi in b])) for b in g.boundary_boxes), default=0
+            layer = Driven(
+                DistPool2d(grid, "max", k, s, p) if f is None
+                else DistConv2d(grid, w, stride=s, pad=p)
             )
-            region = int(np.prod(g.plan.shape))
-            assert staged < region or not interior
-            assert all(a.size <= staged for a in self.owned(conv.saved))
-            assert self.owned(conv.layer) == []
-            views = [src for _, src, _ in conv.saved if src.base is not None]
+            y = layer.forward(xd)
+            g = window_geometry(grid.coords, *layer.window)
+            assert g.exchanged and any(inside for *_, inside in g.pieces) == interior
+            # The interior piece reads a view of the shard, each boundary
+            # piece the buffer staged of its box clipped to the tensor.
+            tensor = tuple((0, e) for e in x.shape)
+            boxes = tuple(clip(box, tensor) for box in g.boundary_boxes)
+            ex = forward.ex
+            assert ex.boxes == boxes
+            assert [b.shape for b in ex.buffers] == [
+                tuple(hi - lo for lo, hi in box) for box in boxes
+            ]
+            assert max(map(cells, boxes), default=0) < cells(g.plan.box) or not interior
+            views = [src for (_, src, _), tile in zip(forward.reads, g.tiles) if tile[2]]
             assert bool(views) == interior
             assert all(np.shares_memory(view, xd.local) for view in views)
-            # Eq. 3's gather stages its boundary boxes, nothing else.
+            staged = [src for (_, src, _), tile in zip(forward.reads, g.tiles) if not tile[2]]
+            assert [src.base is buf for src, buf in zip(staged, ex.buffers)] == [True] * len(boxes)
+            assert self.owned(layer.layer) == []
             dyd = DistTensor.from_global(grid, y.dist, dy)
-            g3, ex = start_window(conv.layer, dyd, transposed_window(conv.window))
-            assert [b.shape for b in ex.finish()] == [
-                tuple(hi - lo for lo, hi in box) for box in g3.boundary_boxes
+            if f is None:
+                return y.to_global(), layer.backward(dyd).to_global(), None
+            # Forward saved what its pieces read, and Eq. 3's gather stages
+            # its boundary boxes, clipped, nothing else.
+            assert layer.saved is forward.reads and self.owned(layer.saved) == []
+            g3, ex3 = start_window(layer.layer, dyd, transposed_window(layer.window))
+            boxes3 = [clip(box, tuple((0, e) for e in y.global_shape)) for box in g3.boundary_boxes]
+            assert [b.shape for b in ex3.finish()] == [
+                tuple(hi - lo for lo, hi in box) for box in boxes3
             ]
-            dx, dw, _ = conv.backward(dyd)
+            dx, dw, _ = layer.backward(dyd)
             axes = [d for d in range(4) if y.dist.is_split(d)]
             return y.to_global(), dx.to_global(), grid.axes_comm(axes).allreduce(dw)
 
         for y, dx, dw in run_spmd(int(np.prod(grid_shape)), prog):
             np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(dw, dw_ref, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(dx, dx_ref, rtol=1e-12, atol=1e-12)
+            if f is not None:
+                np.testing.assert_allclose(dw, dw_ref, rtol=1e-12, atol=1e-12)
 
 
 class TestWindowGeometry:
     """Every windowed layer gathers, on every rank, a region spanning all of
     its source's channels, and the cached exchange plan stages exactly the
-    boxes of it that the layer reads off its shard — pooling's whole
-    region, convolution's boundary pieces' source boxes — as the global
-    tensor holds them, ``fill`` outside it."""
+    boxes of it that the layer reads off its shard — its boundary pieces'
+    source boxes, clipped to the tensor — as the global tensor holds them,
+    every cell written by the exchange."""
 
     @staticmethod
     def geometry(kind, grid, x):
@@ -341,7 +377,21 @@ class TestWindowGeometry:
         [(4, 1, 1, 1), (1, 1, 2, 2), (1, 1, 4, 1), (2, 1, 2, 1)],
         ids=["sample4", "spatial2x2", "spatial4x1", "hybrid2x2x1"],
     )
-    def test_region_spans_channels_and_gathers_exactly(self, kind, grid_shape):
+    def test_region_spans_channels_and_gathers_exactly(self, monkeypatch, kind, grid_shape):
+        """The staging buffers are allocated uninitialised, so here they
+        come NaN-poisoned: a cell the exchange leaves unwritten fails."""
+
+        class Poisoned:
+            """numpy, whose ``empty`` hands out NaN-filled arrays."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, dtype=float):
+                return np.full(shape, np.nan, dtype=dtype)
+
+        monkeypatch.setattr(halo, "np", Poisoned())
         x = np.random.default_rng(3).standard_normal((4, 3, 12, 10))
 
         def prog(comm):
@@ -352,15 +402,15 @@ class TestWindowGeometry:
             assert g.exchanged == (grid_shape[2] * grid_shape[3] > 1)
             whole = src.to_global()
             if ex is None:
-                staged = [(g.lo, g.hi, local_region(src, g.lo, g.hi, fill=layer.fill))]
-            else:
-                boxes = g.boundary_boxes if layer.in_place else (g.plan.box,)
-                staged = [(*zip(*box), got) for box, got in zip(boxes, ex.finish(), strict=True)]
-            for lo, hi, got in staged:
-                np.testing.assert_array_equal(got, region_of(whole, lo, hi, fill=layer.fill))
-            return True
+                return 0
+            tensor = tuple((0, e) for e in src.global_shape)
+            assert ex.boxes == tuple(clip(box, tensor) for box in g.boundary_boxes)
+            for box, got in zip(ex.boxes, ex.finish(), strict=True):
+                np.testing.assert_array_equal(got, region_of(whole, *zip(*box)))
+            return len(ex.boxes)
 
-        assert all(run_spmd(int(np.prod(grid_shape)), prog))
+        staged = run_spmd(int(np.prod(grid_shape)), prog)
+        assert (sum(staged) > 0) == (grid_shape[2] * grid_shape[3] > 1)
 
     @pytest.mark.parametrize(
         "grid_shape", [(1, 2, 1, 1), (1, 2, 2, 1), (2, 2, 1, 1)],
@@ -384,9 +434,9 @@ class TestWindowGeometry:
 class TestHandedExchange:
     """The network decides whether a window exchanges; a layer only checks
     that what it is handed fits the geometry.  A window that reads
-    off-shard handed no exchange — which would silently read the halo's
-    fill — raises before any kernel runs, and so does a window that reads
-    nothing off-shard handed one."""
+    off-shard handed no exchange — whose boundary pieces would have no
+    staged box to read — raises before any kernel runs, and so does a
+    window that reads nothing off-shard handed one."""
 
     @pytest.mark.parametrize("kind", ["conv_forward", "conv_eq3", "pool"])
     def test_exchanged_window_handed_none_raises(self, kind):

@@ -1,17 +1,16 @@
 """Process grids, distributions, and the planned region gather on pinned
-regions against ``extract_padded`` on the global array (generated layouts
-are in ``test_transfer_property.py``)."""
+regions against ``conftest.region_of`` on the global array (generated
+layouts are in ``test_transfer_property.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import region_plan
+from conftest import region_of, region_plan
 from repro.comm import run_spmd
 from repro.tensor import DistTensor, Distribution, ProcessGrid, start_region_exchange
 from repro.tensor.distribution import DimKind
-from repro.tensor.indexing import extract_padded
 
 
 def make_grid_prog(grid_shape, dist, global_array, body):
@@ -25,11 +24,29 @@ def make_grid_prog(grid_shape, dist, global_array, body):
     return prog
 
 
-def gather(dt, regions, fill=0.0):
+def gather(dt, regions):
     """This rank's region of the planned gather in which comm rank ``j``
-    gathers ``regions[j] = (lo, hi)``."""
-    (region,) = start_region_exchange(dt, region_plan(dt, regions), fill=fill).finish()
+    gathers ``regions[j] = (lo, hi)``, staged whole: the part of it inside
+    the tensor."""
+    plan = region_plan(dt, regions)
+    ex = start_region_exchange(dt, plan, (plan.box,))
+    (region,) = ex.finish()
+    assert ex.boxes == (inside(dt.global_shape, *regions[dt.comm.rank]),)
     return region
+
+
+def inside(shape, lo, hi):
+    """Box ``[lo, hi)`` clipped to a tensor of ``shape``."""
+    box = []
+    for b, h, n in zip(lo, hi, shape):
+        b = min(max(b, 0), n)
+        box.append((b, max(b, min(h, n))))
+    return tuple(box)
+
+
+def region_inside(x, lo, hi):
+    """The oracle of a gather of ``[lo, hi)`` from ``x``: its part inside."""
+    return region_of(x, *zip(*inside(x.shape, lo, hi)))
 
 
 def own_halo_regions(dt, halo):
@@ -171,9 +188,9 @@ class TestFromToGlobal:
 
 class TestRegionGather:
     @pytest.mark.parametrize("grid_shape", [(2, 2), (1, 4), (4, 1)])
-    def test_matches_extract_padded(self, grid_shape):
-        """The planned gather of a distributed tensor == extract_padded on
-        the global array, for regions spanning partitions and boundaries."""
+    def test_matches_global_region(self, grid_shape):
+        """The planned gather of a distributed tensor == the region of the
+        global array, for regions spanning partitions and boundaries."""
         rng = np.random.default_rng(1)
         x = rng.standard_normal((9, 11))
         dist = Distribution.make(grid_shape)
@@ -191,7 +208,7 @@ class TestRegionGather:
         results = run_spmd(4, make_grid_prog(grid_shape, dist, x, body))
         for outs in results:
             for (lo, hi), got in zip(regions, outs):
-                np.testing.assert_array_equal(got, extract_padded(x, lo, hi))
+                np.testing.assert_array_equal(got, region_inside(x, lo, hi))
 
     def test_per_rank_distinct_regions(self):
         """Each rank fetches the dependency region of its own block — the
@@ -202,7 +219,7 @@ class TestRegionGather:
         def body(dt, comm):
             regions = own_halo_regions(dt, 1)
             got = gather(dt, regions)
-            np.testing.assert_array_equal(got, extract_padded(x, *regions[comm.rank]))
+            np.testing.assert_array_equal(got, region_inside(x, *regions[comm.rank]))
             return True
 
         assert all(run_spmd(4, make_grid_prog((2, 2), dist, x, body)))
@@ -235,13 +252,16 @@ class TestRegionGather:
 
         assert all(run_spmd(4, make_grid_prog((4, 1), dist, x, body)))
 
-    def test_fill_value(self):
-        x = np.zeros((4, 4))
+    def test_padding_is_never_staged(self):
+        """A region leaving the tensor is staged clipped to it; one wholly
+        outside stages nothing."""
+        x = np.arange(16.0).reshape(4, 4)
         dist = Distribution.make((2, 2))
 
         def body(dt, comm):
-            got = gather(dt, [((-1, 0), (0, 4))] * comm.size, fill=9.0)
-            np.testing.assert_array_equal(got, np.full((1, 4), 9.0))
+            assert gather(dt, [((-1, 0), (0, 4))] * comm.size).shape == (0, 4)
+            got = gather(dt, [((-1, -2), (3, 6))] * comm.size)
+            np.testing.assert_array_equal(got, x[:3])
             return True
 
         assert all(run_spmd(4, make_grid_prog((2, 2), dist, x, body)))
@@ -279,7 +299,8 @@ class TestDistTensorValidation:
     ),
 )
 def test_region_gather_property(h, w, dlo, extent):
-    """The planned gather == extract_padded for arbitrary regions and sizes."""
+    """The planned gather == the global region for arbitrary regions and
+    sizes."""
     rng = np.random.default_rng(h * 100 + w)
     x = rng.standard_normal((h, w))
     dist = Distribution.make((2, 2))
@@ -292,4 +313,4 @@ def test_region_gather_property(h, w, dlo, extent):
         return gather(dt, [(lo, hi)] * comm.size)
 
     for got in run_spmd(4, prog):
-        np.testing.assert_array_equal(got, extract_padded(x, lo, hi))
+        np.testing.assert_array_equal(got, region_inside(x, lo, hi))

@@ -53,7 +53,8 @@ class TestMaxPool:
             np.testing.assert_allclose(dx[idx], num, rtol=1e-4, atol=1e-7)
 
     def test_padding_never_wins(self):
-        """-inf padding means a padded cell is never the argmax."""
+        """Padding reads the dtype's lowest value: a padded cell is never
+        the argmax."""
         x = np.full((1, 1, 2, 2), -100.0)
         y, argmax = F.maxpool2d_forward(x, kernel=3, stride=1, pad=1)
         assert (y == -100.0).all()
@@ -458,15 +459,51 @@ def test_pool_adjoint_property(n, c, h, k, s):
     np.testing.assert_allclose((y * dy).sum(), (x * dx).sum(), rtol=1e-9, atol=1e-9)
 
 
+#: Seeded like the convolution sweeps (tests/test_functional_conv.py): 100
+#: examples in tier-1, 600 under CI's ``wide`` profile.
+seeded_sweep = settings(derandomize=True, deadline=None)
+
+
+@seeded_sweep
+@given(
+    mode=st.sampled_from(["max", "avg"]),
+    kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    data=st.data(),
+)
+def test_pool_at_a_left_offset_equals_pooling_a_padded_copy(mode, kernel, stride, data):
+    """Pooling reads virtual padding as the left offset of its first window
+    (``pad`` in ``[0, k)``) over any output extent — past the input's end
+    too — and gives, bit for bit and argmax included, the kernel's result
+    on a copy of the input padded there and nowhere else."""
+    pad = tuple(data.draw(st.integers(0, k - 1)) for k in kernel)
+    extent = tuple(data.draw(st.integers(1, 6)) for _ in range(2))
+    h, w = (data.draw(st.integers(1, 10)) for _ in range(2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    x = rng.standard_normal((2, 3, h, w))
+    span = tuple((e - 1) * s + k for e, s, k in zip(extent, stride, kernel))
+    fill = np.finfo(x.dtype).min if mode == "max" else 0.0
+    padded = np.pad(
+        x,
+        ((0, 0), (0, 0)) + tuple((p, max(0, n - p - e)) for p, n, e in zip(pad, span, (h, w))),
+        constant_values=fill,
+    )[:, :, : span[0], : span[1]]
+    if mode == "max":
+        got = F.maxpool2d_forward(x, kernel, stride, pad, y_spatial=extent)
+        want = F.maxpool2d_forward(padded, kernel, stride)
+    else:
+        got = (F.avgpool2d_forward(x, kernel, stride, pad, y_spatial=extent),)
+        want = (F.avgpool2d_forward(padded, kernel, stride),)
+    assert got[0].shape == (2, 3, *extent)
+    for g, v in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, v)
+
+
 # -- batch-norm kernel sweep -----------------------------------------------------
 #
 # The kernels fold the per-channel constants and never form ``xhat``; the
 # reference below is the centred two-pass textbook layer, written out here
-# and evaluated in float64.  Seeded like the convolution sweeps
-# (tests/test_functional_conv.py): 100 examples in tier-1, 600 under CI's
-# ``wide`` profile.
-
-seeded_sweep = settings(derandomize=True, deadline=None)
+# and evaluated in float64, in the seeded sweep.
 
 BN_EPS = 1e-5
 

@@ -26,13 +26,13 @@ from conftest import (
     standalone_window,
 )
 from repro.comm import run_spmd
-from repro.core.dist_conv import DistConv2d
+from repro.core.dist_conv import DistConv2d, _read
 from repro.core.dist_layers import DistPool2d
 from repro.core.window import _frame_pieces, window_geometry
 from repro.core.parallelism import activation_dist
 from repro.nn import functional as F
 from repro.tensor import DistTensor, Distribution, ProcessGrid
-from repro.tensor.halo import HALO_OP, local_region, start_region_exchange
+from repro.tensor.halo import HALO_OP, start_region_exchange
 
 
 GEOMETRIES = [
@@ -202,7 +202,8 @@ class TestPoolAgainstGlobalArray:
             )
             g = window_geometry(grid.coords, *standalone_window(layer, xd))
             def piece(rows, cols):
-                return layer._pool_piece(x_ext[g.source_index(rows, cols)], (0, 0), g, rows, cols)
+                box = g.source_box(rows, cols)
+                return layer._pool_piece(x_ext[tuple(slice(*b) for b in box)], (0, 0), g, rows, cols)
 
             fused = piece(*g.bounds[2:])
             oh, ow = fused[0].shape[2:]
@@ -269,9 +270,13 @@ class TestRegionExchange:
                         (b[0][1], b[1][1], b[2][1] + 1, b[3][1] + 1),
                     )
                 )
-            lo, hi = regions[comm.rank]
-            ex = start_region_exchange(dt, region_plan(dt, regions))
+            plan = region_plan(dt, regions)
+            ex = start_region_exchange(dt, plan, (plan.box,))
             (got,) = ex.finish()
+            # Staged clipped to the tensor: the padding is never staged.
+            lo, hi = zip(*ex.boxes[0])
+            assert lo == tuple(max(b, 0) for b in regions[comm.rank][0])
+            assert hi == tuple(min(h, n) for h, n in zip(regions[comm.rank][1], x.shape))
             np.testing.assert_array_equal(got, region_of(dt.to_global(), lo, hi))
             return True
 
@@ -359,81 +364,24 @@ class TestRegionExchange:
             np.testing.assert_array_equal(got, want)
 
 
-class TestLocalRegion:
-    """``local_region`` hands out a view when the box needs neither padding
-    nor remote data, and stages a fresh buffer otherwise — decided from the
-    box alone."""
+class TestRead:
+    """``dist_conv._read`` reads a window's source box from the shard or a
+    staged buffer alike: a read-only view of the box clipped to what the
+    array holds, and the rows and columns clipped before it as the kernel's
+    left offset."""
 
     X = np.arange(2 * 3 * 8 * 6, dtype=np.float64).reshape(2, 3, 8, 6)
 
-    @staticmethod
-    def _on_row_shards(body):
-        """Run ``body(dt, rows)`` on 2 ranks that own 4 rows each."""
-        grid_shape = (1, 1, 2, 1)
-
-        def prog(comm):
-            grid = ProcessGrid(comm, grid_shape)
-            dt = DistTensor.from_global(
-                grid, activation_dist(grid_shape, TestLocalRegion.X.shape), TestLocalRegion.X
-            )
-            return body(dt, dt.bounds[2])
-
-        return run_spmd(2, prog)
-
-    def test_view_iff_the_box_lies_inside_the_tensor(self):
-        def body(dt, rows):
-            r0, r1 = rows
-            inside = [
-                ((0, 0, r0, 0), (2, 3, r1, 6)),          # the whole shard
-                ((0, 1, r0 + 1, 2), (2, 2, r1 - 1, 5)),  # a sub-block
-            ]
-            for lo, hi in inside:
-                got = local_region(dt, lo, hi)
-                assert np.shares_memory(got, dt.local)
-                assert got is not dt.local and got.base is not None
-                assert not got.flags.writeable and dt.local.flags.writeable
-                np.testing.assert_array_equal(
-                    got, self.X[tuple(slice(a, b) for a, b in zip(lo, hi))]
-                )
-
-            # Leaving the tensor (columns -1..7 are virtual padding): staged,
-            # with the fill in place.
-            lo, hi = (0, 0, r0, -1), (2, 3, r1, 7)
-            for fill in (0.0, -np.inf):
-                got = local_region(dt, lo, hi, fill=fill)
-                assert not np.shares_memory(got, dt.local) and got.base is None
-                assert (got[..., 0] == fill).all() and (got[..., -1] == fill).all()
-                np.testing.assert_array_equal(got[..., 1:-1], dt.local)
-            return True
-
-        assert self._on_row_shards(body) == [True, True]
-
-    def test_padded_three_by_three_box_is_staged(self):
-        """What a padded 3x3 convolution asks for on one rank: the tensor
-        plus a ring of one."""
-        def prog(comm):
-            grid = ProcessGrid(comm, (1, 1, 1, 1))
-            dt = DistTensor.from_global(
-                grid, activation_dist(grid.shape, self.X.shape), self.X
-            )
-            got = local_region(dt, (0, 0, -1, -1), (2, 3, 9, 7), fill=7.0)
-            assert not np.shares_memory(got, dt.local)
-            np.testing.assert_array_equal(
-                got, np.pad(self.X, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=7.0)
-            )
-            return True
-
-        assert run_spmd(1, prog) == [True]
-
-    def test_unowned_box_still_raises(self):
-        def body(dt, rows):
-            other = (4, 8) if rows == (0, 4) else (0, 4)
-            for lo, hi in [
-                ((0, 0, other[0], 0), (2, 3, other[1], 6)),  # inside, a peer's
-                ((0, 0, 0, -1), (2, 3, 8, 7)),               # padded, both shards
-            ]:
-                with pytest.raises(ValueError, match="not owned locally"):
-                    local_region(dt, lo, hi)
-            return True
-
-        assert self._on_row_shards(body) == [True, True]
+    @pytest.mark.parametrize(
+        "rows,cols,offset",
+        [((5, 7), (1, 4), (0, 0)), ((3, 9), (-1, 7), (1, 1)), ((4, 6), (-2, 2), (0, 2))],
+        ids=["inside", "padded_all_round", "padded_left"],
+    )
+    def test_view_of_the_box_clipped_to_its_array(self, rows, cols, offset):
+        held = self.X[:, :, 4:8].copy()  # global rows 4..7, all columns
+        got, virtual = _read(held, ((0, 2), (0, 3), (4, 8), (0, 6)), ((0, 2), (0, 3), rows, cols))
+        assert np.shares_memory(got, held) and not got.flags.writeable
+        assert held.flags.writeable
+        assert virtual == offset
+        (r0, r1), (c0, c1) = (max(rows[0], 4), min(rows[1], 8)), (max(cols[0], 0), min(cols[1], 6))
+        np.testing.assert_array_equal(got, self.X[:, :, r0:r1, c0:c1])

@@ -124,12 +124,12 @@ class TestTwoTierModel:
         n = 4 << 20
         assert select_allreduce_algorithm(32, n, topo) == HIERARCHICAL_ALGORITHM
         inter = select_allreduce_algorithm(8, n / LASSEN.gpus_per_node)
-        assert LASSEN.allreduce_time(32, n) == hierarchical_allreduce_time(n, topo, inter)
+        assert LASSEN.allreduce_time(range(32), n) == hierarchical_allreduce_time(n, topo, inter)
         # Inside one node, and on a group that covers no whole nodes: flat.
-        assert LASSEN.allreduce_time(4, n) == allreduce_time(
+        assert LASSEN.allreduce_time(range(4), n) == allreduce_time(
             4, n, LASSEN.intra_link, "rabenseifner"
         )
-        assert LASSEN.allreduce_time(6, n) == allreduce_time(
+        assert LASSEN.allreduce_time(range(6), n) == allreduce_time(
             6, n, LASSEN.inter_link, "ring"
         )
 

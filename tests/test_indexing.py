@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.tensor.exchange import clip
 from repro.tensor.indexing import (
     block_bounds,
     block_coords_of_interval,
-    extract_padded,
     intersect,
     interval_is_empty,
     owner_of_index,
@@ -80,47 +80,25 @@ class TestIntervalHelpers:
         assert c1 < c0
 
 
-class TestExtractPadded:
-    def test_in_bounds_copy(self):
-        a = np.arange(12).reshape(3, 4)
-        out = extract_padded(a, (1, 1), (3, 3))
-        np.testing.assert_array_equal(out, [[5, 6], [9, 10]])
-        out[0, 0] = -1
-        assert a[1, 1] == 5  # result is a copy
-
-    def test_padding_all_sides(self):
-        a = np.ones((2, 2))
-        out = extract_padded(a, (-1, -1), (3, 3))
-        assert out.shape == (4, 4)
-        assert out.sum() == 4.0
-        np.testing.assert_array_equal(out[1:3, 1:3], np.ones((2, 2)))
-        assert out[0].sum() == 0 and out[-1].sum() == 0
-
-    def test_fully_out_of_range(self):
-        a = np.ones((2, 2))
-        out = extract_padded(a, (5, 0), (7, 2), fill=-3.0)
-        np.testing.assert_array_equal(out, np.full((2, 2), -3.0))
-
-    def test_custom_fill(self):
-        a = np.zeros((1, 1))
-        out = extract_padded(a, (0, -1), (1, 1), fill=7.0)
-        np.testing.assert_array_equal(out, [[7.0, 0.0]])
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            extract_padded(np.zeros((2, 2)), (0,), (1,))
+class TestClip:
+    def test_inside_outside_and_across(self):
+        bounds = ((0, 4), (2, 6))
+        assert clip(((1, 3), (3, 5)), bounds) == ((1, 3), (3, 5))
+        assert clip(((-1, 5), (0, 9)), bounds) == ((0, 4), (2, 6))
+        assert clip(((5, 7), (-3, 1)), bounds) == ((4, 4), (2, 2))  # empty
 
     @given(
-        n=st.integers(min_value=1, max_value=20),
         lo=st.integers(min_value=-10, max_value=25),
         width=st.integers(min_value=0, max_value=15),
+        m_lo=st.integers(min_value=-5, max_value=10),
+        m_width=st.integers(min_value=0, max_value=10),
     )
     @settings(max_examples=60)
-    def test_matches_manual_padding_1d(self, n, lo, width):
-        a = np.arange(1, n + 1, dtype=float)
-        out = extract_padded(a, (lo,), (lo + width,))
-        padded = np.concatenate([np.zeros(30), a, np.zeros(40)])
-        np.testing.assert_array_equal(out, padded[30 + lo : 30 + lo + width])
+    def test_matches_set_intersection_1d(self, lo, width, m_lo, m_width):
+        ((b, h),) = clip(((lo, lo + width),), ((m_lo, m_lo + m_width),))
+        want = set(range(lo, lo + width)) & set(range(m_lo, m_lo + m_width))
+        assert set(range(b, h)) == want
+        assert m_lo <= b <= h <= m_lo + m_width
 
 
 class TestPlaceRegion:
@@ -148,11 +126,12 @@ class TestPlaceRegion:
         off=st.integers(min_value=-4, max_value=6),
     )
     def test_roundtrip_with_extract(self, off):
-        """extract then place-add recovers contributions inside the array."""
+        """place-add then reading the region back recovers the contributions
+        inside the array."""
         dest = np.zeros(5)
         region = np.arange(1.0, 4.0)
         place_region(dest, region, (off,), accumulate=True)
-        back = extract_padded(dest, (off,), (off + 3,))
+        back = np.concatenate([np.zeros(10), dest, np.zeros(10)])[10 + off : 13 + off]
         inside = (np.arange(3) + off >= 0) & (np.arange(3) + off < 5)
         np.testing.assert_array_equal(back[inside], region[inside])
         assert (back[~inside] == 0).all()

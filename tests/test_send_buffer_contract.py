@@ -74,7 +74,8 @@ def _contract_prog(comm):
     # ``from_global`` may hand out a view of its argument: shard a copy.
     dt = DistTensor.from_global(rows, Distribution.make((p, 1)), X.copy())
     regions = [((lo, 0), (hi, 8)) for lo, hi in map(_halo_rows, range(p))]
-    halo = start_region_exchange(dt, region_plan(dt, regions))
+    plan = region_plan(dt, regions)
+    halo = start_region_exchange(dt, plan, (plan.box,))
     _overwrite(dt.local)
     comm.barrier()
     (out["halo"],) = halo.finish()

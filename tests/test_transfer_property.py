@@ -7,8 +7,8 @@ numpy on the global array over generated layouts — 1-4 ranks, 2D and 4D
 tensors, uneven partitions, empty shards (a dimension smaller than its part
 count), replicated axes — and regions reaching past the global edge:
 
-* planned gather == the region of ``to_global()`` (``fill`` outside the
-  tensor), and the ``region_data`` bytes a rank records == the cells of
+* planned gather == the region of ``to_global()``, staged clipped to the
+  tensor, and the ``region_data`` bytes a rank records == the cells of
   every peer's region (clipped to the tensor) that lie in its block;
 * shuffle == ``DistTensor.from_global`` under the destination distribution,
   and there-and-back is the identity;
@@ -155,23 +155,30 @@ def _replica_group_block_cells(grid, dist, shape, rank, region) -> int:
 
 def check_gather(comm, case: Case) -> None:
     """Planned gather (the whole region, then two staged boxes of it) == the
-    region of ``to_global()``, ``fill`` outside it; ``finish()`` idempotent; the bytes
-    recorded == the cells this rank's block holds of its replica-group
-    peers' regions."""
+    region of ``to_global()``, each box staged clipped to the tensor;
+    ``finish()`` idempotent; the bytes recorded == the cells this rank's
+    block holds of its replica-group peers' regions."""
     x = case.tensor()
     grid = ProcessGrid(comm, case.src.grid)
     dt = DistTensor.from_global(grid, case.src.dist, x)
-    lo, hi = case.regions[comm.rank]
-    want = region_of(dt.to_global(), lo, hi, fill=-1.0)
+    whole = dt.to_global()
+
+    def staged_as(box, got):
+        """``got`` is the global array over ``box`` clipped to the tensor."""
+        lo, hi = zip(*box)
+        c_lo = tuple(min(max(b, 0), n) for b, n in zip(lo, case.shape))
+        c_hi = tuple(max(b, min(h, n)) for b, h, n in zip(c_lo, hi, case.shape))
+        np.testing.assert_array_equal(got, region_of(whole, c_lo, c_hi))
+        return tuple(zip(c_lo, c_hi))
 
     plan = region_plan(dt, case.regions)
+    assert plan.box == tuple(zip(*case.regions[comm.rank]))
     before = comm.stats.collective_bytes.get("region_data", 0)
-    ex = start_region_exchange(dt, plan, fill=-1.0)
+    ex = start_region_exchange(dt, plan, (plan.box,))
     sent = comm.stats.collective_bytes.get("region_data", 0) - before
     (got,) = ex.finish()
-    np.testing.assert_array_equal(got, want)
+    assert ex.boxes == (staged_as(plan.box, got),)
     assert ex.finish()[0] is got and ex.remaining == 0
-    np.testing.assert_array_equal(got, want)
     cells = sum(
         _replica_group_block_cells(grid, case.src.dist, case.shape, comm.rank, region)
         for j, region in enumerate(case.regions)
@@ -184,12 +191,10 @@ def check_gather(comm, case: Case) -> None:
     b, h = plan.box[-1]
     mid = (b + h) // 2
     halves = [plan.box[:-1] + ((b, min(mid + 1, h)),), plan.box[:-1] + ((mid, h),)]
-    staged = start_region_exchange(dt, plan, fill=-1.0, boxes=halves)
+    staged = start_region_exchange(dt, plan, halves)
     staged.poll()
     for box, part in zip(halves, staged.finish(), strict=True):
-        np.testing.assert_array_equal(
-            part, want[tuple(slice(lo - o, hi - o) for (lo, hi), o in zip(box, plan.lo))]
-        )
+        staged_as(box, part)
 
 
 def check_shuffle(comm, case: Case) -> None:
@@ -255,8 +260,10 @@ def check_scatter_add(comm, case: Case) -> None:
     # ranks of <x shard, scatter-added shard> (each replica group tiles the
     # tensor once on both sides).
     x = DistTensor.from_global(grid, dist, case.tensor())
-    (gathered,) = start_region_exchange(x, plan).finish()
-    lhs = comm.allreduce(float(np.sum(gathered * mine)))
+    ex = start_region_exchange(x, plan, (plan.box,))
+    (gathered,) = ex.finish()
+    inside = tuple(slice(b - o, h - o) for (b, h), o in zip(ex.boxes[0], plan.lo))
+    lhs = comm.allreduce(float(np.sum(gathered * mine[inside])))
     rhs = comm.allreduce(float(np.sum(x.local * planned.local)))
     assert lhs == rhs
 
